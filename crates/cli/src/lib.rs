@@ -257,8 +257,8 @@ sessions across N tenants, each decoding with its own seeded LoRA
 adapter over the one frozen base on every worker.
 
 Experiments (lab): a spec under experiments/ is a JSONL grid of seeded
-scenarios (spec_decode|tenants|fleet|igemm families) with A/B variant
-plans. `lab run` executes every (task x variant x repeat) trial
+scenarios (spec_decode|tenants|fleet|igemm|tune families) with A/B
+variant plans. `lab run` executes every (task x variant x repeat) trial
 in-process, writes trial records under <out-dir>/runs/<run_id>/, builds
 JSONL analysis tables (metrics, summaries, deltas, timing, oracles),
 and fails if any differential oracle breaks — repeats must be

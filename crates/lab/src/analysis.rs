@@ -10,8 +10,8 @@
 //! * `deltas.jsonl` — per-variant p50 deltas and ratios against the
 //!   task's first variant (deterministic A/B comparison);
 //! * `timing.jsonl` / `timing_deltas.jsonl` — the same shapes over the
-//!   wall-clock sidecars, aggregated by best (max) attempt like the
-//!   bench bins' best-of-N;
+//!   wall-clock sidecars, aggregated by best (max) attempt — rates are
+//!   higher-is-better, so max-of-repeats is best-of-N;
 //! * `oracles.jsonl` — one row per differential oracle verdict.
 //!
 //! `check_run` then gates a run: the generated baseline pins every
@@ -25,24 +25,23 @@ use crate::schemas::{
     ExperimentSpec, GateSpec, LabError, TaskSpec, BASELINE_SCHEMA, DELTA_ROW_SCHEMA,
     METRIC_ROW_SCHEMA, ORACLE_ROW_SCHEMA, SUMMARY_ROW_SCHEMA, TIMING_ROW_SCHEMA,
 };
+use edge_llm_telemetry::nearest_rank_index;
 use std::path::Path;
 
 // ---- aggregation primitives (unit-tested against naive references) ------
 
 /// Nearest-rank percentile over unsorted samples: the smallest sample
 /// such that at least `p`% of the set is ≤ it (`p` clamped to [0, 100];
-/// `p = 0` yields the minimum). Returns `None` on an empty set. Matches
-/// `LatencySummary::from_ns` so lab tables and fleet reports agree on
-/// what "p95" means.
+/// `p = 0` yields the minimum). Returns `None` on an empty set. Shares
+/// its rank computation with `LatencySummary::from_ns`, so lab tables
+/// and fleet reports agree on what "p95" means.
 pub fn percentile(samples: &[f64], p: u8) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let n = sorted.len() as u64;
-    let rank = (u64::from(p.min(100)) * n).div_ceil(100).max(1);
-    Some(sorted[(rank - 1) as usize])
+    Some(sorted[nearest_rank_index(p, sorted.len())])
 }
 
 /// Aggregate of one metric across a trial's repeats.
@@ -328,7 +327,7 @@ pub fn analyze_run(run_dir: &Path) -> Result<AnalysisReport, LabError> {
             for (name, vs) in numeric(|t| &t.timing, &variant.name) {
                 let s = summarize(&vs).expect("repeats >= 1");
                 timing_rows.push(timing_row(&task.task_id, &variant.name, &name, &s));
-                // best (max) attempt, matching the bench bins' best-of-N
+                // best (max) attempt: best-of-N for higher-is-better rates
                 if vi == 0 {
                     base_best.push((name, s.max));
                 } else if let Some((_, b)) = base_best.iter().find(|(n, _)| *n == name) {

@@ -7,15 +7,15 @@
 //!   served/shed counts, resident bytes, acceptance accounting. These go
 //!   to `trial_output.json` and must be byte-identical across repeats
 //!   and thread counts.
-//! * **timing** — wall-clock-derived rates (tokens/s). These go to the
-//!   `timing.json` sidecar and are only ever gated with tolerance bands.
+//! * **timing** — wall-clock-derived values (tokens/s, steps/s, probe
+//!   cost). These go to the `timing.json` sidecar and are only ever
+//!   gated by spec-declared `ge`/`le`/`band` bars, never exactly.
 //!
-//! The families mirror the `bench_spec` / `bench_tenants` /
-//! `bench_fleet` / `bench_igemm` scenarios so committed experiment specs
-//! can reproduce the BENCH_* headline numbers declaratively; scales are
-//! parameters, so the same driver serves both the verify-tier smoke spec
-//! and the full bench-scale specs under `experiments/`.
+//! Scales are parameters, so the same driver serves both the
+//! verify-tier smoke spec and the bench-scale specs under
+//! `experiments/` that hold the repo's headline ratios.
 
+use crate::analysis::digest;
 use crate::json::Json;
 use crate::schemas::{token_checksum, Family, LabError};
 use edge_llm::compress::{apply_activation_quant, apply_policy};
@@ -27,8 +27,10 @@ use edge_llm_model::{
     TenantAdapter, VotingPolicy, WindowSchedule,
 };
 use edge_llm_serve::{BatchedInferenceEngine, ServeRequest};
+use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -70,6 +72,7 @@ pub fn run_family(family: Family, seed: u64, params: &Json) -> Result<TrialResul
         Family::Tenants => run_tenants(seed, params),
         Family::Fleet => run_fleet_family(seed, params),
         Family::Igemm => run_igemm(seed, params),
+        Family::Tune => run_tune(seed, params),
     }
 }
 
@@ -214,7 +217,7 @@ fn argmax(row: &[f32]) -> usize {
 }
 
 /// Rebuilds `session` on the last window of `tokens`, returning the
-/// frontier token (same windowing as `bench_spec`).
+/// frontier token.
 fn rebuild_window(
     session: &mut InferenceSession,
     tokens: &[usize],
@@ -251,9 +254,9 @@ fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     );
     let cfg_for_build = cfg.clone();
     let model = cached_model(key, move || {
-        // Same calibration recipe as bench_spec: adapt on a cyclic
-        // successor task with round-robin depth-1 windows so every exit
-        // head learns the mapping and the draft is worth verifying.
+        // Calibration recipe: adapt on a cyclic successor task with
+        // round-robin depth-1 windows so every exit head learns the
+        // mapping and the draft is worth verifying.
         let seq = cfg_for_build.seq_len;
         let mut rng = TensorRng::seed_from(seed);
         let mut model = EdgeModel::new(cfg_for_build, &mut rng).map_err(trial)?;
@@ -383,8 +386,8 @@ fn run_tenants(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
             .register_adapter(&format!("tenant-{t}"), adapter)
             .map_err(trial)?;
     }
-    // Same workload shape as bench_tenants: requests identical across
-    // tenant counts apart from the tenant assignment.
+    // Requests are identical across tenant counts apart from the
+    // tenant assignment.
     let mut rng = TensorRng::seed_from(seed.wrapping_add(7));
     for i in 0..sessions {
         let prompt_len = 4 + rng.index(5);
@@ -574,6 +577,7 @@ const IGEMM_KEYS: &[&str] = &[
     "sparsity",
     "integer",
     "pack",
+    "weight_cache",
     "decode_tokens",
 ];
 
@@ -584,11 +588,13 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let sparsity = p_f32(params, "sparsity", 0.25)?;
     let integer = p_bool(params, "integer", true)?;
     let pack = p_bool(params, "pack", true)?;
+    let weight_cache = p_bool(params, "weight_cache", true)?;
     let n_tokens = p_usize(params, "decode_tokens", 32)?;
 
-    // No model cache here: the datapath knobs (integer, pack) live on
-    // the model itself, and building an uncompressed tiny model is
-    // milliseconds — caching would key on the knobs anyway.
+    // No model cache here: the datapath knobs (integer, pack,
+    // weight_cache) live on the model itself, and building an
+    // uncompressed tiny model is milliseconds — caching would key on
+    // the knobs anyway.
     let mut rng = TensorRng::seed_from(seed);
     let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;
     apply_policy(
@@ -599,6 +605,7 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     apply_activation_quant(&mut model, Some(QuantScheme::asymmetric(BitWidth::W8)))
         .map_err(trial)?;
     model.set_integer_decode_enabled(integer);
+    model.set_weight_cache_enabled(weight_cache);
     if pack {
         model.pack_frozen_weights().map_err(trial)?;
     }
@@ -625,7 +632,137 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let mut result = TrialResult::new();
     result.metric("tokens_decoded", Json::Int(n_tokens as i64));
     result.metric("argmax_checksum", Json::str(&token_checksum(&argmaxes)));
+    // Resident decode-path weight bytes (dense f32 with the cache off,
+    // packed codes once packed) — reported by the tasks that sweep the
+    // cache knob, so every other igemm baseline keeps its row set.
+    if params.get("weight_cache").is_some() {
+        result.metric(
+            "decode_weight_bytes",
+            Json::Int(model.decode_weight_bytes() as i64),
+        );
+    }
     result.time("tokens_per_s", Json::Float(n_tokens as f64 / secs));
+    Ok(result)
+}
+
+// ---- tune ---------------------------------------------------------------
+
+const TUNE_KEYS: &[&str] = &[
+    "layers",
+    "d_model",
+    "heads",
+    "seq_len",
+    "policy",
+    "steps",
+    "weight_cache",
+    "recording",
+];
+
+/// Cost in ns of one disabled instrumentation point (a `span` open, its
+/// close, and a `counter` bump are three points), loop overhead
+/// subtracted. Only meaningful with no recording session active.
+fn disabled_ns_per_point() -> f64 {
+    const CALLS: usize = 2_000_000;
+    let t0 = Instant::now();
+    for i in 0..CALLS {
+        black_box(i);
+    }
+    let empty_ns = t0.elapsed().as_nanos() as f64;
+    let t0 = Instant::now();
+    for i in 0..CALLS {
+        let g = telemetry::span("lab.disabled");
+        telemetry::counter("lab.disabled", i as u64);
+        let _ = black_box(g);
+    }
+    let probed_ns = t0.elapsed().as_nanos() as f64;
+    ((probed_ns - empty_ns) / (CALLS as f64 * 3.0)).max(0.0)
+}
+
+/// Windowed adaptation steps on a LUC-compressed model: the adaptation
+/// iteration the weight cache speeds up and the telemetry probes ride
+/// on. Two untimed steps (cache warm-up, then the steady-state step the
+/// recording-off arm counts its probes on) precede `steps` timed ones,
+/// so every arm applies the same update sequence and the parameter
+/// checksum is comparable across them.
+fn run_tune(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
+    check_keys(params, TUNE_KEYS)?;
+    let cfg = model_config(params, (2, 32, 4, 4))?;
+    let policy = match params.get("policy") {
+        None => CompressionPolicy::uniform(cfg.n_layers, BitWidth::W4, 0.25),
+        Some(v) => {
+            let text = v
+                .as_str()
+                .ok_or_else(|| LabError::Spec("param \"policy\" must be a string".into()))?;
+            CompressionPolicy::parse_compact(text)
+                .map_err(|e| LabError::Spec(format!("param \"policy\": {e}")))?
+        }
+    };
+    let steps = p_usize(params, "steps", 8)?.max(1);
+    let weight_cache = p_bool(params, "weight_cache", true)?;
+    let recording = p_bool(params, "recording", true)?;
+
+    let mut rng = TensorRng::seed_from(seed);
+    let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;
+    apply_policy(&mut model, &policy).map_err(trial)?;
+    model.set_weight_cache_enabled(weight_cache);
+    let mut rng = TensorRng::seed_from(seed.wrapping_add(7));
+    let tokens: Vec<usize> = (0..cfg.seq_len)
+        .map(|_| rng.index(cfg.vocab_size))
+        .collect();
+    let mut opt = Sgd::with_momentum(0.05, 0.9);
+    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
+    let mut step = |model: &mut EdgeModel| {
+        tuner
+            .step(model, &mut opt, &tokens, &tokens, 1)
+            .map(|_| ())
+            .map_err(trial)
+    };
+
+    // The runner records every trial; the recording-off arm ends that
+    // session here so its timed steps run the disabled path (the
+    // runner's own trailing `disable()` then returns an empty trace).
+    if !recording {
+        telemetry::disable();
+    }
+    step(&mut model)?;
+    let points_per_step = if recording {
+        step(&mut model)?;
+        None
+    } else {
+        // Every recorded event is exactly one instrumentation point.
+        telemetry::enable(Arc::new(telemetry::FakeClock::with_tick(1)));
+        let counted = step(&mut model);
+        let points = telemetry::disable().len();
+        counted?;
+        Some(points)
+    };
+    let t0 = Instant::now();
+    for _ in 0..steps {
+        step(&mut model)?;
+    }
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+
+    let mut bytes = Vec::with_capacity(model.num_params() * 4);
+    model.visit_params_all_ro(&mut |_, p| {
+        bytes.extend(p.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    });
+    let mut result = TrialResult::new();
+    result.metric("steps", Json::Int(steps as i64));
+    result.metric("param_checksum", Json::str(&digest(&bytes)));
+    result.time("steps_per_s", Json::Float(steps as f64 / secs));
+    if let Some(points) = points_per_step {
+        // The disabled-path bar from first principles rather than by
+        // differencing two noisy wall clocks: probes a step executes x
+        // cost of one disabled probe, as a share of the measured step.
+        let ns_per_point = disabled_ns_per_point();
+        let step_ns = secs * 1e9 / steps as f64;
+        result.time("points_per_step", Json::Int(points as i64));
+        result.time("disabled_ns_per_point", Json::Float(ns_per_point));
+        result.time(
+            "disabled_probe_pct",
+            Json::Float(points as f64 * ns_per_point / step_ns * 100.0),
+        );
+    }
     Ok(result)
 }
 
@@ -644,6 +781,7 @@ mod tests {
             (Family::Tenants, r#"{"warp": 1}"#),
             (Family::Fleet, r#"{"warp": 1}"#),
             (Family::Igemm, r#"{"warp": 1}"#),
+            (Family::Tune, r#"{"warp": 1}"#),
         ] {
             let err = run_family(family, 1, &obj(text)).unwrap_err();
             assert!(matches!(err, LabError::Spec(_)), "{family:?}");
@@ -677,6 +815,55 @@ mod tests {
             get(&packed, "argmax_checksum"),
             get(&lazy, "argmax_checksum")
         );
+    }
+
+    const TUNE_TOY: &str = r#"{"layers": 2, "d_model": 16, "heads": 2, "seq_len": 4,
+                               "policy": "4:0.25,2:0.5", "steps": 3}"#;
+
+    #[test]
+    fn tune_cached_matches_uncached_bit_for_bit() {
+        let cached = run_family(Family::Tune, 11, &obj(TUNE_TOY)).unwrap();
+        let uncached = run_family(
+            Family::Tune,
+            11,
+            &merge(TUNE_TOY, r#"{"weight_cache": false}"#),
+        )
+        .unwrap();
+        assert_eq!(
+            get(&cached, "param_checksum"),
+            get(&uncached, "param_checksum"),
+            "the weight cache must never change an adapted parameter"
+        );
+        let other_seed = run_family(Family::Tune, 12, &obj(TUNE_TOY)).unwrap();
+        assert_ne!(
+            get(&cached, "param_checksum"),
+            get(&other_seed, "param_checksum"),
+            "the checksum must see the parameters"
+        );
+    }
+
+    #[test]
+    fn tune_recording_never_perturbs_a_parameter() {
+        // The only test in this binary that owns the process-global
+        // recording session; stray events from concurrent tests land in
+        // it harmlessly.
+        telemetry::enable(Arc::new(telemetry::MonotonicClock::new()));
+        let on = run_family(Family::Tune, 11, &obj(TUNE_TOY));
+        let recorded = telemetry::disable();
+        let on = on.unwrap();
+        assert!(!recorded.is_empty(), "the on arm ran under a live session");
+        let off = run_family(
+            Family::Tune,
+            11,
+            &merge(TUNE_TOY, r#"{"recording": false}"#),
+        )
+        .unwrap();
+        assert_eq!(get(&on, "param_checksum"), get(&off, "param_checksum"));
+        // only the off arm measures the disabled path
+        let timed = |r: &TrialResult, key: &str| r.timing.iter().any(|(k, _)| k == key);
+        assert!(timed(&off, "disabled_probe_pct") && timed(&off, "points_per_step"));
+        assert!(!timed(&on, "disabled_probe_pct"));
+        assert!(!telemetry::is_enabled(), "the off arm leaves recording off");
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! engines, with differential trial oracles and generated baseline
 //! regression gates.
 //!
-//! The repo's headline claims (spec-decode speedup, fleet scaling,
-//! tenant residency, integer-GEMM wins) started life in ad-hoc
-//! `bench_*` bins. The lab turns those one-offs into *data*: an
-//! experiment is a JSONL file of tasks — each a seeded scenario with
-//! explicit A/B variant plans — that the runner executes in-process,
-//! writing per-trial input/output records under `.lab/runs/<run_id>/`
-//! and building JSONL analysis tables straight from the telemetry sink.
+//! The repo's headline claims (weight-cache and spec-decode speedups,
+//! free-when-off telemetry, tenant residency, integer-GEMM wins) are
+//! held here as *data* rather than one-off binaries: an experiment is
+//! a JSONL file of tasks — each a seeded scenario with explicit A/B
+//! variant plans — that the runner executes in-process, writing
+//! per-trial input/output records under `.lab/runs/<run_id>/` and
+//! building JSONL analysis tables straight from the telemetry sink.
 //!
 //! Three properties make the tables trustworthy:
 //!
@@ -28,8 +28,8 @@
 //!   so regression gates never drift from what the code produces.
 //!
 //! The CLI surface is `edgellm lab run|analyze|check`;
-//! `scripts/verify.sh` gates `experiments/smoke.jsonl` against the
-//! committed baseline on every verify.
+//! `scripts/verify.sh` runs every committed `experiments/*.jsonl` and
+//! gates it against its generated `experiments/baselines/<name>.json`.
 
 pub mod analysis;
 pub mod families;

@@ -79,18 +79,19 @@ impl std::error::Error for LabError {}
 /// in-process — the lab never shells out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// Greedy vs self-speculative single-stream decode (the `bench_spec`
-    /// scenario, BENCH_7).
+    /// Greedy vs self-speculative single-stream decode.
     SpecDecode,
-    /// Multi-tenant adapter serving over one packed base (the
-    /// `bench_tenants` scenario, BENCH_8).
+    /// Multi-tenant adapter serving over one packed base.
     Tenants,
     /// Sharded fleet over a seeded traffic scenario (the `bench_fleet`
     /// scenario, BENCH_6).
     Fleet,
-    /// Integer vs row-dequant packed decode datapath (the `bench_igemm`
-    /// scenario, BENCH_9).
+    /// Single-stream decode over a packed model: integer vs row-dequant
+    /// datapath, packed vs lazy, weight cache on vs off.
     Igemm,
+    /// Windowed adaptation steps under a LUC policy: weight cache on vs
+    /// off, telemetry recording on vs off.
+    Tune,
 }
 
 impl Family {
@@ -101,6 +102,7 @@ impl Family {
             Family::Tenants => "tenants",
             Family::Fleet => "fleet",
             Family::Igemm => "igemm",
+            Family::Tune => "tune",
         }
     }
 
@@ -111,6 +113,7 @@ impl Family {
             "tenants" => Some(Family::Tenants),
             "fleet" => Some(Family::Fleet),
             "igemm" => Some(Family::Igemm),
+            "tune" => Some(Family::Tune),
             _ => None,
         }
     }
@@ -277,7 +280,7 @@ impl ExperimentSpec {
         let family = Family::parse(&family_name).ok_or_else(|| {
             LabError::Spec(format!(
                 "task {task_id:?}: unknown family {family_name:?} \
-                 (spec_decode|tenants|fleet|igemm)"
+                 (spec_decode|tenants|fleet|igemm|tune)"
             ))
         })?;
         let seed = field_u64(obj, "seed", default_seed)?;

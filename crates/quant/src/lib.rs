@@ -32,7 +32,6 @@
 mod affine;
 mod bitwidth;
 mod fake;
-mod igemm;
 mod metrics;
 mod observer;
 mod packed;
@@ -44,7 +43,6 @@ mod scratch;
 pub use affine::QuantizedTensor;
 pub use bitwidth::BitWidth;
 pub use fake::{fake_quant, fake_quant_backward, fake_quant_in_place, fake_quant_row_in_place};
-pub use igemm::{integer_matmul, integer_matmul_with};
 pub use metrics::{quant_mse, sqnr_db};
 pub use observer::{quantize_with_range, RangeObserver};
 pub use packed::PackedInts;

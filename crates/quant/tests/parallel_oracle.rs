@@ -1,80 +1,21 @@
-//! Parallel-vs-serial and SIMD-vs-scalar oracles for the integer GEMMs.
+//! Parallel-vs-serial and SIMD-vs-scalar oracles for the packed integer
+//! GEMM.
 //!
-//! [`integer_matmul_with`] and [`packed_decode_matmul`] compute every
-//! output element as an exact integer accumulation plus one f32 rescale,
-//! so every worker count — and the word-lane SIMD kernel vs the scalar
-//! per-code loop — must produce the **bit-identical** result of the
-//! serial scalar run: exact `f32` equality over randomized shapes,
-//! bit-widths, and ragged sizes.
+//! [`packed_decode_matmul`] computes every output element as an exact
+//! integer accumulation plus one f32 rescale, so every worker count —
+//! and the word-lane SIMD kernel vs the scalar per-code loop — must
+//! produce the **bit-identical** result of the serial scalar run: exact
+//! `f32` equality over randomized shapes, bit-widths, and ragged sizes.
 
 use edge_llm_quant::{
-    integer_matmul, integer_matmul_with, packed_decode_matmul, packed_decode_matmul_scalar,
-    quantize_activations, BitWidth, QuantScheme, QuantizedTensor,
+    packed_decode_matmul, packed_decode_matmul_scalar, quantize_activations, BitWidth, QuantScheme,
+    QuantizedTensor,
 };
 use edge_llm_tensor::check::{run_cases, Gen};
 use edge_llm_tensor::{Tensor, TensorRng};
 
-const THREADS: [usize; 4] = [2, 3, 5, 8];
-
 /// The thread counts the acceptance criteria pin for the packed kernel.
 const PACKED_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn quantized_operands(
-    g: &mut Gen,
-    m: usize,
-    k: usize,
-    n: usize,
-    bits: BitWidth,
-) -> (QuantizedTensor, QuantizedTensor) {
-    let mut rng = TensorRng::seed_from(g.u64());
-    let x = Tensor::randn(m, k, 1.0, &mut rng);
-    let w = Tensor::randn(n, k, 0.5, &mut rng);
-    let (lo, hi) = x
-        .as_slice()
-        .iter()
-        .fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &v| {
-            (l.min(v), h.max(v))
-        });
-    let x_q = edge_llm_quant::quantize_with_range(&x, bits, lo, hi).unwrap();
-    let w_q = QuantizedTensor::quantize(&w, QuantScheme::symmetric(bits)).unwrap();
-    (x_q, w_q)
-}
-
-#[test]
-fn parallel_igemm_matches_serial_exactly() {
-    run_cases("igemm parallel vs serial", 48, |g| {
-        let bits = *g.choose(&[BitWidth::W2, BitWidth::W4, BitWidth::W8]);
-        let (m, k, n) = (g.usize_in(1, 24), g.usize_in(1, 48), g.usize_in(1, 24));
-        let (x_q, w_q) = quantized_operands(g, m, k, n, bits);
-        let serial = integer_matmul_with(&x_q, &w_q, 1).unwrap();
-        for t in THREADS {
-            let par = integer_matmul_with(&x_q, &w_q, t).unwrap();
-            assert_eq!(
-                serial.as_slice(),
-                par.as_slice(),
-                "{m}x{k}x{n} {bits:?} with {t} threads"
-            );
-        }
-    });
-}
-
-#[test]
-fn parallel_igemm_is_exact_above_the_work_cutoff() {
-    // Large ragged shapes that clear the serial-fallback cutoff, so the
-    // panel partitioning itself runs and is diffed against serial.
-    for (i, &(m, k, n)) in [(41usize, 53usize, 47usize), (65, 37, 33)]
-        .iter()
-        .enumerate()
-    {
-        let mut g = Gen::new(0x516E ^ i as u64);
-        let (x_q, w_q) = quantized_operands(&mut g, m, k, n, BitWidth::W8);
-        let serial = integer_matmul_with(&x_q, &w_q, 1).unwrap();
-        for t in THREADS {
-            let par = integer_matmul_with(&x_q, &w_q, t).unwrap();
-            assert_eq!(serial.as_slice(), par.as_slice(), "{m}x{k}x{n}/{t}");
-        }
-    }
-}
 
 fn packed_operands(
     g: &mut Gen,
@@ -145,15 +86,4 @@ fn packed_gemm_tracks_f32_reference_within_quant_error() {
     let rel = edge_llm_tensor::l2_norm(&integer.sub(&exact).unwrap())
         / edge_llm_tensor::l2_norm(&exact).max(1e-6);
     assert!(rel < 0.05, "8-bit packed GEMM rel err {rel}");
-}
-
-#[test]
-fn default_entry_point_is_serial_result() {
-    // `integer_matmul` defers to the global knob (1 in the test process);
-    // it must agree bit-for-bit with an explicit serial run.
-    let mut g = Gen::new(7);
-    let (x_q, w_q) = quantized_operands(&mut g, 9, 17, 11, BitWidth::W4);
-    let a = integer_matmul(&x_q, &w_q).unwrap();
-    let b = integer_matmul_with(&x_q, &w_q, 1).unwrap();
-    assert_eq!(a.as_slice(), b.as_slice());
 }

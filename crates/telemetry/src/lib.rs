@@ -20,9 +20,10 @@
 //! # Disabled-by-default, provably cheap
 //!
 //! Recording is off unless [`enable`] has installed a session. The entire
-//! disabled hot path is one relaxed atomic load — `bench_telemetry`
-//! gates its cost at under 1% of an adaptation step. Instrumented code
-//! therefore calls [`span`]/[`counter`] unconditionally.
+//! disabled hot path is one relaxed atomic load —
+//! `experiments/telemetry.jsonl` gates its cost at under 1% of an
+//! adaptation step. Instrumented code therefore calls
+//! [`span`]/[`counter`] unconditionally.
 //!
 //! Enabled recording appends events to a buffer under a mutex; it spends
 //! time but never influences computed values, so the byte-identity suites
@@ -60,5 +61,5 @@ pub use record::{
     counter, disable, enable, is_enabled, span, take_events, Event, SpanGuard, ThreadId,
 };
 pub use sink::{env_trace_path, write_jsonl, TRACE_ENV_VAR};
-pub use summary::LatencySummary;
+pub use summary::{nearest_rank_index, LatencySummary};
 pub use tree::{aggregate_span_ns, counter_totals, span_tree, SpanNode};

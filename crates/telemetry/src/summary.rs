@@ -3,6 +3,16 @@
 
 use std::fmt;
 
+/// Zero-based index of the nearest-rank `p`-th percentile in a sorted
+/// set of `n >= 1` samples: the smallest sample such that at least `p`%
+/// of the set is ≤ it (`p` clamped to [0, 100]; `p = 0` yields the
+/// minimum). The one rank computation behind every percentile the repo
+/// reports — [`LatencySummary`] and the lab analysis tables both index
+/// through it.
+pub fn nearest_rank_index(p: u8, n: usize) -> usize {
+    (u64::from(p.min(100)) * n as u64).div_ceil(100).max(1) as usize - 1
+}
+
 /// Percentile summary of a set of nanosecond samples, computed with the
 /// nearest-rank method (deterministic, no interpolation).
 ///
@@ -31,11 +41,7 @@ impl LatencySummary {
             return LatencySummary::default();
         }
         samples.sort_unstable();
-        let nearest_rank = |p: u64| -> u64 {
-            // smallest sample >= p% of the distribution
-            let rank = (p * samples.len() as u64).div_ceil(100).max(1) as usize;
-            samples[rank - 1]
-        };
+        let nearest_rank = |p: u8| samples[nearest_rank_index(p, samples.len())];
         LatencySummary {
             count: samples.len(),
             p50_ns: nearest_rank(50),
