@@ -1,7 +1,7 @@
-//! Golden-report regression test: runs the quick-scale T1 and T3
-//! experiments through the library (the same code path as `report
-//! --quick`), projects away wall-clock columns, and compares the
-//! remaining cells against checked-in snapshots.
+//! Golden-report regression test: runs the quick-scale T1, T3, F2, F5,
+//! A1 and A3 experiments through the library (the same code path as
+//! `report --quick`), projects away wall-clock columns, and compares
+//! the remaining cells against checked-in snapshots.
 //!
 //! Every number in the snapshot is produced by seeded, fixed-order
 //! arithmetic, so any drift means an algorithmic change — a kernel
@@ -12,7 +12,7 @@
 //! EDGELLM_UPDATE_GOLDEN=1 cargo test -q --test golden_report
 //! ```
 
-use edge_llm::experiments::{t1_main, t3_adaptive, Scale};
+use edge_llm::experiments::{run_experiment, Scale};
 use edge_llm::report::Table;
 use std::fs;
 use std::path::PathBuf;
@@ -27,9 +27,10 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Renders the deterministic projection of a table: the title, the kept
-/// headers, and each row's kept cells, pipe-separated.
-fn deterministic_projection(table: &Table) -> String {
+/// Renders the deterministic projection of a table: the kept headers
+/// and each row's kept cells, pipe-separated. `timed` says whether the
+/// table carries a wall-clock column at all (F2, F5 and A3 do not).
+fn deterministic_projection(table: &Table, timed: bool) -> String {
     let keep: Vec<usize> = table
         .headers()
         .iter()
@@ -37,9 +38,10 @@ fn deterministic_projection(table: &Table) -> String {
         .filter(|(_, h)| !NONDETERMINISTIC.contains(&h.as_str()))
         .map(|(i, _)| i)
         .collect();
-    assert!(
+    assert_eq!(
         keep.len() < table.headers().len(),
-        "expected at least one wall-clock column in {:?}",
+        timed,
+        "wall-clock columns in {:?}",
         table.headers()
     );
     let mut lines = Vec::with_capacity(table.n_rows() + 1);
@@ -60,9 +62,10 @@ fn deterministic_projection(table: &Table) -> String {
     lines.join("\n") + "\n"
 }
 
-fn assert_matches_golden(table: &Table, file: &str) {
-    let projection = deterministic_projection(table);
-    let path = golden_path(file);
+fn assert_matches_golden(id: &str, timed: bool) {
+    let table = run_experiment(id, Scale::Quick).unwrap_or_else(|e| panic!("{id} quick: {e}"));
+    let projection = deterministic_projection(&table, timed);
+    let path = golden_path(&format!("{id}_quick.txt"));
     if std::env::var_os("EDGELLM_UPDATE_GOLDEN").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, &projection).unwrap();
@@ -85,12 +88,30 @@ fn assert_matches_golden(table: &Table, file: &str) {
 
 #[test]
 fn t1_quick_matches_snapshot() {
-    let table = t1_main(Scale::Quick).expect("t1 quick");
-    assert_matches_golden(&table, "t1_quick.txt");
+    assert_matches_golden("t1", true);
 }
 
 #[test]
 fn t3_quick_matches_snapshot() {
-    let table = t3_adaptive(Scale::Quick).expect("t3 quick");
-    assert_matches_golden(&table, "t3_quick.txt");
+    assert_matches_golden("t3", true);
+}
+
+#[test]
+fn f2_quick_matches_snapshot() {
+    assert_matches_golden("f2", false);
+}
+
+#[test]
+fn f5_quick_matches_snapshot() {
+    assert_matches_golden("f5", false);
+}
+
+#[test]
+fn a1_quick_matches_snapshot() {
+    assert_matches_golden("a1", true);
+}
+
+#[test]
+fn a3_quick_matches_snapshot() {
+    assert_matches_golden("a3", false);
 }
