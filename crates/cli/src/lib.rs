@@ -15,17 +15,16 @@
 //! unit-testable; `src/main.rs` is a thin wrapper.
 
 use edge_llm::compress::apply_policy;
-use edge_llm::oracle::ModelOracle;
+use edge_llm::pipeline::luc_policy;
 use edge_llm::resilience::{resilient_adapt, ResilienceConfig};
 use edge_llm_data::{Dataset, TaskGenerator, TextLmTask};
 use edge_llm_fleet::{run_fleet_with_adapters, FleetConfig, ScenarioSpec};
-use edge_llm_luc::{profile, search_policy, CompressionPolicy, SearchAlgorithm};
+use edge_llm_luc::{CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
     generate, load_model, save_model, AdapterTarget, AdaptiveTuner, Decoding, EdgeModel,
     ModelConfig, Sgd, TenantAdapter, TrainingCheckpoint, VotingCombiner, VotingPolicy,
     WindowSchedule,
 };
-use edge_llm_quant::BitWidth;
 use edge_llm_serve::{BatchedInferenceEngine, FinishReason, ServeRequest};
 use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
@@ -33,10 +32,6 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-/// The candidate bit-widths and ratios the `policy`/`adapt` commands sweep.
-const BIT_CHOICES: [BitWidth; 4] = [BitWidth::W2, BitWidth::W4, BitWidth::W8, BitWidth::W16];
-const RATIO_CHOICES: [f32; 4] = [0.0, 0.25, 0.5, 0.75];
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -463,7 +458,8 @@ fn cli_model_config(vocab: usize) -> ModelConfig {
         .with_vocab(vocab)
 }
 
-fn search_corpus_policy(
+/// The DP-searched LUC policy on four freshly sampled corpus sequences.
+fn corpus_policy(
     model: &EdgeModel,
     task: &TextLmTask,
     budget: f32,
@@ -473,13 +469,8 @@ fn search_corpus_policy(
     let calib: Vec<_> = (0..4).map(|_| task.sample(seq, rng)).collect();
     let tokens: Vec<usize> = calib.iter().flat_map(|s| s.tokens.clone()).collect();
     let targets: Vec<usize> = calib.iter().flat_map(|s| s.targets.clone()).collect();
-    let mut oracle = ModelOracle::new(model, &tokens, &targets, 4);
-    let prof = profile(&mut oracle, &BIT_CHOICES, &RATIO_CHOICES).map_err(run_err)?;
-    Ok(
-        search_policy(&prof, budget, SearchAlgorithm::DynamicProgramming)
-            .map_err(run_err)?
-            .policy,
-    )
+    let algorithm = SearchAlgorithm::DynamicProgramming;
+    luc_policy(model, &tokens, &targets, 4, budget, algorithm).map_err(run_err)
 }
 
 /// Executes a parsed command, writing human-readable output to `out`.
@@ -505,7 +496,7 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
             // brief warmup so sensitivity is meaningful
             let mut model = model;
             adapt_model(&mut model, &task, 100, 1, &mut rng)?;
-            let policy = search_corpus_policy(&model, &task, *budget, &mut rng)?;
+            let policy = corpus_policy(&model, &task, *budget, &mut rng)?;
             writeln!(out, "policy: {policy}").map_err(run_err)?;
             writeln!(out, "compact: {}", policy.to_compact_string()).map_err(run_err)?;
             writeln!(
@@ -570,7 +561,7 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                     let full_depth = model.n_layers();
                     adapt_model(&mut model, &task, iterations / 4, full_depth, &mut rng)?;
                     let policy = if *budget < 1.0 {
-                        let p = search_corpus_policy(&model, &task, *budget, &mut rng)?;
+                        let p = corpus_policy(&model, &task, *budget, &mut rng)?;
                         apply_policy(&mut model, &p).map_err(run_err)?;
                         p
                     } else {
@@ -587,14 +578,7 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                     .map(|_| task.sample(cfg.seq_len, &mut data_rng))
                     .collect(),
             );
-            let schedule = if window >= cfg.n_layers {
-                WindowSchedule::FullDepth
-            } else {
-                WindowSchedule::RoundRobin {
-                    depth: window.max(1),
-                }
-            };
-            let mut tuner = AdaptiveTuner::new(schedule);
+            let mut tuner = AdaptiveTuner::new(WindowSchedule::for_depth(window, cfg.n_layers));
             tuner.set_iteration(start);
             let state_path = format!("{ckpt}.state");
             let res = ResilienceConfig {
@@ -1214,14 +1198,7 @@ fn adapt_model(
 ) -> Result<f32, CliError> {
     let cfg = model.config().clone();
     let ds = Dataset::from_samples((0..32).map(|_| task.sample(cfg.seq_len, rng)).collect());
-    let schedule = if window >= cfg.n_layers {
-        WindowSchedule::FullDepth
-    } else {
-        WindowSchedule::RoundRobin {
-            depth: window.max(1),
-        }
-    };
-    let mut tuner = AdaptiveTuner::new(schedule);
+    let mut tuner = AdaptiveTuner::new(WindowSchedule::for_depth(window, cfg.n_layers));
     let mut opt = Sgd::new(0.1);
     let mut last = f32::NAN;
     for it in 0..iterations {

@@ -13,19 +13,6 @@ use edge_llm_model::{EdgeModel, Linear};
 use edge_llm_prune::{magnitude_prune, nm_prune};
 use edge_llm_quant::{BitWidth, QuantScheme};
 
-fn for_each_linear(
-    model: &mut EdgeModel,
-    layer: usize,
-    f: &mut dyn FnMut(&mut Linear) -> Result<(), EdgeLlmError>,
-) -> Result<(), EdgeLlmError> {
-    let block = model.block_mut(layer);
-    f(block.attn_mut().qkv_mut())?;
-    f(block.attn_mut().proj_mut())?;
-    f(block.mlp_mut().fc1_mut())?;
-    f(block.mlp_mut().fc2_mut())?;
-    Ok(())
-}
-
 fn compress_linear(lin: &mut Linear, policy: LayerPolicy) -> Result<(), EdgeLlmError> {
     if policy.prune_ratio > 0.0 {
         let mask = magnitude_prune(lin.weight(), policy.prune_ratio)
@@ -60,12 +47,11 @@ pub fn apply_layer_policy(
         });
     }
     policy.validate()?;
-    let block = model.block_mut(layer);
-    compress_linear(block.attn_mut().qkv_mut(), policy)?;
-    compress_linear(block.attn_mut().proj_mut(), policy)?;
-    compress_linear(block.mlp_mut().fc1_mut(), policy)?;
-    compress_linear(block.mlp_mut().fc2_mut(), policy)?;
-    Ok(())
+    model
+        .block_mut(layer)
+        .linears_mut()
+        .into_iter()
+        .try_for_each(|lin| compress_linear(lin, policy))
 }
 
 /// Installs a whole-model [`CompressionPolicy`].
@@ -113,12 +99,11 @@ pub fn clear_compression(model: &mut EdgeModel) -> Result<(), EdgeLlmError> {
 /// dividing a row length).
 pub fn apply_nm_sparsity(model: &mut EdgeModel, n: usize, m: usize) -> Result<(), EdgeLlmError> {
     for layer in 0..model.n_layers() {
-        for_each_linear(model, layer, &mut |lin| {
+        for lin in model.block_mut(layer).linears_mut() {
             let mask = nm_prune(lin.weight(), n, m)
                 .map_err(|e| EdgeLlmError::Model(edge_llm_model::ModelError::from(e)))?;
             lin.set_mask(Some(mask))?;
-            Ok(())
-        })?;
+        }
     }
     Ok(())
 }
@@ -134,10 +119,9 @@ pub fn apply_activation_quant(
     scheme: Option<QuantScheme>,
 ) -> Result<(), EdgeLlmError> {
     for layer in 0..model.n_layers() {
-        for_each_linear(model, layer, &mut |lin| {
+        for lin in model.block_mut(layer).linears_mut() {
             lin.set_activation_quant(scheme);
-            Ok(())
-        })?;
+        }
     }
     Ok(())
 }

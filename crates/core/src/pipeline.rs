@@ -1,16 +1,21 @@
 //! The end-to-end Edge-LLM adaptation pipeline and its baselines.
 //!
-//! [`run_method`] executes one adaptation run — data generation, optional
-//! compression (uniform or LUC-searched), adaptive or full-depth tuning,
-//! and evaluation with or without exit voting — and reports task quality
-//! together with measured and modeled efficiency. The benchmark harness
-//! calls this for every row of every table.
+//! Every adaptation in the repo is the same two stages: [`prepare`]
+//! (build, sample, pretrain on a source task) and [`adapt`] (install a
+//! compression policy, tune a window schedule under the resilient
+//! runtime). [`run_method`] picks the policy and schedule a [`Method`]
+//! names, runs both stages, evaluates with or without exit voting, and
+//! reports task quality together with measured and modeled efficiency;
+//! the ablation tables in [`crate::experiments`] call the stages with
+//! their own policy and schedule.
 
 use crate::baselines::uniform_policy_for_budget;
 use crate::compress::apply_policy;
 use crate::eval::{evaluate, EvalResult};
 use crate::oracle::ModelOracle;
-use crate::resilience::{policy_extra, resilient_adapt, RecoveryJournal, ResilienceConfig};
+use crate::resilience::{
+    policy_extra, resilient_adapt, AdaptRun, RecoveryJournal, ResilienceConfig,
+};
 use crate::schedule::modeled_training_iteration;
 use crate::EdgeLlmError;
 use edge_llm_data::{ClozeQaTask, CopyTask, Dataset, MarkovTextTask, ModArithTask, TaskGenerator};
@@ -302,9 +307,97 @@ pub fn run_method(
     run_method_with(method, config, &ResilienceConfig::default())
 }
 
+/// What [`prepare`] hands to [`adapt`]: the model as it arrives on the
+/// device plus the target-task data and the run's RNG stream.
+#[derive(Debug)]
+pub struct Prepared {
+    /// Source-task-pretrained (or freshly initialized), uncompressed.
+    pub model: EdgeModel,
+    /// Shuffled adaptation set.
+    pub train: Dataset,
+    /// Held-out evaluation set.
+    pub eval_set: Dataset,
+    /// The seed-derived stream, positioned after data sampling and
+    /// pretraining.
+    pub rng: TensorRng,
+}
+
+/// Stage one of every adaptation run: validate the configuration, build
+/// the model, sample and shuffle the target-task data, and pretrain on a
+/// source task of the same shape (deep supervision so every exit head
+/// works, mirroring a deployed pretrained checkpoint).
+///
+/// # Errors
+///
+/// Propagates configuration and training errors.
+pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
+    config.validate()?;
+    let task = config.task.build();
+    let mut rng = TensorRng::seed_from(config.seed);
+    let model_cfg = config.model.clone().with_vocab(task.vocab_size());
+    model_cfg.validate()?;
+    let mut model = EdgeModel::new(model_cfg.clone(), &mut rng)?;
+    let seq_len = model_cfg.seq_len;
+    let mut train = sample_dataset(task.as_ref(), config.train_samples, seq_len, &mut rng);
+    let eval_set = sample_dataset(task.as_ref(), config.eval_samples, seq_len, &mut rng);
+    train.shuffle(&mut rng);
+
+    if config.pretrain_iterations > 0 {
+        let source = config.task.build_with_salt(1);
+        let pre_train = sample_dataset(source.as_ref(), config.train_samples, seq_len, &mut rng);
+        let windows: Vec<LayerWindow> = (1..=model_cfg.n_layers)
+            .map(|e| LayerWindow { start: 0, end: e })
+            .collect();
+        let mut tuner = AdaptiveTuner::new(WindowSchedule::Ordered(windows));
+        let mut opt = Sgd::new(config.lr);
+        for it in 0..config.pretrain_iterations {
+            let b = pre_train.batch_at(it * config.batch, config.batch);
+            tuner.step(&mut model, &mut opt, &b.tokens, &b.targets, b.batch)?;
+        }
+    }
+    Ok(Prepared {
+        model,
+        train,
+        eval_set,
+        rng,
+    })
+}
+
+/// Stage two: install `policy` on the prepared model and run
+/// `config.iterations` steps of `schedule` under the resilient runtime —
+/// checkpointed, guarded against divergence, degradable under pressure.
+/// The adapted model stays in `prepared`; whatever the runtime did to
+/// keep the run alive comes back in the run's journal.
+///
+/// # Errors
+///
+/// Propagates compression and training errors; returns
+/// [`EdgeLlmError::Diverged`] when the rollback budget is exhausted.
+pub fn adapt(
+    prepared: &mut Prepared,
+    config: &ExperimentConfig,
+    policy: &CompressionPolicy,
+    schedule: WindowSchedule,
+    resilience: &ResilienceConfig,
+) -> Result<AdaptRun, EdgeLlmError> {
+    apply_policy(&mut prepared.model, policy)?;
+    resilient_adapt(
+        &mut prepared.model,
+        &mut Sgd::new(config.lr),
+        &mut AdaptiveTuner::new(schedule),
+        &mut prepared.rng,
+        &prepared.train,
+        config.batch,
+        config.iterations,
+        policy_extra(policy),
+        resilience,
+    )
+}
+
 /// Runs one adaptation method end to end under an explicit
 /// [`ResilienceConfig`] — periodic checkpoints, rollback budget, and (in
-/// tests) a fault-injection plan.
+/// tests) a fault-injection plan: [`prepare`], pick the method's policy
+/// and schedule, [`adapt`], then vote and evaluate.
 ///
 /// # Errors
 ///
@@ -316,73 +409,40 @@ pub fn run_method_with(
     config: &ExperimentConfig,
     resilience: &ResilienceConfig,
 ) -> Result<AdaptationOutcome, EdgeLlmError> {
-    config.validate()?;
-    let task = config.task.build();
-    let mut rng = TensorRng::seed_from(config.seed);
-    let model_cfg = config.model.clone().with_vocab(task.vocab_size());
-    model_cfg.validate()?;
-    let mut model = EdgeModel::new(model_cfg.clone(), &mut rng)?;
-    let mut train = task
-        .as_ref()
-        .dataset_boxed(config.train_samples, model_cfg.seq_len, &mut rng);
-    let eval_set = task
-        .as_ref()
-        .dataset_boxed(config.eval_samples, model_cfg.seq_len, &mut rng);
-    train.shuffle(&mut rng);
-
-    // 0. pretraining on the source task (deep supervision so every exit
-    //    head works, mirroring a deployed pretrained checkpoint)
-    if config.pretrain_iterations > 0 {
-        let source = config.task.build_with_salt(1);
-        let pre_train =
-            source
-                .as_ref()
-                .dataset_boxed(config.train_samples, model_cfg.seq_len, &mut rng);
-        let windows: Vec<LayerWindow> = (1..=model_cfg.n_layers)
-            .map(|e| LayerWindow { start: 0, end: e })
-            .collect();
-        let mut tuner = AdaptiveTuner::new(WindowSchedule::Ordered(windows));
-        let mut opt = Sgd::new(config.lr);
-        for it in 0..config.pretrain_iterations {
-            let b = pre_train.batch_at(it * config.batch, config.batch);
-            tuner.step(&mut model, &mut opt, &b.tokens, &b.targets, b.batch)?;
-        }
-    }
+    let mut prepared = prepare(config)?;
+    let model_cfg = prepared.model.config().clone();
 
     // 1. compression policy. Sensitivity is profiled on data the model is
     // already competent on (the source task when pretrained), because the
     // pre-adaptation loss on unlearned target data is mostly noise.
     let calib = if config.pretrain_iterations > 0 {
         let source = config.task.build_with_salt(1);
-        let calib_set =
-            source
-                .as_ref()
-                .dataset_boxed(config.batch * 2, model_cfg.seq_len, &mut rng);
-        calib_set.batch_at(0, config.batch * 2)
+        sample_dataset(
+            source.as_ref(),
+            config.batch * 2,
+            model_cfg.seq_len,
+            &mut prepared.rng,
+        )
+        .batch_at(0, config.batch * 2)
     } else {
-        train.batch_at(0, config.batch * 2)
+        prepared.train.batch_at(0, config.batch * 2)
+    };
+    let luc = |algorithm| {
+        luc_policy(
+            &prepared.model,
+            &calib.tokens,
+            &calib.targets,
+            calib.batch,
+            config.budget,
+            algorithm,
+        )
     };
     let policy = match method {
         Method::Vanilla | Method::LastLayerOnly => CompressionPolicy::identity(model_cfg.n_layers),
         Method::UniformCompressed => uniform_policy_for_budget(model_cfg.n_layers, config.budget),
-        Method::EdgeLlm | Method::EdgeLlmNoVoting => luc_policy(
-            &model,
-            &calib.tokens,
-            &calib.targets,
-            calib.batch,
-            config.budget,
-            SearchAlgorithm::DynamicProgramming,
-        )?,
-        Method::EdgeLlmGreedyLuc => luc_policy(
-            &model,
-            &calib.tokens,
-            &calib.targets,
-            calib.batch,
-            config.budget,
-            SearchAlgorithm::Greedy,
-        )?,
+        Method::EdgeLlm | Method::EdgeLlmNoVoting => luc(SearchAlgorithm::DynamicProgramming)?,
+        Method::EdgeLlmGreedyLuc => luc(SearchAlgorithm::Greedy)?,
     };
-    apply_policy(&mut model, &policy)?;
 
     // 2. tuning schedule
     let window_depth = match method {
@@ -395,27 +455,17 @@ pub fn run_method_with(
             start: model_cfg.n_layers - 1,
             end: model_cfg.n_layers,
         }]),
-        _ if window_depth >= model_cfg.n_layers => WindowSchedule::FullDepth,
-        _ => WindowSchedule::RoundRobin {
-            depth: window_depth,
-        },
+        _ => WindowSchedule::for_depth(window_depth, model_cfg.n_layers),
     };
-    let mut tuner = AdaptiveTuner::new(schedule);
-    let mut opt = Sgd::new(config.lr);
 
-    // 3. adaptation under the resilient runtime: checkpointed, guarded
-    //    against divergence, degradable under pressure
-    let run = resilient_adapt(
-        &mut model,
-        &mut opt,
-        &mut tuner,
-        &mut rng,
-        &train,
-        config.batch,
-        config.iterations,
-        policy_extra(&policy),
-        resilience,
-    )?;
+    // 3. compressed adaptation
+    let run = adapt(&mut prepared, config, &policy, schedule, resilience)?;
+    let Prepared {
+        model,
+        train,
+        eval_set,
+        ..
+    } = &prepared;
 
     // 4. evaluation. Edge-LLM's voting is *adaptive*: per-exit reliability
     // weights are fitted on (held-in) training data, then blended with the
@@ -425,7 +475,7 @@ pub fn run_method_with(
             let calib = train.batch_at(0, config.batch.min(train.len()));
             let exits: Vec<usize> = (0..model.n_layers()).collect();
             let mut weights = edge_llm_model::fit_learned_weights(
-                &model,
+                model,
                 &exits,
                 &calib.tokens,
                 &calib.targets,
@@ -442,7 +492,7 @@ pub fn run_method_with(
         }
         _ => VotingPolicy::final_only(model.n_layers()),
     };
-    let eval = evaluate(&model, &voting, &eval_set, config.batch)?;
+    let eval = evaluate(model, &voting, eval_set, config.batch)?;
 
     // 5. modeled edge latency and energy
     let (modeled_iter_us, modeled_iter_uj) = modeled_training_iteration(
@@ -458,7 +508,7 @@ pub fn run_method_with(
         accuracy: eval.accuracy,
         perplexity: eval.perplexity,
         final_loss: run.final_loss,
-        mean_iter_ms: run.total_ms / run.steps_executed.max(1) as f64,
+        mean_iter_ms: run.mean_step_ms(),
         peak_activation_bytes: run.peak_activation_bytes,
         modeled_iter_us,
         modeled_iter_uj,
@@ -472,15 +522,14 @@ pub fn run_method_with(
     })
 }
 
-/// Object-safe dataset construction for boxed task generators.
-trait TaskGeneratorExt {
-    fn dataset_boxed(&self, n: usize, seq_len: usize, rng: &mut TensorRng) -> Dataset;
-}
-
-impl TaskGeneratorExt for dyn TaskGenerator {
-    fn dataset_boxed(&self, n: usize, seq_len: usize, rng: &mut TensorRng) -> Dataset {
-        Dataset::from_samples((0..n).map(|_| self.sample(seq_len, rng)).collect())
-    }
+/// Draws `n` samples of `seq_len` tokens from a boxed task generator.
+fn sample_dataset(
+    task: &dyn TaskGenerator,
+    n: usize,
+    seq_len: usize,
+    rng: &mut TensorRng,
+) -> Dataset {
+    Dataset::from_samples((0..n).map(|_| task.sample(seq_len, rng)).collect())
 }
 
 #[cfg(test)]
@@ -523,6 +572,60 @@ mod tests {
         assert_eq!(out.policy_cost, 1.0);
         assert_eq!(out.policy_bits, 16.0);
         assert_eq!(out.policy_ratio, 0.0);
+    }
+
+    #[test]
+    fn prepare_then_adapt_is_the_vanilla_row_bit_for_bit() {
+        let cfg = ExperimentConfig::smoke_test();
+        let row = run_method(Method::Vanilla, &cfg).unwrap();
+        let mut prepared = prepare(&cfg).unwrap();
+        let n = prepared.model.n_layers();
+        let run = adapt(
+            &mut prepared,
+            &cfg,
+            &CompressionPolicy::identity(n),
+            WindowSchedule::FullDepth,
+            &ResilienceConfig::default(),
+        )
+        .unwrap();
+        assert!(run.journal.is_empty());
+        assert_eq!(run.final_loss.to_bits(), row.final_loss.to_bits());
+        assert_eq!(run.peak_activation_bytes, row.peak_activation_bytes);
+        let voting = VotingPolicy::final_only(n);
+        let eval = evaluate(&prepared.model, &voting, &prepared.eval_set, cfg.batch).unwrap();
+        assert_eq!(eval.accuracy.to_bits(), row.accuracy.to_bits());
+    }
+
+    #[test]
+    fn adapt_hands_back_the_recovery_journal() {
+        use crate::resilience::{FaultKind, PlannedFault, RecoveryEvent};
+        let cfg = ExperimentConfig::smoke_test();
+        let mut prepared = prepare(&cfg).unwrap();
+        let n = prepared.model.n_layers();
+        // the `tests/recovery.rs` plan: one NaN gradient at iteration 2
+        let faulty = ResilienceConfig {
+            faults: vec![PlannedFault {
+                at_iteration: 2,
+                kind: FaultKind::NanGrad,
+            }],
+            ..ResilienceConfig::default()
+        };
+        let run = adapt(
+            &mut prepared,
+            &cfg,
+            &CompressionPolicy::identity(n),
+            WindowSchedule::for_depth(cfg.window_depth, n),
+            &faulty,
+        )
+        .unwrap();
+        assert_eq!(run.journal.rollbacks(), 1, "{}", run.journal);
+        assert!(run
+            .journal
+            .events()
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::FaultInjected { .. })));
+        assert!(run.steps_executed > cfg.iterations, "the replay is counted");
+        assert!(run.final_loss.is_finite());
     }
 
     #[test]

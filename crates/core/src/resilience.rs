@@ -593,6 +593,13 @@ pub struct AdaptRun {
     pub journal: RecoveryJournal,
 }
 
+impl AdaptRun {
+    /// Mean wall-clock per executed step, milliseconds.
+    pub fn mean_step_ms(&self) -> f64 {
+        self.total_ms / self.steps_executed.max(1) as f64
+    }
+}
+
 /// Runs the adaptation loop from the tuner's current iteration up to
 /// `iterations`, with checkpointing, divergence rollback, learning-rate
 /// backoff, graceful window degradation, and (in tests) fault injection.

@@ -12,6 +12,7 @@
 //!   the lab writes, so analysis tables can be rebuilt from trial
 //!   records alone.
 
+use edge_llm_telemetry::write_json_string;
 use std::fmt;
 
 /// A parsed JSON value. Objects preserve insertion order — the writer
@@ -162,7 +163,7 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Int(i) => out.push_str(&i.to_string()),
             Json::Float(f) => out.push_str(&format_f64(*f)),
-            Json::Str(s) => write_string(out, s),
+            Json::Str(s) => write_json_string(out, s),
             Json::Array(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -190,7 +191,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_string(out, k);
+                    write_json_string(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -227,24 +228,6 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
             out.push(' ');
         }
     }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

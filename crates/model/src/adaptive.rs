@@ -58,6 +58,19 @@ pub enum WindowSchedule {
 }
 
 impl WindowSchedule {
+    /// The schedule for a backprop depth on a model of `n_layers`:
+    /// [`WindowSchedule::FullDepth`] once the depth covers the model, a
+    /// round-robin sweep otherwise. A depth of 0 is clamped to 1.
+    pub fn for_depth(depth: usize, n_layers: usize) -> Self {
+        if depth >= n_layers {
+            WindowSchedule::FullDepth
+        } else {
+            WindowSchedule::RoundRobin {
+                depth: depth.max(1),
+            }
+        }
+    }
+
     /// The window for iteration `iter` on a model of `n_layers`.
     ///
     /// # Panics
@@ -305,6 +318,11 @@ mod tests {
     #[test]
     fn round_robin_sweeps_all_layers() {
         let sched = WindowSchedule::RoundRobin { depth: 2 };
+        assert_eq!(WindowSchedule::for_depth(2, 8), sched);
+        assert_eq!(
+            WindowSchedule::for_depth(0, 8),
+            WindowSchedule::RoundRobin { depth: 1 }
+        );
         let mut covered = std::collections::HashSet::new();
         for i in 0..4 {
             let w = sched.window_for(i, 8);
@@ -330,6 +348,8 @@ mod tests {
     fn full_depth_is_whole_model() {
         let w = WindowSchedule::FullDepth.window_for(5, 6);
         assert_eq!(w, LayerWindow { start: 0, end: 6 });
+        assert_eq!(WindowSchedule::for_depth(6, 6), WindowSchedule::FullDepth);
+        assert_eq!(WindowSchedule::for_depth(9, 6), WindowSchedule::FullDepth);
     }
 
     #[test]

@@ -33,8 +33,8 @@ fn head_workers(items: usize, seq: usize, hs: usize) -> usize {
 /// an output projection.
 #[derive(Debug, Clone)]
 pub struct Attention {
-    qkv: Linear,
-    proj: Linear,
+    pub(crate) qkv: Linear,
+    pub(crate) proj: Linear,
     n_heads: usize,
     d_model: usize,
 }
@@ -271,51 +271,6 @@ impl Attention {
     /// Number of slice pairs [`Attention::visit_params`] yields.
     pub fn param_slice_count(&self) -> usize {
         self.qkv.param_slice_count() + self.proj.param_slice_count()
-    }
-
-    /// Re-applies pruning masks after an optimizer step.
-    pub fn enforce_masks(&mut self) {
-        self.qkv.enforce_mask();
-        self.proj.enforce_mask();
-    }
-
-    /// Quantizes the projections' weights into packed integer codes for
-    /// the decode path (see [`Linear::pack_weights`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization failures.
-    pub fn pack_weights(&self) -> Result<(), ModelError> {
-        self.qkv.pack_weights()?;
-        self.proj.pack_weights()
-    }
-
-    /// Enables or disables the compressed-weight cache on both projections.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.qkv.set_cache_enabled(enabled);
-        self.proj.set_cache_enabled(enabled);
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route on both
-    /// projections.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        self.qkv.set_integer_decode_enabled(enabled);
-        self.proj.set_integer_decode_enabled(enabled);
-    }
-
-    /// Bytes the decode path keeps resident for the projections' weights.
-    pub fn weight_storage_bytes(&self) -> usize {
-        self.qkv.weight_storage_bytes() + self.proj.weight_storage_bytes()
-    }
-
-    /// Effective-weight re-quantizations across both projections.
-    pub fn requant_count(&self) -> u64 {
-        self.qkv.requant_count() + self.proj.requant_count()
-    }
-
-    /// Weight-cache evictions across both projections.
-    pub fn cache_invalidation_count(&self) -> u64 {
-        self.qkv.cache_invalidation_count() + self.proj.cache_invalidation_count()
     }
 }
 

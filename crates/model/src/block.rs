@@ -1,5 +1,6 @@
 use crate::attention::{Attention, AttentionCache};
 use crate::error::ModelError;
+use crate::linear::Linear;
 use crate::mlp::{Mlp, MlpCache};
 use crate::norm::LayerNorm;
 use edge_llm_tensor::{LayerNormCache, Tensor, TensorRng};
@@ -81,6 +82,28 @@ impl Block {
     /// Read access to the MLP module.
     pub fn mlp(&self) -> &Mlp {
         &self.mlp
+    }
+
+    /// The block's four projections, in `[qkv, proj, fc1, fc2]` order.
+    pub fn linears(&self) -> [&Linear; 4] {
+        [
+            &self.attn.qkv,
+            &self.attn.proj,
+            &self.mlp.fc1,
+            &self.mlp.fc2,
+        ]
+    }
+
+    /// Mutable access to the four projections, same order as
+    /// [`Block::linears`] (compression policies install masks and
+    /// quantization schemes through this).
+    pub fn linears_mut(&mut self) -> [&mut Linear; 4] {
+        [
+            &mut self.attn.qkv,
+            &mut self.attn.proj,
+            &mut self.mlp.fc1,
+            &mut self.mlp.fc2,
+        ]
     }
 
     /// Forward pass, caching activations for backward.
@@ -181,52 +204,6 @@ impl Block {
             + self.attn.param_slice_count()
             + self.ln2.param_slice_count()
             + self.mlp.param_slice_count()
-    }
-
-    /// Re-applies pruning masks after an optimizer step.
-    pub fn enforce_masks(&mut self) {
-        self.attn.enforce_masks();
-        self.mlp.enforce_masks();
-    }
-
-    /// Quantizes this block's four projection weights into packed integer
-    /// codes for the decode path (see [`crate::Linear::pack_weights`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization failures.
-    pub fn pack_weights(&self) -> Result<(), ModelError> {
-        self.attn.pack_weights()?;
-        self.mlp.pack_weights()
-    }
-
-    /// Enables or disables the compressed-weight cache on every projection.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.attn.set_cache_enabled(enabled);
-        self.mlp.set_cache_enabled(enabled);
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route on every
-    /// projection.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        self.attn.set_integer_decode_enabled(enabled);
-        self.mlp.set_integer_decode_enabled(enabled);
-    }
-
-    /// Bytes the decode path keeps resident for this block's projection
-    /// weights.
-    pub fn weight_storage_bytes(&self) -> usize {
-        self.attn.weight_storage_bytes() + self.mlp.weight_storage_bytes()
-    }
-
-    /// Effective-weight re-quantizations across this block's projections.
-    pub fn requant_count(&self) -> u64 {
-        self.attn.requant_count() + self.mlp.requant_count()
-    }
-
-    /// Weight-cache evictions across this block's projections.
-    pub fn cache_invalidation_count(&self) -> u64 {
-        self.attn.cache_invalidation_count() + self.mlp.cache_invalidation_count()
     }
 }
 

@@ -5,8 +5,8 @@ use edge_llm_tensor::{gelu_backward, gelu_forward, Tensor, TensorRng};
 /// Two-layer GELU MLP: `d_model -> d_ff -> d_model`.
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    fc1: Linear,
-    fc2: Linear,
+    pub(crate) fc1: Linear,
+    pub(crate) fc2: Linear,
 }
 
 /// Activations cached by [`Mlp::forward`].
@@ -115,51 +115,6 @@ impl Mlp {
     /// Number of slice pairs [`Mlp::visit_params`] yields.
     pub fn param_slice_count(&self) -> usize {
         self.fc1.param_slice_count() + self.fc2.param_slice_count()
-    }
-
-    /// Re-applies pruning masks after an optimizer step.
-    pub fn enforce_masks(&mut self) {
-        self.fc1.enforce_mask();
-        self.fc2.enforce_mask();
-    }
-
-    /// Quantizes the projections' weights into packed integer codes for
-    /// the decode path (see [`Linear::pack_weights`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization failures.
-    pub fn pack_weights(&self) -> Result<(), ModelError> {
-        self.fc1.pack_weights()?;
-        self.fc2.pack_weights()
-    }
-
-    /// Enables or disables the compressed-weight cache on both projections.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.fc1.set_cache_enabled(enabled);
-        self.fc2.set_cache_enabled(enabled);
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route on both
-    /// projections.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        self.fc1.set_integer_decode_enabled(enabled);
-        self.fc2.set_integer_decode_enabled(enabled);
-    }
-
-    /// Bytes the decode path keeps resident for the projections' weights.
-    pub fn weight_storage_bytes(&self) -> usize {
-        self.fc1.weight_storage_bytes() + self.fc2.weight_storage_bytes()
-    }
-
-    /// Effective-weight re-quantizations across both projections.
-    pub fn requant_count(&self) -> u64 {
-        self.fc1.requant_count() + self.fc2.requant_count()
-    }
-
-    /// Weight-cache evictions across both projections.
-    pub fn cache_invalidation_count(&self) -> u64 {
-        self.fc1.cache_invalidation_count() + self.fc2.cache_invalidation_count()
     }
 }
 

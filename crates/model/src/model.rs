@@ -424,15 +424,7 @@ impl EdgeModel {
 
     /// Re-applies every installed pruning mask (call after optimizer steps).
     pub fn enforce_masks(&mut self) {
-        for b in &mut self.blocks {
-            b.enforce_masks();
-        }
-        self.shared_head.enforce_mask();
-        for e in &mut self.exits {
-            if let Some(h) = &mut e.head {
-                h.enforce_mask();
-            }
-        }
+        self.projections_mut().for_each(Linear::enforce_mask);
     }
 
     /// Visits `(id, param, grad)` for every parameter whose module is
@@ -614,6 +606,25 @@ impl EdgeModel {
         }
     }
 
+    /// Every projection that can carry a compression scheme: each block's
+    /// four, the shared unembedding, and the untied exit heads.
+    fn projections(&self) -> impl Iterator<Item = &Linear> {
+        self.blocks
+            .iter()
+            .flat_map(Block::linears)
+            .chain(std::iter::once(&self.shared_head))
+            .chain(self.exits.iter().filter_map(|e| e.head.as_ref()))
+    }
+
+    /// Mutable mirror of [`EdgeModel::projections`].
+    fn projections_mut(&mut self) -> impl Iterator<Item = &mut Linear> {
+        self.blocks
+            .iter_mut()
+            .flat_map(Block::linears_mut)
+            .chain(std::iter::once(&mut self.shared_head))
+            .chain(self.exits.iter_mut().filter_map(|e| e.head.as_mut()))
+    }
+
     /// Quantizes every compressed projection's weight into packed integer
     /// codes so the no-cache forward paths (inference, serving) run the
     /// blocked row-dequantizing kernel. Call after loading a model for
@@ -623,16 +634,7 @@ impl EdgeModel {
     ///
     /// Propagates quantization failures (e.g. non-finite weights).
     pub fn pack_frozen_weights(&self) -> Result<(), ModelError> {
-        for b in &self.blocks {
-            b.pack_weights()?;
-        }
-        self.shared_head.pack_weights()?;
-        for e in &self.exits {
-            if let Some(h) = &e.head {
-                h.pack_weights()?;
-            }
-        }
-        Ok(())
+        self.projections().try_for_each(Linear::pack_weights)
     }
 
     /// Enables or disables the compressed-weight cache on every projection
@@ -640,15 +642,8 @@ impl EdgeModel {
     /// recompute-every-forward baseline bit-for-bit; the benchmarks use it
     /// to measure the cache's win.
     pub fn set_weight_cache_enabled(&mut self, enabled: bool) {
-        for b in &mut self.blocks {
-            b.set_cache_enabled(enabled);
-        }
-        self.shared_head.set_cache_enabled(enabled);
-        for e in &mut self.exits {
-            if let Some(h) = &mut e.head {
-                h.set_cache_enabled(enabled);
-            }
-        }
+        self.projections_mut()
+            .for_each(|l| l.set_cache_enabled(enabled));
     }
 
     /// Enables or disables the packed integer-GEMM decode route on every
@@ -658,15 +653,8 @@ impl EdgeModel {
     /// the f32 row-dequantizing baseline the decode benchmark gates
     /// against.
     pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        for b in &mut self.blocks {
-            b.set_integer_decode_enabled(enabled);
-        }
-        self.shared_head.set_integer_decode_enabled(enabled);
-        for e in &mut self.exits {
-            if let Some(h) = &mut e.head {
-                h.set_integer_decode_enabled(enabled);
-            }
-        }
+        self.projections_mut()
+            .for_each(|l| l.set_integer_decode_enabled(enabled));
     }
 
     /// Bytes the decode path keeps resident for projection weights (block
@@ -674,13 +662,7 @@ impl EdgeModel {
     /// packed layers, dense f32 bytes otherwise. Embeddings and norms are
     /// excluded — they are never quantized.
     pub fn decode_weight_bytes(&self) -> usize {
-        let blocks: usize = self.blocks.iter().map(|b| b.weight_storage_bytes()).sum();
-        let exits: usize = self
-            .exits
-            .iter()
-            .map(|e| e.head.as_ref().map_or(0, |h| h.weight_storage_bytes()))
-            .sum();
-        blocks + exits + self.shared_head.weight_storage_bytes()
+        self.projections().map(Linear::weight_storage_bytes).sum()
     }
 
     /// Lifetime re-quantization count of each block's projections, in
@@ -688,25 +670,20 @@ impl EdgeModel {
     /// many *layers* re-quantized in one step — the quantity the depth-1
     /// regression test pins at exactly one.
     pub fn block_requant_counts(&self) -> Vec<u64> {
-        self.blocks.iter().map(|b| b.requant_count()).collect()
+        self.blocks
+            .iter()
+            .map(|b| b.linears().into_iter().map(Linear::requant_count).sum())
+            .collect()
     }
 
     /// Aggregate compressed-weight-cache telemetry over every projection
     /// (blocks, exit heads, shared head).
     pub fn weight_cache_stats(&self) -> WeightCacheStats {
         let mut stats = WeightCacheStats::default();
-        for b in &self.blocks {
-            stats.requants += b.requant_count();
-            stats.invalidations += b.cache_invalidation_count();
+        for l in self.projections() {
+            stats.requants += l.requant_count();
+            stats.invalidations += l.cache_invalidation_count();
         }
-        for e in &self.exits {
-            if let Some(h) = &e.head {
-                stats.requants += h.requant_count();
-                stats.invalidations += h.cache_invalidation_count();
-            }
-        }
-        stats.requants += self.shared_head.requant_count();
-        stats.invalidations += self.shared_head.cache_invalidation_count();
         stats
     }
 }
@@ -937,13 +914,15 @@ mod tests {
             b.mlp_mut().fc2_mut().set_quant(Some(scheme));
         }
         assert_eq!(model.decode_weight_bytes(), before);
-        let blocks_dense: usize = (0..model.n_layers())
-            .map(|l| model.block(l).weight_storage_bytes())
-            .sum();
+        let block_bytes = |m: &EdgeModel| -> usize {
+            (0..m.n_layers())
+                .flat_map(|l| m.block(l).linears())
+                .map(Linear::weight_storage_bytes)
+                .sum()
+        };
+        let blocks_dense = block_bytes(&model);
         model.pack_frozen_weights().unwrap();
-        let blocks_packed: usize = (0..model.n_layers())
-            .map(|l| model.block(l).weight_storage_bytes())
-            .sum();
+        let blocks_packed = block_bytes(&model);
         // W4 codes are 8x smaller than f32; per-row scales add some back
         // (significant at the tiny config's short rows)
         assert!(

@@ -60,6 +60,6 @@ pub use clock::{Clock, FakeClock, MonotonicClock};
 pub use record::{
     counter, disable, enable, is_enabled, span, take_events, Event, SpanGuard, ThreadId,
 };
-pub use sink::{env_trace_path, write_jsonl, TRACE_ENV_VAR};
+pub use sink::{env_trace_path, write_json_string, write_jsonl, TRACE_ENV_VAR};
 pub use summary::{nearest_rank_index, LatencySummary};
 pub use tree::{aggregate_span_ns, counter_totals, span_tree, SpanNode};

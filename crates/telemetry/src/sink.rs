@@ -14,17 +14,26 @@ pub fn env_trace_path() -> Option<String> {
     std::env::var(TRACE_ENV_VAR).ok().filter(|p| !p.is_empty())
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string — the one string writer
+/// behind both the trace sink and the lab's `Json` serializer. Quote,
+/// backslash, newline, carriage return and tab take their two-character
+/// escapes; other control characters are written as `\u00XX`.
+pub fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 out.push_str(&format!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 /// Serializes one event as a JSON object (no trailing newline).
@@ -45,9 +54,9 @@ fn event_json(e: &Event) -> String {
                 Some(p) => s.push_str(&p.to_string()),
                 None => s.push_str("null"),
             }
-            s.push_str(",\"name\":\"");
-            escape_into(&mut s, name);
-            s.push_str(&format!("\",\"thread\":{thread},\"t_ns\":{t_ns}}}"));
+            s.push_str(",\"name\":");
+            write_json_string(&mut s, name);
+            s.push_str(&format!(",\"thread\":{thread},\"t_ns\":{t_ns}}}"));
         }
         Event::SpanEnd { id, t_ns } => {
             s.push_str(&format!(
@@ -60,10 +69,10 @@ fn event_json(e: &Event) -> String {
             thread,
             t_ns,
         } => {
-            s.push_str("{\"type\":\"counter\",\"name\":\"");
-            escape_into(&mut s, name);
+            s.push_str("{\"type\":\"counter\",\"name\":");
+            write_json_string(&mut s, name);
             s.push_str(&format!(
-                "\",\"delta\":{delta},\"thread\":{thread},\"t_ns\":{t_ns}}}"
+                ",\"delta\":{delta},\"thread\":{thread},\"t_ns\":{t_ns}}}"
             ));
         }
     }
@@ -121,7 +130,7 @@ mod tests {
     #[test]
     fn names_are_escaped() {
         let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\n");
-        assert_eq!(s, "a\\\"b\\\\c\\u000a");
+        write_json_string(&mut s, "a\"b\\c\n\u{1}");
+        assert_eq!(s, "\"a\\\"b\\\\c\\n\\u0001\"");
     }
 }

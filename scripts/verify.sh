@@ -39,38 +39,16 @@ cargo build --release
 cargo test -q
 
 # The kernel backend guarantees bit-identical results for every thread
-# count; re-run the suite with two workers to hold it to that, and run
-# the serving differential suite explicitly — it is the proof that
-# continuous batching never changes a single token. The fleet suite
-# extends that proof one level up: sharding across workers, rerouting,
-# and crash-replay never change a token either.
+# count; re-run the whole suite with two workers to hold it to that.
+# Both passes include every differential oracle, so none is listed
+# again: serving_equivalence (continuous batching never changes a
+# token), fleet_equivalence (nor do sharding, rerouting and
+# crash-replay), tenant_equivalence (each tenant gets the tokens of a
+# solo run with its adapter merged), decode_equivalence and
+# spec_properties (self-speculative decode == greedy), parallel_oracle
+# and packed_props (packed integer GEMM scalar == SIMD, serial ==
+# parallel), weight_cache (no invalidation path ever serves stale bits).
 EDGELLM_THREADS=2 cargo test -q
-EDGELLM_THREADS=2 cargo test -q --test serving_equivalence
-EDGELLM_THREADS=2 cargo test -q -p edge-llm-fleet --test fleet_equivalence
-
-# Multi-tenant serving promises every tenant the exact tokens a solo run
-# with its adapter merged would produce — across mixed batches, packed
-# bases, cache evictions, and adapter re-loads. Run the differential
-# oracle explicitly with two workers.
-EDGELLM_THREADS=2 cargo test -q -p edge-llm --test tenant_equivalence
-
-# Self-speculative decoding promises bit-identity with greedy decode at
-# every thread count: run its oracle and property suites explicitly with
-# two workers (they also run inside the full suites above).
-EDGELLM_THREADS=2 cargo test -q -p edge-llm-model --test decode_equivalence
-EDGELLM_THREADS=2 cargo test -q -p edge-llm-model --test spec_properties
-
-# The packed integer GEMM promises bit-identical results scalar-vs-SIMD
-# and serial-vs-parallel at every thread count; run its oracle and
-# word-boundary property suites explicitly with two workers.
-EDGELLM_THREADS=2 cargo test -q -p edge-llm-quant --test parallel_oracle
-EDGELLM_THREADS=2 cargo test -q -p edge-llm-quant --test packed_props
-
-# The compressed-weight cache must never serve stale bits: run the
-# staleness suite explicitly — it mutates through every invalidation
-# path (optimizer, masks, schemes, LoRA merge, checkpoint restore) and
-# asserts bit-equality with a fresh recompute after each.
-cargo test -q -p edge-llm-model --test weight_cache
 
 # Declarative experiment gates: run every committed spec under
 # experiments/ through the lab runner, then hold the run to its committed
