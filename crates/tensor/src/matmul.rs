@@ -581,8 +581,101 @@ mod tests {
         let a = Tensor::randn(5, 8, 1.0, &mut rng);
         let b = Tensor::randn(7, 8, 1.0, &mut rng);
         let fast = matmul_a_bt(&a, &b).unwrap();
-        let slow = a.matmul(&b.transpose()).unwrap();
-        assert!(fast.approx_eq(&slow, 1e-4));
+        let slow = a
+            .matmul_with(&b.transpose(), MatmulKernel::Blocked)
+            .unwrap();
+        assert_eq!(bits(&fast), bits(&slow));
+    }
+
+    /// The scalar `A · Bᵀ` every output element is defined by: one
+    /// accumulator from `0.0`, adds in ascending `p`. Reference only.
+    fn a_bt_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let crow = &mut c[i * n..(i + 1) * n];
+            for j in 0..n {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc += arow[p] * brow[p];
+                }
+                crow[j] = acc;
+            }
+        }
+    }
+
+    fn a_bt_reference(a: &Tensor, b: &Tensor) -> Tensor {
+        let ((m, k), n) = (a.shape(), b.rows());
+        let mut out = Tensor::zeros(m, n);
+        a_bt_rows(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_bt_is_bit_identical_to_the_scalar_dot() {
+        let mut rng = TensorRng::seed_from(13);
+        // every tail of the micro-tile: n < JR (LoRA rank), m < IR, k < TILE,
+        // k % TILE != 0, the attention shape and both Linear shapes
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (96, 64, 4),
+            (1, 48, 33),
+            (3, 7, 5),
+            (33, 65, 34),
+            (5, 100, 3),
+            (48, 16, 48),
+            (96, 256, 64),
+            (96, 64, 256),
+        ] {
+            let a = Tensor::randn(m, k, 1.0, &mut rng);
+            let b = Tensor::randn(n, k, 1.0, &mut rng);
+            let want = bits(&a_bt_reference(&a, &b));
+            for threads in [1usize, 2, 3, 8] {
+                let got = matmul_a_bt_with(&a, &b, threads).unwrap();
+                assert_eq!(
+                    want,
+                    bits(&got),
+                    "bit drift at {m}x{k}x{n} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bt_propagates_non_finite_values_like_the_scalar_dot() {
+        // no zero-skip in either kernel: a NaN or Inf anywhere in a row of A
+        // or B reaches exactly the outputs that row contributes to
+        let mut rng = TensorRng::seed_from(14);
+        let (m, k, n) = (9, 40, 11);
+        let mut a = Tensor::randn(m, k, 1.0, &mut rng);
+        let mut b = Tensor::randn(n, k, 1.0, &mut rng);
+        a.set(2, 33, f32::NAN);
+        a.set(5, 1, f32::INFINITY);
+        a.set(7, 4, 0.0);
+        b.set(3, 4, f32::INFINITY); // 0 * Inf at (7, 3)
+        b.set(8, 39, f32::NAN);
+        b.set(10, 20, f32::NEG_INFINITY);
+        let class = |t: &Tensor| -> Vec<Result<u32, bool>> {
+            let finite = |v: &f32| {
+                if v.is_nan() {
+                    Err(true)
+                } else {
+                    Ok(v.to_bits())
+                }
+            };
+            t.as_slice().iter().map(finite).collect()
+        };
+        let want = a_bt_reference(&a, &b);
+        assert!(want.get(7, 3).is_nan() && want.get(2, 0).is_nan());
+        assert!(want.get(0, 10).is_infinite());
+        for threads in [1usize, 3] {
+            let got = matmul_a_bt_with(&a, &b, threads).unwrap();
+            assert_eq!(class(&want), class(&got), "threads={threads}");
+        }
     }
 
     #[test]
