@@ -6,14 +6,23 @@
 //! * `C = Aᵀ · B` — weight gradients ([`matmul_at_b`]),
 //! * `C = A · Bᵀ` — input gradients and attention scores ([`matmul_a_bt`]).
 //!
-//! All kernels are cache-blocked over `TILE x TILE` panels; the block size is
-//! also the unit the hardware scheduling search in `edge-llm-hw` reasons
-//! about. Inside a panel the forward kernel runs an `IR x JR` register
-//! micro-tile that reuses each loaded `B` vector across `IR` output rows, so
-//! a multi-row (batched) product is genuinely cheaper per row than repeated
-//! single-row calls — without changing the per-element accumulation order
-//! (see [`micro_tile`]): results stay bit-identical to the scalar loop for
-//! every row count.
+//! All three keep one invariant: every output element starts at `0.0` and
+//! adds its products in ascending `p` with a single accumulator, so on
+//! finite operands the layouts agree with each other and with the scalar
+//! dot bit for bit.
+//!
+//! `A · B` and `A · Bᵀ` run one cache-blocked loop nest ([`blocked`]) over
+//! `TILE x TILE` panels; the block size is also the unit the hardware
+//! scheduling search in `edge-llm-hw` reasons about. Inside a panel an
+//! `IR x JR` register micro-tile reuses each loaded `B` vector across `IR`
+//! output rows, so a multi-row (batched) product is genuinely cheaper per
+//! row than repeated single-row calls — without changing the per-element
+//! accumulation order (see [`micro_tile`]). The nest takes its `TILE`-row
+//! panel of `B` either straight from a dense matrix or from a caller's
+//! `fill` closure ([`matmul_fill_b_with`]); `A · Bᵀ` is the second kind,
+//! with a fill that transposes one panel of `B` at a time. `Aᵀ · B` keeps
+//! its own `p`-outer row loop ([`at_b_rows`]), the one dense kernel that
+//! skips zero multiplicands.
 //!
 //! Every layout also has a multi-threaded path
 //! ([`MatmulKernel::BlockedParallel`]) that splits the **output rows** into
@@ -111,12 +120,13 @@ impl Tensor {
         let (a, b) = (self.as_slice(), other.as_slice());
         match kernel {
             MatmulKernel::Naive => naive(a, b, out.as_mut_slice(), m, k, n),
-            MatmulKernel::Blocked => blocked(a, b, out.as_mut_slice(), m, k, n),
+            MatmulKernel::Blocked => blocked(a, BPanels::Dense(b), out.as_mut_slice(), m, k, n),
             MatmulKernel::BlockedParallel { threads } => {
                 let workers = effective_threads(threads, m, k, n);
                 pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |row0, panel| {
                     let rows = panel.len() / n.max(1);
-                    blocked(&a[row0 * k..(row0 + rows) * k], b, panel, rows, k, n);
+                    let a = &a[row0 * k..(row0 + rows) * k];
+                    blocked(a, BPanels::Dense(b), panel, rows, k, n);
                 });
             }
         }
@@ -157,27 +167,25 @@ const IR: usize = 4;
 /// and stored after), so the result is bit-identical to the plain scalar
 /// loop.
 ///
-/// `b` holds rows `[b_row0, …)` of the right-hand operand, so a caller can
-/// pass either the whole matrix (`b_row0 = 0`) or just the panel covering
-/// the current `p` block ([`matmul_fill_b_with`]).
+/// `b` is the panel of the right-hand operand covering `prange`: its row 0
+/// is row `prange.start` of `B`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // private register kernel; every operand is load-bearing
 fn micro_tile<const ROWS: usize>(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
     (i, j): (usize, usize),
     prange: std::ops::Range<usize>,
-    b_row0: usize,
     k: usize,
     n: usize,
 ) {
+    let pb = prange.start;
     let mut acc = [[0f32; JR]; ROWS];
     for (r, accr) in acc.iter_mut().enumerate() {
         accr.copy_from_slice(&c[(i + r) * n + j..(i + r) * n + j + JR]);
     }
     for p in prange {
-        let brow: [f32; JR] = b[(p - b_row0) * n + j..(p - b_row0) * n + j + JR]
+        let brow: [f32; JR] = b[(p - pb) * n + j..(p - pb) * n + j + JR]
             .try_into()
             .expect("JR-sized slice");
         for (r, accr) in acc.iter_mut().enumerate() {
@@ -192,11 +200,34 @@ fn micro_tile<const ROWS: usize>(
     }
 }
 
-fn blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for ib in (0..m).step_by(TILE) {
-        let imax = (ib + TILE).min(m);
-        for pb in (0..k).step_by(TILE) {
-            let pmax = (pb + TILE).min(k);
+/// Where [`blocked`] finds the `TILE`-row panel of `B` for a `p` block.
+enum BPanels<'a> {
+    /// Dense row-major `k x n` matrix: the panel is a borrowed row range.
+    Dense(&'a [f32]),
+    /// `fill(p0, panel)` writes rows `p0..` of `B` into the scratch buffer
+    /// (at least `min(k, TILE) * n` long), once per `p` block.
+    Fill(&'a (dyn Fn(usize, &mut [f32]) + Sync), &'a mut [f32]),
+}
+
+/// The blocked kernel behind `A · B`, fill-`B` and `A · Bᵀ`: `c += a · B`
+/// for an `m x k` row slice `a`. The `p` block is the outermost loop so a
+/// filled panel is produced once and reused across every output tile;
+/// which of the `ib`/`jb`/`pb` loops is outermost never reorders a single
+/// element's adds, which ascend over `p` through the micro-tile and the
+/// scalar tails alike.
+fn blocked(a: &[f32], mut b: BPanels, c: &mut [f32], m: usize, k: usize, n: usize) {
+    for pb in (0..k).step_by(TILE) {
+        let pmax = (pb + TILE).min(k);
+        let b: &[f32] = match &mut b {
+            BPanels::Dense(b) => &b[pb * n..pmax * n],
+            BPanels::Fill(fill, scratch) => {
+                let panel = &mut scratch[..(pmax - pb) * n];
+                fill(pb, panel);
+                panel
+            }
+        };
+        for ib in (0..m).step_by(TILE) {
+            let imax = (ib + TILE).min(m);
             for jb in (0..n).step_by(TILE) {
                 let jmax = (jb + TILE).min(n);
                 // full row quads go through the register micro-kernel
@@ -205,7 +236,7 @@ fn blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
                 while j + JR <= jmax {
                     let mut i = ib;
                     while i < quads_end {
-                        micro_tile::<IR>(a, b, c, (i, j), pb..pmax, 0, k, n);
+                        micro_tile::<IR>(a, b, c, (i, j), pb..pmax, k, n);
                         i += IR;
                     }
                     j += JR;
@@ -213,115 +244,6 @@ fn blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
                 // ragged column tail of the quad rows, then leftover rows
                 // (fewer than IR, e.g. any single-row product) over the
                 // whole tile: the plain scalar loop, same p order
-                let tails = [(ib, quads_end, j), (quads_end, imax, jb)];
-                for (row0, row1, jtail) in tails {
-                    for i in row0..row1 {
-                        let arow = &a[i * k..(i + 1) * k];
-                        let crow = &mut c[i * n..(i + 1) * n];
-                        for p in pb..pmax {
-                            let av = arow[p];
-                            let brow = &b[p * n..(p + 1) * n];
-                            for jj in jtail..jmax {
-                                crow[jj] += av * brow[jj];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `C = A · B` where `B` is *produced on demand* in `TILE`-row panels.
-///
-/// `fill(p0, panel)` must write rows `p0 .. p0 + panel.len() / b_cols` of
-/// the `b_rows x b_cols` right-hand operand into `panel` (row-major). The
-/// kernel hoists the `p` block to the outer loop so each panel is
-/// materialized once per worker and reused across every output tile — the
-/// execution pattern of a decode path whose weights live as packed
-/// quantized codes and are dequantized one cache block at a time.
-///
-/// Peak extra memory is one `TILE x b_cols` panel per worker instead of
-/// the whole dense `B`. Because every output element still accumulates in
-/// ascending-`p` order through the same [`micro_tile`] / scalar-tail code
-/// paths as [`MatmulKernel::Blocked`] (reordering the `ib`/`jb` loops
-/// around the `p` blocks never reorders any single element's adds), the
-/// result is **bit-identical** to `a.matmul(&b_dense)` for every thread
-/// count — the property `fill_b_is_bit_identical_to_dense` pins down.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless `a.cols() == b_rows`.
-pub fn matmul_fill_b_with(
-    a: &Tensor,
-    b_rows: usize,
-    b_cols: usize,
-    threads: usize,
-    fill: &(dyn Fn(usize, &mut [f32]) + Sync),
-) -> Result<Tensor, TensorError> {
-    if a.cols() != b_rows {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_fill_b",
-            lhs: a.shape(),
-            rhs: (b_rows, b_cols),
-        });
-    }
-    let (m, k) = a.shape();
-    let n = b_cols;
-    let mut out = Tensor::zeros(m, n);
-    if out.is_empty() {
-        return Ok(out);
-    }
-    let ad = a.as_slice();
-    let workers = effective_threads(threads, m, k, n);
-    pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |row0, panel| {
-        let rows = panel.len() / n.max(1);
-        let mut scratch = vec![0.0f32; k.min(TILE) * n];
-        blocked_fill_b(
-            &ad[row0 * k..(row0 + rows) * k],
-            panel,
-            rows,
-            k,
-            n,
-            fill,
-            &mut scratch,
-        );
-    });
-    Ok(out)
-}
-
-/// [`blocked`] with the `p` block hoisted outermost and `B` rows streamed
-/// into `scratch` one panel at a time. Identical per-element accumulation
-/// order (each element's adds ascend over `p` regardless of which loop is
-/// outermost), hence bit-identical results.
-fn blocked_fill_b(
-    a: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    fill: &(dyn Fn(usize, &mut [f32]) + Sync),
-    scratch: &mut [f32],
-) {
-    for pb in (0..k).step_by(TILE) {
-        let pmax = (pb + TILE).min(k);
-        let b = &mut scratch[..(pmax - pb) * n];
-        fill(pb, b);
-        let b = &*b;
-        for ib in (0..m).step_by(TILE) {
-            let imax = (ib + TILE).min(m);
-            for jb in (0..n).step_by(TILE) {
-                let jmax = (jb + TILE).min(n);
-                let quads_end = ib + (imax - ib) / IR * IR;
-                let mut j = jb;
-                while j + JR <= jmax {
-                    let mut i = ib;
-                    while i < quads_end {
-                        micro_tile::<IR>(a, b, c, (i, j), pb..pmax, pb, k, n);
-                        i += IR;
-                    }
-                    j += JR;
-                }
                 let tails = [(ib, quads_end, j), (quads_end, imax, jb)];
                 for (row0, row1, jtail) in tails {
                     for i in row0..row1 {
@@ -341,12 +263,76 @@ fn blocked_fill_b(
     }
 }
 
+/// `C = A · B` where `B` is *produced on demand* in `TILE`-row panels.
+///
+/// `fill(p0, panel)` must write rows `p0 .. p0 + panel.len() / b_cols` of
+/// the `b_rows x b_cols` right-hand operand into `panel` (row-major). Each
+/// panel is materialized once per worker and reused across every output
+/// tile — the execution pattern of a decode path whose weights live as
+/// packed quantized codes and are dequantized one cache block at a time.
+///
+/// Peak extra memory is one `TILE x b_cols` panel per worker instead of
+/// the whole dense `B`. It is the same loop nest as
+/// [`MatmulKernel::Blocked`] reading its panels from somewhere else, so
+/// the result is **bit-identical** to `a.matmul(&b_dense)` for every
+/// thread count — the property `fill_b_is_bit_identical_to_dense` pins
+/// down.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] unless `a.cols() == b_rows`.
+pub fn matmul_fill_b_with(
+    a: &Tensor,
+    b_rows: usize,
+    b_cols: usize,
+    threads: usize,
+    fill: &(dyn Fn(usize, &mut [f32]) + Sync),
+) -> Result<Tensor, TensorError> {
+    if a.cols() != b_rows {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_fill_b",
+            lhs: a.shape(),
+            rhs: (b_rows, b_cols),
+        });
+    }
+    Ok(fill_b(a, b_cols, threads, fill))
+}
+
+/// `a · B` for an `a.cols() x n` operand `B` that `fill` produces panel by
+/// panel, over disjoint output-row panels with one scratch panel each.
+fn fill_b(
+    a: &Tensor,
+    n: usize,
+    threads: usize,
+    fill: &(dyn Fn(usize, &mut [f32]) + Sync),
+) -> Tensor {
+    let (m, k) = a.shape();
+    let mut out = Tensor::zeros(m, n);
+    if out.is_empty() {
+        return out;
+    }
+    let ad = a.as_slice();
+    let workers = effective_threads(threads, m, k, n);
+    pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |row0, panel| {
+        let rows = panel.len() / n.max(1);
+        let mut scratch = vec![0.0f32; k.min(TILE) * n];
+        let a = &ad[row0 * k..(row0 + rows) * k];
+        blocked(a, BPanels::Fill(fill, &mut scratch), panel, rows, k, n);
+    });
+    out
+}
+
 /// Serial `Aᵀ · B` over an output-row slice: computes rows
 /// `[i0, i0 + c.len() / n)` of the `m x n` result into `c`.
 ///
 /// `p` stays the outer loop exactly as in the full serial kernel, so each
 /// output element accumulates in ascending-`p` order no matter how the
 /// rows are partitioned.
+///
+/// This is the one dense kernel with a zero skip (`av == 0.0`), and
+/// therefore the one that does not propagate `0 · Inf` or `0 · NaN`: its
+/// left operands are causal-masked attention weights and their gradients,
+/// half zeros, so the skip is a real saving.
 fn at_b_rows(a: &[f32], b: &[f32], c: &mut [f32], i0: usize, k: usize, m: usize, n: usize) {
     let rows = c.len() / n.max(1);
     for p in 0..k {
@@ -406,22 +392,6 @@ pub fn matmul_at_b_with(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor
     Ok(out)
 }
 
-/// Serial `A · Bᵀ` over an output-row slice: rows `[i0, i0 + rows)`.
-fn a_bt_rows(a: &[f32], b: &[f32], c: &mut [f32], i0: usize, rows: usize, k: usize, n: usize) {
-    for r in 0..rows {
-        let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-        let crow = &mut c[r * n..(r + 1) * n];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for p in 0..k {
-                acc += arow[p] * brow[p];
-            }
-            crow[j] = acc;
-        }
-    }
-}
-
 /// Computes `A · Bᵀ` without materializing the transpose.
 ///
 /// Given `A: m x k` and `B: n x k`, returns an `m x n` tensor. This is the
@@ -450,19 +420,18 @@ pub fn matmul_a_bt_with(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor
             rhs: b.shape(),
         });
     }
-    let (m, k) = a.shape();
-    let n = b.rows();
-    let mut out = Tensor::zeros(m, n);
-    if out.is_empty() {
-        return Ok(out);
-    }
-    let (ad, bd) = (a.as_slice(), b.as_slice());
-    let workers = effective_threads(threads, m, k, n);
-    pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |i0, panel| {
-        let rows = panel.len() / n.max(1);
-        a_bt_rows(ad, bd, panel, i0, rows, k, n);
-    });
-    Ok(out)
+    let (k, n) = (a.cols(), b.rows());
+    let bd = b.as_slice();
+    // rows p0.. of Bᵀ: each row of B contributes one strided column
+    let transpose_panel = |p0: usize, panel: &mut [f32]| {
+        let rows = panel.len() / n;
+        for (j, brow) in bd.chunks_exact(k).enumerate() {
+            for (r, &v) in brow[p0..p0 + rows].iter().enumerate() {
+                panel[r * n + j] = v;
+            }
+        }
+    };
+    Ok(fill_b(a, n, threads, &transpose_panel))
 }
 
 #[cfg(test)]
@@ -589,25 +558,20 @@ mod tests {
 
     /// The scalar `A · Bᵀ` every output element is defined by: one
     /// accumulator from `0.0`, adds in ascending `p`. Reference only.
-    fn a_bt_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    fn a_bt_rows(a: &Tensor, b: &Tensor) -> Tensor {
+        let ((m, k), n) = (a.shape(), b.rows());
+        let mut out = Tensor::zeros(m, n);
         for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let crow = &mut c[i * n..(i + 1) * n];
+            let arow = a.row(i);
             for j in 0..n {
-                let brow = &b[j * k..(j + 1) * k];
+                let brow = b.row(j);
                 let mut acc = 0.0;
                 for p in 0..k {
                     acc += arow[p] * brow[p];
                 }
-                crow[j] = acc;
+                out.set(i, j, acc);
             }
         }
-    }
-
-    fn a_bt_reference(a: &Tensor, b: &Tensor) -> Tensor {
-        let ((m, k), n) = (a.shape(), b.rows());
-        let mut out = Tensor::zeros(m, n);
-        a_bt_rows(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
         out
     }
 
@@ -633,7 +597,7 @@ mod tests {
         ] {
             let a = Tensor::randn(m, k, 1.0, &mut rng);
             let b = Tensor::randn(n, k, 1.0, &mut rng);
-            let want = bits(&a_bt_reference(&a, &b));
+            let want = bits(&a_bt_rows(&a, &b));
             for threads in [1usize, 2, 3, 8] {
                 let got = matmul_a_bt_with(&a, &b, threads).unwrap();
                 assert_eq!(
@@ -659,17 +623,12 @@ mod tests {
         b.set(3, 4, f32::INFINITY); // 0 * Inf at (7, 3)
         b.set(8, 39, f32::NAN);
         b.set(10, 20, f32::NEG_INFINITY);
-        let class = |t: &Tensor| -> Vec<Result<u32, bool>> {
-            let finite = |v: &f32| {
-                if v.is_nan() {
-                    Err(true)
-                } else {
-                    Ok(v.to_bits())
-                }
-            };
-            t.as_slice().iter().map(finite).collect()
+        // NaN payloads are not pinned; every other value is, to the bit
+        let class = |t: &Tensor| -> Vec<Option<u32>> {
+            let bits = |v: &f32| (!v.is_nan()).then(|| v.to_bits());
+            t.as_slice().iter().map(bits).collect()
         };
-        let want = a_bt_reference(&a, &b);
+        let want = a_bt_rows(&a, &b);
         assert!(want.get(7, 3).is_nan() && want.get(2, 0).is_nan());
         assert!(want.get(0, 10).is_infinite());
         for threads in [1usize, 3] {

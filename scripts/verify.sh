@@ -5,6 +5,7 @@
 # run; it fails loudly if no coverage tool is installed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+trap 'echo "verify.sh: ${SECONDS}s wall-clock (exit $?)"' EXIT
 
 WITH_COVERAGE="${EDGELLM_COVERAGE:-0}"
 COVERAGE_MODE=check
@@ -145,5 +146,8 @@ fi
 # fake bar only teaches people to ignore red). A lab gate cannot
 # condition on core count, so this bar has no spec form; ROADMAP item 5
 # owns its replacement.
-cargo run --release -q --bin bench_fleet -- BENCH_6.json
-check_bench_json BENCH_6.json
+# The run's result goes under .lab/ (git-ignored); the committed
+# BENCH_6.json is the recorded trajectory point and is not rewritten.
+mkdir -p .lab
+cargo run --release -q --bin bench_fleet -- .lab/BENCH_6.json
+check_bench_json .lab/BENCH_6.json
