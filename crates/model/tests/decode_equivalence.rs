@@ -9,8 +9,10 @@
 //! and pin down the sampling primitive's edge-case contracts.
 
 use edge_llm_model::{
-    combine, generate, sample_token, speculative_generate, Decoding, EdgeModel, InferenceSession,
-    ModelConfig, ModelError, VotingCombiner, VotingPolicy,
+    batched_decode_step, combine, generate, sample_token, spec_round_with_adapter,
+    speculative_generate, AdapterTarget, BatchedStep, Decoding, EdgeModel, InferenceSession,
+    ModelConfig, ModelError, ResolvedAdapter, SequenceKv, TenantAdapter, VotingCombiner,
+    VotingPolicy,
 };
 use edge_llm_prune::magnitude_prune;
 use edge_llm_quant::{BitWidth, QuantScheme};
@@ -421,4 +423,183 @@ fn learned_combiner_votes_like_a_weighted_average() {
         let want = 0.25 * sa.get(0, v) + 0.75 * sb.get(0, v);
         assert!((got.get(0, v) - want).abs() < 1e-5, "vocab {v}");
     }
+}
+
+/// FNV-1a over 32-bit words: the digest the pinned-bits test below folds
+/// every observable decode output into.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u32) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn floats(&mut self, xs: &[f32]) {
+        self.word(xs.len() as u32);
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+}
+
+/// An adapter with a delta at every `(layer, target)` site of `model`.
+fn full_adapter(model: &EdgeModel, seed: u64) -> ResolvedAdapter {
+    let sites: Vec<(usize, AdapterTarget)> = (0..model.n_layers())
+        .flat_map(|l| AdapterTarget::ALL.into_iter().map(move |t| (l, t)))
+        .collect();
+    TenantAdapter::seeded(model.config(), seed, 2, &sites)
+        .resolve(model)
+        .unwrap()
+}
+
+/// Three slots with staggered context lengths (3, 1, 0), slot 1 carrying
+/// an adapter, advanced in lockstep for four steps while each slot's
+/// requested exits rotate through `[]`, `[last]`, `[0, last]`. Digests
+/// every logit bit of every step.
+fn batched_digest(model: &EdgeModel) -> u64 {
+    let last = model.n_layers() - 1;
+    let vocab = model.config().vocab_size;
+    let exit_sets: [&[usize]; 3] = [&[], &[last], &[0, last]];
+    let adapter = full_adapter(model, 41);
+    let adapters = [None, Some(&adapter), None];
+    let mut kvs: Vec<SequenceKv> = (0..3).map(|_| SequenceKv::new(model)).collect();
+    for (slot, context) in [3usize, 1, 0].into_iter().enumerate() {
+        for t in 0..context {
+            let mut steps = [BatchedStep {
+                token: (slot * 7 + t * 3 + 1) % vocab,
+                kv: &mut kvs[slot],
+                exits: &[],
+                adapter: adapters[slot],
+            }];
+            batched_decode_step(model, &mut steps).unwrap();
+        }
+    }
+    let mut h = Fnv::new();
+    for s in 0..4usize {
+        let mut steps: Vec<BatchedStep> = kvs
+            .iter_mut()
+            .enumerate()
+            .map(|(slot, kv)| BatchedStep {
+                token: (slot * 5 + s * 11 + 2) % vocab,
+                kv,
+                exits: exit_sets[(slot + s) % 3],
+                adapter: adapters[slot],
+            })
+            .collect();
+        let out = batched_decode_step(model, &mut steps).unwrap();
+        h.word(out.len() as u32);
+        for slot in &out {
+            h.word(slot.len() as u32);
+            for logits in slot {
+                h.floats(logits.as_slice());
+            }
+        }
+    }
+    h.0
+}
+
+/// Up to three speculative rounds after a two-token prefill, for every
+/// `draft_depth ∈ {0, last}` × `k ∈ {1, 4}` × {no adapter, adapter}.
+/// `SpecReport` exposes the verifier's probability rows rather than raw
+/// logits, so the digest takes those bits plus the accepted tokens, the
+/// draft/verify counts and the cache length after each rollback.
+fn spec_digest(model: &EdgeModel) -> u64 {
+    let last = model.n_layers() - 1;
+    let adapter = full_adapter(model, 43);
+    let mut h = Fnv::new();
+    for draft_depth in [0, last] {
+        for k in [1usize, 4] {
+            for ad in [None, Some(&adapter)] {
+                let mut kv = SequenceKv::new(model);
+                for token in [5usize, 9] {
+                    let mut steps = [BatchedStep {
+                        token,
+                        kv: &mut kv,
+                        exits: &[],
+                        adapter: ad,
+                    }];
+                    batched_decode_step(model, &mut steps).unwrap();
+                }
+                let mut frontier = 3usize;
+                for _ in 0..3 {
+                    if kv.remaining() == 0 {
+                        break;
+                    }
+                    let round =
+                        spec_round_with_adapter(model, &mut kv, frontier, draft_depth, k, ad)
+                            .unwrap();
+                    h.word(round.drafted as u32);
+                    h.word(round.verified as u32);
+                    h.word(kv.len() as u32);
+                    for (&tok, probs) in round.accepted.iter().zip(&round.probs) {
+                        h.word(tok as u32);
+                        h.floats(probs);
+                    }
+                    frontier = *round.accepted.last().unwrap();
+                }
+            }
+        }
+    }
+    h.0
+}
+
+#[test]
+fn decode_output_bits_are_pinned_for_dense_packed_and_integer_models() {
+    // The oracles above compare the batched step and the speculative
+    // chunk to *each other* (both sit under `InferenceSession`), so a
+    // change that moves both sides equally is invisible to them. These
+    // constants were recorded at the commit before the two layer walks
+    // were merged; they hold every output bit to what it was then.
+    let _guard = KNOB.lock().unwrap();
+    let saved = configured_threads();
+    let packed = quantized_model(51, BitWidth::W4);
+    packed.pack_frozen_weights().unwrap();
+    let integer = integer_model(52, BitWidth::W4);
+    integer.pack_frozen_weights().unwrap();
+    let cases = [
+        (
+            "dense",
+            model(50),
+            0x1ba8_c8ca_1f2f_4d71u64,
+            0x0486_a374_5c4b_4fcdu64,
+        ),
+        (
+            "w4 packed, f32 row-dequant route",
+            packed,
+            0x6dc4_84ca_3832_c9f7,
+            0x6ed1_e96e_a29f_fb8d,
+        ),
+        (
+            "w4/a8 packed, integer route",
+            integer,
+            0xab35_c1ac_839a_ba62,
+            0x6804_a4f6_0d68_a72d,
+        ),
+    ];
+    for (name, m, batched_want, spec_want) in &cases {
+        for threads in [1usize, 2, 3] {
+            set_configured_threads(threads);
+            assert_eq!(
+                batched_digest(m),
+                *batched_want,
+                "{name}: batched step, {threads} threads"
+            );
+        }
+        for threads in [1usize, 2] {
+            set_configured_threads(threads);
+            assert_eq!(
+                spec_digest(m),
+                *spec_want,
+                "{name}: speculative rounds, {threads} threads"
+            );
+        }
+    }
+    set_configured_threads(saved);
 }
