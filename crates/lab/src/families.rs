@@ -23,7 +23,7 @@ use edge_llm::luc::CompressionPolicy;
 use edge_llm::quant::{BitWidth, QuantScheme};
 use edge_llm_fleet::{run_fleet, FleetConfig, ScenarioSpec, SessionFinish};
 use edge_llm_model::{
-    AdapterTarget, AdaptiveTuner, Decoding, EdgeModel, InferenceSession, ModelConfig, Sgd,
+    argmax, AdapterTarget, AdaptiveTuner, Decoding, EdgeModel, InferenceSession, ModelConfig, Sgd,
     TenantAdapter, VotingPolicy, WindowSchedule,
 };
 use edge_llm_serve::{BatchedInferenceEngine, ServeRequest};
@@ -205,16 +205,6 @@ const SPEC_KEYS: &[&str] = &[
     "depth",
     "k",
 ];
-
-fn argmax(row: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &v) in row.iter().enumerate() {
-        if v > row[best] {
-            best = i;
-        }
-    }
-    best
-}
 
 /// Rebuilds `session` on the last window of `tokens`, returning the
 /// frontier token.

@@ -1,42 +1,56 @@
-//! Batched KV-cached decoding for serving several sessions at once.
+//! KV-cached decoding: one layer walk over (sequence, position) rows.
 //!
-//! An [`crate::InferenceSession`] advances one sequence per forward pass;
-//! a serving engine with N in-flight requests would pay N full passes per
-//! step. [`batched_decode_step`] instead packs one token from each active
-//! sequence into a shared `(n, d_model)` activation and runs every linear
-//! projection as a single matmul over all rows, while each sequence keeps
-//! its own [`SequenceKv`] cache and attends only over its own history.
+//! An [`crate::InferenceSession`] advances one sequence by one token per
+//! forward pass; a serving engine with N in-flight requests would pay N
+//! passes per step, and a speculative verifier k+1 passes per round. Both
+//! instead feed `decode_runs`: each `Run` contributes `tokens.len()`
+//! consecutive positions of one sequence, every fed position is one row
+//! of a shared `(n, d_model)` activation, and every linear projection is
+//! a single matmul over all rows, while each sequence keeps its own
+//! [`SequenceKv`] cache and attends only over its own history. The walk
+//! is driven in two row shapes:
+//!
+//! - [`batched_decode_step`] — many runs of length 1 at full depth: one
+//!   token from each active sequence;
+//! - the speculative chunk in `crate::spec` — one run of length n,
+//!   stopped at the draft or the final exit: n positions of one sequence.
 //!
 //! # Bit-identity
 //!
-//! Every stage of the batched step is row-independent:
+//! Three properties of the walk carry both differential contracts,
+//! batched ≡ solo and speculative ≡ greedy:
 //!
-//! - the blocked matmul kernel accumulates each output element over the
-//!   shared dimension in a fixed ascending order regardless of how many
-//!   rows are in flight (and the threaded kernel splits by output row);
-//! - layer norm, softmax, GELU, bias-add, and the residual adds are
-//!   per-row or elementwise;
-//! - activation fake-quantisation is applied per row
+//! - **Row-independent stages.** The blocked matmul kernel accumulates
+//!   each output element over the shared dimension in a fixed ascending
+//!   order regardless of how many rows are in flight (and the threaded
+//!   kernel splits by output row); layer norm, softmax, GELU, bias-add
+//!   and the residual adds are per-row or elementwise; activation
+//!   fake-quantisation is applied per row
 //!   ([`crate::Linear::forward_rows_no_cache`]), so even per-tensor
-//!   calibration schemes cannot couple rows;
-//! - attention is evaluated per slot with the same scalar loops as the
-//!   single-sequence session.
+//!   calibration schemes cannot couple rows; adapter deltas are added per
+//!   row ([`ResolvedAdapter::apply_row`]).
+//! - **K/V write before attend.** Each layer writes the K/V rows of every
+//!   fed position first; row `(s, t)` then attends, in scalar loops, over
+//!   rows `0..=t` of sequence `s`'s cache only — exactly the causal prefix
+//!   a token-at-a-time session would have cached by then.
+//! - **Cursor-only rollback.** Rows past a cache's cursor are never read,
+//!   only overwritten ([`SequenceKv::truncate`]), so a shallow draft or a
+//!   rejected position leaves no trace in later passes.
 //!
-//! Row `i` of a batched step is therefore bit-identical to pushing the
-//! same token through a solo [`crate::InferenceSession`] with the same
-//! history — the invariant the serving differential tests pin down.
+//! Every row is therefore bit-identical to pushing the same token through
+//! a solo [`crate::InferenceSession`] with the same history — the
+//! invariant the serving and speculative differential tests pin down.
 //!
 //! # Multi-threading
 //!
-//! Row-independence also makes the batch the natural parallel axis: when
-//! more than one worker is configured (`EDGELLM_THREADS`), the step
-//! splits its slots into contiguous chunks and runs the serial pass on
-//! each chunk concurrently, suppressing kernel-level threading inside the
-//! chunks. One spawn per pass amortizes over the whole layer stack, and —
-//! unlike threading each (tiny) matmul — it parallelizes the per-slot
-//! attention and elementwise work too. The chunk split is a pure function
-//! of `(batch, workers)`, so results stay bit-identical for every thread
-//! count.
+//! Row-independence also makes the runs the natural parallel axis: when
+//! more than one worker is configured (`EDGELLM_THREADS`), a pass splits
+//! its runs into contiguous chunks and walks each chunk concurrently,
+//! suppressing kernel-level threading inside the chunks. One spawn per
+//! pass amortizes over the whole layer stack, and — unlike threading each
+//! (tiny) matmul — it parallelizes the per-row attention and elementwise
+//! work too. The chunk split is a pure function of `(runs, workers)`, so
+//! results stay bit-identical for every thread count.
 
 use crate::adapter::{AdapterTarget, ResolvedAdapter};
 use crate::error::ModelError;
@@ -172,52 +186,86 @@ pub fn batched_decode_step(
     model: &EdgeModel,
     steps: &mut [BatchedStep<'_>],
 ) -> Result<Vec<Vec<Tensor>>, ModelError> {
-    let cfg = model.config();
-    if steps.is_empty() {
+    let mut runs: Vec<Run<'_>> = steps
+        .iter_mut()
+        .map(|s| Run {
+            tokens: std::slice::from_ref(&s.token),
+            kv: &mut *s.kv,
+            exits: s.exits,
+            adapter: s.adapter,
+        })
+        .collect();
+    decode_runs(model, &mut runs, model.n_layers())
+}
+
+/// One sequence's share of a decode pass: `tokens` are fed at the
+/// consecutive positions `kv.len()..kv.len() + tokens.len()`.
+pub(crate) struct Run<'a> {
+    pub(crate) tokens: &'a [usize],
+    /// Advanced by `tokens.len()` positions on success.
+    pub(crate) kv: &'a mut SequenceKv,
+    /// Exit layers to return logits for, each below the pass depth.
+    pub(crate) exits: &'a [usize],
+    pub(crate) adapter: Option<&'a ResolvedAdapter>,
+}
+
+/// The token, cache-shape, capacity and exit checks of a decode pass over
+/// layers `0..depth`, in that order per run.
+pub(crate) fn validate_runs(
+    model: &EdgeModel,
+    runs: &[Run<'_>],
+    depth: usize,
+) -> Result<(), ModelError> {
+    let vocab = model.config().vocab_size;
+    for run in runs {
+        if let Some(&token) = run.tokens.iter().find(|&&t| t >= vocab) {
+            return Err(ModelError::BadConfig {
+                reason: format!("token {token} outside vocabulary {vocab}"),
+            });
+        }
+        run.kv.check_model(model)?;
+        if run.kv.remaining() < run.tokens.len() {
+            return Err(ModelError::CapacityExhausted {
+                capacity: run.kv.capacity,
+            });
+        }
+        if let Some(&layer) = run.exits.iter().find(|&&e| e >= depth) {
+            return Err(ModelError::LayerOutOfRange { layer, depth });
+        }
+    }
+    Ok(())
+}
+
+/// Feeds every run through layers `0..depth` in one shared pass and
+/// returns, per run, one `(tokens.len(), vocab)` logits tensor per
+/// requested exit (in the run's `exits` order).
+///
+/// Every run is validated before any cache is touched — a pass is
+/// all-or-nothing, so a bad request cannot leave its batch-mates half
+/// advanced. (It also means the walk below cannot fail, so the parallel
+/// path cannot leave one chunk advanced and another not.)
+pub(crate) fn decode_runs(
+    model: &EdgeModel,
+    runs: &mut [Run<'_>],
+    depth: usize,
+) -> Result<Vec<Vec<Tensor>>, ModelError> {
+    if runs.is_empty() {
         return Ok(Vec::new());
     }
-    // Validate every slot up front: a batched step must be all-or-nothing
-    // so a bad request cannot leave its batch-mates half advanced. (This
-    // also means the pass below cannot fail, so the slot-partitioned
-    // parallel path cannot leave one chunk advanced and another not.)
-    for step in steps.iter() {
-        if step.token >= cfg.vocab_size {
-            return Err(ModelError::BadConfig {
-                reason: format!("token {} outside vocabulary {}", step.token, cfg.vocab_size),
-            });
-        }
-        step.kv.check_model(model)?;
-        if step.kv.remaining() == 0 {
-            return Err(ModelError::CapacityExhausted {
-                capacity: step.kv.capacity,
-            });
-        }
-        if let Some(&bad) = step.exits.iter().find(|&&e| e >= model.n_layers()) {
-            return Err(ModelError::LayerOutOfRange {
-                layer: bad,
-                depth: model.n_layers(),
-            });
-        }
-    }
-    let workers = pool::resolve_threads(0).min(steps.len());
+    validate_runs(model, runs, depth)?;
+    let workers = pool::resolve_threads(0).min(runs.len());
     if workers <= 1 {
-        return decode_chunk(model, steps);
+        return walk(model, runs, depth);
     }
-    // Slot-partitioned parallel pass: every stage of the step is
-    // row-independent (the bit-identity contract above), so splitting the
-    // batch into contiguous slot chunks and running the serial pass on
-    // each chunk concurrently produces the same bits as one serial pass
-    // over the full batch. Parallelizing here — once per pass — instead of
-    // inside each matmul amortizes the spawn cost over the *whole* layer
-    // stack and also parallelizes the per-slot attention and elementwise
-    // work, which kernel-level threading never touches. Kernel-level
-    // threading is suppressed inside each chunk (`serial_scope`) so
-    // workers do not spawn nested workers.
-    let parts = pool::partition(steps.len(), workers);
+    // Run-partitioned parallel pass (module docs, "Multi-threading").
+    // Kernel-level threading is suppressed inside each chunk
+    // (`serial_scope`) so workers do not spawn nested workers.
+    let total = runs.len();
+    let parts = pool::partition(total, workers);
     let mut chunk_results: Vec<Result<Vec<Vec<Tensor>>, ModelError>> =
         Vec::with_capacity(parts.len());
     std::thread::scope(|scope| {
-        let mut rest = steps;
+        let mut rest = runs;
         let mut head = None;
         let mut handles = Vec::with_capacity(parts.len() - 1);
         for (ci, part) in parts.iter().enumerate() {
@@ -227,12 +275,11 @@ pub fn batched_decode_step(
                 // the calling thread takes the first chunk, after spawning
                 head = Some(chunk);
             } else {
-                handles
-                    .push(scope.spawn(move || pool::serial_scope(|| decode_chunk(model, chunk))));
+                handles.push(scope.spawn(move || pool::serial_scope(|| walk(model, chunk, depth))));
             }
         }
         let first = head.expect("partition yields at least one chunk");
-        chunk_results.push(pool::serial_scope(|| decode_chunk(model, first)));
+        chunk_results.push(pool::serial_scope(|| walk(model, first, depth)));
         for h in handles {
             match h.join() {
                 Ok(r) => chunk_results.push(r),
@@ -240,73 +287,84 @@ pub fn batched_decode_step(
             }
         }
     });
-    let mut out = Vec::with_capacity(
-        chunk_results
-            .iter()
-            .map(|r| r.as_ref().map_or(0, Vec::len))
-            .sum(),
-    );
+    let mut out = Vec::with_capacity(total);
     for r in chunk_results {
         out.extend(r?);
     }
     Ok(out)
 }
 
-/// The serial batched pass over one contiguous chunk of slots — the whole
-/// batch when one worker is configured, a sub-range of it under the
-/// slot-partitioned parallel path. Slots must already be validated.
-fn decode_chunk(
+/// The serial layer walk over one contiguous chunk of runs — all of them
+/// when one worker is configured. Runs must already be validated.
+fn walk(
     model: &EdgeModel,
-    steps: &mut [BatchedStep<'_>],
+    runs: &mut [Run<'_>],
+    depth: usize,
 ) -> Result<Vec<Vec<Tensor>>, ModelError> {
     let cfg = model.config();
     let (c, heads) = (cfg.d_model, cfg.n_heads);
     let hs = c / heads;
     let scale = 1.0 / (hs as f32).sqrt();
-    let n = steps.len();
-    let mut x = Tensor::zeros(n, c);
-    for (i, step) in steps.iter().enumerate() {
-        let e = model.embed_one(step.token, step.kv.t)?;
-        x.row_mut(i).copy_from_slice(e.row(0));
+    // One activation row per fed position: (run, position, adapter).
+    let mut rows = Vec::new();
+    let mut embedded = Vec::new();
+    for (r, run) in runs.iter().enumerate() {
+        for (i, &token) in run.tokens.iter().enumerate() {
+            let pos = run.kv.t + i;
+            embedded.extend_from_slice(model.embed_one(token, pos)?.row(0));
+            rows.push((r, pos, run.adapter));
+        }
     }
-    let mut per_exit: Vec<Vec<Option<Tensor>>> =
-        steps.iter().map(|s| vec![None; s.exits.len()]).collect();
-    for l in 0..model.n_layers() {
+    let n = rows.len();
+    let mut x = Tensor::from_vec(n, c, embedded).map_err(ModelError::Tensor)?;
+    let adapt = |l, target, input: &Tensor, out: &mut Tensor| -> Result<(), ModelError> {
+        for (i, &(_, _, adapter)) in rows.iter().enumerate() {
+            if let Some(ad) = adapter {
+                ad.apply_row(l, target, input.row(i), out.row_mut(i))?;
+            }
+        }
+        Ok(())
+    };
+    // Per run, one logits tensor per requested exit; every placeholder is
+    // overwritten below because validation holds each exit under `depth`.
+    let mut per_exit: Vec<Vec<Tensor>> = runs
+        .iter()
+        .map(|r| vec![Tensor::zeros(0, 0); r.exits.len()])
+        .collect();
+    for l in 0..depth {
         let block = model.block(l);
         let n1 = block.ln1().forward_no_cache(&x)?;
         let (qkv_lin, proj) = block.attn().linears();
-        let mut qkv = qkv_lin.forward_rows_no_cache(&n1)?; // (n, 3c)
-                                                           // Per-slot adapter deltas land *before* the key/value rows are
-                                                           // copied into the caches, so adapted K/V history is what later
-                                                           // steps attend over — same as a solo run with the adapter.
-        for (i, step) in steps.iter().enumerate() {
-            if let Some(ad) = step.adapter {
-                ad.apply_row(l, AdapterTarget::Qkv, n1.row(i), qkv.row_mut(i))?;
-            }
+        // (n, 3c). Adapter deltas land *before* the key/value rows are
+        // copied into the caches, so adapted K/V history is what later
+        // passes attend over — same as a solo run with the adapter.
+        let mut qkv = qkv_lin.forward_rows_no_cache(&n1)?;
+        adapt(l, AdapterTarget::Qkv, &n1, &mut qkv)?;
+        // Write every fed position's K/V first; row (r, pos) then attends
+        // over rows 0..=pos of its own sequence only.
+        for (i, &(r, pos, _)) in rows.iter().enumerate() {
+            let row = qkv.row(i);
+            let kv = &mut *runs[r].kv;
+            kv.keys[l].row_mut(pos).copy_from_slice(&row[c..2 * c]);
+            kv.values[l].row_mut(pos).copy_from_slice(&row[2 * c..]);
         }
         let mut concat = Tensor::zeros(n, c);
-        for (i, step) in steps.iter_mut().enumerate() {
-            let t = step.kv.t;
-            let row = qkv.row(i);
-            step.kv.keys[l].row_mut(t).copy_from_slice(&row[c..2 * c]);
-            step.kv.values[l]
-                .row_mut(t)
-                .copy_from_slice(&row[2 * c..3 * c]);
-            let t_now = t + 1;
+        for (i, &(r, pos, _)) in rows.iter().enumerate() {
+            let (keys, values) = (&runs[r].kv.keys[l], &runs[r].kv.values[l]);
             for h in 0..heads {
-                let q = &row[h * hs..(h + 1) * hs];
-                // scores over this sequence's cached keys only
-                let mut scores = Tensor::zeros(1, t_now);
-                for p in 0..t_now {
-                    let k = &step.kv.keys[l].row(p)[h * hs..(h + 1) * hs];
+                let head = h * hs..(h + 1) * hs;
+                let q = &qkv.row(i)[head.clone()];
+                let mut scores = Tensor::zeros(1, pos + 1);
+                for p in 0..=pos {
+                    let k = &keys.row(p)[head.clone()];
                     let dot: f32 = q.iter().zip(k.iter()).map(|(a, b)| a * b).sum();
                     scores.set(0, p, dot * scale);
                 }
                 let att = softmax_rows(&scores);
-                let out = &mut concat.row_mut(i)[h * hs..(h + 1) * hs];
-                for p in 0..t_now {
+                let out = &mut concat.row_mut(i)[head.clone()];
+                for p in 0..=pos {
                     let w = att.get(0, p);
-                    let v = &step.kv.values[l].row(p)[h * hs..(h + 1) * hs];
+                    let v = &values.row(p)[head.clone()];
                     for (o, &vv) in out.iter_mut().zip(v.iter()) {
                         *o += w * vv;
                     }
@@ -314,60 +372,49 @@ fn decode_chunk(
             }
         }
         let mut a = proj.forward_rows_no_cache(&concat)?;
-        for (i, step) in steps.iter().enumerate() {
-            if let Some(ad) = step.adapter {
-                ad.apply_row(l, AdapterTarget::Proj, concat.row(i), a.row_mut(i))?;
-            }
-        }
+        adapt(l, AdapterTarget::Proj, &concat, &mut a)?;
         let x1 = x.add(&a)?;
         let n2 = block.ln2().forward_no_cache(&x1)?;
         let (fc1, fc2) = block.mlp().linears();
         let mut mid = fc1.forward_rows_no_cache(&n2)?;
-        for (i, step) in steps.iter().enumerate() {
-            if let Some(ad) = step.adapter {
-                ad.apply_row(l, AdapterTarget::Fc1, n2.row(i), mid.row_mut(i))?;
-            }
-        }
+        adapt(l, AdapterTarget::Fc1, &n2, &mut mid)?;
         let act = gelu_forward(&mid);
         let mut m_out = fc2.forward_rows_no_cache(&act)?;
-        for (i, step) in steps.iter().enumerate() {
-            if let Some(ad) = step.adapter {
-                ad.apply_row(l, AdapterTarget::Fc2, act.row(i), m_out.row_mut(i))?;
+        adapt(l, AdapterTarget::Fc2, &act, &mut m_out)?;
+        x = x1.add(&m_out)?;
+        // one shared unembedding matmul over every row of a run exiting at l
+        let mut needing = Vec::new();
+        for (i, &(r, _, _)) in rows.iter().enumerate() {
+            if runs[r].exits.contains(&l) {
+                needing.extend_from_slice(x.row(i));
             }
         }
-        x = x1.add(&m_out)?;
-        // one shared unembedding matmul over every slot exiting at l
-        let needing: Vec<usize> = (0..n).filter(|&i| steps[i].exits.contains(&l)).collect();
-        if !needing.is_empty() {
-            let mut sub = Tensor::zeros(needing.len(), c);
-            for (r, &i) in needing.iter().enumerate() {
-                sub.row_mut(r).copy_from_slice(x.row(i));
+        if needing.is_empty() {
+            continue;
+        }
+        let sub = Tensor::from_vec(needing.len() / c, c, needing).map_err(ModelError::Tensor)?;
+        let logits = model.exit_logits_rows(&sub, l)?;
+        let vocab = logits.cols();
+        let mut rest = logits.as_slice();
+        for (run, slots) in runs.iter().zip(per_exit.iter_mut()) {
+            if !run.exits.contains(&l) {
+                continue;
             }
-            let logits = model.exit_logits_rows(&sub, l)?;
-            let vocab = logits.shape().1;
-            for (r, &i) in needing.iter().enumerate() {
-                let row = Tensor::from_vec(1, vocab, logits.row(r).to_vec())
-                    .map_err(ModelError::Tensor)?;
-                for (slot, &e) in per_exit[i].iter_mut().zip(steps[i].exits.iter()) {
-                    if e == l {
-                        *slot = Some(row.clone());
-                    }
+            let (mine, tail) = rest.split_at(run.tokens.len() * vocab);
+            rest = tail;
+            let mine = Tensor::from_vec(run.tokens.len(), vocab, mine.to_vec())
+                .map_err(ModelError::Tensor)?;
+            for (slot, &e) in slots.iter_mut().zip(run.exits) {
+                if e == l {
+                    *slot = mine.clone();
                 }
             }
         }
     }
-    for step in steps.iter_mut() {
-        step.kv.t += 1;
+    for run in runs.iter_mut() {
+        run.kv.t += run.tokens.len();
     }
-    Ok(per_exit
-        .into_iter()
-        .map(|slots| {
-            slots
-                .into_iter()
-                .map(|o| o.expect("exit bounds checked"))
-                .collect()
-        })
-        .collect())
+    Ok(per_exit)
 }
 
 #[cfg(test)]

@@ -17,14 +17,14 @@ pub enum Decoding {
     Greedy,
     /// Sample from the full distribution at the given temperature.
     Sample {
-        /// Softmax temperature (> 0).
+        /// Softmax temperature (> 0, finite).
         temperature: f32,
     },
     /// Sample from the `k` most probable tokens at the given temperature.
     TopK {
         /// Candidate pool size (>= 1).
         k: usize,
-        /// Softmax temperature (> 0).
+        /// Softmax temperature (> 0, finite).
         temperature: f32,
     },
     /// Greedy decoding accelerated by self-speculation: draft `k` tokens
@@ -112,21 +112,24 @@ pub fn generate(
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::BadConfig`] for a non-positive temperature or a
-/// zero top-k pool.
+/// Returns [`ModelError::BadConfig`] for a temperature that is not
+/// positive and finite, or a zero top-k pool.
 pub fn validate_decoding(decoding: Decoding) -> Result<(), ModelError> {
     let bad = |reason: &str| {
         Err(ModelError::BadConfig {
             reason: reason.to_string(),
         })
     };
+    // NaN passes a bare `<= 0.0` test, tempers every probability to NaN,
+    // and the sampler's rng panics on the NaN bound that sums to.
+    let usable = |t: f32| t.is_finite() && t > 0.0;
     match decoding {
         Decoding::Greedy => Ok(()),
-        Decoding::Sample { temperature } if temperature <= 0.0 => {
-            bad("temperature must be positive")
+        Decoding::Sample { temperature } if !usable(temperature) => {
+            bad("temperature must be positive and finite")
         }
-        Decoding::TopK { k, temperature } if k == 0 || temperature <= 0.0 => {
-            bad("top-k needs k >= 1 and positive temperature")
+        Decoding::TopK { k, temperature } if k == 0 || !usable(temperature) => {
+            bad("top-k needs k >= 1 and a positive, finite temperature")
         }
         Decoding::SelfSpeculative { k: 0, .. } => {
             bad("self-speculative decoding needs k >= 1 draft tokens")
@@ -203,7 +206,9 @@ fn sample_from(probs: &[f32], rng: &mut TensorRng) -> usize {
     probs.len() - 1
 }
 
-pub(crate) fn argmax(xs: &[f32]) -> usize {
+/// Index of the largest value in `xs` — the greedy pick of
+/// [`sample_token`] (0 for an empty row).
+pub fn argmax(xs: &[f32]) -> usize {
     // first maximum on ties, matching the stable descending sort in
     // sample_token's top-k path so greedy and TopK{k: 1} agree exactly
     let mut best = 0;
@@ -308,6 +313,13 @@ mod tests {
             &mut rng
         )
         .is_err());
+        for temperature in [f32::NAN, f32::INFINITY] {
+            let d = Decoding::Sample { temperature };
+            assert!(matches!(
+                generate(&m, &policy, &[1], 3, d, &mut rng),
+                Err(ModelError::BadConfig { .. })
+            ));
+        }
         assert!(generate(
             &m,
             &policy,

@@ -9,8 +9,10 @@
 //!
 //! A session is a single-slot view over the same machinery the serving
 //! engine batches: it owns one [`SequenceKv`] and runs every push through
-//! [`batched_decode_step`], so the solo and batched decode paths cannot
-//! drift apart — they are one code path.
+//! [`batched_decode_step`] — a one-row pass of the crate's single
+//! KV-cached layer walk (see `crate::batched`), which speculative rounds
+//! drive with multi-position runs. Solo, batched and speculative decoding
+//! cannot drift apart: they are one code path with different row shapes.
 
 use crate::adapter::ResolvedAdapter;
 use crate::batched::{batched_decode_step, BatchedStep, SequenceKv};
@@ -168,6 +170,8 @@ impl<'a> InferenceSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapter::{AdapterTarget, TenantAdapter};
+    use crate::batched::{decode_runs, Run};
     use crate::config::ModelConfig;
     use edge_llm_tensor::TensorRng;
 
@@ -279,5 +283,67 @@ mod tests {
         // truncating past the end is a no-op
         session.truncate(99);
         assert_eq!(session.len(), 3);
+    }
+
+    #[test]
+    fn mixed_length_runs_match_solo_sessions_bitwise() {
+        // One pass, two row shapes at once: an adapted 3-position run and a
+        // 1-position run. Logits and every written K/V row must equal the
+        // same tokens pushed one at a time through solo sessions.
+        let m = model(9);
+        let exits = [0usize, m.n_layers() - 1];
+        let sites: Vec<(usize, AdapterTarget)> = (0..m.n_layers())
+            .flat_map(|l| AdapterTarget::ALL.into_iter().map(move |t| (l, t)))
+            .collect();
+        let adapter = Arc::new(
+            TenantAdapter::seeded(m.config(), 3, 2, &sites)
+                .resolve(&m)
+                .unwrap(),
+        );
+        let feeds: [(&[usize], Option<Arc<ResolvedAdapter>>); 2] =
+            [(&[4, 9, 2], Some(adapter)), (&[7], None)];
+        // stagger the histories so the two runs start at different positions
+        let contexts: [&[usize]; 2] = [&[1], &[5, 6, 3]];
+        let mut solos: Vec<InferenceSession> = Vec::new();
+        let mut kvs: Vec<SequenceKv> = Vec::new();
+        for ((_, ad), context) in feeds.iter().zip(contexts) {
+            let mut solo = InferenceSession::new(&m);
+            solo.set_adapter(ad.clone());
+            for &t in context {
+                solo.advance_token(t).unwrap();
+            }
+            kvs.push(solo.kv.clone());
+            solos.push(solo);
+        }
+        let mut runs: Vec<Run> = kvs
+            .iter_mut()
+            .zip(&feeds)
+            .map(|(kv, (tokens, ad))| Run {
+                tokens,
+                kv,
+                exits: &exits,
+                adapter: ad.as_deref(),
+            })
+            .collect();
+        let got = decode_runs(&m, &mut runs, m.n_layers()).unwrap();
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (r, (tokens, _)) in feeds.iter().enumerate() {
+            for (i, &tok) in tokens.iter().enumerate() {
+                let want = solos[r].push_token_exits(tok, &exits).unwrap();
+                for (e, w) in want.iter().enumerate() {
+                    assert_eq!(got[r][e].shape(), (tokens.len(), w.cols()));
+                    assert_eq!(bits(got[r][e].row(i)), bits(w.row(0)), "run {r} row {i}");
+                }
+            }
+            assert_eq!(kvs[r].len(), solos[r].len());
+            for l in 0..m.n_layers() {
+                for p in 0..kvs[r].len() {
+                    let (k, v) = (&kvs[r].keys[l], &kvs[r].values[l]);
+                    let (sk, sv) = (&solos[r].kv.keys[l], &solos[r].kv.values[l]);
+                    assert_eq!(bits(k.row(p)), bits(sk.row(p)), "run {r} K[{l}][{p}]");
+                    assert_eq!(bits(v.row(p)), bits(sv.row(p)), "run {r} V[{l}][{p}]");
+                }
+            }
+        }
     }
 }

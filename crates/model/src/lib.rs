@@ -57,7 +57,7 @@ pub use beam::{beam_search, BeamHypothesis};
 pub use block::{Block, BlockCache};
 pub use config::ModelConfig;
 pub use error::ModelError;
-pub use generate::{generate, sample_token, validate_decoding, Decoding};
+pub use generate::{argmax, generate, sample_token, validate_decoding, Decoding};
 pub use gradcheck::{gradient_check, GradCheckReport};
 pub use infer::InferenceSession;
 pub use io::{load_model, save_model, TrainingCheckpoint};

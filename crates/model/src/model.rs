@@ -571,14 +571,13 @@ impl EdgeModel {
             start: 0,
             end: self.n_layers(),
         };
-        let last = self.n_layers() - 1;
-        // The full window activates everything except non-final exit heads;
-        // enumerate those too by visiting each exit as its own "exit layer".
+        // A full window with one exit activates everything except the
+        // other exits' norms and heads; enumerate those too by visiting
+        // each exit as its own "exit layer", emitting each id once.
         let mut id_seen = std::collections::HashSet::new();
         for exit in 0..self.n_layers() {
-            let keep = exit == last;
             self.visit_params_window(full, exit, &mut |id, p, g| {
-                if (keep || !id_seen.contains(&id)) && id_seen.insert(id) {
+                if id_seen.insert(id) {
                     f(id, p, g);
                 }
             });
@@ -594,12 +593,10 @@ impl EdgeModel {
             start: 0,
             end: self.n_layers(),
         };
-        let last = self.n_layers() - 1;
         let mut id_seen = std::collections::HashSet::new();
         for exit in 0..self.n_layers() {
-            let keep = exit == last;
             self.visit_params_window_ro(full, exit, &mut |id, p| {
-                if (keep || !id_seen.contains(&id)) && id_seen.insert(id) {
+                if id_seen.insert(id) {
                     f(id, p);
                 }
             });
@@ -848,6 +845,40 @@ mod tests {
             let mut wr: Vec<(usize, Vec<f32>)> = Vec::new();
             model.visit_params_window_ro(window, 1, &mut |id, p| wr.push((id, p.to_vec())));
             assert_eq!(wm, wr, "tied={tied} window");
+        }
+    }
+
+    #[test]
+    fn visit_all_emission_order_is_pinned() {
+        // The order ids are *emitted* in is the byte layout of `save_model`
+        // and `TrainingCheckpoint`, and it is not ascending: with tied
+        // exits the sweep for exit 0 reaches the shared head (the last
+        // ids) before the later sweeps add the other exits' norms.
+        for tied in [true, false] {
+            let mut rng = TensorRng::seed_from(23);
+            let cfg = ModelConfig::tiny().with_layers(3).with_tied_exits(tied);
+            let mut model = EdgeModel::new(cfg, &mut rng).unwrap();
+            let n = model.n_layers();
+            // embeddings + blocks, then per exit a 2-slice norm and, untied,
+            // a 1-slice bias-free head; tied, one shared head after them all
+            let body = 2
+                + (0..n)
+                    .map(|l| model.block(l).param_slice_count())
+                    .sum::<usize>();
+            let want: Vec<usize> = if tied {
+                (0..body + 2)
+                    .chain([body + 2 * n])
+                    .chain(body + 2..body + 2 * n)
+                    .collect()
+            } else {
+                (0..body + 3 * n).collect()
+            };
+            let mut ro = Vec::new();
+            model.visit_params_all_ro(&mut |id, _| ro.push(id));
+            assert_eq!(ro, want, "tied={tied}");
+            let mut mutable = Vec::new();
+            model.visit_params_all(&mut |id, _, _| mutable.push(id));
+            assert_eq!(mutable, want, "tied={tied} (mutable)");
         }
     }
 

@@ -18,27 +18,28 @@
 //! verifier's distribution bitwise equal to the one a plain greedy
 //! session would have computed:
 //!
-//! - every stage of the chunked verify pass is row-independent (the
-//!   [`crate::batched_decode_step`] bit-identity contract: fixed
-//!   reduction order in the blocked matmul, per-row norms/softmax/GELU,
-//!   per-position scalar attention), so feeding k+1 positions in one
-//!   chunk produces the same bits as k+1 sequential single-token steps;
+//! - the verify chunk is one run of k+1 positions through the crate's
+//!   single KV-cached layer walk (`crate::batched`), the same walk a
+//!   greedy session drives one row at a time; its stages are
+//!   row-independent and each layer writes every fed position's K/V rows
+//!   before any row attends over its causal prefix, so the chunk produces
+//!   the same bits as k+1 sequential single-token steps;
 //! - rolling back ([`SequenceKv::truncate`]) is a pure cursor move: rows
-//!   past the cursor are never read, only overwritten, so a rejected
-//!   draft leaves no trace in later steps.
+//!   past the cursor are never read, only overwritten, so a shallow draft
+//!   or a rejected position leaves no trace in later passes.
 //!
 //! Greedy tie-breaks resolve to the lowest index on both sides (the same
 //! [`crate::sample_token`] rule), so draft/verifier agreement is exact
 //! token equality, never a float comparison.
 
-use crate::adapter::{AdapterTarget, ResolvedAdapter};
-use crate::batched::SequenceKv;
+use crate::adapter::ResolvedAdapter;
+use crate::batched::{decode_runs, validate_runs, Run, SequenceKv};
 use crate::error::ModelError;
 use crate::generate::argmax;
 use crate::model::EdgeModel;
 use crate::voting::{combine, VotingCombiner};
 use edge_llm_telemetry as telemetry;
-use edge_llm_tensor::{gelu_forward, softmax_rows, Tensor};
+use edge_llm_tensor::Tensor;
 
 /// Outcome of one draft/verify round.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,19 +129,15 @@ pub fn spec_round_with_adapter(
     k: usize,
     adapter: Option<&ResolvedAdapter>,
 ) -> Result<SpecReport, ModelError> {
-    let cfg = model.config();
     validate_spec_params(model, draft_depth, k)?;
-    if token >= cfg.vocab_size {
-        return Err(ModelError::BadConfig {
-            reason: format!("token {} outside vocabulary {}", token, cfg.vocab_size),
-        });
-    }
-    kv.check_model(model)?;
-    if kv.remaining() == 0 {
-        return Err(ModelError::CapacityExhausted {
-            capacity: kv.capacity,
-        });
-    }
+    // The round's own token must fit before the draft count is clamped.
+    let first = Run {
+        tokens: &[token],
+        kv: &mut *kv,
+        exits: &[],
+        adapter,
+    };
+    validate_runs(model, &[first], model.n_layers())?;
     let t0 = kv.len();
     // Leave one position for the verify pass's correction token: drafting
     // never pushes the sequence past where greedy decode would stop.
@@ -244,15 +241,16 @@ pub fn speculative_generate(
         let window: Vec<usize> = tokens[tokens.len() - take..].to_vec();
         // Prefill must run the FULL stack: every layer's attention reads
         // the prompt positions' K/V rows, so a shallow prefill would leave
-        // deeper layers attending over unwritten rows.
+        // deeper layers attending over unwritten rows. It asks for no
+        // exits, so no logits are computed.
         if window.len() > 1 {
-            forward_chunk(
-                model,
-                &mut kv,
-                &window[..window.len() - 1],
-                model.n_layers() - 1,
-                None,
-            )?;
+            let prefill = Run {
+                tokens: &window[..window.len() - 1],
+                kv: &mut kv,
+                exits: &[],
+                adapter: None,
+            };
+            decode_runs(model, &mut [prefill], model.n_layers())?;
         }
         // Invariant: the cache has consumed every stream token except the
         // frontier, which the next round feeds.
@@ -282,15 +280,10 @@ pub fn speculative_generate(
 ///
 /// This is the single forward primitive behind both halves of a round:
 /// the draft calls it one token at a time with a shallow exit, the
-/// verifier with the whole draft chunk at full depth. It is the chunked
-/// (multi-position, one sequence) sibling of the batched step's
-/// `decode_chunk` (multi-sequence, one position each) and inherits its
-/// bit-identity: all projections are shared multi-row matmuls, attention
-/// is a per-position scalar loop over `0..=t0+i`, so the chunk equals
+/// verifier with the whole draft chunk at full depth. It is one run of
+/// `fed.len()` rows through `decode_runs` — the same layer walk the
+/// batched step feeds one row per sequence — so the chunk equals
 /// `fed.len()` sequential single-token steps bit-for-bit.
-///
-/// Callers must have validated tokens, capacity (`remaining >=
-/// fed.len()`), and `exit_layer`.
 pub(crate) fn forward_chunk(
     model: &EdgeModel,
     kv: &mut SequenceKv,
@@ -298,90 +291,16 @@ pub(crate) fn forward_chunk(
     exit_layer: usize,
     adapter: Option<&ResolvedAdapter>,
 ) -> Result<Vec<Tensor>, ModelError> {
-    let cfg = model.config();
-    let (c, heads) = (cfg.d_model, cfg.n_heads);
-    let hs = c / heads;
-    let scale = 1.0 / (hs as f32).sqrt();
-    let n = fed.len();
-    let t0 = kv.t;
-    let mut x = Tensor::zeros(n, c);
-    for (i, &tok) in fed.iter().enumerate() {
-        let e = model.embed_one(tok, t0 + i)?;
-        x.row_mut(i).copy_from_slice(e.row(0));
-    }
-    for l in 0..=exit_layer {
-        let block = model.block(l);
-        let n1 = block.ln1().forward_no_cache(&x)?;
-        let (qkv_lin, proj) = block.attn().linears();
-        let mut qkv = qkv_lin.forward_rows_no_cache(&n1)?; // (n, 3c)
-        if let Some(ad) = adapter {
-            // Delta lands before the K/V writes: the cached history must
-            // be the adapted one, same as the batched step's contract.
-            for i in 0..n {
-                ad.apply_row(l, AdapterTarget::Qkv, n1.row(i), qkv.row_mut(i))?;
-            }
-        }
-        // Write every position's K/V first; position i then attends over
-        // rows 0..=t0+i only, exactly the causal prefix a sequential
-        // session would have cached.
-        for (i, row) in (0..n).map(|i| (i, qkv.row(i))) {
-            kv.keys[l].row_mut(t0 + i).copy_from_slice(&row[c..2 * c]);
-            kv.values[l]
-                .row_mut(t0 + i)
-                .copy_from_slice(&row[2 * c..3 * c]);
-        }
-        let mut concat = Tensor::zeros(n, c);
-        for i in 0..n {
-            let row = qkv.row(i);
-            let t_now = t0 + i + 1;
-            for h in 0..heads {
-                let q = &row[h * hs..(h + 1) * hs];
-                let mut scores = Tensor::zeros(1, t_now);
-                for p in 0..t_now {
-                    let kk = &kv.keys[l].row(p)[h * hs..(h + 1) * hs];
-                    let dot: f32 = q.iter().zip(kk.iter()).map(|(a, b)| a * b).sum();
-                    scores.set(0, p, dot * scale);
-                }
-                let att = softmax_rows(&scores);
-                let out = &mut concat.row_mut(i)[h * hs..(h + 1) * hs];
-                for p in 0..t_now {
-                    let w = att.get(0, p);
-                    let v = &kv.values[l].row(p)[h * hs..(h + 1) * hs];
-                    for (o, &vv) in out.iter_mut().zip(v.iter()) {
-                        *o += w * vv;
-                    }
-                }
-            }
-        }
-        let mut a = proj.forward_rows_no_cache(&concat)?;
-        if let Some(ad) = adapter {
-            for i in 0..n {
-                ad.apply_row(l, AdapterTarget::Proj, concat.row(i), a.row_mut(i))?;
-            }
-        }
-        let x1 = x.add(&a)?;
-        let n2 = block.ln2().forward_no_cache(&x1)?;
-        let (fc1, fc2) = block.mlp().linears();
-        let mut mid = fc1.forward_rows_no_cache(&n2)?;
-        if let Some(ad) = adapter {
-            for i in 0..n {
-                ad.apply_row(l, AdapterTarget::Fc1, n2.row(i), mid.row_mut(i))?;
-            }
-        }
-        let act = gelu_forward(&mid);
-        let mut m_out = fc2.forward_rows_no_cache(&act)?;
-        if let Some(ad) = adapter {
-            for i in 0..n {
-                ad.apply_row(l, AdapterTarget::Fc2, act.row(i), m_out.row_mut(i))?;
-            }
-        }
-        x = x1.add(&m_out)?;
-    }
-    kv.t = t0 + n;
-    let logits = model.exit_logits_rows(&x, exit_layer)?;
-    let vocab = logits.shape().1;
-    (0..n)
-        .map(|i| Tensor::from_vec(1, vocab, logits.row(i).to_vec()).map_err(ModelError::Tensor))
+    let run = Run {
+        tokens: fed,
+        kv,
+        exits: &[exit_layer],
+        adapter,
+    };
+    let logits = decode_runs(model, &mut [run], exit_layer + 1)?.swap_remove(0);
+    let vocab = logits[0].cols();
+    (0..fed.len())
+        .map(|i| Tensor::from_vec(1, vocab, logits[0].row(i).to_vec()).map_err(ModelError::Tensor))
         .collect()
 }
 

@@ -728,6 +728,29 @@ mod tests {
     }
 
     #[test]
+    fn nan_temperature_is_rejected_without_disturbing_its_batch_mate() {
+        // `temp=nan` parses to an f32 NaN; admitted, its first draw would
+        // panic the rng and take the whole batch down with it
+        let m = model();
+        let mut engine = BatchedInferenceEngine::new(&m, 2).unwrap();
+        let mut bad = request(&m, "bad", 0);
+        bad.decoding = Decoding::Sample {
+            temperature: "nan".parse().unwrap(),
+        };
+        let mut good = request(&m, "good", 1);
+        good.decoding = Decoding::Sample { temperature: 0.8 };
+        engine.submit(bad);
+        engine.submit(good.clone());
+        let outcomes = engine.run_to_completion().unwrap();
+        assert!(matches!(
+            outcomes.iter().find(|o| o.id == "bad").unwrap().finish,
+            FinishReason::Rejected { .. }
+        ));
+        let solo = run_solo(&m, &good).unwrap();
+        assert_outcome_bit_equal(outcomes.iter().find(|o| o.id == "good").unwrap(), &solo);
+    }
+
+    #[test]
     fn zero_batch_rejected() {
         let m = model();
         assert!(BatchedInferenceEngine::new(&m, 0).is_err());

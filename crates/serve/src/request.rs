@@ -187,6 +187,19 @@ mod tests {
         let mut r = base_request(&m);
         r.decoding = Decoding::Sample { temperature: 0.0 };
         assert!(validate_request(&m, &r).is_err());
+        // NaN passes a bare `<= 0.0` test and would panic the sampler's rng
+        for temperature in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for decoding in [
+                Decoding::Sample { temperature },
+                Decoding::TopK { k: 2, temperature },
+            ] {
+                r.decoding = decoding;
+                assert!(
+                    matches!(validate_request(&m, &r), Err(ModelError::BadConfig { .. })),
+                    "{decoding:?}"
+                );
+            }
+        }
 
         let mut r = base_request(&m);
         r.voting.exits.clear();
