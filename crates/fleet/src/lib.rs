@@ -5,8 +5,9 @@
 //! The single [`edge_llm_serve::BatchedInferenceEngine`] serves one
 //! device; a production service needs to survive bursty arrivals,
 //! worker faults, and overload. This crate shards sessions across N
-//! workers (each a `BatchedInferenceEngine` on its own thread) while
-//! keeping the repo's determinism contract intact:
+//! workers (each a `BatchedInferenceEngine` the router owns and steps
+//! concurrently with its siblings inside a tick) while keeping the
+//! repo's determinism contract intact:
 //!
 //! * with **1 worker and no faults**, a fleet run is byte-identical to
 //!   driving the engine directly;

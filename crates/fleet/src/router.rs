@@ -4,18 +4,27 @@
 //!
 //! # Determinism
 //!
-//! The router runs the fleet in **lock-step ticks**. Within a tick it
-//! (1) fires scheduled faults, (2) admits arrivals, (3) expires queued
-//! sessions past their SLO, (4) dispatches queued sessions into free
-//! batch slots, and (5) steps every live worker once, consuming the
-//! replies in worker-index order. All control-plane state (queues,
-//! placement, retry counts) lives on the router thread and every
+//! The router **owns** its N worker engines and runs the fleet in
+//! **lock-step ticks**. Within a tick it (1) fires scheduled faults,
+//! (2) admits arrivals, (3) expires queued sessions past their SLO,
+//! (4) dispatches queued sessions into free batch slots, and (5) steps
+//! every live worker once, consuming the replies in worker-index order.
+//! Steps 1–4 are plain `&mut` calls; step 5 is one `pool::fan_out` over
+//! contiguous shares of the stepping workers (at most one per core), the
+//! only stretch where engines run concurrently. All control-plane state
+//! (queues, placement, retry counts) lives in the router and every
 //! decision is a pure function of that state, so two runs with the same
-//! inputs make identical decisions even though the workers are real
-//! threads. Token streams are placement-independent on top of that: the
-//! engine guarantees each session's output is bit-identical to running
-//! it alone, so *which* worker serves a session never changes its
-//! tokens.
+//! inputs make identical decisions however the shares were scheduled.
+//! Token streams are placement-independent on top of that: the engine
+//! guarantees each session's output is bit-identical to running it
+//! alone, so *which* worker serves a session never changes its tokens.
+//!
+//! The step is not a sequential loop because the overlap is real: in the
+//! benchmark's `fleet_mixed` trace two workers' `serve.step` spans sum to
+//! 1405 ms per pass against 998 ms of wall (≈29% of tokens/s). What the
+//! ticks never needed is parked threads and command channels around it.
+//! `fleet.tick − fleet.step` (router-thread spans) is the scheduler's
+//! own cost per tick.
 //!
 //! # Crash replay
 //!
@@ -30,21 +39,20 @@
 //! token, so deadline budgets (measured in fed tokens) and KV capacity
 //! line up and the remaining tokens reproduce bit-identically.
 
-use crate::worker::{worker_loop, Cmd, StepReply};
+use crate::worker::{StepReply, Worker};
 use edge_llm::resilience::{FaultKind, FaultPlan, PlannedFault};
 use edge_llm_model::{EdgeModel, TenantAdapter};
 use edge_llm_serve::{
     FinishReason, LatencySummary, ServeError, ServeOutcome, ServeRequest, ShedCause,
 };
 use edge_llm_telemetry as telemetry;
-use edge_llm_tensor::TensorRng;
+use edge_llm_tensor::{pool, TensorRng};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::mpsc;
 
 /// Fleet shape and policy knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
-    /// Engine workers (threads). Must be at least 1.
+    /// Engine workers. Must be at least 1.
     pub workers: usize,
     /// Batch slots per worker engine. Must be at least 1.
     pub batch_per_worker: usize,
@@ -418,19 +426,6 @@ fn validate(cfg: &FleetConfig) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Drains a dead worker's reply channel for the error it reported, or
-/// synthesizes one when the thread vanished without a word.
-fn worker_error(rx: &mpsc::Receiver<Result<StepReply, ServeError>>) -> ServeError {
-    for reply in rx.try_iter() {
-        if let Err(e) = reply {
-            return e;
-        }
-    }
-    ServeError::Model(edge_llm_model::ModelError::BadConfig {
-        reason: "fleet worker thread terminated unexpectedly".into(),
-    })
-}
-
 /// Runs every request through a fleet of `cfg.workers` engine workers
 /// and returns the per-session outcomes plus the aggregate report.
 ///
@@ -442,9 +437,10 @@ fn worker_error(rx: &mpsc::Receiver<Result<StepReply, ServeError>>) -> ServeErro
 ///
 /// Returns [`ServeError::ZeroCapacity`] for a zero worker count, batch
 /// size, or queue depth, and propagates engine construction and model
-/// failures from the workers. Session-level problems (validation,
-/// deadline, shedding, retry exhaustion) are reported per session in the
-/// outcomes, never as an `Err`.
+/// failures from the workers — engines are built before the first tick,
+/// so even an empty request list reports them. Session-level problems
+/// (validation, deadline, shedding, retry exhaustion) are reported per
+/// session in the outcomes, never as an `Err`.
 pub fn run_fleet(
     model: &EdgeModel,
     cfg: &FleetConfig,
@@ -463,7 +459,8 @@ pub fn run_fleet(
 /// # Errors
 ///
 /// As [`run_fleet`], plus adapter resolution failures (bad layer index
-/// or factor shapes for this model) surfaced at worker construction.
+/// or factor shapes for this model), returned as the adapter's own
+/// [`ServeError::Model`] from worker construction before the first tick.
 pub fn run_fleet_with_adapters(
     model: &EdgeModel,
     cfg: &FleetConfig,
@@ -502,137 +499,131 @@ pub fn run_fleet_with_adapters(
         }));
     }
 
-    std::thread::scope(|scope| {
-        let mut cmd_txs = Vec::with_capacity(cfg.workers);
-        let mut reply_rxs = Vec::with_capacity(cfg.workers);
-        for _ in 0..cfg.workers {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-            let (reply_tx, reply_rx) = mpsc::channel::<Result<StepReply, ServeError>>();
-            let batch = cfg.batch_per_worker;
-            scope.spawn(move || worker_loop(model, batch, adapters, cmd_rx, reply_tx));
-            cmd_txs.push(cmd_tx);
-            reply_rxs.push(reply_rx);
+    // Engines are built (adapters resolved) here, rebuilt only by a crash.
+    let fresh_worker = || Worker::new(model, cfg.batch_per_worker, adapters);
+    let built: Result<Vec<_>, _> = (0..cfg.workers).map(|_| fresh_worker()).collect();
+    let mut workers = built?;
+    // Threads a tick's step may occupy; more workers than that share one.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+
+    let mut r = Router {
+        cfg,
+        sessions,
+        by_id,
+        queues: vec![VecDeque::new(); cfg.workers],
+        in_flight: vec![Vec::new(); cfg.workers],
+        stalled_until: vec![0; cfg.workers],
+        tick: 0,
+        outcomes: Vec::new(),
+        shed: BTreeMap::new(),
+        served: 0,
+        replays: 0,
+        tokens_generated: 0,
+        queue_wait_samples: Vec::new(),
+        decode_ns: Vec::new(),
+    };
+    let mut plan = FaultPlan::new(&cfg.faults);
+    let mut next_arrival = 0usize;
+
+    loop {
+        let idle = next_arrival == r.sessions.len()
+            && r.queues.iter().all(|q| q.is_empty())
+            && r.in_flight.iter().all(|f| f.is_empty());
+        if idle {
+            break;
+        }
+        let _tick = telemetry::span("fleet.tick");
+
+        // 1. Scheduled faults fire at the tick boundary, before any
+        //    admission: a crash loses exactly the sessions that were
+        //    in flight at the end of the previous tick.
+        for fault in plan.due(r.tick) {
+            match fault.kind {
+                FaultKind::WorkerCrash { worker } => {
+                    let w = worker % cfg.workers;
+                    telemetry::counter("fleet.worker_crash", 1);
+                    // Supervisor restart: the engine and every session
+                    // in flight on it are dropped for a fresh one.
+                    workers[w] = fresh_worker()?;
+                    r.crash(w);
+                }
+                FaultKind::WorkerStall { worker, ticks } => {
+                    let w = worker % cfg.workers;
+                    telemetry::counter("fleet.worker_stall", 1);
+                    r.stalled_until[w] = r.tick + ticks as u64;
+                }
+                // Tuner-side faults have no serving interpretation.
+                _ => {}
+            }
         }
 
-        let mut r = Router {
-            cfg,
-            sessions,
-            by_id,
-            queues: vec![VecDeque::new(); cfg.workers],
-            in_flight: vec![Vec::new(); cfg.workers],
-            stalled_until: vec![0; cfg.workers],
-            tick: 0,
-            outcomes: Vec::new(),
-            shed: BTreeMap::new(),
-            served: 0,
-            replays: 0,
-            tokens_generated: 0,
-            queue_wait_samples: Vec::new(),
-            decode_ns: Vec::new(),
+        // 2. Admissions due this tick.
+        while next_arrival < r.sessions.len() && r.sessions[next_arrival].submit_tick <= r.tick {
+            r.place(next_arrival);
+            next_arrival += 1;
+        }
+
+        // 3. Queued sessions past the SLO budget are shed before
+        //    dispatch — an expired session never reaches a worker.
+        r.expire_slo();
+
+        // 4. Dispatch queued sessions into free batch slots (FIFO
+        //    per queue; priorities influence shedding, not order).
+        for (w, worker) in workers.iter_mut().enumerate() {
+            while r.in_flight[w].len() < cfg.batch_per_worker {
+                let Some(sid) = r.queues[w].pop_front() else {
+                    break;
+                };
+                if r.sessions[sid].queue_wait_ticks.is_none() {
+                    let wait = r.tick - r.sessions[sid].submit_tick;
+                    r.sessions[sid].queue_wait_ticks = Some(wait);
+                    r.queue_wait_samples.push(wait);
+                }
+                let (req, rng) = r.attempt(sid);
+                worker.submit(req, rng);
+                r.in_flight[w].push(sid);
+            }
+        }
+
+        // 5. Step every live worker — contiguous shares, one per core,
+        //    each stepped in index order with kernel threads pinned to one
+        //    so N workers cannot oversubscribe the machine — then consume
+        //    the replies in worker index order (the determinism barrier).
+        let live = |w: usize| !r.in_flight[w].is_empty() && r.stalled_until[w] <= r.tick;
+        let n_live = (0..cfg.workers).filter(|&w| live(w)).count();
+        let mut stepping = workers.iter_mut().enumerate().filter(|(w, _)| live(*w));
+        let shares: Vec<Vec<(usize, &mut Worker<'_>)>> = pool::partition(n_live, cores)
+            .into_iter()
+            .map(|part| stepping.by_ref().take(part.len()).collect())
+            .collect();
+        let replies = {
+            let _step = telemetry::span("fleet.step");
+            pool::fan_out(shares, |share| {
+                pool::serial_scope(|| {
+                    let step = |(w, worker): (usize, &mut Worker<'_>)| (w, worker.step());
+                    share.into_iter().map(step).collect::<Vec<_>>()
+                })
+            })
         };
-        let mut plan = FaultPlan::new(&cfg.faults);
-        let mut next_arrival = 0usize;
-
-        loop {
-            let idle = next_arrival == r.sessions.len()
-                && r.queues.iter().all(|q| q.is_empty())
-                && r.in_flight.iter().all(|f| f.is_empty());
-            if idle {
-                break;
-            }
-
-            // 1. Scheduled faults fire at the tick boundary, before any
-            //    admission: a crash loses exactly the sessions that were
-            //    in flight at the end of the previous tick.
-            for fault in plan.due(r.tick) {
-                match fault.kind {
-                    FaultKind::WorkerCrash { worker } => {
-                        let w = worker % cfg.workers;
-                        telemetry::counter("fleet.worker_crash", 1);
-                        if cmd_txs[w].send(Cmd::Reset).is_err() {
-                            return Err(worker_error(&reply_rxs[w]));
-                        }
-                        r.crash(w);
-                    }
-                    FaultKind::WorkerStall { worker, ticks } => {
-                        let w = worker % cfg.workers;
-                        telemetry::counter("fleet.worker_stall", 1);
-                        r.stalled_until[w] = r.tick + ticks as u64;
-                    }
-                    // Tuner-side faults have no serving interpretation.
-                    _ => {}
-                }
-            }
-
-            // 2. Admissions due this tick.
-            while next_arrival < r.sessions.len() && r.sessions[next_arrival].submit_tick <= r.tick
-            {
-                r.place(next_arrival);
-                next_arrival += 1;
-            }
-
-            // 3. Queued sessions past the SLO budget are shed before
-            //    dispatch — an expired session never reaches a worker.
-            r.expire_slo();
-
-            // 4. Dispatch queued sessions into free batch slots (FIFO
-            //    per queue; priorities influence shedding, not order).
-            for w in 0..cfg.workers {
-                while r.in_flight[w].len() < cfg.batch_per_worker {
-                    let Some(sid) = r.queues[w].pop_front() else {
-                        break;
-                    };
-                    if r.sessions[sid].queue_wait_ticks.is_none() {
-                        let wait = r.tick - r.sessions[sid].submit_tick;
-                        r.sessions[sid].queue_wait_ticks = Some(wait);
-                        r.queue_wait_samples.push(wait);
-                    }
-                    let (req, rng) = r.attempt(sid);
-                    if cmd_txs[w].send(Cmd::Submit(Box::new(req), rng)).is_err() {
-                        return Err(worker_error(&reply_rxs[w]));
-                    }
-                    r.in_flight[w].push(sid);
-                }
-            }
-
-            // 5. Step every live worker, then consume replies in worker
-            //    index order (the determinism barrier).
-            let stepping: Vec<usize> = (0..cfg.workers)
-                .filter(|&w| !r.in_flight[w].is_empty() && r.stalled_until[w] <= r.tick)
-                .collect();
-            for &w in &stepping {
-                if cmd_txs[w].send(Cmd::Step).is_err() {
-                    return Err(worker_error(&reply_rxs[w]));
-                }
-            }
-            for &w in &stepping {
-                match reply_rxs[w].recv() {
-                    Ok(Ok(reply)) => r.process_reply(w, reply),
-                    Ok(Err(e)) => return Err(e),
-                    Err(_) => return Err(worker_error(&reply_rxs[w])),
-                }
-            }
-
-            r.tick += 1;
+        for (w, reply) in replies.into_iter().flatten() {
+            r.process_reply(w, reply?);
         }
 
-        for tx in &cmd_txs {
-            let _ = tx.send(Cmd::Shutdown);
-        }
+        r.tick += 1;
+    }
 
-        telemetry::counter("fleet.ticks", r.tick);
-        let report = FleetReport {
-            ticks: r.tick,
-            served: r.served,
-            shed: r.shed,
-            replays: r.replays,
-            tokens_generated: r.tokens_generated,
-            queue_wait_ticks: LatencySummary::from_ns(r.queue_wait_samples),
-            decode_token: LatencySummary::from_ns(r.decode_ns),
-        };
-        Ok(FleetRun {
-            outcomes: r.outcomes,
-            report,
-        })
+    telemetry::counter("fleet.ticks", r.tick);
+    let report = FleetReport {
+        ticks: r.tick,
+        served: r.served,
+        shed: r.shed,
+        replays: r.replays,
+        tokens_generated: r.tokens_generated,
+        queue_wait_ticks: LatencySummary::from_ns(r.queue_wait_samples),
+        decode_token: LatencySummary::from_ns(r.decode_ns),
+    };
+    Ok(FleetRun {
+        outcomes: r.outcomes,
+        report,
     })
 }

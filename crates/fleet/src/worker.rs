@@ -1,38 +1,19 @@
-//! The engine worker thread: one [`BatchedInferenceEngine`] driven in
-//! lock-step by router commands over an mpsc channel.
+//! One fleet worker: a [`BatchedInferenceEngine`] the router owns and
+//! drives through plain `&mut` calls.
 //!
 //! The worker owns no scheduling policy at all — it submits what it is
 //! told, steps when it is told, and reports exactly what happened. Every
 //! control-plane decision (placement, shedding, crash replay) lives in
-//! the router, which is what makes an N-worker fleet deterministic: the
-//! threads only ever run between two barriers of a single tick.
+//! the router, which is what makes an N-worker fleet deterministic:
+//! workers run concurrently only inside step 5 of a single tick.
 
 use edge_llm_model::{EdgeModel, TenantAdapter};
 use edge_llm_serve::{
     BatchedInferenceEngine, ServeError, ServeOutcome, ServeRequest, SessionProgress,
 };
-use edge_llm_tensor::pool::serial_scope;
 use edge_llm_tensor::TensorRng;
-use std::sync::mpsc::{Receiver, Sender};
 
-/// A router command for one worker. Channel order is delivery order, so
-/// the router's deterministic emission order fixes the worker's
-/// execution order.
-pub(crate) enum Cmd {
-    /// Admit a session, optionally resuming a mid-flight sampling rng
-    /// (crash replay).
-    Submit(Box<ServeRequest>, Option<TensorRng>),
-    /// Advance the engine by one batched forward pass and reply with a
-    /// [`StepReply`].
-    Step,
-    /// Simulated crash + supervisor restart: drop the engine (and every
-    /// in-flight session) and stand up a fresh one.
-    Reset,
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// Everything one `Step` produced, shipped back to the router.
+/// Everything one step produced, handed back to the router.
 pub(crate) struct StepReply {
     /// Sessions retired during this step, in retirement order.
     pub finished: Vec<ServeOutcome>,
@@ -43,83 +24,54 @@ pub(crate) struct StepReply {
     pub decode_ns: Vec<u64>,
 }
 
-/// Builds a worker engine with every fleet tenant's adapter registered.
-/// `Reset` rebuilds through here too, so a supervisor restart comes back
-/// with the same adapter registry — a crashed worker can replay a
-/// tenant session without the router re-shipping the adapter.
-fn fresh_engine<'m>(
-    model: &'m EdgeModel,
-    batch: usize,
-    adapters: &[(String, TenantAdapter)],
-) -> Result<BatchedInferenceEngine<'m>, ServeError> {
-    let mut engine = BatchedInferenceEngine::new(model, batch)?;
-    engine.set_progress_capture(true);
-    for (tenant, adapter) in adapters {
-        engine.register_adapter(tenant, adapter.clone())?;
-    }
-    Ok(engine)
+pub(crate) struct Worker<'m> {
+    engine: BatchedInferenceEngine<'m>,
+    /// Decode samples already handed to the router; each reply carries
+    /// only the suffix the engine accumulated since.
+    decode_taken: usize,
 }
 
-/// The worker thread body. Runs until `Shutdown`, the command channel
-/// closes, or engine (re)construction fails — failures are shipped as an
-/// `Err` reply so the router surfaces them instead of hanging.
-pub(crate) fn worker_loop(
-    model: &EdgeModel,
-    batch: usize,
-    adapters: &[(String, TenantAdapter)],
-    rx: Receiver<Cmd>,
-    tx: Sender<Result<StepReply, ServeError>>,
-) {
-    let mut engine = match fresh_engine(model, batch, adapters) {
-        Ok(e) => e,
-        Err(e) => {
-            let _ = tx.send(Err(e));
-            return;
+impl<'m> Worker<'m> {
+    /// Builds a worker engine with every fleet tenant's adapter
+    /// registered, or returns the engine's own construction / adapter
+    /// resolution error. A crash fault rebuilds through here too, so the
+    /// restarted worker has the same adapter registry and can replay a
+    /// tenant session without the router re-shipping the adapter.
+    pub(crate) fn new(
+        model: &'m EdgeModel,
+        batch: usize,
+        adapters: &[(String, TenantAdapter)],
+    ) -> Result<Self, ServeError> {
+        let mut engine = BatchedInferenceEngine::new(model, batch)?;
+        engine.set_progress_capture(true);
+        for (tenant, adapter) in adapters {
+            engine.register_adapter(tenant, adapter.clone())?;
         }
-    };
-    // Sample index already shipped to the router; each reply sends only
-    // the suffix the engine accumulated since.
-    let mut decode_taken = 0usize;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Submit(req, rng) => match rng {
-                Some(rng) => engine.submit_with_rng(*req, rng),
-                None => engine.submit(*req),
-            },
-            Cmd::Reset => {
-                engine = match fresh_engine(model, batch, adapters) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                };
-                decode_taken = 0;
-            }
-            Cmd::Step => {
-                // Kernel-level threading is pinned to one thread inside a
-                // worker: the fleet's parallelism is worker-granular, and
-                // this keeps N workers from oversubscribing the machine
-                // through the shared kernel pool.
-                let stepped = serial_scope(|| engine.step());
-                let reply = match stepped {
-                    Ok(_) => {
-                        let samples = engine.decode_token_samples();
-                        let decode_ns = samples[decode_taken..].to_vec();
-                        decode_taken = samples.len();
-                        Ok(StepReply {
-                            finished: engine.take_finished(),
-                            progress: engine.take_progress(),
-                            decode_ns,
-                        })
-                    }
-                    Err(e) => Err(ServeError::Model(e)),
-                };
-                if tx.send(reply).is_err() {
-                    return;
-                }
-            }
-            Cmd::Shutdown => return,
+        Ok(Worker {
+            engine,
+            decode_taken: 0,
+        })
+    }
+
+    /// Admits a session, optionally resuming a mid-flight sampling rng
+    /// (crash replay).
+    pub(crate) fn submit(&mut self, req: ServeRequest, rng: Option<TensorRng>) {
+        match rng {
+            Some(rng) => self.engine.submit_with_rng(req, rng),
+            None => self.engine.submit(req),
         }
+    }
+
+    /// Advances the engine by one batched forward pass.
+    pub(crate) fn step(&mut self) -> Result<StepReply, ServeError> {
+        self.engine.step().map_err(ServeError::Model)?;
+        let samples = self.engine.decode_token_samples();
+        let decode_ns = samples[self.decode_taken..].to_vec();
+        self.decode_taken = samples.len();
+        Ok(StepReply {
+            finished: self.engine.take_finished(),
+            progress: self.engine.take_progress(),
+            decode_ns,
+        })
     }
 }

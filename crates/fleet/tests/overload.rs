@@ -5,10 +5,12 @@
 
 use edge_llm::resilience::{FaultKind, PlannedFault};
 use edge_llm_fleet::{
-    run_fleet, FleetConfig, FleetReport, FleetRequest, FleetRun, ScenarioSpec, SessionFinish,
-    SessionOutcome,
+    run_fleet, run_fleet_with_adapters, FleetConfig, FleetReport, FleetRequest, FleetRun,
+    ScenarioSpec, SessionFinish, SessionOutcome,
 };
-use edge_llm_model::{Decoding, EdgeModel, ModelConfig, VotingPolicy};
+use edge_llm_model::{
+    AdapterTarget, Decoding, EdgeModel, ModelConfig, ModelError, TenantAdapter, VotingPolicy,
+};
 use edge_llm_serve::{FinishReason, ServeError, ServeRequest, ShedCause};
 use edge_llm_tensor::check::run_cases;
 use edge_llm_tensor::TensorRng;
@@ -367,4 +369,39 @@ fn rejected_sessions_flow_through_the_fleet_as_engine_rejections() {
         run.outcome("good").unwrap().finish,
         SessionFinish::Served(FinishReason::Completed)
     ));
+}
+
+#[test]
+fn an_unresolvable_adapter_fails_the_fleet_with_its_own_typed_error() {
+    let m = model();
+    let depth = m.n_layers();
+    let past_the_model = [(depth, AdapterTarget::Qkv)];
+    let adapters = vec![(
+        "t0".to_string(),
+        TenantAdapter::seeded(m.config(), 3, 2, &past_the_model),
+    )];
+    let mut tenant_req = arrival(&m, "tenant", 1, 0);
+    tenant_req.req.tenant = Some("t0".into());
+    let with_traffic = [tenant_req, arrival(&m, "base", 1, 0)];
+    // Engines are built (and adapters resolved) before the first tick, so
+    // the error surfaces even when no session would ever reach a worker.
+    for workers in [1, 3] {
+        for traffic in [&with_traffic[..], &[]] {
+            let cfg = FleetConfig {
+                workers,
+                ..FleetConfig::default()
+            };
+            let err = run_fleet_with_adapters(&m, &cfg, &adapters, traffic)
+                .expect_err("the adapter cannot resolve");
+            assert_eq!(
+                err,
+                ServeError::Model(ModelError::LayerOutOfRange {
+                    layer: depth,
+                    depth
+                }),
+                "{workers} workers, {} requests",
+                traffic.len()
+            );
+        }
+    }
 }

@@ -458,6 +458,12 @@ fn run_fleet_family(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         p_usize(params, "max_new_min", spec.max_new_tokens.0)?,
         p_usize(params, "max_new_max", spec.max_new_tokens.1)?,
     );
+    let (lo, hi) = spec.max_new_tokens;
+    if lo > hi {
+        return Err(LabError::Spec(format!(
+            "param \"max_new_min\" ({lo}) must not exceed \"max_new_max\" ({hi})"
+        )));
+    }
     spec.tenants = p_usize(params, "tenants", spec.tenants)?;
     let fleet_cfg = FleetConfig {
         workers: p_usize(params, "workers", 1)?.max(1),
@@ -866,6 +872,26 @@ mod tests {
         let b = run_family(Family::Fleet, 9, &params).unwrap();
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(get(&a, "served"), Json::Int(6));
+    }
+
+    #[test]
+    fn fleet_rejects_an_inverted_token_range() {
+        // either bound alone can cross the scenario's default for the other
+        for text in [
+            r#"{"sessions": 4, "max_new_min": 16, "max_new_max": 8}"#,
+            r#"{"max_new_min": 1000}"#,
+            r#"{"max_new_max": 0}"#,
+        ] {
+            match run_family(Family::Fleet, 1, &obj(text)) {
+                Err(LabError::Spec(msg)) => {
+                    assert!(
+                        msg.contains("max_new_min") && msg.contains("max_new_max"),
+                        "{msg}"
+                    )
+                }
+                other => panic!("{text}: expected a spec error, got {other:?}"),
+            }
+        }
     }
 
     fn merge(base: &str, over: &str) -> Json {

@@ -261,34 +261,14 @@ pub(crate) fn decode_runs(
     // Kernel-level threading is suppressed inside each chunk
     // (`serial_scope`) so workers do not spawn nested workers.
     let total = runs.len();
-    let parts = pool::partition(total, workers);
-    let mut chunk_results: Vec<Result<Vec<Vec<Tensor>>, ModelError>> =
-        Vec::with_capacity(parts.len());
-    std::thread::scope(|scope| {
-        let mut rest = runs;
-        let mut head = None;
-        let mut handles = Vec::with_capacity(parts.len() - 1);
-        for (ci, part) in parts.iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(part.len());
-            rest = tail;
-            if ci == 0 {
-                // the calling thread takes the first chunk, after spawning
-                head = Some(chunk);
-            } else {
-                handles.push(scope.spawn(move || pool::serial_scope(|| walk(model, chunk, depth))));
-            }
-        }
-        let first = head.expect("partition yields at least one chunk");
-        chunk_results.push(pool::serial_scope(|| walk(model, first, depth)));
-        for h in handles {
-            match h.join() {
-                Ok(r) => chunk_results.push(r),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-    });
+    let mut rest = runs;
+    let chunks = pool::partition(total, workers)
+        .into_iter()
+        .map(|part| rest.split_off_mut(..part.len()).expect("in bounds"))
+        .collect();
+    let walk_chunk = |chunk| pool::serial_scope(|| walk(model, chunk, depth));
     let mut out = Vec::with_capacity(total);
-    for r in chunk_results {
+    for r in pool::fan_out(chunks, walk_chunk) {
         out.extend(r?);
     }
     Ok(out)

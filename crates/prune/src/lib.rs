@@ -5,10 +5,10 @@
 //!
 //! * [`PruneMask`] — an explicit keep/drop mask over a weight matrix,
 //! * [`magnitude_prune`] — unstructured magnitude pruning at a target ratio,
-//! * [`structured_prune`] — whole row/column removal by norm,
-//! * [`nm_prune`] — N:M semi-structured sparsity (e.g. 2:4),
-//! * [`CsrMatrix`] — compressed sparse row storage with a sparse matmul so
-//!   compute savings are real, not just bookkeeping.
+//! * [`nm_prune`] — N:M semi-structured sparsity (e.g. 2:4).
+//!
+//! Masks zero weights in place; no kernel in the workspace skips the
+//! zeros, so the compute saving exists only in the `edge-llm-hw` model.
 //!
 //! # Example
 //!
@@ -28,14 +28,10 @@
 mod magnitude;
 mod mask;
 mod nm;
-mod sparse;
-mod structured;
 
 pub use magnitude::magnitude_prune;
 pub use mask::PruneMask;
 pub use nm::nm_prune;
-pub use sparse::CsrMatrix;
-pub use structured::{structured_prune, StructuredAxis};
 
 /// Error type for pruning operations.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,7 +7,7 @@
 //! * [`BitWidth`] — the discrete 2/4/8/16-bit precision alphabet,
 //! * [`QuantScheme`] — bit-width x (a)symmetry x granularity,
 //! * [`QuantizedTensor`] — bit-packed affine-quantized storage with
-//!   dequantization and on-the-fly quantized matmul,
+//!   whole-tensor and row-at-a-time dequantization,
 //! * [`fake_quant`] — quantize-dequantize with a straight-through-estimator
 //!   backward for quantization-aware tuning,
 //! * error metrics ([`quant_mse`], [`sqnr_db`]) used by the LUC sensitivity
@@ -36,9 +36,7 @@ mod metrics;
 mod observer;
 mod packed;
 mod pgemm;
-mod qmatmul;
 mod scheme;
-mod scratch;
 
 pub use affine::QuantizedTensor;
 pub use bitwidth::BitWidth;
@@ -50,7 +48,6 @@ pub use pgemm::{
     packed_decode_matmul, packed_decode_matmul_scalar, packed_gemm_supported, quantize_activations,
     QuantizedActivations,
 };
-pub use qmatmul::{quantized_matmul, quantized_matmul_with};
 pub use scheme::{Granularity, QuantMode, QuantScheme};
 
 /// Error type for quantization operations.

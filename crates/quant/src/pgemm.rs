@@ -1,8 +1,9 @@
 //! Packed-code integer GEMM — the decode hot-path datapath.
 //!
-//! [`crate::quantized_matmul`] row-*dequantizes* packed weights to f32
-//! before multiplying: the memory win of 2/4-bit storage is real but the
-//! compute runs in floating point. This module computes `x · Wᵀ` directly
+//! The row-dequant route (`Linear`: `matmul_fill_b_with` over
+//! [`QuantizedTensor::dequantize_row_into`](crate::QuantizedTensor::dequantize_row_into))
+//! turns packed weights back into f32 before multiplying: the memory win
+//! of 2/4-bit storage is real but the compute runs in floating point. This module computes `x · Wᵀ` directly
 //! on the [`PackedInts`](crate::PackedInts) words: each 32-bit word is
 //! unpacked into 16 (W2) / 8 (W4) / 4 (W8) integer lanes and
 //! multiply-accumulated against the quantized activation codes through the

@@ -9,12 +9,20 @@
 //! every kernel **bit-identical across thread counts** (see DESIGN.md,
 //! "Deterministic multi-threading").
 //!
-//! The pool is dependency-free (`std::thread::scope` only; the workspace
-//! builds offline). Workers are scoped per call rather than parked in a
-//! persistent pool: borrowed operands can then cross into workers without
-//! `'static` erasure or unsafe lifetime laundering, and the spawn cost is
-//! amortized by the work-size thresholds the kernels apply before going
-//! parallel.
+//! **Threads are created in [`fan_out`] and nowhere else**
+//! (`tests/one_thread_site.rs` scans the workspace for any other site).
+//! Callers decide the split; `fan_out` decides nothing. It has four:
+//! [`parallel_rows_mut`] (parts are `(start_row, &mut [f32])` row panels
+//! — every matmul-shaped kernel), [`parallel_map`] (contiguous index
+//! ranges — per-head attention), `edge_llm_model`'s `decode_runs`
+//! (chunks of one decode pass's runs) and `edge_llm_fleet`'s router
+//! (shares of the workers stepping in one tick), the last two with each
+//! part under [`serial_scope`]. Workers are scoped per call rather than
+//! parked in a persistent pool (`std::thread::scope` only; the workspace
+//! builds offline): borrowed operands can then cross into workers
+//! without `'static` erasure or unsafe lifetime laundering, and the spawn
+//! cost is amortized by the work-size thresholds the kernels apply
+//! before going parallel.
 //!
 //! The global thread count defaults to `1` (serial, the seed behaviour)
 //! and is raised either programmatically ([`set_configured_threads`]) or
@@ -32,7 +40,7 @@ pub const THREADS_ENV_VAR: &str = "EDGELLM_THREADS";
 /// Products below this many multiply-accumulates (`m * k * n`) stay serial
 /// even when more workers are configured.
 ///
-/// Rationale: the pool spawns scoped workers per kernel call (no parked
+/// Rationale: [`fan_out`] spawns scoped workers per call (no parked
 /// threads, see the module docs), so going parallel costs one
 /// `thread::spawn` + `join` per extra worker — roughly 10–30 µs on a
 /// CPU-class edge part. At ~1 MAC/ns serial throughput, `2^16` MACs is
@@ -169,6 +177,38 @@ pub fn partition(total: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
+/// Runs `f` over every part and returns the results in part order — the
+/// one place the workspace creates threads. Zero or one part runs inline
+/// (no thread, no telemetry); otherwise each part after the first gets a
+/// scoped thread, the caller takes the first, and workers are joined in
+/// part order. How many parts, what is in them and whether they run
+/// under [`serial_scope`] is the caller's business.
+pub fn fan_out<T, R, F>(parts: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    if parts.len() <= 1 {
+        return parts.into_iter().map(f).collect();
+    }
+    edge_llm_telemetry::counter("pool.parallel_ops", 1);
+    let mut results = Vec::with_capacity(parts.len());
+    let mut parts = parts.into_iter();
+    let first = parts.next();
+    std::thread::scope(|scope| {
+        let f = &f;
+        let workers: Vec<_> = parts.map(|part| scope.spawn(move || f(part))).collect();
+        results.extend(first.map(f));
+        for w in workers {
+            // a panicking worker propagates: determinism bugs must not be
+            // silently swallowed
+            results.push(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+    });
+    results
+}
+
 /// Runs `body` over disjoint row panels of a `rows x cols` row-major
 /// output buffer, one panel per worker.
 ///
@@ -182,41 +222,15 @@ where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     debug_assert_eq!(out.len(), rows * cols);
-    let panels = partition(rows, threads.max(1));
-    if panels.len() <= 1 {
-        if !out.is_empty() || rows > 0 {
-            body(0, out);
-        }
-        return;
-    }
-    edge_llm_telemetry::counter("pool.parallel_ops", 1);
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut workers = Vec::with_capacity(panels.len() - 1);
-        let mut first: Option<(usize, &mut [f32])> = None;
-        for (i, panel) in panels.iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(panel.len() * cols);
-            rest = tail;
-            if i == 0 {
-                // the calling thread takes the first panel, after spawning
-                first = Some((panel.start, chunk));
-            } else {
-                let start = panel.start;
-                let body = &body;
-                workers.push(scope.spawn(move || body(start, chunk)));
-            }
-        }
-        if let Some((start, chunk)) = first {
-            body(start, chunk);
-        }
-        for w in workers {
-            // a panicking worker propagates: determinism bugs must not be
-            // silently swallowed
-            if let Err(p) = w.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-    });
+    let mut rest = out;
+    let panels = partition(rows, threads.max(1))
+        .into_iter()
+        .map(|p| {
+            let panel = rest.split_off_mut(..p.len() * cols);
+            (p.start, panel.expect("panels fit the buffer"))
+        })
+        .collect();
+    fan_out(panels, |(start, chunk)| body(start, chunk));
 }
 
 /// Computes `f(0..n)` across workers and returns the results in index
@@ -230,32 +244,10 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let chunks = partition(n, threads.max(1));
-    if chunks.len() <= 1 {
-        return (0..n).map(f).collect();
-    }
-    edge_llm_telemetry::counter("pool.parallel_ops", 1);
-    let mut results: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(chunks.len());
-        for chunk in chunks.iter().skip(1).cloned() {
-            let f = &f;
-            workers.push(scope.spawn(move || chunk.map(f).collect::<Vec<T>>()));
-        }
-        let head: Vec<T> = chunks[0].clone().map(&f).collect();
-        let mut all = vec![head];
-        for w in workers {
-            match w.join() {
-                Ok(v) => all.push(v),
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-        all
+    let chunks = fan_out(partition(n, threads.max(1)), |chunk| {
+        chunk.map(&f).collect::<Vec<T>>()
     });
-    let mut out = Vec::with_capacity(n);
-    for v in &mut results {
-        out.append(v);
-    }
-    out
+    chunks.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -285,6 +277,54 @@ mod tests {
         assert_eq!(a, b);
         let lens: Vec<usize> = a.iter().map(|r| r.len()).collect();
         assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
+    }
+
+    /// `pool.parallel_ops` bumps by the calling thread during `f` —
+    /// recording is process-global and sibling tests fan out too.
+    fn own_parallel_ops(f: impl FnOnce()) -> usize {
+        use edge_llm_telemetry::{self as telemetry, Event};
+        telemetry::enable(std::sync::Arc::new(telemetry::FakeClock::with_tick(1)));
+        telemetry::counter("test.marker", 1);
+        f();
+        let events = telemetry::disable();
+        let threads_of = |wanted| {
+            events.iter().filter_map(move |e| match e {
+                Event::Counter { name, thread, .. } if *name == wanted => Some(*thread),
+                _ => None,
+            })
+        };
+        let me = threads_of("test.marker").next().expect("marker recorded");
+        threads_of("pool.parallel_ops").filter(|&t| t == me).count()
+    }
+
+    #[test]
+    fn fan_out_keeps_part_order_and_spawns_only_past_one_part() {
+        for n in [0usize, 1, 2, 7] {
+            let want: Vec<usize> = (0..n).map(|i| i * 10).collect();
+            assert_eq!(fan_out((0..n).collect(), |i| i * 10), want, "{n} parts");
+        }
+        let caller = std::thread::current().id();
+        let whoami = |()| std::thread::current().id();
+        let inline_ops = own_parallel_ops(|| assert_eq!(fan_out(vec![()], whoami), [caller]));
+        assert_eq!(inline_ops, 0, "one part: no thread, no telemetry");
+        let ops = own_parallel_ops(|| {
+            let ids = fan_out(vec![(); 3], whoami);
+            assert!(ids[0] == caller && ids[1..].iter().all(|&id| id != caller));
+        });
+        assert_eq!(ops, 1);
+    }
+
+    #[test]
+    fn fan_out_propagates_a_workers_panic_payload() {
+        let run = || {
+            fan_out(vec![0, 1, 2], |i| {
+                if i == 2 {
+                    std::panic::panic_any("part 2")
+                }
+            })
+        };
+        let payload = std::panic::catch_unwind(run).expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"part 2"));
     }
 
     #[test]

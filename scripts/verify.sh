@@ -144,7 +144,7 @@ fi
 # multi-core box (the binary exits nonzero below the bar; on one core it
 # records "gated": false instead — threads cannot beat one core and a
 # fake bar only teaches people to ignore red). A lab gate cannot
-# condition on core count, so this bar has no spec form; ROADMAP item 5
+# condition on core count, so this bar has no spec form; ROADMAP item 6
 # owns its replacement.
 # The run's result goes under .lab/ (git-ignored); the committed
 # BENCH_6.json is the recorded trajectory point and is not rewritten.
