@@ -316,3 +316,49 @@ fn corrupted_checkpoint_bytes_are_rejected() {
         );
     }
 }
+
+/// What was adapted is what runs: a LUC-shaped policy (a different
+/// bit-width and pruning ratio per layer), a few windowed steps, then the
+/// whole deployment round trip — capture, serialize, parse, restore —
+/// must hand back a model whose every exit computes the live model's
+/// logits bit for bit.
+#[test]
+fn restored_checkpoint_computes_the_adapted_models_logits_bit_for_bit() {
+    let (mut model, mut opt, mut rng, ds) = setup(29);
+    let policy = CompressionPolicy::parse_compact("8:0.25,4:0.5").unwrap();
+    apply_policy(&mut model, &policy).unwrap();
+    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
+    resilient_adapt(
+        &mut model,
+        &mut opt,
+        &mut tuner,
+        &mut rng,
+        &ds,
+        2,
+        5,
+        policy_extra(&policy),
+        &ResilienceConfig::default(),
+    )
+    .unwrap();
+
+    let ckpt = TrainingCheckpoint::capture(&model, &opt, 5, &rng, policy_extra(&policy));
+    let mut bytes = Vec::new();
+    ckpt.write_to(&mut bytes).unwrap();
+    let loaded = TrainingCheckpoint::read_from(&mut bytes.as_slice()).unwrap();
+    let (restored, ..) = restore_run(&loaded).unwrap();
+
+    let b = ds.batch_at(0, 1);
+    let exits: Vec<usize> = (0..model.n_layers()).collect();
+    let live = model.logits_at_exits(&b.tokens, 1, &exits).unwrap();
+    let back = restored.logits_at_exits(&b.tokens, 1, &exits).unwrap();
+    for (exit, (a, b)) in live.iter().zip(&back).enumerate() {
+        let bits = |t: &edge_llm_tensor::Tensor| -> Vec<u32> {
+            t.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(a),
+            bits(b),
+            "exit {exit} drifted across the round trip"
+        );
+    }
+}
