@@ -16,14 +16,13 @@
 
 use edge_llm::compress::apply_policy;
 use edge_llm::pipeline::luc_policy;
-use edge_llm::resilience::{resilient_adapt, ResilienceConfig};
+use edge_llm::resilience::{resilient_adapt, restore_run, ResilienceConfig, RunMeta};
 use edge_llm_data::{Dataset, TaskGenerator, TextLmTask};
 use edge_llm_fleet::{run_fleet_with_adapters, FleetConfig, ScenarioSpec};
 use edge_llm_luc::{CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
-    generate, load_model, save_model, AdapterTarget, AdaptiveTuner, Decoding, EdgeModel,
-    ModelConfig, Sgd, TenantAdapter, TrainingCheckpoint, VotingCombiner, VotingPolicy,
-    WindowSchedule,
+    generate, AdapterTarget, AdaptiveTuner, Decoding, EdgeModel, ModelConfig, Sgd, TenantAdapter,
+    TrainingCheckpoint, VotingCombiner, VotingPolicy, WindowSchedule,
 };
 use edge_llm_serve::{BatchedInferenceEngine, FinishReason, ServeRequest};
 use edge_llm_telemetry as telemetry;
@@ -50,9 +49,9 @@ pub enum Command {
         iterations: usize,
         /// RNG seed.
         seed: u64,
-        /// Write a resumable training state every N iterations (0 = off).
+        /// Also write the checkpoint every N iterations (0 = at the end only).
         checkpoint_every: usize,
-        /// Resume from a training state written by `--checkpoint-every`.
+        /// Resume from a checkpoint written by `adapt`.
         resume: Option<String>,
         /// Kernel worker threads (`0` = all cores). `None` leaves the
         /// `EDGELLM_THREADS` environment default in place.
@@ -128,7 +127,7 @@ pub enum Command {
     /// Run, analyze, or gate a declarative experiment spec through the
     /// lab runner.
     Lab(LabCommand),
-    /// Print a checkpoint's configuration and size.
+    /// Print a checkpoint's configuration, size, policy and iteration.
     Inspect {
         /// Checkpoint path.
         ckpt: String,
@@ -205,7 +204,7 @@ edgellm — on-device LLM adaptation (Edge-LLM reproduction)
 USAGE:
   edgellm adapt    --corpus <file> --out <ckpt> [--budget 0.25] [--window 2]
                    [--iterations 400] [--seed 42] [--checkpoint-every N]
-                   [--resume <ckpt>.state] [--threads N] [--trace-out <path>]
+                   [--resume <ckpt>] [--threads N] [--trace-out <path>]
   edgellm generate --ckpt <ckpt> --prompt <text> [--tokens 40] [--top-k 3]
                    [--temperature 0.8] [--seed 42]
                    [--draft-depth N [--draft-k 4]]
@@ -238,8 +237,9 @@ who shares the batch.
 Self-speculative decoding (generate --draft-depth N, serve mode=spec):
 drafts k tokens from exit layer N's logits, verifies them in one
 full-depth pass, and accepts the longest agreeing prefix plus the
-verifier's correction. Output is bit-identical to greedy full-depth
-decode — only throughput changes.
+verifier's correction. Output is bit-identical to greedy decode from
+the final exit (serve mode=greedy voting=final) — only throughput
+changes. Without --draft-depth, generate votes like voting=conf.
 
 Load generation (loadgen): drives a seeded traffic scenario through the
 sharded serving fleet against a synthetic tiny model — no checkpoint
@@ -270,6 +270,48 @@ Tracing: --trace-out <path> (or the EDGELLM_TRACE environment variable)
 writes a JSON-lines span/counter trace of the run. Recording never
 changes results, only observes them.
 ";
+
+/// Rejects every argument of `sub` (for `lab`, of its action) that is not
+/// one of its `--flag value` pairs or `lab check`'s bare `--update`: a
+/// mistyped flag must not silently run with the default it meant to
+/// change. Subcommands not listed here are `parse_args`'s to report.
+fn check_flags(sub: &str, args: &[String]) -> Result<(), CliError> {
+    let (action, args) = match args.split_first() {
+        Some((action, rest)) if sub == "lab" => (action.as_str(), rest),
+        _ => ("", args),
+    };
+    let valued = match (sub, action) {
+        ("adapt", _) => {
+            "--corpus --out --budget --window --iterations --seed --checkpoint-every \
+             --resume --threads --trace-out"
+        }
+        ("generate", _) => {
+            "--ckpt --prompt --tokens --top-k --temperature --seed --draft-depth --draft-k"
+        }
+        ("serve", _) => "--ckpt --requests --batch --threads --trace-out",
+        ("loadgen", _) => {
+            "--scenario --workers --batch --queue --retries --slo --seed --tenants \
+             --threads --trace-out"
+        }
+        ("lab", "run") => "--spec --out-dir --run-id --threads",
+        ("lab", "analyze") => "--run",
+        ("lab", "check") => "--run --baseline",
+        ("inspect", _) => "--ckpt",
+        ("policy", _) => "--corpus --budget --seed",
+        _ => return Ok(()),
+    };
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.split(' ').any(|flag| flag == arg) {
+            if rest.next().is_none() {
+                return Err(CliError::Usage(format!("flag {arg} needs a value")));
+            }
+        } else if (action, arg) != ("check", "--update") {
+            return Err(CliError::Usage(format!("unknown flag {arg:?}")));
+        }
+    }
+    Ok(())
+}
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -313,13 +355,14 @@ fn required_flag(args: &[String], flag: &str) -> Result<String, CliError> {
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for unknown subcommands, missing required
-/// flags, or unparseable values.
+/// Returns [`CliError::Usage`] for unknown subcommands or flags, missing
+/// required flags, flags without a value, or unparseable values.
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(sub) = args.first() else {
         return Ok(Command::Help);
     };
     let rest = &args[1..];
+    check_flags(sub, rest)?;
     match sub.as_str() {
         "adapt" => Ok(Command::Adapt {
             corpus: required_flag(rest, "--corpus")?,
@@ -526,33 +569,9 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
             let task = text_task(corpus)?;
             // Dataset sampling uses its own seed-derived stream so a resumed
             // run can regenerate the identical dataset from the checkpoint.
-            let (mut model, mut opt, mut rng, policy, data_seed, window, start) = match resume {
-                Some(path) => {
-                    let tc = TrainingCheckpoint::load_file(Path::new(path))
-                        .map_err(|e| CliError::Run(format!("cannot resume from {path}: {e}")))?;
-                    let (policy, data_seed, window) = decode_run_extra(&tc.extra)?;
-                    let mut model = tc.build_model().map_err(run_err)?;
-                    if model.config().vocab_size != task.vocab_size() {
-                        return Err(CliError::Run(format!(
-                            "training state vocabulary {} does not match corpus vocabulary {}",
-                            model.config().vocab_size,
-                            task.vocab_size()
-                        )));
-                    }
-                    // Params first, then the policy: pruning re-selects the
-                    // already-zeroed weights, so the mask is reproduced.
-                    apply_policy(&mut model, &policy).map_err(run_err)?;
-                    let start = tc.iteration as usize;
-                    (
-                        model,
-                        tc.optimizer(),
-                        tc.rng(),
-                        policy,
-                        data_seed,
-                        window,
-                        start,
-                    )
-                }
+            let (mut model, mut opt, mut rng, meta, start) = match resume {
+                Some(path) => load_text_run(path)
+                    .map_err(|e| CliError::Run(format!("cannot resume from {path}: {e}")))?,
                 None => {
                     let mut rng = TensorRng::seed_from(*seed);
                     let mut model = EdgeModel::new(cli_model_config(task.vocab_size()), &mut rng)
@@ -567,26 +586,30 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                     } else {
                         CompressionPolicy::identity(model.n_layers())
                     };
-                    let data_seed = seed ^ 0xDA7A_5EED;
-                    (model, Sgd::new(0.1), rng, policy, data_seed, *window, 0)
+                    let meta = RunMeta {
+                        policy,
+                        data_seed: seed ^ 0xDA7A_5EED,
+                        window: *window,
+                    };
+                    (model, Sgd::new(0.1), rng, meta, 0)
                 }
             };
             let cfg = model.config().clone();
-            let mut data_rng = TensorRng::seed_from(data_seed);
+            let mut data_rng = TensorRng::seed_from(meta.data_seed);
             let ds = Dataset::from_samples(
                 (0..32)
                     .map(|_| task.sample(cfg.seq_len, &mut data_rng))
                     .collect(),
             );
-            let mut tuner = AdaptiveTuner::new(WindowSchedule::for_depth(window, cfg.n_layers));
+            let mut tuner =
+                AdaptiveTuner::new(WindowSchedule::for_depth(meta.window, cfg.n_layers));
             tuner.set_iteration(start);
-            let state_path = format!("{ckpt}.state");
+            // periodic snapshots land on the output path itself: one file
             let res = ResilienceConfig {
                 checkpoint_every: *checkpoint_every,
-                checkpoint_path: (*checkpoint_every > 0).then(|| PathBuf::from(&state_path)),
+                checkpoint_path: (*checkpoint_every > 0).then(|| PathBuf::from(ckpt)),
                 ..ResilienceConfig::default()
             };
-            let extra = encode_run_extra(&policy, data_seed, window);
             let run = resilient_adapt(
                 &mut model,
                 &mut opt,
@@ -595,14 +618,14 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                 &ds,
                 4,
                 *iterations,
-                extra,
+                meta.encode(),
                 &res,
             )
             .map_err(run_err)?;
-            let mut file = fs::File::create(ckpt)
-                .map_err(|e| CliError::Run(format!("cannot create {ckpt}: {e}")))?;
-            save_model(&model, &mut file).map_err(run_err)?;
-            file.flush().map_err(run_err)?;
+            let done = tuner.iterations() as u64;
+            TrainingCheckpoint::capture(&model, &opt, done, &rng, meta.encode())
+                .save_file(Path::new(ckpt))
+                .map_err(run_err)?;
             if run.steps_executed == 0 {
                 writeln!(
                     out,
@@ -613,15 +636,12 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                 writeln!(out, "adapted on {corpus}: final loss {:.3}", run.final_loss)
                     .map_err(run_err)?;
             }
-            writeln!(out, "policy: {}", policy.to_compact_string()).map_err(run_err)?;
+            writeln!(out, "policy: {}", meta.policy.to_compact_string()).map_err(run_err)?;
             if !run.journal.is_empty() {
                 writeln!(out, "recovery journal:").map_err(run_err)?;
                 write!(out, "{}", run.journal).map_err(run_err)?;
             }
-            writeln!(out, "checkpoint written to {ckpt}").map_err(run_err)?;
-            if *checkpoint_every > 0 {
-                writeln!(out, "training state written to {state_path}").map_err(run_err)?;
-            }
+            writeln!(out, "checkpoint written to {ckpt} (iteration {done})").map_err(run_err)?;
             if run.steps_executed > 0 {
                 let p = run.phases;
                 let ms = |ns: u64| ns as f64 / 1e6;
@@ -652,17 +672,8 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
             draft_depth,
             draft_k,
         } => {
-            let mut file = fs::File::open(ckpt)
-                .map_err(|e| CliError::Run(format!("cannot open {ckpt}: {e}")))?;
-            let model = load_model(&mut file).map_err(run_err)?;
             let tok = edge_llm_data::CharTokenizer::new();
-            if model.config().vocab_size != tok.vocab_size() {
-                return Err(CliError::Run(format!(
-                    "checkpoint vocabulary {} is not a text-model vocabulary ({})",
-                    model.config().vocab_size,
-                    tok.vocab_size()
-                )));
-            }
+            let (model, ..) = load_text_run(ckpt)?;
             let mut rng = TensorRng::seed_from(*seed);
             // --draft-depth switches to self-speculative decoding, which
             // verifies (and emits) the final exit's greedy tokens — so it
@@ -711,17 +722,8 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                 edge_llm_tensor::set_configured_threads(*t);
             }
             let trace_path = start_trace(trace_out);
-            let mut file = fs::File::open(ckpt)
-                .map_err(|e| CliError::Run(format!("cannot open {ckpt}: {e}")))?;
-            let model = load_model(&mut file).map_err(run_err)?;
             let tok = edge_llm_data::CharTokenizer::new();
-            if model.config().vocab_size != tok.vocab_size() {
-                return Err(CliError::Run(format!(
-                    "checkpoint vocabulary {} is not a text-model vocabulary ({})",
-                    model.config().vocab_size,
-                    tok.vocab_size()
-                )));
-            }
+            let (model, ..) = load_text_run(ckpt)?;
             let text = fs::read_to_string(requests)
                 .map_err(|e| CliError::Run(format!("cannot read requests {requests}: {e}")))?;
             let parsed = parse_request_file(&text, &tok, model.n_layers())?;
@@ -924,15 +926,16 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
         }
         Command::Lab(lab) => run_lab(lab, out)?,
         Command::Inspect { ckpt } => {
-            let mut file = fs::File::open(ckpt)
-                .map_err(|e| CliError::Run(format!("cannot open {ckpt}: {e}")))?;
-            let model = load_model(&mut file).map_err(run_err)?;
+            let tc = TrainingCheckpoint::load_file(Path::new(ckpt)).map_err(run_err)?;
+            let (model, _, _, meta) = restore_run(&tc).map_err(run_err)?;
             let cfg = model.config();
             writeln!(out, "layers: {}", cfg.n_layers).map_err(run_err)?;
             writeln!(out, "d_model: {} ({} heads)", cfg.d_model, cfg.n_heads).map_err(run_err)?;
             writeln!(out, "seq_len: {}", cfg.seq_len).map_err(run_err)?;
             writeln!(out, "vocab: {}", cfg.vocab_size).map_err(run_err)?;
             writeln!(out, "parameters: {}", model.num_params()).map_err(run_err)?;
+            writeln!(out, "policy: {}", meta.policy.to_compact_string()).map_err(run_err)?;
+            writeln!(out, "iteration: {}", tc.iteration).map_err(run_err)?;
         }
     }
     Ok(())
@@ -1155,38 +1158,21 @@ fn parse_request_file(
     Ok(requests)
 }
 
-/// Encodes everything a resumed `adapt` needs beyond the training state
-/// itself: the applied policy, the dataset seed, and the window depth.
-fn encode_run_extra(policy: &CompressionPolicy, data_seed: u64, window: usize) -> Vec<u8> {
-    format!(
-        "policy={}\ndata_seed={data_seed}\nwindow={window}\n",
-        policy.to_compact_string()
-    )
-    .into_bytes()
-}
-
-fn decode_run_extra(extra: &[u8]) -> Result<(CompressionPolicy, u64, usize), CliError> {
-    let text = std::str::from_utf8(extra)
-        .map_err(|_| CliError::Run("training state metadata is not UTF-8".into()))?;
-    let mut policy = None;
-    let mut data_seed = None;
-    let mut window = None;
-    for line in text.lines() {
-        match line.split_once('=') {
-            Some(("policy", v)) => {
-                policy = Some(CompressionPolicy::parse_compact(v).map_err(run_err)?);
-            }
-            Some(("data_seed", v)) => data_seed = v.parse::<u64>().ok(),
-            Some(("window", v)) => window = v.parse::<usize>().ok(),
-            _ => {}
-        }
+/// Restores the text model checkpointed at `path` — compressed as it was
+/// tuned, with its optimizer, RNG, run metadata and iteration — through
+/// [`restore_run`]. Corpora and prompts all go through the one character
+/// tokenizer, so a model of any other vocabulary is refused.
+fn load_text_run(path: &str) -> Result<(EdgeModel, Sgd, TensorRng, RunMeta, usize), CliError> {
+    let tc = TrainingCheckpoint::load_file(Path::new(path)).map_err(run_err)?;
+    let (model, opt, rng, meta) = restore_run(&tc).map_err(run_err)?;
+    let have = model.config().vocab_size;
+    let want = edge_llm_data::CharTokenizer::new().vocab_size();
+    if have != want {
+        return Err(CliError::Run(format!(
+            "checkpoint vocabulary {have} is not a text-model vocabulary ({want})"
+        )));
     }
-    match (policy, data_seed, window) {
-        (Some(p), Some(d), Some(w)) => Ok((p, d, w)),
-        _ => Err(CliError::Run(
-            "training state was not written by `edgellm adapt` (missing run metadata)".into(),
-        )),
-    }
+    Ok((model, opt, rng, meta, tc.iteration as usize))
 }
 
 fn adapt_model(
@@ -1271,7 +1257,7 @@ mod tests {
     #[test]
     fn parse_adapt_resilience_flags() {
         let cmd = parse_args(&argv(
-            "adapt --corpus notes.txt --out m.ckpt --checkpoint-every 25 --resume m.ckpt.state",
+            "adapt --corpus notes.txt --out m.ckpt --checkpoint-every 25 --resume m.ckpt",
         ))
         .unwrap();
         match cmd {
@@ -1281,7 +1267,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(checkpoint_every, 25);
-                assert_eq!(resume.as_deref(), Some("m.ckpt.state"));
+                assert_eq!(resume.as_deref(), Some("m.ckpt"));
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1356,6 +1342,29 @@ mod tests {
     }
 
     #[test]
+    fn unknown_and_valueless_flags_error() {
+        let usage = |line: &str| match parse_args(&argv(line)) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{line:?} accepted: {other:?}"),
+        };
+        // a typo must not silently run with the default it meant to change
+        assert!(usage("generate --ckpt m --prompt p --token 3").contains("--token"));
+        assert!(usage("inspect --ckpt m --bogus 1").contains("--bogus"));
+        assert!(usage("adapt --corpus a --out b --draft-k 2").contains("--draft-k"));
+        assert!(usage("lab analyze --run r --update").contains("--update"));
+        assert!(usage("serve --ckpt m --requests q stray").contains("stray"));
+        // a flag with nothing after it is not the same as an absent flag
+        assert!(usage("generate --ckpt m --prompt p --tokens").contains("--tokens"));
+        assert!(usage("adapt --corpus a --out b --resume").contains("--resume"));
+        assert!(usage("lab check --run r --baseline").contains("--baseline"));
+        // `--update` stays the one boolean
+        assert!(matches!(
+            parse_args(&argv("lab check --run r --baseline b --update")),
+            Ok(Command::Lab(LabCommand::Check { update: true, .. }))
+        ));
+    }
+
+    #[test]
     fn bad_value_errors() {
         assert!(matches!(
             parse_args(&argv("adapt --corpus a --out b --budget abc")),
@@ -1405,9 +1414,12 @@ mod tests {
         };
         let mut buf = Vec::new();
         run(&adapt, &mut buf).unwrap();
-        assert!(String::from_utf8(buf)
-            .unwrap()
-            .contains("checkpoint written"));
+        let adapt_text = String::from_utf8(buf).unwrap();
+        assert!(adapt_text.contains("checkpoint written"));
+        let policy_line = adapt_text
+            .lines()
+            .find(|l| l.starts_with("policy: "))
+            .expect("adapt prints its policy");
 
         let mut buf = Vec::new();
         run(
@@ -1420,6 +1432,9 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("layers: 4"));
         assert!(text.contains("vocab: 96"));
+        assert!(text.contains("iteration: 20"), "{text}");
+        // the file carries the policy it was tuned under
+        assert!(text.lines().any(|l| l == policy_line), "{text}");
 
         let mut buf = Vec::new();
         run(
@@ -1464,9 +1479,58 @@ mod tests {
         assert!(reference.starts_with("water"), "{reference}");
         assert_eq!(spec_text(2, 4), reference);
         assert_eq!(spec_text(3, 8), reference);
+
+        // one decode walk over one restored model: `serve` prints what
+        // the matching `generate` mode printed, off packed weights
+        let requests_path = dir.join("queue.txt");
+        std::fs::write(
+            &requests_path,
+            "id=voted tokens=8 mode=greedy :: water\n\
+             id=drafted tokens=8 mode=spec depth=1 k=2 :: water\n",
+        )
+        .unwrap();
+        let served = run_text(&Command::Serve {
+            ckpt: ckpt_path.to_string_lossy().into_owned(),
+            requests: requests_path.to_string_lossy().into_owned(),
+            batch: 2,
+            threads: None,
+            trace_out: None,
+        });
+        let served_line = |id: &str| {
+            let line = served.lines().find(|l| l.starts_with(id)).unwrap();
+            format!("water{}\n", line.split_once("]: ").unwrap().1)
+        };
+        assert_eq!(text, served_line("voted"), "{served}");
+        assert_eq!(reference, served_line("drafted"), "{served}");
+        // the policy quantized every layer it touched, and the engine
+        // holds those as integer codes: fewer bytes than the dense model
+        assert!(
+            !policy_line.ends_with("16:0,16:0,16:0,16:0"),
+            "{policy_line}"
+        );
+        let resident: usize = served
+            .split(" resident weight bytes")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no resident-bytes figure in {served}"));
+        let dense = EdgeModel::new(cli_model_config(96), &mut TensorRng::seed_from(0))
+            .unwrap()
+            .decode_weight_bytes();
+        assert!(resident < dense, "{resident} resident vs {dense} dense");
     }
 
     fn adapt_cmd(corpus: &Path, ckpt: &Path, iterations: usize) -> Command {
+        adapt_cmd_with(corpus, ckpt, iterations, 0, None)
+    }
+
+    fn adapt_cmd_with(
+        corpus: &Path,
+        ckpt: &Path,
+        iterations: usize,
+        checkpoint_every: usize,
+        resume: Option<&Path>,
+    ) -> Command {
         Command::Adapt {
             corpus: corpus.to_string_lossy().into_owned(),
             out: ckpt.to_string_lossy().into_owned(),
@@ -1474,11 +1538,17 @@ mod tests {
             window: 2,
             iterations,
             seed: 3,
-            checkpoint_every: 0,
-            resume: None,
+            checkpoint_every,
+            resume: resume.map(|p| p.to_string_lossy().into_owned()),
             threads: None,
             trace_out: None,
         }
+    }
+
+    fn run_text(cmd: &Command) -> String {
+        let mut buf = Vec::new();
+        run(cmd, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
     }
 
     #[test]
@@ -1488,40 +1558,32 @@ mod tests {
         let corpus_path = dir.join("notes.txt");
         let ckpt_path = dir.join("model.ckpt");
         std::fs::write(&corpus_path, "check the sensors. water the plants. ").unwrap();
+        // earlier versions of this test left a sidecar behind
+        let sidecar = dir.join("model.ckpt.state");
+        std::fs::remove_file(&sidecar).ok();
 
-        let mut first = adapt_cmd(&corpus_path, &ckpt_path, 12);
-        if let Command::Adapt {
-            checkpoint_every, ..
-        } = &mut first
-        {
-            *checkpoint_every = 6;
-        }
-        let mut buf = Vec::new();
-        run(&first, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("training state written"));
-        let state_path = dir.join("model.ckpt.state");
-        assert!(state_path.exists());
+        // periodic snapshots and the final write share one file, and it
+        // is byte-for-byte the file an uninterrupted run writes
+        let straight = dir.join("straight.ckpt");
+        run_text(&adapt_cmd(&corpus_path, &straight, 12));
+        let text = run_text(&adapt_cmd_with(&corpus_path, &ckpt_path, 12, 6, None));
+        assert!(text.contains("checkpoint written"), "{text}");
+        assert!(text.contains("(iteration 12)"), "{text}");
+        assert!(!sidecar.exists(), "no training-state sidecar is written");
+        assert_eq!(
+            std::fs::read(&ckpt_path).unwrap(),
+            std::fs::read(&straight).unwrap()
+        );
 
-        // resume past the recorded iteration and finish the run
-        let mut second = adapt_cmd(&corpus_path, &ckpt_path, 16);
-        if let Command::Adapt { resume, .. } = &mut second {
-            *resume = Some(state_path.to_string_lossy().into_owned());
-        }
-        let mut buf = Vec::new();
-        run(&second, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        // resume the finished file past its recorded iteration
+        let resumed =
+            |iterations| adapt_cmd_with(&corpus_path, &ckpt_path, iterations, 0, Some(&ckpt_path));
+        let text = run_text(&resumed(16));
         assert!(text.contains("adapted on"), "resume did not run: {text}");
-        assert!(text.contains("checkpoint written"));
+        assert!(text.contains("(iteration 16)"), "{text}");
 
         // resuming at-or-past the target is a clean no-op, not an error
-        let mut third = adapt_cmd(&corpus_path, &ckpt_path, 6);
-        if let Command::Adapt { resume, .. } = &mut third {
-            *resume = Some(state_path.to_string_lossy().into_owned());
-        }
-        let mut buf = Vec::new();
-        run(&third, &mut buf).unwrap();
-        assert!(String::from_utf8(buf).unwrap().contains("nothing to do"));
+        assert!(run_text(&resumed(6)).contains("nothing to do"));
     }
 
     #[test]
@@ -1531,50 +1593,30 @@ mod tests {
         let corpus_path = dir.join("notes.txt");
         let ckpt_path = dir.join("model.ckpt");
         std::fs::write(&corpus_path, "water the plants. check the sensors. ").unwrap();
-
-        let mut first = adapt_cmd(&corpus_path, &ckpt_path, 8);
-        if let Command::Adapt {
-            checkpoint_every, ..
-        } = &mut first
-        {
-            *checkpoint_every = 4;
-        }
-        run(&first, &mut Vec::new()).unwrap();
-        let state_path = dir.join("model.ckpt.state");
+        run_text(&adapt_cmd(&corpus_path, &ckpt_path, 8));
+        let good = std::fs::read(&ckpt_path).unwrap();
+        let resume_from = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let cmd = adapt_cmd_with(&corpus_path, &ckpt_path, 16, 0, Some(&path));
+            match run(&cmd, &mut Vec::new()) {
+                Err(CliError::Run(msg)) => msg,
+                other => panic!("{name} accepted: {other:?}"),
+            }
+        };
 
         // flip one payload byte: the checksum must catch it
-        let mut bytes = std::fs::read(&state_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        let flipped = dir.join("flipped.state");
-        std::fs::write(&flipped, &bytes).unwrap();
-        let mut cmd = adapt_cmd(&corpus_path, &ckpt_path, 16);
-        if let Command::Adapt { resume, .. } = &mut cmd {
-            *resume = Some(flipped.to_string_lossy().into_owned());
-        }
-        match run(&cmd, &mut Vec::new()) {
-            Err(CliError::Run(msg)) => assert!(msg.contains("cannot resume"), "message: {msg}"),
-            other => panic!("corrupt state accepted: {other:?}"),
-        }
-
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x01;
+        let msg = resume_from("flipped.ckpt", &flipped);
+        assert!(msg.contains("cannot resume"), "message: {msg}");
         // truncation is rejected too
-        let truncated = dir.join("truncated.state");
-        std::fs::write(&truncated, &std::fs::read(&state_path).unwrap()[..20]).unwrap();
-        if let Command::Adapt { resume, .. } = &mut cmd {
-            *resume = Some(truncated.to_string_lossy().into_owned());
-        }
-        assert!(matches!(run(&cmd, &mut Vec::new()), Err(CliError::Run(_))));
-
-        // a model-only (v1) checkpoint is a version mismatch, not a panic
-        if let Command::Adapt { resume, .. } = &mut cmd {
-            *resume = Some(ckpt_path.to_string_lossy().into_owned());
-        }
-        match run(&cmd, &mut Vec::new()) {
-            Err(CliError::Run(msg)) => {
-                assert!(msg.contains("format v1"), "message: {msg}");
-            }
-            other => panic!("v1 checkpoint accepted as training state: {other:?}"),
-        }
+        resume_from("truncated.ckpt", &good[..20]);
+        // the retired model-only format is a version mismatch, not a panic
+        let mut v1 = b"EDGELLM\x01".to_vec();
+        v1.extend_from_slice(&good[8..200]);
+        let msg = resume_from("v1.ckpt", &v1);
+        assert!(msg.contains("format v1"), "message: {msg}");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!    model (`edge-llm-hw`).
 //!
 //! The [`pipeline`] module runs the full flow; [`baselines`] provides the
-//! comparison points (vanilla full tuning, uniform compression, LoRA);
+//! comparison points (vanilla full tuning, uniform compression, the
+//! analytic LoRA parameter fraction);
 //! [`experiments`] regenerates every table and figure of the paper's
 //! evaluation from these entry points (the `report` binary prints them),
 //! and the `edge-llm-serve` crate (re-exported as [`serve`]) batches

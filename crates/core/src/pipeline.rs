@@ -14,7 +14,7 @@ use crate::compress::apply_policy;
 use crate::eval::{evaluate, EvalResult};
 use crate::oracle::ModelOracle;
 use crate::resilience::{
-    policy_extra, resilient_adapt, AdaptRun, RecoveryJournal, ResilienceConfig,
+    resilient_adapt, schedule_depth, AdaptRun, RecoveryJournal, ResilienceConfig, RunMeta,
 };
 use crate::schedule::modeled_training_iteration;
 use crate::EdgeLlmError;
@@ -381,6 +381,11 @@ pub fn adapt(
     resilience: &ResilienceConfig,
 ) -> Result<AdaptRun, EdgeLlmError> {
     apply_policy(&mut prepared.model, policy)?;
+    let meta = RunMeta {
+        policy: policy.clone(),
+        data_seed: config.seed,
+        window: schedule_depth(&schedule, prepared.model.n_layers()),
+    };
     resilient_adapt(
         &mut prepared.model,
         &mut Sgd::new(config.lr),
@@ -389,7 +394,7 @@ pub fn adapt(
         &prepared.train,
         config.batch,
         config.iterations,
-        policy_extra(policy),
+        meta.encode(),
         resilience,
     )
 }

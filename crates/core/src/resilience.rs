@@ -22,17 +22,19 @@
 //!
 //! Rollback restores parameters **in place**: compression hooks and
 //! pruning masks stay installed, and masks are re-enforced after the
-//! restore. Cross-process resume rebuilds the model from the checkpoint
-//! first and re-applies the compression policy afterwards — masked
-//! positions are exactly the zero-valued parameters, so magnitude pruning
-//! re-selects the identical mask.
+//! restore. Every cross-process load — resume, generation, serving,
+//! inspection — goes through [`restore_run`], which rebuilds the model
+//! from the checkpoint first and re-applies the recorded compression
+//! policy afterwards — masked positions are exactly the zero-valued
+//! parameters, so magnitude pruning re-selects the identical mask.
 
 use crate::compress::apply_policy;
 use crate::EdgeLlmError;
 use edge_llm_data::Dataset;
 use edge_llm_luc::CompressionPolicy;
 use edge_llm_model::{
-    AdaptiveTuner, EdgeModel, Optimizer, Sgd, StepPhases, TrainingCheckpoint, WindowSchedule,
+    AdaptiveTuner, EdgeModel, ModelError, Optimizer, Sgd, StepPhases, TrainingCheckpoint,
+    WindowSchedule,
 };
 use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
@@ -487,7 +489,7 @@ impl Optimizer for FaultyOptimizer<'_> {
     }
 }
 
-fn schedule_depth(schedule: &WindowSchedule, n_layers: usize) -> usize {
+pub(crate) fn schedule_depth(schedule: &WindowSchedule, n_layers: usize) -> usize {
     match schedule {
         WindowSchedule::FullDepth => n_layers,
         WindowSchedule::RoundRobin { depth } => (*depth).min(n_layers),
@@ -510,37 +512,77 @@ fn degraded_schedule(
     Some((WindowSchedule::RoundRobin { depth: new }, old, new))
 }
 
-/// Encodes the applied compression policy into the checkpoint's opaque
-/// extra blob (the pipeline's convention; the CLI stores a richer blob).
-pub fn policy_extra(policy: &CompressionPolicy) -> Vec<u8> {
-    policy.to_compact_string().into_bytes()
+/// What a checkpoint records about its run beyond the training state:
+/// the compression policy the parameters were tuned under (so
+/// [`restore_run`] rebuilds the model that was adapted, not a dense one)
+/// and what a resumed run needs to regenerate its dataset and schedule.
+/// Stored in [`TrainingCheckpoint::extra`] as `key=value` lines.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunMeta {
+    /// The compression policy installed on the model.
+    pub policy: CompressionPolicy,
+    /// Seed the adaptation dataset was sampled from.
+    pub data_seed: u64,
+    /// Backprop window depth of the tuning schedule.
+    pub window: usize,
 }
 
-/// Rebuilds a runnable training state from a pipeline checkpoint: a fresh
-/// model with the checkpoint's parameters restored and its compression
-/// policy re-applied, plus the captured optimizer and RNG.
+impl RunMeta {
+    /// Serializes the metadata for [`TrainingCheckpoint::extra`].
+    pub fn encode(&self) -> Vec<u8> {
+        let (policy, seed, window) = (self.policy.to_compact_string(), self.data_seed, self.window);
+        format!("policy={policy}\ndata_seed={seed}\nwindow={window}\n").into_bytes()
+    }
+
+    /// Parses [`RunMeta::encode`]'s output for a model of `n_layers`. An
+    /// empty blob is a run that recorded nothing: uncompressed, full
+    /// depth. Unknown keys are skipped.
+    fn decode(extra: &[u8], n_layers: usize) -> Result<Self, EdgeLlmError> {
+        if extra.is_empty() {
+            return Ok(RunMeta {
+                policy: CompressionPolicy::identity(n_layers),
+                data_seed: 0,
+                window: n_layers,
+            });
+        }
+        let bad = || {
+            EdgeLlmError::Model(ModelError::Checkpoint {
+                reason: "run metadata lacks a well-formed policy, data_seed or window".into(),
+            })
+        };
+        let text = std::str::from_utf8(extra).map_err(|_| bad())?;
+        let value = |key: &str| {
+            text.lines()
+                .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+                .ok_or_else(bad)
+        };
+        Ok(RunMeta {
+            policy: CompressionPolicy::parse_compact(value("policy")?)?,
+            data_seed: value("data_seed")?.parse().map_err(|_| bad())?,
+            window: value("window")?.parse().map_err(|_| bad())?,
+        })
+    }
+}
+
+/// The one place a checkpoint turns into a model: its parameters in a
+/// fresh model with the recorded compression policy re-applied, plus the
+/// captured optimizer and RNG and the run metadata.
 ///
 /// Parameters are restored *before* the policy is applied: masked
 /// positions are exactly the zero-valued weights, so magnitude pruning
-/// re-selects the identical mask and resumed training is bit-identical.
+/// re-selects the identical mask, and resumed training and decoding are
+/// both bit-identical to the live model's.
 ///
 /// # Errors
 ///
-/// Propagates checkpoint, policy-parse, and compression errors.
+/// Propagates checkpoint, metadata-parse, and compression errors.
 pub fn restore_run(
     ckpt: &TrainingCheckpoint,
-) -> Result<(EdgeModel, Sgd, TensorRng, CompressionPolicy), EdgeLlmError> {
+) -> Result<(EdgeModel, Sgd, TensorRng, RunMeta), EdgeLlmError> {
+    let meta = RunMeta::decode(&ckpt.extra, ckpt.config.n_layers)?;
     let mut model = ckpt.build_model()?;
-    let policy = if ckpt.extra.is_empty() {
-        CompressionPolicy::identity(model.n_layers())
-    } else {
-        let s = std::str::from_utf8(&ckpt.extra).map_err(|_| EdgeLlmError::BadConfig {
-            reason: "checkpoint extra blob is not a UTF-8 policy string".into(),
-        })?;
-        CompressionPolicy::parse_compact(s)?
-    };
-    apply_policy(&mut model, &policy)?;
-    Ok((model, ckpt.optimizer(), ckpt.rng(), policy))
+    apply_policy(&mut model, &meta.policy)?;
+    Ok((model, ckpt.optimizer(), ckpt.rng(), meta))
 }
 
 /// Per-phase wall-clock totals accumulated over every executed tuning

@@ -35,7 +35,6 @@ mod batch;
 mod cloze;
 mod markov;
 mod metrics;
-mod mixture;
 mod tasks;
 mod text;
 mod tokenizer;
@@ -44,7 +43,6 @@ pub use batch::{Batch, Dataset};
 pub use cloze::ClozeQaTask;
 pub use markov::MarkovTextTask;
 pub use metrics::{accuracy, perplexity};
-pub use mixture::{EmptyMixtureError, MixtureTask};
 pub use tasks::{CopyTask, ModArithTask, ReverseTask};
 pub use text::{CorpusTooShortError, TextLmTask};
 pub use tokenizer::CharTokenizer;

@@ -22,7 +22,7 @@
 //!
 //! The workspace-root `tests/fleet_equivalence.rs` suite pins all three
 //! oracles down; [`loadgen`] provides seeded traffic scenarios for the
-//! `edgellm loadgen` CLI and the `bench_fleet` benchmark.
+//! `edgellm loadgen` CLI and the lab's `fleet` family.
 //!
 //! # Example
 //!

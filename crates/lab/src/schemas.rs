@@ -83,8 +83,7 @@ pub enum Family {
     SpecDecode,
     /// Multi-tenant adapter serving over one packed base.
     Tenants,
-    /// Sharded fleet over a seeded traffic scenario (the `bench_fleet`
-    /// scenario, BENCH_6).
+    /// Sharded fleet over a seeded traffic scenario.
     Fleet,
     /// Single-stream decode over a packed model: integer vs row-dequant
     /// datapath, packed vs lazy, weight cache on vs off.

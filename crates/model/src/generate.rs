@@ -3,11 +3,15 @@
 //! On-device adaptation exists to serve on-device *inference*; this module
 //! closes the loop by sampling continuations from an adapted model, either
 //! from the final exit or through a [`VotingPolicy`] — the deployment mode
-//! of an Edge-LLM model.
+//! of an Edge-LLM model. [`generate`] decodes on the crate's single
+//! KV-cached layer walk (`crate::batched`), the one serving batches, so a
+//! prompt continues the same way through either.
 
+use crate::batched::{decode_runs, Run, SequenceKv};
 use crate::error::ModelError;
 use crate::model::EdgeModel;
-use crate::voting::VotingPolicy;
+use crate::spec::{spec_round, validate_spec_params};
+use crate::voting::{combine, VotingPolicy};
 use edge_llm_tensor::{softmax_rows, Tensor, TensorRng};
 
 /// Decoding strategy for [`generate`].
@@ -40,20 +44,24 @@ pub enum Decoding {
     },
 }
 
-/// Generates `n_new` tokens after `prompt`, feeding the model a fixed-size
-/// window of the most recent `seq_len` tokens each step.
+/// Generates `n_new` tokens after `prompt` over a KV-cached window of
+/// the most recent `seq_len` tokens.
 ///
-/// The model's per-position predictions come from `voting` (use
-/// [`VotingPolicy::final_only`] for vanilla decoding).
-///
-/// [`Decoding::SelfSpeculative`] dispatches to the KV-cached
-/// [`crate::speculative_generate`] path (which requires a final-exit
-/// voting policy); its windowing semantics are documented there.
+/// Each pass feeds the newest token and samples the next from `voting`'s
+/// blend of exit distributions (use [`VotingPolicy::final_only`] for
+/// vanilla decoding) — or, for [`Decoding::SelfSpeculative`], runs one
+/// [`crate::spec_round`], which requires a final-exit voting policy.
+/// When the cache fills it is rebuilt from the last `seq_len` tokens, all
+/// but the newest prefilled in one pass that computes no logits. Every
+/// mode rebuilds at exactly `len == seq_len`, which keeps speculative and
+/// greedy streams identical past the first window.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::BadBatch`] for an empty prompt or a prompt token
-/// outside the vocabulary, and propagates model errors.
+/// Returns [`ModelError::BadBatch`] for an empty prompt,
+/// [`ModelError::BadConfig`] for a prompt token outside the vocabulary or
+/// an invalid `decoding`, and propagates [`validate_spec_params`] and
+/// model errors.
 pub fn generate(
     model: &EdgeModel,
     voting: &VotingPolicy,
@@ -64,6 +72,7 @@ pub fn generate(
 ) -> Result<Vec<usize>, ModelError> {
     let seq_len = model.config().seq_len;
     let vocab = model.config().vocab_size;
+    let depth = model.n_layers();
     if prompt.is_empty() {
         return Err(ModelError::BadBatch {
             expected: 1,
@@ -77,31 +86,57 @@ pub fn generate(
     }
     validate_decoding(decoding)?;
     if let Decoding::SelfSpeculative { draft_depth, k } = decoding {
-        // Self-speculation verifies the *final exit's* greedy token; a
-        // multi-exit voting blend has no full-depth verifier to agree
-        // with, so only the vanilla final-exit policy is accepted. (With
-        // a single exit every combiner reduces to softmax of that exit,
-        // so the combiner choice is immaterial.)
-        if voting.exits != [model.n_layers() - 1] {
+        // The verifier is the final exit's greedy token; a multi-exit
+        // blend has nothing to agree with. (With one exit every combiner
+        // is softmax of that exit, so the combiner is immaterial.)
+        if voting.exits != [depth - 1] {
             return Err(ModelError::BadConfig {
                 reason: "self-speculative decoding verifies the final exit only; \
                          use a final-exit voting policy"
                     .into(),
             });
         }
-        return crate::spec::speculative_generate(model, prompt, n_new, draft_depth, k);
+        validate_spec_params(model, draft_depth, k)?;
     }
-    let mut tokens: Vec<usize> = prompt.to_vec();
-    for _ in 0..n_new {
-        // window of the last seq_len tokens, left-padded by repetition of
-        // the first token when the context is still short
-        let mut window = vec![tokens[0]; seq_len];
-        let take = tokens.len().min(seq_len);
-        window[seq_len - take..].copy_from_slice(&tokens[tokens.len() - take..]);
-        let probs = voting.predict(model, &window, 1)?;
-        let last = probs.row(seq_len - 1);
-        let next = sample_token(last, decoding, rng);
-        tokens.push(next);
+    let mut tokens = prompt.to_vec();
+    let target = prompt.len() + n_new;
+    let mut kv = SequenceKv::new(model);
+    while tokens.len() < target {
+        kv.reset();
+        // Prefill must run the FULL stack: every layer's attention reads
+        // the context positions' K/V rows, so a shallow prefill would
+        // leave deeper layers attending over unwritten rows.
+        let window = &tokens[tokens.len().saturating_sub(seq_len)..];
+        let context = &window[..window.len() - 1];
+        if !context.is_empty() {
+            let prefill = Run {
+                tokens: context,
+                kv: &mut kv,
+                exits: &[],
+                adapter: None,
+            };
+            decode_runs(model, &mut [prefill], depth)?;
+        }
+        // Invariant: the cache has consumed every stream token except the
+        // frontier, which the next pass feeds.
+        while tokens.len() < target && kv.remaining() > 0 {
+            let frontier = *tokens.last().expect("prompt is non-empty");
+            if let Decoding::SelfSpeculative { draft_depth, k } = decoding {
+                let round = spec_round(model, &mut kv, frontier, draft_depth, k)?;
+                let keep = round.accepted.len().min(target - tokens.len());
+                tokens.extend_from_slice(&round.accepted[..keep]);
+            } else {
+                let step = Run {
+                    tokens: &[frontier],
+                    kv: &mut kv,
+                    exits: &voting.exits,
+                    adapter: None,
+                };
+                let logits = decode_runs(model, &mut [step], depth)?.swap_remove(0);
+                let probs = combine(&logits, &voting.combiner)?;
+                tokens.push(sample_token(probs.row(0), decoding, rng));
+            }
+        }
     }
     Ok(tokens)
 }
@@ -178,7 +213,7 @@ pub fn sample_token(probs: &[f32], decoding: Decoding, rng: &mut TensorRng) -> u
     }
 }
 
-pub(crate) fn temper(probs: &[f32], temperature: f32) -> Vec<f32> {
+fn temper(probs: &[f32], temperature: f32) -> Vec<f32> {
     // re-softmax of (log p - max log p) / T. Subtracting the max *before*
     // dividing keeps every logit finite at extreme temperatures (softmax
     // itself is shift-invariant): without it, ln(p)/T overflows to -inf

@@ -1,11 +1,11 @@
 //! KV-cached incremental decoding.
 //!
-//! [`crate::generate`] re-runs the full forward pass per emitted token —
-//! simple but O(seq²·layers) per token. An [`InferenceSession`] keeps each
-//! layer's key/value projections cached so appending one token costs one
-//! token's worth of compute, which is how an adapted Edge-LLM model would
+//! Re-running the full forward pass per emitted token is simple but
+//! O(seq²·layers) per token. An [`InferenceSession`] keeps each layer's
+//! key/value projections cached so appending one token costs one token's
+//! worth of compute, which is how an adapted Edge-LLM model would
 //! actually serve on a device. The session produces exactly the same
-//! logits as the batched forward pass (verified by the equivalence tests).
+//! logits as the full forward pass (verified by the equivalence tests).
 //!
 //! A session is a single-slot view over the same machinery the serving
 //! engine batches: it owns one [`SequenceKv`] and runs every push through

@@ -1,11 +1,15 @@
-//! Checkpoint serialization.
+//! Checkpoint serialization: one on-disk format.
 //!
 //! An adapted model is only useful if it can be stored on the device and
-//! reloaded. The format is a small self-describing binary: a magic tag and
-//! version, the [`ModelConfig`], then every parameter tensor in the
-//! model's canonical visitation order (little-endian `f32`). Compression
-//! state (masks/quant hooks) is runtime configuration and is re-installed
-//! by re-applying the policy after loading.
+//! reloaded. Everything that leaves the process is a
+//! [`TrainingCheckpoint`]: the [`ModelConfig`], every parameter in the
+//! model's canonical visitation order (little-endian `f32`), optimizer and
+//! RNG state, the iteration cursor, and a caller blob in which the
+//! runtime records its compression policy — length-framed, checksummed,
+//! and with every count checked against the bytes actually present before
+//! anything is allocated. Compression state (masks/quant hooks) is runtime
+//! configuration: `edge_llm::resilience::restore_run`, the one restore
+//! path, re-applies the recorded policy once the parameters are back.
 
 use crate::config::ModelConfig;
 use crate::error::ModelError;
@@ -15,27 +19,13 @@ use edge_llm_tensor::{RngState, TensorRng, RNG_STATE_BYTES};
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"EDGELLM\x01";
-const TRAIN_MAGIC: &[u8; 8] = b"EDGELLM\x02";
+/// The retired model-only format: parameters without checksum or policy.
+/// Recognised only to reject it by name.
+const V1_MAGIC: &[u8; 8] = b"EDGELLM\x01";
+const MAGIC: &[u8; 8] = b"EDGELLM\x02";
 /// Upper bound on a plausible payload, so a corrupt length field fails
 /// cleanly instead of attempting a giant allocation.
 const MAX_PAYLOAD: u64 = 1 << 32;
-
-fn io_err(e: std::io::Error) -> ModelError {
-    ModelError::BadConfig {
-        reason: format!("checkpoint io error: {e}"),
-    }
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> Result<(), ModelError> {
-    w.write_all(&v.to_le_bytes()).map_err(io_err)
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, ModelError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf).map_err(io_err)?;
-    Ok(u64::from_le_bytes(buf))
-}
 
 fn config_fields(config: &ModelConfig) -> [u64; 7] {
     [
@@ -48,100 +38,6 @@ fn config_fields(config: &ModelConfig) -> [u64; 7] {
         config.tie_exit_heads as u64,
     ]
 }
-
-/// Serializes `model` to `writer`.
-///
-/// Parameters are reached through the model's read-only canonical visitor
-/// ([`EdgeModel::visit_params_all_ro`]), which emits the same bytes in the
-/// same order as the mutable visitor without invalidating any
-/// compressed-weight caches.
-///
-/// # Errors
-///
-/// Returns [`ModelError::BadConfig`] wrapping any underlying I/O error.
-pub fn save_model<W: Write>(model: &EdgeModel, writer: &mut W) -> Result<(), ModelError> {
-    writer.write_all(MAGIC).map_err(io_err)?;
-    for f in config_fields(model.config()) {
-        write_u64(writer, f)?;
-    }
-    let mut result = Ok(());
-    let mut total = 0u64;
-    model.visit_params_all_ro(&mut |_, p| {
-        if result.is_err() {
-            return;
-        }
-        total += p.len() as u64;
-        for v in p.iter() {
-            if let Err(e) = writer.write_all(&v.to_le_bytes()) {
-                result = Err(io_err(e));
-                return;
-            }
-        }
-    });
-    result?;
-    write_u64(writer, total)
-}
-
-/// Deserializes a model previously written by [`save_model`].
-///
-/// # Errors
-///
-/// Returns [`ModelError::BadConfig`] for a bad magic tag, a corrupt or
-/// truncated stream, or a parameter-count mismatch.
-pub fn load_model<R: Read>(reader: &mut R) -> Result<EdgeModel, ModelError> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic).map_err(io_err)?;
-    if &magic != MAGIC {
-        return Err(ModelError::BadConfig {
-            reason: "not an edge-llm checkpoint".into(),
-        });
-    }
-    let mut f = [0u64; 7];
-    for v in f.iter_mut() {
-        *v = read_u64(reader)?;
-    }
-    let config = ModelConfig {
-        vocab_size: f[0] as usize,
-        d_model: f[1] as usize,
-        n_heads: f[2] as usize,
-        n_layers: f[3] as usize,
-        seq_len: f[4] as usize,
-        d_ff: f[5] as usize,
-        tie_exit_heads: f[6] != 0,
-    };
-    let mut rng = TensorRng::seed_from(0);
-    let mut model = EdgeModel::new(config, &mut rng)?;
-    let mut result = Ok(());
-    let mut total = 0u64;
-    model.visit_params_all(&mut |_, p, _| {
-        if result.is_err() {
-            return;
-        }
-        total += p.len() as u64;
-        let mut buf = [0u8; 4];
-        for v in p.iter_mut() {
-            match reader.read_exact(&mut buf) {
-                Ok(()) => *v = f32::from_le_bytes(buf),
-                Err(e) => {
-                    result = Err(io_err(e));
-                    return;
-                }
-            }
-        }
-    });
-    result?;
-    let recorded = read_u64(reader)?;
-    if recorded != total {
-        return Err(ModelError::BadConfig {
-            reason: format!("checkpoint holds {recorded} params, model needs {total}"),
-        });
-    }
-    Ok(model)
-}
-
-// ---------------------------------------------------------------------------
-// Training checkpoints (format v2)
-// ---------------------------------------------------------------------------
 
 fn ck(reason: impl Into<String>) -> ModelError {
     ModelError::Checkpoint {
@@ -181,12 +77,45 @@ fn take_f32(cur: &mut &[u8]) -> Result<f32, ModelError> {
     Ok(f32::from_le_bytes(b))
 }
 
+/// Reads a count field and then that many `f32`s. The count is bounded by
+/// division against the bytes actually left, so a header that lies about
+/// its size is rejected before anything is allocated for it.
+fn take_f32s(cur: &mut &[u8]) -> Result<Vec<f32>, ModelError> {
+    let n = take_u64(cur)?;
+    if n > (cur.len() / 4) as u64 {
+        return Err(ck("truncated payload"));
+    }
+    let (body, rest) = cur.split_at(n as usize * 4);
+    *cur = rest;
+    let word = |b: &[u8]| f32::from_le_bytes(b.try_into().expect("chunks_exact(4)"));
+    Ok(body.chunks_exact(4).map(word).collect())
+}
+
+/// Number of scalars [`EdgeModel::visit_params_all_ro`] emits for
+/// `config` — what a checkpoint of that architecture stores — or `None`
+/// if that is beyond any file this format can frame. Computed from the
+/// header alone, so a parameter count can be held to it before any model
+/// is built.
+fn stored_scalars(config: &ModelConfig) -> Option<usize> {
+    let [vocab, d, _, layers, seq, ff, _] = config_fields(config).map(u128::from);
+    // with every dimension below 2^32 no term below can overflow a u128
+    if (vocab | d | layers | seq | ff) >> 32 != 0 {
+        return None;
+    }
+    // qkv, proj, fc1, fc2 weights; their biases (3d + d + ff + d); two
+    // LayerNorms (4d)
+    let block = 4 * d * d + 2 * d * ff + 9 * d + ff;
+    // Every exit owns a LayerNorm. Tied exits share one unembedding;
+    // untied exits each own one and the shared one is never visited.
+    let heads = if config.tie_exit_heads { 1 } else { layers };
+    usize::try_from((vocab + seq) * d + layers * (block + 2 * d) + heads * d * vocab).ok()
+}
+
 /// A full snapshot of an adaptation run: model parameters, optimizer
 /// state, schedule cursor, RNG state, and an opaque caller blob (the
-/// pipeline stores its compression policy there).
+/// runtime stores its compression policy there).
 ///
-/// The on-disk format is versioned (`EDGELLM\x02`, distinct from the
-/// model-only `\x01` format) and framed as
+/// The on-disk format is framed as
 /// `magic | payload_len | payload | fnv1a64(payload)`, so truncation and
 /// bit corruption are both detected before any field is trusted.
 /// [`TrainingCheckpoint::save_file`] writes atomically (temp file in the
@@ -266,8 +195,9 @@ impl TrainingCheckpoint {
 
     /// Builds a fresh model from the snapshot (resume path).
     ///
-    /// Compression is runtime state: the caller re-applies its policy
-    /// (recorded in [`TrainingCheckpoint::extra`]) after loading.
+    /// Compression is runtime state: `edge_llm::resilience::restore_run`,
+    /// the one caller, re-applies the policy recorded in
+    /// [`TrainingCheckpoint::extra`] afterwards.
     ///
     /// # Errors
     ///
@@ -319,43 +249,45 @@ impl TrainingCheckpoint {
 
     fn parse_payload(payload: &[u8]) -> Result<Self, ModelError> {
         let mut cur = payload;
-        let mut f = [0u64; 7];
+        let mut f = [0usize; 7];
         for v in f.iter_mut() {
-            *v = take_u64(&mut cur)?;
+            *v = usize::try_from(take_u64(&mut cur)?)
+                .map_err(|_| ck("model dimension does not fit this platform"))?;
         }
         let config = ModelConfig {
-            vocab_size: f[0] as usize,
-            d_model: f[1] as usize,
-            n_heads: f[2] as usize,
-            n_layers: f[3] as usize,
-            seq_len: f[4] as usize,
-            d_ff: f[5] as usize,
+            vocab_size: f[0],
+            d_model: f[1],
+            n_heads: f[2],
+            n_layers: f[3],
+            seq_len: f[4],
+            d_ff: f[5],
             tie_exit_heads: f[6] != 0,
         };
-        let n_params = take_u64(&mut cur)? as usize;
-        if n_params * 4 > cur.len() {
-            return Err(ck("truncated payload"));
-        }
-        let mut params = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            params.push(take_f32(&mut cur)?);
+        config
+            .validate()
+            .map_err(|e| ck(format!("invalid model config: {e}")))?;
+        let params = take_f32s(&mut cur)?;
+        // Held to the header before `build_model` can allocate a model of
+        // the header's dimensions.
+        if stored_scalars(&config) != Some(params.len()) {
+            return Err(ck(format!(
+                "checkpoint holds {} params, not what its model config stores",
+                params.len()
+            )));
         }
         let lr = take_f32(&mut cur)?;
         let momentum = take_f32(&mut cur)?;
         let clip = take_f32(&mut cur)?;
-        let n_slices = take_u64(&mut cur)? as usize;
-        let mut velocity = Vec::with_capacity(n_slices.min(1 << 20));
+        let n_slices = take_u64(&mut cur)?;
+        // each slice costs at least its id and length fields
+        if n_slices > (cur.len() / 16) as u64 {
+            return Err(ck("truncated payload"));
+        }
+        let mut velocity = Vec::with_capacity(n_slices as usize);
         for _ in 0..n_slices {
-            let id = take_u64(&mut cur)? as usize;
-            let len = take_u64(&mut cur)? as usize;
-            if len * 4 > cur.len() {
-                return Err(ck("truncated payload"));
-            }
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(take_f32(&mut cur)?);
-            }
-            velocity.push((id, v));
+            let id = usize::try_from(take_u64(&mut cur)?)
+                .map_err(|_| ck("velocity slice id does not fit this platform"))?;
+            velocity.push((id, take_f32s(&mut cur)?));
         }
         let iteration = take_u64(&mut cur)?;
         let mut rng_bytes = [0u8; RNG_STATE_BYTES];
@@ -364,8 +296,7 @@ impl TrainingCheckpoint {
             .map_err(|_| ck("truncated payload"))?;
         let rng = RngState::from_bytes(&rng_bytes)
             .ok_or_else(|| ck("invalid RNG state in checkpoint"))?;
-        let extra_len = take_u64(&mut cur)? as usize;
-        if extra_len != cur.len() {
+        if take_u64(&mut cur)? != cur.len() as u64 {
             return Err(ck("payload length inconsistent with extra-blob length"));
         }
         let extra = cur.to_vec();
@@ -391,19 +322,12 @@ impl TrainingCheckpoint {
     /// Returns [`ModelError::Checkpoint`] wrapping any I/O error.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<(), ModelError> {
         let payload = self.payload();
-        writer
-            .write_all(TRAIN_MAGIC)
-            .map_err(|e| ck(format!("write failed: {e}")))?;
-        writer
-            .write_all(&(payload.len() as u64).to_le_bytes())
-            .map_err(|e| ck(format!("write failed: {e}")))?;
-        writer
-            .write_all(&payload)
-            .map_err(|e| ck(format!("write failed: {e}")))?;
-        writer
-            .write_all(&fnv1a64(&payload).to_le_bytes())
-            .map_err(|e| ck(format!("write failed: {e}")))?;
-        Ok(())
+        let len = (payload.len() as u64).to_le_bytes();
+        let sum = fnv1a64(&payload).to_le_bytes();
+        [MAGIC.as_slice(), &len, &payload, &sum]
+            .iter()
+            .try_for_each(|part| writer.write_all(part))
+            .map_err(|e| ck(format!("write failed: {e}")))
     }
 
     /// Deserializes a checkpoint written by [`TrainingCheckpoint::write_to`].
@@ -411,20 +335,20 @@ impl TrainingCheckpoint {
     /// # Errors
     ///
     /// Returns [`ModelError::Checkpoint`] for a wrong or older-version
-    /// magic, a truncated stream, a checksum mismatch, or a structurally
-    /// inconsistent payload.
+    /// magic, a truncated stream, a checksum mismatch, or a payload whose
+    /// counts disagree with its own length or model config.
     pub fn read_from<R: Read>(reader: &mut R) -> Result<Self, ModelError> {
         let mut magic = [0u8; 8];
         reader
             .read_exact(&mut magic)
             .map_err(|_| ck("truncated checkpoint header"))?;
-        if &magic == MAGIC {
+        if &magic == V1_MAGIC {
             return Err(ck(
-                "this is a model-only checkpoint (format v1); expected a training checkpoint",
+                "model-only checkpoint (format v1): no longer read, re-run `edgellm adapt`",
             ));
         }
-        if &magic != TRAIN_MAGIC {
-            return Err(ck("not an edge-llm training checkpoint"));
+        if &magic != MAGIC {
+            return Err(ck("not an edge-llm checkpoint"));
         }
         let mut len_bytes = [0u8; 8];
         reader
@@ -493,44 +417,6 @@ mod tests {
         EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap()
     }
 
-    #[test]
-    fn roundtrip_preserves_outputs() {
-        let m = model(1);
-        let mut bytes = Vec::new();
-        save_model(&m, &mut bytes).unwrap();
-        let loaded = load_model(&mut bytes.as_slice()).unwrap();
-        let tokens: Vec<usize> = (0..8).map(|i| i % 32).collect();
-        let a = m.logits(&tokens, 1).unwrap();
-        let b = loaded.logits(&tokens, 1).unwrap();
-        assert!(a.approx_eq(&b, 0.0), "loaded model must be bit-identical");
-        assert_eq!(loaded.config(), m.config());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let bytes = b"NOTEDGE\x01restofjunkrestofjunkrestofjunk".to_vec();
-        assert!(load_model(&mut bytes.as_slice()).is_err());
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let m = model(2);
-        let mut bytes = Vec::new();
-        save_model(&m, &mut bytes).unwrap();
-        bytes.truncate(bytes.len() / 2);
-        assert!(load_model(&mut bytes.as_slice()).is_err());
-    }
-
-    #[test]
-    fn corrupt_param_count_rejected() {
-        let m = model(3);
-        let mut bytes = Vec::new();
-        save_model(&m, &mut bytes).unwrap();
-        let n = bytes.len();
-        bytes[n - 1] ^= 0xff; // flip the recorded count
-        assert!(load_model(&mut bytes.as_slice()).is_err());
-    }
-
     fn training_state(seed: u64) -> (EdgeModel, Sgd, TensorRng) {
         let mut m = model(seed);
         let mut opt = Sgd::with_momentum(0.05, 0.9).with_clip(1.0);
@@ -590,12 +476,14 @@ mod tests {
 
     #[test]
     fn training_checkpoint_rejects_v1_and_foreign_files() {
-        let m = model(8);
-        let mut v1 = Vec::new();
-        save_model(&m, &mut v1).unwrap();
+        // the retired model-only layout: the v1 magic, then the config
+        let mut v1 = b"EDGELLM\x01".to_vec();
+        for f in config_fields(&ModelConfig::tiny()) {
+            push_u64(&mut v1, f);
+        }
         let err = TrainingCheckpoint::read_from(&mut v1.as_slice()).unwrap_err();
         assert!(
-            err.to_string().contains("model-only"),
+            err.to_string().contains("format v1"),
             "v1 gets a pointed message: {err}"
         );
         let junk = b"GARBAGE!whatever".to_vec();
@@ -635,14 +523,73 @@ mod tests {
     }
 
     #[test]
-    fn different_models_serialize_differently() {
-        let a = model(4);
-        let b = model(5);
-        let mut ba = Vec::new();
-        let mut bb = Vec::new();
-        save_model(&a, &mut ba).unwrap();
-        save_model(&b, &mut bb).unwrap();
-        assert_ne!(ba, bb);
-        assert_eq!(ba.len(), bb.len(), "same config, same checkpoint size");
+    fn stored_scalar_count_matches_the_visitor() {
+        // The header check stands in for the visitor, so hold the two
+        // together wherever they could part: tied exits share one
+        // unembedding, untied exits own theirs and the shared one is
+        // never emitted.
+        let shapes = [
+            ModelConfig::tiny(),
+            ModelConfig::tiny()
+                .with_layers(3)
+                .with_d_model(24, 3)
+                .with_seq_len(5)
+                .with_vocab(19),
+        ];
+        for shape in shapes {
+            for tied in [true, false] {
+                let cfg = shape.clone().with_tied_exits(tied);
+                let m = EdgeModel::new(cfg.clone(), &mut TensorRng::seed_from(1)).unwrap();
+                let mut visited = 0usize;
+                m.visit_params_all_ro(&mut |_, p| visited += p.len());
+                assert_eq!(stored_scalars(&cfg), Some(visited), "{cfg:?}");
+            }
+        }
+        let huge = ModelConfig::tiny().with_vocab(usize::MAX / 2);
+        assert_eq!(stored_scalars(&huge), None);
+    }
+
+    /// Wraps `payload` in a sound envelope (magic, length, FNV), so a
+    /// crafted payload reaches the parser body instead of the checksum.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        push_u64(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(payload);
+        push_u64(&mut bytes, fnv1a64(payload));
+        bytes
+    }
+
+    #[test]
+    fn headers_that_lie_about_their_size_are_rejected_before_allocating() {
+        let (m, opt, rng) = training_state(11);
+        let payload = TrainingCheckpoint::capture(&m, &opt, 1, &rng, Vec::new()).payload();
+        let field = |payload: &[u8], index: usize, value: u64| {
+            let mut p = payload.to_vec();
+            p[index * 8..index * 8 + 8].copy_from_slice(&value.to_le_bytes());
+            p
+        };
+        let crafted = [
+            // a parameter count whose byte size wraps to something small
+            ("n_params = 2^62", field(&payload, 7, 1 << 62)),
+            // dimensions that would allocate a petabyte model
+            (
+                "vocab = d_model = 2^24",
+                field(&field(&payload, 0, 1 << 24), 1, 1 << 24),
+            ),
+            // dimensions whose product does not fit usize at all
+            (
+                "vocab = d_model = 2^40",
+                field(&field(&payload, 0, 1 << 40), 1, 1 << 40),
+            ),
+        ];
+        for (name, bad) in crafted {
+            let err = TrainingCheckpoint::read_from(&mut framed(&bad).as_slice()).unwrap_err();
+            assert!(
+                matches!(err, ModelError::Checkpoint { .. }),
+                "{name}: {err}"
+            );
+        }
+        // the helper itself frames soundly: the untouched payload parses
+        assert!(TrainingCheckpoint::read_from(&mut framed(&payload).as_slice()).is_ok());
     }
 }

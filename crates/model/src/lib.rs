@@ -30,7 +30,6 @@ mod adapter;
 mod adaptive;
 mod attention;
 mod batched;
-mod beam;
 mod block;
 mod config;
 mod error;
@@ -39,7 +38,6 @@ mod gradcheck;
 mod infer;
 mod io;
 mod linear;
-mod lora;
 mod lr;
 mod memory;
 mod mlp;
@@ -53,16 +51,14 @@ pub use adapter::{AdapterDelta, AdapterTarget, ResolvedAdapter, TenantAdapter};
 pub use adaptive::{AdaptiveTuner, LayerWindow, StepPhases, TuneStepReport, WindowSchedule};
 pub use attention::{Attention, AttentionCache};
 pub use batched::{batched_decode_step, BatchedStep, SequenceKv};
-pub use beam::{beam_search, BeamHypothesis};
 pub use block::{Block, BlockCache};
 pub use config::ModelConfig;
 pub use error::ModelError;
 pub use generate::{argmax, generate, sample_token, validate_decoding, Decoding};
 pub use gradcheck::{gradient_check, GradCheckReport};
 pub use infer::InferenceSession;
-pub use io::{load_model, save_model, TrainingCheckpoint};
+pub use io::TrainingCheckpoint;
 pub use linear::{Linear, LinearCache};
-pub use lora::{LoraCache, LoraLinear};
 pub use lr::LrSchedule;
 pub use memory::{MemoryBreakdown, MemoryModel};
 pub use mlp::{Mlp, MlpCache};
@@ -71,7 +67,5 @@ pub use model::{
 };
 pub use norm::LayerNorm;
 pub use optim::{Adam, Optimizer, Sgd, SgdState};
-pub use spec::{
-    spec_round, spec_round_with_adapter, speculative_generate, validate_spec_params, SpecReport,
-};
+pub use spec::{spec_round, spec_round_with_adapter, validate_spec_params, SpecReport};
 pub use voting::{combine, fit_learned_weights, VotingCombiner, VotingPolicy};

@@ -144,7 +144,8 @@ impl Linear {
         &self.w
     }
 
-    /// Mutable access to the weight (used by LoRA merging and tests).
+    /// Mutable access to the weight (for merging a delta into the base,
+    /// and for tests).
     /// Invalidates the compressed-weight cache: the caller may write
     /// through the returned borrow.
     pub fn weight_mut(&mut self) -> &mut Tensor {

@@ -850,8 +850,8 @@ mod tests {
 
     #[test]
     fn visit_all_emission_order_is_pinned() {
-        // The order ids are *emitted* in is the byte layout of `save_model`
-        // and `TrainingCheckpoint`, and it is not ascending: with tied
+        // The order ids are *emitted* in is the byte layout of
+        // `TrainingCheckpoint`, and it is not ascending: with tied
         // exits the sweep for exit 0 reaches the shared head (the last
         // ids) before the later sweeps add the other exits' norms.
         for tied in [true, false] {

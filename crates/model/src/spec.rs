@@ -196,83 +196,6 @@ pub fn spec_round_with_adapter(
     })
 }
 
-/// Generates `n_new` tokens after `prompt` with self-speculative decoding
-/// — token-identical to greedy decoding over a KV-cached session with the
-/// same windowing (proven by the decode-equivalence suite), but emitting
-/// up to `k + 1` tokens per full-depth pass.
-///
-/// Windowing: the session holds the most recent `seq_len` tokens; when
-/// its capacity is exhausted the session is rebuilt from the last
-/// `seq_len` tokens of the stream (prefill all but the last, which the
-/// next round feeds). Both the speculative path and its greedy oracle
-/// rebuild at exactly `len == seq_len`, so their windows never diverge.
-///
-/// # Errors
-///
-/// As [`crate::generate`] for the prompt checks, plus
-/// [`validate_spec_params`].
-pub fn speculative_generate(
-    model: &EdgeModel,
-    prompt: &[usize],
-    n_new: usize,
-    draft_depth: usize,
-    k: usize,
-) -> Result<Vec<usize>, ModelError> {
-    let seq_len = model.config().seq_len;
-    let vocab = model.config().vocab_size;
-    if prompt.is_empty() {
-        return Err(ModelError::BadBatch {
-            expected: 1,
-            actual: 0,
-        });
-    }
-    if let Some(&bad) = prompt.iter().find(|&&t| t >= vocab) {
-        return Err(ModelError::BadConfig {
-            reason: format!("prompt token {bad} outside vocabulary {vocab}"),
-        });
-    }
-    validate_spec_params(model, draft_depth, k)?;
-    let mut tokens = prompt.to_vec();
-    let mut produced = 0usize;
-    let mut kv = SequenceKv::new(model);
-    'window: while produced < n_new {
-        kv.reset();
-        let take = tokens.len().min(seq_len);
-        let window: Vec<usize> = tokens[tokens.len() - take..].to_vec();
-        // Prefill must run the FULL stack: every layer's attention reads
-        // the prompt positions' K/V rows, so a shallow prefill would leave
-        // deeper layers attending over unwritten rows. It asks for no
-        // exits, so no logits are computed.
-        if window.len() > 1 {
-            let prefill = Run {
-                tokens: &window[..window.len() - 1],
-                kv: &mut kv,
-                exits: &[],
-                adapter: None,
-            };
-            decode_runs(model, &mut [prefill], model.n_layers())?;
-        }
-        // Invariant: the cache has consumed every stream token except the
-        // frontier, which the next round feeds.
-        let mut frontier = *window.last().expect("non-empty window");
-        while produced < n_new {
-            if kv.remaining() == 0 {
-                continue 'window;
-            }
-            let round = spec_round(model, &mut kv, frontier, draft_depth, k)?;
-            let keep = round.accepted.len().min(n_new - produced);
-            if keep < round.accepted.len() {
-                let drop = round.accepted.len() - keep;
-                kv.truncate(kv.len() - drop);
-            }
-            tokens.extend_from_slice(&round.accepted[..keep]);
-            produced += keep;
-            frontier = *tokens.last().expect("round accepts at least one token");
-        }
-    }
-    Ok(tokens)
-}
-
 /// Runs `fed` as one causal chunk through layers `0..=exit_layer`,
 /// writing each position's K/V rows and advancing the cursor by
 /// `fed.len()`, and returns one `(1, vocab)` logits tensor per position
@@ -308,12 +231,28 @@ pub(crate) fn forward_chunk(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::generate::{generate, Decoding};
     use crate::infer::InferenceSession;
+    use crate::voting::VotingPolicy;
     use edge_llm_tensor::TensorRng;
 
     fn model(seed: u64, layers: usize) -> EdgeModel {
         let mut rng = TensorRng::seed_from(seed);
         EdgeModel::new(ModelConfig::tiny().with_layers(layers), &mut rng).unwrap()
+    }
+
+    /// [`generate`] in self-speculative mode from the final exit.
+    fn speculative_generate(
+        model: &EdgeModel,
+        prompt: &[usize],
+        n_new: usize,
+        draft_depth: usize,
+        k: usize,
+    ) -> Result<Vec<usize>, ModelError> {
+        let voting = VotingPolicy::final_only(model.n_layers());
+        let decoding = Decoding::SelfSpeculative { draft_depth, k };
+        let mut rng = TensorRng::seed_from(0); // unused: speculation is greedy
+        generate(model, &voting, prompt, n_new, decoding, &mut rng)
     }
 
     #[test]

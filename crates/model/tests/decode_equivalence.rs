@@ -1,18 +1,18 @@
 //! Decode-path equivalence and decoding edge cases.
 //!
 //! The repo has two ways to produce a next-token distribution: the
-//! full-forward path ([`generate`] / `VotingPolicy::predict`, re-running
-//! the whole window each step) and the KV-cached incremental path
-//! ([`InferenceSession`], one token per step). Serving is built on the
-//! second, all reported quality numbers on the first — so these tests pin
-//! them together across every decoding mode and every voting combiner,
-//! and pin down the sampling primitive's edge-case contracts.
+//! full-forward path (`VotingPolicy::predict`, the whole window in one
+//! pass) and the KV-cached incremental path ([`InferenceSession`], one
+//! token per step). [`generate`] and serving decode on the second, all
+//! reported quality numbers come from the first — so these tests pin the
+//! two forwards together for every voting combiner, hold [`generate`] to
+//! an independent session-API loop for every decoding mode, and pin down
+//! the sampling primitive's edge-case contracts.
 
 use edge_llm_model::{
-    batched_decode_step, combine, generate, sample_token, spec_round_with_adapter,
-    speculative_generate, AdapterTarget, BatchedStep, Decoding, EdgeModel, InferenceSession,
-    ModelConfig, ModelError, ResolvedAdapter, SequenceKv, TenantAdapter, VotingCombiner,
-    VotingPolicy,
+    batched_decode_step, combine, generate, sample_token, spec_round_with_adapter, AdapterTarget,
+    BatchedStep, Decoding, EdgeModel, InferenceSession, ModelConfig, ModelError, ResolvedAdapter,
+    SequenceKv, TenantAdapter, VotingCombiner, VotingPolicy,
 };
 use edge_llm_prune::magnitude_prune;
 use edge_llm_quant::{BitWidth, QuantScheme};
@@ -28,11 +28,12 @@ fn model(seed: u64) -> EdgeModel {
     EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap()
 }
 
-/// Re-implements [`generate`]'s fixed-window decode loop on top of
-/// KV-cached sessions: each step replays the same left-padded window
-/// through a fresh [`InferenceSession`] and samples from the last
-/// position's combined distribution.
-fn session_generate(
+/// [`generate`]'s windowing (keep the last `min(len, seq_len)` tokens,
+/// rebuild the cache when it fills) written on the incremental session
+/// API, one token per push — an independent oracle for [`generate`]'s
+/// chunked prefill and for the draft/verify/rollback path, which never
+/// touches `spec_round` or its chunked verify forward.
+fn windowed_decode(
     model: &EdgeModel,
     voting: &VotingPolicy,
     prompt: &[usize],
@@ -42,18 +43,26 @@ fn session_generate(
 ) -> Vec<usize> {
     let seq_len = model.config().seq_len;
     let mut tokens = prompt.to_vec();
-    for _ in 0..n_new {
-        let mut window = vec![tokens[0]; seq_len];
-        let take = tokens.len().min(seq_len);
-        window[seq_len - take..].copy_from_slice(&tokens[tokens.len() - take..]);
+    let mut produced = 0usize;
+    'window: while produced < n_new {
         let mut session = InferenceSession::new(model);
-        let mut probs = None;
-        for &tok in &window {
-            let exits = session.push_token_exits(tok, &voting.exits).unwrap();
-            probs = Some(combine(&exits, &voting.combiner).unwrap());
+        let take = tokens.len().min(seq_len);
+        let window = &tokens[tokens.len() - take..];
+        for &t in &window[..window.len() - 1] {
+            session.advance_token(t).unwrap();
         }
-        let probs = probs.expect("seq_len >= 1");
-        tokens.push(sample_token(probs.row(0), decoding, rng));
+        let mut frontier = *window.last().unwrap();
+        while produced < n_new {
+            if session.remaining() == 0 {
+                continue 'window;
+            }
+            let exits = session.push_token_exits(frontier, &voting.exits).unwrap();
+            let probs = combine(&exits, &voting.combiner).unwrap();
+            let next = sample_token(probs.row(0), decoding, rng);
+            tokens.push(next);
+            produced += 1;
+            frontier = next;
+        }
     }
     tokens
 }
@@ -105,11 +114,11 @@ fn session_decode_matches_generate_for_every_mode_and_policy() {
             let mut rng_a = TensorRng::seed_from(seed);
             let full = generate(&m, &policy, &prompt, 6, decoding, &mut rng_a).unwrap();
             let mut rng_b = TensorRng::seed_from(seed);
-            let incremental = session_generate(&m, &policy, &prompt, 6, decoding, &mut rng_b);
+            let incremental = windowed_decode(&m, &policy, &prompt, 6, decoding, &mut rng_b);
             assert_eq!(
                 full, incremental,
-                "policy {pname}, decoding {decoding:?}: full-forward and \
-                 KV-cached decoding must emit the same token stream"
+                "policy {pname}, decoding {decoding:?}: generate and the \
+                 session-API loop must emit the same token stream"
             );
         }
     }
@@ -234,38 +243,26 @@ fn exhausted_sessions_fail_cleanly_without_consuming_capacity() {
     });
 }
 
-/// Greedy final-exit decoding with [`speculative_generate`]'s exact
-/// windowing (keep the last `min(len, seq_len)` tokens, rebuild the cache
-/// when it fills), written on the incremental session API — an
-/// independent oracle for the draft/verify/rollback path, which never
-/// touches `spec_round` or its chunked verify forward.
+/// Greedy final-exit [`windowed_decode`] — the stream self-speculative
+/// decoding must reproduce.
 fn windowed_greedy(model: &EdgeModel, prompt: &[usize], n_new: usize) -> Vec<usize> {
-    let seq_len = model.config().seq_len;
-    let final_exit = [model.n_layers() - 1];
+    let voting = VotingPolicy::final_only(model.n_layers());
     let mut rng = TensorRng::seed_from(0); // unused: greedy ignores the rng
-    let mut tokens = prompt.to_vec();
-    let mut produced = 0usize;
-    'window: while produced < n_new {
-        let mut session = InferenceSession::new(model);
-        let take = tokens.len().min(seq_len);
-        let window = &tokens[tokens.len() - take..];
-        for &t in &window[..window.len() - 1] {
-            session.advance_token(t).unwrap();
-        }
-        let mut frontier = *window.last().unwrap();
-        while produced < n_new {
-            if session.remaining() == 0 {
-                continue 'window;
-            }
-            let exits = session.push_token_exits(frontier, &final_exit).unwrap();
-            let probs = combine(&exits, &VotingCombiner::LastExit).unwrap();
-            let next = sample_token(probs.row(0), Decoding::Greedy, &mut rng);
-            tokens.push(next);
-            produced += 1;
-            frontier = next;
-        }
-    }
-    tokens
+    windowed_decode(model, &voting, prompt, n_new, Decoding::Greedy, &mut rng)
+}
+
+/// [`generate`] in self-speculative mode from the final exit.
+fn speculative_generate(
+    model: &EdgeModel,
+    prompt: &[usize],
+    n_new: usize,
+    draft_depth: usize,
+    k: usize,
+) -> Result<Vec<usize>, ModelError> {
+    let voting = VotingPolicy::final_only(model.n_layers());
+    let decoding = Decoding::SelfSpeculative { draft_depth, k };
+    let mut rng = TensorRng::seed_from(0); // unused: speculation is greedy
+    generate(model, &voting, prompt, n_new, decoding, &mut rng)
 }
 
 #[test]

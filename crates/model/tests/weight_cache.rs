@@ -9,12 +9,11 @@
 //! up as a bit diff rather than a subtly drifting model.
 
 use edge_llm_model::{
-    load_model, save_model, AdaptiveTuner, EdgeModel, Linear, LoraLinear, ModelConfig, Sgd,
-    TrainingCheckpoint, WindowSchedule,
+    AdaptiveTuner, EdgeModel, Linear, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
 };
 use edge_llm_prune::magnitude_prune;
 use edge_llm_quant::{BitWidth, QuantScheme};
-use edge_llm_tensor::TensorRng;
+use edge_llm_tensor::{Tensor, TensorRng};
 
 fn quantized_model(seed: u64) -> EdgeModel {
     let mut rng = TensorRng::seed_from(seed);
@@ -159,14 +158,12 @@ fn lora_merge_through_weight_mut_keeps_caches_fresh() {
     let mut rng = TensorRng::seed_from(11);
     {
         let proj = model.block_mut(0).attn_mut().proj_mut();
-        let mut adapter = LoraLinear::new(proj.weight().clone(), 2, 4.0, &mut rng);
-        // train the adapter a little so the merged weight actually moves
-        adapter.visit_params(&mut |p, _| {
-            for v in p.iter_mut() {
-                *v += 0.01;
-            }
-        });
-        let merged = adapter.merge().unwrap();
+        // a rank-2 delta large enough that the merged weight actually moves
+        let (rows, cols) = proj.weight().shape();
+        let a = Tensor::randn(rows, 2, 0.1, &mut rng);
+        let b = Tensor::randn(2, cols, 0.1, &mut rng);
+        let mut merged = proj.weight().clone();
+        merged.axpy(2.0, &a.matmul(&b).unwrap()).unwrap();
         *proj.weight_mut() = merged;
     }
     assert_caches_fresh(&model, "after LoRA merge");
@@ -208,15 +205,23 @@ fn model_file_roundtrip_keeps_caches_fresh_and_bytes_stable() {
     let before = model.logits(&tokens, 1).unwrap();
     // save is read-only: caches survive, and saving twice yields the same
     // bytes (the ro visitor is deterministic)
-    let mut bytes = Vec::new();
-    save_model(&model, &mut bytes).unwrap();
+    let save = |model: &EdgeModel| {
+        let (opt, rng) = (Sgd::new(0.05), TensorRng::seed_from(14));
+        let mut bytes = Vec::new();
+        TrainingCheckpoint::capture(model, &opt, 0, &rng, Vec::new())
+            .write_to(&mut bytes)
+            .unwrap();
+        bytes
+    };
+    let bytes = save(&model);
     assert!(model.block(0).attn().linears().0.has_cached_weight());
-    let mut again = Vec::new();
-    save_model(&model, &mut again).unwrap();
-    assert_eq!(bytes, again);
+    assert_eq!(bytes, save(&model));
     // load invalidates by construction (fresh model); once the policy is
     // re-applied the logits match exactly
-    let mut loaded = load_model(&mut bytes.as_slice()).unwrap();
+    let mut loaded = TrainingCheckpoint::read_from(&mut bytes.as_slice())
+        .unwrap()
+        .build_model()
+        .unwrap();
     let scheme = QuantScheme::symmetric(BitWidth::W4);
     for l in 0..loaded.n_layers() {
         let b = loaded.block_mut(l);
@@ -229,7 +234,7 @@ fn model_file_roundtrip_keeps_caches_fresh_and_bytes_stable() {
     }
     let after = loaded.logits(&tokens, 1).unwrap();
     assert_eq!(before.as_slice(), after.as_slice());
-    assert_caches_fresh(&loaded, "after load_model + policy");
+    assert_caches_fresh(&loaded, "after load + policy");
 }
 
 #[test]

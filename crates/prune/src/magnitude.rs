@@ -24,13 +24,10 @@ pub fn magnitude_prune(w: &Tensor, ratio: f32) -> Result<PruneMask, PruneError> 
     // Sort indices by |w| ascending; prune the first n_prune.
     let mut order: Vec<usize> = (0..n).collect();
     let data = w.as_slice();
-    order.sort_by(|&a, &b| {
-        data[a]
-            .abs()
-            .partial_cmp(&data[b].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    // `total_cmp` orders magnitudes exactly as `partial_cmp` does and puts
+    // NaN last; a comparator that called NaN "equal" to everything would
+    // not be a total order, which `sort_by` is entitled to panic on.
+    order.sort_by(|&a, &b| data[a].abs().total_cmp(&data[b].abs()).then(a.cmp(&b)));
     let mut keep = vec![true; n];
     for &i in order.iter().take(n_prune) {
         keep[i] = false;
@@ -78,6 +75,21 @@ mod tests {
         assert!(magnitude_prune(&w, -0.1).is_err());
         assert!(magnitude_prune(&w, 1.1).is_err());
         assert!(magnitude_prune(&w, f32::NAN).is_err());
+    }
+
+    #[test]
+    fn non_finite_weights_are_kept_not_panicked_on() {
+        // weights restored from a damaged checkpoint can be anything
+        let mut rng = TensorRng::seed_from(3);
+        let mut w = Tensor::randn(32, 32, 1.0, &mut rng);
+        for i in (0..w.len()).step_by(7) {
+            w.as_mut_slice()[i] = [f32::NAN, f32::INFINITY, -f32::NAN][i % 3];
+        }
+        let m = magnitude_prune(&w, 0.5).unwrap();
+        assert_eq!(m.kept(), w.len() / 2);
+        for i in (0..w.len()).step_by(7) {
+            assert!(m.as_slice()[i], "non-finite magnitude sorts last");
+        }
     }
 
     #[test]

@@ -72,26 +72,6 @@ impl QuantizedTensor {
         })
     }
 
-    /// Assembles a quantized tensor from pre-computed parts (used by the
-    /// static-range quantizer in [`crate::quantize_with_range`]).
-    pub(crate) fn from_parts(
-        rows: usize,
-        cols: usize,
-        scheme: QuantScheme,
-        codes: PackedInts,
-        scales: Vec<f32>,
-        zeros: Vec<f32>,
-    ) -> Self {
-        QuantizedTensor {
-            rows,
-            cols,
-            scheme,
-            codes,
-            scales,
-            zeros,
-        }
-    }
-
     /// Reconstructs the dense `f32` tensor.
     pub fn dequantize(&self) -> Tensor {
         let group_len = self.scheme.group_len(self.rows, self.cols);

@@ -33,7 +33,6 @@ mod affine;
 mod bitwidth;
 mod fake;
 mod metrics;
-mod observer;
 mod packed;
 mod pgemm;
 mod scheme;
@@ -42,7 +41,6 @@ pub use affine::QuantizedTensor;
 pub use bitwidth::BitWidth;
 pub use fake::{fake_quant, fake_quant_backward, fake_quant_in_place, fake_quant_row_in_place};
 pub use metrics::{quant_mse, sqnr_db};
-pub use observer::{quantize_with_range, RangeObserver};
 pub use packed::PackedInts;
 pub use pgemm::{
     packed_decode_matmul, packed_decode_matmul_scalar, packed_gemm_supported, quantize_activations,

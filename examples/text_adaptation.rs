@@ -8,10 +8,11 @@
 
 use edge_llm::compress::apply_policy;
 use edge_llm::report::f3;
+use edge_llm::resilience::{restore_run, RunMeta};
 use edge_llm_data::{perplexity, TaskGenerator, TextLmTask};
 use edge_llm_luc::CompressionPolicy;
 use edge_llm_model::{
-    generate, load_model, save_model, AdaptiveTuner, Decoding, EdgeModel, ModelConfig, Sgd,
+    generate, AdaptiveTuner, Decoding, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint,
     VotingCombiner, VotingPolicy, WindowSchedule,
 };
 use edge_llm_quant::BitWidth;
@@ -34,10 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut model = EdgeModel::new(cfg.clone(), &mut rng)?;
 
     // compress for on-device execution, then adapt on the notes
-    apply_policy(
-        &mut model,
-        &CompressionPolicy::uniform(4, BitWidth::W8, 0.25),
-    )?;
+    let policy = CompressionPolicy::uniform(4, BitWidth::W8, 0.25);
+    apply_policy(&mut model, &policy)?;
     let train = task.dataset(32, cfg.seq_len, &mut rng);
     let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 2 });
     let mut opt = Sgd::new(0.15);
@@ -77,15 +76,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("continuation: {:?}", tok.decode(&out));
 
-    // checkpoint round-trip; compression hooks are runtime configuration,
-    // so the policy is re-applied after loading
+    // checkpoint round-trip: the file records the policy, and restoring
+    // re-installs it on the loaded parameters
+    let meta = RunMeta {
+        policy,
+        data_seed: 3,
+        window: 2,
+    };
     let mut bytes = Vec::new();
-    save_model(&model, &mut bytes)?;
-    let mut restored = load_model(&mut bytes.as_slice())?;
-    apply_policy(
-        &mut restored,
-        &CompressionPolicy::uniform(4, BitWidth::W8, 0.25),
-    )?;
+    TrainingCheckpoint::capture(&model, &opt, 400, &rng, meta.encode()).write_to(&mut bytes)?;
+    let loaded = TrainingCheckpoint::read_from(&mut bytes.as_slice())?;
+    let (restored, ..) = restore_run(&loaded)?;
     let same = restored.logits(&b.tokens, 8)?;
     assert!(
         logits.approx_eq(&same, 1e-6),

@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
-"""Gate-artifact validator shared by every verify.sh JSON gate.
+"""Gate-artifact validator for the verify.sh lab gates.
 
-A bench or lab gate that "passes" because its output file vanished or
-turned to garbage is worse than one that fails, so every gate artifact
-must exist, be non-empty, parse as JSON, and carry the top-level key
-that marks it as the artifact it claims to be (BENCH_*.json files carry
-"bench"; lab artifacts carry "schema"). This one checker serves both
-the legacy BENCH_*.json gates and the lab run/baseline artifacts, so
-the validation logic cannot drift between them.
+A gate that "passes" because its output file vanished or turned to
+garbage is worse than one that fails, so every gate artifact must
+exist, be non-empty, parse as JSON, and carry the top-level key that
+marks it as the artifact it claims to be (lab artifacts carry
+"schema").
 
 Modes:
-  validate FILE...      validate each artifact (default --key bench)
-    --key KEY           required top-level key (e.g. bench, schema)
+  validate FILE...      validate each artifact
+    --key KEY           required top-level key (e.g. schema)
     --jsonl             treat each file as JSON lines: every non-empty,
                         non-comment line must parse, and the first must
                         carry the key
@@ -83,12 +81,11 @@ def selftest():
     of misclassifications."""
     cases = [
         # (contents, key, jsonl, expect_valid)
-        ('{"bench": "x", "v": 1}', "bench", False, True),
         ('{"schema": "lab.run.v1"}', "schema", False, True),
-        ("", "bench", False, False),  # empty
-        ('{"bench": "x"', "bench", False, False),  # truncated
-        ('{"v": 1}', "bench", False, False),  # missing key
-        ("[1, 2]", "bench", False, False),  # not an object
+        ("", "schema", False, False),  # empty
+        ('{"schema": "x"', "schema", False, False),  # truncated
+        ('{"v": 1}', "schema", False, False),  # missing key
+        ("[1, 2]", "schema", False, False),  # not an object
         ('# c\n{"schema": "s"}\n{"a": 1}\n', "schema", True, True),
         ('{"schema": "s"}\nnot json\n', "schema", True, False),
         ('{"nope": "s"}\n{"a": 1}\n', "schema", True, False),
@@ -114,7 +111,7 @@ def selftest():
                     sys.stderr = devnull
                     misses += 1
             missing = os.path.join(tmp, "never-written.json")
-            if validate_file(missing, "bench"):
+            if validate_file(missing, "schema"):
                 sys.stderr = real_stderr
                 print("selftest: missing file validated", file=sys.stderr)
                 sys.stderr = devnull
@@ -122,7 +119,7 @@ def selftest():
         finally:
             sys.stderr = real_stderr
             devnull.close()
-    print(f"check_bench selftest: {11 - misses}/11 cases correct")
+    print(f"check_bench selftest: {10 - misses}/10 cases correct")
     return misses
 
 
@@ -131,7 +128,7 @@ def main(argv):
     sub = parser.add_subparsers(dest="mode", required=True)
     v = sub.add_parser("validate", help="validate gate artifacts")
     v.add_argument("files", nargs="+", help="artifact paths")
-    v.add_argument("--key", default="bench", help="required top-level key")
+    v.add_argument("--key", required=True, help="required top-level key")
     v.add_argument("--jsonl", action="store_true", help="JSON-lines artifact")
     sub.add_parser("selftest", help="exercise the validator")
     args = parser.parse_args(argv)

@@ -14,10 +14,10 @@
 use edge_llm::baselines::uniform_policy_for_budget;
 use edge_llm::compress::apply_policy;
 use edge_llm::pipeline::{run_method_with, ExperimentConfig, Method};
-use edge_llm::resilience::{policy_extra, resilient_adapt, ResilienceConfig};
+use edge_llm::resilience::{resilient_adapt, ResilienceConfig, RunMeta};
 use edge_llm_data::{Dataset, ModArithTask, TaskGenerator};
 use edge_llm_model::{
-    save_model, AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
+    AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
 };
 use edge_llm_tensor::{set_configured_threads, TensorRng};
 use std::sync::Mutex;
@@ -37,14 +37,20 @@ fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
 }
 
 /// One short compressed windowed adaptation run under `threads` workers;
-/// returns the serialized final model and the serialized training
+/// returns the final parameter bits and the serialized training
 /// checkpoint captured at the end.
-fn adapt_under(threads: usize) -> (Vec<u8>, Vec<u8>) {
+fn adapt_under(threads: usize) -> (Vec<u32>, Vec<u8>) {
     const ITERS: usize = 8;
     set_configured_threads(threads);
     let (mut model, mut opt, mut rng, ds) = setup(23);
     let policy = uniform_policy_for_budget(model.n_layers(), 0.5);
     apply_policy(&mut model, &policy).unwrap();
+    let extra = RunMeta {
+        policy,
+        data_seed: 23,
+        window: 1,
+    }
+    .encode();
     let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
     resilient_adapt(
         &mut model,
@@ -54,13 +60,13 @@ fn adapt_under(threads: usize) -> (Vec<u8>, Vec<u8>) {
         &ds,
         2,
         ITERS,
-        policy_extra(&policy),
+        extra.clone(),
         &ResilienceConfig::default(),
     )
     .unwrap();
     let mut params = Vec::new();
-    save_model(&model, &mut params).unwrap();
-    let ckpt = TrainingCheckpoint::capture(&model, &opt, ITERS as u64, &rng, policy_extra(&policy));
+    model.visit_params_all_ro(&mut |_, p| params.extend(p.iter().map(|v| v.to_bits())));
+    let ckpt = TrainingCheckpoint::capture(&model, &opt, ITERS as u64, &rng, extra);
     let mut ckpt_bytes = Vec::new();
     ckpt.write_to(&mut ckpt_bytes).unwrap();
     (params, ckpt_bytes)

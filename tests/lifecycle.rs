@@ -4,11 +4,12 @@
 
 use edge_llm::compress::apply_policy;
 use edge_llm::eval::evaluate;
+use edge_llm::resilience::{restore_run, RunMeta};
 use edge_llm_data::{MarkovTextTask, TaskGenerator, TextLmTask};
 use edge_llm_luc::CompressionPolicy;
 use edge_llm_model::{
-    generate, load_model, save_model, AdaptiveTuner, Decoding, EdgeModel, LrSchedule, ModelConfig,
-    Sgd, VotingPolicy, WindowSchedule,
+    generate, AdaptiveTuner, Decoding, EdgeModel, LrSchedule, ModelConfig, Sgd, TrainingCheckpoint,
+    VotingPolicy, WindowSchedule,
 };
 use edge_llm_quant::{BitWidth, QuantScheme};
 use edge_llm_tensor::TensorRng;
@@ -49,10 +50,19 @@ fn adapted_checkpoint_roundtrips_with_policy() {
     apply_policy(&mut model, &policy).unwrap();
     adapt(&mut model, &task, 60, 0.1, &mut rng);
 
+    // the file carries the policy: restoring needs nothing but its bytes
+    let meta = RunMeta {
+        policy,
+        data_seed: 31,
+        window: 2,
+    };
     let mut bytes = Vec::new();
-    save_model(&model, &mut bytes).unwrap();
-    let mut restored = load_model(&mut bytes.as_slice()).unwrap();
-    apply_policy(&mut restored, &policy).unwrap();
+    TrainingCheckpoint::capture(&model, &Sgd::new(0.1), 60, &rng, meta.encode())
+        .write_to(&mut bytes)
+        .unwrap();
+    let loaded = TrainingCheckpoint::read_from(&mut bytes.as_slice()).unwrap();
+    let (restored, _, _, restored_meta) = restore_run(&loaded).unwrap();
+    assert_eq!(restored_meta, meta);
 
     let tokens: Vec<usize> = (0..cfg.seq_len).map(|i| i % task.vocab_size()).collect();
     let a = model.logits(&tokens, 1).unwrap();

@@ -6,16 +6,16 @@ use edge_llm::baselines::uniform_policy_for_budget;
 use edge_llm::compress::apply_policy;
 use edge_llm::pipeline::{run_method_with, ExperimentConfig, Method};
 use edge_llm::resilience::{
-    policy_extra, resilient_adapt, restore_run, FaultKind, PlannedFault, RecoveryEvent,
-    ResilienceConfig,
+    resilient_adapt, restore_run, FaultKind, PlannedFault, RecoveryEvent, ResilienceConfig, RunMeta,
 };
 use edge_llm::EdgeLlmError;
 use edge_llm_data::{Dataset, ModArithTask, TaskGenerator};
 use edge_llm_luc::CompressionPolicy;
 use edge_llm_model::{
-    save_model, AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
+    AdaptiveTuner, EdgeModel, ModelConfig, ModelError, Sgd, TrainingCheckpoint, WindowSchedule,
 };
-use edge_llm_tensor::{set_configured_threads, TensorRng};
+use edge_llm_tensor::check::run_cases;
+use edge_llm_tensor::{set_configured_threads, Tensor, TensorRng};
 
 fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
     let task = ModArithTask::new(7);
@@ -26,10 +26,22 @@ fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
     (model, Sgd::new(0.05), rng, ds)
 }
 
-fn model_bytes(model: &EdgeModel) -> Vec<u8> {
-    let mut buf = Vec::new();
-    save_model(model, &mut buf).unwrap();
-    buf
+/// Every parameter's bit pattern, in checkpoint order.
+fn model_bits(model: &EdgeModel) -> Vec<u32> {
+    let mut bits = Vec::new();
+    model.visit_params_all_ro(&mut |_, p| bits.extend(p.iter().map(|v| v.to_bits())));
+    bits
+}
+
+/// The checkpoint blob of a run under `policy` (the seed and window are
+/// carried, not interpreted, by everything in this file).
+fn meta_blob(policy: &CompressionPolicy) -> Vec<u8> {
+    RunMeta {
+        policy: policy.clone(),
+        data_seed: 0,
+        window: 1,
+    }
+    .encode()
 }
 
 /// Runs `total` iterations straight through, then replays the same run
@@ -51,11 +63,11 @@ fn assert_kill_and_resume_identical(policy: &CompressionPolicy, schedule: Window
         &ds,
         2,
         TOTAL,
-        policy_extra(policy),
+        meta_blob(policy),
         &res,
     )
     .unwrap();
-    let straight = model_bytes(&model);
+    let straight = model_bits(&model);
 
     let (mut model, mut opt, mut rng, ds) = setup(11);
     apply_policy(&mut model, policy).unwrap();
@@ -68,18 +80,18 @@ fn assert_kill_and_resume_identical(policy: &CompressionPolicy, schedule: Window
         &ds,
         2,
         CUT,
-        policy_extra(policy),
+        meta_blob(policy),
         &res,
     )
     .unwrap();
-    let ckpt = TrainingCheckpoint::capture(&model, &opt, CUT as u64, &rng, policy_extra(policy));
+    let ckpt = TrainingCheckpoint::capture(&model, &opt, CUT as u64, &rng, meta_blob(policy));
     let mut bytes = Vec::new();
     ckpt.write_to(&mut bytes).unwrap();
 
     // everything below uses only the serialized bytes — a fresh process
     let loaded = TrainingCheckpoint::read_from(&mut bytes.as_slice()).unwrap();
-    let (mut model2, mut opt2, mut rng2, policy2) = restore_run(&loaded).unwrap();
-    assert_eq!(policy2.to_compact_string(), policy.to_compact_string());
+    let (mut model2, mut opt2, mut rng2, meta2) = restore_run(&loaded).unwrap();
+    assert_eq!(&meta2.policy, policy);
     let mut tuner2 = AdaptiveTuner::new(schedule);
     tuner2.set_iteration(loaded.iteration as usize);
     resilient_adapt(
@@ -90,13 +102,13 @@ fn assert_kill_and_resume_identical(policy: &CompressionPolicy, schedule: Window
         &ds,
         2,
         TOTAL,
-        policy_extra(&policy2),
+        meta2.encode(),
         &res,
     )
     .unwrap();
     assert_eq!(
         straight,
-        model_bytes(&model2),
+        model_bits(&model2),
         "resumed run drifted from straight run"
     );
 }
@@ -139,11 +151,11 @@ fn kill_and_resume_with_different_thread_count_is_bit_identical() {
         &ds,
         2,
         TOTAL,
-        policy_extra(&policy),
+        meta_blob(&policy),
         &res,
     )
     .unwrap();
-    let straight = model_bytes(&model);
+    let straight = model_bits(&model);
 
     // the same run killed at CUT under 2 threads...
     set_configured_threads(2);
@@ -158,18 +170,18 @@ fn kill_and_resume_with_different_thread_count_is_bit_identical() {
         &ds,
         2,
         CUT,
-        policy_extra(&policy),
+        meta_blob(&policy),
         &res,
     )
     .unwrap();
-    let ckpt = TrainingCheckpoint::capture(&model, &opt, CUT as u64, &rng, policy_extra(&policy));
+    let ckpt = TrainingCheckpoint::capture(&model, &opt, CUT as u64, &rng, meta_blob(&policy));
     let mut bytes = Vec::new();
     ckpt.write_to(&mut bytes).unwrap();
 
     // ...and resumed from the serialized bytes under 4 threads
     set_configured_threads(4);
     let loaded = TrainingCheckpoint::read_from(&mut bytes.as_slice()).unwrap();
-    let (mut model2, mut opt2, mut rng2, policy2) = restore_run(&loaded).unwrap();
+    let (mut model2, mut opt2, mut rng2, meta2) = restore_run(&loaded).unwrap();
     let mut tuner2 = AdaptiveTuner::new(schedule);
     tuner2.set_iteration(loaded.iteration as usize);
     resilient_adapt(
@@ -180,11 +192,11 @@ fn kill_and_resume_with_different_thread_count_is_bit_identical() {
         &ds,
         2,
         TOTAL,
-        policy_extra(&policy2),
+        meta2.encode(),
         &res,
     )
     .unwrap();
-    let resumed = model_bytes(&model2);
+    let resumed = model_bits(&model2);
     set_configured_threads(1);
     assert_eq!(
         straight, resumed,
@@ -336,12 +348,12 @@ fn restored_checkpoint_computes_the_adapted_models_logits_bit_for_bit() {
         &ds,
         2,
         5,
-        policy_extra(&policy),
+        meta_blob(&policy),
         &ResilienceConfig::default(),
     )
     .unwrap();
 
-    let ckpt = TrainingCheckpoint::capture(&model, &opt, 5, &rng, policy_extra(&policy));
+    let ckpt = TrainingCheckpoint::capture(&model, &opt, 5, &rng, meta_blob(&policy));
     let mut bytes = Vec::new();
     ckpt.write_to(&mut bytes).unwrap();
     let loaded = TrainingCheckpoint::read_from(&mut bytes.as_slice()).unwrap();
@@ -351,14 +363,89 @@ fn restored_checkpoint_computes_the_adapted_models_logits_bit_for_bit() {
     let exits: Vec<usize> = (0..model.n_layers()).collect();
     let live = model.logits_at_exits(&b.tokens, 1, &exits).unwrap();
     let back = restored.logits_at_exits(&b.tokens, 1, &exits).unwrap();
+    let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
     for (exit, (a, b)) in live.iter().zip(&back).enumerate() {
-        let bits = |t: &edge_llm_tensor::Tensor| -> Vec<u32> {
-            t.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(
-            bits(a),
-            bits(b),
-            "exit {exit} drifted across the round trip"
-        );
+        assert_eq!(bits(a), bits(b), "exit {exit} drifted");
     }
+}
+
+/// `payload` inside a sound envelope (magic, length, FNV-1a), so damage to
+/// the payload reaches the parser instead of stopping at the checksum.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in payload {
+        sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut bytes = b"EDGELLM\x02".to_vec();
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// The checkpoint file is the softest input the system reads. Damage a
+/// good payload every way a disk or an attacker might — flipped bits,
+/// overwritten count and dimension fields, truncation — re-checksum it so
+/// the parser body runs, and require a typed error or a usable value from
+/// the parse and the restore, never a panic or a runaway allocation.
+#[test]
+fn damaged_payloads_fail_typed_or_restore_never_panic() {
+    let (mut model, opt, rng, _ds) = setup(41);
+    let policy = CompressionPolicy::parse_compact("4:0.5,8:0.25").unwrap();
+    apply_policy(&mut model, &policy).unwrap();
+    let mut good = Vec::new();
+    TrainingCheckpoint::capture(&model, &opt, 3, &rng, meta_blob(&policy))
+        .write_to(&mut good)
+        .unwrap();
+    let payload = &good[16..good.len() - 8];
+    assert_eq!(framed(payload), good, "the test frames as the writer does");
+
+    // header fields, then the byte ranges around them: the parameter
+    // block dominates the file, so uniform positions alone would almost
+    // never touch a count, the RNG state or the run metadata
+    let header = 8 * 8;
+    let tail = payload.len() - 160;
+    let (mut rejected, mut restored) = (0usize, 0usize);
+    run_cases("damaged checkpoint payloads", 400, |g| {
+        let mut bad = payload.to_vec();
+        for _ in 0..g.usize_in(1, 4) {
+            let at = match g.usize_in(0, 3) {
+                0 => g.usize_in(0, header),
+                1 => g.usize_in(tail, bad.len() - 8),
+                _ => g.usize_in(0, bad.len() - 8),
+            };
+            match g.usize_in(0, 4) {
+                0 => bad[at] ^= 1 << g.usize_in(0, 8),
+                1 => {
+                    let field = at / 8 * 8;
+                    let lie = *g.choose(&[0, 1, 1 << 24, 1 << 40, 1 << 62, u64::MAX]);
+                    bad[field..field + 8].copy_from_slice(&lie.to_le_bytes());
+                }
+                2 => bad[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes()),
+                _ => {
+                    bad.truncate(at);
+                    break;
+                }
+            }
+        }
+        let parsed = TrainingCheckpoint::read_from(&mut framed(&bad).as_slice());
+        match parsed
+            .map_err(EdgeLlmError::from)
+            .and_then(|c| restore_run(&c))
+        {
+            Ok((model, ..)) => {
+                // a value is a model whose forward runs, or refuses
+                // non-finite weights with an error of its own
+                let tokens = vec![0; model.config().seq_len];
+                let _ = model.logits(&tokens, 1);
+                restored += 1;
+            }
+            Err(EdgeLlmError::Model(ModelError::Checkpoint { .. }))
+            | Err(EdgeLlmError::Model(ModelError::BadConfig { .. }))
+            | Err(EdgeLlmError::Luc(_))
+            | Err(EdgeLlmError::BadConfig { .. }) => rejected += 1,
+            Err(other) => panic!("unexpected error class: {other:?}"),
+        }
+    });
+    assert!(rejected > 50 && restored > 50, "{rejected} / {restored}");
 }

@@ -11,7 +11,7 @@
 //! reproducible per-case seed.
 
 use edge_llm::compress::apply_activation_quant;
-use edge_llm_model::{Decoding, EdgeModel, ModelConfig, VotingCombiner, VotingPolicy};
+use edge_llm_model::{generate, Decoding, EdgeModel, ModelConfig, VotingCombiner, VotingPolicy};
 use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
 use edge_llm_serve::{run_solo, BatchedInferenceEngine, FinishReason, ServeOutcome, ServeRequest};
 use edge_llm_tensor::check::{run_cases, Gen};
@@ -461,4 +461,70 @@ fn rejected_and_evicted_requests_report_identically() {
     assert!(matches!(finish("bad-temp"), FinishReason::Rejected { .. }));
     assert_eq!(finish("zero-deadline"), FinishReason::DeadlineExceeded);
     assert_eq!(finish("survivor"), FinishReason::Completed);
+}
+
+#[test]
+fn generate_decodes_exactly_what_a_served_request_decodes() {
+    // `generate` and the engine share one decode walk, so the library
+    // call and a served request must agree token for token in every
+    // decoding mode under every voting policy shape — as long as the
+    // stream fits one window (past it `generate` slides, a request
+    // retires).
+    let mut rng = TensorRng::seed_from(61);
+    let model = EdgeModel::new(ModelConfig::tiny().with_layers(3), &mut rng).unwrap();
+    let n = model.n_layers();
+    let policies = [
+        VotingPolicy::final_only(n),
+        VotingPolicy::all_exits(n, VotingCombiner::LastExit),
+        VotingPolicy::all_exits(n, VotingCombiner::Average),
+        VotingPolicy::all_exits(n, VotingCombiner::ConfidenceWeighted { temperature: 0.8 }),
+        VotingPolicy::all_exits(n, VotingCombiner::Learned(vec![1.0, 2.0, 3.0])),
+    ];
+    let decodings = [
+        Decoding::Greedy,
+        Decoding::Sample { temperature: 0.9 },
+        Decoding::TopK {
+            k: 5,
+            temperature: 1.2,
+        },
+        Decoding::SelfSpeculative {
+            draft_depth: 0,
+            k: 3,
+        },
+    ];
+    let prompt = vec![3usize, 7, 1];
+    let n_new = model.config().seq_len - prompt.len();
+    for voting in &policies {
+        for (i, &decoding) in decodings.iter().enumerate() {
+            let req = ServeRequest {
+                id: "r".into(),
+                prompt: prompt.clone(),
+                max_new_tokens: n_new,
+                decoding,
+                voting: voting.clone(),
+                seed: 70 + i as u64,
+                deadline_steps: None,
+                tenant: None,
+            };
+            let solo = run_solo(&model, &req).unwrap();
+            let mut rng = TensorRng::seed_from(req.seed);
+            let direct = generate(&model, voting, &prompt, n_new, decoding, &mut rng);
+            let ctx = format!("{decoding:?} under {voting:?}");
+            if let FinishReason::Rejected { .. } = solo.finish {
+                // speculation verifies the final exit only, on both sides
+                assert!(direct.is_err(), "{ctx}");
+                continue;
+            }
+            assert_eq!(solo.finish, FinishReason::Completed, "{ctx}");
+            assert_eq!(direct.unwrap()[prompt.len()..], solo.tokens[..], "{ctx}");
+        }
+    }
+    // and through the public function, speculation is greedy from the
+    // final exit — past the first window too
+    let final_only = &policies[0];
+    let long = 2 * model.config().seq_len + 3;
+    let mut unused = TensorRng::seed_from(0);
+    let greedy = generate(&model, final_only, &prompt, long, decodings[0], &mut unused).unwrap();
+    let spec = generate(&model, final_only, &prompt, long, decodings[3], &mut unused).unwrap();
+    assert_eq!(greedy, spec);
 }

@@ -19,7 +19,7 @@
 use edge_llm::resilience::{resilient_adapt, ResilienceConfig};
 use edge_llm_data::{Dataset, ModArithTask, TaskGenerator};
 use edge_llm_model::{
-    save_model, AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
+    AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
 };
 use edge_llm_serve::{BatchedInferenceEngine, ServeOutcome, ServeRequest};
 use edge_llm_telemetry::{
@@ -129,7 +129,7 @@ fn phase_timings_sum_to_the_step_wall_clock() {
     );
 }
 
-fn adapt_bytes() -> (Vec<u8>, Vec<u8>) {
+fn adapt_bytes() -> (Vec<u32>, Vec<u8>) {
     const ITERS: usize = 6;
     let (mut model, mut opt, mut rng, ds) = setup(17);
     let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
@@ -147,7 +147,7 @@ fn adapt_bytes() -> (Vec<u8>, Vec<u8>) {
     .unwrap();
     assert_eq!(run.steps_executed, ITERS);
     let mut params = Vec::new();
-    save_model(&model, &mut params).unwrap();
+    model.visit_params_all_ro(&mut |_, p| params.extend(p.iter().map(|v| v.to_bits())));
     let ckpt = TrainingCheckpoint::capture(&model, &opt, ITERS as u64, &rng, Vec::new());
     let mut ckpt_bytes = Vec::new();
     ckpt.write_to(&mut ckpt_bytes).unwrap();
