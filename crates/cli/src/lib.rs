@@ -271,84 +271,68 @@ writes a JSON-lines span/counter trace of the run. Recording never
 changes results, only observes them.
 ";
 
-/// Rejects every argument of `sub` (for `lab`, of its action) that is not
-/// one of its `--flag value` pairs or `lab check`'s bare `--update`: a
-/// mistyped flag must not silently run with the default it meant to
-/// change. Subcommands not listed here are `parse_args`'s to report.
-fn check_flags(sub: &str, args: &[String]) -> Result<(), CliError> {
-    let (action, args) = match args.split_first() {
-        Some((action, rest)) if sub == "lab" => (action.as_str(), rest),
-        _ => ("", args),
-    };
-    let valued = match (sub, action) {
-        ("adapt", _) => {
-            "--corpus --out --budget --window --iterations --seed --checkpoint-every \
-             --resume --threads --trace-out"
+/// One subcommand's arguments, parsed by consumption: each `parse_args`
+/// arm takes its `--flag value` pairs out of the list, and whatever is
+/// left when it is done is the error — a mistyped or repeated flag must
+/// not silently run with a default or with the first value given. A value
+/// never begins with `--`, so a flag followed by another flag is missing
+/// its value rather than swallowing its neighbour.
+struct Flags<'a>(Vec<&'a str>);
+
+impl Flags<'_> {
+    /// Removes the first `flag`, reporting where it stood.
+    fn take(&mut self, flag: &str) -> Option<usize> {
+        let at = self.0.iter().position(|&a| a == flag)?;
+        self.0.remove(at);
+        Some(at)
+    }
+
+    /// Removes the first `flag` together with its value, parsed.
+    fn optional<T: std::str::FromStr>(&mut self, flag: &str) -> Result<Option<T>, CliError> {
+        let Some(at) = self.take(flag) else {
+            return Ok(None);
+        };
+        let v = match self.0.get(at) {
+            Some(v) if !v.starts_with("--") => self.0.remove(at),
+            _ => return Err(CliError::Usage(format!("flag {flag} needs a value"))),
+        };
+        match v.parse() {
+            Ok(parsed) => Ok(Some(parsed)),
+            Err(_) => Err(CliError::Usage(format!("invalid value {v:?} for {flag}"))),
         }
-        ("generate", _) => {
-            "--ckpt --prompt --tokens --top-k --temperature --seed --draft-depth --draft-k"
+    }
+
+    fn required(&mut self, flag: &str) -> Result<String, CliError> {
+        let value = self.optional(flag)?;
+        value.ok_or_else(|| CliError::Usage(format!("missing required flag {flag}")))
+    }
+
+    fn or<T: std::str::FromStr>(&mut self, flag: &str, default: T) -> Result<T, CliError> {
+        Ok(self.optional(flag)?.unwrap_or(default))
+    }
+
+    /// A LUC mean-cost budget, held to `[0, 1]` as
+    /// `ExperimentConfig::validate` holds it (NaN is outside every range).
+    fn budget(&mut self) -> Result<f32, CliError> {
+        let budget = self.or("--budget", 0.25)?;
+        if !(0.0..=1.0).contains(&budget) {
+            return Err(CliError::Usage(format!(
+                "--budget must be in [0,1], got {budget}"
+            )));
         }
-        ("serve", _) => "--ckpt --requests --batch --threads --trace-out",
-        ("loadgen", _) => {
-            "--scenario --workers --batch --queue --retries --slo --seed --tenants \
-             --threads --trace-out"
-        }
-        ("lab", "run") => "--spec --out-dir --run-id --threads",
-        ("lab", "analyze") => "--run",
-        ("lab", "check") => "--run --baseline",
-        ("inspect", _) => "--ckpt",
-        ("policy", _) => "--corpus --budget --seed",
-        _ => return Ok(()),
-    };
-    let mut rest = args.iter().map(String::as_str);
-    while let Some(arg) = rest.next() {
-        if valued.split(' ').any(|flag| flag == arg) {
-            if rest.next().is_none() {
-                return Err(CliError::Usage(format!("flag {arg} needs a value")));
+        Ok(budget)
+    }
+
+    /// Hands back the parsed command if every argument was consumed.
+    fn finish(self, command: Command) -> Result<Command, CliError> {
+        match self.0.first() {
+            None => Ok(command),
+            Some(arg) if arg.starts_with("--") => {
+                Err(CliError::Usage(format!("unknown or repeated flag {arg:?}")))
             }
-        } else if (action, arg) != ("check", "--update") {
-            return Err(CliError::Usage(format!("unknown flag {arg:?}")));
+            Some(arg) => Err(CliError::Usage(format!("unexpected argument {arg:?}"))),
         }
     }
-    Ok(())
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, CliError> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("invalid value {v:?} for {flag}"))),
-    }
-}
-
-fn parse_opt_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<T>, CliError> {
-    flag_value(args, flag)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| CliError::Usage(format!("invalid value {v:?} for {flag}")))
-        })
-        .transpose()
-}
-
-fn required_flag(args: &[String], flag: &str) -> Result<String, CliError> {
-    flag_value(args, flag)
-        .map(str::to_string)
-        .ok_or_else(|| CliError::Usage(format!("missing required flag {flag}")))
 }
 
 /// Parses an argument vector (without the program name).
@@ -356,93 +340,96 @@ fn required_flag(args: &[String], flag: &str) -> Result<String, CliError> {
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for unknown subcommands or flags, missing
-/// required flags, flags without a value, or unparseable values.
+/// required flags, repeated flags, flags without a value, or unparseable
+/// or out-of-range values.
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(sub) = args.first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    check_flags(sub, rest)?;
-    match sub.as_str() {
-        "adapt" => Ok(Command::Adapt {
-            corpus: required_flag(rest, "--corpus")?,
-            out: required_flag(rest, "--out")?,
-            budget: parse_flag(rest, "--budget", 0.25)?,
-            window: parse_flag(rest, "--window", 2)?,
-            iterations: parse_flag(rest, "--iterations", 400)?,
-            seed: parse_flag(rest, "--seed", 42)?,
-            checkpoint_every: parse_flag(rest, "--checkpoint-every", 0)?,
-            resume: flag_value(rest, "--resume").map(str::to_string),
-            threads: parse_opt_flag(rest, "--threads")?,
-            trace_out: flag_value(rest, "--trace-out").map(str::to_string),
-        }),
-        "generate" => Ok(Command::Generate {
-            ckpt: required_flag(rest, "--ckpt")?,
-            prompt: required_flag(rest, "--prompt")?,
-            tokens: parse_flag(rest, "--tokens", 40)?,
-            top_k: parse_flag(rest, "--top-k", 3)?,
-            temperature: parse_flag(rest, "--temperature", 0.8)?,
-            seed: parse_flag(rest, "--seed", 42)?,
-            draft_depth: parse_opt_flag(rest, "--draft-depth")?,
-            draft_k: parse_flag(rest, "--draft-k", 4)?,
-        }),
-        "serve" => Ok(Command::Serve {
-            ckpt: required_flag(rest, "--ckpt")?,
-            requests: required_flag(rest, "--requests")?,
-            batch: parse_flag(rest, "--batch", 4)?,
-            threads: parse_opt_flag(rest, "--threads")?,
-            trace_out: flag_value(rest, "--trace-out").map(str::to_string),
-        }),
-        "loadgen" => Ok(Command::Loadgen {
-            scenario: required_flag(rest, "--scenario")?,
-            workers: parse_flag(rest, "--workers", 2)?,
-            batch: parse_flag(rest, "--batch", 4)?,
-            queue: parse_flag(rest, "--queue", 16)?,
-            retries: parse_flag(rest, "--retries", 2)?,
-            slo: parse_opt_flag(rest, "--slo")?,
-            seed: parse_opt_flag(rest, "--seed")?,
-            tenants: parse_flag(rest, "--tenants", 0)?,
-            threads: parse_opt_flag(rest, "--threads")?,
-            trace_out: flag_value(rest, "--trace-out").map(str::to_string),
-        }),
+    let mut f = Flags(args[1..].iter().map(String::as_str).collect());
+    let command = match sub.as_str() {
+        "adapt" => Command::Adapt {
+            corpus: f.required("--corpus")?,
+            out: f.required("--out")?,
+            budget: f.budget()?,
+            window: f.or("--window", 2)?,
+            iterations: f.or("--iterations", 400)?,
+            seed: f.or("--seed", 42)?,
+            checkpoint_every: f.or("--checkpoint-every", 0)?,
+            resume: f.optional("--resume")?,
+            threads: f.optional("--threads")?,
+            trace_out: f.optional("--trace-out")?,
+        },
+        "generate" => Command::Generate {
+            ckpt: f.required("--ckpt")?,
+            prompt: f.required("--prompt")?,
+            tokens: f.or("--tokens", 40)?,
+            top_k: f.or("--top-k", 3)?,
+            temperature: f.or("--temperature", 0.8)?,
+            seed: f.or("--seed", 42)?,
+            draft_depth: f.optional("--draft-depth")?,
+            draft_k: f.or("--draft-k", 4)?,
+        },
+        "serve" => Command::Serve {
+            ckpt: f.required("--ckpt")?,
+            requests: f.required("--requests")?,
+            batch: f.or("--batch", 4)?,
+            threads: f.optional("--threads")?,
+            trace_out: f.optional("--trace-out")?,
+        },
+        "loadgen" => Command::Loadgen {
+            scenario: f.required("--scenario")?,
+            workers: f.or("--workers", 2)?,
+            batch: f.or("--batch", 4)?,
+            queue: f.or("--queue", 16)?,
+            retries: f.or("--retries", 2)?,
+            slo: f.optional("--slo")?,
+            seed: f.optional("--seed")?,
+            tenants: f.or("--tenants", 0)?,
+            threads: f.optional("--threads")?,
+            trace_out: f.optional("--trace-out")?,
+        },
         "lab" => {
-            let Some(action) = rest.first() else {
-                return Err(CliError::Usage(
-                    "lab needs an action: run|analyze|check".to_string(),
-                ));
-            };
-            let rest = &rest[1..];
-            match action.as_str() {
-                "run" => Ok(Command::Lab(LabCommand::Run {
-                    spec: required_flag(rest, "--spec")?,
-                    out_dir: flag_value(rest, "--out-dir").unwrap_or(".lab").to_string(),
-                    run_id: flag_value(rest, "--run-id").map(str::to_string),
-                    threads: parse_opt_flag(rest, "--threads")?,
-                })),
-                "analyze" => Ok(Command::Lab(LabCommand::Analyze {
-                    run: required_flag(rest, "--run")?,
-                })),
-                "check" => Ok(Command::Lab(LabCommand::Check {
-                    run: required_flag(rest, "--run")?,
-                    baseline: required_flag(rest, "--baseline")?,
-                    update: rest.iter().any(|a| a == "--update"),
-                })),
-                other => Err(CliError::Usage(format!(
-                    "unknown lab action {other:?} (run|analyze|check)"
-                ))),
-            }
+            let action = (!f.0.is_empty()).then(|| f.0.remove(0));
+            Command::Lab(match action {
+                Some("run") => LabCommand::Run {
+                    spec: f.required("--spec")?,
+                    out_dir: f.or("--out-dir", ".lab".to_string())?,
+                    run_id: f.optional("--run-id")?,
+                    threads: f.optional("--threads")?,
+                },
+                Some("analyze") => LabCommand::Analyze {
+                    run: f.required("--run")?,
+                },
+                Some("check") => LabCommand::Check {
+                    run: f.required("--run")?,
+                    baseline: f.required("--baseline")?,
+                    update: f.take("--update").is_some(),
+                },
+                None => {
+                    return Err(CliError::Usage(
+                        "lab needs an action: run|analyze|check".to_string(),
+                    ))
+                }
+                Some(other) => {
+                    return Err(CliError::Usage(format!(
+                        "unknown lab action {other:?} (run|analyze|check)"
+                    )))
+                }
+            })
         }
-        "inspect" => Ok(Command::Inspect {
-            ckpt: required_flag(rest, "--ckpt")?,
-        }),
-        "policy" => Ok(Command::Policy {
-            corpus: required_flag(rest, "--corpus")?,
-            budget: parse_flag(rest, "--budget", 0.25)?,
-            seed: parse_flag(rest, "--seed", 42)?,
-        }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
-    }
+        "inspect" => Command::Inspect {
+            ckpt: f.required("--ckpt")?,
+        },
+        "policy" => Command::Policy {
+            corpus: f.required("--corpus")?,
+            budget: f.budget()?,
+            seed: f.or("--seed", 42)?,
+        },
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        other => return Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
+    };
+    f.finish(command)
 }
 
 fn run_err<E: fmt::Display>(e: E) -> CliError {
@@ -1039,12 +1026,14 @@ fn print_analysis<W: std::io::Write>(
 
 /// Parses a serve request file: one request per line, `#` comment lines
 /// and blank lines skipped. Each line is `key=value ... :: prompt text`.
+/// Ids must be unique — outcomes are reported by id.
 fn parse_request_file(
     text: &str,
     tok: &edge_llm_data::CharTokenizer,
     n_layers: usize,
 ) -> Result<Vec<ServeRequest>, CliError> {
     let mut requests = Vec::new();
+    let mut id_lines = std::collections::HashMap::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -1143,6 +1132,11 @@ fn parse_request_file(
         let prompt = tok.encode(prompt_text);
         if prompt.is_empty() {
             return Err(CliError::Usage(format!("request line {n}: empty prompt")));
+        }
+        if let Some(first) = id_lines.insert(id.clone(), n) {
+            return Err(CliError::Usage(format!(
+                "request line {n}: id {id:?} already used on line {first}"
+            )));
         }
         requests.push(ServeRequest {
             id,
@@ -1357,6 +1351,18 @@ mod tests {
         assert!(usage("generate --ckpt m --prompt p --tokens").contains("--tokens"));
         assert!(usage("adapt --corpus a --out b --resume").contains("--resume"));
         assert!(usage("lab check --run r --baseline").contains("--baseline"));
+        // nor may it take the next flag as its value
+        assert!(usage("generate --ckpt m --prompt --tokens 3").contains("--prompt needs"));
+        assert!(usage("lab check --run r --baseline --update").contains("--baseline needs"));
+        // a repeated flag must not silently keep the first value
+        let twice = "repeated flag";
+        assert!(usage("generate --ckpt m --prompt p --tokens 1 --tokens 30").contains(twice));
+        assert!(usage("lab check --run r --baseline b --update --update").contains(twice));
+        // `--budget` is a fraction of the uncompressed cost
+        for bad in ["nan", "7", "-0.5"] {
+            assert!(usage(&format!("adapt --corpus a --out b --budget {bad}")).contains("[0,1]"));
+            assert!(usage(&format!("policy --corpus a --budget {bad}")).contains("[0,1]"));
+        }
         // `--update` stays the one boolean
         assert!(matches!(
             parse_args(&argv("lab check --run r --baseline b --update")),
@@ -1743,6 +1749,13 @@ id=r1 tokens=12 mode=topk k=3 temp=0.9 seed=7 voting=avg deadline=40 tenant=alic
                 "line accepted: {bad:?}"
             );
         }
+        // outcomes are printed by id, so a repeat is refused with both
+        // line numbers — an explicit id that takes a later default included
+        let err = parse_request_file("id=a :: p\n# note\nid=a tokens=3 :: q", &tok, 4).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("line 3") && msg.contains("line 1"), "{msg}");
+        assert!(parse_request_file("id=req2 :: p\n :: q", &tok, 4).is_err());
     }
 
     #[test]

@@ -483,10 +483,6 @@ impl Optimizer for FaultyOptimizer<'_> {
         }
         self.inner.update(id, param, grad);
     }
-
-    fn begin_step(&mut self) {
-        self.inner.begin_step();
-    }
 }
 
 pub(crate) fn schedule_depth(schedule: &WindowSchedule, n_layers: usize) -> usize {

@@ -14,7 +14,9 @@
 //!   higher-is-better, so max-of-repeats is best-of-N;
 //! * `oracles.jsonl` — one row per differential oracle verdict.
 //!
-//! `check_run` then gates a run: the generated baseline pins every
+//! `check_run` then gates a run: every artefact it rests on — `run.json`,
+//! each trial's three records, every analysis row — must exist, parse
+//! and carry its exact schema tag; the generated baseline pins every
 //! deterministic summary row exactly (plus a digest of the whole
 //! metrics table), and the spec's declarative gates add tolerance-banded
 //! assertions over timing ratios. `--update` regenerates the baseline
@@ -23,7 +25,8 @@
 use crate::json::Json;
 use crate::schemas::{
     ExperimentSpec, GateSpec, LabError, TaskSpec, BASELINE_SCHEMA, DELTA_ROW_SCHEMA,
-    METRIC_ROW_SCHEMA, ORACLE_ROW_SCHEMA, SUMMARY_ROW_SCHEMA, TIMING_ROW_SCHEMA,
+    METRIC_ROW_SCHEMA, ORACLE_ROW_SCHEMA, RUN_SUMMARY_SCHEMA, SUMMARY_ROW_SCHEMA,
+    TIMING_ROW_SCHEMA, TRIAL_INPUT_SCHEMA, TRIAL_OUTPUT_SCHEMA, TRIAL_TIMING_SCHEMA,
 };
 use edge_llm_telemetry::nearest_rank_index;
 use std::path::Path;
@@ -186,9 +189,18 @@ fn write_file(path: &Path, text: &str) -> Result<(), LabError> {
     std::fs::write(path, text).map_err(|e| LabError::Io(format!("write {}: {e}", path.display())))
 }
 
-fn parse_file(path: &Path) -> Result<Json, LabError> {
-    Json::parse(&read_file(path)?)
-        .map_err(|e| LabError::Io(format!("malformed {}: {e}", path.display())))
+/// Parses one record and holds it to its schema tag; `origin` names the
+/// file (and line) in the error.
+fn parse_record(origin: &str, text: &str, schema: &str) -> Result<Json, LabError> {
+    let record = Json::parse(text).map_err(|e| LabError::Io(format!("malformed {origin}: {e}")))?;
+    if record.get("schema").and_then(Json::as_str) != Some(schema) {
+        return Err(LabError::Io(format!("{origin} is not a {schema} record")));
+    }
+    Ok(record)
+}
+
+fn read_record(path: &Path, schema: &str) -> Result<Json, LabError> {
+    parse_record(&path.display().to_string(), &read_file(path)?, schema)
 }
 
 /// Reads the run's spec copy back from `<run>/experiment.jsonl`.
@@ -219,20 +231,21 @@ fn load_trials(run_dir: &Path, spec: &ExperimentSpec) -> Result<Vec<Trial>, LabE
                     run_dir
                         .join("trials")
                         .join(trial_id(&task.task_id, &variant.name, repeat));
-                let output_text = read_file(&dir.join("trial_output.json"))?;
-                let output = Json::parse(&output_text).map_err(|e| {
-                    LabError::Io(format!(
-                        "malformed {}: {e}",
-                        dir.join("trial_output.json").display()
-                    ))
-                })?;
+                read_record(&dir.join("trial_input.json"), TRIAL_INPUT_SCHEMA)?;
+                let output_path = dir.join("trial_output.json");
+                let output_text = read_file(&output_path)?;
+                let output = parse_record(
+                    &output_path.display().to_string(),
+                    &output_text,
+                    TRIAL_OUTPUT_SCHEMA,
+                )?;
                 trials.push(Trial {
                     task: task.task_id.clone(),
                     variant: variant.name.clone(),
                     repeat,
                     output,
                     output_text,
-                    timing: parse_file(&dir.join("timing.json"))?,
+                    timing: read_record(&dir.join("timing.json"), TRIAL_TIMING_SCHEMA)?,
                 });
             }
         }
@@ -465,17 +478,19 @@ pub fn digest(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-fn load_table(run_dir: &Path, name: &str) -> Result<Vec<Json>, LabError> {
+fn load_table(run_dir: &Path, name: &str, schema: &str) -> Result<Vec<Json>, LabError> {
     let path = run_dir.join("analysis").join(name);
-    let text = read_file(&path)?;
+    parse_table(&path, &read_file(&path)?, schema)
+}
+
+fn parse_table(path: &Path, text: &str, schema: &str) -> Result<Vec<Json>, LabError> {
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        rows.push(Json::parse(line).map_err(|e| {
-            LabError::Io(format!("malformed {} line {}: {e}", path.display(), i + 1))
-        })?);
+        let origin = format!("{} line {}", path.display(), i + 1);
+        rows.push(parse_record(&origin, line, schema)?);
     }
     Ok(rows)
 }
@@ -573,7 +588,8 @@ pub struct CheckReport {
 ///
 /// # Errors
 ///
-/// [`LabError::Io`] on missing/malformed artifacts; violations are
+/// [`LabError::Io`], naming the file, on a missing or malformed
+/// artifact or one that does not carry its schema tag; violations are
 /// reported in [`CheckReport::failures`], not as `Err`, so the CLI can
 /// print all of them before failing.
 pub fn check_run(
@@ -582,16 +598,20 @@ pub fn check_run(
     update: bool,
 ) -> Result<CheckReport, LabError> {
     let spec = read_run_spec(run_dir)?;
-    let metrics_bytes = read_file(&run_dir.join("analysis").join("metrics.jsonl"))?;
+    read_record(&run_dir.join("run.json"), RUN_SUMMARY_SCHEMA)?;
+    load_trials(run_dir, &spec)?;
+    let metrics_path = run_dir.join("analysis").join("metrics.jsonl");
+    let metrics_bytes = read_file(&metrics_path)?;
+    parse_table(&metrics_path, &metrics_bytes, METRIC_ROW_SCHEMA)?;
     let tables: Vec<(&str, Vec<Json>)> = [
-        "summary.jsonl",
-        "deltas.jsonl",
-        "timing.jsonl",
-        "timing_deltas.jsonl",
-        "oracles.jsonl",
+        ("summary.jsonl", SUMMARY_ROW_SCHEMA),
+        ("deltas.jsonl", DELTA_ROW_SCHEMA),
+        ("timing.jsonl", TIMING_ROW_SCHEMA),
+        ("timing_deltas.jsonl", DELTA_ROW_SCHEMA),
+        ("oracles.jsonl", ORACLE_ROW_SCHEMA),
     ]
     .into_iter()
-    .map(|n| load_table(run_dir, n).map(|rows| (n, rows)))
+    .map(|(n, schema)| load_table(run_dir, n, schema).map(|rows| (n, rows)))
     .collect::<Result<_, _>>()?;
     let summary = &tables[0].1;
 
@@ -609,13 +629,7 @@ pub fn check_run(
         });
     }
 
-    let baseline = parse_file(baseline_path)?;
-    if baseline.get("schema").and_then(Json::as_str) != Some(BASELINE_SCHEMA) {
-        return Err(LabError::Io(format!(
-            "{} is not a {BASELINE_SCHEMA} file",
-            baseline_path.display()
-        )));
-    }
+    let baseline = read_record(baseline_path, BASELINE_SCHEMA)?;
     let mut failures = Vec::new();
     let mut checked = 0;
 

@@ -30,8 +30,8 @@ use crate::analysis;
 use crate::families::run_family;
 use crate::json::Json;
 use crate::schemas::{
-    ExperimentSpec, LabError, RUN_SUMMARY_SCHEMA, TRIAL_INPUT_SCHEMA, TRIAL_OUTPUT_SCHEMA,
-    TRIAL_TIMING_SCHEMA,
+    check_name, ExperimentSpec, LabError, RUN_SUMMARY_SCHEMA, TRIAL_INPUT_SCHEMA,
+    TRIAL_OUTPUT_SCHEMA, TRIAL_TIMING_SCHEMA,
 };
 use edge_llm_telemetry as telemetry;
 use std::path::{Path, PathBuf};
@@ -83,9 +83,11 @@ pub fn default_run_id(spec: &ExperimentSpec, spec_text: &str) -> String {
 ///
 /// # Errors
 ///
-/// [`LabError::Trial`] (with trial context) if any engine run fails —
-/// the failing trial's record is still written with `status: "error"`
-/// for postmortems; [`LabError::Io`] on filesystem trouble.
+/// [`LabError::Spec`] for a run id outside `[A-Za-z0-9_-]+`, before
+/// anything is created; [`LabError::Trial`] (with trial context) if any
+/// engine run fails — the failing trial's record is still written with
+/// `status: "error"` for postmortems; [`LabError::Io`] on filesystem
+/// trouble.
 pub fn run_experiment(
     spec: &ExperimentSpec,
     spec_text: &str,
@@ -95,6 +97,7 @@ pub fn run_experiment(
         .run_id
         .clone()
         .unwrap_or_else(|| default_run_id(spec, spec_text));
+    check_name("run id", &run_id)?;
     let run_dir = opts.out_dir.join("runs").join(&run_id);
     if run_dir.exists() {
         std::fs::remove_dir_all(&run_dir)

@@ -200,6 +200,21 @@ pub struct ExperimentSpec {
     pub tasks: Vec<TaskSpec>,
 }
 
+/// Experiment, task, variant and run names become directory names —
+/// `runs/<run_id>/trials/<task>.<variant>.r<N>` — so they are held to
+/// `[A-Za-z0-9_-]+`: no separator or `..` to climb out of the run
+/// directory, and no `.` that would let two (task, variant) pairs share
+/// one trial directory.
+pub(crate) fn check_name(what: &str, name: &str) -> Result<(), LabError> {
+    let ok = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'-';
+    if name.is_empty() || !name.bytes().all(ok) {
+        return Err(LabError::Spec(format!(
+            "{what} {name:?} must match [A-Za-z0-9_-]+"
+        )));
+    }
+    Ok(())
+}
+
 fn field_str(obj: &Json, key: &str, ctx: &str) -> Result<String, LabError> {
     obj.get(key)
         .and_then(Json::as_str)
@@ -225,7 +240,8 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// [`LabError::Spec`] on malformed JSON, a missing/duplicate field,
-    /// an unknown family, or duplicate task/variant ids.
+    /// an unknown family, duplicate task/variant ids, or an experiment,
+    /// task or variant name outside `[A-Za-z0-9_-]+`.
     pub fn parse_jsonl(text: &str) -> Result<ExperimentSpec, LabError> {
         let mut header: Option<(String, u64)> = None;
         let mut tasks: Vec<TaskSpec> = Vec::new();
@@ -245,6 +261,8 @@ impl ExperimentSpec {
                     )));
                 }
                 let name = field_str(&obj, "experiment", &format!("line {n} (header)"))?;
+                check_name("experiment", &name)
+                    .map_err(|e| LabError::Spec(format!("line {n}: {e}")))?;
                 let seed = field_u64(&obj, "seed", 0)?;
                 header = Some((name, seed));
                 continue;
@@ -275,6 +293,7 @@ impl ExperimentSpec {
 
     fn parse_task(obj: &Json, default_seed: u64) -> Result<TaskSpec, LabError> {
         let task_id = field_str(obj, "task_id", "task")?;
+        check_name("task_id", &task_id)?;
         let family_name = field_str(obj, "family", &format!("task {task_id:?}"))?;
         let family = Family::parse(&family_name).ok_or_else(|| {
             LabError::Spec(format!(
@@ -297,6 +316,7 @@ impl ExperimentSpec {
         if let Some(items) = obj.get("variants").and_then(Json::as_array) {
             for v in items {
                 let name = field_str(v, "name", &format!("task {task_id:?} variant"))?;
+                check_name(&format!("task {task_id:?} variant"), &name)?;
                 let vp = v.get("params").cloned().unwrap_or(Json::Object(Vec::new()));
                 if vp.as_object().is_none() {
                     return Err(LabError::Spec(format!(
@@ -623,6 +643,28 @@ mod tests {
                    {\"task_id\": \"a\", \"family\": \"fleet\"}\n\
                    {\"task_id\": \"a\", \"family\": \"fleet\"}";
         assert!(ExperimentSpec::parse_jsonl(dup).is_err());
+        // names become paths: nothing that climbs out of the run
+        // directory, and no dot — task "a.b" / variant "c" and task "a" /
+        // variant "b.c" would share the trial directory a.b.c.r0
+        let named = |experiment: &str, task: &str, variant: &str| {
+            ExperimentSpec::parse_jsonl(&format!(
+                "{{\"schema\": \"lab.experiment.v1\", \"experiment\": \"{experiment}\"}}\n\
+                 {{\"task_id\": \"{task}\", \"family\": \"fleet\", \
+                 \"variants\": [{{\"name\": \"{variant}\"}}]}}"
+            ))
+        };
+        assert!(named("x", "a", "b").is_ok());
+        for (experiment, task, variant) in [
+            ("x", "a/../../x", "b"),
+            ("x", "a.b", "c"),
+            ("x", "a", "b.c"),
+            ("x", "a", ""),
+            ("../x", "a", "b"),
+        ] {
+            let err = named(experiment, task, variant).unwrap_err();
+            assert!(matches!(err, LabError::Spec(_)), "{err}");
+            assert!(err.to_string().contains("[A-Za-z0-9_-]+"), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Golden snapshot of the lab artifact schemas: the structural shape
 //! (field path → JSON type) of every trial record and analysis row the
-//! runner emits. Downstream tooling — `scripts/check_bench.py`, the
-//! baseline checker, anyone parsing `.lab/runs/` — keys off these
+//! runner emits. Downstream tooling — the baseline checker, anyone
+//! parsing `.lab/runs/` — keys off these
 //! shapes, so a silently added, removed, or retyped field is a breaking
 //! change and must show up as a reviewable diff here. When a schema
 //! change is intentional, regenerate with:

@@ -246,7 +246,6 @@ impl AdaptiveTuner {
             model.visit_params_window(window, exit_layer, &mut |_, _, g| {
                 grad_sq += g.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
             });
-            opt.begin_step();
             model.visit_params_window(window, exit_layer, &mut |id, p, g| opt.update(id, p, g));
             model.enforce_masks();
             grad_sq

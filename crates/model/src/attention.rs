@@ -339,6 +339,7 @@ fn apply_causal_mask(scores: &mut Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
 
     #[test]
     fn output_shape_matches_input() {
@@ -352,7 +353,7 @@ mod tests {
     #[test]
     fn causality_future_tokens_do_not_affect_past() {
         let mut rng = TensorRng::seed_from(2);
-        let attn = Attention::new(8, 2, &mut rng);
+        let mut attn = Attention::new(8, 2, &mut rng);
         let seq = 5;
         let x1 = Tensor::randn(seq, 8, 1.0, &mut rng);
         let mut x2 = x1.clone();
@@ -361,21 +362,28 @@ mod tests {
             let v = x2.get(seq - 1, c);
             x2.set(seq - 1, c, v + 3.0);
         }
-        let y1 = attn.forward_no_cache(&x1, 1, seq).unwrap();
-        let y2 = attn.forward_no_cache(&x2, 1, seq).unwrap();
-        for t in 0..seq - 1 {
-            for c in 0..8 {
-                assert!(
-                    (y1.get(t, c) - y2.get(t, c)).abs() < 1e-5,
-                    "token {t} changed"
-                );
+        // second case: a per-tensor activation scheme on `qkv`, whose range
+        // must not be shared across tokens either
+        let per_tensor =
+            QuantScheme::asymmetric(BitWidth::W4).with_granularity(Granularity::PerTensor);
+        for act in [None, Some(per_tensor)] {
+            attn.qkv_mut().set_activation_quant(act);
+            let y1 = attn.forward_no_cache(&x1, 1, seq).unwrap();
+            let y2 = attn.forward_no_cache(&x2, 1, seq).unwrap();
+            for t in 0..seq - 1 {
+                for c in 0..8 {
+                    assert!(
+                        (y1.get(t, c) - y2.get(t, c)).abs() < 1e-5,
+                        "token {t} changed"
+                    );
+                }
             }
+            // but the perturbed position itself must change
+            let last_diff: f32 = (0..8)
+                .map(|c| (y1.get(seq - 1, c) - y2.get(seq - 1, c)).abs())
+                .sum();
+            assert!(last_diff > 1e-3);
         }
-        // but the perturbed position itself must change
-        let last_diff: f32 = (0..8)
-            .map(|c| (y1.get(seq - 1, c) - y2.get(seq - 1, c)).abs())
-            .sum();
-        assert!(last_diff > 1e-3);
     }
 
     #[test]

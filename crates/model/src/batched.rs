@@ -24,11 +24,11 @@
 //!   each output element over the shared dimension in a fixed ascending
 //!   order regardless of how many rows are in flight (and the threaded
 //!   kernel splits by output row); layer norm, softmax, GELU, bias-add
-//!   and the residual adds are per-row or elementwise; activation
-//!   fake-quantisation is applied per row
-//!   ([`crate::Linear::forward_rows_no_cache`]), so even per-tensor
-//!   calibration schemes cannot couple rows; adapter deltas are added per
-//!   row ([`ResolvedAdapter::apply_row`]).
+//!   and the residual adds are per-row or elementwise; every projection
+//!   is [`crate::Linear::forward_no_cache`], the same frozen forward the
+//!   tuner's prefix and evaluation run, which fits an activation scheme
+//!   per row, so even per-tensor calibration schemes cannot couple rows;
+//!   adapter deltas are added per row ([`ResolvedAdapter::apply_row`]).
 //! - **K/V write before attend.** Each layer writes the K/V rows of every
 //!   fed position first; row `(s, t)` then attends, in scalar loops, over
 //!   rows `0..=t` of sequence `s`'s cache only — exactly the causal prefix
@@ -318,7 +318,7 @@ fn walk(
         // (n, 3c). Adapter deltas land *before* the key/value rows are
         // copied into the caches, so adapted K/V history is what later
         // passes attend over — same as a solo run with the adapter.
-        let mut qkv = qkv_lin.forward_rows_no_cache(&n1)?;
+        let mut qkv = qkv_lin.forward_no_cache(&n1)?;
         adapt(l, AdapterTarget::Qkv, &n1, &mut qkv)?;
         // Write every fed position's K/V first; row (r, pos) then attends
         // over rows 0..=pos of its own sequence only.
@@ -351,15 +351,15 @@ fn walk(
                 }
             }
         }
-        let mut a = proj.forward_rows_no_cache(&concat)?;
+        let mut a = proj.forward_no_cache(&concat)?;
         adapt(l, AdapterTarget::Proj, &concat, &mut a)?;
         let x1 = x.add(&a)?;
         let n2 = block.ln2().forward_no_cache(&x1)?;
         let (fc1, fc2) = block.mlp().linears();
-        let mut mid = fc1.forward_rows_no_cache(&n2)?;
+        let mut mid = fc1.forward_no_cache(&n2)?;
         adapt(l, AdapterTarget::Fc1, &n2, &mut mid)?;
         let act = gelu_forward(&mid);
-        let mut m_out = fc2.forward_rows_no_cache(&act)?;
+        let mut m_out = fc2.forward_no_cache(&act)?;
         adapt(l, AdapterTarget::Fc2, &act, &mut m_out)?;
         x = x1.add(&m_out)?;
         // one shared unembedding matmul over every row of a run exiting at l
@@ -373,7 +373,7 @@ fn walk(
             continue;
         }
         let sub = Tensor::from_vec(needing.len() / c, c, needing).map_err(ModelError::Tensor)?;
-        let logits = model.exit_logits_rows(&sub, l)?;
+        let logits = model.exit_logits_no_cache(&sub, l)?;
         let vocab = logits.cols();
         let mut rest = logits.as_slice();
         for (run, slots) in runs.iter().zip(per_exit.iter_mut()) {

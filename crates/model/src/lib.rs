@@ -38,7 +38,6 @@ mod gradcheck;
 mod infer;
 mod io;
 mod linear;
-mod lr;
 mod memory;
 mod mlp;
 mod model;
@@ -59,13 +58,12 @@ pub use gradcheck::{gradient_check, GradCheckReport};
 pub use infer::InferenceSession;
 pub use io::TrainingCheckpoint;
 pub use linear::{Linear, LinearCache};
-pub use lr::LrSchedule;
 pub use memory::{MemoryBreakdown, MemoryModel};
 pub use mlp::{Mlp, MlpCache};
 pub use model::{
     EdgeModel, ExitForward, ForwardCaches, ParamVisitor, ParamVisitorRo, WeightCacheStats,
 };
 pub use norm::LayerNorm;
-pub use optim::{Adam, Optimizer, Sgd, SgdState};
+pub use optim::{Optimizer, Sgd, SgdState};
 pub use spec::{spec_round, spec_round_with_adapter, validate_spec_params, SpecReport};
 pub use voting::{combine, fit_learned_weights, VotingCombiner, VotingPolicy};

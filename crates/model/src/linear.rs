@@ -31,13 +31,27 @@ use std::sync::{Arc, OnceLock};
 /// window change per iteration, and at inference nothing changes at all).
 /// The layer therefore keeps a lazily-populated cache of its effective
 /// weight, plus — after [`Linear::pack_weights`] — the weight as packed
-/// integer codes routed through a blocked row-dequantizing kernel.
+/// integer codes in the **one** orientation its frozen route reads: row
+/// codes for the row-dequantizing f32 kernel, or transposed codes for the
+/// integer GEMM ([`Linear::int_decode_schemes`]), never both.
 ///
 /// Every mutation path (`visit_params`, `set_mask` / `set_quant` /
 /// `set_activation_quant`, `enforce_mask` when it actually changes a
 /// value, `weight_mut`) invalidates the cache, so cached results are
 /// **bit-identical** to recomputing the effective weight on every call —
 /// the invariant the staleness tests in `tests/weight_cache.rs` pin down.
+///
+/// # One frozen forward
+///
+/// A layer that is not training — the tuner's prefix below the window,
+/// evaluation, every KV-cached decode row — runs through
+/// [`Linear::forward_no_cache`], which picks its route in one `match`.
+/// An activation scheme is fitted **per input row**, one token's
+/// activations at a time, in training and frozen forwards alike: a row's
+/// output never depends on which other rows share the call, so a batched
+/// decode step equals a solo session bit for bit and the full-window
+/// forward quantizes on the grid decode sees — under every scheme, a
+/// per-tensor one included, which here means per token.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Tensor,
@@ -83,12 +97,13 @@ impl Clone for CacheCounters {
 struct WeightCache {
     /// The dense effective (masked + fake-quantized) weight.
     dense: OnceLock<Arc<Tensor>>,
-    /// The weight as packed integer codes (decode/serving path); holds the
-    /// layer's resident weight bytes at the LUC policy's bit-width ratio.
+    /// The weight as packed integer codes, read by the row-dequantizing
+    /// f32 route; holds the layer's resident weight bytes at the LUC
+    /// policy's bit-width ratio.
     packed: OnceLock<Arc<QuantizedTensor>>,
     /// The masked *transposed* weight as packed codes (one symmetric
     /// scale per **output channel**) — the operand of the packed integer
-    /// GEMM. Populated only for layers eligible for the integer decode
+    /// GEMM, held *instead of* `packed` by layers on the integer decode
     /// route (see [`Linear::int_decode_schemes`]).
     packed_t: OnceLock<Arc<QuantizedTensor>>,
 }
@@ -183,22 +198,18 @@ impl Linear {
         self.invalidate_weight_cache();
     }
 
-    /// Installs (or clears) an *activation* fake-quantization scheme: the
-    /// layer input is quantize-dequantized before the matmul, modelling a
-    /// fully integer datapath. Use an asymmetric scheme (activations are
-    /// not zero-centred); because the fitted range covers the batch, the
-    /// straight-through backward is exactly the identity.
+    /// Installs (or clears) an *activation* fake-quantization scheme: each
+    /// input row is quantize-dequantized on its own grid before the
+    /// matmul, modelling a fully integer datapath. Use an asymmetric
+    /// scheme (activations are not zero-centred); because the fitted range
+    /// covers the row, the straight-through backward is exactly the
+    /// identity.
     pub fn set_activation_quant(&mut self, act_quant: Option<QuantScheme>) {
         self.act_quant = act_quant;
         // The weight cache does not depend on the activation scheme, but a
         // scheme change redefines the layer's datapath; drop derived state
         // conservatively rather than reason about which parts survive.
         self.invalidate_weight_cache();
-    }
-
-    /// The installed activation-quantization scheme, if any.
-    pub fn activation_quant(&self) -> Option<QuantScheme> {
-        self.act_quant
     }
 
     /// The installed mask, if any.
@@ -222,24 +233,22 @@ impl Linear {
         }
     }
 
-    /// Whether the compressed-weight cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
     /// Enables or disables the packed integer-GEMM decode route (enabled
     /// by default). Disabling falls back to the f32 routes
     /// (fake-quantized activations x dequantized weight panels) — the
-    /// baseline the decode benchmarks compare against. The flag is a
-    /// route selector only: it never invalidates caches, and layers
-    /// outside [`Linear::int_decode_schemes`] eligibility ignore it.
+    /// baseline the decode benchmarks compare against. Layers outside
+    /// [`Linear::int_decode_schemes`] eligibility ignore the flag; on an
+    /// eligible layer a flip moves it to the other route, whose codes lie
+    /// in the other orientation, so the cached forms are dropped: the
+    /// integer route re-packs on its next forward, the f32 route runs on
+    /// the cached dense weight until [`Linear::pack_weights`] is called
+    /// again.
     pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
+        let before = self.int_decode_schemes();
         self.int_decode_enabled = enabled;
-    }
-
-    /// Whether the packed integer-GEMM decode route is enabled.
-    pub fn integer_decode_enabled(&self) -> bool {
-        self.int_decode_enabled
+        if before != self.int_decode_schemes() {
+            self.invalidate_weight_cache();
+        }
     }
 
     /// The `(weight, activation)` schemes of the integer decode route, or
@@ -271,21 +280,19 @@ impl Linear {
         self.wcache.dense.get().is_some()
     }
 
-    /// Whether the weight is held as packed integer codes.
+    /// Whether the weight is held as packed row codes (the f32
+    /// row-dequantizing route's form).
     pub fn is_packed(&self) -> bool {
         self.wcache.packed.get().is_some()
     }
 
     /// Bytes the decode path keeps resident for this layer's weight:
-    /// the packed codes plus group metadata once [`Linear::pack_weights`]
-    /// has run, the dense f32 weight otherwise.
+    /// the packed codes (in whichever orientation the layer holds) plus
+    /// group metadata once [`Linear::pack_weights`] has run, the dense f32
+    /// weight otherwise.
     pub fn weight_storage_bytes(&self) -> usize {
-        let packed_t = self.wcache.packed_t.get().map_or(0, |q| q.storage_bytes());
-        match self.wcache.packed.get() {
-            Some(q) => q.storage_bytes() + packed_t,
-            None if packed_t > 0 => packed_t,
-            None => self.w.len() * 4,
-        }
+        let codes = self.wcache.packed.get().or(self.wcache.packed_t.get());
+        codes.map_or(self.w.len() * 4, |q| q.storage_bytes())
     }
 
     fn invalidate_weight_cache(&mut self) {
@@ -312,11 +319,12 @@ impl Linear {
         self.counters.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Quantizes the weight into packed integer codes so the no-cache
-    /// forward paths (inference, serving) run the blocked row-dequantizing
-    /// kernel instead of materializing the dense effective weight. A no-op
-    /// for layers without a quant scheme, with the cache disabled, or when
-    /// already packed.
+    /// Quantizes the weight into packed integer codes, in the one
+    /// orientation this layer's frozen route reads — transposed for the
+    /// integer GEMM, row codes for the blocked row-dequantizing kernel —
+    /// so [`Linear::forward_no_cache`] never materializes the dense
+    /// effective weight. A no-op for layers without a quant scheme, with
+    /// the cache disabled, or when already packed.
     ///
     /// # Errors
     ///
@@ -329,17 +337,13 @@ impl Linear {
         if !self.cache_enabled {
             return Ok(());
         }
-        if self.wcache.packed.get().is_none() {
-            let q = Arc::new(QuantizedTensor::quantize(&self.w, scheme)?);
-            let _ = self.wcache.packed.set(q);
-        }
-        // Eligible layers additionally pack the transposed integer-GEMM
-        // operand so serving never pays the build on the first token.
-        if let Some((ws, _)) = self.int_decode_schemes() {
-            if self.wcache.packed_t.get().is_none() {
-                let q = Arc::new(self.int_weight(ws)?);
-                let _ = self.wcache.packed_t.set(q);
+        match self.int_decode_schemes() {
+            Some((ws, _)) => drop(self.int_codes(ws)?),
+            None if self.wcache.packed.get().is_none() => {
+                let q = Arc::new(QuantizedTensor::quantize(&self.w, scheme)?);
+                let _ = self.wcache.packed.set(q);
             }
+            None => {}
         }
         Ok(())
     }
@@ -377,35 +381,19 @@ impl Linear {
         Ok(QuantizedTensor::quantize(&wt, scheme)?)
     }
 
-    /// Runs the packed integer GEMM for eligible layers, or returns
-    /// `Ok(None)` so the caller falls through to the f32 routes.
-    ///
-    /// The activation rows are quantized per-row (making each batch row
-    /// bit-identical to the same row decoded solo — the property batched
-    /// serving, speculative draft/verify chunks, and per-row adapter
-    /// deltas all lean on), then multiplied directly against the packed
-    /// transposed weight words. With the cache enabled the packed operand
-    /// is built at most once per mutation; with it disabled the operand
-    /// is rebuilt fresh each call — both feed the identical kernel, so
-    /// the routes are bit-identical by construction.
-    fn integer_decode_matmul(&self, x: &Tensor) -> Result<Option<Tensor>, ModelError> {
-        let Some((ws, act)) = self.int_decode_schemes() else {
-            return Ok(None);
-        };
-        let x_q = quantize_activations(x, act)?;
-        let y = if self.cache_enabled {
-            match self.wcache.packed_t.get() {
-                Some(q) => packed_decode_matmul(&x_q, q, 0)?,
-                None => {
-                    let q = Arc::new(self.int_weight(ws)?);
-                    let q = self.wcache.packed_t.get_or_init(|| q);
-                    packed_decode_matmul(&x_q, q, 0)?
-                }
-            }
-        } else {
-            packed_decode_matmul(&x_q, &self.int_weight(ws)?, 0)?
-        };
-        Ok(Some(y))
+    /// [`Linear::int_weight`] through the cache: built at most once per
+    /// mutation, and rebuilt fresh each call when the cache is disabled —
+    /// both feed the identical kernel, so the routes are bit-identical by
+    /// construction.
+    fn int_codes(&self, scheme: QuantScheme) -> Result<Arc<QuantizedTensor>, ModelError> {
+        if let Some(q) = self.wcache.packed_t.get() {
+            return Ok(Arc::clone(q));
+        }
+        let q = Arc::new(self.int_weight(scheme)?);
+        if !self.cache_enabled {
+            return Ok(q);
+        }
+        Ok(Arc::clone(self.wcache.packed_t.get_or_init(|| q)))
     }
 
     /// The weight actually used by the forward pass (masked and, when a
@@ -455,86 +443,7 @@ impl Linear {
     ///
     /// Propagates shape errors from the underlying kernels.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LinearCache), ModelError> {
-        let x_used = self.effective_input(x)?;
-        let (y, w_eff) = self.forward_inner(&x_used)?;
-        Ok((
-            y,
-            LinearCache {
-                x: x_used.into_owned(),
-                w_eff,
-            },
-        ))
-    }
-
-    fn effective_input<'a>(&self, x: &'a Tensor) -> Result<Cow<'a, Tensor>, ModelError> {
-        match self.act_quant {
-            Some(scheme) => Ok(Cow::Owned(fake_quant(x, scheme)?)),
-            None => Ok(Cow::Borrowed(x)),
-        }
-    }
-
-    /// Forward pass without retaining activations (inference / frozen
-    /// layers in adaptive tuning). Eligible layers (weight *and*
-    /// activation quantization, see [`Linear::int_decode_schemes`]) run
-    /// the packed integer GEMM; otherwise the packed f32 decode path when
-    /// [`Linear::pack_weights`] has run, the dense cache otherwise; every
-    /// route is bit-identical to its own cache-disabled recompute.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying kernels.
-    pub fn forward_no_cache(&self, x: &Tensor) -> Result<Tensor, ModelError> {
-        if let Some(y) = self.integer_decode_matmul(x)? {
-            return self.add_bias(y);
-        }
-        let x_used = self.effective_input(x)?;
-        let y = self.matmul_effective(&x_used)?;
-        self.add_bias(y)
-    }
-
-    /// Forward pass whose output row `r` is bit-identical to
-    /// `forward_no_cache` on row `r` alone, for any batch of rows.
-    ///
-    /// The matmul kernels already guarantee this (each output element
-    /// accumulates in a fixed order independent of the row count), so the
-    /// only difference from [`Linear::forward_no_cache`] is that an
-    /// installed *activation* quantization scheme is fitted per input row
-    /// rather than across the batch — coupling rows there would let one
-    /// request's activations perturb another's logits. The batched serving
-    /// path routes every projection through this method.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying kernels.
-    pub fn forward_rows_no_cache(&self, x: &Tensor) -> Result<Tensor, ModelError> {
-        // The integer route quantizes activations per input row by
-        // construction, so it already satisfies this method's contract and
-        // serves solo and batched decode through one head.
-        if let Some(y) = self.integer_decode_matmul(x)? {
-            return self.add_bias(y);
-        }
-        let x_used = match self.act_quant {
-            None => {
-                let y = self.matmul_effective(x)?;
-                return self.add_bias(y);
-            }
-            Some(scheme) => {
-                // Quantize each row in place in the copied batch: no
-                // per-row temporaries, same bits as quantizing a 1 x cols
-                // tensor per row.
-                let mut q = x.clone();
-                let (rows, _) = q.shape();
-                for r in 0..rows {
-                    fake_quant_row_in_place(q.row_mut(r), scheme)?;
-                }
-                q
-            }
-        };
-        let y = self.matmul_effective(&x_used)?;
-        self.add_bias(y)
-    }
-
-    fn forward_inner(&self, x: &Tensor) -> Result<(Tensor, Option<Arc<Tensor>>), ModelError> {
+        let x = self.effective_input(x)?;
         let (y, w_eff) = match self.quant {
             Some(_) => {
                 let w = self.cached_effective_weight()?;
@@ -542,7 +451,61 @@ impl Linear {
             }
             None => (x.matmul(&self.w)?, None),
         };
-        Ok((self.add_bias(y)?, w_eff))
+        let y = self.add_bias(y)?;
+        // copied only now, when the pre-bias temporary is already freed
+        let x = x.into_owned();
+        Ok((y, LinearCache { x, w_eff }))
+    }
+
+    /// The input the f32 matmuls see. An installed activation scheme is
+    /// fitted to each row — one token's activations — on its own, in place
+    /// in a copy of the batch (same bits as quantizing a `1 x cols` tensor
+    /// per row). This is the only place a scheme meets f32 activations;
+    /// the integer route's [`quantize_activations`] is per row too.
+    fn effective_input<'a>(&self, x: &'a Tensor) -> Result<Cow<'a, Tensor>, ModelError> {
+        let Some(scheme) = self.act_quant else {
+            return Ok(Cow::Borrowed(x));
+        };
+        let mut q = x.clone();
+        for r in 0..q.rows() {
+            fake_quant_row_in_place(q.row_mut(r), scheme)?;
+        }
+        Ok(Cow::Owned(q))
+    }
+
+    /// Forward pass without retaining activations — the one projection
+    /// every layer that is not training runs through (the tuner's frozen
+    /// prefix, evaluation, KV-cached decode). Output row `r` is
+    /// bit-identical to calling this on row `r` alone: the kernels
+    /// accumulate each output element in a fixed order independent of the
+    /// row count and activations are quantized per row, which is what
+    /// batched serving, speculative chunks and per-row adapter deltas lean
+    /// on. Every route is bit-identical to its own cache-disabled
+    /// recompute.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the underlying kernels.
+    pub fn forward_no_cache(&self, x: &Tensor) -> Result<Tensor, ModelError> {
+        let packed = self.wcache.packed.get();
+        let y = match (self.int_decode_schemes(), self.quant, packed) {
+            // Integer GEMM: per-row activation codes against the packed
+            // transposed weight words.
+            (Some((ws, act)), ..) => {
+                let x_q = quantize_activations(x, act)?;
+                packed_decode_matmul(&x_q, self.int_codes(ws)?.as_ref(), 0)?
+            }
+            // Row codes, dequantized panel by panel inside the kernel.
+            (None, Some(_), Some(q)) => self.packed_matmul(self.effective_input(x)?.as_ref(), q)?,
+            // The cached dense effective weight (recomputed fresh when the
+            // cache is disabled).
+            (None, Some(_), None) => {
+                let w = self.cached_effective_weight()?;
+                self.effective_input(x)?.matmul(w.as_ref())?
+            }
+            (None, None, _) => self.effective_input(x)?.matmul(&self.w)?,
+        };
+        self.add_bias(y)
     }
 
     fn add_bias(&self, y: Tensor) -> Result<Tensor, ModelError> {
@@ -551,24 +514,6 @@ impl Linear {
         } else {
             Ok(add_bias_forward(&y, &self.b)?)
         }
-    }
-
-    /// `x · W_eff` for the no-cache paths: packed codes through the blocked
-    /// row-dequantizing kernel when available, the cached dense effective
-    /// weight otherwise, and a fresh recompute when the cache is disabled.
-    fn matmul_effective(&self, x: &Tensor) -> Result<Tensor, ModelError> {
-        if self.quant.is_none() {
-            return Ok(x.matmul(&self.w)?);
-        }
-        if self.cache_enabled {
-            if let Some(q) = self.wcache.packed.get() {
-                return self.packed_matmul(x, q);
-            }
-            let w = self.cached_effective_weight()?;
-            return Ok(x.matmul(w.as_ref())?);
-        }
-        let w = self.effective_weight()?;
-        Ok(x.matmul(w.as_ref())?)
     }
 
     /// `x · W_eff` where the weight lives as packed codes: `TILE`-row
@@ -775,7 +720,6 @@ mod tests {
         l.set_activation_quant(Some(QuantScheme::asymmetric(edge_llm_quant::BitWidth::W2)));
         let quantized = l.forward_no_cache(&x).unwrap();
         assert!(!clean.approx_eq(&quantized, 1e-4));
-        assert!(l.activation_quant().is_some());
         // at 8 bits the perturbation is small
         l.set_activation_quant(Some(QuantScheme::asymmetric(edge_llm_quant::BitWidth::W8)));
         let fine = l.forward_no_cache(&x).unwrap();
@@ -864,7 +808,8 @@ mod tests {
         let warm = |l: &Linear| {
             let _ = l.cached_effective_weight().unwrap();
             let _ = l.pack_weights();
-            assert!(l.has_cached_weight() && l.is_packed());
+            // one code form, whichever the layer's route reads
+            assert!(l.has_cached_weight() && (l.is_packed() != l.is_int_packed()));
         };
         warm(&l);
         l.visit_params(&mut |_, _| {});
@@ -884,7 +829,10 @@ mod tests {
         );
         warm(&l);
         l.set_quant(Some(QuantScheme::symmetric(BitWidth::W2)));
-        assert!(!l.has_cached_weight() && !l.is_packed(), "set_quant");
+        assert!(
+            !l.has_cached_weight() && !l.is_packed() && !l.is_int_packed(),
+            "set_quant"
+        );
     }
 
     #[test]
@@ -948,6 +896,11 @@ mod tests {
         // 4-bit codes: 8x fewer code bytes, plus per-row metadata
         assert_eq!(l.weight_storage_bytes(), 64 * 64 / 2 + 64 * 4);
         assert!(l.weight_storage_bytes() * 7 < dense_bytes);
+        // an integer-route layer holds the transposed codes *instead*
+        l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
+        l.pack_weights().unwrap();
+        assert!(l.is_int_packed() && !l.is_packed());
+        assert_eq!(l.weight_storage_bytes(), 64 * 64 / 2 + 64 * 4);
     }
 
     #[test]
@@ -967,8 +920,11 @@ mod tests {
             // explicit pack, solo row, batched rows — all the same kernel
             let packed = l.forward_no_cache(&x).unwrap();
             assert_eq!(lazy.as_slice(), packed.as_slice(), "{bits}");
-            let rows = l.forward_rows_no_cache(&x).unwrap();
-            assert_eq!(lazy.as_slice(), rows.as_slice(), "{bits} rows");
+            for r in 0..3 {
+                let row = Tensor::from_vec(1, 40, x.row(r).to_vec()).unwrap();
+                let solo = l.forward_no_cache(&row).unwrap();
+                assert_eq!(lazy.row(r), solo.row(0), "{bits} row {r}");
+            }
             // cache-disabled route rebuilds the operand fresh every call
             l.set_cache_enabled(false);
             let fresh = l.forward_no_cache(&x).unwrap();
@@ -983,7 +939,7 @@ mod tests {
         l.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
         l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
         let x = Tensor::randn(5, 16, 1.0, &mut rng);
-        let batched = l.forward_rows_no_cache(&x).unwrap();
+        let batched = l.forward_no_cache(&x).unwrap();
         for r in 0..5 {
             let row = Tensor::from_vec(1, 16, x.row(r).to_vec()).unwrap();
             let solo = l.forward_no_cache(&row).unwrap();
@@ -998,21 +954,35 @@ mod tests {
         l.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
         l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
         let x = Tensor::randn(2, 24, 1.0, &mut rng);
+        l.pack_weights().unwrap();
+        assert!(l.is_int_packed() && !l.is_packed());
         let int_y = l.forward_no_cache(&x).unwrap();
-        assert!(l.is_int_packed());
+        // a flip drops the other route's codes rather than keep both
         l.set_integer_decode_enabled(false);
         assert!(l.int_decode_schemes().is_none());
+        assert!(!l.is_int_packed() && !l.is_packed());
         // f32 fallback: fake-quantized activations x cached dense weight
         let f32_y = l.forward_no_cache(&x).unwrap();
         let x_hat = fake_quant(&x, QuantScheme::asymmetric(BitWidth::W8)).unwrap();
         let expect = x_hat.matmul(&l.effective_weight().unwrap()).unwrap();
         assert_eq!(f32_y.as_slice(), expect.as_slice());
+        // re-packed, the f32 route reads row codes — same bits
+        l.pack_weights().unwrap();
+        assert!(l.is_packed() && !l.is_int_packed());
+        assert_eq!(
+            l.forward_no_cache(&x).unwrap().as_slice(),
+            expect.as_slice()
+        );
+        // and back: the integer route re-packs lazily, same bits as before
+        l.set_integer_decode_enabled(true);
+        assert!(!l.is_packed());
+        assert_eq!(l.forward_no_cache(&x).unwrap().as_slice(), int_y.as_slice());
+        assert!(l.is_int_packed() && !l.is_packed());
         // the two grids agree to quantization error, not bitwise
         let rel = edge_llm_tensor::l2_norm(&int_y.sub(&f32_y).unwrap())
             / edge_llm_tensor::l2_norm(&f32_y).max(1e-6);
         assert!(rel < 0.3, "grid divergence too large: rel {rel}");
         // W16 activations are never eligible (i32 lane budget)
-        l.set_integer_decode_enabled(true);
         l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W16)));
         assert!(l.int_decode_schemes().is_none());
     }
@@ -1024,7 +994,7 @@ mod tests {
         l.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
         l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
         l.pack_weights().unwrap();
-        assert!(l.is_packed() && l.is_int_packed());
+        assert!(l.is_int_packed() && !l.is_packed());
         let _ = l.weight_mut();
         assert!(!l.is_int_packed(), "weight_mut must drop packed_t");
         l.pack_weights().unwrap();
@@ -1039,7 +1009,7 @@ mod tests {
         let mut l = Linear::new(8, 6, &mut rng);
         l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W4)));
         let x = Tensor::randn(5, 8, 1.0, &mut rng);
-        let batched = l.forward_rows_no_cache(&x).unwrap();
+        let batched = l.forward_no_cache(&x).unwrap();
         for r in 0..5 {
             let row = Tensor::from_vec(1, 8, x.row(r).to_vec()).unwrap();
             let solo = l.forward_no_cache(&row).unwrap();

@@ -218,6 +218,9 @@ impl EdgeModel {
         Ok(x)
     }
 
+    /// Exit `exit_layer`'s logits for a batch of hidden-state rows. Both
+    /// stages are row-wise, so rows from different sequences get the
+    /// logits separate single-row calls would give them.
     pub(crate) fn exit_logits_no_cache(
         &self,
         h: &Tensor,
@@ -228,24 +231,6 @@ impl EdgeModel {
         match &exit.head {
             Some(own) => own.forward_no_cache(&n),
             None => self.shared_head.forward_no_cache(&n),
-        }
-    }
-
-    /// As [`EdgeModel::exit_logits_no_cache`] but with the unembedding
-    /// applied row-independently ([`Linear::forward_rows_no_cache`]), so a
-    /// batch of hidden states from different sequences produces the same
-    /// per-row logits as separate single-row calls (the exit norm is
-    /// already row-wise). Used by the batched serving path.
-    pub(crate) fn exit_logits_rows(
-        &self,
-        h: &Tensor,
-        exit_layer: usize,
-    ) -> Result<Tensor, ModelError> {
-        let exit = &self.exits[exit_layer];
-        let n = exit.norm.forward_no_cache(h)?;
-        match &exit.head {
-            Some(own) => own.forward_rows_no_cache(&n),
-            None => self.shared_head.forward_rows_no_cache(&n),
         }
     }
 
@@ -359,13 +344,8 @@ impl EdgeModel {
     ///
     /// Returns [`ModelError::BadBatch`] for a wrong token count.
     pub fn logits(&self, tokens: &[usize], batch: usize) -> Result<Tensor, ModelError> {
-        self.check_tokens(tokens, batch)?;
-        let seq = self.config.seq_len;
-        let mut x = self.embed(tokens, batch)?;
-        for block in &self.blocks {
-            x = block.forward_no_cache(&x, batch, seq)?;
-        }
-        self.exit_logits_no_cache(&x, self.n_layers() - 1)
+        let mut last = self.logits_at_exits(tokens, batch, &[self.n_layers() - 1])?;
+        Ok(last.pop().expect("one exit requested"))
     }
 
     /// Logits from every exit in `exit_layers` in one forward sweep
@@ -961,6 +941,29 @@ mod tests {
             "packed {blocks_packed} vs dense {blocks_dense}"
         );
         assert!(model.decode_weight_bytes() < before);
+        // with activations quantized too the layers move to the integer
+        // route and hold its transposed codes instead of the row codes —
+        // no layer ever holds both forms
+        let one_form = |m: &EdgeModel| {
+            m.projections()
+                .all(|l| !(l.is_packed() && l.is_int_packed()))
+        };
+        assert!(one_form(&model));
+        let act = QuantScheme::asymmetric(BitWidth::W8);
+        for l in 0..model.n_layers() {
+            for lin in model.block_mut(l).linears_mut() {
+                lin.set_activation_quant(Some(act));
+            }
+        }
+        model.pack_frozen_weights().unwrap();
+        assert!(model.block(0).linears()[0].is_int_packed());
+        assert!(one_form(&model));
+        // W4 codes plus one f32 scale per output channel
+        let want: usize = (0..model.n_layers())
+            .flat_map(|l| model.block(l).linears())
+            .map(|lin| lin.shape().0 * lin.shape().1 / 2 + lin.shape().1 * 4)
+            .sum();
+        assert_eq!(block_bytes(&model), want);
     }
 
     #[test]

@@ -9,10 +9,6 @@ use std::collections::HashMap;
 pub trait Optimizer {
     /// Applies one update to `param` given `grad`, then zeroes `grad`.
     fn update(&mut self, id: usize, param: &mut [f32], grad: &mut [f32]);
-
-    /// Advances the step counter (call once per optimization step, before
-    /// the per-parameter updates of that step).
-    fn begin_step(&mut self);
 }
 
 fn clip_slice(grad: &mut [f32], max_norm: f32) {
@@ -149,84 +145,6 @@ impl Optimizer for Sgd {
             *g = 0.0;
         }
     }
-
-    fn begin_step(&mut self) {}
-}
-
-#[derive(Debug, Clone)]
-struct AdamSlot {
-    m: Vec<f32>,
-    v: Vec<f32>,
-}
-
-/// Adam optimizer with bias correction and optional per-slice gradient
-/// clipping.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    clip: f32,
-    t: u32,
-    slots: HashMap<usize, AdamSlot>,
-}
-
-impl Adam {
-    /// Adam with the standard betas `(0.9, 0.999)`.
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            clip: 0.0,
-            t: 0,
-            slots: HashMap::new(),
-        }
-    }
-
-    /// Enables per-parameter-tensor gradient-norm clipping.
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        self.clip = max_norm;
-        self
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Replaces the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-impl Optimizer for Adam {
-    fn update(&mut self, id: usize, param: &mut [f32], grad: &mut [f32]) {
-        clip_slice(grad, self.clip);
-        let slot = self.slots.entry(id).or_insert_with(|| AdamSlot {
-            m: vec![0.0; param.len()],
-            v: vec![0.0; param.len()],
-        });
-        let t = self.t.max(1) as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        for i in 0..param.len() {
-            let g = grad[i];
-            slot.m[i] = self.beta1 * slot.m[i] + (1.0 - self.beta1) * g;
-            slot.v[i] = self.beta2 * slot.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = slot.m[i] / bc1;
-            let vhat = slot.v[i] / bc2;
-            param[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            grad[i] = 0.0;
-        }
-    }
-
-    fn begin_step(&mut self) {
-        self.t += 1;
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +155,6 @@ mod tests {
         // minimize f(p) = 0.5 * p^2, grad = p
         let mut p = vec![4.0f32];
         for _ in 0..steps {
-            opt.begin_step();
             let mut g = vec![p[0]];
             opt.update(0, &mut p, &mut g);
             assert_eq!(g[0], 0.0, "grad must be zeroed after update");
@@ -259,32 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_quadratic() {
-        let final_p = quadratic_descend(&mut Adam::new(0.3), 200);
-        assert!(final_p.abs() < 0.05, "got {final_p}");
-    }
-
-    #[test]
-    fn adam_state_is_per_id() {
-        let mut adam = Adam::new(0.1);
-        adam.begin_step();
-        let mut p0 = vec![1.0f32];
-        let mut g0 = vec![1.0f32];
-        adam.update(0, &mut p0, &mut g0);
-        let mut p1 = vec![1.0f32];
-        let mut g1 = vec![1.0f32];
-        adam.update(1, &mut p1, &mut g1);
-        // identical fresh state: identical first update
-        assert_eq!(p0[0], p1[0]);
-        assert_eq!(adam.slots.len(), 2);
-    }
-
-    #[test]
     fn clipping_bounds_update_magnitude() {
         let mut sgd = Sgd::new(1.0).with_clip(1.0);
         let mut p = vec![0.0f32, 0.0];
         let mut g = vec![30.0f32, 40.0]; // norm 50 -> clipped to 1
-        sgd.begin_step();
         sgd.update(0, &mut p, &mut g);
         let moved = (p[0] * p[0] + p[1] * p[1]).sqrt();
         assert!((moved - 1.0).abs() < 1e-4, "moved {moved}");
@@ -294,16 +189,14 @@ mod tests {
 
     #[test]
     fn clipping_leaves_small_gradients_alone() {
-        let mut adam = Adam::new(0.1).with_clip(10.0);
-        let mut adam_ref = Adam::new(0.1);
+        let mut clipped = Sgd::new(0.1).with_clip(10.0);
+        let mut plain = Sgd::new(0.1);
         let mut p1 = vec![1.0f32];
         let mut p2 = vec![1.0f32];
         let mut g1 = vec![0.5f32];
         let mut g2 = vec![0.5f32];
-        adam.begin_step();
-        adam_ref.begin_step();
-        adam.update(0, &mut p1, &mut g1);
-        adam_ref.update(0, &mut p2, &mut g2);
+        clipped.update(0, &mut p1, &mut g1);
+        plain.update(0, &mut p2, &mut g2);
         assert_eq!(p1[0], p2[0]);
     }
 
@@ -312,7 +205,6 @@ mod tests {
         let mut a = Sgd::with_momentum(0.05, 0.9).with_clip(2.0);
         let mut p = vec![1.0f32, -2.0];
         for _ in 0..5 {
-            a.begin_step();
             let mut g = vec![p[0], p[1]];
             a.update(7, &mut p, &mut g);
         }
@@ -322,8 +214,6 @@ mod tests {
         let mut pb = p;
         let mut ga = vec![0.3f32, -0.7];
         let mut gb = ga.clone();
-        a.begin_step();
-        b.begin_step();
         a.update(7, &mut pa, &mut ga);
         b.update(7, &mut pb, &mut gb);
         assert_eq!(pa, pb, "restored optimizer must step bit-identically");
@@ -335,7 +225,6 @@ mod tests {
         for id in [9usize, 2, 5] {
             let mut p = vec![1.0f32];
             let mut g = vec![1.0f32];
-            opt.begin_step();
             opt.update(id, &mut p, &mut g);
         }
         let ids: Vec<usize> = opt

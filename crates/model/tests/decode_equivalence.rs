@@ -15,7 +15,7 @@ use edge_llm_model::{
     SequenceKv, TenantAdapter, VotingCombiner, VotingPolicy,
 };
 use edge_llm_prune::magnitude_prune;
-use edge_llm_quant::{BitWidth, QuantScheme};
+use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
 use edge_llm_tensor::check::run_cases;
 use edge_llm_tensor::{configured_threads, set_configured_threads, Tensor, TensorRng};
 use std::sync::Mutex;
@@ -26,6 +26,16 @@ static KNOB: Mutex<()> = Mutex::new(());
 fn model(seed: u64) -> EdgeModel {
     let mut rng = TensorRng::seed_from(seed);
     EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap()
+}
+
+/// `model` with `act` installed on every block projection's input.
+fn with_activation_quant(mut model: EdgeModel, act: QuantScheme) -> EdgeModel {
+    for l in 0..model.n_layers() {
+        for lin in model.block_mut(l).linears_mut() {
+            lin.set_activation_quant(Some(act));
+        }
+    }
+    model
 }
 
 /// [`generate`]'s windowing (keep the last `min(len, seq_len)` tokens,
@@ -126,24 +136,42 @@ fn session_decode_matches_generate_for_every_mode_and_policy() {
 
 #[test]
 fn per_position_session_probs_match_predict_rows() {
-    let m = model(22);
-    let cfg = m.config().clone();
-    let tokens: Vec<usize> = (0..cfg.seq_len)
-        .map(|i| (i * 5 + 2) % cfg.vocab_size)
-        .collect();
-    for (pname, policy) in all_policies(m.n_layers()) {
-        let batched = policy.predict(&m, &tokens, 1).unwrap();
-        let mut session = InferenceSession::new(&m);
-        for (t, &tok) in tokens.iter().enumerate() {
-            let exits = session.push_token_exits(tok, &policy.exits).unwrap();
-            let row = combine(&exits, &policy.combiner).unwrap();
-            for v in 0..cfg.vocab_size {
-                let a = batched.get(t, v);
-                let b = row.get(0, v);
-                assert!(
-                    (a - b).abs() < 1e-4,
-                    "policy {pname}, position {t}, vocab {v}: batched {a} vs incremental {b}"
-                );
+    // An activation scheme is fitted per token in both forwards, so the
+    // full window sees the grid a one-row decode step sees — per-tensor
+    // included, where a shared range would let later tokens move earlier
+    // positions.
+    let per_tensor = QuantScheme::asymmetric(BitWidth::W4).with_granularity(Granularity::PerTensor);
+    let models = [
+        ("uncompressed", model(22)),
+        (
+            "per-row w8 activations",
+            with_activation_quant(model(22), QuantScheme::asymmetric(BitWidth::W8)),
+        ),
+        (
+            "per-tensor w4 activations",
+            with_activation_quant(model(22), per_tensor),
+        ),
+    ];
+    for (mname, m) in &models {
+        let cfg = m.config().clone();
+        let tokens: Vec<usize> = (0..cfg.seq_len)
+            .map(|i| (i * 5 + 2) % cfg.vocab_size)
+            .collect();
+        for (pname, policy) in all_policies(m.n_layers()) {
+            let batched = policy.predict(m, &tokens, 1).unwrap();
+            let mut session = InferenceSession::new(m);
+            for (t, &tok) in tokens.iter().enumerate() {
+                let exits = session.push_token_exits(tok, &policy.exits).unwrap();
+                let row = combine(&exits, &policy.combiner).unwrap();
+                for v in 0..cfg.vocab_size {
+                    let a = batched.get(t, v);
+                    let b = row.get(0, v);
+                    assert!(
+                        (a - b).abs() < 1e-4,
+                        "{mname}, policy {pname}, position {t}, vocab {v}: \
+                         batched {a} vs incremental {b}"
+                    );
+                }
             }
         }
     }
@@ -357,16 +385,10 @@ fn speculative_decode_matches_greedy_on_packed_and_dense_quantized_models() {
 /// A model whose projections carry both weight and activation
 /// quantization — eligible for the packed integer-GEMM decode route.
 fn integer_model(seed: u64, bits: BitWidth) -> EdgeModel {
-    let mut model = quantized_model(seed, bits);
-    let act = QuantScheme::asymmetric(BitWidth::W8);
-    for l in 0..model.n_layers() {
-        let b = model.block_mut(l);
-        b.attn_mut().qkv_mut().set_activation_quant(Some(act));
-        b.attn_mut().proj_mut().set_activation_quant(Some(act));
-        b.mlp_mut().fc1_mut().set_activation_quant(Some(act));
-        b.mlp_mut().fc2_mut().set_activation_quant(Some(act));
-    }
-    model
+    with_activation_quant(
+        quantized_model(seed, bits),
+        QuantScheme::asymmetric(BitWidth::W8),
+    )
 }
 
 #[test]

@@ -23,13 +23,6 @@ for arg in "$@"; do
     esac
 done
 
-# A gate that "passes" because its output file vanished or turned to
-# garbage is worse than one that fails: every lab artifact must exist,
-# parse, and carry its marker key, or verification stops here. The
-# checker (scripts/check_bench.py) self-tests before first use so a
-# broken checker cannot wave broken artifacts through.
-python3 scripts/check_bench.py selftest
-
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
@@ -53,8 +46,11 @@ EDGELLM_THREADS=2 cargo test -q
 # fails on any differential-oracle miss (repeat identity, A/B variant
 # equality); the check additionally fails if any deterministic metric
 # drifted from the baseline (exact digest + per-row count/p50) or a
-# spec-declared gate regressed. This is the one gate path for the
-# headline ratios:
+# spec-declared gate regressed. A gate that "passes" because its input
+# vanished or turned to garbage is worse than one that fails, so the
+# check first requires run.json, every trial's three records and every
+# analysis row to exist, parse and carry their exact schema tag. This is
+# the one gate path for the headline ratios:
 #   weight_cache  cached/uncached adaptation >=1.5x, packed/uncached
 #                 decode >=1.5x, both bit-equal to the uncached baseline
 #   telemetry     disabled probes <=1% of an adaptation step, recording
@@ -80,13 +76,6 @@ for spec in experiments/*.jsonl; do
     if [ "$name" = smoke ]; then threads=2; fi
     cargo run --release -q --bin edgellm -- \
         lab run --spec "$spec" --run-id "$name" --threads "$threads"
-    python3 scripts/check_bench.py validate --key schema \
-        ".lab/runs/$name/run.json" \
-        ".lab/runs/$name"/trials/*/trial_input.json \
-        ".lab/runs/$name"/trials/*/trial_output.json \
-        ".lab/runs/$name"/trials/*/timing.json
-    python3 scripts/check_bench.py validate --key schema --jsonl \
-        ".lab/runs/$name"/analysis/*.jsonl
     cargo run --release -q --bin edgellm -- \
         lab check --run ".lab/runs/$name" --baseline "experiments/baselines/$name.json"
 done

@@ -115,3 +115,18 @@ fn a1_quick_matches_snapshot() {
 fn a3_quick_matches_snapshot() {
     assert_matches_golden("a3", false);
 }
+
+#[test]
+fn report_binary_refuses_unknown_and_repeated_flags() {
+    // `report --quik` used to warn and then run every table at full scale
+    for args in [&["--quik"][..], &["--quick", "--t1", "--quick"], &["t1"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(args)
+            .output()
+            .expect("spawn report");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[args.len() - 1]), "{args:?}: {stderr}");
+    }
+}
