@@ -23,8 +23,8 @@ use edge_llm::luc::CompressionPolicy;
 use edge_llm::quant::{BitWidth, QuantScheme};
 use edge_llm_fleet::{run_fleet, FleetConfig, ScenarioSpec, SessionFinish};
 use edge_llm_model::{
-    argmax, AdapterTarget, AdaptiveTuner, Decoding, EdgeModel, InferenceSession, ModelConfig, Sgd,
-    TenantAdapter, VotingPolicy, WindowSchedule,
+    argmax, batched_decode_step, AdapterTarget, AdaptiveTuner, BatchedStep, Decoding, EdgeModel,
+    InferenceSession, ModelConfig, SequenceKv, Sgd, TenantAdapter, VotingPolicy, WindowSchedule,
 };
 use edge_llm_serve::{BatchedInferenceEngine, ServeRequest};
 use edge_llm_telemetry as telemetry;
@@ -575,6 +575,7 @@ const IGEMM_KEYS: &[&str] = &[
     "pack",
     "weight_cache",
     "decode_tokens",
+    "rows",
 ];
 
 fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
@@ -586,6 +587,7 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let pack = p_bool(params, "pack", true)?;
     let weight_cache = p_bool(params, "weight_cache", true)?;
     let n_tokens = p_usize(params, "decode_tokens", 32)?;
+    let rows = p_usize(params, "rows", 1)?.max(1);
 
     // No model cache here: the datapath knobs (integer, pack,
     // weight_cache) live on the model itself, and building an
@@ -606,27 +608,61 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         model.pack_frozen_weights().map_err(trial)?;
     }
 
-    let mut session = InferenceSession::new(&model);
-    session.push_token(0).map_err(trial)?;
+    // `rows` sequences are fed the same token stream through one batched
+    // pass per token; one row is exactly an `InferenceSession`. Every row
+    // computes what row 0 does, so the stream below is the solo stream
+    // whatever `rows` is — the batched-equals-solo oracle of the batching
+    // task — and tokens/s counts every row's token.
+    let mut kvs: Vec<SequenceKv> = (0..rows).map(|_| SequenceKv::new(&model)).collect();
+    let exits = [cfg.n_layers - 1];
+    let push = |kvs: &mut [SequenceKv], token: usize| -> Result<usize, LabError> {
+        if kvs[0].remaining() == 0 {
+            kvs.iter_mut().for_each(SequenceKv::reset);
+        }
+        let mut steps: Vec<BatchedStep<'_>> = kvs
+            .iter_mut()
+            .map(|kv| BatchedStep {
+                token,
+                kv,
+                exits: &exits,
+                adapter: None,
+            })
+            .collect();
+        let logits = batched_decode_step(&model, &mut steps).map_err(trial)?;
+        Ok(argmax(logits[0][0].row(0)))
+    };
+    // With several rows a one-row stream runs alongside, pass for pass:
+    // `batching_gain` then compares the two within milliseconds of each
+    // other. Across trials a shared box's slow phases last seconds and
+    // swamp a 1.4x ratio, so `timing_deltas` between a one-row and a
+    // four-row variant records the gain but cannot gate it.
+    let mut alone: Vec<SequenceKv> = (0..usize::from(rows > 1))
+        .map(|_| SequenceKv::new(&model))
+        .collect();
+    push(&mut kvs, 0)?;
+    if !alone.is_empty() {
+        push(&mut alone, 0)?;
+    }
     // The argmax stream fingerprints the route's numerics: packed vs
     // lazy on the same route must agree exactly (decode_equivalence
     // pins this); integer vs dequant differ by quantization grid and
     // are deliberately NOT compared.
     let mut argmaxes = Vec::with_capacity(n_tokens);
-    let t0 = Instant::now();
+    let (mut secs, mut alone_secs) = (1e-9, 0.0);
     for t in 0..n_tokens {
-        if session.remaining() == 0 {
-            session.reset();
+        let token = t % cfg.vocab_size;
+        let t0 = Instant::now();
+        argmaxes.push(push(&mut kvs, token)?);
+        secs += t0.elapsed().as_secs_f64();
+        if !alone.is_empty() {
+            let t0 = Instant::now();
+            push(&mut alone, token)?;
+            alone_secs += t0.elapsed().as_secs_f64();
         }
-        let logits = session
-            .push_token(t % model.config().vocab_size)
-            .map_err(trial)?;
-        argmaxes.push(argmax(logits.row(0)));
     }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
 
     let mut result = TrialResult::new();
-    result.metric("tokens_decoded", Json::Int(n_tokens as i64));
+    result.metric("tokens_decoded", Json::Int((rows * n_tokens) as i64));
     result.metric("argmax_checksum", Json::str(&token_checksum(&argmaxes)));
     // Resident decode-path weight bytes (dense f32 with the cache off,
     // packed codes once packed) — reported by the tasks that sweep the
@@ -637,7 +673,13 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
             Json::Int(model.decode_weight_bytes() as i64),
         );
     }
-    result.time("tokens_per_s", Json::Float(n_tokens as f64 / secs));
+    result.time("tokens_per_s", Json::Float((rows * n_tokens) as f64 / secs));
+    if !alone.is_empty() {
+        result.time(
+            "batching_gain",
+            Json::Float(rows as f64 * alone_secs / secs),
+        );
+    }
     Ok(result)
 }
 

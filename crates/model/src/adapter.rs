@@ -158,7 +158,8 @@ impl TenantAdapter {
 
     /// Validates every delta against `model` (layer in range, factor
     /// shapes matching the target projection, matching ranks, finite
-    /// scale, at most one delta per site) and returns the resolved form.
+    /// scale and factors, at most one delta per site) and returns the
+    /// resolved form.
     ///
     /// # Errors
     ///
@@ -188,10 +189,11 @@ impl TenantAdapter {
                     ),
                 });
             }
-            if !d.scale.is_finite() {
+            let finite = |t: &Tensor| t.as_slice().iter().all(|v| v.is_finite());
+            if !d.scale.is_finite() || !finite(&d.a) || !finite(&d.b) {
                 return Err(ModelError::BadConfig {
                     reason: format!(
-                        "adapter delta at layer {} {}: non-finite scale",
+                        "adapter delta at layer {} {}: non-finite scale or factor",
                         d.layer,
                         d.target.label()
                     ),
@@ -330,10 +332,16 @@ mod tests {
         assert!(matches!(dup.resolve(&m), Err(ModelError::BadConfig { .. })));
         let mut nan = ok.deltas()[0].clone();
         nan.scale = f32::NAN;
-        assert!(matches!(
-            TenantAdapter::new(vec![nan]).resolve(&m),
-            Err(ModelError::BadConfig { .. })
-        ));
+        let mut nan_a = ok.deltas()[0].clone();
+        nan_a.a.set(3, 0, f32::NAN);
+        let mut inf_b = ok.deltas()[0].clone();
+        inf_b.b.set(0, 5, f32::NEG_INFINITY);
+        for bad in [nan, nan_a, inf_b] {
+            assert!(matches!(
+                TenantAdapter::new(vec![bad]).resolve(&m),
+                Err(ModelError::BadConfig { .. })
+            ));
+        }
     }
 
     #[test]

@@ -240,10 +240,14 @@ pub(crate) fn validate_runs(
 /// returns, per run, one `(tokens.len(), vocab)` logits tensor per
 /// requested exit (in the run's `exits` order).
 ///
-/// Every run is validated before any cache is touched — a pass is
-/// all-or-nothing, so a bad request cannot leave its batch-mates half
-/// advanced. (It also means the walk below cannot fail, so the parallel
-/// path cannot leave one chunk advanced and another not.)
+/// A pass is all-or-nothing: every run is validated before any cache is
+/// touched, and no cursor moves until every chunk's walk has returned
+/// `Ok`. The walk *can* fail past validation — the integer route reports
+/// a projection input that went non-finite (a tenant adapter whose finite
+/// factors overflow, say) as `QuantError::NonFinite` — and with several
+/// workers one chunk fails while another finishes; the K/V rows a failed
+/// pass wrote lie at or past every cursor, where the next pass overwrites
+/// them before anything reads them.
 pub(crate) fn decode_runs(
     model: &EdgeModel,
     runs: &mut [Run<'_>],
@@ -254,28 +258,34 @@ pub(crate) fn decode_runs(
     }
     validate_runs(model, runs, depth)?;
     let workers = pool::resolve_threads(0).min(runs.len());
-    if workers <= 1 {
-        return walk(model, runs, depth);
-    }
-    // Run-partitioned parallel pass (module docs, "Multi-threading").
-    // Kernel-level threading is suppressed inside each chunk
-    // (`serial_scope`) so workers do not spawn nested workers.
-    let total = runs.len();
-    let mut rest = runs;
-    let chunks = pool::partition(total, workers)
-        .into_iter()
-        .map(|part| rest.split_off_mut(..part.len()).expect("in bounds"))
-        .collect();
-    let walk_chunk = |chunk| pool::serial_scope(|| walk(model, chunk, depth));
-    let mut out = Vec::with_capacity(total);
-    for r in pool::fan_out(chunks, walk_chunk) {
-        out.extend(r?);
+    let out = if workers <= 1 {
+        walk(model, runs, depth)?
+    } else {
+        // Run-partitioned parallel pass (module docs, "Multi-threading").
+        // Kernel-level threading is suppressed inside each chunk
+        // (`serial_scope`) so workers do not spawn nested workers.
+        let total = runs.len();
+        let mut rest = &mut *runs;
+        let chunks = pool::partition(total, workers)
+            .into_iter()
+            .map(|part| rest.split_off_mut(..part.len()).expect("in bounds"))
+            .collect();
+        let walk_chunk = |chunk| pool::serial_scope(|| walk(model, chunk, depth));
+        let mut out = Vec::with_capacity(total);
+        for r in pool::fan_out(chunks, walk_chunk) {
+            out.extend(r?);
+        }
+        out
+    };
+    for run in runs.iter_mut() {
+        run.kv.t += run.tokens.len();
     }
     Ok(out)
 }
 
 /// The serial layer walk over one contiguous chunk of runs — all of them
-/// when one worker is configured. Runs must already be validated.
+/// when one worker is configured. Runs must already be validated; the
+/// caller advances their cursors.
 fn walk(
     model: &EdgeModel,
     runs: &mut [Run<'_>],
@@ -390,9 +400,6 @@ fn walk(
                 }
             }
         }
-    }
-    for run in runs.iter_mut() {
-        run.kv.t += run.tokens.len();
     }
     Ok(per_exit)
 }
@@ -662,6 +669,89 @@ mod tests {
         kv_full.reset();
         assert!(kv_full.is_empty());
         assert_eq!(kv_full.remaining(), seq_len);
+    }
+
+    #[test]
+    fn a_pass_that_fails_in_the_walk_advances_no_cursor_at_any_thread_count() {
+        use crate::adapter::TenantAdapter;
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // The integer route: it refuses a non-finite projection input
+        // (`QuantError::NonFinite`) where the f32 routes would carry it on.
+        let mut m = model(12);
+        for l in 0..m.n_layers() {
+            for lin in m.block_mut(l).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                lin.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
+            }
+        }
+        // Finite factors (so `resolve` accepts them) whose product
+        // overflows: the poisoned run's q/k/v rows go infinite, its
+        // attention output NaN, and `proj` fails — past validation.
+        let cfg = m.config().clone();
+        let mut delta =
+            TenantAdapter::seeded(&cfg, 3, 1, &[(0, AdapterTarget::Qkv)]).deltas()[0].clone();
+        delta.a = Tensor::full(cfg.d_model, 1, 1e30);
+        delta.b = Tensor::full(1, 3 * cfg.d_model, 1e30);
+        let poison = TenantAdapter::new(vec![delta]).resolve(&m).unwrap();
+        let exits = [m.n_layers() - 1];
+        let step = |kv: &mut SequenceKv, token: usize| {
+            let mut steps = [BatchedStep {
+                token,
+                kv,
+                exits: &exits,
+                adapter: None,
+            }];
+            batched_decode_step(&m, &mut steps)
+                .unwrap()
+                .remove(0)
+                .remove(0)
+        };
+        // what the healthy sequence computes when nothing ever fails
+        let mut reference = SequenceKv::new(&m);
+        let want: Vec<Tensor> = [4, 7, 9, 2]
+            .iter()
+            .map(|&t| step(&mut reference, t))
+            .collect();
+
+        let before = configured_threads();
+        for threads in [1usize, 2] {
+            // two runs and two workers put each run in a chunk of its own
+            set_configured_threads(threads);
+            let (mut healthy, mut poisoned) = (SequenceKv::new(&m), SequenceKv::new(&m));
+            for (&t, w) in [4, 7].iter().zip(&want) {
+                assert_rows_bit_equal(&step(&mut healthy, t), w, "context");
+                step(&mut poisoned, t);
+            }
+            let mut steps = [
+                BatchedStep {
+                    token: 9,
+                    kv: &mut healthy,
+                    exits: &exits,
+                    adapter: None,
+                },
+                BatchedStep {
+                    token: 9,
+                    kv: &mut poisoned,
+                    exits: &exits,
+                    adapter: Some(&poison),
+                },
+            ];
+            assert!(
+                matches!(
+                    batched_decode_step(&m, &mut steps),
+                    Err(ModelError::Compression { .. })
+                ),
+                "threads {threads}: the poisoned pass must fail typed"
+            );
+            assert_eq!(healthy.len(), 2, "threads {threads}: batch-mate advanced");
+            assert_eq!(poisoned.len(), 2, "threads {threads}: failed run advanced");
+            // a clean retry of the healthy run alone: as if nothing failed
+            for (&t, w) in [9, 2].iter().zip(&want[2..]) {
+                assert_rows_bit_equal(&step(&mut healthy, t), w, "retry");
+            }
+        }
+        set_configured_threads(before);
     }
 
     #[test]

@@ -194,11 +194,11 @@ pub fn sample_token(probs: &[f32], decoding: Decoding, rng: &mut TensorRng) -> u
         }
         Decoding::TopK { k, temperature } => {
             let mut order: Vec<usize> = (0..probs.len()).collect();
-            order.sort_by(|&a, &b| {
-                probs[b]
-                    .partial_cmp(&probs[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: with a
+            // NaN in the row the latter is no total order and `sort_by`
+            // panics. On the non-negative finite values softmax produces
+            // the two orders are identical.
+            order.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]));
             // ascending index order makes the CDF walk below traverse the
             // survivors exactly as full sampling would, so k >= vocab
             // degenerates to Sample on the same rng draw

@@ -219,6 +219,27 @@ fn top_1_agrees_with_greedy_at_any_temperature() {
 }
 
 #[test]
+fn a_nan_laced_row_samples_some_index_without_panicking() {
+    // NaN probabilities are reachable (the f32 routes propagate a NaN
+    // weight rather than erroring); a comparator that calls NaN "equal"
+    // is no total order and panicked `sort_by` on rows like these, taking
+    // every batch-mate down with the request.
+    run_cases("nan rows sample", 200, |g| {
+        let n = 64;
+        let mut probs = random_probs(g.rng(), n);
+        for _ in 0..g.usize_in(1, 8) {
+            let at = g.usize_in(0, n);
+            probs[at] = if g.bool() { f32::NAN } else { -f32::NAN };
+        }
+        let temperature = g.f32_in(0.2, 3.0);
+        for k in [1, g.usize_in(2, n - 1), n, n + 3] {
+            let t = sample_token(&probs, Decoding::TopK { k, temperature }, g.rng());
+            assert!(t < n, "TopK k={k} returned {t} out of {n}");
+        }
+    });
+}
+
+#[test]
 fn extreme_temperatures_stay_finite_and_in_range() {
     run_cases("extreme temperatures", 64, |g| {
         let n = g.usize_in(2, 40);

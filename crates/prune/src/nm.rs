@@ -22,13 +22,9 @@ pub fn nm_prune(w: &Tensor, n: usize, m: usize) -> Result<PruneMask, PruneError>
         let row = w.row(r);
         for g in (0..cols).step_by(m) {
             let mut idx: Vec<usize> = (g..g + m).collect();
-            idx.sort_by(|&a, &b| {
-                row[b]
-                    .abs()
-                    .partial_cmp(&row[a].abs())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
+            // `total_cmp`: NaN-"equal" is no total order (a NaN weight
+            // sorts as the largest magnitude instead)
+            idx.sort_by(|&a, &b| row[b].abs().total_cmp(&row[a].abs()).then(a.cmp(&b)));
             for &c in idx.iter().take(n) {
                 keep[r * cols + c] = true;
             }
@@ -68,6 +64,24 @@ mod tests {
         let w = Tensor::from_vec(1, 4, vec![0.1, -9.0, 0.2, 3.0]).unwrap();
         let m = nm_prune(&w, 2, 4).unwrap();
         assert_eq!(m.as_slice(), &[false, true, false, true]);
+    }
+
+    #[test]
+    fn a_nan_weight_ranks_as_the_largest_magnitude() {
+        // under a NaN-"equal" comparator whether the NaN was kept
+        // depended on where in the group it sat
+        for at in 0..4 {
+            let mut v = vec![0.1, -9.0, 0.2, 3.0];
+            v[at] = f32::NAN;
+            let m = nm_prune(&Tensor::from_vec(1, 4, v.clone()).unwrap(), 2, 4).unwrap();
+            let best_finite = (0..4)
+                .filter(|&c| c != at)
+                .max_by(|&a, &b| v[a].abs().total_cmp(&v[b].abs()))
+                .unwrap();
+            for c in 0..4 {
+                assert_eq!(m.is_kept(0, c), c == at || c == best_finite, "NaN at {at}");
+            }
+        }
     }
 
     #[test]

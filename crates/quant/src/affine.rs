@@ -169,6 +169,21 @@ impl QuantizedTensor {
     }
 }
 
+#[cfg(test)]
+impl QuantizedTensor {
+    /// This tensor with its codes replaced — how the kernel tests build a
+    /// single-code mutant (there is no public way to assemble a
+    /// `QuantizedTensor` from parts).
+    pub(crate) fn with_codes(&self, codes: PackedInts) -> Self {
+        assert_eq!(codes.len(), self.codes.len());
+        assert_eq!(codes.bits(), self.codes.bits());
+        QuantizedTensor {
+            codes,
+            ..self.clone()
+        }
+    }
+}
+
 pub(crate) fn fit_group(chunk: &[f32], bits: BitWidth, mode: QuantMode) -> (f32, f32) {
     let max_code = bits.max_code() as f32;
     match mode {

@@ -3,12 +3,12 @@
 //! The row-dequant route (`Linear`: `matmul_fill_b_with` over
 //! [`QuantizedTensor::dequantize_row_into`](crate::QuantizedTensor::dequantize_row_into))
 //! turns packed weights back into f32 before multiplying: the memory win
-//! of 2/4-bit storage is real but the compute runs in floating point. This module computes `x · Wᵀ` directly
-//! on the [`PackedInts`](crate::PackedInts) words: each 32-bit word is
-//! unpacked into 16 (W2) / 8 (W4) / 4 (W8) integer lanes and
-//! multiply-accumulated against the quantized activation codes through the
-//! shared [`edge_llm_tensor::lanes`] micro-kernel, with **one** f32
-//! rescale per output element at the very end. No dequantized f32 weight
+//! of 2/4-bit storage is real but the compute runs in floating point. This
+//! module computes `x · Wᵀ` directly on the [`PackedInts`](crate::PackedInts)
+//! words with **one kernel for every width**: a weight row's words are
+//! unpacked into `i16` codes, multiply-accumulated (`i16 × i16 → i32`)
+//! against the quantized activation codes, and rescaled with **one** f32
+//! multiply per output element at the very end. No dequantized f32 weight
 //! row ever exists.
 //!
 //! # Numerics (canonical for the integer decode route)
@@ -28,47 +28,45 @@
 //! `S1` and `S0` are exact integer sums, so the subtraction and the single
 //! rescale are the only floating-point operations per element. Because
 //! integer addition is associative, *every* evaluation order — scalar,
-//! word-lane SIMD, any serial/parallel panel split — produces bit-identical
-//! results; the §5d ascending-`p` discipline is satisfied as an algebraic
-//! identity rather than a coding rule. The oracle tests still check it
-//! empirically (scalar vs lane kernel, threads 1/2/4/8).
+//! plane-ordered SIMD, any worker split — produces bit-identical results;
+//! the §5d ascending-`p` discipline is satisfied as an algebraic identity
+//! rather than a coding rule. The oracle tests still check it empirically
+//! (scalar vs fast kernel, threads 1/2/4/8).
+//!
+//! # Loop order: unpack once, multiply against every row
+//!
+//! The driver takes each weight row `j` **once per call**: its words are
+//! unpacked into a `k`-long `i16` scratch (`edge_llm_tensor::lanes`), and
+//! that scratch is dotted against all `m` activation rows before the next
+//! weight row is touched — the unpack is paid per weight code, not per
+//! multiply, so a batch of rows costs barely more than one. The unpack
+//! emits full word groups in *plane order* (the shape baseline SIMD can
+//! shift-and-mask; see `lanes`), so each worker keeps one copy of the
+//! activation rows permuted the same way — built once per call when `k` is
+//! a whole number of words, rebuilt only when a ragged `k` makes a weight
+//! row start at a different offset inside its first word. Per-call scratch
+//! is therefore `(m + 1) · k` `i16`s per worker; nothing is resident.
+//!
+//! Workers split the **weight rows** (`pool::parallel_rows_mut` over an
+//! `(n, m)` buffer, transposed into the `(m, n)` result at the end), for
+//! solo and batched shapes alike, so a row is unpacked once per call at
+//! any thread count.
 //!
 //! # Overflow budget
 //!
 //! Both operands are capped at 8-bit codes ([`packed_gemm_supported`]), so
-//! `|cx| <= 255` and `qw <= 255`: every product fits in 17 bits. Lane
-//! accumulators spill into the `i64` total every [`SPILL_WORDS`] words
-//! (well inside the `i32` budget — see `edge_llm_tensor::lanes`), and the
-//! `half * S0` correction is computed in `i64`.
-//!
-//! W2 weights get a narrower kernel: with weight codes ≤ 3 every product
-//! fits 10 bits, so the centred activation codes are re-expressed as
-//! `i16` (always lossless at ≤8 activation bits) and accumulated in
-//! **16 `i16` lanes** — twice the SIMD throughput of the `i32` shape —
-//! spilling every [`SPILL_WORDS_I16`] words. Integer arithmetic is exact
-//! in either width, so the `i16` path is bit-identical to the scalar
-//! oracle too; it is why W2 decode outruns W4 rather than merely tying
-//! it.
+//! `|cx| <= 255` and `qw <= 255` and both fit `i16` losslessly; a product
+//! fits 17 bits. [`dot_i16`] sums `i32`s over blocks of `lanes::SPILL_BLOCK`
+//! elements (`255 · 255 · 2^15 < 2^31`) and the block sums, like the
+//! `half * S0` correction, in `i64` — one budget for W2, W4 and W8.
 
 use crate::affine::{fit_group, QuantizedTensor};
 use crate::bitwidth::BitWidth;
+use crate::packed::PackedInts;
 use crate::scheme::{Granularity, QuantMode, QuantScheme};
 use crate::QuantError;
-use edge_llm_tensor::lanes::{mac_i16_lanes, mac_i32_lanes};
+use edge_llm_tensor::lanes::{dot_i16, plane_order, unpack_planes};
 use edge_llm_tensor::{pool, Tensor};
-
-/// Packed words accumulated in `i32` lanes between spills to the `i64`
-/// total. At ≤17-bit products and ≤16 codes per word a lane absorbs
-/// `4096 * 2^17 = 2^29` before spilling — no `i32` overflow.
-const SPILL_WORDS: usize = 4096;
-
-/// Spill cadence of the W2 `i16` kernel. A W2 weight code is at most 3
-/// and a centred ≤8-bit activation code at most 255 in magnitude, so
-/// every product fits 10 bits and an `i16` lane absorbs
-/// `32 * 765 = 24480 < i16::MAX` before it must spill. Debug builds
-/// panic if this budget were wrong; the max-magnitude oracle test pins
-/// it.
-const SPILL_WORDS_I16: usize = 32;
 
 /// Whether the packed integer GEMM handles this weight/activation scheme
 /// pair.
@@ -77,7 +75,8 @@ const SPILL_WORDS_I16: usize = 32;
 /// scale per output row) and activations asymmetric per-row (one scale /
 /// zero-point per token row — which also makes a batch row identical to
 /// the same row decoded solo). Both sides are capped at 8-bit codes so
-/// every lane product fits the `i32` budget; W16 stays on the f32 routes.
+/// every code fits `i16` and every product the `i32` budget; W16 stays on
+/// the f32 routes.
 pub fn packed_gemm_supported(weight: QuantScheme, activation: QuantScheme) -> bool {
     weight.mode == QuantMode::Symmetric
         && weight.granularity == Granularity::PerRow
@@ -93,8 +92,8 @@ pub fn packed_gemm_supported(weight: QuantScheme, activation: QuantScheme) -> bo
 pub struct QuantizedActivations {
     m: usize,
     k: usize,
-    /// Centred codes `qx - zx_row`, row-major.
-    codes: Vec<i32>,
+    /// Centred codes `qx - zx_row`, row-major; `|code| <= 255`.
+    codes: Vec<i16>,
     /// Per-row activation scale `sx`.
     row_scale: Vec<f32>,
     /// Per-row exact sum `S0 = Σ codes` (the zero-point correction term).
@@ -112,7 +111,7 @@ impl QuantizedActivations {
     /// # Panics
     ///
     /// Panics if `r >= rows`.
-    pub fn row(&self, r: usize) -> &[i32] {
+    pub fn row(&self, r: usize) -> &[i16] {
         &self.codes[r * self.k..(r + 1) * self.k]
     }
 
@@ -152,23 +151,31 @@ pub fn quantize_activations(
         return Err(QuantError::NonFinite);
     }
     let (m, k) = x.shape();
-    let max_code = scheme.bits.max_code() as f32;
+    let max_code = scheme.bits.max_code() as i32;
+    let top = (max_code + 1) as f32;
     let mut codes = Vec::with_capacity(m * k);
     let mut row_scale = Vec::with_capacity(m);
     let mut row_csum = Vec::with_capacity(m);
     for r in 0..m {
         let row = x.row(r);
         let (scale, zero) = fit_group(row, scheme.bits, scheme.mode);
-        let zx = zero as i32; // asymmetric zero-points are integer-valued
-        let mut csum: i64 = 0;
-        for &v in row {
-            let q = (v / scale + zero).round().clamp(0.0, max_code) as i32;
-            let c = q - zx;
-            csum += c as i64;
-            codes.push(c);
-        }
+        // Asymmetric zero-points are integers in `0..=max_code`; the clamp
+        // only bites when a denormal range underflowed `scale` to zero and
+        // left `zero` infinite or NaN, and keeps `|code| <= max_code` then.
+        let zx = zero.clamp(0.0, max_code as f32) as i32;
+        // `t.round().clamp(0, max)` without `f32::round`, a libm call on
+        // baseline x86-64: past the clamp `t` is in `[-1, max + 1]`, so
+        // the cast truncates exactly, `t - whole` is exact, and half-way
+        // cases round away from zero as `round` does. (A NaN `t` — the
+        // underflowed scale again — is code 0 either way.)
+        codes.extend(row.iter().map(|&v| {
+            let t = (v / scale + zero).clamp(-1.0, top);
+            let whole = t as i32;
+            let q = (whole + i32::from(t - whole as f32 >= 0.5)).clamp(0, max_code);
+            (q - zx) as i16
+        }));
         row_scale.push(scale);
-        row_csum.push(csum);
+        row_csum.push(codes[r * k..].iter().map(|&c| c as i64).sum());
     }
     Ok(QuantizedActivations {
         m,
@@ -187,10 +194,10 @@ pub fn quantize_activations(
 /// * `threads` — explicit worker count (`0` = global setting, `1` =
 ///   serial).
 ///
-/// Solo decode (`m == 1`) splits the **output columns** across workers;
-/// batched decode splits activation rows. Either way every output element
-/// is the same exact integer accumulation, so all splits and thread counts
-/// are bit-identical (see the module docs).
+/// Workers split the weight rows; each row is unpacked once and dotted
+/// against every activation row (see the module docs). Every output
+/// element is the same exact integer accumulation, so all splits and
+/// thread counts are bit-identical.
 ///
 /// # Errors
 ///
@@ -203,54 +210,41 @@ pub fn packed_decode_matmul(
     threads: usize,
 ) -> Result<Tensor, QuantError> {
     let (m, k, n, half) = validate(x_q, w_q)?;
-    let mut out = Tensor::zeros(m, n);
-    if out.is_empty() {
-        return Ok(out);
+    let mut out_t = Tensor::zeros(n, m);
+    if out_t.is_empty() {
+        return Ok(Tensor::zeros(m, n));
     }
-    // W2 rows run the 16-lane i16 kernel: re-express the centred codes as
-    // i16 once per call (lossless — |cx| <= 255 at <= 8 activation bits).
-    let is_w2 = w_q.scheme().bits == BitWidth::W2;
-    let codes16: Vec<i16> = if is_w2 {
-        x_q.codes.iter().map(|&c| c as i16).collect()
-    } else {
-        Vec::new()
-    };
-    let row16 = |i: usize| -> Option<&[i16]> { is_w2.then(|| &codes16[i * k..(i + 1) * k]) };
-    if m == 1 {
-        let xr = x_q.row(0);
-        let x16 = row16(0);
-        let (sx, s0) = (x_q.row_scale[0], x_q.row_csum[0]);
-        let workers = pool::matmul_workers(threads, n, k, 1);
-        pool::parallel_rows_mut(out.as_mut_slice(), n, 1, workers, |j0, panel| {
-            for (dj, slot) in panel.iter_mut().enumerate() {
-                let j = j0 + dj;
-                let s1 = row_dot(w_q, j, k, xr, x16);
-                *slot = ((s1 - half * s0) as f32) * (sx * w_q.scale(j));
-            }
-        });
-    } else {
-        let workers = pool::matmul_workers(threads, m, k, n);
-        pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |i0, panel| {
-            for (r, orow) in panel.chunks_mut(n).enumerate() {
-                let i = i0 + r;
-                let xr = x_q.row(i);
-                let x16 = row16(i);
-                let (sx, s0) = (x_q.row_scale[i], x_q.row_csum[i]);
-                for (j, slot) in orow.iter_mut().enumerate() {
-                    let s1 = row_dot(w_q, j, k, xr, x16);
-                    *slot = ((s1 - half * s0) as f32) * (sx * w_q.scale(j));
+    let codes = w_q.codes();
+    let workers = pool::matmul_workers(threads, n, k, m);
+    pool::parallel_rows_mut(out_t.as_mut_slice(), n, m, workers, |j0, panel| {
+        let mut w_row = vec![0i16; k];
+        let mut x_rows = vec![0i16; m * k];
+        let mut x_head = None;
+        for (dj, cells) in panel.chunks_mut(m).enumerate() {
+            let j = j0 + dj;
+            let head = unpack_row(codes, j * k, &mut w_row);
+            if x_head != Some(head) {
+                for i in 0..m {
+                    let xr = &mut x_rows[i * k..(i + 1) * k];
+                    permute_row(x_q.row(i), head, codes.per_word(), xr);
                 }
+                x_head = Some(head);
             }
-        });
-    }
-    Ok(out)
+            let sw = w_q.scale(j);
+            for (i, cell) in cells.iter_mut().enumerate() {
+                let s1 = dot_i16(&w_row, &x_rows[i * k..(i + 1) * k]);
+                *cell = ((s1 - half * x_q.row_csum[i]) as f32) * (x_q.row_scale[i] * sw);
+            }
+        }
+    });
+    Ok(out_t.transpose())
 }
 
 /// Scalar oracle for [`packed_decode_matmul`]: identical validation and
 /// rescale, but `S1` comes from a plain ascending-`p` `i64` loop over
-/// per-element [`crate::PackedInts::get`] — no word-lane kernel, no
-/// parallelism. The oracle tests assert the fast path matches this
-/// bit-for-bit.
+/// per-element [`crate::PackedInts::get`] — no unpacked row, no plane
+/// order, no parallelism. The oracle tests assert the fast path matches
+/// this bit-for-bit.
 pub fn packed_decode_matmul_scalar(
     x_q: &QuantizedActivations,
     w_q: &QuantizedTensor,
@@ -299,91 +293,39 @@ fn validate(
     Ok((m, k, w_q.rows(), (ws.bits.levels() / 2) as i64))
 }
 
-/// `S1 = Σ_p cx[p] * qw[j][p]` for weight row `j`, computed on the packed
-/// words: a scalar head up to the first word boundary (rows need not start
-/// word-aligned when `k % per_word != 0`), the word-lane kernel over the
-/// full words, and a scalar tail. `xr16` is the i16 image of `xr` and is
-/// `Some` exactly when the weights are W2 (the i16 fast path).
-fn row_dot(w_q: &QuantizedTensor, j: usize, k: usize, xr: &[i32], xr16: Option<&[i16]>) -> i64 {
-    let codes = w_q.codes();
+/// The whole-word body of a `k`-code row that starts `head` codes before
+/// a word boundary: what lies between that head and the tail in a last
+/// partial word, as offsets into the row.
+fn word_body(head: usize, k: usize, per_word: usize) -> std::ops::Range<usize> {
+    head..head + (k - head) / per_word * per_word
+}
+
+/// Writes the `out.len()` codes at packed position `start` to `out` — head
+/// and tail code by code in place, the body through the plane-ordered word
+/// unpack — and returns the head length (rows need not start word-aligned
+/// when `k % per_word != 0`), which fixes that order.
+fn unpack_row(codes: &PackedInts, start: usize, out: &mut [i16]) -> usize {
     let per_word = codes.per_word();
-    let start = j * k;
-    let end = start + k;
-    let aligned = start.next_multiple_of(per_word).min(end);
-    let mut s1: i64 = 0;
-    for p in start..aligned {
-        s1 += (xr[p - start] as i64) * (codes.get(p) as i64);
+    let head = (start.next_multiple_of(per_word) - start).min(out.len());
+    let body = word_body(head, out.len(), per_word);
+    for p in (0..head).chain(body.end..out.len()) {
+        out[p] = codes.get(start + p) as i16;
     }
-    let n_words = (end - aligned) / per_word;
-    let mid_end = aligned + n_words * per_word;
-    if n_words > 0 {
-        let words = &codes.words()[aligned / per_word..aligned / per_word + n_words];
-        let xmid = &xr[aligned - start..mid_end - start];
-        s1 += match (codes.bits(), xr16) {
-            (BitWidth::W2, Some(x16)) => {
-                dot_words_w2_i16(words, &x16[aligned - start..mid_end - start])
-            }
-            (BitWidth::W2, None) => dot_words::<16, 2>(words, xmid),
-            (BitWidth::W4, _) => dot_words::<8, 4>(words, xmid),
-            (BitWidth::W8, _) => dot_words::<4, 8>(words, xmid),
-            (BitWidth::W16, _) => unreachable!("validate() caps weights at W8"),
-        };
-    }
-    for p in mid_end..end {
-        s1 += (xr[p - start] as i64) * (codes.get(p) as i64);
-    }
-    s1
+    let first = (start + head) / per_word;
+    unpack_planes(
+        &codes.words()[first..first + body.len() / per_word],
+        codes.bits().bits(),
+        &mut out[body],
+    );
+    head
 }
 
-/// Word-lane inner kernel: unpack each 32-bit word into `PER` integer
-/// lanes of `BITS` bits and multiply-accumulate against the matching
-/// activation chunk. `PER` and `BITS` are compile-time so the unpack and
-/// MAC fully unroll into the dependency-free lane shape the autovectorizer
-/// turns into SIMD. The spill lives on an **outer** chunk loop rather than
-/// as a per-word counter check — a per-word `%` costs ~40% on the W2 shape.
-fn dot_words<const PER: usize, const BITS: u32>(words: &[u32], xr: &[i32]) -> i64 {
-    debug_assert_eq!(words.len() * PER, xr.len());
-    debug_assert_eq!(PER as u32 * BITS, 32);
-    let mask: u32 = (1u64 << BITS).wrapping_sub(1) as u32;
-    let mut total: i64 = 0;
-    for (wchunk, xchunk) in words.chunks(SPILL_WORDS).zip(xr.chunks(SPILL_WORDS * PER)) {
-        let mut lanes = [0i32; PER];
-        for (&word, xc) in wchunk.iter().zip(xchunk.chunks_exact(PER)) {
-            let mut wl = [0i32; PER];
-            for (l, slot) in wl.iter_mut().enumerate() {
-                *slot = ((word >> (l as u32 * BITS)) & mask) as i32;
-            }
-            let xc: &[i32; PER] = xc.try_into().expect("PER-sized chunk");
-            mac_i32_lanes(&mut lanes, &wl, xc);
-        }
-        total += lanes.iter().map(|&v| v as i64).sum::<i64>();
-    }
-    total
-}
-
-/// The W2 fast kernel: 16 `i16` lanes per word — double the SIMD width of
-/// the `i32` shape — under the tight [`SPILL_WORDS_I16`] spill cadence.
-/// Exact integer arithmetic, so bit-identical to `dot_words::<16, 2>` and
-/// to the scalar oracle.
-fn dot_words_w2_i16(words: &[u32], xr: &[i16]) -> i64 {
-    debug_assert_eq!(words.len() * 16, xr.len());
-    let mut total: i64 = 0;
-    for (wchunk, xchunk) in words
-        .chunks(SPILL_WORDS_I16)
-        .zip(xr.chunks(SPILL_WORDS_I16 * 16))
-    {
-        let mut lanes = [0i16; 16];
-        for (&word, xc) in wchunk.iter().zip(xchunk.chunks_exact(16)) {
-            let mut wl = [0i16; 16];
-            for (l, slot) in wl.iter_mut().enumerate() {
-                *slot = ((word >> (l as u32 * 2)) & 3) as i16;
-            }
-            let xc: &[i16; 16] = xc.try_into().expect("16-code chunk");
-            mac_i16_lanes(&mut lanes, &wl, xc);
-        }
-        total += lanes.iter().map(|&v| v as i64).sum::<i64>();
-    }
-    total
+/// Copies natural-order `src` into `dst` in the order [`unpack_row`]
+/// writes a row whose head is `head` codes long.
+fn permute_row(src: &[i16], head: usize, per_word: usize, dst: &mut [i16]) {
+    let body = word_body(head, src.len(), per_word);
+    dst.copy_from_slice(src);
+    plane_order(&src[body.clone()], per_word, &mut dst[body]);
 }
 
 #[cfg(test)]
@@ -438,7 +380,7 @@ mod tests {
                 assert_eq!(
                     fast.as_slice(),
                     oracle.as_slice(),
-                    "lane kernel drift at {wbits} {m}x{k}x{n}"
+                    "fast kernel drift at {wbits} {m}x{k}x{n}"
                 );
             }
         }
@@ -468,36 +410,151 @@ mod tests {
     }
 
     #[test]
-    fn w2_i16_kernel_survives_max_magnitude_codes() {
-        // Worst case of the i16 overflow budget: activation codes pinned
-        // at |cx| = 255 (a row of {-1, 0} under asymmetric W8 puts the
-        // zero-point at 255) against saturated W2 weight codes, over more
-        // than two SPILL_WORDS_I16 windows plus a ragged tail. Debug
-        // builds panic on i16 overflow, so passing bitwise against the
-        // scalar oracle pins the spill cadence, not just the arithmetic.
-        let k = SPILL_WORDS_I16 * 16 * 2 + 21;
-        let x = Tensor::from_vec(
-            1,
-            k,
-            (0..k)
-                .map(|p| if p % 3 == 0 { 0.0 } else { -1.0 })
-                .collect(),
-        )
-        .unwrap();
-        let w = Tensor::from_vec(
-            3,
-            k,
-            (0..3 * k)
-                .map(|p| if p % 2 == 0 { 1.0 } else { -1.0 })
-                .collect(),
-        )
-        .unwrap();
-        let w_q = QuantizedTensor::quantize(&w, QuantScheme::symmetric(BitWidth::W2)).unwrap();
+    fn kernel_survives_max_magnitude_codes_at_every_width() {
+        // Worst case of the one overflow budget: every activation code at
+        // cx = -255 (a row of -1.0 under asymmetric W8 puts the zero-point
+        // at 255) against every weight code at its maximum (255 at W8),
+        // over more than one SPILL_BLOCK plus a ragged tail, with an odd
+        // `k` so rows 1 and 2 start mid-word. Debug builds panic on i32
+        // overflow, so passing bitwise against the scalar oracle pins the
+        // spill cadence, not just the arithmetic.
+        let k = edge_llm_tensor::lanes::SPILL_BLOCK + 21;
+        let x = Tensor::full(2, k, -1.0);
+        let w = Tensor::full(3, k, 1.0);
         let x_q = quantize_activations(&x, act_scheme(BitWidth::W8)).unwrap();
-        assert!(x_q.row(0).contains(&-255), "extreme codes exist");
-        let fast = packed_decode_matmul(&x_q, &w_q, 1).unwrap();
-        let oracle = packed_decode_matmul_scalar(&x_q, &w_q).unwrap();
-        assert_eq!(fast.as_slice(), oracle.as_slice());
+        assert!(x_q.row(1).iter().all(|&c| c == -255), "extreme codes");
+        for wbits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+            let w_q = QuantizedTensor::quantize(&w, QuantScheme::symmetric(wbits)).unwrap();
+            assert_eq!(w_q.codes().get(k), wbits.max_code(), "saturated {wbits}");
+            let fast = packed_decode_matmul(&x_q, &w_q, 1).unwrap();
+            let oracle = packed_decode_matmul_scalar(&x_q, &w_q).unwrap();
+            assert_eq!(fast.as_slice(), oracle.as_slice(), "{wbits}");
+        }
+    }
+
+    #[test]
+    fn activation_codes_match_the_packed_tensor_form_and_sum_exactly() {
+        // The doc comment's promise, on rows chosen to sit on the rounding
+        // rule's edges: the libm-free rounding must agree with
+        // `QuantizedTensor::quantize` (which calls `f32::round`) code for
+        // code, and `S0` must be the exact sum of the centred codes.
+        let mut rng = TensorRng::seed_from(11);
+        let k = 67;
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        // exact half-way values at every width: v / scale + zero = i + 0.5
+        // when the range is 0..=max_code (scale 1, zero 0)
+        for max in [3.0f32, 15.0, 255.0] {
+            let mut ramp: Vec<f32> = (0..k).map(|p| (p as f32 * 0.5).min(max)).collect();
+            ramp[k - 1] = max;
+            rows.push(ramp.iter().map(|v| -v).collect());
+            rows.push(ramp);
+        }
+        // one ulp either side of half-way points
+        rows.push(
+            (0..k)
+                .map(|p| {
+                    let half = (p / 2) as f32 + 0.5;
+                    let bits = half.to_bits();
+                    f32::from_bits(if p % 2 == 0 { bits - 1 } else { bits + 1 })
+                })
+                .collect(),
+        );
+        rows.push(
+            (0..k)
+                .map(|p| if p % 2 == 0 { -0.0 } else { 0.0 })
+                .collect(),
+        );
+        rows.push(vec![-0.0; k]);
+        rows.push(vec![2.5; k]); // a constant row
+        rows.push(vec![-7.25; k]);
+        // denormals: a range that still resolves, and one so narrow the
+        // scale underflows to zero
+        rows.push((0..k).map(|p| p as f32 * 1e-41).collect());
+        rows.push((0..k).map(|p| (p % 2) as f32 * f32::from_bits(1)).collect());
+        rows.push(
+            (0..k)
+                .map(|p| -((p % 3) as f32) * f32::from_bits(1))
+                .collect(),
+        );
+        for _ in 0..8 {
+            rows.push(Tensor::randn(1, k, 2.0, &mut rng).into_vec());
+        }
+        let m = rows.len();
+        let x = Tensor::from_vec(m, k, rows.concat()).unwrap();
+        for bits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+            let x_q = quantize_activations(&x, act_scheme(bits)).unwrap();
+            let packed = QuantizedTensor::quantize(&x, act_scheme(bits)).unwrap();
+            let max = bits.max_code() as f32;
+            for r in 0..m {
+                assert_eq!(x_q.scale(r), packed.scale(r), "{bits} row {r}");
+                let zx = packed.zero_point(r).clamp(0.0, max) as i32;
+                let raw: Vec<u32> = x_q.row(r).iter().map(|&c| (c as i32 + zx) as u32).collect();
+                assert_eq!(raw, packed.row_codes(r), "{bits} row {r}");
+                let sum: i64 = x_q.row(r).iter().map(|&c| c as i64).sum();
+                assert_eq!(x_q.row_csum[r], sum, "{bits} row {r}");
+                let bound = bits.max_code() as i16;
+                assert!(
+                    x_q.row(r).iter().all(|c| c.abs() <= bound),
+                    "{bits} row {r}"
+                );
+            }
+            // bounded codes keep every row inside the kernel's overflow
+            // budget: the underflowed-scale rows used to carry codes near
+            // `i32::MIN` and panic debug builds in the multiply
+            let ones = Tensor::full(2, k, 1.0);
+            let w = QuantizedTensor::quantize(&ones, QuantScheme::symmetric(BitWidth::W8)).unwrap();
+            let y = packed_decode_matmul(&x_q, &w, 1).unwrap();
+            assert!(y.as_slice().iter().all(|v| v.is_finite()), "{bits}");
+        }
+    }
+
+    #[test]
+    fn flipping_one_packed_code_turns_exactly_one_output_column() {
+        // The standing mutant for this route (ROADMAP 7): the bitwise
+        // oracle is only evidence if it can go red. One code of weight row
+        // `j` is replaced — in its unaligned head, in a full plane group
+        // of its body, in the natural-order words after the last group,
+        // and in its ragged tail — and the fast kernel on the mutant must
+        // leave the scalar oracle of the *original* in column `j` of every
+        // row and nowhere else. A kernel that skipped a plane, or read it
+        // from a neighbouring row, fails one side of that.
+        let mut rng = TensorRng::seed_from(12);
+        for wbits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+            let per_word = (32 / wbits.bits()) as usize;
+            let (m, k, n, j) = (3usize, 10 * per_word + 5, 4usize, 1usize);
+            let head = per_word - (j * k) % per_word;
+            let group = edge_llm_tensor::lanes::PLANE_WORDS * per_word;
+            assert!(head < per_word && head + group + per_word < k, "layout");
+            // activations bounded away from the zero-point: every centred
+            // code is non-zero, so every row sees the flip
+            let x = Tensor::from_vec(m, k, (0..m * k).map(|_| rng.uniform(0.25, 1.0)).collect())
+                .unwrap();
+            let x_q = quantize_activations(&x, act_scheme(BitWidth::W8)).unwrap();
+            assert!((0..m).all(|i| x_q.row(i).iter().all(|&c| c != 0)));
+            let w = Tensor::randn(n, k, 0.3, &mut rng);
+            let w_q = QuantizedTensor::quantize(&w, QuantScheme::symmetric(wbits)).unwrap();
+            let oracle = packed_decode_matmul_scalar(&x_q, &w_q).unwrap();
+            for (site, p) in [
+                ("head", head - 1),
+                ("plane group", head + group / 2 + 1),
+                ("words past the last group", head + group + 1),
+                ("tail", k - 1),
+            ] {
+                let mut codes = w_q.codes().unpack();
+                // max_code is odd, so this always changes the code
+                codes[j * k + p] = wbits.max_code() - codes[j * k + p];
+                let mutant = w_q.with_codes(PackedInts::pack(wbits, &codes));
+                for threads in [1, 2] {
+                    let got = packed_decode_matmul(&x_q, &mutant, threads).unwrap();
+                    for i in 0..m {
+                        for col in 0..n {
+                            let same = got.get(i, col).to_bits() == oracle.get(i, col).to_bits();
+                            assert_eq!(same, col != j, "{wbits} {site}: row {i} column {col}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

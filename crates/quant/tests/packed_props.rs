@@ -46,7 +46,7 @@ fn every_width_and_ragged_length_roundtrips() {
 
 #[test]
 fn unused_tail_bits_of_the_final_word_are_zero() {
-    // the word-lane kernel never reads past `len`, but the invariant that
+    // the integer kernel never reads past `len`, but the invariant that
     // pack() leaves tail lanes zero keeps whole-word unpacking honest
     for bits in BitWidth::ALL {
         let per_word = (32 / bits.bits()) as usize;

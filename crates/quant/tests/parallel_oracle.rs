@@ -3,9 +3,10 @@
 //!
 //! [`packed_decode_matmul`] computes every output element as an exact
 //! integer accumulation plus one f32 rescale, so every worker count —
-//! and the word-lane SIMD kernel vs the scalar per-code loop — must
-//! produce the **bit-identical** result of the serial scalar run: exact
-//! `f32` equality over randomized shapes, bit-widths, and ragged sizes.
+//! and the unpack-once, plane-ordered SIMD kernel vs the scalar per-code
+//! loop — must produce the **bit-identical** result of the serial scalar
+//! run: exact `f32` equality over randomized shapes, bit-widths, and
+//! ragged sizes.
 
 use edge_llm_quant::{
     packed_decode_matmul, packed_decode_matmul_scalar, quantize_activations, BitWidth, QuantScheme,
@@ -40,20 +41,36 @@ fn packed_operands(
 
 #[test]
 fn packed_gemm_matches_scalar_oracle_at_every_thread_count() {
-    run_cases("packed gemm scalar/SIMD x serial/parallel", 48, |g| {
+    run_cases("packed gemm scalar/SIMD x serial/parallel", 64, |g| {
         let wbits = *g.choose(&[BitWidth::W2, BitWidth::W4, BitWidth::W8]);
         let abits = *g.choose(&[BitWidth::W2, BitWidth::W4, BitWidth::W8]);
-        // ragged k so weight rows start mid-word; m = 1 covers solo decode
-        let (m, k, n) = (g.usize_in(1, 6), g.usize_in(1, 80), g.usize_in(1, 24));
-        let (x_q, w_q, _, _) = packed_operands(g, m, k, n, wbits, abits);
+        // What the unpack-once loop can get wrong lives in `k`: below one
+        // word (`k < per_word`, head and tail only), ragged (`k % per_word
+        // != 0`, so rows start mid-word and every row has a different
+        // head), and past one or two plane groups (8 words: 128 / 64 / 32
+        // codes) with natural-order words after the last.
+        let per_word = (32 / wbits.bits()) as usize;
+        let k = match g.usize_in(0, 4) {
+            0 => g.usize_in(1, per_word),
+            1 => per_word * g.usize_in(1, 20),
+            _ => g.usize_in(1, 20 * per_word),
+        };
+        // m = 1 is solo decode; the larger shapes cross the serial cutoff
+        // so the weight-row split really runs
+        let (m, n) = (g.usize_in(1, 10), g.usize_in(1, 48));
+        let (x_q, w_q, x, _) = packed_operands(g, m, k, n, wbits, abits);
         let oracle = packed_decode_matmul_scalar(&x_q, &w_q).unwrap();
+        let what = format!("{m}x{k}x{n} w={wbits:?} a={abits:?}");
         for t in PACKED_THREADS {
             let fast = packed_decode_matmul(&x_q, &w_q, t).unwrap();
-            assert_eq!(
-                oracle.as_slice(),
-                fast.as_slice(),
-                "{m}x{k}x{n} w={wbits:?} a={abits:?} threads={t}"
-            );
+            assert_eq!(oracle.as_slice(), fast.as_slice(), "{what} threads={t}");
+        }
+        // row i of a batch is the same row decoded solo, bit for bit
+        for i in 0..m {
+            let solo_x = Tensor::from_vec(1, k, x.row(i).to_vec()).unwrap();
+            let solo_q = quantize_activations(&solo_x, QuantScheme::asymmetric(abits)).unwrap();
+            let solo = packed_decode_matmul(&solo_q, &w_q, 1).unwrap();
+            assert_eq!(solo.as_slice(), oracle.row(i), "{what} row {i} solo");
         }
     });
 }
@@ -61,8 +78,8 @@ fn packed_gemm_matches_scalar_oracle_at_every_thread_count() {
 #[test]
 fn packed_gemm_is_exact_above_the_work_cutoff() {
     // Shapes past the serial-fallback cutoff so the panel partitioning
-    // itself runs: a batched shape (row split) and a solo decode row
-    // (column split) — both diffed against the scalar oracle.
+    // itself runs — weight rows are split for a batched shape and a solo
+    // decode row alike — both diffed against the scalar oracle.
     let mut g = Gen::new(0x9E77);
     for &(m, k, n) in &[(37usize, 53usize, 41usize), (1, 257, 301)] {
         let (x_q, w_q, _, _) = packed_operands(&mut g, m, k, n, BitWidth::W4, BitWidth::W8);

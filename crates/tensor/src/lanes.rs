@@ -1,127 +1,116 @@
-//! Fixed-width integer lane micro-kernel.
+//! The two inner loops of the packed-code integer GEMM
+//! (`edge-llm-quant`): unpack a run of packed words into `i16` codes, and
+//! multiply-accumulate two `i16` code rows into an exact integer. Both are
+//! plain safe loops over fixed-width chunks — the shape LLVM's
+//! autovectorizer turns into SIMD on every target the workspace builds
+//! for, no intrinsics — and they live in this crate because the dev
+//! profile optimises it (`opt-level = 3`, root `Cargo.toml`), so the
+//! decode-heavy test suites do not run them unoptimised.
 //!
-//! The packed-code integer GEMM (`edge-llm-quant`) and the standalone
-//! integer matmul accumulate products of small signed codes. Their inner
-//! loops run on `[i32; LANES]` chunks: a fixed-width array of independent
-//! lane accumulators with no cross-lane dependency inside a chunk, which
-//! is exactly the shape LLVM's autovectorizer turns into SIMD
-//! multiply-accumulates — no intrinsics, no dependencies, portable to
-//! every target the workspace builds for.
+//! **Plane order.** Extracting code `l` of a word is `(word >> l·bits) &
+//! mask`; doing that for the codes of *one* word needs a different shift
+//! per SIMD lane, which baseline x86-64 (SSE2) does not have. Doing it for
+//! code `l` of [`PLANE_WORDS`] *consecutive words* is one uniform shift and
+//! one mask over a vector of words. [`unpack_planes`] therefore emits each
+//! full group of `PLANE_WORDS` words plane by plane — all the words' code
+//! 0, then all their code 1, … — and [`plane_order`] applies the same
+//! permutation to a natural-order row, so the other operand of the dot
+//! product can be brought into the same order once and reused for every
+//! weight row. Words past the last full group stay in natural order in
+//! both.
 //!
-//! Unlike the f32 kernels (where reassociating a reduction changes the
-//! bits, so the blocked kernels must preserve ascending-`p` order per
-//! element), integer addition is exact and associative: splitting a dot
-//! product into lane partials and spilling them into a wide accumulator
-//! in any fixed order produces **the same integer** as the plain
-//! ascending-index loop. The §5d reduction-order discipline is therefore
-//! satisfied for free, and "scalar vs SIMD" equality is an algebraic
-//! identity that the oracle tests still verify empirically.
-//!
-//! Overflow contract: callers must keep `|a[i] * b[i]| <= 2^17` (true for
-//! any product of an 8-bit code with a zero-centred 8-bit code, the widest
-//! operands the packed decode path feeds in). Lane partials are spilled
-//! into the `i64` total every [`SPILL_CHUNK`] elements, so an `i32` lane
-//! accumulates at most `SPILL_CHUNK / LANES * 2^17 <= 2^29` — no overflow.
+//! Integer addition is exact and associative, so neither the permutation
+//! nor the lane split of [`dot_i16`] changes the sum: it is **the same
+//! integer** as the ascending-index loop over natural-order codes, which
+//! the oracle tests in `edge-llm-quant` verify bit for bit.
 
-/// Lanes per chunk. Eight `i32`s fill one 256-bit vector register; on
-/// 128-bit targets the compiler splits the chunk into two dependency-free
-/// halves, which still vectorizes cleanly.
-pub const LANES: usize = 8;
+/// Words per plane group: eight 32-bit words fill two 128-bit vectors,
+/// whose planes narrow to one vector of eight `i16` codes.
+pub const PLANE_WORDS: usize = 8;
 
-/// Elements accumulated in `i32` lanes between spills to the `i64` total.
-pub const SPILL_CHUNK: usize = 4096;
+/// Elements [`dot_i16`] sums in `i32` before spilling to the `i64` total.
+/// Operands are at most 255 in magnitude (8-bit codes, centred or raw),
+/// and `255 * 255 * 2^15 < 2^31`, so the block sum — and every partial sum
+/// of it, in any lane split — fits. Debug builds panic on overflow.
+pub const SPILL_BLOCK: usize = 1 << 15;
 
-/// One lane-wise multiply-accumulate step: `acc[l] += a[l] * b[l]`.
-///
-/// `N` is a compile-time width so the loop fully unrolls into straight-line
-/// lane operations. Shared by the in-crate helpers below and by the
-/// packed-word kernels in `edge-llm-quant`, which unpack a 32-bit code word
-/// into an `[i32; N]` chunk and feed it straight through here.
-#[inline(always)]
-pub fn mac_i32_lanes<const N: usize>(acc: &mut [i32; N], a: &[i32; N], b: &[i32; N]) {
-    for l in 0..N {
-        acc[l] += a[l] * b[l];
-    }
-}
-
-/// One `i16` lane-wise multiply-accumulate step: `acc[l] += a[l] * b[l]`.
-///
-/// Narrow lanes double the SIMD throughput: a 256-bit register holds 16
-/// `i16` lanes against 8 `i32` lanes, so codes whose products fit `i16`
-/// (e.g. 2-bit weight codes times centred 8-bit activation codes,
-/// `|product| <= 3 * 255 = 765`) get one vector op where the `i32` kernel
-/// needs two. The price is a much tighter overflow contract: **the caller
-/// must bound the number of accumulated products per lane** so that
-/// `|acc[l]|` stays within `i16` — there is no in-kernel spill. Callers
-/// spill into a wide total every few dozen steps (see the packed W2
-/// kernel in `edge-llm-quant`). Debug builds panic on a violated budget;
-/// release builds would wrap and corrupt the product, so the spill
-/// cadence is asserted by the max-magnitude oracle tests.
-#[inline(always)]
-pub fn mac_i16_lanes<const N: usize>(acc: &mut [i16; N], a: &[i16; N], b: &[i16; N]) {
-    for l in 0..N {
-        acc[l] += a[l] * b[l];
-    }
-}
-
-/// Exact dot product `Σ a[i] * b[i]` of two equal-length `i32` slices,
-/// accumulated in `i64`.
-///
-/// The body runs [`LANES`]-wide chunks through [`mac_i32_lanes`] and
-/// spills into the `i64` total every [`SPILL_CHUNK`] elements; the ragged
-/// tail is accumulated directly in `i64`. See the module docs for the
-/// overflow contract. The result is bit-identical to the scalar
-/// ascending-index `i64` loop because every partial sum is exact.
+/// Unpacks `words` — codes of `bits` ∈ {2, 4, 8} bits, little-endian,
+/// `32 / bits` per word — into `out` in plane order (see the module
+/// docs): position `l * PLANE_WORDS + i` of a full group holds code `l` of
+/// its word `i`; the words after the last full group are written in
+/// natural order.
 ///
 /// # Panics
 ///
-/// Panics (debug assertion) if the slices differ in length.
-#[inline]
-pub fn dot_i32_i64(a: &[i32], b: &[i32]) -> i64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut total: i64 = 0;
-    let mut a_chunks = a.chunks_exact(SPILL_CHUNK);
-    let mut b_chunks = b.chunks_exact(SPILL_CHUNK);
-    for (ac, bc) in a_chunks.by_ref().zip(b_chunks.by_ref()) {
-        total += dot_i32_block(ac, bc);
+/// Panics if `bits` is not 2, 4 or 8, or `out.len() != words.len() * 32 / bits`.
+pub fn unpack_planes(words: &[u32], bits: u32, out: &mut [i16]) {
+    match bits {
+        2 => unpack::<16, 2>(words, out),
+        4 => unpack::<8, 4>(words, out),
+        8 => unpack::<4, 8>(words, out),
+        _ => panic!("packed codes are 2, 4 or 8 bits wide, not {bits}"),
     }
-    total += dot_i32_block(a_chunks.remainder(), b_chunks.remainder());
-    total
 }
 
-/// Exact sum `Σ a[i]` of an `i32` slice in `i64` (used for the zero-point
-/// correction term of the packed integer GEMM).
-#[inline]
-pub fn sum_i32_i64(a: &[i32]) -> i64 {
-    let mut lanes = [0i64; LANES];
-    let mut chunks = a.chunks_exact(LANES);
-    for c in chunks.by_ref() {
-        for l in 0..LANES {
-            lanes[l] += c[l] as i64;
+/// `PER` and `BITS` are compile-time so the plane loop unrolls into
+/// straight-line uniform shifts.
+fn unpack<const PER: usize, const BITS: u32>(words: &[u32], out: &mut [i16]) {
+    assert_eq!(out.len(), words.len() * PER, "one slot per packed code");
+    let mask = (1u32 << BITS) - 1;
+    let mut groups = words.chunks_exact(PLANE_WORDS);
+    let mut slots = out.chunks_exact_mut(PLANE_WORDS * PER);
+    for (group, slot) in groups.by_ref().zip(slots.by_ref()) {
+        for (l, plane) in slot.chunks_exact_mut(PLANE_WORDS).enumerate() {
+            for (o, &w) in plane.iter_mut().zip(group) {
+                *o = ((w >> (l as u32 * BITS)) & mask) as i16;
+            }
         }
     }
-    let mut total: i64 = lanes.iter().sum();
-    for &v in chunks.remainder() {
-        total += v as i64;
+    let rest = slots.into_remainder().chunks_exact_mut(PER);
+    for (&w, slot) in groups.remainder().iter().zip(rest) {
+        for (l, o) in slot.iter_mut().enumerate() {
+            *o = ((w >> (l as u32 * BITS)) & mask) as i16;
+        }
     }
-    total
 }
 
-/// Dot product of one spill block (`<= SPILL_CHUNK` elements) with `i32`
-/// lane accumulators.
-#[inline]
-fn dot_i32_block(a: &[i32], b: &[i32]) -> i64 {
-    let mut lanes = [0i32; LANES];
-    let mut a_chunks = a.chunks_exact(LANES);
-    let mut b_chunks = b.chunks_exact(LANES);
-    for (ac, bc) in a_chunks.by_ref().zip(b_chunks.by_ref()) {
-        let ac: &[i32; LANES] = ac.try_into().expect("LANES-sized chunk");
-        let bc: &[i32; LANES] = bc.try_into().expect("LANES-sized chunk");
-        mac_i32_lanes(&mut lanes, ac, bc);
+/// Copies `src` — natural-order codes of whole words, `per_word` each —
+/// into `dst` in the order [`unpack_planes`] emits.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn plane_order(src: &[i16], per_word: usize, dst: &mut [i16]) {
+    assert_eq!(src.len(), dst.len(), "plane order is a permutation");
+    let mut groups = src.chunks_exact(PLANE_WORDS * per_word);
+    let mut slots = dst.chunks_exact_mut(PLANE_WORDS * per_word);
+    for (group, slot) in groups.by_ref().zip(slots.by_ref()) {
+        for (l, plane) in slot.chunks_exact_mut(PLANE_WORDS).enumerate() {
+            for (i, o) in plane.iter_mut().enumerate() {
+                *o = group[i * per_word + l];
+            }
+        }
     }
-    let mut total: i64 = lanes.iter().map(|&v| v as i64).sum();
-    for (&av, &bv) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
-        total += (av as i64) * (bv as i64);
+    slots.into_remainder().copy_from_slice(groups.remainder());
+}
+
+/// Exact dot product `Σ a[i] * b[i]` of two equal-length `i16` code rows:
+/// widening multiply-add (`i16 × i16 → i32`) summed in `i32` over
+/// [`SPILL_BLOCK`]-element blocks, the block sums in `i64`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length; debug builds also panic if the
+/// operands break the [`SPILL_BLOCK`] magnitude contract.
+pub fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
+    assert_eq!(a.len(), b.len(), "dot product of unequal rows");
+    let mut total: i64 = 0;
+    for (ac, bc) in a.chunks(SPILL_BLOCK).zip(b.chunks(SPILL_BLOCK)) {
+        let mut s: i32 = 0;
+        for (&x, &y) in ac.iter().zip(bc) {
+            s += x as i32 * y as i32;
+        }
+        total += s as i64;
     }
     total
 }
@@ -130,60 +119,104 @@ fn dot_i32_block(a: &[i32], b: &[i32]) -> i64 {
 mod tests {
     use super::*;
 
-    fn scalar_dot(a: &[i32], b: &[i32]) -> i64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| (x as i64) * (y as i64))
-            .sum()
+    /// Deterministic pseudo-random words.
+    fn words(n: usize, seed: u32) -> Vec<u32> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                s
+            })
+            .collect()
+    }
+
+    /// Per-code reference: code `p` is bits `(p % per) * bits ..` of word
+    /// `p / per`.
+    fn natural(words: &[u32], bits: u32) -> Vec<i16> {
+        let per = (32 / bits) as usize;
+        (0..words.len() * per)
+            .map(|p| ((words[p / per] >> ((p % per) as u32 * bits)) & ((1 << bits) - 1)) as i16)
+            .collect()
+    }
+
+    fn scalar_dot(a: &[i16], b: &[i16]) -> i64 {
+        a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum()
+    }
+
+    #[test]
+    fn unpack_is_the_plane_permutation_of_the_per_code_loop() {
+        // word counts around the group size: no full group, exact groups,
+        // groups plus a natural-order remainder
+        for bits in [2u32, 4, 8] {
+            let per = (32 / bits) as usize;
+            for n in [0usize, 1, 7, 8, 9, 16, 23, 64, 67] {
+                let w = words(n, 0xC0DE + n as u32);
+                let reference = natural(&w, bits);
+                let mut fast = vec![-1i16; n * per];
+                unpack_planes(&w, bits, &mut fast);
+                let mut permuted = vec![-1i16; n * per];
+                plane_order(&reference, per, &mut permuted);
+                assert_eq!(fast, permuted, "W{bits}, {n} words");
+                // a permutation: nothing lost, nothing invented
+                let (mut a, mut b) = (fast.clone(), reference.clone());
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "W{bits}, {n} words");
+            }
+        }
+    }
+
+    #[test]
+    fn plane_order_is_natural_below_one_group_and_transposes_a_full_one() {
+        let src: Vec<i16> = (0..7 * 4).collect();
+        let mut dst = vec![0i16; src.len()];
+        plane_order(&src, 4, &mut dst);
+        assert_eq!(dst, src, "seven words stay in natural order");
+        let src: Vec<i16> = (0..8 * 4).collect();
+        let mut dst = vec![0i16; src.len()];
+        plane_order(&src, 4, &mut dst);
+        // plane 0 = code 0 of words 0..8, i.e. natural positions 0, 4, 8, ...
+        assert_eq!(&dst[..8], &[0, 4, 8, 12, 16, 20, 24, 28]);
+        assert_eq!(&dst[8..16], &[1, 5, 9, 13, 17, 21, 25, 29]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2, 4 or 8 bits")]
+    fn unpack_rejects_other_widths() {
+        unpack_planes(&[0], 16, &mut [0; 2]);
+    }
+
+    #[test]
+    fn dot_is_plain_multiply_add() {
+        assert_eq!(dot_i16(&[2, -3, 4, 0], &[5, 5, -5, 9]), 10 - 15 - 20);
+        // products past i16 are widened, not wrapped
+        assert_eq!(dot_i16(&[-255, 255], &[255, 255]), 0);
+        assert_eq!(dot_i16(&[-255, -255], &[255, 255]), -2 * 65025);
     }
 
     #[test]
     fn dot_matches_scalar_over_ragged_lengths() {
-        // deterministic pseudo-random codes in the packed-GEMM range
-        let gen = |seed: i64, i: usize| ((seed * 31 + i as i64 * 17) % 511 - 255) as i32;
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, SPILL_CHUNK + 3] {
-            let a: Vec<i32> = (0..len).map(|i| gen(3, i)).collect();
-            let b: Vec<i32> = (0..len).map(|i| gen(11, i)).collect();
-            assert_eq!(dot_i32_i64(&a, &b), scalar_dot(&a, &b), "len {len}");
+        // codes in the packed-GEMM range: centred activations, raw weights
+        let gen = |seed: i64, i: usize| ((seed * 31 + i as i64 * 17) % 511 - 255) as i16;
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, SPILL_BLOCK + 3] {
+            let a: Vec<i16> = (0..len).map(|i| gen(3, i)).collect();
+            let b: Vec<i16> = (0..len).map(|i| gen(11, i).abs()).collect();
+            assert_eq!(dot_i16(&a, &b), scalar_dot(&a, &b), "len {len}");
         }
     }
 
     #[test]
     fn dot_survives_max_magnitude_codes_without_overflow() {
-        // worst case under the overflow contract: every product is +-2^17
-        // over more than one spill block
-        let n = SPILL_CHUNK * 2 + 5;
-        let a = vec![512i32; n];
-        let b: Vec<i32> = (0..n)
-            .map(|i| if i % 2 == 0 { 256 } else { -256 })
-            .collect();
-        assert_eq!(dot_i32_i64(&a, &b), scalar_dot(&a, &b));
-    }
-
-    #[test]
-    fn sum_matches_scalar() {
-        for len in [0usize, 1, 5, 8, 31, 1024] {
-            let a: Vec<i32> = (0..len).map(|i| (i as i32 % 509) - 254).collect();
-            let want: i64 = a.iter().map(|&v| v as i64).sum();
-            assert_eq!(sum_i32_i64(&a), want, "len {len}");
+        // worst case under the SPILL_BLOCK contract: every product is
+        // 255 * 255 with one sign, over two full blocks and a ragged third
+        // (debug builds panic on i32 overflow, so passing pins the budget)
+        let n = SPILL_BLOCK * 2 + 5;
+        let b = vec![255i16; n];
+        for sign in [-1i16, 1] {
+            let a = vec![255 * sign; n];
+            assert_eq!(dot_i16(&a, &b), scalar_dot(&a, &b));
         }
-    }
-
-    #[test]
-    fn mac_lanes_is_plain_lane_fma() {
-        let mut acc = [1i32; 4];
-        mac_i32_lanes(&mut acc, &[2, -3, 4, 0], &[5, 5, -5, 9]);
-        assert_eq!(acc, [11, -14, -19, 1]);
-    }
-
-    #[test]
-    fn mac_i16_lanes_matches_i32_reference() {
-        let mut acc16 = [3i16, -7, 0, 100];
-        let mut acc32 = [3i32, -7, 0, 100];
-        let a = [-255i16, 255, 3, -3];
-        let b = [3i16, 3, -255, 255];
-        mac_i16_lanes(&mut acc16, &a, &b);
-        mac_i32_lanes(&mut acc32, &a.map(i32::from), &b.map(i32::from));
-        assert_eq!(acc16.map(i32::from), acc32);
     }
 }

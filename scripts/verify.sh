@@ -58,7 +58,8 @@ EDGELLM_THREADS=2 cargo test -q
 #   spec_decode   spec/greedy >=1.0x tokens/s, acceptance 1.0 +/- 0.1,
 #                 streams bit-equal
 #   tenants       8-tenant resident bytes <=1.2x single-tenant
-#   igemm         integer/dequant >=1.2x at W4 and >=1.0x at W2
+#   igemm         integer/dequant >=1.2x at W4 and >=1.0x at W2; four
+#                 batched rows >=1.3x one row's tokens/s, same stream
 #   fleet         equal work across 1/2/4 workers (oracle only; the
 #                 tokens/s scaling is recorded in the timing tables,
 #                 its multi-core bar is ROADMAP item 6's to add)
