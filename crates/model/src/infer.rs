@@ -173,55 +173,107 @@ mod tests {
     use crate::adapter::{AdapterTarget, TenantAdapter};
     use crate::batched::{decode_runs, Run};
     use crate::config::ModelConfig;
-    use edge_llm_tensor::TensorRng;
+    use edge_llm_prune::magnitude_prune;
+    use edge_llm_quant::{BitWidth, QuantScheme};
+    use edge_llm_tensor::{configured_threads, set_configured_threads, TensorRng};
 
     fn model(seed: u64) -> EdgeModel {
         let mut rng = TensorRng::seed_from(seed);
         EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap()
     }
 
-    #[test]
-    fn incremental_matches_full_forward_exactly() {
-        let m = model(1);
-        let cfg = m.config().clone();
-        let mut rng = TensorRng::seed_from(2);
-        let tokens: Vec<usize> = (0..cfg.seq_len)
-            .map(|_| rng.index(cfg.vocab_size))
-            .collect();
-        let full = m.logits(&tokens, 1).unwrap();
-        let mut session = InferenceSession::new(&m);
-        for (t, &tok) in tokens.iter().enumerate() {
-            let row = session.push_token(tok).unwrap();
-            for v in 0..cfg.vocab_size {
-                let a = full.get(t, v);
-                let b = row.get(0, v);
-                assert!(
-                    (a - b).abs() < 1e-4,
-                    "position {t} vocab {v}: batched {a} vs incremental {b}"
-                );
+    /// `model(seed)` with `weight` / `act` schemes and a magnitude mask
+    /// pruning `prune` of each weight on every block projection.
+    fn compressed(
+        seed: u64,
+        weight: Option<QuantScheme>,
+        prune: f32,
+        act: Option<QuantScheme>,
+    ) -> EdgeModel {
+        let mut m = model(seed);
+        for l in 0..m.n_layers() {
+            for lin in m.block_mut(l).linears_mut() {
+                lin.set_quant(weight);
+                lin.set_activation_quant(act);
+                let mask = magnitude_prune(lin.weight(), prune).unwrap();
+                lin.set_mask(Some(mask)).unwrap();
             }
         }
+        m
+    }
+
+    /// Calls `check(case, model, tokens)` with two sequences of tokens for
+    /// every model shape the full-window ≡ decode oracles cover, at one
+    /// and two kernel threads.
+    fn for_each_oracle_case(seed: u64, check: impl Fn(&str, &EdgeModel, &[usize])) {
+        let w4 = Some(QuantScheme::symmetric(BitWidth::W4));
+        let a8 = Some(QuantScheme::asymmetric(BitWidth::W8));
+        let packed = compressed(seed, w4, 0.4, None);
+        packed.pack_frozen_weights().unwrap();
+        let models = [
+            ("dense", model(seed)),
+            ("w4 + 40% mask", compressed(seed, w4, 0.4, None)),
+            ("w4 + 40% mask, packed", packed),
+            ("a8 only", compressed(seed, None, 0.0, a8)),
+        ];
+        let before = configured_threads();
+        for (name, m) in &models {
+            let cfg = m.config();
+            let mut rng = TensorRng::seed_from(seed + 1);
+            let tokens: Vec<usize> = (0..2 * cfg.seq_len)
+                .map(|_| rng.index(cfg.vocab_size))
+                .collect();
+            for threads in [1usize, 2] {
+                set_configured_threads(threads);
+                check(&format!("{name}, {threads} threads"), m, &tokens);
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn incremental_matches_full_forward_exactly() {
+        for_each_oracle_case(1, |case, m, tokens| {
+            let seq = m.config().seq_len;
+            let full = m.logits(tokens, 2).unwrap();
+            for (b, sequence) in tokens.chunks(seq).enumerate() {
+                let mut session = InferenceSession::new(m);
+                for (t, &tok) in sequence.iter().enumerate() {
+                    let row = session.push_token(tok).unwrap();
+                    assert_eq!(
+                        bits(full.row(b * seq + t)),
+                        bits(row.row(0)),
+                        "{case}: sequence {b} position {t}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]
     fn per_exit_logits_match_batched_exits() {
-        let m = model(3);
-        let cfg = m.config().clone();
-        let tokens: Vec<usize> = (0..cfg.seq_len).map(|i| (i * 3) % cfg.vocab_size).collect();
-        let exits = [0usize, 1];
-        let batched = m.logits_at_exits(&tokens, 1, &exits).unwrap();
-        let mut session = InferenceSession::new(&m);
-        for (t, &tok) in tokens.iter().enumerate() {
-            let rows = session.push_token_exits(tok, &exits).unwrap();
-            for (e, row) in rows.iter().enumerate() {
-                for v in 0..cfg.vocab_size {
-                    assert!(
-                        (batched[e].get(t, v) - row.get(0, v)).abs() < 1e-4,
-                        "exit {e} position {t}"
-                    );
+        for_each_oracle_case(3, |case, m, tokens| {
+            let seq = m.config().seq_len;
+            let exits = [0usize, m.n_layers() - 1];
+            let full = m.logits_at_exits(tokens, 2, &exits).unwrap();
+            for (b, sequence) in tokens.chunks(seq).enumerate() {
+                let mut session = InferenceSession::new(m);
+                for (t, &tok) in sequence.iter().enumerate() {
+                    let rows = session.push_token_exits(tok, &exits).unwrap();
+                    for (e, row) in rows.iter().enumerate() {
+                        assert_eq!(
+                            bits(full[e].row(b * seq + t)),
+                            bits(row.row(0)),
+                            "{case}: exit {e} sequence {b} position {t}"
+                        );
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -326,7 +378,6 @@ mod tests {
             })
             .collect();
         let got = decode_runs(&m, &mut runs, m.n_layers()).unwrap();
-        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for (r, (tokens, _)) in feeds.iter().enumerate() {
             for (i, &tok) in tokens.iter().enumerate() {
                 let want = solos[r].push_token_exits(tok, &exits).unwrap();

@@ -692,6 +692,10 @@ mod tests {
             .collect()
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn logits_shape() {
         let model = tiny_model(1);
@@ -708,7 +712,8 @@ mod tests {
         let exit = model
             .forward_exit(&tokens, 1, model.n_layers() - 1, 0)
             .unwrap();
-        assert!(full.approx_eq(&exit.logits, 1e-5));
+        // training forward ≡ frozen forward, bit for bit
+        assert_eq!(bits(&full), bits(&exit.logits));
     }
 
     #[test]
@@ -729,8 +734,8 @@ mod tests {
         assert!(full.caches.activation_bytes() > trunc.caches.activation_bytes());
         assert!(trunc.caches.block_caches[0].is_none());
         assert!(trunc.caches.block_caches[1].is_some());
-        // logits identical either way
-        assert!(full.logits.approx_eq(&trunc.logits, 1e-5));
+        // logits identical either way, bit for bit
+        assert_eq!(bits(&full.logits), bits(&trunc.logits));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use edge_llm_model::{
     batched_decode_step, combine, generate, sample_token, spec_round_with_adapter, AdapterTarget,
-    BatchedStep, Decoding, EdgeModel, InferenceSession, ModelConfig, ModelError, ResolvedAdapter,
-    SequenceKv, TenantAdapter, VotingCombiner, VotingPolicy,
+    AdaptiveTuner, BatchedStep, Decoding, EdgeModel, InferenceSession, ModelConfig, ModelError,
+    ResolvedAdapter, SequenceKv, Sgd, TenantAdapter, VotingCombiner, VotingPolicy, WindowSchedule,
 };
 use edge_llm_prune::magnitude_prune;
 use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
@@ -639,6 +639,71 @@ fn decode_output_bits_are_pinned_for_dense_packed_and_integer_models() {
                 *spec_want,
                 "{name}: speculative rounds, {threads} threads"
             );
+        }
+    }
+    set_configured_threads(saved);
+}
+
+/// The tuner's frozen prefix, held by name: every logit bit of
+/// `forward_exit` to the last exit with 0, 1 and 2 blocks below the
+/// window, then every parameter bit after six depth-1 round-robin steps
+/// (windows at layers 0, 1, 2, twice — prefixes of 0, 1 and 2 blocks).
+fn prefix_digest(model: &mut EdgeModel) -> u64 {
+    let cfg = model.config().clone();
+    let last = model.n_layers() - 1;
+    let tokens: Vec<usize> = (0..2 * cfg.seq_len)
+        .map(|i| (i * 7 + 3) % cfg.vocab_size)
+        .collect();
+    let mut h = Fnv::new();
+    for grad_from in 0..=last {
+        let fwd = model.forward_exit(&tokens, 2, last, grad_from).unwrap();
+        h.floats(fwd.logits.as_slice());
+    }
+    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
+    let mut opt = Sgd::new(0.05);
+    for _ in 0..6 {
+        let report = tuner.step(model, &mut opt, &tokens, &tokens, 2).unwrap();
+        h.word(report.loss.to_bits());
+    }
+    model.visit_params_all_ro(&mut |id, p| {
+        h.word(id as u32);
+        h.floats(p);
+    });
+    h.0
+}
+
+#[test]
+fn frozen_prefix_bits_are_pinned_for_dense_and_compressed_models() {
+    // Recorded at the commit before the prefix moved onto the decode
+    // walk: every bit is held to what the full-window frozen block
+    // computed, by name and not only through the report goldens.
+    let _guard = KNOB.lock().unwrap();
+    let saved = configured_threads();
+    let three_layers = |seed: u64| {
+        let mut rng = TensorRng::seed_from(seed);
+        EdgeModel::new(ModelConfig::tiny().with_layers(3), &mut rng).unwrap()
+    };
+    let compressed = |seed: u64| {
+        let mut m = three_layers(seed);
+        for l in 0..m.n_layers() {
+            for lin in m.block_mut(l).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                let mask = magnitude_prune(lin.weight(), 0.4).unwrap();
+                lin.set_mask(Some(mask)).unwrap();
+            }
+        }
+        m
+    };
+    type Build<'a> = &'a dyn Fn(u64) -> EdgeModel;
+    let cases: [(&str, Build, u64, u64); 2] = [
+        ("dense", &three_layers, 60, 0x6a9c_6d40_04f5_91c1),
+        ("w4 + 40% mask", &compressed, 61, 0xadf8_51dd_0d2d_b36a),
+    ];
+    for (name, build, seed, want) in cases {
+        for threads in [1usize, 2] {
+            set_configured_threads(threads);
+            let got = prefix_digest(&mut build(seed));
+            assert_eq!(got, want, "{name}, {threads} threads: {got:#018x}");
         }
     }
     set_configured_threads(saved);
