@@ -125,14 +125,6 @@ impl CompressionPolicy {
         self.layers.iter().map(LayerPolicy::cost).sum::<f32>() / self.layers.len() as f32
     }
 
-    /// Mean per-layer weight-memory footprint.
-    pub fn mean_memory(&self) -> f32 {
-        if self.layers.is_empty() {
-            return 0.0;
-        }
-        self.layers.iter().map(LayerPolicy::memory).sum::<f32>() / self.layers.len() as f32
-    }
-
     /// Average assigned bit-width.
     pub fn mean_bits(&self) -> f32 {
         if self.layers.is_empty() {

@@ -25,12 +25,14 @@ fn head_workers(items: usize, seq: usize, hs: usize) -> usize {
     pool::resolve_threads(0).min(items.max(1))
 }
 
-/// Causal multi-head self-attention.
+/// Causal multi-head self-attention — the *training* attention.
 ///
 /// Input and output are `(batch * seq) x d_model` row-major token matrices.
 /// The QKV projection is a single fused [`Linear`] (`d_model -> 3 d_model`)
 /// followed by per-head scaled dot-product attention with a causal mask and
-/// an output projection.
+/// an output projection. [`Attention::forward`] keeps what backward needs;
+/// a block that is not training attends in the decode walk
+/// (`crate::batched`) instead, whose scalar loops give the same bits.
 #[derive(Debug, Clone)]
 pub struct Attention {
     pub(crate) qkv: Linear,
@@ -101,11 +103,6 @@ impl Attention {
         (&self.qkv, &self.proj)
     }
 
-    /// Number of attention heads.
-    pub fn n_heads(&self) -> usize {
-        self.n_heads
-    }
-
     /// Forward pass over `batch` sequences of length `seq`.
     ///
     /// # Errors
@@ -118,31 +115,6 @@ impl Attention {
         batch: usize,
         seq: usize,
     ) -> Result<(Tensor, AttentionCache), ModelError> {
-        self.forward_impl(x, batch, seq, true)
-            .map(|(y, c)| (y, c.expect("cache requested")))
-    }
-
-    /// Forward pass that does not retain activations.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Attention::forward`].
-    pub fn forward_no_cache(
-        &self,
-        x: &Tensor,
-        batch: usize,
-        seq: usize,
-    ) -> Result<Tensor, ModelError> {
-        Ok(self.forward_impl(x, batch, seq, false)?.0)
-    }
-
-    fn forward_impl(
-        &self,
-        x: &Tensor,
-        batch: usize,
-        seq: usize,
-        want_cache: bool,
-    ) -> Result<(Tensor, Option<AttentionCache>), ModelError> {
         if x.rows() != batch * seq || x.cols() != self.d_model {
             return Err(ModelError::BadBatch {
                 expected: batch * seq,
@@ -177,15 +149,13 @@ impl Attention {
             let (b, h) = (idx / self.n_heads, idx % self.n_heads);
             let (q, k, v, att, y) = head?;
             write_head(&mut concat, &y, b, seq, h, hs);
-            if want_cache {
-                att_all.push(att);
-                v_all.push(v);
-                q_all.push(q);
-                k_all.push(k);
-            }
+            att_all.push(att);
+            v_all.push(v);
+            q_all.push(q);
+            k_all.push(k);
         }
         let (out, proj_cache) = self.proj.forward(&concat)?;
-        let cache = want_cache.then_some(AttentionCache {
+        let cache = AttentionCache {
             qkv_cache,
             proj_cache,
             att: att_all,
@@ -194,7 +164,7 @@ impl Attention {
             k: k_all,
             batch,
             seq,
-        });
+        };
         Ok((out, cache))
     }
 
@@ -368,8 +338,8 @@ mod tests {
             QuantScheme::asymmetric(BitWidth::W4).with_granularity(Granularity::PerTensor);
         for act in [None, Some(per_tensor)] {
             attn.qkv_mut().set_activation_quant(act);
-            let y1 = attn.forward_no_cache(&x1, 1, seq).unwrap();
-            let y2 = attn.forward_no_cache(&x2, 1, seq).unwrap();
+            let y1 = attn.forward(&x1, 1, seq).unwrap().0;
+            let y2 = attn.forward(&x2, 1, seq).unwrap().0;
             for t in 0..seq - 1 {
                 for c in 0..8 {
                     assert!(
@@ -399,8 +369,8 @@ mod tests {
             xb.row_mut(t).copy_from_slice(a.row(t));
             xb.row_mut(seq + t).copy_from_slice(b.row(t));
         }
-        let yb = attn.forward_no_cache(&xb, 2, seq).unwrap();
-        let ya = attn.forward_no_cache(&a, 1, seq).unwrap();
+        let yb = attn.forward(&xb, 2, seq).unwrap().0;
+        let ya = attn.forward(&a, 1, seq).unwrap().0;
         for t in 0..seq {
             for c in 0..8 {
                 assert!((yb.get(t, c) - ya.get(t, c)).abs() < 1e-5);
@@ -424,8 +394,9 @@ mod tests {
             let orig = xp.as_slice()[i];
             xp.as_mut_slice()[i] = orig + eps;
             let lp: f32 = attn
-                .forward_no_cache(&xp, 1, seq)
+                .forward(&xp, 1, seq)
                 .unwrap()
+                .0
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -433,8 +404,9 @@ mod tests {
                 .sum();
             xp.as_mut_slice()[i] = orig - eps;
             let lm: f32 = attn
-                .forward_no_cache(&xp, 1, seq)
+                .forward(&xp, 1, seq)
                 .unwrap()
+                .0
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -459,15 +431,5 @@ mod tests {
             attn.forward(&x, 2, 4),
             Err(ModelError::BadBatch { .. })
         ));
-    }
-
-    #[test]
-    fn no_cache_forward_matches_cached() {
-        let mut rng = TensorRng::seed_from(6);
-        let attn = Attention::new(8, 4, &mut rng);
-        let x = Tensor::randn(6, 8, 1.0, &mut rng);
-        let (y1, _) = attn.forward(&x, 1, 6).unwrap();
-        let y2 = attn.forward_no_cache(&x, 1, 6).unwrap();
-        assert!(y1.approx_eq(&y2, 0.0));
     }
 }

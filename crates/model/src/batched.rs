@@ -1,34 +1,38 @@
-//! KV-cached decoding: one layer walk over (sequence, position) rows.
+//! The frozen forward: one layer walk over (sequence, position) rows.
 //!
-//! An [`crate::InferenceSession`] advances one sequence by one token per
-//! forward pass; a serving engine with N in-flight requests would pay N
-//! passes per step, and a speculative verifier k+1 passes per round. Both
-//! instead feed `decode_runs`: each `Run` contributes `tokens.len()`
-//! consecutive positions of one sequence, every fed position is one row
-//! of a shared `(n, d_model)` activation, and every linear projection is
-//! a single matmul over all rows, while each sequence keeps its own
-//! [`SequenceKv`] cache and attends only over its own history. The walk
-//! is driven in two row shapes:
+//! Everything that is not training runs here. Each `Run` feeds
+//! `tokens.len()` consecutive positions of one sequence; every fed
+//! position is one row of a shared `(n, d_model)` activation and every
+//! projection one matmul over all rows, while each sequence attends over
+//! its own [`SequenceKv`] only. Three row shapes drive the walk:
 //!
 //! - [`batched_decode_step`] — many runs of length 1 at full depth: one
-//!   token from each active sequence;
+//!   token from each active sequence (an [`crate::InferenceSession`] is
+//!   the one-slot case);
 //! - the speculative chunk in `crate::spec` — one run of length n,
-//!   stopped at the draft or the final exit: n positions of one sequence.
+//!   stopped at the draft or the final exit;
+//! - `full_window` — `batch` runs of `seq_len` positions, each on a
+//!   one-pair scratch cache dropped with the pass: evaluation, the voting
+//!   fit, LUC's probes (`EdgeModel::logits_at_exits`) and the tuner's
+//!   blocks below the window (`EdgeModel::forward_exit`).
+//!
+//! "Frozen" means "on this walk": there is no second frozen block, so a
+//! route, span or K/V format changed here is changed for all of them.
 //!
 //! # Bit-identity
 //!
-//! Three properties of the walk carry both differential contracts,
-//! batched ≡ solo and speculative ≡ greedy:
+//! Three properties carry batched ≡ solo, speculative ≡ greedy and full
+//! window ≡ decode:
 //!
 //! - **Row-independent stages.** The blocked matmul kernel accumulates
 //!   each output element over the shared dimension in a fixed ascending
 //!   order regardless of how many rows are in flight (and the threaded
 //!   kernel splits by output row); layer norm, softmax, GELU, bias-add
 //!   and the residual adds are per-row or elementwise; every projection
-//!   is [`crate::Linear::forward_no_cache`], the same frozen forward the
-//!   tuner's prefix and evaluation run, which fits an activation scheme
-//!   per row, so even per-tensor calibration schemes cannot couple rows;
-//!   adapter deltas are added per row ([`ResolvedAdapter::apply_row`]).
+//!   is [`crate::Linear::forward_no_cache`], which fits an activation
+//!   scheme per row, so even per-tensor calibration schemes cannot couple
+//!   rows; adapter deltas are added per row
+//!   ([`ResolvedAdapter::apply_row`]).
 //! - **K/V write before attend.** Each layer writes the K/V rows of every
 //!   fed position first; row `(s, t)` then attends, in scalar loops, over
 //!   rows `0..=t` of sequence `s`'s cache only — exactly the causal prefix
@@ -38,32 +42,33 @@
 //!   rejected position leaves no trace in later passes.
 //!
 //! Every row is therefore bit-identical to pushing the same token through
-//! a solo [`crate::InferenceSession`] with the same history — the
-//! invariant the serving and speculative differential tests pin down.
+//! a solo session with the same history. The training `Block::forward`
+//! (per-head matmuls, caches kept) is the one independently written block
+//! left; `model::tests` holds it to this one bit for bit.
 //!
 //! # Multi-threading
 //!
-//! Row-independence also makes the runs the natural parallel axis: when
-//! more than one worker is configured (`EDGELLM_THREADS`), a pass splits
-//! its runs into contiguous chunks and walks each chunk concurrently,
-//! suppressing kernel-level threading inside the chunks. One spawn per
-//! pass amortizes over the whole layer stack, and — unlike threading each
-//! (tiny) matmul — it parallelizes the per-row attention and elementwise
-//! work too. The chunk split is a pure function of `(runs, workers)`, so
-//! results stay bit-identical for every thread count.
+//! The runs are the parallel axis: with more than one worker configured
+//! (`EDGELLM_THREADS`) a pass splits its runs into contiguous chunks and
+//! walks them concurrently, kernel-level threading suppressed inside. One
+//! spawn per pass amortizes over the whole layer stack and covers the
+//! per-row attention and elementwise work too. The split is a pure
+//! function of `(runs, workers)`, so every thread count gives the same
+//! bits.
 
 use crate::adapter::{AdapterTarget, ResolvedAdapter};
 use crate::error::ModelError;
+use crate::linear::Linear;
 use crate::model::EdgeModel;
-use edge_llm_tensor::{gelu_forward, pool, softmax_rows, Tensor};
+use edge_llm_tensor::{gelu_forward, pool, Tensor};
 
 /// Per-sequence key/value cache for [`batched_decode_step`] — the state an
 /// [`crate::InferenceSession`] keeps internally, split out so a scheduler
 /// can own one per request and batch any subset of them each step.
 #[derive(Debug, Clone)]
 pub struct SequenceKv {
-    /// Per layer: cached keys and values, `(seq_len, d_model)`, filled up
-    /// to `t`.
+    /// Per layer (full-window scratch: one pair for all): cached keys and
+    /// values, `(seq_len, d_model)`, filled up to `t`.
     pub(crate) keys: Vec<Tensor>,
     pub(crate) values: Vec<Tensor>,
     pub(crate) t: usize,
@@ -74,20 +79,28 @@ pub struct SequenceKv {
 impl SequenceKv {
     /// Starts an empty cache sized for `model` (capacity = `seq_len`).
     pub fn new(model: &EdgeModel) -> Self {
+        Self::with_layers(model, model.n_layers())
+    }
+
+    /// An empty cache of `layers` K/V pairs. One pair is scratch for a pass
+    /// that feeds a whole sequence at once ([`full_window`]): layer `l`
+    /// reads only what layer `l` wrote in the same pass, so every layer
+    /// reuses the pair, and validation admits it only while empty.
+    fn with_layers(model: &EdgeModel, layers: usize) -> Self {
         let cfg = model.config();
-        let keys = (0..model.n_layers())
-            .map(|_| Tensor::zeros(cfg.seq_len, cfg.d_model))
-            .collect();
-        let values = (0..model.n_layers())
-            .map(|_| Tensor::zeros(cfg.seq_len, cfg.d_model))
-            .collect();
+        let buffer = |_| Tensor::zeros(cfg.seq_len, cfg.d_model);
         SequenceKv {
-            keys,
-            values,
+            keys: (0..layers).map(buffer).collect(),
+            values: (0..layers).map(buffer).collect(),
             t: 0,
             capacity: cfg.seq_len,
             d_model: cfg.d_model,
         }
+    }
+
+    /// Index of the K/V pair layer `l` writes and reads.
+    fn slot(&self, l: usize) -> usize {
+        l.min(self.keys.len() - 1)
     }
 
     /// Tokens consumed so far.
@@ -132,7 +145,9 @@ impl SequenceKv {
 
     pub(crate) fn check_model(&self, model: &EdgeModel) -> Result<(), ModelError> {
         let cfg = model.config();
-        if self.keys.len() != model.n_layers()
+        // a one-pair scratch cache cannot be continued
+        let scratch = self.keys.len() == 1 && self.t == 0;
+        if (self.keys.len() != model.n_layers() && !scratch)
             || self.capacity != cfg.seq_len
             || self.d_model != cfg.d_model
         {
@@ -195,7 +210,7 @@ pub fn batched_decode_step(
             adapter: s.adapter,
         })
         .collect();
-    decode_runs(model, &mut runs, model.n_layers())
+    Ok(decode_runs(model, &mut runs, model.n_layers())?.1)
 }
 
 /// One sequence's share of a decode pass: `tokens` are fed at the
@@ -237,7 +252,8 @@ pub(crate) fn validate_runs(
 }
 
 /// Feeds every run through layers `0..depth` in one shared pass and
-/// returns, per run, one `(tokens.len(), vocab)` logits tensor per
+/// returns the hidden rows of every fed position after the last layer, in
+/// run order, and per run one `(tokens.len(), vocab)` logits tensor per
 /// requested exit (in the run's `exits` order).
 ///
 /// A pass is all-or-nothing: every run is validated before any cache is
@@ -252,9 +268,10 @@ pub(crate) fn decode_runs(
     model: &EdgeModel,
     runs: &mut [Run<'_>],
     depth: usize,
-) -> Result<Vec<Vec<Tensor>>, ModelError> {
+) -> Result<(Tensor, Vec<Vec<Tensor>>), ModelError> {
+    let c = model.config().d_model;
     if runs.is_empty() {
-        return Ok(Vec::new());
+        return Ok((Tensor::zeros(0, c), Vec::new()));
     }
     validate_runs(model, runs, depth)?;
     let workers = pool::resolve_threads(0).min(runs.len());
@@ -271,11 +288,14 @@ pub(crate) fn decode_runs(
             .map(|part| rest.split_off_mut(..part.len()).expect("in bounds"))
             .collect();
         let walk_chunk = |chunk| pool::serial_scope(|| walk(model, chunk, depth));
-        let mut out = Vec::with_capacity(total);
+        let (mut hidden, mut out) = (Vec::new(), Vec::with_capacity(total));
         for r in pool::fan_out(chunks, walk_chunk) {
-            out.extend(r?);
+            let (x, logits) = r?;
+            hidden.extend_from_slice(x.as_slice());
+            out.extend(logits);
         }
-        out
+        let hidden = Tensor::from_vec(hidden.len() / c, c, hidden).map_err(ModelError::Tensor)?;
+        (hidden, out)
     };
     for run in runs.iter_mut() {
         run.kv.t += run.tokens.len();
@@ -283,14 +303,50 @@ pub(crate) fn decode_runs(
     Ok(out)
 }
 
+/// A full-window forward: one [`decode_runs`] pass of `batch` runs of
+/// `seq_len` positions (`tokens`, `batch * seq_len` ids) through layers
+/// `0..depth`, each run on a one-pair scratch cache dropped with the pass.
+/// Returns the hidden rows after layer `depth - 1` and one logits tensor
+/// per entry of `exits`, all in `(b, t)` row order.
+pub(crate) fn full_window(
+    model: &EdgeModel,
+    tokens: &[usize],
+    depth: usize,
+    exits: &[usize],
+) -> Result<(Tensor, Vec<Tensor>), ModelError> {
+    let cfg = model.config();
+    let mut scratch: Vec<SequenceKv> = (0..tokens.len() / cfg.seq_len)
+        .map(|_| SequenceKv::with_layers(model, 1))
+        .collect();
+    let mut runs: Vec<Run<'_>> = scratch
+        .iter_mut()
+        .zip(tokens.chunks(cfg.seq_len))
+        .map(|(kv, tokens)| Run {
+            tokens,
+            kv,
+            exits,
+            adapter: None,
+        })
+        .collect();
+    let (hidden, per_run) = decode_runs(model, &mut runs, depth)?;
+    let logits = (0..exits.len()).map(|e| {
+        let mut stacked = Vec::with_capacity(tokens.len() * cfg.vocab_size);
+        for run in &per_run {
+            stacked.extend_from_slice(run[e].as_slice());
+        }
+        Tensor::from_vec(tokens.len(), cfg.vocab_size, stacked).map_err(ModelError::Tensor)
+    });
+    Ok((hidden, logits.collect::<Result<_, _>>()?))
+}
+
 /// The serial layer walk over one contiguous chunk of runs — all of them
-/// when one worker is configured. Runs must already be validated; the
-/// caller advances their cursors.
+/// when one worker is configured — returning what [`decode_runs`] returns.
+/// Runs must already be validated; the caller advances their cursors.
 fn walk(
     model: &EdgeModel,
     runs: &mut [Run<'_>],
     depth: usize,
-) -> Result<Vec<Vec<Tensor>>, ModelError> {
+) -> Result<(Tensor, Vec<Vec<Tensor>>), ModelError> {
     let cfg = model.config();
     let (c, heads) = (cfg.d_model, cfg.n_heads);
     let hs = c / heads;
@@ -307,13 +363,17 @@ fn walk(
     }
     let n = rows.len();
     let mut x = Tensor::from_vec(n, c, embedded).map_err(ModelError::Tensor)?;
-    let adapt = |l, target, input: &Tensor, out: &mut Tensor| -> Result<(), ModelError> {
+    // One frozen projection plus its rows' adapter deltas. It consumes its
+    // input: a full-window pass feeds thousands of rows, so intermediates
+    // are freed at their last reader, not at the end of the layer.
+    let project = |l, target, lin: &Linear, input: Tensor| -> Result<Tensor, ModelError> {
+        let mut out = lin.forward_no_cache(&input)?;
         for (i, &(_, _, adapter)) in rows.iter().enumerate() {
             if let Some(ad) = adapter {
                 ad.apply_row(l, target, input.row(i), out.row_mut(i))?;
             }
         }
-        Ok(())
+        Ok(out)
     };
     // Per run, one logits tensor per requested exit; every placeholder is
     // overwritten below because validation holds each exit under `depth`.
@@ -321,39 +381,51 @@ fn walk(
         .iter()
         .map(|r| vec![Tensor::zeros(0, 0); r.exits.len()])
         .collect();
+    // One (row, head)'s scores over its causal prefix; all of them reuse it.
+    let mut scores = vec![0f32; cfg.seq_len];
     for l in 0..depth {
         let block = model.block(l);
-        let n1 = block.ln1().forward_no_cache(&x)?;
         let (qkv_lin, proj) = block.attn().linears();
         // (n, 3c). Adapter deltas land *before* the key/value rows are
         // copied into the caches, so adapted K/V history is what later
         // passes attend over — same as a solo run with the adapter.
-        let mut qkv = qkv_lin.forward_no_cache(&n1)?;
-        adapt(l, AdapterTarget::Qkv, &n1, &mut qkv)?;
+        let n1 = block.ln1().forward_no_cache(&x)?;
+        let qkv = project(l, AdapterTarget::Qkv, qkv_lin, n1)?;
         // Write every fed position's K/V first; row (r, pos) then attends
         // over rows 0..=pos of its own sequence only.
         for (i, &(r, pos, _)) in rows.iter().enumerate() {
             let row = qkv.row(i);
             let kv = &mut *runs[r].kv;
-            kv.keys[l].row_mut(pos).copy_from_slice(&row[c..2 * c]);
-            kv.values[l].row_mut(pos).copy_from_slice(&row[2 * c..]);
+            let s = kv.slot(l);
+            kv.keys[s].row_mut(pos).copy_from_slice(&row[c..2 * c]);
+            kv.values[s].row_mut(pos).copy_from_slice(&row[2 * c..]);
         }
         let mut concat = Tensor::zeros(n, c);
         for (i, &(r, pos, _)) in rows.iter().enumerate() {
-            let (keys, values) = (&runs[r].kv.keys[l], &runs[r].kv.values[l]);
+            let kv = &*runs[r].kv;
+            let (keys, values) = (&kv.keys[kv.slot(l)], &kv.values[kv.slot(l)]);
             for h in 0..heads {
                 let head = h * hs..(h + 1) * hs;
                 let q = &qkv.row(i)[head.clone()];
-                let mut scores = Tensor::zeros(1, pos + 1);
-                for p in 0..=pos {
+                // `softmax_rows` over the scaled dots, in its order: max,
+                // exp and ascending sum, then one scale per weight.
+                let scores = &mut scores[..=pos];
+                let mut max = f32::NEG_INFINITY;
+                for (p, s) in scores.iter_mut().enumerate() {
                     let k = &keys.row(p)[head.clone()];
                     let dot: f32 = q.iter().zip(k.iter()).map(|(a, b)| a * b).sum();
-                    scores.set(0, p, dot * scale);
+                    *s = dot * scale;
+                    max = max.max(*s);
                 }
-                let att = softmax_rows(&scores);
+                let mut sum = 0.0;
+                for s in scores.iter_mut() {
+                    *s = (*s - max).exp();
+                    sum += *s;
+                }
+                let inv = 1.0 / sum;
                 let out = &mut concat.row_mut(i)[head.clone()];
-                for p in 0..=pos {
-                    let w = att.get(0, p);
+                for (p, &e) in scores.iter().enumerate() {
+                    let w = e * inv;
                     let v = &values.row(p)[head.clone()];
                     for (o, &vv) in out.iter_mut().zip(v.iter()) {
                         *o += w * vv;
@@ -361,17 +433,12 @@ fn walk(
                 }
             }
         }
-        let mut a = proj.forward_no_cache(&concat)?;
-        adapt(l, AdapterTarget::Proj, &concat, &mut a)?;
-        let x1 = x.add(&a)?;
-        let n2 = block.ln2().forward_no_cache(&x1)?;
+        drop(qkv);
+        let x1 = x.add(&project(l, AdapterTarget::Proj, proj, concat)?)?;
         let (fc1, fc2) = block.mlp().linears();
-        let mut mid = fc1.forward_no_cache(&n2)?;
-        adapt(l, AdapterTarget::Fc1, &n2, &mut mid)?;
-        let act = gelu_forward(&mid);
-        let mut m_out = fc2.forward_no_cache(&act)?;
-        adapt(l, AdapterTarget::Fc2, &act, &mut m_out)?;
-        x = x1.add(&m_out)?;
+        let n2 = block.ln2().forward_no_cache(&x1)?;
+        let act = gelu_forward(&project(l, AdapterTarget::Fc1, fc1, n2)?);
+        x = x1.add(&project(l, AdapterTarget::Fc2, fc2, act)?)?;
         // one shared unembedding matmul over every row of a run exiting at l
         let mut needing = Vec::new();
         for (i, &(r, _, _)) in rows.iter().enumerate() {
@@ -392,16 +459,13 @@ fn walk(
             }
             let (mine, tail) = rest.split_at(run.tokens.len() * vocab);
             rest = tail;
-            let mine = Tensor::from_vec(run.tokens.len(), vocab, mine.to_vec())
-                .map_err(ModelError::Tensor)?;
-            for (slot, &e) in slots.iter_mut().zip(run.exits) {
-                if e == l {
-                    *slot = mine.clone();
-                }
+            for (slot, _) in slots.iter_mut().zip(run.exits).filter(|(_, &e)| e == l) {
+                *slot = Tensor::from_vec(run.tokens.len(), vocab, mine.to_vec())
+                    .map_err(ModelError::Tensor)?;
             }
         }
     }
-    Ok(per_exit)
+    Ok((x, per_exit))
 }
 
 #[cfg(test)]
@@ -752,6 +816,26 @@ mod tests {
             }
         }
         set_configured_threads(before);
+    }
+
+    #[test]
+    fn a_one_pair_scratch_cache_cannot_be_continued() {
+        // every layer overwrites the pair, so there is no history to resume
+        let m = model(10);
+        let mut kv = SequenceKv::with_layers(&m, 1);
+        let feed = |kv: &mut SequenceKv| {
+            let mut runs = [Run {
+                tokens: &[1, 2],
+                kv,
+                exits: &[],
+                adapter: None,
+            }];
+            decode_runs(&m, &mut runs, m.n_layers()).map(|_| ())
+        };
+        feed(&mut kv).unwrap();
+        assert!(matches!(feed(&mut kv), Err(ModelError::BadConfig { .. })));
+        kv.reset();
+        feed(&mut kv).unwrap();
     }
 
     #[test]

@@ -134,25 +134,6 @@ impl Block {
         ))
     }
 
-    /// Forward pass without retaining activations (frozen layers).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors.
-    pub fn forward_no_cache(
-        &self,
-        x: &Tensor,
-        batch: usize,
-        seq: usize,
-    ) -> Result<Tensor, ModelError> {
-        let n1 = self.ln1.forward_no_cache(x)?;
-        let a = self.attn.forward_no_cache(&n1, batch, seq)?;
-        let x1 = x.add(&a)?;
-        let n2 = self.ln2.forward_no_cache(&x1)?;
-        let m = self.mlp.forward_no_cache(&n2)?;
-        Ok(x1.add(&m)?)
-    }
-
     /// Backward pass: accumulates gradients in every submodule, returns `dx`.
     ///
     /// # Errors
@@ -212,13 +193,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn forward_shapes_and_no_cache_equivalence() {
+    fn forward_shapes() {
         let mut rng = TensorRng::seed_from(1);
         let block = Block::new(8, 2, 16, &mut rng);
         let x = Tensor::randn(2 * 4, 8, 1.0, &mut rng);
         let (y, _) = block.forward(&x, 2, 4).unwrap();
         assert_eq!(y.shape(), (8, 8));
-        assert!(y.approx_eq(&block.forward_no_cache(&x, 2, 4).unwrap(), 0.0));
     }
 
     #[test]
@@ -236,8 +216,9 @@ mod tests {
             let orig = xp.as_slice()[i];
             xp.as_mut_slice()[i] = orig + eps;
             let lp: f32 = block
-                .forward_no_cache(&xp, 1, seq)
+                .forward(&xp, 1, seq)
                 .unwrap()
+                .0
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -245,8 +226,9 @@ mod tests {
                 .sum();
             xp.as_mut_slice()[i] = orig - eps;
             let lm: f32 = block
-                .forward_no_cache(&xp, 1, seq)
+                .forward(&xp, 1, seq)
                 .unwrap()
+                .0
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -270,7 +252,7 @@ mod tests {
         block.attn_mut().proj_mut().weight_mut().fill(0.0);
         block.mlp_mut().fc2_mut().weight_mut().fill(0.0);
         let x = Tensor::randn(4, 8, 1.0, &mut rng);
-        let y = block.forward_no_cache(&x, 1, 4).unwrap();
+        let (y, _) = block.forward(&x, 1, 4).unwrap();
         assert!(y.approx_eq(&x, 1e-5));
     }
 

@@ -132,7 +132,7 @@ pub fn generate(
                     exits: &voting.exits,
                     adapter: None,
                 };
-                let logits = decode_runs(model, &mut [step], depth)?.swap_remove(0);
+                let logits = decode_runs(model, &mut [step], depth)?.1.swap_remove(0);
                 let probs = combine(&logits, &voting.combiner)?;
                 tokens.push(sample_token(probs.row(0), decoding, rng));
             }

@@ -1,18 +1,19 @@
 //! KV-cached incremental decoding.
 //!
-//! Re-running the full forward pass per emitted token is simple but
+//! Re-running the full window per emitted token is simple but
 //! O(seq²·layers) per token. An [`InferenceSession`] keeps each layer's
 //! key/value projections cached so appending one token costs one token's
 //! worth of compute, which is how an adapted Edge-LLM model would
-//! actually serve on a device. The session produces exactly the same
-//! logits as the full forward pass (verified by the equivalence tests).
+//! actually serve on a device.
 //!
 //! A session is a single-slot view over the same machinery the serving
 //! engine batches: it owns one [`SequenceKv`] and runs every push through
-//! [`batched_decode_step`] — a one-row pass of the crate's single
-//! KV-cached layer walk (see `crate::batched`), which speculative rounds
-//! drive with multi-position runs. Solo, batched and speculative decoding
-//! cannot drift apart: they are one code path with different row shapes.
+//! [`batched_decode_step`] — a one-row pass of the crate's single frozen
+//! layer walk (see `crate::batched`), which speculative rounds drive with
+//! multi-position runs and [`EdgeModel::logits`] with whole sequences.
+//! Solo, batched, speculative and full-window forwards cannot drift apart:
+//! they are one code path with different row shapes, and the tests below
+//! hold a session's logits to the full window's bit for bit.
 
 use crate::adapter::ResolvedAdapter;
 use crate::batched::{batched_decode_step, BatchedStep, SequenceKv};
@@ -206,6 +207,7 @@ mod tests {
     /// every model shape the full-window ≡ decode oracles cover, at one
     /// and two kernel threads.
     fn for_each_oracle_case(seed: u64, check: impl Fn(&str, &EdgeModel, &[usize])) {
+        let w2 = Some(QuantScheme::symmetric(BitWidth::W2));
         let w4 = Some(QuantScheme::symmetric(BitWidth::W4));
         let a8 = Some(QuantScheme::asymmetric(BitWidth::W8));
         let packed = compressed(seed, w4, 0.4, None);
@@ -215,6 +217,10 @@ mod tests {
             ("w4 + 40% mask", compressed(seed, w4, 0.4, None)),
             ("w4 + 40% mask, packed", packed),
             ("a8 only", compressed(seed, None, 0.0, a8)),
+            // the integer route: the full window must quantize on the
+            // grid decode serves, in all four projections of a block
+            ("w4/a8, integer route", compressed(seed, w4, 0.0, a8)),
+            ("w2/a8, integer route", compressed(seed, w2, 0.0, a8)),
         ];
         let before = configured_threads();
         for (name, m) in &models {
@@ -377,7 +383,7 @@ mod tests {
                 adapter: ad.as_deref(),
             })
             .collect();
-        let got = decode_runs(&m, &mut runs, m.n_layers()).unwrap();
+        let (_, got) = decode_runs(&m, &mut runs, m.n_layers()).unwrap();
         for (r, (tokens, _)) in feeds.iter().enumerate() {
             for (i, &tok) in tokens.iter().enumerate() {
                 let want = solos[r].push_token_exits(tok, &exits).unwrap();

@@ -43,15 +43,21 @@ use std::sync::{Arc, OnceLock};
 ///
 /// # One frozen forward
 ///
-/// A layer that is not training — the tuner's prefix below the window,
-/// evaluation, every KV-cached decode row — runs through
-/// [`Linear::forward_no_cache`], which picks its route in one `match`.
+/// A layer that is not training runs through [`Linear::forward_no_cache`],
+/// which picks its route in one `match` — and it has one caller shape: the
+/// KV-cached layer walk in `crate::batched`, which every decode row, the
+/// tuner's blocks below the window, evaluation, the voting fit and LUC's
+/// probes all take (a full-window forward is `batch` runs of `seq_len`
+/// positions on scratch K/V). [`Linear::forward`] is for layers inside the
+/// window and the exit head being trained, nothing else; so a packed layer
+/// is never asked for its dense weight by a forward that will not train
+/// it, and an integer-eligible layer is evaluated on the route it serves.
 /// An activation scheme is fitted **per input row**, one token's
 /// activations at a time, in training and frozen forwards alike: a row's
 /// output never depends on which other rows share the call, so a batched
 /// decode step equals a solo session bit for bit and the full-window
-/// forward quantizes on the grid decode sees — under every scheme, a
-/// per-tensor one included, which here means per token.
+/// forward *is* decode — under every scheme, a per-tensor one included,
+/// which here means per token.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Tensor,
@@ -474,8 +480,8 @@ impl Linear {
     }
 
     /// Forward pass without retaining activations — the one projection
-    /// every layer that is not training runs through (the tuner's frozen
-    /// prefix, evaluation, KV-cached decode). Output row `r` is
+    /// every layer that is not training runs through, always from the
+    /// layer walk in `crate::batched` or an exit head. Output row `r` is
     /// bit-identical to calling this on row `r` alone: the kernels
     /// accumulate each output element in a fixed order independent of the
     /// row count and activations are quantized per row, which is what

@@ -72,16 +72,6 @@ impl Mlp {
         ))
     }
 
-    /// Forward pass without retaining activations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors.
-    pub fn forward_no_cache(&self, x: &Tensor) -> Result<Tensor, ModelError> {
-        let h = gelu_forward(&self.fc1.forward_no_cache(x)?);
-        self.fc2.forward_no_cache(&h)
-    }
-
     /// Backward pass: accumulates projection gradients, returns `dx`.
     ///
     /// # Errors
@@ -146,8 +136,9 @@ mod tests {
             let orig = xp.as_slice()[i];
             xp.as_mut_slice()[i] = orig + eps;
             let lp: f32 = mlp
-                .forward_no_cache(&xp)
+                .forward(&xp)
                 .unwrap()
+                .0
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -155,8 +146,9 @@ mod tests {
                 .sum();
             xp.as_mut_slice()[i] = orig - eps;
             let lm: f32 = mlp
-                .forward_no_cache(&xp)
+                .forward(&xp)
                 .unwrap()
+                .0
                 .as_slice()
                 .iter()
                 .zip(dy.as_slice())
@@ -166,14 +158,5 @@ mod tests {
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dx.as_slice()[i]).abs() < 2e-2, "element {i}");
         }
-    }
-
-    #[test]
-    fn no_cache_matches_cached() {
-        let mut rng = TensorRng::seed_from(3);
-        let mlp = Mlp::new(6, 12, &mut rng);
-        let x = Tensor::randn(4, 6, 1.0, &mut rng);
-        let (y1, _) = mlp.forward(&x).unwrap();
-        assert!(y1.approx_eq(&mlp.forward_no_cache(&x).unwrap(), 0.0));
     }
 }

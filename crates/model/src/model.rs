@@ -1,4 +1,5 @@
 use crate::adaptive::LayerWindow;
+use crate::batched::full_window;
 use crate::block::{Block, BlockCache};
 use crate::config::ModelConfig;
 use crate::error::ModelError;
@@ -238,7 +239,9 @@ impl EdgeModel {
     /// only for blocks `grad_from..=exit_layer`.
     ///
     /// Blocks past the exit never execute — the forward-compute saving — and
-    /// blocks before `grad_from` run without caches — the memory saving.
+    /// blocks before `grad_from` are frozen: they run as one full-window
+    /// pass of the decode walk (`crate::batched`), on whatever route their
+    /// projections decode on, and keep nothing — the memory saving.
     ///
     /// # Errors
     ///
@@ -259,16 +262,16 @@ impl EdgeModel {
         }
         self.check_tokens(tokens, batch)?;
         let seq = self.config.seq_len;
-        let mut x = self.embed(tokens, batch)?;
-        let mut block_caches: Vec<Option<BlockCache>> = vec![None; self.n_layers()];
-        for (l, cache_slot) in block_caches.iter_mut().enumerate().take(exit_layer + 1) {
-            if l >= grad_from {
-                let (y, cache) = self.blocks[l].forward(&x, batch, seq)?;
-                *cache_slot = Some(cache);
-                x = y;
-            } else {
-                x = self.blocks[l].forward_no_cache(&x, batch, seq)?;
-            }
+        let frozen = grad_from.min(exit_layer + 1);
+        let mut x = match frozen {
+            0 => self.embed(tokens, batch)?,
+            _ => full_window(self, tokens, frozen, &[])?.0,
+        };
+        let mut block_caches: Vec<Option<BlockCache>> = vec![None; frozen];
+        for block in &self.blocks[frozen..=exit_layer] {
+            let (y, cache) = block.forward(&x, batch, seq)?;
+            block_caches.push(Some(cache));
+            x = y;
         }
         let exit = &self.exits[exit_layer];
         let (n, exit_norm_cache) = exit.norm.forward(&x)?;
@@ -338,7 +341,7 @@ impl EdgeModel {
         Ok(())
     }
 
-    /// Full-depth logits from the final exit (inference path, no caches).
+    /// Full-depth logits from the final exit (the frozen forward).
     ///
     /// # Errors
     ///
@@ -348,8 +351,10 @@ impl EdgeModel {
         Ok(last.pop().expect("one exit requested"))
     }
 
-    /// Logits from every exit in `exit_layers` in one forward sweep
-    /// (inference path for adaptive layer voting).
+    /// Logits from every exit in `exit_layers` in one frozen forward: `batch`
+    /// runs of `seq_len` positions through the KV-cached decode walk, on
+    /// scratch K/V — bit for bit what decoding the same tokens serves, so
+    /// evaluation, the voting fit and LUC's probes score the deployed model.
     ///
     /// # Errors
     ///
@@ -371,19 +376,7 @@ impl EdgeModel {
                 depth: self.n_layers(),
             });
         }
-        let seq = self.config.seq_len;
-        let mut x = self.embed(tokens, batch)?;
-        let mut per_layer: Vec<Option<Tensor>> = vec![None; max_exit + 1];
-        for (l, logits_slot) in per_layer.iter_mut().enumerate().take(max_exit + 1) {
-            x = self.blocks[l].forward_no_cache(&x, batch, seq)?;
-            if exit_layers.contains(&l) {
-                *logits_slot = Some(self.exit_logits_no_cache(&x, l)?);
-            }
-        }
-        Ok(exit_layers
-            .iter()
-            .map(|&l| per_layer[l].take().expect("computed above"))
-            .collect())
+        Ok(full_window(self, tokens, max_exit + 1, exit_layers)?.1)
     }
 
     /// Zeroes every gradient buffer in the model.
@@ -914,6 +907,34 @@ mod tests {
         model.set_weight_cache_enabled(false);
         let baseline = model.logits(&tokens, 1).unwrap();
         assert_eq!(baseline.as_slice(), packed.as_slice());
+    }
+
+    #[test]
+    fn a_packed_model_stays_packed_through_every_frozen_forward() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        let mut model = tiny_model(26);
+        for l in 0..model.n_layers() {
+            for lin in model.block_mut(l).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+            }
+        }
+        model.pack_frozen_weights().unwrap();
+        let resident = model.decode_weight_bytes();
+        let dense_in = |m: &EdgeModel, l: usize| -> Vec<bool> {
+            m.block(l).linears().map(Linear::has_cached_weight).to_vec()
+        };
+        let tokens = tokens_for(&model, 2, 27);
+        model.logits(&tokens, 2).unwrap();
+        model.logits_at_exits(&tokens, 2, &[0, 1]).unwrap();
+        for l in 0..model.n_layers() {
+            assert_eq!(dense_in(&model, l), [false; 4], "block {l} after logits");
+        }
+        // block 0 is the prefix below a window at layer 1; only the
+        // training block may materialize its dense weight
+        model.forward_exit(&tokens, 2, 1, 1).unwrap();
+        assert_eq!(dense_in(&model, 0), [false; 4], "frozen prefix block");
+        assert_eq!(dense_in(&model, 1), [true; 4], "training block");
+        assert_eq!(model.decode_weight_bytes(), resident);
     }
 
     #[test]

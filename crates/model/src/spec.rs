@@ -220,7 +220,9 @@ pub(crate) fn forward_chunk(
         exits: &[exit_layer],
         adapter,
     };
-    let logits = decode_runs(model, &mut [run], exit_layer + 1)?.swap_remove(0);
+    let logits = decode_runs(model, &mut [run], exit_layer + 1)?
+        .1
+        .swap_remove(0);
     let vocab = logits[0].cols();
     (0..fed.len())
         .map(|i| Tensor::from_vec(1, vocab, logits[0].row(i).to_vec()).map_err(ModelError::Tensor))

@@ -1,13 +1,14 @@
 //! Decode-path equivalence and decoding edge cases.
 //!
-//! The repo has two ways to produce a next-token distribution: the
-//! full-forward path (`VotingPolicy::predict`, the whole window in one
-//! pass) and the KV-cached incremental path ([`InferenceSession`], one
-//! token per step). [`generate`] and serving decode on the second, all
-//! reported quality numbers come from the first — so these tests pin the
-//! two forwards together for every voting combiner, hold [`generate`] to
-//! an independent session-API loop for every decoding mode, and pin down
-//! the sampling primitive's edge-case contracts.
+//! A next-token distribution is asked for in two shapes: the whole window
+//! in one pass (`VotingPolicy::predict`, behind every reported quality
+//! number) and one token per step ([`InferenceSession`], behind
+//! [`generate`] and serving). Both are row shapes of one layer walk
+//! (`batched::decode_runs`), so these tests hold the shapes together for
+//! every voting combiner, hold [`generate`] to an independent session-API
+//! loop for every decoding mode, pin the walk's output bits — a change
+//! that moves every shape equally is visible only there — and pin down the
+//! sampling primitive's edge-case contracts.
 
 use edge_llm_model::{
     batched_decode_step, combine, generate, sample_token, spec_round_with_adapter, AdapterTarget,

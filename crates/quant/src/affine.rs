@@ -184,17 +184,19 @@ impl QuantizedTensor {
     }
 }
 
+/// The `(scale, zero point)` of one quantization group. A range too
+/// narrow for its step to be a normal `f32` — the all-zero group, and a
+/// denormal one whose step underflows to zero or a subnormal — has nothing
+/// to resolve: it gets unit scale and every code at the zero point, so the
+/// error is the denormal itself and no route ever divides by zero.
 pub(crate) fn fit_group(chunk: &[f32], bits: BitWidth, mode: QuantMode) -> (f32, f32) {
     let max_code = bits.max_code() as f32;
     match mode {
         QuantMode::Symmetric => {
             let max_abs = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
             let half = (bits.levels() / 2) as f32; // e.g. 8 for W4
-            let scale = if max_abs == 0.0 {
-                1.0
-            } else {
-                max_abs / (half - 1.0).max(1.0)
-            };
+            let step = max_abs / (half - 1.0).max(1.0);
+            let scale = if step < f32::MIN_POSITIVE { 1.0 } else { step };
             (scale, half)
         }
         QuantMode::Asymmetric => {
@@ -209,10 +211,10 @@ pub(crate) fn fit_group(chunk: &[f32], bits: BitWidth, mode: QuantMode) -> (f32,
             // Keep zero exactly representable.
             let lo = lo.min(0.0);
             let hi = hi.max(0.0);
-            if lo == hi {
+            let scale = (hi - lo) / max_code;
+            if scale < f32::MIN_POSITIVE {
                 return (1.0, 0.0);
             }
-            let scale = (hi - lo) / max_code;
             let zero = (-lo / scale).round();
             (scale, zero)
         }

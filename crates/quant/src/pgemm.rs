@@ -160,14 +160,12 @@ pub fn quantize_activations(
         let row = x.row(r);
         let (scale, zero) = fit_group(row, scheme.bits, scheme.mode);
         // Asymmetric zero-points are integers in `0..=max_code`; the clamp
-        // only bites when a denormal range underflowed `scale` to zero and
-        // left `zero` infinite or NaN, and keeps `|code| <= max_code` then.
+        // is what holds `|code| <= max_code` to that, not `fit_group`.
         let zx = zero.clamp(0.0, max_code as f32) as i32;
         // `t.round().clamp(0, max)` without `f32::round`, a libm call on
         // baseline x86-64: past the clamp `t` is in `[-1, max + 1]`, so
         // the cast truncates exactly, `t - whole` is exact, and half-way
-        // cases round away from zero as `round` does. (A NaN `t` — the
-        // underflowed scale again — is code 0 either way.)
+        // cases round away from zero as `round` does.
         codes.extend(row.iter().map(|&v| {
             let t = (v / scale + zero).clamp(-1.0, top);
             let whole = t as i32;
@@ -467,8 +465,8 @@ mod tests {
         rows.push(vec![-0.0; k]);
         rows.push(vec![2.5; k]); // a constant row
         rows.push(vec![-7.25; k]);
-        // denormals: a range that still resolves, and one so narrow the
-        // scale underflows to zero
+        // denormals: a range whose step is subnormal, and one so narrow
+        // it underflows to zero — both take the unit scale
         rows.push((0..k).map(|p| p as f32 * 1e-41).collect());
         rows.push((0..k).map(|p| (p % 2) as f32 * f32::from_bits(1)).collect());
         rows.push(

@@ -2,7 +2,8 @@
 //! seeded case harness (`edge_llm_tensor::check`).
 
 use edge_llm_quant::{
-    fake_quant, quant_mse, BitWidth, Granularity, PackedInts, QuantScheme, QuantizedTensor,
+    fake_quant, fake_quant_row_in_place, packed_decode_matmul, quant_mse, quantize_activations,
+    BitWidth, Granularity, PackedInts, QuantScheme, QuantizedTensor,
 };
 use edge_llm_tensor::check::{run_cases, Gen};
 use edge_llm_tensor::{max_abs_diff, Tensor, TensorRng};
@@ -128,4 +129,43 @@ fn asymmetric_keeps_zero_exact() {
             back.get(0, 0)
         );
     });
+}
+
+#[test]
+fn a_denormal_range_quantizes_to_finite_values_through_every_entry_point() {
+    // A row whose range is so narrow that `range / max_code` underflows —
+    // to zero, or to a subnormal — has no step to resolve. Every route
+    // must give it unit scale and the zero point's code (the error is the
+    // denormal itself); the asymmetric f32 routes used to return NaN and
+    // the symmetric ones to divide by zero.
+    let rows = [
+        [1e-44f32, -1e-44, 0.0, 5e-45], // step underflows to zero
+        [1e-39, -1e-39, 0.0, 5e-40],    // step is subnormal
+        [0.0, 3e-45, 1e-45, 0.0],       // one-sided
+    ];
+    let tiny = |xs: &[f32]| xs.iter().all(|v| v.abs() <= 1e-38);
+    for bits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+        for row in rows {
+            let x = Tensor::from_vec(1, 4, row.to_vec()).unwrap();
+            for scheme in [QuantScheme::symmetric(bits), QuantScheme::asymmetric(bits)] {
+                let what = format!("{scheme:?} on {row:?}");
+                let fq = fake_quant(&x, scheme).unwrap();
+                assert!(tiny(fq.as_slice()), "fake_quant, {what}: {fq:?}");
+                let mut in_place = row;
+                fake_quant_row_in_place(&mut in_place, scheme).unwrap();
+                assert_eq!(in_place, fq.as_slice(), "row in place, {what}");
+                let q = QuantizedTensor::quantize(&x, scheme).unwrap();
+                assert_eq!(q.scale(0), 1.0, "{what}");
+                assert_eq!(q.dequantize().as_slice(), fq.as_slice(), "{what}");
+            }
+            // the integer route: denormal activations against a weight
+            // whose rows are denormal too
+            let x_q = quantize_activations(&x, QuantScheme::asymmetric(bits)).unwrap();
+            assert_eq!(x_q.scale(0), 1.0, "{bits} activations {row:?}");
+            let w = Tensor::from_vec(3, 4, rows.concat()).unwrap();
+            let w_q = QuantizedTensor::quantize(&w, QuantScheme::symmetric(bits)).unwrap();
+            let y = packed_decode_matmul(&x_q, &w_q, 1).unwrap();
+            assert!(tiny(y.as_slice()), "{bits} integer route {row:?}: {y:?}");
+        }
+    }
 }

@@ -43,8 +43,8 @@ pub use matmul::{
 pub use ops::{
     add_bias_backward, add_bias_forward, cross_entropy_backward, cross_entropy_forward,
     embedding_backward, embedding_forward, gelu_backward, gelu_forward, layernorm_backward,
-    layernorm_forward, relu_backward, relu_forward, softmax_backward, softmax_rows,
-    CrossEntropyOutput, LayerNormCache, IGNORE_TARGET,
+    layernorm_forward, softmax_backward, softmax_rows, CrossEntropyOutput, LayerNormCache,
+    IGNORE_TARGET,
 };
 pub use pool::{configured_threads, set_configured_threads, THREADS_ENV_VAR};
 pub use rng::{RngState, TensorRng, RNG_STATE_BYTES};

@@ -202,33 +202,6 @@ pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
     Ok(dx)
 }
 
-/// ReLU activation, element-wise.
-pub fn relu_forward(x: &Tensor) -> Tensor {
-    x.map(|v| v.max(0.0))
-}
-
-/// Backward pass of ReLU; takes the forward *input* `x` and upstream `dy`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
-    if x.shape() != dy.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "relu_backward",
-            lhs: x.shape(),
-            rhs: dy.shape(),
-        });
-    }
-    let mut dx = dy.clone();
-    for (o, &v) in dx.as_mut_slice().iter_mut().zip(x.as_slice().iter()) {
-        if v <= 0.0 {
-            *o = 0.0;
-        }
-    }
-    Ok(dx)
-}
-
 /// Adds a bias row-vector to every row of `x`, returning a new tensor.
 ///
 /// # Errors
@@ -540,16 +513,6 @@ mod tests {
         assert!(y.get(0, 0).abs() < 1e-3); // large negative -> 0
         assert_eq!(y.get(0, 1), 0.0);
         assert!((y.get(0, 2) - 10.0).abs() < 1e-3); // large positive -> identity
-    }
-
-    #[test]
-    fn relu_roundtrip() {
-        let x = Tensor::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]).unwrap();
-        let y = relu_forward(&x);
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-        let dy = Tensor::ones(1, 4);
-        let dx = relu_backward(&x, &dy).unwrap();
-        assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -268,11 +268,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` element-wise in place.
-    pub fn map_in_place<F: Fn(f32) -> f32>(&mut self, f: F) {
-        self.data.iter_mut().for_each(|x| *x = f(*x));
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()

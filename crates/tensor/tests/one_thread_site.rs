@@ -1,12 +1,20 @@
-//! "Who creates threads?" has a one-sentence answer — `pool::fan_out` —
-//! and this scan keeps it true: non-test code under `crates/*/src` may
-//! name `thread::scope`, `thread::spawn` or `mpsc` only in
-//! `crates/tensor/src/pool.rs`, and there exactly once.
+//! Source scans that keep two one-sentence answers true.
+//!
+//! "Who creates threads?" — `pool::fan_out`: non-test code under
+//! `crates/*/src` may name `thread::scope`, `thread::spawn` or `mpsc` only
+//! in `crates/tensor/src/pool.rs`, and there exactly once.
+//!
+//! "Where is the frozen transformer block?" — `batched::walk`: under
+//! `crates/model/src` only `Linear` and `LayerNorm` define a
+//! `forward_no_cache`, and GELU is applied once without caches (the walk)
+//! and once with (`Mlp::forward`). A second frozen block needs one or the
+//! other.
 
 use std::path::{Path, PathBuf};
 
 const NEEDLES: [&str; 3] = ["thread::scope", "thread::spawn", "mpsc"];
 const POOL: &str = "tensor/src/pool.rs";
+const BLOCK_NEEDLES: [&str; 2] = ["fn forward_no_cache", "gelu_forward("];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
@@ -21,14 +29,14 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// `(needle, line number)` of every hit in a file's product code: the
 /// lines before its first `#[cfg(test)]`, comments skipped.
-fn hits(source: &str) -> Vec<(&'static str, usize)> {
+fn hits(source: &str, needles: &'static [&'static str]) -> Vec<(&'static str, usize)> {
     source
         .lines()
         .take_while(|line| !line.contains("#[cfg(test)]"))
         .enumerate()
         .filter(|(_, line)| !line.trim_start().starts_with("//"))
         .flat_map(|(i, line)| {
-            let found = NEEDLES.iter().filter(move |n| line.contains(**n));
+            let found = needles.iter().filter(move |n| line.contains(**n));
             found.map(move |n| (*n, i + 1))
         })
         .collect()
@@ -47,7 +55,10 @@ fn threads_are_created_in_fan_out_and_nowhere_else() {
     assert!(files.len() > 50, "scan found only {} files", files.len());
     let mut pool_hits = Vec::new();
     for file in &files {
-        let found = hits(&std::fs::read_to_string(file).expect("readable source"));
+        let found = hits(
+            &std::fs::read_to_string(file).expect("readable source"),
+            &NEEDLES,
+        );
         if file.ends_with(POOL) {
             pool_hits = found;
         } else {
@@ -64,5 +75,45 @@ fn the_scan_sees_a_pasted_thread_scope_but_not_tests_or_comments() {
                   fn f() {\n    std::thread::scope(|s| { s.spawn(|| ()); });\n}\n\
                   use std::sync::mpsc;\n\
                   #[cfg(test)]\nmod tests { fn g() { std::thread::spawn(|| ()); } }\n";
-    assert_eq!(hits(source), vec![("thread::scope", 3), ("mpsc", 5)]);
+    assert_eq!(
+        hits(source, &NEEDLES),
+        vec![("thread::scope", 3), ("mpsc", 5)]
+    );
+}
+
+#[test]
+fn the_frozen_block_is_written_once() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../model/src");
+    let mut files = Vec::new();
+    rust_files(&src, &mut files);
+    let mut found = Vec::new();
+    for file in &files {
+        let source = std::fs::read_to_string(file).expect("readable source");
+        let name = file.file_name().expect("a file").to_string_lossy();
+        for (needle, _) in hits(&source, &BLOCK_NEEDLES) {
+            found.push((name.to_string(), needle));
+        }
+    }
+    found.sort();
+    let want = [
+        ("batched.rs", "gelu_forward("),
+        ("linear.rs", "fn forward_no_cache"),
+        ("mlp.rs", "gelu_forward("),
+        ("norm.rs", "fn forward_no_cache"),
+    ];
+    assert_eq!(found, want.map(|(file, needle)| (file.to_string(), needle)));
+}
+
+#[test]
+fn the_scan_sees_a_pasted_second_block_body() {
+    let source = "/// Like `Linear::forward_no_cache`, for a whole block.\n\
+                  impl Block {\n    pub fn forward_no_cache(&self, x: &Tensor) -> Tensor {\n\
+                  let a = self.attn.forward(&self.ln1.forward_no_cache(x));\n\
+                  let h = gelu_forward(&self.mlp.fc1.forward_no_cache(&a));\n\
+                  self.mlp.fc2.forward_no_cache(&h)\n    }\n}\n\
+                  #[cfg(test)]\nmod tests { fn g() { gelu_forward(&x); } }\n";
+    assert_eq!(
+        hits(source, &BLOCK_NEEDLES),
+        vec![("fn forward_no_cache", 3), ("gelu_forward(", 5)]
+    );
 }
