@@ -555,7 +555,6 @@ mod tests {
             let out = run_method(method, &cfg).unwrap();
             assert!((0.0..=1.0).contains(&out.accuracy), "{method:?}");
             assert!(out.perplexity.is_finite());
-            assert!(out.mean_iter_ms > 0.0);
             assert!(out.modeled_iter_us > 0.0);
         }
     }

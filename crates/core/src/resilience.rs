@@ -40,7 +40,6 @@ use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// One injectable fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -583,8 +582,8 @@ pub fn restore_run(
 
 /// Per-phase wall-clock totals accumulated over every executed tuning
 /// step (including replays after rollback), plus checkpoint-write time.
-/// The phase fields come from [`StepPhases`]; `checkpoint_ns` is measured
-/// around the capture-and-persist block that steps never see.
+/// The phase fields come from [`StepPhases`]; `checkpoint_ns` sums the
+/// `adapt.checkpoint` spans around the blocks that steps never see.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
     /// Forward-pass time (embedding through loss), nanoseconds.
@@ -621,8 +620,6 @@ pub struct AdaptRun {
     pub final_loss: f32,
     /// Peak activation bytes across accepted steps.
     pub peak_activation_bytes: usize,
-    /// Wall-clock spent inside tuning steps, milliseconds.
-    pub total_ms: f64,
     /// Steps actually executed (>= iterations when rollbacks replayed).
     pub steps_executed: usize,
     /// Where the time went: per-phase and checkpoint-write totals.
@@ -632,9 +629,10 @@ pub struct AdaptRun {
 }
 
 impl AdaptRun {
-    /// Mean wall-clock per executed step, milliseconds.
+    /// Mean wall-clock per executed step (its `tune.step` span),
+    /// milliseconds.
     pub fn mean_step_ms(&self) -> f64 {
-        self.total_ms / self.steps_executed.max(1) as f64
+        self.phases.step_ns as f64 / 1e6 / self.steps_executed.max(1) as f64
     }
 }
 
@@ -670,8 +668,7 @@ pub fn resilient_adapt(
     let mut it = tuner.iterations();
     let mut phases = PhaseTotals::default();
     let mut snapshot = {
-        let _s = telemetry::span("adapt.checkpoint");
-        let t_ckpt = Instant::now();
+        let ckpt = telemetry::timed("adapt.checkpoint");
         let snapshot = TrainingCheckpoint::capture(model, opt, it as u64, rng, extra.clone());
         if let Some(path) = &res.checkpoint_path {
             snapshot.save_file(path)?;
@@ -681,14 +678,13 @@ pub fn resilient_adapt(
                 path: Some(path.display().to_string()),
             });
         }
-        phases.checkpoint_ns += t_ckpt.elapsed().as_nanos() as u64;
+        phases.checkpoint_ns += ckpt.end();
         snapshot
     };
     // learning-rate scale accumulated by backoff since the last snapshot
     // (the snapshot's own lr already includes earlier backoffs)
     let mut lr_scale = 1.0f32;
     let mut rollbacks = 0usize;
-    let mut total_ms = 0.0f64;
     let mut steps_executed = 0usize;
     let mut peak_activation = 0usize;
     let mut final_loss = f32::NAN;
@@ -759,7 +755,6 @@ pub fn resilient_adapt(
         }
 
         let b = train.batch_at(it * batch, batch);
-        let t0 = Instant::now();
         let report = {
             let mut fopt = FaultyOptimizer {
                 inner: opt,
@@ -767,7 +762,6 @@ pub fn resilient_adapt(
             };
             tuner.step(model, &mut fopt, &b.tokens, &b.targets, b.batch)?
         };
-        total_ms += t0.elapsed().as_secs_f64() * 1e3;
         steps_executed += 1;
         phases.absorb(&report.phases);
 
@@ -821,8 +815,7 @@ pub fn resilient_adapt(
         it += 1;
 
         if res.checkpoint_every > 0 && it.is_multiple_of(res.checkpoint_every) && it < iterations {
-            let _s = telemetry::span("adapt.checkpoint");
-            let t_ckpt = Instant::now();
+            let ckpt = telemetry::timed("adapt.checkpoint");
             snapshot = TrainingCheckpoint::capture(model, opt, it as u64, rng, extra.clone());
             lr_scale = 1.0;
             let bytes = checkpoint_size(&snapshot)?;
@@ -838,14 +831,13 @@ pub fn resilient_adapt(
                 bytes,
                 path: path_str,
             });
-            phases.checkpoint_ns += t_ckpt.elapsed().as_nanos() as u64;
+            phases.checkpoint_ns += ckpt.end();
         }
     }
 
     Ok(AdaptRun {
         final_loss,
         peak_activation_bytes: peak_activation,
-        total_ms,
         steps_executed,
         phases,
         journal,

@@ -631,35 +631,17 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         let logits = batched_decode_step(&model, &mut steps).map_err(trial)?;
         Ok(argmax(logits[0][0].row(0)))
     };
-    // With several rows a one-row stream runs alongside, pass for pass:
-    // `batching_gain` then compares the two within milliseconds of each
-    // other. Across trials a shared box's slow phases last seconds and
-    // swamp a 1.4x ratio, so `timing_deltas` between a one-row and a
-    // four-row variant records the gain but cannot gate it.
-    let mut alone: Vec<SequenceKv> = (0..usize::from(rows > 1))
-        .map(|_| SequenceKv::new(&model))
-        .collect();
     push(&mut kvs, 0)?;
-    if !alone.is_empty() {
-        push(&mut alone, 0)?;
-    }
     // The argmax stream fingerprints the route's numerics: packed vs
     // lazy on the same route must agree exactly (decode_equivalence
     // pins this); integer vs dequant differ by quantization grid and
     // are deliberately NOT compared.
     let mut argmaxes = Vec::with_capacity(n_tokens);
-    let (mut secs, mut alone_secs) = (1e-9, 0.0);
+    let t0 = Instant::now();
     for t in 0..n_tokens {
-        let token = t % cfg.vocab_size;
-        let t0 = Instant::now();
-        argmaxes.push(push(&mut kvs, token)?);
-        secs += t0.elapsed().as_secs_f64();
-        if !alone.is_empty() {
-            let t0 = Instant::now();
-            push(&mut alone, token)?;
-            alone_secs += t0.elapsed().as_secs_f64();
-        }
+        argmaxes.push(push(&mut kvs, t % cfg.vocab_size)?);
     }
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
 
     let mut result = TrialResult::new();
     result.metric("tokens_decoded", Json::Int((rows * n_tokens) as i64));
@@ -674,12 +656,6 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         );
     }
     result.time("tokens_per_s", Json::Float((rows * n_tokens) as f64 / secs));
-    if !alone.is_empty() {
-        result.time(
-            "batching_gain",
-            Json::Float(rows as f64 * alone_secs / secs),
-        );
-    }
     Ok(result)
 }
 
@@ -752,7 +728,7 @@ fn run_tune(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let mut step = |model: &mut EdgeModel| {
         tuner
             .step(model, &mut opt, &tokens, &tokens, 1)
-            .map(|_| ())
+            .map(|r| r.phases)
             .map_err(trial)
     };
 
@@ -774,9 +750,12 @@ fn run_tune(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         counted?;
         Some(points)
     };
+    let (mut phase_ns, mut total_ns) = (0u64, 0u64);
     let t0 = Instant::now();
     for _ in 0..steps {
-        step(&mut model)?;
+        let p = step(&mut model)?;
+        phase_ns += p.forward_ns + p.backward_ns + p.optimizer_ns;
+        total_ns += p.total_ns;
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
 
@@ -788,6 +767,11 @@ fn run_tune(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     result.metric("steps", Json::Int(steps as i64));
     result.metric("param_checksum", Json::str(&digest(&bytes)));
     result.time("steps_per_s", Json::Float(steps as f64 / secs));
+    // The share of a step its `tune.*` phase spans cover (a telemetry gate).
+    result.time(
+        "phase_coverage",
+        Json::Float(phase_ns as f64 / total_ns.max(1) as f64),
+    );
     if let Some(points) = points_per_step {
         // The disabled-path bar from first principles rather than by
         // differencing two noisy wall clocks: probes a step executes x

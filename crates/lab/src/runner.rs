@@ -1,5 +1,5 @@
-//! Trial execution: expands an experiment spec into (task × variant ×
-//! repeat) trials, runs each through its family driver with telemetry
+//! Trial execution: expands an experiment spec into (task × repeat ×
+//! variant) trials, runs each through its family driver with telemetry
 //! captured, and writes the run directory.
 //!
 //! ```text
@@ -24,7 +24,8 @@
 //!
 //! Trials run sequentially under a process-global lock: telemetry
 //! recording is process-global, so concurrent capture would bleed
-//! events between trials.
+//! events between trials. A task runs repeat-major (`A.r0 B.r0 A.r1 …`)
+//! so both arms of a best-of-N timing ratio see the same machine phases.
 
 use crate::analysis;
 use crate::families::run_family;
@@ -109,9 +110,9 @@ pub fn run_experiment(
 
     let mut trial_ids = Vec::new();
     for task in &spec.tasks {
-        for variant in &task.variants {
-            let params = crate::schemas::merge_params(&task.params, &variant.params);
-            for repeat in 0..task.repeats {
+        for repeat in 0..task.repeats {
+            for variant in &task.variants {
+                let params = crate::schemas::merge_params(&task.params, &variant.params);
                 let trial_id = analysis::trial_id(&task.task_id, &variant.name, repeat);
                 let trial_dir = run_dir.join("trials").join(&trial_id);
                 std::fs::create_dir_all(&trial_dir)

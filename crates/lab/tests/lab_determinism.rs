@@ -5,9 +5,13 @@
 //! `timing.json` sidecars and the timing tables are allowed to differ.
 //!
 //! This is the contract that makes `lab check` baselines portable: a
-//! baseline recorded on a laptop must hold on a 64-core box.
+//! baseline recorded on a laptop must hold on a 64-core box. It is also
+//! what lets the runner pick its trial order for timing's sake: trials
+//! run repeat-major, and every deterministic byte is the one the
+//! variant-major runner wrote.
 
-use edge_llm_lab::{analyze_run, run_experiment, ExperimentSpec, RunOptions};
+use edge_llm_lab::analysis::digest;
+use edge_llm_lab::{analyze_run, run_experiment, ExperimentSpec, Json, RunOptions};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,9 +43,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("edgellm-lab-det-{}-{tag}", std::process::id()))
 }
 
+/// Digest of `deterministic_bytes` for this spec when the runner still
+/// ran every repeat of a variant before the next variant (recorded at
+/// that commit).
+const VARIANT_MAJOR_DIGEST: &str = "f208925ec7deb043";
+
 /// Runs the spec into a fresh directory and collects every byte that
-/// claims to be deterministic, keyed by path relative to the run dir.
-fn deterministic_bytes(tag: &str) -> BTreeMap<String, Vec<u8>> {
+/// claims to be deterministic, keyed by path relative to the run dir,
+/// plus `run.json`'s trial ids in execution order.
+fn deterministic_bytes(tag: &str) -> (BTreeMap<String, Vec<u8>>, Vec<String>) {
     let spec = ExperimentSpec::parse_jsonl(SPEC).expect("parse spec");
     let out_dir = scratch_dir(tag);
     let opts = RunOptions {
@@ -65,8 +75,27 @@ fn deterministic_bytes(tag: &str) -> BTreeMap<String, Vec<u8>> {
             fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display())),
         );
     }
+    let run = fs::read_to_string(outcome.run_dir.join("run.json")).expect("read run.json");
+    let run = Json::parse(&run).expect("parse run.json");
+    let trial_ids = run
+        .get("trial_ids")
+        .and_then(Json::as_array)
+        .expect("trial_ids");
+    let trial_ids = trial_ids
+        .iter()
+        .map(|t| t.as_str().expect("trial id").to_string())
+        .collect();
     fs::remove_dir_all(&out_dir).ok();
-    bytes
+    (bytes, trial_ids)
+}
+
+fn digest_all(bytes: &BTreeMap<String, Vec<u8>>) -> String {
+    let mut all = Vec::new();
+    for (path, b) in bytes {
+        all.extend_from_slice(path.as_bytes());
+        all.extend_from_slice(b);
+    }
+    digest(&all)
 }
 
 fn collect_outputs(trials_dir: &Path, bytes: &mut BTreeMap<String, Vec<u8>>) {
@@ -99,21 +128,30 @@ fn assert_identical(a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>
 #[test]
 fn trial_outputs_are_byte_identical_across_invocations_and_thread_counts() {
     edge_llm_tensor::set_configured_threads(2);
-    let first = deterministic_bytes("run-a");
-    assert!(
-        first.keys().any(|k| k.contains("spec.greedy.r1")),
-        "expected repeat trials in {:?}",
-        first.keys().collect::<Vec<_>>()
+    let (first, order) = deterministic_bytes("run-a");
+    // The trial order moved no deterministic byte.
+    assert_eq!(digest_all(&first), VARIANT_MAJOR_DIGEST);
+    // Repeat-major: each repeat of one variant runs beside the other's.
+    assert_eq!(
+        order,
+        [
+            "spec.greedy.r0",
+            "spec.spec.r0",
+            "spec.greedy.r1",
+            "spec.spec.r1",
+            "fleet.w1.r0",
+            "fleet.w2.r0",
+        ]
     );
 
     // Same spec, fresh invocation, same pool: every byte must match.
-    let second = deterministic_bytes("run-b");
+    let (second, _) = deterministic_bytes("run-b");
     assert_identical(&first, &second, "repeat invocation");
 
     // Same spec at pool sizes 1 and 4: still every byte.
     for threads in [1usize, 4] {
         edge_llm_tensor::set_configured_threads(threads);
-        let run = deterministic_bytes(&format!("run-t{threads}"));
+        let (run, _) = deterministic_bytes(&format!("run-t{threads}"));
         assert_identical(&first, &run, &format!("threads={threads}"));
     }
     edge_llm_tensor::set_configured_threads(0);

@@ -30,13 +30,6 @@ impl LayerPolicy {
         (self.bits.bits() as f32 / 16.0) * (1.0 - self.prune_ratio)
     }
 
-    /// Relative weight-memory footprint, normalized to 16-bit dense.
-    pub fn memory(&self) -> f32 {
-        // pruned weights still cost index storage ~ 1/4 of a kept element
-        let kept = 1.0 - self.prune_ratio;
-        (self.bits.bits() as f32 / 16.0) * (kept + 0.25 * self.prune_ratio)
-    }
-
     /// Validates the ratio range.
     ///
     /// # Errors
@@ -226,17 +219,6 @@ mod tests {
             prune_ratio: 0.75,
         };
         assert!((aggressive.cost() - (2.0 / 16.0) * 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn memory_includes_index_overhead() {
-        let pruned = LayerPolicy {
-            bits: BitWidth::W16,
-            prune_ratio: 0.5,
-        };
-        // 0.5 kept + 0.125 index overhead
-        assert!((pruned.memory() - 0.625).abs() < 1e-6);
-        assert_eq!(LayerPolicy::uncompressed().memory(), 1.0);
     }
 
     #[test]

@@ -134,8 +134,6 @@ fn policy_cost_bounds() {
         };
         assert!(p.cost() > 0.0);
         assert!(p.cost() <= 1.0);
-        assert!(p.memory() > 0.0);
-        assert!(p.memory() <= 1.0 + 1e-6);
         assert!(p.validate().is_ok());
     });
 }

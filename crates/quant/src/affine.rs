@@ -189,15 +189,25 @@ impl QuantizedTensor {
 /// denormal one whose step underflows to zero or a subnormal — has nothing
 /// to resolve: it gets unit scale and every code at the zero point, so the
 /// error is the denormal itself and no route ever divides by zero.
+///
+/// A range so wide that its top code would dequantize past `f32::MAX` (or
+/// that `hi - lo` overflows) gets the zero point `half` and the step
+/// `m / half` for its largest magnitude `m`: `half` is a power of two, so
+/// the grid reaches `-m` exactly and stops one step short of `m`.
 pub(crate) fn fit_group(chunk: &[f32], bits: BitWidth, mode: QuantMode) -> (f32, f32) {
     let max_code = bits.max_code() as f32;
+    let half = (bits.levels() / 2) as f32; // e.g. 8 for W4
     match mode {
         QuantMode::Symmetric => {
             let max_abs = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let half = (bits.levels() / 2) as f32; // e.g. 8 for W4
             let step = max_abs / (half - 1.0).max(1.0);
-            let scale = if step < f32::MIN_POSITIVE { 1.0 } else { step };
-            (scale, half)
+            if step < f32::MIN_POSITIVE {
+                (1.0, half)
+            } else if (step * (half - 1.0)).is_infinite() {
+                (max_abs / half, half)
+            } else {
+                (step, half)
+            }
         }
         QuantMode::Asymmetric => {
             let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
@@ -214,6 +224,9 @@ pub(crate) fn fit_group(chunk: &[f32], bits: BitWidth, mode: QuantMode) -> (f32,
             let scale = (hi - lo) / max_code;
             if scale < f32::MIN_POSITIVE {
                 return (1.0, 0.0);
+            }
+            if scale.is_infinite() {
+                return (hi.max(-lo) / half, half);
             }
             let zero = (-lo / scale).round();
             (scale, zero)

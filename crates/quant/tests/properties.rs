@@ -168,4 +168,40 @@ fn a_denormal_range_quantizes_to_finite_values_through_every_entry_point() {
             assert!(tiny(y.as_slice()), "{bits} integer route {row:?}: {y:?}");
         }
     }
+    // The other end: a row whose range `hi - lo` overflows to +inf. The
+    // asymmetric step used to be infinite, so every route dequantized the
+    // row to `0 · inf = NaN`. Its two ends must come back finite, with
+    // their sign and at least half their magnitude.
+    let huge = [
+        [f32::MAX, -f32::MAX, 0.0, 1.0],
+        [-f32::MAX, 0.7 * f32::MAX, 1.0, -1.0],
+    ];
+    let finite = |xs: &[f32]| xs.iter().all(|v| v.is_finite());
+    for bits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+        for row in huge {
+            let x = Tensor::from_vec(1, 4, row.to_vec()).unwrap();
+            for scheme in [QuantScheme::symmetric(bits), QuantScheme::asymmetric(bits)] {
+                let what = format!("{scheme:?} on {row:?}");
+                let fq = fake_quant(&x, scheme).unwrap();
+                assert!(finite(fq.as_slice()), "fake_quant, {what}: {fq:?}");
+                for (end, back) in row.iter().zip(fq.as_slice()).take(2) {
+                    let kept = back * end.signum();
+                    assert!(kept >= end.abs() / 2.0, "end {end}, {what}: {fq:?}");
+                }
+                let mut in_place = row;
+                fake_quant_row_in_place(&mut in_place, scheme).unwrap();
+                assert_eq!(in_place, fq.as_slice(), "row in place, {what}");
+                let q = QuantizedTensor::quantize(&x, scheme).unwrap();
+                assert_eq!(q.dequantize().as_slice(), fq.as_slice(), "{what}");
+            }
+            // the integer route: huge activations against denormal weight
+            // rows, whose codes all sit at the zero point
+            let x_q = quantize_activations(&x, QuantScheme::asymmetric(bits)).unwrap();
+            assert!(x_q.scale(0).is_finite(), "{bits} activations {row:?}");
+            let w = Tensor::from_vec(3, 4, rows.concat()).unwrap();
+            let w_q = QuantizedTensor::quantize(&w, QuantScheme::symmetric(bits)).unwrap();
+            let y = packed_decode_matmul(&x_q, &w_q, 1).unwrap();
+            assert!(finite(y.as_slice()), "{bits} integer route {row:?}: {y:?}");
+        }
+    }
 }

@@ -8,7 +8,7 @@ use edge_llm_model::{
     batched_decode_step, combine, sample_token, spec_round_with_adapter, BatchedStep, Decoding,
     EdgeModel, ModelError, ResolvedAdapter, SequenceKv, TenantAdapter,
 };
-use edge_llm_telemetry::{self as telemetry, Clock, LatencySummary, MonotonicClock};
+use edge_llm_telemetry::{self as telemetry, LatencySummary};
 use edge_llm_tensor::TensorRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -67,10 +67,6 @@ pub struct BatchedInferenceEngine<'a> {
     /// Retired KV caches kept warm for the next admission (slot reuse).
     spare_kvs: Vec<SequenceKv>,
     steps_run: usize,
-    /// Stamps queue-wait and decode latencies. Observational only: no
-    /// clock reading ever influences a token, so a test can inject a
-    /// [`edge_llm_telemetry::FakeClock`] without perturbing outputs.
-    clock: Arc<dyn Clock>,
     stats: EngineStats,
     /// When set, every accepted token is recorded as a
     /// [`SessionProgress`] for the fleet router's replay log.
@@ -121,7 +117,7 @@ pub struct EngineReport {
     pub rejected: usize,
     /// Submission-to-admission wait per admitted request.
     pub queue_wait: LatencySummary,
-    /// Shared-forward-pass latency attributed to each generated token.
+    /// Per generated token, the `serve.decode` pass that produced it.
     pub decode_token: LatencySummary,
     /// Self-speculative draft/verify rounds executed.
     pub spec_rounds: usize,
@@ -170,20 +166,6 @@ impl<'a> BatchedInferenceEngine<'a> {
     /// Returns [`ServeError::ZeroCapacity`] when `max_batch` is zero and
     /// [`ServeError::Model`] when weight packing fails.
     pub fn new(model: &'a EdgeModel, max_batch: usize) -> Result<Self, ServeError> {
-        Self::with_clock(model, max_batch, Arc::new(MonotonicClock::new()))
-    }
-
-    /// As [`BatchedInferenceEngine::new`] with an explicit latency clock
-    /// (tests inject a deterministic one).
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchedInferenceEngine::new`].
-    pub fn with_clock(
-        model: &'a EdgeModel,
-        max_batch: usize,
-        clock: Arc<dyn Clock>,
-    ) -> Result<Self, ServeError> {
         if max_batch == 0 {
             return Err(ServeError::ZeroCapacity {
                 what: "batch slots",
@@ -200,7 +182,6 @@ impl<'a> BatchedInferenceEngine<'a> {
             finished: Vec::new(),
             spare_kvs: Vec::new(),
             steps_run: 0,
-            clock,
             stats: EngineStats::default(),
             capture_progress: false,
             progress: Vec::new(),
@@ -284,7 +265,7 @@ impl<'a> BatchedInferenceEngine<'a> {
         }
         self.queue.push_back(QueuedRequest {
             req,
-            submitted_ns: self.clock.now_ns(),
+            submitted_ns: telemetry::now_ns(),
             rng_override,
         });
     }
@@ -392,12 +373,9 @@ impl<'a> BatchedInferenceEngine<'a> {
                     adapter: slot.adapter.as_deref(),
                 });
             }
-            let t0 = self.clock.now_ns();
-            let logits = {
-                let _s = telemetry::span("serve.decode");
-                batched_decode_step(self.model, &mut steps)?
-            };
-            let pass_ns = self.clock.now_ns().saturating_sub(t0);
+            let pass = telemetry::timed("serve.decode");
+            let logits = batched_decode_step(self.model, &mut steps)?;
+            let pass_ns = pass.end();
             drop(steps);
             for (row, slot) in batched.iter_mut().enumerate() {
                 if !logits[row].is_empty() {
@@ -425,19 +403,16 @@ impl<'a> BatchedInferenceEngine<'a> {
                 unreachable!("slot classified speculative above");
             };
             let token = slot.known[slot.fed];
-            let t0 = self.clock.now_ns();
-            let round = {
-                let _s = telemetry::span("serve.decode");
-                spec_round_with_adapter(
-                    self.model,
-                    &mut slot.kv,
-                    token,
-                    draft_depth,
-                    k,
-                    slot.adapter.as_deref(),
-                )?
-            };
-            let round_ns = self.clock.now_ns().saturating_sub(t0);
+            let pass = telemetry::timed("serve.decode");
+            let round = spec_round_with_adapter(
+                self.model,
+                &mut slot.kv,
+                token,
+                draft_depth,
+                k,
+                slot.adapter.as_deref(),
+            )?;
+            let round_ns = pass.end();
             // tokens past the remaining budget are dropped and the cache
             // rolled back with them, exactly like the solo reference
             let keep = round
@@ -576,7 +551,7 @@ impl<'a> BatchedInferenceEngine<'a> {
                 admitted = true;
                 self.stats
                     .queue_wait_ns
-                    .push(self.clock.now_ns().saturating_sub(submitted_ns));
+                    .push(telemetry::now_ns().saturating_sub(submitted_ns));
                 telemetry::counter("serve.admitted", 1);
                 let kv = self
                     .spare_kvs

@@ -1,6 +1,7 @@
 //! The clock abstraction: monotonic nanoseconds from a swappable source.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A monotonic nanosecond source. The recorder stamps every event through
@@ -40,6 +41,12 @@ impl Clock for MonotonicClock {
         // u64 nanoseconds cover ~584 years of process uptime.
         self.origin.elapsed().as_nanos() as u64
     }
+}
+
+/// The one process-wide [`MonotonicClock`] read while no session records.
+pub(crate) fn process_ns() -> u64 {
+    static PROCESS: OnceLock<MonotonicClock> = OnceLock::new();
+    PROCESS.get_or_init(MonotonicClock::new).now_ns()
 }
 
 /// Deterministic test clock: reads return a manually-controlled counter,

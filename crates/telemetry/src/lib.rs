@@ -7,7 +7,7 @@
 //!
 //! * **Spans** — scoped timers ([`span`]) that record start/end events
 //!   with parent links, so a trace reconstructs into a tree
-//!   ([`span_tree`]);
+//!   ([`span_tree`]); a [`timed`] span also returns its duration;
 //! * **Counters** — named monotonic tallies ([`counter`]) safe to bump
 //!   from any thread, including `tensor::pool` workers;
 //! * **A swappable clock** — the [`Clock`] trait with a production
@@ -58,7 +58,8 @@ mod tree;
 
 pub use clock::{Clock, FakeClock, MonotonicClock};
 pub use record::{
-    counter, disable, enable, is_enabled, span, take_events, Event, SpanGuard, ThreadId,
+    counter, disable, enable, is_enabled, now_ns, span, take_events, timed, Event, SpanGuard,
+    ThreadId, Timed,
 };
 pub use sink::{env_trace_path, write_json_string, write_jsonl, TRACE_ENV_VAR};
 pub use summary::{nearest_rank_index, LatencySummary};

@@ -1,7 +1,7 @@
 //! The global recording session: the enabled flag, the event buffer, and
 //! the span/counter entry points instrumented code calls.
 
-use crate::clock::Clock;
+use crate::clock::{process_ns, Clock};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -108,6 +108,14 @@ pub fn take_events() -> Vec<Event> {
         .unwrap_or_default()
 }
 
+/// The telemetry clock: the session's clock while one records, the
+/// process-wide monotonic clock otherwise. For durations no span names.
+pub fn now_ns() -> u64 {
+    let session = ENABLED.load(Ordering::Relaxed).then(lock_recorder);
+    let session = session.as_ref().and_then(|rec| rec.as_ref());
+    session.map_or_else(process_ns, |r| r.clock.now_ns())
+}
+
 /// Closes the span scope on drop. The disabled-path guard is inert.
 #[must_use = "a span measures the scope it is alive in"]
 #[derive(Debug)]
@@ -115,11 +123,9 @@ pub struct SpanGuard {
     id: Option<u64>,
 }
 
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(id) = self.id else {
-            return;
-        };
+impl SpanGuard {
+    fn close(&mut self) -> Option<u64> {
+        let id = self.id.take()?;
         // Unwind the thread's stack even if recording stopped mid-span;
         // guards drop innermost-first, so popping to `id` is exact.
         SPAN_STACK.with(|s| {
@@ -131,25 +137,25 @@ impl Drop for SpanGuard {
             }
         });
         let mut rec = lock_recorder();
-        if let Some(r) = rec.as_mut() {
-            let t_ns = r.clock.now_ns();
-            r.events.push(Event::SpanEnd { id, t_ns });
-        }
+        let r = rec.as_mut()?;
+        let t_ns = r.clock.now_ns();
+        r.events.push(Event::SpanEnd { id, t_ns });
+        Some(t_ns)
     }
 }
 
-/// Opens a span named `name` covering the guard's lifetime. Free (one
-/// atomic load) when recording is disabled.
-pub fn span(name: &'static str) -> SpanGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return SpanGuard { id: None };
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        self.close();
     }
+}
+
+/// Records a span start: `(id, the reading it stamped)`.
+fn open(name: &'static str) -> Option<(u64, u64)> {
     let thread = thread_id();
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
     let mut rec = lock_recorder();
-    let Some(r) = rec.as_mut() else {
-        return SpanGuard { id: None };
-    };
+    let r = rec.as_mut()?;
     let id = r.next_span_id;
     r.next_span_id += 1;
     let t_ns = r.clock.now_ns();
@@ -162,7 +168,52 @@ pub fn span(name: &'static str) -> SpanGuard {
     });
     drop(rec);
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
-    SpanGuard { id: Some(id) }
+    Some((id, t_ns))
+}
+
+/// Opens a span named `name` covering the guard's lifetime. Free (one
+/// atomic load) when recording is disabled.
+pub fn span(name: &'static str) -> SpanGuard {
+    let opened = ENABLED
+        .load(Ordering::Relaxed)
+        .then(|| open(name))
+        .flatten();
+    SpanGuard {
+        id: opened.map(|(id, _)| id),
+    }
+}
+
+/// A [`span`] that also returns its duration; see [`timed`].
+#[must_use = "a timed span reports its duration through `end`"]
+#[derive(Debug)]
+pub struct Timed {
+    guard: SpanGuard,
+    start_ns: u64,
+}
+
+impl Timed {
+    /// Closes the span and returns its duration in ns: while recording,
+    /// exactly the one its `SpanStart`/`SpanEnd` stamps record.
+    pub fn end(mut self) -> u64 {
+        let end_ns = self.guard.close().unwrap_or_else(process_ns);
+        end_ns.saturating_sub(self.start_ns)
+    }
+}
+
+/// Opens a span that reads [`now_ns`]'s clock at both ends, recording or
+/// not — every duration the product reports is one of these. Off, that
+/// is a clock read per end where [`span`] costs one relaxed load.
+pub fn timed(name: &'static str) -> Timed {
+    let opened = ENABLED
+        .load(Ordering::Relaxed)
+        .then(|| open(name))
+        .flatten();
+    Timed {
+        guard: SpanGuard {
+            id: opened.map(|(id, _)| id),
+        },
+        start_ns: opened.map_or_else(process_ns, |(_, t_ns)| t_ns),
+    }
 }
 
 /// Adds `delta` to the counter named `name`. Free (one atomic load) when
@@ -232,6 +283,24 @@ mod tests {
             })
             .collect();
         assert_eq!(ends, vec![1, 0]);
+    }
+
+    #[test]
+    fn timed_spans_return_the_durations_they_record() {
+        let _g = SESSION.lock().unwrap_or_else(|e| e.into_inner());
+        enable(Arc::new(FakeClock::with_tick(10)));
+        let outer = timed("outer"); // 0
+        let inner = timed("inner"); // 10
+        assert_eq!(inner.end(), 10); // 20
+        assert_eq!(now_ns(), 30);
+        assert_eq!(outer.end(), 40);
+        let tree = crate::span_tree(&disable());
+        assert_eq!((tree[0].start_ns, tree[0].end_ns), (0, 40));
+        assert_eq!(tree[0].children[0].duration_ns(), 10);
+        // off: the process clock times the span and nothing is recorded
+        let off = timed("off");
+        let _ = off.end();
+        assert!(disable().is_empty());
     }
 
     #[test]

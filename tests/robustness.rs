@@ -30,9 +30,10 @@ fn divergent_training_stays_finite_or_fails_loudly() {
     cfg.lr = 50.0;
     let out = run_method(Method::Vanilla, &cfg).unwrap();
     // the run completes and the outcome struct is intact even if the
-    // numbers are degenerate
+    // numbers are degenerate (deterministic fields only: no assertion
+    // here reads the wall clock)
     assert_eq!(out.method, "vanilla-ft");
-    assert!(out.mean_iter_ms > 0.0);
+    assert!(out.peak_activation_bytes > 0 && out.modeled_iter_us > 0.0);
 }
 
 #[test]
