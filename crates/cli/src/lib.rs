@@ -26,7 +26,7 @@ use edge_llm_model::{
 };
 use edge_llm_serve::{BatchedInferenceEngine, FinishReason, ServeRequest};
 use edge_llm_telemetry as telemetry;
-use edge_llm_tensor::TensorRng;
+use edge_llm_tensor::{fnv1a64, TensorRng};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -468,11 +468,7 @@ fn text_task(corpus_path: &str) -> Result<TextLmTask, CliError> {
 /// and the last layer's FFN output are enough to make each tenant's
 /// stream distinct while staying tiny next to the packed base.
 fn seeded_tenant_adapter(cfg: &ModelConfig, tenant: &str) -> TenantAdapter {
-    let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.bytes() {
-        seed ^= u64::from(b);
-        seed = seed.wrapping_mul(0x100_0000_01b3);
-    }
+    let seed = fnv1a64(tenant.as_bytes());
     let sites = [
         (0, AdapterTarget::Qkv),
         (cfg.n_layers - 1, AdapterTarget::Fc2),

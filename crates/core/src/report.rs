@@ -1,8 +1,8 @@
 //! Plain-text table formatting for experiment reports.
 //!
-//! Every table and figure in `EXPERIMENTS.md` is printed through this
-//! module, so benchmark binaries and integration tests produce identical,
-//! diff-able output.
+//! Every table in `EXPERIMENTS.md` is printed through this module, so
+//! benchmark binaries and integration tests produce identical, diff-able
+//! output.
 
 use std::fmt;
 
@@ -109,59 +109,6 @@ pub fn speedup(x: f64) -> String {
     format!("{x:.2}x")
 }
 
-/// Renders an ASCII scatter/line chart of `(x, y)` points — the text-mode
-/// "figure" used by the report binary for F1/F2/F4-style series.
-///
-/// Points are sorted by `x`; axes are annotated with the data ranges.
-/// Returns a multi-line string `height` rows tall plus the axis line.
-pub fn ascii_chart(points: &[(f64, f64)], width: usize, height: usize) -> String {
-    let width = width.max(8);
-    let height = height.max(2);
-    if points.is_empty() {
-        return "(no data)".to_string();
-    }
-    let mut pts: Vec<(f64, f64)> = points.to_vec();
-    pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let (x_min, x_max) = (
-        pts.first().map(|p| p.0).unwrap_or(0.0),
-        pts.last().map(|p| p.0).unwrap_or(1.0),
-    );
-    let (mut y_min, mut y_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &(_, y) in &pts {
-        y_min = y_min.min(y);
-        y_max = y_max.max(y);
-    }
-    let x_span = (x_max - x_min).max(1e-12);
-    let y_span = (y_max - y_min).max(1e-12);
-    let mut grid = vec![vec![b' '; width]; height];
-    for &(x, y) in &pts {
-        let col = (((x - x_min) / x_span) * (width - 1) as f64).round() as usize;
-        let row = (((y - y_min) / y_span) * (height - 1) as f64).round() as usize;
-        grid[height - 1 - row][col.min(width - 1)] = b'*';
-    }
-    let mut out = String::new();
-    for (i, row) in grid.iter().enumerate() {
-        let label = if i == 0 {
-            format!("{y_max:>10.3} |")
-        } else if i == height - 1 {
-            format!("{y_min:>10.3} |")
-        } else {
-            format!("{:>10} |", "")
-        };
-        out.push_str(&label);
-        out.push_str(std::str::from_utf8(row).expect("ascii"));
-        out.push('\n');
-    }
-    out.push_str(&format!("{:>10} +{}\n", "", "-".repeat(width)));
-    out.push_str(&format!(
-        "{:>12}{x_min:<.3}{:>pad$}{x_max:<.3}\n",
-        "",
-        "",
-        pad = width.saturating_sub(12)
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,26 +131,6 @@ mod tests {
         let mut t = Table::new("x", &["a", "b", "c"]);
         t.add_row(vec!["1".into()]);
         assert_eq!(t.cell(0, 2), Some(""));
-    }
-
-    #[test]
-    fn ascii_chart_places_extremes() {
-        let chart = ascii_chart(&[(0.0, 0.0), (1.0, 1.0), (0.5, 0.5)], 21, 5);
-        let lines: Vec<&str> = chart.lines().collect();
-        // top row holds the max-y point (x=1 -> right edge)
-        assert!(lines[0].ends_with('*'), "top line: {:?}", lines[0]);
-        // bottom data row holds the min-y point at the left edge
-        assert!(lines[4].contains("|*"), "bottom line: {:?}", lines[4]);
-        // axis labels carry the ranges
-        assert!(lines[0].contains("1.000"));
-        assert!(lines[4].contains("0.000"));
-    }
-
-    #[test]
-    fn ascii_chart_handles_degenerate_input() {
-        assert_eq!(ascii_chart(&[], 10, 4), "(no data)");
-        let flat = ascii_chart(&[(1.0, 2.0), (2.0, 2.0)], 10, 4);
-        assert!(flat.contains('*'));
     }
 
     #[test]

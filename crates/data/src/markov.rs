@@ -64,12 +64,6 @@ impl MarkovTextTask {
         }
         self.successors[state].last().map(|&(n, _)| n).unwrap_or(0)
     }
-
-    /// The entropy rate upper bound implied by the branching factor, in
-    /// nats (useful as a perplexity target in experiments).
-    pub fn entropy_bound(&self) -> f32 {
-        (self.successors[0].len() as f32).ln()
-    }
 }
 
 impl TaskGenerator for MarkovTextTask {
@@ -135,11 +129,6 @@ mod tests {
             let allowed: Vec<usize> = task.successors[w[0]].iter().map(|&(n, _)| n).collect();
             assert!(allowed.contains(&w[1]), "{} -> {} not an edge", w[0], w[1]);
         }
-    }
-
-    #[test]
-    fn entropy_bound_positive() {
-        assert!(MarkovTextTask::new(8, 3, 1).entropy_bound() > 1.0);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl TextLmTask {
         Ok(TextLmTask { ids, tokenizer })
     }
 
-    /// Corpus length in tokens.
-    pub fn corpus_len(&self) -> usize {
-        self.ids.len()
-    }
-
     /// The tokenizer used (for decoding generated continuations).
     pub fn tokenizer(&self) -> CharTokenizer {
         self.tokenizer
@@ -144,10 +139,5 @@ mod tests {
         let tok = task.tokenizer();
         let text = tok.decode(&s.tokens);
         assert!("abcabcabcabc".contains(&text));
-    }
-
-    #[test]
-    fn corpus_len_counts_tokens() {
-        assert_eq!(TextLmTask::new("hello").unwrap().corpus_len(), 5);
     }
 }

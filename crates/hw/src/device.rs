@@ -68,18 +68,6 @@ impl DeviceModel {
         }
     }
 
-    /// Returns a copy with a different SRAM capacity (sweep helper).
-    pub fn with_sram(mut self, sram_bytes: usize) -> Self {
-        self.sram_bytes = sram_bytes;
-        self
-    }
-
-    /// Returns a copy with a different DRAM bandwidth (sweep helper).
-    pub fn with_bandwidth(mut self, dram_bytes_per_cycle: f32) -> Self {
-        self.dram_bytes_per_cycle = dram_bytes_per_cycle;
-        self
-    }
-
     /// Effective MACs per cycle for `bits`-wide operands with `sparsity`
     /// fraction of zero weights: narrower operands pack more lanes
     /// (`16/bits` scaling) and zeros are skipped with
@@ -143,13 +131,6 @@ mod tests {
         let orin = DeviceModel::orin_class();
         assert!(orin.macs_per_cycle_16b > tx2.macs_per_cycle_16b);
         assert!(orin.sram_bytes > tx2.sram_bytes);
-    }
-
-    #[test]
-    fn sweep_helpers_modify_fields() {
-        let d = DeviceModel::jetson_class().with_sram(1).with_bandwidth(2.0);
-        assert_eq!(d.sram_bytes, 1);
-        assert_eq!(d.dram_bytes_per_cycle, 2.0);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::schemas::{
     TIMING_ROW_SCHEMA, TRIAL_INPUT_SCHEMA, TRIAL_OUTPUT_SCHEMA, TRIAL_TIMING_SCHEMA,
 };
 use edge_llm_telemetry::nearest_rank_index;
+use edge_llm_tensor::fnv1a64;
 use std::path::Path;
 
 // ---- aggregation primitives (unit-tested against naive references) ------
@@ -470,12 +471,7 @@ fn check_oracles(
 /// FNV-1a 64 over bytes, hex-rendered — the digest pinning a run's
 /// entire deterministic metrics table.
 pub fn digest(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", fnv1a64(bytes))
 }
 
 fn load_table(run_dir: &Path, name: &str, schema: &str) -> Result<Vec<Json>, LabError> {

@@ -573,7 +573,6 @@ const IGEMM_KEYS: &[&str] = &[
     "sparsity",
     "integer",
     "pack",
-    "weight_cache",
     "decode_tokens",
     "rows",
 ];
@@ -585,14 +584,12 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let sparsity = p_f32(params, "sparsity", 0.25)?;
     let integer = p_bool(params, "integer", true)?;
     let pack = p_bool(params, "pack", true)?;
-    let weight_cache = p_bool(params, "weight_cache", true)?;
     let n_tokens = p_usize(params, "decode_tokens", 32)?;
     let rows = p_usize(params, "rows", 1)?.max(1);
 
-    // No model cache here: the datapath knobs (integer, pack,
-    // weight_cache) live on the model itself, and building an
-    // uncompressed tiny model is milliseconds — caching would key on
-    // the knobs anyway.
+    // No model cache here: the datapath knobs (integer, pack) live on
+    // the model itself, and building an uncompressed tiny model is
+    // milliseconds — caching would key on the knobs anyway.
     let mut rng = TensorRng::seed_from(seed);
     let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;
     apply_policy(
@@ -603,7 +600,6 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     apply_activation_quant(&mut model, Some(QuantScheme::asymmetric(BitWidth::W8)))
         .map_err(trial)?;
     model.set_integer_decode_enabled(integer);
-    model.set_weight_cache_enabled(weight_cache);
     if pack {
         model.pack_frozen_weights().map_err(trial)?;
     }
@@ -646,15 +642,6 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let mut result = TrialResult::new();
     result.metric("tokens_decoded", Json::Int((rows * n_tokens) as i64));
     result.metric("argmax_checksum", Json::str(&token_checksum(&argmaxes)));
-    // Resident decode-path weight bytes (dense f32 with the cache off,
-    // packed codes once packed) — reported by the tasks that sweep the
-    // cache knob, so every other igemm baseline keeps its row set.
-    if params.get("weight_cache").is_some() {
-        result.metric(
-            "decode_weight_bytes",
-            Json::Int(model.decode_weight_bytes() as i64),
-        );
-    }
     result.time("tokens_per_s", Json::Float((rows * n_tokens) as f64 / secs));
     Ok(result)
 }
@@ -668,7 +655,6 @@ const TUNE_KEYS: &[&str] = &[
     "seq_len",
     "policy",
     "steps",
-    "weight_cache",
     "recording",
 ];
 
@@ -693,11 +679,10 @@ fn disabled_ns_per_point() -> f64 {
 }
 
 /// Windowed adaptation steps on a LUC-compressed model: the adaptation
-/// iteration the weight cache speeds up and the telemetry probes ride
-/// on. Two untimed steps (cache warm-up, then the steady-state step the
-/// recording-off arm counts its probes on) precede `steps` timed ones,
-/// so every arm applies the same update sequence and the parameter
-/// checksum is comparable across them.
+/// iteration the telemetry probes ride on. Two untimed steps (cache
+/// warm-up, then the steady-state step the recording-off arm counts its
+/// probes on) precede `steps` timed ones, so every arm applies the same
+/// update sequence and the parameter checksum is comparable across them.
 fn run_tune(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     check_keys(params, TUNE_KEYS)?;
     let cfg = model_config(params, (2, 32, 4, 4))?;
@@ -712,13 +697,11 @@ fn run_tune(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         }
     };
     let steps = p_usize(params, "steps", 8)?.max(1);
-    let weight_cache = p_bool(params, "weight_cache", true)?;
     let recording = p_bool(params, "recording", true)?;
 
     let mut rng = TensorRng::seed_from(seed);
     let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;
     apply_policy(&mut model, &policy).map_err(trial)?;
-    model.set_weight_cache_enabled(weight_cache);
     let mut rng = TensorRng::seed_from(seed.wrapping_add(7));
     let tokens: Vec<usize> = (0..cfg.seq_len)
         .map(|_| rng.index(cfg.vocab_size))
@@ -843,22 +826,17 @@ mod tests {
                                "policy": "4:0.25,2:0.5", "steps": 3}"#;
 
     #[test]
-    fn tune_cached_matches_uncached_bit_for_bit() {
-        let cached = run_family(Family::Tune, 11, &obj(TUNE_TOY)).unwrap();
-        let uncached = run_family(
-            Family::Tune,
-            11,
-            &merge(TUNE_TOY, r#"{"weight_cache": false}"#),
-        )
-        .unwrap();
+    fn tune_param_checksum_sees_the_parameters() {
+        let a = run_family(Family::Tune, 11, &obj(TUNE_TOY)).unwrap();
+        let again = run_family(Family::Tune, 11, &obj(TUNE_TOY)).unwrap();
         assert_eq!(
-            get(&cached, "param_checksum"),
-            get(&uncached, "param_checksum"),
-            "the weight cache must never change an adapted parameter"
+            get(&a, "param_checksum"),
+            get(&again, "param_checksum"),
+            "an adaptation run must be reproducible"
         );
         let other_seed = run_family(Family::Tune, 12, &obj(TUNE_TOY)).unwrap();
         assert_ne!(
-            get(&cached, "param_checksum"),
+            get(&a, "param_checksum"),
             get(&other_seed, "param_checksum"),
             "the checksum must see the parameters"
         );

@@ -23,6 +23,7 @@
 //! oracle).
 
 use crate::json::Json;
+use edge_llm_tensor::fnv1a64;
 use std::fmt;
 
 /// Schema tag on experiment spec headers.
@@ -86,10 +87,10 @@ pub enum Family {
     /// Sharded fleet over a seeded traffic scenario.
     Fleet,
     /// Single-stream decode over a packed model: integer vs row-dequant
-    /// datapath, packed vs lazy, weight cache on vs off.
+    /// datapath, packed vs lazy.
     Igemm,
-    /// Windowed adaptation steps under a LUC policy: weight cache on vs
-    /// off, telemetry recording on vs off.
+    /// Windowed adaptation steps under a LUC policy: telemetry recording
+    /// on vs off.
     Tune,
 }
 
@@ -460,14 +461,11 @@ pub fn merge_params(task: &Json, variant: &Json) -> Json {
 /// FNV-1a 64 over a token stream, rendered as a fixed-width hex string —
 /// the lab's compact deterministic fingerprint of a decode output.
 pub fn token_checksum(tokens: &[usize]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &t in tokens {
-        for b in (t as u64).to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
+    let bytes: Vec<u8> = tokens
+        .iter()
+        .flat_map(|&t| (t as u64).to_le_bytes())
+        .collect();
+    format!("{:016x}", fnv1a64(&bytes))
 }
 
 /// Renders the structural schema of a JSON value: one `path: type` line

@@ -2,7 +2,8 @@
 //! gated: it parses with the real parser, and a generated baseline with
 //! the current schema sits beside it under `experiments/baselines/` —
 //! `scripts/verify.sh` loops `lab run` → `lab check` over exactly this
-//! set, so a spec that rots or loses its baseline fails here first.
+//! set, so a spec that rots or loses its baseline fails here first — and
+//! so does a baseline whose spec was deleted, which nothing would check.
 
 use edge_llm_lab::schemas::BASELINE_SCHEMA;
 use edge_llm_lab::{ExperimentSpec, Json};
@@ -24,8 +25,18 @@ fn every_committed_spec_parses_and_has_a_baseline() {
         experiments.display()
     );
 
+    let stem = |p: &PathBuf| p.file_stem().unwrap().to_string_lossy().into_owned();
+    for entry in fs::read_dir(experiments.join("baselines")).expect("read baselines/") {
+        let path = entry.expect("dir entry").path();
+        assert!(
+            specs.iter().any(|s| stem(s) == stem(&path)),
+            "orphan baseline {}: no spec beside it",
+            path.display()
+        );
+    }
+
     for path in specs {
-        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let name = stem(&path);
         let text = fs::read_to_string(&path).expect("read spec");
         let spec = ExperimentSpec::parse_jsonl(&text)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));

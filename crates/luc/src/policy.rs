@@ -101,15 +101,6 @@ impl CompressionPolicy {
         self.layers[l]
     }
 
-    /// Replaces the assignment for layer `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn set_layer(&mut self, l: usize, policy: LayerPolicy) {
-        self.layers[l] = policy;
-    }
-
     /// Mean per-layer compute cost (the LUC budget metric).
     pub fn mean_cost(&self) -> f32 {
         if self.layers.is_empty() {
@@ -236,16 +227,17 @@ mod tests {
     }
 
     #[test]
-    fn set_layer_changes_means() {
-        let mut p = CompressionPolicy::identity(2);
-        p.set_layer(
-            0,
+    fn mixed_layer_policy_means() {
+        let p = CompressionPolicy::from_layers(vec![
             LayerPolicy {
                 bits: BitWidth::W2,
                 prune_ratio: 0.0,
             },
-        );
+            LayerPolicy::uncompressed(),
+        ]);
         assert_eq!(p.mean_bits(), 9.0);
+        assert_eq!(p.mean_prune_ratio(), 0.0);
+        assert!((p.mean_cost() - (2.0 / 16.0 + 1.0) / 2.0).abs() < 1e-6);
     }
 
     #[test]

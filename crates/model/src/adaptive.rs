@@ -116,9 +116,12 @@ pub struct StepPhases {
     /// The whole step (phases plus scheduling overhead); the phases'
     /// share of it is gated at >= 95% by `experiments/telemetry.jsonl`.
     pub total_ns: u64,
-    /// Layers whose projections re-quantized during the step — 1 per step
-    /// for a depth-1 window once caches are warm (the PR 4 invariant),
-    /// `n_layers` when the cache is broken or disabled.
+    /// Layers whose projections re-quantized during the step. A block
+    /// re-quantizes once per training visit, on the first forward that
+    /// covers it after its update: 1 per step for a depth-1 window at the
+    /// top, `[0, 4, 5]` over a depth-3 round-robin cycle of eight blocks
+    /// (`tests/requant_window.rs` pins both). Any invalidation of a frozen
+    /// block shows up here as a larger count.
     pub requant_layers: usize,
     /// Weight-cache evictions during the step, over every projection.
     pub cache_invalidations: u64,

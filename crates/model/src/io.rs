@@ -15,7 +15,7 @@ use crate::config::ModelConfig;
 use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::optim::{Sgd, SgdState};
-use edge_llm_tensor::{RngState, TensorRng, RNG_STATE_BYTES};
+use edge_llm_tensor::{fnv1a64, RngState, TensorRng, RNG_STATE_BYTES};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -43,16 +43,6 @@ fn ck(reason: impl Into<String>) -> ModelError {
     ModelError::Checkpoint {
         reason: reason.into(),
     }
-}
-
-/// FNV-1a 64-bit hash, the checkpoint envelope's integrity check.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {

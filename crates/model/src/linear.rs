@@ -68,7 +68,6 @@ pub struct Linear {
     quant: Option<QuantScheme>,
     act_quant: Option<QuantScheme>,
     wcache: WeightCache,
-    cache_enabled: bool,
     int_decode_enabled: bool,
     counters: CacheCounters,
 }
@@ -141,7 +140,6 @@ impl Linear {
             quant: None,
             act_quant: None,
             wcache: WeightCache::default(),
-            cache_enabled: true,
             int_decode_enabled: true,
             counters: CacheCounters::default(),
         }
@@ -226,17 +224,6 @@ impl Linear {
     /// The installed quantization scheme, if any.
     pub fn quant(&self) -> Option<QuantScheme> {
         self.quant
-    }
-
-    /// Enables or disables the compressed-weight cache (enabled by
-    /// default). Disabling recomputes the effective weight on every
-    /// forward call — the recompute-every-time baseline the benchmarks
-    /// compare against; results are bit-identical either way.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.invalidate_weight_cache();
-        }
     }
 
     /// Enables or disables the packed integer-GEMM decode route (enabled
@@ -329,8 +316,8 @@ impl Linear {
     /// orientation this layer's frozen route reads — transposed for the
     /// integer GEMM, row codes for the blocked row-dequantizing kernel —
     /// so [`Linear::forward_no_cache`] never materializes the dense
-    /// effective weight. A no-op for layers without a quant scheme, with
-    /// the cache disabled, or when already packed.
+    /// effective weight. A no-op for layers without a quant scheme or when
+    /// already packed.
     ///
     /// # Errors
     ///
@@ -340,9 +327,6 @@ impl Linear {
         let Some(scheme) = self.quant else {
             return Ok(());
         };
-        if !self.cache_enabled {
-            return Ok(());
-        }
         match self.int_decode_schemes() {
             Some((ws, _)) => drop(self.int_codes(ws)?),
             None if self.wcache.packed.get().is_none() => {
@@ -388,17 +372,12 @@ impl Linear {
     }
 
     /// [`Linear::int_weight`] through the cache: built at most once per
-    /// mutation, and rebuilt fresh each call when the cache is disabled —
-    /// both feed the identical kernel, so the routes are bit-identical by
-    /// construction.
+    /// mutation.
     fn int_codes(&self, scheme: QuantScheme) -> Result<Arc<QuantizedTensor>, ModelError> {
         if let Some(q) = self.wcache.packed_t.get() {
             return Ok(Arc::clone(q));
         }
         let q = Arc::new(self.int_weight(scheme)?);
-        if !self.cache_enabled {
-            return Ok(q);
-        }
         Ok(Arc::clone(self.wcache.packed_t.get_or_init(|| q)))
     }
 
@@ -423,15 +402,15 @@ impl Linear {
     }
 
     /// [`Linear::effective_weight`] through the cache: computed at most
-    /// once per mutation, shared via `Arc`. Falls back to a fresh
-    /// computation when the cache is disabled (or no scheme is installed,
-    /// where the cache would only duplicate the stored weight).
+    /// once per mutation, shared via `Arc`. Without a scheme installed it
+    /// is a fresh copy of the stored weight, which a cache would only
+    /// duplicate.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Compression`] if fake quantization fails.
     pub fn cached_effective_weight(&self) -> Result<Arc<Tensor>, ModelError> {
-        if self.quant.is_none() || !self.cache_enabled {
+        if self.quant.is_none() {
             return Ok(Arc::new(self.effective_weight()?.into_owned()));
         }
         if let Some(w) = self.wcache.dense.get() {
@@ -486,8 +465,8 @@ impl Linear {
     /// accumulate each output element in a fixed order independent of the
     /// row count and activations are quantized per row, which is what
     /// batched serving, speculative chunks and per-row adapter deltas lean
-    /// on. Every route is bit-identical to its own cache-disabled
-    /// recompute.
+    /// on. Every route is bit-identical to recomputing its operand from the
+    /// stored weight on every call.
     ///
     /// # Errors
     ///
@@ -503,8 +482,7 @@ impl Linear {
             }
             // Row codes, dequantized panel by panel inside the kernel.
             (None, Some(_), Some(q)) => self.packed_matmul(self.effective_input(x)?.as_ref(), q)?,
-            // The cached dense effective weight (recomputed fresh when the
-            // cache is disabled).
+            // The cached dense effective weight.
             (None, Some(_), None) => {
                 let w = self.cached_effective_weight()?;
                 self.effective_input(x)?.matmul(w.as_ref())?
@@ -884,9 +862,9 @@ mod tests {
             assert!(l.is_packed());
             let packed = l.forward_no_cache(&x).unwrap();
             assert_eq!(dense.as_slice(), packed.as_slice(), "{bits}");
-            // and bit-identical to the disabled-cache baseline
-            l.set_cache_enabled(false);
-            let baseline = l.forward_no_cache(&x).unwrap();
+            // and bit-identical to `x · effective_weight()` recomputed fresh
+            let w = l.effective_weight().unwrap();
+            let baseline = l.add_bias(x.matmul(&w).unwrap()).unwrap();
             assert_eq!(baseline.as_slice(), packed.as_slice(), "{bits} baseline");
         }
     }
@@ -931,8 +909,9 @@ mod tests {
                 let solo = l.forward_no_cache(&row).unwrap();
                 assert_eq!(lazy.row(r), solo.row(0), "{bits} row {r}");
             }
-            // cache-disabled route rebuilds the operand fresh every call
-            l.set_cache_enabled(false);
+            // an invalidated layer rebuilds the operand from the weight
+            l.visit_params(&mut |_, _| {});
+            assert!(!l.is_int_packed());
             let fresh = l.forward_no_cache(&x).unwrap();
             assert_eq!(lazy.as_slice(), fresh.as_slice(), "{bits} no-cache");
         }

@@ -479,101 +479,82 @@ impl EdgeModel {
         }
     }
 
-    /// Read-only mirror of [`EdgeModel::visit_params_window`]: identical
-    /// ids, identical emission order, shared borrows.
-    pub fn visit_params_window_ro(
-        &self,
-        window: LayerWindow,
-        exit_layer: usize,
-        f: &mut ParamVisitorRo<'_>,
-    ) {
-        let mut id = 0usize;
-        {
-            let active = window.start == 0;
-            if active {
-                f(id, self.tok_emb.as_slice());
-            }
-            id += 1;
-            if active {
-                f(id, self.pos_emb.as_slice());
-            }
-            id += 1;
-        }
-        for (l, block) in self.blocks.iter().enumerate() {
-            if window.contains(l) {
-                block.visit_params_ro(&mut |p| {
-                    f(id, p);
-                    id += 1;
-                });
-            } else {
-                id += block.param_slice_count();
-            }
-        }
-        for (l, exit) in self.exits.iter().enumerate() {
-            let active = l == exit_layer;
-            if active {
-                exit.norm.visit_params_ro(&mut |p| {
-                    f(id, p);
-                    id += 1;
-                });
-            } else {
-                id += exit.norm.param_slice_count();
-            }
-            if let Some(h) = &exit.head {
-                if active {
-                    h.visit_params_ro(&mut |p| {
-                        f(id, p);
-                        id += 1;
-                    });
-                } else {
-                    id += h.param_slice_count();
-                }
-            }
-        }
-        if self.exits[exit_layer].head.is_none() {
-            self.shared_head.visit_params_ro(&mut |p| {
-                f(id, p);
-                id += 1;
-            });
-        }
-    }
-
-    /// Visits every parameter in the model (full tuning baseline).
+    /// Visits every parameter in the model (full tuning baseline), under the
+    /// ids [`EdgeModel::visit_params_window`] assigns and in the order
+    /// checkpoints lay them out: embeddings, blocks, then each exit's norm
+    /// and untied head, with the tied shared head — the last id — right
+    /// after exit 0's norm.
     pub fn visit_params_all(&mut self, f: &mut ParamVisitor<'_>) {
-        let full = LayerWindow {
-            start: 0,
-            end: self.n_layers(),
+        let mut shared_id = self.shared_head_id();
+        let mut id = 0usize;
+        let mut visit = |id: &mut usize, p: &mut [f32], g: &mut [f32]| {
+            f(*id, p, g);
+            *id += 1;
         };
-        // A full window with one exit activates everything except the
-        // other exits' norms and heads; enumerate those too by visiting
-        // each exit as its own "exit layer", emitting each id once.
-        let mut id_seen = std::collections::HashSet::new();
-        for exit in 0..self.n_layers() {
-            self.visit_params_window(full, exit, &mut |id, p, g| {
-                if id_seen.insert(id) {
-                    f(id, p, g);
-                }
-            });
+        visit(
+            &mut id,
+            self.tok_emb.as_mut_slice(),
+            self.dtok_emb.as_mut_slice(),
+        );
+        visit(
+            &mut id,
+            self.pos_emb.as_mut_slice(),
+            self.dpos_emb.as_mut_slice(),
+        );
+        for block in &mut self.blocks {
+            block.visit_params(&mut |p, g| visit(&mut id, p, g));
+        }
+        for (l, exit) in self.exits.iter_mut().enumerate() {
+            exit.norm.visit_params(&mut |p, g| visit(&mut id, p, g));
+            match &mut exit.head {
+                Some(h) => h.visit_params(&mut |p, g| visit(&mut id, p, g)),
+                None if l == 0 => self
+                    .shared_head
+                    .visit_params(&mut |p, g| visit(&mut shared_id, p, g)),
+                None => {}
+            }
         }
     }
 
     /// Read-only mirror of [`EdgeModel::visit_params_all`] — identical ids
-    /// **and emission order** (it replicates the same sweep-with-dedup
-    /// structure), so checkpoint and model-file byte layouts are unchanged
-    /// while the weight caches survive serialization.
+    /// and emission order, shared borrows — so checkpoint and model-file
+    /// byte layouts match while the weight caches survive serialization.
     pub fn visit_params_all_ro(&self, f: &mut ParamVisitorRo<'_>) {
-        let full = LayerWindow {
-            start: 0,
-            end: self.n_layers(),
+        let mut shared_id = self.shared_head_id();
+        let mut id = 0usize;
+        let mut visit = |id: &mut usize, p: &[f32]| {
+            f(*id, p);
+            *id += 1;
         };
-        let mut id_seen = std::collections::HashSet::new();
-        for exit in 0..self.n_layers() {
-            self.visit_params_window_ro(full, exit, &mut |id, p| {
-                if id_seen.insert(id) {
-                    f(id, p);
-                }
-            });
+        visit(&mut id, self.tok_emb.as_slice());
+        visit(&mut id, self.pos_emb.as_slice());
+        for block in &self.blocks {
+            block.visit_params_ro(&mut |p| visit(&mut id, p));
         }
+        for (l, exit) in self.exits.iter().enumerate() {
+            exit.norm.visit_params_ro(&mut |p| visit(&mut id, p));
+            match &exit.head {
+                Some(h) => h.visit_params_ro(&mut |p| visit(&mut id, p)),
+                None if l == 0 => self
+                    .shared_head
+                    .visit_params_ro(&mut |p| visit(&mut shared_id, p)),
+                None => {}
+            }
+        }
+    }
+
+    /// The shared head's first parameter id: it follows every embedding,
+    /// block and exit slice.
+    fn shared_head_id(&self) -> usize {
+        let blocks: usize = self.blocks.iter().map(Block::param_slice_count).sum();
+        let exits: usize = self
+            .exits
+            .iter()
+            .map(|e| {
+                e.norm.param_slice_count() + e.head.as_ref().map_or(0, Linear::param_slice_count)
+            })
+            .sum();
+        2 + blocks + exits
     }
 
     /// Every projection that can carry a compression scheme: each block's
@@ -605,15 +586,6 @@ impl EdgeModel {
     /// Propagates quantization failures (e.g. non-finite weights).
     pub fn pack_frozen_weights(&self) -> Result<(), ModelError> {
         self.projections().try_for_each(Linear::pack_weights)
-    }
-
-    /// Enables or disables the compressed-weight cache on every projection
-    /// (enabled by default). Disabling reproduces the
-    /// recompute-every-forward baseline bit-for-bit; the benchmarks use it
-    /// to measure the cache's win.
-    pub fn set_weight_cache_enabled(&mut self, enabled: bool) {
-        self.projections_mut()
-            .for_each(|l| l.set_cache_enabled(enabled));
     }
 
     /// Enables or disables the packed integer-GEMM decode route on every
@@ -816,13 +788,6 @@ mod tests {
             let mut ro: Vec<(usize, Vec<f32>)> = Vec::new();
             model.visit_params_all_ro(&mut |id, p| ro.push((id, p.to_vec())));
             assert_eq!(mutable, ro, "tied={tied}");
-            // window traversals mirror too
-            let window = LayerWindow { start: 1, end: 2 };
-            let mut wm: Vec<(usize, Vec<f32>)> = Vec::new();
-            model.visit_params_window(window, 1, &mut |id, p, _| wm.push((id, p.to_vec())));
-            let mut wr: Vec<(usize, Vec<f32>)> = Vec::new();
-            model.visit_params_window_ro(window, 1, &mut |id, p| wr.push((id, p.to_vec())));
-            assert_eq!(wm, wr, "tied={tied} window");
         }
     }
 
@@ -903,8 +868,9 @@ mod tests {
         assert!(model.block(0).attn().linears().0.is_packed());
         let packed = model.logits(&tokens, 1).unwrap();
         assert_eq!(dense.as_slice(), packed.as_slice());
-        // and identical to the cache-disabled recompute baseline
-        model.set_weight_cache_enabled(false);
+        // and identical to recomputing every weight: drop the caches first
+        model.visit_params_all(&mut |_, _, _| {});
+        assert!(!model.block(0).attn().linears().0.is_packed());
         let baseline = model.logits(&tokens, 1).unwrap();
         assert_eq!(baseline.as_slice(), packed.as_slice());
     }

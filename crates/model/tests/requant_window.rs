@@ -1,16 +1,17 @@
-//! Re-quantization accounting across the windowed-adaptation loop, and
-//! packed-decode equivalence on compressed models.
+//! Re-quantization accounting across the windowed-adaptation loop and the
+//! decode loop, and packed-decode equivalence on compressed models.
 //!
-//! The PR-4 fix made `visit_params_window` skip frozen blocks without
-//! borrowing their parameters mutably, so only the active window's weight
-//! caches are invalidated. The new per-layer re-quantization counters make
-//! that behaviour directly observable: a depth-1 step must re-quantize
-//! exactly one block in steady state, and frozen blocks must keep their
-//! packed decode weights across steps.
+//! `visit_params_window` skips frozen blocks without borrowing their
+//! parameters mutably, so only the active window's weight caches are
+//! invalidated. The per-layer re-quantization counters make that
+//! observable as exact counts: a block re-quantizes once per training
+//! visit, frozen blocks keep their packed decode weights across steps, and
+//! decoding re-quantizes nothing after the first pass. These counts are
+//! what the weight cache buys; no wall clock is needed to hold them.
 
 use edge_llm_model::{
-    generate, AdaptiveTuner, Decoding, EdgeModel, LayerWindow, ModelConfig, Sgd, VotingPolicy,
-    WindowSchedule,
+    batched_decode_step, generate, AdaptiveTuner, BatchedStep, Decoding, EdgeModel, LayerWindow,
+    ModelConfig, SequenceKv, Sgd, VotingPolicy, WindowSchedule,
 };
 use edge_llm_prune::magnitude_prune;
 use edge_llm_quant::{BitWidth, QuantScheme};
@@ -18,8 +19,13 @@ use edge_llm_tensor::check::run_cases;
 use edge_llm_tensor::TensorRng;
 
 fn quantized_model(seed: u64, bits: BitWidth) -> EdgeModel {
+    deep_quantized_model(seed, bits, ModelConfig::tiny().n_layers)
+}
+
+fn deep_quantized_model(seed: u64, bits: BitWidth, layers: usize) -> EdgeModel {
     let mut rng = TensorRng::seed_from(seed);
-    let mut model = EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap();
+    let cfg = ModelConfig::tiny().with_layers(layers);
+    let mut model = EdgeModel::new(cfg, &mut rng).unwrap();
     let scheme = QuantScheme::symmetric(bits);
     for l in 0..model.n_layers() {
         let b = model.block_mut(l);
@@ -128,6 +134,88 @@ fn round_robin_depth_one_requantizes_one_block_per_step_amortized() {
             total, n,
             "cycle {cycle}: a depth-1 round-robin cycle re-quantizes each block exactly once"
         );
+    }
+}
+
+#[test]
+fn round_robin_depth_three_requantizes_each_block_once_per_training_visit() {
+    // Eight W4 blocks under windows [0,3) [3,6) [5,8). A block re-quantizes
+    // on the first forward that covers it after its optimizer update:
+    // [0,3) reaches no updated block; [3,6) reaches 0-2 (updated last
+    // step) and 5 (updated by the previous cycle's [5,8), uncovered
+    // since); [5,8) reaches 3-5 and 6-7. Nine per cycle: one per training
+    // visit, and block 5 is trained twice.
+    let mut model = deep_quantized_model(1, BitWidth::W4, 8);
+    let tokens = tokens_for(&model, 2);
+    let mut opt = Sgd::new(0.05);
+    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 3 });
+    model.logits(&tokens, 1).unwrap();
+    let mut step = |model: &mut EdgeModel| {
+        let report = tuner.step(model, &mut opt, &tokens, &tokens, 1).unwrap();
+        (report.window, report.phases.requant_layers)
+    };
+    // one warm-up cycle reaches steady state
+    for _ in 0..3 {
+        step(&mut model);
+    }
+    let windows = [(0, 3), (3, 6), (5, 8)];
+    for cycle in 0..2 {
+        let mut got = Vec::new();
+        for &(start, end) in &windows {
+            let (window, requants) = step(&mut model);
+            assert_eq!(window, LayerWindow { start, end }, "cycle {cycle}");
+            got.push(requants);
+        }
+        assert_eq!(
+            got,
+            [0, 4, 5],
+            "cycle {cycle}: per-step re-quantized blocks"
+        );
+    }
+}
+
+#[test]
+fn decode_requantizes_only_on_the_first_pass_of_an_unpacked_model() {
+    // Four W4 blocks x four projections; the shared head is uncompressed.
+    // On the f32 row-code route and on the W8-activation integer route a
+    // packed model decodes without ever re-quantizing, and an unpacked one
+    // re-quantizes each projection once, on its first pass.
+    for integer in [false, true] {
+        for pack in [true, false] {
+            let mut model = deep_quantized_model(9, BitWidth::W4, 4);
+            if integer {
+                let act = QuantScheme::asymmetric(BitWidth::W8);
+                for l in 0..model.n_layers() {
+                    for lin in model.block_mut(l).linears_mut() {
+                        lin.set_activation_quant(Some(act));
+                    }
+                }
+            }
+            if pack {
+                model.pack_frozen_weights().unwrap();
+            }
+            let exits = [model.n_layers() - 1];
+            let mut kv = SequenceKv::new(&model);
+            let requants = |m: &EdgeModel| m.weight_cache_stats().requants;
+            let mut per_pass = Vec::new();
+            for token in 0..6 {
+                let mut steps = [BatchedStep {
+                    token,
+                    kv: &mut kv,
+                    exits: &exits,
+                    adapter: None,
+                }];
+                let at = requants(&model);
+                batched_decode_step(&model, &mut steps).unwrap();
+                per_pass.push(requants(&model) - at);
+            }
+            let first = if pack { 0 } else { 16 };
+            assert_eq!(
+                per_pass,
+                [first, 0, 0, 0, 0, 0],
+                "integer={integer} pack={pack}"
+            );
+        }
     }
 }
 

@@ -78,11 +78,12 @@ fn optimizer_steps_keep_caches_fresh() {
 #[test]
 fn cached_adaptation_is_bit_identical_to_uncached() {
     // The whole-flow differential: same seed, same data, one model with
-    // the cache and one recomputing every forward. Logits must agree
+    // the cache and a twin whose caches are dropped before every step and
+    // every forward, so it recomputes every weight. Logits must agree
     // exactly after every iteration.
     let mut cached = quantized_model(3);
     let mut baseline = quantized_model(3);
-    baseline.set_weight_cache_enabled(false);
+    let drop_caches = |m: &mut EdgeModel| m.visit_params_all(&mut |_, _, _| {});
     let tokens = tokens_for(&cached, 4);
     let mut opt_a = Sgd::with_momentum(0.05, 0.9);
     let mut opt_b = Sgd::with_momentum(0.05, 0.9);
@@ -92,11 +93,13 @@ fn cached_adaptation_is_bit_identical_to_uncached() {
         let ra = tuner_a
             .step(&mut cached, &mut opt_a, &tokens, &tokens, 1)
             .unwrap();
+        drop_caches(&mut baseline);
         let rb = tuner_b
             .step(&mut baseline, &mut opt_b, &tokens, &tokens, 1)
             .unwrap();
         assert_eq!(ra.loss.to_bits(), rb.loss.to_bits(), "loss at step {it}");
         let la = cached.logits(&tokens, 1).unwrap();
+        drop_caches(&mut baseline);
         let lb = baseline.logits(&tokens, 1).unwrap();
         assert_eq!(la.as_slice(), lb.as_slice(), "logits at step {it}");
     }

@@ -73,11 +73,6 @@ impl PruneMask {
         1.0 - self.kept() as f32 / self.keep.len() as f32
     }
 
-    /// Fraction of elements kept, in `[0, 1]`.
-    pub fn density(&self) -> f32 {
-        1.0 - self.sparsity()
-    }
-
     /// Zeroes the pruned elements of `x` in place.
     ///
     /// # Errors
@@ -146,7 +141,6 @@ mod tests {
         let m = PruneMask::dense(3, 4);
         assert_eq!(m.kept(), 12);
         assert_eq!(m.sparsity(), 0.0);
-        assert_eq!(m.density(), 1.0);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl BitWidth {
     pub fn max_code(self) -> u32 {
         self.levels() - 1
     }
-
-    /// Compression ratio relative to `f32` storage.
-    pub fn compression_vs_f32(self) -> f32 {
-        32.0 / self.bits() as f32
-    }
 }
 
 impl fmt::Display for BitWidth {
@@ -78,7 +73,6 @@ mod tests {
         assert_eq!(BitWidth::W2.bits(), 2);
         assert_eq!(BitWidth::W4.levels(), 16);
         assert_eq!(BitWidth::W8.max_code(), 255);
-        assert_eq!(BitWidth::W16.compression_vs_f32(), 2.0);
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use ops::{
     IGNORE_TARGET,
 };
 pub use pool::{configured_threads, set_configured_threads, THREADS_ENV_VAR};
-pub use rng::{RngState, TensorRng, RNG_STATE_BYTES};
+pub use rng::{fnv1a64, RngState, TensorRng, RNG_STATE_BYTES};
 pub use stats::{cosine_similarity, l2_norm, max_abs_diff, mean, variance};
 pub use tensor::Tensor;

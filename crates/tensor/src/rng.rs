@@ -230,9 +230,25 @@ impl TensorRng {
     }
 }
 
+/// FNV-1a 64 over `bytes` — the one byte hash: the checkpoint envelope's
+/// checksum, the lab's metric digests and token checksums, and the seed a
+/// tenant's adapter is derived from.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn deterministic_streams() {

@@ -37,8 +37,6 @@ EDGELLM_THREADS=2 cargo test -q
 # the one gate path for the headline ratios. The runner executes each
 # task repeat-major (A.r0 B.r0 A.r1 B.r1 ...), so a best-of-N ratio
 # compares arms that ran under the same machine conditions:
-#   weight_cache  cached/uncached adaptation >=1.5x, packed/uncached
-#                 decode >=1.5x, both bit-equal to the uncached baseline
 #   telemetry     disabled probes <=1% of an adaptation step; the named
 #                 tune.* phases cover >=95% of the step; recording
 #                 on/off parameters bit-equal

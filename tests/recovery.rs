@@ -15,7 +15,7 @@ use edge_llm_model::{
     AdaptiveTuner, EdgeModel, ModelConfig, ModelError, Sgd, TrainingCheckpoint, WindowSchedule,
 };
 use edge_llm_tensor::check::run_cases;
-use edge_llm_tensor::{set_configured_threads, Tensor, TensorRng};
+use edge_llm_tensor::{fnv1a64, set_configured_threads, Tensor, TensorRng};
 
 fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
     let task = ModArithTask::new(7);
@@ -372,10 +372,7 @@ fn restored_checkpoint_computes_the_adapted_models_logits_bit_for_bit() {
 /// `payload` inside a sound envelope (magic, length, FNV-1a), so damage to
 /// the payload reaches the parser instead of stopping at the checksum.
 fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut sum = 0xcbf2_9ce4_8422_2325u64;
-    for &b in payload {
-        sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let sum = fnv1a64(payload);
     let mut bytes = b"EDGELLM\x02".to_vec();
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(payload);
