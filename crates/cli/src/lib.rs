@@ -880,7 +880,7 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                 writeln!(
                     out,
                     "  fault @tick {}: {}",
-                    fault.at_iteration,
+                    fault.at_tick,
                     fault.kind.label()
                 )
                 .map_err(run_err)?;

@@ -365,7 +365,8 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
 
 /// Stage two: install `policy` on the prepared model and run
 /// `config.iterations` steps of `schedule` under the resilient runtime —
-/// checkpointed, guarded against divergence, degradable under pressure.
+/// checkpointed, guarded against divergence, degraded after repeated
+/// rollbacks.
 /// The adapted model stays in `prepared`; whatever the runtime did to
 /// keep the run alive comes back in the run's journal.
 ///
@@ -400,7 +401,7 @@ pub fn adapt(
 }
 
 /// Runs one adaptation method end to end under an explicit
-/// [`ResilienceConfig`] — periodic checkpoints, rollback budget, and (in
+/// [`ResilienceConfig`] — periodic checkpoints, spike guard, and (in
 /// tests) a fault-injection plan: [`prepare`], pick the method's policy
 /// and schedule, [`adapt`], then vote and evaluate.
 ///

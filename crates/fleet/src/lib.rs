@@ -53,6 +53,6 @@ mod worker;
 
 pub use loadgen::{Arrival, ScenarioSpec};
 pub use router::{
-    run_fleet, run_fleet_with_adapters, FleetConfig, FleetReport, FleetRequest, FleetRun,
-    SessionFinish, SessionOutcome,
+    run_fleet, run_fleet_with_adapters, FleetConfig, FleetFault, FleetReport, FleetRequest,
+    FleetRun, SessionFinish, SessionOutcome, WorkerFault,
 };

@@ -29,7 +29,7 @@
 //! # Crash replay
 //!
 //! Workers record a [`SessionProgress`] (token + post-draw rng snapshot)
-//! for every accepted token. When a `WorkerCrash` fault kills a worker,
+//! for every accepted token. When a [`WorkerFault::Crash`] kills a worker,
 //! the router rebuilds each lost session as a fresh request whose prompt
 //! is the original prompt extended by the accepted tokens, with the
 //! token budget reduced accordingly and the sampling rng resumed from
@@ -40,7 +40,6 @@
 //! line up and the remaining tokens reproduce bit-identically.
 
 use crate::worker::{StepReply, Worker};
-use edge_llm::resilience::{FaultKind, FaultPlan, PlannedFault};
 use edge_llm_model::{EdgeModel, TenantAdapter};
 use edge_llm_serve::{
     FinishReason, LatencySummary, ServeError, ServeOutcome, ServeRequest, ShedCause,
@@ -48,6 +47,45 @@ use edge_llm_serve::{
 use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::{pool, TensorRng};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+
+/// What happens to a fleet worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkerFault {
+    /// Kill worker `worker`, dropping its in-flight sessions (the router
+    /// replays them on a healthy worker).
+    Crash {
+        /// Index of the worker to kill.
+        worker: usize,
+    },
+    /// Stall worker `worker` for `ticks` scheduler ticks (it makes no
+    /// forward progress but loses no state).
+    Stall {
+        /// Index of the worker to stall.
+        worker: usize,
+        /// Scheduler ticks the worker stays frozen.
+        ticks: usize,
+    },
+}
+
+impl WorkerFault {
+    /// Human-readable label used in scenario reports.
+    pub fn label(&self) -> String {
+        match self {
+            WorkerFault::Crash { worker } => format!("worker-crash({worker})"),
+            WorkerFault::Stall { worker, ticks } => format!("worker-stall({worker},{ticks})"),
+        }
+    }
+}
+
+/// A worker fault scheduled at a fleet tick. Ticks never repeat, so each
+/// entry fires once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FleetFault {
+    /// Tick at whose start the fault fires.
+    pub at_tick: u64,
+    /// What goes wrong.
+    pub kind: WorkerFault,
+}
 
 /// Fleet shape and policy knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,10 +102,9 @@ pub struct FleetConfig {
     /// When set, a session still queued after waiting this many ticks is
     /// shed with [`ShedCause::SloExpired`].
     pub slo_queue_ticks: Option<u64>,
-    /// Deterministic fault schedule (`at_iteration` is the fleet tick).
-    /// Only the serving-side kinds (`WorkerCrash`, `WorkerStall`) act;
-    /// tuner-side kinds are ignored.
-    pub faults: Vec<PlannedFault>,
+    /// Deterministic worker crash and stall schedule (empty in
+    /// production).
+    pub faults: Vec<FleetFault>,
 }
 
 impl Default for FleetConfig {
@@ -522,7 +559,6 @@ pub fn run_fleet_with_adapters(
         queue_wait_samples: Vec::new(),
         decode_ns: Vec::new(),
     };
-    let mut plan = FaultPlan::new(&cfg.faults);
     let mut next_arrival = 0usize;
 
     loop {
@@ -537,9 +573,10 @@ pub fn run_fleet_with_adapters(
         // 1. Scheduled faults fire at the tick boundary, before any
         //    admission: a crash loses exactly the sessions that were
         //    in flight at the end of the previous tick.
-        for fault in plan.due(r.tick) {
+        let tick = r.tick;
+        for fault in cfg.faults.iter().filter(|f| f.at_tick == tick) {
             match fault.kind {
-                FaultKind::WorkerCrash { worker } => {
+                WorkerFault::Crash { worker } => {
                     let w = worker % cfg.workers;
                     telemetry::counter("fleet.worker_crash", 1);
                     // Supervisor restart: the engine and every session
@@ -547,13 +584,11 @@ pub fn run_fleet_with_adapters(
                     workers[w] = fresh_worker()?;
                     r.crash(w);
                 }
-                FaultKind::WorkerStall { worker, ticks } => {
+                WorkerFault::Stall { worker, ticks } => {
                     let w = worker % cfg.workers;
                     telemetry::counter("fleet.worker_stall", 1);
-                    r.stalled_until[w] = r.tick + ticks as u64;
+                    r.stalled_until[w] = tick + ticks as u64;
                 }
-                // Tuner-side faults have no serving interpretation.
-                _ => {}
             }
         }
 
@@ -626,4 +661,21 @@ pub fn run_fleet_with_adapters(
         outcomes: r.outcomes,
         report,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_fault_labels_are_distinct() {
+        let crash = WorkerFault::Crash { worker: 0 }.label();
+        let stall = WorkerFault::Stall {
+            worker: 0,
+            ticks: 3,
+        }
+        .label();
+        assert_eq!(crash, "worker-crash(0)");
+        assert_eq!(stall, "worker-stall(0,3)");
+    }
 }

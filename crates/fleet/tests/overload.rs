@@ -3,10 +3,9 @@
 //! a crash at every tick of a short session (proptest-style sweep), and
 //! retry exhaustion surfacing a typed error.
 
-use edge_llm::resilience::{FaultKind, PlannedFault};
 use edge_llm_fleet::{
-    run_fleet, run_fleet_with_adapters, FleetConfig, FleetReport, FleetRequest, FleetRun,
-    ScenarioSpec, SessionFinish, SessionOutcome,
+    run_fleet, run_fleet_with_adapters, FleetConfig, FleetFault, FleetReport, FleetRequest,
+    FleetRun, ScenarioSpec, SessionFinish, SessionOutcome, WorkerFault,
 };
 use edge_llm_model::{
     AdapterTarget, Decoding, EdgeModel, ModelConfig, ModelError, TenantAdapter, VotingPolicy,
@@ -250,9 +249,9 @@ fn a_crash_at_every_tick_replays_token_identically() {
         let baseline = run_fleet(&m, &base_cfg, &traffic).unwrap();
         for crash_tick in 0..=baseline.report.ticks + 1 {
             let mut cfg = base_cfg.clone();
-            cfg.faults = vec![PlannedFault {
-                at_iteration: crash_tick,
-                kind: FaultKind::WorkerCrash { worker: 0 },
+            cfg.faults = vec![FleetFault {
+                at_tick: crash_tick,
+                kind: WorkerFault::Crash { worker: 0 },
             }];
             let run = run_fleet(&m, &cfg, &traffic).unwrap();
             for base in &baseline.outcomes {
@@ -285,9 +284,9 @@ fn exhausted_retries_surface_a_typed_error() {
         max_retries: 1,
         slo_queue_ticks: None,
         faults: (1..=3)
-            .map(|t| PlannedFault {
-                at_iteration: t,
-                kind: FaultKind::WorkerCrash { worker: 0 },
+            .map(|t| FleetFault {
+                at_tick: t,
+                kind: WorkerFault::Crash { worker: 0 },
             })
             .collect(),
     };

@@ -109,8 +109,8 @@ fn stored_scalars(config: &ModelConfig) -> Option<usize> {
 /// `magic | payload_len | payload | fnv1a64(payload)`, so truncation and
 /// bit corruption are both detected before any field is trusted.
 /// [`TrainingCheckpoint::save_file`] writes atomically (temp file in the
-/// same directory, then rename) so a crash mid-write never clobbers the
-/// previous good checkpoint.
+/// same directory, synced, then renamed) so a crash mid-write never
+/// clobbers the previous good checkpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingCheckpoint {
     /// Architecture of the checkpointed model.
@@ -305,19 +305,22 @@ impl TrainingCheckpoint {
         })
     }
 
-    /// Serializes the checkpoint (magic, length, payload, checksum).
+    /// Serializes the checkpoint (magic, length, payload, checksum) and
+    /// returns the number of bytes written.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Checkpoint`] wrapping any I/O error.
-    pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<(), ModelError> {
+    pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<usize, ModelError> {
         let payload = self.payload();
         let len = (payload.len() as u64).to_le_bytes();
         let sum = fnv1a64(&payload).to_le_bytes();
-        [MAGIC.as_slice(), &len, &payload, &sum]
+        let parts = [MAGIC.as_slice(), &len, &payload, &sum];
+        parts
             .iter()
             .try_for_each(|part| writer.write_all(part))
-            .map_err(|e| ck(format!("write failed: {e}")))
+            .map_err(|e| ck(format!("write failed: {e}")))?;
+        Ok(parts.iter().map(|part| part.len()).sum())
     }
 
     /// Deserializes a checkpoint written by [`TrainingCheckpoint::write_to`].
@@ -362,26 +365,28 @@ impl TrainingCheckpoint {
         Self::parse_payload(&payload)
     }
 
-    /// Atomically writes the checkpoint to `path`: the bytes land in a
-    /// `.tmp` sibling first and are renamed into place, so an interrupted
-    /// save never destroys the previous checkpoint.
+    /// Atomically and durably writes the checkpoint to `path` and returns
+    /// its size in bytes: the bytes land in a `.tmp` sibling, are synced
+    /// to the device, and only then renamed into place, so an interrupted
+    /// save — a crash or a power loss — never destroys the previous
+    /// checkpoint.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Checkpoint`] wrapping any filesystem error.
-    pub fn save_file(&self, path: &Path) -> Result<(), ModelError> {
+    pub fn save_file(&self, path: &Path) -> Result<usize, ModelError> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        let mut file = std::io::BufWriter::new(
-            std::fs::File::create(&tmp)
-                .map_err(|e| ck(format!("cannot create {}: {e}", tmp.display())))?,
-        );
-        self.write_to(&mut file)?;
-        file.flush().map_err(|e| ck(format!("flush failed: {e}")))?;
+        let mut file = std::fs::File::create(&tmp)
+            .map_err(|e| ck(format!("cannot create {}: {e}", tmp.display())))?;
+        let bytes = self.write_to(&mut file)?;
+        file.sync_all()
+            .map_err(|e| ck(format!("cannot sync {}: {e}", tmp.display())))?;
         drop(file);
         std::fs::rename(&tmp, path)
-            .map_err(|e| ck(format!("cannot rename into {}: {e}", path.display())))
+            .map_err(|e| ck(format!("cannot rename into {}: {e}", path.display())))?;
+        Ok(bytes)
     }
 
     /// Loads a checkpoint from `path`.
@@ -500,7 +505,8 @@ mod tests {
         let path = dir.join("run.ckpt");
         let (m, opt, rng) = training_state(10);
         let ckpt = TrainingCheckpoint::capture(&m, &opt, 2, &rng, vec![1, 2, 3]);
-        ckpt.save_file(&path).unwrap();
+        let bytes = ckpt.save_file(&path).unwrap();
+        assert_eq!(bytes as u64, std::fs::metadata(&path).unwrap().len());
         // no temp file left behind
         assert!(!path.with_extension("ckpt.tmp").exists());
         let back = TrainingCheckpoint::load_file(&path).unwrap();

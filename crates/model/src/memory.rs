@@ -17,7 +17,8 @@ pub struct MemoryBreakdown {
     pub activation_bytes: usize,
     /// Gradient buffers for trainable parameters (window only).
     pub gradient_bytes: usize,
-    /// Optimizer state (Adam: two moments per trainable parameter).
+    /// Optimizer state (`optimizer_moments` values per trainable
+    /// parameter).
     pub optimizer_bytes: usize,
 }
 
@@ -33,7 +34,8 @@ impl MemoryBreakdown {
 pub struct MemoryModel {
     /// Batch size used for tuning.
     pub batch: usize,
-    /// Optimizer moments per parameter (0 = SGD, 1 = momentum, 2 = Adam).
+    /// Optimizer state values kept per trainable parameter (0 = plain
+    /// SGD, 1 = SGD with momentum).
     pub optimizer_moments: usize,
     /// Average weight storage bits per parameter after compression
     /// (32 for uncompressed f32).
@@ -41,15 +43,6 @@ pub struct MemoryModel {
 }
 
 impl MemoryModel {
-    /// A full-precision Adam setup at the given batch size.
-    pub fn adam_f32(batch: usize) -> Self {
-        MemoryModel {
-            batch,
-            optimizer_moments: 2,
-            weight_bits: 32.0,
-        }
-    }
-
     /// Per-block trainable parameter count.
     fn block_params(config: &ModelConfig) -> usize {
         let c = config.d_model;
@@ -101,10 +94,18 @@ impl MemoryModel {
 mod tests {
     use super::*;
 
+    fn f32_model(batch: usize, optimizer_moments: usize) -> MemoryModel {
+        MemoryModel {
+            batch,
+            optimizer_moments,
+            weight_bits: 32.0,
+        }
+    }
+
     #[test]
     fn shallower_windows_use_less_memory() {
         let cfg = ModelConfig::edge_base();
-        let model = MemoryModel::adam_f32(4);
+        let model = f32_model(4, 1);
         let full = model.estimate(&cfg, cfg.n_layers);
         let one = model.estimate(&cfg, 1);
         assert!(one.total() < full.total());
@@ -116,11 +117,10 @@ mod tests {
     #[test]
     fn compression_shrinks_weight_memory() {
         let cfg = ModelConfig::edge_base();
-        let fp = MemoryModel::adam_f32(1).estimate(&cfg, 2);
+        let fp = f32_model(1, 1).estimate(&cfg, 2);
         let q4 = MemoryModel {
-            batch: 1,
-            optimizer_moments: 2,
             weight_bits: 4.0,
+            ..f32_model(1, 1)
         }
         .estimate(&cfg, 2);
         assert!(q4.weight_bytes * 7 < fp.weight_bytes);
@@ -129,26 +129,16 @@ mod tests {
     #[test]
     fn optimizer_moments_scale_state() {
         let cfg = ModelConfig::tiny();
-        let sgd = MemoryModel {
-            batch: 1,
-            optimizer_moments: 0,
-            weight_bits: 32.0,
-        }
-        .estimate(&cfg, 1);
-        let adam = MemoryModel {
-            batch: 1,
-            optimizer_moments: 2,
-            weight_bits: 32.0,
-        }
-        .estimate(&cfg, 1);
-        assert_eq!(sgd.optimizer_bytes, 0);
-        assert_eq!(adam.optimizer_bytes, 2 * adam.gradient_bytes);
+        let plain = f32_model(1, 0).estimate(&cfg, 1);
+        let momentum = f32_model(1, 1).estimate(&cfg, 1);
+        assert_eq!(plain.optimizer_bytes, 0);
+        assert_eq!(momentum.optimizer_bytes, momentum.gradient_bytes);
     }
 
     #[test]
     fn window_depth_is_clamped() {
         let cfg = ModelConfig::tiny();
-        let m = MemoryModel::adam_f32(1);
+        let m = f32_model(1, 1);
         assert_eq!(m.estimate(&cfg, 100), m.estimate(&cfg, cfg.n_layers));
         assert_eq!(m.estimate(&cfg, 0), m.estimate(&cfg, 1));
     }

@@ -47,8 +47,8 @@ EDGELLM_THREADS=2 cargo test -q
 #                 batched rows >=1.3x one row's tokens/s (timing_deltas),
 #                 same stream
 #   fleet         equal work across 1/2/4 workers (oracle only; the
-#                 tokens/s scaling is recorded in the timing tables,
-#                 its multi-core bar is ROADMAP item 6's to add)
+#                 tokens/s per worker count is recorded in the timing
+#                 tables, no scaling bar is claimed)
 #   smoke         one toy task per family, deterministic gates only; run
 #                 with two kernel threads so the baseline is also held
 #                 across thread counts (the timing-gated specs are

@@ -7,7 +7,7 @@
 //! 2. **N workers, no faults** — every session is bit-identical to its
 //!    solo reference regardless of shard placement, for randomized
 //!    request mixes drawn from the in-repo property harness.
-//! 3. **Injected `WorkerCrash` schedules** — every session's token
+//! 3. **Injected `WorkerFault::Crash` schedules** — every session's token
 //!    stream and finish reason match the crash-free single-worker run.
 //!    (A crash can land between a session's last token and its
 //!    retirement, in which case the replay's step count and final
@@ -15,9 +15,9 @@
 //!    compares tokens + finish, the full-strength bitwise oracle runs on
 //!    the fault-free configurations.)
 
-use edge_llm::resilience::{FaultKind, PlannedFault};
 use edge_llm_fleet::{
-    run_fleet, run_fleet_with_adapters, FleetConfig, FleetRequest, FleetRun, SessionFinish,
+    run_fleet, run_fleet_with_adapters, FleetConfig, FleetFault, FleetRequest, FleetRun,
+    SessionFinish, WorkerFault,
 };
 use edge_llm_model::{
     AdapterTarget, Decoding, EdgeModel, ModelConfig, TenantAdapter, VotingCombiner, VotingPolicy,
@@ -167,9 +167,9 @@ fn identical_runs_produce_identical_reports() {
             queue_depth: 2,
             max_retries: 1,
             slo_queue_ticks: Some(6),
-            faults: vec![PlannedFault {
-                at_iteration: 3,
-                kind: FaultKind::WorkerCrash { worker: 0 },
+            faults: vec![FleetFault {
+                at_tick: 3,
+                kind: WorkerFault::Crash { worker: 0 },
             }],
         };
         let a = run_fleet(&model, &cfg, &traffic).unwrap();
@@ -197,15 +197,15 @@ fn crashed_workers_replay_token_identically() {
             let mut cfg = roomy(workers);
             // a crash landing anywhere in the run, on any worker
             cfg.faults = vec![
-                PlannedFault {
-                    at_iteration: g.usize_in(1, 12) as u64,
-                    kind: FaultKind::WorkerCrash {
+                FleetFault {
+                    at_tick: g.usize_in(1, 12) as u64,
+                    kind: WorkerFault::Crash {
                         worker: g.usize_in(0, workers),
                     },
                 },
-                PlannedFault {
-                    at_iteration: g.usize_in(1, 20) as u64,
-                    kind: FaultKind::WorkerCrash {
+                FleetFault {
+                    at_tick: g.usize_in(1, 20) as u64,
+                    kind: WorkerFault::Crash {
                         worker: g.usize_in(0, workers),
                     },
                 },
@@ -269,15 +269,15 @@ fn crashed_workers_replay_tenant_sessions_with_adapters_resident() {
         for workers in [2usize, 4] {
             let mut cfg = roomy(workers);
             cfg.faults = vec![
-                PlannedFault {
-                    at_iteration: g.usize_in(1, 12) as u64,
-                    kind: FaultKind::WorkerCrash {
+                FleetFault {
+                    at_tick: g.usize_in(1, 12) as u64,
+                    kind: WorkerFault::Crash {
                         worker: g.usize_in(0, workers),
                     },
                 },
-                PlannedFault {
-                    at_iteration: g.usize_in(1, 20) as u64,
-                    kind: FaultKind::WorkerCrash {
+                FleetFault {
+                    at_tick: g.usize_in(1, 20) as u64,
+                    kind: WorkerFault::Crash {
                         worker: g.usize_in(0, workers),
                     },
                 },
@@ -304,9 +304,9 @@ fn stalls_delay_but_never_change_outputs() {
         let traffic = fleet_traffic(g, &model, 6, 4);
         let baseline = run_fleet(&model, &roomy(2), &traffic).unwrap();
         let mut cfg = roomy(2);
-        cfg.faults = vec![PlannedFault {
-            at_iteration: g.usize_in(0, 6) as u64,
-            kind: FaultKind::WorkerStall {
+        cfg.faults = vec![FleetFault {
+            at_tick: g.usize_in(0, 6) as u64,
+            kind: WorkerFault::Stall {
                 worker: g.usize_in(0, 2),
                 ticks: g.usize_in(1, 5),
             },

@@ -1,6 +1,6 @@
 //! Integration tests for the fault-tolerant adaptation runtime:
-//! kill-and-resume equivalence, per-fault-class recovery, and corrupt
-//! checkpoint handling.
+//! kill-and-resume equivalence, per-fault-class recovery, rollback-driven
+//! window degradation, and corrupt checkpoint handling.
 
 use edge_llm::baselines::uniform_policy_for_budget;
 use edge_llm::compress::apply_policy;
@@ -204,12 +204,13 @@ fn kill_and_resume_with_different_thread_count_is_bit_identical() {
     );
 }
 
-fn fault_plan(kind: FaultKind) -> ResilienceConfig {
+/// A plan of one `kind` fault at each of `iterations`.
+fn fault_plan(kind: FaultKind, iterations: &[u64]) -> ResilienceConfig {
     ResilienceConfig {
-        faults: vec![PlannedFault {
-            at_iteration: 2,
-            kind,
-        }],
+        faults: iterations
+            .iter()
+            .map(|&at_iteration| PlannedFault { at_iteration, kind })
+            .collect(),
         ..ResilienceConfig::default()
     }
 }
@@ -221,11 +222,8 @@ fn every_fault_class_recovers_or_degrades() {
         FaultKind::FlipGradBit { bit: 30 },
         FaultKind::NanGrad,
         FaultKind::NanParam,
-        FaultKind::CorruptCheckpoint,
-        FaultKind::Preempt,
-        FaultKind::MemoryPressure,
     ] {
-        let out = run_method_with(Method::Vanilla, &cfg, &fault_plan(kind)).unwrap();
+        let out = run_method_with(Method::Vanilla, &cfg, &fault_plan(kind, &[2])).unwrap();
         let events = out.journal.events();
         assert!(
             events
@@ -234,78 +232,67 @@ fn every_fault_class_recovers_or_degrades() {
             "{kind:?}: no fault recorded in {events:?}"
         );
         assert!((0.0..=1.0).contains(&out.accuracy), "{kind:?}");
-        match kind {
-            FaultKind::NanGrad | FaultKind::NanParam => {
-                assert!(
-                    out.journal.rollbacks() >= 1,
-                    "{kind:?}: no rollback in {events:?}"
-                );
-                assert!(
-                    events
-                        .iter()
-                        .any(|e| matches!(e, RecoveryEvent::DivergenceDetected { .. })),
-                    "{kind:?}: divergence not detected in {events:?}"
-                );
-            }
-            FaultKind::CorruptCheckpoint => {
-                assert!(
-                    events
-                        .iter()
-                        .any(|e| matches!(e, RecoveryEvent::CheckpointRejected { .. })),
-                    "corrupt checkpoint not rejected in {events:?}"
-                );
-            }
-            FaultKind::Preempt => {
-                assert!(
-                    events
-                        .iter()
-                        .any(|e| matches!(e, RecoveryEvent::Preempted { .. }))
-                        && events
-                            .iter()
-                            .any(|e| matches!(e, RecoveryEvent::Resumed { .. })),
-                    "preemption not journaled in {events:?}"
-                );
-            }
-            FaultKind::MemoryPressure => {
-                assert!(
-                    events
-                        .iter()
-                        .any(|e| matches!(e, RecoveryEvent::WindowDegraded { .. })),
-                    "window not degraded in {events:?}"
-                );
-            }
-            FaultKind::FlipGradBit { .. } => {}
-            // serving-side faults: no-ops in the adaptation loop (the
-            // fleet router is what reacts to them)
-            FaultKind::WorkerCrash { .. } | FaultKind::WorkerStall { .. } => {}
+        if !matches!(kind, FaultKind::FlipGradBit { .. }) {
+            assert!(
+                out.journal.rollbacks() >= 1,
+                "{kind:?}: no rollback in {events:?}"
+            );
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e, RecoveryEvent::DivergenceDetected { .. })),
+                "{kind:?}: divergence not detected in {events:?}"
+            );
         }
     }
 }
 
+/// Repeated rollbacks are what shrinks the window: the second one halves
+/// the smoke model's full depth, and the run still finishes.
 #[test]
-fn edge_llm_method_survives_preemption() {
+fn second_rollback_degrades_the_window_and_the_run_finishes() {
     let cfg = ExperimentConfig::smoke_test();
-    let out = run_method_with(Method::EdgeLlm, &cfg, &fault_plan(FaultKind::Preempt)).unwrap();
+    let out = run_method_with(
+        Method::Vanilla,
+        &cfg,
+        &fault_plan(FaultKind::NanGrad, &[1, 3]),
+    )
+    .unwrap();
     let events = out.journal.events();
-    assert!(events
+    assert_eq!(out.journal.rollbacks(), 2, "{}", out.journal);
+    let degraded: Vec<_> = events
         .iter()
-        .any(|e| matches!(e, RecoveryEvent::Resumed { .. })));
+        .filter_map(|e| match e {
+            RecoveryEvent::WindowDegraded {
+                old_depth,
+                new_depth,
+                ..
+            } => Some((*old_depth, *new_depth)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(degraded, [(2, 1)], "{}", out.journal);
+    assert!(matches!(
+        events.last(),
+        Some(RecoveryEvent::WindowDegraded { .. })
+    ));
+    assert!(out.final_loss.is_finite());
     assert!(out.perplexity.is_finite());
 }
 
 #[test]
 fn exhausted_rollback_budget_fails_typed() {
-    let cfg = ExperimentConfig::smoke_test();
-    let res = ResilienceConfig {
-        max_rollbacks: 0,
-        faults: vec![PlannedFault {
-            at_iteration: 1,
-            kind: FaultKind::NanParam,
-        }],
-        ..ResilienceConfig::default()
+    // a fault poisons parameters its step writes, and the guard trips
+    // once a later step's forward reads them — up to two steps later
+    // after degradation to a one-layer window — so the four faults are
+    // spaced three iterations apart
+    let cfg = ExperimentConfig {
+        iterations: 12,
+        ..ExperimentConfig::smoke_test()
     };
+    let res = fault_plan(FaultKind::NanParam, &[1, 4, 7, 10]);
     match run_method_with(Method::Vanilla, &cfg, &res) {
-        Err(EdgeLlmError::Diverged { rollbacks, .. }) => assert_eq!(rollbacks, 0),
+        Err(EdgeLlmError::Diverged { rollbacks, .. }) => assert_eq!(rollbacks, 3),
         other => panic!("expected Diverged, got {other:?}"),
     }
 }
