@@ -21,8 +21,8 @@
 //!   [`edge_llm_serve::SessionProgress`] snapshot).
 //!
 //! The workspace-root `tests/fleet_equivalence.rs` suite pins all three
-//! oracles down; [`loadgen`] provides seeded traffic scenarios for the
-//! `edgellm loadgen` CLI and the lab's `fleet` family.
+//! oracles down; [`ScenarioSpec`] provides seeded traffic scenarios for
+//! the `edgellm loadgen` CLI and the lab's `fleet` family.
 //!
 //! # Example
 //!

@@ -309,7 +309,7 @@ fn apply_causal_mask(scores: &mut Tensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
+    use edge_llm_quant::{BitWidth, QuantScheme};
 
     #[test]
     fn output_shape_matches_input() {
@@ -332,11 +332,13 @@ mod tests {
             let v = x2.get(seq - 1, c);
             x2.set(seq - 1, c, v + 3.0);
         }
-        // second case: a per-tensor activation scheme on `qkv`, whose range
-        // must not be shared across tokens either
-        let per_tensor =
-            QuantScheme::asymmetric(BitWidth::W4).with_granularity(Granularity::PerTensor);
-        for act in [None, Some(per_tensor)] {
+        // and with an activation scheme on `qkv`, whose ranges must not be
+        // shared across tokens either
+        for act in [
+            None,
+            Some(QuantScheme::asymmetric(BitWidth::W4)),
+            Some(QuantScheme::asymmetric(BitWidth::W8)),
+        ] {
             attn.qkv_mut().set_activation_quant(act);
             let y1 = attn.forward(&x1, 1, seq).unwrap().0;
             let y2 = attn.forward(&x2, 1, seq).unwrap().0;

@@ -29,8 +29,8 @@
 //!   order regardless of how many rows are in flight (and the threaded
 //!   kernel splits by output row); layer norm, softmax, GELU, bias-add
 //!   and the residual adds are per-row or elementwise; every projection
-//!   is [`crate::Linear::forward_no_cache`], which fits an activation
-//!   scheme per row, so even per-tensor calibration schemes cannot couple
+//!   is [`crate::Linear::forward_no_cache`], and every quantization
+//!   scheme is fitted per row, so activation calibration cannot couple
 //!   rows; adapter deltas are added per row
 //!   ([`ResolvedAdapter::apply_row`]).
 //! - **K/V write before attend.** Each layer writes the K/V rows of every

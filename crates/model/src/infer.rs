@@ -145,12 +145,12 @@ impl<'a> InferenceSession<'a> {
     /// One self-speculative draft/verify round: feeds `token`, drafts up
     /// to `k` tokens from exit `draft_depth`, verifies them in one
     /// full-depth pass, and rolls the cache back past rejected positions
-    /// — see [`spec_round`] for the exact semantics and the bit-identity
-    /// argument.
+    /// — see [`spec_round`](crate::spec_round) for the exact semantics and
+    /// the bit-identity argument.
     ///
     /// # Errors
     ///
-    /// As [`spec_round`].
+    /// As [`spec_round`](crate::spec_round).
     pub fn speculative_round(
         &mut self,
         token: usize,

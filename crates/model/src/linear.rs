@@ -1,8 +1,8 @@
 use crate::error::ModelError;
 use edge_llm_prune::PruneMask;
 use edge_llm_quant::{
-    fake_quant, fake_quant_backward, fake_quant_row_in_place, packed_decode_matmul,
-    packed_gemm_supported, quantize_activations, QuantScheme, QuantizedTensor,
+    fake_quant, packed_decode_matmul, packed_gemm_supported, quantize_activations, QuantScheme,
+    QuantizedTensor,
 };
 use edge_llm_tensor::{
     add_bias_backward, add_bias_forward, matmul_a_bt, matmul_at_b, matmul_fill_b_with, Tensor,
@@ -19,7 +19,8 @@ use std::sync::{Arc, OnceLock};
 ///
 /// * a [`PruneMask`] keeps pruned weights (and their gradients) at zero,
 /// * a [`QuantScheme`] makes the forward pass use the fake-quantized weight
-///   while gradients flow via the straight-through estimator.
+///   while gradients flow via the straight-through estimator — the
+///   identity, since each row's range is fitted to that row.
 ///
 /// These are exactly the per-layer knobs a LUC policy assigns.
 ///
@@ -52,12 +53,11 @@ use std::sync::{Arc, OnceLock};
 /// window and the exit head being trained, nothing else; so a packed layer
 /// is never asked for its dense weight by a forward that will not train
 /// it, and an integer-eligible layer is evaluated on the route it serves.
-/// An activation scheme is fitted **per input row**, one token's
-/// activations at a time, in training and frozen forwards alike: a row's
-/// output never depends on which other rows share the call, so a batched
-/// decode step equals a solo session bit for bit and the full-window
-/// forward *is* decode — under every scheme, a per-tensor one included,
-/// which here means per token.
+/// Every [`QuantScheme`] is fitted **per row**, so an activation scheme
+/// quantizes one token's activations at a time, in training and frozen
+/// forwards alike: a row's output never depends on which other rows share
+/// the call, so a batched decode step equals a solo session bit for bit
+/// and the full-window forward *is* decode.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Tensor,
@@ -442,20 +442,15 @@ impl Linear {
         Ok((y, LinearCache { x, w_eff }))
     }
 
-    /// The input the f32 matmuls see. An installed activation scheme is
-    /// fitted to each row — one token's activations — on its own, in place
-    /// in a copy of the batch (same bits as quantizing a `1 x cols` tensor
-    /// per row). This is the only place a scheme meets f32 activations;
-    /// the integer route's [`quantize_activations`] is per row too.
+    /// The input the f32 matmuls see: fake-quantized under an installed
+    /// activation scheme, each row — one token's activations — on its own
+    /// grid. This is the only place a scheme meets f32 activations; the
+    /// integer route's [`quantize_activations`] fits the same grids.
     fn effective_input<'a>(&self, x: &'a Tensor) -> Result<Cow<'a, Tensor>, ModelError> {
-        let Some(scheme) = self.act_quant else {
-            return Ok(Cow::Borrowed(x));
-        };
-        let mut q = x.clone();
-        for r in 0..q.rows() {
-            fake_quant_row_in_place(q.row_mut(r), scheme)?;
+        match self.act_quant {
+            Some(scheme) => Ok(Cow::Owned(fake_quant(x, scheme)?)),
+            None => Ok(Cow::Borrowed(x)),
         }
-        Ok(Cow::Owned(q))
     }
 
     /// Forward pass without retaining activations — the one projection
@@ -529,7 +524,8 @@ impl Linear {
     /// Backward pass: accumulates `dw`/`db` and returns `dx`.
     ///
     /// Pruned positions receive zero gradient; with quantization installed
-    /// the weight gradient passes through the straight-through estimator.
+    /// the weight gradient passes straight through the quantizer, which
+    /// clips nothing (its range is fitted to the weight it quantizes).
     ///
     /// # Errors
     ///
@@ -541,9 +537,6 @@ impl Linear {
         };
         let dx = matmul_a_bt(dy, w_used)?;
         let mut dw = matmul_at_b(&cache.x, dy)?;
-        if let Some(scheme) = self.quant {
-            dw = fake_quant_backward(&self.w, &dw, scheme)?;
-        }
         if let Some(m) = &self.mask {
             m.apply(&mut dw)?;
         }
@@ -726,6 +719,42 @@ mod tests {
                 .unwrap();
         let expect = edge_llm_tensor::matmul_at_b(&xq, &dy).unwrap();
         assert!(l.weight_grad().approx_eq(&expect, 1e-4));
+    }
+
+    #[test]
+    fn quantized_backward_accumulates_exactly_the_masked_xt_dy() {
+        // Every quantizer range is fitted to the row it covers, so no
+        // weight lies outside it and the straight-through weight gradient
+        // of a masked, quantized layer is `mask ⊙ (x̂ᵀ·dy)` to the bit,
+        // where `x̂` is the input the forward saw.
+        let mut rng = TensorRng::seed_from(22);
+        for bits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+            for act in [None, Some(QuantScheme::asymmetric(BitWidth::W4))] {
+                let mut l = Linear::new(12, 10, &mut rng);
+                let mask = magnitude_prune(l.weight(), 0.4).unwrap();
+                l.set_mask(Some(mask.clone())).unwrap();
+                l.set_quant(Some(QuantScheme::symmetric(bits)));
+                l.set_activation_quant(act);
+                let x = Tensor::randn(5, 12, 1.0, &mut rng);
+                let dy = Tensor::randn(5, 10, 1.0, &mut rng);
+                let (_, cache) = l.forward(&x).unwrap();
+                l.backward(&cache, &dy).unwrap();
+                let x_seen = match act {
+                    Some(s) => fake_quant(&x, s).unwrap(),
+                    None => x,
+                };
+                let mut want = matmul_at_b(&x_seen, &dy).unwrap();
+                mask.apply(&mut want).unwrap();
+                // accumulated onto a zeroed gradient
+                want.as_mut_slice().iter_mut().for_each(|g| *g += 0.0);
+                let raw = |t: &Tensor| t.as_slice().iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    raw(l.weight_grad()),
+                    raw(&want),
+                    "{bits}, activations {act:?}"
+                );
+            }
+        }
     }
 
     #[test]

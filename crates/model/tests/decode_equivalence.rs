@@ -16,7 +16,7 @@ use edge_llm_model::{
     ResolvedAdapter, SequenceKv, Sgd, TenantAdapter, VotingCombiner, VotingPolicy, WindowSchedule,
 };
 use edge_llm_prune::magnitude_prune;
-use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
+use edge_llm_quant::{BitWidth, QuantScheme};
 use edge_llm_tensor::check::run_cases;
 use edge_llm_tensor::{configured_threads, set_configured_threads, Tensor, TensorRng};
 use std::sync::Mutex;
@@ -138,19 +138,17 @@ fn session_decode_matches_generate_for_every_mode_and_policy() {
 #[test]
 fn per_position_session_probs_match_predict_rows() {
     // An activation scheme is fitted per token in both forwards, so the
-    // full window sees the grid a one-row decode step sees — per-tensor
-    // included, where a shared range would let later tokens move earlier
-    // positions.
-    let per_tensor = QuantScheme::asymmetric(BitWidth::W4).with_granularity(Granularity::PerTensor);
+    // full window sees the grid a one-row decode step sees; a range shared
+    // across the window would let later tokens move earlier positions.
     let models = [
         ("uncompressed", model(22)),
         (
-            "per-row w8 activations",
+            "w8 activations",
             with_activation_quant(model(22), QuantScheme::asymmetric(BitWidth::W8)),
         ),
         (
-            "per-tensor w4 activations",
-            with_activation_quant(model(22), per_tensor),
+            "w4 activations",
+            with_activation_quant(model(22), QuantScheme::asymmetric(BitWidth::W4)),
         ),
     ];
     for (mname, m) in &models {

@@ -6,8 +6,8 @@ use edge_llm_tensor::Tensor;
 
 /// A tensor stored as bit-packed affine-quantized codes.
 ///
-/// Element `i` of group `g` reconstructs as
-/// `x̂ = (code_i - zero_g) * scale_g`.
+/// Element `c` of row `r` reconstructs as
+/// `x̂ = (code_rc - zero_r) * scale_r`.
 ///
 /// # Example
 ///
@@ -33,34 +33,26 @@ pub struct QuantizedTensor {
 }
 
 impl QuantizedTensor {
-    /// Quantizes `x` under `scheme`.
+    /// Quantizes `x` under `scheme`, each row on its own grid.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::BadGroupSize`] when a group granularity does
-    /// not divide the row length, and [`QuantError::NonFinite`] when the
-    /// input holds NaN or infinite values.
+    /// Returns [`QuantError::NonFinite`] when the input holds NaN or
+    /// infinite values.
     pub fn quantize(x: &Tensor, scheme: QuantScheme) -> Result<Self, QuantError> {
         if x.as_slice().iter().any(|v| !v.is_finite()) {
             return Err(QuantError::NonFinite);
         }
         let (rows, cols) = x.shape();
-        let n_groups = scheme.group_count(rows, cols)?;
-        let group_len = scheme.group_len(rows, cols);
-        let data = x.as_slice();
-        let max_code = scheme.bits.max_code() as f32;
-        let mut scales = Vec::with_capacity(n_groups);
-        let mut zeros = Vec::with_capacity(n_groups);
-        let mut codes = Vec::with_capacity(data.len());
-        for g in 0..n_groups {
-            let chunk = &data[g * group_len..((g + 1) * group_len).min(data.len())];
-            let (scale, zero) = fit_group(chunk, scheme.bits, scheme.mode);
-            scales.push(scale);
-            zeros.push(zero);
-            for &v in chunk {
-                let q = (v / scale + zero).round().clamp(0.0, max_code);
-                codes.push(q as u32);
-            }
+        let mut scales = Vec::with_capacity(rows);
+        let mut zeros = Vec::with_capacity(rows);
+        let mut codes = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            let row = x.row(r);
+            let grid = RowGrid::fit(row, scheme.bits, scheme.mode);
+            codes.extend(row.iter().map(|&v| grid.code(v)));
+            scales.push(grid.scale);
+            zeros.push(grid.zero);
         }
         Ok(QuantizedTensor {
             rows,
@@ -74,12 +66,9 @@ impl QuantizedTensor {
 
     /// Reconstructs the dense `f32` tensor.
     pub fn dequantize(&self) -> Tensor {
-        let group_len = self.scheme.group_len(self.rows, self.cols);
         let mut out = Tensor::zeros(self.rows, self.cols);
-        let data = out.as_mut_slice();
-        for (i, slot) in data.iter_mut().enumerate().take(self.codes.len()) {
-            let g = i / group_len;
-            *slot = (self.codes.get(i) as f32 - self.zeros[g]) * self.scales[g];
+        for r in 0..self.rows {
+            self.dequantize_row_into(r, out.row_mut(r));
         }
         out
     }
@@ -95,12 +84,10 @@ impl QuantizedTensor {
     pub fn dequantize_row_into(&self, r: usize, buf: &mut [f32]) {
         assert!(r < self.rows, "row {r} out of bounds");
         assert_eq!(buf.len(), self.cols, "buffer length must equal cols");
-        let group_len = self.scheme.group_len(self.rows, self.cols);
+        let (scale, zero) = (self.scales[r], self.zeros[r]);
         let base = r * self.cols;
         for (c, slot) in buf.iter_mut().enumerate() {
-            let i = base + c;
-            let g = i / group_len;
-            *slot = (self.codes.get(i) as f32 - self.zeros[g]) * self.scales[g];
+            *slot = (self.codes.get(base + c) as f32 - zero) * scale;
         }
     }
 
@@ -129,22 +116,22 @@ impl QuantizedTensor {
         &self.codes
     }
 
-    /// Scale of group `g`.
+    /// Scale of row `r`.
     ///
     /// # Panics
     ///
-    /// Panics if `g` is out of range.
-    pub fn scale(&self, g: usize) -> f32 {
-        self.scales[g]
+    /// Panics if `r >= rows()`.
+    pub fn scale(&self, r: usize) -> f32 {
+        self.scales[r]
     }
 
-    /// Zero-point of group `g`.
+    /// Zero-point of row `r`.
     ///
     /// # Panics
     ///
-    /// Panics if `g` is out of range.
-    pub fn zero_point(&self, g: usize) -> f32 {
-        self.zeros[g]
+    /// Panics if `r >= rows()`.
+    pub fn zero_point(&self, r: usize) -> f32 {
+        self.zeros[r]
     }
 
     /// The unpacked integer codes of row `r`.
@@ -159,7 +146,7 @@ impl QuantizedTensor {
             .collect()
     }
 
-    /// Actual bytes used: packed codes plus per-group metadata.
+    /// Actual bytes used: packed codes plus per-row metadata.
     pub fn storage_bytes(&self) -> usize {
         let meta = match self.scheme.mode {
             QuantMode::Symmetric => self.scales.len() * 4,
@@ -184,61 +171,94 @@ impl QuantizedTensor {
     }
 }
 
-/// The `(scale, zero point)` of one quantization group. A range too
-/// narrow for its step to be a normal `f32` — the all-zero group, and a
-/// denormal one whose step underflows to zero or a subnormal — has nothing
-/// to resolve: it gets unit scale and every code at the zero point, so the
-/// error is the denormal itself and no route ever divides by zero.
-///
-/// A range so wide that its top code would dequantize past `f32::MAX` (or
-/// that `hi - lo` overflows) gets the zero point `half` and the step
-/// `m / half` for its largest magnitude `m`: `half` is a power of two, so
-/// the grid reaches `-m` exactly and stops one step short of `m`.
-pub(crate) fn fit_group(chunk: &[f32], bits: BitWidth, mode: QuantMode) -> (f32, f32) {
-    let max_code = bits.max_code() as f32;
-    let half = (bits.levels() / 2) as f32; // e.g. 8 for W4
-    match mode {
-        QuantMode::Symmetric => {
-            let max_abs = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let step = max_abs / (half - 1.0).max(1.0);
-            if step < f32::MIN_POSITIVE {
-                (1.0, half)
-            } else if (step * (half - 1.0)).is_infinite() {
-                (max_abs / half, half)
-            } else {
-                (step, half)
+/// One row's affine grid, `x̂ = (code - zero) * scale`: the crate's one
+/// fit-and-round, shared by [`QuantizedTensor::quantize`],
+/// [`crate::fake_quant`] and [`crate::quantize_activations`],
+/// so a row carries the same codes on every route.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowGrid {
+    pub(crate) scale: f32,
+    pub(crate) zero: f32,
+    max_code: u32,
+}
+
+impl RowGrid {
+    /// Fits `row`'s `(scale, zero point)`. A range too narrow for its step
+    /// to be a normal `f32` — the all-zero row, and a denormal one whose
+    /// step underflows to zero or a subnormal — has nothing to resolve: it
+    /// gets unit scale and every code at the zero point, so the error is
+    /// the denormal itself and no route ever divides by zero.
+    ///
+    /// A range so wide that its top code would dequantize past `f32::MAX`
+    /// (or that `hi - lo` overflows) gets the zero point `half` and the
+    /// step `m / half` for its largest magnitude `m`: `half` is a power of
+    /// two, so the grid reaches `-m` exactly and stops one step short of
+    /// `m`.
+    pub(crate) fn fit(row: &[f32], bits: BitWidth, mode: QuantMode) -> Self {
+        let max_code = bits.max_code() as f32;
+        let half = (bits.levels() / 2) as f32; // e.g. 8 for W4
+        let (scale, zero) = match mode {
+            QuantMode::Symmetric => {
+                let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+                let step = max_abs / (half - 1.0).max(1.0);
+                if step < f32::MIN_POSITIVE {
+                    (1.0, half)
+                } else if (step * (half - 1.0)).is_infinite() {
+                    (max_abs / half, half)
+                } else {
+                    (step, half)
+                }
             }
-        }
-        QuantMode::Asymmetric => {
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for &v in chunk {
-                lo = lo.min(v);
-                hi = hi.max(v);
+            QuantMode::Asymmetric => {
+                let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+                for &v in row {
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                }
+                // Keep zero exactly representable.
+                let lo = lo.min(0.0);
+                let hi = hi.max(0.0);
+                let scale = (hi - lo) / max_code;
+                if !lo.is_finite() || !hi.is_finite() || scale < f32::MIN_POSITIVE {
+                    (1.0, 0.0)
+                } else if scale.is_infinite() {
+                    (hi.max(-lo) / half, half)
+                } else {
+                    // `-lo / scale` lies in `[0, max_code]`: the clamp is idle
+                    (scale, round_code(-lo / scale, bits.max_code()) as f32)
+                }
             }
-            if !lo.is_finite() || !hi.is_finite() {
-                return (1.0, 0.0);
-            }
-            // Keep zero exactly representable.
-            let lo = lo.min(0.0);
-            let hi = hi.max(0.0);
-            let scale = (hi - lo) / max_code;
-            if scale < f32::MIN_POSITIVE {
-                return (1.0, 0.0);
-            }
-            if scale.is_infinite() {
-                return (hi.max(-lo) / half, half);
-            }
-            let zero = (-lo / scale).round();
-            (scale, zero)
+        };
+        RowGrid {
+            scale,
+            zero,
+            max_code: bits.max_code(),
         }
     }
+
+    /// The code of `v` on this grid.
+    #[inline]
+    pub(crate) fn code(&self, v: f32) -> u32 {
+        round_code(v / self.scale + self.zero, self.max_code)
+    }
+}
+
+/// `t.round().clamp(0, max_code)` without `f32::round`, a libm call on
+/// baseline x86-64 — the crate's one rounding. Past the clamp `t` is in
+/// `[-1, max_code + 1]`, so the cast truncates exactly, `t - whole` is
+/// exact, and half-way cases round away from zero as `round` does.
+#[inline]
+fn round_code(t: f32, max_code: u32) -> u32 {
+    let max = max_code as i32;
+    let t = t.clamp(-1.0, (max + 1) as f32);
+    let whole = t as i32;
+    (whole + i32::from(t - whole as f32 >= 0.5)).clamp(0, max) as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Granularity;
-    use edge_llm_tensor::{max_abs_diff, TensorRng};
+    use edge_llm_tensor::{l2_norm, max_abs_diff, TensorRng};
 
     #[test]
     fn roundtrip_error_shrinks_with_bits() {
@@ -274,30 +294,17 @@ mod tests {
     }
 
     #[test]
-    fn finer_granularity_reduces_error() {
-        let mut rng = TensorRng::seed_from(4);
-        // rows with very different magnitudes
-        let mut x = Tensor::randn(4, 64, 1.0, &mut rng);
-        for c in 0..64 {
-            let v = x.get(3, c);
-            x.set(3, c, v * 100.0);
+    fn sqnr_improves_roughly_6db_per_bit() {
+        let mut rng = TensorRng::seed_from(1);
+        let x = Tensor::randn(32, 64, 1.0, &mut rng);
+        let mut prev = f32::NEG_INFINITY;
+        for bits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+            let q = QuantizedTensor::quantize(&x, QuantScheme::symmetric(bits)).unwrap();
+            let noise = l2_norm(&x.sub(&q.dequantize()).unwrap());
+            let sqnr = 20.0 * (l2_norm(&x) / noise).log10();
+            assert!(sqnr > prev + 5.0, "{bits}: sqnr {sqnr} vs prev {prev}");
+            prev = sqnr;
         }
-        let per_tensor =
-            QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::PerTensor);
-        let per_row = QuantScheme::symmetric(BitWidth::W4);
-        // The scaled row dominates the max error either way; mean-squared
-        // error is what finer granularity improves.
-        let et = crate::quant_mse(
-            &x,
-            &QuantizedTensor::quantize(&x, per_tensor)
-                .unwrap()
-                .dequantize(),
-        );
-        let er = crate::quant_mse(
-            &x,
-            &QuantizedTensor::quantize(&x, per_row).unwrap().dequantize(),
-        );
-        assert!(er < et, "per-row {er} should beat per-tensor {et}");
     }
 
     #[test]
@@ -328,24 +335,18 @@ mod tests {
     fn dequantize_row_matches_full() {
         let mut rng = TensorRng::seed_from(6);
         let x = Tensor::randn(6, 32, 1.0, &mut rng);
-        let q = QuantizedTensor::quantize(
-            &x,
-            QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::Group(8)),
-        )
-        .unwrap();
-        let full = q.dequantize();
-        let mut buf = vec![0.0f32; 32];
-        for r in 0..6 {
-            q.dequantize_row_into(r, &mut buf);
-            assert_eq!(&buf[..], full.row(r));
+        for scheme in [
+            QuantScheme::symmetric(BitWidth::W4),
+            QuantScheme::asymmetric(BitWidth::W2),
+        ] {
+            let q = QuantizedTensor::quantize(&x, scheme).unwrap();
+            let full = q.dequantize();
+            let mut buf = vec![0.0f32; 32];
+            for r in 0..6 {
+                q.dequantize_row_into(r, &mut buf);
+                assert_eq!(&buf[..], full.row(r), "{scheme} row {r}");
+            }
         }
-    }
-
-    #[test]
-    fn group_scheme_rejected_when_not_dividing() {
-        let x = Tensor::zeros(2, 10);
-        let s = QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::Group(3));
-        assert!(QuantizedTensor::quantize(&x, s).is_err());
     }
 
     #[test]

@@ -56,9 +56,9 @@ impl TryFrom<u32> for BitWidth {
             4 => Ok(BitWidth::W4),
             8 => Ok(BitWidth::W8),
             16 => Ok(BitWidth::W16),
-            _ => Err(crate::QuantError::BadGroupSize {
-                group: bits as usize,
-                cols: 0,
+            _ => Err(crate::QuantError::UnsupportedScheme {
+                op: "BitWidth::try_from",
+                scheme: format!("{bits} bits"),
             }),
         }
     }

@@ -2,136 +2,45 @@
 //!
 //! During Edge-LLM adaptation the compressed weights participate in the
 //! forward pass through their quantized values while gradients flow as if
-//! the quantizer were the identity inside its clipping range — the
-//! straight-through estimator (STE).
+//! the quantizer were the identity — the straight-through estimator (STE).
+//! Every grid is fitted to the row it quantizes, so no value falls outside
+//! its range and the estimator has nothing to clip: the backward pass
+//! needs no quantizer term at all.
 
-use crate::affine::QuantizedTensor;
-use crate::scheme::{QuantMode, QuantScheme};
+use crate::affine::RowGrid;
+use crate::scheme::QuantScheme;
 use crate::QuantError;
 use edge_llm_tensor::{Tensor, TensorError};
 
 /// Quantizes then immediately dequantizes `x`, returning the f32 tensor the
-/// forward pass should use.
+/// forward pass should use: the same bits as
+/// [`QuantizedTensor::quantize`](crate::QuantizedTensor::quantize) then
+/// `dequantize`, computed row by row in a copy of `x`.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::BadGroupSize`] for an invalid group granularity.
+/// Returns [`QuantError::NonFinite`] when `x` holds NaN or infinities.
 pub fn fake_quant(x: &Tensor, scheme: QuantScheme) -> Result<Tensor, QuantError> {
-    Ok(QuantizedTensor::quantize(x, scheme)?.dequantize())
+    let mut q = x.clone();
+    for r in 0..q.rows() {
+        fake_quant_row_in_place(q.row_mut(r), scheme)?;
+    }
+    Ok(q)
 }
 
-/// Straight-through-estimator backward for [`fake_quant`].
-///
-/// Gradients pass through unchanged wherever the input fell inside the
-/// quantizer's representable range and are zeroed where it clipped. The
-/// clipping range is recomputed from `x` with the same group statistics the
-/// forward pass used.
-///
-/// # Errors
-///
-/// Returns [`QuantError::ShapeMismatch`] if `x` and `dy` differ in shape, or
-/// [`QuantError::BadGroupSize`] for an invalid granularity.
-pub fn fake_quant_backward(
-    x: &Tensor,
-    dy: &Tensor,
-    scheme: QuantScheme,
-) -> Result<Tensor, QuantError> {
-    if x.shape() != dy.shape() {
-        return Err(QuantError::ShapeMismatch {
-            op: "fake_quant_backward",
-            lhs: x.shape(),
-            rhs: dy.shape(),
-        });
-    }
-    let (rows, cols) = x.shape();
-    scheme.group_count(rows, cols)?;
-    let group_len = scheme.group_len(rows, cols);
-    let data = x.as_slice();
-    let mut dx = dy.clone();
-    let n_groups = data.len().div_ceil(group_len.max(1)).max(1);
-    for g in 0..n_groups {
-        let lo_i = g * group_len;
-        let hi_i = ((g + 1) * group_len).min(data.len());
-        if lo_i >= hi_i {
-            break;
-        }
-        let chunk = &data[lo_i..hi_i];
-        let (lo, hi) = clip_range(chunk, scheme);
-        let dchunk = &mut dx.as_mut_slice()[lo_i..hi_i];
-        for (gd, &v) in dchunk.iter_mut().zip(chunk.iter()) {
-            if v < lo || v > hi {
-                *gd = 0.0;
-            }
-        }
-    }
-    Ok(dx)
-}
-
-fn clip_range(chunk: &[f32], scheme: QuantScheme) -> (f32, f32) {
-    match scheme.mode {
-        QuantMode::Symmetric => {
-            let max_abs = chunk.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            (-max_abs, max_abs)
-        }
-        QuantMode::Asymmetric => {
-            let (mut lo, mut hi) = (0.0f32, 0.0f32);
-            for &v in chunk {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            (lo, hi)
-        }
-    }
-}
-
-/// Fake-quantizes one row in place, treating it as a `1 x len` tensor —
-/// **bit-identical** to `fake_quant` on that tensor, with zero allocation.
-///
-/// The packed-code roundtrip in [`QuantizedTensor`] is exact for the small
-/// integer codes involved (`q as u32` then back to `f32` reproduces `q`),
-/// so applying the affine arithmetic directly yields the same bits as
-/// quantize-then-dequantize. The batched decode path quantizes each
-/// request's activations through this instead of materializing per-row
-/// temporaries.
-///
-/// # Errors
-///
-/// Returns [`QuantError::BadGroupSize`] for an invalid group granularity
-/// and [`QuantError::NonFinite`] when the row holds NaN or infinities.
-pub fn fake_quant_row_in_place(row: &mut [f32], scheme: QuantScheme) -> Result<(), QuantError> {
+/// Fake-quantizes one row in place on its own grid — row `r` of
+/// [`fake_quant`]. Codes are small integers, exact in `f32`, so applying
+/// the affine arithmetic directly yields the bits of the packed
+/// quantize-then-dequantize roundtrip.
+fn fake_quant_row_in_place(row: &mut [f32], scheme: QuantScheme) -> Result<(), QuantError> {
     if row.iter().any(|v| !v.is_finite()) {
         return Err(QuantError::NonFinite);
     }
-    if row.is_empty() {
-        return Ok(());
-    }
-    let n_groups = scheme.group_count(1, row.len())?;
-    let group_len = scheme.group_len(1, row.len());
-    let max_code = scheme.bits.max_code() as f32;
-    let len = row.len();
-    for g in 0..n_groups {
-        let chunk = &mut row[g * group_len..((g + 1) * group_len).min(len)];
-        let (scale, zero) = crate::affine::fit_group(chunk, scheme.bits, scheme.mode);
-        for v in chunk.iter_mut() {
-            let q = (*v / scale + zero).round().clamp(0.0, max_code);
-            *v = (q - zero) * scale;
-        }
+    let grid = RowGrid::fit(row, scheme.bits, scheme.mode);
+    for v in row.iter_mut() {
+        *v = (grid.code(*v) as f32 - grid.zero) * grid.scale;
     }
     Ok(())
-}
-
-/// Convenience: applies fake quantization in place, returning the
-/// quantization error `max |x - q(x)|`.
-///
-/// # Errors
-///
-/// Propagates errors from [`fake_quant`]; also returns an error if the
-/// internal shape bookkeeping fails (which would indicate a bug).
-pub fn fake_quant_in_place(x: &mut Tensor, scheme: QuantScheme) -> Result<f32, QuantError> {
-    let q = fake_quant(x, scheme)?;
-    let err = edge_llm_tensor::max_abs_diff(x, &q);
-    *x = q;
-    Ok(err)
 }
 
 impl From<TensorError> for QuantError {
@@ -153,6 +62,7 @@ impl From<TensorError> for QuantError {
 mod tests {
     use super::*;
     use crate::bitwidth::BitWidth;
+    use crate::QuantizedTensor;
     use edge_llm_tensor::TensorRng;
 
     #[test]
@@ -166,57 +76,29 @@ mod tests {
     }
 
     #[test]
-    fn ste_passes_gradient_inside_range() {
-        let mut rng = TensorRng::seed_from(2);
-        let x = Tensor::randn(2, 8, 1.0, &mut rng);
-        let dy = Tensor::ones(2, 8);
-        // symmetric range is [-max_abs, max_abs]: nothing clips
-        let dx = fake_quant_backward(&x, &dy, QuantScheme::symmetric(BitWidth::W4)).unwrap();
-        assert!(dx.approx_eq(&dy, 0.0));
-    }
-
-    #[test]
-    fn shape_mismatch_errors() {
-        let x = Tensor::zeros(2, 2);
-        let dy = Tensor::zeros(2, 3);
-        assert!(fake_quant_backward(&x, &dy, QuantScheme::default()).is_err());
-    }
-
-    #[test]
     fn row_in_place_is_bit_identical_to_fake_quant() {
+        // ... and both to the packed roundtrip
         let mut rng = TensorRng::seed_from(7);
         for scheme in [
             QuantScheme::symmetric(BitWidth::W2),
             QuantScheme::symmetric(BitWidth::W4),
             QuantScheme::asymmetric(BitWidth::W4),
             QuantScheme::asymmetric(BitWidth::W8),
-            QuantScheme::symmetric(BitWidth::W4)
-                .with_granularity(crate::scheme::Granularity::Group(8)),
+            QuantScheme::symmetric(BitWidth::W16),
         ] {
-            let x = Tensor::randn(1, 32, 1.0, &mut rng);
+            let x = Tensor::randn(3, 32, 1.0, &mut rng);
             let reference = fake_quant(&x, scheme).unwrap();
-            let mut row = x.as_slice().to_vec();
-            fake_quant_row_in_place(&mut row, scheme).unwrap();
-            assert_eq!(&row[..], reference.as_slice(), "{scheme:?}");
+            let packed = QuantizedTensor::quantize(&x, scheme).unwrap();
+            assert_eq!(packed.dequantize().as_slice(), reference.as_slice());
+            for r in 0..3 {
+                let mut row = x.row(r).to_vec();
+                fake_quant_row_in_place(&mut row, scheme).unwrap();
+                assert_eq!(&row[..], reference.row(r), "{scheme} row {r}");
+            }
         }
         // empty rows and non-finite inputs
         fake_quant_row_in_place(&mut [], QuantScheme::default()).unwrap();
         let mut bad = [1.0, f32::NAN];
         assert!(fake_quant_row_in_place(&mut bad, QuantScheme::default()).is_err());
-    }
-
-    #[test]
-    fn in_place_reports_error_magnitude() {
-        let mut rng = TensorRng::seed_from(3);
-        let mut x = Tensor::randn(4, 16, 1.0, &mut rng);
-        let orig = x.clone();
-        let err2 =
-            fake_quant_in_place(&mut x.clone(), QuantScheme::symmetric(BitWidth::W2)).unwrap();
-        let err8 = fake_quant_in_place(&mut x, QuantScheme::symmetric(BitWidth::W8)).unwrap();
-        assert!(
-            err2 > err8,
-            "coarser quantization must hurt more: {err2} vs {err8}"
-        );
-        assert!(!x.approx_eq(&orig, 0.0) || err8 == 0.0);
     }
 }

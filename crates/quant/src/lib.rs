@@ -2,29 +2,32 @@
 //!
 //! Edge-LLM's layerwise unified compression (LUC) assigns every transformer
 //! layer its own quantization bit-width. This crate provides the machinery
-//! that makes such a policy executable:
+//! that makes such a policy executable — one affine quantizer with one
+//! `(scale, zero-point)` per row, on every route:
 //!
 //! * [`BitWidth`] — the discrete 2/4/8/16-bit precision alphabet,
-//! * [`QuantScheme`] — bit-width x (a)symmetry x granularity,
+//! * [`QuantScheme`] — bit-width x (a)symmetry,
 //! * [`QuantizedTensor`] — bit-packed affine-quantized storage with
 //!   whole-tensor and row-at-a-time dequantization,
-//! * [`fake_quant`] — quantize-dequantize with a straight-through-estimator
-//!   backward for quantization-aware tuning,
-//! * error metrics ([`quant_mse`], [`sqnr_db`]) used by the LUC sensitivity
-//!   profiler.
+//! * [`fake_quant`] — quantize-dequantize for quantization-aware tuning;
+//!   its straight-through backward is the identity, since every range is
+//!   fitted to the row it covers,
+//! * [`quantize_activations`] + [`packed_decode_matmul`] — the integer
+//!   GEMM of the decode route, computed on the packed words.
 //!
 //! # Example
 //!
 //! ```
 //! use edge_llm_quant::{BitWidth, QuantScheme, QuantizedTensor};
-//! use edge_llm_tensor::{Tensor, TensorRng};
+//! use edge_llm_tensor::{l2_norm, Tensor, TensorRng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = TensorRng::seed_from(0);
 //! let w = Tensor::randn(16, 16, 0.5, &mut rng);
 //! let q = QuantizedTensor::quantize(&w, QuantScheme::symmetric(BitWidth::W8))?;
 //! let w_hat = q.dequantize();
-//! assert!(edge_llm_quant::sqnr_db(&w, &w_hat) > 30.0);
+//! // better than 30 dB of signal-to-quantization-noise
+//! assert!(l2_norm(&w.sub(&w_hat)?) < 0.03 * l2_norm(&w));
 //! # Ok(())
 //! # }
 //! ```
@@ -32,31 +35,30 @@
 mod affine;
 mod bitwidth;
 mod fake;
-mod metrics;
 mod packed;
 mod pgemm;
 mod scheme;
 
 pub use affine::QuantizedTensor;
 pub use bitwidth::BitWidth;
-pub use fake::{fake_quant, fake_quant_backward, fake_quant_in_place, fake_quant_row_in_place};
-pub use metrics::{quant_mse, sqnr_db};
+pub use fake::fake_quant;
 pub use packed::PackedInts;
 pub use pgemm::{
     packed_decode_matmul, packed_decode_matmul_scalar, packed_gemm_supported, quantize_activations,
     QuantizedActivations,
 };
-pub use scheme::{Granularity, QuantMode, QuantScheme};
+pub use scheme::{QuantMode, QuantScheme};
 
 /// Error type for quantization operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuantError {
-    /// A group granularity did not divide the row length.
-    BadGroupSize {
-        /// Requested group size.
-        group: usize,
-        /// Row length it must divide.
-        cols: usize,
+    /// An operation was handed a scheme (or bit-width) it does not
+    /// implement.
+    UnsupportedScheme {
+        /// Operation name.
+        op: &'static str,
+        /// The rejected scheme or width.
+        scheme: String,
     },
     /// The input contained NaN or infinite values.
     NonFinite,
@@ -74,8 +76,8 @@ pub enum QuantError {
 impl std::fmt::Display for QuantError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QuantError::BadGroupSize { group, cols } => {
-                write!(f, "group size {group} does not divide row length {cols}")
+            QuantError::UnsupportedScheme { op, scheme } => {
+                write!(f, "unsupported scheme in {op}: {scheme}")
             }
             QuantError::NonFinite => write!(f, "input contains non-finite values"),
             QuantError::ShapeMismatch { op, lhs, rhs } => write!(
@@ -95,8 +97,14 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = QuantError::BadGroupSize { group: 3, cols: 8 };
-        assert!(e.to_string().contains("group size 3"));
+        let e = QuantError::UnsupportedScheme {
+            op: "quantize_activations",
+            scheme: QuantScheme::symmetric(BitWidth::W8).to_string(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "unsupported scheme in quantize_activations: 8b/sym/row"
+        );
         let e = QuantError::ShapeMismatch {
             op: "qmm",
             lhs: (1, 2),

@@ -60,10 +60,10 @@
 //! elements (`255 · 255 · 2^15 < 2^31`) and the block sums, like the
 //! `half * S0` correction, in `i64` — one budget for W2, W4 and W8.
 
-use crate::affine::{fit_group, QuantizedTensor};
+use crate::affine::{QuantizedTensor, RowGrid};
 use crate::bitwidth::BitWidth;
 use crate::packed::PackedInts;
-use crate::scheme::{Granularity, QuantMode, QuantScheme};
+use crate::scheme::{QuantMode, QuantScheme};
 use crate::QuantError;
 use edge_llm_tensor::lanes::{dot_i16, plane_order, unpack_planes};
 use edge_llm_tensor::{pool, Tensor};
@@ -71,19 +71,17 @@ use edge_llm_tensor::{pool, Tensor};
 /// Whether the packed integer GEMM handles this weight/activation scheme
 /// pair.
 ///
-/// Weights must be symmetric per-row (constant integer zero-point, one
-/// scale per output row) and activations asymmetric per-row (one scale /
-/// zero-point per token row — which also makes a batch row identical to
-/// the same row decoded solo). Both sides are capped at 8-bit codes so
-/// every code fits `i16` and every product the `i32` budget; W16 stays on
-/// the f32 routes.
+/// Weights must be symmetric (constant integer zero-point, one scale per
+/// output row) and activations asymmetric (one scale / zero-point per
+/// token row). Both sides are capped at 8-bit codes so every code fits
+/// `i16` and every product the `i32` budget; W16 stays on the f32 routes.
 pub fn packed_gemm_supported(weight: QuantScheme, activation: QuantScheme) -> bool {
-    weight.mode == QuantMode::Symmetric
-        && weight.granularity == Granularity::PerRow
-        && weight.bits <= BitWidth::W8
-        && activation.mode == QuantMode::Asymmetric
-        && activation.granularity == Granularity::PerRow
-        && activation.bits <= BitWidth::W8
+    supported(weight, QuantMode::Symmetric) && supported(activation, QuantMode::Asymmetric)
+}
+
+/// One side of [`packed_gemm_supported`].
+fn supported(scheme: QuantScheme, mode: QuantMode) -> bool {
+    scheme.mode == mode && scheme.bits <= BitWidth::W8
 }
 
 /// Activation rows quantized for the packed integer GEMM: centred integer
@@ -123,56 +121,42 @@ impl QuantizedActivations {
 
 /// Quantizes activation rows for [`packed_decode_matmul`].
 ///
-/// `scheme` must be asymmetric per-row at ≤ 8 bits (the activation half of
-/// [`packed_gemm_supported`]). The per-row fit, rounding, and clamping are
-/// exactly those of [`QuantizedTensor::quantize`], so a row quantized here
-/// carries the same codes it would in the packed tensor form — and because
-/// the granularity is per-row, quantizing a batch of rows is bit-identical
-/// to quantizing each row solo.
+/// `scheme` must be asymmetric at ≤ 8 bits (the activation half of
+/// [`packed_gemm_supported`]). The per-row fit and rounding are those of
+/// [`QuantizedTensor::quantize`], so a row quantized here carries the same
+/// codes it would in the packed tensor form — and quantizing a batch of
+/// rows is bit-identical to quantizing each row solo.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::BadGroupSize`] for an unsupported scheme and
+/// Returns [`QuantError::UnsupportedScheme`] for any other scheme and
 /// [`QuantError::NonFinite`] when `x` holds NaN or infinite values.
 pub fn quantize_activations(
     x: &Tensor,
     scheme: QuantScheme,
 ) -> Result<QuantizedActivations, QuantError> {
-    if scheme.mode != QuantMode::Asymmetric
-        || scheme.granularity != Granularity::PerRow
-        || scheme.bits > BitWidth::W8
-    {
-        return Err(QuantError::BadGroupSize {
-            group: x.rows(),
-            cols: x.cols(),
+    if !supported(scheme, QuantMode::Asymmetric) {
+        return Err(QuantError::UnsupportedScheme {
+            op: "quantize_activations",
+            scheme: scheme.to_string(),
         });
     }
     if x.as_slice().iter().any(|v| !v.is_finite()) {
         return Err(QuantError::NonFinite);
     }
     let (m, k) = x.shape();
-    let max_code = scheme.bits.max_code() as i32;
-    let top = (max_code + 1) as f32;
+    let max_code = scheme.bits.max_code() as f32;
     let mut codes = Vec::with_capacity(m * k);
     let mut row_scale = Vec::with_capacity(m);
     let mut row_csum = Vec::with_capacity(m);
     for r in 0..m {
         let row = x.row(r);
-        let (scale, zero) = fit_group(row, scheme.bits, scheme.mode);
+        let grid = RowGrid::fit(row, scheme.bits, scheme.mode);
         // Asymmetric zero-points are integers in `0..=max_code`; the clamp
-        // is what holds `|code| <= max_code` to that, not `fit_group`.
-        let zx = zero.clamp(0.0, max_code as f32) as i32;
-        // `t.round().clamp(0, max)` without `f32::round`, a libm call on
-        // baseline x86-64: past the clamp `t` is in `[-1, max + 1]`, so
-        // the cast truncates exactly, `t - whole` is exact, and half-way
-        // cases round away from zero as `round` does.
-        codes.extend(row.iter().map(|&v| {
-            let t = (v / scale + zero).clamp(-1.0, top);
-            let whole = t as i32;
-            let q = (whole + i32::from(t - whole as f32 >= 0.5)).clamp(0, max_code);
-            (q - zx) as i16
-        }));
-        row_scale.push(scale);
+        // is what holds `|code| <= max_code` to that, not the fit.
+        let zx = grid.zero.clamp(0.0, max_code) as i32;
+        codes.extend(row.iter().map(|&v| (grid.code(v) as i32 - zx) as i16));
+        row_scale.push(grid.scale);
         row_csum.push(codes[r * k..].iter().map(|&c| c as i64).sum());
     }
     Ok(QuantizedActivations {
@@ -200,7 +184,7 @@ pub fn quantize_activations(
 /// # Errors
 ///
 /// Returns [`QuantError::ShapeMismatch`] unless `x_q` and `w_q` share `k`,
-/// and [`QuantError::BadGroupSize`] when the weight scheme is outside
+/// and [`QuantError::UnsupportedScheme`] when the weight scheme is outside
 /// [`packed_gemm_supported`].
 pub fn packed_decode_matmul(
     x_q: &QuantizedActivations,
@@ -271,13 +255,10 @@ fn validate(
     w_q: &QuantizedTensor,
 ) -> Result<(usize, usize, usize, i64), QuantError> {
     let ws = w_q.scheme();
-    if ws.mode != QuantMode::Symmetric
-        || ws.granularity != Granularity::PerRow
-        || ws.bits > BitWidth::W8
-    {
-        return Err(QuantError::BadGroupSize {
-            group: w_q.rows(),
-            cols: w_q.cols(),
+    if !supported(ws, QuantMode::Symmetric) {
+        return Err(QuantError::UnsupportedScheme {
+            op: "packed_decode_matmul",
+            scheme: ws.to_string(),
         });
     }
     let (m, k) = x_q.shape();
@@ -353,14 +334,6 @@ mod tests {
             w,
             QuantScheme::symmetric(BitWidth::W8)
         ));
-        assert!(!packed_gemm_supported(
-            w.with_granularity(Granularity::Group(8)),
-            a
-        ));
-        assert!(!packed_gemm_supported(
-            w,
-            a.with_granularity(Granularity::PerTensor)
-        ));
     }
 
     #[test]
@@ -433,9 +406,9 @@ mod tests {
     #[test]
     fn activation_codes_match_the_packed_tensor_form_and_sum_exactly() {
         // The doc comment's promise, on rows chosen to sit on the rounding
-        // rule's edges: the libm-free rounding must agree with
-        // `QuantizedTensor::quantize` (which calls `f32::round`) code for
-        // code, and `S0` must be the exact sum of the centred codes.
+        // rule's edges: activation codes must be `QuantizedTensor::quantize`'s
+        // code for code, `S0` the exact sum of the centred codes, and the
+        // libm-free rounding both share `f32::round().clamp()`.
         let mut rng = TensorRng::seed_from(11);
         let k = 67;
         let mut rows: Vec<Vec<f32>> = Vec::new();
@@ -446,6 +419,12 @@ mod tests {
             ramp[k - 1] = max;
             rows.push(ramp.iter().map(|v| -v).collect());
             rows.push(ramp);
+        }
+        // and on the symmetric grids: max |v| = half - 1 gives scale 1
+        for max in [1.0f32, 7.0, 127.0, 32767.0] {
+            let mut ramp: Vec<f32> = (0..k).map(|p| (p as f32 * 0.5 - 16.0).min(max)).collect();
+            ramp[k - 1] = max;
+            rows.push(ramp.iter().map(|v| v.max(-max)).collect());
         }
         // one ulp either side of half-way points
         rows.push(
@@ -503,6 +482,21 @@ mod tests {
             let w = QuantizedTensor::quantize(&ones, QuantScheme::symmetric(BitWidth::W8)).unwrap();
             let y = packed_decode_matmul(&x_q, &w, 1).unwrap();
             assert!(y.as_slice().iter().all(|v| v.is_finite()), "{bits}");
+        }
+        // The same rounding is the weight side's and the f32 routes': on
+        // every grid at every width, W16 included, it is
+        // `f32::round().clamp()` code for code.
+        for bits in BitWidth::ALL {
+            let max = bits.max_code() as f32;
+            for scheme in [QuantScheme::symmetric(bits), act_scheme(bits)] {
+                for (r, row) in rows.iter().enumerate() {
+                    let grid = RowGrid::fit(row, scheme.bits, scheme.mode);
+                    for &v in row {
+                        let want = (v / grid.scale + grid.zero).round().clamp(0.0, max) as u32;
+                        assert_eq!(grid.code(v), want, "{scheme} row {r} value {v}");
+                    }
+                }
+            }
         }
     }
 
@@ -584,23 +578,29 @@ mod tests {
         let mut rng = TensorRng::seed_from(10);
         let x = Tensor::randn(2, 16, 1.0, &mut rng);
         let w = Tensor::randn(3, 16, 0.3, &mut rng);
-        // activation scheme must be asymmetric per-row <= W8
+        // activation scheme must be asymmetric <= W8
         assert!(quantize_activations(&x, QuantScheme::symmetric(BitWidth::W8)).is_err());
-        assert!(quantize_activations(&x, act_scheme(BitWidth::W16)).is_err());
-        assert!(quantize_activations(
-            &x,
-            act_scheme(BitWidth::W8).with_granularity(Granularity::PerTensor)
-        )
-        .is_err());
+        assert_eq!(
+            quantize_activations(&x, act_scheme(BitWidth::W16)).unwrap_err(),
+            QuantError::UnsupportedScheme {
+                op: "quantize_activations",
+                scheme: "16b/asym/row".into(),
+            }
+        );
         let x_q = quantize_activations(&x, act_scheme(BitWidth::W8)).unwrap();
-        // weight scheme must be symmetric per-row <= W8
+        // weight scheme must be symmetric <= W8
         for bad in [
             QuantScheme::asymmetric(BitWidth::W4),
             QuantScheme::symmetric(BitWidth::W16),
-            QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::Group(4)),
         ] {
             let w_q = QuantizedTensor::quantize(&w, bad).unwrap();
-            assert!(packed_decode_matmul(&x_q, &w_q, 1).is_err());
+            assert_eq!(
+                packed_decode_matmul(&x_q, &w_q, 1).unwrap_err(),
+                QuantError::UnsupportedScheme {
+                    op: "packed_decode_matmul",
+                    scheme: bad.to_string(),
+                }
+            );
         }
         // shape mismatch
         let w_short = Tensor::randn(3, 8, 0.3, &mut rng);

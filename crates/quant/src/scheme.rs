@@ -1,5 +1,4 @@
 use crate::bitwidth::BitWidth;
-use crate::QuantError;
 use std::fmt;
 
 /// Whether the affine quantizer is centred on zero.
@@ -14,28 +13,19 @@ pub enum QuantMode {
     Asymmetric,
 }
 
-/// How many elements share one `(scale, zero-point)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Granularity {
-    /// A single pair for the whole tensor.
-    PerTensor,
-    /// One pair per row (per output channel for weight matrices).
-    #[default]
-    PerRow,
-    /// One pair per contiguous group of this many elements within a row.
-    /// The group size must divide the row length.
-    Group(usize),
-}
-
-/// A complete quantizer description: bit-width, mode, and granularity.
+/// A complete quantizer description: bit-width and mode. Every scheme
+/// fits one `(scale, zero-point)` pair per row — per output channel of a
+/// weight matrix, per token of an activation batch — so a row's codes
+/// never depend on the rows quantized beside it.
 ///
 /// # Example
 ///
 /// ```
-/// use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
+/// use edge_llm_quant::{BitWidth, QuantMode, QuantScheme};
 ///
-/// let s = QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::Group(32));
+/// let s = QuantScheme::symmetric(BitWidth::W4);
 /// assert_eq!(s.bits.bits(), 4);
+/// assert_eq!(s.mode, QuantMode::Symmetric);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuantScheme {
@@ -43,75 +33,23 @@ pub struct QuantScheme {
     pub bits: BitWidth,
     /// Symmetric or asymmetric affine mapping.
     pub mode: QuantMode,
-    /// Scale/zero-point sharing granularity.
-    pub granularity: Granularity,
 }
 
 impl QuantScheme {
-    /// Symmetric per-row scheme at the given width (the weight default).
+    /// Symmetric scheme at the given width (the weight default).
     pub fn symmetric(bits: BitWidth) -> Self {
         QuantScheme {
             bits,
             mode: QuantMode::Symmetric,
-            granularity: Granularity::PerRow,
         }
     }
 
-    /// Asymmetric per-row scheme at the given width (the activation default).
+    /// Asymmetric scheme at the given width (the activation default).
     pub fn asymmetric(bits: BitWidth) -> Self {
         QuantScheme {
             bits,
             mode: QuantMode::Asymmetric,
-            granularity: Granularity::PerRow,
         }
-    }
-
-    /// Returns a copy with a different granularity.
-    pub fn with_granularity(mut self, granularity: Granularity) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
-    /// Number of `(scale, zero)` groups for a `rows x cols` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::BadGroupSize`] if a [`Granularity::Group`] size
-    /// is zero or does not divide `cols`.
-    pub fn group_count(&self, rows: usize, cols: usize) -> Result<usize, QuantError> {
-        match self.granularity {
-            Granularity::PerTensor => Ok(1),
-            Granularity::PerRow => Ok(rows),
-            Granularity::Group(g) => {
-                if g == 0 || !cols.is_multiple_of(g) {
-                    Err(QuantError::BadGroupSize { group: g, cols })
-                } else {
-                    Ok(rows * (cols / g))
-                }
-            }
-        }
-    }
-
-    /// Elements per group for a `rows x cols` tensor.
-    pub(crate) fn group_len(&self, rows: usize, cols: usize) -> usize {
-        match self.granularity {
-            Granularity::PerTensor => rows * cols,
-            Granularity::PerRow => cols,
-            Granularity::Group(g) => g,
-        }
-    }
-
-    /// Total storage bits for a `rows x cols` tensor under this scheme,
-    /// counting packed codes plus one f32 scale (and, when asymmetric, one
-    /// f32 zero-point) per group.
-    pub fn storage_bits(&self, rows: usize, cols: usize) -> usize {
-        let codes = rows * cols * self.bits.bits() as usize;
-        let groups = self.group_count(rows, cols).unwrap_or(rows);
-        let meta_per_group = match self.mode {
-            QuantMode::Symmetric => 32,
-            QuantMode::Asymmetric => 64,
-        };
-        codes + groups * meta_per_group
     }
 }
 
@@ -127,44 +65,25 @@ impl fmt::Display for QuantScheme {
             QuantMode::Symmetric => "sym",
             QuantMode::Asymmetric => "asym",
         };
-        match self.granularity {
-            Granularity::PerTensor => write!(f, "{}/{m}/tensor", self.bits),
-            Granularity::PerRow => write!(f, "{}/{m}/row", self.bits),
-            Granularity::Group(g) => write!(f, "{}/{m}/g{g}", self.bits),
-        }
+        write!(f, "{}/{m}/row", self.bits)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn group_count_variants() {
-        let s = QuantScheme::symmetric(BitWidth::W4);
-        assert_eq!(s.group_count(8, 16).unwrap(), 8);
-        let s = s.with_granularity(Granularity::PerTensor);
-        assert_eq!(s.group_count(8, 16).unwrap(), 1);
-        let s = s.with_granularity(Granularity::Group(4));
-        assert_eq!(s.group_count(8, 16).unwrap(), 32);
-    }
-
-    #[test]
-    fn bad_group_size_rejected() {
-        let s = QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::Group(5));
-        assert!(s.group_count(2, 16).is_err());
-        let s = QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::Group(0));
-        assert!(s.group_count(2, 16).is_err());
-    }
+    use crate::QuantizedTensor;
+    use edge_llm_tensor::Tensor;
 
     #[test]
     fn storage_bits_accounting() {
         // 4x8 at 4 bits per-row symmetric: 128 code bits + 4 scales * 32.
-        let s = QuantScheme::symmetric(BitWidth::W4);
-        assert_eq!(s.storage_bits(4, 8), 4 * 8 * 4 + 4 * 32);
+        let x = Tensor::from_vec(4, 8, (0..32).map(|i| i as f32 - 16.0).collect()).unwrap();
+        let s = QuantizedTensor::quantize(&x, QuantScheme::symmetric(BitWidth::W4)).unwrap();
+        assert_eq!(s.storage_bytes() * 8, 4 * 8 * 4 + 4 * 32);
         // asymmetric doubles metadata
-        let a = QuantScheme::asymmetric(BitWidth::W4);
-        assert_eq!(a.storage_bits(4, 8), 4 * 8 * 4 + 4 * 64);
+        let a = QuantizedTensor::quantize(&x, QuantScheme::asymmetric(BitWidth::W4)).unwrap();
+        assert_eq!(a.storage_bytes() * 8, 4 * 8 * 4 + 4 * 64);
     }
 
     #[test]
@@ -173,7 +92,9 @@ mod tests {
             QuantScheme::symmetric(BitWidth::W8).to_string(),
             "8b/sym/row"
         );
-        let g = QuantScheme::asymmetric(BitWidth::W2).with_granularity(Granularity::Group(64));
-        assert_eq!(g.to_string(), "2b/asym/g64");
+        assert_eq!(
+            QuantScheme::asymmetric(BitWidth::W2).to_string(),
+            "2b/asym/row"
+        );
     }
 }

@@ -2,11 +2,11 @@
 //! seeded case harness (`edge_llm_tensor::check`).
 
 use edge_llm_quant::{
-    fake_quant, fake_quant_row_in_place, packed_decode_matmul, quant_mse, quantize_activations,
-    BitWidth, Granularity, PackedInts, QuantScheme, QuantizedTensor,
+    fake_quant, packed_decode_matmul, quantize_activations, BitWidth, PackedInts, QuantScheme,
+    QuantizedTensor,
 };
 use edge_llm_tensor::check::{run_cases, Gen};
-use edge_llm_tensor::{max_abs_diff, Tensor, TensorRng};
+use edge_llm_tensor::{l2_norm, max_abs_diff, Tensor, TensorRng};
 
 fn random_bits(g: &mut Gen) -> BitWidth {
     *g.choose(&[BitWidth::W2, BitWidth::W4, BitWidth::W8, BitWidth::W16])
@@ -65,39 +65,11 @@ fn more_bits_never_hurt_mse() {
         let mut prev = f32::INFINITY;
         for bits in BitWidth::ALL {
             let q = QuantizedTensor::quantize(&x, QuantScheme::symmetric(bits)).unwrap();
-            let mse = quant_mse(&x, &q.dequantize());
-            assert!(mse <= prev + 1e-9, "{bits}: {mse} > {prev}");
-            prev = mse;
+            // the l2 norm of the error is sqrt(n · MSE): the same order
+            let err = l2_norm(&x.sub(&q.dequantize()).unwrap());
+            assert!(err <= prev + 1e-6, "{bits}: {err} > {prev}");
+            prev = err;
         }
-    });
-}
-
-#[test]
-fn finer_groups_rarely_hurt_mse() {
-    // Rounding error per element is not monotone in the scale, so
-    // finer granularity improves MSE only statistically; allow a
-    // bounded regression while still catching systematic inversions.
-    run_cases("granularity mse", 48, |g| {
-        let mut rng = TensorRng::seed_from(g.u64());
-        let x = Tensor::randn(4, 32, 1.0, &mut rng);
-        let coarse = QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::PerTensor);
-        let row = QuantScheme::symmetric(BitWidth::W4);
-        let group = QuantScheme::symmetric(BitWidth::W4).with_granularity(Granularity::Group(8));
-        let m_coarse = quant_mse(
-            &x,
-            &QuantizedTensor::quantize(&x, coarse).unwrap().dequantize(),
-        );
-        let m_row = quant_mse(
-            &x,
-            &QuantizedTensor::quantize(&x, row).unwrap().dequantize(),
-        );
-        let m_group = quant_mse(
-            &x,
-            &QuantizedTensor::quantize(&x, group).unwrap().dequantize(),
-        );
-        assert!(m_row <= m_coarse * 1.25 + 1e-9);
-        assert!(m_group <= m_row * 1.25 + 1e-9);
-        assert!(m_group <= m_coarse * 1.25 + 1e-9);
     });
 }
 
@@ -151,9 +123,6 @@ fn a_denormal_range_quantizes_to_finite_values_through_every_entry_point() {
                 let what = format!("{scheme:?} on {row:?}");
                 let fq = fake_quant(&x, scheme).unwrap();
                 assert!(tiny(fq.as_slice()), "fake_quant, {what}: {fq:?}");
-                let mut in_place = row;
-                fake_quant_row_in_place(&mut in_place, scheme).unwrap();
-                assert_eq!(in_place, fq.as_slice(), "row in place, {what}");
                 let q = QuantizedTensor::quantize(&x, scheme).unwrap();
                 assert_eq!(q.scale(0), 1.0, "{what}");
                 assert_eq!(q.dequantize().as_slice(), fq.as_slice(), "{what}");
@@ -188,9 +157,6 @@ fn a_denormal_range_quantizes_to_finite_values_through_every_entry_point() {
                     let kept = back * end.signum();
                     assert!(kept >= end.abs() / 2.0, "end {end}, {what}: {fq:?}");
                 }
-                let mut in_place = row;
-                fake_quant_row_in_place(&mut in_place, scheme).unwrap();
-                assert_eq!(in_place, fq.as_slice(), "row in place, {what}");
                 let q = QuantizedTensor::quantize(&x, scheme).unwrap();
                 assert_eq!(q.dequantize().as_slice(), fq.as_slice(), "{what}");
             }

@@ -356,6 +356,9 @@ fn at_b_rows(a: &[f32], b: &[f32], c: &mut [f32], i0: usize, k: usize, m: usize,
 /// Given `A: k x m` and `B: k x n`, returns an `m x n` tensor. This is the
 /// weight-gradient kernel: `dW = Xᵀ · dY`. Honours the process-wide
 /// thread setting; see [`matmul_at_b_with`] for an explicit worker count.
+/// A zero element of `A` is skipped, so it contributes nothing even
+/// against an `Inf` or `NaN` in `B`, where a plain dot would give
+/// `0 · Inf = NaN`.
 ///
 /// # Errors
 ///
@@ -634,6 +637,28 @@ mod tests {
         for threads in [1usize, 3] {
             let got = matmul_a_bt_with(&a, &b, threads).unwrap();
             assert_eq!(class(&want), class(&got), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn at_b_skips_zero_left_operands_even_against_non_finite_values() {
+        // The documented contract of `at_b_rows`: a zero in `A` is skipped,
+        // so it never meets the `Inf` / `NaN` in `B` that the scalar dot
+        // would multiply it by (`0 · Inf = NaN`). Every other element of A
+        // still carries a non-finite B value into its output.
+        let (k, m, n) = (3, 2, 2);
+        let a = Tensor::from_vec(k, m, vec![0.0, 1.0, 0.0, 1.0, 2.0, 1.0]).unwrap();
+        let b = Tensor::from_vec(k, n, vec![f32::INFINITY, 1.0, f32::NAN, 2.0, 3.0, 4.0]).unwrap();
+        let scalar: f32 = (0..k).map(|p| a.get(p, 0) * b.get(p, 0)).sum();
+        assert!(scalar.is_nan(), "the scalar dot meets 0 · Inf");
+        for threads in [1usize, 2] {
+            let c = matmul_at_b_with(&a, &b, threads).unwrap();
+            // row 0 of the result: A's column 0 is [0, 0, 2] — both
+            // non-finite B rows are skipped
+            assert_eq!(c.row(0), &[6.0, 8.0], "threads={threads}");
+            // row 1: A's column 1 is all ones, so Inf + NaN reach column 0
+            assert!(c.get(1, 0).is_nan(), "threads={threads}");
+            assert_eq!(c.get(1, 1), 7.0, "threads={threads}");
         }
     }
 

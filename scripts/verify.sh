@@ -9,6 +9,9 @@ trap 'echo "verify.sh: ${SECONDS}s wall-clock (exit $?)"' EXIT
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc comments link items by name; a deleted or private item must not
+# leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
 

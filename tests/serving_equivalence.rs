@@ -12,7 +12,7 @@
 
 use edge_llm::compress::apply_activation_quant;
 use edge_llm_model::{generate, Decoding, EdgeModel, ModelConfig, VotingCombiner, VotingPolicy};
-use edge_llm_quant::{BitWidth, Granularity, QuantScheme};
+use edge_llm_quant::{BitWidth, QuantScheme};
 use edge_llm_serve::{run_solo, BatchedInferenceEngine, FinishReason, ServeOutcome, ServeRequest};
 use edge_llm_tensor::check::{run_cases, Gen};
 use edge_llm_tensor::{configured_threads, set_configured_threads, TensorRng};
@@ -368,14 +368,12 @@ fn eviction_mid_verify_leaves_surviving_slots_bit_identical() {
 
 #[test]
 fn activation_quantization_does_not_couple_batch_rows() {
-    // per-tensor and grouped activation calibration are the schemes where
-    // a naive batched implementation would couple rows (the quant range
-    // would span all in-flight sequences); the engine must fit ranges per
-    // row and stay bit-identical to solo
+    // a naive batched implementation would couple rows through activation
+    // calibration (one range spanning all in-flight sequences); the engine
+    // fits each row's range on its own and stays bit-identical to solo
     let schemes = [
-        QuantScheme::asymmetric(BitWidth::W8).with_granularity(Granularity::PerTensor),
-        QuantScheme::asymmetric(BitWidth::W4).with_granularity(Granularity::PerTensor),
-        QuantScheme::asymmetric(BitWidth::W8).with_granularity(Granularity::Group(8)),
+        QuantScheme::asymmetric(BitWidth::W8),
+        QuantScheme::asymmetric(BitWidth::W4),
     ];
     for (si, scheme) in schemes.into_iter().enumerate() {
         let mut model = tiny_model(14);
