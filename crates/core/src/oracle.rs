@@ -2,13 +2,23 @@
 //!
 //! Sensitivity of layer *l* to a candidate compression is measured as the
 //! calibration-batch loss of the model with **only** layer *l* compressed.
-//! Each probe clones the model, installs the single-layer policy, and
-//! evaluates — the model under adaptation is never disturbed.
+//! A probe changes block *l* alone, so layers `0..l` produce the baseline's
+//! hidden rows bit for bit. The oracle therefore clones the model once,
+//! into a working copy, and on first use walks the baseline one layer at a
+//! time, keeping the rows entering every layer; the last of those passes
+//! gives the baseline loss. A probe of layer *l* installs the policy on
+//! the copy's block *l*, walks `l..n` from the kept rows
+//! ([`EdgeModel::frozen_forward`]), and puts the source's block *l* back.
+//! A probe that installs nothing — 16 bits, no pruning, on a layer with no
+//! mask and no quantization scheme — is the baseline model and returns the
+//! baseline loss without a pass. Every loss is bit-equal to cloning the
+//! whole model, installing the policy and running [`EdgeModel::logits`];
+//! the model under adaptation is never disturbed.
 
 use crate::compress::apply_layer_policy;
 use edge_llm_luc::{LayerPolicy, SensitivityOracle};
 use edge_llm_model::EdgeModel;
-use edge_llm_tensor::cross_entropy_forward;
+use edge_llm_tensor::{cross_entropy_forward, Tensor};
 
 /// A [`SensitivityOracle`] backed by a model and a calibration batch.
 pub struct ModelOracle<'a> {
@@ -16,7 +26,15 @@ pub struct ModelOracle<'a> {
     tokens: &'a [usize],
     targets: &'a [usize],
     batch: usize,
+    /// `model`, except for the one block a probe has installed a policy on
+    /// while it walks.
+    work: EdgeModel,
+    /// `entering[l - 1]`: the baseline's hidden rows entering layer `l`,
+    /// for every layer the baseline walk reached.
+    entering: Vec<Tensor>,
+    baseline: Option<f32>,
     probes: usize,
+    layers_walked: usize,
 }
 
 impl<'a> ModelOracle<'a> {
@@ -32,7 +50,11 @@ impl<'a> ModelOracle<'a> {
             tokens,
             targets,
             batch,
+            work: model.clone(),
+            entering: Vec::new(),
+            baseline: None,
             probes: 0,
+            layers_walked: 0,
         }
     }
 
@@ -41,12 +63,30 @@ impl<'a> ModelOracle<'a> {
         self.probes
     }
 
-    fn eval(&self, model: &EdgeModel) -> f32 {
-        match model.logits(self.tokens, self.batch) {
-            Ok(logits) => match cross_entropy_forward(&logits, self.targets) {
-                Ok(ce) => ce.loss,
-                Err(_) => f32::INFINITY,
-            },
+    /// Layers walked so far, by the baseline and every probe: the
+    /// baseline walks each layer once, a probe of layer `l` walks `l..n`,
+    /// and a probe that installs nothing walks none.
+    pub fn layers_walked(&self) -> usize {
+        self.layers_walked
+    }
+
+    fn loss(&self, logits: &Tensor) -> f32 {
+        cross_entropy_forward(logits, self.targets).map_or(f32::INFINITY, |ce| ce.loss)
+    }
+
+    /// The working copy's loss walked from layer `from` to the final exit,
+    /// entering with the baseline's rows. Where the baseline walk failed
+    /// below `from` there are none, and the pass is refused: layers below
+    /// `from` are the baseline's, so a walk through them would fail too.
+    fn walk_from(&mut self, from: usize) -> f32 {
+        let n = self.work.n_layers();
+        let entering = from.checked_sub(1).and_then(|i| self.entering.get(i));
+        self.layers_walked += n - from;
+        match self
+            .work
+            .frozen_forward(self.tokens, self.batch, from, entering, n, &[n - 1])
+        {
+            Ok((_, logits)) => self.loss(&logits[0]),
             Err(_) => f32::INFINITY,
         }
     }
@@ -59,25 +99,65 @@ impl SensitivityOracle for ModelOracle<'_> {
 
     fn loss_with(&mut self, layer: usize, policy: LayerPolicy) -> f32 {
         self.probes += 1;
-        let mut probe = self.model.clone();
-        if apply_layer_policy(&mut probe, layer, policy).is_err() {
+        let baseline = self.baseline_loss();
+        if layer >= self.model.n_layers() {
             return f32::INFINITY;
         }
-        self.eval(&probe)
+        let bare = self
+            .model
+            .block(layer)
+            .linears()
+            .iter()
+            .all(|lin| lin.mask().is_none() && lin.quant().is_none());
+        if bare && policy == LayerPolicy::uncompressed() {
+            return baseline;
+        }
+        let loss = match apply_layer_policy(&mut self.work, layer, policy) {
+            Ok(()) => self.walk_from(layer),
+            Err(_) => f32::INFINITY,
+        };
+        *self.work.block_mut(layer) = self.model.block(layer).clone();
+        loss
     }
 
     fn baseline_loss(&mut self) -> f32 {
-        self.eval(self.model)
+        if let Some(loss) = self.baseline {
+            return loss;
+        }
+        // One layer per pass, keeping each pass's output rows; the split
+        // walk is bit-identical to one full-depth pass.
+        let n = self.work.n_layers();
+        let mut loss = f32::INFINITY;
+        for l in 0..n {
+            self.layers_walked += 1;
+            let exits: &[usize] = if l + 1 == n { &[l] } else { &[] };
+            let pass = self.work.frozen_forward(
+                self.tokens,
+                self.batch,
+                l,
+                self.entering.last(),
+                l + 1,
+                exits,
+            );
+            match pass {
+                Ok((rows, _)) if l + 1 < n => self.entering.push(rows),
+                Ok((_, logits)) => loss = self.loss(&logits[0]),
+                Err(_) => break,
+            }
+        }
+        self.baseline = Some(loss);
+        loss
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edge_llm_luc::profile;
+    use crate::pipeline::{LUC_BIT_CHOICES, LUC_RATIO_CHOICES};
+    use edge_llm_luc::{profile, search_policy, SearchAlgorithm};
     use edge_llm_model::ModelConfig;
     use edge_llm_quant::BitWidth;
-    use edge_llm_tensor::TensorRng;
+    use edge_llm_tensor::{configured_threads, fnv1a64, set_configured_threads, TensorRng};
 
     #[test]
     fn oracle_profiles_a_real_model() {
@@ -114,5 +194,210 @@ mod tests {
         );
         let after = model.logits(&tokens, 1).unwrap();
         assert!(before.approx_eq(&after, 0.0));
+    }
+
+    /// Calibration sequences per probe: three runs, so two kernel threads
+    /// split the run axis (a batch of one threads the kernels instead).
+    const CALIB_BATCH: usize = 3;
+
+    /// Every policy `profile` asks for under the LUC candidate sets.
+    fn luc_choices() -> Vec<LayerPolicy> {
+        let quant = LUC_BIT_CHOICES.iter().map(|&bits| LayerPolicy {
+            bits,
+            prune_ratio: 0.0,
+        });
+        let prune = LUC_RATIO_CHOICES.iter().map(|&prune_ratio| LayerPolicy {
+            bits: BitWidth::W16,
+            prune_ratio,
+        });
+        quant.chain(prune).collect()
+    }
+
+    /// A seeded 4-layer model and calibration batch. `compressed` installs
+    /// a policy on layers 1 and 3 first, so every probe's frozen layers
+    /// carry hooks of their own.
+    fn calibration_case(compressed: bool) -> (EdgeModel, Vec<usize>, Vec<usize>) {
+        let mut rng = TensorRng::seed_from(31);
+        let cfg = ModelConfig::tiny().with_layers(4);
+        let mut model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
+        if compressed {
+            let w4 = LayerPolicy {
+                bits: BitWidth::W4,
+                prune_ratio: 0.25,
+            };
+            let w8 = LayerPolicy {
+                bits: BitWidth::W8,
+                prune_ratio: 0.5,
+            };
+            apply_layer_policy(&mut model, 1, w4).unwrap();
+            apply_layer_policy(&mut model, 3, w8).unwrap();
+        }
+        let n = CALIB_BATCH * cfg.seq_len;
+        let tokens: Vec<usize> = (0..n).map(|_| rng.index(cfg.vocab_size)).collect();
+        let targets: Vec<usize> = (0..n).map(|_| rng.index(cfg.vocab_size)).collect();
+        (model, tokens, targets)
+    }
+
+    /// What a probe must equal bit for bit: the whole model cloned, the
+    /// policy installed on one layer, one full-depth pass, cross-entropy.
+    fn reference_loss(
+        model: &EdgeModel,
+        tokens: &[usize],
+        targets: &[usize],
+        layer: usize,
+        policy: LayerPolicy,
+    ) -> f32 {
+        let mut probe = model.clone();
+        if apply_layer_policy(&mut probe, layer, policy).is_err() {
+            return f32::INFINITY;
+        }
+        let logits = probe.logits(tokens, CALIB_BATCH).unwrap();
+        cross_entropy_forward(&logits, targets).unwrap().loss
+    }
+
+    /// Runs `f` with `threads` kernel workers, whatever `EDGELLM_THREADS`
+    /// says, and restores the previous setting.
+    fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        let before = configured_threads();
+        set_configured_threads(threads);
+        let out = f();
+        set_configured_threads(before);
+        out
+    }
+
+    #[test]
+    fn every_probe_is_bit_equal_to_a_whole_model_clone() {
+        let invalid = LayerPolicy {
+            bits: BitWidth::W4,
+            prune_ratio: 1.5,
+        };
+        for compressed in [false, true] {
+            let (model, tokens, targets) = calibration_case(compressed);
+            let full = model.logits(&tokens, CALIB_BATCH).unwrap();
+            let baseline = cross_entropy_forward(&full, &targets).unwrap().loss;
+            for threads in [1usize, 2] {
+                at_threads(threads, || {
+                    let mut oracle = ModelOracle::new(&model, &tokens, &targets, CALIB_BATCH);
+                    let what = format!("compressed {compressed} threads {threads}");
+                    assert_eq!(
+                        oracle.baseline_loss().to_bits(),
+                        baseline.to_bits(),
+                        "{what}: baseline"
+                    );
+                    // Deepest layer first, so every probe walks through
+                    // blocks an earlier probe compressed: a block left
+                    // compressed is read, unlike in `profile`'s order.
+                    for layer in (0..model.n_layers()).rev() {
+                        for policy in luc_choices() {
+                            let want = reference_loss(&model, &tokens, &targets, layer, policy);
+                            let got = oracle.loss_with(layer, policy);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {layer} {policy}");
+                        }
+                        assert_eq!(
+                            oracle.loss_with(layer, invalid),
+                            f32::INFINITY,
+                            "{what}: layer {layer} invalid ratio"
+                        );
+                    }
+                });
+            }
+        }
+        // Uncompressing a compressed layer is a real probe, not the baseline.
+        let (model, tokens, targets) = calibration_case(true);
+        let mut oracle = ModelOracle::new(&model, &tokens, &targets, CALIB_BATCH);
+        let baseline = oracle.baseline_loss();
+        assert_ne!(
+            oracle.loss_with(1, LayerPolicy::uncompressed()).to_bits(),
+            baseline.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_calibration_batch_the_model_refuses_scores_every_probe_infinite() {
+        // The baseline walk fails at layer 0, so no probe above it has
+        // rows to enter with; none may panic or read another layer's rows.
+        let (model, mut tokens, targets) = calibration_case(false);
+        tokens[5] = model.config().vocab_size;
+        let mut oracle = ModelOracle::new(&model, &tokens, &targets, CALIB_BATCH);
+        assert_eq!(oracle.baseline_loss(), f32::INFINITY);
+        for layer in 0..model.n_layers() {
+            let policy = LayerPolicy {
+                bits: BitWidth::W4,
+                prune_ratio: 0.0,
+            };
+            assert_eq!(oracle.loss_with(layer, policy), f32::INFINITY);
+        }
+    }
+
+    #[test]
+    fn a_profile_walks_only_the_layers_its_probes_change() {
+        // The benchmark's shape: 8 layers, 4 bit-widths × 4 ratios. Every
+        // probe walking from the embedding was 65 passes × 8 = 520 layers.
+        // Now: 8 for the baseline, none for the two probes per layer that
+        // install nothing (W16 at ratio 0), 6 probes × (8 − l) per layer l.
+        let mut rng = TensorRng::seed_from(5);
+        let cfg = ModelConfig::tiny().with_layers(8);
+        let model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
+        let tokens: Vec<usize> = (0..cfg.seq_len).map(|i| (i * 5) % cfg.vocab_size).collect();
+        let mut oracle = ModelOracle::new(&model, &tokens, &tokens, 1);
+        profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES).unwrap();
+        assert_eq!(oracle.probes(), 64);
+        assert_eq!(oracle.layers_walked(), 8 + 6 * (1..=8).sum::<usize>());
+        assert_eq!(oracle.layers_walked(), 224);
+        // On a compressed layer the shortcut must not fire, whether the
+        // layer carries a quantization scheme (2) or only a mask (5):
+        // uncompressing it is a real probe.
+        let mut compressed = model.clone();
+        for (layer, bits, prune_ratio) in [(2, BitWidth::W4, 0.0), (5, BitWidth::W16, 0.5)] {
+            let policy = LayerPolicy { bits, prune_ratio };
+            apply_layer_policy(&mut compressed, layer, policy).unwrap();
+        }
+        let mut oracle = ModelOracle::new(&compressed, &tokens, &tokens, 1);
+        profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES).unwrap();
+        assert_eq!(oracle.layers_walked(), 224 + 2 * (8 - 2) + 2 * (8 - 5));
+    }
+
+    /// FNV-1a over the bits of every delta and the baseline, plus the
+    /// policy the DP search picks from the profile at budget 0.3.
+    fn profile_digest(model: &EdgeModel, tokens: &[usize], targets: &[usize]) -> (u64, String) {
+        let mut oracle = ModelOracle::new(model, tokens, targets, CALIB_BATCH);
+        let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES).unwrap();
+        let mut bytes = Vec::new();
+        for row in prof.quant_delta.iter().chain(&prof.prune_delta) {
+            for d in row {
+                bytes.extend_from_slice(&d.to_bits().to_le_bytes());
+            }
+        }
+        bytes.extend_from_slice(&prof.baseline.to_bits().to_le_bytes());
+        let found = search_policy(&prof, 0.3, SearchAlgorithm::DynamicProgramming).unwrap();
+        (fnv1a64(&bytes), found.policy.to_string())
+    }
+
+    #[test]
+    fn sensitivity_profile_bits_are_pinned() {
+        // Recorded while every probe still cloned the whole model and
+        // walked it from the embedding.
+        let pinned = [
+            (
+                false,
+                0xdbc2_960f_02ba_4ba6_u64,
+                "[4b·p75% 16b·p50% 8b·p0% 2b·p0%]",
+            ),
+            (
+                true,
+                0x1b5c_d316_4900_2a8a_u64,
+                "[8b·p0% 2b·p50% 8b·p0% 8b·p75%]",
+            ),
+        ];
+        for (compressed, digest, policy) in pinned {
+            let (model, tokens, targets) = calibration_case(compressed);
+            for threads in [1usize, 2] {
+                let (got, found) =
+                    at_threads(threads, || profile_digest(&model, &tokens, &targets));
+                let what = format!("compressed {compressed} threads {threads}");
+                assert_eq!(got, digest, "{what}: profile digest {got:#018x}");
+                assert_eq!(found, policy, "{what}: searched policy");
+            }
+        }
     }
 }

@@ -154,7 +154,9 @@ impl SensitivityProfile {
 ///
 /// Cost: `n_layers * (|bits| + |ratios|)` oracle evaluations plus one
 /// baseline — the cheap, embarrassingly parallel measurement loop the paper
-/// describes for LUC.
+/// describes for LUC. The pipeline's `ModelOracle` walks only `l..n` for
+/// a probe of layer `l`, from the baseline's cached rows entering `l`, and
+/// no layer at all for a probe that installs nothing.
 ///
 /// # Errors
 ///

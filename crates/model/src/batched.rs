@@ -12,9 +12,12 @@
 //! - the speculative chunk in `crate::spec` — one run of length n,
 //!   stopped at the draft or the final exit;
 //! - `full_window` — `batch` runs of `seq_len` positions, each on a
-//!   one-pair scratch cache dropped with the pass: evaluation, the voting
-//!   fit, LUC's probes (`EdgeModel::logits_at_exits`) and the tuner's
-//!   blocks below the window (`EdgeModel::forward_exit`).
+//!   one-pair scratch cache dropped with the pass: evaluation and the
+//!   voting fit (`EdgeModel::logits_at_exits`), the tuner's blocks below
+//!   the window (`EdgeModel::forward_exit`) and LUC's probes, which enter
+//!   above layer 0 from cached hidden rows (`EdgeModel::frozen_forward`).
+//!   Only this shape may start above layer 0: its K/V is scratch, so no
+//!   persistent [`SequenceKv`] is left with layers it never wrote.
 //!
 //! "Frozen" means "on this walk": there is no second frozen block, so a
 //! route, span or K/V format changed here is changed for all of them.
@@ -210,7 +213,26 @@ pub fn batched_decode_step(
             adapter: s.adapter,
         })
         .collect();
-    Ok(decode_runs(model, &mut runs, model.n_layers())?.1)
+    Ok(decode_runs(model, &mut runs, Entry::EMBEDDING, model.n_layers())?.1)
+}
+
+/// Where a pass enters the layer stack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry<'a> {
+    /// First layer walked.
+    pub(crate) from: usize,
+    /// The hidden rows entering layer `from`, `d_model` floats per fed
+    /// position in run order; `None` embeds the fed tokens, at layer 0
+    /// only.
+    pub(crate) hidden: Option<&'a [f32]>,
+}
+
+impl Entry<'_> {
+    /// Every decode pass: the token embedding into layer 0.
+    pub(crate) const EMBEDDING: Entry<'static> = Entry {
+        from: 0,
+        hidden: None,
+    };
 }
 
 /// One sequence's share of a decode pass: `tokens` are fed at the
@@ -224,13 +246,28 @@ pub(crate) struct Run<'a> {
     pub(crate) adapter: Option<&'a ResolvedAdapter>,
 }
 
-/// The token, cache-shape, capacity and exit checks of a decode pass over
-/// layers `0..depth`, in that order per run.
+/// The checks of a pass over layers `entry.from..depth`: the layer range,
+/// then per run the token, cache-shape, capacity and exit checks in that
+/// order, then the entering rows' length.
 pub(crate) fn validate_runs(
     model: &EdgeModel,
     runs: &[Run<'_>],
+    entry: Entry<'_>,
     depth: usize,
 ) -> Result<(), ModelError> {
+    let n_layers = model.n_layers();
+    if depth > n_layers {
+        return Err(ModelError::LayerOutOfRange {
+            layer: depth - 1,
+            depth: n_layers,
+        });
+    }
+    if entry.from > depth {
+        return Err(ModelError::LayerOutOfRange {
+            layer: entry.from,
+            depth,
+        });
+    }
     let vocab = model.config().vocab_size;
     for run in runs {
         if let Some(&token) = run.tokens.iter().find(|&&t| t >= vocab) {
@@ -239,22 +276,41 @@ pub(crate) fn validate_runs(
             });
         }
         run.kv.check_model(model)?;
+        // Layers below the entry write no K/V rows, so only a scratch
+        // pair, dropped with the pass, may skip them.
+        if entry.from > 0 && run.kv.keys.len() != 1 {
+            return Err(ModelError::BadConfig {
+                reason: format!("a pass entering at layer {} needs scratch K/V", entry.from),
+            });
+        }
         if run.kv.remaining() < run.tokens.len() {
             return Err(ModelError::CapacityExhausted {
                 capacity: run.kv.capacity,
             });
         }
-        if let Some(&layer) = run.exits.iter().find(|&&e| e >= depth) {
+        if let Some(&layer) = run.exits.iter().find(|&&e| e < entry.from || e >= depth) {
             return Err(ModelError::LayerOutOfRange { layer, depth });
         }
     }
-    Ok(())
+    let floats = runs.iter().map(|r| r.tokens.len()).sum::<usize>() * model.config().d_model;
+    match entry.hidden {
+        None if entry.from > 0 => Err(ModelError::BadBatch {
+            expected: floats,
+            actual: 0,
+        }),
+        Some(h) if h.len() != floats => Err(ModelError::BadBatch {
+            expected: floats,
+            actual: h.len(),
+        }),
+        _ => Ok(()),
+    }
 }
 
-/// Feeds every run through layers `0..depth` in one shared pass and
-/// returns the hidden rows of every fed position after the last layer, in
-/// run order, and per run one `(tokens.len(), vocab)` logits tensor per
-/// requested exit (in the run's `exits` order).
+/// Feeds every run through layers `entry.from..depth` in one shared pass
+/// and returns the hidden rows of every fed position after the last layer,
+/// in run order, and per run one `(tokens.len(), vocab)` logits tensor per
+/// requested exit (in the run's `exits` order). Decode passes enter at
+/// [`Entry::EMBEDDING`]; only [`full_window`] enters higher.
 ///
 /// A pass is all-or-nothing: every run is validated before any cache is
 /// touched, and no cursor moves until every chunk's walk has returned
@@ -267,27 +323,44 @@ pub(crate) fn validate_runs(
 pub(crate) fn decode_runs(
     model: &EdgeModel,
     runs: &mut [Run<'_>],
+    entry: Entry<'_>,
     depth: usize,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>), ModelError> {
     let c = model.config().d_model;
+    validate_runs(model, runs, entry, depth)?;
     if runs.is_empty() {
         return Ok((Tensor::zeros(0, c), Vec::new()));
     }
-    validate_runs(model, runs, depth)?;
     let workers = pool::resolve_threads(0).min(runs.len());
     let out = if workers <= 1 {
-        walk(model, runs, depth)?
+        walk(model, runs, entry, depth)?
     } else {
         // Run-partitioned parallel pass (module docs, "Multi-threading").
         // Kernel-level threading is suppressed inside each chunk
-        // (`serial_scope`) so workers do not spawn nested workers.
+        // (`serial_scope`) so workers do not spawn nested workers. Each
+        // chunk enters with its own runs' rows (validated: the lengths
+        // add up).
         let total = runs.len();
         let mut rest = &mut *runs;
+        let mut hidden = entry.hidden;
         let chunks = pool::partition(total, workers)
             .into_iter()
-            .map(|part| rest.split_off_mut(..part.len()).expect("in bounds"))
+            .map(|part| {
+                let chunk = rest.split_off_mut(..part.len()).expect("in bounds");
+                let fed: usize = chunk.iter().map(|r| r.tokens.len()).sum();
+                let mine = hidden.map(|h| {
+                    let (mine, tail) = h.split_at(fed * c);
+                    hidden = Some(tail);
+                    mine
+                });
+                let entry = Entry {
+                    from: entry.from,
+                    hidden: mine,
+                };
+                (chunk, entry)
+            })
             .collect();
-        let walk_chunk = |chunk| pool::serial_scope(|| walk(model, chunk, depth));
+        let walk_chunk = |(chunk, entry)| pool::serial_scope(|| walk(model, chunk, entry, depth));
         let (mut hidden, mut out) = (Vec::new(), Vec::with_capacity(total));
         for r in pool::fan_out(chunks, walk_chunk) {
             let (x, logits) = r?;
@@ -305,12 +378,13 @@ pub(crate) fn decode_runs(
 
 /// A full-window forward: one [`decode_runs`] pass of `batch` runs of
 /// `seq_len` positions (`tokens`, `batch * seq_len` ids) through layers
-/// `0..depth`, each run on a one-pair scratch cache dropped with the pass.
-/// Returns the hidden rows after layer `depth - 1` and one logits tensor
-/// per entry of `exits`, all in `(b, t)` row order.
+/// `entry.from..depth`, each run on a one-pair scratch cache dropped with
+/// the pass. Returns the hidden rows after layer `depth - 1` and one
+/// logits tensor per entry of `exits`, all in `(b, t)` row order.
 pub(crate) fn full_window(
     model: &EdgeModel,
     tokens: &[usize],
+    entry: Entry<'_>,
     depth: usize,
     exits: &[usize],
 ) -> Result<(Tensor, Vec<Tensor>), ModelError> {
@@ -328,7 +402,7 @@ pub(crate) fn full_window(
             adapter: None,
         })
         .collect();
-    let (hidden, per_run) = decode_runs(model, &mut runs, depth)?;
+    let (hidden, per_run) = decode_runs(model, &mut runs, entry, depth)?;
     let logits = (0..exits.len()).map(|e| {
         let mut stacked = Vec::with_capacity(tokens.len() * cfg.vocab_size);
         for run in &per_run {
@@ -345,6 +419,7 @@ pub(crate) fn full_window(
 fn walk(
     model: &EdgeModel,
     runs: &mut [Run<'_>],
+    entry: Entry<'_>,
     depth: usize,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>), ModelError> {
     let cfg = model.config();
@@ -357,12 +432,15 @@ fn walk(
     for (r, run) in runs.iter().enumerate() {
         for (i, &token) in run.tokens.iter().enumerate() {
             let pos = run.kv.t + i;
-            embedded.extend_from_slice(model.embed_one(token, pos)?.row(0));
+            if entry.hidden.is_none() {
+                embedded.extend_from_slice(model.embed_one(token, pos)?.row(0));
+            }
             rows.push((r, pos, run.adapter));
         }
     }
     let n = rows.len();
-    let mut x = Tensor::from_vec(n, c, embedded).map_err(ModelError::Tensor)?;
+    let input = entry.hidden.map_or(embedded, <[f32]>::to_vec);
+    let mut x = Tensor::from_vec(n, c, input).map_err(ModelError::Tensor)?;
     // One frozen projection plus its rows' adapter deltas. It consumes its
     // input: a full-window pass feeds thousands of rows, so intermediates
     // are freed at their last reader, not at the end of the layer.
@@ -383,7 +461,7 @@ fn walk(
         .collect();
     // One (row, head)'s scores over its causal prefix; all of them reuse it.
     let mut scores = vec![0f32; cfg.seq_len];
-    for l in 0..depth {
+    for l in entry.from..depth {
         let block = model.block(l);
         let (qkv_lin, proj) = block.attn().linears();
         // (n, 3c). Adapter deltas land *before* the key/value rows are
@@ -830,7 +908,7 @@ mod tests {
                 exits: &[],
                 adapter: None,
             }];
-            decode_runs(&m, &mut runs, m.n_layers()).map(|_| ())
+            decode_runs(&m, &mut runs, Entry::EMBEDDING, m.n_layers()).map(|_| ())
         };
         feed(&mut kv).unwrap();
         assert!(matches!(feed(&mut kv), Err(ModelError::BadConfig { .. })));

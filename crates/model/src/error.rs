@@ -10,11 +10,12 @@ pub enum ModelError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A token batch did not match `batch * seq_len`.
+    /// A token batch did not match `batch * seq_len`, or a batch of hidden
+    /// rows did not have one `d_model`-wide row per token.
     BadBatch {
-        /// Expected token count.
+        /// Expected token count, row count or row width.
         expected: usize,
-        /// Provided token count.
+        /// Provided token count, row count or row width.
         actual: usize,
     },
     /// A layer index exceeded the model depth.
@@ -50,10 +51,7 @@ impl fmt::Display for ModelError {
         match self {
             ModelError::BadConfig { reason } => write!(f, "invalid model config: {reason}"),
             ModelError::BadBatch { expected, actual } => {
-                write!(
-                    f,
-                    "token batch length {actual} does not equal batch*seq_len {expected}"
-                )
+                write!(f, "batch length {actual} does not equal {expected}")
             }
             ModelError::LayerOutOfRange { layer, depth } => {
                 write!(f, "layer {layer} out of range for depth {depth}")

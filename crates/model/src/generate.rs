@@ -7,7 +7,7 @@
 //! KV-cached layer walk (`crate::batched`), the one serving batches, so a
 //! prompt continues the same way through either.
 
-use crate::batched::{decode_runs, Run, SequenceKv};
+use crate::batched::{decode_runs, Entry, Run, SequenceKv};
 use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::spec::{spec_round, validate_spec_params};
@@ -115,7 +115,7 @@ pub fn generate(
                 exits: &[],
                 adapter: None,
             };
-            decode_runs(model, &mut [prefill], depth)?;
+            decode_runs(model, &mut [prefill], Entry::EMBEDDING, depth)?;
         }
         // Invariant: the cache has consumed every stream token except the
         // frontier, which the next pass feeds.
@@ -132,7 +132,9 @@ pub fn generate(
                     exits: &voting.exits,
                     adapter: None,
                 };
-                let logits = decode_runs(model, &mut [step], depth)?.1.swap_remove(0);
+                let logits = decode_runs(model, &mut [step], Entry::EMBEDDING, depth)?
+                    .1
+                    .swap_remove(0);
                 let probs = combine(&logits, &voting.combiner)?;
                 tokens.push(sample_token(probs.row(0), decoding, rng));
             }

@@ -172,7 +172,7 @@ impl<'a> InferenceSession<'a> {
 mod tests {
     use super::*;
     use crate::adapter::{AdapterTarget, TenantAdapter};
-    use crate::batched::{decode_runs, Run};
+    use crate::batched::{decode_runs, Entry, Run};
     use crate::config::ModelConfig;
     use edge_llm_prune::magnitude_prune;
     use edge_llm_quant::{BitWidth, QuantScheme};
@@ -383,7 +383,7 @@ mod tests {
                 adapter: ad.as_deref(),
             })
             .collect();
-        let (_, got) = decode_runs(&m, &mut runs, m.n_layers()).unwrap();
+        let (_, got) = decode_runs(&m, &mut runs, Entry::EMBEDDING, m.n_layers()).unwrap();
         for (r, (tokens, _)) in feeds.iter().enumerate() {
             for (i, &tok) in tokens.iter().enumerate() {
                 let want = solos[r].push_token_exits(tok, &exits).unwrap();

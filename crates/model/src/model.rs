@@ -1,5 +1,5 @@
 use crate::adaptive::LayerWindow;
-use crate::batched::full_window;
+use crate::batched::{full_window, Entry};
 use crate::block::{Block, BlockCache};
 use crate::config::ModelConfig;
 use crate::error::ModelError;
@@ -265,7 +265,7 @@ impl EdgeModel {
         let frozen = grad_from.min(exit_layer + 1);
         let mut x = match frozen {
             0 => self.embed(tokens, batch)?,
-            _ => full_window(self, tokens, frozen, &[])?.0,
+            _ => self.frozen_forward(tokens, batch, 0, None, frozen, &[])?.0,
         };
         let mut block_caches: Vec<Option<BlockCache>> = vec![None; frozen];
         for block in &self.blocks[frozen..=exit_layer] {
@@ -351,32 +351,68 @@ impl EdgeModel {
         Ok(last.pop().expect("one exit requested"))
     }
 
-    /// Logits from every exit in `exit_layers` in one frozen forward: `batch`
-    /// runs of `seq_len` positions through the KV-cached decode walk, on
-    /// scratch K/V — bit for bit what decoding the same tokens serves, so
-    /// evaluation, the voting fit and LUC's probes score the deployed model.
+    /// Logits from every exit in `exit_layers` in one frozen forward from
+    /// the embedding ([`EdgeModel::frozen_forward`]).
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::LayerOutOfRange`] if any exit is out of range.
+    /// Returns [`ModelError::BadBatch`] for a wrong token count and
+    /// [`ModelError::LayerOutOfRange`] if any exit is out of range.
     pub fn logits_at_exits(
         &self,
         tokens: &[usize],
         batch: usize,
         exit_layers: &[usize],
     ) -> Result<Vec<Tensor>, ModelError> {
+        let depth = exit_layers.iter().max().map_or(0, |&e| e + 1);
+        Ok(self
+            .frozen_forward(tokens, batch, 0, None, depth, exit_layers)?
+            .1)
+    }
+
+    /// The frozen forward over layers `from..depth`: `batch` runs of
+    /// `seq_len` positions through the KV-cached decode walk, on scratch
+    /// K/V — bit for bit what decoding the same tokens serves, so
+    /// evaluation, the voting fit and LUC's probes score the deployed
+    /// model. `entering` holds the hidden rows entering layer `from`, one
+    /// per token in `(b, t)` order; `None` (with `from` 0) embeds `tokens`.
+    /// A pass split at any layer `k` — `0..k`, then `k..depth` from the
+    /// rows the first returns — is bit-identical to the unsplit one.
+    ///
+    /// Returns the hidden rows leaving layer `depth - 1` (the entering rows
+    /// when `from == depth`) and one logits tensor per entry of
+    /// `exit_layers`, each of which must lie in `from..depth`.
+    ///
+    /// # Errors
+    ///
+    /// Fails before walking any layer: [`ModelError::BadBatch`] for a
+    /// wrong token count, `entering` rows that are not one per token or not
+    /// `d_model` wide, or no `entering` rows with `from > 0`;
+    /// [`ModelError::LayerOutOfRange`] for `depth > n_layers()`,
+    /// `from > depth`, or an exit outside `from..depth`.
+    pub fn frozen_forward(
+        &self,
+        tokens: &[usize],
+        batch: usize,
+        from: usize,
+        entering: Option<&Tensor>,
+        depth: usize,
+        exit_layers: &[usize],
+    ) -> Result<(Tensor, Vec<Tensor>), ModelError> {
         self.check_tokens(tokens, batch)?;
-        let max_exit = match exit_layers.iter().max() {
-            Some(&m) => m,
-            None => return Ok(Vec::new()),
-        };
-        if max_exit >= self.n_layers() {
-            return Err(ModelError::LayerOutOfRange {
-                layer: max_exit,
-                depth: self.n_layers(),
+        // One row per token; the pass then checks the floats, and so the
+        // width.
+        if let Some(h) = entering.filter(|h| h.rows() != tokens.len()) {
+            return Err(ModelError::BadBatch {
+                expected: tokens.len(),
+                actual: h.rows(),
             });
         }
-        Ok(full_window(self, tokens, max_exit + 1, exit_layers)?.1)
+        let entry = Entry {
+            from,
+            hidden: entering.map(Tensor::as_slice),
+        };
+        full_window(self, tokens, entry, depth, exit_layers)
     }
 
     /// Zeroes every gradient buffer in the model.
@@ -965,6 +1001,138 @@ mod tests {
         assert!(model.logits(&tokens[..5], 1).is_err());
         assert!(model.forward_exit(&tokens, 1, 99, 0).is_err());
         assert!(model.logits_at_exits(&tokens, 1, &[7]).is_err());
+    }
+
+    #[test]
+    fn a_frozen_pass_split_at_any_layer_is_bit_identical_to_one_pass() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // Wide enough that a batch of one threads its matmul kernels; a
+        // batch of three splits the run axis, and the entering rows with it.
+        let cfg = ModelConfig::tiny()
+            .with_layers(4)
+            .with_d_model(64, 4)
+            .with_seq_len(32);
+        let dense = EdgeModel::new(cfg, &mut TensorRng::seed_from(30)).unwrap();
+        let mut integer = dense.clone();
+        for l in 0..integer.n_layers() {
+            for lin in integer.block_mut(l).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                lin.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
+            }
+        }
+        let before = configured_threads();
+        for (name, model) in [("dense", &dense), ("W4/A8", &integer)] {
+            let n = model.n_layers();
+            let exits: Vec<usize> = (0..n).collect();
+            for batch in [1usize, 3] {
+                let tokens = tokens_for(model, batch, 31);
+                for threads in [1usize, 2] {
+                    set_configured_threads(threads);
+                    let (hidden, logits) = model
+                        .frozen_forward(&tokens, batch, 0, None, n, &exits)
+                        .unwrap();
+                    for k in 0..=n {
+                        let what = format!("{name} batch {batch} threads {threads} split {k}");
+                        let (mid, low) = model
+                            .frozen_forward(&tokens, batch, 0, None, k, &exits[..k])
+                            .unwrap();
+                        let (top, high) = model
+                            .frozen_forward(&tokens, batch, k, Some(&mid), n, &exits[k..])
+                            .unwrap();
+                        assert_eq!(bits(&top), bits(&hidden), "{what}: hidden rows");
+                        for (e, got) in low.iter().chain(&high).enumerate() {
+                            assert_eq!(bits(got), bits(&logits[e]), "{what}: exit {e}");
+                        }
+                    }
+                }
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    /// Runs `pass` on a W4 model at two threads with a batch of three (so
+    /// the run axis would be split) and asserts it failed as `want` says
+    /// without walking a layer: no weight was quantized.
+    fn refused_before_any_walk(
+        pass: impl Fn(&EdgeModel, &[usize], &Tensor) -> Result<(Tensor, Vec<Tensor>), ModelError>,
+        want: impl Fn(&ModelError) -> bool,
+    ) {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        let mut model = tiny_model(32);
+        for l in 0..model.n_layers() {
+            for lin in model.block_mut(l).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+            }
+        }
+        let tokens = tokens_for(&model, 3, 33);
+        let rows = Tensor::zeros(tokens.len(), model.config().d_model);
+        let before = configured_threads();
+        set_configured_threads(2);
+        let got = pass(&model, &tokens, &rows);
+        set_configured_threads(before);
+        match got {
+            Err(e) => assert!(want(&e), "wrong error: {e:?}"),
+            Ok(_) => panic!("hostile pass accepted"),
+        }
+        assert_eq!(model.weight_cache_stats().requants, 0, "a layer was walked");
+    }
+
+    #[test]
+    fn entering_rows_not_one_per_token_are_refused() {
+        refused_before_any_walk(
+            |m, tokens, _| {
+                let short = Tensor::zeros(tokens.len() - 1, m.config().d_model);
+                m.frozen_forward(tokens, 3, 1, Some(&short), 2, &[1])
+            },
+            |e| matches!(e, ModelError::BadBatch { .. }),
+        );
+        // as many floats as the right shape holds, in half the rows
+        refused_before_any_walk(
+            |m, tokens, _| {
+                let wide = Tensor::zeros(tokens.len() / 2, 2 * m.config().d_model);
+                m.frozen_forward(tokens, 3, 1, Some(&wide), 2, &[1])
+            },
+            |e| matches!(e, ModelError::BadBatch { .. }),
+        );
+        // no rows at all above the embedding
+        refused_before_any_walk(
+            |m, tokens, _| m.frozen_forward(tokens, 3, 1, None, 2, &[1]),
+            |e| matches!(e, ModelError::BadBatch { .. }),
+        );
+    }
+
+    #[test]
+    fn entering_rows_of_the_wrong_width_are_refused() {
+        refused_before_any_walk(
+            |m, tokens, _| {
+                let wide = Tensor::zeros(tokens.len(), m.config().d_model + 1);
+                m.frozen_forward(tokens, 3, 1, Some(&wide), 2, &[1])
+            },
+            |e| matches!(e, ModelError::BadBatch { .. }),
+        );
+    }
+
+    #[test]
+    fn an_entry_above_the_depth_is_refused() {
+        refused_before_any_walk(
+            |m, tokens, rows| m.frozen_forward(tokens, 3, 2, Some(rows), 1, &[]),
+            |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 1 }),
+        );
+        // an exit below the entry has no rows to read
+        refused_before_any_walk(
+            |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), 2, &[0]),
+            |e| matches!(e, ModelError::LayerOutOfRange { layer: 0, .. }),
+        );
+    }
+
+    #[test]
+    fn a_depth_past_the_model_is_refused() {
+        refused_before_any_walk(
+            |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), 3, &[]),
+            |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 2 }),
+        );
     }
 
     #[test]

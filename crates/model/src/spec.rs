@@ -33,7 +33,7 @@
 //! token equality, never a float comparison.
 
 use crate::adapter::ResolvedAdapter;
-use crate::batched::{decode_runs, validate_runs, Run, SequenceKv};
+use crate::batched::{decode_runs, validate_runs, Entry, Run, SequenceKv};
 use crate::error::ModelError;
 use crate::generate::argmax;
 use crate::model::EdgeModel;
@@ -137,7 +137,7 @@ pub fn spec_round_with_adapter(
         exits: &[],
         adapter,
     };
-    validate_runs(model, &[first], model.n_layers())?;
+    validate_runs(model, &[first], Entry::EMBEDDING, model.n_layers())?;
     let t0 = kv.len();
     // Leave one position for the verify pass's correction token: drafting
     // never pushes the sequence past where greedy decode would stop.
@@ -220,7 +220,7 @@ pub(crate) fn forward_chunk(
         exits: &[exit_layer],
         adapter,
     };
-    let logits = decode_runs(model, &mut [run], exit_layer + 1)?
+    let logits = decode_runs(model, &mut [run], Entry::EMBEDDING, exit_layer + 1)?
         .1
         .swap_remove(0);
     let vocab = logits[0].cols();
