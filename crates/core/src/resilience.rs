@@ -22,12 +22,12 @@
 //!   [`RecoveryJournal`] attached to the run's outcome.
 //!
 //! Rollback restores parameters **in place**: compression hooks and
-//! pruning masks stay installed, and masks are re-enforced after the
-//! restore. A process that dies is resumed by the next one: every
-//! cross-process load — resume, generation, serving, inspection — goes
-//! through [`restore_run`], which rebuilds the model from the checkpoint
-//! first and re-applies the recorded compression policy afterwards —
-//! masked positions are exactly the zero-valued parameters, so magnitude
+//! pruning masks stay installed, and the restore re-masks each pruned
+//! weight as it writes it. A process that dies is resumed by the next
+//! one: every cross-process load — resume, generation, serving,
+//! inspection — goes through [`restore_run`], which rebuilds the model
+//! from the checkpoint first and re-applies the recorded compression
+//! policy afterwards — masked positions are exactly the zero-valued parameters, so magnitude
 //! pruning re-selects the identical mask.
 
 use crate::compress::apply_policy;

@@ -111,7 +111,8 @@ pub struct StepPhases {
     pub forward_ns: u64,
     /// Loss backward plus the truncated backward pass.
     pub backward_ns: u64,
-    /// Gradient-norm sweep, optimizer update, and mask re-enforcement.
+    /// Gradient-norm sweep and optimizer update (which re-masks the pruned
+    /// weights it writes).
     pub optimizer_ns: u64,
     /// The whole step (phases plus scheduling overhead); the phases'
     /// share of it is gated at >= 95% by `experiments/telemetry.jsonl`.
@@ -197,8 +198,8 @@ impl AdaptiveTuner {
     }
 
     /// Runs one adaptation iteration: pick the window, forward to its exit,
-    /// compute the loss, truncated backward, optimizer step on the window's
-    /// parameters, and re-apply pruning masks.
+    /// compute the loss, truncated backward, and an optimizer step on the
+    /// window's parameters (which re-masks the pruned weights it writes).
     ///
     /// `tokens` and `targets` are `batch * seq_len` long; targets may use
     /// [`edge_llm_tensor::IGNORE_TARGET`] for prompt positions.
@@ -233,12 +234,15 @@ impl AdaptiveTuner {
         let backward_ns = phase.end();
 
         let phase = telemetry::timed("tune.optimizer");
+        // One pass: each slice's gradient is summed before its own update
+        // consumes it. `Linear::visit_params` re-masks each weight after
+        // the update writes it; frozen layers are not visited, so their
+        // caches stay.
         let mut grad_sq = 0f64;
-        model.visit_params_window(window, exit_layer, &mut |_, _, g| {
+        model.visit_params_window(window, exit_layer, &mut |id, p, g| {
             grad_sq += g.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
+            opt.update(id, p, g);
         });
-        model.visit_params_window(window, exit_layer, &mut |id, p, g| opt.update(id, p, g));
-        model.enforce_masks();
         let optimizer_ns = phase.end();
 
         let requants_after = model.block_requant_counts();

@@ -152,8 +152,8 @@ impl TrainingCheckpoint {
     }
 
     /// Writes the checkpoint's parameters back into `model` in place
-    /// (rollback path: compression hooks and masks stay installed; masks
-    /// are re-enforced afterwards).
+    /// (rollback path: compression hooks and masks stay installed, and the
+    /// write re-masks each pruned weight, as every `visit_params` does).
     ///
     /// # Errors
     ///
@@ -179,7 +179,6 @@ impl TrainingCheckpoint {
                 self.params.len()
             )));
         }
-        model.enforce_masks();
         Ok(())
     }
 

@@ -37,10 +37,16 @@ use std::sync::{Arc, OnceLock};
 /// integer GEMM ([`Linear::int_decode_schemes`]), never both.
 ///
 /// Every mutation path (`visit_params`, `set_mask` / `set_quant` /
-/// `set_activation_quant`, `enforce_mask` when it actually changes a
-/// value, `weight_mut`) invalidates the cache, so cached results are
-/// **bit-identical** to recomputing the effective weight on every call —
-/// the invariant the staleness tests in `tests/weight_cache.rs` pin down.
+/// `set_activation_quant`, `weight_mut`) invalidates the cache, so cached
+/// results are **bit-identical** to recomputing the effective weight on
+/// every call — the invariant the staleness tests in
+/// `tests/weight_cache.rs` pin down.
+///
+/// The mask invariant is held at the write: `set_mask` masks the weight
+/// it installs on, and `visit_params` — the one path optimizer steps and
+/// checkpoint restores write through — re-masks after its visitor runs.
+/// A layer nobody visits is never touched. `weight_mut` is the escape
+/// hatch and leaves masking to its caller.
 ///
 /// # One frozen forward
 ///
@@ -560,10 +566,16 @@ impl Linear {
     /// bias). Optimizers use this to update parameters without owning them.
     /// Invalidates the compressed-weight cache — the visitor may write the
     /// parameters — so callers that only *read* should use
-    /// [`Linear::visit_params_ro`].
+    /// [`Linear::visit_params_ro`]. Pruned weights are set back to `+0.0`
+    /// after the visitor runs, whatever it wrote there.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.invalidate_weight_cache();
         f(self.w.as_mut_slice(), self.dw.as_mut_slice());
+        if let Some(m) = &self.mask {
+            for (v, &k) in self.w.as_mut_slice().iter_mut().zip(m.as_slice()) {
+                *v = if k { *v } else { 0.0 };
+            }
+        }
         if !self.b.is_empty() {
             f(&mut self.b, &mut self.db);
         }
@@ -585,30 +597,6 @@ impl Linear {
     /// touching (or invalidating) the layer.
     pub fn param_slice_count(&self) -> usize {
         1 + usize::from(!self.b.is_empty())
-    }
-
-    /// Re-applies the pruning mask to the stored weight (call after an
-    /// optimizer step so pruned weights stay pruned). The weight cache is
-    /// invalidated only when a masked position actually held a nonzero
-    /// value: the tuner enforces masks on *every* layer every iteration,
-    /// and re-masking an unchanged frozen layer must not evict its cache.
-    pub fn enforce_mask(&mut self) {
-        let Some(m) = &self.mask else {
-            return;
-        };
-        let keep = m.as_slice();
-        let w = self.w.as_mut_slice();
-        debug_assert_eq!(keep.len(), w.len());
-        let mut changed = false;
-        for (v, &k) in w.iter_mut().zip(keep) {
-            if !k && v.to_bits() != 0 {
-                *v = 0.0;
-                changed = true;
-            }
-        }
-        if changed {
-            self.invalidate_weight_cache();
-        }
     }
 }
 
@@ -769,21 +757,35 @@ mod tests {
     }
 
     #[test]
-    fn enforce_mask_after_fake_update() {
+    fn visit_params_leaves_pruned_weights_at_positive_zero() {
         let mut rng = TensorRng::seed_from(6);
-        let mut l = Linear::new(4, 4, &mut rng);
+        let mut l = Linear::new(6, 6, &mut rng);
         let mask = magnitude_prune(l.weight(), 0.5).unwrap();
         l.set_mask(Some(mask.clone())).unwrap();
-        // simulate an optimizer perturbing everything
-        l.visit_params(&mut |p, _| p.iter_mut().for_each(|v| *v += 1.0));
-        l.enforce_mask();
-        for r in 0..4 {
-            for c in 0..4 {
-                if !mask.is_kept(r, c) {
-                    assert_eq!(l.weight().get(r, c), 0.0);
-                }
+        // a visitor that writes everywhere, pruned positions included
+        let written = [1.0, -0.0, f32::NAN, -2.5];
+        let at = |i: usize| written[i % written.len()];
+        l.visit_params(&mut |p, _| {
+            for (i, v) in p.iter_mut().enumerate() {
+                *v = at(i);
             }
+        });
+        for (i, (&v, &k)) in l
+            .weight()
+            .as_slice()
+            .iter()
+            .zip(mask.as_slice())
+            .enumerate()
+        {
+            let want = if k { at(i) } else { 0.0 };
+            assert_eq!(v.to_bits(), want.to_bits(), "weight {i}, kept {k}");
         }
+        // the bias has no mask: written through untouched
+        assert!(l
+            .b
+            .iter()
+            .enumerate()
+            .all(|(i, b)| b.to_bits() == at(i).to_bits()));
     }
 
     #[test]
@@ -846,35 +848,6 @@ mod tests {
             !l.has_cached_weight() && !l.is_packed() && !l.is_int_packed(),
             "set_quant"
         );
-    }
-
-    #[test]
-    fn enforce_mask_keeps_cache_when_nothing_changed() {
-        let mut rng = TensorRng::seed_from(14);
-        let mut l = Linear::new(8, 8, &mut rng);
-        l.set_mask(Some(magnitude_prune(l.weight(), 0.5).unwrap()))
-            .unwrap();
-        l.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
-        let _ = l.cached_effective_weight().unwrap();
-        // masked weights already at zero: enforcement is a no-op
-        l.enforce_mask();
-        assert!(l.has_cached_weight(), "no-op enforce must keep the cache");
-        // perturb one masked weight off zero: enforcement must invalidate
-        let mask = l.mask().unwrap().clone();
-        let (mut mr, mut mc) = (0, 0);
-        'outer: for r in 0..8 {
-            for c in 0..8 {
-                if !mask.is_kept(r, c) {
-                    (mr, mc) = (r, c);
-                    break 'outer;
-                }
-            }
-        }
-        l.weight_mut().set(mr, mc, 0.25);
-        let _ = l.cached_effective_weight().unwrap();
-        l.enforce_mask();
-        assert!(!l.has_cached_weight(), "real change must invalidate");
-        assert_eq!(l.weight().get(mr, mc), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::error::ModelError;
 use crate::linear::{Linear, LinearCache};
-use edge_llm_tensor::{gelu_backward, gelu_forward, Tensor, TensorRng};
+use edge_llm_tensor::{gelu_forward_train, Tensor, TensorRng};
 
 /// Two-layer GELU MLP: `d_model -> d_ff -> d_model`.
 #[derive(Debug, Clone)]
@@ -13,14 +13,16 @@ pub struct Mlp {
 #[derive(Debug, Clone)]
 pub struct MlpCache {
     fc1_cache: LinearCache,
-    pre_act: Tensor,
+    /// GELU's local derivative at the pre-activation, written over the
+    /// pre-activation buffer by [`gelu_forward_train`].
+    gelu_grad: Tensor,
     fc2_cache: LinearCache,
 }
 
 impl MlpCache {
     /// Approximate bytes held alive by this cache.
     pub fn bytes(&self) -> usize {
-        self.fc1_cache.bytes() + self.pre_act.len() * 4 + self.fc2_cache.bytes()
+        self.fc1_cache.bytes() + self.gelu_grad.len() * 4 + self.fc2_cache.bytes()
     }
 }
 
@@ -59,14 +61,14 @@ impl Mlp {
     ///
     /// Propagates kernel shape errors.
     pub fn forward(&self, x: &Tensor) -> Result<(Tensor, MlpCache), ModelError> {
-        let (pre_act, fc1_cache) = self.fc1.forward(x)?;
-        let act = gelu_forward(&pre_act);
+        let (mut gelu_grad, fc1_cache) = self.fc1.forward(x)?;
+        let act = gelu_forward_train(&mut gelu_grad);
         let (y, fc2_cache) = self.fc2.forward(&act)?;
         Ok((
             y,
             MlpCache {
                 fc1_cache,
-                pre_act,
+                gelu_grad,
                 fc2_cache,
             },
         ))
@@ -78,8 +80,8 @@ impl Mlp {
     ///
     /// Propagates kernel shape errors.
     pub fn backward(&mut self, cache: &MlpCache, dy: &Tensor) -> Result<Tensor, ModelError> {
-        let dact = self.fc2.backward(&cache.fc2_cache, dy)?;
-        let dpre = gelu_backward(&cache.pre_act, &dact)?;
+        let mut dpre = self.fc2.backward(&cache.fc2_cache, dy)?;
+        dpre.hadamard_in_place(&cache.gelu_grad)?;
         self.fc1.backward(&cache.fc1_cache, &dpre)
     }
 

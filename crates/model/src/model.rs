@@ -431,11 +431,6 @@ impl EdgeModel {
         self.shared_head.zero_grad();
     }
 
-    /// Re-applies every installed pruning mask (call after optimizer steps).
-    pub fn enforce_masks(&mut self) {
-        self.projections_mut().for_each(Linear::enforce_mask);
-    }
-
     /// Visits `(id, param, grad)` for every parameter whose module is
     /// *trainable* under `window` with the exit at `exit_layer`:
     ///

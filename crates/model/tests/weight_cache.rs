@@ -1,12 +1,14 @@
 //! Staleness suite for the compressed-weight cache.
 //!
 //! The cache's contract is absolute: after **any** mutation path — an
-//! optimizer step through the window visitor, a mask or scheme change,
-//! mask enforcement, a LoRA merge written through `weight_mut`, or a
-//! checkpoint restore — the cached effective weight must be bit-identical
-//! to a freshly recomputed `effective_weight()`. Each test mutates through
-//! one path, then asserts exact equality, so a missed invalidation shows
-//! up as a bit diff rather than a subtly drifting model.
+//! optimizer step through the window visitor, a mask or scheme change, a
+//! LoRA merge written through `weight_mut`, or a checkpoint restore — the
+//! cached effective weight must be bit-identical to a freshly recomputed
+//! `effective_weight()`. Each test mutates through one path, then asserts
+//! exact equality, so a missed invalidation shows up as a bit diff rather
+//! than a subtly drifting model. The mask invariant rides on the same
+//! paths: a write through `visit_params` re-masks, and a layer the
+//! optimizer does not visit keeps every cached form.
 
 use edge_llm_model::{
     AdaptiveTuner, EdgeModel, Linear, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
@@ -14,6 +16,7 @@ use edge_llm_model::{
 use edge_llm_prune::magnitude_prune;
 use edge_llm_quant::{BitWidth, QuantScheme};
 use edge_llm_tensor::{Tensor, TensorRng};
+use std::sync::Arc;
 
 fn quantized_model(seed: u64) -> EdgeModel {
     let mut rng = TensorRng::seed_from(seed);
@@ -130,27 +133,105 @@ fn mask_and_scheme_changes_keep_caches_fresh() {
     assert_caches_fresh(&model, "after set_activation_quant");
 }
 
+/// Every pruned weight of `lin` holds `+0.0`, bit for bit.
+fn assert_masked(lin: &Linear, context: &str) {
+    let keep = lin.mask().expect("a masked layer").as_slice();
+    for (i, (v, &k)) in lin.weight().as_slice().iter().zip(keep).enumerate() {
+        assert!(
+            k || v.to_bits() == 0,
+            "{context}: pruned weight {i} is {v:e}"
+        );
+    }
+}
+
 #[test]
-fn enforce_mask_keeps_caches_fresh() {
-    let mut model = quantized_model(7);
-    let tokens = tokens_for(&model, 8);
-    model.logits(&tokens, 1).unwrap(); // warm
-                                       // perturb a masked weight off zero, as a buggy optimizer would
-    {
-        let fc1 = model.block_mut(0).mlp_mut().fc1_mut();
-        let mask = fc1.mask().unwrap().clone();
-        let (rows, cols) = fc1.shape();
-        'outer: for r in 0..rows {
-            for c in 0..cols {
-                if !mask.is_kept(r, c) {
-                    fc1.weight_mut().set(r, c, 0.5);
-                    break 'outer;
+fn a_momentum_step_keeps_frozen_caches_and_masks_the_window() {
+    // Velocity built up while the model was dense keeps moving weights the
+    // mask later prunes, so each update writes nonzero values at pruned
+    // positions and only the re-mask at the write takes them back to zero.
+    let mut rng = TensorRng::seed_from(21);
+    let mut model = EdgeModel::new(ModelConfig::tiny().with_layers(4), &mut rng).unwrap();
+    let tokens = tokens_for(&model, 22);
+    let mut opt = Sgd::with_momentum(0.05, 0.9);
+    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 2 });
+    for _ in 0..2 {
+        tuner
+            .step(&mut model, &mut opt, &tokens, &tokens, 1)
+            .unwrap();
+    }
+    for l in 0..model.n_layers() {
+        for lin in model.block_mut(l).linears_mut() {
+            let mask = magnitude_prune(lin.weight(), 0.5).unwrap();
+            lin.set_mask(Some(mask)).unwrap();
+            lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+        }
+    }
+    for it in 0..4 {
+        // warm both frozen forms: the dense effective weight and row codes
+        let dense: Vec<Vec<Arc<Tensor>>> = (0..model.n_layers())
+            .map(|l| {
+                let b = model.block(l);
+                b.linears()
+                    .map(|lin| lin.cached_effective_weight().unwrap())
+                    .to_vec()
+            })
+            .collect();
+        model.pack_frozen_weights().unwrap();
+        let window = tuner
+            .step(&mut model, &mut opt, &tokens, &tokens, 1)
+            .unwrap()
+            .window;
+        for (l, before) in dense.iter().enumerate() {
+            let b = model.block(l);
+            for (i, (lin, before)) in b.linears().iter().zip(before).enumerate() {
+                let at = format!("step {it}, block {l} projection {i}");
+                assert_masked(lin, &at);
+                if window.contains(l) {
+                    assert!(!lin.has_cached_weight() && !lin.is_packed(), "{at}");
+                } else {
+                    let now = lin.cached_effective_weight().unwrap();
+                    assert!(Arc::ptr_eq(before, &now) && lin.is_packed(), "{at}");
                 }
             }
         }
     }
-    model.enforce_masks();
-    assert_caches_fresh(&model, "after enforce_masks");
+}
+
+#[test]
+fn a_checkpoint_restored_onto_a_masked_model_reads_masked_weights() {
+    // The snapshot comes from a dense model, so it holds nonzero values at
+    // every position the target's masks prune.
+    let mut rng = TensorRng::seed_from(23);
+    let dense = EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap();
+    let ckpt = TrainingCheckpoint::capture(
+        &dense,
+        &Sgd::new(0.05),
+        0,
+        &TensorRng::seed_from(1),
+        Vec::new(),
+    );
+    let mut model = quantized_model(24);
+    let tokens = tokens_for(&model, 25);
+    model.logits(&tokens, 1).unwrap(); // warm
+    ckpt.restore_params(&mut model).unwrap();
+    for l in 0..model.n_layers() {
+        let fc1 = model.block(l).mlp().linears().0;
+        let snap = dense.block(l).mlp().linears().0.weight();
+        let keep = fc1.mask().unwrap().as_slice();
+        assert!(keep.iter().any(|&k| !k), "block {l} prunes something");
+        for (i, ((v, s), &k)) in fc1
+            .weight()
+            .as_slice()
+            .iter()
+            .zip(snap.as_slice())
+            .zip(keep)
+            .enumerate()
+        {
+            let want = if k { *s } else { 0.0 };
+            assert_eq!(v.to_bits(), want.to_bits(), "block {l} weight {i}");
+        }
+    }
+    assert_caches_fresh(&model, "after restore onto masks");
 }
 
 #[test]
@@ -299,7 +380,7 @@ fn standalone_linear_staleness_matrix() {
             }),
         ),
         (
-            "enforce_mask",
+            "visit_params over a mask",
             Box::new(|l: &mut Linear| {
                 let mask = magnitude_prune(l.weight(), 0.5).unwrap();
                 l.set_mask(Some(mask)).unwrap();
@@ -308,7 +389,6 @@ fn standalone_linear_staleness_matrix() {
                         *v += 0.25;
                     }
                 });
-                l.enforce_mask();
             }),
         ),
     ];

@@ -73,7 +73,8 @@ impl PruneMask {
         1.0 - self.kept() as f32 / self.keep.len() as f32
     }
 
-    /// Zeroes the pruned elements of `x` in place.
+    /// Sets the pruned elements of `x` to `+0.0` in place, whatever they
+    /// held (`-0.0` and NaN included).
     ///
     /// # Errors
     ///
@@ -87,9 +88,7 @@ impl PruneMask {
             });
         }
         for (v, &k) in x.as_mut_slice().iter_mut().zip(self.keep.iter()) {
-            if !k {
-                *v = 0.0;
-            }
+            *v = if k { *v } else { 0.0 };
         }
         Ok(())
     }
@@ -150,6 +149,23 @@ mod tests {
         let y = m.apply_to(&x).unwrap();
         assert_eq!(y.as_slice(), &[1., 0., 3., 0.]);
         assert_eq!(m.sparsity(), 0.5);
+    }
+
+    #[test]
+    fn apply_writes_positive_zero_over_anything_pruned() {
+        let keep = vec![false, false, false, true, true, true];
+        let m = PruneMask::from_vec(1, 6, keep).unwrap();
+        let mut x = Tensor::from_vec(
+            1,
+            6,
+            vec![-0.0, f32::NAN, f32::NEG_INFINITY, -0.0, f32::NAN, 2.0],
+        )
+        .unwrap();
+        m.apply(&mut x).unwrap();
+        let bits: Vec<u32> = x.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(&bits[..3], &[0, 0, 0], "pruned positions read +0.0");
+        assert_eq!(bits[3], (-0.0f32).to_bits(), "kept -0.0 untouched");
+        assert!(x.as_slice()[4].is_nan() && x.as_slice()[5] == 2.0);
     }
 
     #[test]

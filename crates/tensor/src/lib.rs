@@ -42,7 +42,7 @@ pub use matmul::{
 };
 pub use ops::{
     add_bias_backward, add_bias_forward, cross_entropy_backward, cross_entropy_forward,
-    embedding_backward, embedding_forward, gelu_backward, gelu_forward, layernorm_backward,
+    embedding_backward, embedding_forward, gelu_forward, gelu_forward_train, layernorm_backward,
     layernorm_forward, softmax_backward, softmax_rows, CrossEntropyOutput, LayerNormCache,
     IGNORE_TARGET,
 };

@@ -4,7 +4,9 @@
 //! functions take whatever the forward pass cached (inputs, outputs, or a
 //! dedicated cache struct) so the training loop in `edge-llm-model` can
 //! decide per layer whether to keep activations alive — the knob behind the
-//! paper's adaptive-layer-tuning memory savings.
+//! paper's adaptive-layer-tuning memory savings. GELU is the exception:
+//! its training form, [`gelu_forward_train`], leaves the local derivative
+//! in place of the input, and the backward pass is one multiply.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -174,32 +176,22 @@ pub fn gelu_forward(x: &Tensor) -> Tensor {
     x.map(|v| 0.5 * v * (1.0 + (GELU_C * (v + 0.044715 * v * v * v)).tanh()))
 }
 
-/// Backward pass of GELU; takes the forward *input* `x` and upstream `dy`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn gelu_backward(x: &Tensor, dy: &Tensor) -> Result<Tensor, TensorError> {
-    if x.shape() != dy.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "gelu_backward",
-            lhs: x.shape(),
-            rhs: dy.shape(),
-        });
-    }
-    let mut dx = Tensor::zeros(x.rows(), x.cols());
-    for (o, (&v, &g)) in dx
-        .as_mut_slice()
-        .iter_mut()
-        .zip(x.as_slice().iter().zip(dy.as_slice().iter()))
-    {
-        let inner = GELU_C * (v + 0.044715 * v * v * v);
-        let t = inner.tanh();
+/// Training GELU: returns [`gelu_forward`]`(x)` bit for bit and overwrites
+/// `x` with the local derivative `d gelu / dx`, both from one `tanh` per
+/// element. The backward pass is then `dy ⊙ x`
+/// ([`Tensor::hadamard_in_place`]), so the input never needs keeping and
+/// the `tanh` is never evaluated twice.
+pub fn gelu_forward_train(x: &mut Tensor) -> Tensor {
+    let mut y = Tensor::zeros(x.rows(), x.cols());
+    for (o, d) in y.as_mut_slice().iter_mut().zip(x.as_mut_slice()) {
+        let v = *d;
+        let t = (GELU_C * (v + 0.044715 * v * v * v)).tanh();
+        *o = 0.5 * v * (1.0 + t);
         let sech2 = 1.0 - t * t;
         let d_inner = GELU_C * (1.0 + 3.0 * 0.044715 * v * v);
-        *o = g * (0.5 * (1.0 + t) + 0.5 * v * sech2 * d_inner);
+        *d = 0.5 * (1.0 + t) + 0.5 * v * sech2 * d_inner;
     }
-    Ok(dx)
+    y
 }
 
 /// Adds a bias row-vector to every row of `x`, returning a new tensor.
@@ -489,12 +481,91 @@ mod tests {
         assert_eq!(dgamma.len(), 8);
     }
 
+    /// The backward pass GELU had before its training form: `tanh`
+    /// recomputed from the forward input. Kept as the bit reference.
+    fn gelu_backward_reference(x: &Tensor, dy: &Tensor) -> Tensor {
+        let mut dx = Tensor::zeros(x.rows(), x.cols());
+        for (o, (&v, &g)) in dx
+            .as_mut_slice()
+            .iter_mut()
+            .zip(x.as_slice().iter().zip(dy.as_slice().iter()))
+        {
+            let inner = GELU_C * (v + 0.044715 * v * v * v);
+            let t = inner.tanh();
+            let sech2 = 1.0 - t * t;
+            let d_inner = GELU_C * (1.0 + 3.0 * 0.044715 * v * v);
+            *o = g * (0.5 * (1.0 + t) + 0.5 * v * sech2 * d_inner);
+        }
+        dx
+    }
+
+    /// `dy ⊙ d` where `d` is the derivative [`gelu_forward_train`] leaves.
+    fn gelu_backward_train(x: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
+        let mut d = x.clone();
+        let y = gelu_forward_train(&mut d);
+        let mut dx = dy.clone();
+        dx.hadamard_in_place(&d).unwrap();
+        (y, dx)
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor, x: &Tensor, what: &str) {
+        for ((&a, &b), &v) in got.as_slice().iter().zip(want.as_slice()).zip(x.as_slice()) {
+            if b.is_nan() {
+                assert!(a.is_nan(), "{what} at x = {v:e}: {a:e} is not NaN");
+            } else {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{what} at x = {v:e}: {a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn training_gelu_is_bit_equal_to_forward_and_recomputed_backward() {
+        let sub = f32::MIN_POSITIVE / 4.0;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            sub,
+            -sub,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            1e-4,
+            -1e-4,
+            1.0,
+            -1.0,
+            30.0,
+            -30.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // every 1/64 across [-10, 10]: through the region where the inner
+        // argument saturates `tanhf` and past |x| = 9
+        edges.extend((-640..=640).map(|i| i as f32 / 64.0));
+        let mut rng = TensorRng::seed_from(5);
+        let random = Tensor::randn(16, 64, 3.0, &mut rng);
+        edges.extend_from_slice(random.as_slice());
+        let n = edges.len();
+        let x = Tensor::from_vec(1, n, edges).unwrap();
+        for dy in [Tensor::randn(1, n, 1.0, &mut rng), Tensor::ones(1, n)] {
+            let (y, dx) = gelu_backward_train(&x, &dy);
+            assert_same_bits(&y, &gelu_forward(&x), &x, "activation");
+            assert_same_bits(&dx, &gelu_backward_reference(&x, &dy), &x, "gradient");
+        }
+    }
+
     #[test]
     fn gelu_backward_matches_numeric() {
         let mut rng = TensorRng::seed_from(5);
         let x = Tensor::randn(2, 6, 1.5, &mut rng);
         let dy = Tensor::randn(2, 6, 1.0, &mut rng);
-        let dx = gelu_backward(&x, &dy).unwrap();
+        let (_, dx) = gelu_backward_train(&x, &dy);
         let num = numeric_grad(&x, |xp| {
             gelu_forward(xp)
                 .as_slice()

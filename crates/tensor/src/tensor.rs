@@ -221,13 +221,23 @@ impl Tensor {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product, returning a new tensor.
+    /// In-place element-wise (Hadamard) product, `self ⊙= other`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn hadamard(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
+    pub fn hadamard_in_place(&mut self, other: &Tensor) -> Result<(), TensorError> {
+        if self.shape() != other.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op: "hadamard_in_place",
+                lhs: self.shape(),
+                rhs: other.shape(),
+            });
+        }
+        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a *= b;
+        }
+        Ok(())
     }
 
     /// In-place `self += alpha * other` (axpy).
@@ -426,10 +436,17 @@ mod tests {
 
     #[test]
     fn hadamard_matches_manual() {
-        let a = Tensor::from_vec(1, 3, vec![1., 2., 3.]).unwrap();
+        let mut a = Tensor::from_vec(1, 3, vec![1., 2., 3.]).unwrap();
         let b = Tensor::from_vec(1, 3, vec![4., 5., 6.]).unwrap();
-        let h = a.hadamard(&b).unwrap();
-        assert_eq!(h.as_slice(), &[4., 10., 18.]);
+        a.hadamard_in_place(&b).unwrap();
+        assert_eq!(a.as_slice(), &[4., 10., 18.]);
+        assert!(matches!(
+            a.hadamard_in_place(&Tensor::zeros(3, 1)),
+            Err(TensorError::ShapeMismatch {
+                op: "hadamard_in_place",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -6,15 +6,19 @@
 //!
 //! "Where is the frozen transformer block?" — `batched::walk`: under
 //! `crates/model/src` only `Linear` and `LayerNorm` define a
-//! `forward_no_cache`, and GELU is applied once without caches (the walk)
-//! and once with (`Mlp::forward`). A second frozen block needs one or the
-//! other.
+//! `forward_no_cache`, and GELU is applied once without caches (the walk,
+//! `gelu_forward`) and once with (`Mlp::forward`, `gelu_forward_train`). A
+//! second frozen block needs one or the other.
 
 use std::path::{Path, PathBuf};
 
 const NEEDLES: [&str; 3] = ["thread::scope", "thread::spawn", "mpsc"];
 const POOL: &str = "tensor/src/pool.rs";
-const BLOCK_NEEDLES: [&str; 2] = ["fn forward_no_cache", "gelu_forward("];
+const BLOCK_NEEDLES: [&str; 3] = [
+    "fn forward_no_cache",
+    "gelu_forward(",
+    "gelu_forward_train(",
+];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
@@ -98,7 +102,7 @@ fn the_frozen_block_is_written_once() {
     let want = [
         ("batched.rs", "gelu_forward("),
         ("linear.rs", "fn forward_no_cache"),
-        ("mlp.rs", "gelu_forward("),
+        ("mlp.rs", "gelu_forward_train("),
         ("norm.rs", "fn forward_no_cache"),
     ];
     assert_eq!(found, want.map(|(file, needle)| (file.to_string(), needle)));
@@ -110,10 +114,15 @@ fn the_scan_sees_a_pasted_second_block_body() {
                   impl Block {\n    pub fn forward_no_cache(&self, x: &Tensor) -> Tensor {\n\
                   let a = self.attn.forward(&self.ln1.forward_no_cache(x));\n\
                   let h = gelu_forward(&self.mlp.fc1.forward_no_cache(&a));\n\
+                  let t = gelu_forward_train(&mut self.mlp.fc1.forward_no_cache(&a));\n\
                   self.mlp.fc2.forward_no_cache(&h)\n    }\n}\n\
                   #[cfg(test)]\nmod tests { fn g() { gelu_forward(&x); } }\n";
     assert_eq!(
         hits(source, &BLOCK_NEEDLES),
-        vec![("fn forward_no_cache", 3), ("gelu_forward(", 5)]
+        vec![
+            ("fn forward_no_cache", 3),
+            ("gelu_forward(", 5),
+            ("gelu_forward_train(", 6)
+        ]
     );
 }
