@@ -5,26 +5,6 @@ use edge_llm_tensor::{
     TensorRng,
 };
 
-/// Head-level work (multiply-accumulates across all heads) below this
-/// stays serial; spawn overhead dominates smaller attention maps. The
-/// per-head arithmetic is identical either way, so the cutoff affects
-/// wall-clock only.
-const MIN_PARALLEL_HEAD_MACS: usize = 1 << 16;
-
-/// Workers for a `batch * n_heads`-way head loop with `seq`-length
-/// sequences of `hs`-wide heads, honouring the process-wide setting.
-///
-/// Head computations run on **disjoint** `(batch, head)` slices and their
-/// inner kernels are pinned to the serial path, so the result is
-/// bit-identical for every worker count.
-fn head_workers(items: usize, seq: usize, hs: usize) -> usize {
-    let macs = items * 2 * seq * seq * hs;
-    if macs < MIN_PARALLEL_HEAD_MACS {
-        return 1;
-    }
-    pool::resolve_threads(0).min(items.max(1))
-}
-
 /// Causal multi-head self-attention — the *training* attention.
 ///
 /// Input and output are `(batch * seq) x d_model` row-major token matrices.
@@ -133,8 +113,9 @@ impl Attention {
         // pool and merge in index order so the result is bit-identical
         // for every thread count. Inner matmuls stay serial — the
         // parallelism lives at head granularity.
+        // Each head costs `2 · seq² · hs` MACs: `q·kᵀ`, then `att·v`.
         let items = batch * self.n_heads;
-        let workers = head_workers(items, seq, hs);
+        let workers = pool::workers(0, items * 2 * seq * seq * hs, items);
         let heads = pool::parallel_map(items, workers, |idx| {
             let (b, h) = (idx / self.n_heads, idx % self.n_heads);
             let (q, k, v) = split_head(&qkv_out, b, seq, h, hs, self.d_model);
@@ -188,7 +169,7 @@ impl Attention {
         // in index order (the scatter interleaves columns of shared rows,
         // so it is not panel-disjoint).
         let items = batch * self.n_heads;
-        let workers = head_workers(items, seq, hs);
+        let workers = pool::workers(0, items * 2 * seq * seq * hs, items);
         let grads = pool::parallel_map(items, workers, |idx| {
             let att = &cache.att[idx];
             let v = &cache.v[idx];

@@ -249,8 +249,9 @@ mod tests {
         // With zeroed attention/MLP output projections, a block is identity.
         let mut rng = TensorRng::seed_from(3);
         let mut block = Block::new(8, 2, 16, &mut rng);
-        block.attn_mut().proj_mut().weight_mut().fill(0.0);
-        block.mlp_mut().fc2_mut().weight_mut().fill(0.0);
+        let zero = &mut |p: &mut [f32], _: &mut [f32]| p.fill(0.0);
+        block.attn_mut().proj_mut().visit_params(zero);
+        block.mlp_mut().fc2_mut().visit_params(zero);
         let x = Tensor::randn(4, 8, 1.0, &mut rng);
         let (y, _) = block.forward(&x, 1, 4).unwrap();
         assert!(y.approx_eq(&x, 1e-5));

@@ -37,16 +37,16 @@ use std::sync::{Arc, OnceLock};
 /// integer GEMM ([`Linear::int_decode_schemes`]), never both.
 ///
 /// Every mutation path (`visit_params`, `set_mask` / `set_quant` /
-/// `set_activation_quant`, `weight_mut`) invalidates the cache, so cached
-/// results are **bit-identical** to recomputing the effective weight on
-/// every call — the invariant the staleness tests in
-/// `tests/weight_cache.rs` pin down.
+/// `set_activation_quant`) invalidates the cache, so cached results are
+/// **bit-identical** to recomputing the effective weight on every call —
+/// the invariant the staleness tests in `tests/weight_cache.rs` pin down.
 ///
 /// The mask invariant is held at the write: `set_mask` masks the weight
 /// it installs on, and `visit_params` — the one path optimizer steps and
 /// checkpoint restores write through — re-masks after its visitor runs.
-/// A layer nobody visits is never touched. `weight_mut` is the escape
-/// hatch and leaves masking to its caller.
+/// Those are the only writes, so a pruned weight is always `+0.0`, and
+/// every quantization grid maps `+0.0` to `+0.0`: no frozen route reads
+/// the mask. A layer nobody visits is never touched.
 ///
 /// # One frozen forward
 ///
@@ -106,13 +106,13 @@ impl Clone for CacheCounters {
 /// replacing the cells.
 #[derive(Debug, Clone, Default)]
 struct WeightCache {
-    /// The dense effective (masked + fake-quantized) weight.
+    /// The dense effective (fake-quantized) weight.
     dense: OnceLock<Arc<Tensor>>,
     /// The weight as packed integer codes, read by the row-dequantizing
     /// f32 route; holds the layer's resident weight bytes at the LUC
     /// policy's bit-width ratio.
     packed: OnceLock<Arc<QuantizedTensor>>,
-    /// The masked *transposed* weight as packed codes (one symmetric
+    /// The *transposed* weight as packed codes (one symmetric
     /// scale per **output channel**) — the operand of the packed integer
     /// GEMM, held *instead of* `packed` by layers on the integer decode
     /// route (see [`Linear::int_decode_schemes`]).
@@ -167,15 +167,6 @@ impl Linear {
     /// Read access to the weight.
     pub fn weight(&self) -> &Tensor {
         &self.w
-    }
-
-    /// Mutable access to the weight (for merging a delta into the base,
-    /// and for tests).
-    /// Invalidates the compressed-weight cache: the caller may write
-    /// through the returned borrow.
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.invalidate_weight_cache();
-        &mut self.w
     }
 
     /// Read access to the accumulated weight gradient.
@@ -344,37 +335,20 @@ impl Linear {
         Ok(())
     }
 
-    /// Builds the packed integer-GEMM weight: the masked **transposed**
-    /// weight (`d_out x d_in`, so symmetric per-row scales land on output
+    /// Builds the packed integer-GEMM weight: the **transposed** weight
+    /// (`d_out x d_in`, so symmetric per-row scales land on output
     /// channels and hoist out of the reduction) quantized under the
-    /// layer's weight scheme. Masked positions are written as exact zero
-    /// before quantization; symmetric quantization maps them to the
-    /// zero-point code, so they contribute exactly nothing to the integer
-    /// accumulation — the transposed grid needs no re-mask pass.
+    /// layer's weight scheme. A pruned weight is already `+0.0` in `w`,
+    /// and symmetric quantization maps it to the zero-point code, so it
+    /// contributes exactly nothing to the integer accumulation.
     ///
     /// This grid is the canonical numerics of the integer decode route
     /// (DESIGN.md §5k): it differs from the fake-quant grid of the stored
     /// `(d_in, d_out)` orientation, whose per-*input*-row scales cannot
     /// be hoisted out of an integer accumulation at all.
     fn int_weight(&self, scheme: QuantScheme) -> Result<QuantizedTensor, ModelError> {
-        let (d_in, d_out) = self.w.shape();
         self.counters.requants.fetch_add(1, Ordering::Relaxed);
-        let keep = self.mask.as_ref().map(|m| m.as_slice());
-        let mut wt = Tensor::zeros(d_out, d_in);
-        {
-            let dst = wt.as_mut_slice();
-            let src = self.w.as_slice();
-            for p in 0..d_in {
-                for j in 0..d_out {
-                    let kept = match keep {
-                        Some(k) => k[p * d_out + j],
-                        None => true,
-                    };
-                    dst[j * d_in + p] = if kept { src[p * d_out + j] } else { 0.0 };
-                }
-            }
-        }
-        Ok(QuantizedTensor::quantize(&wt, scheme)?)
+        Ok(QuantizedTensor::quantize(&self.w.transpose(), scheme)?)
     }
 
     /// [`Linear::int_weight`] through the cache: built at most once per
@@ -387,9 +361,10 @@ impl Linear {
         Ok(Arc::clone(self.wcache.packed_t.get_or_init(|| q)))
     }
 
-    /// The weight actually used by the forward pass (masked and, when a
-    /// scheme is installed, fake-quantized). Borrows the stored weight when
-    /// no scheme is installed — the uncompressed path allocates nothing.
+    /// The weight actually used by the forward pass: fake-quantized when a
+    /// scheme is installed, in which pruned weights stay `+0.0`. Borrows
+    /// the stored weight when no scheme is installed — the uncompressed
+    /// path allocates nothing.
     ///
     /// # Errors
     ///
@@ -399,12 +374,7 @@ impl Linear {
             return Ok(Cow::Borrowed(&self.w));
         };
         self.counters.requants.fetch_add(1, Ordering::Relaxed);
-        let mut w = fake_quant(&self.w, scheme)?;
-        // Quantization can perturb pruned zeros off zero; re-mask.
-        if let Some(m) = &self.mask {
-            m.apply(&mut w)?;
-        }
-        Ok(Cow::Owned(w))
+        Ok(Cow::Owned(fake_quant(&self.w, scheme)?))
     }
 
     /// [`Linear::effective_weight`] through the cache: computed at most
@@ -502,26 +472,16 @@ impl Linear {
     }
 
     /// `x · W_eff` where the weight lives as packed codes: `TILE`-row
-    /// panels are dequantized (and re-masked, exactly as
-    /// [`Linear::effective_weight`] re-masks) on demand inside the kernel,
-    /// so the dense weight never materializes. Bit-identical to
+    /// panels are dequantized on demand inside the kernel, so the dense
+    /// weight never materializes. Bit-identical to
     /// `x.matmul(&effective_weight())` because panel dequantization
     /// reproduces `fake_quant` bit-for-bit and the kernel preserves the
     /// per-element accumulation order.
     fn packed_matmul(&self, x: &Tensor, q: &QuantizedTensor) -> Result<Tensor, ModelError> {
         let (rows, cols) = self.w.shape();
-        let keep = self.mask.as_ref().map(|m| m.as_slice());
-        let fill = move |p0: usize, panel: &mut [f32]| {
+        let fill = |p0: usize, panel: &mut [f32]| {
             for (r, row) in panel.chunks_mut(cols).enumerate() {
                 q.dequantize_row_into(p0 + r, row);
-                if let Some(keep) = keep {
-                    let krow = &keep[(p0 + r) * cols..(p0 + r + 1) * cols];
-                    for (v, &k) in row.iter_mut().zip(krow) {
-                        if !k {
-                            *v = 0.0;
-                        }
-                    }
-                }
             }
         };
         Ok(matmul_fill_b_with(x, rows, cols, 0, &fill)?)
@@ -830,9 +790,6 @@ mod tests {
         l.visit_params(&mut |_, _| {});
         assert!(!l.has_cached_weight() && !l.is_packed(), "visit_params");
         warm(&l);
-        let _ = l.weight_mut();
-        assert!(!l.has_cached_weight() && !l.is_packed(), "weight_mut");
-        warm(&l);
         l.set_mask(Some(magnitude_prune(l.weight(), 0.5).unwrap()))
             .unwrap();
         assert!(!l.has_cached_weight() && !l.is_packed(), "set_mask");
@@ -868,6 +825,114 @@ mod tests {
             let w = l.effective_weight().unwrap();
             let baseline = l.add_bias(x.matmul(&w).unwrap()).unwrap();
             assert_eq!(baseline.as_slice(), packed.as_slice(), "{bits} baseline");
+        }
+    }
+
+    /// One momentum-SGD step through `visit_params`, the optimizer's write.
+    fn sgd_step(l: &mut Linear, opt: &mut crate::Sgd, rng: &mut TensorRng) {
+        use crate::Optimizer;
+        let (d_in, d_out) = l.shape();
+        let x = Tensor::randn(8, d_in, 1.0, rng);
+        let (_, cache) = l.forward(&x).unwrap();
+        l.backward(&cache, &Tensor::randn(8, d_out, 1.0, rng))
+            .unwrap();
+        let mut id = 0;
+        l.visit_params(&mut |p, g| {
+            opt.update(id, p, g);
+            id += 1;
+        });
+    }
+
+    /// Every frozen route of `l` — cached dense weight, packed row codes
+    /// and, where eligible, the integer GEMM under A8 activations — must
+    /// bit-equal a reference built from the masking formula
+    /// `x · mask(fake_quant(w)) + b` (for the integer route, the masked
+    /// transpose, quantized), at one and two threads.
+    fn assert_routes_match_masked_formula(l: &mut Linear, x: &Tensor, what: &str) {
+        use edge_llm_tensor::{configured_threads, set_configured_threads, MatmulKernel};
+        let raw = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (scheme, mask) = (l.quant.unwrap(), l.mask.clone().unwrap());
+        let mut w = fake_quant(&l.w, scheme).unwrap();
+        mask.apply(&mut w).unwrap();
+        let want = l
+            .add_bias(x.matmul_with(&w, MatmulKernel::Blocked).unwrap())
+            .unwrap();
+        let a8 = QuantScheme::asymmetric(BitWidth::W8);
+        let want_int = packed_gemm_supported(scheme, a8).then(|| {
+            let (d_in, d_out) = l.shape();
+            let mut wt = Tensor::zeros(d_out, d_in);
+            for p in 0..d_in {
+                for j in 0..d_out {
+                    if mask.is_kept(p, j) {
+                        wt.set(j, p, l.w.get(p, j));
+                    }
+                }
+            }
+            let w_q = QuantizedTensor::quantize(&wt, scheme).unwrap();
+            let x_q = quantize_activations(x, a8).unwrap();
+            l.add_bias(packed_decode_matmul(&x_q, &w_q, 1).unwrap())
+                .unwrap()
+        });
+        let before = configured_threads();
+        for threads in [1, 2] {
+            set_configured_threads(threads);
+            let at = format!("{what}, {threads} threads");
+            // drops every cached form without writing the weight
+            l.set_activation_quant(None);
+            let dense = l.forward_no_cache(x).unwrap();
+            assert!(l.has_cached_weight() && !l.is_packed(), "{at}");
+            assert_eq!(raw(&dense), raw(&want), "dense cache, {at}");
+            l.pack_weights().unwrap();
+            assert!(l.is_packed(), "{at}");
+            let packed = l.forward_no_cache(x).unwrap();
+            assert_eq!(raw(&packed), raw(&want), "row codes, {at}");
+            if let Some(want_int) = &want_int {
+                l.set_activation_quant(Some(a8));
+                let int = l.forward_no_cache(x).unwrap();
+                assert!(l.is_int_packed(), "{at}");
+                assert_eq!(raw(&int), raw(want_int), "integer, {at}");
+            }
+        }
+        set_configured_threads(before);
+        l.set_activation_quant(None);
+    }
+
+    #[test]
+    fn every_frozen_route_matches_the_masked_fake_quant_formula() {
+        // 24 x 64 x 48 clears the spawn cutoff, so two threads really split.
+        let (d_in, d_out) = (64, 48);
+        let mut rng = TensorRng::seed_from(23);
+        let x = Tensor::randn(24, d_in, 1.0, &mut rng);
+        for scheme in [
+            QuantScheme::symmetric(BitWidth::W2),
+            QuantScheme::symmetric(BitWidth::W4),
+            QuantScheme::symmetric(BitWidth::W8),
+            QuantScheme::asymmetric(BitWidth::W4),
+            QuantScheme::asymmetric(BitWidth::W8),
+        ] {
+            let mut l = Linear::new(d_in, d_out, &mut rng);
+            // velocity built while dense keeps moving weights the mask
+            // prunes, so every later step writes at pruned positions
+            let mut opt = crate::Sgd::with_momentum(0.05, 0.9);
+            for _ in 0..2 {
+                sgd_step(&mut l, &mut opt, &mut rng);
+            }
+            // 40% by magnitude, plus all of row 3 and all of column 5
+            let mut keep = magnitude_prune(l.weight(), 0.4)
+                .unwrap()
+                .as_slice()
+                .to_vec();
+            keep[3 * d_out..4 * d_out].fill(false);
+            (0..d_in).for_each(|p| keep[p * d_out + 5] = false);
+            l.set_mask(Some(PruneMask::from_vec(d_in, d_out, keep).unwrap()))
+                .unwrap();
+            l.set_quant(Some(scheme));
+            assert_routes_match_masked_formula(&mut l, &x, &format!("{scheme:?} as installed"));
+            for step in 0..3 {
+                sgd_step(&mut l, &mut opt, &mut rng);
+                let what = format!("{scheme:?} after step {step}");
+                assert_routes_match_masked_formula(&mut l, &x, &what);
+            }
         }
     }
 
@@ -982,10 +1047,6 @@ mod tests {
         l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
         l.pack_weights().unwrap();
         assert!(l.is_int_packed() && !l.is_packed());
-        let _ = l.weight_mut();
-        assert!(!l.is_int_packed(), "weight_mut must drop packed_t");
-        l.pack_weights().unwrap();
-        assert!(l.is_int_packed());
         l.visit_params(&mut |_, _| {});
         assert!(!l.is_int_packed(), "visit_params must drop packed_t");
     }

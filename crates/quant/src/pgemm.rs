@@ -197,7 +197,7 @@ pub fn packed_decode_matmul(
         return Ok(Tensor::zeros(m, n));
     }
     let codes = w_q.codes();
-    let workers = pool::matmul_workers(threads, n, k, m);
+    let workers = pool::workers(threads, n.saturating_mul(k).saturating_mul(m), n);
     pool::parallel_rows_mut(out_t.as_mut_slice(), n, m, workers, |j0, panel| {
         let mut w_row = vec![0i16; k];
         let mut x_rows = vec![0i16; m * k];

@@ -86,21 +86,56 @@ fn storage_bytes_scale_with_bits() {
     });
 }
 
+/// Asserts that every `±0.0` of `x` comes back as `+0.0`, bit for bit,
+/// from `fake_quant` and from the packed roundtrip, on every grid.
+fn assert_zeros_come_back_positive(x: &Tensor, what: &str) {
+    for bits in BitWidth::ALL {
+        for scheme in [QuantScheme::symmetric(bits), QuantScheme::asymmetric(bits)] {
+            let fq = fake_quant(x, scheme).unwrap();
+            let dq = QuantizedTensor::quantize(x, scheme).unwrap().dequantize();
+            for (i, &v) in x.as_slice().iter().enumerate() {
+                if v == 0.0 {
+                    let (f, d) = (fq.as_slice()[i], dq.as_slice()[i]);
+                    assert_eq!(f.to_bits(), 0, "fake_quant {scheme:?}, {what} [{i}]: {f:e}");
+                    assert_eq!(d.to_bits(), 0, "dequantize {scheme:?}, {what} [{i}]: {d:e}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn asymmetric_keeps_zero_exact() {
-    run_cases("asymmetric zero exact", 48, |g| {
-        let bits = random_bits(g);
+    // A pruned weight is written `+0.0` (or `-0.0` by a careless writer);
+    // every grid must read it back as `+0.0`, so no route needs a re-mask.
+    run_cases("zero exact on every grid", 48, |g| {
         let mut rng = TensorRng::seed_from(g.u64());
-        let mut x = Tensor::randn(2, 8, 1.0, &mut rng);
-        x.set(0, 0, 0.0);
-        let q = QuantizedTensor::quantize(&x, QuantScheme::asymmetric(bits)).unwrap();
-        let back = q.dequantize();
-        assert!(
-            back.get(0, 0).abs() < 1e-6,
-            "zero reconstructed as {}",
-            back.get(0, 0)
-        );
+        let (scale, shift) = (g.f32_in(1e-3, 10.0), g.f32_in(-5.0, 5.0));
+        let mut x = Tensor::randn(3, 9, scale, &mut rng);
+        x.as_mut_slice().iter_mut().for_each(|v| *v += shift);
+        for _ in 0..g.usize_in(1, 8) {
+            let (r, c) = (g.usize_in(0, 3), g.usize_in(0, 9));
+            x.set(r, c, if g.bool() { 0.0 } else { -0.0 });
+        }
+        assert_zeros_come_back_positive(&x, "random row");
     });
+    // The degenerate grids: all-zero, denormal (unit scale), and overflowing
+    // (`max / half` scale) rows.
+    let rows = [
+        [0.0f32, 0.0, 0.0, 0.0],
+        [1e-44, -1e-44, 0.0, 5e-45],
+        [1e-39, -1e-39, 0.0, 5e-40],
+        [0.0, 3e-45, 1e-45, 0.0],
+        [f32::MAX, -f32::MAX, 0.0, 1.0],
+        [-f32::MAX, 0.7 * f32::MAX, 1.0, 0.0],
+    ];
+    for zero in [0.0f32, -0.0] {
+        for row in rows {
+            let row = row.map(|v| if v == 0.0 { zero } else { v });
+            let x = Tensor::from_vec(1, 4, row.to_vec()).unwrap();
+            assert_zeros_come_back_positive(&x, &format!("{row:?}"));
+        }
+    }
 }
 
 #[test]

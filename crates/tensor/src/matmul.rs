@@ -42,8 +42,9 @@ const TILE: usize = 32;
 
 /// Selects the matmul implementation.
 ///
-/// The naive kernel exists as a correctness oracle for tests and as the
-/// "unscheduled" baseline in the hardware-scheduling experiments (F3).
+/// The naive kernel exists as a correctness oracle for tests. (F3's
+/// "unscheduled" baseline is `edge_llm_hw::Schedule::naive()`, a costed
+/// schedule in the hardware model, not this kernel.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatmulKernel {
     /// Triple loop in row-major order, no blocking.
@@ -77,7 +78,10 @@ impl MatmulKernel {
     }
 }
 
-use pool::matmul_workers as effective_threads;
+/// Workers for an `m x k x n` product: its MACs, split over output rows.
+fn effective_threads(threads: usize, m: usize, k: usize, n: usize) -> usize {
+    pool::workers(threads, m.saturating_mul(k).saturating_mul(n), m)
+}
 
 impl Tensor {
     /// Computes `self · other` with the default kernel: the blocked kernel,

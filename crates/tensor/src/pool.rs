@@ -37,8 +37,8 @@ use std::sync::OnceLock;
 /// Environment variable controlling the default worker count.
 pub const THREADS_ENV_VAR: &str = "EDGELLM_THREADS";
 
-/// Products below this many multiply-accumulates (`m * k * n`) stay serial
-/// even when more workers are configured.
+/// Work below this many multiply-accumulates stays serial even when more
+/// workers are configured.
 ///
 /// Rationale: [`fan_out`] spawns scoped workers per call (no parked
 /// threads, see the module docs), so going parallel costs one
@@ -47,19 +47,20 @@ pub const THREADS_ENV_VAR: &str = "EDGELLM_THREADS";
 /// ~65 µs of arithmetic: below that the spawn overhead rivals or exceeds
 /// the work being split. Because the serial and parallel paths are
 /// bit-identical by construction, the cutoff affects wall-clock only,
-/// never results. Every matmul-shaped kernel in the workspace (dense f32,
-/// row-dequantizing, packed-integer) shares this one constant.
+/// never results. Every parallel kernel in the workspace (dense f32,
+/// row-dequantizing, packed-integer, per-head attention) shares this one
+/// constant through [`workers`].
 pub const MIN_PARALLEL_MACS: usize = 1 << 16;
 
-/// Workers an `m x k x n` matmul-shaped product actually uses: the
-/// resolved request, capped by the number of splittable output rows and
-/// forced serial below [`MIN_PARALLEL_MACS`].
-pub fn matmul_workers(requested: usize, m: usize, k: usize, n: usize) -> usize {
-    let macs = m.saturating_mul(k).saturating_mul(n);
+/// Workers a kernel call actually uses for `macs` multiply-accumulates
+/// that split into at most `splits` parts (a matmul's output rows, an
+/// attention loop's `(batch, head)` pairs): the resolved request, capped
+/// by `splits` and forced serial below [`MIN_PARALLEL_MACS`].
+pub fn workers(requested: usize, macs: usize, splits: usize) -> usize {
     if macs < MIN_PARALLEL_MACS {
         return 1;
     }
-    resolve_threads(requested).min(m.max(1))
+    resolve_threads(requested).min(splits.max(1))
 }
 
 /// Upper bound on workers per kernel call; panels shrink past the point
@@ -391,15 +392,21 @@ mod tests {
 
     #[test]
     fn matmul_workers_applies_cutoff_and_row_cap() {
+        let matmul = |threads, m: usize, k: usize, n: usize| {
+            workers(threads, m.saturating_mul(k).saturating_mul(n), m)
+        };
         // below the MAC cutoff: always serial, whatever was requested
-        assert_eq!(matmul_workers(8, 4, 16, 16), 1);
-        // above the cutoff: the request resolves, capped by the row count
-        assert_eq!(matmul_workers(8, 256, 64, 64), 8);
-        assert_eq!(matmul_workers(8, 3, 512, 512), 3);
+        assert_eq!(matmul(8, 4, 16, 16), 1);
+        assert_eq!(workers(8, MIN_PARALLEL_MACS - 1, 64), 1);
+        // above the cutoff: the request resolves, capped by the split count
+        assert_eq!(matmul(8, 256, 64, 64), 8);
+        assert_eq!(matmul(8, 3, 512, 512), 3);
+        assert_eq!(workers(8, MIN_PARALLEL_MACS, 2), 2);
         // degenerate shapes never panic and stay serial
-        assert_eq!(matmul_workers(8, 0, 0, 0), 1);
+        assert_eq!(matmul(8, 0, 0, 0), 1);
+        assert_eq!(workers(8, MIN_PARALLEL_MACS, 0), 1);
         // saturating product: absurd shapes cannot overflow the cutoff math
-        assert_eq!(matmul_workers(2, usize::MAX, 2, 2), 2);
+        assert_eq!(matmul(2, usize::MAX, 2, 2), 2);
     }
 
     #[test]
