@@ -200,12 +200,6 @@ impl Attention {
         Ok(dx)
     }
 
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.qkv.zero_grad();
-        self.proj.zero_grad();
-    }
-
     /// Visits `(param, grad)` pairs: qkv weight/bias then proj weight/bias.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.qkv.visit_params(f);

@@ -11,13 +11,18 @@
 //!   the one-slot case);
 //! - the speculative chunk in `crate::spec` — one run of length n,
 //!   stopped at the draft or the final exit;
-//! - `full_window` — `batch` runs of `seq_len` positions, each on a
-//!   one-pair scratch cache dropped with the pass: evaluation and the
-//!   voting fit (`EdgeModel::logits_at_exits`), the tuner's blocks below
-//!   the window (`EdgeModel::forward_exit`) and LUC's probes, which enter
-//!   above layer 0 from cached hidden rows (`EdgeModel::frozen_forward`).
-//!   Only this shape may start above layer 0: its K/V is scratch, so no
-//!   persistent [`SequenceKv`] is left with layers it never wrote.
+//! - `full_window` — `batch` runs of `seq_len` positions, walked in
+//!   consecutive groups of whole runs (at most 256 rows a group, unless
+//!   one run is longer) on one group's worth of one-pair scratch caches
+//!   dropped with the pass: evaluation and the voting fit
+//!   (`EdgeModel::logits_at_exits`), the tuner's blocks below the window
+//!   (`EdgeModel::forward_exit`) and LUC's probes, which enter above
+//!   layer 0 from cached hidden rows (`EdgeModel::frozen_forward`). A
+//!   group bounds what the pass holds at once: intermediates scale with
+//!   the rows walked together, and row independence (below) makes the
+//!   grouping bit-free. Only this shape may start above layer 0: its K/V
+//!   is scratch, so no persistent [`SequenceKv`] is left with layers it
+//!   never wrote.
 //!
 //! "Frozen" means "on this walk": there is no second frozen block, so a
 //! route, span or K/V format changed here is changed for all of them.
@@ -247,11 +252,11 @@ pub(crate) struct Run<'a> {
 }
 
 /// The checks of a pass over layers `entry.from..depth`: the layer range,
-/// then per run the token, cache-shape, capacity and exit checks in that
-/// order, then the entering rows' length.
-pub(crate) fn validate_runs(
+/// then per run — its `(tokens, cache, exits)` — the token, cache-shape,
+/// capacity and exit checks in that order, then the entering rows' length.
+pub(crate) fn validate_runs<'r>(
     model: &EdgeModel,
-    runs: &[Run<'_>],
+    runs: impl IntoIterator<Item = (&'r [usize], &'r SequenceKv, &'r [usize])>,
     entry: Entry<'_>,
     depth: usize,
 ) -> Result<(), ModelError> {
@@ -269,30 +274,32 @@ pub(crate) fn validate_runs(
         });
     }
     let vocab = model.config().vocab_size;
-    for run in runs {
-        if let Some(&token) = run.tokens.iter().find(|&&t| t >= vocab) {
+    let mut fed = 0;
+    for (tokens, kv, exits) in runs {
+        if let Some(&token) = tokens.iter().find(|&&t| t >= vocab) {
             return Err(ModelError::BadConfig {
                 reason: format!("token {token} outside vocabulary {vocab}"),
             });
         }
-        run.kv.check_model(model)?;
+        kv.check_model(model)?;
         // Layers below the entry write no K/V rows, so only a scratch
         // pair, dropped with the pass, may skip them.
-        if entry.from > 0 && run.kv.keys.len() != 1 {
+        if entry.from > 0 && kv.keys.len() != 1 {
             return Err(ModelError::BadConfig {
                 reason: format!("a pass entering at layer {} needs scratch K/V", entry.from),
             });
         }
-        if run.kv.remaining() < run.tokens.len() {
+        if kv.remaining() < tokens.len() {
             return Err(ModelError::CapacityExhausted {
-                capacity: run.kv.capacity,
+                capacity: kv.capacity,
             });
         }
-        if let Some(&layer) = run.exits.iter().find(|&&e| e < entry.from || e >= depth) {
+        if let Some(&layer) = exits.iter().find(|&&e| e < entry.from || e >= depth) {
             return Err(ModelError::LayerOutOfRange { layer, depth });
         }
+        fed += tokens.len();
     }
-    let floats = runs.iter().map(|r| r.tokens.len()).sum::<usize>() * model.config().d_model;
+    let floats = fed * model.config().d_model;
     match entry.hidden {
         None if entry.from > 0 => Err(ModelError::BadBatch {
             expected: floats,
@@ -327,7 +334,8 @@ pub(crate) fn decode_runs(
     depth: usize,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>), ModelError> {
     let c = model.config().d_model;
-    validate_runs(model, runs, entry, depth)?;
+    let views = runs.iter().map(|r| (r.tokens, &*r.kv, r.exits));
+    validate_runs(model, views, entry, depth)?;
     if runs.is_empty() {
         return Ok((Tensor::zeros(0, c), Vec::new()));
     }
@@ -376,11 +384,26 @@ pub(crate) fn decode_runs(
     Ok(out)
 }
 
-/// A full-window forward: one [`decode_runs`] pass of `batch` runs of
-/// `seq_len` positions (`tokens`, `batch * seq_len` ids) through layers
-/// `entry.from..depth`, each run on a one-pair scratch cache dropped with
-/// the pass. Returns the hidden rows after layer `depth - 1` and one
-/// logits tensor per entry of `exits`, all in `(b, t)` row order.
+/// Rows a group of a full-window pass holds at most, unless one run alone
+/// is longer. A pass's intermediates scale with the rows walked together,
+/// so a group bounds them; rows are independent, so grouping moves no bit.
+const FULL_WINDOW_ROWS: usize = 256;
+
+/// Runs per group of a full-window pass over sequences of `seq_len`: as
+/// many whole runs as [`FULL_WINDOW_ROWS`] holds, and at least one.
+pub(crate) fn runs_per_group(seq_len: usize) -> usize {
+    (FULL_WINDOW_ROWS / seq_len).max(1)
+}
+
+/// A full-window forward: `batch` runs of `seq_len` positions (`tokens`,
+/// `batch * seq_len` ids) through layers `entry.from..depth`, walked as
+/// consecutive [`decode_runs`] passes over groups of
+/// [`runs_per_group`] runs. Every group reuses one group's worth of
+/// one-pair scratch caches, dropped with the pass, and appends its hidden
+/// rows and exit logits straight into the outputs. The whole pass is
+/// validated before the first group walks, so a refused pass walks no
+/// layer. Returns the hidden rows after layer `depth - 1` and one logits
+/// tensor per entry of `exits`, all in `(b, t)` row order.
 pub(crate) fn full_window(
     model: &EdgeModel,
     tokens: &[usize],
@@ -389,28 +412,61 @@ pub(crate) fn full_window(
     exits: &[usize],
 ) -> Result<(Tensor, Vec<Tensor>), ModelError> {
     let cfg = model.config();
-    let mut scratch: Vec<SequenceKv> = (0..tokens.len() / cfg.seq_len)
+    let (seq, c, vocab) = (cfg.seq_len, cfg.d_model, cfg.vocab_size);
+    let group_runs = runs_per_group(seq);
+    let mut scratch: Vec<SequenceKv> = (0..(tokens.len() / seq).min(group_runs))
         .map(|_| SequenceKv::with_layers(model, 1))
         .collect();
-    let mut runs: Vec<Run<'_>> = scratch
-        .iter_mut()
-        .zip(tokens.chunks(cfg.seq_len))
-        .map(|(kv, tokens)| Run {
-            tokens,
-            kv,
-            exits,
-            adapter: None,
-        })
+    // each run against the scratch pair it will walk on
+    let views = tokens
+        .chunks(seq)
+        .zip(scratch.iter().cycle())
+        .map(|(tokens, kv)| (tokens, kv, exits));
+    validate_runs(model, views, entry, depth)?;
+    let mut hidden = Vec::with_capacity(tokens.len() * c);
+    let mut logits: Vec<Vec<f32>> = exits
+        .iter()
+        .map(|_| Vec::with_capacity(tokens.len() * vocab))
         .collect();
-    let (hidden, per_run) = decode_runs(model, &mut runs, entry, depth)?;
-    let logits = (0..exits.len()).map(|e| {
-        let mut stacked = Vec::with_capacity(tokens.len() * cfg.vocab_size);
-        for run in &per_run {
-            stacked.extend_from_slice(run[e].as_slice());
+    let mut entering = entry.hidden;
+    for group in tokens.chunks(group_runs * seq) {
+        let mine = entering.map(|h| {
+            let (mine, rest) = h.split_at(group.len() * c);
+            entering = Some(rest);
+            mine
+        });
+        let mut runs: Vec<Run<'_>> = scratch
+            .iter_mut()
+            .zip(group.chunks(seq))
+            .map(|(kv, tokens)| {
+                kv.reset();
+                Run {
+                    tokens,
+                    kv,
+                    exits,
+                    adapter: None,
+                }
+            })
+            .collect();
+        let entry = Entry {
+            from: entry.from,
+            hidden: mine,
+        };
+        let (x, per_run) = decode_runs(model, &mut runs, entry, depth)?;
+        hidden.extend_from_slice(x.as_slice());
+        for run in per_run {
+            for (out, exit) in logits.iter_mut().zip(run) {
+                out.extend_from_slice(exit.as_slice());
+            }
         }
-        Tensor::from_vec(tokens.len(), cfg.vocab_size, stacked).map_err(ModelError::Tensor)
-    });
-    Ok((hidden, logits.collect::<Result<_, _>>()?))
+    }
+    let n = tokens.len();
+    let hidden = Tensor::from_vec(n, c, hidden).map_err(ModelError::Tensor)?;
+    let logits = logits
+        .into_iter()
+        .map(|l| Tensor::from_vec(n, vocab, l).map_err(ModelError::Tensor))
+        .collect::<Result<_, _>>()?;
+    Ok((hidden, logits))
 }
 
 /// The serial layer walk over one contiguous chunk of runs — all of them
@@ -442,7 +498,7 @@ fn walk(
     let input = entry.hidden.map_or(embedded, <[f32]>::to_vec);
     let mut x = Tensor::from_vec(n, c, input).map_err(ModelError::Tensor)?;
     // One frozen projection plus its rows' adapter deltas. It consumes its
-    // input: a full-window pass feeds thousands of rows, so intermediates
+    // input: a full-window group feeds hundreds of rows, so intermediates
     // are freed at their last reader, not at the end of the layer.
     let project = |l, target, lin: &Linear, input: Tensor| -> Result<Tensor, ModelError> {
         let mut out = lin.forward_no_cache(&input)?;

@@ -152,14 +152,6 @@ impl Block {
         Ok(dx)
     }
 
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.ln1.zero_grad();
-        self.attn.zero_grad();
-        self.ln2.zero_grad();
-        self.mlp.zero_grad();
-    }
-
     /// Visits `(param, grad)` pairs in a stable order.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.ln1.visit_params(f);

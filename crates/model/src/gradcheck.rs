@@ -38,8 +38,8 @@ pub fn gradient_check(
     stride: usize,
 ) -> Result<GradCheckReport, ModelError> {
     let exit_layer = window.exit_layer();
-    // analytic gradients
-    model.zero_grad();
+    // analytic gradients, from zero in every slice the snapshot reads
+    model.visit_params_window(window, exit_layer, &mut |_, _, g| g.fill(0.0));
     let fwd = model.forward_exit(tokens, batch, exit_layer, window.start)?;
     let ce = cross_entropy_forward(&fwd.logits, targets)?;
     let dl = cross_entropy_backward(&ce, targets)?;

@@ -24,6 +24,11 @@ use std::sync::{Arc, OnceLock};
 ///
 /// These are exactly the per-layer knobs a LUC policy assigns.
 ///
+/// The gradients `dw` / `db` exist from the first [`Linear::backward`] on:
+/// a layer no backward has reached — every layer of a served model, and
+/// every frozen layer of a windowed run until its window comes — holds
+/// none, and [`Linear::visit_params`] hands it an empty gradient slice.
+///
 /// # Compressed-weight cache
 ///
 /// Masking + fake-quantizing the whole weight on every forward call wastes
@@ -68,6 +73,7 @@ use std::sync::{Arc, OnceLock};
 pub struct Linear {
     w: Tensor,
     b: Vec<f32>,
+    /// Empty until the first backward (see the type docs), as is `db`.
     dw: Tensor,
     db: Vec<f32>,
     mask: Option<PruneMask>,
@@ -140,8 +146,8 @@ impl Linear {
         Linear {
             w: Tensor::kaiming(d_in, d_out, rng),
             b: vec![0.0; d_out],
-            dw: Tensor::zeros(d_in, d_out),
-            db: vec![0.0; d_out],
+            dw: Tensor::zeros(0, 0),
+            db: Vec::new(),
             mask: None,
             quant: None,
             act_quant: None,
@@ -155,7 +161,6 @@ impl Linear {
     pub fn new_no_bias(d_in: usize, d_out: usize, rng: &mut TensorRng) -> Self {
         let mut l = Self::new(d_in, d_out, rng);
         l.b.clear();
-        l.db.clear();
         l
     }
 
@@ -167,11 +172,6 @@ impl Linear {
     /// Read access to the weight.
     pub fn weight(&self) -> &Tensor {
         &self.w
-    }
-
-    /// Read access to the accumulated weight gradient.
-    pub fn weight_grad(&self) -> &Tensor {
-        &self.dw
     }
 
     /// Number of trainable scalars.
@@ -487,7 +487,8 @@ impl Linear {
         Ok(matmul_fill_b_with(x, rows, cols, 0, &fill)?)
     }
 
-    /// Backward pass: accumulates `dw`/`db` and returns `dx`.
+    /// Backward pass: accumulates `dw`/`db`, allocating them zeroed on the
+    /// first call, and returns `dx`.
     ///
     /// Pruned positions receive zero gradient; with quantization installed
     /// the weight gradient passes straight through the quantizer, which
@@ -506,9 +507,11 @@ impl Linear {
         if let Some(m) = &self.mask {
             m.apply(&mut dw)?;
         }
-        self.dw.axpy(1.0, &dw)?;
+        let (d_in, d_out) = self.w.shape();
+        grad_buffer(&mut self.dw, d_in, d_out).axpy(1.0, &dw)?;
         if !self.b.is_empty() {
             let db = add_bias_backward(dy);
+            self.db.resize(self.b.len(), 0.0);
             for (acc, g) in self.db.iter_mut().zip(db.iter()) {
                 *acc += g;
             }
@@ -516,18 +519,13 @@ impl Linear {
         Ok(dx)
     }
 
-    /// Zeroes the accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dw.fill(0.0);
-        self.db.iter_mut().for_each(|g| *g = 0.0);
-    }
-
     /// Visits `(param, grad)` slice pairs in a stable order (weight, then
     /// bias). Optimizers use this to update parameters without owning them.
-    /// Invalidates the compressed-weight cache — the visitor may write the
-    /// parameters — so callers that only *read* should use
-    /// [`Linear::visit_params_ro`]. Pruned weights are set back to `+0.0`
-    /// after the visitor runs, whatever it wrote there.
+    /// A layer no backward has reached hands an empty gradient slice; the
+    /// visit allocates none. Invalidates the compressed-weight cache — the
+    /// visitor may write the parameters — so callers that only *read*
+    /// should use [`Linear::visit_params_ro`]. Pruned weights are set back
+    /// to `+0.0` after the visitor runs, whatever it wrote there.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.invalidate_weight_cache();
         f(self.w.as_mut_slice(), self.dw.as_mut_slice());
@@ -560,11 +558,29 @@ impl Linear {
     }
 }
 
+/// A gradient accumulator of `(rows, cols)`, allocated zeroed by the first
+/// backward that accumulates into it: adding onto zeros keeps every
+/// accumulated bit what an accumulator built with the model held.
+pub(crate) fn grad_buffer(grad: &mut Tensor, rows: usize, cols: usize) -> &mut Tensor {
+    if grad.is_empty() {
+        *grad = Tensor::zeros(rows, cols);
+    }
+    grad
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use edge_llm_prune::magnitude_prune;
     use edge_llm_quant::BitWidth;
+
+    impl Linear {
+        /// Gradient floats held, `dw` and `db`: none until a backward
+        /// reaches the layer.
+        pub(crate) fn grad_floats(&self) -> usize {
+            self.dw.len() + self.db.len()
+        }
+    }
 
     #[test]
     fn forward_matches_manual() {
@@ -582,17 +598,18 @@ mod tests {
     fn backward_grad_shapes_and_accumulation() {
         let mut rng = TensorRng::seed_from(2);
         let mut l = Linear::new(4, 3, &mut rng);
+        // no gradient until a backward reaches the layer
+        assert!(l.dw.is_empty() && l.db.is_empty());
         let x = Tensor::randn(5, 4, 1.0, &mut rng);
         let (_, cache) = l.forward(&x).unwrap();
         let dy = Tensor::randn(5, 3, 1.0, &mut rng);
         let dx = l.backward(&cache, &dy).unwrap();
         assert_eq!(dx.shape(), (5, 4));
+        assert_eq!((l.dw.shape(), l.db.len()), ((4, 3), 3));
         let g1 = l.dw.clone();
         l.backward(&cache, &dy).unwrap();
         // gradients accumulate
         assert!(l.dw.approx_eq(&g1.scale(2.0), 1e-5));
-        l.zero_grad();
-        assert_eq!(l.dw.sum(), 0.0);
     }
 
     #[test]
@@ -616,7 +633,7 @@ mod tests {
         for r in 0..8 {
             for c in 0..8 {
                 if !mask.is_kept(r, c) {
-                    assert_eq!(l.weight_grad().get(r, c), 0.0, "pruned grad must be zero");
+                    assert_eq!(l.dw.get(r, c), 0.0, "pruned grad must be zero");
                 }
             }
         }
@@ -666,7 +683,7 @@ mod tests {
             edge_llm_quant::fake_quant(&x, QuantScheme::asymmetric(edge_llm_quant::BitWidth::W4))
                 .unwrap();
         let expect = edge_llm_tensor::matmul_at_b(&xq, &dy).unwrap();
-        assert!(l.weight_grad().approx_eq(&expect, 1e-4));
+        assert!(l.dw.approx_eq(&expect, 1e-4));
     }
 
     #[test]
@@ -696,11 +713,7 @@ mod tests {
                 // accumulated onto a zeroed gradient
                 want.as_mut_slice().iter_mut().for_each(|g| *g += 0.0);
                 let raw = |t: &Tensor| t.as_slice().iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    raw(l.weight_grad()),
-                    raw(&want),
-                    "{bits}, activations {act:?}"
-                );
+                assert_eq!(raw(&l.dw), raw(&want), "{bits}, activations {act:?}");
             }
         }
     }

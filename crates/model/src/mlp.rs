@@ -85,12 +85,6 @@ impl Mlp {
         self.fc1.backward(&cache.fc1_cache, &dpre)
     }
 
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.fc1.zero_grad();
-        self.fc2.zero_grad();
-    }
-
     /// Visits `(param, grad)` pairs: fc1 then fc2, weight before bias.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.fc1.visit_params(f);

@@ -3,7 +3,7 @@ use crate::batched::{full_window, Entry};
 use crate::block::{Block, BlockCache};
 use crate::config::ModelConfig;
 use crate::error::ModelError;
-use crate::linear::{Linear, LinearCache};
+use crate::linear::{grad_buffer, Linear, LinearCache};
 use crate::norm::LayerNorm;
 use edge_llm_tensor::{embedding_backward, embedding_forward, LayerNormCache, Tensor, TensorRng};
 
@@ -37,6 +37,7 @@ struct ExitHead {
 pub struct EdgeModel {
     config: ModelConfig,
     tok_emb: Tensor,
+    /// Empty until a backward reaches the embeddings, as is `dpos_emb`.
     dtok_emb: Tensor,
     pos_emb: Tensor,
     dpos_emb: Tensor,
@@ -115,8 +116,8 @@ impl EdgeModel {
             .collect();
         let shared_head = Linear::new_no_bias(c, config.vocab_size, rng);
         Ok(EdgeModel {
-            dtok_emb: Tensor::zeros(config.vocab_size, c),
-            dpos_emb: Tensor::zeros(config.seq_len, c),
+            dtok_emb: Tensor::zeros(0, 0),
+            dpos_emb: Tensor::zeros(0, 0),
             config,
             tok_emb,
             pos_emb,
@@ -294,7 +295,8 @@ impl EdgeModel {
     }
 
     /// Truncated backward from `dlogits` through the exit head and the
-    /// blocks `grad_from..=exit_layer`, accumulating gradients in place.
+    /// blocks `grad_from..=exit_layer`, accumulating gradients in place —
+    /// into buffers the first backward to reach a module allocates.
     ///
     /// Gradients reach the embeddings only when `grad_from == 0`.
     ///
@@ -327,12 +329,18 @@ impl EdgeModel {
             dx = self.blocks[l].backward(cache, &dx)?;
         }
         if caches.grad_from == 0 {
-            embedding_backward(&caches.tokens, &dx, &mut self.dtok_emb)?;
-            let seq = self.config.seq_len;
+            let (vocab, seq, c) = (
+                self.config.vocab_size,
+                self.config.seq_len,
+                self.config.d_model,
+            );
+            let dtok = grad_buffer(&mut self.dtok_emb, vocab, c);
+            embedding_backward(&caches.tokens, &dx, dtok)?;
+            let dpos = grad_buffer(&mut self.dpos_emb, seq, c);
             for b in 0..caches.batch {
                 for t in 0..seq {
                     let src = dx.row(b * seq + t);
-                    for (acc, &g) in self.dpos_emb.row_mut(t).iter_mut().zip(src.iter()) {
+                    for (acc, &g) in dpos.row_mut(t).iter_mut().zip(src.iter()) {
                         *acc += g;
                     }
                 }
@@ -413,22 +421,6 @@ impl EdgeModel {
             hidden: entering.map(Tensor::as_slice),
         };
         full_window(self, tokens, entry, depth, exit_layers)
-    }
-
-    /// Zeroes every gradient buffer in the model.
-    pub fn zero_grad(&mut self) {
-        self.dtok_emb.fill(0.0);
-        self.dpos_emb.fill(0.0);
-        for b in &mut self.blocks {
-            b.zero_grad();
-        }
-        for e in &mut self.exits {
-            e.norm.zero_grad();
-            if let Some(h) = &mut e.head {
-                h.zero_grad();
-            }
-        }
-        self.shared_head.zero_grad();
     }
 
     /// Visits `(id, param, grad)` for every parameter whose module is
@@ -674,6 +666,7 @@ pub struct WeightCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batched::runs_per_group;
     use edge_llm_tensor::{cross_entropy_backward, cross_entropy_forward};
 
     fn tiny_model(seed: u64) -> EdgeModel {
@@ -736,13 +729,13 @@ mod tests {
 
     #[test]
     fn backward_only_touches_window() {
+        // a fresh model: no backward has reached any module yet
         let mut model = tiny_model(5);
         let tokens = tokens_for(&model, 1, 14);
         let targets: Vec<usize> = tokens.clone();
         let fwd = model.forward_exit(&tokens, 1, 1, 1).unwrap();
         let ce = cross_entropy_forward(&fwd.logits, &targets).unwrap();
         let dl = cross_entropy_backward(&ce, &targets).unwrap();
-        model.zero_grad();
         model.backward_exit(&fwd.caches, &dl).unwrap();
         // block 0 frozen: zero grads
         let mut b0_grad = 0.0f32;
@@ -752,17 +745,17 @@ mod tests {
         model.blocks[1].visit_params(&mut |_, g| b1_grad += g.iter().map(|x| x.abs()).sum::<f32>());
         assert!(b1_grad > 0.0);
         // embeddings frozen because grad_from > 0
-        assert_eq!(model.dtok_emb.sum(), 0.0);
+        assert!(model.dtok_emb.is_empty() && model.dpos_emb.is_empty());
     }
 
     #[test]
     fn full_window_reaches_embeddings() {
+        // a fresh model: no backward has reached any module yet
         let mut model = tiny_model(6);
         let tokens = tokens_for(&model, 1, 15);
         let fwd = model.forward_exit(&tokens, 1, 1, 0).unwrap();
         let ce = cross_entropy_forward(&fwd.logits, &tokens).unwrap();
         let dl = cross_entropy_backward(&ce, &tokens).unwrap();
-        model.zero_grad();
         model.backward_exit(&fwd.caches, &dl).unwrap();
         let g: f32 = model.dtok_emb.as_slice().iter().map(|x| x.abs()).sum();
         assert!(g > 0.0);
@@ -1046,10 +1039,12 @@ mod tests {
         set_configured_threads(before);
     }
 
-    /// Runs `pass` on a W4 model at two threads with a batch of three (so
-    /// the run axis would be split) and asserts it failed as `want` says
-    /// without walking a layer: no weight was quantized.
+    /// Runs `pass` on a W4 model at two threads with `batch` sequences of
+    /// tokens (at three or more the run axis would be split) and asserts it
+    /// failed as `want` says without walking a layer: no weight was
+    /// quantized.
     fn refused_before_any_walk(
+        batch: usize,
         pass: impl Fn(&EdgeModel, &[usize], &Tensor) -> Result<(Tensor, Vec<Tensor>), ModelError>,
         want: impl Fn(&ModelError) -> bool,
     ) {
@@ -1061,7 +1056,7 @@ mod tests {
                 lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
             }
         }
-        let tokens = tokens_for(&model, 3, 33);
+        let tokens = tokens_for(&model, batch, 33);
         let rows = Tensor::zeros(tokens.len(), model.config().d_model);
         let before = configured_threads();
         set_configured_threads(2);
@@ -1077,6 +1072,7 @@ mod tests {
     #[test]
     fn entering_rows_not_one_per_token_are_refused() {
         refused_before_any_walk(
+            3,
             |m, tokens, _| {
                 let short = Tensor::zeros(tokens.len() - 1, m.config().d_model);
                 m.frozen_forward(tokens, 3, 1, Some(&short), 2, &[1])
@@ -1085,6 +1081,7 @@ mod tests {
         );
         // as many floats as the right shape holds, in half the rows
         refused_before_any_walk(
+            3,
             |m, tokens, _| {
                 let wide = Tensor::zeros(tokens.len() / 2, 2 * m.config().d_model);
                 m.frozen_forward(tokens, 3, 1, Some(&wide), 2, &[1])
@@ -1093,6 +1090,7 @@ mod tests {
         );
         // no rows at all above the embedding
         refused_before_any_walk(
+            3,
             |m, tokens, _| m.frozen_forward(tokens, 3, 1, None, 2, &[1]),
             |e| matches!(e, ModelError::BadBatch { .. }),
         );
@@ -1101,6 +1099,7 @@ mod tests {
     #[test]
     fn entering_rows_of_the_wrong_width_are_refused() {
         refused_before_any_walk(
+            3,
             |m, tokens, _| {
                 let wide = Tensor::zeros(tokens.len(), m.config().d_model + 1);
                 m.frozen_forward(tokens, 3, 1, Some(&wide), 2, &[1])
@@ -1112,11 +1111,13 @@ mod tests {
     #[test]
     fn an_entry_above_the_depth_is_refused() {
         refused_before_any_walk(
+            3,
             |m, tokens, rows| m.frozen_forward(tokens, 3, 2, Some(rows), 1, &[]),
             |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 1 }),
         );
         // an exit below the entry has no rows to read
         refused_before_any_walk(
+            3,
             |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), 2, &[0]),
             |e| matches!(e, ModelError::LayerOutOfRange { layer: 0, .. }),
         );
@@ -1125,8 +1126,162 @@ mod tests {
     #[test]
     fn a_depth_past_the_model_is_refused() {
         refused_before_any_walk(
+            3,
             |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), 3, &[]),
             |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 2 }),
+        );
+    }
+
+    #[test]
+    fn a_refusal_in_the_last_group_walks_no_group() {
+        // two whole groups of runs, then the run that is refused: a pass
+        // validated group by group would walk the first two before it
+        let batch = 2 * runs_per_group(ModelConfig::tiny().seq_len) + 1;
+        refused_before_any_walk(
+            batch,
+            |m, tokens, _| {
+                let mut hostile = tokens.to_vec();
+                *hostile.last_mut().unwrap() = m.config().vocab_size;
+                m.frozen_forward(&hostile, batch, 0, None, 2, &[1])
+            },
+            |e| matches!(e, ModelError::BadConfig { .. }),
+        );
+        refused_before_any_walk(
+            batch,
+            |m, tokens, rows| m.frozen_forward(tokens, batch, 1, Some(rows), 2, &[1, 2]),
+            |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 2 }),
+        );
+    }
+
+    #[test]
+    fn a_full_window_pass_is_bit_identical_across_group_boundaries() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // Long runs keep a group to a few of them.
+        let cfg = ModelConfig::tiny().with_layers(3).with_seq_len(64);
+        let g = runs_per_group(cfg.seq_len);
+        assert!(
+            g >= 2,
+            "a group must hold several runs for their order to show"
+        );
+        let dense = EdgeModel::new(cfg, &mut TensorRng::seed_from(40)).unwrap();
+        let mut integer = dense.clone();
+        for l in 0..integer.n_layers() {
+            for lin in integer.block_mut(l).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                lin.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
+            }
+        }
+        let before = configured_threads();
+        for (name, model) in [("dense", &dense), ("W4/A8", &integer)] {
+            let (n, seq, c) = (
+                model.n_layers(),
+                model.config().seq_len,
+                model.config().d_model,
+            );
+            for batch in [g - 1, g, g + 1, 2 * g + 1] {
+                let tokens = tokens_for(model, batch, 41);
+                for threads in [1usize, 2] {
+                    set_configured_threads(threads);
+                    for from in [0, 1] {
+                        let what = format!("{name} batch {batch} threads {threads} from {from}");
+                        let exits: Vec<usize> = (from..n).collect();
+                        // each run alone, entering `from` from its own rows
+                        let (mut entering, mut hidden) = (Vec::new(), Vec::new());
+                        let mut logits = vec![Vec::new(); exits.len()];
+                        for run in tokens.chunks(seq) {
+                            let rows = (from > 0)
+                                .then(|| model.frozen_forward(run, 1, 0, None, from, &[]))
+                                .transpose()
+                                .unwrap()
+                                .map(|(rows, _)| rows);
+                            let (h, l) = model
+                                .frozen_forward(run, 1, from, rows.as_ref(), n, &exits)
+                                .unwrap();
+                            entering.extend(rows.iter().flat_map(|r| r.as_slice()));
+                            hidden.extend(bits(&h));
+                            for (acc, l) in logits.iter_mut().zip(&l) {
+                                acc.extend(bits(l));
+                            }
+                        }
+                        let entering = (from > 0)
+                            .then(|| Tensor::from_vec(tokens.len(), c, entering).unwrap());
+                        let (h, l) = model
+                            .frozen_forward(&tokens, batch, from, entering.as_ref(), n, &exits)
+                            .unwrap();
+                        assert_eq!(bits(&h), hidden, "{what}: hidden rows");
+                        for (e, (got, want)) in l.iter().zip(&logits).enumerate() {
+                            assert_eq!(&bits(got), want, "{what}: exit {}", exits[e]);
+                        }
+                    }
+                }
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    /// Gradient floats outside the layer norms (whose `2 · d_model` floats
+    /// per norm come with the model): per block, then the exit path (exit
+    /// heads and the shared head), then the embeddings.
+    fn grad_floats(m: &EdgeModel) -> (Vec<usize>, usize, usize) {
+        let linears =
+            |ls: &mut dyn Iterator<Item = &Linear>| -> usize { ls.map(Linear::grad_floats).sum() };
+        let blocks = m
+            .blocks
+            .iter()
+            .map(|b| linears(&mut b.linears().into_iter()))
+            .collect();
+        let heads = linears(
+            &mut std::iter::once(&m.shared_head).chain(m.exits.iter().flat_map(|e| &e.head)),
+        );
+        (blocks, heads, m.dtok_emb.len() + m.dpos_emb.len())
+    }
+
+    #[test]
+    fn gradients_live_only_where_a_backward_reached() {
+        use crate::{generate, AdaptiveTuner, Decoding, Sgd, TrainingCheckpoint};
+        use crate::{VotingPolicy, WindowSchedule};
+        use edge_llm_prune::magnitude_prune;
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        let cfg = ModelConfig::tiny().with_layers(8);
+        let none = (vec![0; cfg.n_layers], 0, 0);
+        // served: compressed as a LUC policy installs it, packed, one request
+        let mut served = EdgeModel::new(cfg.clone(), &mut TensorRng::seed_from(50)).unwrap();
+        for l in 0..served.n_layers() {
+            for lin in served.block_mut(l).linears_mut() {
+                lin.set_mask(Some(magnitude_prune(lin.weight(), 0.3).unwrap()))
+                    .unwrap();
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+            }
+        }
+        served.pack_frozen_weights().unwrap();
+        let voting = VotingPolicy::final_only(served.n_layers());
+        let mut rng = TensorRng::seed_from(51);
+        generate(&served, &voting, &[1, 2, 3], 4, Decoding::Greedy, &mut rng).unwrap();
+        assert_eq!(grad_floats(&served), none, "served model");
+        // restored from a checkpoint, whose params are written through
+        // `visit_params_all`
+        let ckpt = TrainingCheckpoint::capture(&served, &Sgd::new(0.1), 0, &rng, Vec::new());
+        assert_eq!(grad_floats(&ckpt.build_model().unwrap()), none, "restored");
+        // one tuner step at window [3, 6): blocks 3-5 and the exit path
+        let mut model = EdgeModel::new(cfg, &mut TensorRng::seed_from(52)).unwrap();
+        let window = LayerWindow { start: 3, end: 6 };
+        let mut tuner = AdaptiveTuner::new(WindowSchedule::Ordered(vec![window]));
+        let tokens = tokens_for(&model, 2, 53);
+        tuner
+            .step(&mut model, &mut Sgd::new(0.1), &tokens, &tokens, 2)
+            .unwrap();
+        let (blocks, heads, embeddings) = grad_floats(&model);
+        for (l, &g) in blocks.iter().enumerate() {
+            assert_eq!(
+                g > 0,
+                window.contains(l),
+                "block {l} holds {g} gradient floats"
+            );
+        }
+        assert!(
+            heads > 0 && embeddings == 0,
+            "heads {heads}, embeddings {embeddings}"
         );
     }
 

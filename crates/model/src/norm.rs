@@ -68,12 +68,6 @@ impl LayerNorm {
         Ok(dx)
     }
 
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dgamma.iter_mut().for_each(|g| *g = 0.0);
-        self.dbeta.iter_mut().for_each(|g| *g = 0.0);
-    }
-
     /// Visits `(param, grad)` pairs: gamma then beta.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.gamma, &mut self.dgamma);
@@ -122,8 +116,6 @@ mod tests {
         for (a, b) in ln.dbeta.iter().zip(g1.iter()) {
             assert!((a - 2.0 * b).abs() < 1e-5);
         }
-        ln.zero_grad();
-        assert!(ln.dbeta.iter().all(|&g| g == 0.0));
     }
 
     #[test]

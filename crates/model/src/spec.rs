@@ -131,13 +131,8 @@ pub fn spec_round_with_adapter(
 ) -> Result<SpecReport, ModelError> {
     validate_spec_params(model, draft_depth, k)?;
     // The round's own token must fit before the draft count is clamped.
-    let first = Run {
-        tokens: &[token],
-        kv: &mut *kv,
-        exits: &[],
-        adapter,
-    };
-    validate_runs(model, &[first], Entry::EMBEDDING, model.n_layers())?;
+    let first = (std::slice::from_ref(&token), &*kv, &[][..]);
+    validate_runs(model, [first], Entry::EMBEDDING, model.n_layers())?;
     let t0 = kv.len();
     // Leave one position for the verify pass's correction token: drafting
     // never pushes the sequence past where greedy decode would stop.
