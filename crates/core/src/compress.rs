@@ -179,7 +179,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (qkv, _) = m.block(0).attn().linears();
+        let [qkv, ..] = m.block(0).linears();
         let zeros = qkv
             .weight()
             .as_slice()
@@ -193,7 +193,7 @@ mod tests {
     fn nm_sparsity_gives_exact_half_density() {
         let mut m = model();
         apply_nm_sparsity(&mut m, 2, 4).unwrap();
-        let (qkv, _) = m.block(0).attn().linears();
+        let [qkv, ..] = m.block(0).linears();
         let mask = qkv.mask().unwrap();
         assert!((mask.sparsity() - 0.5).abs() < 1e-6);
     }
@@ -229,7 +229,7 @@ mod tests {
         let mut m = model();
         apply_policy(&mut m, &CompressionPolicy::uniform(2, BitWidth::W2, 0.0)).unwrap();
         clear_compression(&mut m).unwrap();
-        let (qkv, _) = m.block(0).attn().linears();
+        let [qkv, ..] = m.block(0).linears();
         assert!(qkv.quant().is_none());
     }
 }

@@ -63,22 +63,8 @@ impl Attention {
         }
     }
 
-    /// Number of trainable scalars.
-    pub fn num_params(&self) -> usize {
-        self.qkv.num_params() + self.proj.num_params()
-    }
-
-    /// The fused QKV projection (exposed for compression policies).
-    pub fn qkv_mut(&mut self) -> &mut Linear {
-        &mut self.qkv
-    }
-
-    /// The output projection (exposed for compression policies).
-    pub fn proj_mut(&mut self) -> &mut Linear {
-        &mut self.proj
-    }
-
-    /// Read access to the projections, in `(qkv, proj)` order.
+    /// Read access to the projections, in `(qkv, proj)` order; write them
+    /// through [`crate::Block::linears_mut`].
     pub fn linears(&self) -> (&Linear, &Linear) {
         (&self.qkv, &self.proj)
     }
@@ -199,24 +185,6 @@ impl Attention {
         let dx = self.qkv.backward(&cache.qkv_cache, &dqkv)?;
         Ok(dx)
     }
-
-    /// Visits `(param, grad)` pairs: qkv weight/bias then proj weight/bias.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.qkv.visit_params(f);
-        self.proj.visit_params(f);
-    }
-
-    /// Read-only mirror of [`Attention::visit_params`]: same slice order,
-    /// no cache invalidation.
-    pub fn visit_params_ro(&self, f: &mut dyn FnMut(&[f32])) {
-        self.qkv.visit_params_ro(f);
-        self.proj.visit_params_ro(f);
-    }
-
-    /// Number of slice pairs [`Attention::visit_params`] yields.
-    pub fn param_slice_count(&self) -> usize {
-        self.qkv.param_slice_count() + self.proj.param_slice_count()
-    }
 }
 
 fn split_head(
@@ -314,7 +282,7 @@ mod tests {
             Some(QuantScheme::asymmetric(BitWidth::W4)),
             Some(QuantScheme::asymmetric(BitWidth::W8)),
         ] {
-            attn.qkv_mut().set_activation_quant(act);
+            attn.qkv.set_activation_quant(act);
             let y1 = attn.forward(&x1, 1, seq).unwrap().0;
             let y2 = attn.forward(&x2, 1, seq).unwrap().0;
             for t in 0..seq - 1 {

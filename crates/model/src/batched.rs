@@ -519,7 +519,7 @@ fn walk(
     let mut scores = vec![0f32; cfg.seq_len];
     for l in entry.from..depth {
         let block = model.block(l);
-        let (qkv_lin, proj) = block.attn().linears();
+        let [qkv_lin, proj, fc1, fc2] = block.linears();
         // (n, 3c). Adapter deltas land *before* the key/value rows are
         // copied into the caches, so adapted K/V history is what later
         // passes attend over — same as a solo run with the adapter.
@@ -569,7 +569,6 @@ fn walk(
         }
         drop(qkv);
         let x1 = x.add(&project(l, AdapterTarget::Proj, proj, concat)?)?;
-        let (fc1, fc2) = block.mlp().linears();
         let n2 = block.ln2().forward_no_cache(&x1)?;
         let act = gelu_forward(&project(l, AdapterTarget::Fc1, fc1, n2)?);
         x = x1.add(&project(l, AdapterTarget::Fc2, fc2, act)?)?;

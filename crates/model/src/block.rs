@@ -46,24 +46,6 @@ impl Block {
         }
     }
 
-    /// Number of trainable scalars.
-    pub fn num_params(&self) -> usize {
-        self.ln1.num_params()
-            + self.attn.num_params()
-            + self.ln2.num_params()
-            + self.mlp.num_params()
-    }
-
-    /// The attention module (exposed for compression policies).
-    pub fn attn_mut(&mut self) -> &mut Attention {
-        &mut self.attn
-    }
-
-    /// The MLP module (exposed for compression policies).
-    pub fn mlp_mut(&mut self) -> &mut Mlp {
-        &mut self.mlp
-    }
-
     /// Read access to the attention module.
     pub fn attn(&self) -> &Attention {
         &self.attn
@@ -95,8 +77,8 @@ impl Block {
     }
 
     /// Mutable access to the four projections, same order as
-    /// [`Block::linears`] (compression policies install masks and
-    /// quantization schemes through this).
+    /// [`Block::linears`] — the one way to write a projection's
+    /// compression hooks (masks, weight and activation schemes).
     pub fn linears_mut(&mut self) -> [&mut Linear; 4] {
         [
             &mut self.attn.qkv,
@@ -152,31 +134,27 @@ impl Block {
         Ok(dx)
     }
 
-    /// Visits `(param, grad)` pairs in a stable order.
+    /// Visits `(param, grad)` pairs in execution order: `ln1`, `qkv`,
+    /// `proj`, `ln2`, `fc1`, `fc2`, each weight (gamma) before its bias
+    /// (beta).
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         self.ln1.visit_params(f);
-        self.attn.visit_params(f);
+        self.attn.qkv.visit_params(f);
+        self.attn.proj.visit_params(f);
         self.ln2.visit_params(f);
-        self.mlp.visit_params(f);
+        self.mlp.fc1.visit_params(f);
+        self.mlp.fc2.visit_params(f);
     }
 
     /// Read-only mirror of [`Block::visit_params`]: same slice order, no
     /// cache invalidation.
     pub fn visit_params_ro(&self, f: &mut dyn FnMut(&[f32])) {
         self.ln1.visit_params_ro(f);
-        self.attn.visit_params_ro(f);
+        self.attn.qkv.visit_params_ro(f);
+        self.attn.proj.visit_params_ro(f);
         self.ln2.visit_params_ro(f);
-        self.mlp.visit_params_ro(f);
-    }
-
-    /// Number of slice pairs [`Block::visit_params`] yields. Window
-    /// traversals use this to skip frozen blocks without borrowing their
-    /// parameters mutably (which would invalidate their weight caches).
-    pub fn param_slice_count(&self) -> usize {
-        self.ln1.param_slice_count()
-            + self.attn.param_slice_count()
-            + self.ln2.param_slice_count()
-            + self.mlp.param_slice_count()
+        self.mlp.fc1.visit_params_ro(f);
+        self.mlp.fc2.visit_params_ro(f);
     }
 }
 
@@ -242,8 +220,9 @@ mod tests {
         let mut rng = TensorRng::seed_from(3);
         let mut block = Block::new(8, 2, 16, &mut rng);
         let zero = &mut |p: &mut [f32], _: &mut [f32]| p.fill(0.0);
-        block.attn_mut().proj_mut().visit_params(zero);
-        block.mlp_mut().fc2_mut().visit_params(zero);
+        let [_, proj, _, fc2] = block.linears_mut();
+        proj.visit_params(zero);
+        fc2.visit_params(zero);
         let x = Tensor::randn(4, 8, 1.0, &mut rng);
         let (y, _) = block.forward(&x, 1, 4).unwrap();
         assert!(y.approx_eq(&x, 1e-5));

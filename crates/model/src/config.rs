@@ -129,15 +129,18 @@ impl ModelConfig {
     pub fn param_count(&self) -> usize {
         let c = self.d_model;
         let emb = self.vocab_size * c + self.seq_len * c;
-        let per_block = {
-            let attn = c * 3 * c + 3 * c + c * c + c; // qkv + proj
-            let mlp = c * self.d_ff + self.d_ff + self.d_ff * c + c;
-            let norms = 4 * c; // two LayerNorms
-            attn + mlp + norms
-        };
         let head = c * self.vocab_size;
         let final_norm = 2 * c;
-        emb + self.n_layers * per_block + final_norm + head
+        emb + self.n_layers * self.block_param_count() + final_norm + head
+    }
+
+    /// Trainable scalars in one block.
+    pub(crate) fn block_param_count(&self) -> usize {
+        let c = self.d_model;
+        let attn = c * 3 * c + 3 * c + c * c + c; // qkv + proj
+        let mlp = c * self.d_ff + self.d_ff + self.d_ff * c + c;
+        let norms = 4 * c; // two LayerNorms
+        attn + mlp + norms
     }
 }
 

@@ -81,11 +81,10 @@ fn take_f32s(cur: &mut &[u8]) -> Result<Vec<f32>, ModelError> {
     Ok(body.chunks_exact(4).map(word).collect())
 }
 
-/// Number of scalars [`EdgeModel::visit_params_all_ro`] emits for
-/// `config` — what a checkpoint of that architecture stores — or `None`
-/// if that is beyond any file this format can frame. Computed from the
-/// header alone, so a parameter count can be held to it before any model
-/// is built.
+/// [`EdgeModel::num_params`] for `config` — what a checkpoint of that
+/// architecture stores — or `None` if that is beyond any file this format
+/// can frame. Computed from the header alone, so a parameter count can be
+/// held to it before any model is built.
 fn stored_scalars(config: &ModelConfig) -> Option<usize> {
     let [vocab, d, _, layers, seq, ff, _] = config_fields(config).map(u128::from);
     // with every dimension below 2^32 no term below can overflow a u128
@@ -535,9 +534,10 @@ mod tests {
             for tied in [true, false] {
                 let cfg = shape.clone().with_tied_exits(tied);
                 let m = EdgeModel::new(cfg.clone(), &mut TensorRng::seed_from(1)).unwrap();
-                let mut visited = 0usize;
-                m.visit_params_all_ro(&mut |_, p| visited += p.len());
-                assert_eq!(stored_scalars(&cfg), Some(visited), "{cfg:?}");
+                let rng = TensorRng::seed_from(0);
+                let stored = TrainingCheckpoint::capture(&m, &Sgd::new(0.1), 0, &rng, Vec::new());
+                assert_eq!(stored_scalars(&cfg), Some(stored.params.len()), "{cfg:?}");
+                assert_eq!(m.num_params(), stored.params.len(), "{cfg:?}");
             }
         }
         let huge = ModelConfig::tiny().with_vocab(usize::MAX / 2);

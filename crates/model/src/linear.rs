@@ -174,11 +174,6 @@ impl Linear {
         &self.w
     }
 
-    /// Number of trainable scalars.
-    pub fn num_params(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
-
     /// Installs (or clears) a pruning mask; the weight is masked immediately.
     ///
     /// # Errors
@@ -549,13 +544,6 @@ impl Linear {
             f(&self.b);
         }
     }
-
-    /// Number of slice pairs [`Linear::visit_params`] yields. Traversals
-    /// that skip inactive layers advance their id counters by this without
-    /// touching (or invalidating) the layer.
-    pub fn param_slice_count(&self) -> usize {
-        1 + usize::from(!self.b.is_empty())
-    }
 }
 
 /// A gradient accumulator of `(rows, cols)`, allocated zeroed by the first
@@ -722,11 +710,11 @@ mod tests {
     fn no_bias_layer_visits_one_param() {
         let mut rng = TensorRng::seed_from(5);
         let mut l = Linear::new_no_bias(4, 4, &mut rng);
-        let mut count = 0;
-        l.visit_params(&mut |_, _| count += 1);
-        assert_eq!(count, 1);
-        assert_eq!(l.param_slice_count(), 1);
-        assert_eq!(l.num_params(), 16);
+        let mut lens = Vec::new();
+        l.visit_params(&mut |p, _| lens.push(p.len()));
+        let mut lens_ro = Vec::new();
+        l.visit_params_ro(&mut |p| lens_ro.push(p.len()));
+        assert_eq!((lens, lens_ro), (vec![16], vec![16]));
     }
 
     #[test]

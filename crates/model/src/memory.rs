@@ -43,12 +43,6 @@ pub struct MemoryModel {
 }
 
 impl MemoryModel {
-    /// Per-block trainable parameter count.
-    fn block_params(config: &ModelConfig) -> usize {
-        let c = config.d_model;
-        c * 3 * c + 3 * c + c * c + c + c * config.d_ff + config.d_ff + config.d_ff * c + c + 4 * c
-    }
-
     /// Per-block activation cache bytes for one forward (f32):
     /// LayerNorm x̂ (x2), attention q/k/v/att per head, MLP pre-activation,
     /// and the cached linear inputs.
@@ -76,7 +70,7 @@ impl MemoryModel {
         let weight_bytes = (total_params as f64 * self.weight_bits as f64 / 8.0) as usize;
         let activation_bytes = depth * Self::block_activation_bytes(config, self.batch)
             + 4 * self.batch * config.seq_len * (config.d_model + config.vocab_size);
-        let window_params = depth * Self::block_params(config)
+        let window_params = depth * config.block_param_count()
             + 2 * config.d_model // exit norm
             + config.d_model * config.vocab_size; // (shared) head
         let gradient_bytes = 4 * window_params;

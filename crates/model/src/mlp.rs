@@ -35,22 +35,8 @@ impl Mlp {
         }
     }
 
-    /// Number of trainable scalars.
-    pub fn num_params(&self) -> usize {
-        self.fc1.num_params() + self.fc2.num_params()
-    }
-
-    /// First projection (exposed for compression policies).
-    pub fn fc1_mut(&mut self) -> &mut Linear {
-        &mut self.fc1
-    }
-
-    /// Second projection (exposed for compression policies).
-    pub fn fc2_mut(&mut self) -> &mut Linear {
-        &mut self.fc2
-    }
-
-    /// Read access to the projections, `(fc1, fc2)`.
+    /// Read access to the projections, `(fc1, fc2)`; write them through
+    /// [`crate::Block::linears_mut`].
     pub fn linears(&self) -> (&Linear, &Linear) {
         (&self.fc1, &self.fc2)
     }
@@ -84,24 +70,6 @@ impl Mlp {
         dpre.hadamard_in_place(&cache.gelu_grad)?;
         self.fc1.backward(&cache.fc1_cache, &dpre)
     }
-
-    /// Visits `(param, grad)` pairs: fc1 then fc2, weight before bias.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.fc1.visit_params(f);
-        self.fc2.visit_params(f);
-    }
-
-    /// Read-only mirror of [`Mlp::visit_params`]: same slice order, no
-    /// cache invalidation.
-    pub fn visit_params_ro(&self, f: &mut dyn FnMut(&[f32])) {
-        self.fc1.visit_params_ro(f);
-        self.fc2.visit_params_ro(f);
-    }
-
-    /// Number of slice pairs [`Mlp::visit_params`] yields.
-    pub fn param_slice_count(&self) -> usize {
-        self.fc1.param_slice_count() + self.fc2.param_slice_count()
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +83,8 @@ mod tests {
         let x = Tensor::randn(5, 8, 1.0, &mut rng);
         let (y, _) = mlp.forward(&x).unwrap();
         assert_eq!(y.shape(), (5, 8));
-        assert_eq!(mlp.num_params(), 8 * 32 + 32 + 32 * 8 + 8);
+        let (fc1, fc2) = mlp.linears();
+        assert_eq!((fc1.shape(), fc2.shape()), ((8, 32), (32, 8)));
     }
 
     #[test]

@@ -27,6 +27,20 @@ struct ExitHead {
     head: Option<Linear>,
 }
 
+/// A module that owns parameter slices, as [`EdgeModel::modules`] walks
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Module {
+    /// The token embedding, then the position embedding: one slice each.
+    Embeddings,
+    Block(usize),
+    ExitNorm(usize),
+    /// The unembedding exit `l` projects through ([`EdgeModel::exit_head`]):
+    /// walked for every untied exit, and once, as exit 0's, for the head
+    /// tied exits share.
+    Head(usize),
+}
+
 /// The Edge-LLM decoder-only transformer.
 ///
 /// Every layer has an early-exit head, so the model can produce logits from
@@ -156,15 +170,24 @@ impl EdgeModel {
         &self.blocks[l]
     }
 
-    /// Total number of trainable scalars (including untied exit heads).
+    /// Total number of trainable scalars: what a checkpoint stores, so
+    /// untied exits count their own heads and not the shared one no exit
+    /// projects through.
     pub fn num_params(&self) -> usize {
-        let blocks: usize = self.blocks.iter().map(|b| b.num_params()).sum();
-        let exits: usize = self
-            .exits
-            .iter()
-            .map(|e| e.norm.num_params() + e.head.as_ref().map_or(0, |h| h.num_params()))
-            .sum();
-        self.tok_emb.len() + self.pos_emb.len() + blocks + exits + self.shared_head.num_params()
+        let mut n = 0;
+        self.visit_params_all_ro(&mut |_, p| n += p.len());
+        n
+    }
+
+    /// The unembedding exit `l` projects through: its own head, or the
+    /// shared one when exits are tied.
+    fn exit_head(&self, l: usize) -> &Linear {
+        self.exits[l].head.as_ref().unwrap_or(&self.shared_head)
+    }
+
+    /// Mutable twin of [`EdgeModel::exit_head`].
+    fn exit_head_mut(&mut self, l: usize) -> &mut Linear {
+        self.exits[l].head.as_mut().unwrap_or(&mut self.shared_head)
     }
 
     fn check_tokens(&self, tokens: &[usize], batch: usize) -> Result<(), ModelError> {
@@ -228,12 +251,8 @@ impl EdgeModel {
         h: &Tensor,
         exit_layer: usize,
     ) -> Result<Tensor, ModelError> {
-        let exit = &self.exits[exit_layer];
-        let n = exit.norm.forward_no_cache(h)?;
-        match &exit.head {
-            Some(own) => own.forward_no_cache(&n),
-            None => self.shared_head.forward_no_cache(&n),
-        }
+        let n = self.exits[exit_layer].norm.forward_no_cache(h)?;
+        self.exit_head(exit_layer).forward_no_cache(&n)
     }
 
     /// Runs the model to `exit_layer` (inclusive), keeping backward caches
@@ -274,12 +293,8 @@ impl EdgeModel {
             block_caches.push(Some(cache));
             x = y;
         }
-        let exit = &self.exits[exit_layer];
-        let (n, exit_norm_cache) = exit.norm.forward(&x)?;
-        let (logits, head_cache) = match &exit.head {
-            Some(own) => own.forward(&n)?,
-            None => self.shared_head.forward(&n)?,
-        };
+        let (n, exit_norm_cache) = self.exits[exit_layer].norm.forward(&x)?;
+        let (logits, head_cache) = self.exit_head(exit_layer).forward(&n)?;
         Ok(ExitForward {
             logits,
             caches: ForwardCaches {
@@ -309,13 +324,9 @@ impl EdgeModel {
         dlogits: &Tensor,
     ) -> Result<(), ModelError> {
         let exit_layer = caches.exit_layer;
-        let dn = {
-            let exit = &mut self.exits[exit_layer];
-            match &mut exit.head {
-                Some(own) => own.backward(&caches.head_cache, dlogits)?,
-                None => self.shared_head.backward(&caches.head_cache, dlogits)?,
-            }
-        };
+        let dn = self
+            .exit_head_mut(exit_layer)
+            .backward(&caches.head_cache, dlogits)?;
         let mut dx = self.exits[exit_layer]
             .norm
             .backward(&caches.exit_norm_cache, &dn)?;
@@ -431,111 +442,40 @@ impl EdgeModel {
     /// * the exit norm (and untied head) at `exit_layer`,
     /// * the shared head — whenever the exit at `exit_layer` is tied to it.
     ///
-    /// Ids are assigned by enumerating the **whole** model in a fixed order,
-    /// so a given parameter keeps its id across different windows — which is
-    /// what lets stateful optimizers keep per-parameter state.
+    /// Ids come from [`EdgeModel::visit_params_all`]'s walk of the
+    /// **whole** model, so a parameter keeps its id across windows — which
+    /// is what lets stateful optimizers keep per-parameter state — and
+    /// they are emitted in ascending order. Modules outside the window are
+    /// not borrowed at all: a mutable borrow would invalidate their
+    /// compressed-weight caches every iteration.
     pub fn visit_params_window(
         &mut self,
         window: LayerWindow,
         exit_layer: usize,
         f: &mut ParamVisitor<'_>,
     ) {
-        let mut id = 0usize;
-        {
-            let active = window.start == 0;
-            if active {
-                f(
-                    id,
-                    self.tok_emb.as_mut_slice(),
-                    self.dtok_emb.as_mut_slice(),
-                );
+        let tied = self.config.tie_exit_heads;
+        for (m, id) in self.modules(false) {
+            let trains = match m {
+                Module::Embeddings => window.start == 0,
+                Module::Block(l) => window.contains(l),
+                Module::ExitNorm(l) => l == exit_layer,
+                Module::Head(l) => tied || l == exit_layer,
+            };
+            if trains {
+                self.visit_module(m, id, f);
             }
-            id += 1;
-            if active {
-                f(
-                    id,
-                    self.pos_emb.as_mut_slice(),
-                    self.dpos_emb.as_mut_slice(),
-                );
-            }
-            id += 1;
-        }
-        for (l, block) in self.blocks.iter_mut().enumerate() {
-            if window.contains(l) {
-                block.visit_params(&mut |p, g| {
-                    f(id, p, g);
-                    id += 1;
-                });
-            } else {
-                // Frozen blocks advance the id counter by count only:
-                // borrowing their parameters mutably would invalidate
-                // their compressed-weight caches every iteration.
-                id += block.param_slice_count();
-            }
-        }
-        for (l, exit) in self.exits.iter_mut().enumerate() {
-            let active = l == exit_layer;
-            if active {
-                exit.norm.visit_params(&mut |p, g| {
-                    f(id, p, g);
-                    id += 1;
-                });
-            } else {
-                id += exit.norm.param_slice_count();
-            }
-            if let Some(h) = &mut exit.head {
-                if active {
-                    h.visit_params(&mut |p, g| {
-                        f(id, p, g);
-                        id += 1;
-                    });
-                } else {
-                    id += h.param_slice_count();
-                }
-            }
-        }
-        if self.exits[exit_layer].head.is_none() {
-            self.shared_head.visit_params(&mut |p, g| {
-                f(id, p, g);
-                id += 1;
-            });
         }
     }
 
-    /// Visits every parameter in the model (full tuning baseline), under the
-    /// ids [`EdgeModel::visit_params_window`] assigns and in the order
-    /// checkpoints lay them out: embeddings, blocks, then each exit's norm
-    /// and untied head, with the tied shared head — the last id — right
-    /// after exit 0's norm.
+    /// Visits every parameter in the model (full tuning baseline) in the
+    /// order checkpoints lay them out: embeddings, blocks, then each exit's
+    /// norm and untied head, with the tied shared head right after exit
+    /// 0's norm. Ids number the slices in that order, except that the tied
+    /// shared head takes the last ids.
     pub fn visit_params_all(&mut self, f: &mut ParamVisitor<'_>) {
-        let mut shared_id = self.shared_head_id();
-        let mut id = 0usize;
-        let mut visit = |id: &mut usize, p: &mut [f32], g: &mut [f32]| {
-            f(*id, p, g);
-            *id += 1;
-        };
-        visit(
-            &mut id,
-            self.tok_emb.as_mut_slice(),
-            self.dtok_emb.as_mut_slice(),
-        );
-        visit(
-            &mut id,
-            self.pos_emb.as_mut_slice(),
-            self.dpos_emb.as_mut_slice(),
-        );
-        for block in &mut self.blocks {
-            block.visit_params(&mut |p, g| visit(&mut id, p, g));
-        }
-        for (l, exit) in self.exits.iter_mut().enumerate() {
-            exit.norm.visit_params(&mut |p, g| visit(&mut id, p, g));
-            match &mut exit.head {
-                Some(h) => h.visit_params(&mut |p, g| visit(&mut id, p, g)),
-                None if l == 0 => self
-                    .shared_head
-                    .visit_params(&mut |p, g| visit(&mut shared_id, p, g)),
-                None => {}
-            }
+        for (m, id) in self.modules(true) {
+            self.visit_module(m, id, f);
         }
     }
 
@@ -543,41 +483,90 @@ impl EdgeModel {
     /// and emission order, shared borrows — so checkpoint and model-file
     /// byte layouts match while the weight caches survive serialization.
     pub fn visit_params_all_ro(&self, f: &mut ParamVisitorRo<'_>) {
-        let mut shared_id = self.shared_head_id();
-        let mut id = 0usize;
-        let mut visit = |id: &mut usize, p: &[f32]| {
-            f(*id, p);
-            *id += 1;
-        };
-        visit(&mut id, self.tok_emb.as_slice());
-        visit(&mut id, self.pos_emb.as_slice());
-        for block in &self.blocks {
-            block.visit_params_ro(&mut |p| visit(&mut id, p));
-        }
-        for (l, exit) in self.exits.iter().enumerate() {
-            exit.norm.visit_params_ro(&mut |p| visit(&mut id, p));
-            match &exit.head {
-                Some(h) => h.visit_params_ro(&mut |p| visit(&mut id, p)),
-                None if l == 0 => self
-                    .shared_head
-                    .visit_params_ro(&mut |p| visit(&mut shared_id, p)),
-                None => {}
-            }
+        for (m, id) in self.modules(true) {
+            self.visit_module_ro(m, id, f);
         }
     }
 
-    /// The shared head's first parameter id: it follows every embedding,
-    /// block and exit slice.
-    fn shared_head_id(&self) -> usize {
-        let blocks: usize = self.blocks.iter().map(Block::param_slice_count).sum();
-        let exits: usize = self
-            .exits
-            .iter()
-            .map(|e| {
-                e.norm.param_slice_count() + e.head.as_ref().map_or(0, Linear::param_slice_count)
-            })
-            .sum();
-        2 + blocks + exits
+    /// The one walk every parameter traversal takes: each module that owns
+    /// parameters, with the id of its first slice. Ids number the slices in
+    /// declaration order — embeddings, blocks, each exit's norm and untied
+    /// head, then the tied shared head — and each kind's slice count is
+    /// what its first module's own visit emits (blocks, norms and heads are
+    /// each built alike). The walk goes in id order or, when `stored`, in
+    /// the order checkpoints lay the slices out, which puts the tied shared
+    /// head right after exit 0's norm. It borrows nothing, so a mutable
+    /// visit can follow it without a copy of the list.
+    fn modules(&self, stored: bool) -> impl Iterator<Item = (Module, usize)> {
+        let slices = |m| {
+            let mut count = 0;
+            self.visit_module_ro(m, 0, &mut |_, _| count += 1);
+            count
+        };
+        let (emb, block, norm) = (
+            slices(Module::Embeddings),
+            slices(Module::Block(0)),
+            slices(Module::ExitNorm(0)),
+        );
+        let (n, tied) = (self.n_layers(), self.config.tie_exit_heads);
+        let exit = if tied {
+            norm
+        } else {
+            norm + slices(Module::Head(0))
+        };
+        let first_exit = emb + n * block;
+        let id = move |m| match m {
+            Module::Embeddings => 0,
+            Module::Block(l) => emb + l * block,
+            Module::ExitNorm(l) => first_exit + l * exit,
+            Module::Head(_) if tied => first_exit + n * exit,
+            Module::Head(l) => first_exit + l * exit + norm,
+        };
+        let exits = (0..n).flat_map(move |l| {
+            let head = (!tied || (stored && l == 0)).then_some(Module::Head(l));
+            std::iter::once(Module::ExitNorm(l)).chain(head)
+        });
+        std::iter::once(Module::Embeddings)
+            .chain((0..n).map(Module::Block))
+            .chain(exits)
+            .chain((tied && !stored).then_some(Module::Head(0)))
+            .map(move |m| (m, id(m)))
+    }
+
+    /// Visits module `m`'s slices under ids `first..`.
+    fn visit_module(&mut self, m: Module, first: usize, f: &mut ParamVisitor<'_>) {
+        let mut id = first;
+        let mut emit = |p: &mut [f32], g: &mut [f32]| {
+            f(id, p, g);
+            id += 1;
+        };
+        match m {
+            Module::Embeddings => {
+                emit(self.tok_emb.as_mut_slice(), self.dtok_emb.as_mut_slice());
+                emit(self.pos_emb.as_mut_slice(), self.dpos_emb.as_mut_slice());
+            }
+            Module::Block(l) => self.blocks[l].visit_params(&mut emit),
+            Module::ExitNorm(l) => self.exits[l].norm.visit_params(&mut emit),
+            Module::Head(l) => self.exit_head_mut(l).visit_params(&mut emit),
+        }
+    }
+
+    /// Read-only twin of [`EdgeModel::visit_module`].
+    fn visit_module_ro(&self, m: Module, first: usize, f: &mut ParamVisitorRo<'_>) {
+        let mut id = first;
+        let mut emit = |p: &[f32]| {
+            f(id, p);
+            id += 1;
+        };
+        match m {
+            Module::Embeddings => {
+                emit(self.tok_emb.as_slice());
+                emit(self.pos_emb.as_slice());
+            }
+            Module::Block(l) => self.blocks[l].visit_params_ro(&mut emit),
+            Module::ExitNorm(l) => self.exits[l].norm.visit_params_ro(&mut emit),
+            Module::Head(l) => self.exit_head(l).visit_params_ro(&mut emit),
+        }
     }
 
     /// Every projection that can carry a compression scheme: each block's
@@ -764,32 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn window_ids_are_stable_across_windows() {
-        let mut model = tiny_model(7);
-        let mut ids_a = Vec::new();
-        model.visit_params_window(LayerWindow { start: 0, end: 1 }, 0, &mut |id, _, _| {
-            ids_a.push(id)
-        });
-        let mut ids_b = Vec::new();
-        model.visit_params_window(LayerWindow { start: 1, end: 2 }, 1, &mut |id, _, _| {
-            ids_b.push(id)
-        });
-        // tied shared head appears in both windows, with the same id
-        let shared = *ids_a.last().unwrap();
-        assert_eq!(ids_a.last(), ids_b.last());
-        // apart from the shared head, the two disjoint windows train
-        // disjoint parameters (embeddings 0/1 belong to window A only)
-        for id in &ids_a {
-            if *id > 1 && *id != shared {
-                assert!(
-                    !ids_b.contains(id),
-                    "id {id} appears in both disjoint windows"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn visit_all_covers_every_param_once() {
         let mut model = tiny_model(8);
         let mut total = 0usize;
@@ -799,6 +762,12 @@ mod tests {
             total += p.len();
         });
         assert_eq!(total, model.num_params());
+        // the memory model's per-block count is the walk's
+        for block in &model.blocks {
+            let mut scalars = 0;
+            block.visit_params_ro(&mut |p| scalars += p.len());
+            assert_eq!(scalars, model.config().block_param_count());
+        }
     }
 
     #[test]
@@ -826,12 +795,10 @@ mod tests {
             let cfg = ModelConfig::tiny().with_layers(3).with_tied_exits(tied);
             let mut model = EdgeModel::new(cfg, &mut rng).unwrap();
             let n = model.n_layers();
-            // embeddings + blocks, then per exit a 2-slice norm and, untied,
-            // a 1-slice bias-free head; tied, one shared head after them all
-            let body = 2
-                + (0..n)
-                    .map(|l| model.block(l).param_slice_count())
-                    .sum::<usize>();
+            // embeddings + blocks (two norms and four biased projections,
+            // two slices each), then per exit a 2-slice norm and, untied, a
+            // 1-slice bias-free head; tied, one shared head after them all
+            let body = 2 + 12 * n;
             let want: Vec<usize> = if tied {
                 (0..body + 2)
                     .chain([body + 2 * n])
@@ -850,21 +817,62 @@ mod tests {
     }
 
     #[test]
+    fn window_ids_are_stable_across_windows() {
+        // Every window visit is the full walk restricted to what trains: in
+        // ascending id order, the embeddings only from layer 0, the
+        // window's blocks and the exit's norm and head (the shared head at
+        // every exit when tied), each under the id and with the slice the
+        // full walk gives it.
+        for tied in [true, false] {
+            let cfg = ModelConfig::tiny().with_layers(3).with_tied_exits(tied);
+            let mut model = EdgeModel::new(cfg, &mut TensorRng::seed_from(24)).unwrap();
+            let n = model.n_layers();
+            let mut all = std::collections::HashMap::new();
+            model.visit_params_all_ro(&mut |id, p| {
+                all.insert(id, p.to_vec());
+            });
+            // the layout `visit_all_emission_order_is_pinned` pins
+            let body = 2 + 12 * n;
+            let exit_ids = |l: usize| match tied {
+                true => vec![body + 2 * l, body + 2 * l + 1, body + 2 * n],
+                false => (body + 3 * l..body + 3 * l + 3).collect(),
+            };
+            for start in 0..n {
+                for end in start + 1..=n {
+                    for exit in 0..n {
+                        let window = LayerWindow { start, end };
+                        let what = format!("tied={tied}, window {start}..{end}, exit {exit}");
+                        let embeddings = if start == 0 { 0..2 } else { 0..0 };
+                        let want: Vec<usize> = embeddings
+                            .chain(2 + 12 * start..2 + 12 * end)
+                            .chain(exit_ids(exit))
+                            .collect();
+                        let mut got = Vec::new();
+                        model.visit_params_window(window, exit, &mut |id, p, _| {
+                            assert_eq!(p, &all[&id][..], "{what}: slice {id}");
+                            got.push(id);
+                        });
+                        assert_eq!(got, want, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn window_visit_skips_frozen_block_caches() {
         use edge_llm_quant::{BitWidth, QuantScheme};
         let mut model = tiny_model(21);
         let scheme = QuantScheme::symmetric(BitWidth::W4);
         for l in 0..model.n_layers() {
-            let b = model.block_mut(l);
-            b.attn_mut().qkv_mut().set_quant(Some(scheme));
-            b.attn_mut().proj_mut().set_quant(Some(scheme));
-            b.mlp_mut().fc1_mut().set_quant(Some(scheme));
-            b.mlp_mut().fc2_mut().set_quant(Some(scheme));
+            for lin in model.block_mut(l).linears_mut() {
+                lin.set_quant(Some(scheme));
+            }
         }
         // warm every block's cache with a forward pass
         let tokens = tokens_for(&model, 1, 22);
         model.logits(&tokens, 1).unwrap();
-        let cached = |m: &EdgeModel, l: usize| m.block(l).attn().linears().0.has_cached_weight();
+        let cached = |m: &EdgeModel, l: usize| m.block(l).linears()[0].has_cached_weight();
         assert!(cached(&model, 0) && cached(&model, 1));
         // an optimizer pass over window [1, 2) must leave block 0's cache
         model.visit_params_window(LayerWindow { start: 1, end: 2 }, 1, &mut |_, _, _| {});
@@ -882,19 +890,19 @@ mod tests {
         let mut model = tiny_model(23);
         let scheme = QuantScheme::symmetric(BitWidth::W2);
         for l in 0..model.n_layers() {
-            let b = model.block_mut(l);
-            b.attn_mut().qkv_mut().set_quant(Some(scheme));
-            b.mlp_mut().fc1_mut().set_quant(Some(scheme));
+            let [qkv, _, fc1, _] = model.block_mut(l).linears_mut();
+            qkv.set_quant(Some(scheme));
+            fc1.set_quant(Some(scheme));
         }
         let tokens = tokens_for(&model, 1, 24);
         let dense = model.logits(&tokens, 1).unwrap();
         model.pack_frozen_weights().unwrap();
-        assert!(model.block(0).attn().linears().0.is_packed());
+        assert!(model.block(0).linears()[0].is_packed());
         let packed = model.logits(&tokens, 1).unwrap();
         assert_eq!(dense.as_slice(), packed.as_slice());
         // and identical to recomputing every weight: drop the caches first
         model.visit_params_all(&mut |_, _, _| {});
-        assert!(!model.block(0).attn().linears().0.is_packed());
+        assert!(!model.block(0).linears()[0].is_packed());
         let baseline = model.logits(&tokens, 1).unwrap();
         assert_eq!(baseline.as_slice(), packed.as_slice());
     }
@@ -934,11 +942,9 @@ mod tests {
         let before = model.decode_weight_bytes();
         let scheme = QuantScheme::symmetric(BitWidth::W4);
         for l in 0..model.n_layers() {
-            let b = model.block_mut(l);
-            b.attn_mut().qkv_mut().set_quant(Some(scheme));
-            b.attn_mut().proj_mut().set_quant(Some(scheme));
-            b.mlp_mut().fc1_mut().set_quant(Some(scheme));
-            b.mlp_mut().fc2_mut().set_quant(Some(scheme));
+            for lin in model.block_mut(l).linears_mut() {
+                lin.set_quant(Some(scheme));
+            }
         }
         assert_eq!(model.decode_weight_bytes(), before);
         let block_bytes = |m: &EdgeModel| -> usize {
@@ -1290,7 +1296,13 @@ mod tests {
         let mut rng = TensorRng::seed_from(10);
         let cfg = ModelConfig::tiny().with_tied_exits(false);
         let model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
-        let tied = EdgeModel::new(cfg.with_tied_exits(true), &mut rng).unwrap();
-        assert!(model.num_params() > tied.num_params());
+        let tied = EdgeModel::new(cfg.clone().with_tied_exits(true), &mut rng).unwrap();
+        // every exit owns a head in place of the one shared head, which no
+        // untied exit projects through and no checkpoint stores
+        let head = cfg.d_model * cfg.vocab_size;
+        assert_eq!(
+            model.num_params(),
+            tied.num_params() + (cfg.n_layers - 1) * head
+        );
     }
 }

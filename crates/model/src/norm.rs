@@ -29,11 +29,6 @@ impl LayerNorm {
         self.gamma.len()
     }
 
-    /// Number of trainable scalars.
-    pub fn num_params(&self) -> usize {
-        2 * self.gamma.len()
-    }
-
     /// Forward pass returning the output and the backward cache.
     ///
     /// # Errors
@@ -78,11 +73,6 @@ impl LayerNorm {
     pub fn visit_params_ro(&self, f: &mut dyn FnMut(&[f32])) {
         f(&self.gamma);
         f(&self.beta);
-    }
-
-    /// Number of slice pairs [`LayerNorm::visit_params`] yields.
-    pub fn param_slice_count(&self) -> usize {
-        2
     }
 }
 

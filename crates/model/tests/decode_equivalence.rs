@@ -354,13 +354,12 @@ fn quantized_model(seed: u64, bits: BitWidth) -> EdgeModel {
     let mut model = EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap();
     let scheme = QuantScheme::symmetric(bits);
     for l in 0..model.n_layers() {
-        let b = model.block_mut(l);
-        b.attn_mut().qkv_mut().set_quant(Some(scheme));
-        b.attn_mut().proj_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc1_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc2_mut().set_quant(Some(scheme));
-        let mask = magnitude_prune(b.mlp_mut().fc1_mut().weight(), 0.25).unwrap();
-        b.mlp_mut().fc1_mut().set_mask(Some(mask)).unwrap();
+        let [qkv, proj, fc1, fc2] = model.block_mut(l).linears_mut();
+        for lin in [qkv, proj, &mut *fc1, fc2] {
+            lin.set_quant(Some(scheme));
+        }
+        let mask = magnitude_prune(fc1.weight(), 0.25).unwrap();
+        fc1.set_mask(Some(mask)).unwrap();
     }
     model
 }

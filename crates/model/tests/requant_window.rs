@@ -28,13 +28,12 @@ fn deep_quantized_model(seed: u64, bits: BitWidth, layers: usize) -> EdgeModel {
     let mut model = EdgeModel::new(cfg, &mut rng).unwrap();
     let scheme = QuantScheme::symmetric(bits);
     for l in 0..model.n_layers() {
-        let b = model.block_mut(l);
-        b.attn_mut().qkv_mut().set_quant(Some(scheme));
-        b.attn_mut().proj_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc1_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc2_mut().set_quant(Some(scheme));
-        let mask = magnitude_prune(b.mlp_mut().fc1_mut().weight(), 0.25).unwrap();
-        b.mlp_mut().fc1_mut().set_mask(Some(mask)).unwrap();
+        let [qkv, proj, fc1, fc2] = model.block_mut(l).linears_mut();
+        for lin in [qkv, proj, &mut *fc1, fc2] {
+            lin.set_quant(Some(scheme));
+        }
+        let mask = magnitude_prune(fc1.weight(), 0.25).unwrap();
+        fc1.set_mask(Some(mask)).unwrap();
     }
     model
 }
@@ -246,12 +245,7 @@ fn frozen_blocks_keep_packed_weights_across_depth_one_steps() {
     model.pack_frozen_weights().unwrap();
     let packed_blocks = |m: &EdgeModel| -> Vec<bool> {
         (0..m.n_layers())
-            .map(|l| {
-                let b = m.block(l);
-                let (qkv, proj) = b.attn().linears();
-                let (fc1, fc2) = b.mlp().linears();
-                [qkv, proj, fc1, fc2].iter().all(|lin| lin.is_packed())
-            })
+            .map(|l| m.block(l).linears().iter().all(|lin| lin.is_packed()))
             .collect()
     };
     assert!(

@@ -24,15 +24,18 @@ fn quantized_model(seed: u64) -> EdgeModel {
     let mut model = EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap();
     let scheme = QuantScheme::symmetric(BitWidth::W4);
     for l in 0..model.n_layers() {
-        let b = model.block_mut(l);
-        b.attn_mut().qkv_mut().set_quant(Some(scheme));
-        b.attn_mut().proj_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc1_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc2_mut().set_quant(Some(scheme));
-        let mask = magnitude_prune(b.mlp_mut().fc1_mut().weight(), 0.4).unwrap();
-        b.mlp_mut().fc1_mut().set_mask(Some(mask)).unwrap();
+        install_policy(model.block_mut(l).linears_mut(), scheme);
     }
     model
+}
+
+/// W4 on all four projections, and 40% of `fc1` pruned.
+fn install_policy([qkv, proj, fc1, fc2]: [&mut Linear; 4], scheme: QuantScheme) {
+    for lin in [qkv, proj, &mut *fc1, fc2] {
+        lin.set_quant(Some(scheme));
+    }
+    let mask = magnitude_prune(fc1.weight(), 0.4).unwrap();
+    fc1.set_mask(Some(mask)).unwrap();
 }
 
 fn tokens_for(model: &EdgeModel, seed: u64) -> Vec<usize> {
@@ -46,9 +49,7 @@ fn tokens_for(model: &EdgeModel, seed: u64) -> Vec<usize> {
 /// for bit.
 fn assert_caches_fresh(model: &EdgeModel, context: &str) {
     for l in 0..model.n_layers() {
-        let b = model.block(l);
-        let (qkv, proj) = b.attn().linears();
-        let (fc1, fc2) = b.mlp().linears();
+        let [qkv, proj, fc1, fc2] = model.block(l).linears();
         for (name, lin) in [("qkv", qkv), ("proj", proj), ("fc1", fc1), ("fc2", fc2)] {
             let cached = lin.cached_effective_weight().unwrap();
             let fresh = lin.effective_weight().unwrap();
@@ -115,22 +116,16 @@ fn mask_and_scheme_changes_keep_caches_fresh() {
     let tokens = tokens_for(&model, 6);
     model.logits(&tokens, 1).unwrap(); // warm
     {
-        let fc2 = model.block_mut(0).mlp_mut().fc2_mut();
+        let [_, _, _, fc2] = model.block_mut(0).linears_mut();
         let mask = magnitude_prune(fc2.weight(), 0.6).unwrap();
         fc2.set_mask(Some(mask)).unwrap();
     }
     assert_caches_fresh(&model, "after set_mask");
-    model
-        .block_mut(1)
-        .attn_mut()
-        .qkv_mut()
-        .set_quant(Some(QuantScheme::symmetric(BitWidth::W2)));
+    let [qkv, ..] = model.block_mut(1).linears_mut();
+    qkv.set_quant(Some(QuantScheme::symmetric(BitWidth::W2)));
     assert_caches_fresh(&model, "after set_quant");
-    model
-        .block_mut(1)
-        .mlp_mut()
-        .fc1_mut()
-        .set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
+    let [_, _, fc1, _] = model.block_mut(1).linears_mut();
+    fc1.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
     assert_caches_fresh(&model, "after set_activation_quant");
 }
 
@@ -216,8 +211,8 @@ fn a_checkpoint_restored_onto_a_masked_model_reads_masked_weights() {
     model.logits(&tokens, 1).unwrap(); // warm
     ckpt.restore_params(&mut model).unwrap();
     for l in 0..model.n_layers() {
-        let fc1 = model.block(l).mlp().linears().0;
-        let snap = dense.block(l).mlp().linears().0.weight();
+        let fc1 = model.block(l).linears()[2];
+        let snap = dense.block(l).linears()[2].weight();
         let keep = fc1.mask().unwrap().as_slice();
         assert!(keep.iter().any(|&k| !k), "block {l} prunes something");
         for (i, ((v, s), &k)) in fc1
@@ -244,7 +239,7 @@ fn checkpoint_restore_keeps_caches_fresh() {
     let rng = TensorRng::seed_from(14);
     let ckpt = TrainingCheckpoint::capture(&model, &opt, 0, &rng, Vec::new());
     // capture is read-only: caches survive
-    assert!(model.block(0).attn().linears().0.has_cached_weight());
+    assert!(model.block(0).linears()[0].has_cached_weight());
     // drift the weights, then restore the snapshot
     model.visit_params_all(&mut |_, p, _| {
         for v in p.iter_mut() {
@@ -280,7 +275,7 @@ fn model_file_roundtrip_keeps_caches_fresh_and_bytes_stable() {
         bytes
     };
     let bytes = save(&model);
-    assert!(model.block(0).attn().linears().0.has_cached_weight());
+    assert!(model.block(0).linears()[0].has_cached_weight());
     assert_eq!(bytes, save(&model));
     // load invalidates by construction (fresh model); once the policy is
     // re-applied the logits match exactly
@@ -290,13 +285,7 @@ fn model_file_roundtrip_keeps_caches_fresh_and_bytes_stable() {
         .unwrap();
     let scheme = QuantScheme::symmetric(BitWidth::W4);
     for l in 0..loaded.n_layers() {
-        let b = loaded.block_mut(l);
-        b.attn_mut().qkv_mut().set_quant(Some(scheme));
-        b.attn_mut().proj_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc1_mut().set_quant(Some(scheme));
-        b.mlp_mut().fc2_mut().set_quant(Some(scheme));
-        let mask = magnitude_prune(b.mlp_mut().fc1_mut().weight(), 0.4).unwrap();
-        b.mlp_mut().fc1_mut().set_mask(Some(mask)).unwrap();
+        install_policy(loaded.block_mut(l).linears_mut(), scheme);
     }
     let after = loaded.logits(&tokens, 1).unwrap();
     assert_eq!(before.as_slice(), after.as_slice());
@@ -312,7 +301,7 @@ fn packed_decode_stays_fresh_across_repacking() {
     // mutate one layer (its first weight and first bias): its packed codes
     // must be dropped and rebuilt
     {
-        let qkv = model.block_mut(0).attn_mut().qkv_mut();
+        let [qkv, ..] = model.block_mut(0).linears_mut();
         qkv.visit_params(&mut |p, _| p[0] += 1.0);
         assert!(!qkv.is_packed(), "mutation must drop packed codes");
     }

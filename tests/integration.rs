@@ -81,7 +81,7 @@ fn compressed_windowed_adaptation_learns() {
         after.accuracy
     );
     // pruned weights must still be pruned after 80 optimizer steps
-    let (qkv, _) = model.block(0).attn().linears();
+    let [qkv, ..] = model.block(0).linears();
     let mask = qkv.mask().expect("mask installed");
     for r in 0..qkv.weight().rows() {
         for c in 0..qkv.weight().cols() {

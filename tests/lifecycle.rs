@@ -107,12 +107,9 @@ fn activation_quant_model_still_learns() {
     let mut model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
     // 8-bit activations on every projection
     for l in 0..model.n_layers() {
-        let scheme = Some(QuantScheme::asymmetric(BitWidth::W8));
-        let block = model.block_mut(l);
-        block.attn_mut().qkv_mut().set_activation_quant(scheme);
-        block.attn_mut().proj_mut().set_activation_quant(scheme);
-        block.mlp_mut().fc1_mut().set_activation_quant(scheme);
-        block.mlp_mut().fc2_mut().set_activation_quant(scheme);
+        for lin in model.block_mut(l).linears_mut() {
+            lin.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
+        }
     }
     let ds = edge_llm_data::Dataset::from_samples(
         (0..8).map(|_| task.sample(cfg.seq_len, &mut rng)).collect(),
@@ -172,7 +169,7 @@ fn policy_compact_string_survives_pipeline() {
     let mut rng = TensorRng::seed_from(37);
     let mut model = EdgeModel::new(ModelConfig::tiny().with_layers(3), &mut rng).unwrap();
     apply_policy(&mut model, &parsed).unwrap();
-    let (qkv, _) = model.block(0).attn().linears();
+    let [qkv, ..] = model.block(0).linears();
     assert!(qkv.quant().is_some());
     assert!(qkv.mask().is_some());
 }

@@ -111,9 +111,7 @@ fn double_compression_is_idempotent_in_shape() {
 fn count_zeros(model: &EdgeModel) -> usize {
     let mut zeros = 0;
     for l in 0..model.n_layers() {
-        let (qkv, proj) = model.block(l).attn().linears();
-        let (fc1, fc2) = model.block(l).mlp().linears();
-        for lin in [qkv, proj, fc1, fc2] {
+        for lin in model.block(l).linears() {
             zeros += lin
                 .weight()
                 .as_slice()
