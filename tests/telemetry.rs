@@ -29,7 +29,7 @@ use edge_llm_serve::{BatchedInferenceEngine, ServeOutcome, ServeRequest};
 use edge_llm_telemetry::{
     counter_totals, span_tree, write_jsonl, Event, FakeClock, MonotonicClock, SpanNode,
 };
-use edge_llm_tensor::{set_configured_threads, TensorRng};
+use edge_llm_tensor::{fnv1a64, set_configured_threads, TensorRng};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serializes tests: telemetry recording and the thread knob are both
@@ -99,12 +99,25 @@ fn two_step_adaptation_produces_the_exact_span_tree() {
     assert!(totals.contains_key("tune.requant_layers"));
     assert!(totals.contains_key("tune.cache_invalidations"));
 
-    // and the whole stream serializes to one JSON object per line
+    // and the whole stream serializes to one JSON object per line, with
+    // pinned bytes. Thread ordinals follow the order in which this
+    // process's threads first recorded, so they are zeroed first.
+    let mut events = events;
+    for e in &mut events {
+        if let Event::SpanStart { thread, .. } | Event::Counter { thread, .. } = e {
+            *thread = 0;
+        }
+    }
     let mut buf = Vec::new();
     write_jsonl(&mut buf, &events).unwrap();
     let text = String::from_utf8(buf).unwrap();
     assert_eq!(text.lines().count(), events.len());
     assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+    assert_eq!(
+        fnv1a64(text.as_bytes()),
+        0xbcfd191f34eafc8d,
+        "trace bytes moved"
+    );
 }
 
 #[test]
