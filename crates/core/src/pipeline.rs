@@ -142,8 +142,6 @@ pub struct ExperimentConfig {
     pub budget: f32,
     /// Adaptive-tuning backprop depth (layers per window).
     pub window_depth: usize,
-    /// Voting temperature for confidence weighting.
-    pub voting_temperature: f32,
     /// Device used for modeled latency.
     pub device: DeviceModel,
     /// Pretraining iterations on a source task of the same shape before
@@ -170,7 +168,6 @@ impl ExperimentConfig {
             lr: 0.05,
             budget: 0.3,
             window_depth: 1,
-            voting_temperature: 1.0,
             device: DeviceModel::jetson_class(),
             pretrain_iterations: 0,
         }
@@ -197,7 +194,6 @@ impl ExperimentConfig {
             lr: 0.1,
             budget: 0.25,
             window_depth: 3,
-            voting_temperature: 1.0,
             device: DeviceModel::jetson_class(),
             pretrain_iterations: 400,
         }

@@ -16,8 +16,7 @@
 //! `experiments/` that hold the repo's headline ratios.
 
 use crate::analysis::digest;
-use crate::json::Json;
-use crate::schemas::{token_checksum, Family, LabError};
+use crate::schemas::{token_checksum, Family, Fields, LabError};
 use edge_llm::compress::{apply_activation_quant, apply_policy};
 use edge_llm::luc::CompressionPolicy;
 use edge_llm::quant::{BitWidth, QuantScheme};
@@ -28,6 +27,7 @@ use edge_llm_model::{
 };
 use edge_llm_serve::{BatchedInferenceEngine, ServeRequest};
 use edge_llm_telemetry as telemetry;
+use edge_llm_telemetry::Json;
 use edge_llm_tensor::TensorRng;
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -78,81 +78,25 @@ pub fn run_family(family: Family, seed: u64, params: &Json) -> Result<TrialResul
 
 // ---- param access -------------------------------------------------------
 
-fn check_keys(params: &Json, allowed: &[&str]) -> Result<(), LabError> {
-    for (k, _) in params.as_object().unwrap_or(&[]) {
-        if !allowed.contains(&k.as_str()) {
-            return Err(LabError::Spec(format!(
-                "unknown param {k:?} (allowed: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn p_usize(params: &Json, key: &str, default: usize) -> Result<usize, LabError> {
-    match params.get(key) {
+fn p_bits(p: &Fields, key: &str, default: BitWidth) -> Result<BitWidth, LabError> {
+    match p.get(key).map(Json::as_str) {
         None => Ok(default),
-        Some(v) => v
-            .as_i64()
-            .filter(|i| *i >= 0)
-            .map(|i| i as usize)
-            .ok_or_else(|| LabError::Spec(format!("param {key:?} must be a non-negative integer"))),
+        Some(Some("w2")) => Ok(BitWidth::W2),
+        Some(Some("w4")) => Ok(BitWidth::W4),
+        Some(Some("w8")) => Ok(BitWidth::W8),
+        Some(Some("w16")) => Ok(BitWidth::W16),
+        _ => Err(LabError::Spec(format!(
+            "param {key:?} must be one of \"w2\"|\"w4\"|\"w8\"|\"w16\""
+        ))),
     }
 }
 
-fn p_f32(params: &Json, key: &str, default: f32) -> Result<f32, LabError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .map(|f| f as f32)
-            .ok_or_else(|| LabError::Spec(format!("param {key:?} must be a number"))),
-    }
-}
-
-fn p_str<'a>(params: &'a Json, key: &str, default: &'a str) -> Result<&'a str, LabError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| LabError::Spec(format!("param {key:?} must be a string"))),
-    }
-}
-
-fn p_bool(params: &Json, key: &str, default: bool) -> Result<bool, LabError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| LabError::Spec(format!("param {key:?} must be a boolean"))),
-    }
-}
-
-fn p_bits(params: &Json, key: &str, default: BitWidth) -> Result<BitWidth, LabError> {
-    match params.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_str() {
-            Some("w2") => Ok(BitWidth::W2),
-            Some("w4") => Ok(BitWidth::W4),
-            Some("w8") => Ok(BitWidth::W8),
-            Some("w16") => Ok(BitWidth::W16),
-            _ => Err(LabError::Spec(format!(
-                "param {key:?} must be one of \"w2\"|\"w4\"|\"w8\"|\"w16\""
-            ))),
-        },
-    }
-}
-
-fn model_config(params: &Json, def: (usize, usize, usize, usize)) -> Result<ModelConfig, LabError> {
+fn model_config(p: &Fields, def: (usize, usize, usize, usize)) -> Result<ModelConfig, LabError> {
     let (layers, d_model, heads, seq_len) = def;
     Ok(ModelConfig::tiny()
-        .with_layers(p_usize(params, "layers", layers)?)
-        .with_d_model(
-            p_usize(params, "d_model", d_model)?,
-            p_usize(params, "heads", heads)?,
-        )
-        .with_seq_len(p_usize(params, "seq_len", seq_len)?))
+        .with_layers(p.usize_or("layers", layers)?)
+        .with_d_model(p.usize_or("d_model", d_model)?, p.usize_or("heads", heads)?)
+        .with_seq_len(p.usize_or("seq_len", seq_len)?))
 }
 
 fn trial(e: impl std::fmt::Display) -> LabError {
@@ -223,15 +167,15 @@ fn rebuild_window(
 }
 
 fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
-    check_keys(params, SPEC_KEYS)?;
-    let cfg = model_config(params, (2, 32, 4, 48))?;
-    let train_steps = p_usize(params, "train_steps", 40)?;
-    let cycle = p_usize(params, "cycle", 7)?.max(1);
-    let prompt_len = p_usize(params, "prompt_len", 3)?.max(1);
-    let n_new = p_usize(params, "decode_tokens", 32)?;
-    let mode = p_str(params, "mode", "greedy")?;
-    let depth = p_usize(params, "depth", 1)?;
-    let k = p_usize(params, "k", 4)?;
+    let p = Fields::new(params, "params", SPEC_KEYS)?;
+    let cfg = model_config(&p, (2, 32, 4, 48))?;
+    let train_steps = p.usize_or("train_steps", 40)?;
+    let cycle = p.usize_or("cycle", 7)?.max(1);
+    let prompt_len = p.usize_or("prompt_len", 3)?.max(1);
+    let n_new = p.usize_or("decode_tokens", 32)?;
+    let mode = p.str_or("mode", "greedy")?;
+    let depth = p.usize_or("depth", 1)?;
+    let k = p.usize_or("k", 4)?;
     if mode != "greedy" && mode != "spec" {
         return Err(LabError::Spec(format!(
             "param \"mode\" must be \"greedy\" or \"spec\", got {mode:?}"
@@ -339,14 +283,14 @@ const TENANT_KEYS: &[&str] = &[
 ];
 
 fn run_tenants(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
-    check_keys(params, TENANT_KEYS)?;
-    let cfg = model_config(params, (2, 64, 4, 32))?;
-    let bits = p_bits(params, "bits", BitWidth::W4)?;
-    let prune_ratio = p_f32(params, "prune_ratio", 0.25)?;
-    let tenants = p_usize(params, "tenants", 1)?.max(1);
-    let sessions = p_usize(params, "sessions", 16)?;
-    let max_batch = p_usize(params, "max_batch", 4)?;
-    let rank = p_usize(params, "adapter_rank", 1)?;
+    let p = Fields::new(params, "params", TENANT_KEYS)?;
+    let cfg = model_config(&p, (2, 64, 4, 32))?;
+    let bits = p_bits(&p, "bits", BitWidth::W4)?;
+    let prune_ratio = p.f64_or("prune_ratio", 0.25)? as f32;
+    let tenants = p.usize_or("tenants", 1)?.max(1);
+    let sessions = p.usize_or("sessions", 16)?;
+    let max_batch = p.usize_or("max_batch", 4)?;
+    let rank = p.usize_or("adapter_rank", 1)?;
 
     let key = format!(
         "tenants/{seed}/{}x{}h{}s{}/{bits:?}@{prune_ratio}",
@@ -442,9 +386,9 @@ const FLEET_KEYS: &[&str] = &[
 ];
 
 fn run_fleet_family(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
-    check_keys(params, FLEET_KEYS)?;
-    let cfg = model_config(params, (2, 32, 4, 32))?;
-    let scenario_name = p_str(params, "scenario", "steady")?;
+    let p = Fields::new(params, "params", FLEET_KEYS)?;
+    let cfg = model_config(&p, (2, 32, 4, 32))?;
+    let scenario_name = p.str_or("scenario", "steady")?;
     let mut spec = ScenarioSpec::builtin(scenario_name).ok_or_else(|| {
         LabError::Spec(format!(
             "unknown scenario {scenario_name:?} (one of: {})",
@@ -452,11 +396,11 @@ fn run_fleet_family(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         ))
     })?;
     spec.seed = seed;
-    spec.sessions = p_usize(params, "sessions", spec.sessions)?;
-    spec.span_ticks = p_usize(params, "span_ticks", spec.span_ticks as usize)? as u64;
+    spec.sessions = p.usize_or("sessions", spec.sessions)?;
+    spec.span_ticks = p.usize_or("span_ticks", spec.span_ticks as usize)? as u64;
     spec.max_new_tokens = (
-        p_usize(params, "max_new_min", spec.max_new_tokens.0)?,
-        p_usize(params, "max_new_max", spec.max_new_tokens.1)?,
+        p.usize_or("max_new_min", spec.max_new_tokens.0)?,
+        p.usize_or("max_new_max", spec.max_new_tokens.1)?,
     );
     let (lo, hi) = spec.max_new_tokens;
     if lo > hi {
@@ -464,24 +408,15 @@ fn run_fleet_family(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
             "param \"max_new_min\" ({lo}) must not exceed \"max_new_max\" ({hi})"
         )));
     }
-    spec.tenants = p_usize(params, "tenants", spec.tenants)?;
+    spec.tenants = p.usize_or("tenants", spec.tenants)?;
     let fleet_cfg = FleetConfig {
-        workers: p_usize(params, "workers", 1)?.max(1),
-        batch_per_worker: p_usize(params, "batch_per_worker", 4)?,
-        queue_depth: p_usize(params, "queue_depth", 64)?,
-        max_retries: p_usize(params, "max_retries", 2)?,
-        slo_queue_ticks: match params.get("slo_queue_ticks") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_i64()
-                    .filter(|i| *i >= 0)
-                    .map(|i| i as u64)
-                    .ok_or_else(|| {
-                        LabError::Spec(
-                            "param \"slo_queue_ticks\" must be a non-negative integer".into(),
-                        )
-                    })?,
-            ),
+        workers: p.usize_or("workers", 1)?.max(1),
+        batch_per_worker: p.usize_or("batch_per_worker", 4)?,
+        queue_depth: p.usize_or("queue_depth", 64)?,
+        max_retries: p.usize_or("max_retries", 2)?,
+        slo_queue_ticks: match p.get("slo_queue_ticks") {
+            Some(Json::Null) => None,
+            _ => p.opt_u64("slo_queue_ticks")?,
         },
         faults: spec.faults.clone(),
     };
@@ -578,14 +513,14 @@ const IGEMM_KEYS: &[&str] = &[
 ];
 
 fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
-    check_keys(params, IGEMM_KEYS)?;
-    let cfg = model_config(params, (4, 64, 4, 4))?;
-    let bits = p_bits(params, "bits", BitWidth::W4)?;
-    let sparsity = p_f32(params, "sparsity", 0.25)?;
-    let integer = p_bool(params, "integer", true)?;
-    let pack = p_bool(params, "pack", true)?;
-    let n_tokens = p_usize(params, "decode_tokens", 32)?;
-    let rows = p_usize(params, "rows", 1)?.max(1);
+    let p = Fields::new(params, "params", IGEMM_KEYS)?;
+    let cfg = model_config(&p, (4, 64, 4, 4))?;
+    let bits = p_bits(&p, "bits", BitWidth::W4)?;
+    let sparsity = p.f64_or("sparsity", 0.25)? as f32;
+    let integer = p.bool_or("integer", true)?;
+    let pack = p.bool_or("pack", true)?;
+    let n_tokens = p.usize_or("decode_tokens", 32)?;
+    let rows = p.usize_or("rows", 1)?.max(1);
 
     // No model cache here: the datapath knobs (integer, pack) live on
     // the model itself, and building an uncompressed tiny model is
@@ -684,20 +619,15 @@ fn disabled_ns_per_point() -> f64 {
 /// probes on) precede `steps` timed ones, so every arm applies the same
 /// update sequence and the parameter checksum is comparable across them.
 fn run_tune(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
-    check_keys(params, TUNE_KEYS)?;
-    let cfg = model_config(params, (2, 32, 4, 4))?;
-    let policy = match params.get("policy") {
+    let p = Fields::new(params, "params", TUNE_KEYS)?;
+    let cfg = model_config(&p, (2, 32, 4, 4))?;
+    let policy = match p.get("policy") {
         None => CompressionPolicy::uniform(cfg.n_layers, BitWidth::W4, 0.25),
-        Some(v) => {
-            let text = v
-                .as_str()
-                .ok_or_else(|| LabError::Spec("param \"policy\" must be a string".into()))?;
-            CompressionPolicy::parse_compact(text)
-                .map_err(|e| LabError::Spec(format!("param \"policy\": {e}")))?
-        }
+        Some(_) => CompressionPolicy::parse_compact(p.str("policy")?)
+            .map_err(|e| LabError::Spec(format!("param \"policy\": {e}")))?,
     };
-    let steps = p_usize(params, "steps", 8)?.max(1);
-    let recording = p_bool(params, "recording", true)?;
+    let steps = p.usize_or("steps", 8)?.max(1);
+    let recording = p.bool_or("recording", true)?;
 
     let mut rng = TensorRng::seed_from(seed);
     let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;

@@ -27,17 +27,22 @@
 //!   deterministic values, spec-declared tolerance bands for timing —
 //!   so regression gates never drift from what the code produces.
 //!
+//! Records are JSON, written and read through the workspace's one JSON
+//! value, `edge_llm_telemetry::Json` (re-exported here as [`Json`]); a
+//! spec's fields and a family's params are read through one typed reader
+//! that refuses keys it does not know. The schema golden
+//! (`tests/golden_schemas.rs`) snapshots the records a real run wrote.
+//!
 //! The CLI surface is `edgellm lab run|analyze|check`;
 //! `scripts/verify.sh` runs every committed `experiments/*.jsonl` and
 //! gates it against its generated `experiments/baselines/<name>.json`.
 
 pub mod analysis;
 pub mod families;
-pub mod json;
 pub mod runner;
 pub mod schemas;
 
 pub use analysis::{analyze_run, check_run, AnalysisReport, CheckReport, Summary};
-pub use json::{Json, JsonError};
+pub use edge_llm_telemetry::{Json, JsonError};
 pub use runner::{run_experiment, RunOptions, RunOutcome};
 pub use schemas::{ExperimentSpec, Family, GateSpec, LabError, OracleSpec, TaskSpec, Variant};

@@ -29,12 +29,12 @@
 
 use crate::analysis;
 use crate::families::run_family;
-use crate::json::Json;
 use crate::schemas::{
     check_name, ExperimentSpec, LabError, RUN_SUMMARY_SCHEMA, TRIAL_INPUT_SCHEMA,
     TRIAL_OUTPUT_SCHEMA, TRIAL_TIMING_SCHEMA,
 };
 use edge_llm_telemetry as telemetry;
+use edge_llm_telemetry::Json;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -192,7 +192,7 @@ fn execute_trial(
     let mut det_counters = Vec::new();
     let mut wall_counters = Vec::new();
     for (name, total) in &totals {
-        let pair = (*name, Json::Int(*total as i64));
+        let pair = (*name, Json::uint(*total));
         if DETERMINISTIC_COUNTERS.iter().any(|p| name.starts_with(p)) {
             det_counters.push(pair);
         } else {
@@ -206,7 +206,7 @@ fn execute_trial(
                 *name,
                 Json::obj(vec![
                     ("count", Json::Int(*count as i64)),
-                    ("total_ns", Json::Int(*total_ns as i64)),
+                    ("total_ns", Json::uint(*total_ns)),
                 ]),
             )
         })

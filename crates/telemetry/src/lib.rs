@@ -15,7 +15,11 @@
 //!   *exact* span trees;
 //! * **A JSON-lines sink** — [`write_jsonl`] serializes a trace for
 //!   offline analysis (the CLI writes it behind `--trace-out` /
-//!   `EDGELLM_TRACE`).
+//!   `EDGELLM_TRACE`), one [`Json`] object per event;
+//! * **The workspace's one JSON value** — [`Json`]: parser (nesting
+//!   bounded, errors typed), deterministic compact/pretty writer and
+//!   string escaper. The lab re-exports it for every spec, trial record,
+//!   analysis row and baseline it reads or writes.
 //!
 //! # Disabled-by-default, provably cheap
 //!
@@ -51,16 +55,18 @@
 //! ```
 
 mod clock;
+mod json;
 mod record;
 mod sink;
 mod summary;
 mod tree;
 
 pub use clock::{Clock, FakeClock, MonotonicClock};
+pub use json::{Json, JsonError};
 pub use record::{
     counter, disable, enable, is_enabled, now_ns, span, take_events, timed, Event, SpanGuard,
     ThreadId, Timed,
 };
-pub use sink::{env_trace_path, write_json_string, write_jsonl, TRACE_ENV_VAR};
+pub use sink::{env_trace_path, write_jsonl, TRACE_ENV_VAR};
 pub use summary::{nearest_rank_index, LatencySummary};
 pub use tree::{aggregate_span_ns, counter_totals, span_tree, SpanNode};

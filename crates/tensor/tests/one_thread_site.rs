@@ -9,6 +9,10 @@
 //! `forward_no_cache`, and GELU is applied once without caches (the walk,
 //! `gelu_forward`) and once with (`Mlp::forward`, `gelu_forward_train`). A
 //! second frozen block needs one or the other.
+//!
+//! "Who writes JSON?" — `edge_llm_telemetry::Json`: non-test code under
+//! `crates/*/src` escapes a JSON string only in
+//! `crates/telemetry/src/json.rs`, and nowhere hand-formats a JSON object.
 
 use std::path::{Path, PathBuf};
 
@@ -19,6 +23,11 @@ const BLOCK_NEEDLES: [&str; 3] = [
     "gelu_forward(",
     "gelu_forward_train(",
 ];
+
+const JSON: &str = "telemetry/src/json.rs";
+/// A string escaper writes an escaped quote and `\u00XX` escapes; a
+/// hand-formatted object opens on a quoted key, in a plain or raw string.
+const JSON_NEEDLES: [&str; 4] = [r#""\\\"""#, r"\\u{:04x}", r#"{\""#, r#"r#"{""#];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
@@ -46,8 +55,8 @@ fn hits(source: &str, needles: &'static [&'static str]) -> Vec<(&'static str, us
         .collect()
 }
 
-#[test]
-fn threads_are_created_in_fan_out_and_nowhere_else() {
+/// Every `.rs` file under `crates/*/src`.
+fn product_files() -> Vec<PathBuf> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut files = Vec::new();
     for entry in std::fs::read_dir(&crates).expect("crates/ is readable") {
@@ -57,6 +66,12 @@ fn threads_are_created_in_fan_out_and_nowhere_else() {
         }
     }
     assert!(files.len() > 50, "scan found only {} files", files.len());
+    files
+}
+
+#[test]
+fn threads_are_created_in_fan_out_and_nowhere_else() {
+    let files = product_files();
     let mut pool_hits = Vec::new();
     for file in &files {
         let found = hits(
@@ -123,6 +138,46 @@ fn the_scan_sees_a_pasted_second_block_body() {
             ("fn forward_no_cache", 3),
             ("gelu_forward(", 5),
             ("gelu_forward_train(", 6)
+        ]
+    );
+}
+
+#[test]
+fn json_is_written_once() {
+    let mut json_hits = Vec::new();
+    for file in &product_files() {
+        let found = hits(
+            &std::fs::read_to_string(file).expect("readable source"),
+            &JSON_NEEDLES,
+        );
+        if file.ends_with(JSON) {
+            json_hits = found;
+        } else {
+            assert!(found.is_empty(), "{}: {found:?}", file.display());
+        }
+    }
+    let needles: Vec<&str> = json_hits.iter().map(|(n, _)| *n).collect();
+    assert_eq!(needles, JSON_NEEDLES[..2], "{JSON}: {json_hits:?}");
+}
+
+#[test]
+fn the_scan_sees_a_pasted_second_json_writer() {
+    let source = r##"// writes {\"type\": ...} lines
+fn quote(out: &mut String, c: char) {
+    match c { '"' => out.push_str("\\\""), c => out.push_str(&format!("\\u{:04x}", c as u32)) }
+}
+fn event(id: u64) -> String { format!("{{\"id\":{id}}}") }
+const ROW: &str = r#"{"a": 1}"#;
+#[cfg(test)]
+mod tests { const T: &str = "{\"a\":1}"; }
+"##;
+    assert_eq!(
+        hits(source, &JSON_NEEDLES),
+        vec![
+            (JSON_NEEDLES[0], 3),
+            (JSON_NEEDLES[1], 3),
+            (JSON_NEEDLES[2], 5),
+            (JSON_NEEDLES[3], 6)
         ]
     );
 }
