@@ -21,6 +21,7 @@
 //! ```
 
 use crate::rng::TensorRng;
+use crate::tensor::Tensor;
 
 /// Per-case value source handed to the property closure.
 pub struct Gen {
@@ -95,6 +96,31 @@ pub fn run_cases<F: FnMut(&mut Gen)>(label: &str, cases: usize, mut f: F) {
             panic!("property `{label}` failed at case {case}/{cases} (seed {seed:#018x}): {msg}");
         }
     }
+}
+
+/// The product every f32 matmul layout is defined by: `a · b`, each
+/// output element one accumulator from `0.0` adding `a[i][p] * b[p][j]` in
+/// ascending `p` — no blocking and no zero skip. A test reference, never a
+/// product route; the transposed layouts compare against it on an explicit
+/// transpose.
+///
+/// # Panics
+///
+/// Panics unless `a.cols() == b.rows()`.
+pub fn scalar_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    assert_eq!(a.cols(), b.rows(), "scalar_matmul: inner dimensions differ");
+    let ((m, k), n) = (a.shape(), b.cols());
+    let mut out = Tensor::zeros(m, n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for p in 0..k {
+                acc += a.get(i, p) * b.get(p, j);
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -5,17 +5,18 @@
 //! shape, including ragged shapes divisible by neither the cache tile nor
 //! the worker count. The harness diffs:
 //!
-//! * `A · B` under [`MatmulKernel::BlockedParallel`] against the naive
-//!   triple-loop oracle and the serial blocked kernel,
+//! * `A · B` under [`MatmulKernel::BlockedParallel`] against the scalar
+//!   dot ([`scalar_matmul`]) and the serial blocked kernel,
 //! * `Aᵀ · B` and `A · Bᵀ` under explicit worker counts against their
-//!   serial (`threads = 1`) runs and a transpose-then-naive reference.
+//!   serial (`threads = 1`) runs and the scalar dot on an explicit
+//!   transpose.
 //!
 //! Exact equality holds structurally: each output element accumulates its
 //! reduction in ascending index order no matter how output rows are
 //! partitioned into panels, so thread count can change wall-clock but
 //! never a single bit of the result.
 
-use edge_llm_tensor::check::{run_cases, Gen};
+use edge_llm_tensor::check::{run_cases, scalar_matmul, Gen};
 use edge_llm_tensor::{matmul_a_bt_with, matmul_at_b_with, MatmulKernel, Tensor, TensorRng};
 
 /// Worker counts exercised per case: serial, even, odd, and more workers
@@ -50,7 +51,7 @@ fn blocked_parallel_matches_naive_oracle_exactly() {
     run_cases("A*B parallel vs naive oracle", 96, |g| {
         let (m, k, n) = (dim(g), dim(g), dim(g));
         let (a, b) = operands(g, m, k, n);
-        let oracle = a.matmul_with(&b, MatmulKernel::Naive).unwrap();
+        let oracle = scalar_matmul(&a, &b);
         let serial = a.matmul_with(&b, MatmulKernel::Blocked).unwrap();
         assert_eq!(oracle.as_slice(), serial.as_slice(), "{m}x{k}x{n} blocked");
         for t in THREADS {
@@ -73,7 +74,7 @@ fn blocked_parallel_is_exact_above_the_work_cutoff() {
     for (i, &(m, k, n)) in LARGE.iter().enumerate() {
         let mut g = Gen::new(0xC0FFEE ^ i as u64);
         let (a, b) = operands(&mut g, m, k, n);
-        let oracle = a.matmul_with(&b, MatmulKernel::Naive).unwrap();
+        let oracle = scalar_matmul(&a, &b);
         for t in THREADS {
             let par = a
                 .matmul_with(&b, MatmulKernel::BlockedParallel { threads: t })
@@ -95,7 +96,7 @@ fn at_b_parallel_matches_serial_and_transpose_oracle_exactly() {
         // A is k x m: matmul_at_b computes the m x n product Aᵀ · B
         let a = Tensor::randn(k, m, 1.0, &mut rng);
         let b = Tensor::randn(k, n, 1.0, &mut rng);
-        let oracle = a.transpose().matmul_with(&b, MatmulKernel::Naive).unwrap();
+        let oracle = scalar_matmul(&a.transpose(), &b);
         let serial = matmul_at_b_with(&a, &b, 1).unwrap();
         assert_eq!(oracle.as_slice(), serial.as_slice(), "{m}x{k}x{n} serial");
         for t in THREADS {
@@ -117,7 +118,7 @@ fn a_bt_parallel_matches_serial_and_transpose_oracle_exactly() {
         // B is n x k: matmul_a_bt computes the m x n product A · Bᵀ
         let a = Tensor::randn(m, k, 1.0, &mut rng);
         let b = Tensor::randn(n, k, 1.0, &mut rng);
-        let oracle = a.matmul_with(&b.transpose(), MatmulKernel::Naive).unwrap();
+        let oracle = scalar_matmul(&a, &b.transpose());
         let serial = matmul_a_bt_with(&a, &b, 1).unwrap();
         assert_eq!(oracle.as_slice(), serial.as_slice(), "{m}x{k}x{n} serial");
         for t in THREADS {
