@@ -70,9 +70,9 @@ fn transposed_kernels_agree_with_explicit_transpose() {
         let mut rng = TensorRng::seed_from(g.u64());
         let a = Tensor::randn(k, m, 1.0, &mut rng);
         let b = Tensor::randn(k, n, 1.0, &mut rng);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let fast = matmul_at_b(&a, &b).unwrap();
-        let slow = a.transpose().matmul(&b).unwrap();
-        assert!(fast.approx_eq(&slow, 1e-3));
+        assert_eq!(bits(&scalar_matmul(&a.transpose(), &b)), bits(&fast));
         let c = Tensor::randn(m, k, 1.0, &mut rng);
         let d = Tensor::randn(n, k, 1.0, &mut rng);
         let fast2 = matmul_a_bt(&c, &d).unwrap();
@@ -81,7 +81,6 @@ fn transposed_kernels_agree_with_explicit_transpose() {
         let slow2 = c
             .matmul_with(&d.transpose(), MatmulKernel::Blocked)
             .unwrap();
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast2), bits(&slow2));
     });
 }
