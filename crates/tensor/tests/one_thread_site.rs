@@ -13,6 +13,11 @@
 //! "Who writes JSON?" — `edge_llm_telemetry::Json`: non-test code under
 //! `crates/*/src` escapes a JSON string only in
 //! `crates/telemetry/src/json.rs`, and nowhere hand-formats a JSON object.
+//!
+//! "Who computes `tanh`?" — `ops::tanh`, fdlibm's `tanhf` written out in
+//! `crates/tensor/src/ops.rs`: non-test code under `crates/*/src` calls no
+//! platform `tanh`, as a method or by path, so every GELU bit comes from
+//! that one function and none from the host's libm.
 
 use std::path::{Path, PathBuf};
 
@@ -28,6 +33,8 @@ const JSON: &str = "telemetry/src/json.rs";
 /// A string escaper writes an escaped quote and `\u00XX` escapes; a
 /// hand-formatted object opens on a quoted key, in a plain or raw string.
 const JSON_NEEDLES: [&str; 4] = [r#""\\\"""#, r"\\u{:04x}", r#"{\""#, r#"r#"{""#];
+
+const TANH_NEEDLES: [&str; 2] = [".tanh()", "::tanh"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
@@ -179,5 +186,28 @@ mod tests { const T: &str = "{\"a\":1}"; }
             (JSON_NEEDLES[2], 5),
             (JSON_NEEDLES[3], 6)
         ]
+    );
+}
+
+#[test]
+fn tanh_is_computed_in_ops_and_nowhere_else() {
+    for file in &product_files() {
+        let found = hits(
+            &std::fs::read_to_string(file).expect("readable source"),
+            &TANH_NEEDLES,
+        );
+        assert!(found.is_empty(), "{}: {found:?}", file.display());
+    }
+}
+
+#[test]
+fn the_scan_sees_a_pasted_platform_tanh_but_not_tests_or_comments() {
+    let source = "/// Like `v.tanh()`, faster.\n\
+                  fn gelu(v: f32) -> f32 { 0.5 * v * (1.0 + (0.8 * v).tanh()) }\n\
+                  fn all(x: &[f32]) -> Vec<f32> { x.iter().copied().map(f32::tanh).collect() }\n\
+                  #[cfg(test)]\nmod tests { fn g(v: f32) -> f32 { v.tanh() } }\n";
+    assert_eq!(
+        hits(source, &TANH_NEEDLES),
+        vec![(".tanh()", 2), ("::tanh", 3)]
     );
 }
