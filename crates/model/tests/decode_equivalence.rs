@@ -644,8 +644,11 @@ fn decode_output_bits_are_pinned_for_dense_packed_and_integer_models() {
 
 /// The tuner's frozen prefix, held by name: every logit bit of
 /// `forward_exit` to the last exit with 0, 1 and 2 blocks below the
-/// window, then every parameter bit after six depth-1 round-robin steps
-/// (windows at layers 0, 1, 2, twice — prefixes of 0, 1 and 2 blocks).
+/// window, then each step's loss and activation bytes over six depth-1
+/// round-robin steps (windows at layers 0, 1, 2, twice — prefixes of 0, 1
+/// and 2 blocks) and four depth-2 ones (windows at 0..2 and 1..3, twice:
+/// two trained blocks entering at the embedding and above it), then every
+/// parameter bit.
 fn prefix_digest(model: &mut EdgeModel) -> u64 {
     let cfg = model.config().clone();
     let last = model.n_layers() - 1;
@@ -657,11 +660,14 @@ fn prefix_digest(model: &mut EdgeModel) -> u64 {
         let fwd = model.forward_exit(&tokens, 2, last, grad_from).unwrap();
         h.floats(fwd.logits.as_slice());
     }
-    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
     let mut opt = Sgd::new(0.05);
-    for _ in 0..6 {
-        let report = tuner.step(model, &mut opt, &tokens, &tokens, 2).unwrap();
-        h.word(report.loss.to_bits());
+    for (depth, steps) in [(1, 6), (2, 4)] {
+        let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth });
+        for _ in 0..steps {
+            let report = tuner.step(model, &mut opt, &tokens, &tokens, 2).unwrap();
+            h.word(report.loss.to_bits());
+            h.word(report.activation_bytes as u32);
+        }
     }
     model.visit_params_all_ro(&mut |id, p| {
         h.word(id as u32);
@@ -672,9 +678,12 @@ fn prefix_digest(model: &mut EdgeModel) -> u64 {
 
 #[test]
 fn frozen_prefix_bits_are_pinned_for_dense_and_compressed_models() {
-    // Recorded at the commit before the prefix moved onto the decode
-    // walk: every bit is held to what the full-window frozen block
-    // computed, by name and not only through the report goldens.
+    // Re-recorded, with each step's activation bytes and the depth-2 run
+    // folded in, at the commit before the window's blocks moved onto the
+    // decode walk: every bit is held to what the training forward computed
+    // then, by name and not only through the report goldens. (The digest
+    // they replaced, recorded before the prefix moved onto the walk,
+    // passed unchanged up to that commit.)
     let _guard = KNOB.lock().unwrap();
     let saved = configured_threads();
     let three_layers = |seed: u64| {
@@ -694,8 +703,8 @@ fn frozen_prefix_bits_are_pinned_for_dense_and_compressed_models() {
     };
     type Build<'a> = &'a dyn Fn(u64) -> EdgeModel;
     let cases: [(&str, Build, u64, u64); 2] = [
-        ("dense", &three_layers, 60, 0x6a9c_6d40_04f5_91c1),
-        ("w4 + 40% mask", &compressed, 61, 0xadf8_51dd_0d2d_b36a),
+        ("dense", &three_layers, 60, 0xf91c_ab09_107f_889f),
+        ("w4 + 40% mask", &compressed, 61, 0x3a01_ea84_51d5_6981),
     ];
     for (name, build, seed, want) in cases {
         for threads in [1usize, 2] {
