@@ -1,55 +1,26 @@
+use crate::block::BlockTape;
 use crate::error::ModelError;
-use crate::linear::{Linear, LinearCache};
+use crate::linear::Linear;
 use edge_llm_tensor::{
-    matmul_a_bt_with, matmul_at_b_with, pool, softmax_backward, softmax_rows, MatmulKernel, Tensor,
-    TensorRng,
+    matmul_a_bt_with, matmul_at_b_with, pool, softmax_backward, MatmulKernel, Tensor, TensorRng,
 };
 
-/// Causal multi-head self-attention — the *training* attention.
+/// Causal multi-head self-attention.
 ///
 /// Input and output are `(batch * seq) x d_model` row-major token matrices.
 /// The QKV projection is a single fused [`Linear`] (`d_model -> 3 d_model`)
 /// followed by per-head scaled dot-product attention with a causal mask and
-/// an output projection. [`Attention::forward`] keeps what backward needs;
-/// a block that is not training attends in the decode walk
-/// (`crate::batched`) instead, whose scalar loops give the same bits.
+/// an output projection. The forward is the decode walk's
+/// (`crate::batched`), which attends in scalar loops over each row's causal
+/// prefix and, for a block in the training window, records the `qkv`
+/// output and the probabilities in the block's [`BlockTape`];
+/// [`Attention::backward`] reads them.
 #[derive(Debug, Clone)]
 pub struct Attention {
     pub(crate) qkv: Linear,
     pub(crate) proj: Linear,
     n_heads: usize,
     d_model: usize,
-}
-
-/// Per-step activations cached by [`Attention::forward`].
-#[derive(Debug, Clone)]
-pub struct AttentionCache {
-    qkv_cache: LinearCache,
-    proj_cache: LinearCache,
-    /// Post-softmax attention matrices, one per `(batch, head)`.
-    att: Vec<Tensor>,
-    /// Per-(batch, head) value matrices `(seq, head_dim)`.
-    v: Vec<Tensor>,
-    /// Per-(batch, head) query/key matrices, needed for score gradients.
-    q: Vec<Tensor>,
-    k: Vec<Tensor>,
-    batch: usize,
-    seq: usize,
-}
-
-impl AttentionCache {
-    /// Approximate bytes held alive by this cache.
-    pub fn bytes(&self) -> usize {
-        let per_tensor: usize = self
-            .att
-            .iter()
-            .chain(self.v.iter())
-            .chain(self.q.iter())
-            .chain(self.k.iter())
-            .map(|t| t.len() * 4)
-            .sum();
-        per_tensor + self.qkv_cache.bytes() + self.proj_cache.bytes()
-    }
 }
 
 impl Attention {
@@ -69,157 +40,60 @@ impl Attention {
         (&self.qkv, &self.proj)
     }
 
-    /// Forward pass over `batch` sequences of length `seq`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::BadBatch`] if `x.rows() != batch * seq`, and
-    /// propagates kernel shape errors.
-    pub fn forward(
-        &self,
-        x: &Tensor,
-        batch: usize,
-        seq: usize,
-    ) -> Result<(Tensor, AttentionCache), ModelError> {
-        if x.rows() != batch * seq || x.cols() != self.d_model {
-            return Err(ModelError::BadBatch {
-                expected: batch * seq,
-                actual: x.rows(),
-            });
-        }
-        let hs = self.d_model / self.n_heads;
-        let scale = 1.0 / (hs as f32).sqrt();
-        let (qkv_out, qkv_cache) = self.qkv.forward(x)?;
-        let mut concat = Tensor::zeros(batch * seq, self.d_model);
-        let mut att_all = Vec::new();
-        let mut v_all = Vec::new();
-        let mut q_all = Vec::new();
-        let mut k_all = Vec::new();
-        // Each (batch, head) pair is independent; fan them out over the
-        // pool and merge in index order so the result is bit-identical
-        // for every thread count. Inner matmuls stay serial — the
-        // parallelism lives at head granularity.
-        // Each head costs `2 · seq² · hs` MACs: `q·kᵀ`, then `att·v`.
-        let items = batch * self.n_heads;
-        let workers = pool::workers(0, items * 2 * seq * seq * hs, items);
-        let heads = pool::parallel_map(items, workers, |idx| {
-            let (b, h) = (idx / self.n_heads, idx % self.n_heads);
-            let (q, k, v) = split_head(&qkv_out, b, seq, h, hs, self.d_model);
-            let mut scores = matmul_a_bt_with(&q, &k, 1)?;
-            scores.scale_in_place(scale);
-            apply_causal_mask(&mut scores);
-            let att = softmax_rows(&scores);
-            let y = att.matmul_with(&v, MatmulKernel::Blocked)?;
-            Ok::<_, ModelError>((q, k, v, att, y))
-        });
-        for (idx, head) in heads.into_iter().enumerate() {
-            let (b, h) = (idx / self.n_heads, idx % self.n_heads);
-            let (q, k, v, att, y) = head?;
-            write_head(&mut concat, &y, b, seq, h, hs);
-            att_all.push(att);
-            v_all.push(v);
-            q_all.push(q);
-            k_all.push(k);
-        }
-        let (out, proj_cache) = self.proj.forward(&concat)?;
-        let cache = AttentionCache {
-            qkv_cache,
-            proj_cache,
-            att: att_all,
-            v: v_all,
-            q: q_all,
-            k: k_all,
-            batch,
-            seq,
-        };
-        Ok((out, cache))
-    }
-
-    /// Backward pass: accumulates projection gradients, returns `dx`.
+    /// Backward pass from the attention fields of `tape`: accumulates
+    /// projection gradients, returns `dx`.
     ///
     /// # Errors
     ///
     /// Propagates kernel shape errors.
-    pub fn backward(
-        &mut self,
-        cache: &AttentionCache,
-        dout: &Tensor,
-    ) -> Result<Tensor, ModelError> {
-        let hs = self.d_model / self.n_heads;
+    pub fn backward(&mut self, tape: &BlockTape, dout: &Tensor) -> Result<Tensor, ModelError> {
+        let (c, hs) = (self.d_model, self.d_model / self.n_heads);
         let scale = 1.0 / (hs as f32).sqrt();
-        let (batch, seq) = (cache.batch, cache.seq);
-        let dconcat = self.proj.backward(&cache.proj_cache, dout)?;
-        let mut dqkv = Tensor::zeros(batch * seq, 3 * self.d_model);
-        // Same head-level fan-out as the forward pass: gradients for each
-        // (batch, head) are computed on the pool, then scattered serially
-        // in index order (the scatter interleaves columns of shared rows,
-        // so it is not panel-disjoint).
-        let items = batch * self.n_heads;
+        let seq = tape.probs.first().map_or(0, Tensor::rows);
+        let dconcat = self.proj.backward(&tape.proj, dout)?;
+        let mut dqkv = Tensor::zeros(dconcat.rows(), 3 * c);
+        // Gradients for each (batch, head) are computed on the pool, then
+        // scattered serially in index order (the scatter interleaves
+        // columns of shared rows, so it is not panel-disjoint).
+        // Each head costs `2 · seq² · hs` MACs: `q·kᵀ`, then `att·v`.
+        let items = tape.probs.len();
         let workers = pool::workers(0, items * 2 * seq * seq * hs, items);
         let grads = pool::parallel_map(items, workers, |idx| {
-            let att = &cache.att[idx];
-            let v = &cache.v[idx];
-            let q = &cache.q[idx];
-            let k = &cache.k[idx];
+            let att = &tape.probs[idx];
             let (b, h) = (idx / self.n_heads, idx % self.n_heads);
-            let dy = read_head(&dconcat, b, seq, h, hs);
+            let [q, k, v] = [0, c, 2 * c].map(|at| read_head(&tape.qkv_out, b, seq, h, hs, at));
+            let dy = read_head(&dconcat, b, seq, h, hs, 0);
             // y = att · v
-            let datt = matmul_a_bt_with(&dy, v, 1)?;
+            let datt = matmul_a_bt_with(&dy, &v, 1)?;
             let dv = matmul_at_b_with(att, &dy, 1)?;
             // att = softmax(scores); masked entries have att == 0 so
             // their score gradient is identically zero.
             let mut ds = softmax_backward(att, &datt)?;
             ds.scale_in_place(scale);
             // scores = q · kᵀ (pre-scale)
-            let dq = ds.matmul_with(k, MatmulKernel::Blocked)?;
-            let dk = matmul_at_b_with(&ds, q, 1)?;
+            let dq = ds.matmul_with(&k, MatmulKernel::Blocked)?;
+            let dk = matmul_at_b_with(&ds, &q, 1)?;
             Ok::<_, ModelError>((dq, dk, dv))
         });
         for (idx, grad) in grads.into_iter().enumerate() {
             let (b, h) = (idx / self.n_heads, idx % self.n_heads);
             let (dq, dk, dv) = grad?;
             scatter_head(&mut dqkv, &dq, b, seq, h, hs, 0);
-            scatter_head(&mut dqkv, &dk, b, seq, h, hs, self.d_model);
-            scatter_head(&mut dqkv, &dv, b, seq, h, hs, 2 * self.d_model);
+            scatter_head(&mut dqkv, &dk, b, seq, h, hs, c);
+            scatter_head(&mut dqkv, &dv, b, seq, h, hs, 2 * c);
         }
-        let dx = self.qkv.backward(&cache.qkv_cache, &dqkv)?;
+        let dx = self.qkv.backward(&tape.qkv, &dqkv)?;
         Ok(dx)
     }
 }
 
-fn split_head(
-    qkv: &Tensor,
-    b: usize,
-    seq: usize,
-    h: usize,
-    hs: usize,
-    d_model: usize,
-) -> (Tensor, Tensor, Tensor) {
-    let mut q = Tensor::zeros(seq, hs);
-    let mut k = Tensor::zeros(seq, hs);
-    let mut v = Tensor::zeros(seq, hs);
-    for t in 0..seq {
-        let row = qkv.row(b * seq + t);
-        q.row_mut(t).copy_from_slice(&row[h * hs..(h + 1) * hs]);
-        k.row_mut(t)
-            .copy_from_slice(&row[d_model + h * hs..d_model + (h + 1) * hs]);
-        v.row_mut(t)
-            .copy_from_slice(&row[2 * d_model + h * hs..2 * d_model + (h + 1) * hs]);
-    }
-    (q, k, v)
-}
-
-fn write_head(concat: &mut Tensor, y: &Tensor, b: usize, seq: usize, h: usize, hs: usize) {
-    for t in 0..seq {
-        concat.row_mut(b * seq + t)[h * hs..(h + 1) * hs].copy_from_slice(y.row(t));
-    }
-}
-
-fn read_head(x: &Tensor, b: usize, seq: usize, h: usize, hs: usize) -> Tensor {
+/// Head `h`'s `(seq, hs)` block of sequence `b`, read from the columns at
+/// `offset + h * hs`.
+fn read_head(x: &Tensor, b: usize, seq: usize, h: usize, hs: usize, offset: usize) -> Tensor {
     let mut out = Tensor::zeros(seq, hs);
     for t in 0..seq {
         out.row_mut(t)
-            .copy_from_slice(&x.row(b * seq + t)[h * hs..(h + 1) * hs]);
+            .copy_from_slice(&x.row(b * seq + t)[offset + h * hs..offset + (h + 1) * hs]);
     }
     out
 }
@@ -239,12 +113,61 @@ fn scatter_head(
     }
 }
 
-fn apply_causal_mask(scores: &mut Tensor) {
-    let (rows, cols) = scores.shape();
-    for i in 0..rows {
-        let row = scores.row_mut(i);
-        for v in row.iter_mut().take(cols).skip(i + 1) {
-            *v = -1e30;
+/// The training attention the window ran before it moved onto the layer
+/// walk: the walk's independent reference (see `crate::block::reference`).
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use edge_llm_tensor::softmax_rows;
+
+    impl Attention {
+        /// Attention over `batch` sequences of `seq` rows, filling the
+        /// attention fields of `tape`.
+        pub(crate) fn forward_reference(
+            &self,
+            x: &Tensor,
+            batch: usize,
+            seq: usize,
+            tape: &mut BlockTape,
+        ) -> Result<Tensor, ModelError> {
+            if x.rows() != batch * seq || x.cols() != self.d_model {
+                return Err(ModelError::BadBatch {
+                    expected: batch * seq,
+                    actual: x.rows(),
+                });
+            }
+            let (c, hs) = (self.d_model, self.d_model / self.n_heads);
+            let scale = 1.0 / (hs as f32).sqrt();
+            let (qkv_out, qkv_cache) = self.qkv.forward(x.clone())?;
+            let mut concat = Tensor::zeros(batch * seq, c);
+            let mut probs = Vec::new();
+            for idx in 0..batch * self.n_heads {
+                let (b, h) = (idx / self.n_heads, idx % self.n_heads);
+                let [q, k, v] = [0, c, 2 * c].map(|at| read_head(&qkv_out, b, seq, h, hs, at));
+                let mut scores = matmul_a_bt_with(&q, &k, 1)?;
+                scores.scale_in_place(scale);
+                apply_causal_mask(&mut scores);
+                let att = softmax_rows(&scores);
+                let y = att.matmul_with(&v, MatmulKernel::Blocked)?;
+                scatter_head(&mut concat, &y, b, seq, h, hs, 0);
+                probs.push(att);
+            }
+            let (out, proj_cache) = self.proj.forward(concat)?;
+            tape.qkv = qkv_cache;
+            tape.qkv_out = qkv_out;
+            tape.probs = probs;
+            tape.proj = proj_cache;
+            Ok(out)
+        }
+    }
+
+    fn apply_causal_mask(scores: &mut Tensor) {
+        let (rows, cols) = scores.shape();
+        for i in 0..rows {
+            let row = scores.row_mut(i);
+            for v in row.iter_mut().take(cols).skip(i + 1) {
+                *v = -1e30;
+            }
         }
     }
 }
@@ -254,12 +177,23 @@ mod tests {
     use super::*;
     use edge_llm_quant::{BitWidth, QuantScheme};
 
+    fn forward(
+        attn: &Attention,
+        x: &Tensor,
+        batch: usize,
+        seq: usize,
+    ) -> Result<(Tensor, BlockTape), ModelError> {
+        let mut tape = BlockTape::empty();
+        let y = attn.forward_reference(x, batch, seq, &mut tape)?;
+        Ok((y, tape))
+    }
+
     #[test]
     fn output_shape_matches_input() {
         let mut rng = TensorRng::seed_from(1);
         let attn = Attention::new(16, 4, &mut rng);
         let x = Tensor::randn(2 * 6, 16, 1.0, &mut rng);
-        let (y, _) = attn.forward(&x, 2, 6).unwrap();
+        let (y, _) = forward(&attn, &x, 2, 6).unwrap();
         assert_eq!(y.shape(), (12, 16));
     }
 
@@ -283,8 +217,8 @@ mod tests {
             Some(QuantScheme::asymmetric(BitWidth::W8)),
         ] {
             attn.qkv.set_activation_quant(act);
-            let y1 = attn.forward(&x1, 1, seq).unwrap().0;
-            let y2 = attn.forward(&x2, 1, seq).unwrap().0;
+            let y1 = forward(&attn, &x1, 1, seq).unwrap().0;
+            let y2 = forward(&attn, &x2, 1, seq).unwrap().0;
             for t in 0..seq - 1 {
                 for c in 0..8 {
                     assert!(
@@ -314,8 +248,8 @@ mod tests {
             xb.row_mut(t).copy_from_slice(a.row(t));
             xb.row_mut(seq + t).copy_from_slice(b.row(t));
         }
-        let yb = attn.forward(&xb, 2, seq).unwrap().0;
-        let ya = attn.forward(&a, 1, seq).unwrap().0;
+        let yb = forward(&attn, &xb, 2, seq).unwrap().0;
+        let ya = forward(&attn, &a, 1, seq).unwrap().0;
         for t in 0..seq {
             for c in 0..8 {
                 assert!((yb.get(t, c) - ya.get(t, c)).abs() < 1e-5);
@@ -330,7 +264,7 @@ mod tests {
         let seq = 3;
         let x = Tensor::randn(seq, 4, 0.7, &mut rng);
         let dy = Tensor::randn(seq, 4, 1.0, &mut rng);
-        let (_, cache) = attn.forward(&x, 1, seq).unwrap();
+        let (_, cache) = forward(&attn, &x, 1, seq).unwrap();
         let dx = attn.backward(&cache, &dy).unwrap();
         // numeric dL/dx where L = sum(y * dy)
         let eps = 1e-3;
@@ -338,8 +272,7 @@ mod tests {
         for i in 0..x.len() {
             let orig = xp.as_slice()[i];
             xp.as_mut_slice()[i] = orig + eps;
-            let lp: f32 = attn
-                .forward(&xp, 1, seq)
+            let lp: f32 = forward(&attn, &xp, 1, seq)
                 .unwrap()
                 .0
                 .as_slice()
@@ -348,8 +281,7 @@ mod tests {
                 .map(|(a, b)| a * b)
                 .sum();
             xp.as_mut_slice()[i] = orig - eps;
-            let lm: f32 = attn
-                .forward(&xp, 1, seq)
+            let lm: f32 = forward(&attn, &xp, 1, seq)
                 .unwrap()
                 .0
                 .as_slice()
@@ -373,7 +305,7 @@ mod tests {
         let attn = Attention::new(8, 2, &mut rng);
         let x = Tensor::zeros(7, 8);
         assert!(matches!(
-            attn.forward(&x, 2, 4),
+            forward(&attn, &x, 2, 4),
             Err(ModelError::BadBatch { .. })
         ));
     }

@@ -115,7 +115,7 @@ pub fn generate(
                 exits: &[],
                 adapter: None,
             };
-            decode_runs(model, &mut [prefill], Entry::EMBEDDING, depth)?;
+            decode_runs(model, &mut [prefill], Entry::EMBEDDING, depth, None)?;
         }
         // Invariant: the cache has consumed every stream token except the
         // frontier, which the next pass feeds.
@@ -132,7 +132,7 @@ pub fn generate(
                     exits: &voting.exits,
                     adapter: None,
                 };
-                let logits = decode_runs(model, &mut [step], Entry::EMBEDDING, depth)?
+                let logits = decode_runs(model, &mut [step], Entry::EMBEDDING, depth, None)?
                     .1
                     .swap_remove(0);
                 let probs = combine(&logits, &voting.combiner)?;

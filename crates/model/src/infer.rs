@@ -383,7 +383,7 @@ mod tests {
                 adapter: ad.as_deref(),
             })
             .collect();
-        let (_, got) = decode_runs(&m, &mut runs, Entry::EMBEDDING, m.n_layers()).unwrap();
+        let (_, got) = decode_runs(&m, &mut runs, Entry::EMBEDDING, m.n_layers(), None).unwrap();
         for (r, (tokens, _)) in feeds.iter().enumerate() {
             for (i, &tok) in tokens.iter().enumerate() {
                 let want = solos[r].push_token_exits(tok, &exits).unwrap();

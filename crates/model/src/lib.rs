@@ -2,8 +2,10 @@
 //! adaptive layer tuning, and exit voting — the model substrate of the
 //! Edge-LLM reproduction.
 //!
-//! Unlike tape-based autograd frameworks, every block here exposes separate
-//! `forward` / `backward` entry points and owns its gradient buffers. That
+//! Unlike general autograd frameworks, every block here owns its gradient
+//! buffers and a hand-written `backward`, and its forward is one layer of
+//! the decode walk, which records a [`BlockTape`] — exactly what that
+//! backward reads — only for the blocks inside the training window. That
 //! structure is what lets the Edge-LLM **adaptive layer tuning** scheme
 //! truncate backpropagation to a window of layers per iteration (saving
 //! activation memory and backward compute), and what lets the **voting**
@@ -48,9 +50,9 @@ mod voting;
 
 pub use adapter::{AdapterDelta, AdapterTarget, ResolvedAdapter, TenantAdapter};
 pub use adaptive::{AdaptiveTuner, LayerWindow, StepPhases, TuneStepReport, WindowSchedule};
-pub use attention::{Attention, AttentionCache};
+pub use attention::Attention;
 pub use batched::{batched_decode_step, BatchedStep, SequenceKv};
-pub use block::{Block, BlockCache};
+pub use block::{Block, BlockTape};
 pub use config::ModelConfig;
 pub use error::ModelError;
 pub use generate::{argmax, generate, sample_token, validate_decoding, Decoding};
@@ -59,7 +61,7 @@ pub use infer::InferenceSession;
 pub use io::TrainingCheckpoint;
 pub use linear::{Linear, LinearCache};
 pub use memory::{MemoryBreakdown, MemoryModel};
-pub use mlp::{Mlp, MlpCache};
+pub use mlp::Mlp;
 pub use model::{
     EdgeModel, ExitForward, ForwardCaches, ParamVisitor, ParamVisitorRo, WeightCacheStats,
 };

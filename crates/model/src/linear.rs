@@ -128,7 +128,8 @@ struct WeightCache {
 /// Activations cached by [`Linear::forward`] for the backward pass.
 #[derive(Debug, Clone)]
 pub struct LinearCache {
-    x: Tensor,
+    /// The input the matmul saw, one row per token.
+    pub(crate) x: Tensor,
     w_eff: Option<Arc<Tensor>>,
 }
 
@@ -393,13 +394,15 @@ impl Linear {
         Ok(Arc::clone(self.wcache.dense.get_or_init(|| w)))
     }
 
-    /// Forward pass, caching what the backward pass needs.
+    /// Forward pass, caching what the backward pass needs: the cache keeps
+    /// the input it is given (or, under an activation scheme, its
+    /// fake-quantized form) without a copy.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying kernels.
-    pub fn forward(&self, x: &Tensor) -> Result<(Tensor, LinearCache), ModelError> {
-        let x = self.effective_input(x)?;
+    pub fn forward(&self, x: Tensor) -> Result<(Tensor, LinearCache), ModelError> {
+        let x = self.effective_input(Cow::Owned(x))?.into_owned();
         let (y, w_eff) = match self.quant {
             Some(_) => {
                 let w = self.cached_effective_weight()?;
@@ -408,19 +411,18 @@ impl Linear {
             None => (x.matmul(&self.w)?, None),
         };
         let y = self.add_bias(y)?;
-        // copied only now, when the pre-bias temporary is already freed
-        let x = x.into_owned();
         Ok((y, LinearCache { x, w_eff }))
     }
 
     /// The input the f32 matmuls see: fake-quantized under an installed
     /// activation scheme, each row — one token's activations — on its own
-    /// grid. This is the only place a scheme meets f32 activations; the
-    /// integer route's [`quantize_activations`] fits the same grids.
-    fn effective_input<'a>(&self, x: &'a Tensor) -> Result<Cow<'a, Tensor>, ModelError> {
+    /// grid, and `x` itself otherwise. This is the only place a scheme
+    /// meets f32 activations; the integer route's [`quantize_activations`]
+    /// fits the same grids.
+    fn effective_input<'a>(&self, x: Cow<'a, Tensor>) -> Result<Cow<'a, Tensor>, ModelError> {
         match self.act_quant {
-            Some(scheme) => Ok(Cow::Owned(fake_quant(x, scheme)?)),
-            None => Ok(Cow::Borrowed(x)),
+            Some(scheme) => Ok(Cow::Owned(fake_quant(&x, scheme)?)),
+            None => Ok(x),
         }
     }
 
@@ -447,13 +449,15 @@ impl Linear {
                 packed_decode_matmul(&x_q, self.int_codes(ws)?.as_ref(), 0)?
             }
             // Row codes, dequantized panel by panel inside the kernel.
-            (None, Some(_), Some(q)) => self.packed_matmul(self.effective_input(x)?.as_ref(), q)?,
+            (None, Some(_), Some(q)) => {
+                self.packed_matmul(self.effective_input(Cow::Borrowed(x))?.as_ref(), q)?
+            }
             // The cached dense effective weight.
             (None, Some(_), None) => {
                 let w = self.cached_effective_weight()?;
-                self.effective_input(x)?.matmul(w.as_ref())?
+                self.effective_input(Cow::Borrowed(x))?.matmul(w.as_ref())?
             }
-            (None, None, _) => self.effective_input(x)?.matmul(&self.w)?,
+            (None, None, _) => self.effective_input(Cow::Borrowed(x))?.matmul(&self.w)?,
         };
         self.add_bias(y)
     }
@@ -570,6 +574,22 @@ mod tests {
         }
     }
 
+    impl LinearCache {
+        /// A cache with nothing recorded, for a reference forward to fill.
+        pub(crate) fn empty() -> Self {
+            LinearCache {
+                x: Tensor::zeros(0, 0),
+                w_eff: None,
+            }
+        }
+
+        /// The effective weight the backward multiplies by, when it is not
+        /// the layer's own.
+        pub(crate) fn weight(&self) -> Option<&Tensor> {
+            self.w_eff.as_deref()
+        }
+    }
+
     #[test]
     fn forward_matches_manual() {
         let mut rng = TensorRng::seed_from(1);
@@ -578,7 +598,7 @@ mod tests {
             .copy_from_slice(&[1., 0., 0., 1., 1., 1.]);
         l.b.copy_from_slice(&[0.5, -0.5]);
         let x = Tensor::from_vec(1, 3, vec![2., 3., 4.]).unwrap();
-        let (y, _) = l.forward(&x).unwrap();
+        let (y, _) = l.forward(x.clone()).unwrap();
         assert_eq!(y.as_slice(), &[2. + 4. + 0.5, 3. + 4. - 0.5]);
     }
 
@@ -589,7 +609,7 @@ mod tests {
         // no gradient until a backward reaches the layer
         assert!(l.dw.is_empty() && l.db.is_empty());
         let x = Tensor::randn(5, 4, 1.0, &mut rng);
-        let (_, cache) = l.forward(&x).unwrap();
+        let (_, cache) = l.forward(x.clone()).unwrap();
         let dy = Tensor::randn(5, 3, 1.0, &mut rng);
         let dx = l.backward(&cache, &dy).unwrap();
         assert_eq!(dx.shape(), (5, 4));
@@ -615,7 +635,7 @@ mod tests {
             }
         }
         let x = Tensor::randn(2, 8, 1.0, &mut rng);
-        let (_, cache) = l.forward(&x).unwrap();
+        let (_, cache) = l.forward(x.clone()).unwrap();
         let dy = Tensor::randn(2, 8, 1.0, &mut rng);
         l.backward(&cache, &dy).unwrap();
         for r in 0..8 {
@@ -662,7 +682,7 @@ mod tests {
         let mut l = Linear::new(4, 4, &mut rng);
         l.set_activation_quant(Some(QuantScheme::asymmetric(edge_llm_quant::BitWidth::W4)));
         let x = Tensor::randn(2, 4, 1.0, &mut rng);
-        let (_, cache) = l.forward(&x).unwrap();
+        let (_, cache) = l.forward(x.clone()).unwrap();
         let dy = Tensor::ones(2, 4);
         let dx = l.backward(&cache, &dy).unwrap();
         assert_eq!(dx.shape(), (2, 4));
@@ -690,7 +710,7 @@ mod tests {
                 l.set_activation_quant(act);
                 let x = Tensor::randn(5, 12, 1.0, &mut rng);
                 let dy = Tensor::randn(5, 10, 1.0, &mut rng);
-                let (_, cache) = l.forward(&x).unwrap();
+                let (_, cache) = l.forward(x.clone()).unwrap();
                 l.backward(&cache, &dy).unwrap();
                 let x_seen = match act {
                     Some(s) => fake_quant(&x, s).unwrap(),
@@ -834,7 +854,7 @@ mod tests {
         use crate::Optimizer;
         let (d_in, d_out) = l.shape();
         let x = Tensor::randn(8, d_in, 1.0, rng);
-        let (_, cache) = l.forward(&x).unwrap();
+        let (_, cache) = l.forward(x.clone()).unwrap();
         l.backward(&cache, &Tensor::randn(8, d_out, 1.0, rng))
             .unwrap();
         let mut id = 0;

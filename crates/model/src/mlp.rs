@@ -1,29 +1,17 @@
+use crate::block::BlockTape;
 use crate::error::ModelError;
-use crate::linear::{Linear, LinearCache};
-use edge_llm_tensor::{gelu_forward_train, Tensor, TensorRng};
+use crate::linear::Linear;
+use edge_llm_tensor::{Tensor, TensorRng};
 
 /// Two-layer GELU MLP: `d_model -> d_ff -> d_model`.
+///
+/// The forward is the decode walk's (`crate::batched`); for a block in the
+/// training window it records GELU's derivative in the block's
+/// [`BlockTape`], which [`Mlp::backward`] multiplies by.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     pub(crate) fc1: Linear,
     pub(crate) fc2: Linear,
-}
-
-/// Activations cached by [`Mlp::forward`].
-#[derive(Debug, Clone)]
-pub struct MlpCache {
-    fc1_cache: LinearCache,
-    /// GELU's local derivative at the pre-activation, written over the
-    /// pre-activation buffer by [`gelu_forward_train`].
-    gelu_grad: Tensor,
-    fc2_cache: LinearCache,
-}
-
-impl MlpCache {
-    /// Approximate bytes held alive by this cache.
-    pub fn bytes(&self) -> usize {
-        self.fc1_cache.bytes() + self.gelu_grad.len() * 4 + self.fc2_cache.bytes()
-    }
 }
 
 impl Mlp {
@@ -41,34 +29,41 @@ impl Mlp {
         (&self.fc1, &self.fc2)
     }
 
-    /// Forward pass, caching activations.
+    /// Backward pass from the MLP fields of `tape`: accumulates projection
+    /// gradients, returns `dx`.
     ///
     /// # Errors
     ///
     /// Propagates kernel shape errors.
-    pub fn forward(&self, x: &Tensor) -> Result<(Tensor, MlpCache), ModelError> {
-        let (mut gelu_grad, fc1_cache) = self.fc1.forward(x)?;
-        let act = gelu_forward_train(&mut gelu_grad);
-        let (y, fc2_cache) = self.fc2.forward(&act)?;
-        Ok((
-            y,
-            MlpCache {
-                fc1_cache,
-                gelu_grad,
-                fc2_cache,
-            },
-        ))
+    pub fn backward(&mut self, tape: &BlockTape, dy: &Tensor) -> Result<Tensor, ModelError> {
+        let mut dpre = self.fc2.backward(&tape.fc2, dy)?;
+        dpre.hadamard_in_place(&tape.gelu_grad)?;
+        self.fc1.backward(&tape.fc1, &dpre)
     }
+}
 
-    /// Backward pass: accumulates projection gradients, returns `dx`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel shape errors.
-    pub fn backward(&mut self, cache: &MlpCache, dy: &Tensor) -> Result<Tensor, ModelError> {
-        let mut dpre = self.fc2.backward(&cache.fc2_cache, dy)?;
-        dpre.hadamard_in_place(&cache.gelu_grad)?;
-        self.fc1.backward(&cache.fc1_cache, &dpre)
+/// The training MLP the window ran before it moved onto the layer walk:
+/// the walk's independent reference (see `crate::block::reference`).
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use edge_llm_tensor::gelu_forward_train;
+
+    impl Mlp {
+        /// The MLP over `x`'s rows, filling the MLP fields of `tape`.
+        pub(crate) fn forward_reference(
+            &self,
+            x: Tensor,
+            tape: &mut BlockTape,
+        ) -> Result<Tensor, ModelError> {
+            let (mut gelu_grad, fc1) = self.fc1.forward(x)?;
+            let act = gelu_forward_train(&mut gelu_grad);
+            let (y, fc2) = self.fc2.forward(act)?;
+            tape.fc1 = fc1;
+            tape.gelu_grad = gelu_grad;
+            tape.fc2 = fc2;
+            Ok(y)
+        }
     }
 }
 
@@ -76,12 +71,18 @@ impl Mlp {
 mod tests {
     use super::*;
 
+    fn forward(mlp: &Mlp, x: &Tensor) -> Result<(Tensor, BlockTape), ModelError> {
+        let mut tape = BlockTape::empty();
+        let y = mlp.forward_reference(x.clone(), &mut tape)?;
+        Ok((y, tape))
+    }
+
     #[test]
     fn shapes() {
         let mut rng = TensorRng::seed_from(1);
         let mlp = Mlp::new(8, 32, &mut rng);
         let x = Tensor::randn(5, 8, 1.0, &mut rng);
-        let (y, _) = mlp.forward(&x).unwrap();
+        let (y, _) = forward(&mlp, &x).unwrap();
         assert_eq!(y.shape(), (5, 8));
         let (fc1, fc2) = mlp.linears();
         assert_eq!((fc1.shape(), fc2.shape()), ((8, 32), (32, 8)));
@@ -93,15 +94,14 @@ mod tests {
         let mut mlp = Mlp::new(4, 8, &mut rng);
         let x = Tensor::randn(3, 4, 0.8, &mut rng);
         let dy = Tensor::randn(3, 4, 1.0, &mut rng);
-        let (_, cache) = mlp.forward(&x).unwrap();
+        let (_, cache) = forward(&mlp, &x).unwrap();
         let dx = mlp.backward(&cache, &dy).unwrap();
         let eps = 1e-3;
         let mut xp = x.clone();
         for i in 0..x.len() {
             let orig = xp.as_slice()[i];
             xp.as_mut_slice()[i] = orig + eps;
-            let lp: f32 = mlp
-                .forward(&xp)
+            let lp: f32 = forward(&mlp, &xp)
                 .unwrap()
                 .0
                 .as_slice()
@@ -110,8 +110,7 @@ mod tests {
                 .map(|(a, b)| a * b)
                 .sum();
             xp.as_mut_slice()[i] = orig - eps;
-            let lm: f32 = mlp
-                .forward(&xp)
+            let lm: f32 = forward(&mlp, &xp)
                 .unwrap()
                 .0
                 .as_slice()

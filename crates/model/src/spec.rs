@@ -215,7 +215,7 @@ pub(crate) fn forward_chunk(
         exits: &[exit_layer],
         adapter,
     };
-    let logits = decode_runs(model, &mut [run], Entry::EMBEDDING, exit_layer + 1)?
+    let logits = decode_runs(model, &mut [run], Entry::EMBEDDING, exit_layer + 1, None)?
         .1
         .swap_remove(0);
     let vocab = logits[0].cols();

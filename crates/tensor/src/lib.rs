@@ -42,9 +42,8 @@ pub use matmul::{
 };
 pub use ops::{
     add_bias_backward, add_bias_forward, cross_entropy_backward, cross_entropy_forward,
-    embedding_backward, embedding_forward, gelu_forward, gelu_forward_train, layernorm_backward,
-    layernorm_forward, softmax_backward, softmax_rows, CrossEntropyOutput, LayerNormCache,
-    IGNORE_TARGET,
+    embedding_backward, gelu_forward, gelu_forward_train, layernorm_backward, layernorm_forward,
+    softmax_backward, softmax_rows, CrossEntropyOutput, LayerNormCache, IGNORE_TARGET,
 };
 pub use pool::{configured_threads, set_configured_threads, THREADS_ENV_VAR};
 pub use rng::{fnv1a64, RngState, TensorRng, RNG_STATE_BYTES};

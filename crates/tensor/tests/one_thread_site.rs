@@ -4,11 +4,12 @@
 //! `crates/*/src` may name `thread::scope`, `thread::spawn` or `mpsc` only
 //! in `crates/tensor/src/pool.rs`, and there exactly once.
 //!
-//! "Where is the frozen transformer block?" — `batched::walk`: under
-//! `crates/model/src` only `Linear` and `LayerNorm` define a
-//! `forward_no_cache`, and GELU is applied once without caches (the walk,
-//! `gelu_forward`) and once with (`Mlp::forward`, `gelu_forward_train`). A
-//! second frozen block needs one or the other.
+//! "Where is the transformer block's forward?" — `batched::walk`, frozen
+//! and training alike: under `crates/model/src` only `Linear` and
+//! `LayerNorm` define a `forward_no_cache`, and both GELUs are applied in
+//! `batched.rs` only, once each (`gelu_forward` on a frozen layer,
+//! `gelu_forward_train` on a layer that records a tape for the backward).
+//! A second block forward needs one or the other.
 //!
 //! "Who writes JSON?" — `edge_llm_telemetry::Json`: non-test code under
 //! `crates/*/src` escapes a JSON string only in
@@ -107,27 +108,49 @@ fn the_scan_sees_a_pasted_thread_scope_but_not_tests_or_comments() {
     );
 }
 
-#[test]
-fn the_frozen_block_is_written_once() {
+/// Where the block needles may appear under `crates/model/src`, as
+/// `(file name, needle)`, one line each, sorted.
+const BLOCK_SITES: [(&str, &str); 4] = [
+    ("batched.rs", "gelu_forward("),
+    ("batched.rs", "gelu_forward_train("),
+    ("linear.rs", "fn forward_no_cache"),
+    ("norm.rs", "fn forward_no_cache"),
+];
+
+/// Every `.rs` file under `crates/model/src`, as `(file name, source)`.
+fn model_sources() -> Vec<(String, String)> {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../model/src");
     let mut files = Vec::new();
     rust_files(&src, &mut files);
-    let mut found = Vec::new();
-    for file in &files {
-        let source = std::fs::read_to_string(file).expect("readable source");
-        let name = file.file_name().expect("a file").to_string_lossy();
-        for (needle, _) in hits(&source, &BLOCK_NEEDLES) {
-            found.push((name.to_string(), needle));
-        }
-    }
+    files
+        .iter()
+        .map(|file| {
+            let name = file.file_name().expect("a file").to_string_lossy();
+            let source = std::fs::read_to_string(file).expect("readable source");
+            (name.to_string(), source)
+        })
+        .collect()
+}
+
+/// `(file name, needle)` of every block-needle hit in `sources`, sorted.
+fn block_sites(sources: &[(String, String)]) -> Vec<(String, &'static str)> {
+    let mut found: Vec<(String, &'static str)> = sources
+        .iter()
+        .flat_map(|(name, source)| {
+            let found = hits(source, &BLOCK_NEEDLES);
+            found
+                .into_iter()
+                .map(move |(needle, _)| (name.clone(), needle))
+        })
+        .collect();
     found.sort();
-    let want = [
-        ("batched.rs", "gelu_forward("),
-        ("linear.rs", "fn forward_no_cache"),
-        ("mlp.rs", "gelu_forward_train("),
-        ("norm.rs", "fn forward_no_cache"),
-    ];
-    assert_eq!(found, want.map(|(file, needle)| (file.to_string(), needle)));
+    found
+}
+
+#[test]
+fn the_block_forward_is_written_once() {
+    let want = BLOCK_SITES.map(|(file, needle)| (file.to_string(), needle));
+    assert_eq!(block_sites(&model_sources()), want);
 }
 
 #[test]
@@ -146,6 +169,23 @@ fn the_scan_sees_a_pasted_second_block_body() {
             ("gelu_forward(", 5),
             ("gelu_forward_train(", 6)
         ]
+    );
+    // a training MLP forward pasted back into `mlp.rs` is a second site
+    let mut sources = model_sources();
+    let (_, mlp) = sources
+        .iter_mut()
+        .find(|(name, _)| name == "mlp.rs")
+        .expect("mlp.rs is scanned");
+    mlp.insert_str(
+        0,
+        "fn forward(&self, x: Tensor) -> Tensor {\n\
+         let mut pre = self.fc1.forward(x).0;\n\
+         self.fc2.forward(gelu_forward_train(&mut pre)).0\n}\n",
+    );
+    let found = block_sites(&sources);
+    assert!(
+        found.contains(&("mlp.rs".to_string(), "gelu_forward_train(")),
+        "{found:?}"
     );
 }
 
