@@ -921,38 +921,42 @@ mod tests {
     #[test]
     fn every_frozen_route_matches_the_masked_fake_quant_formula() {
         // 24 x 64 x 48 clears the spawn cutoff, so two threads really split.
-        let (d_in, d_out) = (64, 48);
+        // At d_out = 50 a weight row starts inside a packed word at 2, 4
+        // and 8 bits, so the row-code route decodes a head and a tail.
+        let d_in = 64;
         let mut rng = TensorRng::seed_from(23);
         let x = Tensor::randn(24, d_in, 1.0, &mut rng);
-        for scheme in [
-            QuantScheme::symmetric(BitWidth::W2),
-            QuantScheme::symmetric(BitWidth::W4),
-            QuantScheme::symmetric(BitWidth::W8),
-            QuantScheme::asymmetric(BitWidth::W4),
-            QuantScheme::asymmetric(BitWidth::W8),
-        ] {
-            let mut l = Linear::new(d_in, d_out, &mut rng);
-            // velocity built while dense keeps moving weights the mask
-            // prunes, so every later step writes at pruned positions
-            let mut opt = crate::Sgd::with_momentum(0.05, 0.9);
-            for _ in 0..2 {
-                sgd_step(&mut l, &mut opt, &mut rng);
-            }
-            // 40% by magnitude, plus all of row 3 and all of column 5
-            let mut keep = magnitude_prune(l.weight(), 0.4)
-                .unwrap()
-                .as_slice()
-                .to_vec();
-            keep[3 * d_out..4 * d_out].fill(false);
-            (0..d_in).for_each(|p| keep[p * d_out + 5] = false);
-            l.set_mask(Some(PruneMask::from_vec(d_in, d_out, keep).unwrap()))
-                .unwrap();
-            l.set_quant(Some(scheme));
-            assert_routes_match_masked_formula(&mut l, &x, &format!("{scheme:?} as installed"));
-            for step in 0..3 {
-                sgd_step(&mut l, &mut opt, &mut rng);
-                let what = format!("{scheme:?} after step {step}");
-                assert_routes_match_masked_formula(&mut l, &x, &what);
+        for d_out in [48, 50] {
+            for scheme in [
+                QuantScheme::symmetric(BitWidth::W2),
+                QuantScheme::symmetric(BitWidth::W4),
+                QuantScheme::symmetric(BitWidth::W8),
+                QuantScheme::asymmetric(BitWidth::W4),
+                QuantScheme::asymmetric(BitWidth::W8),
+            ] {
+                let mut l = Linear::new(d_in, d_out, &mut rng);
+                // velocity built while dense keeps moving weights the mask
+                // prunes, so every later step writes at pruned positions
+                let mut opt = crate::Sgd::with_momentum(0.05, 0.9);
+                for _ in 0..2 {
+                    sgd_step(&mut l, &mut opt, &mut rng);
+                }
+                // 40% by magnitude, plus all of row 3 and all of column 5
+                let mut keep = magnitude_prune(l.weight(), 0.4)
+                    .unwrap()
+                    .as_slice()
+                    .to_vec();
+                keep[3 * d_out..4 * d_out].fill(false);
+                (0..d_in).for_each(|p| keep[p * d_out + 5] = false);
+                l.set_mask(Some(PruneMask::from_vec(d_in, d_out, keep).unwrap()))
+                    .unwrap();
+                l.set_quant(Some(scheme));
+                assert_routes_match_masked_formula(&mut l, &x, &format!("{scheme:?} as installed"));
+                for step in 0..3 {
+                    sgd_step(&mut l, &mut opt, &mut rng);
+                    let what = format!("{scheme:?} after step {step}");
+                    assert_routes_match_masked_formula(&mut l, &x, &what);
+                }
             }
         }
     }
