@@ -26,6 +26,7 @@
 //! # }
 //! ```
 
+mod causal;
 pub mod check;
 mod error;
 pub mod lanes;
@@ -36,14 +37,17 @@ mod rng;
 mod stats;
 mod tensor;
 
+pub use causal::{causal_prefix, causal_scores, causal_suffix, Rows, RowsMut};
 pub use error::TensorError;
 pub use matmul::{
-    matmul_a_bt, matmul_a_bt_with, matmul_at_b, matmul_at_b_with, matmul_fill_b_with, MatmulKernel,
+    all_finite, matmul_a_bt, matmul_a_bt_with, matmul_at_b, matmul_at_b_with, matmul_fill_b_with,
+    MatmulKernel,
 };
 pub use ops::{
     add_bias_backward, add_bias_forward, cross_entropy_backward, cross_entropy_forward,
     embedding_backward, gelu_forward, gelu_forward_train, layernorm_backward, layernorm_forward,
-    softmax_backward, softmax_rows, CrossEntropyOutput, LayerNormCache, IGNORE_TARGET,
+    layernorm_param_grads, softmax_backward, softmax_rows, CrossEntropyOutput, LayerNormCache,
+    IGNORE_TARGET,
 };
 pub use pool::{configured_threads, set_configured_threads, THREADS_ENV_VAR};
 pub use rng::{fnv1a64, RngState, TensorRng, RNG_STATE_BYTES};

@@ -141,6 +141,34 @@ pub fn layernorm_backward(
     gamma: &[f32],
 ) -> Result<(Tensor, Vec<f32>, Vec<f32>), TensorError> {
     let (rows, cols) = cache.xhat.shape();
+    let mut dx = Tensor::zeros(rows, cols);
+    let (dgamma, dbeta) = layernorm_grads(dy, cache, gamma, Some(&mut dx))?;
+    Ok((dx, dgamma, dbeta))
+}
+
+/// The parameter half of [`layernorm_backward`]: `(dgamma, dbeta)`, the
+/// same bits, with no input gradient computed.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `dy` or `gamma` disagree with
+/// the cache's shape.
+pub fn layernorm_param_grads(
+    dy: &Tensor,
+    cache: &LayerNormCache,
+    gamma: &[f32],
+) -> Result<(Vec<f32>, Vec<f32>), TensorError> {
+    layernorm_grads(dy, cache, gamma, None)
+}
+
+/// `(dgamma, dbeta)`, and the input gradient into `dx` when given.
+fn layernorm_grads(
+    dy: &Tensor,
+    cache: &LayerNormCache,
+    gamma: &[f32],
+    mut dx: Option<&mut Tensor>,
+) -> Result<(Vec<f32>, Vec<f32>), TensorError> {
+    let (rows, cols) = cache.xhat.shape();
     if dy.shape() != (rows, cols) || gamma.len() != cols {
         return Err(TensorError::ShapeMismatch {
             op: "layernorm_backward",
@@ -148,12 +176,18 @@ pub fn layernorm_backward(
             rhs: (rows, cols),
         });
     }
-    let mut dx = Tensor::zeros(rows, cols);
     let mut dgamma = vec![0.0f32; cols];
     let mut dbeta = vec![0.0f32; cols];
     for r in 0..rows {
         let dyr = dy.row(r);
         let xhr = cache.xhat.row(r);
+        for c in 0..cols {
+            dgamma[c] += dyr[c] * xhr[c];
+            dbeta[c] += dyr[c];
+        }
+        let Some(dx) = dx.as_deref_mut() else {
+            continue;
+        };
         let rs = cache.rstd[r];
         let mut sum_g = 0.0f32;
         let mut sum_gx = 0.0f32;
@@ -161,8 +195,6 @@ pub fn layernorm_backward(
             let g = dyr[c] * gamma[c];
             sum_g += g;
             sum_gx += g * xhr[c];
-            dgamma[c] += dyr[c] * xhr[c];
-            dbeta[c] += dyr[c];
         }
         let inv_n = 1.0 / cols as f32;
         let dxr = dx.row_mut(r);
@@ -171,7 +203,7 @@ pub fn layernorm_backward(
             dxr[c] = rs * (g - inv_n * sum_g - xhr[c] * inv_n * sum_gx);
         }
     }
-    Ok((dx, dgamma, dbeta))
+    Ok((dgamma, dbeta))
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
