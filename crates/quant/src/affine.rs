@@ -2,7 +2,7 @@ use crate::bitwidth::BitWidth;
 use crate::packed::PackedInts;
 use crate::scheme::{QuantMode, QuantScheme};
 use crate::QuantError;
-use edge_llm_tensor::Tensor;
+use edge_llm_tensor::{all_finite, Tensor};
 
 /// A tensor stored as bit-packed affine-quantized codes.
 ///
@@ -40,7 +40,7 @@ impl QuantizedTensor {
     /// Returns [`QuantError::NonFinite`] when the input holds NaN or
     /// infinite values.
     pub fn quantize(x: &Tensor, scheme: QuantScheme) -> Result<Self, QuantError> {
-        if x.as_slice().iter().any(|v| !v.is_finite()) {
+        if !all_finite(x.as_slice()) {
             return Err(QuantError::NonFinite);
         }
         let (rows, cols) = x.shape();
@@ -198,6 +198,121 @@ impl RowGrid {
         let half = (bits.levels() / 2) as f32; // e.g. 8 for W4
         let (scale, zero) = match mode {
             QuantMode::Symmetric => {
+                let max_abs = lanes(row, 0.0, |m, v| m.max(v.abs())).into_iter();
+                let max_abs = max_abs.fold(0.0f32, f32::max);
+                let step = max_abs / (half - 1.0).max(1.0);
+                if step < f32::MIN_POSITIVE {
+                    (1.0, half)
+                } else if (step * (half - 1.0)).is_infinite() {
+                    (max_abs / half, half)
+                } else {
+                    (step, half)
+                }
+            }
+            QuantMode::Asymmetric => {
+                let lo = lanes(row, f32::INFINITY, f32::min).into_iter();
+                let hi = lanes(row, f32::NEG_INFINITY, f32::max).into_iter();
+                // Keep zero exactly representable.
+                let lo = lo.fold(0.0f32, f32::min);
+                let hi = hi.fold(0.0f32, f32::max);
+                let scale = (hi - lo) / max_code;
+                if !lo.is_finite() || !hi.is_finite() || scale < f32::MIN_POSITIVE {
+                    (1.0, 0.0)
+                } else if scale.is_infinite() {
+                    (hi.max(-lo) / half, half)
+                } else {
+                    // `-lo / scale` lies in `[0, max_code]`: the clamp is idle
+                    (scale, round_code(-lo / scale, max_code))
+                }
+            }
+        };
+        RowGrid {
+            scale,
+            zero,
+            max_code: bits.max_code(),
+        }
+    }
+
+    /// The code of `v` on this grid, as the integer-valued float it is.
+    #[inline]
+    pub(crate) fn code_f32(&self, v: f32) -> f32 {
+        round_code(v / self.scale + self.zero, self.max_code as f32)
+    }
+
+    /// The code of `v` on this grid.
+    #[inline]
+    pub(crate) fn code(&self, v: f32) -> u32 {
+        whole(self.code_f32(v)) as u32
+    }
+}
+
+/// A min or max fold over `row` in `LANES` independent accumulators, each
+/// starting at `start`: `LANES` short chains the compiler keeps in vector
+/// registers, where one running fold is a serial chain. On the finite
+/// rows a grid is fitted to, the order of a min or max changes nothing
+/// but the sign of a zero result, and the fit reads `+0` and `-0` ends
+/// alike: both give the same scale and zero point.
+fn lanes(row: &[f32], start: f32, f: impl Fn(f32, f32) -> f32) -> [f32; LANES] {
+    let mut acc = [start; LANES];
+    let mut chunks = row.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (a, &v) in acc.iter_mut().zip(chunk) {
+            *a = f(*a, v);
+        }
+    }
+    for (a, &v) in acc.iter_mut().zip(chunks.remainder()) {
+        *a = f(*a, v);
+    }
+    acc
+}
+
+/// Accumulators of [`lanes`]: two SSE vectors.
+const LANES: usize = 8;
+
+/// `1.5 · 2²³`: adding it to a float of magnitude below `2²²` rounds the
+/// float to an integer, ties to even, and leaves that integer in the low
+/// mantissa bits.
+const MAGIC: f32 = 12_582_912.0;
+
+/// `t.round().clamp(0, max_code)` as a float — the crate's one rounding,
+/// without `f32::round` (a libm call on baseline x86-64) or a saturating
+/// float-to-integer cast (which LLVM keeps scalar). Past the first clamp
+/// `t` is in `[-1, max_code + 1]`, far inside `±2²²`, so `(t + MAGIC) -
+/// MAGIC` is `t` rounded to the nearest integer, ties to even, and `t - r`
+/// is exact; a tie that went down (`t - r == 0.5`) goes up instead, away
+/// from zero as `round` takes it for every `t` the last clamp keeps.
+#[inline]
+fn round_code(t: f32, max_code: f32) -> f32 {
+    let t = t.clamp(-1.0, max_code + 1.0);
+    let r = (t + MAGIC) - MAGIC;
+    let r = if t - r == 0.5 { r + 1.0 } else { r };
+    r.clamp(0.0, max_code)
+}
+
+/// The integer an integer-valued float of magnitude below `2²²` holds —
+/// a code, or a code less its zero point — read from the bits of `v +
+/// MAGIC`, which is exact, so its low mantissa bits are `v` offset by
+/// `MAGIC`'s.
+#[inline]
+pub(crate) fn whole(v: f32) -> i32 {
+    (v + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edge_llm_tensor::{l2_norm, max_abs_diff, TensorRng};
+
+    /// The serial fit and rounding the lane-wise ones replaced.
+    fn serial_grid(row: &[f32], bits: BitWidth, mode: QuantMode) -> (u32, u32) {
+        let round = |t: f32, max: u32| -> u32 {
+            let t = t.clamp(-1.0, (max + 1) as f32);
+            let whole = t as i32;
+            (whole + i32::from(t - whole as f32 >= 0.5)).clamp(0, max as i32) as u32
+        };
+        let (max_code, half) = (bits.max_code() as f32, (bits.levels() / 2) as f32);
+        let (scale, zero) = match mode {
+            QuantMode::Symmetric => {
                 let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
                 let step = max_abs / (half - 1.0).max(1.0);
                 if step < f32::MIN_POSITIVE {
@@ -214,50 +329,97 @@ impl RowGrid {
                     lo = lo.min(v);
                     hi = hi.max(v);
                 }
-                // Keep zero exactly representable.
-                let lo = lo.min(0.0);
-                let hi = hi.max(0.0);
+                let (lo, hi) = (lo.min(0.0), hi.max(0.0));
                 let scale = (hi - lo) / max_code;
-                if !lo.is_finite() || !hi.is_finite() || scale < f32::MIN_POSITIVE {
+                if scale < f32::MIN_POSITIVE {
                     (1.0, 0.0)
                 } else if scale.is_infinite() {
                     (hi.max(-lo) / half, half)
                 } else {
-                    // `-lo / scale` lies in `[0, max_code]`: the clamp is idle
-                    (scale, round_code(-lo / scale, bits.max_code()) as f32)
+                    (scale, round(-lo / scale, bits.max_code()) as f32)
                 }
             }
         };
-        RowGrid {
-            scale,
-            zero,
-            max_code: bits.max_code(),
+        (scale.to_bits(), zero.to_bits())
+    }
+
+    #[test]
+    fn the_vector_fit_and_rounding_are_the_serial_ones_bit_for_bit() {
+        // every quarter and eighth around each code, the half-way points
+        // and their neighbours, then a sweep of random floats
+        let old_round = |t: f32, max: u32| -> u32 {
+            let t = t.clamp(-1.0, (max + 1) as f32);
+            let whole = t as i32;
+            (whole + i32::from(t - whole as f32 >= 0.5)).clamp(0, max as i32) as u32
+        };
+        let mut rng = TensorRng::seed_from(40);
+        for bits in BitWidth::ALL {
+            let max = bits.max_code();
+            let mut ts: Vec<f32> = (-24..8 * (max as i64 + 3))
+                .map(|i| i as f32 / 8.0)
+                .collect();
+            for i in 0..=max + 1 {
+                let tie = i as f32 + 0.5;
+                ts.extend([tie, tie.next_down(), tie.next_up(), -tie, i as f32]);
+            }
+            ts.extend((0..4096).map(|_| rng.uniform(-3.0, max as f32 + 3.0)));
+            ts.extend([
+                f32::MAX,
+                f32::MIN,
+                1e30,
+                -1e30,
+                0.0,
+                -0.0,
+                f32::MIN_POSITIVE,
+            ]);
+            for t in ts {
+                let new = round_code(t, max as f32);
+                assert_eq!(whole(new) as u32, old_round(t, max), "{bits} t = {t}");
+                assert_eq!(new, old_round(t, max) as f32, "{bits} t = {t}");
+            }
+        }
+        // grids: random rows of every length around the lane count, rows
+        // of signed zeros, constant, denormal, one-sided and near-overflow
+        // (finite) rows
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        for len in (0..20).chain([31, 64, 192]) {
+            rows.push((0..len).map(|_| rng.normal()).collect());
+            rows.push(
+                (0..len)
+                    .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                    .collect(),
+            );
+            rows.push(
+                (0..len)
+                    .map(|i| {
+                        if i % 2 == 0 {
+                            -0.0
+                        } else {
+                            rng.uniform(0.0, 1.0)
+                        }
+                    })
+                    .collect(),
+            );
+            rows.push((0..len).map(|_| -rng.uniform(0.5, 2.0)).collect());
+            rows.push(vec![3.5; len]);
+            rows.push((0..len).map(|_| rng.normal() * 1e-40).collect());
+            rows.push((0..len).map(|_| rng.uniform(-3e38, 3e38)).collect());
+        }
+        for row in &rows {
+            for bits in BitWidth::ALL {
+                for mode in [QuantMode::Symmetric, QuantMode::Asymmetric] {
+                    let grid = RowGrid::fit(row, bits, mode);
+                    let want = serial_grid(row, bits, mode);
+                    let got = (grid.scale.to_bits(), grid.zero.to_bits());
+                    assert_eq!(got, want, "{bits} {mode:?} {row:?}");
+                    for &v in row {
+                        let t = v / grid.scale + grid.zero;
+                        assert_eq!(grid.code(v), old_round(t, bits.max_code()), "{v}");
+                    }
+                }
+            }
         }
     }
-
-    /// The code of `v` on this grid.
-    #[inline]
-    pub(crate) fn code(&self, v: f32) -> u32 {
-        round_code(v / self.scale + self.zero, self.max_code)
-    }
-}
-
-/// `t.round().clamp(0, max_code)` without `f32::round`, a libm call on
-/// baseline x86-64 — the crate's one rounding. Past the clamp `t` is in
-/// `[-1, max_code + 1]`, so the cast truncates exactly, `t - whole` is
-/// exact, and half-way cases round away from zero as `round` does.
-#[inline]
-fn round_code(t: f32, max_code: u32) -> u32 {
-    let max = max_code as i32;
-    let t = t.clamp(-1.0, (max + 1) as f32);
-    let whole = t as i32;
-    (whole + i32::from(t - whole as f32 >= 0.5)).clamp(0, max) as u32
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use edge_llm_tensor::{l2_norm, max_abs_diff, TensorRng};
 
     #[test]
     fn roundtrip_error_shrinks_with_bits() {

@@ -10,7 +10,7 @@
 use crate::affine::RowGrid;
 use crate::scheme::QuantScheme;
 use crate::QuantError;
-use edge_llm_tensor::{Tensor, TensorError};
+use edge_llm_tensor::{all_finite, Tensor, TensorError};
 
 /// Quantizes then immediately dequantizes `x`, returning the f32 tensor the
 /// forward pass should use: the same bits as
@@ -33,12 +33,12 @@ pub fn fake_quant(x: &Tensor, scheme: QuantScheme) -> Result<Tensor, QuantError>
 /// the affine arithmetic directly yields the bits of the packed
 /// quantize-then-dequantize roundtrip.
 fn fake_quant_row_in_place(row: &mut [f32], scheme: QuantScheme) -> Result<(), QuantError> {
-    if row.iter().any(|v| !v.is_finite()) {
+    if !all_finite(row) {
         return Err(QuantError::NonFinite);
     }
     let grid = RowGrid::fit(row, scheme.bits, scheme.mode);
     for v in row.iter_mut() {
-        *v = (grid.code(*v) as f32 - grid.zero) * grid.scale;
+        *v = (grid.code_f32(*v) - grid.zero) * grid.scale;
     }
     Ok(())
 }

@@ -60,13 +60,13 @@
 //! elements (`255 · 255 · 2^15 < 2^31`) and the block sums, like the
 //! `half * S0` correction, in `i64` — one budget for W2, W4 and W8.
 
-use crate::affine::{QuantizedTensor, RowGrid};
+use crate::affine::{whole, QuantizedTensor, RowGrid};
 use crate::bitwidth::BitWidth;
 use crate::packed::PackedInts;
 use crate::scheme::{QuantMode, QuantScheme};
 use crate::QuantError;
 use edge_llm_tensor::lanes::{dot_i16, plane_order, unpack_planes};
-use edge_llm_tensor::{pool, Tensor};
+use edge_llm_tensor::{all_finite, pool, Tensor};
 
 /// Whether the packed integer GEMM handles this weight/activation scheme
 /// pair.
@@ -141,12 +141,12 @@ pub fn quantize_activations(
             scheme: scheme.to_string(),
         });
     }
-    if x.as_slice().iter().any(|v| !v.is_finite()) {
+    if !all_finite(x.as_slice()) {
         return Err(QuantError::NonFinite);
     }
     let (m, k) = x.shape();
     let max_code = scheme.bits.max_code() as f32;
-    let mut codes = Vec::with_capacity(m * k);
+    let mut codes = vec![0i16; m * k];
     let mut row_scale = Vec::with_capacity(m);
     let mut row_csum = Vec::with_capacity(m);
     for r in 0..m {
@@ -154,10 +154,18 @@ pub fn quantize_activations(
         let grid = RowGrid::fit(row, scheme.bits, scheme.mode);
         // Asymmetric zero-points are integers in `0..=max_code`; the clamp
         // is what holds `|code| <= max_code` to that, not the fit.
-        let zx = grid.zero.clamp(0.0, max_code) as i32;
-        codes.extend(row.iter().map(|&v| (grid.code(v) as i32 - zx) as i16));
+        let zx = grid.zero.clamp(0.0, max_code);
+        let out = &mut codes[r * k..(r + 1) * k];
+        for (c, &v) in out.iter_mut().zip(row) {
+            *c = whole(grid.code_f32(v) - zx) as i16;
+        }
         row_scale.push(grid.scale);
-        row_csum.push(codes[r * k..].iter().map(|&c| c as i64).sum());
+        // `|code| <= 255`, so an `i32` sums any 2²³ of them exactly
+        let csum = out.chunks(1 << 23).map(|part| {
+            let sum: i32 = part.iter().map(|&c| i32::from(c)).sum();
+            i64::from(sum)
+        });
+        row_csum.push(csum.sum());
     }
     Ok(QuantizedActivations {
         m,
