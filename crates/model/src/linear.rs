@@ -4,6 +4,7 @@ use edge_llm_quant::{
     fake_quant, packed_decode_matmul, packed_gemm_supported, quantize_activations, QuantScheme,
     QuantizedTensor,
 };
+use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::{
     add_bias_backward, add_bias_forward, matmul_a_bt, matmul_at_b, matmul_fill_b_with, Tensor,
     TensorRng,
@@ -344,6 +345,7 @@ impl Linear {
     /// be hoisted out of an integer accumulation at all.
     fn int_weight(&self, scheme: QuantScheme) -> Result<QuantizedTensor, ModelError> {
         self.counters.requants.fetch_add(1, Ordering::Relaxed);
+        let _span = telemetry::span("model.requant");
         Ok(QuantizedTensor::quantize(&self.w.transpose(), scheme)?)
     }
 
@@ -370,6 +372,7 @@ impl Linear {
             return Ok(Cow::Borrowed(&self.w));
         };
         self.counters.requants.fetch_add(1, Ordering::Relaxed);
+        let _span = telemetry::span("model.requant");
         Ok(Cow::Owned(fake_quant(&self.w, scheme)?))
     }
 

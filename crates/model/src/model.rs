@@ -306,7 +306,9 @@ impl EdgeModel {
     /// blocks `grad_from..=exit_layer`, accumulating gradients in place —
     /// into buffers the first backward to reach a module allocates.
     ///
-    /// Gradients reach the embeddings only when `grad_from == 0`.
+    /// Gradients reach the embeddings only when `grad_from == 0`; above
+    /// layer 0 the window's bottom block computes no input gradient, which
+    /// nothing would read.
     ///
     /// # Errors
     ///
@@ -325,7 +327,12 @@ impl EdgeModel {
             .backward(&caches.exit_norm_cache, &dn)?;
         let first = exit_layer + 1 - caches.tape.len();
         for (l, tape) in (first..exit_layer + 1).zip(&caches.tape).rev() {
-            dx = self.blocks[l].backward(tape, &dx)?;
+            // only the embeddings read the gradient leaving the window
+            let input_grad = l > first || caches.grad_from == 0;
+            match self.blocks[l].backward_to(tape, &dx, input_grad)? {
+                Some(below) => dx = below,
+                None => return Ok(()),
+            }
         }
         if caches.grad_from == 0 {
             let (vocab, seq, c) = (
@@ -1002,16 +1009,69 @@ mod tests {
         }
     }
 
+    /// Every field of every taped layer, and the rows leaving the pass,
+    /// to_bits-equal to the training forward the walk replaced, at every
+    /// `grad_from` and at threads 1 and 2.
+    fn assert_the_walk_tapes_the_reference(model: &EdgeModel, batch: usize, what: &str) {
+        use crate::batched::full_window;
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        let (n, seq) = (model.n_layers(), model.config().seq_len);
+        // every recorded tensor: name, shape and bits
+        let fields = |tape: &BlockTape| -> Vec<(String, (usize, usize), Vec<u32>)> {
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect();
+            let all = tape.fields().into_iter();
+            all.map(|(name, shape, xs)| (name, shape, bits(xs)))
+                .collect()
+        };
+        let tokens = tokens_for(model, batch, 71);
+        let before = configured_threads();
+        for threads in [1usize, 2] {
+            set_configured_threads(threads);
+            for grad_from in 0..n {
+                let what = format!("{what} batch {batch} threads {threads} from {grad_from}");
+                let mut x = match grad_from {
+                    0 => {
+                        let mut rows = Vec::new();
+                        for (i, &token) in tokens.iter().enumerate() {
+                            let row = model.embed_one(token, i % seq).unwrap();
+                            rows.extend_from_slice(row.as_slice());
+                        }
+                        Tensor::from_vec(tokens.len(), model.config().d_model, rows).unwrap()
+                    }
+                    _ => {
+                        let prefix = model.frozen_forward(&tokens, batch, 0, None, grad_from, &[]);
+                        prefix.unwrap().0
+                    }
+                };
+                let entry = Entry {
+                    from: grad_from,
+                    hidden: (grad_from > 0).then_some(x.as_slice()),
+                };
+                let mut tape = Vec::new();
+                let (rows, _) =
+                    full_window(model, &tokens, entry, n, &[], Some(&mut tape)).unwrap();
+                assert_eq!(tape.len(), n - grad_from, "{what}: layers taped");
+                for (l, got) in (grad_from..n).zip(&tape) {
+                    let (y, want) = model.blocks[l].forward_reference(&x, batch, seq).unwrap();
+                    let (got, want) = (fields(got), fields(&want));
+                    assert_eq!(got.len(), want.len(), "{what}: layer {l} fields");
+                    for (got, want) in got.iter().zip(&want) {
+                        assert!(got == want, "{what}: layer {l} {} differs", want.0);
+                    }
+                    x = y;
+                }
+                assert_eq!(bits(&rows), bits(&x), "{what}: rows leaving the pass");
+            }
+        }
+        set_configured_threads(before);
+    }
+
     #[test]
     fn the_walk_records_the_tape_the_reference_forward_builds() {
-        use crate::batched::full_window;
         use edge_llm_prune::magnitude_prune;
         use edge_llm_quant::{BitWidth, QuantScheme};
-        use edge_llm_tensor::{configured_threads, set_configured_threads};
-        // Every field of every taped layer, and the rows leaving the pass,
-        // to_bits-equal to the training forward the walk replaced. Under
-        // W4/A8 a frozen layer takes the integer route, so a taped layer
-        // that did would show here.
+        // Under W4/A8 a frozen layer takes the integer route, so a taped
+        // layer that did would show here.
         let cfg = ModelConfig::tiny().with_layers(3);
         let dense = EdgeModel::new(cfg, &mut TensorRng::seed_from(70)).unwrap();
         let (mut masked, mut integer) = (dense.clone(), dense.clone());
@@ -1028,15 +1088,7 @@ mod tests {
         }
         integer.pack_frozen_weights().unwrap();
         assert!(integer.block(0).linears()[0].int_decode_schemes().is_some());
-        let (n, seq) = (dense.n_layers(), dense.config().seq_len);
-        // every recorded tensor: name, shape and bits
-        let fields = |tape: &BlockTape| -> Vec<(String, (usize, usize), Vec<u32>)> {
-            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect();
-            let all = tape.fields().into_iter();
-            all.map(|(name, shape, xs)| (name, shape, bits(xs)))
-                .collect()
-        };
-        let before = configured_threads();
+        let seq = dense.config().seq_len;
         let models = [
             ("dense", &dense),
             ("W4 + 40% mask", &masked),
@@ -1045,52 +1097,133 @@ mod tests {
         for (name, model) in models {
             // the last batch takes two groups of a full-window pass
             for batch in [1, 3, runs_per_group(seq) + 1] {
-                let tokens = tokens_for(model, batch, 71);
-                for threads in [1usize, 2] {
-                    set_configured_threads(threads);
-                    for grad_from in 0..n {
-                        let what =
-                            format!("{name} batch {batch} threads {threads} from {grad_from}");
-                        let mut x = match grad_from {
-                            0 => {
-                                let mut rows = Vec::new();
-                                for (i, &token) in tokens.iter().enumerate() {
-                                    let row = model.embed_one(token, i % seq).unwrap();
-                                    rows.extend_from_slice(row.as_slice());
-                                }
-                                Tensor::from_vec(tokens.len(), model.config().d_model, rows)
-                                    .unwrap()
-                            }
-                            _ => {
-                                let prefix =
-                                    model.frozen_forward(&tokens, batch, 0, None, grad_from, &[]);
-                                prefix.unwrap().0
-                            }
-                        };
-                        let entry = Entry {
-                            from: grad_from,
-                            hidden: (grad_from > 0).then_some(x.as_slice()),
-                        };
-                        let mut tape = Vec::new();
-                        let (rows, _) =
-                            full_window(model, &tokens, entry, n, &[], Some(&mut tape)).unwrap();
-                        assert_eq!(tape.len(), n - grad_from, "{what}: layers taped");
-                        for (l, got) in (grad_from..n).zip(&tape) {
-                            let (y, want) =
-                                model.blocks[l].forward_reference(&x, batch, seq).unwrap();
-                            let (got, want) = (fields(got), fields(&want));
-                            assert_eq!(got.len(), want.len(), "{what}: layer {l} fields");
-                            for (got, want) in got.iter().zip(&want) {
-                                assert!(got == want, "{what}: layer {l} {} differs", want.0);
-                            }
-                            x = y;
+                assert_the_walk_tapes_the_reference(model, batch, name);
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_tapes_the_reference_at_ragged_lengths() {
+        // runs whose lengths are odd or even, past one 32-row panel and
+        // off every 16-column strip, so each row block of the triangle
+        // ends ragged somewhere
+        for seq in [33, 50] {
+            let cfg = ModelConfig::tiny().with_layers(2).with_seq_len(seq);
+            let model = EdgeModel::new(cfg, &mut TensorRng::seed_from(72)).unwrap();
+            for batch in [1, 3] {
+                assert_the_walk_tapes_the_reference(&model, batch, &format!("seq {seq}"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_triangle_backward_is_the_full_square_one_bit_for_bit() {
+        use crate::batched::full_window;
+        use edge_llm_prune::magnitude_prune;
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // Every gradient bit — `dx` and each projection's `dw`/`db` —
+        // signed zeros included, against the backward that ran every
+        // product over the square. The upstream gradient holds exact
+        // zeros of both signs, as an all-masked row or a pruned column
+        // would send.
+        let before = configured_threads();
+        for seq in [8, 33, 50] {
+            let cfg = ModelConfig::tiny().with_layers(1).with_seq_len(seq);
+            let dense = EdgeModel::new(cfg, &mut TensorRng::seed_from(73)).unwrap();
+            let mut masked = dense.clone();
+            for lin in masked.block_mut(0).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                let mask = magnitude_prune(lin.weight(), 0.4).unwrap();
+                lin.set_mask(Some(mask)).unwrap();
+            }
+            for (name, model) in [("dense", &dense), ("W4 + 40% mask", &masked)] {
+                for batch in [1, 3] {
+                    let tokens = tokens_for(model, batch, 74);
+                    let mut tape = Vec::new();
+                    full_window(model, &tokens, Entry::EMBEDDING, 1, &[], Some(&mut tape)).unwrap();
+                    let c = model.config().d_model;
+                    let mut rng = TensorRng::seed_from(75);
+                    let mut dy = Tensor::randn(batch * seq, c, 1.0, &mut rng);
+                    for (i, v) in dy.as_mut_slice().iter_mut().enumerate() {
+                        match i % 7 {
+                            0 => *v = 0.0,
+                            3 => *v = -0.0,
+                            _ => {}
                         }
-                        assert_eq!(bits(&rows), bits(&x), "{what}: rows leaving the pass");
+                    }
+                    let grads = |attn: &mut crate::Attention| {
+                        let mut out = Vec::new();
+                        for lin in [&mut attn.qkv, &mut attn.proj] {
+                            lin.visit_params(&mut |_, g| {
+                                out.extend(g.iter().map(|x| x.to_bits()));
+                            });
+                        }
+                        out
+                    };
+                    for threads in [1usize, 2] {
+                        set_configured_threads(threads);
+                        let what = format!("{name} seq {seq} batch {batch} threads {threads}");
+                        let mut triangle = model.block(0).attn().clone();
+                        let mut square = triangle.clone();
+                        let got = triangle.backward(&tape[0], &dy).unwrap();
+                        let want = square.backward_reference(&tape[0], &dy).unwrap();
+                        assert_eq!(bits(&got), bits(&want), "{what}: dx");
+                        assert_eq!(grads(&mut triangle), grads(&mut square), "{what}: grads");
                     }
                 }
             }
         }
         set_configured_threads(before);
+    }
+
+    #[test]
+    fn the_window_bottom_skips_only_what_nothing_reads() {
+        // Above layer 0 the window's bottom block computes no input
+        // gradient; every parameter gradient stays the unskipped bits.
+        // At layer 0 the input gradient is the embeddings'.
+        let cfg = ModelConfig::tiny().with_layers(4);
+        let model = EdgeModel::new(cfg, &mut TensorRng::seed_from(76)).unwrap();
+        let tokens = tokens_for(&model, 2, 77);
+        let grads = |m: &mut EdgeModel| {
+            let mut out = Vec::new();
+            m.visit_params_all(&mut |_, _, g| out.extend(g.iter().map(|x| x.to_bits())));
+            out
+        };
+        for grad_from in 0..4 {
+            let exit = 3;
+            let fwd = model.forward_exit(&tokens, 2, exit, grad_from).unwrap();
+            let ce = cross_entropy_forward(&fwd.logits, &tokens).unwrap();
+            let dl = cross_entropy_backward(&ce, &tokens).unwrap();
+            let mut skipped = model.clone();
+            skipped.backward_exit(&fwd.caches, &dl).unwrap();
+            // the same backward with every block's input gradient computed
+            let mut full = model.clone();
+            let caches = &fwd.caches;
+            let dn = full
+                .exit_head_mut(exit)
+                .backward(&caches.head_cache, &dl)
+                .unwrap();
+            let norm = &mut full.exits[exit].norm;
+            let mut dx = norm.backward(&caches.exit_norm_cache, &dn).unwrap();
+            for (l, tape) in (grad_from..exit + 1).zip(&caches.tape).rev() {
+                dx = full.blocks[l].backward(tape, &dx).unwrap();
+            }
+            if grad_from == 0 {
+                // the embeddings learn from the bottom block's input gradient
+                let g: f32 = skipped.dtok_emb.as_slice().iter().map(|x| x.abs()).sum();
+                assert!(g > 0.0, "embeddings reached at grad_from 0");
+                // which the reference loop above does not apply: compare
+                // the blocks and heads only
+                skipped.dtok_emb = Tensor::zeros(0, 0);
+                skipped.dpos_emb = Tensor::zeros(0, 0);
+            }
+            assert_eq!(
+                grads(&mut skipped),
+                grads(&mut full),
+                "grad_from {grad_from}"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! 1. **Exact span trees** — under the deterministic fake clock, a 2-step
 //!    adaptation run produces a fully predictable event stream: two
 //!    `tune.step` roots, each with `tune.forward` / `tune.backward` /
-//!    `tune.optimizer` children, at exactly the timestamps the tick clock
-//!    dictates.
+//!    `tune.optimizer` children (and within them the attention spans of
+//!    the walk and of the backward), at exactly the timestamps the tick
+//!    clock dictates.
 //! 2. **One clock** — every duration a report carries (tuner phases,
 //!    checkpoint writes, per-token decode latency) is the duration of
 //!    the span that names it, read from the same clock: exact under the
@@ -73,13 +74,17 @@ fn two_step_adaptation_produces_the_exact_span_tree() {
 
     let roots = span_tree(&events);
     assert_eq!(roots.len(), 2, "one root span per adaptation step");
-    let expected = vec![
-        (0, "tune.step"),
-        (1, "tune.forward"),
-        (1, "tune.backward"),
-        (1, "tune.optimizer"),
-    ];
     for (i, root) in roots.iter().enumerate() {
+        // step `i` trains layer `i` and exits there: its forward walks
+        // `i + 1` layers, each with one attention span, and its backward
+        // reaches one block
+        let mut expected = vec![(0, "tune.step"), (1, "tune.forward")];
+        expected.extend((0..=i).map(|_| (2, "model.attention")));
+        expected.extend([
+            (1, "tune.backward"),
+            (2, "model.attention_backward"),
+            (1, "tune.optimizer"),
+        ]);
         assert_eq!(root.flatten(), expected, "step {i} span shape");
         // children tile the parent in order, strictly nested
         for c in &root.children {
@@ -88,10 +93,11 @@ fn two_step_adaptation_produces_the_exact_span_tree() {
         }
     }
 
-    // the tick clock makes every timestamp exact: each step performs ten
-    // clock reads (4 span starts/ends interleaved with 2 counters)
-    assert_eq!((roots[0].start_ns, roots[0].end_ns), (0, 90));
-    assert_eq!((roots[1].start_ns, roots[1].end_ns), (100, 190));
+    // the tick clock makes every timestamp exact: each step reads it at
+    // every span start and end and at its 2 counters — 14 reads for the
+    // first step's 6 spans, 16 for the second's 7
+    assert_eq!((roots[0].start_ns, roots[0].end_ns), (0, 130));
+    assert_eq!((roots[1].start_ns, roots[1].end_ns), (140, 290));
 
     // per-step counters are always emitted, even when zero, so the trace
     // shape does not depend on cache state
@@ -115,7 +121,7 @@ fn two_step_adaptation_produces_the_exact_span_tree() {
     assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     assert_eq!(
         fnv1a64(text.as_bytes()),
-        0xbcfd191f34eafc8d,
+        0x0a087e4f420380ac,
         "trace bytes moved"
     );
 }
