@@ -13,8 +13,8 @@
 //! (`tests/one_thread_site.rs` scans the workspace for any other site).
 //! Callers decide the split; `fan_out` decides nothing. It has four:
 //! [`parallel_rows_mut`] (parts are `(start_row, &mut [f32])` row panels
-//! — every matmul-shaped kernel), [`parallel_map`] (contiguous index
-//! ranges — per-head attention), `edge_llm_model`'s `decode_runs`
+//! — every matmul-shaped kernel), `edge_llm_model`'s attention backward
+//! (each part the `qkv` gradient rows of whole runs), its `decode_runs`
 //! (chunks of one decode pass's runs) and `edge_llm_fleet`'s router
 //! (shares of the workers stepping in one tick), the last two with each
 //! part under [`serial_scope`]. Workers are scoped per call rather than
@@ -48,13 +48,13 @@ pub const THREADS_ENV_VAR: &str = "EDGELLM_THREADS";
 /// the work being split. Because the serial and parallel paths are
 /// bit-identical by construction, the cutoff affects wall-clock only,
 /// never results. Every parallel kernel in the workspace (dense f32,
-/// row-dequantizing, packed-integer, per-head attention) shares this one
+/// row-dequantizing, packed-integer, the attention backward) shares this one
 /// constant through [`workers`].
 pub const MIN_PARALLEL_MACS: usize = 1 << 16;
 
 /// Workers a kernel call actually uses for `macs` multiply-accumulates
-/// that split into at most `splits` parts (a matmul's output rows, an
-/// attention loop's `(batch, head)` pairs): the resolved request, capped
+/// that split into at most `splits` parts (a matmul's output rows, the
+/// runs of an attention backward): the resolved request, capped
 /// by `splits` and forced serial below [`MIN_PARALLEL_MACS`].
 pub fn workers(requested: usize, macs: usize, splits: usize) -> usize {
     if macs < MIN_PARALLEL_MACS {
@@ -234,23 +234,6 @@ where
     fan_out(panels, |(start, chunk)| body(start, chunk));
 }
 
-/// Computes `f(0..n)` across workers and returns the results in index
-/// order.
-///
-/// Indices are partitioned into contiguous chunks; each worker evaluates
-/// its chunk in ascending order, and the chunks are reassembled in chunk
-/// order, so the output is identical for every worker count.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let chunks = fan_out(partition(n, threads.max(1)), |chunk| {
-        chunk.map(&f).collect::<Vec<T>>()
-    });
-    chunks.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,16 +337,6 @@ mod tests {
         let mut buf: Vec<f32> = Vec::new();
         parallel_rows_mut(&mut buf, 0, 4, 4, |_, _| panic!("no panels expected"));
         parallel_rows_mut(&mut buf, 4, 0, 4, |_, panel| assert!(panel.is_empty()));
-    }
-
-    #[test]
-    fn parallel_map_preserves_index_order() {
-        for threads in [1usize, 2, 5, 16] {
-            let got = parallel_map(23, threads, |i| i * i);
-            let want: Vec<usize> = (0..23).map(|i| i * i).collect();
-            assert_eq!(got, want, "order broke under {threads} threads");
-        }
-        assert!(parallel_map(0, 4, |i| i).is_empty());
     }
 
     #[test]
