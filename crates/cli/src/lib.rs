@@ -687,8 +687,8 @@ pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliE
                 )
             };
             let ids = tok.encode(prompt);
-            // Generation never mutates weights: pack any quantized layers
-            // so decode runs off integer codes (no-op on dense models).
+            // Generation never mutates weights: build the quantized
+            // layers' codes before the first token (no-op on dense models).
             model.pack_frozen_weights().map_err(run_err)?;
             let generated =
                 generate(&model, &voting, &ids, *tokens, decoding, &mut rng).map_err(run_err)?;

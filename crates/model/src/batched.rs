@@ -1097,6 +1097,68 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_frozen_weight_fails_typed_and_advances_no_cursor() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // A frozen compressed layer builds its codes on the walk, and the
+        // quantizer refuses a non-finite master weight: on the row-code
+        // route and on the integer route, logits and a batched step fail
+        // with `ModelError::Compression`, and no sequence advances.
+        let before = configured_threads();
+        for act in [None, Some(QuantScheme::asymmetric(BitWidth::W8))] {
+            let mut m = model(15);
+            for l in 0..m.n_layers() {
+                for lin in m.block_mut(l).linears_mut() {
+                    lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                    lin.set_activation_quant(act);
+                }
+            }
+            m.pack_frozen_weights().unwrap();
+            let exits = [m.n_layers() - 1];
+            let (mut a, mut b) = (SequenceKv::new(&m), SequenceKv::new(&m));
+            for kv in [&mut a, &mut b] {
+                let mut steps = [BatchedStep {
+                    token: 3,
+                    kv,
+                    exits: &exits,
+                    adapter: None,
+                }];
+                batched_decode_step(&m, &mut steps).unwrap();
+            }
+            let fc1 = &mut m.block_mut(1).linears_mut()[2];
+            let mut weight = true;
+            fc1.visit_params(&mut |p, _| {
+                if std::mem::take(&mut weight) {
+                    p[7] = f32::NAN;
+                }
+            });
+            let tokens = vec![1; m.config().seq_len];
+            assert!(
+                matches!(m.logits(&tokens, 1), Err(ModelError::Compression { .. })),
+                "{act:?}: logits"
+            );
+            for threads in [1usize, 2] {
+                set_configured_threads(threads);
+                let mut steps = [&mut a, &mut b].map(|kv| BatchedStep {
+                    token: 4,
+                    kv,
+                    exits: &exits,
+                    adapter: None,
+                });
+                assert!(
+                    matches!(
+                        batched_decode_step(&m, &mut steps),
+                        Err(ModelError::Compression { .. })
+                    ),
+                    "{act:?}, threads {threads}: decode step"
+                );
+                assert_eq!((a.len(), b.len()), (1, 1), "{act:?}, threads {threads}");
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    #[test]
     fn a_non_finite_last_position_reaches_no_earlier_row_and_no_batch_mate() {
         use edge_llm_tensor::{configured_threads, set_configured_threads};
         // Row t reads no key, value or weight past position t, so a NaN or

@@ -36,16 +36,20 @@ use std::sync::{Arc, OnceLock};
 /// the one property Edge-LLM's compressed layers have: they are *frozen*
 /// almost all of the time (only the layers inside the adaptive tuning
 /// window change per iteration, and at inference nothing changes at all).
-/// The layer therefore keeps a lazily-populated cache of its effective
-/// weight, plus — after [`Linear::pack_weights`] — the weight as packed
-/// integer codes in the **one** orientation its frozen route reads: row
-/// codes for the row-dequantizing f32 kernel, or transposed codes for the
-/// integer GEMM ([`Linear::int_decode_schemes`]), never both.
+/// A compressed layer therefore computes its frozen forwards from packed
+/// integer codes, which the first frozen forward after a mutation builds,
+/// in the **one** orientation its route reads: transposed codes for the
+/// integer GEMM ([`Linear::int_decode_schemes`]), row codes for the
+/// row-dequantizing f32 kernel otherwise. Only [`Linear::forward`] — the
+/// taped window — holds a dense effective weight; it dequantizes the row
+/// codes when the layer holds them, which reproduces `fake_quant` bit for
+/// bit, so a layer entering the window re-quantizes nothing.
 ///
 /// Every mutation path (`visit_params`, `set_mask` / `set_quant` /
-/// `set_activation_quant`) invalidates the cache, so cached results are
-/// **bit-identical** to recomputing the effective weight on every call —
-/// the invariant the staleness tests in `tests/weight_cache.rs` pin down.
+/// `set_activation_quant`, and a route flip) drops both forms, so cached
+/// results are **bit-identical** to recomputing the effective weight on
+/// every call — the invariant the staleness tests in `tests/weight_cache.rs`
+/// pin down.
 ///
 /// The mask invariant is held at the write: `set_mask` masks the weight
 /// it installs on, and `visit_params` — the one path optimizer steps and
@@ -91,8 +95,8 @@ pub struct Linear {
 /// computed values.
 #[derive(Debug, Default)]
 struct CacheCounters {
-    /// Effective-weight materializations with a quant scheme installed
-    /// (each one is a re-quantization of the full weight).
+    /// Re-quantizations of the full weight: code builds and fake-quantized
+    /// effective weights.
     requants: AtomicU64,
     /// Cache evictions that actually dropped a cached form.
     invalidations: AtomicU64,
@@ -113,17 +117,15 @@ impl Clone for CacheCounters {
 /// replacing the cells.
 #[derive(Debug, Clone, Default)]
 struct WeightCache {
-    /// The dense effective (fake-quantized) weight.
+    /// The weight as packed codes, read by the frozen route: the
+    /// *transposed* weight (one symmetric scale per **output channel**) on
+    /// the integer decode route, the stored weight (one grid per input
+    /// row) on the row-dequantizing f32 route. It holds the layer's
+    /// resident weight bytes at the LUC policy's bit-width ratio.
+    codes: OnceLock<Arc<QuantizedTensor>>,
+    /// The dense effective (fake-quantized) weight, read only by
+    /// [`Linear::forward`].
     dense: OnceLock<Arc<Tensor>>,
-    /// The weight as packed integer codes, read by the row-dequantizing
-    /// f32 route; holds the layer's resident weight bytes at the LUC
-    /// policy's bit-width ratio.
-    packed: OnceLock<Arc<QuantizedTensor>>,
-    /// The *transposed* weight as packed codes (one symmetric
-    /// scale per **output channel**) — the operand of the packed integer
-    /// GEMM, held *instead of* `packed` by layers on the integer decode
-    /// route (see [`Linear::int_decode_schemes`]).
-    packed_t: OnceLock<Arc<QuantizedTensor>>,
 }
 
 /// Activations cached by [`Linear::forward`] for the backward pass.
@@ -226,10 +228,8 @@ impl Linear {
     /// baseline the decode benchmarks compare against. Layers outside
     /// [`Linear::int_decode_schemes`] eligibility ignore the flag; on an
     /// eligible layer a flip moves it to the other route, whose codes lie
-    /// in the other orientation, so the cached forms are dropped: the
-    /// integer route re-packs on its next forward, the f32 route runs on
-    /// the cached dense weight until [`Linear::pack_weights`] is called
-    /// again.
+    /// in the other orientation, so the cached forms are dropped and the
+    /// next frozen forward builds the new route's codes.
     pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
         let before = self.int_decode_schemes();
         self.int_decode_enabled = enabled;
@@ -256,9 +256,9 @@ impl Linear {
         }
     }
 
-    /// Whether the transposed integer-GEMM weight is currently packed.
+    /// Whether the weight is held as the integer route's transposed codes.
     pub fn is_int_packed(&self) -> bool {
-        self.wcache.packed_t.get().is_some()
+        self.wcache.codes.get().is_some() && self.int_decode_schemes().is_some()
     }
 
     /// Whether a dense effective weight is currently cached (test hook for
@@ -270,33 +270,34 @@ impl Linear {
     /// Whether the weight is held as packed row codes (the f32
     /// row-dequantizing route's form).
     pub fn is_packed(&self) -> bool {
-        self.wcache.packed.get().is_some()
+        self.row_codes().is_some()
     }
 
-    /// Bytes the decode path keeps resident for this layer's weight:
-    /// the packed codes (in whichever orientation the layer holds) plus
-    /// group metadata once [`Linear::pack_weights`] has run, the dense f32
+    /// The codes the layer holds, when they are row codes.
+    fn row_codes(&self) -> Option<&QuantizedTensor> {
+        let codes = self.wcache.codes.get().map(Arc::as_ref);
+        codes.filter(|_| self.int_decode_schemes().is_none())
+    }
+
+    /// Bytes the decode path keeps resident for this layer's weight: its
+    /// codes plus their per-row metadata once it holds them, the dense f32
     /// weight otherwise.
     pub fn weight_storage_bytes(&self) -> usize {
-        let codes = self.wcache.packed.get().or(self.wcache.packed_t.get());
+        let codes = self.wcache.codes.get();
         codes.map_or(self.w.len() * 4, |q| q.storage_bytes())
     }
 
     fn invalidate_weight_cache(&mut self) {
-        let had_cached = self.wcache.dense.get().is_some()
-            || self.wcache.packed.get().is_some()
-            || self.wcache.packed_t.get().is_some();
-        self.wcache.dense.take();
-        self.wcache.packed.take();
-        self.wcache.packed_t.take();
-        if had_cached {
+        let WeightCache { codes, dense } = std::mem::take(&mut self.wcache);
+        if codes.get().is_some() || dense.get().is_some() {
             self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Times this layer materialized its effective weight with a quant
-    /// scheme installed (each is a full re-quantization). Monotonic over
-    /// the layer's lifetime; the tuner reports per-step deltas.
+    /// Times this layer re-quantized its full weight — built its codes or
+    /// fake-quantized its effective weight; dequantizing held codes is not
+    /// one. Monotonic over the layer's lifetime; the tuner reports
+    /// per-step deltas.
     pub fn requant_count(&self) -> u64 {
         self.counters.requants.load(Ordering::Relaxed)
     }
@@ -306,57 +307,44 @@ impl Linear {
         self.counters.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Quantizes the weight into packed integer codes, in the one
-    /// orientation this layer's frozen route reads — transposed for the
-    /// integer GEMM, row codes for the blocked row-dequantizing kernel —
-    /// so [`Linear::forward_no_cache`] never materializes the dense
-    /// effective weight. A no-op for layers without a quant scheme or when
-    /// already packed.
+    /// Builds now the codes the layer's first frozen forward would build
+    /// (see the type docs). A no-op for a layer without a weight scheme or
+    /// one that holds its codes already.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Compression`] if quantization fails (e.g.
     /// non-finite weights).
     pub fn pack_weights(&self) -> Result<(), ModelError> {
-        let Some(scheme) = self.quant else {
-            return Ok(());
-        };
-        match self.int_decode_schemes() {
-            Some((ws, _)) => drop(self.int_codes(ws)?),
-            None if self.wcache.packed.get().is_none() => {
-                let q = Arc::new(QuantizedTensor::quantize(&self.w, scheme)?);
-                let _ = self.wcache.packed.set(q);
-            }
-            None => {}
+        match self.quant {
+            Some(scheme) => self.codes(scheme).map(drop),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Builds the packed integer-GEMM weight: the **transposed** weight
-    /// (`d_out x d_in`, so symmetric per-row scales land on output
-    /// channels and hoist out of the reduction) quantized under the
-    /// layer's weight scheme. A pruned weight is already `+0.0` in `w`,
-    /// and symmetric quantization maps it to the zero-point code, so it
-    /// contributes exactly nothing to the integer accumulation.
-    ///
-    /// This grid is the canonical numerics of the integer decode route
-    /// (DESIGN.md §5k): it differs from the fake-quant grid of the stored
-    /// `(d_in, d_out)` orientation, whose per-*input*-row scales cannot
-    /// be hoisted out of an integer accumulation at all.
-    fn int_weight(&self, scheme: QuantScheme) -> Result<QuantizedTensor, ModelError> {
+    /// The codes the frozen route reads, quantized under the weight
+    /// `scheme` at most once per mutation; each build is a full
+    /// re-quantization. On the integer route they are the **transposed**
+    /// weight (`d_out x d_in`, so symmetric per-row scales land on output
+    /// channels and hoist out of the reduction); a pruned weight is
+    /// already `+0.0` in `w` and maps to the zero-point code, so it adds
+    /// exactly nothing to the integer accumulation. That grid is the
+    /// canonical numerics of the integer decode route (DESIGN.md §5k): the
+    /// stored `(d_in, d_out)` orientation's per-*input*-row scales, which
+    /// the row codes and the fake-quant weight use, cannot be hoisted out
+    /// of an integer accumulation at all.
+    fn codes(&self, scheme: QuantScheme) -> Result<&QuantizedTensor, ModelError> {
+        if let Some(q) = self.wcache.codes.get() {
+            return Ok(q);
+        }
         self.counters.requants.fetch_add(1, Ordering::Relaxed);
         let _span = telemetry::span("model.requant");
-        Ok(QuantizedTensor::quantize(&self.w.transpose(), scheme)?)
-    }
-
-    /// [`Linear::int_weight`] through the cache: built at most once per
-    /// mutation.
-    fn int_codes(&self, scheme: QuantScheme) -> Result<Arc<QuantizedTensor>, ModelError> {
-        if let Some(q) = self.wcache.packed_t.get() {
-            return Ok(Arc::clone(q));
-        }
-        let q = Arc::new(self.int_weight(scheme)?);
-        Ok(Arc::clone(self.wcache.packed_t.get_or_init(|| q)))
+        let q = match self.int_decode_schemes() {
+            Some(_) => QuantizedTensor::quantize(&self.w.transpose(), scheme)?,
+            None => QuantizedTensor::quantize(&self.w, scheme)?,
+        };
+        // Racing builders quantized the same frozen weight; one is kept.
+        Ok(self.wcache.codes.get_or_init(|| Arc::new(q)))
     }
 
     /// The weight actually used by the forward pass: fake-quantized when a
@@ -377,9 +365,11 @@ impl Linear {
     }
 
     /// [`Linear::effective_weight`] through the cache: computed at most
-    /// once per mutation, shared via `Arc`. Without a scheme installed it
-    /// is a fresh copy of the stored weight, which a cache would only
-    /// duplicate.
+    /// once per mutation, shared via `Arc` — the operand of
+    /// [`Linear::forward`] and of nothing else. A layer holding row codes
+    /// dequantizes them, which is `fake_quant`'s bits without a second
+    /// quantization. Without a scheme installed it is a fresh copy of the
+    /// stored weight, which a cache would only duplicate.
     ///
     /// # Errors
     ///
@@ -391,10 +381,13 @@ impl Linear {
         if let Some(w) = self.wcache.dense.get() {
             return Ok(Arc::clone(w));
         }
-        let w = Arc::new(self.effective_weight()?.into_owned());
+        let w = match self.row_codes() {
+            Some(q) => q.dequantize(),
+            None => self.effective_weight()?.into_owned(),
+        };
         // Racing initializers computed identical bits from the same frozen
         // weight; get_or_init keeps exactly one.
-        Ok(Arc::clone(self.wcache.dense.get_or_init(|| w)))
+        Ok(Arc::clone(self.wcache.dense.get_or_init(|| Arc::new(w))))
     }
 
     /// Forward pass, caching what the backward pass needs: the cache keeps
@@ -443,24 +436,19 @@ impl Linear {
     ///
     /// Propagates shape errors from the underlying kernels.
     pub fn forward_no_cache(&self, x: &Tensor) -> Result<Tensor, ModelError> {
-        let packed = self.wcache.packed.get();
-        let y = match (self.int_decode_schemes(), self.quant, packed) {
+        let y = match (self.int_decode_schemes(), self.quant) {
             // Integer GEMM: per-row activation codes against the packed
             // transposed weight words.
-            (Some((ws, act)), ..) => {
+            (Some((ws, act)), _) => {
                 let x_q = quantize_activations(x, act)?;
-                packed_decode_matmul(&x_q, self.int_codes(ws)?.as_ref(), 0)?
+                packed_decode_matmul(&x_q, self.codes(ws)?, 0)?
             }
             // Row codes, dequantized panel by panel inside the kernel.
-            (None, Some(_), Some(q)) => {
+            (None, Some(scheme)) => {
+                let q = self.codes(scheme)?;
                 self.packed_matmul(self.effective_input(Cow::Borrowed(x))?.as_ref(), q)?
             }
-            // The cached dense effective weight.
-            (None, Some(_), None) => {
-                let w = self.cached_effective_weight()?;
-                self.effective_input(Cow::Borrowed(x))?.matmul(w.as_ref())?
-            }
-            (None, None, _) => self.effective_input(Cow::Borrowed(x))?.matmul(&self.w)?,
+            (None, None) => self.effective_input(Cow::Borrowed(x))?.matmul(&self.w)?,
         };
         self.add_bias(y)
     }
@@ -787,16 +775,21 @@ mod tests {
         let mut rng = TensorRng::seed_from(12);
         let mut l = Linear::new(8, 8, &mut rng);
         l.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
-        assert!(!l.has_cached_weight());
+        assert!(!l.is_packed() && !l.has_cached_weight());
         let x = Tensor::randn(2, 8, 1.0, &mut rng);
         let y = l.forward_no_cache(&x).unwrap();
-        assert!(l.has_cached_weight());
-        assert_eq!(
-            l.cached_effective_weight().unwrap().as_slice(),
-            l.effective_weight().unwrap().as_slice()
-        );
+        // the frozen route builds its codes, once, and no dense copy
+        assert!(l.is_packed() && !l.has_cached_weight());
+        assert_eq!(l.requant_count(), 1);
+        // the dense weight is the codes dequantized, with no second
+        // quantization, and carries fake_quant's bits
+        let dense = l.cached_effective_weight().unwrap();
+        assert_eq!(l.requant_count(), 1);
+        assert_eq!(dense.as_slice(), l.effective_weight().unwrap().as_slice());
         // repeated forwards hit the cache and stay bit-identical
+        let before = l.requant_count();
         assert_eq!(y.as_slice(), l.forward_no_cache(&x).unwrap().as_slice());
+        assert_eq!(l.requant_count(), before);
     }
 
     #[test]
@@ -840,11 +833,14 @@ mod tests {
                 .unwrap();
             l.set_quant(Some(QuantScheme::symmetric(bits)));
             let x = Tensor::randn(3, 40, 1.0, &mut rng);
-            let dense = l.forward_no_cache(&x).unwrap();
+            let lazy = l.forward_no_cache(&x).unwrap();
+            assert!(l.is_packed());
+            // packing up front builds what the first frozen forward built
+            l.visit_params(&mut |_, _| {});
             l.pack_weights().unwrap();
             assert!(l.is_packed());
             let packed = l.forward_no_cache(&x).unwrap();
-            assert_eq!(dense.as_slice(), packed.as_slice(), "{bits}");
+            assert_eq!(lazy.as_slice(), packed.as_slice(), "{bits}");
             // and bit-identical to `x · effective_weight()` recomputed fresh
             let w = l.effective_weight().unwrap();
             let baseline = l.add_bias(x.matmul(&w).unwrap()).unwrap();
@@ -867,21 +863,27 @@ mod tests {
         });
     }
 
-    /// Every frozen route of `l` — cached dense weight, packed row codes
-    /// and, where eligible, the integer GEMM under A8 activations — must
-    /// bit-equal a reference built from the masking formula
-    /// `x · mask(fake_quant(w)) + b` (for the integer route, the masked
-    /// transpose, quantized), at one and two threads.
+    /// Every route of `l` — packed row codes and, where eligible, the
+    /// integer GEMM under A8 activations, plus the taped window's
+    /// [`Linear::forward`] on a dense weight built by `fake_quant` and on
+    /// one dequantized from held row codes — must bit-equal a reference
+    /// built from the masking formula `x · mask(fake_quant(w)) + b` (for
+    /// the integer route, the masked transpose, quantized), at one and two
+    /// threads.
     fn assert_routes_match_masked_formula(l: &mut Linear, x: &Tensor, what: &str) {
         use edge_llm_tensor::{configured_threads, set_configured_threads, MatmulKernel};
         let raw = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (scheme, mask) = (l.quant.unwrap(), l.mask.clone().unwrap());
         let mut w = fake_quant(&l.w, scheme).unwrap();
         mask.apply(&mut w).unwrap();
-        let want = l
-            .add_bias(x.matmul_with(&w, MatmulKernel::Blocked).unwrap())
-            .unwrap();
+        let formula = |x: &Tensor| {
+            l.add_bias(x.matmul_with(&w, MatmulKernel::Blocked).unwrap())
+                .unwrap()
+        };
+        let want = formula(x);
         let a8 = QuantScheme::asymmetric(BitWidth::W8);
+        // the window trains an integer-route layer on the f32 route
+        let want_taped_a8 = formula(&fake_quant(x, a8).unwrap());
         let want_int = packed_gemm_supported(scheme, a8).then(|| {
             let (d_in, d_out) = l.shape();
             let mut wt = Tensor::zeros(d_out, d_in);
@@ -903,18 +905,31 @@ mod tests {
             let at = format!("{what}, {threads} threads");
             // drops every cached form without writing the weight
             l.set_activation_quant(None);
-            let dense = l.forward_no_cache(x).unwrap();
+            let taped = l.forward(x.clone()).unwrap().0;
             assert!(l.has_cached_weight() && !l.is_packed(), "{at}");
-            assert_eq!(raw(&dense), raw(&want), "dense cache, {at}");
-            l.pack_weights().unwrap();
-            assert!(l.is_packed(), "{at}");
+            assert_eq!(raw(&taped), raw(&want), "dense by fake_quant, {at}");
+            l.set_activation_quant(None);
             let packed = l.forward_no_cache(x).unwrap();
+            assert!(l.is_packed() && !l.has_cached_weight(), "{at}");
             assert_eq!(raw(&packed), raw(&want), "row codes, {at}");
+            let requants = l.requant_count();
+            let taped = l.forward(x.clone()).unwrap().0;
+            assert!(l.has_cached_weight(), "{at}");
+            assert_eq!(
+                l.requant_count(),
+                requants,
+                "dequantizing requantized, {at}"
+            );
+            assert_eq!(raw(&taped), raw(&want), "dense from row codes, {at}");
             if let Some(want_int) = &want_int {
                 l.set_activation_quant(Some(a8));
                 let int = l.forward_no_cache(x).unwrap();
                 assert!(l.is_int_packed(), "{at}");
                 assert_eq!(raw(&int), raw(want_int), "integer, {at}");
+                // transposed codes lie on another grid: the window's dense
+                // weight comes from fake_quant
+                let taped = l.forward(x.clone()).unwrap().0;
+                assert_eq!(raw(&taped), raw(&want_taped_a8), "taped A8, {at}");
             }
         }
         set_configured_threads(before);
@@ -1041,18 +1056,13 @@ mod tests {
         l.set_integer_decode_enabled(false);
         assert!(l.int_decode_schemes().is_none());
         assert!(!l.is_int_packed() && !l.is_packed());
-        // f32 fallback: fake-quantized activations x cached dense weight
+        // f32 fallback: fake-quantized activations x row codes, built by
+        // the forward
         let f32_y = l.forward_no_cache(&x).unwrap();
+        assert!(l.is_packed() && !l.is_int_packed());
         let x_hat = fake_quant(&x, QuantScheme::asymmetric(BitWidth::W8)).unwrap();
         let expect = x_hat.matmul(&l.effective_weight().unwrap()).unwrap();
         assert_eq!(f32_y.as_slice(), expect.as_slice());
-        // re-packed, the f32 route reads row codes — same bits
-        l.pack_weights().unwrap();
-        assert!(l.is_packed() && !l.is_int_packed());
-        assert_eq!(
-            l.forward_no_cache(&x).unwrap().as_slice(),
-            expect.as_slice()
-        );
         // and back: the integer route re-packs lazily, same bits as before
         l.set_integer_decode_enabled(true);
         assert!(!l.is_packed());

@@ -583,10 +583,10 @@ impl EdgeModel {
             .chain(self.exits.iter_mut().filter_map(|e| e.head.as_mut()))
     }
 
-    /// Quantizes every compressed projection's weight into packed integer
-    /// codes so the no-cache forward paths (inference, serving) run the
-    /// blocked row-dequantizing kernel. Call after loading a model for
-    /// generation/serving; layers without a quant scheme are untouched.
+    /// Builds now, on every compressed projection, the packed codes its
+    /// first frozen forward would build ([`Linear::pack_weights`]), so
+    /// serving pays no quantization on its first pass. Layers without a
+    /// quant scheme are untouched.
     ///
     /// # Errors
     ///
@@ -870,7 +870,7 @@ mod tests {
         // warm every block's cache with a forward pass
         let tokens = tokens_for(&model, 1, 22);
         model.logits(&tokens, 1).unwrap();
-        let cached = |m: &EdgeModel, l: usize| m.block(l).linears()[0].has_cached_weight();
+        let cached = |m: &EdgeModel, l: usize| m.block(l).linears()[0].is_packed();
         assert!(cached(&model, 0) && cached(&model, 1));
         // an optimizer pass over window [1, 2) must leave block 0's cache
         model.visit_params_window(LayerWindow { start: 1, end: 2 }, 1, &mut |_, _, _| {});
@@ -893,7 +893,23 @@ mod tests {
             fc1.set_quant(Some(scheme));
         }
         let tokens = tokens_for(&model, 1, 24);
-        let dense = model.logits(&tokens, 1).unwrap();
+        // the dense twin: no scheme, each quantized weight written as its
+        // fake-quantized self, so it runs the uncompressed route
+        let mut twin = model.clone();
+        for l in 0..twin.n_layers() {
+            let [qkv, _, fc1, _] = twin.block_mut(l).linears_mut();
+            for lin in [qkv, fc1] {
+                let w = lin.effective_weight().unwrap().into_owned();
+                lin.set_quant(None);
+                let mut weight = Some(w.as_slice());
+                lin.visit_params(&mut |p, _| {
+                    if let Some(w) = weight.take() {
+                        p.copy_from_slice(w);
+                    }
+                });
+            }
+        }
+        let dense = twin.logits(&tokens, 1).unwrap();
         model.pack_frozen_weights().unwrap();
         assert!(model.block(0).linears()[0].is_packed());
         let packed = model.logits(&tokens, 1).unwrap();

@@ -15,7 +15,7 @@ use edge_llm_model::{
     AdaptiveTuner, EdgeModel, Linear, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
 };
 use edge_llm_prune::magnitude_prune;
-use edge_llm_quant::{BitWidth, QuantScheme};
+use edge_llm_quant::{BitWidth, QuantScheme, QuantizedTensor};
 use edge_llm_tensor::{Tensor, TensorRng};
 use std::sync::Arc;
 
@@ -239,7 +239,7 @@ fn checkpoint_restore_keeps_caches_fresh() {
     let rng = TensorRng::seed_from(14);
     let ckpt = TrainingCheckpoint::capture(&model, &opt, 0, &rng, Vec::new());
     // capture is read-only: caches survive
-    assert!(model.block(0).linears()[0].has_cached_weight());
+    assert!(model.block(0).linears()[0].is_packed());
     // drift the weights, then restore the snapshot
     model.visit_params_all(&mut |_, p, _| {
         for v in p.iter_mut() {
@@ -275,7 +275,7 @@ fn model_file_roundtrip_keeps_caches_fresh_and_bytes_stable() {
         bytes
     };
     let bytes = save(&model);
-    assert!(model.block(0).linears()[0].has_cached_weight());
+    assert!(model.block(0).linears()[0].is_packed());
     assert_eq!(bytes, save(&model));
     // load invalidates by construction (fresh model); once the policy is
     // re-applied the logits match exactly
@@ -368,5 +368,63 @@ fn standalone_linear_staleness_matrix() {
             fresh(&l).as_slice(),
             "stale cache after {name}"
         );
+    }
+}
+
+#[test]
+fn the_tuner_holds_codes_and_no_dense_copy_outside_its_window() {
+    // W4 attention, W2 MLP, a quarter of fc1 pruned: over a full
+    // round-robin cycle the blocks a step walks frozen hold their row
+    // codes and nothing else, the window's blocks hold nothing once the
+    // optimizer has written them, and no block outside the window ever
+    // holds a dense copy. A frozen forward between steps packs every block.
+    let mut rng = TensorRng::seed_from(31);
+    let mut model = EdgeModel::new(ModelConfig::tiny().with_layers(4), &mut rng).unwrap();
+    let (w4, w2) = (
+        QuantScheme::symmetric(BitWidth::W4),
+        QuantScheme::symmetric(BitWidth::W2),
+    );
+    for l in 0..model.n_layers() {
+        let [qkv, proj, fc1, fc2] = model.block_mut(l).linears_mut();
+        qkv.set_quant(Some(w4));
+        proj.set_quant(Some(w4));
+        fc1.set_quant(Some(w2));
+        fc2.set_quant(Some(w2));
+        let mask = magnitude_prune(fc1.weight(), 0.25).unwrap();
+        fc1.set_mask(Some(mask)).unwrap();
+    }
+    let tokens = tokens_for(&model, 32);
+    let mut opt = Sgd::with_momentum(0.05, 0.9);
+    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
+    // a block holds its row codes, at exactly their bytes, and no dense copy
+    let holds_codes = |lin: &Linear| {
+        let codes = QuantizedTensor::quantize(lin.weight(), lin.quant().unwrap()).unwrap();
+        lin.is_packed()
+            && !lin.has_cached_weight()
+            && lin.weight_storage_bytes() == codes.storage_bytes()
+    };
+    for it in 0..2 * model.n_layers() {
+        let window = tuner
+            .step(&mut model, &mut opt, &tokens, &tokens, 1)
+            .unwrap()
+            .window;
+        for l in 0..model.n_layers() {
+            let at = format!("step {it}, window {window:?}, block {l}");
+            for lin in model.block(l).linears() {
+                if l < window.start {
+                    assert!(holds_codes(lin), "{at}: frozen prefix");
+                } else if window.contains(l) {
+                    assert!(!lin.is_packed() && !lin.has_cached_weight(), "{at}");
+                } else {
+                    assert!(!lin.has_cached_weight(), "{at}: above the exit");
+                }
+            }
+        }
+        model.logits(&tokens, 1).unwrap();
+        for l in 0..model.n_layers() {
+            for lin in model.block(l).linears() {
+                assert!(holds_codes(lin), "step {it}, block {l} after logits");
+            }
+        }
     }
 }

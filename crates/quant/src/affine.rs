@@ -46,11 +46,14 @@ impl QuantizedTensor {
         let (rows, cols) = x.shape();
         let mut scales = Vec::with_capacity(rows);
         let mut zeros = Vec::with_capacity(rows);
-        let mut codes = Vec::with_capacity(rows * cols);
+        // written in place, not pushed: the rounding loop vectorizes
+        let mut codes = vec![0; rows * cols];
         for r in 0..rows {
             let row = x.row(r);
             let grid = RowGrid::fit(row, scheme.bits, scheme.mode);
-            codes.extend(row.iter().map(|&v| grid.code(v)));
+            for (code, &v) in codes[r * cols..(r + 1) * cols].iter_mut().zip(row) {
+                *code = grid.code(v);
+            }
             scales.push(grid.scale);
             zeros.push(grid.zero);
         }

@@ -22,14 +22,17 @@ impl PackedInts {
     /// Panics (debug assertion) if any code exceeds `bits.max_code()`.
     pub fn pack(bits: BitWidth, codes: &[u32]) -> Self {
         let per_word = (32 / bits.bits()) as usize;
-        let n_words = codes.len().div_ceil(per_word);
-        let mut words = vec![0u32; n_words];
-        for (i, &code) in codes.iter().enumerate() {
-            debug_assert!(code <= bits.max_code(), "code {code} exceeds {bits}");
-            let w = i / per_word;
-            let shift = (i % per_word) as u32 * bits.bits();
-            words[w] |= (code & bits.max_code()) << shift;
-        }
+        // one word per chunk of codes: no index arithmetic per code
+        let words = codes
+            .chunks(per_word)
+            .map(|chunk| {
+                let slots = chunk.iter().zip((0..32).step_by(bits.bits() as usize));
+                slots.fold(0, |word, (&code, shift)| {
+                    debug_assert!(code <= bits.max_code(), "code {code} exceeds {bits}");
+                    word | (code & bits.max_code()) << shift
+                })
+            })
+            .collect();
         PackedInts {
             bits,
             len: codes.len(),
@@ -180,6 +183,17 @@ mod tests {
         let p = PackedInts::pack(BitWidth::W4, &codes);
         assert_eq!(p.unpack(), codes);
         assert_eq!(p.storage_bytes(), 4); // 7 nibbles fit one word
+    }
+
+    #[test]
+    fn words_hold_codes_little_endian_with_a_zero_padded_tail() {
+        let codes: Vec<u32> = (1..=9).collect();
+        let w4 = PackedInts::pack(BitWidth::W4, &codes);
+        assert_eq!(w4.words(), [0x8765_4321, 0x9]);
+        let w8 = PackedInts::pack(BitWidth::W8, &codes[..6]);
+        assert_eq!(w8.words(), [0x0403_0201, 0x0605]);
+        let w2 = PackedInts::pack(BitWidth::W2, &[3, 0, 1, 2, 3]);
+        assert_eq!(w2.words(), [0b11_10_01_00_11]);
     }
 
     #[test]

@@ -14,9 +14,12 @@ pub enum QuantMode {
 }
 
 /// A complete quantizer description: bit-width and mode. Every scheme
-/// fits one `(scale, zero-point)` pair per row — per output channel of a
-/// weight matrix, per token of an activation batch — so a row's codes
-/// never depend on the rows quantized beside it.
+/// fits one `(scale, zero-point)` pair per row, so a row's codes never
+/// depend on the rows quantized beside it. A row of an activation batch
+/// is one token. A row of a weight is whatever its storage puts there:
+/// the model's `(d_in, d_out)` weights put an *input* channel on each row,
+/// and only the integer decode route, which quantizes the transpose, fits
+/// one grid per output channel.
 ///
 /// # Example
 ///

@@ -171,9 +171,9 @@ impl<'a> BatchedInferenceEngine<'a> {
                 what: "batch slots",
             });
         }
-        // Serving never mutates weights, so quantized layers can hold
-        // their weights as packed integer codes for the engine's whole
-        // lifetime: same bits out, fewer resident bytes.
+        // Serving never mutates weights, so the packed codes every
+        // quantized layer decodes from are built once, here, and the first
+        // step pays no quantization.
         model.pack_frozen_weights()?;
         Ok(BatchedInferenceEngine {
             model,
