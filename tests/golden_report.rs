@@ -1,5 +1,5 @@
-//! Golden-report regression test: runs the quick-scale T1, T3, F2, F5,
-//! A1 and A3 experiments through the library (the same code path as
+//! Golden-report regression test: runs the quick-scale T1, T3, F2, F3,
+//! F5, A1, A2 and A3 experiments through the library (the same code path as
 //! `report --quick`), projects away wall-clock columns, and compares
 //! the remaining cells against checked-in snapshots.
 //!
@@ -29,7 +29,8 @@ fn golden_path(name: &str) -> PathBuf {
 
 /// Renders the deterministic projection of a table: the kept headers
 /// and each row's kept cells, pipe-separated. `timed` says whether the
-/// table carries a wall-clock column at all (F2, F5 and A3 do not).
+/// table carries a wall-clock column at all (F2, F3, F5, A2 and A3 do
+/// not).
 fn deterministic_projection(table: &Table, timed: bool) -> String {
     let keep: Vec<usize> = table
         .headers()
@@ -102,6 +103,11 @@ fn f2_quick_matches_snapshot() {
 }
 
 #[test]
+fn f3_quick_matches_snapshot() {
+    assert_matches_golden("f3", false);
+}
+
+#[test]
 fn f5_quick_matches_snapshot() {
     assert_matches_golden("f5", false);
 }
@@ -109,6 +115,11 @@ fn f5_quick_matches_snapshot() {
 #[test]
 fn a1_quick_matches_snapshot() {
     assert_matches_golden("a1", true);
+}
+
+#[test]
+fn a2_quick_matches_snapshot() {
+    assert_matches_golden("a2", false);
 }
 
 #[test]
