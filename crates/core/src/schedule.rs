@@ -10,7 +10,7 @@
 use crate::EdgeLlmError;
 use edge_llm_hw::{
     estimate_cost, search_schedule, DeviceModel, GemmWorkload, Schedule, ScheduleSpace,
-    ScheduledGemm, SearchStrategy,
+    ScheduledGemm,
 };
 use edge_llm_luc::CompressionPolicy;
 use edge_llm_model::ModelConfig;
@@ -68,7 +68,6 @@ pub fn schedule_workloads(
     workloads: &[GemmWorkload],
     device: &DeviceModel,
     space: &ScheduleSpace,
-    strategy: SearchStrategy,
 ) -> Result<Vec<ScheduledGemm>, EdgeLlmError> {
     // many layers share GEMM shapes and policies; search each distinct
     // (shape, bits, sparsity) once
@@ -81,7 +80,7 @@ pub fn schedule_workloads(
                 s.gemm = w.clone();
                 return Ok(s);
             }
-            let s = search_schedule(w, device, space, strategy).map_err(EdgeLlmError::from)?;
+            let s = search_schedule(w, device, space).map_err(EdgeLlmError::from)?;
             memo.insert(gemm_key(w), s.clone());
             Ok(s)
         })
@@ -153,7 +152,7 @@ pub fn modeled_training_iteration(
                 lp.bits.bits(),
                 lp.prune_ratio,
             );
-            let scheduled = schedule_workloads(&ws, device, &space, SearchStrategy::Exhaustive)?;
+            let scheduled = schedule_workloads(&ws, device, &space)?;
             let cost = (total_latency_us(&scheduled), total_energy_uj(&scheduled));
             memo.insert(key, cost);
             Ok(cost)
@@ -219,13 +218,7 @@ mod tests {
         let policy = CompressionPolicy::uniform(4, BitWidth::W4, 0.5);
         let ws = model_workloads(&c, &policy, 1).unwrap();
         let device = DeviceModel::jetson_class();
-        let scheduled = schedule_workloads(
-            &ws,
-            &device,
-            &ScheduleSpace::default(),
-            SearchStrategy::Exhaustive,
-        )
-        .unwrap();
+        let scheduled = schedule_workloads(&ws, &device, &ScheduleSpace::default()).unwrap();
         let searched = total_latency_us(&scheduled);
         let naive = naive_latency_us(&ws, &device).unwrap();
         assert!(searched < naive, "searched {searched} vs naive {naive}");

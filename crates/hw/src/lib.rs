@@ -15,17 +15,18 @@
 //! * [`Schedule`] / [`ScheduleSpace`] — the search space,
 //! * [`estimate_cost`] — latency / energy / utilization roofline model with
 //!   loop-order-aware DRAM traffic,
-//! * [`search_schedule`] — exhaustive and simulated-annealing search.
+//! * [`search_schedule`] — exhaustive search: every point of the space is
+//!   costed and the fastest feasible one wins.
 //!
 //! # Example
 //!
 //! ```
-//! use edge_llm_hw::{DeviceModel, GemmWorkload, ScheduleSpace, search_schedule, SearchStrategy};
+//! use edge_llm_hw::{DeviceModel, GemmWorkload, ScheduleSpace, search_schedule};
 //!
 //! # fn main() -> Result<(), edge_llm_hw::HwError> {
 //! let device = DeviceModel::jetson_class();
 //! let gemm = GemmWorkload::new("fc1", 64, 512, 128).with_bits(4).with_sparsity(0.5);
-//! let best = search_schedule(&gemm, &device, &ScheduleSpace::default(), SearchStrategy::Exhaustive)?;
+//! let best = search_schedule(&gemm, &device, &ScheduleSpace::default())?;
 //! assert!(best.cost.utilization > 0.0);
 //! # Ok(())
 //! # }
@@ -40,7 +41,7 @@ mod workload;
 pub use cost::{estimate_cost, CostEstimate};
 pub use device::DeviceModel;
 pub use schedule::{LoopOrder, Schedule, ScheduleSpace};
-pub use search::{search_schedule, ScheduledGemm, SearchStrategy};
+pub use search::{search_schedule, ScheduledGemm};
 pub use workload::{transformer_layer_workloads, GemmWorkload};
 
 /// Error type for hardware-model operations.

@@ -3,23 +3,6 @@ use crate::device::DeviceModel;
 use crate::schedule::{Schedule, ScheduleSpace};
 use crate::workload::GemmWorkload;
 use crate::HwError;
-use edge_llm_tensor::TensorRng;
-
-/// How to explore the schedule space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SearchStrategy {
-    /// Evaluate every schedule (the default space has 1.5k points, so this
-    /// is fast and exact).
-    Exhaustive,
-    /// Simulated annealing with the given iteration budget and seed — for
-    /// enlarged spaces where exhaustive sweeps are too slow.
-    Annealing {
-        /// Proposal evaluations.
-        iters: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-}
 
 /// A workload with its chosen schedule and estimated cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,11 +13,11 @@ pub struct ScheduledGemm {
     pub schedule: Schedule,
     /// Its estimated cost.
     pub cost: CostEstimate,
-    /// Schedules evaluated during the search.
-    pub evaluated: usize,
 }
 
-/// Finds the lowest-latency feasible schedule for `gemm` on `device`.
+/// Finds the lowest-latency feasible schedule for `gemm` on `device` by
+/// costing every point of `space` (the default space has 1.5k points, so
+/// the exhaustive search is fast and exact).
 ///
 /// # Errors
 ///
@@ -44,28 +27,14 @@ pub fn search_schedule(
     gemm: &GemmWorkload,
     device: &DeviceModel,
     space: &ScheduleSpace,
-    strategy: SearchStrategy,
 ) -> Result<ScheduledGemm, HwError> {
     if space.is_empty() {
         return Err(HwError::BadParameter {
             reason: "empty schedule space".to_string(),
         });
     }
-    match strategy {
-        SearchStrategy::Exhaustive => exhaustive(gemm, device, space),
-        SearchStrategy::Annealing { iters, seed } => annealing(gemm, device, space, iters, seed),
-    }
-}
-
-fn exhaustive(
-    gemm: &GemmWorkload,
-    device: &DeviceModel,
-    space: &ScheduleSpace,
-) -> Result<ScheduledGemm, HwError> {
     let mut best: Option<(Schedule, CostEstimate)> = None;
-    let mut evaluated = 0usize;
     for schedule in space.iter() {
-        evaluated += 1;
         if let Ok(cost) = estimate_cost(gemm, &schedule, device) {
             if best.as_ref().is_none_or(|(_, b)| cost.cycles < b.cycles) {
                 best = Some((schedule, cost));
@@ -79,72 +48,7 @@ fn exhaustive(
         gemm: gemm.clone(),
         schedule,
         cost,
-        evaluated,
     })
-}
-
-fn annealing(
-    gemm: &GemmWorkload,
-    device: &DeviceModel,
-    space: &ScheduleSpace,
-    iters: usize,
-    seed: u64,
-) -> Result<ScheduledGemm, HwError> {
-    let mut rng = TensorRng::seed_from(seed);
-    let schedules: Vec<Schedule> = space.iter().collect();
-    let feasible: Vec<(usize, CostEstimate)> = schedules
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| estimate_cost(gemm, s, device).ok().map(|c| (i, c)))
-        .take(1)
-        .collect();
-    let (mut cur_idx, mut cur_cost) =
-        feasible
-            .first()
-            .copied()
-            .ok_or_else(|| HwError::NoFeasibleSchedule {
-                workload: gemm.name.clone(),
-            })?;
-    let mut best_idx = cur_idx;
-    let mut best_cost = cur_cost;
-    let mut evaluated = 1usize;
-    for step in 0..iters {
-        let temp = 1.0 - step as f64 / iters.max(1) as f64;
-        let cand_idx = neighbor(cur_idx, schedules.len(), &mut rng);
-        evaluated += 1;
-        let Ok(cand_cost) = estimate_cost(gemm, &schedules[cand_idx], device) else {
-            continue;
-        };
-        let accept = cand_cost.cycles < cur_cost.cycles || {
-            let delta = (cand_cost.cycles - cur_cost.cycles) / cur_cost.cycles.max(1e-9);
-            let p = (-delta / temp.max(1e-3) / 0.1).exp();
-            rng.bernoulli(p.clamp(0.0, 1.0))
-        };
-        if accept {
-            cur_idx = cand_idx;
-            cur_cost = cand_cost;
-            if cur_cost.cycles < best_cost.cycles {
-                best_idx = cur_idx;
-                best_cost = cur_cost;
-            }
-        }
-    }
-    Ok(ScheduledGemm {
-        gemm: gemm.clone(),
-        schedule: schedules[best_idx],
-        cost: best_cost,
-        evaluated,
-    })
-}
-
-fn neighbor(cur: usize, len: usize, rng: &mut TensorRng) -> usize {
-    // mostly local moves, occasionally a random restart
-    if rng.bernoulli(0.15) {
-        rng.index(len)
-    } else {
-        let step = rng.index(21) as isize - 10;
-        ((cur as isize + step).rem_euclid(len as isize)) as usize
-    }
 }
 
 #[cfg(test)]
@@ -161,13 +65,7 @@ mod tests {
     #[test]
     fn exhaustive_beats_naive() {
         let d = DeviceModel::jetson_class();
-        let best = search_schedule(
-            &gemm(),
-            &d,
-            &ScheduleSpace::default(),
-            SearchStrategy::Exhaustive,
-        )
-        .unwrap();
+        let best = search_schedule(&gemm(), &d, &ScheduleSpace::default()).unwrap();
         let naive = estimate_cost(&gemm(), &Schedule::naive(), &d).unwrap();
         assert!(
             best.cost.cycles < naive.cycles / 2.0,
@@ -176,42 +74,6 @@ mod tests {
             naive.cycles
         );
         assert!(best.cost.utilization > naive.utilization);
-    }
-
-    #[test]
-    fn annealing_finds_near_optimal() {
-        let d = DeviceModel::jetson_class();
-        let space = ScheduleSpace::default();
-        let exact = search_schedule(&gemm(), &d, &space, SearchStrategy::Exhaustive).unwrap();
-        let sa = search_schedule(
-            &gemm(),
-            &d,
-            &space,
-            SearchStrategy::Annealing {
-                iters: 600,
-                seed: 3,
-            },
-        )
-        .unwrap();
-        assert!(
-            sa.cost.cycles <= exact.cost.cycles * 1.5,
-            "annealing {} vs exhaustive {}",
-            sa.cost.cycles,
-            exact.cost.cycles
-        );
-    }
-
-    #[test]
-    fn annealing_is_seed_deterministic() {
-        let d = DeviceModel::jetson_class();
-        let space = ScheduleSpace::default();
-        let s = SearchStrategy::Annealing {
-            iters: 200,
-            seed: 7,
-        };
-        let a = search_schedule(&gemm(), &d, &space, s).unwrap();
-        let b = search_schedule(&gemm(), &d, &space, s).unwrap();
-        assert_eq!(a.schedule, b.schedule);
     }
 
     #[test]
@@ -227,7 +89,7 @@ mod tests {
         };
         let big = GemmWorkload::new("big", 512, 512, 512);
         assert!(matches!(
-            search_schedule(&big, &d, &space, SearchStrategy::Exhaustive),
+            search_schedule(&big, &d, &space),
             Err(HwError::NoFeasibleSchedule { .. })
         ));
     }
@@ -240,16 +102,8 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            search_schedule(&gemm(), &d, &space, SearchStrategy::Exhaustive),
+            search_schedule(&gemm(), &d, &space),
             Err(HwError::BadParameter { .. })
         ));
-    }
-
-    #[test]
-    fn evaluated_counts_reported() {
-        let d = DeviceModel::jetson_class();
-        let space = ScheduleSpace::default();
-        let best = search_schedule(&gemm(), &d, &space, SearchStrategy::Exhaustive).unwrap();
-        assert_eq!(best.evaluated, space.len());
     }
 }

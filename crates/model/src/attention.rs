@@ -315,9 +315,7 @@ struct BackwardScratch {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
-    use edge_llm_tensor::{
-        matmul_a_bt_with, matmul_at_b_with, softmax_backward, softmax_rows, MatmulKernel,
-    };
+    use edge_llm_tensor::{matmul_a_bt_with, matmul_at_b_with, softmax_backward, softmax_rows};
 
     /// Head `h`'s `(seq, hs)` block of sequence `b`, read from the columns
     /// at `offset + h * hs`.
@@ -373,7 +371,7 @@ pub(crate) mod reference {
                 scores.scale_in_place(scale);
                 apply_causal_mask(&mut scores);
                 let att = softmax_rows(&scores);
-                let y = att.matmul_with(&v, MatmulKernel::Blocked)?;
+                let y = att.matmul_with(&v, 1)?;
                 scatter_head(&mut concat, &y, b, seq, h, hs, 0);
                 probs.push(att);
             }
@@ -412,7 +410,7 @@ pub(crate) mod reference {
                 let mut ds = softmax_backward(att, &datt)?;
                 ds.scale_in_place(scale);
                 // scores = q · kᵀ (pre-scale)
-                let dq = ds.matmul_with(&k, MatmulKernel::Blocked)?;
+                let dq = ds.matmul_with(&k, 1)?;
                 let dk = matmul_at_b_with(&ds, &q, 1)?;
                 scatter_head(&mut dqkv, &dq, b, seq, h, hs, 0);
                 scatter_head(&mut dqkv, &dk, b, seq, h, hs, c);

@@ -871,15 +871,12 @@ mod tests {
     /// the integer route, the masked transpose, quantized), at one and two
     /// threads.
     fn assert_routes_match_masked_formula(l: &mut Linear, x: &Tensor, what: &str) {
-        use edge_llm_tensor::{configured_threads, set_configured_threads, MatmulKernel};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
         let raw = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (scheme, mask) = (l.quant.unwrap(), l.mask.clone().unwrap());
         let mut w = fake_quant(&l.w, scheme).unwrap();
         mask.apply(&mut w).unwrap();
-        let formula = |x: &Tensor| {
-            l.add_bias(x.matmul_with(&w, MatmulKernel::Blocked).unwrap())
-                .unwrap()
-        };
+        let formula = |x: &Tensor| l.add_bias(x.matmul_with(&w, 1).unwrap()).unwrap();
         let want = formula(x);
         let a8 = QuantScheme::asymmetric(BitWidth::W8);
         // the window trains an integer-route layer on the f32 route

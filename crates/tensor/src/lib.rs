@@ -41,7 +41,6 @@ pub use causal::{causal_prefix, causal_scores, causal_suffix, Rows, RowsMut};
 pub use error::TensorError;
 pub use matmul::{
     all_finite, matmul_a_bt, matmul_a_bt_with, matmul_at_b, matmul_at_b_with, matmul_fill_b_with,
-    MatmulKernel,
 };
 pub use ops::{
     add_bias_backward, add_bias_forward, cross_entropy_backward, cross_entropy_forward,

@@ -29,10 +29,10 @@
 //! that they never meet it (see [`matmul_at_b`] for why the two routes
 //! agree on every finite `B`).
 //!
-//! Every layout also has a multi-threaded path
-//! ([`MatmulKernel::BlockedParallel`]) that splits the **output rows** into
-//! disjoint contiguous panels via [`crate::pool`] and runs the serial blocked
-//! loop on each panel. Because the per-element accumulation order over the
+//! Every layout takes a worker count (`0` = the process-wide setting,
+//! `1` = serial) and splits the **output rows** into disjoint contiguous
+//! panels via [`crate::pool`], running the serial blocked loop on each
+//! panel. Because the per-element accumulation order over the
 //! reduction dimension is unchanged (ascending `p`, regardless of how rows
 //! are grouped into panels), the parallel kernels are **bit-identical to the
 //! serial ones for every thread count** — the property the oracle tests in
@@ -45,42 +45,6 @@ use crate::tensor::Tensor;
 /// Rows of `B` per `p` panel of [`blocked`]: the reduction block, and the
 /// unit a `fill` closure produces at a time.
 const TILE: usize = 32;
-
-/// Selects the matmul implementation.
-///
-/// Tests hold both to [`crate::check::scalar_matmul`], the plain scalar
-/// dot. (F3's "unscheduled" baseline is `edge_llm_hw::Schedule::naive()`,
-/// a costed schedule in the hardware model, not a kernel.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MatmulKernel {
-    /// Cache-blocked serial kernel (default).
-    #[default]
-    Blocked,
-    /// Cache-blocked kernel over disjoint row panels on `threads` workers
-    /// (`0` = the process-wide [`pool::configured_threads`] setting).
-    /// Bit-identical to [`MatmulKernel::Blocked`] for every thread count.
-    BlockedParallel {
-        /// Worker count; `0` defers to the global `EDGELLM_THREADS` knob.
-        threads: usize,
-    },
-}
-
-impl MatmulKernel {
-    /// The kernel honouring the process-wide thread configuration: the
-    /// parallel path when more than one worker is configured, the serial
-    /// blocked kernel otherwise.
-    pub fn auto() -> Self {
-        MatmulKernel::BlockedParallel { threads: 0 }
-    }
-
-    /// Worker count this kernel resolves to (1 for the serial kernels).
-    pub fn resolved_threads(&self) -> usize {
-        match self {
-            MatmulKernel::Blocked => 1,
-            MatmulKernel::BlockedParallel { threads } => pool::resolve_threads(*threads),
-        }
-    }
-}
 
 /// Workers for an `m x k x n` product: its MACs, split over output rows.
 fn effective_threads(threads: usize, m: usize, k: usize, n: usize) -> usize {
@@ -98,10 +62,11 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == other.rows()`.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_with(other, MatmulKernel::auto())
+        self.matmul_with(other, 0)
     }
 
-    /// Computes `self · other` with an explicit kernel choice.
+    /// [`Tensor::matmul`] with an explicit worker count (`0` = global
+    /// setting, `1` = serial). Bit-identical for every thread count.
     ///
     /// Degenerate operands (zero rows, columns, or reduction length) are
     /// valid and produce the corresponding all-zero `m x n` output.
@@ -110,7 +75,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless
     /// `self.cols() == other.rows()`.
-    pub fn matmul_with(&self, other: &Tensor, kernel: MatmulKernel) -> Result<Tensor, TensorError> {
+    pub fn matmul_with(&self, other: &Tensor, threads: usize) -> Result<Tensor, TensorError> {
         if self.cols() != other.rows() {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul",
@@ -122,26 +87,16 @@ impl Tensor {
         let n = other.cols();
         let mut out = Tensor::zeros(m, n);
         if out.is_empty() {
-            // zero-sized output: nothing to compute for any kernel
+            // zero-sized output: nothing to compute
             return Ok(out);
         }
         let (a, b) = (self.as_slice(), other.as_slice());
-        match kernel {
-            MatmulKernel::Blocked => blocked(
-                (a, k),
-                BPanels::Dense(b, n, 0),
-                (out.as_mut_slice(), n),
-                (m, k, n),
-            ),
-            MatmulKernel::BlockedParallel { threads } => {
-                let workers = effective_threads(threads, m, k, n);
-                pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |row0, panel| {
-                    let rows = panel.len() / n.max(1);
-                    let a = &a[row0 * k..(row0 + rows) * k];
-                    blocked((a, k), BPanels::Dense(b, n, 0), (panel, n), (rows, k, n));
-                });
-            }
-        }
+        let workers = effective_threads(threads, m, k, n);
+        pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |row0, panel| {
+            let rows = panel.len() / n.max(1);
+            let a = &a[row0 * k..(row0 + rows) * k];
+            blocked((a, k), BPanels::Dense(b, n, 0), (panel, n), (rows, k, n));
+        });
         Ok(out)
     }
 }
@@ -279,7 +234,7 @@ pub(crate) fn blocked(
 ///
 /// Peak extra memory is one `TILE x b_cols` panel per worker instead of
 /// the whole dense `B`. It is the same loop nest as
-/// [`MatmulKernel::Blocked`] reading its panels from somewhere else, so
+/// [`Tensor::matmul`] reading its panels from somewhere else, so
 /// the result is **bit-identical** to `a.matmul(&b_dense)` for every
 /// thread count — the property `fill_b_is_bit_identical_to_dense` pins
 /// down.
@@ -543,7 +498,7 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (3, 7, 5), (33, 65, 34), (64, 32, 96)] {
             let a = Tensor::randn(m, k, 1.0, &mut rng);
             let b = Tensor::randn(k, n, 1.0, &mut rng);
-            let c = a.matmul_with(&b, MatmulKernel::Blocked).unwrap();
+            let c = a.matmul_with(&b, 1).unwrap();
             assert_eq!(bits(&scalar_matmul(&a, &b)), bits(&c), "{m}x{k}x{n}");
         }
     }
@@ -554,11 +509,9 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (3, 7, 5), (33, 65, 34), (70, 64, 48)] {
             let a = Tensor::randn(m, k, 1.0, &mut rng);
             let b = Tensor::randn(k, n, 1.0, &mut rng);
-            let serial = a.matmul_with(&b, MatmulKernel::Blocked).unwrap();
+            let serial = a.matmul_with(&b, 1).unwrap();
             for threads in [1usize, 2, 3, 8] {
-                let par = a
-                    .matmul_with(&b, MatmulKernel::BlockedParallel { threads })
-                    .unwrap();
+                let par = a.matmul_with(&b, threads).unwrap();
                 assert_eq!(
                     serial.as_slice(),
                     par.as_slice(),
@@ -582,7 +535,7 @@ mod tests {
         ] {
             let a = Tensor::randn(m, k, 1.0, &mut rng);
             let b = Tensor::randn(k, n, 1.0, &mut rng);
-            let want = a.matmul_with(&b, MatmulKernel::Blocked).unwrap();
+            let want = a.matmul_with(&b, 1).unwrap();
             let bd = b.as_slice();
             let fill = |p0: usize, panel: &mut [f32]| {
                 panel.copy_from_slice(&bd[p0 * n..p0 * n + panel.len()]);
@@ -626,9 +579,7 @@ mod tests {
         let a = Tensor::randn(5, 8, 1.0, &mut rng);
         let b = Tensor::randn(7, 8, 1.0, &mut rng);
         let fast = matmul_a_bt(&a, &b).unwrap();
-        let slow = a
-            .matmul_with(&b.transpose(), MatmulKernel::Blocked)
-            .unwrap();
+        let slow = a.matmul_with(&b.transpose(), 1).unwrap();
         assert_eq!(bits(&fast), bits(&slow));
     }
 
@@ -683,9 +634,7 @@ mod tests {
                 let want = bits(&scalar_matmul(&a, &b));
                 let at = a.transpose();
                 for threads in [1usize, 2, 3, 8] {
-                    let dense = a
-                        .matmul_with(&b, MatmulKernel::BlockedParallel { threads })
-                        .unwrap();
+                    let dense = a.matmul_with(&b, threads).unwrap();
                     let filled = matmul_fill_b_with(&a, k, n, threads, &fill).unwrap();
                     let a_bt = matmul_a_bt_with(&a, &bt, threads).unwrap();
                     let at_b = matmul_at_b_with(&at, &b, threads).unwrap();
@@ -890,23 +839,14 @@ mod tests {
     fn degenerate_shapes_return_cleanly_in_every_layout_and_kernel() {
         // (m, k, n) with a zero in every position, plus all-zero
         for &(m, k, n) in &[(0usize, 3usize, 2usize), (2, 0, 3), (2, 3, 0), (0, 0, 0)] {
-            for kernel in [
-                MatmulKernel::Blocked,
-                MatmulKernel::BlockedParallel { threads: 4 },
-            ] {
-                let a = Tensor::zeros(m, k);
-                let b = Tensor::zeros(k, n);
-                let c = a.matmul_with(&b, kernel).unwrap();
-                assert_eq!(c.shape(), (m, n), "{m}x{k}x{n} {kernel:?}");
-                assert!(c.as_slice().iter().all(|&v| v == 0.0));
-            }
+            let (a, at) = (Tensor::zeros(m, k), Tensor::zeros(k, m));
+            let (b, bt) = (Tensor::zeros(k, n), Tensor::zeros(n, k));
             for threads in [1usize, 4] {
-                let at = Tensor::zeros(k, m);
-                let b = Tensor::zeros(k, n);
+                let c = a.matmul_with(&b, threads).unwrap();
+                assert_eq!(c.shape(), (m, n), "{m}x{k}x{n} t={threads}");
+                assert!(c.as_slice().iter().all(|&v| v == 0.0));
                 let c = matmul_at_b_with(&at, &b, threads).unwrap();
                 assert_eq!(c.shape(), (m, n), "at_b {m}x{k}x{n} t={threads}");
-                let a = Tensor::zeros(m, k);
-                let bt = Tensor::zeros(n, k);
                 let c = matmul_a_bt_with(&a, &bt, threads).unwrap();
                 assert_eq!(c.shape(), (m, n), "a_bt {m}x{k}x{n} t={threads}");
             }
@@ -914,20 +854,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_kernel_default_is_blocked() {
-        assert_eq!(MatmulKernel::default(), MatmulKernel::Blocked);
-    }
-
-    #[test]
     fn auto_kernel_defers_to_global_setting() {
-        assert_eq!(
-            MatmulKernel::auto(),
-            MatmulKernel::BlockedParallel { threads: 0 }
-        );
-        assert_eq!(MatmulKernel::Blocked.resolved_threads(), 1);
-        assert_eq!(
-            MatmulKernel::BlockedParallel { threads: 3 }.resolved_threads(),
-            3
-        );
+        // `matmul` asks for 0 workers, the process setting, which a serial
+        // scope turns into 1; an explicit count is taken as given
+        let (m, k, n) = (256, 64, 64);
+        assert_eq!(pool::serial_scope(|| effective_threads(0, m, k, n)), 1);
+        assert_eq!(effective_threads(1, m, k, n), 1);
+        assert_eq!(effective_threads(3, m, k, n), 3);
     }
 }

@@ -5,8 +5,8 @@
 //! shape, including ragged shapes divisible by neither the cache tile nor
 //! the worker count. The harness diffs:
 //!
-//! * `A · B` under [`MatmulKernel::BlockedParallel`] against the scalar
-//!   dot ([`scalar_matmul`]) and the serial blocked kernel,
+//! * `A · B` under explicit worker counts against the scalar dot
+//!   ([`scalar_matmul`]),
 //! * `Aᵀ · B` and `A · Bᵀ` under explicit worker counts against their
 //!   serial (`threads = 1`) runs and the scalar dot on an explicit
 //!   transpose.
@@ -17,7 +17,7 @@
 //! never a single bit of the result.
 
 use edge_llm_tensor::check::{run_cases, scalar_matmul, Gen};
-use edge_llm_tensor::{matmul_a_bt_with, matmul_at_b_with, MatmulKernel, Tensor, TensorRng};
+use edge_llm_tensor::{matmul_a_bt_with, matmul_at_b_with, Tensor, TensorRng};
 
 /// Worker counts exercised per case: serial, even, odd, and more workers
 /// than most of the generated shapes have rows.
@@ -52,12 +52,8 @@ fn blocked_parallel_matches_naive_oracle_exactly() {
         let (m, k, n) = (dim(g), dim(g), dim(g));
         let (a, b) = operands(g, m, k, n);
         let oracle = scalar_matmul(&a, &b);
-        let serial = a.matmul_with(&b, MatmulKernel::Blocked).unwrap();
-        assert_eq!(oracle.as_slice(), serial.as_slice(), "{m}x{k}x{n} blocked");
         for t in THREADS {
-            let par = a
-                .matmul_with(&b, MatmulKernel::BlockedParallel { threads: t })
-                .unwrap();
+            let par = a.matmul_with(&b, t).unwrap();
             assert_eq!(
                 oracle.as_slice(),
                 par.as_slice(),
@@ -76,9 +72,7 @@ fn blocked_parallel_is_exact_above_the_work_cutoff() {
         let (a, b) = operands(&mut g, m, k, n);
         let oracle = scalar_matmul(&a, &b);
         for t in THREADS {
-            let par = a
-                .matmul_with(&b, MatmulKernel::BlockedParallel { threads: t })
-                .unwrap();
+            let par = a.matmul_with(&b, t).unwrap();
             assert_eq!(
                 oracle.as_slice(),
                 par.as_slice(),

@@ -4,7 +4,7 @@
 use edge_llm_tensor::check::{run_cases, scalar_matmul, Gen};
 use edge_llm_tensor::{
     add_bias_backward, cross_entropy_forward, layernorm_forward, matmul_a_bt, matmul_at_b,
-    softmax_rows, MatmulKernel, Tensor, TensorRng,
+    softmax_rows, Tensor, TensorRng,
 };
 
 fn random_tensor(g: &mut Gen, max_dim: usize) -> Tensor {
@@ -43,7 +43,7 @@ fn blocked_matmul_matches_naive() {
         let a = Tensor::randn(m, k, 1.0, &mut rng);
         let b = Tensor::randn(k, n, 1.0, &mut rng);
         let x = scalar_matmul(&a, &b);
-        let y = a.matmul_with(&b, MatmulKernel::Blocked).unwrap();
+        let y = a.matmul_with(&b, 1).unwrap();
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&x), bits(&y), "{m}x{k}x{n}");
     });
@@ -78,9 +78,7 @@ fn transposed_kernels_agree_with_explicit_transpose() {
         let fast2 = matmul_a_bt(&c, &d).unwrap();
         // A·Bᵀ adds in the same ascending-p order as the blocked A·B, so
         // this one is an identity, not a tolerance
-        let slow2 = c
-            .matmul_with(&d.transpose(), MatmulKernel::Blocked)
-            .unwrap();
+        let slow2 = c.matmul_with(&d.transpose(), 1).unwrap();
         assert_eq!(bits(&fast2), bits(&slow2));
     });
 }

@@ -12,7 +12,7 @@
 use edge_llm::report::{f3, pct, speedup, Table};
 use edge_llm::schedule::{model_workloads, naive_latency_us, schedule_workloads, total_latency_us};
 use edge_llm::EdgeLlmError;
-use edge_llm_hw::{DeviceModel, ScheduleSpace, SearchStrategy};
+use edge_llm_hw::{DeviceModel, ScheduleSpace};
 use edge_llm_luc::{CompressionPolicy, LayerPolicy};
 use edge_llm_model::ModelConfig;
 use edge_llm_quant::BitWidth;
@@ -59,7 +59,7 @@ fn main() -> Result<(), EdgeLlmError> {
     let space = ScheduleSpace::default();
 
     let workloads = model_workloads(&cfg, &policy, 1)?;
-    let scheduled = schedule_workloads(&workloads, &device, &space, SearchStrategy::Exhaustive)?;
+    let scheduled = schedule_workloads(&workloads, &device, &space)?;
 
     let mut table = Table::new(
         format!("per-GEMM schedules on {}", device.name),
@@ -87,26 +87,5 @@ fn main() -> Result<(), EdgeLlmError> {
     println!("  naive schedule   : {} us", f3(naive));
     println!("  searched schedule: {} us", f3(searched));
     println!("  speedup          : {}", speedup(naive / searched));
-
-    // annealing on an enlarged space for comparison
-    let big_space = ScheduleSpace {
-        tile_options: vec![4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256],
-        ..ScheduleSpace::default()
-    };
-    let annealed = schedule_workloads(
-        &workloads,
-        &device,
-        &big_space,
-        SearchStrategy::Annealing {
-            iters: 400,
-            seed: 9,
-        },
-    )?;
-    println!(
-        "\nannealing over a {}-point space: {} us (exhaustive default-space: {} us)",
-        big_space.len(),
-        f3(total_latency_us(&annealed)),
-        f3(searched),
-    );
     Ok(())
 }

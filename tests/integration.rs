@@ -8,7 +8,7 @@ use edge_llm::eval::evaluate;
 use edge_llm::oracle::ModelOracle;
 use edge_llm::schedule::{model_workloads, naive_latency_us, schedule_workloads, total_latency_us};
 use edge_llm_data::{accuracy, ClozeQaTask, CopyTask, MarkovTextTask, TaskGenerator};
-use edge_llm_hw::{DeviceModel, ScheduleSpace, SearchStrategy};
+use edge_llm_hw::{DeviceModel, ScheduleSpace};
 use edge_llm_luc::{profile, search_policy, CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
     gradient_check, AdaptiveTuner, EdgeModel, LayerWindow, ModelConfig, Sgd, VotingCombiner,
@@ -173,13 +173,7 @@ fn workload_extraction_and_scheduling_chain() {
     let workloads = model_workloads(&cfg, &policy, 2).unwrap();
     assert_eq!(workloads.len(), 12);
     let device = DeviceModel::tx2_class();
-    let scheduled = schedule_workloads(
-        &workloads,
-        &device,
-        &ScheduleSpace::default(),
-        SearchStrategy::Exhaustive,
-    )
-    .unwrap();
+    let scheduled = schedule_workloads(&workloads, &device, &ScheduleSpace::default()).unwrap();
     let searched = total_latency_us(&scheduled);
     let naive = naive_latency_us(&workloads, &device).unwrap();
     assert!(searched < naive);
