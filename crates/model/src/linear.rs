@@ -440,8 +440,13 @@ impl Linear {
             // Integer GEMM: per-row activation codes against the packed
             // transposed weight words.
             (Some((ws, act)), _) => {
-                let x_q = quantize_activations(x, act)?;
-                packed_decode_matmul(&x_q, self.codes(ws)?, 0)?
+                let x_q = {
+                    let _span = telemetry::span("model.act_quant");
+                    quantize_activations(x, act)?
+                };
+                let codes = self.codes(ws)?;
+                let _span = telemetry::span("model.pgemm");
+                packed_decode_matmul(&x_q, codes, 0)?
             }
             // Row codes, dequantized panel by panel inside the kernel.
             (None, Some(scheme)) => {

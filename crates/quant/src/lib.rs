@@ -32,6 +32,13 @@
 //! # }
 //! ```
 
+// Every failure this crate can meet is a typed `QuantError`; only the
+// invariant `assert!`s may panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod affine;
 mod bitwidth;
 mod fake;

@@ -92,6 +92,30 @@ fn packed_gemm_is_exact_above_the_work_cutoff() {
 }
 
 #[test]
+fn packed_gemm_is_exact_at_the_served_shapes() {
+    // The shapes decode runs: k = d_model or d_ff of the served model (a
+    // whole number of words at every width, so every row is one word
+    // unpack), n every projection's width, m one slot, the four-slot
+    // batch and one row past it.
+    let mut g = Gen::new(0x5E4F);
+    for wbits in [BitWidth::W2, BitWidth::W4, BitWidth::W8] {
+        for k in [128usize, 512] {
+            for n in [128usize, 384, 512] {
+                for m in [1usize, 4, 5] {
+                    let (x_q, w_q, _, _) = packed_operands(&mut g, m, k, n, wbits, BitWidth::W8);
+                    let oracle = packed_decode_matmul_scalar(&x_q, &w_q).unwrap();
+                    for t in PACKED_THREADS {
+                        let fast = packed_decode_matmul(&x_q, &w_q, t).unwrap();
+                        let what = format!("{m}x{k}x{n} w={wbits:?} threads={t}");
+                        assert_eq!(oracle.as_slice(), fast.as_slice(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn packed_gemm_tracks_f32_reference_within_quant_error() {
     // the quant-error-bound differential vs full-precision f32: the
     // integer path is a *quantized* product, so it must approximate the

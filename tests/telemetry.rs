@@ -20,12 +20,14 @@
 //! Telemetry state is process-global, so every test here runs under a
 //! shared lock and leaves recording disabled.
 
+use edge_llm::compress::apply_activation_quant;
 use edge_llm::resilience::{resilient_adapt, ResilienceConfig};
 use edge_llm_data::{Dataset, ModArithTask, TaskGenerator};
 use edge_llm_model::{
-    AdaptiveTuner, Decoding, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, VotingPolicy,
-    WindowSchedule,
+    batched_decode_step, AdaptiveTuner, BatchedStep, Decoding, EdgeModel, ModelConfig, SequenceKv,
+    Sgd, TrainingCheckpoint, VotingPolicy, WindowSchedule,
 };
+use edge_llm_quant::{BitWidth, QuantScheme};
 use edge_llm_serve::{BatchedInferenceEngine, ServeOutcome, ServeRequest};
 use edge_llm_telemetry::{
     counter_totals, span_tree, write_jsonl, Event, FakeClock, MonotonicClock, SpanNode,
@@ -233,6 +235,54 @@ fn decode_latencies_equal_their_serve_decode_spans() {
     }
     // speculative rounds record inner spans, so the durations differ
     assert!(passes.iter().any(|&p| p != passes[0]));
+}
+
+#[test]
+fn an_integer_decode_pass_records_one_pgemm_span_per_projection() {
+    let _guard = lock();
+    // W4 weights and A8 activations on every projection: each one runs
+    // the integer GEMM, its codes built before tracing starts
+    let mut rng = TensorRng::seed_from(29);
+    let mut model = EdgeModel::new(ModelConfig::tiny().with_layers(3), &mut rng).unwrap();
+    for l in 0..model.n_layers() {
+        for lin in model.block_mut(l).linears_mut() {
+            lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+        }
+    }
+    apply_activation_quant(&mut model, Some(QuantScheme::asymmetric(BitWidth::W8))).unwrap();
+    model.pack_frozen_weights().unwrap();
+    let exits = [model.n_layers() - 1];
+    let mut kvs: Vec<SequenceKv> = (0..2).map(|_| SequenceKv::new(&model)).collect();
+    let mut steps: Vec<BatchedStep> = (kvs.iter_mut().enumerate())
+        .map(|(i, kv)| BatchedStep {
+            token: i + 1,
+            kv,
+            exits: &exits,
+            adapter: None,
+        })
+        .collect();
+    set_configured_threads(1);
+    edge_llm_telemetry::enable(Arc::new(FakeClock::with_tick(10)));
+    batched_decode_step(&model, &mut steps).unwrap();
+    let roots = span_tree(&edge_llm_telemetry::disable());
+    set_configured_threads(0);
+
+    // per walked layer: qkv, attention, proj, fc1, fc2 — each projection
+    // quantizes its activation rows, then multiplies on the codes
+    let mut expected = Vec::new();
+    for _ in 0..model.n_layers() {
+        expected.extend(["model.act_quant", "model.pgemm", "model.attention"]);
+        expected.extend(["model.act_quant", "model.pgemm"].repeat(3));
+    }
+    let flat: Vec<(usize, &str)> = roots.iter().flat_map(SpanNode::flatten).collect();
+    assert_eq!(
+        flat.iter().map(|&(_, name)| name).collect::<Vec<_>>(),
+        expected
+    );
+    // top-level leaves: one clock tick between open and close, nothing
+    // recorded inside the kernel at one thread
+    assert!(flat.iter().all(|&(depth, _)| depth == 0));
+    assert!(roots.iter().all(|s| s.duration_ns() == 10));
 }
 
 fn adapt_bytes() -> (Vec<u32>, Vec<u8>) {
