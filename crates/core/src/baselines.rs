@@ -1,8 +1,7 @@
-//! Baseline construction: uniform compression policies and the LoRA
-//! parameter-efficiency comparison.
+//! Baseline construction: the uniform compression policy LUC is compared
+//! against.
 
 use edge_llm_luc::{CompressionPolicy, LayerPolicy};
-use edge_llm_model::ModelConfig;
 use edge_llm_quant::BitWidth;
 
 /// Candidate `(bits, ratio)` grid used when picking a uniform baseline.
@@ -43,22 +42,6 @@ pub fn uniform_policy_for_budget(n_layers: usize, budget: f32) -> CompressionPol
         prune_ratio: 0.75,
     });
     CompressionPolicy::uniform(n_layers, layer.bits, layer.prune_ratio)
-}
-
-/// Fraction of a model's parameters a LoRA adapter of rank `rank` would
-/// train if applied to every block weight matrix — the
-/// parameter-efficiency comparison row of T1.
-pub fn lora_trainable_fraction(config: &ModelConfig, rank: usize) -> f32 {
-    let c = config.d_model;
-    let per_block_weights = [
-        (c, 3 * c), // qkv
-        (c, c),     // proj
-        (c, config.d_ff),
-        (config.d_ff, c),
-    ];
-    let lora_per_block: usize = per_block_weights.iter().map(|&(i, o)| rank * (i + o)).sum();
-    let trainable = config.n_layers * lora_per_block;
-    trainable as f32 / config.param_count() as f32
 }
 
 #[cfg(test)]
@@ -105,13 +88,5 @@ mod tests {
         assert!((p.mean_cost() - 0.25).abs() < 1e-6);
         assert_eq!(p.layer(0).bits, BitWidth::W16);
         assert!((p.layer(0).prune_ratio - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn lora_fraction_is_small() {
-        let cfg = ModelConfig::edge_base();
-        let f = lora_trainable_fraction(&cfg, 4);
-        assert!(f > 0.0 && f < 0.1, "lora fraction {f}");
-        assert!(lora_trainable_fraction(&cfg, 8) > f);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::EdgeLlmError;
 use edge_llm_luc::{CompressionPolicy, LayerPolicy};
-use edge_llm_model::{EdgeModel, Linear};
+use edge_llm_model::{Block, EdgeModel, Linear};
 use edge_llm_prune::{magnitude_prune, nm_prune};
 use edge_llm_quant::{BitWidth, QuantScheme};
 
@@ -46,9 +46,13 @@ pub fn apply_layer_policy(
             reason: format!("layer {layer} out of range for depth {}", model.n_layers()),
         });
     }
+    compress_block(model.block_mut(layer), policy)
+}
+
+/// Installs `policy` on all four weight matrices of `block`.
+pub(crate) fn compress_block(block: &mut Block, policy: LayerPolicy) -> Result<(), EdgeLlmError> {
     policy.validate()?;
-    model
-        .block_mut(layer)
+    block
         .linears_mut()
         .into_iter()
         .try_for_each(|lin| compress_linear(lin, policy))

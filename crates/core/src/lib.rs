@@ -17,10 +17,9 @@
 //!    schedules for the compressed workload on an edge accelerator cost
 //!    model (`edge-llm-hw`).
 //!
-//! The [`pipeline`] module runs the full flow; [`baselines`] provides the
-//! comparison points (vanilla full tuning, uniform compression, the
-//! analytic LoRA parameter fraction);
-//! [`experiments`] regenerates every table and figure of the paper's
+//! The [`pipeline`] module runs the full flow (vanilla full tuning
+//! included); [`baselines`] provides the uniform-compression comparison
+//! point; [`experiments`] regenerates every table and figure of the paper's
 //! evaluation from these entry points (the `report` binary prints them),
 //! and the `edge-llm-serve` crate (re-exported as [`serve`]) batches
 //! adapted-model inference across concurrent requests.
@@ -37,6 +36,12 @@
 //! # Ok(())
 //! # }
 //! ```
+
+// Every failure is typed; only a stated invariant may panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod baselines;
 pub mod compress;

@@ -3,19 +3,19 @@
 //! Sensitivity of layer *l* to a candidate compression is measured as the
 //! calibration-batch loss of the model with **only** layer *l* compressed.
 //! A probe changes block *l* alone, so layers `0..l` produce the baseline's
-//! hidden rows bit for bit. The oracle therefore clones the model once,
-//! into a working copy, and on first use walks the baseline one layer at a
-//! time, keeping the rows entering every layer; the last of those passes
-//! gives the baseline loss. A probe of layer *l* installs the policy on
-//! the copy's block *l*, walks `l..n` from the kept rows
-//! ([`EdgeModel::frozen_forward`]), and puts the source's block *l* back.
-//! A probe that installs nothing — 16 bits, no pruning, on a layer with no
-//! mask and no quantization scheme — is the baseline model and returns the
-//! baseline loss without a pass. Every loss is bit-equal to cloning the
-//! whole model, installing the policy and running [`EdgeModel::logits`];
-//! the model under adaptation is never disturbed.
+//! hidden rows bit for bit. On first use the oracle therefore walks the
+//! baseline one layer at a time, keeping the rows entering every layer;
+//! the last of those passes gives the baseline loss. A probe of layer *l*
+//! installs the policy on a copy of block *l* and walks `l..n` of the model
+//! from the kept rows, the copy standing in for layer *l*
+//! ([`EdgeModel::frozen_forward`]). A probe that installs nothing — 16
+//! bits, no pruning, on a layer with no mask and no quantization scheme —
+//! returns the baseline loss without a pass. Every loss is bit-equal to
+//! cloning the whole model, installing the policy and running
+//! [`EdgeModel::logits`]; yet no second model is built, and the model,
+//! held by shared reference, is never disturbed.
 
-use crate::compress::apply_layer_policy;
+use crate::compress::compress_block;
 use edge_llm_luc::{LayerPolicy, SensitivityOracle};
 use edge_llm_model::EdgeModel;
 use edge_llm_tensor::{cross_entropy_forward, Tensor};
@@ -26,9 +26,6 @@ pub struct ModelOracle<'a> {
     tokens: &'a [usize],
     targets: &'a [usize],
     batch: usize,
-    /// `model`, except for the one block a probe has installed a policy on
-    /// while it walks.
-    work: EdgeModel,
     /// `entering[l - 1]`: the baseline's hidden rows entering layer `l`,
     /// for every layer the baseline walk reached.
     entering: Vec<Tensor>,
@@ -50,7 +47,6 @@ impl<'a> ModelOracle<'a> {
             tokens,
             targets,
             batch,
-            work: model.clone(),
             entering: Vec::new(),
             baseline: None,
             probes: 0,
@@ -73,23 +69,6 @@ impl<'a> ModelOracle<'a> {
     fn loss(&self, logits: &Tensor) -> f32 {
         cross_entropy_forward(logits, self.targets).map_or(f32::INFINITY, |ce| ce.loss)
     }
-
-    /// The working copy's loss walked from layer `from` to the final exit,
-    /// entering with the baseline's rows. Where the baseline walk failed
-    /// below `from` there are none, and the pass is refused: layers below
-    /// `from` are the baseline's, so a walk through them would fail too.
-    fn walk_from(&mut self, from: usize) -> f32 {
-        let n = self.work.n_layers();
-        let entering = from.checked_sub(1).and_then(|i| self.entering.get(i));
-        self.layers_walked += n - from;
-        match self
-            .work
-            .frozen_forward(self.tokens, self.batch, from, entering, n, &[n - 1])
-        {
-            Ok((_, logits)) => self.loss(&logits[0]),
-            Err(_) => f32::INFINITY,
-        }
-    }
 }
 
 impl SensitivityOracle for ModelOracle<'_> {
@@ -100,24 +79,29 @@ impl SensitivityOracle for ModelOracle<'_> {
     fn loss_with(&mut self, layer: usize, policy: LayerPolicy) -> f32 {
         self.probes += 1;
         let baseline = self.baseline_loss();
-        if layer >= self.model.n_layers() {
+        let n = self.model.n_layers();
+        if layer >= n {
             return f32::INFINITY;
         }
-        let bare = self
-            .model
-            .block(layer)
+        let source = self.model.block(layer);
+        let bare = source
             .linears()
             .iter()
             .all(|lin| lin.mask().is_none() && lin.quant().is_none());
         if bare && policy == LayerPolicy::uncompressed() {
             return baseline;
         }
-        let loss = match apply_layer_policy(&mut self.work, layer, policy) {
-            Ok(()) => self.walk_from(layer),
-            Err(_) => f32::INFINITY,
-        };
-        *self.work.block_mut(layer) = self.model.block(layer).clone();
-        loss
+        let mut block = source.clone();
+        if compress_block(&mut block, policy).is_err() {
+            return f32::INFINITY;
+        }
+        // Where the baseline walk failed below `layer` there are no rows,
+        // and the pass is refused: a walk through those layers fails too.
+        let entering = layer.checked_sub(1).and_then(|i| self.entering.get(i));
+        self.layers_walked += n - layer;
+        let (model, tokens, batch) = (self.model, self.tokens, self.batch);
+        let pass = model.frozen_forward(tokens, batch, layer, entering, Some(&block), n, &[n - 1]);
+        pass.map_or(f32::INFINITY, |(_, logits)| self.loss(&logits[0]))
     }
 
     fn baseline_loss(&mut self) -> f32 {
@@ -126,16 +110,17 @@ impl SensitivityOracle for ModelOracle<'_> {
         }
         // One layer per pass, keeping each pass's output rows; the split
         // walk is bit-identical to one full-depth pass.
-        let n = self.work.n_layers();
+        let n = self.model.n_layers();
         let mut loss = f32::INFINITY;
         for l in 0..n {
             self.layers_walked += 1;
             let exits: &[usize] = if l + 1 == n { &[l] } else { &[] };
-            let pass = self.work.frozen_forward(
+            let pass = self.model.frozen_forward(
                 self.tokens,
                 self.batch,
                 l,
                 self.entering.last(),
+                None,
                 l + 1,
                 exits,
             );
@@ -153,6 +138,7 @@ impl SensitivityOracle for ModelOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::apply_layer_policy;
     use crate::pipeline::{LUC_BIT_CHOICES, LUC_RATIO_CHOICES};
     use edge_llm_luc::{profile, search_policy, SearchAlgorithm};
     use edge_llm_model::ModelConfig;
@@ -179,21 +165,31 @@ mod tests {
 
     #[test]
     fn oracle_leaves_model_untouched() {
-        let mut rng = TensorRng::seed_from(4);
-        let cfg = ModelConfig::tiny();
-        let model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
-        let tokens: Vec<usize> = (0..cfg.seq_len).collect();
-        let before = model.logits(&tokens, 1).unwrap();
-        let mut oracle = ModelOracle::new(&model, &tokens, &tokens, 1);
-        let _ = oracle.loss_with(
-            0,
-            LayerPolicy {
-                bits: BitWidth::W2,
-                prune_ratio: 0.5,
-            },
-        );
-        let after = model.logits(&tokens, 1).unwrap();
-        assert!(before.approx_eq(&after, 0.0));
+        // A compressed model builds its layers' codes on its first frozen
+        // pass, whoever makes it, so its state is read after one
+        // evaluation: a whole profile may then change nothing at all.
+        let (model, tokens, targets) = calibration_case(true);
+        let logits = |m: &EdgeModel| {
+            let l = m.logits(&tokens, CALIB_BATCH).unwrap();
+            l.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let state = |m: &EdgeModel| {
+            let mut bytes = Vec::new();
+            m.visit_params_all_ro(&mut |id, p| {
+                bytes.extend_from_slice(&id.to_le_bytes());
+                p.iter()
+                    .for_each(|x| bytes.extend_from_slice(&x.to_le_bytes()));
+            });
+            let caches = m.block_requant_counts();
+            let caches = (caches, m.weight_cache_stats(), m.decode_weight_bytes());
+            (fnv1a64(&bytes), caches)
+        };
+        let before = (logits(&model), state(&model));
+        let mut oracle = ModelOracle::new(&model, &tokens, &targets, CALIB_BATCH);
+        profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES).unwrap();
+        assert_eq!(oracle.probes(), 4 * 8);
+        assert_eq!(state(&model), before.1);
+        assert_eq!(logits(&model), before.0);
     }
 
     /// Calibration sequences per probe: three runs, so two kernel threads
@@ -287,8 +283,11 @@ mod tests {
                     // Deepest layer first, so every probe walks through
                     // blocks an earlier probe compressed: a block left
                     // compressed is read, unlike in `profile`'s order.
+                    // Within a layer the heaviest pruning comes first, so
+                    // a probe that started from an earlier probe's copy
+                    // would read weights that copy's mask zeroed.
                     for layer in (0..model.n_layers()).rev() {
-                        for policy in luc_choices() {
+                        for policy in luc_choices().into_iter().rev() {
                             let want = reference_loss(&model, &tokens, &targets, layer, policy);
                             let got = oracle.loss_with(layer, policy);
                             assert_eq!(got.to_bits(), want.to_bits(), "{what}: {layer} {policy}");

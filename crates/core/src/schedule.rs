@@ -175,21 +175,6 @@ pub fn modeled_training_iteration(
     Ok((total_us / n_positions as f64, total_uj / n_positions as f64))
 }
 
-/// Modeled latency only — see [`modeled_training_iteration`].
-///
-/// # Errors
-///
-/// Propagates workload or schedule errors.
-pub fn modeled_training_iteration_us(
-    config: &ModelConfig,
-    policy: &CompressionPolicy,
-    window_depth: usize,
-    batch: usize,
-    device: &DeviceModel,
-) -> Result<f64, EdgeLlmError> {
-    Ok(modeled_training_iteration(config, policy, window_depth, batch, device)?.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,16 +214,18 @@ mod tests {
     fn compression_cuts_modeled_latency() {
         let c = cfg();
         let device = DeviceModel::jetson_class();
-        let fp = modeled_training_iteration_us(&c, &CompressionPolicy::identity(4), 4, 1, &device)
-            .unwrap();
-        let q4 = modeled_training_iteration_us(
+        let fp = modeled_training_iteration(&c, &CompressionPolicy::identity(4), 4, 1, &device)
+            .unwrap()
+            .0;
+        let q4 = modeled_training_iteration(
             &c,
             &CompressionPolicy::uniform(4, BitWidth::W4, 0.5),
             4,
             1,
             &device,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(q4 < fp, "compressed {q4} vs full {fp}");
     }
 
@@ -247,8 +234,12 @@ mod tests {
         let c = cfg();
         let device = DeviceModel::jetson_class();
         let policy = CompressionPolicy::identity(4);
-        let full = modeled_training_iteration_us(&c, &policy, 4, 1, &device).unwrap();
-        let windowed = modeled_training_iteration_us(&c, &policy, 1, 1, &device).unwrap();
+        let full = modeled_training_iteration(&c, &policy, 4, 1, &device)
+            .unwrap()
+            .0;
+        let windowed = modeled_training_iteration(&c, &policy, 1, 1, &device)
+            .unwrap()
+            .0;
         assert!(windowed < full, "windowed {windowed} vs full {full}");
     }
 
@@ -259,16 +250,18 @@ mod tests {
         let c = cfg();
         let device = DeviceModel::jetson_class();
         let vanilla =
-            modeled_training_iteration_us(&c, &CompressionPolicy::identity(4), 4, 1, &device)
-                .unwrap();
-        let edge = modeled_training_iteration_us(
+            modeled_training_iteration(&c, &CompressionPolicy::identity(4), 4, 1, &device)
+                .unwrap()
+                .0;
+        let edge = modeled_training_iteration(
             &c,
             &CompressionPolicy::uniform(4, BitWidth::W4, 0.5),
             2,
             1,
             &device,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(vanilla / edge > 2.0, "combined speedup {}", vanilla / edge);
     }
 }

@@ -25,6 +25,12 @@
 //! assert!((policy.mean_cost() - (4.0 / 16.0) * 0.5).abs() < 1e-6);
 //! ```
 
+// Every failure is typed; only a stated invariant may panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod pareto;
 mod policy;
 mod search;

@@ -221,6 +221,9 @@ fn dp(
     let mut picks = vec![all[0]; n];
     let mut u = best_u;
     for l in (0..n).rev() {
+        // Invariant: a layer's pass sets a state's parent wherever it makes
+        // that state finite, and `u` is finite at every layer of the walk.
+        #[allow(clippy::expect_used)]
         let (ci, pu) = parents[l][u].expect("reachable state must have a parent");
         picks[l] = all[ci];
         u = pu;

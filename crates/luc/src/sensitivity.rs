@@ -155,8 +155,9 @@ impl SensitivityProfile {
 /// Cost: `n_layers * (|bits| + |ratios|)` oracle evaluations plus one
 /// baseline — the cheap, embarrassingly parallel measurement loop the paper
 /// describes for LUC. The pipeline's `ModelOracle` walks only `l..n` for
-/// a probe of layer `l`, from the baseline's cached rows entering `l`, and
-/// no layer at all for a probe that installs nothing.
+/// a probe of layer `l`, from the baseline's cached rows entering `l` with
+/// a compressed copy of block `l` standing in for the model's, and no
+/// layer at all for a probe that installs nothing.
 ///
 /// # Errors
 ///

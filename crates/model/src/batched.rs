@@ -18,7 +18,8 @@
 //!   (`EdgeModel::logits_at_exits`), the tuner's blocks below the window
 //!   and then the window itself (`EdgeModel::forward_exit`, below) and
 //!   LUC's probes, which enter above layer 0 from cached hidden rows
-//!   (`EdgeModel::frozen_forward`). A
+//!   with a compressed copy of the entry layer's block standing in for
+//!   the model's own (`EdgeModel::frozen_forward`). A
 //!   group bounds what the pass holds at once: intermediates scale with
 //!   the rows walked together, and row independence (below) makes the
 //!   grouping bit-free. Only this shape may start above layer 0: its K/V
@@ -99,7 +100,7 @@
 
 use crate::adapter::{AdapterTarget, ResolvedAdapter};
 use crate::attention::Heads;
-use crate::block::BlockTape;
+use crate::block::{Block, BlockTape};
 use crate::error::ModelError;
 use crate::linear::Linear;
 use crate::model::EdgeModel;
@@ -286,6 +287,9 @@ pub(crate) struct Entry<'a> {
     /// position in run order; `None` embeds the fed tokens, at layer 0
     /// only.
     pub(crate) hidden: Option<&'a [f32]>,
+    /// The block walked at layer `from` in place of the model's own;
+    /// `None` walks the model's.
+    pub(crate) block: Option<&'a Block>,
 }
 
 impl Entry<'_> {
@@ -293,6 +297,7 @@ impl Entry<'_> {
     pub(crate) const EMBEDDING: Entry<'static> = Entry {
         from: 0,
         hidden: None,
+        block: None,
     };
 }
 
@@ -308,8 +313,9 @@ pub(crate) struct Run<'a> {
 }
 
 /// The checks of a pass over layers `entry.from..depth`: the layer range,
-/// then per run — its `(tokens, cache, exits)` — the token, cache-shape,
-/// capacity and exit checks in that order, then the entering rows' length.
+/// the stand-in block's projection shapes, then per run — its `(tokens,
+/// cache, exits)` — the token, cache-shape, capacity and exit checks in
+/// that order, then the entering rows' length.
 pub(crate) fn validate_runs<'r>(
     model: &EdgeModel,
     runs: impl IntoIterator<Item = (&'r [usize], &'r SequenceKv, &'r [usize])>,
@@ -328,6 +334,15 @@ pub(crate) fn validate_runs<'r>(
             layer: entry.from,
             depth,
         });
+    }
+    if let Some(block) = entry.block {
+        let (c, ff) = (model.config().d_model, model.config().d_ff);
+        let want = [(c, 3 * c), (c, c), (c, ff), (ff, c)];
+        let got = block.linears().map(Linear::shape);
+        if got != want {
+            let reason = format!("stand-in block projections {got:?}, the model's {want:?}");
+            return Err(ModelError::BadConfig { reason });
+        }
     }
     let vocab = model.config().vocab_size;
     let mut fed = 0;
@@ -436,8 +451,8 @@ pub(crate) fn decode_runs(
                     mine
                 });
                 let entry = Entry {
-                    from: entry.from,
                     hidden: mine,
+                    ..entry
                 };
                 (chunk, entry)
             })
@@ -527,8 +542,8 @@ pub(crate) fn full_window(
             })
             .collect();
         let entry = Entry {
-            from: entry.from,
             hidden: mine,
+            ..entry
         };
         let (x, per_run) = decode_runs(model, &mut runs, entry, depth, tape.as_deref_mut())?;
         hidden.extend_from_slice(x.as_slice());
@@ -620,7 +635,10 @@ fn walk(
     // a frozen run's scores, reused by every run and head
     let mut scores = Vec::new();
     for l in entry.from..depth {
-        let block = model.block(l);
+        let block = match entry.block {
+            Some(block) if l == entry.from => block,
+            _ => model.block(l),
+        };
         let [qkv_lin, proj, fc1, fc2] = block.linears();
         // (n, 3c). Adapter deltas land *before* the key/value rows are
         // copied into the caches, so adapted K/V history is what later
@@ -1187,6 +1205,7 @@ mod tests {
             let entry = Entry {
                 from,
                 hidden: Some(hidden),
+                block: None,
             };
             let (rows, logits) = decode_runs(&m, &mut runs, entry, n_layers, None).unwrap();
             let logits: Vec<Tensor> = logits.into_iter().map(|mut l| l.remove(0)).collect();

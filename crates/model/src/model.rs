@@ -278,11 +278,12 @@ impl EdgeModel {
         let frozen = grad_from.min(exit_layer + 1);
         let prefix = match frozen {
             0 => None,
-            _ => Some(self.frozen_forward(tokens, batch, 0, None, frozen, &[])?.0),
+            _ => Some(self.frozen_forward(tokens, batch, 0, None, None, frozen, &[])?),
         };
         let entry = Entry {
             from: frozen,
-            hidden: prefix.as_ref().map(Tensor::as_slice),
+            hidden: prefix.as_ref().map(|(rows, _)| rows.as_slice()),
+            block: None,
         };
         let mut tape = Vec::new();
         let (x, _) = full_window(self, tokens, entry, exit_layer + 1, &[], Some(&mut tape))?;
@@ -380,7 +381,7 @@ impl EdgeModel {
     ) -> Result<Vec<Tensor>, ModelError> {
         let depth = exit_layers.iter().max().map_or(0, |&e| e + 1);
         Ok(self
-            .frozen_forward(tokens, batch, 0, None, depth, exit_layers)?
+            .frozen_forward(tokens, batch, 0, None, None, depth, exit_layers)?
             .1)
     }
 
@@ -390,6 +391,9 @@ impl EdgeModel {
     /// evaluation, the voting fit and LUC's probes score the deployed
     /// model. `entering` holds the hidden rows entering layer `from`, one
     /// per token in `(b, t)` order; `None` (with `from` 0) embeds `tokens`.
+    /// `block`, when given, is walked at layer `from` in place of the
+    /// model's own, bit for bit as if it were installed there: a LUC probe
+    /// scores a compressed copy of one block without a second model.
     /// A pass split at any layer `k` — `0..k`, then `k..depth` from the
     /// rows the first returns — is bit-identical to the unsplit one.
     ///
@@ -403,13 +407,17 @@ impl EdgeModel {
     /// wrong token count, `entering` rows that are not one per token or not
     /// `d_model` wide, or no `entering` rows with `from > 0`;
     /// [`ModelError::LayerOutOfRange`] for `depth > n_layers()`,
-    /// `from > depth`, or an exit outside `from..depth`.
+    /// `from > depth`, or an exit outside `from..depth`;
+    /// [`ModelError::BadConfig`] for a `block` whose projections are not
+    /// the model's shapes.
+    #[allow(clippy::too_many_arguments)] // `from`, `entering`, `block`: one entry
     pub fn frozen_forward(
         &self,
         tokens: &[usize],
         batch: usize,
         from: usize,
         entering: Option<&Tensor>,
+        block: Option<&Block>,
         depth: usize,
         exit_layers: &[usize],
     ) -> Result<(Tensor, Vec<Tensor>), ModelError> {
@@ -425,6 +433,7 @@ impl EdgeModel {
         let entry = Entry {
             from,
             hidden: entering.map(Tensor::as_slice),
+            block,
         };
         full_window(self, tokens, entry, depth, exit_layers, None)
     }
@@ -1055,13 +1064,15 @@ mod tests {
                         Tensor::from_vec(tokens.len(), model.config().d_model, rows).unwrap()
                     }
                     _ => {
-                        let prefix = model.frozen_forward(&tokens, batch, 0, None, grad_from, &[]);
+                        let prefix =
+                            model.frozen_forward(&tokens, batch, 0, None, None, grad_from, &[]);
                         prefix.unwrap().0
                     }
                 };
                 let entry = Entry {
                     from: grad_from,
                     hidden: (grad_from > 0).then_some(x.as_slice()),
+                    block: None,
                 };
                 let mut tape = Vec::new();
                 let (rows, _) =
@@ -1269,15 +1280,15 @@ mod tests {
                 for threads in [1usize, 2] {
                     set_configured_threads(threads);
                     let (hidden, logits) = model
-                        .frozen_forward(&tokens, batch, 0, None, n, &exits)
+                        .frozen_forward(&tokens, batch, 0, None, None, n, &exits)
                         .unwrap();
                     for k in 0..=n {
                         let what = format!("{name} batch {batch} threads {threads} split {k}");
                         let (mid, low) = model
-                            .frozen_forward(&tokens, batch, 0, None, k, &exits[..k])
+                            .frozen_forward(&tokens, batch, 0, None, None, k, &exits[..k])
                             .unwrap();
                         let (top, high) = model
-                            .frozen_forward(&tokens, batch, k, Some(&mid), n, &exits[k..])
+                            .frozen_forward(&tokens, batch, k, Some(&mid), None, n, &exits[k..])
                             .unwrap();
                         assert_eq!(bits(&top), bits(&hidden), "{what}: hidden rows");
                         for (e, got) in low.iter().chain(&high).enumerate() {
@@ -1326,7 +1337,7 @@ mod tests {
             3,
             |m, tokens, _| {
                 let short = Tensor::zeros(tokens.len() - 1, m.config().d_model);
-                m.frozen_forward(tokens, 3, 1, Some(&short), 2, &[1])
+                m.frozen_forward(tokens, 3, 1, Some(&short), None, 2, &[1])
             },
             |e| matches!(e, ModelError::BadBatch { .. }),
         );
@@ -1335,14 +1346,14 @@ mod tests {
             3,
             |m, tokens, _| {
                 let wide = Tensor::zeros(tokens.len() / 2, 2 * m.config().d_model);
-                m.frozen_forward(tokens, 3, 1, Some(&wide), 2, &[1])
+                m.frozen_forward(tokens, 3, 1, Some(&wide), None, 2, &[1])
             },
             |e| matches!(e, ModelError::BadBatch { .. }),
         );
         // no rows at all above the embedding
         refused_before_any_walk(
             3,
-            |m, tokens, _| m.frozen_forward(tokens, 3, 1, None, 2, &[1]),
+            |m, tokens, _| m.frozen_forward(tokens, 3, 1, None, None, 2, &[1]),
             |e| matches!(e, ModelError::BadBatch { .. }),
         );
     }
@@ -1353,7 +1364,7 @@ mod tests {
             3,
             |m, tokens, _| {
                 let wide = Tensor::zeros(tokens.len(), m.config().d_model + 1);
-                m.frozen_forward(tokens, 3, 1, Some(&wide), 2, &[1])
+                m.frozen_forward(tokens, 3, 1, Some(&wide), None, 2, &[1])
             },
             |e| matches!(e, ModelError::BadBatch { .. }),
         );
@@ -1363,22 +1374,83 @@ mod tests {
     fn an_entry_above_the_depth_is_refused() {
         refused_before_any_walk(
             3,
-            |m, tokens, rows| m.frozen_forward(tokens, 3, 2, Some(rows), 1, &[]),
+            |m, tokens, rows| m.frozen_forward(tokens, 3, 2, Some(rows), None, 1, &[]),
             |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 1 }),
         );
         // an exit below the entry has no rows to read
         refused_before_any_walk(
             3,
-            |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), 2, &[0]),
+            |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), None, 2, &[0]),
             |e| matches!(e, ModelError::LayerOutOfRange { layer: 0, .. }),
         );
+    }
+
+    #[test]
+    fn a_stand_in_block_walks_as_if_installed() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        let cfg = ModelConfig::tiny().with_layers(4);
+        let model = EdgeModel::new(cfg, &mut TensorRng::seed_from(50)).unwrap();
+        let n = model.n_layers();
+        let batch = 3;
+        let tokens = tokens_for(&model, batch, 51);
+        let before = configured_threads();
+        for from in [0, 2] {
+            let mut block = model.block(from).clone();
+            for lin in block.linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+            }
+            let mut installed = model.clone();
+            *installed.block_mut(from) = block.clone();
+            let exits: Vec<usize> = (from..n).collect();
+            for threads in [1usize, 2] {
+                set_configured_threads(threads);
+                let what = format!("from {from} threads {threads}");
+                let entering = (from > 0)
+                    .then(|| model.frozen_forward(&tokens, batch, 0, None, None, from, &[]))
+                    .transpose()
+                    .unwrap()
+                    .map(|(rows, _)| rows);
+                let pass = |m: &EdgeModel, block| {
+                    m.frozen_forward(&tokens, batch, from, entering.as_ref(), block, n, &exits)
+                        .unwrap()
+                };
+                let (h, l) = pass(&model, Some(&block));
+                let (want_h, want_l) = pass(&installed, None);
+                let (own_h, _) = pass(&model, None);
+                assert_eq!(bits(&h), bits(&want_h), "{what}: hidden rows");
+                for (e, (got, want)) in l.iter().zip(&want_l).enumerate() {
+                    assert_eq!(bits(got), bits(want), "{what}: exit {}", exits[e]);
+                }
+                assert_ne!(
+                    bits(&h),
+                    bits(&own_h),
+                    "{what}: the stand-in was not walked"
+                );
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    #[test]
+    fn a_stand_in_block_of_another_shape_is_refused() {
+        let cfg = ModelConfig::tiny();
+        let (c, heads, ff) = (cfg.d_model, cfg.n_heads, cfg.d_ff);
+        for (d_model, d_ff) in [(c, ff + 4), (2 * c, ff)] {
+            let block = Block::new(d_model, heads, d_ff, &mut TensorRng::seed_from(52));
+            refused_before_any_walk(
+                3,
+                |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), Some(&block), 2, &[1]),
+                |e| matches!(e, ModelError::BadConfig { .. }),
+            );
+        }
     }
 
     #[test]
     fn a_depth_past_the_model_is_refused() {
         refused_before_any_walk(
             3,
-            |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), 3, &[]),
+            |m, tokens, rows| m.frozen_forward(tokens, 3, 1, Some(rows), None, 3, &[]),
             |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 2 }),
         );
     }
@@ -1393,13 +1465,13 @@ mod tests {
             |m, tokens, _| {
                 let mut hostile = tokens.to_vec();
                 *hostile.last_mut().unwrap() = m.config().vocab_size;
-                m.frozen_forward(&hostile, batch, 0, None, 2, &[1])
+                m.frozen_forward(&hostile, batch, 0, None, None, 2, &[1])
             },
             |e| matches!(e, ModelError::BadConfig { .. }),
         );
         refused_before_any_walk(
             batch,
-            |m, tokens, rows| m.frozen_forward(tokens, batch, 1, Some(rows), 2, &[1, 2]),
+            |m, tokens, rows| m.frozen_forward(tokens, batch, 1, Some(rows), None, 2, &[1, 2]),
             |e| matches!(e, ModelError::LayerOutOfRange { layer: 2, depth: 2 }),
         );
     }
@@ -1442,12 +1514,12 @@ mod tests {
                         let mut logits = vec![Vec::new(); exits.len()];
                         for run in tokens.chunks(seq) {
                             let rows = (from > 0)
-                                .then(|| model.frozen_forward(run, 1, 0, None, from, &[]))
+                                .then(|| model.frozen_forward(run, 1, 0, None, None, from, &[]))
                                 .transpose()
                                 .unwrap()
                                 .map(|(rows, _)| rows);
                             let (h, l) = model
-                                .frozen_forward(run, 1, from, rows.as_ref(), n, &exits)
+                                .frozen_forward(run, 1, from, rows.as_ref(), None, n, &exits)
                                 .unwrap();
                             entering.extend(rows.iter().flat_map(|r| r.as_slice()));
                             hidden.extend(bits(&h));
@@ -1458,7 +1530,15 @@ mod tests {
                         let entering = (from > 0)
                             .then(|| Tensor::from_vec(tokens.len(), c, entering).unwrap());
                         let (h, l) = model
-                            .frozen_forward(&tokens, batch, from, entering.as_ref(), n, &exits)
+                            .frozen_forward(
+                                &tokens,
+                                batch,
+                                from,
+                                entering.as_ref(),
+                                None,
+                                n,
+                                &exits,
+                            )
                             .unwrap();
                         assert_eq!(bits(&h), hidden, "{what}: hidden rows");
                         for (e, (got, want)) in l.iter().zip(&logits).enumerate() {
