@@ -1,180 +1,69 @@
 //! Command-line interface for the Edge-LLM reproduction.
 //!
-//! Six subcommands cover the on-device lifecycle:
+//! Eight subcommands cover the on-device lifecycle, from adapting a model
+//! to serving it, and the experiments that measure it:
 //!
 //! ```text
 //! edgellm adapt    --corpus notes.txt --budget 0.25 --out model.ckpt
+//! edgellm policy   --corpus notes.txt --budget 0.25
+//! edgellm inspect  --ckpt model.ckpt
 //! edgellm generate --ckpt model.ckpt --prompt "monday:" --tokens 40
 //! edgellm serve    --ckpt model.ckpt --requests queue.txt --batch 4
 //! edgellm loadgen  --scenario burst --workers 2
-//! edgellm inspect  --ckpt model.ckpt
-//! edgellm policy   --corpus notes.txt --budget 0.25
+//! edgellm lab run  --spec experiments/smoke.jsonl
+//! edgellm report   --quick --t1
 //! ```
 //!
-//! Argument parsing and command execution live in this library so they are
-//! unit-testable; `src/main.rs` is a thin wrapper.
+//! [`parse_args`] reads one subcommand's flags into a [`Command`] and the
+//! [`Runtime`] it runs under; [`run`] applies the runtime once around the
+//! subcommand's own function, in the module of its lifecycle stage:
+//! tuning (`adapt`), serving (`serve`) or measuring (`lab`). `src/main.rs`
+//! is a thin wrapper.
 
-use edge_llm::compress::apply_policy;
-use edge_llm::pipeline::luc_policy;
-use edge_llm::resilience::{resilient_adapt, restore_run, ResilienceConfig, RunMeta};
-use edge_llm_data::{Dataset, TaskGenerator, TextLmTask};
-use edge_llm_fleet::{run_fleet_with_adapters, FleetConfig, ScenarioSpec};
-use edge_llm_luc::{CompressionPolicy, SearchAlgorithm};
-use edge_llm_model::{
-    generate, AdapterTarget, AdaptiveTuner, Decoding, EdgeModel, ModelConfig, Sgd, TenantAdapter,
-    TrainingCheckpoint, VotingCombiner, VotingPolicy, WindowSchedule,
-};
-use edge_llm_serve::{BatchedInferenceEngine, FinishReason, ServeRequest};
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+mod adapt;
+mod lab;
+mod serve;
+
+pub use adapt::{Adapt, Inspect, Policy};
+pub use lab::{LabCommand, Report};
+pub use serve::{Generate, Loadgen, Serve};
+
+use adapt::DEFAULT_ITERATIONS;
+use edge_llm::experiments::ALL_EXPERIMENTS;
 use edge_llm_telemetry as telemetry;
-use edge_llm_tensor::{fnv1a64, TensorRng};
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::io::Write;
 
-/// A parsed CLI invocation.
+/// A parsed CLI invocation: one variant per subcommand, holding its
+/// arguments (each type documents its subcommand).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Adapt a model to a text corpus and write a checkpoint.
-    Adapt {
-        /// Path to the UTF-8 corpus file.
-        corpus: String,
-        /// Output checkpoint path.
-        out: String,
-        /// LUC mean-cost budget (1.0 = no compression).
-        budget: f32,
-        /// Backprop window depth.
-        window: usize,
-        /// Adaptation iterations.
-        iterations: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Also write the checkpoint every N iterations (0 = at the end only).
-        checkpoint_every: usize,
-        /// Resume from a checkpoint written by `adapt`.
-        resume: Option<String>,
-        /// Kernel worker threads (`0` = all cores). `None` leaves the
-        /// `EDGELLM_THREADS` environment default in place.
-        threads: Option<usize>,
-        /// Write a JSON-lines telemetry trace to this path. `None` falls
-        /// back to the `EDGELLM_TRACE` environment variable.
-        trace_out: Option<String>,
-    },
-    /// Generate a continuation from an adapted checkpoint.
-    Generate {
-        /// Checkpoint path (written by `adapt`).
-        ckpt: String,
-        /// Prompt text (printable ASCII).
-        prompt: String,
-        /// Number of tokens to generate.
-        tokens: usize,
-        /// Top-k pool size (0 = greedy).
-        top_k: usize,
-        /// Sampling temperature.
-        temperature: f32,
-        /// RNG seed.
-        seed: u64,
-        /// Draft exit layer for self-speculative decoding (`Some` turns
-        /// it on, overriding `top_k`; output equals greedy decode).
-        draft_depth: Option<usize>,
-        /// Draft tokens per verify pass when self-speculating.
-        draft_k: usize,
-    },
-    /// Serve a batch of generation requests from a request file through
-    /// the continuous-batching engine.
-    Serve {
-        /// Checkpoint path (written by `adapt`).
-        ckpt: String,
-        /// Path to the request file (one request per line, see `help`).
-        requests: String,
-        /// Maximum requests per batched forward pass.
-        batch: usize,
-        /// Kernel worker threads (`0` = all cores). `None` leaves the
-        /// `EDGELLM_THREADS` environment default in place.
-        threads: Option<usize>,
-        /// Write a JSON-lines telemetry trace to this path. `None` falls
-        /// back to the `EDGELLM_TRACE` environment variable.
-        trace_out: Option<String>,
-    },
-    /// Drive a seeded traffic scenario through the sharded serving
-    /// fleet and print the fleet report.
-    Loadgen {
-        /// Built-in scenario name (steady|burst|crash|stall).
-        scenario: String,
-        /// Number of engine workers.
-        workers: usize,
-        /// Batch slots per worker.
-        batch: usize,
-        /// Bounded per-worker queue depth.
-        queue: usize,
-        /// Replay budget per session after a worker crash.
-        retries: usize,
-        /// Shed sessions that queue longer than this many ticks.
-        slo: Option<u64>,
-        /// Override the scenario's traffic seed.
-        seed: Option<u64>,
-        /// Spread sessions across this many tenants, each with its own
-        /// seeded LoRA adapter over the shared frozen base (0 = all
-        /// sessions on the base).
-        tenants: usize,
-        /// Kernel worker threads (`0` = all cores). `None` leaves the
-        /// `EDGELLM_THREADS` environment default in place.
-        threads: Option<usize>,
-        /// Write a JSON-lines telemetry trace to this path. `None` falls
-        /// back to the `EDGELLM_TRACE` environment variable.
-        trace_out: Option<String>,
-    },
-    /// Run, analyze, or gate a declarative experiment spec through the
-    /// lab runner.
+    Adapt(Adapt),
+    Policy(Policy),
+    Inspect(Inspect),
+    Generate(Generate),
+    Serve(Serve),
+    Loadgen(Loadgen),
     Lab(LabCommand),
-    /// Print a checkpoint's configuration, size, policy and iteration.
-    Inspect {
-        /// Checkpoint path.
-        ckpt: String,
-    },
-    /// Search and print a LUC policy for a corpus without adapting.
-    Policy {
-        /// Path to the UTF-8 corpus file.
-        corpus: String,
-        /// LUC mean-cost budget.
-        budget: f32,
-        /// RNG seed.
-        seed: u64,
-    },
+    Report(Report),
     /// Print usage.
     Help,
 }
 
-/// The `edgellm lab` sub-subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LabCommand {
-    /// Execute every trial of an experiment spec and build its analysis
-    /// tables.
-    Run {
-        /// Path to the experiment spec (JSONL, see `experiments/`).
-        spec: String,
-        /// Root directory for run artifacts.
-        out_dir: String,
-        /// Explicit run id (default: spec name + content digest).
-        run_id: Option<String>,
-        /// Kernel worker threads (`0` = all cores). `None` leaves the
-        /// `EDGELLM_THREADS` environment default in place.
-        threads: Option<usize>,
-    },
-    /// Rebuild the analysis tables for an existing run directory.
-    Analyze {
-        /// Run directory (`.lab/runs/<run_id>`).
-        run: String,
-    },
-    /// Gate a run against a stored baseline (or regenerate it).
-    Check {
-        /// Run directory (`.lab/runs/<run_id>`).
-        run: String,
-        /// Baseline file (see `experiments/baselines/`).
-        baseline: String,
-        /// Regenerate the baseline from this run instead of checking.
-        update: bool,
-    },
+/// How a subcommand runs, never what it computes: results are bit-identical
+/// for every thread count, and recording a trace only observes them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Runtime {
+    /// Kernel worker threads (`0` = all cores). `None` leaves the
+    /// `EDGELLM_THREADS` environment default in place.
+    pub threads: Option<usize>,
+    /// Write a JSON-lines telemetry trace of the run to this path.
+    pub trace_out: Option<String>,
 }
 
 /// CLI error: bad arguments or a failed command.
@@ -196,6 +85,13 @@ impl fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+/// A failed write of the command's output.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Run(e.to_string())
+    }
+}
 
 /// Usage text printed by `edgellm help`.
 pub const USAGE: &str = "\
@@ -220,6 +116,7 @@ USAGE:
   edgellm lab check   --run <.lab/runs/ID> --baseline <file.json> [--update]
   edgellm inspect  --ckpt <ckpt>
   edgellm policy   --corpus <file> [--budget 0.25] [--seed 42]
+  edgellm report   [--quick] [--all | --t1 --t2 ... --a3 --s1]
   edgellm help
 
 Request file (serve): one request per line, '#' starts a comment line.
@@ -323,10 +220,23 @@ impl Flags<'_> {
         Ok(budget)
     }
 
-    /// Hands back the parsed command if every argument was consumed.
-    fn finish(self, command: Command) -> Result<Command, CliError> {
+    /// The runtime flags: `--threads`, and, where the subcommand records
+    /// a trace of its own, `--trace-out` (`EDGELLM_TRACE` when absent).
+    fn runtime(&mut self, traced: bool) -> Result<Runtime, CliError> {
+        let threads = self.optional("--threads")?;
+        let trace_out = if traced {
+            self.optional("--trace-out")?
+                .or_else(telemetry::env_trace_path)
+        } else {
+            None
+        };
+        Ok(Runtime { threads, trace_out })
+    }
+
+    /// Succeeds if every argument was consumed.
+    fn finish(self) -> Result<(), CliError> {
         match self.0.first() {
-            None => Ok(command),
+            None => Ok(()),
             Some(arg) if arg.starts_with("--") => {
                 Err(CliError::Usage(format!("unknown or repeated flag {arg:?}")))
             }
@@ -335,32 +245,28 @@ impl Flags<'_> {
     }
 }
 
-/// Parses an argument vector (without the program name).
+/// Parses an argument vector (without the program name) into the command
+/// and the runtime it runs under.
 ///
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for unknown subcommands or flags, missing
 /// required flags, repeated flags, flags without a value, or unparseable
 /// or out-of-range values.
-pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let Some(sub) = args.first() else {
-        return Ok(Command::Help);
-    };
-    let mut f = Flags(args[1..].iter().map(String::as_str).collect());
-    let command = match sub.as_str() {
-        "adapt" => Command::Adapt {
+pub fn parse_args(args: &[String]) -> Result<(Command, Runtime), CliError> {
+    let mut f = Flags(args.iter().skip(1).map(String::as_str).collect());
+    let command = match args.first().map_or("help", String::as_str) {
+        "adapt" => Command::Adapt(Adapt {
             corpus: f.required("--corpus")?,
             out: f.required("--out")?,
             budget: f.budget()?,
             window: f.or("--window", 2)?,
-            iterations: f.or("--iterations", 400)?,
+            iterations: f.or("--iterations", DEFAULT_ITERATIONS)?,
             seed: f.or("--seed", 42)?,
             checkpoint_every: f.or("--checkpoint-every", 0)?,
             resume: f.optional("--resume")?,
-            threads: f.optional("--threads")?,
-            trace_out: f.optional("--trace-out")?,
-        },
-        "generate" => Command::Generate {
+        }),
+        "generate" => Command::Generate(Generate {
             ckpt: f.required("--ckpt")?,
             prompt: f.required("--prompt")?,
             tokens: f.or("--tokens", 40)?,
@@ -369,15 +275,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             seed: f.or("--seed", 42)?,
             draft_depth: f.optional("--draft-depth")?,
             draft_k: f.or("--draft-k", 4)?,
-        },
-        "serve" => Command::Serve {
+        }),
+        "serve" => Command::Serve(Serve {
             ckpt: f.required("--ckpt")?,
             requests: f.required("--requests")?,
             batch: f.or("--batch", 4)?,
-            threads: f.optional("--threads")?,
-            trace_out: f.optional("--trace-out")?,
-        },
-        "loadgen" => Command::Loadgen {
+        }),
+        "loadgen" => Command::Loadgen(Loadgen {
             scenario: f.required("--scenario")?,
             workers: f.or("--workers", 2)?,
             batch: f.or("--batch", 4)?,
@@ -386,9 +290,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             slo: f.optional("--slo")?,
             seed: f.optional("--seed")?,
             tenants: f.or("--tenants", 0)?,
-            threads: f.optional("--threads")?,
-            trace_out: f.optional("--trace-out")?,
-        },
+        }),
         "lab" => {
             let action = (!f.0.is_empty()).then(|| f.0.remove(0));
             Command::Lab(match action {
@@ -396,7 +298,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     spec: f.required("--spec")?,
                     out_dir: f.or("--out-dir", ".lab".to_string())?,
                     run_id: f.optional("--run-id")?,
-                    threads: f.optional("--threads")?,
                 },
                 Some("analyze") => LabCommand::Analyze {
                     run: f.required("--run")?,
@@ -406,790 +307,99 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     baseline: f.required("--baseline")?,
                     update: f.take("--update").is_some(),
                 },
-                None => {
-                    return Err(CliError::Usage(
-                        "lab needs an action: run|analyze|check".to_string(),
-                    ))
-                }
-                Some(other) => {
-                    return Err(CliError::Usage(format!(
-                        "unknown lab action {other:?} (run|analyze|check)"
-                    )))
+                other => {
+                    let got = other.map_or(String::new(), |a| format!(", got {a:?}"));
+                    let msg = format!("lab needs an action: run|analyze|check{got}");
+                    return Err(CliError::Usage(msg));
                 }
             })
         }
-        "inspect" => Command::Inspect {
+        "inspect" => Command::Inspect(Inspect {
             ckpt: f.required("--ckpt")?,
-        },
-        "policy" => Command::Policy {
+        }),
+        "policy" => Command::Policy(Policy {
             corpus: f.required("--corpus")?,
             budget: f.budget()?,
             seed: f.or("--seed", 42)?,
-        },
-        "help" | "--help" | "-h" => return Ok(Command::Help),
+        }),
+        "report" => {
+            let quick = f.take("--quick").is_some();
+            let all = f.take("--all").is_some();
+            let mut experiments: Vec<&'static str> = ALL_EXPERIMENTS
+                .into_iter()
+                .filter(|id| f.take(&format!("--{id}")).is_some())
+                .collect();
+            if experiments.is_empty() || all {
+                experiments = ALL_EXPERIMENTS.to_vec();
+            }
+            Command::Report(Report { quick, experiments })
+        }
+        "help" | "--help" | "-h" => return Ok((Command::Help, Runtime::default())),
         other => return Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
     };
-    f.finish(command)
+    // The lab runner owns telemetry per trial, so `lab run` records no
+    // trace of its own.
+    let runtime = match &command {
+        Command::Adapt(_) | Command::Serve(_) | Command::Loadgen(_) => f.runtime(true)?,
+        Command::Lab(LabCommand::Run { .. }) => f.runtime(false)?,
+        _ => Runtime::default(),
+    };
+    f.finish()?;
+    Ok((command, runtime))
 }
 
 fn run_err<E: fmt::Display>(e: E) -> CliError {
     CliError::Run(e.to_string())
 }
 
-/// Turns recording on when a trace destination is configured (flag first,
-/// then `EDGELLM_TRACE`); returns the destination path.
-fn start_trace(trace_out: &Option<String>) -> Option<String> {
-    let path = trace_out.clone().or_else(telemetry::env_trace_path)?;
-    telemetry::enable(std::sync::Arc::new(telemetry::MonotonicClock::default()));
-    Some(path)
-}
-
-/// Stops recording and writes the collected events as JSON lines.
-fn finish_trace<W: std::io::Write>(path: &str, out: &mut W) -> Result<(), CliError> {
-    let events = telemetry::disable();
-    let file = fs::File::create(path)
-        .map_err(|e| CliError::Run(format!("cannot create trace file {path}: {e}")))?;
-    let mut w = std::io::BufWriter::new(file);
-    telemetry::write_jsonl(&mut w, &events).map_err(run_err)?;
-    w.flush().map_err(run_err)?;
-    writeln!(out, "trace written to {path} ({} events)", events.len()).map_err(run_err)
-}
-
-fn text_task(corpus_path: &str) -> Result<TextLmTask, CliError> {
-    let corpus = fs::read_to_string(corpus_path)
-        .map_err(|e| CliError::Run(format!("cannot read corpus {corpus_path}: {e}")))?;
-    TextLmTask::new(&corpus).map_err(run_err)
-}
-
-/// Derives a deterministic per-tenant LoRA adapter from the tenant name
-/// alone (FNV-1a of the name seeds the factors), so `serve` and
-/// `loadgen` agree on what any tenant's adapter looks like without a
-/// registry file. Rank-1 deltas on the first layer's attention input
-/// and the last layer's FFN output are enough to make each tenant's
-/// stream distinct while staying tiny next to the packed base.
-fn seeded_tenant_adapter(cfg: &ModelConfig, tenant: &str) -> TenantAdapter {
-    let seed = fnv1a64(tenant.as_bytes());
-    let sites = [
-        (0, AdapterTarget::Qkv),
-        (cfg.n_layers - 1, AdapterTarget::Fc2),
-    ];
-    TenantAdapter::seeded(cfg, seed, 1, &sites)
-}
-
-fn cli_model_config(vocab: usize) -> ModelConfig {
-    ModelConfig::tiny()
-        .with_layers(4)
-        .with_d_model(64, 4)
-        .with_seq_len(48)
-        .with_vocab(vocab)
-}
-
-/// The DP-searched LUC policy on four freshly sampled corpus sequences.
-fn corpus_policy(
-    model: &EdgeModel,
-    task: &TextLmTask,
-    budget: f32,
-    rng: &mut TensorRng,
-) -> Result<CompressionPolicy, CliError> {
-    let seq = model.config().seq_len;
-    let calib: Vec<_> = (0..4).map(|_| task.sample(seq, rng)).collect();
-    let tokens: Vec<usize> = calib.iter().flat_map(|s| s.tokens.clone()).collect();
-    let targets: Vec<usize> = calib.iter().flat_map(|s| s.targets.clone()).collect();
-    let algorithm = SearchAlgorithm::DynamicProgramming;
-    luc_policy(model, &tokens, &targets, 4, budget, algorithm).map_err(run_err)
-}
-
-/// Executes a parsed command, writing human-readable output to `out`.
+/// Executes a parsed command under `runtime`, writing human-readable
+/// output to `out`: sets the kernel threads, records the trace around
+/// the subcommand and writes it once the subcommand has succeeded.
 ///
 /// # Errors
 ///
 /// Returns [`CliError::Run`] when file access, adaptation, or generation
 /// fails.
-pub fn run<W: std::io::Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
-    match command {
-        Command::Help => {
-            write!(out, "{USAGE}").map_err(run_err)?;
-        }
-        Command::Policy {
-            corpus,
-            budget,
-            seed,
-        } => {
-            let task = text_task(corpus)?;
-            let mut rng = TensorRng::seed_from(*seed);
-            let model =
-                EdgeModel::new(cli_model_config(task.vocab_size()), &mut rng).map_err(run_err)?;
-            // brief warmup so sensitivity is meaningful
-            let mut model = model;
-            adapt_model(&mut model, &task, 100, 1, &mut rng)?;
-            let policy = corpus_policy(&model, &task, *budget, &mut rng)?;
-            writeln!(out, "policy: {policy}").map_err(run_err)?;
-            writeln!(out, "compact: {}", policy.to_compact_string()).map_err(run_err)?;
-            writeln!(
-                out,
-                "mean cost: {:.3}  mean bits: {:.1}",
-                policy.mean_cost(),
-                policy.mean_bits()
-            )
-            .map_err(run_err)?;
-        }
-        Command::Adapt {
-            corpus,
-            out: ckpt,
-            budget,
-            window,
-            iterations,
-            seed,
-            checkpoint_every,
-            resume,
-            threads,
-            trace_out,
-        } => {
-            if let Some(t) = threads {
-                edge_llm_tensor::set_configured_threads(*t);
-            }
-            let trace_path = start_trace(trace_out);
-            let task = text_task(corpus)?;
-            // Dataset sampling uses its own seed-derived stream so a resumed
-            // run can regenerate the identical dataset from the checkpoint.
-            let (mut model, mut opt, mut rng, meta, start) = match resume {
-                Some(path) => load_text_run(path)
-                    .map_err(|e| CliError::Run(format!("cannot resume from {path}: {e}")))?,
-                None => {
-                    let mut rng = TensorRng::seed_from(*seed);
-                    let mut model = EdgeModel::new(cli_model_config(task.vocab_size()), &mut rng)
-                        .map_err(run_err)?;
-                    // warmup -> policy -> compressed windowed adaptation
-                    let full_depth = model.n_layers();
-                    adapt_model(&mut model, &task, iterations / 4, full_depth, &mut rng)?;
-                    let policy = if *budget < 1.0 {
-                        let p = corpus_policy(&model, &task, *budget, &mut rng)?;
-                        apply_policy(&mut model, &p).map_err(run_err)?;
-                        p
-                    } else {
-                        CompressionPolicy::identity(model.n_layers())
-                    };
-                    let meta = RunMeta {
-                        policy,
-                        data_seed: seed ^ 0xDA7A_5EED,
-                        window: *window,
-                    };
-                    (model, Sgd::new(0.1), rng, meta, 0)
-                }
-            };
-            let cfg = model.config().clone();
-            let mut data_rng = TensorRng::seed_from(meta.data_seed);
-            let ds = Dataset::from_samples(
-                (0..32)
-                    .map(|_| task.sample(cfg.seq_len, &mut data_rng))
-                    .collect(),
-            );
-            let mut tuner =
-                AdaptiveTuner::new(WindowSchedule::for_depth(meta.window, cfg.n_layers));
-            tuner.set_iteration(start);
-            // periodic snapshots land on the output path itself: one file
-            let res = ResilienceConfig {
-                checkpoint_every: *checkpoint_every,
-                checkpoint_path: (*checkpoint_every > 0).then(|| PathBuf::from(ckpt)),
-                ..ResilienceConfig::default()
-            };
-            let run = resilient_adapt(
-                &mut model,
-                &mut opt,
-                &mut tuner,
-                &mut rng,
-                &ds,
-                4,
-                *iterations,
-                meta.encode(),
-                &res,
-            )
-            .map_err(run_err)?;
-            let done = tuner.iterations() as u64;
-            TrainingCheckpoint::capture(&model, &opt, done, &rng, meta.encode())
-                .save_file(Path::new(ckpt))
-                .map_err(run_err)?;
-            if run.steps_executed == 0 {
-                writeln!(
-                    out,
-                    "nothing to do: resumed at iteration {start} of {iterations}"
-                )
-                .map_err(run_err)?;
-            } else {
-                writeln!(out, "adapted on {corpus}: final loss {:.3}", run.final_loss)
-                    .map_err(run_err)?;
-            }
-            writeln!(out, "policy: {}", meta.policy.to_compact_string()).map_err(run_err)?;
-            if !run.journal.is_empty() {
-                writeln!(out, "recovery journal:").map_err(run_err)?;
-                write!(out, "{}", run.journal).map_err(run_err)?;
-            }
-            writeln!(out, "checkpoint written to {ckpt} (iteration {done})").map_err(run_err)?;
-            if run.steps_executed > 0 {
-                let p = run.phases;
-                let ms = |ns: u64| ns as f64 / 1e6;
-                writeln!(
-                    out,
-                    "phase totals: forward {:.1}ms backward {:.1}ms optimizer {:.1}ms \
-                     checkpoint {:.1}ms ({} layer requants, {} cache evictions)",
-                    ms(p.forward_ns),
-                    ms(p.backward_ns),
-                    ms(p.optimizer_ns),
-                    ms(p.checkpoint_ns),
-                    p.requant_layers,
-                    p.cache_invalidations
-                )
-                .map_err(run_err)?;
-            }
-            if let Some(path) = &trace_path {
-                finish_trace(path, out)?;
-            }
-        }
-        Command::Generate {
-            ckpt,
-            prompt,
-            tokens,
-            top_k,
-            temperature,
-            seed,
-            draft_depth,
-            draft_k,
-        } => {
-            let tok = edge_llm_data::CharTokenizer::new();
-            let (model, ..) = load_text_run(ckpt)?;
-            let mut rng = TensorRng::seed_from(*seed);
-            // --draft-depth switches to self-speculative decoding, which
-            // verifies (and emits) the final exit's greedy tokens — so it
-            // pins the voting policy to final-only.
-            let (decoding, voting) = if let Some(depth) = draft_depth {
-                (
-                    Decoding::SelfSpeculative {
-                        draft_depth: *depth,
-                        k: *draft_k,
-                    },
-                    VotingPolicy::final_only(model.n_layers()),
-                )
-            } else {
-                let decoding = if *top_k == 0 {
-                    Decoding::Greedy
-                } else {
-                    Decoding::TopK {
-                        k: *top_k,
-                        temperature: *temperature,
-                    }
-                };
-                (
-                    decoding,
-                    VotingPolicy::all_exits(
-                        model.n_layers(),
-                        VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
-                    ),
-                )
-            };
-            let ids = tok.encode(prompt);
-            // Generation never mutates weights: build the quantized
-            // layers' codes before the first token (no-op on dense models).
-            model.pack_frozen_weights().map_err(run_err)?;
-            let generated =
-                generate(&model, &voting, &ids, *tokens, decoding, &mut rng).map_err(run_err)?;
-            writeln!(out, "{}", tok.decode(&generated)).map_err(run_err)?;
-        }
-        Command::Serve {
-            ckpt,
-            requests,
-            batch,
-            threads,
-            trace_out,
-        } => {
-            if let Some(t) = threads {
-                edge_llm_tensor::set_configured_threads(*t);
-            }
-            let trace_path = start_trace(trace_out);
-            let tok = edge_llm_data::CharTokenizer::new();
-            let (model, ..) = load_text_run(ckpt)?;
-            let text = fs::read_to_string(requests)
-                .map_err(|e| CliError::Run(format!("cannot read requests {requests}: {e}")))?;
-            let parsed = parse_request_file(&text, &tok, model.n_layers())?;
-            if parsed.is_empty() {
-                return Err(CliError::Run(format!("no requests in {requests}")));
-            }
-            let mut engine = BatchedInferenceEngine::new(&model, *batch).map_err(run_err)?;
-            // every tenant named in the file gets its name-seeded adapter
-            // registered up front; requests without one run the base
-            let mut tenants: Vec<String> = Vec::new();
-            for t in parsed.iter().filter_map(|r| r.tenant.clone()) {
-                if !tenants.contains(&t) {
-                    tenants.push(t);
-                }
-            }
-            for t in &tenants {
-                engine
-                    .register_adapter(t, seeded_tenant_adapter(model.config(), t))
-                    .map_err(run_err)?;
-            }
-            let ids: Vec<String> = parsed.iter().map(|r| r.id.clone()).collect();
-            for r in parsed {
-                engine.submit(r);
-            }
-            let t0 = std::time::Instant::now();
-            let outcomes = engine.run_to_completion().map_err(run_err)?;
-            let elapsed = t0.elapsed().as_secs_f64();
-            let mut total_tokens = 0usize;
-            for id in &ids {
-                let o = outcomes
-                    .iter()
-                    .find(|o| &o.id == id)
-                    .expect("every submission produces an outcome");
-                match &o.finish {
-                    FinishReason::Rejected { reason } => {
-                        writeln!(out, "{id} [rejected: {reason}]").map_err(run_err)?;
-                    }
-                    finish => {
-                        let status = match finish {
-                            FinishReason::Completed => "completed",
-                            FinishReason::DeadlineExceeded => "deadline exceeded",
-                            FinishReason::CapacityExhausted => "capacity exhausted",
-                            FinishReason::Rejected { .. } => unreachable!("handled above"),
-                        };
-                        total_tokens += o.tokens.len();
-                        writeln!(
-                            out,
-                            "{id} [{status}, {} tokens, {} steps]: {}",
-                            o.tokens.len(),
-                            o.steps,
-                            tok.decode(&o.tokens)
-                        )
-                        .map_err(run_err)?;
-                    }
-                }
-            }
-            writeln!(
-                out,
-                "served {} requests in {elapsed:.2}s: {total_tokens} tokens, \
-                 {:.1} tokens/s, {} batched passes, {} resident weight bytes",
-                ids.len(),
-                total_tokens as f64 / elapsed.max(1e-9),
-                engine.steps_run(),
-                engine.weight_resident_bytes()
-            )
-            .map_err(run_err)?;
-            let report = engine.report();
-            writeln!(
-                out,
-                "latency: queue wait {} | decode token {}",
-                report.queue_wait, report.decode_token
-            )
-            .map_err(run_err)?;
-            if report.spec_rounds > 0 {
-                // a round with zero drafts has no acceptance rate — print
-                // n/a rather than a fabricated 0.00
-                let ratio = |v: Option<f64>| match v {
-                    Some(v) => format!("{v:.2}"),
-                    None => "n/a".to_string(),
-                };
-                writeln!(
-                    out,
-                    "speculative: {} rounds, acceptance rate {}, \
-                     {} tokens/verify pass",
-                    report.spec_rounds,
-                    ratio(report.spec_acceptance_rate()),
-                    ratio(report.spec_tokens_per_verify_pass())
-                )
-                .map_err(run_err)?;
-            }
-            if !tenants.is_empty() {
-                let resident: Vec<String> = report
-                    .adapter_resident_bytes
-                    .iter()
-                    .map(|(t, b)| format!("{t}={b}B"))
-                    .collect();
-                writeln!(
-                    out,
-                    "adapters: {} hits, {} misses, {} lru + {} replaced evictions; \
-                     resident: {}",
-                    report.adapter_hits,
-                    report.adapter_misses,
-                    report.adapter_evictions_lru,
-                    report.adapter_evictions_replaced,
-                    if resident.is_empty() {
-                        "none".to_string()
-                    } else {
-                        resident.join(" ")
-                    }
-                )
-                .map_err(run_err)?;
-            }
-            if let Some(path) = &trace_path {
-                finish_trace(path, out)?;
-            }
-        }
-        Command::Loadgen {
-            scenario,
-            workers,
-            batch,
-            queue,
-            retries,
-            slo,
-            seed,
-            tenants,
-            threads,
-            trace_out,
-        } => {
-            if let Some(t) = threads {
-                edge_llm_tensor::set_configured_threads(*t);
-            }
-            let trace_path = start_trace(trace_out);
-            let mut spec = ScenarioSpec::builtin(scenario).ok_or_else(|| {
-                CliError::Usage(format!(
-                    "unknown scenario {scenario:?} (expected one of {})",
-                    ScenarioSpec::builtin_names().join(", ")
-                ))
-            })?;
-            if let Some(s) = seed {
-                spec.seed = *s;
-            }
-            spec.tenants = *tenants;
-            // the fleet is exercised against a synthetic tiny model: the
-            // scenario is about router behaviour, not model quality
-            let mut rng = TensorRng::seed_from(17);
-            let model = EdgeModel::new(ModelConfig::tiny(), &mut rng).map_err(run_err)?;
-            let traffic = spec.generate(model.config().vocab_size, model.n_layers());
-            let cfg = FleetConfig {
-                workers: *workers,
-                batch_per_worker: *batch,
-                queue_depth: *queue,
-                max_retries: *retries,
-                slo_queue_ticks: *slo,
-                faults: spec.faults.clone(),
-            };
-            writeln!(
-                out,
-                "scenario {} (seed {}): {} sessions over {} ticks, \
-                 {} workers x {} slots, queue {}, retries {}",
-                spec.name,
-                spec.seed,
-                traffic.len(),
-                spec.span_ticks,
-                workers,
-                batch,
-                queue,
-                retries
-            )
-            .map_err(run_err)?;
-            for fault in &spec.faults {
-                writeln!(
-                    out,
-                    "  fault @tick {}: {}",
-                    fault.at_tick,
-                    fault.kind.label()
-                )
-                .map_err(run_err)?;
-            }
-            let adapters: Vec<(String, TenantAdapter)> = (0..*tenants)
-                .map(|i| {
-                    let name = format!("tenant-{i}");
-                    let adapter = seeded_tenant_adapter(model.config(), &name);
-                    (name, adapter)
-                })
-                .collect();
-            if !adapters.is_empty() {
-                writeln!(
-                    out,
-                    "  {} tenant adapters over one frozen base",
-                    adapters.len()
-                )
-                .map_err(run_err)?;
-            }
-            let run =
-                run_fleet_with_adapters(&model, &cfg, &adapters, &traffic).map_err(run_err)?;
-            writeln!(out, "{}", run.report).map_err(run_err)?;
-            if let Some(path) = &trace_path {
-                finish_trace(path, out)?;
-            }
-        }
-        Command::Lab(lab) => run_lab(lab, out)?,
-        Command::Inspect { ckpt } => {
-            let tc = TrainingCheckpoint::load_file(Path::new(ckpt)).map_err(run_err)?;
-            let (model, _, _, meta) = restore_run(&tc).map_err(run_err)?;
-            let cfg = model.config();
-            writeln!(out, "layers: {}", cfg.n_layers).map_err(run_err)?;
-            writeln!(out, "d_model: {} ({} heads)", cfg.d_model, cfg.n_heads).map_err(run_err)?;
-            writeln!(out, "seq_len: {}", cfg.seq_len).map_err(run_err)?;
-            writeln!(out, "vocab: {}", cfg.vocab_size).map_err(run_err)?;
-            writeln!(out, "parameters: {}", model.num_params()).map_err(run_err)?;
-            writeln!(out, "policy: {}", meta.policy.to_compact_string()).map_err(run_err)?;
-            writeln!(out, "iteration: {}", tc.iteration).map_err(run_err)?;
-        }
+pub fn run<W: Write>(command: &Command, runtime: &Runtime, out: &mut W) -> Result<(), CliError> {
+    if let Some(threads) = runtime.threads {
+        edge_llm_tensor::set_configured_threads(threads);
     }
+    if runtime.trace_out.is_some() {
+        telemetry::enable(std::sync::Arc::new(telemetry::MonotonicClock::default()));
+    }
+    let ran = match command {
+        Command::Adapt(c) => adapt::adapt(c, out),
+        Command::Policy(c) => adapt::policy(c, out),
+        Command::Inspect(c) => adapt::inspect(c, out),
+        Command::Generate(c) => serve::generate(c, out),
+        Command::Serve(c) => serve::serve(c, out),
+        Command::Loadgen(c) => serve::loadgen(c, out),
+        Command::Lab(c) => lab::lab(c, out),
+        Command::Report(c) => lab::report(c, out),
+        Command::Help => write!(out, "{USAGE}").map_err(CliError::from),
+    };
+    let Some(path) = &runtime.trace_out else {
+        return ran;
+    };
+    let events = telemetry::disable();
+    ran?;
+    let file = std::fs::File::create(path)
+        .map_err(|e| CliError::Run(format!("cannot create trace file {path}: {e}")))?;
+    let mut w = std::io::BufWriter::new(file);
+    telemetry::write_jsonl(&mut w, &events)?;
+    w.flush()?;
+    writeln!(out, "trace written to {path} ({} events)", events.len())?;
     Ok(())
-}
-
-/// Executes one `edgellm lab` action. Oracle or gate failures exit
-/// through [`CliError::Run`] after every violation is printed, so a red
-/// verify shows the whole picture, not just the first break.
-fn run_lab<W: std::io::Write>(lab: &LabCommand, out: &mut W) -> Result<(), CliError> {
-    match lab {
-        LabCommand::Run {
-            spec,
-            out_dir,
-            run_id,
-            threads,
-        } => {
-            if let Some(t) = threads {
-                edge_llm_tensor::set_configured_threads(*t);
-            }
-            let spec_text = fs::read_to_string(spec)
-                .map_err(|e| CliError::Run(format!("cannot read {spec}: {e}")))?;
-            let parsed = edge_llm_lab::ExperimentSpec::parse_jsonl(&spec_text).map_err(run_err)?;
-            let opts = edge_llm_lab::RunOptions {
-                out_dir: PathBuf::from(out_dir),
-                run_id: run_id.clone(),
-            };
-            let outcome =
-                edge_llm_lab::run_experiment(&parsed, &spec_text, &opts).map_err(run_err)?;
-            writeln!(
-                out,
-                "experiment {}: {} trials -> {}",
-                parsed.name,
-                outcome.trials,
-                outcome.run_dir.display()
-            )
-            .map_err(run_err)?;
-            let report = edge_llm_lab::analyze_run(&outcome.run_dir).map_err(run_err)?;
-            print_analysis(&report, out)?;
-            if !report.oracle_failures.is_empty() {
-                return Err(CliError::Run(format!(
-                    "{} differential oracle(s) failed",
-                    report.oracle_failures.len()
-                )));
-            }
-        }
-        LabCommand::Analyze { run } => {
-            let report = edge_llm_lab::analyze_run(Path::new(run)).map_err(run_err)?;
-            print_analysis(&report, out)?;
-            if !report.oracle_failures.is_empty() {
-                return Err(CliError::Run(format!(
-                    "{} differential oracle(s) failed",
-                    report.oracle_failures.len()
-                )));
-            }
-        }
-        LabCommand::Check {
-            run,
-            baseline,
-            update,
-        } => {
-            let report = edge_llm_lab::check_run(Path::new(run), Path::new(baseline), *update)
-                .map_err(run_err)?;
-            if report.updated {
-                writeln!(out, "baseline regenerated: {baseline}").map_err(run_err)?;
-                return Ok(());
-            }
-            for failure in &report.failures {
-                writeln!(out, "FAIL {failure}").map_err(run_err)?;
-            }
-            if report.failures.is_empty() {
-                writeln!(
-                    out,
-                    "check passed: {} assertions against {baseline}",
-                    report.checked
-                )
-                .map_err(run_err)?;
-            } else {
-                return Err(CliError::Run(format!(
-                    "{} of {} checks failed against {baseline}",
-                    report.failures.len(),
-                    report.checked
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn print_analysis<W: std::io::Write>(
-    report: &edge_llm_lab::AnalysisReport,
-    out: &mut W,
-) -> Result<(), CliError> {
-    for (table, rows) in &report.table_rows {
-        writeln!(out, "  analysis/{table}: {rows} rows").map_err(run_err)?;
-    }
-    for failure in &report.oracle_failures {
-        writeln!(out, "ORACLE FAIL {failure}").map_err(run_err)?;
-    }
-    Ok(())
-}
-
-/// Parses a serve request file: one request per line, `#` comment lines
-/// and blank lines skipped. Each line is `key=value ... :: prompt text`.
-/// Ids must be unique — outcomes are reported by id.
-fn parse_request_file(
-    text: &str,
-    tok: &edge_llm_data::CharTokenizer,
-    n_layers: usize,
-) -> Result<Vec<ServeRequest>, CliError> {
-    let mut requests = Vec::new();
-    let mut id_lines = std::collections::HashMap::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let n = lineno + 1;
-        // a line may start at the separator (no options at all)
-        let (head, prompt_text) = if let Some(rest) = line.strip_prefix(":: ") {
-            ("", rest)
-        } else if let Some(split) = line.split_once(" :: ") {
-            split
-        } else {
-            return Err(CliError::Usage(format!(
-                "request line {n}: missing ' :: ' between options and prompt"
-            )));
-        };
-        let mut id = format!("req{}", requests.len() + 1);
-        let mut tokens = 20usize;
-        let mut mode = "greedy".to_string();
-        let mut k = 3usize;
-        let mut temp = 0.8f32;
-        let mut seed = 42u64;
-        let mut depth = 1usize;
-        let mut voting_name: Option<String> = None;
-        let mut deadline = None;
-        let mut tenant = None;
-        for pair in head.split_whitespace() {
-            let Some((key, value)) = pair.split_once('=') else {
-                return Err(CliError::Usage(format!(
-                    "request line {n}: expected key=value, got {pair:?}"
-                )));
-            };
-            let bad_value = || {
-                CliError::Usage(format!(
-                    "request line {n}: invalid value {value:?} for {key}"
-                ))
-            };
-            match key {
-                "id" => id = value.to_string(),
-                "tokens" => tokens = value.parse().map_err(|_| bad_value())?,
-                "mode" => mode = value.to_string(),
-                "k" => k = value.parse().map_err(|_| bad_value())?,
-                "depth" => depth = value.parse().map_err(|_| bad_value())?,
-                "temp" => temp = value.parse().map_err(|_| bad_value())?,
-                "seed" => seed = value.parse().map_err(|_| bad_value())?,
-                "voting" => voting_name = Some(value.to_string()),
-                "deadline" => deadline = Some(value.parse().map_err(|_| bad_value())?),
-                "tenant" => {
-                    if value.is_empty() {
-                        return Err(bad_value());
-                    }
-                    tenant = Some(value.to_string());
-                }
-                other => {
-                    return Err(CliError::Usage(format!(
-                        "request line {n}: unknown option {other:?}"
-                    )));
-                }
-            }
-        }
-        let decoding = match mode.as_str() {
-            "greedy" => Decoding::Greedy,
-            "sample" => Decoding::Sample { temperature: temp },
-            "topk" => Decoding::TopK {
-                k,
-                temperature: temp,
-            },
-            "spec" => Decoding::SelfSpeculative {
-                draft_depth: depth,
-                k,
-            },
-            other => {
-                return Err(CliError::Usage(format!(
-                    "request line {n}: unknown mode {other:?} (greedy|sample|topk|spec)"
-                )));
-            }
-        };
-        // spec requests verify against the final exit, so default the
-        // voting to `final` instead of the multi-exit blend
-        let voting_name = voting_name
-            .unwrap_or_else(|| if mode == "spec" { "final" } else { "conf" }.to_string());
-        let voting = match voting_name.as_str() {
-            "final" => VotingPolicy::final_only(n_layers),
-            "last" => VotingPolicy::all_exits(n_layers, VotingCombiner::LastExit),
-            "conf" => VotingPolicy::all_exits(
-                n_layers,
-                VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
-            ),
-            "avg" => VotingPolicy::all_exits(n_layers, VotingCombiner::Average),
-            other => {
-                return Err(CliError::Usage(format!(
-                    "request line {n}: unknown voting {other:?} (final|last|conf|avg)"
-                )));
-            }
-        };
-        let prompt = tok.encode(prompt_text);
-        if prompt.is_empty() {
-            return Err(CliError::Usage(format!("request line {n}: empty prompt")));
-        }
-        if let Some(first) = id_lines.insert(id.clone(), n) {
-            return Err(CliError::Usage(format!(
-                "request line {n}: id {id:?} already used on line {first}"
-            )));
-        }
-        requests.push(ServeRequest {
-            id,
-            prompt,
-            max_new_tokens: tokens,
-            decoding,
-            voting,
-            seed,
-            deadline_steps: deadline,
-            tenant,
-        });
-    }
-    Ok(requests)
-}
-
-/// Restores the text model checkpointed at `path` — compressed as it was
-/// tuned, with its optimizer, RNG, run metadata and iteration — through
-/// [`restore_run`]. Corpora and prompts all go through the one character
-/// tokenizer, so a model of any other vocabulary is refused.
-fn load_text_run(path: &str) -> Result<(EdgeModel, Sgd, TensorRng, RunMeta, usize), CliError> {
-    let tc = TrainingCheckpoint::load_file(Path::new(path)).map_err(run_err)?;
-    let (model, opt, rng, meta) = restore_run(&tc).map_err(run_err)?;
-    let have = model.config().vocab_size;
-    let want = edge_llm_data::CharTokenizer::new().vocab_size();
-    if have != want {
-        return Err(CliError::Run(format!(
-            "checkpoint vocabulary {have} is not a text-model vocabulary ({want})"
-        )));
-    }
-    Ok((model, opt, rng, meta, tc.iteration as usize))
-}
-
-fn adapt_model(
-    model: &mut EdgeModel,
-    task: &TextLmTask,
-    iterations: usize,
-    window: usize,
-    rng: &mut TensorRng,
-) -> Result<f32, CliError> {
-    let cfg = model.config().clone();
-    let ds = Dataset::from_samples((0..32).map(|_| task.sample(cfg.seq_len, rng)).collect());
-    let mut tuner = AdaptiveTuner::new(WindowSchedule::for_depth(window, cfg.n_layers));
-    let mut opt = Sgd::new(0.1);
-    let mut last = f32::NAN;
-    for it in 0..iterations {
-        let b = ds.batch_at(it * 4, 4);
-        last = tuner
-            .step(model, &mut opt, &b.tokens, &b.targets, b.batch)
-            .map_err(run_err)?
-            .loss;
-    }
-    Ok(last)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapt::{cli_model_config, warm_policy};
+    use crate::serve::parse_request_file;
+    use edge_llm_model::{Decoding, EdgeModel, VotingCombiner, VotingPolicy};
+    use edge_llm_tensor::TensorRng;
+    use std::path::Path;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1200,44 +410,42 @@ mod tests {
         let cmd = parse_args(&argv("adapt --corpus notes.txt --out m.ckpt")).unwrap();
         assert_eq!(
             cmd,
-            Command::Adapt {
-                corpus: "notes.txt".into(),
-                out: "m.ckpt".into(),
-                budget: 0.25,
-                window: 2,
-                iterations: 400,
-                seed: 42,
-                checkpoint_every: 0,
-                resume: None,
-                threads: None,
-                trace_out: None,
-            }
+            (
+                Command::Adapt(Adapt {
+                    corpus: "notes.txt".into(),
+                    out: "m.ckpt".into(),
+                    budget: 0.25,
+                    window: 2,
+                    iterations: 400,
+                    seed: 42,
+                    checkpoint_every: 0,
+                    resume: None,
+                }),
+                Runtime::default()
+            )
         );
     }
 
     #[test]
     fn parse_trace_out_flag() {
-        let cmd = parse_args(&argv("adapt --corpus a --out b --trace-out trace.jsonl")).unwrap();
-        match cmd {
-            Command::Adapt { trace_out, .. } => {
-                assert_eq!(trace_out.as_deref(), Some("trace.jsonl"))
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        let cmd = parse_args(&argv("serve --ckpt m --requests q --trace-out t.jsonl")).unwrap();
-        match cmd {
-            Command::Serve { trace_out, .. } => assert_eq!(trace_out.as_deref(), Some("t.jsonl")),
-            other => panic!("wrong command {other:?}"),
-        }
+        let (_, runtime) =
+            parse_args(&argv("adapt --corpus a --out b --trace-out trace.jsonl")).unwrap();
+        assert_eq!(runtime.trace_out.as_deref(), Some("trace.jsonl"));
+        let (_, runtime) =
+            parse_args(&argv("serve --ckpt m --requests q --trace-out t.jsonl")).unwrap();
+        assert_eq!(runtime.trace_out.as_deref(), Some("t.jsonl"));
+        // the lab runner records its own trials: `lab run` takes threads only
+        let usage = |line: &str| matches!(parse_args(&argv(line)), Err(CliError::Usage(_)));
+        assert!(usage("lab run --spec s --trace-out t.jsonl"));
+        assert!(usage("generate --ckpt m --prompt p --trace-out t.jsonl"));
+        assert!(usage("report --threads 2"));
     }
 
     #[test]
     fn parse_adapt_threads_flag() {
-        let cmd = parse_args(&argv("adapt --corpus notes.txt --out m.ckpt --threads 4")).unwrap();
-        match cmd {
-            Command::Adapt { threads, .. } => assert_eq!(threads, Some(4)),
-            other => panic!("wrong command {other:?}"),
-        }
+        let (_, runtime) =
+            parse_args(&argv("adapt --corpus notes.txt --out m.ckpt --threads 4")).unwrap();
+        assert_eq!(runtime.threads, Some(4));
         assert!(matches!(
             parse_args(&argv("adapt --corpus a --out b --threads many")),
             Err(CliError::Usage(_))
@@ -1251,13 +459,9 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Adapt {
-                checkpoint_every,
-                resume,
-                ..
-            } => {
-                assert_eq!(checkpoint_every, 25);
-                assert_eq!(resume.as_deref(), Some("m.ckpt"));
+            (Command::Adapt(a), _) => {
+                assert_eq!(a.checkpoint_every, 25);
+                assert_eq!(a.resume.as_deref(), Some("m.ckpt"));
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1270,15 +474,10 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Generate {
-                tokens,
-                top_k,
-                seed,
-                ..
-            } => {
-                assert_eq!(tokens, 10);
-                assert_eq!(top_k, 0);
-                assert_eq!(seed, 7);
+            (Command::Generate(g), _) => {
+                assert_eq!(g.tokens, 10);
+                assert_eq!(g.top_k, 0);
+                assert_eq!(g.seed, 7);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1291,25 +490,17 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Generate {
-                draft_depth,
-                draft_k,
-                ..
-            } => {
-                assert_eq!(draft_depth, Some(2));
-                assert_eq!(draft_k, 8);
+            (Command::Generate(g), _) => {
+                assert_eq!(g.draft_depth, Some(2));
+                assert_eq!(g.draft_k, 8);
             }
             other => panic!("wrong command {other:?}"),
         }
         // speculation is off by default
         match parse_args(&argv("generate --ckpt m.ckpt --prompt hi")).unwrap() {
-            Command::Generate {
-                draft_depth,
-                draft_k,
-                ..
-            } => {
-                assert_eq!(draft_depth, None);
-                assert_eq!(draft_k, 4);
+            (Command::Generate(g), _) => {
+                assert_eq!(g.draft_depth, None);
+                assert_eq!(g.draft_k, 4);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1362,7 +553,7 @@ mod tests {
         // `--update` stays the one boolean
         assert!(matches!(
             parse_args(&argv("lab check --run r --baseline b --update")),
-            Ok(Command::Lab(LabCommand::Check { update: true, .. }))
+            Ok((Command::Lab(LabCommand::Check { update: true, .. }), _))
         ));
     }
 
@@ -1384,11 +575,53 @@ mod tests {
 
     #[test]
     fn empty_args_are_help() {
-        assert_eq!(parse_args(&[]).unwrap(), Command::Help);
-        assert_eq!(parse_args(&argv("help")).unwrap(), Command::Help);
-        let mut buf = Vec::new();
-        run(&Command::Help, &mut buf).unwrap();
-        assert!(String::from_utf8(buf).unwrap().contains("edgellm adapt"));
+        let help = (Command::Help, Runtime::default());
+        assert_eq!(parse_args(&[]).unwrap(), help);
+        assert_eq!(parse_args(&argv("help")).unwrap(), help);
+        assert!(run_text(&Command::Help).contains("edgellm adapt"));
+    }
+
+    #[test]
+    fn policy_prints_the_policy_adapt_installs() {
+        let dir = std::env::temp_dir().join("edgellm-cli-policy-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus = dir.join("chores.txt");
+        let days = ["monday", "tuesday", "friday"];
+        let chores = ["water the plants", "check the sensors", "feed the cat"];
+        let text: String = (0..60)
+            .map(|i| format!("{}: {}. ", days[i % 3], chores[(i * i + 1) % 3]))
+            .collect();
+        std::fs::write(&corpus, text).unwrap();
+        let corpus = corpus.to_string_lossy().into_owned();
+        let (seed, budget) = (1, 0.5);
+        let task = crate::adapt::text_task(&corpus).unwrap();
+        let preamble = |iterations| {
+            let (_, policy, _) = warm_policy(&task, budget, iterations, seed).unwrap();
+            policy.to_compact_string()
+        };
+        // `adapt` installs its preamble's policy; a 400-iteration run is
+        // slow under the dev profile, so a short one stands in
+        let adapted = run_text(&Command::Adapt(Adapt {
+            corpus: corpus.clone(),
+            out: dir.join("m.ckpt").to_string_lossy().into_owned(),
+            budget,
+            window: 2,
+            iterations: 20,
+            seed,
+            checkpoint_every: 0,
+            resume: None,
+        }));
+        let installed = format!("policy: {}", preamble(20));
+        assert!(adapted.lines().any(|l| l == installed), "{adapted}");
+        // and `policy` prints the preamble's policy at adapt's default
+        // iterations
+        let printed = run_text(&Command::Policy(Policy {
+            corpus,
+            budget,
+            seed,
+        }));
+        let compact = format!("compact: {}", preamble(DEFAULT_ITERATIONS));
+        assert!(printed.lines().any(|l| l == compact), "{printed}");
     }
 
     #[test]
@@ -1402,7 +635,7 @@ mod tests {
             "water the plants. water the plants. check the sensors. water the plants. ",
         )
         .unwrap();
-        let adapt = Command::Adapt {
+        let adapt = Command::Adapt(Adapt {
             corpus: corpus_path.to_string_lossy().into_owned(),
             out: ckpt_path.to_string_lossy().into_owned(),
             budget: 0.5,
@@ -1411,71 +644,49 @@ mod tests {
             seed: 1,
             checkpoint_every: 0,
             resume: None,
-            threads: None,
-            trace_out: None,
-        };
-        let mut buf = Vec::new();
-        run(&adapt, &mut buf).unwrap();
-        let adapt_text = String::from_utf8(buf).unwrap();
+        });
+        let adapt_text = run_text(&adapt);
         assert!(adapt_text.contains("checkpoint written"));
         let policy_line = adapt_text
             .lines()
             .find(|l| l.starts_with("policy: "))
             .expect("adapt prints its policy");
 
-        let mut buf = Vec::new();
-        run(
-            &Command::Inspect {
-                ckpt: ckpt_path.to_string_lossy().into_owned(),
-            },
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = run_text(&Command::Inspect(Inspect {
+            ckpt: ckpt_path.to_string_lossy().into_owned(),
+        }));
         assert!(text.contains("layers: 4"));
         assert!(text.contains("vocab: 96"));
         assert!(text.contains("iteration: 20"), "{text}");
         // the file carries the policy it was tuned under
         assert!(text.lines().any(|l| l == policy_line), "{text}");
 
-        let mut buf = Vec::new();
-        run(
-            &Command::Generate {
-                ckpt: ckpt_path.to_string_lossy().into_owned(),
-                prompt: "water".into(),
-                tokens: 8,
-                top_k: 0,
-                temperature: 1.0,
-                seed: 2,
-                draft_depth: None,
-                draft_k: 4,
-            },
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = run_text(&Command::Generate(Generate {
+            ckpt: ckpt_path.to_string_lossy().into_owned(),
+            prompt: "water".into(),
+            tokens: 8,
+            top_k: 0,
+            temperature: 1.0,
+            seed: 2,
+            draft_depth: None,
+            draft_k: 4,
+        }));
         assert!(text.starts_with("water"));
         assert!(text.trim_end().len() >= "water".len() + 8);
 
         // self-speculative decode emits the final exit's greedy stream, so
         // its text is identical for every draft depth and k
         let spec_text = |depth: usize, k: usize| {
-            let mut buf = Vec::new();
-            run(
-                &Command::Generate {
-                    ckpt: ckpt_path.to_string_lossy().into_owned(),
-                    prompt: "water".into(),
-                    tokens: 8,
-                    top_k: 0,
-                    temperature: 1.0,
-                    seed: 2,
-                    draft_depth: Some(depth),
-                    draft_k: k,
-                },
-                &mut buf,
-            )
-            .unwrap();
-            String::from_utf8(buf).unwrap()
+            run_text(&Command::Generate(Generate {
+                ckpt: ckpt_path.to_string_lossy().into_owned(),
+                prompt: "water".into(),
+                tokens: 8,
+                top_k: 0,
+                temperature: 1.0,
+                seed: 2,
+                draft_depth: Some(depth),
+                draft_k: k,
+            }))
         };
         let reference = spec_text(1, 2);
         assert!(reference.starts_with("water"), "{reference}");
@@ -1491,13 +702,11 @@ mod tests {
              id=drafted tokens=8 mode=spec depth=1 k=2 :: water\n",
         )
         .unwrap();
-        let served = run_text(&Command::Serve {
+        let served = run_text(&Command::Serve(Serve {
             ckpt: ckpt_path.to_string_lossy().into_owned(),
             requests: requests_path.to_string_lossy().into_owned(),
             batch: 2,
-            threads: None,
-            trace_out: None,
-        });
+        }));
         let served_line = |id: &str| {
             let line = served.lines().find(|l| l.starts_with(id)).unwrap();
             format!("water{}\n", line.split_once("]: ").unwrap().1)
@@ -1533,7 +742,7 @@ mod tests {
         checkpoint_every: usize,
         resume: Option<&Path>,
     ) -> Command {
-        Command::Adapt {
+        Command::Adapt(Adapt {
             corpus: corpus.to_string_lossy().into_owned(),
             out: ckpt.to_string_lossy().into_owned(),
             budget: 1.0,
@@ -1542,15 +751,20 @@ mod tests {
             seed: 3,
             checkpoint_every,
             resume: resume.map(|p| p.to_string_lossy().into_owned()),
-            threads: None,
-            trace_out: None,
-        }
+        })
     }
 
     fn run_text(cmd: &Command) -> String {
         let mut buf = Vec::new();
-        run(cmd, &mut buf).unwrap();
+        run(cmd, &Runtime::default(), &mut buf).unwrap();
         String::from_utf8(buf).unwrap()
+    }
+
+    fn run_err(cmd: &Command) -> CliError {
+        match run(cmd, &Runtime::default(), &mut Vec::new()) {
+            Err(e) => e,
+            Ok(()) => panic!("{cmd:?} ran"),
+        }
     }
 
     #[test]
@@ -1601,9 +815,9 @@ mod tests {
             let path = dir.join(name);
             std::fs::write(&path, bytes).unwrap();
             let cmd = adapt_cmd_with(&corpus_path, &ckpt_path, 16, 0, Some(&path));
-            match run(&cmd, &mut Vec::new()) {
-                Err(CliError::Run(msg)) => msg,
-                other => panic!("{name} accepted: {other:?}"),
+            match run_err(&cmd) {
+                CliError::Run(msg) => msg,
+                other => panic!("{name} refused as usage: {other:?}"),
             }
         };
 
@@ -1629,13 +843,17 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Serve {
-                ckpt: "m.ckpt".into(),
-                requests: "q.txt".into(),
-                batch: 8,
-                threads: Some(2),
-                trace_out: None,
-            }
+            (
+                Command::Serve(Serve {
+                    ckpt: "m.ckpt".into(),
+                    requests: "q.txt".into(),
+                    batch: 8,
+                }),
+                Runtime {
+                    threads: Some(2),
+                    trace_out: None,
+                }
+            )
         );
         assert!(matches!(
             parse_args(&argv("serve --ckpt m.ckpt")),
@@ -1651,18 +869,19 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Loadgen {
-                scenario: "burst".into(),
-                workers: 4,
-                batch: 4,
-                queue: 16,
-                retries: 2,
-                slo: Some(8),
-                seed: None,
-                tenants: 3,
-                threads: None,
-                trace_out: None,
-            }
+            (
+                Command::Loadgen(Loadgen {
+                    scenario: "burst".into(),
+                    workers: 4,
+                    batch: 4,
+                    queue: 16,
+                    retries: 2,
+                    slo: Some(8),
+                    seed: None,
+                    tenants: 3,
+                }),
+                Runtime::default()
+            )
         );
         assert!(matches!(
             parse_args(&argv("loadgen --workers 2")),
@@ -1672,9 +891,9 @@ mod tests {
 
     #[test]
     fn loadgen_rejects_unknown_scenarios() {
-        let cmd = parse_args(&argv("loadgen --scenario banana")).unwrap();
-        match run(&cmd, &mut Vec::new()) {
-            Err(CliError::Usage(msg)) => {
+        let (cmd, _) = parse_args(&argv("loadgen --scenario banana")).unwrap();
+        match run_err(&cmd) {
+            CliError::Usage(msg) => {
                 assert!(msg.contains("banana"), "{msg}");
                 assert!(msg.contains("steady"), "names not listed: {msg}");
             }
@@ -1684,13 +903,11 @@ mod tests {
 
     #[test]
     fn end_to_end_loadgen_reports_fleet_behaviour() {
-        let cmd = parse_args(&argv(
+        let (cmd, _) = parse_args(&argv(
             "loadgen --scenario crash --workers 2 --batch 2 --queue 4 --retries 2",
         ))
         .unwrap();
-        let mut buf = Vec::new();
-        run(&cmd, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = run_text(&cmd);
         assert!(text.contains("scenario crash"), "{text}");
         assert!(text.contains("fault @tick 4: worker-crash(0)"), "{text}");
         assert!(text.contains("fleet:"), "{text}");
@@ -1792,10 +1009,9 @@ id=s2 mode=spec depth=2 k=6 voting=last :: tuned
 
     #[test]
     fn end_to_end_loadgen_serves_tenants_over_one_base() {
-        let cmd = parse_args(&argv("loadgen --scenario steady --workers 2 --tenants 3")).unwrap();
-        let mut buf = Vec::new();
-        run(&cmd, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let (cmd, _) =
+            parse_args(&argv("loadgen --scenario steady --workers 2 --tenants 3")).unwrap();
+        let text = run_text(&cmd);
         assert!(text.contains("3 tenant adapters"), "{text}");
         assert!(text.contains("24 served"), "every session serves: {text}");
     }
@@ -1811,7 +1027,7 @@ id=s2 mode=spec depth=2 k=6 voting=last :: tuned
             "water the plants. water the plants. check the sensors. ",
         )
         .unwrap();
-        run(&adapt_cmd(&corpus_path, &ckpt_path, 8), &mut Vec::new()).unwrap();
+        run_text(&adapt_cmd(&corpus_path, &ckpt_path, 8));
 
         let requests_path = dir.join("queue.txt");
         std::fs::write(
@@ -1826,15 +1042,17 @@ id=tenanted tokens=6 voting=final tenant=alice :: water
         )
         .unwrap();
         let trace_path = dir.join("trace.jsonl");
-        let cmd = Command::Serve {
+        let cmd = Command::Serve(Serve {
             ckpt: ckpt_path.to_string_lossy().into_owned(),
             requests: requests_path.to_string_lossy().into_owned(),
             batch: 2,
+        });
+        let runtime = Runtime {
             threads: None,
             trace_out: Some(trace_path.to_string_lossy().into_owned()),
         };
         let mut buf = Vec::new();
-        run(&cmd, &mut buf).unwrap();
+        run(&cmd, &runtime, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("morning [completed, 6 tokens"), "{text}");
         assert!(text.contains("evening [completed, 4 tokens"), "{text}");
@@ -1872,19 +1090,17 @@ id=tenanted tokens=6 voting=final tenant=alice :: water
 
     #[test]
     fn serve_rejects_missing_inputs() {
-        let cmd = Command::Serve {
+        let cmd = Command::Serve(Serve {
             ckpt: "/nonexistent/nope.ckpt".into(),
             requests: "/nonexistent/queue.txt".into(),
             batch: 4,
-            threads: None,
-            trace_out: None,
-        };
-        assert!(matches!(run(&cmd, &mut Vec::new()), Err(CliError::Run(_))));
+        });
+        assert!(matches!(run_err(&cmd), CliError::Run(_)));
     }
 
     #[test]
     fn generate_rejects_missing_checkpoint() {
-        let cmd = Command::Generate {
+        let cmd = Command::Generate(Generate {
             ckpt: "/nonexistent/nope.ckpt".into(),
             prompt: "x".into(),
             tokens: 1,
@@ -1893,8 +1109,7 @@ id=tenanted tokens=6 voting=final tenant=alice :: water
             seed: 1,
             draft_depth: None,
             draft_k: 4,
-        };
-        let mut buf = Vec::new();
-        assert!(matches!(run(&cmd, &mut buf), Err(CliError::Run(_))));
+        });
+        assert!(matches!(run_err(&cmd), CliError::Run(_)));
     }
 }

@@ -1,27 +1,21 @@
-//! `edgellm` — the Edge-LLM reproduction's command-line interface.
+//! `edgellm` — the Edge-LLM reproduction's command-line interface. Exits
+//! 2 on a usage error, 1 when the command fails while running.
 
-use edge_llm_cli::{parse_args, run, CliError};
+use edge_llm_cli::{parse_args, run, CliError, USAGE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match parse_args(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}\n\n{}", edge_llm_cli::USAGE);
+    let ran = parse_args(&args)
+        .and_then(|(command, runtime)| run(&command, &runtime, &mut std::io::stdout()));
+    match ran {
+        Ok(()) => {}
+        Err(e @ CliError::Usage(_)) => {
+            eprintln!("{e}\n\n{USAGE}");
             std::process::exit(2);
         }
-    };
-    let mut stdout = std::io::stdout();
-    if let Err(e) = run(&command, &mut stdout) {
-        match e {
-            CliError::Usage(_) => {
-                eprintln!("{e}\n\n{}", edge_llm_cli::USAGE);
-                std::process::exit(2);
-            }
-            CliError::Run(_) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+        Err(e @ CliError::Run(_)) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     }
 }

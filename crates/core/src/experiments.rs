@@ -1,8 +1,8 @@
 //! Experiment harness for the Edge-LLM reproduction.
 //!
 //! Every table (T1–T3), figure (F1–F5), ablation (A1–A3), and the serving
-//! study (S1) is regenerated by a function in this module; the `report`
-//! binary prints them, and `benchmark/src/kernels.rs` times the
+//! study (S1) is regenerated by a function in this module; `edgellm
+//! report` prints them, and `benchmark/src/kernels.rs` times the
 //! underlying kernels. Every adaptation here runs the two stages of
 //! [`crate::pipeline`]: T1/T2/F1/F4 through [`run_method`], T3/F2/F5/A1/A3
 //! through [`prepare`] and [`adapt`] with their own policy and schedule.
@@ -740,8 +740,8 @@ pub fn s1_serving(scale: Scale) -> Result<Table, EdgeLlmError> {
     Ok(table)
 }
 
-/// Runs one table by id (`"t1"`, `"f3"`, ...) — the report binary's
-/// dispatch.
+/// Runs one table by id (`"t1"`, `"f3"`, ...) — what `edgellm report`
+/// calls per table.
 ///
 /// # Errors
 ///

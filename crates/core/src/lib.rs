@@ -20,7 +20,7 @@
 //! The [`pipeline`] module runs the full flow (vanilla full tuning
 //! included); [`baselines`] provides the uniform-compression comparison
 //! point; [`experiments`] regenerates every table and figure of the paper's
-//! evaluation from these entry points (the `report` binary prints them),
+//! evaluation from these entry points (`edgellm report` prints them),
 //! and the `edge-llm-serve` crate (re-exported as [`serve`]) batches
 //! adapted-model inference across concurrent requests.
 //!

@@ -17,7 +17,7 @@
 
 use crate::compress::compress_block;
 use edge_llm_luc::{LayerPolicy, SensitivityOracle};
-use edge_llm_model::EdgeModel;
+use edge_llm_model::{Block, EdgeModel};
 use edge_llm_tensor::{cross_entropy_forward, Tensor};
 
 /// A [`SensitivityOracle`] backed by a model and a calibration batch.
@@ -71,6 +71,13 @@ impl<'a> ModelOracle<'a> {
     }
 }
 
+/// `source` under `policy`, copied without the gradients pretraining left.
+fn probe_block(source: &Block, policy: LayerPolicy) -> Option<Block> {
+    let mut block = source.frozen_copy();
+    compress_block(&mut block, policy).ok()?;
+    Some(block)
+}
+
 impl SensitivityOracle for ModelOracle<'_> {
     fn n_layers(&self) -> usize {
         self.model.n_layers()
@@ -91,10 +98,9 @@ impl SensitivityOracle for ModelOracle<'_> {
         if bare && policy == LayerPolicy::uncompressed() {
             return baseline;
         }
-        let mut block = source.clone();
-        if compress_block(&mut block, policy).is_err() {
+        let Some(block) = probe_block(source, policy) else {
             return f32::INFINITY;
-        }
+        };
         // Where the baseline walk failed below `layer` there are no rows,
         // and the pass is refused: a walk through those layers fails too.
         let entering = layer.checked_sub(1).and_then(|i| self.entering.get(i));
@@ -141,7 +147,7 @@ mod tests {
     use crate::compress::apply_layer_policy;
     use crate::pipeline::{LUC_BIT_CHOICES, LUC_RATIO_CHOICES};
     use edge_llm_luc::{profile, search_policy, SearchAlgorithm};
-    use edge_llm_model::ModelConfig;
+    use edge_llm_model::{AdaptiveTuner, ModelConfig, Sgd, WindowSchedule};
     use edge_llm_quant::BitWidth;
     use edge_llm_tensor::{configured_threads, fnv1a64, set_configured_threads, TensorRng};
 
@@ -309,6 +315,38 @@ mod tests {
             oracle.loss_with(1, LayerPolicy::uncompressed()).to_bits(),
             baseline.to_bits()
         );
+    }
+
+    #[test]
+    fn a_probe_copies_no_gradients() {
+        // one full-depth step leaves gradient buffers on every projection
+        let (mut model, tokens, targets) = calibration_case(true);
+        let n = model.n_layers();
+        let mut tuner = AdaptiveTuner::new(WindowSchedule::for_depth(n, n));
+        let mut opt = Sgd::new(0.1);
+        tuner
+            .step(&mut model, &mut opt, &tokens, &targets, CALIB_BATCH)
+            .unwrap();
+        let grad_floats = |block: &mut Block| {
+            let mut floats = 0;
+            for lin in block.linears_mut() {
+                lin.visit_params(&mut |_, grad| floats += grad.len());
+            }
+            floats
+        };
+        let policy = LayerPolicy {
+            bits: BitWidth::W4,
+            prune_ratio: 0.5,
+        };
+        let mut oracle = ModelOracle::new(&model, &tokens, &targets, CALIB_BATCH);
+        for l in 0..n {
+            assert!(grad_floats(&mut model.block(l).clone()) > 0, "layer {l}");
+            let mut copy = probe_block(model.block(l), policy).unwrap();
+            assert_eq!(grad_floats(&mut copy), 0, "layer {l}");
+            // and the probe still reads what a whole-model clone reads
+            let want = reference_loss(&model, &tokens, &targets, l, policy);
+            assert_eq!(oracle.loss_with(l, policy).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

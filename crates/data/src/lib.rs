@@ -31,6 +31,11 @@
 //! assert_eq!(sample.targets.len(), 32);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod batch;
 mod cloze;
 mod markov;

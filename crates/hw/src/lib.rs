@@ -32,6 +32,11 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod cost;
 mod device;
 mod schedule;

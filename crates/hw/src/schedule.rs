@@ -47,7 +47,9 @@ impl LoopOrder {
     /// Depth (0 = outermost) of the deepest loop that indexes an operand
     /// touching the given loop variables. Used by the traffic model: an
     /// operand is re-fetched once per iteration of every loop at or above
-    /// that depth.
+    /// that depth. Invariant: the cost model asks only for the GEMM's
+    /// three operands, each indexed by two of the three loop variables.
+    #[allow(clippy::expect_used)]
     pub(crate) fn reload_depth(self, operand_vars: &[char]) -> usize {
         let vars = self.vars();
         vars.iter()

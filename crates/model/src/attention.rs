@@ -23,8 +23,8 @@ use edge_llm_tensor::{
 pub struct Attention {
     pub(crate) qkv: Linear,
     pub(crate) proj: Linear,
-    n_heads: usize,
-    d_model: usize,
+    pub(crate) n_heads: usize,
+    pub(crate) d_model: usize,
 }
 
 impl Attention {

@@ -98,6 +98,22 @@ impl Block {
         }
     }
 
+    /// A copy for a frozen walk, such as a LUC probe's stand-in: weights,
+    /// masks and schemes, without the projections' gradient buffers.
+    pub fn frozen_copy(&self) -> Block {
+        let [qkv, proj, fc1, fc2] = self.linears().map(Linear::frozen_copy);
+        Block {
+            ln1: self.ln1.clone(),
+            attn: Attention {
+                qkv,
+                proj,
+                ..self.attn
+            },
+            ln2: self.ln2.clone(),
+            mlp: Mlp { fc1, fc2 },
+        }
+    }
+
     /// Read access to the attention module.
     pub fn attn(&self) -> &Attention {
         &self.attn

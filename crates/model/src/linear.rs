@@ -161,6 +161,21 @@ impl Linear {
         }
     }
 
+    /// A copy for a frozen walk: weight, bias, mask and schemes, without
+    /// the gradient buffers only a backward reads, and nothing cached.
+    pub(crate) fn frozen_copy(&self) -> Self {
+        Linear {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            dw: Tensor::zeros(0, 0),
+            db: Vec::new(),
+            mask: self.mask.clone(),
+            wcache: WeightCache::default(),
+            counters: CacheCounters::default(),
+            ..*self
+        }
+    }
+
     /// Creates a bias-free layer (used for the unembedding head).
     pub fn new_no_bias(d_in: usize, d_out: usize, rng: &mut TensorRng) -> Self {
         let mut l = Self::new(d_in, d_out, rng);

@@ -25,6 +25,11 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod magnitude;
 mod mask;
 mod nm;

@@ -519,6 +519,8 @@ impl<'a> BatchedInferenceEngine<'a> {
                     FinishReason::Rejected { .. } => {}
                 }
                 telemetry::counter(ShedCause::from(&finish).counter_name(), 1);
+                // Invariant: `finish` is `Some` only for a live slot.
+                #[allow(clippy::expect_used)]
                 let slot = slot_opt.take().expect("finish computed from a live slot");
                 self.finished.push(ServeOutcome {
                     id: slot.req.id.clone(),
@@ -559,9 +561,10 @@ impl<'a> BatchedInferenceEngine<'a> {
                     .unwrap_or_else(|| SequenceKv::new(self.model));
                 let rng = rng_override.unwrap_or_else(|| TensorRng::seed_from(req.seed));
                 let known = req.prompt.clone();
-                // Resolution cannot fail here: submission rejected
-                // unknown tenants, registration validated shapes against
-                // this same model, and tenants are never unregistered.
+                // Invariant: resolution cannot fail here. Submission
+                // rejected unknown tenants, registration validated shapes
+                // against this same model, and tenants are never unregistered.
+                #[allow(clippy::expect_used)]
                 let adapter = req.tenant.as_deref().and_then(|t| {
                     self.adapters
                         .acquire(t, self.model)

@@ -47,6 +47,11 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod adapter_cache;
 mod engine;
 mod error;

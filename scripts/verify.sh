@@ -76,7 +76,7 @@ done
 # in the pipeline or serving engine fails loudly here.
 QUICK_BUDGET_S=600
 start=$(date +%s)
-cargo run --release -q --bin report -- --quick >/dev/null
+cargo run --release -q --bin edgellm -- report --quick >/dev/null
 elapsed=$(( $(date +%s) - start ))
 echo "quick report tier: ${elapsed}s (budget ${QUICK_BUDGET_S}s)"
 if [ "$elapsed" -gt "$QUICK_BUDGET_S" ]; then

@@ -1,7 +1,7 @@
 //! Golden-report regression test: runs the quick-scale T1, T3, F2, F3,
 //! F5, A1, A2 and A3 experiments through the library (the same code path as
-//! `report --quick`), projects away wall-clock columns, and compares
-//! the remaining cells against checked-in snapshots.
+//! `edgellm report --quick`), projects away wall-clock columns, and
+//! compares the remaining cells against checked-in snapshots.
 //!
 //! Every number in the snapshot is produced by seeded, fixed-order
 //! arithmetic, so any drift means an algorithmic change — a kernel
@@ -125,19 +125,4 @@ fn a2_quick_matches_snapshot() {
 #[test]
 fn a3_quick_matches_snapshot() {
     assert_matches_golden("a3", false);
-}
-
-#[test]
-fn report_binary_refuses_unknown_and_repeated_flags() {
-    // `report --quik` used to warn and then run every table at full scale
-    for args in [&["--quik"][..], &["--quick", "--t1", "--quick"], &["t1"]] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
-            .args(args)
-            .output()
-            .expect("spawn report");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(out.stdout.is_empty(), "{args:?} ran something");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(args[args.len() - 1]), "{args:?}: {stderr}");
-    }
 }
