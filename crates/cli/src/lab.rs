@@ -6,10 +6,10 @@ use crate::{run_err, CliError};
 use edge_llm::experiments::Scale;
 use edge_llm_lab::{analyze_run, check_run, run_experiment, AnalysisReport};
 use edge_llm_lab::{ExperimentSpec, RunOptions};
+use edge_llm_telemetry as telemetry;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// The `edgellm lab` sub-subcommands.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,15 +136,12 @@ pub(crate) fn report<W: Write>(c: &Report, out: &mut W) -> Result<(), CliError> 
     };
     writeln!(out, "edge-llm report ({name} scale)\n")?;
     for id in &c.experiments {
-        let t0 = Instant::now();
+        let regen = telemetry::timed("report.table");
         let table = edge_llm::experiments::run_experiment(id, scale)
             .map_err(|e| CliError::Run(format!("experiment {id} failed: {e}")))?;
+        let secs = regen.end() as f64 * 1e-9;
         writeln!(out, "{table}")?;
-        writeln!(
-            out,
-            "[{id} regenerated in {:.1}s]\n",
-            t0.elapsed().as_secs_f64()
-        )?;
+        writeln!(out, "[{id} regenerated in {secs:.1}s]\n")?;
     }
     Ok(())
 }

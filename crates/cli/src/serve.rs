@@ -10,6 +10,7 @@ use edge_llm_model::{
     AdapterTarget, Decoding, EdgeModel, ModelConfig, TenantAdapter, VotingCombiner, VotingPolicy,
 };
 use edge_llm_serve::{BatchedInferenceEngine, FinishReason, ServeRequest};
+use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::{fnv1a64, TensorRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
@@ -118,9 +119,9 @@ pub(crate) fn serve<W: Write>(c: &Serve, out: &mut W) -> Result<(), CliError> {
     for r in parsed {
         engine.submit(r);
     }
-    let t0 = std::time::Instant::now();
+    let run = telemetry::timed("serve.run");
     let outcomes = engine.run_to_completion().map_err(run_err)?;
-    let elapsed = t0.elapsed().as_secs_f64();
+    let elapsed = run.end() as f64 * 1e-9;
     let mut total_tokens = 0usize;
     for id in &ids {
         let o = outcomes

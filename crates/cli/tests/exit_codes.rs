@@ -1,13 +1,52 @@
 //! The `edgellm` binary's exit codes: 2 for a usage error, before anything
 //! runs, and 1 for a command that fails while running.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// Every case here is refused or fails before any work starts, in
+/// milliseconds; a child still running at the deadline started some, and
+/// is killed rather than waited on (a full-scale report runs for minutes).
+const DEADLINE: Duration = Duration::from_secs(30);
 
 fn edgellm(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_edgellm"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_edgellm"))
         .args(args)
-        .output()
-        .expect("spawn edgellm")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn edgellm");
+    // drained as the child writes, so a full pipe cannot stall it
+    let drain = |mut pipe: Box<dyn Read + Send>| {
+        thread::spawn(move || {
+            let mut bytes = Vec::new();
+            pipe.read_to_end(&mut bytes).map(|_| bytes)
+        })
+    };
+    let stdout = drain(Box::new(child.stdout.take().expect("piped")));
+    let stderr = drain(Box::new(child.stderr.take().expect("piped")));
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll edgellm") {
+            break status;
+        }
+        if start.elapsed() > DEADLINE {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("edgellm {args:?} still ran after {DEADLINE:?}; killed");
+        }
+        thread::sleep(Duration::from_millis(10));
+    };
+    let read = |h: thread::JoinHandle<std::io::Result<Vec<u8>>>| {
+        h.join().expect("drain thread").expect("read pipe")
+    };
+    Output {
+        status,
+        stdout: read(stdout),
+        stderr: read(stderr),
+    }
 }
 
 /// Exit 2, nothing on stdout, and the offending argument named on stderr.
@@ -25,6 +64,9 @@ fn report_refuses_unknown_positional_and_repeated_flags() {
     assert_refused(&["report", "--quik"], "--quik");
     assert_refused(&["report", "--quick", "--t1", "--quick"], "--quick");
     assert_refused(&["report", "t1"], "t1");
+    // F2 and F4 are columns of T3 and F1, not tables of their own
+    assert_refused(&["report", "--f2"], "--f2");
+    assert_refused(&["report", "--f4"], "--f4");
 }
 
 #[test]

@@ -1,13 +1,16 @@
 //! Experiment harness for the Edge-LLM reproduction.
 //!
-//! Every table (T1–T3), figure (F1–F5), ablation (A1–A3), and the serving
-//! study (S1) is regenerated by a function in this module; `edgellm
-//! report` prints them, and `benchmark/src/kernels.rs` times the
+//! Every table (T1–T3), figure (F1, F3, F5), ablation (A1–A3), and the
+//! serving study (S1) is regenerated by a function in this module;
+//! `edgellm report` prints them, and `benchmark/src/kernels.rs` times the
 //! underlying kernels. Every adaptation here runs the two stages of
-//! [`crate::pipeline`]: T1/T2/F1/F4 through [`run_method`], T3/F2/F5/A1/A3
+//! [`crate::pipeline`]: T1/T2/F1 through [`run_method`], T3/F5/A1/A3
 //! through [`prepare`] and [`adapt`] with their own policy and schedule.
-//! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
-//! recorded results.
+//! Each configuration a table measures is adapted once: T3 carries the
+//! analytic memory model beside its measured activations, F1 the accuracy
+//! frontier beside its latencies, and T1's no-vote row is its Edge-LLM
+//! run's final-exit evaluation. See `DESIGN.md` for the experiment index
+//! and `EXPERIMENTS.md` for recorded results.
 
 use crate::baselines::uniform_policy_for_budget;
 use crate::eval::evaluate;
@@ -27,6 +30,7 @@ use edge_llm_luc::{
 use edge_llm_model::{
     EdgeModel, MemoryModel, ModelConfig, VotingCombiner, VotingPolicy, WindowSchedule,
 };
+use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
 
 /// Experiment scale: `Quick` for CI, `Full` for the recorded tables.
@@ -69,20 +73,14 @@ impl Scale {
 
 /// T1 — the main comparison table: task quality and per-iteration cost of
 /// vanilla tuning, parameter-efficient and uniform-compression baselines,
-/// and Edge-LLM.
+/// and Edge-LLM. The `edge-llm (no vote)` row is the Edge-LLM run
+/// evaluated at its final exit alone.
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors.
 pub fn t1_main(scale: Scale) -> Result<Table, EdgeLlmError> {
     let cfg = scale.config();
-    let methods = [
-        Method::Vanilla,
-        Method::LastLayerOnly,
-        Method::UniformCompressed,
-        Method::EdgeLlmNoVoting,
-        Method::EdgeLlm,
-    ];
     let mut table = Table::new(
         "T1: adaptation quality and per-iteration cost",
         &[
@@ -98,20 +96,32 @@ pub fn t1_main(scale: Scale) -> Result<Table, EdgeLlmError> {
         ],
     );
     let mut vanilla_us = None;
-    for m in methods {
+    for m in [
+        Method::Vanilla,
+        Method::LastLayerOnly,
+        Method::UniformCompressed,
+        Method::EdgeLlm,
+    ] {
         let out = run_method(m, &cfg)?;
         let base = *vanilla_us.get_or_insert(out.modeled_iter_us);
-        table.add_row(vec![
-            out.method.clone(),
-            pct(out.accuracy as f64),
-            f3(out.perplexity as f64),
-            f3(out.mean_iter_ms),
-            f3(out.modeled_iter_us),
-            speedup(base / out.modeled_iter_us),
-            bytes(out.peak_activation_bytes),
-            format!("{:.1}", out.policy_bits),
-            pct(out.policy_ratio as f64),
-        ]);
+        let mut row = |label: &str, accuracy: f32, perplexity: f32| {
+            table.add_row(vec![
+                label.to_string(),
+                pct(accuracy as f64),
+                f3(perplexity as f64),
+                f3(out.mean_iter_ms),
+                f3(out.modeled_iter_us),
+                speedup(base / out.modeled_iter_us),
+                bytes(out.peak_activation_bytes),
+                format!("{:.1}", out.policy_bits),
+                pct(out.policy_ratio as f64),
+            ])
+        };
+        if m == Method::EdgeLlm {
+            let last = out.final_exit;
+            row("edge-llm (no vote)", last.accuracy, last.perplexity);
+        }
+        row(&out.method, out.accuracy, out.perplexity);
     }
     Ok(table)
 }
@@ -158,7 +168,8 @@ pub fn t2_luc(scale: Scale) -> Result<Table, EdgeLlmError> {
 
 /// T3 — adaptive layer tuning & voting ablation: backprop-window depth
 /// sweep crossed with the voting combiner, no compression (isolates the
-/// second component).
+/// second component). Each depth's measured peak activations sit beside
+/// the analytic memory model's activation and total bytes at that depth.
 ///
 /// # Errors
 ///
@@ -166,12 +177,31 @@ pub fn t2_luc(scale: Scale) -> Result<Table, EdgeLlmError> {
 pub fn t3_adaptive(scale: Scale) -> Result<Table, EdgeLlmError> {
     let base = scale.config();
     let n_layers = base.model.n_layers;
+    let model_cfg = base
+        .model
+        .clone()
+        .with_vocab(base.task.build().vocab_size());
+    let analytic = MemoryModel {
+        batch: base.batch,
+        optimizer_moments: 0,
+        weight_bits: 32.0,
+    };
     let mut table = Table::new(
         "T3: backprop depth x exit voting (no compression)",
-        &["depth", "voting", "acc", "ppl", "iter ms", "peak act"],
+        &[
+            "depth",
+            "voting",
+            "acc",
+            "ppl",
+            "iter ms",
+            "peak act",
+            "analytic act",
+            "analytic total",
+        ],
     );
     for depth in swept_depths(n_layers) {
         let (adapted, run) = adapt_dense(&base, depth)?;
+        let est = analytic.estimate(&model_cfg, depth);
         for (vname, policy) in [
             ("last exit", VotingPolicy::final_only(n_layers)),
             (
@@ -194,13 +224,15 @@ pub fn t3_adaptive(scale: Scale) -> Result<Table, EdgeLlmError> {
                 f3(r.perplexity as f64),
                 f3(run.mean_step_ms()),
                 bytes(run.peak_activation_bytes),
+                bytes(est.activation_bytes),
+                bytes(est.total()),
             ]);
         }
     }
     Ok(table)
 }
 
-/// Runs the [`adapt`] stage for an ablation table. T3, F2, F5, A1 and A3
+/// Runs the [`adapt`] stage for an ablation table. T3, F5, A1 and A3
 /// record each schedule's own optimisation trajectory, so the loss-spike
 /// guard is off: under the default 4x EWMA bar Full-scale A1's
 /// sensitivity-ordered row rolls back at iteration 274 (loss 2.17
@@ -226,7 +258,7 @@ fn adapt_unguarded(
     Ok(run)
 }
 
-/// The backprop depths T3 and F2 sweep: 1, 2, 4 and the full depth.
+/// The backprop depths T3 sweeps: 1, 2, 4 and the full depth.
 fn swept_depths(n_layers: usize) -> Vec<usize> {
     let mut depths: Vec<usize> = [1, 2, 4, n_layers]
         .into_iter()
@@ -236,7 +268,7 @@ fn swept_depths(n_layers: usize) -> Vec<usize> {
     depths
 }
 
-/// Uncompressed adaptation at a window depth (T3, F2, F5): the pipeline
+/// Uncompressed adaptation at a window depth (T3, F5): the pipeline
 /// with the identity policy, isolating the tuning schedule.
 fn adapt_dense(cfg: &ExperimentConfig, depth: usize) -> Result<(Prepared, AdaptRun), EdgeLlmError> {
     let mut prepared = prepare(cfg)?;
@@ -252,13 +284,39 @@ fn adapt_dense(cfg: &ExperimentConfig, depth: usize) -> Result<(Prepared, AdaptR
 
 /// F1 — per-iteration speedup vs compression budget (the 2.92x headline
 /// curve): modeled edge latency and measured CPU wall-clock at each budget,
-/// window depth fixed at the paper default.
+/// window depth fixed at the paper default, with each row's accuracy and
+/// whether it lies on the accuracy-vs-modeled-latency Pareto frontier of
+/// the rows.
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors.
 pub fn f1_speedup(scale: Scale) -> Result<Table, EdgeLlmError> {
     let base = scale.config();
+    let budgets: &[f32] = match scale {
+        Scale::Quick => &[1.0, 0.4, 0.2],
+        Scale::Full => &[1.0, 0.5, 0.3, 0.2, 0.125, 0.0625],
+    };
+    let mut rows = Vec::with_capacity(budgets.len());
+    for &budget in budgets {
+        let mut cfg = base.clone();
+        cfg.budget = budget;
+        let method = if budget >= 1.0 {
+            Method::Vanilla
+        } else {
+            Method::EdgeLlm
+        };
+        rows.push((budget, run_method(method, &cfg)?));
+    }
+    let points: Vec<PolicyPoint> = rows
+        .iter()
+        .map(|(_, out)| PolicyPoint {
+            cost: out.modeled_iter_us as f32,
+            loss: 1.0 - out.accuracy,
+            policy: CompressionPolicy::identity(base.model.n_layers),
+        })
+        .collect();
+    let frontier = pareto_frontier(&points);
     let mut table = Table::new(
         "F1: per-iteration speedup vs compression budget",
         &[
@@ -269,67 +327,23 @@ pub fn f1_speedup(scale: Scale) -> Result<Table, EdgeLlmError> {
             "modeled speedup",
             "iter ms",
             "measured speedup",
+            "acc",
+            "on frontier",
         ],
     );
-    let vanilla = run_method(Method::Vanilla, &base)?;
-    table.add_row(vec![
-        "1.000".into(),
-        vanilla.method.clone(),
-        f3(vanilla.modeled_iter_us),
-        f3(vanilla.modeled_iter_uj),
-        speedup(1.0),
-        f3(vanilla.mean_iter_ms),
-        speedup(1.0),
-    ]);
-    let budgets: &[f32] = match scale {
-        Scale::Quick => &[0.4, 0.2],
-        Scale::Full => &[0.5, 0.3, 0.2, 0.125],
-    };
-    for &budget in budgets {
-        let mut cfg = base.clone();
-        cfg.budget = budget;
-        let out = run_method(Method::EdgeLlm, &cfg)?;
+    let vanilla = &rows[0].1;
+    for ((budget, out), point) in rows.iter().zip(&points) {
+        let on = frontier.contains(point);
         table.add_row(vec![
-            f3(budget as f64),
+            f3(*budget as f64),
             out.method.clone(),
             f3(out.modeled_iter_us),
             f3(out.modeled_iter_uj),
             speedup(vanilla.modeled_iter_us / out.modeled_iter_us),
             f3(out.mean_iter_ms),
             speedup(vanilla.mean_iter_ms / out.mean_iter_ms),
-        ]);
-    }
-    Ok(table)
-}
-
-/// F2 — peak adaptation memory vs backprop-window depth: measured
-/// activation bytes against the analytic memory model.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn f2_memory(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
-    let n_layers = base.model.n_layers;
-    let task = base.task.build();
-    let model_cfg = base.model.clone().with_vocab(task.vocab_size());
-    let analytic = MemoryModel {
-        batch: base.batch,
-        optimizer_moments: 0,
-        weight_bits: 32.0,
-    };
-    let mut table = Table::new(
-        "F2: peak adaptation memory vs backprop depth",
-        &["depth", "measured act", "analytic act", "analytic total"],
-    );
-    for depth in swept_depths(n_layers) {
-        let (_, run) = adapt_dense(&base, depth)?;
-        let est = analytic.estimate(&model_cfg, depth);
-        table.add_row(vec![
-            depth.to_string(),
-            bytes(run.peak_activation_bytes),
-            bytes(est.activation_bytes),
-            bytes(est.total()),
+            pct(out.accuracy as f64),
+            if on { "yes".into() } else { "".into() },
         ]);
     }
     Ok(table)
@@ -378,51 +392,6 @@ pub fn f3_schedule(scale: Scale) -> Result<Table, EdgeLlmError> {
         pct(mean_util),
         space.len().to_string(),
     ]);
-    Ok(table)
-}
-
-/// F4 — accuracy vs modeled latency Pareto frontier over LUC budgets.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn f4_pareto(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
-    let budgets: &[f32] = match scale {
-        Scale::Quick => &[1.0, 0.4, 0.2],
-        Scale::Full => &[1.0, 0.5, 0.3, 0.2, 0.125, 0.0625],
-    };
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
-    for &budget in budgets {
-        let mut cfg = base.clone();
-        cfg.budget = budget;
-        let out = if budget >= 1.0 {
-            run_method(Method::Vanilla, &cfg)?
-        } else {
-            run_method(Method::EdgeLlm, &cfg)?
-        };
-        rows.push((budget, out.modeled_iter_us, out.accuracy));
-        points.push(PolicyPoint {
-            cost: out.modeled_iter_us as f32,
-            loss: 1.0 - out.accuracy,
-            policy: CompressionPolicy::identity(base.model.n_layers),
-        });
-    }
-    let frontier = pareto_frontier(&points);
-    let mut table = Table::new(
-        "F4: accuracy vs modeled iteration latency",
-        &["budget", "modeled us", "acc", "on frontier"],
-    );
-    for (budget, us, acc) in rows {
-        let on = frontier.iter().any(|p| (p.cost - us as f32).abs() < 1e-3);
-        table.add_row(vec![
-            f3(budget as f64),
-            f3(us),
-            pct(acc as f64),
-            if on { "yes".into() } else { "".into() },
-        ]);
-    }
     Ok(table)
 }
 
@@ -718,9 +687,9 @@ pub fn s1_serving(scale: Scale) -> Result<Table, EdgeLlmError> {
                 for r in &requests {
                     engine.submit(r.clone());
                 }
-                let t0 = std::time::Instant::now();
+                let run = telemetry::timed("serve.run");
                 let outcomes = engine.run_to_completion()?;
-                let elapsed = t0.elapsed().as_secs_f64();
+                let elapsed = run.end() as f64 * 1e-9;
                 debug_assert!(outcomes.iter().all(|o| o.finish == FinishReason::Completed));
                 let tokens: usize = outcomes.iter().map(|o| o.tokens.len()).sum();
                 best_tps = best_tps.max(tokens as f64 / elapsed.max(1e-9));
@@ -752,9 +721,7 @@ pub fn run_experiment(id: &str, scale: Scale) -> Result<Table, EdgeLlmError> {
         "t2" => t2_luc(scale),
         "t3" => t3_adaptive(scale),
         "f1" => f1_speedup(scale),
-        "f2" => f2_memory(scale),
         "f3" => f3_schedule(scale),
-        "f4" => f4_pareto(scale),
         "f5" => f5_sensitivity(scale),
         "a1" => a1_ablations(scale),
         "a2" => a2_devices(scale),
@@ -767,9 +734,8 @@ pub fn run_experiment(id: &str, scale: Scale) -> Result<Table, EdgeLlmError> {
 }
 
 /// All experiment ids in report order.
-pub const ALL_EXPERIMENTS: [&str; 12] = [
-    "t1", "t2", "t3", "f1", "f2", "f3", "f4", "f5", "a1", "a2", "a3", "s1",
-];
+pub const ALL_EXPERIMENTS: [&str; 10] =
+    ["t1", "t2", "t3", "f1", "f3", "f5", "a1", "a2", "a3", "s1"];
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,9 @@
 //! (build, sample, pretrain on a source task) and [`adapt`] (install a
 //! compression policy, tune a window schedule under the resilient
 //! runtime). [`run_method`] picks the policy and schedule a [`Method`]
-//! names, runs both stages, evaluates with or without exit voting, and
-//! reports task quality together with measured and modeled efficiency;
+//! names, runs both stages, evaluates the final exit and, for the LUC
+//! methods, the fitted exit vote, and reports task quality together with
+//! measured and modeled efficiency;
 //! the ablation tables in [`crate::experiments`] call the stages with
 //! their own policy and schedule.
 
@@ -92,11 +93,9 @@ pub enum Method {
     Vanilla,
     /// Uniform compression at the budget + full-depth tuning.
     UniformCompressed,
-    /// Full Edge-LLM: LUC policy + adaptive layer tuning + voting.
+    /// Full Edge-LLM: LUC policy + adaptive layer tuning + voting. Its
+    /// run also carries the final-exit evaluation, T1's no-vote row.
     EdgeLlm,
-    /// Edge-LLM without the voting combiner (last-exit inference) — the
-    /// voting ablation of T3.
-    EdgeLlmNoVoting,
     /// Edge-LLM with the greedy LUC search instead of DP — the search
     /// ablation of T2.
     EdgeLlmGreedyLuc,
@@ -112,7 +111,6 @@ impl Method {
             Method::Vanilla => "vanilla-ft",
             Method::UniformCompressed => "uniform+ft",
             Method::EdgeLlm => "edge-llm",
-            Method::EdgeLlmNoVoting => "edge-llm (no vote)",
             Method::EdgeLlmGreedyLuc => "edge-llm (greedy)",
             Method::LastLayerOnly => "last-layer-ft",
         }
@@ -233,9 +231,10 @@ impl ExperimentConfig {
 pub struct AdaptationOutcome {
     /// Row label.
     pub method: String,
-    /// Task accuracy after adaptation.
+    /// Task accuracy after adaptation, under the method's own inference:
+    /// the fitted exit vote for the LUC methods, the final exit otherwise.
     pub accuracy: f32,
-    /// Perplexity after adaptation.
+    /// Perplexity after adaptation, under the same inference.
     pub perplexity: f32,
     /// Final training loss.
     pub final_loss: f32,
@@ -256,8 +255,9 @@ pub struct AdaptationOutcome {
     /// Kernel worker threads configured for the run (`EDGELLM_THREADS` /
     /// `--threads`); affects measured wall-clock only, never the numbers.
     pub threads: usize,
-    /// The quality/latency evaluation used (voting or final exit).
-    pub eval: EvalResult,
+    /// The same adapted model evaluated at its final exit alone, for
+    /// every method; for the LUC methods this is the no-vote ablation.
+    pub final_exit: EvalResult,
     /// Where adaptation time went: per-phase totals across executed
     /// steps plus checkpoint-write time and re-quantization counts.
     pub phases: crate::resilience::PhaseTotals,
@@ -399,7 +399,8 @@ pub fn adapt(
 /// Runs one adaptation method end to end under an explicit
 /// [`ResilienceConfig`] — periodic checkpoints, spike guard, and (in
 /// tests) a fault-injection plan: [`prepare`], pick the method's policy
-/// and schedule, [`adapt`], then vote and evaluate.
+/// and schedule, [`adapt`], then evaluate the final exit and, for the LUC
+/// methods, the fitted vote.
 ///
 /// # Errors
 ///
@@ -442,7 +443,7 @@ pub fn run_method_with(
     let policy = match method {
         Method::Vanilla | Method::LastLayerOnly => CompressionPolicy::identity(model_cfg.n_layers),
         Method::UniformCompressed => uniform_policy_for_budget(model_cfg.n_layers, config.budget),
-        Method::EdgeLlm | Method::EdgeLlmNoVoting => luc(SearchAlgorithm::DynamicProgramming)?,
+        Method::EdgeLlm => luc(SearchAlgorithm::DynamicProgramming)?,
         Method::EdgeLlmGreedyLuc => luc(SearchAlgorithm::Greedy)?,
     };
 
@@ -469,10 +470,17 @@ pub fn run_method_with(
         ..
     } = &prepared;
 
-    // 4. evaluation. Edge-LLM's voting is *adaptive*: per-exit reliability
-    // weights are fitted on (held-in) training data, then blended with the
-    // per-token confidence weighting at prediction time.
-    let voting = match method {
+    // 4. evaluation: the final exit for every method. Edge-LLM's voting
+    // is *adaptive*: per-exit reliability weights are fitted on (held-in)
+    // training data, then blended with the per-token confidence weighting
+    // at prediction time.
+    let final_exit = evaluate(
+        model,
+        &VotingPolicy::final_only(model.n_layers()),
+        eval_set,
+        config.batch,
+    )?;
+    let voted = match method {
         Method::EdgeLlm | Method::EdgeLlmGreedyLuc => {
             let calib = train.batch_at(0, config.batch.min(train.len()));
             let exits: Vec<usize> = (0..model.n_layers()).collect();
@@ -487,14 +495,14 @@ pub fn run_method_with(
             for w in &mut weights {
                 *w = w.powi(3);
             }
-            VotingPolicy {
+            let voting = VotingPolicy {
                 exits,
                 combiner: VotingCombiner::Learned(weights),
-            }
+            };
+            evaluate(model, &voting, eval_set, config.batch)?
         }
-        _ => VotingPolicy::final_only(model.n_layers()),
+        _ => final_exit,
     };
-    let eval = evaluate(model, &voting, eval_set, config.batch)?;
 
     // 5. modeled edge latency and energy
     let (modeled_iter_us, modeled_iter_uj) = modeled_training_iteration(
@@ -507,8 +515,8 @@ pub fn run_method_with(
 
     Ok(AdaptationOutcome {
         method: method.label().to_string(),
-        accuracy: eval.accuracy,
-        perplexity: eval.perplexity,
+        accuracy: voted.accuracy,
+        perplexity: voted.perplexity,
         final_loss: run.final_loss,
         mean_iter_ms: run.mean_step_ms(),
         peak_activation_bytes: run.peak_activation_bytes,
@@ -518,7 +526,7 @@ pub fn run_method_with(
         policy_bits: policy.mean_bits(),
         policy_ratio: policy.mean_prune_ratio(),
         threads: edge_llm_tensor::configured_threads(),
-        eval,
+        final_exit,
         phases: run.phases,
         journal: run.journal,
     })
@@ -545,7 +553,6 @@ mod tests {
             Method::Vanilla,
             Method::UniformCompressed,
             Method::EdgeLlm,
-            Method::EdgeLlmNoVoting,
             Method::EdgeLlmGreedyLuc,
             Method::LastLayerOnly,
         ] {
@@ -594,6 +601,7 @@ mod tests {
         assert_eq!(run.peak_activation_bytes, row.peak_activation_bytes);
         let voting = VotingPolicy::final_only(n);
         let eval = evaluate(&prepared.model, &voting, &prepared.eval_set, cfg.batch).unwrap();
+        assert_eq!(eval, row.final_exit);
         assert_eq!(eval.accuracy.to_bits(), row.accuracy.to_bits());
     }
 

@@ -1,7 +1,7 @@
 use crate::policy::CompressionPolicy;
 
 /// A `(cost, quality)` point on the compression trade-off plane, tagged
-/// with the policy that produced it (the F4 experiment's raw material).
+/// with the policy that produced it (F1's `on frontier` column).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyPoint {
     /// Mean compute cost (1.0 = uncompressed).

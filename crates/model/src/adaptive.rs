@@ -135,7 +135,7 @@ pub struct TuneStepReport {
     pub loss: f32,
     /// The window trained this step.
     pub window: LayerWindow,
-    /// Activation bytes held during the backward pass (the F2 metric).
+    /// Activation bytes held during the backward pass (T3's `peak act`).
     pub activation_bytes: usize,
     /// Layers executed in the forward pass (exit layer + 1).
     pub forward_layers: usize,

@@ -96,7 +96,9 @@
 //! function of `(runs, workers)`, so every thread count gives the same
 //! bits. A taped pass keeps the split: each chunk records its own runs'
 //! tapes, appended in run order as the hidden rows are; at one worker the
-//! one chunk's tape is the pass's, with nothing copied.
+//! one chunk's tape is the pass's, with nothing copied. Before an untaped
+//! pass splits, it builds the codes of every projection it will read, so
+//! each weight is quantized once however many chunks read it.
 
 use crate::adapter::{AdapterTarget, ResolvedAdapter};
 use crate::attention::Heads;
@@ -436,7 +438,18 @@ pub(crate) fn decode_runs(
         // Kernel-level threading is suppressed inside each chunk
         // (`serial_scope`) so workers do not spawn nested workers. Each
         // chunk enters with its own runs' rows (validated: the lengths
-        // add up).
+        // add up). An untaped pass builds every code a chunk reads first:
+        // chunks racing on one weight would each quantize it.
+        if !taped {
+            for l in entry.from..depth {
+                let block = entry.block.filter(|_| l == entry.from);
+                let block = block.unwrap_or_else(|| model.block(l));
+                let exits = runs.iter().any(|r| r.exits.contains(&l));
+                let head = exits.then(|| model.exit_head(l));
+                let mut read = block.linears().into_iter().chain(head);
+                read.try_for_each(Linear::pack_weights)?;
+            }
+        }
         let total = runs.len();
         let mut rest = &mut *runs;
         let mut hidden = entry.hidden;

@@ -3,8 +3,8 @@
 //! The paper's memory claim is that adaptive layer tuning cuts peak tuning
 //! memory because activations and optimizer state only exist for the layers
 //! in the current window. This module computes that breakdown analytically
-//! from the configuration, and the F2 experiment cross-checks it against the
-//! measured cache sizes reported by the training loop.
+//! from the configuration, and the T3 experiment prints it beside the
+//! measured cache sizes reported by the training loop at each depth.
 
 use crate::config::ModelConfig;
 

@@ -76,7 +76,8 @@ pub struct ForwardCaches {
 
 impl ForwardCaches {
     /// Approximate activation bytes held alive — the quantity the paper's
-    /// memory experiments (F2) track as a function of backprop depth.
+    /// memory experiment (T3's `peak act`) tracks as a function of
+    /// backprop depth.
     pub fn activation_bytes(&self) -> usize {
         let blocks: usize = self.tape.iter().map(BlockTape::bytes).sum();
         blocks
@@ -183,7 +184,7 @@ impl EdgeModel {
 
     /// The unembedding exit `l` projects through: its own head, or the
     /// shared one when exits are tied.
-    fn exit_head(&self, l: usize) -> &Linear {
+    pub(crate) fn exit_head(&self, l: usize) -> &Linear {
         self.exits[l].head.as_ref().unwrap_or(&self.shared_head)
     }
 
@@ -1427,6 +1428,58 @@ mod tests {
                     bits(&own_h),
                     "{what}: the stand-in was not walked"
                 );
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    #[test]
+    fn a_multi_worker_frozen_pass_quantizes_each_weight_once() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // wide enough that one quantization outlasts a chunk's start-up,
+        // so racing chunks would each build the same codes
+        let cfg = ModelConfig::tiny().with_layers(3).with_d_model(64, 4);
+        let mut model = EdgeModel::new(cfg, &mut TensorRng::seed_from(53)).unwrap();
+        let batch = 8;
+        let tokens = tokens_for(&model, batch, 54);
+        let w4 = Some(QuantScheme::symmetric(BitWidth::W4));
+        let counts = |lins: &mut dyn Iterator<Item = &Linear>| -> Vec<u64> {
+            lins.map(Linear::requant_count).collect()
+        };
+        let before = configured_threads();
+        for threads in [2usize, 4] {
+            set_configured_threads(threads);
+            for round in 0..4 {
+                let what = format!("threads {threads} round {round}");
+                // freshly compressed: no layer holds codes
+                for l in 0..model.n_layers() {
+                    for lin in model.block_mut(l).linears_mut() {
+                        lin.set_quant(None);
+                        lin.set_quant(w4);
+                    }
+                }
+                let mut stand_in = model.block(0).clone();
+                stand_in
+                    .linears_mut()
+                    .into_iter()
+                    .for_each(|l| l.set_quant(w4));
+                let was = counts(&mut model.projections());
+                let stand_in_was = counts(&mut stand_in.linears().into_iter());
+                model.logits(&tokens, batch).unwrap();
+                model
+                    .frozen_forward(&tokens, batch, 0, None, Some(&stand_in), 1, &[])
+                    .unwrap();
+                let built = |now: Vec<u64>, was: &[u64]| -> Vec<u64> {
+                    now.iter().zip(was).map(|(n, w)| n - w).collect()
+                };
+                let blocks = model.n_layers() * 4;
+                let mut want = vec![1; blocks];
+                want.resize(was.len(), 0); // the heads carry no scheme
+                let now = counts(&mut model.projections());
+                assert_eq!(built(now, &was), want, "{what}: the model's projections");
+                let now = counts(&mut stand_in.linears().into_iter());
+                assert_eq!(built(now, &stand_in_was), [1; 4], "{what}: the stand-in");
             }
         }
         set_configured_threads(before);

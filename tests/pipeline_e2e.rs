@@ -50,7 +50,7 @@ fn different_seeds_differ() {
 
 #[test]
 fn edge_llm_preserves_the_papers_efficiency_shape() {
-    // The headline shape of T1/F1/F2: Edge-LLM cuts modeled per-iteration
+    // The headline shape of T1/F1/T3: Edge-LLM cuts modeled per-iteration
     // latency by a large factor and peak activation memory substantially,
     // at a compressed policy cost.
     let cfg = quick_config();
