@@ -3,7 +3,9 @@
 //! `edgellm report --quick`), projects away wall-clock columns, and
 //! compares the remaining cells against checked-in snapshots. T3 holds the
 //! analytic memory model beside its measured activations, and F1 the
-//! accuracy and Pareto frontier of its budget sweep.
+//! accuracy and Pareto frontier of its budget sweep. The F2 snapshot is
+//! T3's memory columns, one row per depth, so the quick T3 table is built
+//! once and shared by both checks.
 //!
 //! Every number in the snapshot is produced by seeded, fixed-order
 //! arithmetic, so any drift means an algorithmic change — a kernel
@@ -18,6 +20,7 @@ use edge_llm::experiments::{run_experiment, Scale};
 use edge_llm::report::Table;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Columns that measure host wall-clock time and therefore vary run to
 /// run; everything else in the report is deterministic.
@@ -64,13 +67,63 @@ fn deterministic_projection(table: &Table, timed: bool) -> String {
     lines.join("\n") + "\n"
 }
 
+fn quick_table(id: &str) -> Table {
+    run_experiment(id, Scale::Quick).unwrap_or_else(|e| panic!("{id} quick: {e}"))
+}
+
+/// The quick T3 table, built on first use and shared by the T3 and F2
+/// checks.
+fn t3_quick() -> &'static Table {
+    static T3: OnceLock<Table> = OnceLock::new();
+    T3.get_or_init(|| quick_table("t3"))
+}
+
+/// F2's view of T3: depth, measured (peak) activations and the analytic
+/// memory model, one row per depth (every voting row at a depth holds
+/// the same memory cells).
+fn f2_projection(t3: &Table) -> String {
+    let col = |name: &str| {
+        t3.headers()
+            .iter()
+            .position(|h| h == name)
+            .unwrap_or_else(|| panic!("T3 has no {name:?} column: {:?}", t3.headers()))
+    };
+    let cols = [
+        col("depth"),
+        col("peak act"),
+        col("analytic act"),
+        col("analytic total"),
+    ];
+    let mut lines = vec!["depth | measured act | analytic act | analytic total".to_string()];
+    let mut seen: Vec<Vec<&str>> = Vec::new();
+    for row in 0..t3.n_rows() {
+        let cells: Vec<&str> = cols
+            .iter()
+            .map(|&i| t3.cell(row, i).unwrap_or(""))
+            .collect();
+        if let Some(prev) = seen.iter().find(|p| p[0] == cells[0]) {
+            assert_eq!(
+                prev, &cells,
+                "memory cells differ within depth {}",
+                cells[0]
+            );
+            continue;
+        }
+        lines.push(cells.join(" | "));
+        seen.push(cells);
+    }
+    lines.join("\n") + "\n"
+}
+
 fn assert_matches_golden(id: &str, timed: bool) {
-    let table = run_experiment(id, Scale::Quick).unwrap_or_else(|e| panic!("{id} quick: {e}"));
-    let projection = deterministic_projection(&table, timed);
+    assert_projection_matches(id, &deterministic_projection(&quick_table(id), timed));
+}
+
+fn assert_projection_matches(id: &str, projection: &str) {
     let path = golden_path(&format!("{id}_quick.txt"));
     if std::env::var_os("EDGELLM_UPDATE_GOLDEN").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &projection).unwrap();
+        fs::write(&path, projection).unwrap();
         return;
     }
     let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -95,7 +148,12 @@ fn t1_quick_matches_snapshot() {
 
 #[test]
 fn t3_quick_matches_snapshot() {
-    assert_matches_golden("t3", true);
+    assert_projection_matches("t3", &deterministic_projection(t3_quick(), true));
+}
+
+#[test]
+fn f2_quick_matches_snapshot() {
+    assert_projection_matches("f2", &f2_projection(t3_quick()));
 }
 
 #[test]
