@@ -63,7 +63,6 @@ impl Scale {
                 lr: 0.08,
                 budget: 0.3,
                 window_depth: 2,
-                device: DeviceModel::jetson_class(),
                 pretrain_iterations: 40,
             },
             Scale::Full => ExperimentConfig::edge_default(),
@@ -350,7 +349,7 @@ pub fn f1_speedup(scale: Scale) -> Result<Table, EdgeLlmError> {
 }
 
 /// F3 — hardware scheduling: naive vs exhaustively searched schedules for
-/// the compressed workload, whole model.
+/// the compressed workload, whole model, on the Jetson-class device.
 ///
 /// # Errors
 ///
@@ -360,7 +359,7 @@ pub fn f3_schedule(scale: Scale) -> Result<Table, EdgeLlmError> {
     let task = base.task.build();
     let model_cfg = base.model.clone().with_vocab(task.vocab_size());
     let policy = uniform_policy_for_budget(model_cfg.n_layers, base.budget);
-    let device = &base.device;
+    let device = &DeviceModel::jetson_class();
     let workloads = model_workloads(&model_cfg, &policy, base.batch)?;
     let naive = naive_latency_us(&workloads, device)?;
     let space = ScheduleSpace::default();

@@ -140,8 +140,6 @@ pub struct ExperimentConfig {
     pub budget: f32,
     /// Adaptive-tuning backprop depth (layers per window).
     pub window_depth: usize,
-    /// Device used for modeled latency.
-    pub device: DeviceModel,
     /// Pretraining iterations on a source task of the same shape before
     /// adaptation (0 = adapt from random initialization). Pretraining uses
     /// deep supervision so every early-exit head is functional — the state
@@ -166,7 +164,6 @@ impl ExperimentConfig {
             lr: 0.05,
             budget: 0.3,
             window_depth: 1,
-            device: DeviceModel::jetson_class(),
             pretrain_iterations: 0,
         }
     }
@@ -192,7 +189,6 @@ impl ExperimentConfig {
             lr: 0.1,
             budget: 0.25,
             window_depth: 3,
-            device: DeviceModel::jetson_class(),
             pretrain_iterations: 400,
         }
     }
@@ -504,13 +500,14 @@ pub fn run_method_with(
         _ => final_exit,
     };
 
-    // 5. modeled edge latency and energy
+    // 5. modeled latency and energy on the Jetson-class device (A2 sweeps
+    // the others)
     let (modeled_iter_us, modeled_iter_uj) = modeled_training_iteration(
         &model_cfg,
         &policy,
         window_depth,
         config.batch,
-        &config.device,
+        &DeviceModel::jetson_class(),
     )?;
 
     Ok(AdaptationOutcome {

@@ -88,21 +88,24 @@
 //!
 //! # Multi-threading
 //!
-//! The runs are the parallel axis: with more than one worker configured
-//! (`EDGELLM_THREADS`) a pass splits its runs into contiguous chunks and
-//! walks them concurrently, kernel-level threading suppressed inside. One
-//! spawn per pass amortizes over the whole layer stack and covers the
-//! per-row attention and elementwise work too. The split is a pure
-//! function of `(runs, workers)`, so every thread count gives the same
-//! bits. A taped pass keeps the split: each chunk records its own runs'
-//! tapes, appended in run order as the hidden rows are; at one worker the
-//! one chunk's tape is the pass's, with nothing copied. Before an untaped
-//! pass splits, it builds the codes of every projection it will read, so
-//! each weight is quantized once however many chunks read it.
+//! The runs are the parallel axis: a pass splits its runs into one
+//! contiguous chunk per configured worker (`EDGELLM_THREADS`), at most one
+//! per run, and walks them through `pool::fan_out` — a lone chunk inline,
+//! keeping its kernels' own threading, several concurrently with
+//! kernel-level threading suppressed inside each. One spawn per pass
+//! amortizes over the whole layer stack and covers the per-row attention
+//! and elementwise work too. The split is a pure function of `(runs,
+//! workers)`, so every thread count gives the same bits. The chunks'
+//! hidden rows, logits and layer tapes join in run order; a lone chunk's
+//! are moved, not copied. Chunks share the projections, and each cached
+//! weight form is built by the one chunk that first needs it while any
+//! other waits ([`crate::Linear`], "Compressed-weight cache"), so N
+//! workers quantize what one worker does: the counters and the
+//! `model.requant` spans agree as well as the bits.
 
 use crate::adapter::{AdapterTarget, ResolvedAdapter};
 use crate::attention::Heads;
-use crate::block::{Block, BlockTape};
+use crate::block::{append_rows, Block, BlockTape};
 use crate::error::ModelError;
 use crate::linear::Linear;
 use crate::model::EdgeModel;
@@ -407,85 +410,52 @@ pub(crate) fn decode_runs(
     runs: &mut [Run<'_>],
     entry: Entry<'_>,
     depth: usize,
-    mut tape: Option<&mut Vec<BlockTape>>,
+    tape: Option<&mut Vec<BlockTape>>,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>), ModelError> {
     let c = model.config().d_model;
     let views = runs.iter().map(|r| (r.tokens, &*r.kv, r.exits));
     validate_runs(model, views, entry, depth)?;
-    if runs.is_empty() {
-        return Ok((Tensor::zeros(0, c), Vec::new()));
-    }
+    // Run-partitioned pass (module docs, "Multi-threading"): each chunk
+    // enters with its own runs' rows (validated: the lengths add up).
+    let parts = pool::partition(runs.len(), pool::resolve_threads(0));
+    let split = parts.len() > 1;
+    let mut rest = &mut *runs;
+    let mut entering = entry.hidden;
+    let chunks = parts
+        .into_iter()
+        .map(|part| {
+            let chunk = rest.split_off_mut(..part.len()).expect("in bounds");
+            let fed: usize = chunk.iter().map(|r| r.tokens.len()).sum();
+            let hidden = entering.as_mut().and_then(|h| h.split_off(..fed * c));
+            (chunk, Entry { hidden, ..entry })
+        })
+        .collect();
     let taped = tape.is_some();
-    // A chunk's layer tapes join those of the runs before it.
-    let mut record = |part: Vec<BlockTape>| match tape.as_deref_mut() {
-        Some(tape) if tape.is_empty() => {
-            *tape = part;
-            Ok(())
+    // Chunks walking side by side suppress kernel-level threading, so
+    // workers do not spawn nested workers; a lone chunk keeps it.
+    let walk_chunk = |(chunk, entry)| {
+        let go = || walk(model, chunk, entry, depth, taped);
+        if split {
+            pool::serial_scope(go)
+        } else {
+            go()
         }
-        Some(tape) => tape
-            .iter_mut()
-            .zip(part)
-            .try_for_each(|(layer, part)| layer.append(part)),
-        None => Ok(()),
     };
-    let workers = pool::resolve_threads(0).min(runs.len());
-    let out = if workers <= 1 {
-        let walked = walk(model, runs, entry, depth, taped)?;
-        record(walked.tape)?;
-        (walked.hidden, walked.logits)
-    } else {
-        // Run-partitioned parallel pass (module docs, "Multi-threading").
-        // Kernel-level threading is suppressed inside each chunk
-        // (`serial_scope`) so workers do not spawn nested workers. Each
-        // chunk enters with its own runs' rows (validated: the lengths
-        // add up). An untaped pass builds every code a chunk reads first:
-        // chunks racing on one weight would each quantize it.
-        if !taped {
-            for l in entry.from..depth {
-                let block = entry.block.filter(|_| l == entry.from);
-                let block = block.unwrap_or_else(|| model.block(l));
-                let exits = runs.iter().any(|r| r.exits.contains(&l));
-                let head = exits.then(|| model.exit_head(l));
-                let mut read = block.linears().into_iter().chain(head);
-                read.try_for_each(Linear::pack_weights)?;
-            }
+    // Chunks join in run order; joined onto nothing, a chunk's outputs
+    // are moved in, not copied.
+    let (mut hidden, mut logits, mut tape) = (Tensor::zeros(0, c), Vec::new(), tape);
+    for part in pool::fan_out(chunks, walk_chunk) {
+        let part = part?;
+        append_rows(&mut hidden, part.hidden)?;
+        logits.extend(part.logits);
+        if let Some(tape) = tape.as_deref_mut() {
+            join_tapes(tape, part.tape)?;
         }
-        let total = runs.len();
-        let mut rest = &mut *runs;
-        let mut hidden = entry.hidden;
-        let chunks = pool::partition(total, workers)
-            .into_iter()
-            .map(|part| {
-                let chunk = rest.split_off_mut(..part.len()).expect("in bounds");
-                let fed: usize = chunk.iter().map(|r| r.tokens.len()).sum();
-                let mine = hidden.map(|h| {
-                    let (mine, tail) = h.split_at(fed * c);
-                    hidden = Some(tail);
-                    mine
-                });
-                let entry = Entry {
-                    hidden: mine,
-                    ..entry
-                };
-                (chunk, entry)
-            })
-            .collect();
-        let walk_chunk =
-            |(chunk, entry)| pool::serial_scope(|| walk(model, chunk, entry, depth, taped));
-        let (mut hidden, mut out) = (Vec::new(), Vec::with_capacity(total));
-        for r in pool::fan_out(chunks, walk_chunk) {
-            let walked = r?;
-            hidden.extend_from_slice(walked.hidden.as_slice());
-            out.extend(walked.logits);
-            record(walked.tape)?;
-        }
-        let hidden = Tensor::from_vec(hidden.len() / c, c, hidden).map_err(ModelError::Tensor)?;
-        (hidden, out)
-    };
+    }
     for run in runs.iter_mut() {
         run.kv.t += run.tokens.len();
     }
-    Ok(out)
+    Ok((hidden, logits))
 }
 
 /// Rows a group of a full-window pass holds at most, unless one run alone
@@ -536,11 +506,9 @@ pub(crate) fn full_window(
         .collect();
     let mut entering = entry.hidden;
     for group in tokens.chunks(group_runs * seq) {
-        let mine = entering.map(|h| {
-            let (mine, rest) = h.split_at(group.len() * c);
-            entering = Some(rest);
-            mine
-        });
+        let mine = entering
+            .as_mut()
+            .and_then(|h| h.split_off(..group.len() * c));
         let mut runs: Vec<Run<'_>> = scratch
             .iter_mut()
             .zip(group.chunks(seq))
@@ -583,6 +551,18 @@ struct Walked {
     logits: Vec<Vec<Tensor>>,
     /// One tape per walked layer in a taped pass; empty otherwise.
     tape: Vec<BlockTape>,
+}
+
+/// Appends each layer of `part` to the same layer of `tape`; an empty
+/// `tape` takes `part` whole.
+fn join_tapes(tape: &mut Vec<BlockTape>, part: Vec<BlockTape>) -> Result<(), ModelError> {
+    if tape.is_empty() {
+        *tape = part;
+        return Ok(());
+    }
+    tape.iter_mut()
+        .zip(part)
+        .try_for_each(|(layer, part)| layer.append(part))
 }
 
 /// The serial layer walk over one contiguous chunk of runs — all of them

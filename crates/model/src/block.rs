@@ -78,8 +78,12 @@ impl BlockTape {
     }
 }
 
-/// `rows` below `t`'s rows, in place.
-fn append_rows(t: &mut Tensor, rows: Tensor) -> Result<(), ModelError> {
+/// `rows` below `t`'s rows, in place; an empty `t` takes `rows` whole.
+pub(crate) fn append_rows(t: &mut Tensor, rows: Tensor) -> Result<(), ModelError> {
+    if t.is_empty() {
+        *t = rows;
+        return Ok(());
+    }
     let cols = t.cols();
     let mut data = std::mem::replace(t, Tensor::zeros(0, 0)).into_vec();
     data.extend(rows.into_vec());

@@ -49,7 +49,10 @@ use std::sync::{Arc, OnceLock};
 /// `set_activation_quant`, and a route flip) drops both forms, so cached
 /// results are **bit-identical** to recomputing the effective weight on
 /// every call — the invariant the staleness tests in `tests/weight_cache.rs`
-/// pin down.
+/// pin down. Each form has one builder per fill: forwards that share the
+/// layer across the chunks of a multi-worker pass wait for the chunk
+/// building it, so the layer decides alone when its weight is quantized,
+/// once per mutation at any worker count.
 ///
 /// The mask invariant is held at the write: `set_mask` masks the weight
 /// it installs on, and `visit_params` — the one path optimizer steps and
@@ -111,10 +114,15 @@ impl Clone for CacheCounters {
     }
 }
 
-/// Lazily-populated derived forms of the weight. `OnceLock` lets the
-/// immutable forward paths (shared across the batched-decode worker
-/// threads) populate the cache; every mutating method clears it by
-/// replacing the cells.
+/// Lazily-populated derived forms of the weight, one [`Slot`] each. A
+/// slot has exactly one builder per fill: the immutable forward paths
+/// (shared across the chunks of a multi-worker pass) fill it through
+/// `OnceLock::get_or_init`, so a chunk that meets a slot another chunk is
+/// building waits for that build instead of repeating it. A failed build
+/// is held until the next mutation, as a built form is — the weight it
+/// failed on cannot change before then — and counts one re-quantization
+/// but no eviction. Every mutating method clears both slots by replacing
+/// them.
 #[derive(Debug, Clone, Default)]
 struct WeightCache {
     /// The weight as packed codes, read by the frozen route: the
@@ -122,10 +130,18 @@ struct WeightCache {
     /// the integer decode route, the stored weight (one grid per input
     /// row) on the row-dequantizing f32 route. It holds the layer's
     /// resident weight bytes at the LUC policy's bit-width ratio.
-    codes: OnceLock<Arc<QuantizedTensor>>,
+    codes: Slot<QuantizedTensor>,
     /// The dense effective (fake-quantized) weight, read only by
     /// [`Linear::forward`].
-    dense: OnceLock<Arc<Tensor>>,
+    dense: Slot<Tensor>,
+}
+
+/// One cached weight form, or the error its one build failed with.
+type Slot<T> = OnceLock<Result<Arc<T>, ModelError>>;
+
+/// The form a slot holds, if its build succeeded.
+fn held<T>(slot: &Slot<T>) -> Option<&T> {
+    slot.get()?.as_deref().ok()
 }
 
 /// Activations cached by [`Linear::forward`] for the backward pass.
@@ -273,13 +289,13 @@ impl Linear {
 
     /// Whether the weight is held as the integer route's transposed codes.
     pub fn is_int_packed(&self) -> bool {
-        self.wcache.codes.get().is_some() && self.int_decode_schemes().is_some()
+        held(&self.wcache.codes).is_some() && self.int_decode_schemes().is_some()
     }
 
     /// Whether a dense effective weight is currently cached (test hook for
     /// the staleness suite).
     pub fn has_cached_weight(&self) -> bool {
-        self.wcache.dense.get().is_some()
+        held(&self.wcache.dense).is_some()
     }
 
     /// Whether the weight is held as packed row codes (the f32
@@ -290,21 +306,20 @@ impl Linear {
 
     /// The codes the layer holds, when they are row codes.
     fn row_codes(&self) -> Option<&QuantizedTensor> {
-        let codes = self.wcache.codes.get().map(Arc::as_ref);
-        codes.filter(|_| self.int_decode_schemes().is_none())
+        held(&self.wcache.codes).filter(|_| self.int_decode_schemes().is_none())
     }
 
     /// Bytes the decode path keeps resident for this layer's weight: its
     /// codes plus their per-row metadata once it holds them, the dense f32
     /// weight otherwise.
     pub fn weight_storage_bytes(&self) -> usize {
-        let codes = self.wcache.codes.get();
-        codes.map_or(self.w.len() * 4, |q| q.storage_bytes())
+        let codes = held(&self.wcache.codes);
+        codes.map_or(self.w.len() * 4, QuantizedTensor::storage_bytes)
     }
 
     fn invalidate_weight_cache(&mut self) {
         let WeightCache { codes, dense } = std::mem::take(&mut self.wcache);
-        if codes.get().is_some() || dense.get().is_some() {
+        if held(&codes).is_some() || held(&dense).is_some() {
             self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -349,17 +364,16 @@ impl Linear {
     /// the row codes and the fake-quant weight use, cannot be hoisted out
     /// of an integer accumulation at all.
     fn codes(&self, scheme: QuantScheme) -> Result<&QuantizedTensor, ModelError> {
-        if let Some(q) = self.wcache.codes.get() {
-            return Ok(q);
-        }
-        self.counters.requants.fetch_add(1, Ordering::Relaxed);
-        let _span = telemetry::span("model.requant");
-        let q = match self.int_decode_schemes() {
-            Some(_) => QuantizedTensor::quantize(&self.w.transpose(), scheme)?,
-            None => QuantizedTensor::quantize(&self.w, scheme)?,
-        };
-        // Racing builders quantized the same frozen weight; one is kept.
-        Ok(self.wcache.codes.get_or_init(|| Arc::new(q)))
+        let built = self.wcache.codes.get_or_init(|| {
+            self.counters.requants.fetch_add(1, Ordering::Relaxed);
+            let _span = telemetry::span("model.requant");
+            let q = match self.int_decode_schemes() {
+                Some(_) => QuantizedTensor::quantize(&self.w.transpose(), scheme)?,
+                None => QuantizedTensor::quantize(&self.w, scheme)?,
+            };
+            Ok(Arc::new(q))
+        });
+        built.as_deref().map_err(ModelError::clone)
     }
 
     /// The weight actually used by the forward pass: fake-quantized when a
@@ -391,18 +405,15 @@ impl Linear {
     /// Returns [`ModelError::Compression`] if fake quantization fails.
     pub fn cached_effective_weight(&self) -> Result<Arc<Tensor>, ModelError> {
         if self.quant.is_none() {
-            return Ok(Arc::new(self.effective_weight()?.into_owned()));
+            return Ok(Arc::new(self.w.clone()));
         }
-        if let Some(w) = self.wcache.dense.get() {
-            return Ok(Arc::clone(w));
-        }
-        let w = match self.row_codes() {
-            Some(q) => q.dequantize(),
-            None => self.effective_weight()?.into_owned(),
-        };
-        // Racing initializers computed identical bits from the same frozen
-        // weight; get_or_init keeps exactly one.
-        Ok(Arc::clone(self.wcache.dense.get_or_init(|| Arc::new(w))))
+        let built = self.wcache.dense.get_or_init(|| {
+            Ok(Arc::new(match self.row_codes() {
+                Some(q) => q.dequantize(),
+                None => self.effective_weight()?.into_owned(),
+            }))
+        });
+        built.clone()
     }
 
     /// Forward pass, caching what the backward pass needs: the cache keeps

@@ -184,7 +184,7 @@ impl EdgeModel {
 
     /// The unembedding exit `l` projects through: its own head, or the
     /// shared one when exits are tied.
-    pub(crate) fn exit_head(&self, l: usize) -> &Linear {
+    fn exit_head(&self, l: usize) -> &Linear {
         self.exits[l].head.as_ref().unwrap_or(&self.shared_head)
     }
 
@@ -1480,6 +1480,47 @@ mod tests {
                 assert_eq!(built(now, &was), want, "{what}: the model's projections");
                 let now = counts(&mut stand_in.linears().into_iter());
                 assert_eq!(built(now, &stand_in_was), [1; 4], "{what}: the stand-in");
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    #[test]
+    fn a_multi_worker_taped_pass_quantizes_each_window_weight_once() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // The taped twin of the frozen test above: the window's chunks all
+        // read each block's dense weight, so racing chunks would each
+        // fake-quantize it.
+        let cfg = ModelConfig::tiny().with_layers(3).with_d_model(64, 4);
+        let mut model = EdgeModel::new(cfg, &mut TensorRng::seed_from(55)).unwrap();
+        let (batch, exit) = (8, model.n_layers() - 1);
+        let tokens = tokens_for(&model, batch, 56);
+        let w4 = Some(QuantScheme::symmetric(BitWidth::W4));
+        let before = configured_threads();
+        for threads in [2usize, 4] {
+            set_configured_threads(threads);
+            for round in 0..4 {
+                // freshly compressed: no layer holds a dense weight
+                for l in 0..model.n_layers() {
+                    for lin in model.block_mut(l).linears_mut() {
+                        lin.set_quant(None);
+                        lin.set_quant(w4);
+                    }
+                }
+                let counts = |m: &EdgeModel| -> Vec<u64> {
+                    let blocks = (0..m.n_layers()).flat_map(|l| m.block(l).linears());
+                    blocks.map(Linear::requant_count).collect()
+                };
+                let was = counts(&model);
+                model.forward_exit(&tokens, batch, exit, 0).unwrap();
+                let built: Vec<u64> = counts(&model)
+                    .iter()
+                    .zip(&was)
+                    .map(|(now, was)| now - was)
+                    .collect();
+                let want = vec![1; 4 * model.n_layers()];
+                assert_eq!(built, want, "threads {threads} round {round}");
             }
         }
         set_configured_threads(before);

@@ -16,13 +16,13 @@
 //! — every matmul-shaped kernel), `edge_llm_model`'s attention backward
 //! (each part the `qkv` gradient rows of whole runs), its `decode_runs`
 //! (chunks of one decode pass's runs) and `edge_llm_fleet`'s router
-//! (shares of the workers stepping in one tick), the last two with each
-//! part under [`serial_scope`]. Workers are scoped per call rather than
-//! parked in a persistent pool (`std::thread::scope` only; the workspace
-//! builds offline): borrowed operands can then cross into workers
-//! without `'static` erasure or unsafe lifetime laundering, and the spawn
-//! cost is amortized by the work-size thresholds the kernels apply
-//! before going parallel.
+//! (shares of the workers stepping in one tick); `decode_runs` walks each
+//! of several chunks under [`serial_scope`], the router every share.
+//! Workers are scoped per call rather than parked in a persistent pool
+//! (`std::thread::scope` only; the workspace builds offline): borrowed
+//! operands can then cross into workers without `'static` erasure or
+//! unsafe lifetime laundering, and the spawn cost is amortized by the
+//! work-size thresholds the kernels apply before going parallel.
 //!
 //! The global thread count defaults to `1` (serial, the seed behaviour)
 //! and is raised either programmatically ([`set_configured_threads`]) or

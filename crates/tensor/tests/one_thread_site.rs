@@ -25,6 +25,13 @@
 //! `cached_effective_weight` only inside `fn forward` in
 //! `crates/model/src/linear.rs`, so no frozen route can regrow a dense arm
 //! beside its codes.
+//!
+//! "Who quantizes a weight?" — `Linear`, when one of its cached forms is
+//! first read after a mutation: outside `crates/quant`, non-test code
+//! under `crates/*/src` names `QuantizedTensor::quantize` and
+//! `fake_quant` only in `crates/model/src/linear.rs`, and calls
+//! `pack_weights` only from `EdgeModel::pack_frozen_weights`, so no pass
+//! driver can grow a pre-quantize loop beside the layer's own builds.
 
 use std::path::{Path, PathBuf};
 
@@ -44,6 +51,11 @@ const JSON_NEEDLES: [&str; 4] = [r#""\\\"""#, r"\\u{:04x}", r#"{\""#, r#"r#"{""#
 const TANH_NEEDLES: [&str; 2] = [".tanh()", "::tanh"];
 
 const DENSE_READ: &str = "cached_effective_weight(";
+
+const QUANT: &str = "quant/src/";
+const QUANTIZER: &str = "model/src/linear.rs";
+const QUANTIZE_NEEDLES: [&str; 2] = ["QuantizedTensor::quantize", "fake_quant"];
+const PACK: &str = "pack_weights";
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
@@ -260,11 +272,12 @@ fn the_scan_sees_a_pasted_platform_tanh_but_not_tests_or_comments() {
     );
 }
 
-/// `(enclosing fn, line number)` of every call of the dense-weight
-/// accessor in a file's product code (the lines before its first
-/// `#[cfg(test)]`, comments skipped), its own definition aside. The
-/// enclosing fn is the last `fn` a line above named.
-fn dense_weight_reads(source: &str) -> Vec<(String, usize)> {
+/// `(enclosing fn, line number)` of every line of a file's product code
+/// (the lines before its first `#[cfg(test)]`, comments skipped) that
+/// names `needle`, the definition of the fn it names aside. The enclosing
+/// fn is the last `fn` a line above named.
+fn callers(source: &str, needle: &str) -> Vec<(String, usize)> {
+    let definition = format!("fn {}", needle.trim_end_matches('('));
     let mut current = String::new();
     let mut found = Vec::new();
     let lines = source
@@ -281,23 +294,29 @@ fn dense_weight_reads(source: &str) -> Vec<(String, usize)> {
                 .take_while(|c| c.is_alphanumeric() || *c == '_')
                 .collect();
         }
-        if line.contains(DENSE_READ) && !line.contains("fn cached_effective_weight") {
+        if line.contains(needle) && !line.contains(&definition) {
             found.push((current.clone(), i + 1));
         }
     }
     found
 }
 
-#[test]
-fn only_the_taped_forward_reads_the_dense_weight() {
-    let mut readers = Vec::new();
+/// `(file:fn, line number)` of every product-code line under
+/// `crates/*/src` that names `needle`, in scan order.
+fn callers_everywhere(needle: &str) -> Vec<(String, usize)> {
+    let mut found = Vec::new();
     for file in &product_files() {
         let source = std::fs::read_to_string(file).expect("readable source");
         let name = file.file_name().expect("a file").to_string_lossy();
-        for (func, line) in dense_weight_reads(&source) {
-            readers.push((format!("{name}:{func}"), line));
-        }
+        let sites = callers(&source, needle).into_iter();
+        found.extend(sites.map(|(func, line)| (format!("{name}:{func}"), line)));
     }
+    found
+}
+
+#[test]
+fn only_the_taped_forward_reads_the_dense_weight() {
+    let readers = callers_everywhere(DENSE_READ);
     let funcs: Vec<&str> = readers.iter().map(|(f, _)| f.as_str()).collect();
     assert_eq!(funcs, ["linear.rs:forward"], "{readers:?}");
 }
@@ -314,10 +333,43 @@ fn the_scan_sees_a_dense_arm_pasted_into_a_frozen_route() {
                   x.matmul(&w)\n}\n}\n\
                   #[cfg(test)]\nmod tests { fn g(l: &Linear) { l.cached_effective_weight(); } }\n";
     assert_eq!(
-        dense_weight_reads(source),
+        callers(source, DENSE_READ),
         vec![
             ("forward".to_string(), 4),
             ("forward_no_cache".to_string(), 8)
         ]
+    );
+}
+
+#[test]
+fn only_the_layer_quantizes_a_weight() {
+    for file in &product_files() {
+        let path = file.to_string_lossy();
+        if path.contains(QUANT) || path.ends_with(QUANTIZER) {
+            continue;
+        }
+        let source = std::fs::read_to_string(file).expect("readable source");
+        let found = hits(&source, &QUANTIZE_NEEDLES);
+        assert!(found.is_empty(), "{}: {found:?}", file.display());
+    }
+    let packers = callers_everywhere(PACK);
+    let funcs: Vec<&str> = packers.iter().map(|(f, _)| f.as_str()).collect();
+    assert_eq!(funcs, ["model.rs:pack_frozen_weights"], "{packers:?}");
+}
+
+#[test]
+fn the_scan_sees_a_pasted_pre_quantize_loop() {
+    let source = "impl Linear {\n\
+                  pub fn pack_weights(&self) -> Result<(), ModelError> { todo!() }\n}\n\
+                  /// Like `Linear::pack_weights`, for every layer a pass reads.\n\
+                  fn decode_runs(model: &EdgeModel) -> Result<(), ModelError> {\n\
+                  model.projections().try_for_each(Linear::pack_weights)?;\n\
+                  let w = fake_quant(&model.block(0).weight(), scheme)?;\n\
+                  let q = QuantizedTensor::quantize(&w, scheme)?;\n}\n\
+                  #[cfg(test)]\nmod tests { fn g(l: &Linear) { l.pack_weights(); } }\n";
+    assert_eq!(callers(source, PACK), vec![("decode_runs".to_string(), 6)]);
+    assert_eq!(
+        hits(source, &QUANTIZE_NEEDLES),
+        vec![(QUANTIZE_NEEDLES[1], 7), (QUANTIZE_NEEDLES[0], 8)]
     );
 }

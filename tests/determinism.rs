@@ -4,8 +4,9 @@
 //! only, never results. These tests hold the whole training loop to that
 //! guarantee: the same short adaptation run under 1, 2, 4, and 8 threads
 //! must produce **byte-identical** final parameters and byte-identical
-//! training checkpoints, and the pipeline must report identical modeled
-//! and measured-quality numbers.
+//! training checkpoints, re-quantize the same layers at every step and
+//! move the weight-cache counters by the same amounts, and the pipeline
+//! must report identical modeled and measured-quality numbers.
 //!
 //! The thread knob is process-wide, so every test here drives the runs
 //! sequentially under a shared lock and restores the serial default when
@@ -36,10 +37,23 @@ fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
     (model, Sgd::new(0.05), rng, ds)
 }
 
-/// One short compressed windowed adaptation run under `threads` workers;
-/// returns the final parameter bits and the serialized training
-/// checkpoint captured at the end.
-fn adapt_under(threads: usize) -> (Vec<u32>, Vec<u8>) {
+/// What one adaptation run leaves behind that must not depend on the
+/// thread count.
+struct Adapted {
+    /// The final parameter bits.
+    params: Vec<u32>,
+    /// The serialized training checkpoint captured at the end.
+    ckpt: Vec<u8>,
+    /// Per step, the layers that re-quantized and the cache evictions.
+    steps: Vec<(u64, u64)>,
+    /// The run's model-wide weight-cache deltas: requants, invalidations.
+    cache: (u64, u64),
+}
+
+/// One short compressed windowed adaptation run under `threads` workers,
+/// driven one iteration per `resilient_adapt` call so each step's phase
+/// counters can be read.
+fn adapt_under(threads: usize) -> Adapted {
     const ITERS: usize = 8;
     set_configured_threads(threads);
     let (mut model, mut opt, mut rng, ds) = setup(23);
@@ -52,34 +66,52 @@ fn adapt_under(threads: usize) -> (Vec<u32>, Vec<u8>) {
     }
     .encode();
     let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 1 });
-    resilient_adapt(
-        &mut model,
-        &mut opt,
-        &mut tuner,
-        &mut rng,
-        &ds,
-        2,
-        ITERS,
-        extra.clone(),
-        &ResilienceConfig::default(),
-    )
-    .unwrap();
+    let cache_before = model.weight_cache_stats();
+    let steps = (1..=ITERS)
+        .map(|it| {
+            let run = resilient_adapt(
+                &mut model,
+                &mut opt,
+                &mut tuner,
+                &mut rng,
+                &ds,
+                2,
+                it,
+                extra.clone(),
+                &ResilienceConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(run.steps_executed, 1, "iteration {it} at {threads} threads");
+            (run.phases.requant_layers, run.phases.cache_invalidations)
+        })
+        .collect();
+    let cache_after = model.weight_cache_stats();
     let mut params = Vec::new();
     model.visit_params_all_ro(&mut |_, p| params.extend(p.iter().map(|v| v.to_bits())));
     let ckpt = TrainingCheckpoint::capture(&model, &opt, ITERS as u64, &rng, extra);
     let mut ckpt_bytes = Vec::new();
     ckpt.write_to(&mut ckpt_bytes).unwrap();
-    (params, ckpt_bytes)
+    Adapted {
+        params,
+        ckpt: ckpt_bytes,
+        steps,
+        cache: (
+            cache_after.requants - cache_before.requants,
+            cache_after.invalidations - cache_before.invalidations,
+        ),
+    }
 }
 
 #[test]
 fn adaptation_is_byte_identical_for_every_thread_count() {
     let _guard = KNOB.lock().unwrap();
-    let (ref_params, ref_ckpt) = adapt_under(1);
+    let want = adapt_under(1);
     for t in &THREAD_COUNTS[1..] {
-        let (params, ckpt) = adapt_under(*t);
-        assert_eq!(ref_params, params, "parameters drifted at {t} threads");
-        assert_eq!(ref_ckpt, ckpt, "checkpoint drifted at {t} threads");
+        let got = adapt_under(*t);
+        assert_eq!(want.params, got.params, "parameters drifted at {t} threads");
+        assert_eq!(want.ckpt, got.ckpt, "checkpoint drifted at {t} threads");
+        assert_eq!(want.steps, got.steps, "step requants at {t} threads");
+        assert_eq!(want.cache, got.cache, "cache counters at {t} threads");
     }
     set_configured_threads(1);
 }
