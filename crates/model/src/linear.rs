@@ -409,7 +409,7 @@ impl Linear {
     /// Returns [`ModelError::Compression`] if fake quantization fails.
     pub fn cached_effective_weight(&self) -> Result<Arc<Tensor>, ModelError> {
         if self.quant.is_none() {
-            return Ok(Arc::new(self.w.clone()));
+            return Ok(Arc::new(self.effective_weight()?.into_owned()));
         }
         let build = || -> Result<_, ModelError> {
             Ok(Arc::new(match self.row_codes() {

@@ -1497,6 +1497,10 @@ mod tests {
         let (batch, exit) = (8, model.n_layers() - 1);
         let tokens = tokens_for(&model, batch, 56);
         let w4 = Some(QuantScheme::symmetric(BitWidth::W4));
+        let counts = |m: &EdgeModel| -> Vec<u64> {
+            let blocks = (0..m.n_layers()).flat_map(|l| m.block(l).linears());
+            blocks.map(Linear::requant_count).collect()
+        };
         let before = configured_threads();
         for threads in [2usize, 4] {
             set_configured_threads(threads);
@@ -1508,10 +1512,6 @@ mod tests {
                         lin.set_quant(w4);
                     }
                 }
-                let counts = |m: &EdgeModel| -> Vec<u64> {
-                    let blocks = (0..m.n_layers()).flat_map(|l| m.block(l).linears());
-                    blocks.map(Linear::requant_count).collect()
-                };
                 let was = counts(&model);
                 model.forward_exit(&tokens, batch, exit, 0).unwrap();
                 let built: Vec<u64> = counts(&model)
