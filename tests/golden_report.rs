@@ -1,5 +1,5 @@
-//! Golden-report regression test: runs the quick-scale T1, T3, F1, F3,
-//! F5, A1, A2 and A3 experiments through the library (the same code path as
+//! Golden-report regression test: runs the quick-scale T1, T2, T3, F1,
+//! F3, F5, A1, A2 and A3 experiments through the library (the same code path as
 //! `edgellm report --quick`), projects away wall-clock columns, and
 //! compares the remaining cells against checked-in snapshots. T3 holds the
 //! analytic memory model beside its measured activations, and F1 the
@@ -34,7 +34,7 @@ fn golden_path(name: &str) -> PathBuf {
 
 /// Renders the deterministic projection of a table: the kept headers
 /// and each row's kept cells, pipe-separated. `timed` says whether the
-/// table carries a wall-clock column at all (F3, F5, A2 and A3 do not).
+/// table carries a wall-clock column at all (T2, F3, F5, A2 and A3 do not).
 fn deterministic_projection(table: &Table, timed: bool) -> String {
     let keep: Vec<usize> = table
         .headers()
@@ -144,6 +144,11 @@ fn assert_projection_matches(id: &str, projection: &str) {
 #[test]
 fn t1_quick_matches_snapshot() {
     assert_matches_golden("t1", true);
+}
+
+#[test]
+fn t2_quick_matches_snapshot() {
+    assert_matches_golden("t2", false);
 }
 
 #[test]
