@@ -3,7 +3,7 @@
 //! tables and figures.
 
 use crate::{run_err, CliError};
-use edge_llm::experiments::Scale;
+use edge_llm::experiments::{RunStore, Scale};
 use edge_llm_lab::{analyze_run, check_run, run_experiment, AnalysisReport};
 use edge_llm_lab::{ExperimentSpec, RunOptions};
 use edge_llm_telemetry as telemetry;
@@ -135,9 +135,10 @@ pub(crate) fn report<W: Write>(c: &Report, out: &mut W) -> Result<(), CliError> 
         false => (Scale::Full, "full"),
     };
     writeln!(out, "edge-llm report ({name} scale)\n")?;
+    let mut store = RunStore::new(scale);
     for id in &c.experiments {
         let regen = telemetry::timed("report.table");
-        let table = edge_llm::experiments::run_experiment(id, scale)
+        let table = edge_llm::experiments::run_experiment(id, &mut store)
             .map_err(|e| CliError::Run(format!("experiment {id} failed: {e}")))?;
         let secs = regen.end() as f64 * 1e-9;
         writeln!(out, "{table}")?;

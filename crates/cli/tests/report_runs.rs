@@ -1,0 +1,35 @@
+//! One report pretrains each model once and adapts each run once. This
+//! file holds one test: a telemetry session is process-wide, and no
+//! other test here may record events into it.
+
+use edge_llm::experiments::ALL_EXPERIMENTS;
+use edge_llm_cli::{run, Command, Report, Runtime};
+use edge_llm_telemetry::{self as telemetry, Event, FakeClock};
+use std::sync::Arc;
+
+#[test]
+fn a_quick_report_pretrains_each_model_once_and_adapts_each_run_once() {
+    telemetry::enable(Arc::new(FakeClock::with_tick(1)));
+    let report = Command::Report(Report {
+        quick: true,
+        experiments: ALL_EXPERIMENTS.to_vec(),
+    });
+    let ran = run(&report, &Runtime::default(), &mut Vec::new());
+    let events = telemetry::disable();
+    ran.unwrap();
+    let count = |name: &str| {
+        events
+            .iter()
+            .filter(|e| matches!(e, Event::SpanStart { name: n, .. } if *n == name))
+            .count()
+    };
+    // The tied model and A1's untied one. Each table walked on its own
+    // pretrains 22 times.
+    assert_eq!(count("pipeline.prepare"), 2);
+    // T1 4, T2 6, T3 3 (its full depth is T1's vanilla configuration
+    // under the other loss-spike guard), F1 2 (budget 1.0 is T1's
+    // vanilla run), A1 4; F5 and A3 read T3's and A1's runs.
+    assert_eq!(count("pipeline.adapt"), 19);
+    // Nothing else trains: 40 pretraining and 60 adaptation steps each.
+    assert_eq!(count("tune.step"), 2 * 40 + 19 * 60);
+}

@@ -3,21 +3,21 @@
 //! Every table (T1–T3), figure (F1, F3, F5), ablation (A1–A3), and the
 //! serving study (S1) is regenerated by a function in this module;
 //! `edgellm report` prints them, and `benchmark/src/kernels.rs` times the
-//! underlying kernels. Every adaptation here runs the two stages of
-//! [`crate::pipeline`]: T1/T2/F1 through [`run_method`], T3/F5/A1/A3
-//! through [`prepare`] and [`adapt`] with their own policy and schedule.
-//! Each configuration a table measures is adapted once: T3 carries the
-//! analytic memory model beside its measured activations, F1 the accuracy
-//! frontier beside its latencies, and T1's no-vote row is its Edge-LLM
-//! run's final-exit evaluation. See `DESIGN.md` for the experiment index
-//! and `EXPERIMENTS.md` for recorded results.
+//! underlying kernels. Every adaptation goes through one [`RunStore`] per
+//! report, which pretrains each model once and adapts each configuration
+//! (model, installed policy, schedule, loss-spike guard) once, so a table
+//! reads the runs an earlier one made (F5 reads T3's, A3 A1's). T3 carries the analytic memory model beside its measured
+//! activations, F1 the accuracy frontier beside its latencies, and T1's
+//! no-vote row is its Edge-LLM run's final-exit evaluation. See
+//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
+//! results.
 
 use crate::baselines::uniform_policy_for_budget;
 use crate::eval::evaluate;
 use crate::oracle::ModelOracle;
 use crate::pipeline::{
-    adapt, prepare, run_method, ExperimentConfig, Method, Prepared, TaskKind, LUC_BIT_CHOICES,
-    LUC_RATIO_CHOICES,
+    adapt, outcome, plan, prepare, AdaptationOutcome, ExperimentConfig, Method, Prepared, TaskKind,
+    LUC_BIT_CHOICES, LUC_RATIO_CHOICES,
 };
 use crate::report::{bytes, f3, pct, speedup, Table};
 use crate::resilience::{AdaptRun, ResilienceConfig};
@@ -70,6 +70,128 @@ impl Scale {
     }
 }
 
+/// What one report run adapts; the rest is [`Scale::config`]. An input
+/// the policy or schedule ignores (vanilla's budget, uniform tuning's
+/// window depth) is not part of it, so such rows share one run.
+#[derive(Debug, Clone, PartialEq)]
+struct RunKey {
+    /// Which pretrained model: whether its exit heads are tied.
+    tied: bool,
+    policy: CompressionPolicy,
+    schedule: WindowSchedule,
+    /// On for the [`Method`] rows (T1, T2, F1), as in `run_method`.
+    spike_guard: bool,
+}
+
+/// One adapted run: its key, the adapted model and data, the runtime's account.
+struct Adapted {
+    key: RunKey,
+    prepared: Prepared,
+    run: AdaptRun,
+}
+
+/// The runs one report makes, each on first request: [`prepare`] once per
+/// model, [`adapt`] once per configuration on a clone of it. A table's
+/// `regenerated in` time leaves out the runs an earlier table made.
+pub struct RunStore {
+    scale: Scale,
+    /// The untied and the tied pretrained model.
+    models: [Option<Prepared>; 2],
+    runs: Vec<Adapted>,
+}
+
+impl RunStore {
+    /// An empty store for the report at `scale`.
+    pub fn new(scale: Scale) -> Self {
+        RunStore {
+            scale,
+            models: [None, None],
+            runs: Vec::new(),
+        }
+    }
+
+    /// The run under the policy and schedule `plan` picks on a clone of
+    /// the `tied` model, adapted unless a table asked for it before. An
+    /// ablation records its own trajectory: with the spike guard on,
+    /// full-scale A1's sensitivity-ordered run rolls back at iteration 274
+    /// (loss 2.17 against an EWMA of 0.446). Non-finite detection stays
+    /// on, and an ablation that needed recovery is not the run it names.
+    fn run(
+        &mut self,
+        tied: bool,
+        spike_guard: bool,
+        plan: impl FnOnce(&mut Prepared) -> Result<(CompressionPolicy, WindowSchedule), EdgeLlmError>,
+    ) -> Result<&Adapted, EdgeLlmError> {
+        let mut cfg = self.scale.config();
+        cfg.model = cfg.model.with_tied_exits(tied);
+        let slot = &mut self.models[usize::from(tied)];
+        let model = match slot.take() {
+            Some(model) => model,
+            None => prepare(&cfg)?,
+        };
+        let mut prepared = slot.insert(model).clone();
+        let (policy, schedule) = plan(&mut prepared)?;
+        let key = RunKey {
+            tied,
+            policy,
+            schedule,
+            spike_guard,
+        };
+        if let Some(i) = self.runs.iter().position(|a| a.key == key) {
+            return Ok(&self.runs[i]);
+        }
+        let mut res = ResilienceConfig::default();
+        if !spike_guard {
+            res.spike_factor = f32::INFINITY;
+        }
+        let run = adapt(&mut prepared, &cfg, &key.policy, key.schedule.clone(), &res)?;
+        assert!(
+            spike_guard || run.journal.is_empty(),
+            "ablation run needed recovery:\n{}",
+            run.journal
+        );
+        self.runs.push(Adapted { key, prepared, run });
+        Ok(&self.runs[self.runs.len() - 1])
+    }
+
+    /// A [`Method`] row at `cfg`'s budget and window depth.
+    fn outcome(
+        &mut self,
+        method: Method,
+        cfg: &ExperimentConfig,
+    ) -> Result<AdaptationOutcome, EdgeLlmError> {
+        let a = self.run(cfg.model.tie_exit_heads, true, |p| plan(method, cfg, p))?;
+        let (policy, schedule) = (&a.key.policy, &a.key.schedule);
+        outcome(method, cfg, &a.prepared, policy, schedule, &a.run)
+    }
+
+    /// Uncompressed adaptation at a window depth (T3, F5).
+    fn dense(&mut self, depth: usize) -> Result<&Adapted, EdgeLlmError> {
+        self.run(self.scale.config().model.tie_exit_heads, false, |p| {
+            let n = p.model.n_layers();
+            let identity = CompressionPolicy::identity(n);
+            Ok((identity, WindowSchedule::for_depth(depth, n)))
+        })
+    }
+}
+
+/// A1's and A3's plan: the DP policy from a profile of the pretrained model
+/// on its first target batch, and `schedule`, or windows in that profile's
+/// sensitivity order when it is `None`.
+fn luc_ablation(
+    prepared: &Prepared,
+    cfg: &ExperimentConfig,
+    schedule: Option<WindowSchedule>,
+) -> Result<(CompressionPolicy, WindowSchedule), EdgeLlmError> {
+    let calib = prepared.train.batch_at(0, cfg.batch);
+    let mut oracle = ModelOracle::new(&prepared.model, &calib.tokens, &calib.targets, cfg.batch);
+    let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
+    let policy = search_policy(&prof, cfg.budget, SearchAlgorithm::DynamicProgramming)?.policy;
+    let schedule = schedule
+        .unwrap_or_else(|| crate::windows::sensitivity_window_schedule(&prof, cfg.window_depth));
+    Ok((policy, schedule))
+}
+
 /// T1 — the main comparison table: task quality and per-iteration cost of
 /// vanilla tuning, parameter-efficient and uniform-compression baselines,
 /// and Edge-LLM. The `edge-llm (no vote)` row is the Edge-LLM run
@@ -78,8 +200,8 @@ impl Scale {
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn t1_main(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let cfg = scale.config();
+pub fn t1_main(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
+    let cfg = store.scale.config();
     let mut table = Table::new(
         "T1: adaptation quality and per-iteration cost",
         &[
@@ -101,7 +223,7 @@ pub fn t1_main(scale: Scale) -> Result<Table, EdgeLlmError> {
         Method::UniformCompressed,
         Method::EdgeLlm,
     ] {
-        let out = run_method(m, &cfg)?;
+        let out = store.outcome(m, &cfg)?;
         let base = *vanilla_us.get_or_insert(out.modeled_iter_us);
         let mut row = |label: &str, accuracy: f32, perplexity: f32| {
             table.add_row(vec![
@@ -131,9 +253,9 @@ pub fn t1_main(scale: Scale) -> Result<Table, EdgeLlmError> {
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn t2_luc(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
-    let budgets: &[f32] = match scale {
+pub fn t2_luc(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
+    let base = store.scale.config();
+    let budgets: &[f32] = match store.scale {
         Scale::Quick => &[0.2, 0.4],
         Scale::Full => &[0.15, 0.25, 0.4],
     };
@@ -151,7 +273,7 @@ pub fn t2_luc(scale: Scale) -> Result<Table, EdgeLlmError> {
             cfg.budget = budget;
             // isolate the compression axis: same full-depth tuning for all
             cfg.window_depth = cfg.model.n_layers;
-            let out = run_method(method, &cfg)?;
+            let out = store.outcome(method, &cfg)?;
             table.add_row(vec![
                 f3(budget as f64),
                 out.method.clone(),
@@ -173,13 +295,9 @@ pub fn t2_luc(scale: Scale) -> Result<Table, EdgeLlmError> {
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn t3_adaptive(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
+pub fn t3_adaptive(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
+    let base = store.scale.config();
     let n_layers = base.model.n_layers;
-    let model_cfg = base
-        .model
-        .clone()
-        .with_vocab(base.task.build().vocab_size());
     let analytic = MemoryModel {
         batch: base.batch,
         optimizer_moments: 0,
@@ -198,9 +316,10 @@ pub fn t3_adaptive(scale: Scale) -> Result<Table, EdgeLlmError> {
             "analytic total",
         ],
     );
-    for depth in swept_depths(n_layers) {
-        let (adapted, run) = adapt_dense(&base, depth)?;
-        let est = analytic.estimate(&model_cfg, depth);
+    let below_full = [1, 2, 4].into_iter().filter(|&d| d < n_layers);
+    for depth in below_full.chain([n_layers]) {
+        let Adapted { prepared, run, .. } = store.dense(depth)?;
+        let est = analytic.estimate(prepared.model.config(), depth);
         for (vname, policy) in [
             ("last exit", VotingPolicy::final_only(n_layers)),
             (
@@ -215,7 +334,7 @@ pub fn t3_adaptive(scale: Scale) -> Result<Table, EdgeLlmError> {
                 VotingPolicy::all_exits(n_layers, VotingCombiner::Average),
             ),
         ] {
-            let r = evaluate(&adapted.model, &policy, &adapted.eval_set, base.batch)?;
+            let r = evaluate(&prepared.model, &policy, &prepared.eval_set, base.batch)?;
             table.add_row(vec![
                 depth.to_string(),
                 vname.to_string(),
@@ -231,56 +350,6 @@ pub fn t3_adaptive(scale: Scale) -> Result<Table, EdgeLlmError> {
     Ok(table)
 }
 
-/// Runs the [`adapt`] stage for an ablation table. T3, F5, A1 and A3
-/// record each schedule's own optimisation trajectory, so the loss-spike
-/// guard is off: under the default 4x EWMA bar Full-scale A1's
-/// sensitivity-ordered row rolls back at iteration 274 (loss 2.17
-/// against an EWMA of 0.446) and its cells would describe the recovered
-/// run instead. Non-finite detection stays on, and a run that needed any
-/// recovery is not the run its table row names.
-fn adapt_unguarded(
-    prepared: &mut Prepared,
-    cfg: &ExperimentConfig,
-    policy: &CompressionPolicy,
-    schedule: WindowSchedule,
-) -> Result<AdaptRun, EdgeLlmError> {
-    let unguarded = ResilienceConfig {
-        spike_factor: f32::INFINITY,
-        ..ResilienceConfig::default()
-    };
-    let run = adapt(prepared, cfg, policy, schedule, &unguarded)?;
-    assert!(
-        run.journal.is_empty(),
-        "ablation run needed recovery:\n{}",
-        run.journal
-    );
-    Ok(run)
-}
-
-/// The backprop depths T3 sweeps: 1, 2, 4 and the full depth.
-fn swept_depths(n_layers: usize) -> Vec<usize> {
-    let mut depths: Vec<usize> = [1, 2, 4, n_layers]
-        .into_iter()
-        .filter(|&d| d <= n_layers)
-        .collect();
-    depths.dedup();
-    depths
-}
-
-/// Uncompressed adaptation at a window depth (T3, F5): the pipeline
-/// with the identity policy, isolating the tuning schedule.
-fn adapt_dense(cfg: &ExperimentConfig, depth: usize) -> Result<(Prepared, AdaptRun), EdgeLlmError> {
-    let mut prepared = prepare(cfg)?;
-    let n_layers = prepared.model.n_layers();
-    let run = adapt_unguarded(
-        &mut prepared,
-        cfg,
-        &CompressionPolicy::identity(n_layers),
-        WindowSchedule::for_depth(depth, n_layers),
-    )?;
-    Ok((prepared, run))
-}
-
 /// F1 — per-iteration speedup vs compression budget (the 2.92x headline
 /// curve): modeled edge latency and measured CPU wall-clock at each budget,
 /// window depth fixed at the paper default, with each row's accuracy and
@@ -290,9 +359,9 @@ fn adapt_dense(cfg: &ExperimentConfig, depth: usize) -> Result<(Prepared, AdaptR
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn f1_speedup(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
-    let budgets: &[f32] = match scale {
+pub fn f1_speedup(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
+    let base = store.scale.config();
+    let budgets: &[f32] = match store.scale {
         Scale::Quick => &[1.0, 0.4, 0.2],
         Scale::Full => &[1.0, 0.5, 0.3, 0.2, 0.125, 0.0625],
     };
@@ -305,7 +374,7 @@ pub fn f1_speedup(scale: Scale) -> Result<Table, EdgeLlmError> {
         } else {
             Method::EdgeLlm
         };
-        rows.push((budget, run_method(method, &cfg)?));
+        rows.push((budget, store.outcome(method, &cfg)?));
     }
     let points: Vec<PolicyPoint> = rows
         .iter()
@@ -400,18 +469,17 @@ pub fn f3_schedule(scale: Scale) -> Result<Table, EdgeLlmError> {
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn f5_sensitivity(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
-    let (Prepared { model, .. }, _) = adapt_dense(&base, base.model.n_layers)?;
+pub fn f5_sensitivity(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
+    let base = store.scale.config();
+    let model = &store.dense(base.model.n_layers)?.prepared.model;
     let task = base.task.build();
     let mut rng = TensorRng::seed_from(base.seed + 1);
-    let model_cfg = base.model.clone().with_vocab(task.vocab_size());
     let calib: Vec<_> = (0..base.batch)
-        .map(|_| task.sample(model_cfg.seq_len, &mut rng))
+        .map(|_| task.sample(base.model.seq_len, &mut rng))
         .collect();
     let tokens: Vec<usize> = calib.iter().flat_map(|s| s.tokens.clone()).collect();
     let targets: Vec<usize> = calib.iter().flat_map(|s| s.targets.clone()).collect();
-    let mut oracle = ModelOracle::new(&model, &tokens, &targets, base.batch);
+    let mut oracle = ModelOracle::new(model, &tokens, &targets, base.batch);
     let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
     let mut table = Table::new(
         "F5: per-layer sensitivity of the adapted model",
@@ -491,31 +559,28 @@ pub fn a2_devices(scale: Scale) -> Result<Table, EdgeLlmError> {
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn a1_ablations(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
+pub fn a1_ablations(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
+    let base = store.scale.config();
     let mut table = Table::new(
         "A1: window-schedule and exit-tying ablations",
         &["variant", "acc", "ppl", "iter ms", "peak act"],
     );
-    let variants: [(&str, bool, AblationSchedule); 4] = [
-        ("round-robin, tied", true, AblationSchedule::RoundRobin),
-        (
-            "sensitivity-ordered, tied",
-            true,
-            AblationSchedule::Sensitivity,
-        ),
-        ("full depth, tied", true, AblationSchedule::Full),
-        ("round-robin, untied", false, AblationSchedule::RoundRobin),
+    let depth = base.window_depth;
+    let round_robin = WindowSchedule::RoundRobin { depth };
+    let variants = [
+        ("round-robin, tied", true, Some(round_robin.clone())),
+        ("sensitivity-ordered, tied", true, None),
+        ("full depth, tied", true, Some(WindowSchedule::FullDepth)),
+        ("round-robin, untied", false, Some(round_robin)),
     ];
-    for (name, tied, sched) in variants {
-        let mut cfg = base.clone();
-        cfg.model = cfg.model.with_tied_exits(tied);
-        let (adapted, run) = adapt_luc(&cfg, sched)?;
+    for (name, tied, schedule) in variants {
+        let Adapted { prepared, run, .. } =
+            store.run(tied, false, |p| luc_ablation(p, &base, schedule))?;
         let voting = VotingPolicy::all_exits(
-            adapted.model.n_layers(),
+            prepared.model.n_layers(),
             VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
         );
-        let r = evaluate(&adapted.model, &voting, &adapted.eval_set, cfg.batch)?;
+        let r = evaluate(&prepared.model, &voting, &prepared.eval_set, base.batch)?;
         table.add_row(vec![
             name.to_string(),
             pct(r.accuracy as f64),
@@ -527,39 +592,6 @@ pub fn a1_ablations(scale: Scale) -> Result<Table, EdgeLlmError> {
     Ok(table)
 }
 
-#[derive(Clone, Copy)]
-enum AblationSchedule {
-    RoundRobin,
-    Sensitivity,
-    Full,
-}
-
-/// The full pipeline (pretrain -> LUC policy -> compressed windowed
-/// adaptation) with a configurable window schedule (A1, A3). One profile
-/// of the pretrained, still uncompressed model gives both the policy and
-/// the sensitivity order.
-fn adapt_luc(
-    cfg: &ExperimentConfig,
-    sched: AblationSchedule,
-) -> Result<(Prepared, AdaptRun), EdgeLlmError> {
-    let mut prepared = prepare(cfg)?;
-    let calib = prepared.train.batch_at(0, cfg.batch);
-    let mut oracle = ModelOracle::new(&prepared.model, &calib.tokens, &calib.targets, cfg.batch);
-    let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
-    let policy = search_policy(&prof, cfg.budget, SearchAlgorithm::DynamicProgramming)?.policy;
-    let schedule = match sched {
-        AblationSchedule::Full => WindowSchedule::FullDepth,
-        AblationSchedule::RoundRobin => WindowSchedule::RoundRobin {
-            depth: cfg.window_depth,
-        },
-        AblationSchedule::Sensitivity => {
-            crate::windows::sensitivity_window_schedule(&prof, cfg.window_depth)
-        }
-    };
-    let run = adapt_unguarded(&mut prepared, cfg, &policy, schedule)?;
-    Ok((prepared, run))
-}
-
 /// A3 — deployment ablations on an adapted Edge-LLM model: dynamic
 /// activation quantization (W8/W4) and conversion of the unstructured LUC
 /// masks to hardware-native 2:4 semi-structured sparsity.
@@ -567,14 +599,14 @@ fn adapt_luc(
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn a3_deployment(scale: Scale) -> Result<Table, EdgeLlmError> {
+pub fn a3_deployment(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
     use crate::compress::{apply_activation_quant, apply_nm_sparsity};
     use edge_llm_quant::{BitWidth, QuantScheme};
-    let base = scale.config();
-    let (adapted, _) = adapt_luc(&base, AblationSchedule::RoundRobin)?;
-    let Prepared {
-        model, eval_set, ..
-    } = adapted;
+    let base = store.scale.config();
+    let depth = base.window_depth;
+    let round_robin = Some(WindowSchedule::RoundRobin { depth });
+    let adapted = &store.run(true, false, |p| luc_ablation(p, &base, round_robin))?;
+    let (model, eval_set) = (&adapted.prepared.model, &adapted.prepared.eval_set);
     let voting = VotingPolicy::all_exits(
         model.n_layers(),
         VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
@@ -583,7 +615,7 @@ pub fn a3_deployment(scale: Scale) -> Result<Table, EdgeLlmError> {
         "A3: post-adaptation deployment transforms",
         &["deployment", "acc", "ppl"],
     );
-    let baseline = evaluate(&model, &voting, &eval_set, base.batch)?;
+    let baseline = evaluate(model, &voting, eval_set, base.batch)?;
     table.add_row(vec![
         "as adapted".into(),
         pct(baseline.accuracy as f64),
@@ -595,7 +627,7 @@ pub fn a3_deployment(scale: Scale) -> Result<Table, EdgeLlmError> {
     ] {
         let mut m = model.clone();
         apply_activation_quant(&mut m, Some(QuantScheme::asymmetric(bits)))?;
-        let r = evaluate(&m, &voting, &eval_set, base.batch)?;
+        let r = evaluate(&m, &voting, eval_set, base.batch)?;
         table.add_row(vec![
             name.into(),
             pct(r.accuracy as f64),
@@ -605,7 +637,7 @@ pub fn a3_deployment(scale: Scale) -> Result<Table, EdgeLlmError> {
     {
         let mut m = model.clone();
         apply_nm_sparsity(&mut m, 2, 4)?;
-        let r = evaluate(&m, &voting, &eval_set, base.batch)?;
+        let r = evaluate(&m, &voting, eval_set, base.batch)?;
         table.add_row(vec![
             "+ 2:4 re-mask".into(),
             pct(r.accuracy as f64),
@@ -709,23 +741,23 @@ pub fn s1_serving(scale: Scale) -> Result<Table, EdgeLlmError> {
 }
 
 /// Runs one table by id (`"t1"`, `"f3"`, ...) — what `edgellm report`
-/// calls per table.
+/// calls per table, with one store for the whole report.
 ///
 /// # Errors
 ///
 /// Returns [`EdgeLlmError::BadConfig`] for an unknown id.
-pub fn run_experiment(id: &str, scale: Scale) -> Result<Table, EdgeLlmError> {
+pub fn run_experiment(id: &str, store: &mut RunStore) -> Result<Table, EdgeLlmError> {
     match id {
-        "t1" => t1_main(scale),
-        "t2" => t2_luc(scale),
-        "t3" => t3_adaptive(scale),
-        "f1" => f1_speedup(scale),
-        "f3" => f3_schedule(scale),
-        "f5" => f5_sensitivity(scale),
-        "a1" => a1_ablations(scale),
-        "a2" => a2_devices(scale),
-        "a3" => a3_deployment(scale),
-        "s1" => s1_serving(scale),
+        "t1" => t1_main(store),
+        "t2" => t2_luc(store),
+        "t3" => t3_adaptive(store),
+        "f1" => f1_speedup(store),
+        "f3" => f3_schedule(store.scale),
+        "f5" => f5_sensitivity(store),
+        "a1" => a1_ablations(store),
+        "a2" => a2_devices(store.scale),
+        "a3" => a3_deployment(store),
+        "s1" => s1_serving(store.scale),
         other => Err(EdgeLlmError::BadConfig {
             reason: format!("unknown experiment id {other}"),
         }),
@@ -742,7 +774,7 @@ mod tests {
 
     #[test]
     fn quick_t1_has_all_rows() {
-        let t = t1_main(Scale::Quick).unwrap();
+        let t = t1_main(&mut RunStore::new(Scale::Quick)).unwrap();
         assert_eq!(t.n_rows(), 5);
     }
 
@@ -758,7 +790,7 @@ mod tests {
 
     #[test]
     fn unknown_experiment_rejected() {
-        assert!(run_experiment("t9", Scale::Quick).is_err());
+        assert!(run_experiment("t9", &mut RunStore::new(Scale::Quick)).is_err());
     }
 
     #[test]

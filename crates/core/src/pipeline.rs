@@ -6,9 +6,9 @@
 //! runtime). [`run_method`] picks the policy and schedule a [`Method`]
 //! names, runs both stages, evaluates the final exit and, for the LUC
 //! methods, the fitted exit vote, and reports task quality together with
-//! measured and modeled efficiency;
-//! the ablation tables in [`crate::experiments`] call the stages with
-//! their own policy and schedule.
+//! measured and modeled efficiency. The report's runner
+//! ([`crate::experiments::RunStore`]) calls the stages itself: one
+//! [`prepare`] per model, one [`adapt`] of a clone of it per run.
 
 use crate::baselines::uniform_policy_for_budget;
 use crate::compress::apply_policy;
@@ -27,6 +27,7 @@ use edge_llm_model::{
     WindowSchedule,
 };
 use edge_llm_quant::BitWidth;
+use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
 
 /// Which synthetic adaptation task to run.
@@ -300,8 +301,9 @@ pub fn run_method(
 }
 
 /// What [`prepare`] hands to [`adapt`]: the model as it arrives on the
-/// device plus the target-task data and the run's RNG stream.
-#[derive(Debug)]
+/// device plus the target-task data and the run's RNG stream. A clone
+/// adapts exactly as a fresh [`prepare`] of the same configuration does.
+#[derive(Debug, Clone)]
 pub struct Prepared {
     /// Source-task-pretrained (or freshly initialized), uncompressed.
     pub model: EdgeModel,
@@ -323,6 +325,7 @@ pub struct Prepared {
 ///
 /// Propagates configuration and training errors.
 pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
+    let _span = telemetry::span("pipeline.prepare");
     config.validate()?;
     let task = config.task.build();
     let mut rng = TensorRng::seed_from(config.seed);
@@ -373,6 +376,7 @@ pub fn adapt(
     schedule: WindowSchedule,
     resilience: &ResilienceConfig,
 ) -> Result<AdaptRun, EdgeLlmError> {
+    let _span = telemetry::span("pipeline.adapt");
     apply_policy(&mut prepared.model, policy)?;
     let meta = RunMeta {
         policy: policy.clone(),
@@ -409,73 +413,76 @@ pub fn run_method_with(
     resilience: &ResilienceConfig,
 ) -> Result<AdaptationOutcome, EdgeLlmError> {
     let mut prepared = prepare(config)?;
-    let model_cfg = prepared.model.config().clone();
+    let (policy, schedule) = plan(method, config, &mut prepared)?;
+    let run = adapt(&mut prepared, config, &policy, schedule.clone(), resilience)?;
+    outcome(method, config, &prepared, &policy, &schedule, &run)
+}
 
-    // 1. compression policy. Sensitivity is profiled on data the model is
-    // already competent on (the source task when pretrained), because the
-    // pre-adaptation loss on unlearned target data is mostly noise.
+/// The compression policy and window schedule `method` adapts under.
+/// The LUC methods profile sensitivity on data the model is already
+/// competent on: 2×batch source-task rows drawn from `prepared`'s stream
+/// when it is pretrained (the pre-adaptation loss on unlearned target
+/// data is mostly noise), else the first 2×batch target rows.
+pub(crate) fn plan(
+    method: Method,
+    config: &ExperimentConfig,
+    prepared: &mut Prepared,
+) -> Result<(CompressionPolicy, WindowSchedule), EdgeLlmError> {
+    let n = prepared.model.n_layers();
+    let identity = CompressionPolicy::identity(n);
+    let search = match method {
+        Method::Vanilla => return Ok((identity, WindowSchedule::FullDepth)),
+        Method::LastLayerOnly => {
+            let last = LayerWindow {
+                start: n - 1,
+                end: n,
+            };
+            return Ok((identity, WindowSchedule::Ordered(vec![last])));
+        }
+        Method::UniformCompressed => {
+            let uniform = uniform_policy_for_budget(n, config.budget);
+            return Ok((uniform, WindowSchedule::FullDepth));
+        }
+        Method::EdgeLlm => SearchAlgorithm::DynamicProgramming,
+        Method::EdgeLlmGreedyLuc => SearchAlgorithm::Greedy,
+    };
+    let rows = config.batch * 2;
     let calib = if config.pretrain_iterations > 0 {
         let source = config.task.build_with_salt(1);
-        sample_dataset(
-            source.as_ref(),
-            config.batch * 2,
-            model_cfg.seq_len,
-            &mut prepared.rng,
-        )
-        .batch_at(0, config.batch * 2)
+        let seq_len = prepared.model.config().seq_len;
+        sample_dataset(source.as_ref(), rows, seq_len, &mut prepared.rng).batch_at(0, rows)
     } else {
-        prepared.train.batch_at(0, config.batch * 2)
+        prepared.train.batch_at(0, rows)
     };
-    let luc = |algorithm| {
-        luc_policy(
-            &prepared.model,
-            &calib.tokens,
-            &calib.targets,
-            calib.batch,
-            config.budget,
-            algorithm,
-        )
-    };
-    let policy = match method {
-        Method::Vanilla | Method::LastLayerOnly => CompressionPolicy::identity(model_cfg.n_layers),
-        Method::UniformCompressed => uniform_policy_for_budget(model_cfg.n_layers, config.budget),
-        Method::EdgeLlm => luc(SearchAlgorithm::DynamicProgramming)?,
-        Method::EdgeLlmGreedyLuc => luc(SearchAlgorithm::Greedy)?,
-    };
-
-    // 2. tuning schedule
-    let window_depth = match method {
-        Method::Vanilla | Method::UniformCompressed => model_cfg.n_layers,
-        Method::LastLayerOnly => 1,
-        _ => config.window_depth.min(model_cfg.n_layers),
-    };
-    let schedule = match method {
-        Method::LastLayerOnly => WindowSchedule::Ordered(vec![LayerWindow {
-            start: model_cfg.n_layers - 1,
-            end: model_cfg.n_layers,
-        }]),
-        _ => WindowSchedule::for_depth(window_depth, model_cfg.n_layers),
-    };
-
-    // 3. compressed adaptation
-    let run = adapt(&mut prepared, config, &policy, schedule, resilience)?;
-    let Prepared {
-        model,
-        train,
-        eval_set,
-        ..
-    } = &prepared;
-
-    // 4. evaluation: the final exit for every method. Edge-LLM's voting
-    // is *adaptive*: per-exit reliability weights are fitted on (held-in)
-    // training data, then blended with the per-token confidence weighting
-    // at prediction time.
-    let final_exit = evaluate(
-        model,
-        &VotingPolicy::final_only(model.n_layers()),
-        eval_set,
-        config.batch,
+    let (tokens, targets) = (&calib.tokens, &calib.targets);
+    let policy = luc_policy(
+        &prepared.model,
+        tokens,
+        targets,
+        rows,
+        config.budget,
+        search,
     )?;
+    Ok((policy, WindowSchedule::for_depth(config.window_depth, n)))
+}
+
+/// A row of `method` from its adapted run: the final exit for every
+/// method and, for the LUC methods, the fitted vote, beside the run's
+/// measured and modeled efficiency.
+pub(crate) fn outcome(
+    method: Method,
+    config: &ExperimentConfig,
+    prepared: &Prepared,
+    policy: &CompressionPolicy,
+    schedule: &WindowSchedule,
+    run: &AdaptRun,
+) -> Result<AdaptationOutcome, EdgeLlmError> {
+    let (model, train, eval_set) = (&prepared.model, &prepared.train, &prepared.eval_set);
+    let final_only = VotingPolicy::final_only(model.n_layers());
+    let final_exit = evaluate(model, &final_only, eval_set, config.batch)?;
+    // Edge-LLM's voting is *adaptive*: per-exit reliability weights are
+    // fitted on (held-in) training data, then blended with the per-token
+    // confidence weighting at prediction time.
     let voted = match method {
         Method::EdgeLlm | Method::EdgeLlmGreedyLuc => {
             let calib = train.batch_at(0, config.batch.min(train.len()));
@@ -500,15 +507,12 @@ pub fn run_method_with(
         _ => final_exit,
     };
 
-    // 5. modeled latency and energy on the Jetson-class device (A2 sweeps
+    // modeled latency and energy on the Jetson-class device (A2 sweeps
     // the others)
-    let (modeled_iter_us, modeled_iter_uj) = modeled_training_iteration(
-        &model_cfg,
-        &policy,
-        window_depth,
-        config.batch,
-        &DeviceModel::jetson_class(),
-    )?;
+    let depth = schedule_depth(schedule, model.n_layers());
+    let device = DeviceModel::jetson_class();
+    let (modeled_iter_us, modeled_iter_uj) =
+        modeled_training_iteration(model.config(), policy, depth, config.batch, &device)?;
 
     Ok(AdaptationOutcome {
         method: method.label().to_string(),
@@ -525,7 +529,7 @@ pub fn run_method_with(
         threads: edge_llm_tensor::configured_threads(),
         final_exit,
         phases: run.phases,
-        journal: run.journal,
+        journal: run.journal.clone(),
     })
 }
 
@@ -581,25 +585,35 @@ mod tests {
 
     #[test]
     fn prepare_then_adapt_is_the_vanilla_row_bit_for_bit() {
-        let cfg = ExperimentConfig::smoke_test();
-        let row = run_method(Method::Vanilla, &cfg).unwrap();
-        let mut prepared = prepare(&cfg).unwrap();
+        // Pretrained, so EdgeLlm's calibration rows come from the stream
+        // of the clone it adapts. Each method adapts its own clone of one
+        // prepared model, Vanilla's first, and must be its fresh row.
+        let cfg = ExperimentConfig {
+            pretrain_iterations: 4,
+            ..ExperimentConfig::smoke_test()
+        };
+        let prepared = prepare(&cfg).unwrap();
         let n = prepared.model.n_layers();
-        let run = adapt(
-            &mut prepared,
-            &cfg,
-            &CompressionPolicy::identity(n),
-            WindowSchedule::FullDepth,
-            &ResilienceConfig::default(),
-        )
-        .unwrap();
-        assert!(run.journal.is_empty());
-        assert_eq!(run.final_loss.to_bits(), row.final_loss.to_bits());
-        assert_eq!(run.peak_activation_bytes, row.peak_activation_bytes);
-        let voting = VotingPolicy::final_only(n);
-        let eval = evaluate(&prepared.model, &voting, &prepared.eval_set, cfg.batch).unwrap();
-        assert_eq!(eval, row.final_exit);
-        assert_eq!(eval.accuracy.to_bits(), row.accuracy.to_bits());
+        for method in [Method::Vanilla, Method::EdgeLlm] {
+            let row = run_method(method, &cfg).unwrap();
+            let mut clone = prepared.clone();
+            let (policy, schedule) = plan(method, &cfg, &mut clone).unwrap();
+            let res = ResilienceConfig::default();
+            let run = adapt(&mut clone, &cfg, &policy, schedule.clone(), &res).unwrap();
+            assert!(run.journal.is_empty());
+            assert_eq!(
+                run.final_loss.to_bits(),
+                row.final_loss.to_bits(),
+                "{method:?}"
+            );
+            assert_eq!(run.peak_activation_bytes, row.peak_activation_bytes);
+            let voting = VotingPolicy::final_only(n);
+            let eval = evaluate(&clone.model, &voting, &clone.eval_set, cfg.batch).unwrap();
+            assert_eq!(eval, row.final_exit, "{method:?}");
+            let out = outcome(method, &cfg, &clone, &policy, &schedule, &run).unwrap();
+            assert_eq!(out.accuracy.to_bits(), row.accuracy.to_bits(), "{method:?}");
+            assert_eq!(out.perplexity.to_bits(), row.perplexity.to_bits());
+        }
     }
 
     #[test]

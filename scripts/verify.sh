@@ -71,10 +71,11 @@ for spec in experiments/*.jsonl; do
 done
 
 # Budget check: the quick report tier exists so a laptop can regenerate
-# the headline tables in well under a coffee break. Hold it to a
-# generous multiple of its measured runtime so a quadratic regression
-# in the pipeline or serving engine fails loudly here.
-QUICK_BUDGET_S=600
+# the headline tables in well under a coffee break. It runs in about
+# 3-4 s on a 2-core box; the budget is about 15x that, room for a slow
+# or busy box, but a quadratic regression in the pipeline or serving
+# engine fails loudly here.
+QUICK_BUDGET_S=60
 start=$(date +%s)
 cargo run --release -q --bin edgellm -- report --quick >/dev/null
 elapsed=$(( $(date +%s) - start ))

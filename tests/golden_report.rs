@@ -4,8 +4,10 @@
 //! compares the remaining cells against checked-in snapshots. T3 holds the
 //! analytic memory model beside its measured activations, and F1 the
 //! accuracy and Pareto frontier of its budget sweep. The F2 snapshot is
-//! T3's memory columns, one row per depth, so the quick T3 table is built
-//! once and shared by both checks.
+//! T3's memory columns, one row per depth. Every test reads one shared
+//! run store, as one report does, so a table whose runs another test
+//! already adapted reads them: the snapshots, recorded one table per
+//! store, hold reused runs to the bits of fresh ones.
 //!
 //! Every number in the snapshot is produced by seeded, fixed-order
 //! arithmetic, so any drift means an algorithmic change — a kernel
@@ -16,11 +18,11 @@
 //! EDGELLM_UPDATE_GOLDEN=1 cargo test -q --test golden_report
 //! ```
 
-use edge_llm::experiments::{run_experiment, Scale};
+use edge_llm::experiments::{run_experiment, RunStore, Scale};
 use edge_llm::report::Table;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::Mutex;
 
 /// Columns that measure host wall-clock time and therefore vary run to
 /// run; everything else in the report is deterministic.
@@ -68,14 +70,10 @@ fn deterministic_projection(table: &Table, timed: bool) -> String {
 }
 
 fn quick_table(id: &str) -> Table {
-    run_experiment(id, Scale::Quick).unwrap_or_else(|e| panic!("{id} quick: {e}"))
-}
-
-/// The quick T3 table, built on first use and shared by the T3 and F2
-/// checks.
-fn t3_quick() -> &'static Table {
-    static T3: OnceLock<Table> = OnceLock::new();
-    T3.get_or_init(|| quick_table("t3"))
+    static STORE: Mutex<Option<RunStore>> = Mutex::new(None);
+    let mut store = STORE.lock().unwrap_or_else(|e| e.into_inner());
+    let store = store.get_or_insert_with(|| RunStore::new(Scale::Quick));
+    run_experiment(id, store).unwrap_or_else(|e| panic!("{id} quick: {e}"))
 }
 
 /// F2's view of T3: depth, measured (peak) activations and the analytic
@@ -153,12 +151,12 @@ fn t2_quick_matches_snapshot() {
 
 #[test]
 fn t3_quick_matches_snapshot() {
-    assert_projection_matches("t3", &deterministic_projection(t3_quick(), true));
+    assert_matches_golden("t3", true);
 }
 
 #[test]
 fn f2_quick_matches_snapshot() {
-    assert_projection_matches("f2", &f2_projection(t3_quick()));
+    assert_projection_matches("f2", &f2_projection(&quick_table("t3")));
 }
 
 #[test]
