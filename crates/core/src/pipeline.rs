@@ -454,11 +454,10 @@ pub(crate) fn plan(
     } else {
         prepared.train.batch_at(0, rows)
     };
-    let (tokens, targets) = (&calib.tokens, &calib.targets);
     let policy = luc_policy(
         &prepared.model,
-        tokens,
-        targets,
+        &calib.tokens,
+        &calib.targets,
         rows,
         config.budget,
         search,
@@ -585,9 +584,9 @@ mod tests {
 
     #[test]
     fn prepare_then_adapt_is_the_vanilla_row_bit_for_bit() {
-        // Pretrained, so EdgeLlm's calibration rows come from the stream
-        // of the clone it adapts. Each method adapts its own clone of one
-        // prepared model, Vanilla's first, and must be its fresh row.
+        // Each method adapts its own clone of one prepared model, Vanilla's
+        // first, and must be its fresh row. Pretrained, so EdgeLlm's plan
+        // draws its calibration rows from the stream of the clone.
         let cfg = ExperimentConfig {
             pretrain_iterations: 4,
             ..ExperimentConfig::smoke_test()
@@ -597,7 +596,10 @@ mod tests {
         for method in [Method::Vanilla, Method::EdgeLlm] {
             let row = run_method(method, &cfg).unwrap();
             let mut clone = prepared.clone();
-            let (policy, schedule) = plan(method, &cfg, &mut clone).unwrap();
+            let (policy, schedule) = match method {
+                Method::Vanilla => (CompressionPolicy::identity(n), WindowSchedule::FullDepth),
+                _ => plan(method, &cfg, &mut clone).unwrap(),
+            };
             let res = ResilienceConfig::default();
             let run = adapt(&mut clone, &cfg, &policy, schedule.clone(), &res).unwrap();
             assert!(run.journal.is_empty());

@@ -22,7 +22,7 @@ use edge_llm::experiments::{run_experiment, RunStore, Scale};
 use edge_llm::report::Table;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex};
 
 /// Columns that measure host wall-clock time and therefore vary run to
 /// run; everything else in the report is deterministic.
@@ -70,10 +70,12 @@ fn deterministic_projection(table: &Table, timed: bool) -> String {
 }
 
 fn quick_table(id: &str) -> Table {
-    static STORE: Mutex<Option<RunStore>> = Mutex::new(None);
+    static STORE: LazyLock<Mutex<RunStore>> =
+        LazyLock::new(|| Mutex::new(RunStore::new(Scale::Quick)));
+    // A store keeps only finished runs, so one a failed test left behind
+    // is still whole.
     let mut store = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    let store = store.get_or_insert_with(|| RunStore::new(Scale::Quick));
-    run_experiment(id, store).unwrap_or_else(|e| panic!("{id} quick: {e}"))
+    run_experiment(id, &mut store).unwrap_or_else(|e| panic!("{id} quick: {e}"))
 }
 
 /// F2's view of T3: depth, measured (peak) activations and the analytic
