@@ -135,7 +135,7 @@ pub(crate) fn report<W: Write>(c: &Report, out: &mut W) -> Result<(), CliError> 
         false => (Scale::Full, "full"),
     };
     writeln!(out, "edge-llm report ({name} scale)\n")?;
-    let mut store = RunStore::new(scale);
+    let mut store = RunStore::new(scale, &c.experiments);
     for id in &c.experiments {
         let regen = telemetry::timed("report.table");
         let table = edge_llm::experiments::run_experiment(id, &mut store)

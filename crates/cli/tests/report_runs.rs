@@ -26,10 +26,10 @@ fn a_quick_report_pretrains_each_model_once_and_adapts_each_run_once() {
     // The tied model and A1's untied one. Each table walked on its own
     // pretrains 22 times.
     assert_eq!(count("pipeline.prepare"), 2);
-    // T1 4, T2 6, T3 3 (its full depth is T1's vanilla configuration
-    // under the other loss-spike guard), F1 2 (budget 1.0 is T1's
-    // vanilla run), A1 4; F5 and A3 read T3's and A1's runs.
-    assert_eq!(count("pipeline.adapt"), 19);
+    // T1 4, T2 6, T3 2 (its full depth is T1's vanilla run), F1 2
+    // (budget 1.0 is T1's vanilla run), A1 4; F5 and A3 read T1's and
+    // A1's runs.
+    assert_eq!(count("pipeline.adapt"), 18);
     // Nothing else trains: 40 pretraining and 60 adaptation steps each.
-    assert_eq!(count("tune.step"), 2 * 40 + 19 * 60);
+    assert_eq!(count("tune.step"), 2 * 40 + 18 * 60);
 }

@@ -3,35 +3,39 @@
 //! Every table (T1–T3), figure (F1, F3, F5), ablation (A1–A3), and the
 //! serving study (S1) is regenerated by a function in this module;
 //! `edgellm report` prints them, and `benchmark/src/kernels.rs` times the
-//! underlying kernels. Every adaptation goes through one [`RunStore`] per
-//! report, which pretrains each model once and adapts each configuration
-//! (model, installed policy, schedule, loss-spike guard) once, so a table
-//! reads the runs an earlier one made (F5 reads T3's, A3 A1's). T3 carries the analytic memory model beside its measured
-//! activations, F1 the accuracy frontier beside its latencies, and T1's
-//! no-vote row is its Edge-LLM run's final-exit evaluation. See
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! results.
+//! underlying kernels. Each table declares the runs it reads, each keyed
+//! by its model and its policy-and-schedule recipe, and one [`RunStore`]
+//! per report plans their union before adapting anything: it pretrains
+//! each model once, adapts each key once, on its first read, and lets a
+//! run go after its last planned read, so a table reads the runs an
+//! earlier one made (T3, F1 and F5 read T1's vanilla run, A3 A1's). T3
+//! carries the analytic memory model beside its measured activations, F1
+//! the accuracy frontier beside its latencies, and T1's no-vote row is its
+//! Edge-LLM run's final-exit evaluation. See `DESIGN.md` for the
+//! experiment index and `EXPERIMENTS.md` for recorded results.
 
 use crate::baselines::uniform_policy_for_budget;
 use crate::eval::evaluate;
 use crate::oracle::ModelOracle;
 use crate::pipeline::{
-    adapt, outcome, plan, prepare, AdaptationOutcome, ExperimentConfig, Method, Prepared, TaskKind,
-    LUC_BIT_CHOICES, LUC_RATIO_CHOICES,
+    adapt, outcome, plan, prepare, sample_dataset, ExperimentConfig, Method, Prepared, Recipe,
+    TaskKind, LUC_BIT_CHOICES, LUC_RATIO_CHOICES,
 };
 use crate::report::{bytes, f3, pct, speedup, Table};
-use crate::resilience::{AdaptRun, ResilienceConfig};
-use crate::schedule::{model_workloads, naive_latency_us, schedule_workloads, total_latency_us};
+use crate::resilience::{schedule_depth, AdaptRun, ResilienceConfig};
+use crate::schedule::{
+    model_workloads, modeled_training_iteration, naive_latency_us, schedule_workloads,
+    total_latency_us,
+};
 use crate::EdgeLlmError;
 use edge_llm_hw::{DeviceModel, ScheduleSpace};
-use edge_llm_luc::{
-    pareto_frontier, profile, search_policy, CompressionPolicy, PolicyPoint, SearchAlgorithm,
-};
+use edge_llm_luc::{pareto_frontier, profile, CompressionPolicy, PolicyPoint};
 use edge_llm_model::{
     EdgeModel, MemoryModel, ModelConfig, VotingCombiner, VotingPolicy, WindowSchedule,
 };
 use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
+use std::rc::Rc;
 
 /// Experiment scale: `Quick` for CI, `Full` for the recorded tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,126 +74,208 @@ impl Scale {
     }
 }
 
-/// What one report run adapts; the rest is [`Scale::config`]. An input
-/// the policy or schedule ignores (vanilla's budget, uniform tuning's
-/// window depth) is not part of it, so such rows share one run.
+/// What one report run adapts; the rest is [`Scale::config`].
 #[derive(Debug, Clone, PartialEq)]
 struct RunKey {
     /// Which pretrained model: whether its exit heads are tied.
     tied: bool,
-    policy: CompressionPolicy,
-    schedule: WindowSchedule,
-    /// On for the [`Method`] rows (T1, T2, F1), as in `run_method`.
-    spike_guard: bool,
+    recipe: Recipe,
 }
 
-/// One adapted run: its key, the adapted model and data, the runtime's account.
+impl RunKey {
+    /// The run of a [`Method`] row at `cfg`.
+    fn method(method: Method, cfg: &ExperimentConfig) -> Self {
+        let (tied, recipe) = (cfg.model.tie_exit_heads, method.recipe(cfg));
+        RunKey { tied, recipe }
+    }
+}
+
+/// The [`Method`] rows of T1, T2 and F1 at `scale`, in order: each
+/// method with the configuration it runs at.
+fn method_rows(id: &str, scale: Scale) -> Vec<(Method, ExperimentConfig)> {
+    let base = scale.config();
+    let at = |budget, window_depth| ExperimentConfig {
+        budget,
+        window_depth,
+        ..base.clone()
+    };
+    let (n, depth) = (base.model.n_layers, base.window_depth);
+    let (t2, f1): (&[f32], &[f32]) = match scale {
+        Scale::Quick => (&[0.2, 0.4], &[1.0, 0.4, 0.2]),
+        Scale::Full => (&[0.15, 0.25, 0.4], &[1.0, 0.5, 0.3, 0.2, 0.125, 0.0625]),
+    };
+    use Method::*;
+    match id {
+        "t1" => [Vanilla, LastLayerOnly, UniformCompressed, EdgeLlm]
+            .map(|m| (m, base.clone()))
+            .to_vec(),
+        // full-depth tuning for all, to isolate the compression axis
+        "t2" => (t2.iter())
+            .flat_map(|&b| [UniformCompressed, EdgeLlmGreedyLuc, EdgeLlm].map(|m| (m, at(b, n))))
+            .collect(),
+        "f1" => (f1.iter())
+            .map(|&b| (if b >= 1.0 { Vanilla } else { EdgeLlm }, at(b, depth)))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// A1's variants: each row's name and run, under the DP policy at the
+/// base budget (A3 reads the first).
+fn a1_variants(base: &ExperimentConfig) -> [(&'static str, RunKey); 4] {
+    let depth = base.window_depth;
+    let round_robin = Some(WindowSchedule::RoundRobin { depth });
+    let full = Some(WindowSchedule::FullDepth);
+    [
+        ("round-robin, tied", true, round_robin.clone()),
+        ("sensitivity-ordered, tied", true, None),
+        ("full depth, tied", true, full),
+        ("round-robin, untied", false, round_robin),
+    ]
+    .map(|(name, tied, schedule)| {
+        let recipe = Recipe::Ablation(schedule);
+        (name, RunKey { tied, recipe })
+    })
+}
+
+/// The runs table `id` reads at `scale`, one entry per read, in its
+/// order: the plan [`RunStore::new`] takes the union of.
+fn reads(id: &str, scale: Scale) -> Vec<RunKey> {
+    let base = scale.config();
+    let n = base.model.n_layers;
+    let tied = base.model.tie_exit_heads;
+    let dense = |depth| {
+        let recipe = Recipe::Dense(WindowSchedule::for_depth(depth, n));
+        RunKey { tied, recipe }
+    };
+    let t3_depths = [1, 2, 4].into_iter().filter(|&d| d < n).chain([n]);
+    match id {
+        "t3" => t3_depths.map(dense).collect(),
+        "f5" => vec![dense(n)],
+        "a1" => a1_variants(&base).map(|(_, key)| key).to_vec(),
+        "a3" => vec![a1_variants(&base)[0].1.clone()],
+        _ => (method_rows(id, scale).iter())
+            .map(|(m, cfg)| RunKey::method(*m, cfg))
+            .collect(),
+    }
+}
+
+/// Every exit, confidence-weighted: the vote A1 and A3 evaluate, T3's
+/// `conf vote` rows and half of S1's requests.
+fn conf_vote(n_layers: usize) -> VotingPolicy {
+    let combiner = VotingCombiner::ConfidenceWeighted { temperature: 1.0 };
+    VotingPolicy::all_exits(n_layers, combiner)
+}
+
+/// One adapted run: its policy and schedule, the adapted model and data,
+/// and the runtime's account.
 struct Adapted {
-    key: RunKey,
+    policy: CompressionPolicy,
+    schedule: WindowSchedule,
     prepared: Prepared,
     run: AdaptRun,
 }
 
-/// The runs one report makes, each on first request: [`prepare`] once per
-/// model, [`adapt`] once per configuration on a clone of it. A table's
-/// `regenerated in` time leaves out the runs an earlier table made.
+/// A planned run: the reads left to it, and the run once adapted.
+struct Planned {
+    key: RunKey,
+    reads: usize,
+    run: Option<Rc<Adapted>>,
+}
+
+/// The runs one report makes, planned by [`RunStore::new`] before any is
+/// made: [`prepare`] once per model, [`adapt`] once per run on its first
+/// read, on a clone of the model unless it is the model's last run. The
+/// store lets a run go after its last planned read, and a model after its
+/// last run. A table's `regenerated in` time leaves out the runs an
+/// earlier table made.
 pub struct RunStore {
     scale: Scale,
-    /// The untied and the tied pretrained model.
-    models: [Option<Prepared>; 2],
-    runs: Vec<Adapted>,
+    runs: Vec<Planned>,
+    /// The untied and the tied pretrained model, each with the runs left
+    /// to adapt from it.
+    models: [(usize, Option<Prepared>); 2],
 }
 
 impl RunStore {
-    /// An empty store for the report at `scale`.
-    pub fn new(scale: Scale) -> Self {
+    /// The store for the tables `ids` at `scale`: every run they read,
+    /// each once, with its count of reads. Nothing is adapted yet.
+    pub fn new(scale: Scale, ids: &[&str]) -> Self {
+        let mut runs: Vec<Planned> = Vec::new();
+        let mut models = [(0, None), (0, None)];
+        for key in ids.iter().flat_map(|id| reads(id, scale)) {
+            match runs.iter_mut().find(|p| p.key == key) {
+                Some(planned) => planned.reads += 1,
+                None => {
+                    models[usize::from(key.tied)].0 += 1;
+                    runs.push(Planned {
+                        key,
+                        reads: 1,
+                        run: None,
+                    });
+                }
+            }
+        }
         RunStore {
             scale,
-            models: [None, None],
-            runs: Vec::new(),
+            runs,
+            models,
         }
     }
 
-    /// The run under the policy and schedule `plan` picks on a clone of
-    /// the `tied` model, adapted unless a table asked for it before. An
-    /// ablation records its own trajectory: with the spike guard on,
-    /// full-scale A1's sensitivity-ordered run rolls back at iteration 274
-    /// (loss 2.17 against an EWMA of 0.446). Non-finite detection stays
-    /// on, and an ablation that needed recovery is not the run it names.
-    fn run(
-        &mut self,
-        tied: bool,
-        spike_guard: bool,
-        plan: impl FnOnce(&mut Prepared) -> Result<(CompressionPolicy, WindowSchedule), EdgeLlmError>,
-    ) -> Result<&Adapted, EdgeLlmError> {
-        let mut cfg = self.scale.config();
-        cfg.model = cfg.model.with_tied_exits(tied);
-        let slot = &mut self.models[usize::from(tied)];
-        let model = match slot.take() {
-            Some(model) => model,
-            None => prepare(&cfg)?,
+    /// The run `key` names, adapted on its first read. Each run follows
+    /// its configuration's own trajectory: the loss-spike guard is off,
+    /// non-finite detection on, and a run that needed recovery is refused
+    /// (the default 4x guard rolls full-scale F1's budget-0.125 run back
+    /// to iteration 0 at iteration 380, and A1's sensitivity-ordered one
+    /// at 274).
+    ///
+    /// # Errors
+    ///
+    /// [`EdgeLlmError::BadConfig`] for a key the plan lacks (or whose
+    /// planned reads are spent) and for a run that needed recovery.
+    fn get(&mut self, key: &RunKey) -> Result<Rc<Adapted>, EdgeLlmError> {
+        let Some(i) = self.runs.iter().position(|p| p.key == *key) else {
+            let reason = format!("{key:?} is not in the report's plan");
+            return Err(EdgeLlmError::BadConfig { reason });
         };
-        let mut prepared = slot.insert(model).clone();
-        let (policy, schedule) = plan(&mut prepared)?;
-        let key = RunKey {
-            tied,
-            policy,
-            schedule,
-            spike_guard,
+        let run = match self.runs[i].run.take() {
+            Some(run) => run,
+            None => {
+                let mut cfg = self.scale.config();
+                cfg.model = cfg.model.with_tied_exits(key.tied);
+                let (left, slot) = &mut self.models[usize::from(key.tied)];
+                let model = slot.take().map_or_else(|| prepare(&cfg), Ok)?;
+                *left -= 1;
+                let mut prepared = match *left {
+                    0 => model,
+                    _ => slot.insert(model).clone(),
+                };
+                let (policy, schedule) = plan(&key.recipe, &cfg, &mut prepared)?;
+                let res = ResilienceConfig {
+                    spike_factor: f32::INFINITY,
+                    ..ResilienceConfig::default()
+                };
+                let run = adapt(&mut prepared, &cfg, &policy, schedule.clone(), &res)?;
+                if !run.journal.is_empty() {
+                    let reason = format!("{key:?} needed recovery:\n{}", run.journal);
+                    return Err(EdgeLlmError::BadConfig { reason });
+                }
+                Rc::new(Adapted {
+                    policy,
+                    schedule,
+                    prepared,
+                    run,
+                })
+            }
         };
-        if let Some(i) = self.runs.iter().position(|a| a.key == key) {
-            return Ok(&self.runs[i]);
+        self.runs[i].reads -= 1;
+        match self.runs[i].reads {
+            0 => drop(self.runs.swap_remove(i)),
+            _ => self.runs[i].run = Some(Rc::clone(&run)),
         }
-        let mut res = ResilienceConfig::default();
-        if !spike_guard {
-            res.spike_factor = f32::INFINITY;
-        }
-        let run = adapt(&mut prepared, &cfg, &key.policy, key.schedule.clone(), &res)?;
-        assert!(
-            spike_guard || run.journal.is_empty(),
-            "ablation run needed recovery:\n{}",
-            run.journal
-        );
-        self.runs.push(Adapted { key, prepared, run });
-        Ok(&self.runs[self.runs.len() - 1])
+        Ok(run)
     }
-
-    /// A [`Method`] row at `cfg`'s budget and window depth.
-    fn outcome(
-        &mut self,
-        method: Method,
-        cfg: &ExperimentConfig,
-    ) -> Result<AdaptationOutcome, EdgeLlmError> {
-        let a = self.run(cfg.model.tie_exit_heads, true, |p| plan(method, cfg, p))?;
-        let (policy, schedule) = (&a.key.policy, &a.key.schedule);
-        outcome(method, cfg, &a.prepared, policy, schedule, &a.run)
-    }
-
-    /// Uncompressed adaptation at a window depth (T3, F5).
-    fn dense(&mut self, depth: usize) -> Result<&Adapted, EdgeLlmError> {
-        self.run(self.scale.config().model.tie_exit_heads, false, |p| {
-            let n = p.model.n_layers();
-            let identity = CompressionPolicy::identity(n);
-            Ok((identity, WindowSchedule::for_depth(depth, n)))
-        })
-    }
-}
-
-/// A1's and A3's plan: the DP policy from a profile of the pretrained model
-/// on its first target batch, and `schedule`, or windows in that profile's
-/// sensitivity order when it is `None`.
-fn luc_ablation(
-    prepared: &Prepared,
-    cfg: &ExperimentConfig,
-    schedule: Option<WindowSchedule>,
-) -> Result<(CompressionPolicy, WindowSchedule), EdgeLlmError> {
-    let calib = prepared.train.batch_at(0, cfg.batch);
-    let mut oracle = ModelOracle::new(&prepared.model, &calib.tokens, &calib.targets, cfg.batch);
-    let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
-    let policy = search_policy(&prof, cfg.budget, SearchAlgorithm::DynamicProgramming)?.policy;
-    let schedule = schedule
-        .unwrap_or_else(|| crate::windows::sensitivity_window_schedule(&prof, cfg.window_depth));
-    Ok((policy, schedule))
 }
 
 /// T1 — the main comparison table: task quality and per-iteration cost of
@@ -201,7 +287,6 @@ fn luc_ablation(
 ///
 /// Propagates pipeline errors.
 pub fn t1_main(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
-    let cfg = store.scale.config();
     let mut table = Table::new(
         "T1: adaptation quality and per-iteration cost",
         &[
@@ -217,13 +302,9 @@ pub fn t1_main(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
         ],
     );
     let mut vanilla_us = None;
-    for m in [
-        Method::Vanilla,
-        Method::LastLayerOnly,
-        Method::UniformCompressed,
-        Method::EdgeLlm,
-    ] {
-        let out = store.outcome(m, &cfg)?;
+    for (m, cfg) in method_rows("t1", store.scale) {
+        let a = store.get(&RunKey::method(m, &cfg))?;
+        let out = outcome(m, &cfg, &a.prepared, &a.policy, &a.schedule, &a.run)?;
         let base = *vanilla_us.get_or_insert(out.modeled_iter_us);
         let mut row = |label: &str, accuracy: f32, perplexity: f32| {
             table.add_row(vec![
@@ -254,35 +335,21 @@ pub fn t1_main(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
 ///
 /// Propagates pipeline errors.
 pub fn t2_luc(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
-    let base = store.scale.config();
-    let budgets: &[f32] = match store.scale {
-        Scale::Quick => &[0.2, 0.4],
-        Scale::Full => &[0.15, 0.25, 0.4],
-    };
     let mut table = Table::new(
         "T2: layer-wise unified compression vs uniform at matched budgets",
         &["budget", "policy", "acc", "ppl", "mean bits", "mean prune"],
     );
-    for &budget in budgets {
-        for method in [
-            Method::UniformCompressed,
-            Method::EdgeLlmGreedyLuc,
-            Method::EdgeLlm,
-        ] {
-            let mut cfg = base.clone();
-            cfg.budget = budget;
-            // isolate the compression axis: same full-depth tuning for all
-            cfg.window_depth = cfg.model.n_layers;
-            let out = store.outcome(method, &cfg)?;
-            table.add_row(vec![
-                f3(budget as f64),
-                out.method.clone(),
-                pct(out.accuracy as f64),
-                f3(out.perplexity as f64),
-                format!("{:.1}", out.policy_bits),
-                pct(out.policy_ratio as f64),
-            ]);
-        }
+    for (m, cfg) in method_rows("t2", store.scale) {
+        let a = store.get(&RunKey::method(m, &cfg))?;
+        let out = outcome(m, &cfg, &a.prepared, &a.policy, &a.schedule, &a.run)?;
+        table.add_row(vec![
+            f3(cfg.budget as f64),
+            out.method,
+            pct(out.accuracy as f64),
+            f3(out.perplexity as f64),
+            format!("{:.1}", out.policy_bits),
+            pct(out.policy_ratio as f64),
+        ]);
     }
     Ok(table)
 }
@@ -316,23 +383,16 @@ pub fn t3_adaptive(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
             "analytic total",
         ],
     );
-    let below_full = [1, 2, 4].into_iter().filter(|&d| d < n_layers);
-    for depth in below_full.chain([n_layers]) {
-        let Adapted { prepared, run, .. } = store.dense(depth)?;
+    for key in reads("t3", store.scale) {
+        let a = store.get(&key)?;
+        let (prepared, run) = (&a.prepared, &a.run);
+        let depth = schedule_depth(&a.schedule, n_layers);
         let est = analytic.estimate(prepared.model.config(), depth);
+        let average = VotingPolicy::all_exits(n_layers, VotingCombiner::Average);
         for (vname, policy) in [
             ("last exit", VotingPolicy::final_only(n_layers)),
-            (
-                "conf vote",
-                VotingPolicy::all_exits(
-                    n_layers,
-                    VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
-                ),
-            ),
-            (
-                "avg vote",
-                VotingPolicy::all_exits(n_layers, VotingCombiner::Average),
-            ),
+            ("conf vote", conf_vote(n_layers)),
+            ("avg vote", average),
         ] {
             let r = evaluate(&prepared.model, &policy, &prepared.eval_set, base.batch)?;
             table.add_row(vec![
@@ -361,20 +421,11 @@ pub fn t3_adaptive(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
 /// Propagates pipeline errors.
 pub fn f1_speedup(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
     let base = store.scale.config();
-    let budgets: &[f32] = match store.scale {
-        Scale::Quick => &[1.0, 0.4, 0.2],
-        Scale::Full => &[1.0, 0.5, 0.3, 0.2, 0.125, 0.0625],
-    };
-    let mut rows = Vec::with_capacity(budgets.len());
-    for &budget in budgets {
-        let mut cfg = base.clone();
-        cfg.budget = budget;
-        let method = if budget >= 1.0 {
-            Method::Vanilla
-        } else {
-            Method::EdgeLlm
-        };
-        rows.push((budget, store.outcome(method, &cfg)?));
+    let mut rows = Vec::new();
+    for (m, cfg) in method_rows("f1", store.scale) {
+        let a = store.get(&RunKey::method(m, &cfg))?;
+        let out = outcome(m, &cfg, &a.prepared, &a.policy, &a.schedule, &a.run)?;
+        rows.push((cfg.budget, out));
     }
     let points: Vec<PolicyPoint> = rows
         .iter()
@@ -471,15 +522,13 @@ pub fn f3_schedule(scale: Scale) -> Result<Table, EdgeLlmError> {
 /// Propagates pipeline errors.
 pub fn f5_sensitivity(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
     let base = store.scale.config();
-    let model = &store.dense(base.model.n_layers)?.prepared.model;
+    let adapted = store.get(&reads("f5", store.scale)[0])?;
+    let model = &adapted.prepared.model;
     let task = base.task.build();
     let mut rng = TensorRng::seed_from(base.seed + 1);
-    let calib: Vec<_> = (0..base.batch)
-        .map(|_| task.sample(base.model.seq_len, &mut rng))
-        .collect();
-    let tokens: Vec<usize> = calib.iter().flat_map(|s| s.tokens.clone()).collect();
-    let targets: Vec<usize> = calib.iter().flat_map(|s| s.targets.clone()).collect();
-    let mut oracle = ModelOracle::new(model, &tokens, &targets, base.batch);
+    let calib = sample_dataset(task.as_ref(), base.batch, base.model.seq_len, &mut rng);
+    let calib = calib.batch_at(0, base.batch);
+    let mut oracle = ModelOracle::new(model, &calib.tokens, &calib.targets, base.batch);
     let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
     let mut table = Table::new(
         "F5: per-layer sensitivity of the adapted model",
@@ -528,20 +577,11 @@ pub fn a2_devices(scale: Scale) -> Result<Table, EdgeLlmError> {
         DeviceModel::tx2_class(),
         DeviceModel::orin_class(),
     ] {
-        let (v_us, _) = crate::schedule::modeled_training_iteration(
-            &model_cfg,
-            &vanilla_policy,
-            n,
-            base.batch,
-            &device,
-        )?;
-        let (e_us, _) = crate::schedule::modeled_training_iteration(
-            &model_cfg,
-            &edge_policy,
-            base.window_depth,
-            base.batch,
-            &device,
-        )?;
+        let iter_us = |policy, depth| {
+            modeled_training_iteration(&model_cfg, policy, depth, base.batch, &device)
+        };
+        let (v_us, _) = iter_us(&vanilla_policy, n)?;
+        let (e_us, _) = iter_us(&edge_policy, base.window_depth)?;
         table.add_row(vec![
             device.name.clone(),
             f3(v_us),
@@ -565,21 +605,10 @@ pub fn a1_ablations(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
         "A1: window-schedule and exit-tying ablations",
         &["variant", "acc", "ppl", "iter ms", "peak act"],
     );
-    let depth = base.window_depth;
-    let round_robin = WindowSchedule::RoundRobin { depth };
-    let variants = [
-        ("round-robin, tied", true, Some(round_robin.clone())),
-        ("sensitivity-ordered, tied", true, None),
-        ("full depth, tied", true, Some(WindowSchedule::FullDepth)),
-        ("round-robin, untied", false, Some(round_robin)),
-    ];
-    for (name, tied, schedule) in variants {
-        let Adapted { prepared, run, .. } =
-            store.run(tied, false, |p| luc_ablation(p, &base, schedule))?;
-        let voting = VotingPolicy::all_exits(
-            prepared.model.n_layers(),
-            VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
-        );
+    for (name, key) in a1_variants(&base) {
+        let a = store.get(&key)?;
+        let (prepared, run) = (&a.prepared, &a.run);
+        let voting = conf_vote(prepared.model.n_layers());
         let r = evaluate(&prepared.model, &voting, &prepared.eval_set, base.batch)?;
         table.add_row(vec![
             name.to_string(),
@@ -603,47 +632,31 @@ pub fn a3_deployment(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
     use crate::compress::{apply_activation_quant, apply_nm_sparsity};
     use edge_llm_quant::{BitWidth, QuantScheme};
     let base = store.scale.config();
-    let depth = base.window_depth;
-    let round_robin = Some(WindowSchedule::RoundRobin { depth });
-    let adapted = &store.run(true, false, |p| luc_ablation(p, &base, round_robin))?;
+    let adapted = store.get(&reads("a3", store.scale)[0])?;
     let (model, eval_set) = (&adapted.prepared.model, &adapted.prepared.eval_set);
-    let voting = VotingPolicy::all_exits(
-        model.n_layers(),
-        VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
-    );
+    let voting = conf_vote(model.n_layers());
     let mut table = Table::new(
         "A3: post-adaptation deployment transforms",
         &["deployment", "acc", "ppl"],
     );
-    let baseline = evaluate(model, &voting, eval_set, base.batch)?;
-    table.add_row(vec![
-        "as adapted".into(),
-        pct(baseline.accuracy as f64),
-        f3(baseline.perplexity as f64),
-    ]);
+    let mut row = |name: &str, m: &EdgeModel| {
+        let r = evaluate(m, &voting, eval_set, base.batch)?;
+        let (acc, ppl) = (pct(r.accuracy as f64), f3(r.perplexity as f64));
+        table.add_row(vec![name.into(), acc, ppl]);
+        Ok::<_, EdgeLlmError>(())
+    };
+    row("as adapted", model)?;
     for (name, bits) in [
         ("+ w8 activations", BitWidth::W8),
         ("+ w4 activations", BitWidth::W4),
     ] {
         let mut m = model.clone();
         apply_activation_quant(&mut m, Some(QuantScheme::asymmetric(bits)))?;
-        let r = evaluate(&m, &voting, eval_set, base.batch)?;
-        table.add_row(vec![
-            name.into(),
-            pct(r.accuracy as f64),
-            f3(r.perplexity as f64),
-        ]);
+        row(name, &m)?;
     }
-    {
-        let mut m = model.clone();
-        apply_nm_sparsity(&mut m, 2, 4)?;
-        let r = evaluate(&m, &voting, eval_set, base.batch)?;
-        table.add_row(vec![
-            "+ 2:4 re-mask".into(),
-            pct(r.accuracy as f64),
-            f3(r.perplexity as f64),
-        ]);
-    }
+    let mut m = model.clone();
+    apply_nm_sparsity(&mut m, 2, 4)?;
+    row("+ 2:4 re-mask", &m)?;
     Ok(table)
 }
 
@@ -688,10 +701,7 @@ pub fn s1_serving(scale: Scale) -> Result<Table, EdgeLlmError> {
                 },
                 voting: match i % 2 {
                     0 => VotingPolicy::final_only(model_cfg.n_layers),
-                    _ => VotingPolicy::all_exits(
-                        model_cfg.n_layers,
-                        VotingCombiner::ConfidenceWeighted { temperature: 1.0 },
-                    ),
+                    _ => conf_vote(model_cfg.n_layers),
                 },
                 seed: 1000 + i as u64,
                 deadline_steps: None,
@@ -774,8 +784,55 @@ mod tests {
 
     #[test]
     fn quick_t1_has_all_rows() {
-        let t = t1_main(&mut RunStore::new(Scale::Quick)).unwrap();
+        let t = t1_main(&mut RunStore::new(Scale::Quick, &["t1"])).unwrap();
         assert_eq!(t.n_rows(), 5);
+    }
+
+    #[test]
+    fn a_report_plans_two_models_and_one_run_per_configuration() {
+        // Planning pretrains and adapts nothing. Quick: T1 4, T2 6, T3 2,
+        // F1 2, A1 4. Full: T1 4, T2 8, T3 3, F1 5, A1 4. T3's full depth,
+        // F1's budget 1.0 and F5 read T1's vanilla run, A3 A1's first, and
+        // at full scale T2's 0.25 uniform row reads T1's uniform run.
+        for (scale, runs, uniform_reads) in [(Scale::Quick, 18, 1), (Scale::Full, 24, 2)] {
+            let store = RunStore::new(scale, &ALL_EXPERIMENTS);
+            assert_eq!(store.runs.len(), runs, "{scale:?}");
+            assert!(store.models.iter().all(|(_, model)| model.is_none()));
+            let left = store.models.map(|(left, _)| left);
+            assert_eq!(left, [1, runs - 1], "A1's untied run, then the tied ones");
+            let reads = |m| {
+                let key = RunKey::method(m, &scale.config());
+                store.runs.iter().find(|p| p.key == key).unwrap().reads
+            };
+            assert_eq!(reads(Method::Vanilla), 4);
+            assert_eq!(reads(Method::UniformCompressed), uniform_reads);
+        }
+    }
+
+    #[test]
+    fn a_read_the_plan_lacks_fails_typed() {
+        // F3 reads no run, so T1's first read fails before any pretraining.
+        let mut store = RunStore::new(Scale::Quick, &["f3"]);
+        let err = t1_main(&mut store).err();
+        assert!(
+            matches!(err, Some(EdgeLlmError::BadConfig { .. })),
+            "{err:?}"
+        );
+        assert!(store.models.iter().all(|(_, model)| model.is_none()));
+        // F5 reads one run once: after it the store holds nothing, and a
+        // second read is one the plan lacks.
+        let mut store = RunStore::new(Scale::Quick, &["f5"]);
+        f5_sensitivity(&mut store).unwrap();
+        assert!(store.runs.is_empty());
+        assert!(store
+            .models
+            .iter()
+            .all(|(left, m)| *left == 0 && m.is_none()));
+        let err = f5_sensitivity(&mut store).err();
+        assert!(
+            matches!(err, Some(EdgeLlmError::BadConfig { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -790,7 +847,7 @@ mod tests {
 
     #[test]
     fn unknown_experiment_rejected() {
-        assert!(run_experiment("t9", &mut RunStore::new(Scale::Quick)).is_err());
+        assert!(run_experiment("t9", &mut RunStore::new(Scale::Quick, &["t9"])).is_err());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! methods, the fitted exit vote, and reports task quality together with
 //! measured and modeled efficiency. The report's runner
 //! ([`crate::experiments::RunStore`]) calls the stages itself: one
-//! [`prepare`] per model, one [`adapt`] of a clone of it per run.
+//! [`prepare`] per model, one [`adapt`] per planned run, each on a clone
+//! of the model but its last.
 
 use crate::baselines::uniform_policy_for_budget;
 use crate::compress::apply_policy;
@@ -116,6 +117,50 @@ impl Method {
             Method::LastLayerOnly => "last-layer-ft",
         }
     }
+
+    /// The [`Recipe`] this method adapts under at `config`.
+    pub(crate) fn recipe(self, config: &ExperimentConfig) -> Recipe {
+        let (budget, depth, n) = (config.budget, config.window_depth, config.model.n_layers);
+        let last = LayerWindow {
+            start: n - 1,
+            end: n,
+        };
+        let algorithm = match self {
+            Method::Vanilla => return Recipe::Dense(WindowSchedule::FullDepth),
+            Method::LastLayerOnly => return Recipe::Dense(WindowSchedule::Ordered(vec![last])),
+            Method::UniformCompressed => return Recipe::Uniform { budget },
+            Method::EdgeLlm => SearchAlgorithm::DynamicProgramming,
+            Method::EdgeLlmGreedyLuc => SearchAlgorithm::Greedy,
+        };
+        Recipe::Luc {
+            algorithm,
+            budget,
+            depth,
+        }
+    }
+}
+
+/// How one run picks its compression policy and window schedule, holding
+/// only the inputs they depend on: two configurations that adapt alike
+/// have one recipe (vanilla is `Dense` at full depth, and so is a depth
+/// sweep's deepest point).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Recipe {
+    /// No compression, tuned under the schedule.
+    Dense(WindowSchedule),
+    /// The uniform policy at `budget`, full-depth tuning.
+    Uniform { budget: f32 },
+    /// The policy `algorithm` searches at `budget` on a profile of
+    /// source-task rows, `depth`-layer windows.
+    Luc {
+        algorithm: SearchAlgorithm,
+        budget: f32,
+        depth: usize,
+    },
+    /// A1's and A3's: the DP policy at the configuration's budget on a
+    /// profile of the first target batch, tuned under the schedule, or in
+    /// that profile's sensitivity order when it is `None`.
+    Ablation(Option<WindowSchedule>),
 }
 
 /// Full configuration for one adaptation experiment.
@@ -249,15 +294,9 @@ pub struct AdaptationOutcome {
     pub policy_bits: f32,
     /// Average pruning ratio of the applied policy.
     pub policy_ratio: f32,
-    /// Kernel worker threads configured for the run (`EDGELLM_THREADS` /
-    /// `--threads`); affects measured wall-clock only, never the numbers.
-    pub threads: usize,
     /// The same adapted model evaluated at its final exit alone, for
     /// every method; for the LUC methods this is the no-vote ablation.
     pub final_exit: EvalResult,
-    /// Where adaptation time went: per-phase totals across executed
-    /// steps plus checkpoint-write time and re-quantization counts.
-    pub phases: crate::resilience::PhaseTotals,
     /// What the resilient runtime did to keep the run alive (empty on a
     /// clean run).
     pub journal: RecoveryJournal,
@@ -413,56 +452,57 @@ pub fn run_method_with(
     resilience: &ResilienceConfig,
 ) -> Result<AdaptationOutcome, EdgeLlmError> {
     let mut prepared = prepare(config)?;
-    let (policy, schedule) = plan(method, config, &mut prepared)?;
+    let (policy, schedule) = plan(&method.recipe(config), config, &mut prepared)?;
     let run = adapt(&mut prepared, config, &policy, schedule.clone(), resilience)?;
     outcome(method, config, &prepared, &policy, &schedule, &run)
 }
 
-/// The compression policy and window schedule `method` adapts under.
-/// The LUC methods profile sensitivity on data the model is already
+/// The compression policy and window schedule `recipe` adapts under.
+/// The `Luc` recipe profiles sensitivity on data the model is already
 /// competent on: 2×batch source-task rows drawn from `prepared`'s stream
 /// when it is pretrained (the pre-adaptation loss on unlearned target
 /// data is mostly noise), else the first 2×batch target rows.
 pub(crate) fn plan(
-    method: Method,
+    recipe: &Recipe,
     config: &ExperimentConfig,
     prepared: &mut Prepared,
 ) -> Result<(CompressionPolicy, WindowSchedule), EdgeLlmError> {
     let n = prepared.model.n_layers();
     let identity = CompressionPolicy::identity(n);
-    let search = match method {
-        Method::Vanilla => return Ok((identity, WindowSchedule::FullDepth)),
-        Method::LastLayerOnly => {
-            let last = LayerWindow {
-                start: n - 1,
-                end: n,
-            };
-            return Ok((identity, WindowSchedule::Ordered(vec![last])));
-        }
-        Method::UniformCompressed => {
-            let uniform = uniform_policy_for_budget(n, config.budget);
+    let (search, budget, schedule, calib) = match *recipe {
+        Recipe::Dense(ref schedule) => return Ok((identity, schedule.clone())),
+        Recipe::Uniform { budget } => {
+            let uniform = uniform_policy_for_budget(n, budget);
             return Ok((uniform, WindowSchedule::FullDepth));
         }
-        Method::EdgeLlm => SearchAlgorithm::DynamicProgramming,
-        Method::EdgeLlmGreedyLuc => SearchAlgorithm::Greedy,
+        Recipe::Luc {
+            algorithm,
+            budget,
+            depth,
+        } => {
+            let rows = config.batch * 2;
+            let calib = if config.pretrain_iterations > 0 {
+                let source = config.task.build_with_salt(1);
+                let seq_len = prepared.model.config().seq_len;
+                sample_dataset(source.as_ref(), rows, seq_len, &mut prepared.rng).batch_at(0, rows)
+            } else {
+                prepared.train.batch_at(0, rows)
+            };
+            let schedule = WindowSchedule::for_depth(depth, n);
+            (algorithm, budget, Some(schedule), calib)
+        }
+        Recipe::Ablation(ref schedule) => {
+            let calib = prepared.train.batch_at(0, config.batch);
+            let dp = SearchAlgorithm::DynamicProgramming;
+            (dp, config.budget, schedule.clone(), calib)
+        }
     };
-    let rows = config.batch * 2;
-    let calib = if config.pretrain_iterations > 0 {
-        let source = config.task.build_with_salt(1);
-        let seq_len = prepared.model.config().seq_len;
-        sample_dataset(source.as_ref(), rows, seq_len, &mut prepared.rng).batch_at(0, rows)
-    } else {
-        prepared.train.batch_at(0, rows)
-    };
-    let policy = luc_policy(
-        &prepared.model,
-        &calib.tokens,
-        &calib.targets,
-        rows,
-        config.budget,
-        search,
-    )?;
-    Ok((policy, WindowSchedule::for_depth(config.window_depth, n)))
+    let (tokens, targets) = (&calib.tokens, &calib.targets);
+    let mut oracle = ModelOracle::new(&prepared.model, tokens, targets, calib.batch);
+    let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
+    let policy = search_policy(&prof, budget, search)?.policy;
+    let by_sensitivity = || crate::windows::sensitivity_window_schedule(&prof, config.window_depth);
+    Ok((policy, schedule.unwrap_or_else(by_sensitivity)))
 }
 
 /// A row of `method` from its adapted run: the final exit for every
@@ -525,15 +565,13 @@ pub(crate) fn outcome(
         policy_cost: policy.mean_cost(),
         policy_bits: policy.mean_bits(),
         policy_ratio: policy.mean_prune_ratio(),
-        threads: edge_llm_tensor::configured_threads(),
         final_exit,
-        phases: run.phases,
         journal: run.journal.clone(),
     })
 }
 
 /// Draws `n` samples of `seq_len` tokens from a boxed task generator.
-fn sample_dataset(
+pub(crate) fn sample_dataset(
     task: &dyn TaskGenerator,
     n: usize,
     seq_len: usize,
@@ -598,7 +636,7 @@ mod tests {
             let mut clone = prepared.clone();
             let (policy, schedule) = match method {
                 Method::Vanilla => (CompressionPolicy::identity(n), WindowSchedule::FullDepth),
-                _ => plan(method, &cfg, &mut clone).unwrap(),
+                _ => plan(&method.recipe(&cfg), &cfg, &mut clone).unwrap(),
             };
             let res = ResilienceConfig::default();
             let run = adapt(&mut clone, &cfg, &policy, schedule.clone(), &res).unwrap();

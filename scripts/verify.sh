@@ -7,6 +7,34 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 trap 'echo "verify.sh: ${SECONDS}s wall-clock (exit $?)"' EXIT
 
+# EXPERIMENTS.md quotes the report's tables from full_report.txt: each
+# table body there (the block under its `== title ==` line, up to its
+# `[.. regenerated in]` footer) must appear in EXPERIMENTS.md verbatim,
+# all ten of them, so a check whose input vanished fails too.
+tables=$(mktemp -d)
+awk -v dir="$tables" '
+    /^== / { body = ""; grab = 1; next }
+    grab && /^\[.* regenerated in / { f = dir "/" ++n; printf "%s", body > f; close(f); grab = 0; next }
+    grab { body = body $0 "\n" }
+' full_report.txt
+quoted=0
+experiments=$(<EXPERIMENTS.md)
+for f in "$tables"/*; do
+    body=$(<"$f")
+    if [[ "$experiments" != *"$body"* ]]; then
+        echo "error: EXPERIMENTS.md does not quote this full_report.txt table verbatim:" >&2
+        echo "$body" >&2
+        rm -r "$tables"
+        exit 1
+    fi
+    quoted=$((quoted + 1))
+done
+rm -r "$tables"
+if [ "$quoted" -ne 10 ]; then
+    echo "error: full_report.txt holds $quoted tables, not the report's ten" >&2
+    exit 1
+fi
+
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Doc comments link items by name; a deleted or private item must not

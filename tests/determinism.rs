@@ -138,7 +138,6 @@ fn pipeline_numbers_are_thread_count_invariant() {
             reference.modeled_iter_us, out.modeled_iter_us,
             "modeled latency at {t} threads"
         );
-        assert_eq!(out.threads, t, "outcome did not record the thread count");
     }
     set_configured_threads(1);
 }

@@ -4,10 +4,10 @@
 //! compares the remaining cells against checked-in snapshots. T3 holds the
 //! analytic memory model beside its measured activations, and F1 the
 //! accuracy and Pareto frontier of its budget sweep. The F2 snapshot is
-//! T3's memory columns, one row per depth. Every test reads one shared
-//! run store, as one report does, so a table whose runs another test
-//! already adapted reads them: the snapshots, recorded one table per
-//! store, hold reused runs to the bits of fresh ones.
+//! T3's memory columns, one row per depth. The nine tables are built once,
+//! through one store planned for all of them, as one report does; F5 and
+//! A3, whose runs T1 and A1 also read, are built again each on its own,
+//! and both ways must match one snapshot.
 //!
 //! Every number in the snapshot is produced by seeded, fixed-order
 //! arithmetic, so any drift means an algorithmic change — a kernel
@@ -22,7 +22,7 @@ use edge_llm::experiments::{run_experiment, RunStore, Scale};
 use edge_llm::report::Table;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{LazyLock, Mutex};
+use std::sync::LazyLock;
 
 /// Columns that measure host wall-clock time and therefore vary run to
 /// run; everything else in the report is deterministic.
@@ -69,13 +69,22 @@ fn deterministic_projection(table: &Table, timed: bool) -> String {
     lines.join("\n") + "\n"
 }
 
-fn quick_table(id: &str) -> Table {
-    static STORE: LazyLock<Mutex<RunStore>> =
-        LazyLock::new(|| Mutex::new(RunStore::new(Scale::Quick)));
-    // A store keeps only finished runs, so one a failed test left behind
-    // is still whole.
-    let mut store = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    run_experiment(id, &mut store).unwrap_or_else(|e| panic!("{id} quick: {e}"))
+/// The tables with a snapshot, in report order.
+const TABLES: [&str; 9] = ["t1", "t2", "t3", "f1", "f3", "f5", "a1", "a2", "a3"];
+
+/// The quick tables `ids`, in order, through one store planned for them.
+fn quick_tables(ids: &[&str]) -> Vec<Table> {
+    let mut store = RunStore::new(Scale::Quick, ids);
+    ids.iter()
+        .map(|id| run_experiment(id, &mut store).unwrap_or_else(|e| panic!("{id} quick: {e}")))
+        .collect()
+}
+
+/// Table `id` of the one quick report every test reads.
+fn quick_table(id: &str) -> &'static Table {
+    static REPORT: LazyLock<Vec<Table>> = LazyLock::new(|| quick_tables(&TABLES));
+    let i = TABLES.iter().position(|t| *t == id);
+    &REPORT[i.unwrap_or_else(|| panic!("{id} has no snapshot"))]
 }
 
 /// F2's view of T3: depth, measured (peak) activations and the analytic
@@ -116,7 +125,7 @@ fn f2_projection(t3: &Table) -> String {
 }
 
 fn assert_matches_golden(id: &str, timed: bool) {
-    assert_projection_matches(id, &deterministic_projection(&quick_table(id), timed));
+    assert_projection_matches(id, &deterministic_projection(quick_table(id), timed));
 }
 
 fn assert_projection_matches(id: &str, projection: &str) {
@@ -158,7 +167,7 @@ fn t3_quick_matches_snapshot() {
 
 #[test]
 fn f2_quick_matches_snapshot() {
-    assert_projection_matches("f2", &f2_projection(&quick_table("t3")));
+    assert_projection_matches("f2", &f2_projection(quick_table("t3")));
 }
 
 #[test]
@@ -189,4 +198,16 @@ fn a2_quick_matches_snapshot() {
 #[test]
 fn a3_quick_matches_snapshot() {
     assert_matches_golden("a3", false);
+}
+
+#[test]
+fn f5_alone_matches_snapshot() {
+    let f5 = &quick_tables(&["f5"])[0];
+    assert_projection_matches("f5", &deterministic_projection(f5, false));
+}
+
+#[test]
+fn a3_alone_matches_snapshot() {
+    let a3 = &quick_tables(&["a3"])[0];
+    assert_projection_matches("a3", &deterministic_projection(a3, false));
 }
