@@ -4,10 +4,10 @@
 
 use crate::{run_err, CliError};
 use edge_llm::compress::apply_policy;
-use edge_llm::pipeline::luc_policy;
+use edge_llm::pipeline::luc_profile;
 use edge_llm::resilience::{resilient_adapt, restore_run, ResilienceConfig, RunMeta};
 use edge_llm_data::{CharTokenizer, Dataset, TaskGenerator, TextLmTask};
-use edge_llm_luc::{CompressionPolicy, SearchAlgorithm};
+use edge_llm_luc::{search_policy, CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
     AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
 };
@@ -98,12 +98,10 @@ pub(crate) fn warm_policy(
     if budget >= 1.0 {
         return Ok((model, CompressionPolicy::identity(cfg.n_layers), rng));
     }
-    let calib = sequences(task, cfg.seq_len, 4, &mut rng);
-    let calib = calib.samples();
-    let tokens: Vec<usize> = calib.iter().flat_map(|s| s.tokens.clone()).collect();
-    let targets: Vec<usize> = calib.iter().flat_map(|s| s.targets.clone()).collect();
-    let algorithm = SearchAlgorithm::DynamicProgramming;
-    let policy = luc_policy(&model, &tokens, &targets, 4, budget, algorithm).map_err(run_err)?;
+    let calib = sequences(task, cfg.seq_len, 4, &mut rng).batch_at(0, 4);
+    let prof = luc_profile(&model, &calib).map_err(run_err)?;
+    let dp = SearchAlgorithm::DynamicProgramming;
+    let policy = search_policy(&prof, budget, dp).map_err(run_err)?.policy;
     apply_policy(&mut model, &policy).map_err(run_err)?;
     Ok((model, policy, rng))
 }

@@ -27,9 +27,13 @@ fn a_quick_report_pretrains_each_model_once_and_adapts_each_run_once() {
     // pretrains 22 times.
     assert_eq!(count("pipeline.prepare"), 2);
     // T1 4, T2 6, T3 2 (its full depth is T1's vanilla run), F1 2
-    // (budget 1.0 is T1's vanilla run), A1 4; F5 and A3 read T1's and
-    // A1's runs.
-    assert_eq!(count("pipeline.adapt"), 18);
+    // (budget 1.0 is T1's vanilla run), A1 3 (its round-robin tied row is
+    // T1's Edge-LLM run); F5 and A3 read T1's vanilla and Edge-LLM runs.
+    assert_eq!(count("pipeline.adapt"), 17);
     // Nothing else trains: 40 pretraining and 60 adaptation steps each.
-    assert_eq!(count("tune.step"), 2 * 40 + 18 * 60);
+    assert_eq!(count("tune.step"), 2 * 40 + 17 * 60);
+    // One profile per LUC run (T1 1, T2 4, F1 2, A1 3) and F5's. Before
+    // A1 read T1's Edge-LLM run, its round-robin tied row profiled a
+    // twelfth time.
+    assert_eq!(count("luc.profile"), 11);
 }

@@ -8,7 +8,9 @@
 //! per report plans their union before adapting anything: it pretrains
 //! each model once, adapts each key once, on its first read, and lets a
 //! run go after its last planned read, so a table reads the runs an
-//! earlier one made (T3, F1 and F5 read T1's vanilla run, A3 A1's). T3
+//! earlier one made (T3, F1 and F5 read T1's vanilla run, A1 and A3 its
+//! Edge-LLM run). Every LUC profile reads the model's one calibration
+//! set, [`crate::pipeline::Prepared::calib`]. T3
 //! carries the analytic memory model beside its measured activations, F1
 //! the accuracy frontier beside its latencies, and T1's no-vote row is its
 //! Edge-LLM run's final-exit evaluation. See `DESIGN.md` for the
@@ -16,10 +18,9 @@
 
 use crate::baselines::uniform_policy_for_budget;
 use crate::eval::evaluate;
-use crate::oracle::ModelOracle;
 use crate::pipeline::{
-    adapt, outcome, plan, prepare, sample_dataset, ExperimentConfig, Method, Prepared, Recipe,
-    TaskKind, LUC_BIT_CHOICES, LUC_RATIO_CHOICES,
+    adapt, luc_profile, outcome, plan, prepare, ExperimentConfig, Method, Prepared, Recipe,
+    TaskKind,
 };
 use crate::report::{bytes, f3, pct, speedup, Table};
 use crate::resilience::{schedule_depth, AdaptRun, ResilienceConfig};
@@ -29,7 +30,7 @@ use crate::schedule::{
 };
 use crate::EdgeLlmError;
 use edge_llm_hw::{DeviceModel, ScheduleSpace};
-use edge_llm_luc::{pareto_frontier, profile, CompressionPolicy, PolicyPoint};
+use edge_llm_luc::{pareto_frontier, CompressionPolicy, PolicyPoint, SearchAlgorithm};
 use edge_llm_model::{
     EdgeModel, MemoryModel, ModelConfig, VotingCombiner, VotingPolicy, WindowSchedule,
 };
@@ -121,10 +122,10 @@ fn method_rows(id: &str, scale: Scale) -> Vec<(Method, ExperimentConfig)> {
 }
 
 /// A1's variants: each row's name and run, under the DP policy at the
-/// base budget (A3 reads the first).
+/// base budget. The first is T1's Edge-LLM run, which A3 also reads.
 fn a1_variants(base: &ExperimentConfig) -> [(&'static str, RunKey); 4] {
-    let depth = base.window_depth;
-    let round_robin = Some(WindowSchedule::RoundRobin { depth });
+    let (depth, n) = (base.window_depth, base.model.n_layers);
+    let round_robin = Some(WindowSchedule::for_depth(depth, n));
     let full = Some(WindowSchedule::FullDepth);
     [
         ("round-robin, tied", true, round_robin.clone()),
@@ -133,7 +134,11 @@ fn a1_variants(base: &ExperimentConfig) -> [(&'static str, RunKey); 4] {
         ("round-robin, untied", false, round_robin),
     ]
     .map(|(name, tied, schedule)| {
-        let recipe = Recipe::Ablation(schedule);
+        let recipe = Recipe::Luc {
+            algorithm: SearchAlgorithm::DynamicProgramming,
+            budget: base.budget,
+            schedule,
+        };
         (name, RunKey { tied, recipe })
     })
 }
@@ -251,7 +256,7 @@ impl RunStore {
                     0 => model,
                     _ => slot.insert(model).clone(),
                 };
-                let (policy, schedule) = plan(&key.recipe, &cfg, &mut prepared)?;
+                let (policy, schedule) = plan(&key.recipe, &cfg, &prepared)?;
                 let res = ResilienceConfig {
                     spike_factor: f32::INFINITY,
                     ..ResilienceConfig::default()
@@ -515,21 +520,15 @@ pub fn f3_schedule(scale: Scale) -> Result<Table, EdgeLlmError> {
 }
 
 /// F5 — the LUC motivation figure: per-layer loss deltas under aggressive
-/// quantization and pruning, measured on an adapted model.
+/// quantization and pruning, measured on the adapted vanilla model over the
+/// calibration rows every LUC policy is searched on.
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors.
 pub fn f5_sensitivity(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
-    let base = store.scale.config();
     let adapted = store.get(&reads("f5", store.scale)[0])?;
-    let model = &adapted.prepared.model;
-    let task = base.task.build();
-    let mut rng = TensorRng::seed_from(base.seed + 1);
-    let calib = sample_dataset(task.as_ref(), base.batch, base.model.seq_len, &mut rng);
-    let calib = calib.batch_at(0, base.batch);
-    let mut oracle = ModelOracle::new(model, &calib.tokens, &calib.targets, base.batch);
-    let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
+    let prof = luc_profile(&adapted.prepared.model, &adapted.prepared.calib)?;
     let mut table = Table::new(
         "F5: per-layer sensitivity of the adapted model",
         &[
@@ -791,21 +790,36 @@ mod tests {
     #[test]
     fn a_report_plans_two_models_and_one_run_per_configuration() {
         // Planning pretrains and adapts nothing. Quick: T1 4, T2 6, T3 2,
-        // F1 2, A1 4. Full: T1 4, T2 8, T3 3, F1 5, A1 4. T3's full depth,
-        // F1's budget 1.0 and F5 read T1's vanilla run, A3 A1's first, and
-        // at full scale T2's 0.25 uniform row reads T1's uniform run.
-        for (scale, runs, uniform_reads) in [(Scale::Quick, 18, 1), (Scale::Full, 24, 2)] {
+        // F1 2, A1 3. Full: T1 4, T2 8, T3 3, F1 5, A1 2. T3's full depth,
+        // F1's budget 1.0 and F5 read T1's vanilla run, A1's round-robin
+        // tied row and A3 T1's Edge-LLM run, and at full scale T2's 0.25
+        // uniform row reads T1's uniform run and A1's full depth tied row
+        // T2's 0.25 DP run.
+        for (scale, runs, uniform_reads) in [(Scale::Quick, 17, 1), (Scale::Full, 22, 2)] {
             let store = RunStore::new(scale, &ALL_EXPERIMENTS);
             assert_eq!(store.runs.len(), runs, "{scale:?}");
             assert!(store.models.iter().all(|(_, model)| model.is_none()));
             let left = store.models.map(|(left, _)| left);
             assert_eq!(left, [1, runs - 1], "A1's untied run, then the tied ones");
+            let base = scale.config();
             let reads = |m| {
-                let key = RunKey::method(m, &scale.config());
+                let key = RunKey::method(m, &base);
                 store.runs.iter().find(|p| p.key == key).unwrap().reads
             };
             assert_eq!(reads(Method::Vanilla), 4);
             assert_eq!(reads(Method::UniformCompressed), uniform_reads);
+            assert_eq!(reads(Method::EdgeLlm), 3);
+            let a1 = a1_variants(&base);
+            assert_eq!(a1[0].0, "round-robin, tied");
+            assert_eq!(a1[0].1, RunKey::method(Method::EdgeLlm, &base));
+            if scale == Scale::Full {
+                let t2 = method_rows("t2", scale);
+                let (m, cfg) = (t2.iter())
+                    .find(|(m, cfg)| *m == Method::EdgeLlm && cfg.budget == 0.25)
+                    .unwrap();
+                assert_eq!(a1[2].0, "full depth, tied");
+                assert_eq!(a1[2].1, RunKey::method(*m, cfg));
+            }
         }
     }
 

@@ -20,9 +20,11 @@ use crate::resilience::{
 };
 use crate::schedule::modeled_training_iteration;
 use crate::EdgeLlmError;
-use edge_llm_data::{ClozeQaTask, CopyTask, Dataset, MarkovTextTask, ModArithTask, TaskGenerator};
+use edge_llm_data::{Batch, ClozeQaTask, Dataset, MarkovTextTask, ModArithTask, TaskGenerator};
 use edge_llm_hw::DeviceModel;
-use edge_llm_luc::{profile, search_policy, CompressionPolicy, SearchAlgorithm};
+use edge_llm_luc::{
+    profile, search_policy, CompressionPolicy, SearchAlgorithm, SensitivityProfile,
+};
 use edge_llm_model::{
     AdaptiveTuner, EdgeModel, LayerWindow, ModelConfig, Sgd, VotingCombiner, VotingPolicy,
     WindowSchedule,
@@ -45,11 +47,6 @@ pub enum TaskKind {
     Markov {
         /// Successors per state.
         branching: usize,
-    },
-    /// Sequence copy.
-    Copy {
-        /// Symbol alphabet size.
-        symbols: usize,
     },
     /// Modular arithmetic cloze.
     ModArith {
@@ -82,7 +79,6 @@ impl TaskKind {
             TaskKind::Markov { branching } => {
                 Box::new(MarkovTextTask::new(64, branching, 0xeda ^ (salt * 0x9e37)))
             }
-            TaskKind::Copy { symbols } => Box::new(CopyTask::new(symbols)),
             TaskKind::ModArith { modulus } => Box::new(ModArithTask::new(modulus)),
         }
     }
@@ -132,10 +128,11 @@ impl Method {
             Method::EdgeLlm => SearchAlgorithm::DynamicProgramming,
             Method::EdgeLlmGreedyLuc => SearchAlgorithm::Greedy,
         };
+        let schedule = Some(WindowSchedule::for_depth(depth, n));
         Recipe::Luc {
             algorithm,
             budget,
-            depth,
+            schedule,
         }
     }
 }
@@ -150,17 +147,15 @@ pub(crate) enum Recipe {
     Dense(WindowSchedule),
     /// The uniform policy at `budget`, full-depth tuning.
     Uniform { budget: f32 },
-    /// The policy `algorithm` searches at `budget` on a profile of
-    /// source-task rows, `depth`-layer windows.
+    /// The policy `algorithm` searches at `budget` on a profile of the
+    /// prepared calibration rows, tuned under the schedule, or in that
+    /// profile's sensitivity order at the configuration's window depth
+    /// when it is `None`.
     Luc {
         algorithm: SearchAlgorithm,
         budget: f32,
-        depth: usize,
+        schedule: Option<WindowSchedule>,
     },
-    /// A1's and A3's: the DP policy at the configuration's budget on a
-    /// profile of the first target batch, tuned under the schedule, or in
-    /// that profile's sensitivity order when it is `None`.
-    Ablation(Option<WindowSchedule>),
 }
 
 /// Full configuration for one adaptation experiment.
@@ -308,22 +303,15 @@ pub const LUC_BIT_CHOICES: [BitWidth; 4] =
 /// Candidate pruning ratios for the LUC profiler.
 pub const LUC_RATIO_CHOICES: [f32; 4] = [0.0, 0.25, 0.5, 0.75];
 
-/// Builds the LUC-searched policy for a model on a calibration batch.
+/// The LUC sensitivity profile of `model` on the rows of `calib`: each
+/// layer's loss delta at every candidate bit-width and pruning ratio.
 ///
 /// # Errors
 ///
-/// Propagates profiling and search errors.
-pub fn luc_policy(
-    model: &EdgeModel,
-    calib_tokens: &[usize],
-    calib_targets: &[usize],
-    batch: usize,
-    budget: f32,
-    algorithm: SearchAlgorithm,
-) -> Result<CompressionPolicy, EdgeLlmError> {
-    let mut oracle = ModelOracle::new(model, calib_tokens, calib_targets, batch);
-    let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
-    Ok(search_policy(&prof, budget, algorithm)?.policy)
+/// Propagates profiling errors.
+pub fn luc_profile(model: &EdgeModel, calib: &Batch) -> Result<SensitivityProfile, EdgeLlmError> {
+    let mut oracle = ModelOracle::new(model, &calib.tokens, &calib.targets, calib.batch);
+    Ok(profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?)
 }
 
 /// Runs one adaptation method end to end with the default resilience
@@ -340,8 +328,9 @@ pub fn run_method(
 }
 
 /// What [`prepare`] hands to [`adapt`]: the model as it arrives on the
-/// device plus the target-task data and the run's RNG stream. A clone
-/// adapts exactly as a fresh [`prepare`] of the same configuration does.
+/// device plus the target-task data, the rows every LUC profile of the
+/// model reads, and the run's RNG stream. A clone adapts exactly as a
+/// fresh [`prepare`] of the same configuration does.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// Source-task-pretrained (or freshly initialized), uncompressed.
@@ -350,15 +339,21 @@ pub struct Prepared {
     pub train: Dataset,
     /// Held-out evaluation set.
     pub eval_set: Dataset,
-    /// The seed-derived stream, positioned after data sampling and
-    /// pretraining.
+    /// The calibration rows LUC profiles sensitivity on: data the model is
+    /// already competent on, 2×batch source-task rows when it is
+    /// pretrained (the pre-adaptation loss on unlearned target data is
+    /// mostly noise), else the first 2×batch target rows.
+    pub calib: Batch,
+    /// The seed-derived stream, positioned after data sampling,
+    /// pretraining and the calibration draw.
     pub rng: TensorRng,
 }
 
 /// Stage one of every adaptation run: validate the configuration, build
-/// the model, sample and shuffle the target-task data, and pretrain on a
+/// the model, sample and shuffle the target-task data, pretrain on a
 /// source task of the same shape (deep supervision so every exit head
-/// works, mirroring a deployed pretrained checkpoint).
+/// works, mirroring a deployed pretrained checkpoint), and draw the
+/// calibration rows.
 ///
 /// # Errors
 ///
@@ -376,7 +371,8 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
     let eval_set = sample_dataset(task.as_ref(), config.eval_samples, seq_len, &mut rng);
     train.shuffle(&mut rng);
 
-    if config.pretrain_iterations > 0 {
+    let rows = config.batch * 2;
+    let calib = if config.pretrain_iterations > 0 {
         let source = config.task.build_with_salt(1);
         let pre_train = sample_dataset(source.as_ref(), config.train_samples, seq_len, &mut rng);
         let windows: Vec<LayerWindow> = (1..=model_cfg.n_layers)
@@ -388,11 +384,15 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
             let b = pre_train.batch_at(it * config.batch, config.batch);
             tuner.step(&mut model, &mut opt, &b.tokens, &b.targets, b.batch)?;
         }
-    }
+        sample_dataset(source.as_ref(), rows, seq_len, &mut rng).batch_at(0, rows)
+    } else {
+        train.batch_at(0, rows)
+    };
     Ok(Prepared {
         model,
         train,
         eval_set,
+        calib,
         rng,
     })
 }
@@ -452,57 +452,37 @@ pub fn run_method_with(
     resilience: &ResilienceConfig,
 ) -> Result<AdaptationOutcome, EdgeLlmError> {
     let mut prepared = prepare(config)?;
-    let (policy, schedule) = plan(&method.recipe(config), config, &mut prepared)?;
+    let (policy, schedule) = plan(&method.recipe(config), config, &prepared)?;
     let run = adapt(&mut prepared, config, &policy, schedule.clone(), resilience)?;
     outcome(method, config, &prepared, &policy, &schedule, &run)
 }
 
 /// The compression policy and window schedule `recipe` adapts under.
-/// The `Luc` recipe profiles sensitivity on data the model is already
-/// competent on: 2×batch source-task rows drawn from `prepared`'s stream
-/// when it is pretrained (the pre-adaptation loss on unlearned target
-/// data is mostly noise), else the first 2×batch target rows.
+/// The `Luc` recipe profiles `prepared`'s calibration rows.
 pub(crate) fn plan(
     recipe: &Recipe,
     config: &ExperimentConfig,
-    prepared: &mut Prepared,
+    prepared: &Prepared,
 ) -> Result<(CompressionPolicy, WindowSchedule), EdgeLlmError> {
     let n = prepared.model.n_layers();
-    let identity = CompressionPolicy::identity(n);
-    let (search, budget, schedule, calib) = match *recipe {
-        Recipe::Dense(ref schedule) => return Ok((identity, schedule.clone())),
+    match *recipe {
+        Recipe::Dense(ref schedule) => Ok((CompressionPolicy::identity(n), schedule.clone())),
         Recipe::Uniform { budget } => {
             let uniform = uniform_policy_for_budget(n, budget);
-            return Ok((uniform, WindowSchedule::FullDepth));
+            Ok((uniform, WindowSchedule::FullDepth))
         }
         Recipe::Luc {
             algorithm,
             budget,
-            depth,
+            ref schedule,
         } => {
-            let rows = config.batch * 2;
-            let calib = if config.pretrain_iterations > 0 {
-                let source = config.task.build_with_salt(1);
-                let seq_len = prepared.model.config().seq_len;
-                sample_dataset(source.as_ref(), rows, seq_len, &mut prepared.rng).batch_at(0, rows)
-            } else {
-                prepared.train.batch_at(0, rows)
-            };
-            let schedule = WindowSchedule::for_depth(depth, n);
-            (algorithm, budget, Some(schedule), calib)
+            let prof = luc_profile(&prepared.model, &prepared.calib)?;
+            let policy = search_policy(&prof, budget, algorithm)?.policy;
+            let by_sensitivity =
+                || crate::windows::sensitivity_window_schedule(&prof, config.window_depth);
+            Ok((policy, schedule.clone().unwrap_or_else(by_sensitivity)))
         }
-        Recipe::Ablation(ref schedule) => {
-            let calib = prepared.train.batch_at(0, config.batch);
-            let dp = SearchAlgorithm::DynamicProgramming;
-            (dp, config.budget, schedule.clone(), calib)
-        }
-    };
-    let (tokens, targets) = (&calib.tokens, &calib.targets);
-    let mut oracle = ModelOracle::new(&prepared.model, tokens, targets, calib.batch);
-    let prof = profile(&mut oracle, &LUC_BIT_CHOICES, &LUC_RATIO_CHOICES)?;
-    let policy = search_policy(&prof, budget, search)?.policy;
-    let by_sensitivity = || crate::windows::sensitivity_window_schedule(&prof, config.window_depth);
-    Ok((policy, schedule.unwrap_or_else(by_sensitivity)))
+    }
 }
 
 /// A row of `method` from its adapted run: the final exit for every
@@ -571,7 +551,7 @@ pub(crate) fn outcome(
 }
 
 /// Draws `n` samples of `seq_len` tokens from a boxed task generator.
-pub(crate) fn sample_dataset(
+fn sample_dataset(
     task: &dyn TaskGenerator,
     n: usize,
     seq_len: usize,
@@ -624,7 +604,7 @@ mod tests {
     fn prepare_then_adapt_is_the_vanilla_row_bit_for_bit() {
         // Each method adapts its own clone of one prepared model, Vanilla's
         // first, and must be its fresh row. Pretrained, so EdgeLlm's plan
-        // draws its calibration rows from the stream of the clone.
+        // profiles the source-task rows `prepare` drew into the clone.
         let cfg = ExperimentConfig {
             pretrain_iterations: 4,
             ..ExperimentConfig::smoke_test()
@@ -636,7 +616,7 @@ mod tests {
             let mut clone = prepared.clone();
             let (policy, schedule) = match method {
                 Method::Vanilla => (CompressionPolicy::identity(n), WindowSchedule::FullDepth),
-                _ => plan(&method.recipe(&cfg), &cfg, &mut clone).unwrap(),
+                _ => plan(&method.recipe(&cfg), &cfg, &clone).unwrap(),
             };
             let res = ResilienceConfig::default();
             let run = adapt(&mut clone, &cfg, &policy, schedule.clone(), &res).unwrap();
@@ -654,6 +634,23 @@ mod tests {
             assert_eq!(out.accuracy.to_bits(), row.accuracy.to_bits(), "{method:?}");
             assert_eq!(out.perplexity.to_bits(), row.perplexity.to_bits());
         }
+    }
+
+    #[test]
+    fn prepare_draws_the_calibration_rows_once() {
+        // From scratch: the first 2×batch target rows. Pretrained: as many
+        // source-task rows, drawn after pretraining.
+        let cfg = ExperimentConfig::smoke_test();
+        let fresh = prepare(&cfg).unwrap();
+        assert_eq!(fresh.calib, fresh.train.batch_at(0, 2 * cfg.batch));
+        let pretrained = ExperimentConfig {
+            pretrain_iterations: 2,
+            ..cfg.clone()
+        };
+        let prepared = prepare(&pretrained).unwrap();
+        assert_eq!(prepared.calib.batch, 2 * cfg.batch);
+        assert_ne!(prepared.calib, prepared.train.batch_at(0, 2 * cfg.batch));
+        assert_eq!(prepare(&pretrained).unwrap().calib, prepared.calib);
     }
 
     #[test]
@@ -709,7 +706,6 @@ mod tests {
                 relations: 2,
             },
             TaskKind::Markov { branching: 3 },
-            TaskKind::Copy { symbols: 8 },
             TaskKind::ModArith { modulus: 7 },
         ] {
             let gen = task.build();
