@@ -233,7 +233,7 @@ impl RunStore {
     /// non-finite detection on, and a run that needed recovery is refused
     /// (the default 4x guard rolls full-scale F1's budget-0.125 run back
     /// to iteration 0 at iteration 380, and A1's sensitivity-ordered one
-    /// at 274).
+    /// at 216).
     ///
     /// # Errors
     ///

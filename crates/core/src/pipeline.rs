@@ -650,7 +650,11 @@ mod tests {
         let prepared = prepare(&pretrained).unwrap();
         assert_eq!(prepared.calib.batch, 2 * cfg.batch);
         assert_ne!(prepared.calib, prepared.train.batch_at(0, 2 * cfg.batch));
-        assert_eq!(prepare(&pretrained).unwrap().calib, prepared.calib);
+        let again = prepare(&pretrained).unwrap();
+        assert_eq!(again.calib, prepared.calib);
+        // The stream a clone hands to its checkpoints is the fresh one.
+        let state = prepared.clone().rng.state().to_bytes();
+        assert_eq!(state, again.rng.state().to_bytes());
     }
 
     #[test]
