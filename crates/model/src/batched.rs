@@ -1,14 +1,17 @@
 //! The forward: one layer walk over (sequence, position) rows.
 //!
-//! Every block forward runs here, frozen or training. Each `Run` feeds
+//! Every block forward runs here, frozen or training. Each `BatchedRun` feeds
 //! `tokens.len()` consecutive positions of one sequence; every fed
 //! position is one row of a shared `(n, d_model)` activation and every
 //! projection one matmul over all rows, while each sequence attends over
 //! its own [`SequenceKv`] only. Three row shapes drive the walk:
 //!
-//! - [`batched_decode_step`] — many runs of length 1 at full depth: one
-//!   token from each active sequence (an [`crate::InferenceSession`] is
-//!   the one-slot case);
+//! - [`batched_decode_runs`] — many runs at full depth: one token from
+//!   each decoding sequence beside one no-exit run over each prefilling
+//!   sequence's prompt but its newest token (the serving engine; `generate`
+//!   is the one-sequence case). [`batched_decode_step`] is its form with
+//!   every run of length 1, and an [`crate::InferenceSession`] the one-slot
+//!   case of that;
 //! - the speculative chunk in `crate::spec` — one run of length n,
 //!   stopped at the draft or the final exit;
 //! - `full_window` — `batch` runs of `seq_len` positions, walked in
@@ -238,49 +241,63 @@ pub(crate) fn key_tile(capacity: usize, d_model: usize, tile: usize) -> (usize, 
     (first * d_model, KEY_TILE.min(capacity - first))
 }
 
-/// One sequence's contribution to a batched decode step.
+/// One sequence's one token in a batched decode step: the one-token form
+/// of a [`BatchedRun`], which is how an [`crate::InferenceSession`] feeds.
 #[derive(Debug)]
 pub struct BatchedStep<'a> {
     /// Token to feed at this sequence's current position.
     pub token: usize,
     /// The sequence's cache, advanced by one position on success.
     pub kv: &'a mut SequenceKv,
-    /// Exit layers to return logits for (empty to skip logits entirely,
-    /// e.g. during prompt prefill).
+    /// Exit layers to return logits for (empty to skip logits entirely).
     pub exits: &'a [usize],
-    /// This slot's tenant adapter, if any. The base projections stay one
-    /// shared multi-row matmul; the delta is added to this slot's rows
-    /// only, via [`ResolvedAdapter::apply_row`].
+    /// This slot's tenant adapter, if any (as [`BatchedRun::adapter`]).
     pub adapter: Option<&'a ResolvedAdapter>,
 }
 
-/// Advances every sequence in `steps` by one token through a shared
-/// batched forward pass and returns, per slot, one `(1, vocab)` logits
+/// [`batched_decode_runs`] over one-token runs: advances every sequence in
+/// `steps` by one token and returns, per slot, one `(1, vocab)` logits
 /// tensor per requested exit (in the slot's `exits` order).
-///
-/// All slots are validated before any cache is touched, so on error no
-/// sequence has advanced.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::CapacityExhausted`] if any slot's cache is full,
-/// [`ModelError::BadConfig`] for an out-of-vocabulary token or a cache
-/// shaped for a different model, and [`ModelError::LayerOutOfRange`] for
-/// an exit index past the model depth.
+/// As [`batched_decode_runs`].
 pub fn batched_decode_step(
     model: &EdgeModel,
     steps: &mut [BatchedStep<'_>],
 ) -> Result<Vec<Vec<Tensor>>, ModelError> {
-    let mut runs: Vec<Run<'_>> = steps
+    let mut runs: Vec<BatchedRun<'_>> = steps
         .iter_mut()
-        .map(|s| Run {
+        .map(|s| BatchedRun {
             tokens: std::slice::from_ref(&s.token),
             kv: &mut *s.kv,
             exits: s.exits,
             adapter: s.adapter,
         })
         .collect();
-    Ok(decode_runs(model, &mut runs, Entry::EMBEDDING, model.n_layers(), None)?.1)
+    batched_decode_runs(model, &mut runs)
+}
+
+/// Feeds every run through the whole layer stack in one shared pass and
+/// returns, per run, one `(tokens.len(), vocab)` logits tensor per
+/// requested exit (in the run's `exits` order). Runs may differ in length:
+/// the serving engine feeds a prompt as one no-exit run beside its
+/// decoding slots' one-token runs.
+///
+/// All runs are validated before any cache is touched, so on error no
+/// sequence has advanced.
+///
+/// # Errors
+///
+/// Returns [`ModelError::CapacityExhausted`] if any run does not fit its
+/// cache, [`ModelError::BadConfig`] for an out-of-vocabulary token or a
+/// cache shaped for a different model, and [`ModelError::LayerOutOfRange`]
+/// for an exit index past the model depth.
+pub fn batched_decode_runs(
+    model: &EdgeModel,
+    runs: &mut [BatchedRun<'_>],
+) -> Result<Vec<Vec<Tensor>>, ModelError> {
+    Ok(decode_runs(model, runs, Entry::EMBEDDING, model.n_layers(), None)?.1)
 }
 
 /// Where a pass enters the layer stack.
@@ -308,13 +325,20 @@ impl Entry<'_> {
 
 /// One sequence's share of a decode pass: `tokens` are fed at the
 /// consecutive positions `kv.len()..kv.len() + tokens.len()`.
-pub(crate) struct Run<'a> {
-    pub(crate) tokens: &'a [usize],
-    /// Advanced by `tokens.len()` positions on success.
-    pub(crate) kv: &'a mut SequenceKv,
-    /// Exit layers to return logits for, each below the pass depth.
-    pub(crate) exits: &'a [usize],
-    pub(crate) adapter: Option<&'a ResolvedAdapter>,
+#[derive(Debug)]
+pub struct BatchedRun<'a> {
+    /// Tokens to feed, one row of the shared activation each.
+    pub tokens: &'a [usize],
+    /// The sequence's cache, advanced by `tokens.len()` positions on
+    /// success.
+    pub kv: &'a mut SequenceKv,
+    /// Exit layers to return logits for, each below the pass depth (empty
+    /// to skip logits entirely, e.g. during prompt prefill).
+    pub exits: &'a [usize],
+    /// This sequence's tenant adapter, if any. The base projections stay
+    /// one shared multi-row matmul; the delta is added to this run's rows
+    /// only, via [`ResolvedAdapter::apply_row`].
+    pub adapter: Option<&'a ResolvedAdapter>,
 }
 
 /// The checks of a pass over layers `entry.from..depth`: the layer range,
@@ -407,7 +431,7 @@ pub(crate) fn validate_runs<'r>(
 /// them before anything reads them.
 pub(crate) fn decode_runs(
     model: &EdgeModel,
-    runs: &mut [Run<'_>],
+    runs: &mut [BatchedRun<'_>],
     entry: Entry<'_>,
     depth: usize,
     tape: Option<&mut Vec<BlockTape>>,
@@ -509,12 +533,12 @@ pub(crate) fn full_window(
         let mine = entering
             .as_mut()
             .and_then(|h| h.split_off(..group.len() * c));
-        let mut runs: Vec<Run<'_>> = scratch
+        let mut runs: Vec<BatchedRun<'_>> = scratch
             .iter_mut()
             .zip(group.chunks(seq))
             .map(|(kv, tokens)| {
                 kv.reset();
-                Run {
+                BatchedRun {
                     tokens,
                     kv,
                     exits,
@@ -570,7 +594,7 @@ fn join_tapes(tape: &mut Vec<BlockTape>, part: Vec<BlockTape>) -> Result<(), Mod
 /// caller advances their cursors.
 fn walk(
     model: &EdgeModel,
-    runs: &mut [Run<'_>],
+    runs: &mut [BatchedRun<'_>],
     entry: Entry<'_>,
     depth: usize,
     taped: bool,
@@ -1185,10 +1209,10 @@ mod tests {
         // `hidden`; returns every fed row's hidden state and final logits
         let pass = |kvs: &mut [SequenceKv], lens: [usize; 2], from: usize, hidden: &[f32]| {
             let tokens = [3usize; 8];
-            let mut runs: Vec<Run<'_>> = kvs
+            let mut runs: Vec<BatchedRun<'_>> = kvs
                 .iter_mut()
                 .zip(lens)
-                .map(|(kv, len)| Run {
+                .map(|(kv, len)| BatchedRun {
                     tokens: &tokens[..len],
                     kv,
                     exits: &exits,
@@ -1271,7 +1295,7 @@ mod tests {
         let m = model(10);
         let mut kv = SequenceKv::with_layers(&m, 1);
         let feed = |kv: &mut SequenceKv| {
-            let mut runs = [Run {
+            let mut runs = [BatchedRun {
                 tokens: &[1, 2],
                 kv,
                 exits: &[],

@@ -7,7 +7,7 @@
 //! KV-cached layer walk (`crate::batched`), the one serving batches, so a
 //! prompt continues the same way through either.
 
-use crate::batched::{decode_runs, Entry, Run, SequenceKv};
+use crate::batched::{decode_runs, BatchedRun, Entry, SequenceKv};
 use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::spec::{spec_round, validate_spec_params};
@@ -109,7 +109,7 @@ pub fn generate(
         let window = &tokens[tokens.len().saturating_sub(seq_len)..];
         let context = &window[..window.len() - 1];
         if !context.is_empty() {
-            let prefill = Run {
+            let prefill = BatchedRun {
                 tokens: context,
                 kv: &mut kv,
                 exits: &[],
@@ -126,7 +126,7 @@ pub fn generate(
                 let keep = round.accepted.len().min(target - tokens.len());
                 tokens.extend_from_slice(&round.accepted[..keep]);
             } else {
-                let step = Run {
+                let step = BatchedRun {
                     tokens: &[frontier],
                     kv: &mut kv,
                     exits: &voting.exits,

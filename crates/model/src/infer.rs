@@ -172,7 +172,7 @@ impl<'a> InferenceSession<'a> {
 mod tests {
     use super::*;
     use crate::adapter::{AdapterTarget, TenantAdapter};
-    use crate::batched::{decode_runs, Entry, Run};
+    use crate::batched::{decode_runs, BatchedRun, Entry};
     use crate::config::ModelConfig;
     use edge_llm_prune::magnitude_prune;
     use edge_llm_quant::{BitWidth, QuantScheme};
@@ -373,10 +373,10 @@ mod tests {
             kvs.push(solo.kv.clone());
             solos.push(solo);
         }
-        let mut runs: Vec<Run> = kvs
+        let mut runs: Vec<BatchedRun> = kvs
             .iter_mut()
             .zip(&feeds)
-            .map(|(kv, (tokens, ad))| Run {
+            .map(|(kv, (tokens, ad))| BatchedRun {
                 tokens,
                 kv,
                 exits: &exits,

@@ -51,7 +51,7 @@ mod voting;
 pub use adapter::{AdapterDelta, AdapterTarget, ResolvedAdapter, TenantAdapter};
 pub use adaptive::{AdaptiveTuner, LayerWindow, StepPhases, TuneStepReport, WindowSchedule};
 pub use attention::Attention;
-pub use batched::{batched_decode_step, BatchedStep, SequenceKv};
+pub use batched::{batched_decode_runs, batched_decode_step, BatchedRun, BatchedStep, SequenceKv};
 pub use block::{Block, BlockTape};
 pub use config::ModelConfig;
 pub use error::ModelError;

@@ -33,7 +33,7 @@
 //! token equality, never a float comparison.
 
 use crate::adapter::ResolvedAdapter;
-use crate::batched::{decode_runs, validate_runs, Entry, Run, SequenceKv};
+use crate::batched::{decode_runs, validate_runs, BatchedRun, Entry, SequenceKv};
 use crate::error::ModelError;
 use crate::generate::argmax;
 use crate::model::EdgeModel;
@@ -209,7 +209,7 @@ pub(crate) fn forward_chunk(
     exit_layer: usize,
     adapter: Option<&ResolvedAdapter>,
 ) -> Result<Vec<Tensor>, ModelError> {
-    let run = Run {
+    let run = BatchedRun {
         tokens: fed,
         kv,
         exits: &[exit_layer],

@@ -5,7 +5,7 @@ use crate::error::ServeError;
 use crate::request::{validate_request, FinishReason, ServeOutcome, ServeRequest};
 use crate::shed::ShedCause;
 use edge_llm_model::{
-    batched_decode_step, combine, sample_token, spec_round_with_adapter, BatchedStep, Decoding,
+    batched_decode_runs, combine, sample_token, spec_round_with_adapter, BatchedRun, Decoding,
     EdgeModel, ModelError, ResolvedAdapter, SequenceKv, TenantAdapter,
 };
 use edge_llm_telemetry::{self as telemetry, LatencySummary};
@@ -52,12 +52,14 @@ struct Slot {
 /// frees up, mid-flight, rather than waiting for the whole batch to
 /// drain.
 ///
-/// Each call to [`BatchedInferenceEngine::step`] feeds exactly one token
-/// from every active slot through [`batched_decode_step`]. Per-request
-/// state (KV cache, sampling rng seeded from the request, deadline
-/// accounting in fed tokens) is fully isolated, so every request's output
-/// is bit-identical to [`crate::run_solo`] regardless of arrival order,
-/// batch size, or thread count.
+/// Each call to [`BatchedInferenceEngine::step`] runs one shared pass of
+/// [`batched_decode_runs`]: a decoding slot feeds its newest token, and a
+/// prefilling slot feeds every prompt token but the newest as one no-exit
+/// run. Per-request state (KV cache, sampling rng seeded from the request,
+/// deadline accounting in fed tokens) is fully isolated, and the pass's
+/// rows are independent, so every request's output is bit-identical to the
+/// token-at-a-time [`crate::run_solo`] regardless of arrival order, batch
+/// size, or thread count.
 #[derive(Debug)]
 pub struct BatchedInferenceEngine<'a> {
     model: &'a EdgeModel,
@@ -324,9 +326,13 @@ impl<'a> BatchedInferenceEngine<'a> {
     }
 
     /// Retires finished slots, admits queued requests into free slots,
-    /// then advances every active request by exactly one token through a
-    /// single shared forward pass. Returns `false` once the engine is
-    /// idle.
+    /// then advances every active request through a single shared forward
+    /// pass: a decoding slot by one token, a prefilling slot by its prompt
+    /// but the newest token — or fewer, where its cache fills or its
+    /// deadline falls inside the prompt, so it retires on the token the
+    /// solo reference stops at. A self-speculative slot at its newest
+    /// token runs its own draft/verify round instead. Returns `false` once
+    /// the engine is idle.
     ///
     /// # Errors
     ///
@@ -340,8 +346,8 @@ impl<'a> BatchedInferenceEngine<'a> {
         // stage runs a private draft/verify round (its pass covers k+1
         // positions of its own sequence); everything else — prefill for
         // every mode, generation for the sampling modes — shares one
-        // batched single-position pass. Per-slot state stays fully
-        // isolated either way, so the split cannot couple outputs.
+        // batched pass. Per-slot state stays fully isolated either way,
+        // so the split cannot couple outputs.
         let mut batched: Vec<&mut Slot> = Vec::new();
         let mut speculative: Vec<&mut Slot> = Vec::new();
         for slot in self.slots.iter_mut().filter_map(|s| s.as_mut()) {
@@ -356,30 +362,38 @@ impl<'a> BatchedInferenceEngine<'a> {
         }
         let mut tokens_out = 0u64;
         if !batched.is_empty() {
-            let mut steps: Vec<BatchedStep> = Vec::with_capacity(batched.len());
+            let mut runs: Vec<BatchedRun> = Vec::with_capacity(batched.len());
             for slot in batched.iter_mut() {
-                let token = slot.known[slot.fed];
-                // logits are only needed when feeding the last known token;
-                // everything earlier is prompt prefill
-                let exits: &[usize] = if slot.fed == slot.known.len() - 1 {
-                    &slot.req.voting.exits
+                let newest = slot.known.len() - 1;
+                // A slot feeding its newest token decodes it at the
+                // voting exits. Everything before it is prefill: one
+                // no-exit run, cut where the solo reference stops feeding
+                // it — at a full cache or at the deadline, which counts
+                // fed tokens.
+                let (tokens, exits): (&[usize], &[usize]) = if slot.fed == newest {
+                    (&slot.known[newest..], &slot.req.voting.exits)
                 } else {
-                    &[]
+                    let mut end = newest.min(slot.fed + slot.kv.remaining());
+                    if let Some(d) = slot.req.deadline_steps {
+                        end = end.min(d);
+                    }
+                    (&slot.known[slot.fed..end], &[])
                 };
-                steps.push(BatchedStep {
-                    token,
+                runs.push(BatchedRun {
+                    tokens,
                     kv: &mut slot.kv,
                     exits,
                     adapter: slot.adapter.as_deref(),
                 });
             }
             let pass = telemetry::timed("serve.decode");
-            let logits = batched_decode_step(self.model, &mut steps)?;
+            let logits = batched_decode_runs(self.model, &mut runs)?;
             let pass_ns = pass.end();
-            drop(steps);
-            for (row, slot) in batched.iter_mut().enumerate() {
-                if !logits[row].is_empty() {
-                    let probs = combine(&logits[row], &slot.req.voting.combiner)?;
+            let fed: Vec<usize> = runs.iter().map(|r| r.tokens.len()).collect();
+            drop(runs);
+            for ((slot, logits), fed) in batched.iter_mut().zip(&logits).zip(fed) {
+                if !logits.is_empty() {
+                    let probs = combine(logits, &slot.req.voting.combiner)?;
                     let next = sample_token(probs.row(0), slot.req.decoding, &mut slot.rng);
                     slot.last_probs = Some(probs.row(0).to_vec());
                     slot.known.push(next);
@@ -395,7 +409,7 @@ impl<'a> BatchedInferenceEngine<'a> {
                     // the shared pass is the latency every token in it saw
                     self.stats.decode_token_ns.push(pass_ns);
                 }
-                slot.fed += 1;
+                slot.fed += fed;
             }
         }
         for slot in speculative.iter_mut() {
@@ -589,7 +603,7 @@ impl<'a> BatchedInferenceEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solo::run_solo;
+    use crate::solo::{run_solo, run_solo_with_adapter};
     use edge_llm_model::{Decoding, ModelConfig, VotingCombiner, VotingPolicy};
 
     fn model() -> EdgeModel {
@@ -821,15 +835,143 @@ mod tests {
         assert!(matches!(outcomes[0].finish, FinishReason::Rejected { .. }));
     }
 
+    /// Serves `requests` through an engine of `batch` slots (all submitted
+    /// up front), holds each outcome bit-equal to `run_solo`, and returns
+    /// the engine's pass count.
+    fn passes_matching_solo(m: &EdgeModel, batch: usize, requests: &[ServeRequest]) -> usize {
+        let mut engine = BatchedInferenceEngine::new(m, batch).unwrap();
+        for r in requests {
+            engine.submit(r.clone());
+        }
+        let outcomes = engine.run_to_completion().unwrap();
+        assert_eq!(outcomes.len(), requests.len());
+        for req in requests {
+            let solo = run_solo(m, req).unwrap();
+            assert_outcome_bit_equal(outcomes.iter().find(|o| o.id == req.id).unwrap(), &solo);
+        }
+        engine.steps_run()
+    }
+
     #[test]
     fn steps_counter_tracks_forward_passes() {
         let m = model();
-        let mut engine = BatchedInferenceEngine::new(&m, 2).unwrap();
-        engine.submit(request(&m, "a", 1));
-        engine.submit(request(&m, "b", 2));
-        engine.run_to_completion().unwrap();
-        // both requests feed 5 tokens (3 prompt + 2 generated consumed)
-        // and run concurrently, so the engine needs exactly 5 passes
-        assert_eq!(engine.steps_run(), 5);
+        // each request prefills its first 2 prompt tokens in one pass,
+        // then feeds the third and its 2 kept generated tokens one pass
+        // each, producing 3 tokens; the two run concurrently
+        let requests = [request(&m, "a", 1), request(&m, "b", 2)];
+        assert_eq!(passes_matching_solo(&m, 2, &requests), 4);
+    }
+
+    #[test]
+    fn a_deadline_inside_the_prompt_ends_the_prefill_run_where_solo_stops() {
+        let m = model();
+        let mut cut = request(&m, "cut", 1);
+        cut.prompt = vec![1, 2, 3, 4, 5, 6];
+        cut.deadline_steps = Some(4);
+        // its batch-mate decodes from the first pass
+        let mut mate = request(&m, "mate", 2);
+        mate.prompt = vec![7];
+        let solo = run_solo(&m, &cut).unwrap();
+        assert_eq!(solo.finish, FinishReason::DeadlineExceeded);
+        assert_eq!(solo.steps, 4);
+        // one 4-token prefill pass retires "cut"; "mate" takes 3 passes
+        assert_eq!(passes_matching_solo(&m, 2, &[cut.clone()]), 1);
+        assert_eq!(passes_matching_solo(&m, 2, &[cut, mate]), 3);
+    }
+
+    #[test]
+    fn a_cache_filling_inside_the_prompt_ends_the_prefill_run_where_solo_stops() {
+        let m = model();
+        let seq = m.config().seq_len;
+        let mut long = request(&m, "long", 1);
+        long.prompt = (0..seq + 3).map(|t| t % m.config().vocab_size).collect();
+        let solo = run_solo(&m, &long).unwrap();
+        assert_eq!(solo.finish, FinishReason::CapacityExhausted);
+        assert_eq!(solo.steps, seq);
+        assert_eq!(passes_matching_solo(&m, 1, &[long.clone()]), 1);
+        // a deadline past the cache still ends it on capacity, one before
+        // it on the deadline
+        long.deadline_steps = Some(seq + 1);
+        assert_eq!(passes_matching_solo(&m, 1, &[long.clone()]), 1);
+        long.deadline_steps = Some(seq - 1);
+        assert_eq!(passes_matching_solo(&m, 1, &[long]), 1);
+    }
+
+    #[test]
+    fn a_one_token_prompt_makes_no_prefill_run() {
+        let m = model();
+        let mut r = request(&m, "one", 1);
+        r.prompt = vec![4];
+        // one pass per generated token and none before
+        assert_eq!(passes_matching_solo(&m, 1, &[r]), 3);
+    }
+
+    #[test]
+    fn speculative_and_adapter_slots_prefill_beside_decoding_slots() {
+        use edge_llm_model::AdapterTarget;
+        let mut rng = TensorRng::seed_from(12);
+        let m = EdgeModel::new(ModelConfig::tiny().with_layers(4), &mut rng).unwrap();
+        let adapter = TenantAdapter::seeded(m.config(), 3, 2, &[(1, AdapterTarget::Fc1)]);
+        let resolved = Arc::new(adapter.resolve(&m).unwrap());
+        // one-token prompts decode from the first pass, beside the
+        // speculative and tenant slots' prefill runs
+        let mut decoding = request(&m, "decoding", 1);
+        decoding.prompt = vec![9];
+        decoding.max_new_tokens = 5;
+        let mut sampled = request(&m, "sampled", 2);
+        sampled.prompt = vec![8];
+        sampled.decoding = Decoding::Sample { temperature: 0.9 };
+        let mut spec = request(&m, "spec", 3);
+        spec.prompt = vec![1, 2, 3, 4, 5];
+        spec.decoding = Decoding::SelfSpeculative {
+            draft_depth: 1,
+            k: 2,
+        };
+        spec.max_new_tokens = 4;
+        let mut tenant = request(&m, "tenant", 4);
+        tenant.prompt = vec![6, 5, 4, 3];
+        tenant.tenant = Some("acme".into());
+        let requests = [decoding, sampled, spec, tenant];
+
+        let mut engine = BatchedInferenceEngine::new(&m, 4).unwrap();
+        engine.register_adapter("acme", adapter).unwrap();
+        for r in &requests {
+            engine.submit(r.clone());
+        }
+        let outcomes = engine.run_to_completion().unwrap();
+        for req in &requests {
+            let ad = req.tenant.as_ref().map(|_| Arc::clone(&resolved));
+            let solo = run_solo_with_adapter(&m, req, ad).unwrap();
+            assert_outcome_bit_equal(outcomes.iter().find(|o| o.id == req.id).unwrap(), &solo);
+        }
+        // "decoding" takes 5 passes, "tenant" a prefill pass and 3, and
+        // "spec" a prefill pass and one per round
+        let report = engine.report();
+        assert!(report.spec_rounds > 0);
+        assert_eq!(engine.steps_run(), 5.max(1 + report.spec_rounds));
+    }
+
+    #[test]
+    fn a_request_admitted_mid_flight_prefills_beside_decoding_slots() {
+        let m = model();
+        let mut engine = BatchedInferenceEngine::new(&m, 3).unwrap();
+        let early = [request(&m, "a", 1), request(&m, "b", 2)];
+        for r in &early {
+            engine.submit(r.clone());
+        }
+        for _ in 0..2 {
+            engine.step().unwrap();
+        }
+        let mut late = request(&m, "late", 3);
+        late.prompt = vec![3, 1, 4, 1, 5];
+        late.max_new_tokens = 4;
+        engine.submit(late.clone());
+        let outcomes = engine.run_to_completion().unwrap();
+        for req in early.iter().chain([&late]) {
+            let solo = run_solo(&m, req).unwrap();
+            assert_outcome_bit_equal(outcomes.iter().find(|o| o.id == req.id).unwrap(), &solo);
+        }
+        // "late" joins at the third pass: one prefill pass, then 4
+        assert_eq!(engine.steps_run(), 2 + 1 + 4);
     }
 }

@@ -6,8 +6,9 @@
 //! amortise much better over several rows than over one. This crate turns
 //! the single-sequence [`edge_llm_model::InferenceSession`] decode loop
 //! into a [`BatchedInferenceEngine`] that packs every in-flight request's
-//! next token into one shared forward pass per step
-//! ([`edge_llm_model::batched_decode_step`]), admitting queued requests
+//! next token — or a newly admitted request's whole prompt but its newest
+//! token — into one shared forward pass per step
+//! ([`edge_llm_model::batched_decode_runs`]), admitting queued requests
 //! the moment a slot frees up (continuous batching) rather than waiting
 //! for a whole batch to finish.
 //!

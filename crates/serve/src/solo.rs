@@ -61,8 +61,9 @@ pub fn run_solo_with_adapter(
     let mut fed = 0usize;
     let mut generated = 0usize;
     let mut last_probs: Option<Vec<f32>> = None;
-    // Same per-token loop as one engine slot: finish checks first, then
-    // feed exactly one token, computing logits only on the last known
+    // Token at a time, finish checks before every token: the engine feeds
+    // a prompt as one run, cut where this loop would stop, so the two
+    // agree on every finish. Logits are computed only on the last known
     // token (everything earlier is prompt prefill).
     let finish = loop {
         if generated == req.max_new_tokens {
