@@ -712,11 +712,13 @@ fn walk(
         let (n2, ln2) = normalize(block.ln2(), &x1)?;
         let (mut pre, fc1_in) = project(l, AdapterTarget::Fc1, fc1, n2)?;
         // A taped layer keeps GELU's derivative, written over `pre`.
+        let span = telemetry::span("model.gelu");
         let act = if taped {
             gelu_forward_train(&mut pre)
         } else {
             gelu_forward(&pre)
         };
+        drop(span);
         let gelu_grad = taped.then_some(pre);
         let (mlp_out, fc2_in) = project(l, AdapterTarget::Fc2, fc2, act)?;
         x = x1.add(&mlp_out)?;

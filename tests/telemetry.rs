@@ -78,10 +78,10 @@ fn two_step_adaptation_produces_the_exact_span_tree() {
     assert_eq!(roots.len(), 2, "one root span per adaptation step");
     for (i, root) in roots.iter().enumerate() {
         // step `i` trains layer `i` and exits there: its forward walks
-        // `i + 1` layers, each with one attention span, and its backward
-        // reaches one block
+        // `i + 1` layers, each with one attention and one GELU span, and
+        // its backward reaches one block
         let mut expected = vec![(0, "tune.step"), (1, "tune.forward")];
-        expected.extend((0..=i).map(|_| (2, "model.attention")));
+        expected.extend((0..=i).flat_map(|_| [(2, "model.attention"), (2, "model.gelu")]));
         expected.extend([
             (1, "tune.backward"),
             (2, "model.attention_backward"),
@@ -96,10 +96,10 @@ fn two_step_adaptation_produces_the_exact_span_tree() {
     }
 
     // the tick clock makes every timestamp exact: each step reads it at
-    // every span start and end and at its 2 counters — 14 reads for the
-    // first step's 6 spans, 16 for the second's 7
-    assert_eq!((roots[0].start_ns, roots[0].end_ns), (0, 130));
-    assert_eq!((roots[1].start_ns, roots[1].end_ns), (140, 290));
+    // every span start and end and at its 2 counters — 16 reads for the
+    // first step's 7 spans, 20 for the second's 9
+    assert_eq!((roots[0].start_ns, roots[0].end_ns), (0, 150));
+    assert_eq!((roots[1].start_ns, roots[1].end_ns), (160, 350));
 
     // per-step counters are always emitted, even when zero, so the trace
     // shape does not depend on cache state
@@ -123,7 +123,7 @@ fn two_step_adaptation_produces_the_exact_span_tree() {
     assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     assert_eq!(
         fnv1a64(text.as_bytes()),
-        0x0a087e4f420380ac,
+        0x9f84a59d26873fff,
         "trace bytes moved"
     );
 }
@@ -267,12 +267,15 @@ fn an_integer_decode_pass_records_one_pgemm_span_per_projection() {
     let roots = span_tree(&edge_llm_telemetry::disable());
     set_configured_threads(0);
 
-    // per walked layer: qkv, attention, proj, fc1, fc2 — each projection
-    // quantizes its activation rows, then multiplies on the codes
+    // per walked layer: qkv, attention, proj, fc1, GELU, fc2 — each
+    // projection quantizes its activation rows, then multiplies on the
+    // codes
     let mut expected = Vec::new();
     for _ in 0..model.n_layers() {
         expected.extend(["model.act_quant", "model.pgemm", "model.attention"]);
-        expected.extend(["model.act_quant", "model.pgemm"].repeat(3));
+        expected.extend(["model.act_quant", "model.pgemm"].repeat(2));
+        expected.push("model.gelu");
+        expected.extend(["model.act_quant", "model.pgemm"]);
     }
     let flat: Vec<(usize, &str)> = roots.iter().flat_map(SpanNode::flatten).collect();
     assert_eq!(
