@@ -835,6 +835,18 @@ mod tests {
         assert!(matches!(outcomes[0].finish, FinishReason::Rejected { .. }));
     }
 
+    /// [`BatchedInferenceEngine::run_to_completion`] within 64 passes, so
+    /// an engine that stops making progress fails rather than hangs.
+    fn drain(engine: &mut BatchedInferenceEngine<'_>) -> Vec<ServeOutcome> {
+        while engine.step().unwrap() {
+            assert!(
+                engine.steps_run() <= 64,
+                "the engine stopped making progress"
+            );
+        }
+        engine.take_finished()
+    }
+
     /// Serves `requests` through an engine of `batch` slots (all submitted
     /// up front), holds each outcome bit-equal to `run_solo`, and returns
     /// the engine's pass count.
@@ -843,7 +855,7 @@ mod tests {
         for r in requests {
             engine.submit(r.clone());
         }
-        let outcomes = engine.run_to_completion().unwrap();
+        let outcomes = drain(&mut engine);
         assert_eq!(outcomes.len(), requests.len());
         for req in requests {
             let solo = run_solo(m, req).unwrap();
@@ -938,7 +950,7 @@ mod tests {
         for r in &requests {
             engine.submit(r.clone());
         }
-        let outcomes = engine.run_to_completion().unwrap();
+        let outcomes = drain(&mut engine);
         for req in &requests {
             let ad = req.tenant.as_ref().map(|_| Arc::clone(&resolved));
             let solo = run_solo_with_adapter(&m, req, ad).unwrap();
@@ -966,7 +978,7 @@ mod tests {
         late.prompt = vec![3, 1, 4, 1, 5];
         late.max_new_tokens = 4;
         engine.submit(late.clone());
-        let outcomes = engine.run_to_completion().unwrap();
+        let outcomes = drain(&mut engine);
         for req in early.iter().chain([&late]) {
             let solo = run_solo(&m, req).unwrap();
             assert_outcome_bit_equal(outcomes.iter().find(|o| o.id == req.id).unwrap(), &solo);
