@@ -184,10 +184,9 @@ pub(crate) fn serve<W: Write>(c: &Serve, out: &mut W) -> Result<(), CliError> {
             .collect();
         writeln!(
             out,
-            "adapters: {} hits, {} misses, {} lru + {} replaced evictions; resident: {}",
+            "adapters: {} hits, {} misses, {} replaced evictions; resident: {}",
             report.adapter_hits,
             report.adapter_misses,
-            report.adapter_evictions_lru,
             report.adapter_evictions_replaced,
             if resident.is_empty() {
                 "none".to_string()

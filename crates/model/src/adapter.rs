@@ -231,7 +231,7 @@ pub struct ResolvedAdapter {
 
 impl ResolvedAdapter {
     /// Bytes of per-tenant weight state (the resident-size unit the
-    /// adapter cache budgets).
+    /// adapter cache reports).
     pub fn bytes(&self) -> usize {
         self.bytes
     }

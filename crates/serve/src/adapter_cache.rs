@@ -1,88 +1,47 @@
-//! Bytes-budgeted LRU cache of resolved per-tenant adapters.
+//! Per-tenant adapters, resolved once at registration.
 //!
 //! One frozen base serves every tenant; the only per-tenant weight state
-//! is each tenant's low-rank adapter. On an edge device even that state
-//! is budgeted, so the cache splits tenant adapters into two tiers,
-//! modeled on the engine's KV-slot eviction:
-//!
-//! - a **registry** of every tenant the engine knows (the cold store —
-//!   registering is cheap and never evicts another tenant's knowledge);
-//! - a **resident** set of resolved adapters whose factor bytes fit the
-//!   configured budget, managed LRU by admission order of use.
+//! is each tenant's low-rank adapter. The engine resolves an adapter
+//! against its model when the tenant registers — a misfit adapter is
+//! refused there — and keeps the result here, one entry per tenant.
 //!
 //! [`AdapterCache::acquire`] is the only way decode paths get an
-//! adapter: a hit bumps recency, a miss resolves from the registry and
-//! evicts true-LRU residents until the budget holds again. Slots hold
-//! `Arc`s, so evicting a tenant mid-stream never breaks the sessions
-//! already decoding with it — eviction only means the *next* admission
-//! pays the re-load. Every transition bumps a typed counter
-//! (`serve.adapter.hit` / `serve.adapter.miss` /
-//! [`ShedCause::AdapterLru`] / [`ShedCause::AdapterReplaced`]).
+//! adapter. The first admission after a tenant (re)registers makes its
+//! adapter resident and counts a miss; every later admission counts a
+//! hit. Re-registering a resident tenant counts
+//! [`ShedCause::AdapterReplaced`] and makes the new version's next
+//! admission a miss again. Slots hold their own `Arc`, so a session
+//! already decoding with the old version finishes on it. Counters:
+//! `serve.adapter.hit` / `serve.adapter.miss` /
+//! `serve.adapter.evict.replaced`.
 
 use crate::shed::ShedCause;
-use edge_llm_model::{EdgeModel, ModelError, ResolvedAdapter, TenantAdapter};
+use edge_llm_model::ResolvedAdapter;
 use edge_llm_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Per-tenant LRU adapter cache (see module docs).
-#[derive(Debug, Clone)]
+/// Every registered tenant's resolved adapter (see module docs).
+#[derive(Debug, Clone, Default)]
 pub struct AdapterCache {
-    /// Every registered tenant's portable adapter (the cold store).
-    registry: BTreeMap<String, TenantAdapter>,
-    /// Resident resolved adapters with their LRU recency stamp.
-    resident: BTreeMap<String, (Arc<ResolvedAdapter>, u64)>,
-    /// Monotonic recency clock; higher = more recently used.
-    clock: u64,
-    budget_bytes: usize,
+    /// Tenant → its adapter and whether an admission has used this
+    /// version yet (resident).
+    tenants: BTreeMap<String, (Arc<ResolvedAdapter>, bool)>,
     hits: u64,
     misses: u64,
-    evictions_lru: u64,
     evictions_replaced: u64,
 }
 
 impl AdapterCache {
-    /// An empty cache with an effectively unlimited budget.
-    pub fn new() -> Self {
-        AdapterCache::with_budget(usize::MAX)
-    }
-
-    /// An empty cache that keeps at most `budget_bytes` of resident
-    /// adapter factors.
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        AdapterCache {
-            registry: BTreeMap::new(),
-            resident: BTreeMap::new(),
-            clock: 0,
-            budget_bytes,
-            hits: 0,
-            misses: 0,
-            evictions_lru: 0,
-            evictions_replaced: 0,
-        }
-    }
-
-    /// Changes the bytes budget and immediately evicts LRU residents
-    /// until the new budget holds.
-    pub fn set_budget_bytes(&mut self, budget_bytes: usize) {
-        self.budget_bytes = budget_bytes;
-        self.evict_to_budget();
-    }
-
-    /// The configured bytes budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
-    /// Registers (or replaces) `tenant`'s adapter. A replaced tenant's
-    /// resident copy is dropped ([`ShedCause::AdapterReplaced`]) so no
-    /// *new* admission can keep decoding with the stale version;
-    /// sessions already holding the old `Arc` finish on it, exactly like
-    /// a retired KV slot draining.
-    pub fn register(&mut self, tenant: &str, adapter: TenantAdapter) {
-        if self.registry.insert(tenant.to_string(), adapter).is_some()
-            && self.resident.remove(tenant).is_some()
-        {
+    /// Registers (or replaces) `tenant`'s adapter. Replacing a resident
+    /// version counts [`ShedCause::AdapterReplaced`]; sessions already
+    /// holding the old `Arc` finish on it, exactly like a retired KV slot
+    /// draining.
+    pub fn register(&mut self, tenant: &str, adapter: ResolvedAdapter) {
+        let replaced = self
+            .tenants
+            .insert(tenant.to_string(), (Arc::new(adapter), false));
+        if replaced.is_some_and(|(_, resident)| resident) {
             self.evictions_replaced += 1;
             telemetry::counter(ShedCause::AdapterReplaced.counter_name(), 1);
         }
@@ -90,81 +49,38 @@ impl AdapterCache {
 
     /// Whether `tenant` has a registered adapter.
     pub fn knows(&self, tenant: &str) -> bool {
-        self.registry.contains_key(tenant)
+        self.tenants.contains_key(tenant)
     }
 
-    /// Resolves `tenant`'s adapter for a slot: a resident hit bumps
-    /// recency; a miss resolves from the registry, makes the adapter
-    /// resident, and evicts least-recently-used tenants until the bytes
-    /// budget holds (which may evict the just-loaded adapter itself when
-    /// it alone exceeds the budget — the returned `Arc` still serves the
-    /// requesting slot).
-    ///
-    /// Returns `None` for an unknown tenant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] when the registered adapter does not fit
-    /// `model` (wrong shapes or layers).
-    pub fn acquire(
-        &mut self,
-        tenant: &str,
-        model: &EdgeModel,
-    ) -> Result<Option<Arc<ResolvedAdapter>>, ModelError> {
-        self.clock += 1;
-        if let Some((arc, stamp)) = self.resident.get_mut(tenant) {
-            *stamp = self.clock;
+    /// `tenant`'s adapter for a slot, counting a hit when it is resident
+    /// and a miss (which makes it resident) when not. Returns `None` for
+    /// an unknown tenant, counting nothing.
+    pub fn acquire(&mut self, tenant: &str) -> Option<Arc<ResolvedAdapter>> {
+        let (adapter, resident) = self.tenants.get_mut(tenant)?;
+        if *resident {
             self.hits += 1;
             telemetry::counter("serve.adapter.hit", 1);
-            return Ok(Some(Arc::clone(arc)));
+        } else {
+            *resident = true;
+            self.misses += 1;
+            telemetry::counter("serve.adapter.miss", 1);
         }
-        let Some(portable) = self.registry.get(tenant) else {
-            return Ok(None);
-        };
-        let resolved = Arc::new(portable.resolve(model)?);
-        self.misses += 1;
-        telemetry::counter("serve.adapter.miss", 1);
-        self.resident
-            .insert(tenant.to_string(), (Arc::clone(&resolved), self.clock));
-        self.evict_to_budget();
-        Ok(Some(resolved))
-    }
-
-    /// Evicts LRU residents until `resident_bytes() <= budget`. The
-    /// just-admitted adapter is as evictable as any other (it is the MRU,
-    /// so it only goes when it alone exceeds the budget), which makes the
-    /// budget invariant unconditional.
-    fn evict_to_budget(&mut self) {
-        while self.resident_bytes() > self.budget_bytes {
-            let victim = self
-                .resident
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(name, _)| name.clone());
-            let Some(victim) = victim else { break };
-            self.resident.remove(&victim);
-            self.evictions_lru += 1;
-            telemetry::counter(ShedCause::AdapterLru.counter_name(), 1);
-        }
+        Some(Arc::clone(adapter))
     }
 
     /// Total factor bytes of resident adapters.
     pub fn resident_bytes(&self) -> usize {
-        self.resident.values().map(|(a, _)| a.bytes()).sum()
+        self.resident_by_tenant().iter().map(|(_, b)| b).sum()
     }
 
     /// `(tenant, resident factor bytes)` for every resident adapter, in
     /// tenant order — the `EngineReport` per-tenant breakdown.
     pub fn resident_by_tenant(&self) -> Vec<(String, usize)> {
-        self.resident
+        self.tenants
             .iter()
+            .filter(|(_, (_, resident))| *resident)
             .map(|(name, (a, _))| (name.clone(), a.bytes()))
             .collect()
-    }
-
-    /// Whether `tenant`'s adapter is currently resident.
-    pub fn is_resident(&self, tenant: &str) -> bool {
-        self.resident.contains_key(tenant)
     }
 
     /// Resident-hit count since construction.
@@ -172,14 +88,10 @@ impl AdapterCache {
         self.hits
     }
 
-    /// Miss (re-load) count since construction.
+    /// Miss count since construction: first admissions after a
+    /// (re)registration.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// LRU evictions since construction.
-    pub fn evictions_lru(&self) -> u64 {
-        self.evictions_lru
     }
 
     /// Replacement evictions since construction.
@@ -188,110 +100,65 @@ impl AdapterCache {
     }
 }
 
-impl Default for AdapterCache {
-    fn default() -> Self {
-        AdapterCache::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edge_llm_model::{AdapterTarget, ModelConfig};
+    use edge_llm_model::{AdapterTarget, EdgeModel, ModelConfig, TenantAdapter};
     use edge_llm_tensor::TensorRng;
 
-    fn model() -> EdgeModel {
+    fn resolved(seed: u64) -> ResolvedAdapter {
         let mut rng = TensorRng::seed_from(1);
-        EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap()
-    }
-
-    fn adapter(cfg: &ModelConfig, seed: u64) -> TenantAdapter {
-        TenantAdapter::seeded(cfg, seed, 1, &[(0, AdapterTarget::Proj)])
+        let model = EdgeModel::new(ModelConfig::tiny(), &mut rng).unwrap();
+        TenantAdapter::seeded(model.config(), seed, 1, &[(0, AdapterTarget::Proj)])
+            .resolve(&model)
+            .unwrap()
     }
 
     #[test]
     fn unknown_tenant_is_none_and_uncounted() {
-        let m = model();
-        let mut cache = AdapterCache::new();
-        assert!(cache.acquire("ghost", &m).unwrap().is_none());
+        let mut cache = AdapterCache::default();
+        assert!(cache.acquire("ghost").is_none());
         assert_eq!(cache.hits() + cache.misses(), 0);
     }
 
     #[test]
-    fn miss_then_hit_then_lru_eviction() {
-        let m = model();
-        let cfg = m.config().clone();
-        let one = adapter(&cfg, 1).bytes();
-        // room for exactly two resident adapters
-        let mut cache = AdapterCache::with_budget(2 * one);
-        for t in ["a", "b", "c"] {
-            cache.register(t, adapter(&cfg, t.len() as u64));
+    fn first_admission_misses_then_hits() {
+        let mut cache = AdapterCache::default();
+        for t in ["a", "b"] {
+            cache.register(t, resolved(t.len() as u64));
         }
-        assert!(cache.acquire("a", &m).unwrap().is_some()); // miss
-        assert!(cache.acquire("b", &m).unwrap().is_some()); // miss
-        assert!(cache.acquire("a", &m).unwrap().is_some()); // hit, bumps a
-        assert!(cache.acquire("c", &m).unwrap().is_some()); // miss, evicts b
-        assert_eq!(cache.misses(), 3);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.evictions_lru(), 1);
-        assert!(cache.is_resident("a") && cache.is_resident("c"));
-        assert!(!cache.is_resident("b"));
-        assert!(cache.resident_bytes() <= cache.budget_bytes());
-        // b is still registered: the next acquire re-loads it
-        assert!(cache.acquire("b", &m).unwrap().is_some());
-        assert_eq!(cache.misses(), 4);
-    }
-
-    #[test]
-    fn oversized_adapter_serves_but_does_not_stay() {
-        let m = model();
-        let cfg = m.config().clone();
-        let ad = adapter(&cfg, 9);
-        let mut cache = AdapterCache::with_budget(ad.bytes() / 2);
-        cache.register("big", ad);
-        let got = cache.acquire("big", &m).unwrap();
-        assert!(got.is_some());
-        assert!(!cache.is_resident("big"));
-        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.resident_bytes(), 0, "registering loads nothing");
+        let a = cache.acquire("a").unwrap(); // miss
+        assert!(cache.acquire("b").is_some()); // miss
+        let again = cache.acquire("a").unwrap(); // hit
+        assert!(Arc::ptr_eq(&a, &again), "a hit hands out the same adapter");
+        assert_eq!((cache.misses(), cache.hits()), (2, 1));
+        assert_eq!(cache.resident_bytes(), 2 * a.bytes());
+        let tenants: Vec<String> = cache
+            .resident_by_tenant()
+            .into_iter()
+            .map(|e| e.0)
+            .collect();
+        assert_eq!(tenants, ["a", "b"]);
     }
 
     #[test]
     fn re_register_drops_resident_copy() {
-        let m = model();
-        let cfg = m.config().clone();
-        let mut cache = AdapterCache::new();
-        cache.register("t", adapter(&cfg, 1));
-        cache.acquire("t", &m).unwrap();
-        assert!(cache.is_resident("t"));
-        cache.register("t", adapter(&cfg, 2));
-        assert!(!cache.is_resident("t"));
-        assert_eq!(cache.evictions_replaced(), 1);
-        // registering a brand-new tenant counts nothing
-        cache.register("u", adapter(&cfg, 3));
-        assert_eq!(cache.evictions_replaced(), 1);
-    }
-
-    #[test]
-    fn shrinking_budget_evicts_immediately() {
-        let m = model();
-        let cfg = m.config().clone();
-        let mut cache = AdapterCache::new();
-        for t in ["a", "b"] {
-            cache.register(t, adapter(&cfg, 5));
-            cache.acquire(t, &m).unwrap();
-        }
-        assert_eq!(cache.resident_by_tenant().len(), 2);
-        cache.set_budget_bytes(0);
+        let mut cache = AdapterCache::default();
+        cache.register("t", resolved(1));
+        let old = cache.acquire("t").unwrap();
+        assert_eq!(cache.resident_bytes(), old.bytes());
+        cache.register("t", resolved(2));
         assert_eq!(cache.resident_bytes(), 0);
-        assert_eq!(cache.evictions_lru(), 2);
-    }
-
-    #[test]
-    fn misfit_adapter_resolution_fails_loudly() {
-        let m = model();
-        let other = ModelConfig::tiny().with_d_model(32, 4);
-        let mut cache = AdapterCache::new();
-        cache.register("wrong", adapter(&other, 1));
-        assert!(cache.acquire("wrong", &m).is_err());
+        assert_eq!(cache.evictions_replaced(), 1);
+        // the next admission loads the new version
+        let new = cache.acquire("t").unwrap();
+        assert_eq!(cache.misses(), 2);
+        assert_ne!(*old, *new);
+        // replacing a version no admission used, or registering a
+        // brand-new tenant, counts nothing
+        cache.register("u", resolved(3));
+        cache.register("u", resolved(4));
+        assert_eq!(cache.evictions_replaced(), 1);
     }
 }

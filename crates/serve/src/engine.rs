@@ -42,8 +42,8 @@ struct Slot {
     generated: usize,
     last_probs: Option<Vec<f32>>,
     /// The tenant adapter acquired at admission. The slot holds its own
-    /// `Arc`, so a cache eviction mid-stream never changes this slot's
-    /// bits — eviction only makes the *next* admission re-load.
+    /// `Arc`, so re-registering the tenant mid-stream never changes this
+    /// slot's bits — only the *next* admission gets the new version.
     adapter: Option<Arc<ResolvedAdapter>>,
 }
 
@@ -130,10 +130,8 @@ pub struct EngineReport {
     pub spec_accepted: usize,
     /// Admissions that found their tenant's adapter resident.
     pub adapter_hits: u64,
-    /// Admissions that had to (re-)load their tenant's adapter.
+    /// First admissions after their tenant's adapter was (re)registered.
     pub adapter_misses: u64,
-    /// Resident adapters evicted LRU to hold the bytes budget.
-    pub adapter_evictions_lru: u64,
     /// Resident adapters dropped by a tenant re-registering.
     pub adapter_evictions_replaced: u64,
     /// `(tenant, resident factor bytes)` per currently-resident adapter,
@@ -187,14 +185,14 @@ impl<'a> BatchedInferenceEngine<'a> {
             stats: EngineStats::default(),
             capture_progress: false,
             progress: Vec::new(),
-            adapters: AdapterCache::new(),
+            adapters: AdapterCache::default(),
         })
     }
 
-    /// Registers (or replaces) `tenant`'s LoRA adapter, validating it
-    /// against the engine's model up front so a misshapen adapter fails
-    /// here instead of mid-decode. Requests naming an unregistered
-    /// tenant are rejected at submission.
+    /// Registers (or replaces) `tenant`'s LoRA adapter, resolving it
+    /// against the engine's model once, here, so a misshapen adapter
+    /// fails at registration and leaves any earlier version serving.
+    /// Requests naming an unregistered tenant are rejected at submission.
     ///
     /// # Errors
     ///
@@ -205,15 +203,8 @@ impl<'a> BatchedInferenceEngine<'a> {
         tenant: &str,
         adapter: TenantAdapter,
     ) -> Result<(), ServeError> {
-        adapter.resolve(self.model)?;
-        self.adapters.register(tenant, adapter);
+        self.adapters.register(tenant, adapter.resolve(self.model)?);
         Ok(())
-    }
-
-    /// Caps resident adapter factors at `bytes`, evicting LRU tenants
-    /// immediately if the current residents exceed it.
-    pub fn set_adapter_budget_bytes(&mut self, bytes: usize) {
-        self.adapters.set_budget_bytes(bytes);
     }
 
     /// Read access to the adapter cache (tests and reports).
@@ -478,7 +469,6 @@ impl<'a> BatchedInferenceEngine<'a> {
             spec_accepted: self.stats.spec_accepted,
             adapter_hits: self.adapters.hits(),
             adapter_misses: self.adapters.misses(),
-            adapter_evictions_lru: self.adapters.evictions_lru(),
             adapter_evictions_replaced: self.adapters.evictions_replaced(),
             adapter_resident_bytes: self.adapters.resident_by_tenant(),
         }
@@ -575,15 +565,7 @@ impl<'a> BatchedInferenceEngine<'a> {
                     .unwrap_or_else(|| SequenceKv::new(self.model));
                 let rng = rng_override.unwrap_or_else(|| TensorRng::seed_from(req.seed));
                 let known = req.prompt.clone();
-                // Invariant: resolution cannot fail here. Submission
-                // rejected unknown tenants, registration validated shapes
-                // against this same model, and tenants are never unregistered.
-                #[allow(clippy::expect_used)]
-                let adapter = req.tenant.as_deref().and_then(|t| {
-                    self.adapters
-                        .acquire(t, self.model)
-                        .expect("adapter validated at registration")
-                });
+                let adapter = req.tenant.as_deref().and_then(|t| self.adapters.acquire(t));
                 *slot_opt = Some(Slot {
                     req,
                     kv,
@@ -985,5 +967,42 @@ mod tests {
         }
         // "late" joins at the third pass: one prefill pass, then 4
         assert_eq!(engine.steps_run(), 2 + 1 + 4);
+    }
+
+    #[test]
+    fn a_misfit_adapter_is_refused_at_registration_and_the_old_one_keeps_serving() {
+        use edge_llm_model::AdapterTarget;
+        let m = model();
+        let sites = [(0, AdapterTarget::Proj)];
+        let fitting = TenantAdapter::seeded(m.config(), 1, 1, &sites);
+        let wider = ModelConfig::tiny().with_d_model(32, 4);
+        let misfit = TenantAdapter::seeded(&wider, 1, 1, &sites);
+        let mut tenant = request(&m, "tenant", 5);
+        tenant.tenant = Some("acme".into());
+
+        let mut engine = BatchedInferenceEngine::new(&m, 2).unwrap();
+        engine.register_adapter("acme", fitting.clone()).unwrap();
+        engine.submit(tenant.clone());
+        let first = drain(&mut engine);
+        assert!(matches!(
+            engine.register_adapter("acme", misfit.clone()),
+            Err(ServeError::Model(_))
+        ));
+        assert!(matches!(
+            engine.register_adapter("newcomer", misfit),
+            Err(ServeError::Model(_))
+        ));
+        engine.submit(tenant.clone());
+        let second = drain(&mut engine);
+
+        let solo = run_solo_with_adapter(&m, &tenant, Some(Arc::new(fitting.resolve(&m).unwrap())))
+            .unwrap();
+        assert_outcome_bit_equal(&first[0], &solo);
+        assert_outcome_bit_equal(&second[0], &solo);
+        let cache = engine.adapter_cache();
+        assert!(!cache.knows("newcomer"));
+        // the refused version replaced nothing, so the second admission hits
+        assert_eq!(cache.evictions_replaced(), 0);
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
 }

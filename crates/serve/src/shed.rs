@@ -31,10 +31,6 @@ pub enum ShedCause {
     SloExpired,
     /// Lost its worker more times than the crash-replay retry budget.
     RetriesExhausted,
-    /// A tenant's resident adapter was evicted as the least recently
-    /// used entry to fit the adapter cache's bytes budget (sessions
-    /// holding it keep decoding; the next admission re-loads it).
-    AdapterLru,
     /// A tenant's resident adapter was dropped because the tenant
     /// re-registered a new adapter version.
     AdapterReplaced,
@@ -55,7 +51,6 @@ impl ShedCause {
             ShedCause::Displaced => "fleet.shed.displaced",
             ShedCause::SloExpired => "fleet.shed.slo_expired",
             ShedCause::RetriesExhausted => "fleet.shed.retries_exhausted",
-            ShedCause::AdapterLru => "serve.adapter.evict.lru",
             ShedCause::AdapterReplaced => "serve.adapter.evict.replaced",
         }
     }
@@ -71,7 +66,6 @@ impl ShedCause {
             ShedCause::Displaced => "displaced",
             ShedCause::SloExpired => "slo-expired",
             ShedCause::RetriesExhausted => "retries-exhausted",
-            ShedCause::AdapterLru => "adapter-lru",
             ShedCause::AdapterReplaced => "adapter-replaced",
         }
     }
@@ -89,7 +83,7 @@ impl ShedCause {
     }
 
     /// Every cause, in a fixed report order.
-    pub const ALL: [ShedCause; 10] = [
+    pub const ALL: [ShedCause; 9] = [
         ShedCause::Completed,
         ShedCause::DeadlineExceeded,
         ShedCause::CapacityExhausted,
@@ -98,7 +92,6 @@ impl ShedCause {
         ShedCause::Displaced,
         ShedCause::SloExpired,
         ShedCause::RetriesExhausted,
-        ShedCause::AdapterLru,
         ShedCause::AdapterReplaced,
     ];
 }
@@ -158,14 +151,9 @@ mod tests {
     #[test]
     fn adapter_causes_are_engine_level() {
         assert_eq!(
-            ShedCause::AdapterLru.counter_name(),
-            "serve.adapter.evict.lru"
-        );
-        assert_eq!(
             ShedCause::AdapterReplaced.counter_name(),
             "serve.adapter.evict.replaced"
         );
-        assert!(!ShedCause::AdapterLru.is_fleet_shed());
         assert!(!ShedCause::AdapterReplaced.is_fleet_shed());
     }
 }
