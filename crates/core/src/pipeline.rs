@@ -658,6 +658,24 @@ mod tests {
     }
 
     #[test]
+    fn tying_the_exit_heads_changes_no_prepared_row() {
+        // A1's tying ablation must compare models adapted and scored on
+        // the same data, from scratch and pretrained alike.
+        for pretrain_iterations in [0, 2] {
+            let tied = ExperimentConfig {
+                pretrain_iterations,
+                ..ExperimentConfig::smoke_test()
+            };
+            let mut untied = tied.clone();
+            untied.model = untied.model.with_tied_exits(false);
+            let (a, b) = (prepare(&tied).unwrap(), prepare(&untied).unwrap());
+            assert_eq!(a.train.samples(), b.train.samples());
+            assert_eq!(a.eval_set.samples(), b.eval_set.samples());
+            assert_eq!(a.calib, b.calib);
+        }
+    }
+
+    #[test]
     fn adapt_hands_back_the_recovery_journal() {
         use crate::resilience::{FaultKind, PlannedFault, RecoveryEvent};
         let cfg = ExperimentConfig::smoke_test();

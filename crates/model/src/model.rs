@@ -5,7 +5,7 @@ use crate::config::ModelConfig;
 use crate::error::ModelError;
 use crate::linear::{grad_buffer, Linear, LinearCache};
 use crate::norm::LayerNorm;
-use edge_llm_tensor::{embedding_backward, LayerNormCache, Tensor, TensorRng};
+use edge_llm_tensor::{embedding_backward, fnv1a64, LayerNormCache, Tensor, TensorRng};
 
 /// Visitor over `(parameter id, parameter slice, gradient slice)` used by
 /// the parameter-traversal methods.
@@ -121,13 +121,18 @@ impl EdgeModel {
         let blocks = (0..config.n_layers)
             .map(|_| Block::new(c, config.n_heads, config.d_ff, rng))
             .collect();
+        // Untied exit heads draw from a stream derived from the current
+        // state, not from `rng` itself, so a tied and an untied model of
+        // one seed leave `rng` — and all a caller draws after them, such
+        // as the training data — in the same place.
+        let mut head_rng = TensorRng::seed_from(fnv1a64(&rng.state().to_bytes()));
         let exits = (0..config.n_layers)
             .map(|_| ExitHead {
                 norm: LayerNorm::new(c),
                 head: if config.tie_exit_heads {
                     None
                 } else {
-                    Some(Linear::new_no_bias(c, config.vocab_size, rng))
+                    Some(Linear::new_no_bias(c, config.vocab_size, &mut head_rng))
                 },
             })
             .collect();
