@@ -481,8 +481,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
+        // The bytes scanned above are ASCII, so this never fails.
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII by construction");
+            .map_err(|_| self.err("invalid number"))?;
         if !fractional {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));

@@ -54,6 +54,11 @@
 //! assert_eq!(telemetry::counter_totals(&events)["tokens"], 3);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod clock;
 mod json;
 mod record;

@@ -37,17 +37,17 @@ impl LatencySummary {
     /// Summarizes `samples` (order irrelevant). An empty set yields the
     /// all-zero summary.
     pub fn from_ns(mut samples: Vec<u64>) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
         samples.sort_unstable();
+        let Some(&max_ns) = samples.last() else {
+            return LatencySummary::default();
+        };
         let nearest_rank = |p: u8| samples[nearest_rank_index(p, samples.len())];
         LatencySummary {
             count: samples.len(),
             p50_ns: nearest_rank(50),
             p95_ns: nearest_rank(95),
             p99_ns: nearest_rank(99),
-            max_ns: *samples.last().expect("non-empty"),
+            max_ns,
         }
     }
 }

@@ -73,11 +73,9 @@ pub fn span_tree(events: &[Event]) -> Vec<SpanNode> {
                         children: Vec::new(),
                     },
                 );
-                match parent {
-                    Some(p) if flat.contains_key(p) => {
-                        flat.get_mut(p).expect("parent present").children.push(*id)
-                    }
-                    _ => roots.push(*id),
+                match parent.and_then(|p| flat.get_mut(&p)) {
+                    Some(p) => p.children.push(*id),
+                    None => roots.push(*id),
                 }
             }
             Event::SpanEnd { id, t_ns } => {
