@@ -70,7 +70,11 @@ impl AdapterCache {
 
     /// Total factor bytes of resident adapters.
     pub fn resident_bytes(&self) -> usize {
-        self.resident_by_tenant().iter().map(|(_, b)| b).sum()
+        self.tenants
+            .values()
+            .filter(|(_, resident)| *resident)
+            .map(|(a, _)| a.bytes())
+            .sum()
     }
 
     /// `(tenant, resident factor bytes)` for every resident adapter, in

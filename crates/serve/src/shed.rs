@@ -10,7 +10,8 @@ use crate::request::FinishReason;
 
 /// Why a session left the serving system — either retired by an engine
 /// (the first four causes, mirroring [`FinishReason`]) or shed by the
-/// fleet router before/after reaching a worker.
+/// fleet router before/after reaching a worker — plus the one adapter
+/// cause, a tenant's resident adapter replaced by re-registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ShedCause {
     /// Generated its full token budget.
