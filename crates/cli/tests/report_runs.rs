@@ -32,8 +32,9 @@ fn a_quick_report_pretrains_each_model_once_and_adapts_each_run_once() {
     assert_eq!(count("pipeline.adapt"), 17);
     // Nothing else trains: 40 pretraining and 60 adaptation steps each.
     assert_eq!(count("tune.step"), 2 * 40 + 17 * 60);
-    // One profile per LUC run (T1 1, T2 4, F1 2, A1 3) and F5's. Before
-    // A1 read T1's Edge-LLM run, its round-robin tied row profiled a
-    // twelfth time.
-    assert_eq!(count("luc.profile"), 11);
+    // One profile per pretrained model: `prepare` profiles it, every LUC
+    // run searches that profile, and F5 prints the tied model's. Before,
+    // each LUC run profiled its model again (T1 1, T2 4, F1 2, A1 3) and
+    // F5 profiled T1's adapted vanilla run, 11 profiles.
+    assert_eq!(count("luc.profile"), 2);
 }

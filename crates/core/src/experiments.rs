@@ -9,9 +9,9 @@
 //! each model once, adapts each key once, on its first read, and lets a
 //! run go after its last planned read, so a table reads the runs an
 //! earlier one made (T3, F1 and F5 read T1's vanilla run, A1 and A3 its
-//! Edge-LLM run). Every LUC profile reads the model's one calibration
-//! set, [`crate::pipeline::Prepared::calib`]. T3
-//! carries the analytic memory model beside its measured activations, F1
+//! Edge-LLM run). Each model is profiled once, when it is prepared:
+//! every LUC run searches [`crate::pipeline::Prepared::profile`], and F5
+//! prints it. T3 carries the analytic memory model beside its measured activations, F1
 //! the accuracy frontier beside its latencies, and T1's no-vote row is its
 //! Edge-LLM run's final-exit evaluation. See `DESIGN.md` for the
 //! experiment index and `EXPERIMENTS.md` for recorded results.
@@ -19,8 +19,7 @@
 use crate::baselines::uniform_policy_for_budget;
 use crate::eval::evaluate;
 use crate::pipeline::{
-    adapt, luc_profile, outcome, plan, prepare, ExperimentConfig, Method, Prepared, Recipe,
-    TaskKind,
+    adapt, outcome, plan, prepare, ExperimentConfig, Method, Prepared, Recipe, TaskKind,
 };
 use crate::report::{bytes, f3, pct, speedup, Table};
 use crate::resilience::{schedule_depth, AdaptRun, ResilienceConfig};
@@ -520,17 +519,17 @@ pub fn f3_schedule(scale: Scale) -> Result<Table, EdgeLlmError> {
 }
 
 /// F5 — the LUC motivation figure: per-layer loss deltas under aggressive
-/// quantization and pruning, measured on the adapted vanilla model over the
-/// calibration rows every LUC policy is searched on.
+/// quantization and pruning of the pretrained tied model, the profile
+/// every tied LUC policy is searched on, as T1's vanilla run carries it.
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors.
 pub fn f5_sensitivity(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
     let adapted = store.get(&reads("f5", store.scale)[0])?;
-    let prof = luc_profile(&adapted.prepared.model, &adapted.prepared.calib)?;
+    let prof = &adapted.prepared.profile;
     let mut table = Table::new(
-        "F5: per-layer sensitivity of the adapted model",
+        "F5: per-layer sensitivity of the pretrained model",
         &[
             "layer",
             "d(2b)",
@@ -847,6 +846,22 @@ mod tests {
             matches!(err, Some(EdgeLlmError::BadConfig { .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn f5_prints_the_profile_of_the_pretrained_model() {
+        // Each cell is the pretrained tied model's profile, the one every
+        // tied LUC run searched, not a profile of the adapted vanilla run.
+        let profile = prepare(&Scale::Quick.config()).unwrap().profile;
+        let t = f5_sensitivity(&mut RunStore::new(Scale::Quick, &["f5"])).unwrap();
+        assert_eq!(t.n_rows(), profile.n_layers());
+        for l in 0..profile.n_layers() {
+            let (q, p) = (&profile.quant_delta[l], &profile.prune_delta[l]);
+            let cells = [q[0], q[1], q[2], p[2], p[3]].map(|d| f3(d as f64));
+            for (c, cell) in cells.iter().enumerate() {
+                assert_eq!(t.cell(l, c + 1).unwrap(), cell, "layer {l}");
+            }
+        }
     }
 
     #[test]

@@ -147,10 +147,10 @@ pub(crate) enum Recipe {
     Dense(WindowSchedule),
     /// The uniform policy at `budget`, full-depth tuning.
     Uniform { budget: f32 },
-    /// The policy `algorithm` searches at `budget` on a profile of the
-    /// prepared calibration rows, tuned under the schedule, or in that
-    /// profile's sensitivity order at the configuration's window depth
-    /// when it is `None`.
+    /// The policy `algorithm` searches at `budget` on the prepared
+    /// model's profile, tuned under the schedule, or in that profile's
+    /// sensitivity order at the configuration's window depth when it is
+    /// `None`.
     Luc {
         algorithm: SearchAlgorithm,
         budget: f32,
@@ -305,6 +305,7 @@ pub const LUC_RATIO_CHOICES: [f32; 4] = [0.0, 0.25, 0.5, 0.75];
 
 /// The LUC sensitivity profile of `model` on the rows of `calib`: each
 /// layer's loss delta at every candidate bit-width and pruning ratio.
+/// [`prepare`] profiles each model it hands over once through it.
 ///
 /// # Errors
 ///
@@ -328,9 +329,9 @@ pub fn run_method(
 }
 
 /// What [`prepare`] hands to [`adapt`]: the model as it arrives on the
-/// device plus the target-task data, the rows every LUC profile of the
-/// model reads, and the run's RNG stream. A clone adapts exactly as a
-/// fresh [`prepare`] of the same configuration does.
+/// device plus the target-task data, the model's LUC sensitivity profile,
+/// and the run's RNG stream. A clone adapts exactly as a fresh
+/// [`prepare`] of the same configuration does.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// Source-task-pretrained (or freshly initialized), uncompressed.
@@ -339,11 +340,12 @@ pub struct Prepared {
     pub train: Dataset,
     /// Held-out evaluation set.
     pub eval_set: Dataset,
-    /// The calibration rows LUC profiles sensitivity on: data the model is
-    /// already competent on, 2×batch source-task rows when it is
-    /// pretrained (the pre-adaptation loss on unlearned target data is
-    /// mostly noise), else the first 2×batch target rows.
-    pub calib: Batch,
+    /// The profile of `model` as prepared, which every LUC policy searched
+    /// for it reads. Its calibration rows are data the model is already
+    /// competent on: 2×batch source-task rows when it is pretrained (the
+    /// pre-adaptation loss on unlearned target data is mostly noise), else
+    /// the first 2×batch target rows.
+    pub profile: SensitivityProfile,
     /// The seed-derived stream, positioned after data sampling,
     /// pretraining and the calibration draw.
     pub rng: TensorRng,
@@ -352,8 +354,8 @@ pub struct Prepared {
 /// Stage one of every adaptation run: validate the configuration, build
 /// the model, sample and shuffle the target-task data, pretrain on a
 /// source task of the same shape (deep supervision so every exit head
-/// works, mirroring a deployed pretrained checkpoint), and draw the
-/// calibration rows.
+/// works, mirroring a deployed pretrained checkpoint), and profile the
+/// model on the calibration rows.
 ///
 /// # Errors
 ///
@@ -388,11 +390,12 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
     } else {
         train.batch_at(0, rows)
     };
+    let profile = luc_profile(&model, &calib)?;
     Ok(Prepared {
         model,
         train,
         eval_set,
-        calib,
+        profile,
         rng,
     })
 }
@@ -458,7 +461,7 @@ pub fn run_method_with(
 }
 
 /// The compression policy and window schedule `recipe` adapts under.
-/// The `Luc` recipe profiles `prepared`'s calibration rows.
+/// The `Luc` recipe searches `prepared`'s profile.
 pub(crate) fn plan(
     recipe: &Recipe,
     config: &ExperimentConfig,
@@ -476,10 +479,10 @@ pub(crate) fn plan(
             budget,
             ref schedule,
         } => {
-            let prof = luc_profile(&prepared.model, &prepared.calib)?;
-            let policy = search_policy(&prof, budget, algorithm)?.policy;
+            let prof = &prepared.profile;
+            let policy = search_policy(prof, budget, algorithm)?.policy;
             let by_sensitivity =
-                || crate::windows::sensitivity_window_schedule(&prof, config.window_depth);
+                || crate::windows::sensitivity_window_schedule(prof, config.window_depth);
             Ok((policy, schedule.clone().unwrap_or_else(by_sensitivity)))
         }
     }
@@ -604,7 +607,7 @@ mod tests {
     fn prepare_then_adapt_is_the_vanilla_row_bit_for_bit() {
         // Each method adapts its own clone of one prepared model, Vanilla's
         // first, and must be its fresh row. Pretrained, so EdgeLlm's plan
-        // profiles the source-task rows `prepare` drew into the clone.
+        // searches the clone's profile of the source-task rows.
         let cfg = ExperimentConfig {
             pretrain_iterations: 4,
             ..ExperimentConfig::smoke_test()
@@ -636,22 +639,34 @@ mod tests {
         }
     }
 
+    /// Every bit of a profile, so two compare bit for bit.
+    fn bits(profile: &SensitivityProfile) -> Vec<u32> {
+        let deltas = profile.quant_delta.iter().chain(&profile.prune_delta);
+        let mut bits: Vec<u32> = deltas.flatten().map(|d| d.to_bits()).collect();
+        bits.push(profile.baseline.to_bits());
+        bits
+    }
+
     #[test]
     fn prepare_draws_the_calibration_rows_once() {
-        // From scratch: the first 2×batch target rows. Pretrained: as many
-        // source-task rows, drawn after pretraining.
+        // From scratch `prepare` profiles the first 2×batch target rows.
+        // Pretrained, it profiles as many source-task rows, drawn after
+        // pretraining.
         let cfg = ExperimentConfig::smoke_test();
         let fresh = prepare(&cfg).unwrap();
-        assert_eq!(fresh.calib, fresh.train.batch_at(0, 2 * cfg.batch));
+        let target_rows = fresh.train.batch_at(0, 2 * cfg.batch);
+        let on_target = luc_profile(&fresh.model, &target_rows).unwrap();
+        assert_eq!(bits(&fresh.profile), bits(&on_target));
         let pretrained = ExperimentConfig {
             pretrain_iterations: 2,
             ..cfg.clone()
         };
         let prepared = prepare(&pretrained).unwrap();
-        assert_eq!(prepared.calib.batch, 2 * cfg.batch);
-        assert_ne!(prepared.calib, prepared.train.batch_at(0, 2 * cfg.batch));
+        let target_rows = prepared.train.batch_at(0, 2 * cfg.batch);
+        let on_target = luc_profile(&prepared.model, &target_rows).unwrap();
+        assert_ne!(bits(&prepared.profile), bits(&on_target));
         let again = prepare(&pretrained).unwrap();
-        assert_eq!(again.calib, prepared.calib);
+        assert_eq!(bits(&again.profile), bits(&prepared.profile));
         // The stream a clone hands to its checkpoints is the fresh one.
         let state = prepared.clone().rng.state().to_bytes();
         assert_eq!(state, again.rng.state().to_bytes());
@@ -660,7 +675,8 @@ mod tests {
     #[test]
     fn tying_the_exit_heads_changes_no_prepared_row() {
         // A1's tying ablation must compare models adapted and scored on
-        // the same data, from scratch and pretrained alike.
+        // the same data, from scratch and pretrained alike. Equal streams
+        // after equal train and eval draws mean equal calibration draws.
         for pretrain_iterations in [0, 2] {
             let tied = ExperimentConfig {
                 pretrain_iterations,
@@ -671,7 +687,7 @@ mod tests {
             let (a, b) = (prepare(&tied).unwrap(), prepare(&untied).unwrap());
             assert_eq!(a.train.samples(), b.train.samples());
             assert_eq!(a.eval_set.samples(), b.eval_set.samples());
-            assert_eq!(a.calib, b.calib);
+            assert_eq!(a.rng.state().to_bytes(), b.rng.state().to_bytes());
         }
     }
 
