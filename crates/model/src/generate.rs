@@ -11,7 +11,7 @@ use crate::batched::{decode_runs, BatchedRun, Entry, SequenceKv};
 use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::spec::{spec_round, validate_spec_params};
-use crate::voting::{combine, VotingPolicy};
+use crate::voting::{combine, VotingCombiner, VotingPolicy};
 use edge_llm_tensor::{softmax_rows, Tensor, TensorRng};
 
 /// Decoding strategy for [`generate`].
@@ -58,10 +58,8 @@ pub enum Decoding {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::BadBatch`] for an empty prompt,
-/// [`ModelError::BadConfig`] for a prompt token outside the vocabulary or
-/// an invalid `decoding`, and propagates [`validate_spec_params`] and
-/// model errors.
+/// Returns what [`validate_generation`] refuses, and propagates model
+/// errors.
 pub fn generate(
     model: &EdgeModel,
     voting: &VotingPolicy,
@@ -71,33 +69,8 @@ pub fn generate(
     rng: &mut TensorRng,
 ) -> Result<Vec<usize>, ModelError> {
     let seq_len = model.config().seq_len;
-    let vocab = model.config().vocab_size;
     let depth = model.n_layers();
-    if prompt.is_empty() {
-        return Err(ModelError::BadBatch {
-            expected: 1,
-            actual: 0,
-        });
-    }
-    if let Some(&bad) = prompt.iter().find(|&&t| t >= vocab) {
-        return Err(ModelError::BadConfig {
-            reason: format!("prompt token {bad} outside vocabulary {vocab}"),
-        });
-    }
-    validate_decoding(decoding)?;
-    if let Decoding::SelfSpeculative { draft_depth, k } = decoding {
-        // The verifier is the final exit's greedy token; a multi-exit
-        // blend has nothing to agree with. (With one exit every combiner
-        // is softmax of that exit, so the combiner is immaterial.)
-        if voting.exits != [depth - 1] {
-            return Err(ModelError::BadConfig {
-                reason: "self-speculative decoding verifies the final exit only; \
-                         use a final-exit voting policy"
-                    .into(),
-            });
-        }
-        validate_spec_params(model, draft_depth, k)?;
-    }
+    validate_generation(model, prompt, decoding, voting)?;
     let mut tokens = prompt.to_vec();
     let target = prompt.len() + n_new;
     let mut kv = SequenceKv::new(model);
@@ -143,15 +116,94 @@ pub fn generate(
     Ok(tokens)
 }
 
-/// Validates a [`Decoding`] configuration without running a model — the
-/// same check [`generate`] applies, exposed so serving frontends can
-/// reject a bad request at submission instead of mid-decode.
+/// Validates a prompt, decoding and voting policy against `model` without
+/// running anything: the one check [`generate`] and serving (a request at
+/// submission, the solo reference) apply, so every decode path refuses
+/// the same inputs.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::BadConfig`] for a temperature that is not
-/// positive and finite, or a zero top-k pool.
-pub fn validate_decoding(decoding: Decoding) -> Result<(), ModelError> {
+/// Returns [`ModelError::BadConfig`] for an empty or out-of-vocabulary
+/// prompt, an invalid decoding configuration, a self-speculative decode
+/// under a voting policy other than the final exit, empty exits, or bad
+/// combiner parameters, [`ModelError::LayerOutOfRange`] for an exit index
+/// past the model depth, and propagates [`validate_spec_params`].
+pub fn validate_generation(
+    model: &EdgeModel,
+    prompt: &[usize],
+    decoding: Decoding,
+    voting: &VotingPolicy,
+) -> Result<(), ModelError> {
+    let vocab = model.config().vocab_size;
+    if prompt.is_empty() {
+        return Err(ModelError::BadConfig {
+            reason: "empty prompt".into(),
+        });
+    }
+    if let Some(&bad) = prompt.iter().find(|&&t| t >= vocab) {
+        return Err(ModelError::BadConfig {
+            reason: format!("prompt token {bad} outside vocabulary {vocab}"),
+        });
+    }
+    validate_decoding(decoding)?;
+    if let Decoding::SelfSpeculative { draft_depth, k } = decoding {
+        validate_spec_params(model, draft_depth, k)?;
+        // The verifier is the final exit's greedy token; a multi-exit
+        // blend has nothing to agree with. (With one exit every combiner
+        // is softmax of that exit, so the combiner is immaterial.)
+        if voting.exits != [model.n_layers() - 1] {
+            return Err(ModelError::BadConfig {
+                reason: "self-speculative decoding verifies the final exit only; \
+                         use a final-exit voting policy"
+                    .into(),
+            });
+        }
+    }
+    if voting.exits.is_empty() {
+        return Err(ModelError::BadConfig {
+            reason: "voting policy needs at least one exit".into(),
+        });
+    }
+    if let Some(&bad) = voting.exits.iter().find(|&&e| e >= model.n_layers()) {
+        return Err(ModelError::LayerOutOfRange {
+            layer: bad,
+            depth: model.n_layers(),
+        });
+    }
+    match &voting.combiner {
+        VotingCombiner::LastExit | VotingCombiner::Average => {}
+        VotingCombiner::ConfidenceWeighted { temperature } => {
+            // NaN fails the finiteness check, so `<= 0.0` need not see it
+            if !temperature.is_finite() || *temperature <= 0.0 {
+                return Err(ModelError::BadConfig {
+                    reason: "confidence temperature must be positive and finite".into(),
+                });
+            }
+        }
+        VotingCombiner::Learned(weights) => {
+            if weights.len() != voting.exits.len() {
+                return Err(ModelError::BadConfig {
+                    reason: format!(
+                        "{} learned weights for {} exits",
+                        weights.len(),
+                        voting.exits.len()
+                    ),
+                });
+            }
+            if weights.iter().any(|w| *w < 0.0 || !w.is_finite())
+                || weights.iter().sum::<f32>() <= 0.0
+            {
+                return Err(ModelError::BadConfig {
+                    reason: "learned weights must be non-negative with positive sum".into(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The decoding half of [`validate_generation`].
+fn validate_decoding(decoding: Decoding) -> Result<(), ModelError> {
     let bad = |reason: &str| {
         Err(ModelError::BadConfig {
             reason: reason.to_string(),
@@ -261,7 +313,6 @@ pub fn argmax(xs: &[f32]) -> usize {
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::voting::VotingCombiner;
 
     fn model() -> EdgeModel {
         let mut rng = TensorRng::seed_from(1);
@@ -369,6 +420,28 @@ mod tests {
             &mut rng
         )
         .is_err());
+    }
+
+    #[test]
+    fn generate_refuses_what_serving_refuses() {
+        // One validator for both: an empty prompt is serving's
+        // `BadConfig`, and an infinite confidence temperature, which
+        // serving refuses, is refused here too.
+        let m = model();
+        let mut rng = TensorRng::seed_from(8);
+        let final_only = VotingPolicy::final_only(m.n_layers());
+        let empty = generate(&m, &final_only, &[], 3, Decoding::Greedy, &mut rng);
+        assert!(
+            matches!(empty, Err(ModelError::BadConfig { .. })),
+            "{empty:?}"
+        );
+        let temperature = f32::INFINITY;
+        let voting = VotingPolicy::all_exits(
+            m.n_layers(),
+            VotingCombiner::ConfidenceWeighted { temperature },
+        );
+        let out = generate(&m, &voting, &[1], 3, Decoding::Greedy, &mut rng);
+        assert!(matches!(out, Err(ModelError::BadConfig { .. })), "{out:?}");
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Request and outcome types shared by the engine and the solo reference.
 
-use edge_llm_model::{
-    validate_decoding, Decoding, EdgeModel, ModelError, VotingCombiner, VotingPolicy,
-};
+use edge_llm_model::{validate_generation, Decoding, EdgeModel, ModelError, VotingPolicy};
 
 /// One generation request submitted to the serving engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,86 +63,21 @@ pub struct ServeOutcome {
 
 /// Validates a request against a model without running anything — the
 /// exact check [`crate::BatchedInferenceEngine::submit`] applies, shared
-/// with the solo reference so both paths reject identically.
+/// with the solo reference so both paths reject identically: the model
+/// crate's [`validate_generation`] of the request's prompt, decoding and
+/// voting policy, the one `generate` applies too.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::BadConfig`] for an empty or out-of-vocabulary
-/// prompt, an invalid decoding configuration, empty exits, or bad
-/// combiner parameters, and [`ModelError::LayerOutOfRange`] for an exit
-/// index past the model depth.
+/// As [`validate_generation`].
 pub fn validate_request(model: &EdgeModel, req: &ServeRequest) -> Result<(), ModelError> {
-    let vocab = model.config().vocab_size;
-    if req.prompt.is_empty() {
-        return Err(ModelError::BadConfig {
-            reason: "empty prompt".into(),
-        });
-    }
-    if let Some(&bad) = req.prompt.iter().find(|&&t| t >= vocab) {
-        return Err(ModelError::BadConfig {
-            reason: format!("prompt token {bad} outside vocabulary {vocab}"),
-        });
-    }
-    validate_decoding(req.decoding)?;
-    if let Decoding::SelfSpeculative { draft_depth, k } = req.decoding {
-        edge_llm_model::validate_spec_params(model, draft_depth, k)?;
-        // the verifier is the final exit's greedy token; a multi-exit
-        // voting blend has nothing to verify against
-        if req.voting.exits != [model.n_layers() - 1] {
-            return Err(ModelError::BadConfig {
-                reason: "self-speculative decoding verifies the final exit only; \
-                         use a final-exit voting policy"
-                    .into(),
-            });
-        }
-    }
-    if req.voting.exits.is_empty() {
-        return Err(ModelError::BadConfig {
-            reason: "voting policy needs at least one exit".into(),
-        });
-    }
-    if let Some(&bad) = req.voting.exits.iter().find(|&&e| e >= model.n_layers()) {
-        return Err(ModelError::LayerOutOfRange {
-            layer: bad,
-            depth: model.n_layers(),
-        });
-    }
-    match &req.voting.combiner {
-        VotingCombiner::LastExit | VotingCombiner::Average => {}
-        VotingCombiner::ConfidenceWeighted { temperature } => {
-            // NaN fails the finiteness check, so `<= 0.0` need not see it
-            if !temperature.is_finite() || *temperature <= 0.0 {
-                return Err(ModelError::BadConfig {
-                    reason: "confidence temperature must be positive and finite".into(),
-                });
-            }
-        }
-        VotingCombiner::Learned(weights) => {
-            if weights.len() != req.voting.exits.len() {
-                return Err(ModelError::BadConfig {
-                    reason: format!(
-                        "{} learned weights for {} exits",
-                        weights.len(),
-                        req.voting.exits.len()
-                    ),
-                });
-            }
-            if weights.iter().any(|w| *w < 0.0 || !w.is_finite())
-                || weights.iter().sum::<f32>() <= 0.0
-            {
-                return Err(ModelError::BadConfig {
-                    reason: "learned weights must be non-negative with positive sum".into(),
-                });
-            }
-        }
-    }
-    Ok(())
+    validate_generation(model, &req.prompt, req.decoding, &req.voting)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edge_llm_model::ModelConfig;
+    use edge_llm_model::{ModelConfig, VotingCombiner};
     use edge_llm_tensor::TensorRng;
 
     fn model() -> EdgeModel {
