@@ -68,7 +68,7 @@ pub struct Summary {
 /// set — the caller decides whether absence is an error.
 pub fn summarize(samples: &[f64]) -> Option<Summary> {
     let p50 = percentile(samples, 50)?;
-    let p95 = percentile(samples, 95).expect("non-empty");
+    let p95 = percentile(samples, 95)?;
     let (mut min, mut max, mut total) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
     for &s in samples {
         min = min.min(s);
@@ -285,6 +285,9 @@ pub fn analyze_run(run_dir: &Path) -> Result<AnalysisReport, LabError> {
     let mut timing_rows = Vec::new();
     let mut timing_delta_rows = Vec::new();
     for task in &spec.tasks {
+        // Each numeric metric of one record, summarized over the variant's
+        // repeats. A name is listed with its first sample, so `summarize`
+        // drops none.
         let numeric = |record: fn(&Trial) -> &Json, variant: &str| {
             let mut named: Vec<(String, Vec<f64>)> = Vec::new();
             for t in trials
@@ -300,13 +303,12 @@ pub fn analyze_run(run_dir: &Path) -> Result<AnalysisReport, LabError> {
                     }
                 }
             }
-            named
+            (named.into_iter()).filter_map(|(name, vs)| Some((name, summarize(&vs)?)))
         };
         let mut base_p50: Vec<(String, f64)> = Vec::new();
         let mut base_best: Vec<(String, f64)> = Vec::new();
         for (vi, variant) in task.variants.iter().enumerate() {
-            for (name, vs) in numeric(|t| &t.output, &variant.name) {
-                let s = summarize(&vs).expect("repeats >= 1");
+            for (name, s) in numeric(|t| &t.output, &variant.name) {
                 summary_rows.push(summary_row(&task.task_id, &variant.name, &name, &s));
                 if vi == 0 {
                     base_p50.push((name, s.p50));
@@ -314,8 +316,7 @@ pub fn analyze_run(run_dir: &Path) -> Result<AnalysisReport, LabError> {
                     delta_rows.push(delta_row(&task.task_id, &variant.name, &name, *b, s.p50));
                 }
             }
-            for (name, vs) in numeric(|t| &t.timing, &variant.name) {
-                let s = summarize(&vs).expect("repeats >= 1");
+            for (name, s) in numeric(|t| &t.timing, &variant.name) {
                 timing_rows.push(timing_row(&task.task_id, &variant.name, &name, &s));
                 // best (max) attempt: best-of-N for higher-is-better rates
                 if vi == 0 {

@@ -31,7 +31,7 @@ use edge_llm_telemetry::Json;
 use edge_llm_tensor::TensorRng;
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// What a family driver hands back to the runner.
@@ -110,28 +110,30 @@ fn trial(e: impl std::fmt::Display) -> LabError {
 /// spec arms (and every repeat) reuse one adapted model instead of
 /// re-running 160 tuner steps each; the cache key is the canonical JSON
 /// of everything that shapes the weights, so any param change misses.
-fn model_cache() -> &'static Mutex<HashMap<String, Arc<EdgeModel>>> {
+/// A poisoned lock is recovered: the map only ever gains a finished
+/// model or is cleared, so no panic can leave it half-written.
+fn model_cache() -> MutexGuard<'static, HashMap<String, Arc<EdgeModel>>> {
     static CACHE: OnceLock<Mutex<HashMap<String, Arc<EdgeModel>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn cached_model(
     key: String,
     build: impl FnOnce() -> Result<EdgeModel, LabError>,
 ) -> Result<Arc<EdgeModel>, LabError> {
-    if let Some(m) = model_cache().lock().expect("model cache lock").get(&key) {
+    if let Some(m) = model_cache().get(&key) {
         return Ok(Arc::clone(m));
     }
     // Built outside the lock: builds can take seconds and other trials
     // may want different models meanwhile.
     let model = Arc::new(build()?);
-    let mut cache = model_cache().lock().expect("model cache lock");
-    Ok(Arc::clone(cache.entry(key).or_insert(model)))
+    Ok(Arc::clone(model_cache().entry(key).or_insert(model)))
 }
 
 /// Drops all cached base models (tests use this to bound memory).
 pub fn clear_model_cache() {
-    model_cache().lock().expect("model cache lock").clear();
+    model_cache().clear();
 }
 
 // ---- spec_decode --------------------------------------------------------
@@ -159,11 +161,13 @@ fn rebuild_window(
 ) -> Result<usize, LabError> {
     session.reset();
     let take = tokens.len().min(seq_len);
-    let window = &tokens[tokens.len() - take..];
-    for &t in &window[..window.len() - 1] {
+    let Some((&frontier, context)) = tokens[tokens.len() - take..].split_last() else {
+        return Err(LabError::Trial("no token to rebuild the window on".into()));
+    };
+    for &t in context {
         session.advance_token(t).map_err(trial)?;
     }
-    Ok(*window.last().expect("non-empty window"))
+    Ok(frontier)
 }
 
 fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
@@ -240,9 +244,14 @@ fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
             if keep < round.accepted.len() {
                 session.truncate(session.len() - (round.accepted.len() - keep));
             }
+            let Some(&last) = round.accepted[..keep].last() else {
+                return Err(LabError::Trial(
+                    "a speculative round accepted no token".into(),
+                ));
+            };
             tokens.extend_from_slice(&round.accepted[..keep]);
             produced += keep;
-            frontier = *tokens.last().expect("round accepts at least one token");
+            frontier = last;
         }
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);

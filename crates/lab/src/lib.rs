@@ -37,6 +37,11 @@
 //! `scripts/verify.sh` runs every committed `experiments/*.jsonl` and
 //! gates it against its generated `experiments/baselines/<name>.json`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod analysis;
 pub mod families;
 pub mod runner;

@@ -36,7 +36,7 @@ use crate::schemas::{
 use edge_llm_telemetry as telemetry;
 use edge_llm_telemetry::Json;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Counter prefixes whose totals are pure functions of (params, seed):
@@ -181,7 +181,9 @@ fn execute_trial(
     seed: u64,
     params: &Json,
 ) -> (Json, Json, Option<LabError>) {
-    let _guard = trial_lock().lock().expect("trial lock");
+    // The lock guards no data, only the process-wide telemetry session,
+    // so a trial that panicked while holding it leaves nothing to repair.
+    let _guard = trial_lock().lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::enable(Arc::new(telemetry::MonotonicClock::new()));
     let t0 = Instant::now();
     let result = run_family(family, seed, params);

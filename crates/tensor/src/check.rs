@@ -82,6 +82,8 @@ impl Gen {
 /// # Panics
 ///
 /// Re-panics with diagnostic context when any case's assertions fail.
+// A failing property is a failing test: the harness reports it by panicking.
+#[allow(clippy::panic)]
 pub fn run_cases<F: FnMut(&mut Gen)>(label: &str, cases: usize, mut f: F) {
     for case in 0..cases {
         let seed = 0xedb88320u64 ^ (case as u64).wrapping_mul(0x9e3779b97f4a7c15);

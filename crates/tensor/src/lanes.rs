@@ -57,6 +57,9 @@ pub const SPILL_BLOCK: usize = 1 << 15;
 /// # Panics
 ///
 /// Panics if `bits` is not 2, 4 or 8, or `out.len() != words.len() * 32 / bits`.
+// Invariant: every packer writes 2-, 4- or 8-bit codes; another width is a
+// caller's bug, not an input.
+#[allow(clippy::panic)]
 pub fn unpack_planes(words: &[u32], bits: u32, out: &mut [i16]) {
     match bits {
         2 => unpack::<16, 2>(words, out),

@@ -142,7 +142,9 @@ fn micro_tile<const R: usize>(
     }
     for (p, brow) in b.chunks_exact(ldb).enumerate() {
         // a copy, not a borrow: with debug assertions on (every test build)
-        // a borrowed `&[f32; JR]` keeps this loop scalar, ~5x slower
+        // a borrowed `&[f32; JR]` keeps this loop scalar, ~5x slower.
+        // Invariant: the range is JR long, so the conversion cannot fail.
+        #[allow(clippy::expect_used)]
         let brow: [f32; JR] = brow[col + j..col + j + JR]
             .try_into()
             .expect("JR-sized slice");

@@ -224,6 +224,9 @@ where
 {
     debug_assert_eq!(out.len(), rows * cols);
     let mut rest = out;
+    // Invariant: the partition covers `rows` exactly, so each panel fits
+    // what is left of the buffer.
+    #[allow(clippy::expect_used)]
     let panels = partition(rows, threads.max(1))
         .into_iter()
         .map(|p| {
