@@ -134,16 +134,12 @@ pub fn validate_generation(
     decoding: Decoding,
     voting: &VotingPolicy,
 ) -> Result<(), ModelError> {
-    let vocab = model.config().vocab_size;
+    let (vocab, depth) = (model.config().vocab_size, model.n_layers());
     if prompt.is_empty() {
-        return Err(ModelError::BadConfig {
-            reason: "empty prompt".into(),
-        });
+        return bad_config("empty prompt");
     }
     if let Some(&bad) = prompt.iter().find(|&&t| t >= vocab) {
-        return Err(ModelError::BadConfig {
-            reason: format!("prompt token {bad} outside vocabulary {vocab}"),
-        });
+        return bad_config(format!("prompt token {bad} outside vocabulary {vocab}"));
     }
     validate_decoding(decoding)?;
     if let Decoding::SelfSpeculative { draft_depth, k } = decoding {
@@ -151,80 +147,65 @@ pub fn validate_generation(
         // The verifier is the final exit's greedy token; a multi-exit
         // blend has nothing to agree with. (With one exit every combiner
         // is softmax of that exit, so the combiner is immaterial.)
-        if voting.exits != [model.n_layers() - 1] {
-            return Err(ModelError::BadConfig {
-                reason: "self-speculative decoding verifies the final exit only; \
-                         use a final-exit voting policy"
-                    .into(),
-            });
+        if voting.exits != [depth - 1] {
+            return bad_config(
+                "self-speculative decoding verifies the final exit only; \
+                 use a final-exit voting policy",
+            );
         }
     }
     if voting.exits.is_empty() {
-        return Err(ModelError::BadConfig {
-            reason: "voting policy needs at least one exit".into(),
-        });
+        return bad_config("voting policy needs at least one exit");
     }
-    if let Some(&bad) = voting.exits.iter().find(|&&e| e >= model.n_layers()) {
-        return Err(ModelError::LayerOutOfRange {
-            layer: bad,
-            depth: model.n_layers(),
-        });
+    if let Some(&layer) = voting.exits.iter().find(|&&e| e >= depth) {
+        return Err(ModelError::LayerOutOfRange { layer, depth });
     }
+    let exits = voting.exits.len();
     match &voting.combiner {
-        VotingCombiner::LastExit | VotingCombiner::Average => {}
-        VotingCombiner::ConfidenceWeighted { temperature } => {
-            // NaN fails the finiteness check, so `<= 0.0` need not see it
-            if !temperature.is_finite() || *temperature <= 0.0 {
-                return Err(ModelError::BadConfig {
-                    reason: "confidence temperature must be positive and finite".into(),
-                });
-            }
+        VotingCombiner::LastExit | VotingCombiner::Average => Ok(()),
+        VotingCombiner::ConfidenceWeighted { temperature } if !usable(*temperature) => {
+            bad_config("confidence temperature must be positive and finite")
         }
-        VotingCombiner::Learned(weights) => {
-            if weights.len() != voting.exits.len() {
-                return Err(ModelError::BadConfig {
-                    reason: format!(
-                        "{} learned weights for {} exits",
-                        weights.len(),
-                        voting.exits.len()
-                    ),
-                });
-            }
-            if weights.iter().any(|w| *w < 0.0 || !w.is_finite())
-                || weights.iter().sum::<f32>() <= 0.0
-            {
-                return Err(ModelError::BadConfig {
-                    reason: "learned weights must be non-negative with positive sum".into(),
-                });
-            }
+        VotingCombiner::ConfidenceWeighted { .. } => Ok(()),
+        VotingCombiner::Learned(w) if w.len() != exits => {
+            bad_config(format!("{} learned weights for {exits} exits", w.len()))
         }
+        VotingCombiner::Learned(w)
+            if w.iter().any(|x| *x < 0.0 || !x.is_finite()) || w.iter().sum::<f32>() <= 0.0 =>
+        {
+            bad_config("learned weights must be non-negative with positive sum")
+        }
+        VotingCombiner::Learned(_) => Ok(()),
     }
-    Ok(())
 }
 
 /// The decoding half of [`validate_generation`].
 fn validate_decoding(decoding: Decoding) -> Result<(), ModelError> {
-    let bad = |reason: &str| {
-        Err(ModelError::BadConfig {
-            reason: reason.to_string(),
-        })
-    };
-    // NaN passes a bare `<= 0.0` test, tempers every probability to NaN,
-    // and the sampler's rng panics on the NaN bound that sums to.
-    let usable = |t: f32| t.is_finite() && t > 0.0;
     match decoding {
         Decoding::Greedy => Ok(()),
         Decoding::Sample { temperature } if !usable(temperature) => {
-            bad("temperature must be positive and finite")
+            bad_config("temperature must be positive and finite")
         }
         Decoding::TopK { k, temperature } if k == 0 || !usable(temperature) => {
-            bad("top-k needs k >= 1 and a positive, finite temperature")
+            bad_config("top-k needs k >= 1 and a positive, finite temperature")
         }
         Decoding::SelfSpeculative { k: 0, .. } => {
-            bad("self-speculative decoding needs k >= 1 draft tokens")
+            bad_config("self-speculative decoding needs k >= 1 draft tokens")
         }
         _ => Ok(()),
     }
+}
+
+/// Whether `t` is a usable temperature. NaN passes a bare `<= 0.0` test,
+/// tempers every probability to NaN, and the sampler's rng panics on the
+/// NaN bound that sums to.
+fn usable(t: f32) -> bool {
+    t.is_finite() && t > 0.0
+}
+
+fn bad_config(reason: impl Into<String>) -> Result<(), ModelError> {
+    let reason = reason.into();
+    Err(ModelError::BadConfig { reason })
 }
 
 /// Draws the next token from a probability row under `decoding` — the
