@@ -11,9 +11,9 @@
 //! earlier one made (T3, F1 and F5 read T1's vanilla run, A1 and A3 its
 //! Edge-LLM run). Each model is profiled once, when it is prepared:
 //! every LUC run searches [`crate::pipeline::Prepared::profile`], and F5
-//! prints it. T3 carries the analytic memory model beside its measured activations, F1
-//! the accuracy frontier beside its latencies, and T1's no-vote row is its
-//! Edge-LLM run's final-exit evaluation. See `DESIGN.md` for the
+//! prints it. T3 carries the analytic memory model beside its measured
+//! activations, F1 the accuracy frontier beside its latencies, and T1's
+//! no-vote row is its Edge-LLM run's final exit. See `DESIGN.md` for the
 //! experiment index and `EXPERIMENTS.md` for recorded results.
 
 use crate::baselines::uniform_policy_for_budget;
