@@ -1,13 +1,13 @@
 //! Golden-report regression test: runs the quick-scale T1, T2, T3, F1,
-//! F3, F5, A1, A2 and A3 experiments through the library (the same code path as
-//! `edgellm report --quick`), projects away wall-clock columns, and
-//! compares the remaining cells against checked-in snapshots. T3 holds the
-//! analytic memory model beside its measured activations, and F1 the
-//! accuracy and Pareto frontier of its budget sweep. The F2 snapshot is
-//! T3's memory columns, one row per depth. The nine tables are built once,
-//! through one store planned for all of them, as one report does; F5 and
-//! A3, whose runs T1 and A1 also read, are built again each on its own,
-//! and both ways must match one snapshot.
+//! F3, F5, A1, A2 and A3 experiments through the library (the same code
+//! path as `edgellm report --quick`), projects away wall-clock columns,
+//! and compares the remaining cells against checked-in snapshots. T3
+//! holds the analytic memory model beside its measured activations, every
+//! voting row at a depth repeating that depth's memory cells, and F1 the
+//! accuracy and Pareto frontier of its budget sweep. The nine tables are
+//! built once, through one store planned for all of them, as one report
+//! does; F5 and A3, whose runs T1 and A1 also read, are built again each
+//! on its own, and both ways must match one snapshot.
 //!
 //! Every number in the snapshot is produced by seeded, fixed-order
 //! arithmetic, so any drift means an algorithmic change — a kernel
@@ -87,43 +87,6 @@ fn quick_table(id: &str) -> &'static Table {
     &REPORT[i.unwrap_or_else(|| panic!("{id} has no snapshot"))]
 }
 
-/// F2's view of T3: depth, measured (peak) activations and the analytic
-/// memory model, one row per depth (every voting row at a depth holds
-/// the same memory cells).
-fn f2_projection(t3: &Table) -> String {
-    let col = |name: &str| {
-        t3.headers()
-            .iter()
-            .position(|h| h == name)
-            .unwrap_or_else(|| panic!("T3 has no {name:?} column: {:?}", t3.headers()))
-    };
-    let cols = [
-        col("depth"),
-        col("peak act"),
-        col("analytic act"),
-        col("analytic total"),
-    ];
-    let mut lines = vec!["depth | measured act | analytic act | analytic total".to_string()];
-    let mut seen: Vec<Vec<&str>> = Vec::new();
-    for row in 0..t3.n_rows() {
-        let cells: Vec<&str> = cols
-            .iter()
-            .map(|&i| t3.cell(row, i).unwrap_or(""))
-            .collect();
-        if let Some(prev) = seen.iter().find(|p| p[0] == cells[0]) {
-            assert_eq!(
-                prev, &cells,
-                "memory cells differ within depth {}",
-                cells[0]
-            );
-            continue;
-        }
-        lines.push(cells.join(" | "));
-        seen.push(cells);
-    }
-    lines.join("\n") + "\n"
-}
-
 fn assert_matches_golden(id: &str, timed: bool) {
     assert_projection_matches(id, &deterministic_projection(quick_table(id), timed));
 }
@@ -163,11 +126,6 @@ fn t2_quick_matches_snapshot() {
 #[test]
 fn t3_quick_matches_snapshot() {
     assert_matches_golden("t3", true);
-}
-
-#[test]
-fn f2_quick_matches_snapshot() {
-    assert_projection_matches("f2", &f2_projection(quick_table("t3")));
 }
 
 #[test]
