@@ -18,7 +18,7 @@ use crate::oracle::ModelOracle;
 use crate::resilience::{
     resilient_adapt, schedule_depth, AdaptRun, RecoveryJournal, ResilienceConfig, RunMeta,
 };
-use crate::schedule::modeled_training_iteration;
+use crate::schedule::modeled_schedule_iteration;
 use crate::EdgeLlmError;
 use edge_llm_data::{Batch, ClozeQaTask, Dataset, MarkovTextTask, ModArithTask, TaskGenerator};
 use edge_llm_hw::DeviceModel;
@@ -529,12 +529,11 @@ pub(crate) fn outcome(
         _ => final_exit,
     };
 
-    // modeled latency and energy on the Jetson-class device (A2 sweeps
-    // the others)
-    let depth = schedule_depth(schedule, model.n_layers());
+    // modeled latency and energy of the run's own schedule on the
+    // Jetson-class device (A2 sweeps the others)
     let device = DeviceModel::jetson_class();
     let (modeled_iter_us, modeled_iter_uj) =
-        modeled_training_iteration(model.config(), policy, depth, config.batch, &device)?;
+        modeled_schedule_iteration(model.config(), policy, schedule, config.batch, &device)?;
 
     Ok(AdaptationOutcome {
         method: method.label().to_string(),

@@ -13,7 +13,7 @@ use edge_llm_hw::{
     ScheduledGemm,
 };
 use edge_llm_luc::CompressionPolicy;
-use edge_llm_model::ModelConfig;
+use edge_llm_model::{LayerWindow, ModelConfig, WindowSchedule};
 use std::collections::HashMap;
 
 /// Memoization key: two GEMMs with the same shape, precision, and sparsity
@@ -115,11 +115,9 @@ pub fn naive_latency_us(
 }
 
 /// Modeled latency and energy of one **training iteration** on the device
-/// (microseconds, microjoules).
-///
-/// Forward executes layers `0..=exit`; backward re-executes the window's
-/// layers at ~2x forward cost (the standard dX+dW accounting). With
-/// `window_depth >= n_layers` this degenerates to vanilla full tuning.
+/// (microseconds, microjoules) at a round-robin backprop depth: the
+/// [`modeled_schedule_iteration`] of [`WindowSchedule::for_depth`]. With
+/// `window_depth >= n_layers` this is vanilla full tuning.
 ///
 /// # Errors
 ///
@@ -131,9 +129,43 @@ pub fn modeled_training_iteration(
     batch: usize,
     device: &DeviceModel,
 ) -> Result<(f64, f64), EdgeLlmError> {
+    let schedule = WindowSchedule::for_depth(window_depth, config.n_layers);
+    modeled_schedule_iteration(config, policy, &schedule, batch, device)
+}
+
+/// Modeled latency and energy of one **training iteration** under
+/// `schedule` on the device (microseconds, microjoules), averaged over one
+/// cycle of its windows ([`WindowSchedule::cycle`]).
+///
+/// A window `[start, end)` executes forward layers `0..end`; backward
+/// re-executes the window's layers at ~2x forward cost (the standard
+/// dX+dW accounting).
+///
+/// # Errors
+///
+/// Returns [`EdgeLlmError::BadConfig`] for a schedule without windows or
+/// a window that is empty or reaches past the model, and propagates
+/// workload or schedule errors.
+///
+/// # Panics
+///
+/// Panics if a `RoundRobin` depth is zero, as
+/// [`WindowSchedule::window_for`] does.
+pub fn modeled_schedule_iteration(
+    config: &ModelConfig,
+    policy: &CompressionPolicy,
+    schedule: &WindowSchedule,
+    batch: usize,
+    device: &DeviceModel,
+) -> Result<(f64, f64), EdgeLlmError> {
     let space = ScheduleSpace::default();
     let n = config.n_layers;
-    let depth = window_depth.clamp(1, n);
+    let windows = schedule.cycle(n);
+    if windows.is_empty() || windows.iter().any(|w| w.start >= w.end || w.end > n) {
+        return Err(EdgeLlmError::BadConfig {
+            reason: format!("schedule {schedule:?} does not fit {n} layers"),
+        });
+    }
     let mut memo: HashMap<(u32, u32), (f64, f64)> = HashMap::new();
     let per_layer: Vec<(f64, f64)> = (0..n)
         .map(|l| {
@@ -158,21 +190,18 @@ pub fn modeled_training_iteration(
             Ok(cost)
         })
         .collect::<Result<_, EdgeLlmError>>()?;
-    // average over the round-robin window cycle
-    let n_positions = n.div_ceil(depth);
     let mut total_us = 0.0;
     let mut total_uj = 0.0;
-    for pos in 0..n_positions {
-        let start = (pos * depth).min(n - depth);
-        let exit = start + depth - 1;
-        let fwd_us: f64 = per_layer[..=exit].iter().map(|p| p.0).sum();
-        let bwd_us: f64 = 2.0 * per_layer[start..=exit].iter().map(|p| p.0).sum::<f64>();
+    for &LayerWindow { start, end } in &windows {
+        let fwd_us: f64 = per_layer[..end].iter().map(|p| p.0).sum();
+        let bwd_us: f64 = 2.0 * per_layer[start..end].iter().map(|p| p.0).sum::<f64>();
         total_us += fwd_us + bwd_us;
-        let fwd_uj: f64 = per_layer[..=exit].iter().map(|p| p.1).sum();
-        let bwd_uj: f64 = 2.0 * per_layer[start..=exit].iter().map(|p| p.1).sum::<f64>();
+        let fwd_uj: f64 = per_layer[..end].iter().map(|p| p.1).sum();
+        let bwd_uj: f64 = 2.0 * per_layer[start..end].iter().map(|p| p.1).sum::<f64>();
         total_uj += fwd_uj + bwd_uj;
     }
-    Ok((total_us / n_positions as f64, total_uj / n_positions as f64))
+    let cycle = windows.len() as f64;
+    Ok((total_us / cycle, total_uj / cycle))
 }
 
 #[cfg(test)]
@@ -241,6 +270,89 @@ mod tests {
             .unwrap()
             .0;
         assert!(windowed < full, "windowed {windowed} vs full {full}");
+    }
+
+    /// A policy whose layers all differ, so every window sums distinct
+    /// costs.
+    fn mixed_policy(n: usize) -> CompressionPolicy {
+        let widths = [BitWidth::W16, BitWidth::W8, BitWidth::W4, BitWidth::W2];
+        let layers = (0..n)
+            .map(|l| edge_llm_luc::LayerPolicy {
+                bits: widths[l % widths.len()],
+                prune_ratio: 0.125 * (l % 3) as f32,
+            })
+            .collect();
+        CompressionPolicy::from_layers(layers)
+    }
+
+    #[test]
+    fn a_depth_costs_the_bits_of_its_round_robin_schedule() {
+        let c = ModelConfig::tiny().with_layers(6);
+        let (n, device) = (c.n_layers, DeviceModel::jetson_class());
+        let policy = mixed_policy(n);
+        let bits = |(us, uj): (f64, f64)| (us.to_bits(), uj.to_bits());
+        for d in 1..=n {
+            let by_depth = modeled_training_iteration(&c, &policy, d, 2, &device).unwrap();
+            let schedule = WindowSchedule::for_depth(d, n);
+            let by_schedule = modeled_schedule_iteration(&c, &policy, &schedule, 2, &device);
+            assert_eq!(bits(by_depth), bits(by_schedule.unwrap()), "depth {d}");
+            // the same windows listed by hand: start = min(pos * d, n - d)
+            let listed = (0..n.div_ceil(d))
+                .map(|pos| (pos * d).min(n - d))
+                .map(|start| LayerWindow {
+                    start,
+                    end: start + d,
+                })
+                .collect();
+            let listed = WindowSchedule::Ordered(listed);
+            let by_list = modeled_schedule_iteration(&c, &policy, &listed, 2, &device);
+            assert_eq!(bits(by_depth), bits(by_list.unwrap()), "depth {d}");
+        }
+    }
+
+    #[test]
+    fn last_layer_tuning_walks_every_layer_forward() {
+        // T1's last-layer row: every step runs all n layers forward and
+        // the top one backward, n + 2 layer units, not a depth-1 sweep's
+        // average of (n + 1) / 2 forward layers
+        let c = ModelConfig::tiny().with_layers(6);
+        let (n, device) = (c.n_layers, DeviceModel::jetson_class());
+        let policy = CompressionPolicy::identity(n);
+        let layer = edge_llm_hw::transformer_layer_workloads(
+            0, c.d_model, c.d_ff, c.seq_len, 1, c.n_heads, 16, 0.0,
+        );
+        let scheduled = schedule_workloads(&layer, &device, &ScheduleSpace::default()).unwrap();
+        let (unit_us, unit_uj) = (total_latency_us(&scheduled), total_energy_uj(&scheduled));
+        let units = |u: f64| (0..n).map(|_| u).sum::<f64>() + 2.0 * u;
+        let last = WindowSchedule::Ordered(vec![LayerWindow {
+            start: n - 1,
+            end: n,
+        }]);
+        let (us, uj) = modeled_schedule_iteration(&c, &policy, &last, 1, &device).unwrap();
+        assert_eq!(us.to_bits(), units(unit_us).to_bits());
+        assert_eq!(uj.to_bits(), units(unit_uj).to_bits());
+        let sweep = modeled_training_iteration(&c, &policy, 1, 1, &device)
+            .unwrap()
+            .0;
+        assert!(sweep < us, "a depth-1 sweep {sweep} vs the top window {us}");
+    }
+
+    #[test]
+    fn a_schedule_that_does_not_fit_the_model_is_refused() {
+        let c = cfg();
+        let (policy, device) = (CompressionPolicy::identity(4), DeviceModel::jetson_class());
+        let w = |start, end| LayerWindow { start, end };
+        for schedule in [
+            WindowSchedule::Ordered(Vec::new()),
+            WindowSchedule::Ordered(vec![w(3, 5)]),
+            WindowSchedule::Ordered(vec![w(2, 2)]),
+        ] {
+            let cost = modeled_schedule_iteration(&c, &policy, &schedule, 1, &device);
+            assert!(
+                matches!(cost, Err(EdgeLlmError::BadConfig { .. })),
+                "{schedule:?}"
+            );
+        }
     }
 
     #[test]

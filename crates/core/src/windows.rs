@@ -29,17 +29,10 @@ pub fn sensitivity_window_schedule(profile: &SensitivityProfile, depth: usize) -
     let n = profile.n_layers();
     let depth = depth.min(n);
     let scores = profile.layer_scores();
-    let mut windows = Vec::new();
-    let n_positions = n.div_ceil(depth);
-    for pos in 0..n_positions {
-        let start = (pos * depth).min(n - depth);
-        let window = LayerWindow {
-            start,
-            end: start + depth,
-        };
-        let mean: f32 = scores[start..start + depth].iter().sum::<f32>() / depth as f32;
-        windows.push((window, mean));
-    }
+    let windows: Vec<(LayerWindow, f32)> = (WindowSchedule::RoundRobin { depth }.cycle(n))
+        .into_iter()
+        .map(|w| (w, scores[w.start..w.end].iter().sum::<f32>() / depth as f32))
+        .collect();
     let max = windows.iter().map(|(_, s)| *s).fold(0.0f32, f32::max);
     if max <= 0.0 {
         return WindowSchedule::RoundRobin { depth };

@@ -83,10 +83,8 @@ impl WindowSchedule {
                 end: n_layers,
             },
             WindowSchedule::RoundRobin { depth } => {
-                assert!(*depth > 0, "round-robin depth must be positive");
+                let pos = iter % self.cycle_len(n_layers);
                 let depth = (*depth).min(n_layers);
-                let n_positions = n_layers.div_ceil(depth);
-                let pos = iter % n_positions;
                 let start = (pos * depth).min(n_layers - depth);
                 LayerWindow {
                     start,
@@ -97,6 +95,32 @@ impl WindowSchedule {
                 assert!(!windows.is_empty(), "ordered schedule must be non-empty");
                 windows[iter % windows.len()]
             }
+        }
+    }
+
+    /// The windows of one cycle on a model of `n_layers`, in visit order:
+    /// iteration `iter` trains `cycle[iter % cycle.len()]`. A full-depth
+    /// cycle is the whole model once, a round-robin one each position of
+    /// the sweep once, an ordered one its list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `RoundRobin` depth is zero.
+    pub fn cycle(&self, n_layers: usize) -> Vec<LayerWindow> {
+        (0..self.cycle_len(n_layers))
+            .map(|iter| self.window_for(iter, n_layers))
+            .collect()
+    }
+
+    /// Iterations until the schedule visits its first window again.
+    fn cycle_len(&self, n_layers: usize) -> usize {
+        match self {
+            WindowSchedule::FullDepth => 1,
+            WindowSchedule::RoundRobin { depth } => {
+                assert!(*depth > 0, "round-robin depth must be positive");
+                n_layers.div_ceil((*depth).min(n_layers))
+            }
+            WindowSchedule::Ordered(windows) => windows.len(),
         }
     }
 }
@@ -353,6 +377,20 @@ mod tests {
         assert_eq!(sched.window_for(0, 2), a);
         assert_eq!(sched.window_for(1, 2), b);
         assert_eq!(sched.window_for(2, 2), a);
+        assert_eq!(sched.cycle(2), vec![a, b]);
+    }
+
+    #[test]
+    fn a_cycle_lists_each_window_of_the_sweep_once() {
+        let w = |start, end| LayerWindow { start, end };
+        let sched = WindowSchedule::RoundRobin { depth: 3 };
+        assert_eq!(sched.cycle(8), vec![w(0, 3), w(3, 6), w(5, 8)]);
+        for i in 0..10 {
+            assert_eq!(sched.window_for(i, 8), sched.cycle(8)[i % 3]);
+        }
+        assert_eq!(WindowSchedule::FullDepth.cycle(6), vec![w(0, 6)]);
+        let deeper = WindowSchedule::RoundRobin { depth: 9 };
+        assert_eq!(deeper.cycle(6), vec![w(0, 6)]);
     }
 
     #[test]
