@@ -78,6 +78,9 @@ impl Attention {
             let workers = pool::workers(0, runs * 2 * seq * seq * c, runs);
             let per_run = seq * 3 * c;
             let mut rest = dqkv.as_mut_slice();
+            // Invariant: the partition covers the `runs` runs of `dqkv`
+            // exactly, so each panel fits what is left of it.
+            #[allow(clippy::expect_used)]
             let parts: Vec<_> = pool::partition(runs, workers)
                 .into_iter()
                 .map(|p| {

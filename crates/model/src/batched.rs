@@ -448,6 +448,9 @@ pub(crate) fn decode_runs(
     let chunks = parts
         .into_iter()
         .map(|part| {
+            // Invariant: the partition covers `runs` exactly, so each part
+            // fits what is left of them.
+            #[allow(clippy::expect_used)]
             let chunk = rest.split_off_mut(..part.len()).expect("in bounds");
             let fed: usize = chunk.iter().map(|r| r.tokens.len()).sum();
             let hidden = entering.as_mut().and_then(|h| h.split_off(..fed * c));
@@ -722,20 +725,21 @@ fn walk(
         let gelu_grad = taped.then_some(pre);
         let (mlp_out, fc2_in) = project(l, AdapterTarget::Fc2, fc2, act)?;
         x = x1.add(&mlp_out)?;
-        if taped {
-            let kept = "a taped layer keeps every part";
-            tape.push(BlockTape {
-                ln1: ln1.expect(kept),
-                qkv: qkv_in.expect(kept),
-                qkv_out: qkv_out.expect(kept),
+        // a taped layer keeps every part, a frozen one none
+        let layer_tape = (|| {
+            Some(BlockTape {
+                ln1: ln1?,
+                qkv: qkv_in?,
+                qkv_out: qkv_out?,
                 probs,
-                proj: proj_in.expect(kept),
-                ln2: ln2.expect(kept),
-                fc1: fc1_in.expect(kept),
-                gelu_grad: gelu_grad.expect(kept),
-                fc2: fc2_in.expect(kept),
-            });
-        }
+                proj: proj_in?,
+                ln2: ln2?,
+                fc1: fc1_in?,
+                gelu_grad: gelu_grad?,
+                fc2: fc2_in?,
+            })
+        })();
+        tape.extend(layer_tape);
         // one shared unembedding matmul over every row of a run exiting at l
         let mut needing = Vec::new();
         for (i, &(r, _, _)) in rows.iter().enumerate() {

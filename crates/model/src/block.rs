@@ -166,35 +166,41 @@ impl Block {
     ///
     /// Propagates kernel shape errors.
     pub fn backward(&mut self, tape: &BlockTape, dy: &Tensor) -> Result<Tensor, ModelError> {
-        let dx = self.backward_to(tape, dy, true)?;
-        Ok(dx.expect("the input gradient was asked for"))
+        let (dx1, dn1) = self.backward_above_ln1(tape, dy)?;
+        let mut dx = self.ln1.backward(&tape.ln1, &dn1)?;
+        dx.axpy(1.0, &dx1)?; // residual path
+        Ok(dx)
     }
 
-    /// [`Block::backward`], returning `dx` only when `input_grad`. The
-    /// bottom block of a window above layer 0 has no reader for it, so it
-    /// skips `ln1`'s input gradient and the residual add. The `qkv`
-    /// projection's input gradient still runs: it is the gradient at
-    /// `ln1`'s output, which `ln1`'s own parameters learn from. Every
-    /// parameter gradient is the same bits either way.
-    pub(crate) fn backward_to(
+    /// [`Block::backward`] without `dx`. The bottom block of a window above
+    /// layer 0 has no reader for it, so it skips `ln1`'s input gradient
+    /// and the residual add. The `qkv` projection's input gradient still
+    /// runs: it is the gradient at `ln1`'s output, which `ln1`'s own
+    /// parameters learn from. Every parameter gradient is the same bits
+    /// either way.
+    pub(crate) fn backward_params(
         &mut self,
         tape: &BlockTape,
         dy: &Tensor,
-        input_grad: bool,
-    ) -> Result<Option<Tensor>, ModelError> {
+    ) -> Result<(), ModelError> {
+        let (_, dn1) = self.backward_above_ln1(tape, dy)?;
+        self.ln1.backward_params(&tape.ln1, &dn1)
+    }
+
+    /// The backward above `ln1`: returns the gradient at `x1` and at
+    /// `ln1`'s output.
+    fn backward_above_ln1(
+        &mut self,
+        tape: &BlockTape,
+        dy: &Tensor,
+    ) -> Result<(Tensor, Tensor), ModelError> {
         // y = x1 + mlp(ln2(x1))
         let dn2 = self.mlp.backward(tape, dy)?;
         let mut dx1 = self.ln2.backward(&tape.ln2, &dn2)?;
         dx1.axpy(1.0, dy)?; // residual path
                             // x1 = x + attn(ln1(x))
         let dn1 = self.attn.backward(tape, &dx1)?;
-        if !input_grad {
-            self.ln1.backward_params(&tape.ln1, &dn1)?;
-            return Ok(None);
-        }
-        let mut dx = self.ln1.backward(&tape.ln1, &dn1)?;
-        dx.axpy(1.0, &dx1)?; // residual path
-        Ok(Some(dx))
+        Ok((dx1, dn1))
     }
 
     /// Visits `(param, grad)` pairs in execution order: `ln1`, `qkv`,

@@ -93,7 +93,11 @@ pub fn generate(
         // Invariant: the cache has consumed every stream token except the
         // frontier, which the next pass feeds.
         while tokens.len() < target && kv.remaining() > 0 {
-            let frontier = *tokens.last().expect("prompt is non-empty");
+            let Some(&frontier) = tokens.last() else {
+                return Err(ModelError::BadConfig {
+                    reason: "empty prompt".into(),
+                });
+            };
             if let Decoding::SelfSpeculative { draft_depth, k } = decoding {
                 let round = spec_round(model, &mut kv, frontier, draft_depth, k)?;
                 let keep = round.accepted.len().min(target - tokens.len());
@@ -256,9 +260,11 @@ fn temper(probs: &[f32], temperature: f32) -> Vec<f32> {
     // turns the whole distribution into NaN.
     let logs: Vec<f32> = probs.iter().map(|&p| p.max(1e-12).ln()).collect();
     let max = logs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let logits: Vec<f32> = logs.iter().map(|&l| (l - max) / temperature).collect();
-    let t = Tensor::from_vec(1, logits.len(), logits).expect("shape by construction");
-    softmax_rows(&t).into_vec()
+    let mut logits = Tensor::zeros(1, logs.len());
+    for (logit, &l) in logits.as_mut_slice().iter_mut().zip(&logs) {
+        *logit = (l - max) / temperature;
+    }
+    softmax_rows(&logits).into_vec()
 }
 
 fn sample_from(probs: &[f32], rng: &mut TensorRng) -> usize {

@@ -77,8 +77,8 @@ fn take_f32s(cur: &mut &[u8]) -> Result<Vec<f32>, ModelError> {
     }
     let (body, rest) = cur.split_at(n as usize * 4);
     *cur = rest;
-    let word = |b: &[u8]| f32::from_le_bytes(b.try_into().expect("chunks_exact(4)"));
-    Ok(body.chunks_exact(4).map(word).collect())
+    let (words, _) = body.as_chunks::<4>();
+    Ok(words.iter().map(|&w| f32::from_le_bytes(w)).collect())
 }
 
 /// [`EdgeModel::num_params`] for `config` — what a checkpoint of that

@@ -335,11 +335,10 @@ impl EdgeModel {
         let first = exit_layer + 1 - caches.tape.len();
         for (l, tape) in (first..exit_layer + 1).zip(&caches.tape).rev() {
             // only the embeddings read the gradient leaving the window
-            let input_grad = l > first || caches.grad_from == 0;
-            match self.blocks[l].backward_to(tape, &dx, input_grad)? {
-                Some(below) => dx = below,
-                None => return Ok(()),
+            if l == first && caches.grad_from > 0 {
+                return self.blocks[l].backward_params(tape, &dx);
             }
+            dx = self.blocks[l].backward(tape, &dx)?;
         }
         if caches.grad_from == 0 {
             let (vocab, seq, c) = (
@@ -369,7 +368,10 @@ impl EdgeModel {
     /// Returns [`ModelError::BadBatch`] for a wrong token count.
     pub fn logits(&self, tokens: &[usize], batch: usize) -> Result<Tensor, ModelError> {
         let mut last = self.logits_at_exits(tokens, batch, &[self.n_layers() - 1])?;
-        Ok(last.pop().expect("one exit requested"))
+        // Invariant: one exit asked for, one logits tensor back.
+        #[allow(clippy::expect_used)]
+        let logits = last.pop().expect("one exit requested");
+        Ok(logits)
     }
 
     /// Logits from every exit in `exit_layers` in one frozen forward from
