@@ -94,9 +94,7 @@ pub fn generate(
         // frontier, which the next pass feeds.
         while tokens.len() < target && kv.remaining() > 0 {
             let Some(&frontier) = tokens.last() else {
-                return Err(ModelError::BadConfig {
-                    reason: "empty prompt".into(),
-                });
+                return bad_config("empty prompt");
             };
             if let Decoding::SelfSpeculative { draft_depth, k } = decoding {
                 let round = spec_round(model, &mut kv, frontier, draft_depth, k)?;
@@ -207,7 +205,7 @@ fn usable(t: f32) -> bool {
     t.is_finite() && t > 0.0
 }
 
-fn bad_config(reason: impl Into<String>) -> Result<(), ModelError> {
+fn bad_config<T>(reason: impl Into<String>) -> Result<T, ModelError> {
     let reason = reason.into();
     Err(ModelError::BadConfig { reason })
 }
