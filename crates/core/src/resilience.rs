@@ -401,12 +401,10 @@ impl Optimizer for FaultyOptimizer<'_> {
     }
 }
 
+/// The deepest window of `schedule` on a model of `n_layers`.
 pub(crate) fn schedule_depth(schedule: &WindowSchedule, n_layers: usize) -> usize {
-    match schedule {
-        WindowSchedule::FullDepth => n_layers,
-        WindowSchedule::RoundRobin { depth } => (*depth).min(n_layers),
-        WindowSchedule::Ordered(windows) => windows.iter().map(|w| w.depth()).max().unwrap_or(1),
-    }
+    let cycle = schedule.cycle(n_layers);
+    cycle.iter().map(|w| w.depth()).max().unwrap_or(1)
 }
 
 /// Halves the backprop window depth, or `None` when already at depth 1.

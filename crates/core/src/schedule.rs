@@ -272,86 +272,53 @@ mod tests {
         assert!(windowed < full, "windowed {windowed} vs full {full}");
     }
 
-    /// A policy whose layers all differ, so every window sums distinct
-    /// costs.
-    fn mixed_policy(n: usize) -> CompressionPolicy {
-        let widths = [BitWidth::W16, BitWidth::W8, BitWidth::W4, BitWidth::W2];
-        let layers = (0..n)
-            .map(|l| edge_llm_luc::LayerPolicy {
-                bits: widths[l % widths.len()],
-                prune_ratio: 0.125 * (l % 3) as f32,
-            })
-            .collect();
-        CompressionPolicy::from_layers(layers)
-    }
-
     #[test]
     fn a_depth_costs_the_bits_of_its_round_robin_schedule() {
-        let c = ModelConfig::tiny().with_layers(6);
-        let (n, device) = (c.n_layers, DeviceModel::jetson_class());
-        let policy = mixed_policy(n);
+        let (c, device) = (cfg(), DeviceModel::jetson_class());
+        // every layer costs something else, so every window sums its own
+        let widths = [BitWidth::W16, BitWidth::W8, BitWidth::W4, BitWidth::W2];
+        let mixed = (0..4).map(|l| edge_llm_luc::LayerPolicy {
+            bits: widths[l % 4],
+            prune_ratio: 0.125 * (l % 3) as f32,
+        });
+        let policy = CompressionPolicy::from_layers(mixed.collect());
         let bits = |(us, uj): (f64, f64)| (us.to_bits(), uj.to_bits());
-        for d in 1..=n {
+        for d in 1..=4 {
             let by_depth = modeled_training_iteration(&c, &policy, d, 2, &device).unwrap();
-            let schedule = WindowSchedule::for_depth(d, n);
+            let schedule = WindowSchedule::for_depth(d, 4);
             let by_schedule = modeled_schedule_iteration(&c, &policy, &schedule, 2, &device);
             assert_eq!(bits(by_depth), bits(by_schedule.unwrap()), "depth {d}");
-            // the same windows listed by hand: start = min(pos * d, n - d)
-            let listed = (0..n.div_ceil(d))
-                .map(|pos| (pos * d).min(n - d))
-                .map(|start| LayerWindow {
-                    start,
-                    end: start + d,
-                })
-                .collect();
-            let listed = WindowSchedule::Ordered(listed);
-            let by_list = modeled_schedule_iteration(&c, &policy, &listed, 2, &device);
-            assert_eq!(bits(by_depth), bits(by_list.unwrap()), "depth {d}");
         }
     }
 
     #[test]
     fn last_layer_tuning_walks_every_layer_forward() {
-        // T1's last-layer row: every step runs all n layers forward and
-        // the top one backward, n + 2 layer units, not a depth-1 sweep's
-        // average of (n + 1) / 2 forward layers
-        let c = ModelConfig::tiny().with_layers(6);
-        let (n, device) = (c.n_layers, DeviceModel::jetson_class());
-        let policy = CompressionPolicy::identity(n);
+        // every step runs all n layers forward and the top one backward:
+        // n + 2 layer units, where a depth-1 sweep averages (n + 1) / 2
+        // forward layers
+        let (c, device) = (cfg(), DeviceModel::jetson_class());
+        let n = 4;
         let layer = edge_llm_hw::transformer_layer_workloads(
             0, c.d_model, c.d_ff, c.seq_len, 1, c.n_heads, 16, 0.0,
         );
         let scheduled = schedule_workloads(&layer, &device, &ScheduleSpace::default()).unwrap();
-        let (unit_us, unit_uj) = (total_latency_us(&scheduled), total_energy_uj(&scheduled));
-        let units = |u: f64| (0..n).map(|_| u).sum::<f64>() + 2.0 * u;
-        let last = WindowSchedule::Ordered(vec![LayerWindow {
-            start: n - 1,
-            end: n,
-        }]);
-        let (us, uj) = modeled_schedule_iteration(&c, &policy, &last, 1, &device).unwrap();
-        assert_eq!(us.to_bits(), units(unit_us).to_bits());
-        assert_eq!(uj.to_bits(), units(unit_uj).to_bits());
-        let sweep = modeled_training_iteration(&c, &policy, 1, 1, &device)
-            .unwrap()
-            .0;
-        assert!(sweep < us, "a depth-1 sweep {sweep} vs the top window {us}");
+        let units = |u: f64| ((0..n).map(|_| u).sum::<f64>() + 2.0 * u).to_bits();
+        let top = WindowSchedule::Ordered(vec![LayerWindow { start: 3, end: 4 }]);
+        let policy = CompressionPolicy::identity(n);
+        let (us, uj) = modeled_schedule_iteration(&c, &policy, &top, 1, &device).unwrap();
+        assert_eq!(us.to_bits(), units(total_latency_us(&scheduled)));
+        assert_eq!(uj.to_bits(), units(total_energy_uj(&scheduled)));
     }
 
     #[test]
     fn a_schedule_that_does_not_fit_the_model_is_refused() {
-        let c = cfg();
-        let (policy, device) = (CompressionPolicy::identity(4), DeviceModel::jetson_class());
+        let (c, device) = (cfg(), DeviceModel::jetson_class());
         let w = |start, end| LayerWindow { start, end };
-        for schedule in [
-            WindowSchedule::Ordered(Vec::new()),
-            WindowSchedule::Ordered(vec![w(3, 5)]),
-            WindowSchedule::Ordered(vec![w(2, 2)]),
-        ] {
+        for windows in [vec![], vec![w(3, 5)], vec![w(2, 2)]] {
+            let schedule = WindowSchedule::Ordered(windows);
+            let policy = CompressionPolicy::identity(4);
             let cost = modeled_schedule_iteration(&c, &policy, &schedule, 1, &device);
-            assert!(
-                matches!(cost, Err(EdgeLlmError::BadConfig { .. })),
-                "{schedule:?}"
-            );
+            assert!(cost.is_err(), "{schedule:?}");
         }
     }
 

@@ -353,18 +353,24 @@ mod tests {
 
     #[test]
     fn round_robin_handles_non_dividing_depth() {
+        let w = |start, end| LayerWindow { start, end };
         let sched = WindowSchedule::RoundRobin { depth: 3 };
+        let cycle = sched.cycle(8);
+        assert_eq!(cycle, vec![w(0, 3), w(3, 6), w(5, 8)]);
         for i in 0..10 {
-            let w = sched.window_for(i, 8);
-            assert_eq!(w.depth(), 3);
-            assert!(w.end <= 8);
+            assert_eq!(sched.window_for(i, 8), cycle[i % 3]);
         }
+        assert_eq!(
+            WindowSchedule::RoundRobin { depth: 9 }.cycle(6),
+            vec![w(0, 6)]
+        );
     }
 
     #[test]
     fn full_depth_is_whole_model() {
         let w = WindowSchedule::FullDepth.window_for(5, 6);
         assert_eq!(w, LayerWindow { start: 0, end: 6 });
+        assert_eq!(WindowSchedule::FullDepth.cycle(6), vec![w]);
         assert_eq!(WindowSchedule::for_depth(6, 6), WindowSchedule::FullDepth);
         assert_eq!(WindowSchedule::for_depth(9, 6), WindowSchedule::FullDepth);
     }
@@ -378,19 +384,6 @@ mod tests {
         assert_eq!(sched.window_for(1, 2), b);
         assert_eq!(sched.window_for(2, 2), a);
         assert_eq!(sched.cycle(2), vec![a, b]);
-    }
-
-    #[test]
-    fn a_cycle_lists_each_window_of_the_sweep_once() {
-        let w = |start, end| LayerWindow { start, end };
-        let sched = WindowSchedule::RoundRobin { depth: 3 };
-        assert_eq!(sched.cycle(8), vec![w(0, 3), w(3, 6), w(5, 8)]);
-        for i in 0..10 {
-            assert_eq!(sched.window_for(i, 8), sched.cycle(8)[i % 3]);
-        }
-        assert_eq!(WindowSchedule::FullDepth.cycle(6), vec![w(0, 6)]);
-        let deeper = WindowSchedule::RoundRobin { depth: 9 };
-        assert_eq!(deeper.cycle(6), vec![w(0, 6)]);
     }
 
     #[test]
