@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn a_depth_costs_the_bits_of_its_round_robin_schedule() {
         let (c, device) = (cfg(), DeviceModel::jetson_class());
-        // every layer costs something else, so every window sums its own
+        // each layer has its own cost, so each window sums different ones
         let widths = [BitWidth::W16, BitWidth::W8, BitWidth::W4, BitWidth::W2];
         let mixed = (0..4).map(|l| edge_llm_luc::LayerPolicy {
             bits: widths[l % 4],
