@@ -125,8 +125,10 @@ pub struct EngineReport {
     pub spec_rounds: usize,
     /// Draft tokens proposed across all speculative rounds.
     pub spec_drafted: usize,
-    /// Tokens emitted by speculative rounds (accepted prefix plus the
-    /// verifier's correction/bonus token, after budget clamping).
+    /// Tokens the verifier accepted across all speculative rounds: each
+    /// round's agreeing draft prefix plus its correction/bonus token,
+    /// counted before a request's token budget cuts the round (the
+    /// `spec.accepted_tokens` counter's count).
     pub spec_accepted: usize,
     /// Admissions that found their tenant's adapter resident.
     pub adapter_hits: u64,
@@ -141,8 +143,9 @@ pub struct EngineReport {
 
 impl EngineReport {
     /// Fraction of drafted tokens the verifier accepted. Every round
-    /// emits exactly one non-draft token (the verifier's correction or
-    /// bonus), so accepted drafts are `spec_accepted - spec_rounds`.
+    /// accepts exactly one non-draft token (the verifier's correction or
+    /// bonus), so accepted drafts are `spec_accepted - spec_rounds`; a
+    /// draft the verifier accepted counts even where the budget cut it.
     /// `None` when no tokens were drafted.
     pub fn spec_acceptance_rate(&self) -> Option<f64> {
         (self.spec_drafted > 0).then(|| {
@@ -150,8 +153,8 @@ impl EngineReport {
         })
     }
 
-    /// Average tokens emitted per full-depth verify pass. `None` when no
-    /// speculative round ran.
+    /// Average tokens the verifier accepted per full-depth verify pass,
+    /// budget cuts not subtracted. `None` when no speculative round ran.
     pub fn spec_tokens_per_verify_pass(&self) -> Option<f64> {
         (self.spec_rounds > 0).then(|| self.spec_accepted as f64 / self.spec_rounds as f64)
     }
@@ -446,7 +449,7 @@ impl<'a> BatchedInferenceEngine<'a> {
             tokens_out += keep as u64;
             self.stats.spec_rounds += 1;
             self.stats.spec_drafted += round.drafted;
-            self.stats.spec_accepted += keep;
+            self.stats.spec_accepted += round.accepted.len();
         }
         telemetry::counter("serve.decode_tokens", tokens_out);
         self.steps_run += 1;

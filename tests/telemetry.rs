@@ -238,6 +238,51 @@ fn decode_latencies_equal_their_serve_decode_spans() {
 }
 
 #[test]
+fn a_budget_cut_spec_round_reports_the_acceptance_its_counters_give() {
+    let _guard = lock();
+    let mut rng = TensorRng::seed_from(31);
+    let cfg = ModelConfig::tiny().with_seq_len(16);
+    let model = EdgeModel::new(cfg, &mut rng).unwrap();
+    let mut engine = BatchedInferenceEngine::new(&model, 1).unwrap();
+    // drafting from the final exit, the verifier accepts every draft, so
+    // each round yields k + 1 = 5 tokens and a budget of 7 cuts the second
+    engine.submit(ServeRequest {
+        id: "spec".into(),
+        prompt: vec![1, 2, 3],
+        max_new_tokens: 7,
+        decoding: Decoding::SelfSpeculative {
+            draft_depth: model.n_layers() - 1,
+            k: 4,
+        },
+        voting: VotingPolicy::final_only(model.n_layers()),
+        seed: 0,
+        deadline_steps: None,
+        tenant: None,
+    });
+    edge_llm_telemetry::enable(Arc::new(FakeClock::with_tick(1)));
+    let outcomes = engine.run_to_completion();
+    let totals = counter_totals(&edge_llm_telemetry::disable());
+    assert_eq!(outcomes.unwrap()[0].tokens.len(), 7);
+
+    let report = engine.report();
+    let (drafted, rounds, accepted) = (
+        totals["spec.draft_tokens"],
+        totals["spec.verify_passes"],
+        totals["spec.accepted_tokens"],
+    );
+    assert_eq!((rounds, drafted, accepted), (2, 8, 10), "the budget cut");
+    assert_eq!(report.spec_rounds as u64, rounds);
+    assert_eq!(report.spec_drafted as u64, drafted);
+    assert_eq!(report.spec_accepted as u64, accepted);
+    let rate = (accepted - rounds) as f64 / drafted as f64;
+    assert_eq!(report.spec_acceptance_rate(), Some(rate));
+    assert_eq!(
+        report.spec_tokens_per_verify_pass(),
+        Some(accepted as f64 / rounds as f64)
+    );
+}
+
+#[test]
 fn an_integer_decode_pass_records_one_pgemm_span_per_projection() {
     let _guard = lock();
     // W4 weights and A8 activations on every projection: each one runs
