@@ -143,14 +143,10 @@ pub fn modeled_training_iteration(
 ///
 /// # Errors
 ///
-/// Returns [`EdgeLlmError::BadConfig`] for a schedule without windows or
-/// a window that is empty or reaches past the model, and propagates
-/// workload or schedule errors.
-///
-/// # Panics
-///
-/// Panics if a `RoundRobin` depth is zero, as
-/// [`WindowSchedule::window_for`] does.
+/// Returns [`EdgeLlmError::BadConfig`] for a schedule without windows
+/// (an empty `Ordered` list, a `RoundRobin` depth of zero) or a window
+/// that is empty or reaches past the model, and propagates workload or
+/// schedule errors.
 pub fn modeled_schedule_iteration(
     config: &ModelConfig,
     policy: &CompressionPolicy,
@@ -314,8 +310,9 @@ mod tests {
     fn a_schedule_that_does_not_fit_the_model_is_refused() {
         let (c, device) = (cfg(), DeviceModel::jetson_class());
         let w = |start, end| LayerWindow { start, end };
-        for windows in [vec![], vec![w(3, 5)], vec![w(2, 2)]] {
-            let schedule = WindowSchedule::Ordered(windows);
+        let ordered = [vec![], vec![w(3, 5)], vec![w(2, 2)]].map(WindowSchedule::Ordered);
+        let no_depth = WindowSchedule::RoundRobin { depth: 0 };
+        for schedule in ordered.into_iter().chain([no_depth]) {
             let policy = CompressionPolicy::identity(4);
             let cost = modeled_schedule_iteration(&c, &policy, &schedule, 1, &device);
             assert!(cost.is_err(), "{schedule:?}");

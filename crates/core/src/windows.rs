@@ -110,7 +110,7 @@ mod tests {
         let sched = sensitivity_window_schedule(&prof, 2);
         let mut covered = std::collections::HashSet::new();
         for i in 0..16 {
-            let w = sched.window_for(i, 5);
+            let w = sched.window_for(i, 5).unwrap();
             for l in w.start..w.end {
                 covered.insert(l);
             }
@@ -122,7 +122,7 @@ mod tests {
     fn depth_clamps_to_model() {
         let prof = profile_with_weights(vec![1.0, 2.0]);
         let sched = sensitivity_window_schedule(&prof, 10);
-        let w = sched.window_for(0, 2);
+        let w = sched.window_for(0, 2).unwrap();
         assert_eq!(w, LayerWindow { start: 0, end: 2 });
     }
 }

@@ -70,20 +70,21 @@ impl WindowSchedule {
         }
     }
 
-    /// The window for iteration `iter` on a model of `n_layers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an [`WindowSchedule::Ordered`] schedule is empty or a
-    /// `RoundRobin` depth is zero.
-    pub fn window_for(&self, iter: usize, n_layers: usize) -> LayerWindow {
-        match self {
+    /// The window for iteration `iter` on a model of `n_layers`, or
+    /// `None` for a schedule without windows: a `RoundRobin` depth of zero
+    /// or an empty [`WindowSchedule::Ordered`] list.
+    pub fn window_for(&self, iter: usize, n_layers: usize) -> Option<LayerWindow> {
+        let len = self.cycle_len(n_layers);
+        if len == 0 {
+            return None;
+        }
+        let pos = iter % len;
+        Some(match self {
             WindowSchedule::FullDepth => LayerWindow {
                 start: 0,
                 end: n_layers,
             },
             WindowSchedule::RoundRobin { depth } => {
-                let pos = iter % self.cycle_len(n_layers);
                 let depth = (*depth).min(n_layers);
                 let start = (pos * depth).min(n_layers - depth);
                 LayerWindow {
@@ -91,35 +92,30 @@ impl WindowSchedule {
                     end: start + depth,
                 }
             }
-            WindowSchedule::Ordered(windows) => {
-                assert!(!windows.is_empty(), "ordered schedule must be non-empty");
-                windows[iter % windows.len()]
-            }
-        }
+            WindowSchedule::Ordered(windows) => windows[pos],
+        })
     }
 
     /// The windows of one cycle on a model of `n_layers`, in visit order:
     /// iteration `iter` trains `cycle[iter % cycle.len()]`. A full-depth
     /// cycle is the whole model once, a round-robin one each position of
-    /// the sweep once, an ordered one its list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `RoundRobin` depth is zero.
+    /// the sweep once, an ordered one its list. Empty for a schedule
+    /// without windows.
     pub fn cycle(&self, n_layers: usize) -> Vec<LayerWindow> {
         (0..self.cycle_len(n_layers))
-            .map(|iter| self.window_for(iter, n_layers))
+            .filter_map(|iter| self.window_for(iter, n_layers))
             .collect()
     }
 
-    /// Iterations until the schedule visits its first window again.
+    /// Iterations until the schedule visits its first window again; zero
+    /// for a schedule without windows.
     fn cycle_len(&self, n_layers: usize) -> usize {
         match self {
             WindowSchedule::FullDepth => 1,
-            WindowSchedule::RoundRobin { depth } => {
-                assert!(*depth > 0, "round-robin depth must be positive");
-                n_layers.div_ceil((*depth).min(n_layers))
-            }
+            WindowSchedule::RoundRobin { depth } => match (*depth).min(n_layers) {
+                0 => 0,
+                depth => n_layers.div_ceil(depth),
+            },
             WindowSchedule::Ordered(windows) => windows.len(),
         }
     }
@@ -230,7 +226,9 @@ impl AdaptiveTuner {
     ///
     /// # Errors
     ///
-    /// Propagates model and kernel errors.
+    /// Returns [`ModelError::BadConfig`] for a schedule without windows
+    /// (a `RoundRobin` depth of zero, an empty `Ordered` list) before
+    /// anything runs, and propagates model and kernel errors.
     pub fn step(
         &mut self,
         model: &mut EdgeModel,
@@ -239,10 +237,14 @@ impl AdaptiveTuner {
         targets: &[usize],
         batch: usize,
     ) -> Result<TuneStepReport, ModelError> {
+        let Some(window) = self.schedule.window_for(self.iter, model.n_layers()) else {
+            return Err(ModelError::BadConfig {
+                reason: format!("window schedule {:?} has no window", self.schedule),
+            });
+        };
         let step = telemetry::timed("tune.step");
         let requants_before = model.block_requant_counts();
         let cache_before = model.weight_cache_stats();
-        let window = self.schedule.window_for(self.iter, model.n_layers());
         self.iter += 1;
         let exit_layer = window.exit_layer();
 
@@ -342,7 +344,7 @@ mod tests {
         );
         let mut covered = std::collections::HashSet::new();
         for i in 0..4 {
-            let w = sched.window_for(i, 8);
+            let w = sched.window_for(i, 8).unwrap();
             assert_eq!(w.depth(), 2);
             for l in w.start..w.end {
                 covered.insert(l);
@@ -358,7 +360,7 @@ mod tests {
         let cycle = sched.cycle(8);
         assert_eq!(cycle, vec![w(0, 3), w(3, 6), w(5, 8)]);
         for i in 0..10 {
-            assert_eq!(sched.window_for(i, 8), cycle[i % 3]);
+            assert_eq!(sched.window_for(i, 8), Some(cycle[i % 3]));
         }
         assert_eq!(
             WindowSchedule::RoundRobin { depth: 9 }.cycle(6),
@@ -368,7 +370,7 @@ mod tests {
 
     #[test]
     fn full_depth_is_whole_model() {
-        let w = WindowSchedule::FullDepth.window_for(5, 6);
+        let w = WindowSchedule::FullDepth.window_for(5, 6).unwrap();
         assert_eq!(w, LayerWindow { start: 0, end: 6 });
         assert_eq!(WindowSchedule::FullDepth.cycle(6), vec![w]);
         assert_eq!(WindowSchedule::for_depth(6, 6), WindowSchedule::FullDepth);
@@ -380,10 +382,36 @@ mod tests {
         let a = LayerWindow { start: 0, end: 1 };
         let b = LayerWindow { start: 1, end: 2 };
         let sched = WindowSchedule::Ordered(vec![a, b]);
-        assert_eq!(sched.window_for(0, 2), a);
-        assert_eq!(sched.window_for(1, 2), b);
-        assert_eq!(sched.window_for(2, 2), a);
+        assert_eq!(sched.window_for(0, 2), Some(a));
+        assert_eq!(sched.window_for(1, 2), Some(b));
+        assert_eq!(sched.window_for(2, 2), Some(a));
         assert_eq!(sched.cycle(2), vec![a, b]);
+    }
+
+    #[test]
+    fn a_schedule_without_windows_is_refused_typed() {
+        let (mut model, tokens) = setup(2);
+        let before = model.clone();
+        for sched in [
+            WindowSchedule::RoundRobin { depth: 0 },
+            WindowSchedule::Ordered(Vec::new()),
+        ] {
+            assert_eq!(sched.window_for(0, 2), None, "{sched:?}");
+            assert!(sched.cycle(2).is_empty(), "{sched:?}");
+            let mut tuner = AdaptiveTuner::new(sched);
+            let step = tuner.step(&mut model, &mut Sgd::new(0.1), &tokens, &tokens, 1);
+            assert!(
+                matches!(step, Err(ModelError::BadConfig { .. })),
+                "{step:?}"
+            );
+            assert_eq!(tuner.iterations(), 0);
+        }
+        let bits = |m: &EdgeModel| {
+            let mut bits = Vec::new();
+            m.visit_params_all_ro(&mut |_, p| bits.extend(p.iter().map(|v| v.to_bits())));
+            bits
+        };
+        assert_eq!(bits(&model), bits(&before), "a refused step wrote nothing");
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn round_robin_windows_cover_and_stay_in_bounds() {
         let sched = WindowSchedule::RoundRobin { depth };
         let mut covered = std::collections::HashSet::new();
         for i in 0..iters.max(n_layers.div_ceil(depth.min(n_layers))) {
-            let w = sched.window_for(i, n_layers);
+            let w = sched.window_for(i, n_layers).unwrap();
             assert!(w.start < w.end);
             assert!(w.end <= n_layers);
             assert_eq!(w.depth(), depth.min(n_layers));
