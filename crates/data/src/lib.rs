@@ -11,7 +11,6 @@
 //!
 //! * [`CharTokenizer`] — a printable-ASCII tokenizer (vocab 96),
 //! * [`MarkovTextTask`] — language modelling over a random Markov chain,
-//! * [`CopyTask`] / [`ReverseTask`] — algorithmic sequence transduction,
 //! * [`ModArithTask`] — modular-arithmetic cloze questions,
 //! * [`ClozeQaTask`] — templated subject–relation–object QA (the stand-in
 //!   for commonsense QA),
@@ -48,7 +47,7 @@ pub use batch::{Batch, Dataset};
 pub use cloze::ClozeQaTask;
 pub use markov::MarkovTextTask;
 pub use metrics::{accuracy, perplexity};
-pub use tasks::{CopyTask, ModArithTask, ReverseTask};
+pub use tasks::ModArithTask;
 pub use text::{CorpusTooShortError, TextLmTask};
 pub use tokenizer::CharTokenizer;
 

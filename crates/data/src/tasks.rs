@@ -1,4 +1,4 @@
-//! Algorithmic transduction tasks: copy, reverse, and modular arithmetic.
+//! Algorithmic transduction task: modular arithmetic.
 //!
 //! Each sample is laid out as `prompt | separator | answer`, with targets
 //! masked ([`IGNORE_TARGET`]) on prompt positions so only answer tokens are
@@ -7,48 +7,11 @@
 use crate::{Sample, TaskGenerator};
 use edge_llm_tensor::{TensorRng, IGNORE_TARGET};
 
-/// Copy task: emit the prompt symbols again after the separator.
-#[derive(Debug, Clone)]
-pub struct CopyTask {
-    vocab: usize,
-}
-
-/// Reverse task: emit the prompt symbols in reverse order.
-#[derive(Debug, Clone)]
-pub struct ReverseTask {
-    vocab: usize,
-}
-
 /// Modular arithmetic: the prompt encodes `a [op] b =` over a small modulus
 /// and the answer is the result digitized in the same vocabulary.
 #[derive(Debug, Clone)]
 pub struct ModArithTask {
     modulus: usize,
-}
-
-impl CopyTask {
-    /// Creates a copy task over `vocab` symbols (plus an internal
-    /// separator, so the effective vocabulary is `vocab + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vocab < 2`.
-    pub fn new(vocab: usize) -> Self {
-        assert!(vocab >= 2, "copy task needs at least 2 symbols");
-        CopyTask { vocab }
-    }
-}
-
-impl ReverseTask {
-    /// Creates a reverse task over `vocab` symbols (plus separator).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vocab < 2`.
-    pub fn new(vocab: usize) -> Self {
-        assert!(vocab >= 2, "reverse task needs at least 2 symbols");
-        ReverseTask { vocab }
-    }
 }
 
 impl ModArithTask {
@@ -100,40 +63,6 @@ fn transduce(
     Sample { tokens, targets }
 }
 
-impl TaskGenerator for CopyTask {
-    fn vocab_size(&self) -> usize {
-        self.vocab + 1
-    }
-
-    fn name(&self) -> &str {
-        "copy"
-    }
-
-    fn sample(&self, seq_len: usize, rng: &mut TensorRng) -> Sample {
-        let payload_len = (seq_len.saturating_sub(1)) / 2;
-        let payload: Vec<usize> = (0..payload_len).map(|_| rng.index(self.vocab)).collect();
-        let answer = payload.clone();
-        transduce(&payload, &answer, self.vocab, 0, seq_len)
-    }
-}
-
-impl TaskGenerator for ReverseTask {
-    fn vocab_size(&self) -> usize {
-        self.vocab + 1
-    }
-
-    fn name(&self) -> &str {
-        "reverse"
-    }
-
-    fn sample(&self, seq_len: usize, rng: &mut TensorRng) -> Sample {
-        let payload_len = (seq_len.saturating_sub(1)) / 2;
-        let payload: Vec<usize> = (0..payload_len).map(|_| rng.index(self.vocab)).collect();
-        let answer: Vec<usize> = payload.iter().rev().copied().collect();
-        transduce(&payload, &answer, self.vocab, 0, seq_len)
-    }
-}
-
 impl TaskGenerator for ModArithTask {
     fn vocab_size(&self) -> usize {
         self.modulus + 4
@@ -165,53 +94,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn copy_answer_matches_payload() {
-        let mut rng = TensorRng::seed_from(1);
-        let task = CopyTask::new(8);
-        let s = task.sample(16, &mut rng);
-        let payload_len = 7;
-        assert_eq!(s.tokens[payload_len], 8, "separator after payload");
-        assert_eq!(
-            &s.tokens[payload_len + 1..2 * payload_len + 1],
-            &s.tokens[..payload_len]
-        );
-    }
-
-    #[test]
-    fn reverse_answer_is_reversed() {
-        let mut rng = TensorRng::seed_from(2);
-        let task = ReverseTask::new(8);
-        let s = task.sample(16, &mut rng);
-        let p = 7;
-        let fwd: Vec<usize> = s.tokens[..p].to_vec();
-        let rev: Vec<usize> = s.tokens[p + 1..2 * p + 1].to_vec();
-        let mut fr = fwd.clone();
-        fr.reverse();
-        assert_eq!(rev, fr);
-    }
-
-    #[test]
-    fn prompt_positions_are_masked() {
-        let mut rng = TensorRng::seed_from(3);
-        let task = CopyTask::new(8);
-        let s = task.sample(16, &mut rng);
-        let p = 7;
-        // every target before the answer region is ignored
-        for t in 0..p - 1 {
-            assert_eq!(s.targets[t], IGNORE_TARGET, "position {t}");
-        }
-        // supervised positions exist and point at answer tokens
-        let supervised: Vec<usize> = s
-            .targets
-            .iter()
-            .copied()
-            .filter(|&t| t != IGNORE_TARGET)
-            .collect();
-        assert_eq!(supervised.len(), p);
-        assert_eq!(supervised, s.tokens[p + 1..2 * p + 1].to_vec());
-    }
-
-    #[test]
     fn mod_arith_results_are_correct() {
         let mut rng = TensorRng::seed_from(4);
         let task = ModArithTask::new(7);
@@ -231,20 +113,16 @@ mod tests {
     fn all_tokens_in_vocab() {
         let mut rng = TensorRng::seed_from(5);
         for seq in [4usize, 9, 16, 33] {
-            let t1 = CopyTask::new(5);
-            let t2 = ModArithTask::new(5);
-            let s1 = t1.sample(seq, &mut rng);
-            let s2 = t2.sample(seq, &mut rng);
-            assert!(s1.tokens.iter().all(|&t| t < t1.vocab_size()));
-            assert!(s2.tokens.iter().all(|&t| t < t2.vocab_size()));
-            assert_eq!(s1.tokens.len(), seq);
-            assert_eq!(s2.tokens.len(), seq);
+            let task = ModArithTask::new(5);
+            let s = task.sample(seq, &mut rng);
+            assert!(s.tokens.iter().all(|&t| t < task.vocab_size()));
+            assert_eq!(s.tokens.len(), seq);
         }
     }
 
     #[test]
     #[should_panic]
     fn tiny_vocab_panics() {
-        let _ = CopyTask::new(1);
+        let _ = ModArithTask::new(1);
     }
 }

@@ -55,5 +55,5 @@ pub use ops::{
 };
 pub use pool::{configured_threads, set_configured_threads, THREADS_ENV_VAR};
 pub use rng::{fnv1a64, RngState, TensorRng, RNG_STATE_BYTES};
-pub use stats::{cosine_similarity, l2_norm, max_abs_diff, mean, variance};
+pub use stats::{l2_norm, max_abs_diff, mean};
 pub use tensor::Tensor;

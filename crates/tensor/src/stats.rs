@@ -11,15 +11,6 @@ pub fn mean(xs: &[f32]) -> f32 {
     xs.iter().sum::<f32>() / xs.len() as f32
 }
 
-/// Population variance of a slice; `0.0` for an empty slice.
-pub fn variance(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32
-}
-
 /// Euclidean norm of all elements of a tensor.
 pub fn l2_norm(t: &Tensor) -> f32 {
     t.as_slice()
@@ -42,38 +33,14 @@ pub fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
         .fold(0.0, f32::max)
 }
 
-/// Cosine similarity between two tensors flattened to vectors.
-///
-/// Returns `0.0` when either vector has zero norm or shapes differ.
-pub fn cosine_similarity(a: &Tensor, b: &Tensor) -> f32 {
-    if a.shape() != b.shape() {
-        return 0.0;
-    }
-    let dot: f64 = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice().iter())
-        .map(|(x, y)| (*x as f64) * (*y as f64))
-        .sum();
-    let na = l2_norm(a) as f64;
-    let nb = l2_norm(b) as f64;
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot / (na * nb)) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_known() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(mean(&xs), 2.5);
-        assert!((variance(&xs) - 1.25).abs() < 1e-6);
+    fn mean_known() {
+        assert_eq!(mean(&[1.0, 2.0, 3.0, 4.0]), 2.5);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
     }
 
     #[test]
@@ -88,15 +55,5 @@ mod tests {
         let b = Tensor::from_vec(1, 3, vec![0.1, 1.0, -1.0]).unwrap();
         assert!((max_abs_diff(&a, &b) - 3.0).abs() < 1e-6);
         assert_eq!(max_abs_diff(&a, &Tensor::zeros(2, 2)), f32::INFINITY);
-    }
-
-    #[test]
-    fn cosine_similarity_extremes() {
-        let a = Tensor::from_vec(1, 2, vec![1.0, 0.0]).unwrap();
-        let b = Tensor::from_vec(1, 2, vec![2.0, 0.0]).unwrap();
-        let c = Tensor::from_vec(1, 2, vec![0.0, 1.0]).unwrap();
-        assert!((cosine_similarity(&a, &b) - 1.0).abs() < 1e-6);
-        assert!(cosine_similarity(&a, &c).abs() < 1e-6);
-        assert_eq!(cosine_similarity(&a, &Tensor::zeros(1, 2)), 0.0);
     }
 }

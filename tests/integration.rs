@@ -7,7 +7,7 @@ use edge_llm::compress::{apply_policy, clear_compression};
 use edge_llm::eval::evaluate;
 use edge_llm::oracle::ModelOracle;
 use edge_llm::schedule::{model_workloads, naive_latency_us, schedule_workloads, total_latency_us};
-use edge_llm_data::{accuracy, ClozeQaTask, CopyTask, MarkovTextTask, TaskGenerator};
+use edge_llm_data::{accuracy, ClozeQaTask, MarkovTextTask, ModArithTask, TaskGenerator};
 use edge_llm_hw::{DeviceModel, ScheduleSpace};
 use edge_llm_luc::{profile, search_policy, CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
@@ -193,7 +193,7 @@ fn tasks_are_learnable_by_full_tuning() {
             "cloze",
             Box::new(ClozeQaTask::new(6, 2)) as Box<dyn TaskGenerator>,
         ),
-        ("copy", Box::new(CopyTask::new(6))),
+        ("mod-arith", Box::new(ModArithTask::new(7))),
         ("markov", Box::new(MarkovTextTask::new(16, 2, 5))),
     ] {
         let mut rng = TensorRng::seed_from(17);
