@@ -11,6 +11,12 @@
 //!   cost). These go to the `timing.json` sidecar and are only ever
 //!   gated by spec-declared `ge`/`le`/`band` bars, never exactly.
 //!
+//! The decoding families serve: `spec_decode` submits one request to a
+//! one-slot [`BatchedInferenceEngine`], `tenants` a batch of them, and
+//! `fleet` a traffic scenario to the fleet router's engines. Each reads
+//! the served outcomes and the serving report, so what a trial times and
+//! counts is the served path, with no decode loop of the lab's own.
+//!
 //! Scales are parameters, so the same driver serves both the
 //! verify-tier smoke spec and the bench-scale specs under
 //! `experiments/` that hold the repo's headline ratios.
@@ -23,9 +29,9 @@ use edge_llm::quant::{BitWidth, QuantScheme};
 use edge_llm_fleet::{run_fleet, FleetConfig, ScenarioSpec, SessionFinish};
 use edge_llm_model::{
     argmax, batched_decode_step, AdapterTarget, AdaptiveTuner, BatchedStep, Decoding, EdgeModel,
-    InferenceSession, ModelConfig, SequenceKv, Sgd, TenantAdapter, VotingPolicy, WindowSchedule,
+    ModelConfig, SequenceKv, Sgd, TenantAdapter, VotingPolicy, WindowSchedule,
 };
-use edge_llm_serve::{BatchedInferenceEngine, ServeRequest};
+use edge_llm_serve::{BatchedInferenceEngine, FinishReason, ServeRequest};
 use edge_llm_telemetry as telemetry;
 use edge_llm_telemetry::Json;
 use edge_llm_tensor::TensorRng;
@@ -105,13 +111,15 @@ fn trial(e: impl std::fmt::Display) -> LabError {
 
 // ---- model cache --------------------------------------------------------
 
-/// Trained/compressed base models keyed by their full recipe, shared
-/// across a run's variants and repeats. A spec_decode task's greedy and
-/// spec arms (and every repeat) reuse one adapted model instead of
-/// re-running 160 tuner steps each; the cache key is the canonical JSON
-/// of everything that shapes the weights, so any param change misses.
+/// The `spec_decode` family's adapted models, keyed by their full recipe
+/// and shared across a run's variants and repeats: a task's greedy and
+/// spec arms (and every repeat) serve one adapted model instead of
+/// re-running its tuner steps (160 at bench scale) each. The key names
+/// everything that shapes the weights, so any param change misses. The
+/// other families build their model per trial: a seeded init, at most
+/// one policy applied, milliseconds.
 /// A poisoned lock is recovered: the map only ever gains a finished
-/// model or is cleared, so no panic can leave it half-written.
+/// model, so no panic can leave it half-written.
 fn model_cache() -> MutexGuard<'static, HashMap<String, Arc<EdgeModel>>> {
     static CACHE: OnceLock<Mutex<HashMap<String, Arc<EdgeModel>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
@@ -131,11 +139,6 @@ fn cached_model(
     Ok(Arc::clone(model_cache().entry(key).or_insert(model)))
 }
 
-/// Drops all cached base models (tests use this to bound memory).
-pub fn clear_model_cache() {
-    model_cache().clear();
-}
-
 // ---- spec_decode --------------------------------------------------------
 
 const SPEC_KEYS: &[&str] = &[
@@ -152,24 +155,10 @@ const SPEC_KEYS: &[&str] = &[
     "k",
 ];
 
-/// Rebuilds `session` on the last window of `tokens`, returning the
-/// frontier token.
-fn rebuild_window(
-    session: &mut InferenceSession,
-    tokens: &[usize],
-    seq_len: usize,
-) -> Result<usize, LabError> {
-    session.reset();
-    let take = tokens.len().min(seq_len);
-    let Some((&frontier, context)) = tokens[tokens.len() - take..].split_last() else {
-        return Err(LabError::Trial("no token to rebuild the window on".into()));
-    };
-    for &t in context {
-        session.advance_token(t).map_err(trial)?;
-    }
-    Ok(frontier)
-}
-
+/// One greedy or self-speculative request, served by a one-slot
+/// [`BatchedInferenceEngine`] on a model whose exits a short round-robin
+/// adaptation calibrated: the stream, the round accounting and the
+/// tokens/s are the served path's own.
 fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let p = Fields::new(params, "params", SPEC_KEYS)?;
     let cfg = model_config(&p, (2, 32, 4, 48))?;
@@ -177,27 +166,29 @@ fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let cycle = p.usize_or("cycle", 7)?.max(1);
     let prompt_len = p.usize_or("prompt_len", 3)?.max(1);
     let n_new = p.usize_or("decode_tokens", 32)?;
-    let mode = p.str_or("mode", "greedy")?;
-    let depth = p.usize_or("depth", 1)?;
-    let k = p.usize_or("k", 4)?;
-    if mode != "greedy" && mode != "spec" {
-        return Err(LabError::Spec(format!(
-            "param \"mode\" must be \"greedy\" or \"spec\", got {mode:?}"
-        )));
-    }
+    let decoding = match p.str_or("mode", "greedy")? {
+        "greedy" => Decoding::Greedy,
+        "spec" => Decoding::SelfSpeculative {
+            draft_depth: p.usize_or("depth", 1)?,
+            k: p.usize_or("k", 4)?,
+        },
+        mode => {
+            return Err(LabError::Spec(format!(
+                "param \"mode\" must be \"greedy\" or \"spec\", got {mode:?}"
+            )))
+        }
+    };
 
     let key = format!(
         "spec_decode/{seed}/{}x{}h{}s{}/steps{train_steps}/cycle{cycle}",
         cfg.n_layers, cfg.d_model, cfg.n_heads, cfg.seq_len
     );
-    let cfg_for_build = cfg.clone();
     let model = cached_model(key, move || {
         // Calibration recipe: adapt on a cyclic successor task with
         // round-robin depth-1 windows so every exit head learns the
         // mapping and the draft is worth verifying.
-        let seq = cfg_for_build.seq_len;
-        let mut rng = TensorRng::seed_from(seed);
-        let mut model = EdgeModel::new(cfg_for_build, &mut rng).map_err(trial)?;
+        let seq = cfg.seq_len;
+        let mut model = EdgeModel::new(cfg, &mut TensorRng::seed_from(seed)).map_err(trial)?;
         let tokens: Vec<usize> = (0..seq).map(|i| i % cycle).collect();
         let targets: Vec<usize> = (0..seq).map(|i| (i + 1) % cycle).collect();
         let mut opt = Sgd::with_momentum(0.1, 0.9);
@@ -210,66 +201,44 @@ fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         Ok(model)
     })?;
 
-    let seq_len = model.config().seq_len;
-    let prompt: Vec<usize> = (0..prompt_len).map(|i| i % cycle).collect();
-    let mut session = InferenceSession::new(&model);
-    let mut tokens = prompt.clone();
-    let mut frontier = rebuild_window(&mut session, &tokens, seq_len)?;
-    let mut result = TrialResult::new();
-
-    let (mut rounds, mut drafted, mut accepted) = (0usize, 0usize, 0usize);
+    let mut engine = BatchedInferenceEngine::new(&model, 1).map_err(trial)?;
+    engine.submit(ServeRequest {
+        id: "spec_decode".into(),
+        prompt: (0..prompt_len).map(|i| i % cycle).collect(),
+        max_new_tokens: n_new,
+        decoding,
+        voting: VotingPolicy::final_only(model.n_layers()),
+        seed,
+        deadline_steps: None,
+        tenant: None,
+    });
     let t0 = Instant::now();
-    if mode == "greedy" {
-        for _ in 0..n_new {
-            if session.remaining() == 0 {
-                frontier = rebuild_window(&mut session, &tokens, seq_len)?;
-            }
-            let logits = session.push_token(frontier).map_err(trial)?;
-            frontier = argmax(logits.row(0));
-            tokens.push(frontier);
-        }
-    } else {
-        let mut produced = 0usize;
-        while produced < n_new {
-            if session.remaining() == 0 {
-                frontier = rebuild_window(&mut session, &tokens, seq_len)?;
-            }
-            let round = session
-                .speculative_round(frontier, depth, k)
-                .map_err(trial)?;
-            rounds += 1;
-            drafted += round.drafted;
-            accepted += round.accepted.len();
-            let keep = round.accepted.len().min(n_new - produced);
-            if keep < round.accepted.len() {
-                session.truncate(session.len() - (round.accepted.len() - keep));
-            }
-            let Some(&last) = round.accepted[..keep].last() else {
-                return Err(LabError::Trial(
-                    "a speculative round accepted no token".into(),
-                ));
-            };
-            tokens.extend_from_slice(&round.accepted[..keep]);
-            produced += keep;
-            frontier = last;
-        }
-    }
+    let outcomes = engine.run_to_completion().map_err(trial)?;
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    // A request the engine refused or cut short is a spec that asks for
+    // more than the model serves: a bad draft depth, or more tokens than
+    // its window holds.
+    let emitted = match outcomes.as_slice() {
+        [o] if o.finish == FinishReason::Completed => &o.tokens,
+        [o] => {
+            return Err(LabError::Spec(format!(
+                "the request finished {:?} after {} of {n_new} tokens",
+                o.finish,
+                o.tokens.len()
+            )))
+        }
+        _ => return Err(LabError::Trial("one request, one outcome".into())),
+    };
 
-    let emitted = &tokens[prompt.len()..];
+    let mut result = TrialResult::new();
     result.metric("tokens_emitted", Json::Int(emitted.len() as i64));
     result.metric("token_checksum", Json::str(&token_checksum(emitted)));
-    if mode == "spec" {
-        // every round emits exactly one non-draft token (the verifier's
-        // correction or bonus), so accepted drafts = accepted - rounds
-        let acceptance_rate = if drafted > 0 {
-            (accepted - rounds) as f64 / drafted as f64
-        } else {
-            0.0
-        };
-        result.metric("rounds", Json::Int(rounds as i64));
-        result.metric("drafted", Json::Int(drafted as i64));
-        result.metric("accepted", Json::Int(accepted as i64));
+    if let Decoding::SelfSpeculative { .. } = decoding {
+        let report = engine.report();
+        result.metric("rounds", Json::Int(report.spec_rounds as i64));
+        result.metric("drafted", Json::Int(report.spec_drafted as i64));
+        result.metric("accepted", Json::Int(report.spec_accepted as i64));
+        let acceptance_rate = report.spec_acceptance_rate().unwrap_or(0.0);
         result.metric("acceptance_rate", Json::Float(acceptance_rate));
     }
     result.time("tokens_per_s", Json::Float(emitted.len() as f64 / secs));
@@ -301,30 +270,18 @@ fn run_tenants(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let max_batch = p.usize_or("max_batch", 4)?;
     let rank = p.usize_or("adapter_rank", 1)?;
 
-    let key = format!(
-        "tenants/{seed}/{}x{}h{}s{}/{bits:?}@{prune_ratio}",
-        cfg.n_layers, cfg.d_model, cfg.n_heads, cfg.seq_len
-    );
-    let cfg_for_build = cfg.clone();
-    let model = cached_model(key, move || {
-        let mut rng = TensorRng::seed_from(seed);
-        let mut model = EdgeModel::new(cfg_for_build.clone(), &mut rng).map_err(trial)?;
-        apply_policy(
-            &mut model,
-            &CompressionPolicy::uniform(cfg_for_build.n_layers, bits, prune_ratio),
-        )
-        .map_err(trial)?;
-        Ok(model)
-    })?;
+    let mut rng = TensorRng::seed_from(seed);
+    let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;
+    let policy = CompressionPolicy::uniform(cfg.n_layers, bits, prune_ratio);
+    apply_policy(&mut model, &policy).map_err(trial)?;
 
     let mut engine = BatchedInferenceEngine::new(&model, max_batch).map_err(trial)?;
-    let cfg = model.config();
     let sites = [
         (0, AdapterTarget::Qkv),
         (cfg.n_layers - 1, AdapterTarget::Fc2),
     ];
     for t in 0..tenants {
-        let adapter = TenantAdapter::seeded(cfg, seed.wrapping_add(t as u64), rank, &sites);
+        let adapter = TenantAdapter::seeded(&cfg, seed.wrapping_add(t as u64), rank, &sites);
         engine
             .register_adapter(&format!("tenant-{t}"), adapter)
             .map_err(trial)?;
@@ -430,16 +387,7 @@ fn run_fleet_family(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
         faults: spec.faults.clone(),
     };
 
-    let key = format!(
-        "fleet/{seed}/{}x{}h{}s{}",
-        cfg.n_layers, cfg.d_model, cfg.n_heads, cfg.seq_len
-    );
-    let cfg_for_build = cfg.clone();
-    let model = cached_model(key, move || {
-        let mut rng = TensorRng::seed_from(seed);
-        EdgeModel::new(cfg_for_build, &mut rng).map_err(trial)
-    })?;
-
+    let model = EdgeModel::new(cfg, &mut TensorRng::seed_from(seed)).map_err(trial)?;
     let traffic = spec.generate(model.config().vocab_size, model.n_layers());
     let t0 = Instant::now();
     let run = run_fleet(&model, &fleet_cfg, &traffic).map_err(trial)?;
@@ -531,9 +479,6 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let n_tokens = p.usize_or("decode_tokens", 32)?;
     let rows = p.usize_or("rows", 1)?.max(1);
 
-    // No model cache here: the datapath knobs (integer, pack) live on
-    // the model itself, and building an uncompressed tiny model is
-    // milliseconds — caching would key on the knobs anyway.
     let mut rng = TensorRng::seed_from(seed);
     let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;
     apply_policy(
@@ -734,7 +679,6 @@ mod tests {
 
     #[test]
     fn spec_decode_greedy_and_spec_emit_identical_streams() {
-        clear_model_cache();
         let base = r#"{"layers": 2, "d_model": 16, "heads": 2, "seq_len": 32,
                        "train_steps": 12, "decode_tokens": 12}"#;
         let greedy = run_family(Family::SpecDecode, 5, &obj(base)).unwrap();
@@ -747,6 +691,22 @@ mod tests {
         );
         assert_eq!(get(&greedy, "tokens_emitted"), Json::Int(12));
         assert!(spec.metrics.iter().any(|(k, _)| k == "acceptance_rate"));
+    }
+
+    #[test]
+    fn spec_decode_refuses_a_request_its_model_cannot_serve() {
+        let base = r#"{"layers": 2, "d_model": 16, "heads": 2, "seq_len": 16,
+                       "train_steps": 2, "decode_tokens": 8}"#;
+        for over in [
+            r#"{"decode_tokens": 16}"#,
+            r#"{"mode": "spec", "decode_tokens": 16}"#,
+            r#"{"mode": "spec", "depth": 2}"#,
+        ] {
+            match run_family(Family::SpecDecode, 5, &merge(base, over)) {
+                Err(LabError::Spec(msg)) => assert!(msg.contains("finished"), "{msg}"),
+                other => panic!("{over}: expected a spec error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Digest of `deterministic_bytes` for this spec when the runner still
 /// ran every repeat of a variant before the next variant (recorded at
 /// that commit; re-recorded when the serving engine began prefilling a
-/// prompt in one pass, which moved the fleet trials' `ticks` alone).
-const VARIANT_MAJOR_DIGEST: &str = "93fa34d129a8d81f";
+/// prompt in one pass, which moved the fleet trials' `ticks` alone, and
+/// when the spec_decode trials began serving through the engine, which
+/// added their `serve.*` counters and moved no other byte).
+const VARIANT_MAJOR_DIGEST: &str = "f7bac1afd63cd1aa";
 
 /// Runs the spec into a fresh directory and collects every byte that
 /// claims to be deterministic, keyed by path relative to the run dir,
