@@ -227,8 +227,9 @@ impl AdaptiveTuner {
     /// # Errors
     ///
     /// Returns [`ModelError::BadConfig`] for a schedule without windows
-    /// (a `RoundRobin` depth of zero, an empty `Ordered` list) before
-    /// anything runs, and propagates model and kernel errors.
+    /// (a `RoundRobin` depth of zero, an empty `Ordered` list) or whose
+    /// window this iteration is empty, before anything runs, and
+    /// propagates model and kernel errors.
     pub fn step(
         &mut self,
         model: &mut EdgeModel,
@@ -237,9 +238,13 @@ impl AdaptiveTuner {
         targets: &[usize],
         batch: usize,
     ) -> Result<TuneStepReport, ModelError> {
-        let Some(window) = self.schedule.window_for(self.iter, model.n_layers()) else {
+        let window = self.schedule.window_for(self.iter, model.n_layers());
+        let Some(window) = window.filter(|w| w.start < w.end) else {
             return Err(ModelError::BadConfig {
-                reason: format!("window schedule {:?} has no window", self.schedule),
+                reason: format!(
+                    "window schedule {:?} has no layer to train at iteration {}",
+                    self.schedule, self.iter
+                ),
             });
         };
         let step = telemetry::timed("tune.step");
@@ -389,15 +394,17 @@ mod tests {
     }
 
     #[test]
-    fn a_schedule_without_windows_is_refused_typed() {
+    fn a_schedule_without_a_window_to_train_is_refused_typed() {
         let (mut model, tokens) = setup(2);
         let before = model.clone();
-        for sched in [
-            WindowSchedule::RoundRobin { depth: 0 },
-            WindowSchedule::Ordered(Vec::new()),
-        ] {
+        let no_depth = WindowSchedule::RoundRobin { depth: 0 };
+        let no_list = WindowSchedule::Ordered(Vec::new());
+        for sched in [&no_depth, &no_list] {
             assert_eq!(sched.window_for(0, 2), None, "{sched:?}");
             assert!(sched.cycle(2).is_empty(), "{sched:?}");
+        }
+        let empty = WindowSchedule::Ordered(vec![LayerWindow { start: 1, end: 1 }]);
+        for sched in [no_depth, no_list, empty] {
             let mut tuner = AdaptiveTuner::new(sched);
             let step = tuner.step(&mut model, &mut Sgd::new(0.1), &tokens, &tokens, 1);
             assert!(

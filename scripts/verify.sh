@@ -71,7 +71,8 @@ EDGELLM_THREADS=2 cargo test -q
 #   telemetry     disabled probes <=1% of an adaptation step; the named
 #                 tune.* phases cover >=95% of the step; recording
 #                 on/off parameters bit-equal
-#   spec_decode   spec/greedy >=1.0x tokens/s, acceptance 1.0 +/- 0.1,
+#   spec_decode   each arm one request served by a one-slot engine:
+#                 spec/greedy >=1.0x tokens/s, acceptance 1.0 +/- 0.1,
 #                 streams bit-equal
 #   tenants       8-tenant resident bytes <=1.2x single-tenant
 #   igemm         integer/dequant >=1.2x at W4 and >=1.0x at W2; four
