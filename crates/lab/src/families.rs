@@ -166,12 +166,10 @@ fn run_spec_decode(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let cycle = p.usize_or("cycle", 7)?.max(1);
     let prompt_len = p.usize_or("prompt_len", 3)?.max(1);
     let n_new = p.usize_or("decode_tokens", 32)?;
+    let (draft_depth, k) = (p.usize_or("depth", 1)?, p.usize_or("k", 4)?);
     let decoding = match p.str_or("mode", "greedy")? {
         "greedy" => Decoding::Greedy,
-        "spec" => Decoding::SelfSpeculative {
-            draft_depth: p.usize_or("depth", 1)?,
-            k: p.usize_or("k", 4)?,
-        },
+        "spec" => Decoding::SelfSpeculative { draft_depth, k },
         mode => {
             return Err(LabError::Spec(format!(
                 "param \"mode\" must be \"greedy\" or \"spec\", got {mode:?}"
