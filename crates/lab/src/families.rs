@@ -28,13 +28,13 @@ use edge_llm::luc::CompressionPolicy;
 use edge_llm::quant::{BitWidth, QuantScheme};
 use edge_llm_fleet::{run_fleet, FleetConfig, ScenarioSpec, SessionFinish};
 use edge_llm_model::{
-    argmax, batched_decode_step, AdapterTarget, AdaptiveTuner, BatchedStep, Decoding, EdgeModel,
+    batched_decode_step, AdapterTarget, AdaptiveTuner, BatchedStep, Decoding, EdgeModel,
     ModelConfig, SequenceKv, Sgd, TenantAdapter, VotingPolicy, WindowSchedule,
 };
 use edge_llm_serve::{BatchedInferenceEngine, FinishReason, ServeRequest};
 use edge_llm_telemetry as telemetry;
 use edge_llm_telemetry::Json;
-use edge_llm_tensor::TensorRng;
+use edge_llm_tensor::{argmax, TensorRng};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};

@@ -12,7 +12,7 @@ use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::spec::{spec_round, validate_spec_params};
 use crate::voting::{combine, VotingCombiner, VotingPolicy};
-use edge_llm_tensor::{softmax_rows, Tensor, TensorRng};
+use edge_llm_tensor::{argmax, rank, softmax_rows, Tensor, TensorRng};
 
 /// Decoding strategy for [`generate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -215,10 +215,11 @@ fn bad_config<T>(reason: impl Into<String>) -> Result<T, ModelError> {
 /// engine, so every decode path maps identical probabilities and rng
 /// state to an identical token.
 ///
-/// Ties resolve to the lowest index in every mode (greedy picks the first
-/// maximum; top-k keeps candidates in ascending index order), so
-/// `TopK { k: 1, .. }` agrees with `Greedy` and `TopK` with `k >= vocab`
-/// agrees with `Sample` draw-for-draw.
+/// Greedy is [`argmax`], and top-k orders candidates by a stable sort on
+/// the same [`rank`]: ties resolve to the lowest index and a NaN ranks
+/// below every number in both, so `TopK { k: 1, .. }` picks what `Greedy`
+/// picks. Top-k then keeps its candidates in ascending index order, so
+/// `TopK` with `k >= vocab` agrees with `Sample` draw-for-draw.
 pub fn sample_token(probs: &[f32], decoding: Decoding, rng: &mut TensorRng) -> usize {
     match decoding {
         // SelfSpeculative is greedy by construction: given a probability
@@ -231,11 +232,7 @@ pub fn sample_token(probs: &[f32], decoding: Decoding, rng: &mut TensorRng) -> u
         }
         Decoding::TopK { k, temperature } => {
             let mut order: Vec<usize> = (0..probs.len()).collect();
-            // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: with a
-            // NaN in the row the latter is no total order and `sort_by`
-            // panics. On the non-negative finite values softmax produces
-            // the two orders are identical.
-            order.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]));
+            order.sort_by(|&a, &b| rank(probs[b], probs[a]));
             // ascending index order makes the CDF walk below traverse the
             // survivors exactly as full sampling would, so k >= vocab
             // degenerates to Sample on the same rng draw
@@ -267,7 +264,9 @@ fn temper(probs: &[f32], temperature: f32) -> Vec<f32> {
 
 fn sample_from(probs: &[f32], rng: &mut TensorRng) -> usize {
     let total: f32 = probs.iter().sum();
-    if total <= 0.0 {
+    // A +∞ probability tempers every candidate to NaN, and no draw can
+    // walk a NaN total: the first candidate is the pick, as it is top-1's.
+    if total.is_nan() || total <= 0.0 {
         return 0;
     }
     let mut u = rng.uniform(0.0, total);
@@ -278,20 +277,6 @@ fn sample_from(probs: &[f32], rng: &mut TensorRng) -> usize {
         u -= p;
     }
     probs.len() - 1
-}
-
-/// Index of the largest value in `xs` — the greedy pick of
-/// [`sample_token`] (0 for an empty row).
-pub fn argmax(xs: &[f32]) -> usize {
-    // first maximum on ties, matching the stable descending sort in
-    // sample_token's top-k path so greedy and TopK{k: 1} agree exactly
-    let mut best = 0;
-    for (i, &v) in xs.iter().enumerate().skip(1) {
-        if v > xs[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ pub use batched::{batched_decode_runs, batched_decode_step, BatchedRun, BatchedS
 pub use block::{Block, BlockTape};
 pub use config::ModelConfig;
 pub use error::ModelError;
-pub use generate::{argmax, generate, sample_token, validate_generation, Decoding};
+pub use generate::{generate, sample_token, validate_generation, Decoding};
 pub use gradcheck::{gradient_check, GradCheckReport};
 pub use infer::InferenceSession;
 pub use io::TrainingCheckpoint;

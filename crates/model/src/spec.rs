@@ -35,11 +35,10 @@
 use crate::adapter::ResolvedAdapter;
 use crate::batched::{decode_runs, validate_runs, BatchedRun, Entry, SequenceKv};
 use crate::error::ModelError;
-use crate::generate::argmax;
 use crate::model::EdgeModel;
 use crate::voting::{combine, VotingCombiner};
 use edge_llm_telemetry as telemetry;
-use edge_llm_tensor::Tensor;
+use edge_llm_tensor::{argmax, Tensor};
 
 /// Outcome of one draft/verify round.
 #[derive(Debug, Clone, PartialEq)]

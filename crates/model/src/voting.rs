@@ -7,7 +7,7 @@
 
 use crate::error::ModelError;
 use crate::model::EdgeModel;
-use edge_llm_tensor::{softmax_rows, Tensor};
+use edge_llm_tensor::{score, softmax_rows, Tensor};
 
 /// Strategy for combining per-exit logits.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,11 +166,14 @@ pub fn combine(exit_logits: &[Tensor], combiner: &VotingCombiner) -> Result<Tens
 /// Fits [`VotingCombiner::Learned`] weights on held-out data by measuring
 /// each exit's standalone accuracy and weighting exits proportionally.
 ///
-/// `targets` uses [`edge_llm_tensor::IGNORE_TARGET`] for untested positions.
+/// Each exit is scored by [`score`], the rule evaluation uses: `targets`
+/// marks untested positions with [`edge_llm_tensor::IGNORE_TARGET`], and a
+/// tie credits the first of the tied tokens.
 ///
 /// # Errors
 ///
-/// Propagates model errors.
+/// Propagates model errors, and [`score`]'s for a target count other than
+/// one per position or a target outside the vocabulary.
 pub fn fit_learned_weights(
     model: &EdgeModel,
     exits: &[usize],
@@ -181,29 +184,11 @@ pub fn fit_learned_weights(
     let logits = model.logits_at_exits(tokens, batch, exits)?;
     let mut weights = Vec::with_capacity(exits.len());
     for l in &logits {
-        let probs = softmax_rows(l);
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for (r, &t) in targets.iter().enumerate() {
-            if t == edge_llm_tensor::IGNORE_TARGET {
-                continue;
-            }
-            total += 1;
-            let row = probs.row(r);
-            let argmax = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            if argmax == t {
-                correct += 1;
-            }
-        }
-        let acc = if total == 0 {
+        let scored = score(&softmax_rows(l), targets)?;
+        let acc = if scored.supervised == 0 {
             0.0
         } else {
-            correct as f32 / total as f32
+            scored.hits as f32 / scored.supervised as f32
         };
         weights.push(acc + 1e-3); // floor so no exit is hard-zeroed
     }
@@ -293,5 +278,23 @@ mod tests {
         let ws = fit_learned_weights(&model, &[0, 1], &tokens, &tokens, 1).unwrap();
         assert_eq!(ws.len(), 2);
         assert!(ws.iter().all(|&w| w > 0.0));
+    }
+
+    #[test]
+    fn fit_learned_weights_credits_the_first_tied_token() {
+        // Every parameter zeroed: each exit's logits tie across the whole
+        // vocabulary, and the fit predicts token 0, as evaluation and
+        // greedy decoding do.
+        let mut rng = TensorRng::seed_from(2);
+        let cfg = ModelConfig::tiny();
+        let mut model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
+        model.visit_params_all(&mut |_, p, _| p.fill(0.0));
+        let tokens: Vec<usize> = (0..cfg.seq_len).map(|i| i % cfg.vocab_size).collect();
+        let fit = |target| {
+            let targets = vec![target; cfg.seq_len];
+            fit_learned_weights(&model, &[0, 1], &tokens, &targets, 1).unwrap()
+        };
+        assert_eq!(fit(0), [1.0 + 1e-3; 2]);
+        assert_eq!(fit(cfg.vocab_size - 1), [1e-3; 2]);
     }
 }

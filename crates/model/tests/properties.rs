@@ -2,9 +2,44 @@
 //! voting distributions, and optimizer behavior — driven by the in-repo
 //! seeded case harness (`edge_llm_tensor::check`).
 
-use edge_llm_model::{combine, Optimizer, Sgd, VotingCombiner, WindowSchedule};
+use edge_llm_model::{
+    combine, sample_token, Decoding, Optimizer, Sgd, VotingCombiner, WindowSchedule,
+};
 use edge_llm_tensor::check::run_cases;
-use edge_llm_tensor::{Tensor, TensorRng};
+use edge_llm_tensor::{argmax, Tensor, TensorRng};
+
+#[test]
+fn argmax_greedy_and_top_1_pick_one_token_on_ties_infinities_and_nan() {
+    // Each pick is the first index of the largest number; a NaN ranks
+    // below every number, so it wins only a row of NaNs (index 0).
+    let first_max = |row: &[f32]| {
+        let numbers = row.iter().filter(|v| !v.is_nan());
+        let max = numbers.fold(None, |m: Option<f32>, &v| Some(m.map_or(v, |m| m.max(v))));
+        max.and_then(|m| row.iter().position(|&v| v == m))
+            .unwrap_or(0)
+    };
+    let pick = |row: &[f32], temperature: f32| {
+        let mut rng = TensorRng::seed_from(0);
+        let greedy = sample_token(row, Decoding::Greedy, &mut rng);
+        let top_1 = sample_token(row, Decoding::TopK { k: 1, temperature }, &mut rng);
+        (argmax(row), greedy, top_1)
+    };
+    assert_eq!(pick(&[0.1, f32::NAN, 0.5], 1.0), (2, 2, 2));
+    let values = [0.0, 0.25, 0.5, 1.0, f32::INFINITY, f32::NEG_INFINITY];
+    run_cases("one pick", 256, |g| {
+        let len = g.usize_in(1, 9);
+        let mut row: Vec<f32> = (0..len).map(|_| *g.choose(&values)).collect();
+        if g.bool() {
+            row[g.usize_in(0, len)] = f32::NAN;
+        }
+        let want = first_max(&row);
+        assert_eq!(
+            pick(&row, g.f32_in(0.1, 4.0)),
+            (want, want, want),
+            "{row:?}"
+        );
+    });
+}
 
 #[test]
 fn round_robin_windows_cover_and_stay_in_bounds() {

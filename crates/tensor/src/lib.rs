@@ -4,7 +4,9 @@
 //! built on: a row-major, `f32`, two-dimensional [`Tensor`], blocked matrix
 //! multiplication kernels, and forward **and** backward implementations of
 //! the neural-network primitives a decoder-only transformer needs (softmax,
-//! layer normalization, GELU, embeddings, cross-entropy).
+//! layer normalization, GELU, embeddings, cross-entropy), and the one
+//! scoring rule: [`argmax`] picks a row's predicted token and [`score`]
+//! counts the supervised rows.
 //!
 //! Backward passes are explicit free functions rather than an autograd tape:
 //! the Edge-LLM adaptive layer tuning scheme controls *which* layers run
@@ -48,10 +50,10 @@ pub use matmul::{
     all_finite, matmul_a_bt, matmul_a_bt_with, matmul_at_b, matmul_at_b_with, matmul_fill_b_with,
 };
 pub use ops::{
-    add_bias_backward, add_bias_forward, cross_entropy_backward, cross_entropy_forward,
+    add_bias_backward, add_bias_forward, argmax, cross_entropy_backward, cross_entropy_forward,
     embedding_backward, gelu_forward, gelu_forward_train, layernorm_backward, layernorm_forward,
-    layernorm_param_grads, softmax_backward, softmax_rows, CrossEntropyOutput, LayerNormCache,
-    IGNORE_TARGET,
+    layernorm_param_grads, rank, score, softmax_backward, softmax_rows, CrossEntropyOutput,
+    LayerNormCache, Scored, IGNORE_TARGET,
 };
 pub use pool::{configured_threads, set_configured_threads, THREADS_ENV_VAR};
 pub use rng::{fnv1a64, RngState, TensorRng, RNG_STATE_BYTES};

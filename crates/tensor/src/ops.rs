@@ -12,9 +12,15 @@
 //! `tanhf` (the one glibc ships) written out without branches: every
 //! element gets fdlibm's bits whatever libm the host has, and both loops
 //! vectorize.
+//!
+//! The scoring rule lives here too: [`argmax`] is the one pick of a
+//! predicted token (greedy decoding, top-k's order, evaluation, the voting
+//! fit), and [`score`] the one pass that decides which rows are supervised
+//! and counts their hits and negative log-likelihood.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
+use std::cmp::Ordering;
 
 /// Sentinel target value ignored by the cross-entropy loss.
 ///
@@ -420,6 +426,74 @@ pub fn embedding_backward(
     Ok(())
 }
 
+/// The order [`argmax`] ranks values by: numbers by value (`-0.0 ==
+/// 0.0`), every NaN below every number, NaNs equal. A total order, so a
+/// stable sort by it is well defined on any row.
+pub fn rank(a: f32, b: f32) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+}
+
+/// The predicted token of a row: the first index of its largest value
+/// under [`rank`], so a NaN never wins over a number (0 for an empty or
+/// all-NaN row).
+pub fn argmax(xs: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in xs.iter().enumerate().skip(1) {
+        if rank(v, xs[best]) == Ordering::Greater {
+            best = i;
+        }
+    }
+    best
+}
+
+/// What [`score`] counts over the supervised rows of a probability matrix.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Scored {
+    /// Supervised rows whose [`argmax`] is their target.
+    pub hits: usize,
+    /// Summed negative log-likelihood of the targets, each probability
+    /// floored at `1e-12`.
+    pub nll: f64,
+    /// Rows whose target is not [`IGNORE_TARGET`].
+    pub supervised: usize,
+}
+
+/// Scores each row of `probs` against its target, skipping rows whose
+/// target is [`IGNORE_TARGET`]: the one rule for which positions count and
+/// which token a row predicts.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `targets.len() != probs.rows()`
+/// and [`TensorError::IndexOutOfBounds`] for a target outside the vocabulary.
+pub fn score(probs: &Tensor, targets: &[usize]) -> Result<Scored, TensorError> {
+    if targets.len() != probs.rows() {
+        return Err(TensorError::ShapeMismatch {
+            op: "score",
+            lhs: probs.shape(),
+            rhs: (targets.len(), 1),
+        });
+    }
+    let mut scored = Scored::default();
+    for (r, &t) in targets.iter().enumerate() {
+        if t == IGNORE_TARGET {
+            continue;
+        }
+        if t >= probs.cols() {
+            return Err(TensorError::IndexOutOfBounds {
+                index: t,
+                bound: probs.cols(),
+            });
+        }
+        let row = probs.row(r);
+        scored.hits += usize::from(argmax(row) == t);
+        scored.nll -= (row[t].max(1e-12) as f64).ln();
+        scored.supervised += 1;
+    }
+    Ok(scored)
+}
+
 /// Output of [`cross_entropy_forward`]: the mean loss over non-ignored
 /// targets plus the softmax probabilities needed by the backward pass.
 #[derive(Debug, Clone)]
@@ -432,46 +506,30 @@ pub struct CrossEntropyOutput {
     pub n_valid: usize,
 }
 
-/// Softmax cross-entropy loss over rows of `logits`.
+/// Softmax cross-entropy loss over rows of `logits`: the mean of
+/// [`score`]'s negative log-likelihood.
 ///
 /// Positions whose target equals [`IGNORE_TARGET`] are excluded from both
 /// the loss average and (via [`cross_entropy_backward`]) the gradient.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `targets.len() != logits.rows()`
-/// and [`TensorError::IndexOutOfBounds`] for a target outside the vocabulary.
+/// As [`score`]: a target count other than `logits.rows()` or a target
+/// outside the vocabulary.
 pub fn cross_entropy_forward(
     logits: &Tensor,
     targets: &[usize],
 ) -> Result<CrossEntropyOutput, TensorError> {
-    if targets.len() != logits.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "cross_entropy_forward",
-            lhs: logits.shape(),
-            rhs: (targets.len(), 1),
-        });
-    }
     let probs = softmax_rows(logits);
-    let mut loss = 0.0f64;
-    let mut n_valid = 0usize;
-    for (r, &t) in targets.iter().enumerate() {
-        if t == IGNORE_TARGET {
-            continue;
-        }
-        if t >= logits.cols() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: t,
-                bound: logits.cols(),
-            });
-        }
-        loss += -(probs.get(r, t).max(1e-12) as f64).ln();
-        n_valid += 1;
-    }
+    let Scored {
+        nll,
+        supervised: n_valid,
+        ..
+    } = score(&probs, targets)?;
     let loss = if n_valid == 0 {
         0.0
     } else {
-        (loss / n_valid as f64) as f32
+        (nll / n_valid as f64) as f32
     };
     Ok(CrossEntropyOutput {
         loss,
@@ -907,5 +965,59 @@ mod tests {
     fn cross_entropy_target_out_of_vocab_errors() {
         let logits = Tensor::zeros(1, 3);
         assert!(cross_entropy_forward(&logits, &[3]).is_err());
+    }
+
+    #[test]
+    fn argmax_takes_the_first_maximum_and_ranks_nan_lowest() {
+        assert_eq!(argmax(&[0.1, f32::NAN, 0.5]), 2);
+        assert_eq!(argmax(&[f32::NAN, 0.1, 0.1]), 1);
+        assert_eq!(argmax(&[0.5, 0.2, 0.5]), 0);
+        assert_eq!(argmax(&[-0.0, 0.0]), 0);
+        assert_eq!(argmax(&[f32::NEG_INFINITY, f32::NAN]), 0);
+        assert_eq!(argmax(&[1.0, f32::INFINITY, f32::INFINITY]), 1);
+        assert_eq!(argmax(&[f32::NAN, f32::NAN]), 0);
+        assert_eq!(argmax(&[]), 0);
+    }
+
+    #[test]
+    fn score_counts_hits_and_nll_of_supervised_rows() {
+        let probs = softmax_rows(&Tensor::from_vec(2, 3, vec![5., 0., 0., 0., 0., 5.]).unwrap());
+        let right = score(&probs, &[0, 2]).unwrap();
+        assert_eq!((right.hits, right.supervised), (2, 2));
+        assert!((right.nll / 2.0).exp() < 1.1);
+        let wrong = score(&probs, &[1, 0]).unwrap();
+        assert_eq!((wrong.hits, wrong.supervised), (0, 2));
+        assert!((wrong.nll / 2.0).exp() > 10.0);
+    }
+
+    #[test]
+    fn score_skips_ignored_rows() {
+        let probs = softmax_rows(&Tensor::from_vec(2, 3, vec![5., 0., 0., 5., 0., 0.]).unwrap());
+        let one = score(&probs, &[0, IGNORE_TARGET]).unwrap();
+        assert_eq!((one.hits, one.supervised), (1, 1));
+        assert_eq!(one.nll, -(probs.get(0, 0) as f64).ln());
+        let none = score(&probs, &[IGNORE_TARGET, IGNORE_TARGET]).unwrap();
+        assert_eq!(none, Scored::default());
+    }
+
+    #[test]
+    fn uniform_rows_score_the_vocabulary_as_perplexity_and_predict_the_first_token() {
+        let probs = softmax_rows(&Tensor::zeros(4, 10));
+        let s = score(&probs, &[0, 1, 2, 3]).unwrap();
+        assert!(((s.nll / 4.0).exp() - 10.0).abs() < 1e-3);
+        assert_eq!(s.hits, 1, "every row ties, so each predicts token 0");
+    }
+
+    #[test]
+    fn score_rejects_a_length_mismatch_and_an_unknown_target() {
+        let probs = Tensor::zeros(2, 3);
+        assert!(matches!(
+            score(&probs, &[0]),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            score(&probs, &[0, 3]),
+            Err(TensorError::IndexOutOfBounds { index: 3, bound: 3 })
+        ));
     }
 }
