@@ -1,14 +1,14 @@
 //! Task evaluation with and without exit voting.
 
 use crate::EdgeLlmError;
-use edge_llm_data::{accuracy, Dataset};
+use edge_llm_data::Dataset;
 use edge_llm_model::{EdgeModel, VotingPolicy};
-use edge_llm_tensor::{Tensor, IGNORE_TARGET};
+use edge_llm_tensor::{score, Scored};
 
 /// Accuracy and perplexity of a model (under a voting policy) on a dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
-    /// Exact-match accuracy over supervised positions.
+    /// Exact-match accuracy over supervised positions: hits / positions.
     pub accuracy: f32,
     /// Perplexity over supervised positions.
     pub perplexity: f32,
@@ -16,12 +16,13 @@ pub struct EvalResult {
     pub positions: usize,
 }
 
-/// Evaluates `model` on `dataset` using `voting` to combine exits.
+/// Evaluates `model` on `dataset` using `voting` to combine exits, every
+/// batch scored by [`score`].
 ///
 /// # Errors
 ///
 /// Returns [`EdgeLlmError::BadConfig`] for an empty dataset and propagates
-/// model errors.
+/// model and scoring errors.
 pub fn evaluate(
     model: &EdgeModel,
     voting: &VotingPolicy,
@@ -33,40 +34,29 @@ pub fn evaluate(
             reason: "empty evaluation dataset".into(),
         });
     }
-    let mut correct_weighted = 0.0f64;
-    let mut nll = 0.0f64;
-    let mut positions = 0usize;
+    let mut total = Scored::default();
     for b in dataset.epoch_batches(batch) {
         let probs = voting.predict(model, &b.tokens, b.batch)?;
-        // accuracy on probabilities == accuracy on their logs
-        let log_probs = probs.map(|p| (p.max(1e-12)).ln());
-        let batch_positions = b.targets.iter().filter(|&&t| t != IGNORE_TARGET).count();
-        let acc = accuracy(&log_probs, &b.targets);
-        correct_weighted += acc as f64 * batch_positions as f64;
-        nll += batch_nll(&probs, &b.targets);
-        positions += batch_positions;
+        let scored = score(&probs, &b.targets)?;
+        total.hits += scored.hits;
+        total.nll += scored.nll;
+        total.supervised += scored.supervised;
     }
+    let Scored {
+        hits,
+        nll,
+        supervised: positions,
+    } = total;
     if positions == 0 {
         return Err(EdgeLlmError::BadConfig {
             reason: "dataset has no supervised positions".into(),
         });
     }
     Ok(EvalResult {
-        accuracy: (correct_weighted / positions as f64) as f32,
+        accuracy: (hits as f64 / positions as f64) as f32,
         perplexity: ((nll / positions as f64).exp()) as f32,
         positions,
     })
-}
-
-fn batch_nll(probs: &Tensor, targets: &[usize]) -> f64 {
-    let mut nll = 0.0f64;
-    for (r, &t) in targets.iter().enumerate() {
-        if t == IGNORE_TARGET {
-            continue;
-        }
-        nll -= (probs.get(r, t).max(1e-12) as f64).ln();
-    }
-    nll
 }
 
 #[cfg(test)]

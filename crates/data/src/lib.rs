@@ -14,8 +14,10 @@
 //! * [`ModArithTask`] — modular-arithmetic cloze questions,
 //! * [`ClozeQaTask`] — templated subject–relation–object QA (the stand-in
 //!   for commonsense QA),
-//! * [`Dataset`] / [`Batch`] — batching with loss masks,
-//! * [`accuracy`] / [`perplexity`] — task metrics.
+//! * [`Dataset`] / [`Batch`] — batching with loss masks.
+//!
+//! Scoring is not here: `edge_llm_tensor::score` is the one rule for which
+//! positions count and which token a row predicts.
 //!
 //! # Example
 //!
@@ -38,7 +40,6 @@
 mod batch;
 mod cloze;
 mod markov;
-mod metrics;
 mod tasks;
 mod text;
 mod tokenizer;
@@ -46,7 +47,6 @@ mod tokenizer;
 pub use batch::{Batch, Dataset};
 pub use cloze::ClozeQaTask;
 pub use markov::MarkovTextTask;
-pub use metrics::{accuracy, perplexity};
 pub use tasks::ModArithTask;
 pub use text::{CorpusTooShortError, TextLmTask};
 pub use tokenizer::CharTokenizer;

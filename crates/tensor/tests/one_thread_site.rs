@@ -32,6 +32,12 @@
 //! `fake_quant` only in `crates/model/src/linear.rs`, and calls
 //! `pack_weights` only from `EdgeModel::pack_frozen_weights`, so no pass
 //! driver can grow a pre-quantize loop beside the layer's own builds.
+//!
+//! "Who decides which positions are scored and which token is
+//! predicted?" — `ops::score` and `ops::argmax`: non-test code under
+//! `crates/*/src` compares against `IGNORE_TARGET` or defines `fn argmax`
+//! only in `crates/tensor/src/ops.rs`, so evaluation, the voting fit and
+//! decoding cannot drift apart on a tie, a NaN or a masked position.
 
 use std::path::{Path, PathBuf};
 
@@ -57,6 +63,8 @@ const QUANTIZER: &str = "model/src/linear.rs";
 const QUANTIZE_NEEDLES: [&str; 2] = ["QuantizedTensor::quantize", "fake_quant"];
 const PACK: &str = "pack_weights";
 
+const SCORER: &str = "tensor/src/ops.rs";
+
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
         let path = entry.expect("readable dir entry").path();
@@ -68,14 +76,19 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// `(needle, line number)` of every hit in a file's product code: the
-/// lines before its first `#[cfg(test)]`, comments skipped.
-fn hits(source: &str, needles: &'static [&'static str]) -> Vec<(&'static str, usize)> {
+/// `(index, line)` of a file's product code: the lines before its first
+/// `#[cfg(test)]`, comments skipped.
+fn product_lines(source: &str) -> impl Iterator<Item = (usize, &str)> {
     source
         .lines()
         .take_while(|line| !line.contains("#[cfg(test)]"))
         .enumerate()
         .filter(|(_, line)| !line.trim_start().starts_with("//"))
+}
+
+/// `(needle, line number)` of every hit in a file's product code.
+fn hits(source: &str, needles: &'static [&'static str]) -> Vec<(&'static str, usize)> {
+    product_lines(source)
         .flat_map(|(i, line)| {
             let found = needles.iter().filter(move |n| line.contains(**n));
             found.map(move |n| (*n, i + 1))
@@ -280,13 +293,7 @@ fn callers(source: &str, needle: &str) -> Vec<(String, usize)> {
     let definition = format!("fn {}", needle.trim_end_matches('('));
     let mut current = String::new();
     let mut found = Vec::new();
-    let lines = source
-        .lines()
-        .take_while(|line| !line.contains("#[cfg(test)]"));
-    for (i, line) in lines.enumerate() {
-        if line.trim_start().starts_with("//") {
-            continue;
-        }
+    for (i, line) in product_lines(source) {
         let mut words = line.split_whitespace().skip_while(|w| *w != "fn");
         if let Some(name) = words.nth(1) {
             current = name
@@ -371,5 +378,61 @@ fn the_scan_sees_a_pasted_pre_quantize_loop() {
     assert_eq!(
         hits(source, &QUANTIZE_NEEDLES),
         vec![(QUANTIZE_NEEDLES[1], 7), (QUANTIZE_NEEDLES[0], 8)]
+    );
+}
+
+/// `(what, line number)` of every product-code line that decides scoring:
+/// a definition of `fn argmax`, or a comparison against `IGNORE_TARGET`
+/// (`==`, `!=` or a match arm), by bare name or by path.
+fn scoring_sites(source: &str) -> Vec<(&'static str, usize)> {
+    let compares = |line: &str| ["==", "!=", "=>"].iter().any(|op| line.contains(op));
+    product_lines(source)
+        .filter_map(|(i, line)| {
+            if line.contains("fn argmax") {
+                Some(("fn argmax", i + 1))
+            } else if line.contains("IGNORE_TARGET") && compares(line) {
+                Some(("IGNORE_TARGET", i + 1))
+            } else {
+                None
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn scoring_is_decided_in_ops_and_nowhere_else() {
+    let mut ops_sites = Vec::new();
+    for file in &product_files() {
+        let found = scoring_sites(&std::fs::read_to_string(file).expect("readable source"));
+        if file.ends_with(SCORER) {
+            ops_sites = found;
+        } else {
+            assert!(found.is_empty(), "{}: {found:?}", file.display());
+        }
+    }
+    // `argmax`, then `score`'s mask and `cross_entropy_backward`'s
+    let kinds: Vec<&str> = ops_sites.iter().map(|(what, _)| *what).collect();
+    assert_eq!(
+        kinds,
+        ["fn argmax", "IGNORE_TARGET", "IGNORE_TARGET"],
+        "{SCORER}: {ops_sites:?}"
+    );
+}
+
+#[test]
+fn the_scan_sees_a_pasted_second_scorer() {
+    let source = "/// Skips rows whose target == IGNORE_TARGET.\n\
+                  fn accuracy(logits: &Tensor, targets: &[usize]) -> f32 {\n\
+                  let n = targets.iter().filter(|&&t| t != IGNORE_TARGET).count();\n\
+                  for (r, &t) in targets.iter().enumerate() {\n\
+                  if t == edge_llm_tensor::IGNORE_TARGET { continue; }\n\
+                  }\n\
+                  let targets = vec![IGNORE_TARGET; 4];\n\
+                  }\n\
+                  pub fn argmax(xs: &[f32]) -> usize { 0 }\n\
+                  #[cfg(test)]\nmod tests { fn g(t: usize) -> bool { t == IGNORE_TARGET } }\n";
+    assert_eq!(
+        scoring_sites(source),
+        vec![("IGNORE_TARGET", 3), ("IGNORE_TARGET", 5), ("fn argmax", 9)]
     );
 }

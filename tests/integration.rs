@@ -7,7 +7,7 @@ use edge_llm::compress::{apply_policy, clear_compression};
 use edge_llm::eval::evaluate;
 use edge_llm::oracle::ModelOracle;
 use edge_llm::schedule::{model_workloads, naive_latency_us, schedule_workloads, total_latency_us};
-use edge_llm_data::{accuracy, ClozeQaTask, MarkovTextTask, ModArithTask, TaskGenerator};
+use edge_llm_data::{ClozeQaTask, MarkovTextTask, ModArithTask, TaskGenerator};
 use edge_llm_hw::{DeviceModel, ScheduleSpace};
 use edge_llm_luc::{profile, search_policy, CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
@@ -15,7 +15,7 @@ use edge_llm_model::{
     VotingPolicy, WindowSchedule,
 };
 use edge_llm_quant::BitWidth;
-use edge_llm_tensor::TensorRng;
+use edge_llm_tensor::{score, softmax_rows, TensorRng};
 
 fn tiny_model(layers: usize, seed: u64) -> (ModelConfig, EdgeModel) {
     let mut rng = TensorRng::seed_from(seed);
@@ -233,7 +233,9 @@ fn accuracy_metric_consistent_with_eval() {
     let ds = task.dataset(4, cfg.seq_len, &mut rng);
     let b = ds.batch_at(0, 4);
     let logits = model.logits(&b.tokens, 4).unwrap();
-    let direct = accuracy(&logits, &b.targets);
+    let direct = score(&softmax_rows(&logits), &b.targets).unwrap();
     let via_eval = evaluate(&model, &VotingPolicy::final_only(2), &ds, 4).unwrap();
-    assert!((direct - via_eval.accuracy).abs() < 1e-5);
+    assert_eq!(via_eval.positions, direct.supervised);
+    let accuracy = direct.hits as f64 / direct.supervised as f64;
+    assert_eq!(via_eval.accuracy, accuracy as f32);
 }
