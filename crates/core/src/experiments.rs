@@ -8,10 +8,10 @@
 //! per report plans their union before adapting anything: it pretrains
 //! each model once, adapts each key once, on its first read, and lets a
 //! run go after its last planned read, so a table reads the runs an
-//! earlier one made (T3, F1 and F5 read T1's vanilla run, A1 and A3 its
+//! earlier one made (T3 and F1 read T1's vanilla run, A1 and A3 its
 //! Edge-LLM run). Each model is profiled once, when it is prepared:
 //! every LUC run searches [`crate::pipeline::Prepared::profile`], and F5
-//! prints it. T3 carries the analytic memory model beside its measured
+//! prints it, reading no run. T3 carries the analytic memory model beside its measured
 //! activations, F1 the accuracy frontier beside its latencies, and T1's
 //! no-vote row is its Edge-LLM run's final exit. See `DESIGN.md` for the
 //! experiment index and `EXPERIMENTS.md` for recorded results.
@@ -29,7 +29,9 @@ use crate::schedule::{
 };
 use crate::EdgeLlmError;
 use edge_llm_hw::{DeviceModel, ScheduleSpace};
-use edge_llm_luc::{pareto_frontier, CompressionPolicy, PolicyPoint, SearchAlgorithm};
+use edge_llm_luc::{
+    pareto_frontier, CompressionPolicy, PolicyPoint, SearchAlgorithm, SensitivityProfile,
+};
 use edge_llm_model::{
     EdgeModel, MemoryModel, ModelConfig, VotingCombiner, VotingPolicy, WindowSchedule,
 };
@@ -155,7 +157,6 @@ fn reads(id: &str, scale: Scale) -> Vec<RunKey> {
     let t3_depths = [1, 2, 4].into_iter().filter(|&d| d < n).chain([n]);
     match id {
         "t3" => t3_depths.map(dense).collect(),
-        "f5" => vec![dense(n)],
         "a1" => a1_variants(&base).map(|(_, key)| key).to_vec(),
         "a3" => vec![a1_variants(&base)[0].1.clone()],
         _ => (method_rows(id, scale).iter())
@@ -191,14 +192,17 @@ struct Planned {
 /// made: [`prepare`] once per model, [`adapt`] once per run on its first
 /// read, on a clone of the model unless it is the model's last run. The
 /// store lets a run go after its last planned read, and a model after its
-/// last run. A table's `regenerated in` time leaves out the runs an
-/// earlier table made.
+/// last run, but keeps each model's profile from its preparation on. A
+/// table's `regenerated in` time leaves out the runs an earlier table
+/// made.
 pub struct RunStore {
     scale: Scale,
     runs: Vec<Planned>,
     /// The untied and the tied pretrained model, each with the runs left
     /// to adapt from it.
     models: [(usize, Option<Prepared>); 2],
+    /// The untied and the tied model's profile, once it is prepared.
+    profiles: [Option<SensitivityProfile>; 2],
 }
 
 impl RunStore {
@@ -224,7 +228,38 @@ impl RunStore {
             scale,
             runs,
             models,
+            profiles: [None, None],
         }
+    }
+
+    /// The pretrained model `tied` names: the one the store holds, or a
+    /// fresh [`prepare`], whose profile the store keeps.
+    fn model(&mut self, tied: bool) -> Result<Prepared, EdgeLlmError> {
+        let i = usize::from(tied);
+        if let Some(model) = self.models[i].1.take() {
+            return Ok(model);
+        }
+        let mut cfg = self.scale.config();
+        cfg.model = cfg.model.with_tied_exits(tied);
+        let model = prepare(&cfg)?;
+        self.profiles[i] = Some(model.profile.clone());
+        Ok(model)
+    }
+
+    /// The profile of the pretrained model `tied` names, as its
+    /// preparation measured it. A model not yet prepared is prepared for
+    /// it, and held only if a planned run adapts from it.
+    fn profile(&mut self, tied: bool) -> Result<SensitivityProfile, EdgeLlmError> {
+        let i = usize::from(tied);
+        if let Some(profile) = &self.profiles[i] {
+            return Ok(profile.clone());
+        }
+        let model = self.model(tied)?;
+        let profile = model.profile.clone();
+        if self.models[i].0 > 0 {
+            self.models[i].1 = Some(model);
+        }
+        Ok(profile)
     }
 
     /// The run `key` names, adapted on its first read. Each run follows
@@ -248,8 +283,8 @@ impl RunStore {
             None => {
                 let mut cfg = self.scale.config();
                 cfg.model = cfg.model.with_tied_exits(key.tied);
+                let model = self.model(key.tied)?;
                 let (left, slot) = &mut self.models[usize::from(key.tied)];
-                let model = slot.take().map_or_else(|| prepare(&cfg), Ok)?;
                 *left -= 1;
                 let mut prepared = match *left {
                     0 => model,
@@ -520,14 +555,14 @@ pub fn f3_schedule(scale: Scale) -> Result<Table, EdgeLlmError> {
 
 /// F5 — the LUC motivation figure: per-layer loss deltas under aggressive
 /// quantization and pruning of the pretrained tied model, the profile
-/// every tied LUC policy is searched on, as T1's vanilla run carries it.
+/// every tied LUC policy is searched on, as the store kept it when it
+/// prepared that model.
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors.
 pub fn f5_sensitivity(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
-    let adapted = store.get(&reads("f5", store.scale)[0])?;
-    let prof = &adapted.prepared.profile;
+    let prof = store.profile(store.scale.config().model.tie_exit_heads)?;
     let mut table = Table::new(
         "F5: per-layer sensitivity of the pretrained model",
         &[
@@ -789,8 +824,8 @@ mod tests {
     #[test]
     fn a_report_plans_two_models_and_one_run_per_configuration() {
         // Planning pretrains and adapts nothing. Quick: T1 4, T2 6, T3 2,
-        // F1 2, A1 3. Full: T1 4, T2 8, T3 3, F1 5, A1 2. T3's full depth,
-        // F1's budget 1.0 and F5 read T1's vanilla run, A1's round-robin
+        // F1 2, A1 3. Full: T1 4, T2 8, T3 3, F1 5, A1 2. T3's full depth
+        // and F1's budget 1.0 read T1's vanilla run, A1's round-robin
         // tied row and A3 T1's Edge-LLM run, and at full scale T2's 0.25
         // uniform row reads T1's uniform run and A1's full depth tied row
         // T2's 0.25 DP run.
@@ -805,7 +840,7 @@ mod tests {
                 let key = RunKey::method(m, &base);
                 store.runs.iter().find(|p| p.key == key).unwrap().reads
             };
-            assert_eq!(reads(Method::Vanilla), 4);
+            assert_eq!(reads(Method::Vanilla), 3);
             assert_eq!(reads(Method::UniformCompressed), uniform_reads);
             assert_eq!(reads(Method::EdgeLlm), 3);
             let a1 = a1_variants(&base);
@@ -832,20 +867,23 @@ mod tests {
             "{err:?}"
         );
         assert!(store.models.iter().all(|(_, model)| model.is_none()));
-        // F5 reads one run once: after it the store holds nothing, and a
-        // second read is one the plan lacks.
+    }
+
+    #[test]
+    fn f5_alone_plans_no_run_and_keeps_the_profile_it_prints() {
+        // F5 reads the tied model's profile, not a run: alone, the store
+        // plans nothing and prepares that model once, for its profile,
+        // then holds the profile and not the model.
         let mut store = RunStore::new(Scale::Quick, &["f5"]);
-        f5_sensitivity(&mut store).unwrap();
         assert!(store.runs.is_empty());
-        assert!(store
-            .models
-            .iter()
-            .all(|(left, m)| *left == 0 && m.is_none()));
-        let err = f5_sensitivity(&mut store).err();
-        assert!(
-            matches!(err, Some(EdgeLlmError::BadConfig { .. })),
-            "{err:?}"
-        );
+        assert!(store.models.iter().all(|(left, _)| *left == 0));
+        let first = f5_sensitivity(&mut store).unwrap();
+        assert!(store.models.iter().all(|(_, model)| model.is_none()));
+        let tied = usize::from(Scale::Quick.config().model.tie_exit_heads);
+        assert!(store.profiles[tied].is_some());
+        assert!(store.profiles[1 - tied].is_none());
+        let again = f5_sensitivity(&mut store).unwrap();
+        assert_eq!(again.to_string(), first.to_string());
     }
 
     #[test]
