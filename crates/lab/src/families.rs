@@ -341,7 +341,6 @@ const FLEET_KEYS: &[&str] = &[
     "span_ticks",
     "max_new_min",
     "max_new_max",
-    "tenants",
     "workers",
     "batch_per_worker",
     "queue_depth",
@@ -372,7 +371,6 @@ fn run_fleet_family(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
             "param \"max_new_min\" ({lo}) must not exceed \"max_new_max\" ({hi})"
         )));
     }
-    spec.tenants = p.usize_or("tenants", spec.tenants)?;
     let fleet_cfg = FleetConfig {
         workers: p.usize_or("workers", 1)?.max(1),
         batch_per_worker: p.usize_or("batch_per_worker", 4)?,
@@ -792,6 +790,19 @@ mod tests {
                 }
                 other => panic!("{text}: expected a spec error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn fleet_rejects_a_tenants_param() {
+        // The fleet family serves no adapters, so tenant sessions would
+        // all be rejected at submission; the `tenants` family serves them.
+        let params = obj(r#"{"sessions": 4, "tenants": 2}"#);
+        match run_family(Family::Fleet, 1, &params) {
+            Err(LabError::Spec(msg)) => {
+                assert!(msg.contains("unknown field \"tenants\""), "{msg}")
+            }
+            other => panic!("expected a spec error, got {other:?}"),
         }
     }
 
