@@ -1,8 +1,8 @@
 //! Plain-text table formatting for experiment reports.
 //!
 //! Every table in `EXPERIMENTS.md` is printed through this module, so
-//! benchmark binaries and integration tests produce identical, diff-able
-//! output.
+//! `edgellm report` and the golden-report tests produce identical,
+//! diff-able output.
 
 use std::fmt;
 

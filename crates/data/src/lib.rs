@@ -16,8 +16,8 @@
 //!   for commonsense QA),
 //! * [`Dataset`] / [`Batch`] — batching with loss masks.
 //!
-//! Scoring is not here: `edge_llm_tensor::score` is the one rule for which
-//! positions count and which token a row predicts.
+//! Which positions count and which token a row predicts are decided by
+//! `edge_llm_tensor::score`, the one scoring rule.
 //!
 //! # Example
 //!

@@ -14,9 +14,10 @@
 //! vectorize.
 //!
 //! The scoring rule lives here too: [`argmax`] is the one pick of a
-//! predicted token (greedy decoding, top-k's order, evaluation, the voting
-//! fit), and [`score`] the one pass that decides which rows are supervised
-//! and counts their hits and negative log-likelihood.
+//! predicted token (greedy and speculative decoding, evaluation, the
+//! voting fit) and top-k sorts by its order, [`rank`]; [`score`] is the
+//! one pass that decides which rows are supervised and counts their hits
+//! and negative log-likelihood.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
