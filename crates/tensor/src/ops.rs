@@ -981,11 +981,16 @@ mod tests {
     }
 
     #[test]
-    fn score_counts_hits_and_nll_of_supervised_rows() {
+    fn score_counts_every_hit_and_a_low_nll_of_right_predictions() {
         let probs = softmax_rows(&Tensor::from_vec(2, 3, vec![5., 0., 0., 0., 0., 5.]).unwrap());
         let right = score(&probs, &[0, 2]).unwrap();
         assert_eq!((right.hits, right.supervised), (2, 2));
         assert!((right.nll / 2.0).exp() < 1.1);
+    }
+
+    #[test]
+    fn score_counts_no_hit_and_a_high_nll_of_wrong_predictions() {
+        let probs = softmax_rows(&Tensor::from_vec(2, 3, vec![5., 0., 0., 0., 0., 5.]).unwrap());
         let wrong = score(&probs, &[1, 0]).unwrap();
         assert_eq!((wrong.hits, wrong.supervised), (0, 2));
         assert!((wrong.nll / 2.0).exp() > 10.0);
