@@ -6,7 +6,7 @@ use crate::{run_err, CliError};
 use edge_llm::compress::apply_policy;
 use edge_llm::pipeline::luc_profile;
 use edge_llm::resilience::{resilient_adapt, restore_run, ResilienceConfig, RunMeta};
-use edge_llm_data::{CharTokenizer, Dataset, TaskGenerator, TextLmTask};
+use edge_llm_data::{CharTokenizer, TaskGenerator, TextLmTask};
 use edge_llm_luc::{search_policy, CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
     AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
@@ -66,11 +66,6 @@ pub(crate) fn text_task(corpus_path: &str) -> Result<TextLmTask, CliError> {
     TextLmTask::new(&corpus).map_err(run_err)
 }
 
-/// `n` corpus sequences of `seq_len` tokens, freshly sampled.
-fn sequences(task: &TextLmTask, seq_len: usize, n: usize, rng: &mut TensorRng) -> Dataset {
-    Dataset::from_samples((0..n).map(|_| task.sample(seq_len, rng)).collect())
-}
-
 /// The preamble of a fresh `adapt` run of `iterations` steps: the model
 /// seeded from `seed`, warmed up at full depth for a quarter of the run so
 /// the sensitivity profile reads a model that has seen the corpus, then
@@ -86,7 +81,7 @@ pub(crate) fn warm_policy(
     let mut model =
         EdgeModel::new(cli_model_config(task.vocab_size()), &mut rng).map_err(run_err)?;
     let cfg = model.config().clone();
-    let ds = sequences(task, cfg.seq_len, 32, &mut rng);
+    let ds = task.dataset(32, cfg.seq_len, &mut rng);
     let mut tuner = AdaptiveTuner::new(WindowSchedule::for_depth(cfg.n_layers, cfg.n_layers));
     let mut opt = Sgd::new(0.1);
     for it in 0..iterations / 4 {
@@ -98,7 +93,7 @@ pub(crate) fn warm_policy(
     if budget >= 1.0 {
         return Ok((model, CompressionPolicy::identity(cfg.n_layers), rng));
     }
-    let calib = sequences(task, cfg.seq_len, 4, &mut rng).batch_at(0, 4);
+    let calib = task.dataset(4, cfg.seq_len, &mut rng).batch_at(0, 4);
     let prof = luc_profile(&model, &calib).map_err(run_err)?;
     let dp = SearchAlgorithm::DynamicProgramming;
     let policy = search_policy(&prof, budget, dp).map_err(run_err)?.policy;
@@ -125,7 +120,7 @@ pub(crate) fn adapt<W: Write>(c: &Adapt, out: &mut W) -> Result<(), CliError> {
     };
     let cfg = model.config().clone();
     let mut data_rng = TensorRng::seed_from(meta.data_seed);
-    let ds = sequences(&task, cfg.seq_len, 32, &mut data_rng);
+    let ds = task.dataset(32, cfg.seq_len, &mut data_rng);
     let mut tuner = AdaptiveTuner::new(WindowSchedule::for_depth(meta.window, cfg.n_layers));
     tuner.set_iteration(start);
     // periodic snapshots land on the output path itself: one file

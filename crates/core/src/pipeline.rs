@@ -20,7 +20,7 @@ use crate::resilience::{
 };
 use crate::schedule::modeled_schedule_iteration;
 use crate::EdgeLlmError;
-use edge_llm_data::{Batch, ClozeQaTask, Dataset, MarkovTextTask, ModArithTask, TaskGenerator};
+use edge_llm_data::{Batch, ClozeQaTask, Dataset, MarkovTextTask, TaskGenerator};
 use edge_llm_hw::DeviceModel;
 use edge_llm_luc::{
     profile, search_policy, CompressionPolicy, SearchAlgorithm, SensitivityProfile,
@@ -48,11 +48,6 @@ pub enum TaskKind {
         /// Successors per state.
         branching: usize,
     },
-    /// Modular arithmetic cloze.
-    ModArith {
-        /// Modulus.
-        modulus: usize,
-    },
 }
 
 impl TaskKind {
@@ -79,7 +74,6 @@ impl TaskKind {
             TaskKind::Markov { branching } => {
                 Box::new(MarkovTextTask::new(64, branching, 0xeda ^ (salt * 0x9e37)))
             }
-            TaskKind::ModArith { modulus } => Box::new(ModArithTask::new(modulus)),
         }
     }
 }
@@ -369,14 +363,14 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
     model_cfg.validate()?;
     let mut model = EdgeModel::new(model_cfg.clone(), &mut rng)?;
     let seq_len = model_cfg.seq_len;
-    let mut train = sample_dataset(task.as_ref(), config.train_samples, seq_len, &mut rng);
-    let eval_set = sample_dataset(task.as_ref(), config.eval_samples, seq_len, &mut rng);
+    let mut train = task.dataset(config.train_samples, seq_len, &mut rng);
+    let eval_set = task.dataset(config.eval_samples, seq_len, &mut rng);
     train.shuffle(&mut rng);
 
     let rows = config.batch * 2;
     let calib = if config.pretrain_iterations > 0 {
         let source = config.task.build_with_salt(1);
-        let pre_train = sample_dataset(source.as_ref(), config.train_samples, seq_len, &mut rng);
+        let pre_train = source.dataset(config.train_samples, seq_len, &mut rng);
         let windows: Vec<LayerWindow> = (1..=model_cfg.n_layers)
             .map(|e| LayerWindow { start: 0, end: e })
             .collect();
@@ -386,7 +380,7 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
             let b = pre_train.batch_at(it * config.batch, config.batch);
             tuner.step(&mut model, &mut opt, &b.tokens, &b.targets, b.batch)?;
         }
-        sample_dataset(source.as_ref(), rows, seq_len, &mut rng).batch_at(0, rows)
+        source.dataset(rows, seq_len, &mut rng).batch_at(0, rows)
     } else {
         train.batch_at(0, rows)
     };
@@ -550,16 +544,6 @@ pub(crate) fn outcome(
         final_exit,
         journal: run.journal.clone(),
     })
-}
-
-/// Draws `n` samples of `seq_len` tokens from a boxed task generator.
-fn sample_dataset(
-    task: &dyn TaskGenerator,
-    n: usize,
-    seq_len: usize,
-    rng: &mut TensorRng,
-) -> Dataset {
-    Dataset::from_samples((0..n).map(|_| task.sample(seq_len, rng)).collect())
 }
 
 #[cfg(test)]
@@ -743,7 +727,6 @@ mod tests {
                 relations: 2,
             },
             TaskKind::Markov { branching: 3 },
-            TaskKind::ModArith { modulus: 7 },
         ] {
             let gen = task.build();
             assert!(gen.vocab_size() > 1);

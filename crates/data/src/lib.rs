@@ -11,10 +11,12 @@
 //!
 //! * [`CharTokenizer`] — a printable-ASCII tokenizer (vocab 96),
 //! * [`MarkovTextTask`] — language modelling over a random Markov chain,
-//! * [`ModArithTask`] — modular-arithmetic cloze questions,
 //! * [`ClozeQaTask`] — templated subject–relation–object QA (the stand-in
 //!   for commonsense QA),
-//! * [`Dataset`] / [`Batch`] — batching with loss masks.
+//! * [`TextLmTask`] — language modelling over a text corpus (`edgellm
+//!   adapt`'s task),
+//! * [`Dataset`] / [`Batch`] — batching with loss masks; every dataset is
+//!   drawn through [`TaskGenerator::dataset`].
 //!
 //! Which positions count and which token a row predicts are decided by
 //! `edge_llm_tensor::score`, the one scoring rule.
@@ -40,14 +42,12 @@
 mod batch;
 mod cloze;
 mod markov;
-mod tasks;
 mod text;
 mod tokenizer;
 
 pub use batch::{Batch, Dataset};
 pub use cloze::ClozeQaTask;
 pub use markov::MarkovTextTask;
-pub use tasks::ModArithTask;
 pub use text::{CorpusTooShortError, TextLmTask};
 pub use tokenizer::CharTokenizer;
 
@@ -78,11 +78,9 @@ pub trait TaskGenerator {
     /// Generates one sample of exactly `seq_len` tokens.
     fn sample(&self, seq_len: usize, rng: &mut TensorRng) -> Sample;
 
-    /// Generates a [`Dataset`] of `n` samples.
-    fn dataset(&self, n: usize, seq_len: usize, rng: &mut TensorRng) -> Dataset
-    where
-        Self: Sized,
-    {
+    /// Generates a [`Dataset`] of `n` samples, drawn in order from `rng`:
+    /// the one place task samples become a dataset.
+    fn dataset(&self, n: usize, seq_len: usize, rng: &mut TensorRng) -> Dataset {
         Dataset::from_samples((0..n).map(|_| self.sample(seq_len, rng)).collect())
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the task generators and batching pipeline,
 //! driven by the in-repo seeded case harness (`edge_llm_tensor::check`).
 
-use edge_llm_data::{ClozeQaTask, MarkovTextTask, ModArithTask, TaskGenerator};
+use edge_llm_data::{ClozeQaTask, MarkovTextTask, TaskGenerator};
 use edge_llm_tensor::check::run_cases;
 use edge_llm_tensor::{TensorRng, IGNORE_TARGET};
 
@@ -28,7 +28,6 @@ fn all_generators_respect_shape_and_vocab() {
         let seq = g.usize_in(4, 64);
         let seed = g.u64();
         check_sample_invariants(&ClozeQaTask::new(8, 3), seq, seed);
-        check_sample_invariants(&ModArithTask::new(7), seq, seed);
         check_sample_invariants(&MarkovTextTask::new(16, 3, 1), seq, seed);
     });
 }
@@ -52,21 +51,6 @@ fn markov_supervises_every_position() {
         let mut rng = TensorRng::seed_from(g.u64());
         let s = MarkovTextTask::new(16, 3, 2).sample(seq, &mut rng);
         assert!(s.targets.iter().all(|&t| t != IGNORE_TARGET));
-    });
-}
-
-#[test]
-fn transduction_masks_prompts() {
-    run_cases("mod-arith masks prompts", 48, |g| {
-        let seq = g.usize_in(5, 40);
-        let mut rng = TensorRng::seed_from(g.u64());
-        let s = ModArithTask::new(7).sample(seq, &mut rng);
-        // `a op b =` then the answer: only the `=` position is supervised,
-        // with the answer, whatever the padding after it
-        for (t, &target) in s.targets.iter().enumerate() {
-            let expect = if t == 3 { s.tokens[4] } else { IGNORE_TARGET };
-            assert_eq!(target, expect, "position {t} of {seq}");
-        }
     });
 }
 

@@ -11,7 +11,7 @@ use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::optim::Optimizer;
 use edge_llm_telemetry as telemetry;
-use edge_llm_tensor::{configured_threads, cross_entropy_backward, cross_entropy_forward};
+use edge_llm_tensor::{cross_entropy_backward, cross_entropy_forward};
 
 /// A half-open range of layers `[start, end)` trained in one iteration.
 /// The exit head used is the one at layer `end - 1`.
@@ -162,9 +162,6 @@ pub struct TuneStepReport {
     /// L2 norm of the gradient over the window's parameters, measured
     /// before the optimizer step (divergence guards key off this).
     pub grad_norm: f32,
-    /// Kernel worker threads configured while the step ran (wall-clock
-    /// context only — results are bit-identical for every value).
-    pub threads: usize,
     /// Where the step's time went and how much re-quantization it did.
     pub phases: StepPhases,
 }
@@ -294,7 +291,6 @@ impl AdaptiveTuner {
             activation_bytes,
             forward_layers: exit_layer + 1,
             grad_norm: grad_sq.sqrt() as f32,
-            threads: configured_threads(),
             phases: StepPhases {
                 forward_ns,
                 backward_ns,

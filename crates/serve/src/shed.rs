@@ -71,18 +71,6 @@ impl ShedCause {
         }
     }
 
-    /// Whether this cause is decided by the fleet router (as opposed to
-    /// an engine retiring a running session).
-    pub fn is_fleet_shed(self) -> bool {
-        matches!(
-            self,
-            ShedCause::QueueFull
-                | ShedCause::Displaced
-                | ShedCause::SloExpired
-                | ShedCause::RetriesExhausted
-        )
-    }
-
     /// Every cause, in a fixed report order.
     pub const ALL: [ShedCause; 9] = [
         ShedCause::Completed,
@@ -145,8 +133,10 @@ mod tests {
             ShedCause::from(&FinishReason::Rejected { reason: "x".into() }),
             ShedCause::Rejected
         );
-        assert!(!ShedCause::from(&FinishReason::DeadlineExceeded).is_fleet_shed());
-        assert!(ShedCause::QueueFull.is_fleet_shed());
+        assert_eq!(
+            ShedCause::from(&FinishReason::DeadlineExceeded),
+            ShedCause::DeadlineExceeded
+        );
     }
 
     #[test]
@@ -155,6 +145,5 @@ mod tests {
             ShedCause::AdapterReplaced.counter_name(),
             "serve.adapter.evict.replaced"
         );
-        assert!(!ShedCause::AdapterReplaced.is_fleet_shed());
     }
 }

@@ -451,10 +451,13 @@ pub fn argmax(xs: &[f32]) -> usize {
 /// What [`score`] counts over the supervised rows of a probability matrix.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Scored {
-    /// Supervised rows whose [`argmax`] is their target.
+    /// Supervised rows whose [`argmax`] is their target and whose target
+    /// probability is a number: a NaN row (a diverged model) is no hit,
+    /// even where its all-NaN argmax lands on the target.
     pub hits: usize,
     /// Summed negative log-likelihood of the targets, each probability
-    /// floored at `1e-12`.
+    /// floored at `1e-12`; NaN once any target probability is NaN, so a
+    /// diverged model's loss and perplexity are non-finite.
     pub nll: f64,
     /// Rows whose target is not [`IGNORE_TARGET`].
     pub supervised: usize,
@@ -488,8 +491,13 @@ pub fn score(probs: &Tensor, targets: &[usize]) -> Result<Scored, TensorError> {
             });
         }
         let row = probs.row(r);
-        scored.hits += usize::from(argmax(row) == t);
-        scored.nll -= (row[t].max(1e-12) as f64).ln();
+        let p = row[t];
+        if p.is_nan() {
+            scored.nll = f64::NAN;
+        } else {
+            scored.hits += usize::from(argmax(row) == t);
+            scored.nll -= (p.max(1e-12) as f64).ln();
+        }
         scored.supervised += 1;
     }
     Ok(scored)
@@ -1004,6 +1012,17 @@ mod tests {
         assert_eq!(one.nll, -(probs.get(0, 0) as f64).ln());
         let none = score(&probs, &[IGNORE_TARGET, IGNORE_TARGET]).unwrap();
         assert_eq!(none, Scored::default());
+    }
+
+    #[test]
+    fn a_nan_row_scores_no_hit_and_a_nan_nll() {
+        let probs = Tensor::from_vec(2, 3, vec![f32::NAN; 6]).unwrap();
+        let s = score(&probs, &[0, 0]).unwrap();
+        assert_eq!((s.hits, s.supervised), (0, 2));
+        assert!(s.nll.is_nan(), "nll {}", s.nll);
+        // a probability of 0 is still floored, not NaN
+        let zero = score(&Tensor::from_vec(1, 2, vec![1.0, 0.0]).unwrap(), &[1]).unwrap();
+        assert_eq!(zero.nll, -(1e-12f32 as f64).ln());
     }
 
     #[test]

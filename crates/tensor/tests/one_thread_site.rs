@@ -38,6 +38,11 @@
 //! `crates/*/src` compares against `IGNORE_TARGET` or defines `fn argmax`
 //! only in `crates/tensor/src/ops.rs`, so evaluation, the voting fit and
 //! decoding cannot drift apart on a tie, a NaN or a masked position.
+//!
+//! "Who turns task samples into a dataset?" — `TaskGenerator::dataset`:
+//! non-test code under `crates/*/src` calls `Dataset::from_samples` only
+//! in `crates/data/src/lib.rs`, so the pipeline's draws and the CLI's
+//! corpus sequences cannot drift from the one sampling loop.
 
 use std::path::{Path, PathBuf};
 
@@ -64,6 +69,9 @@ const QUANTIZE_NEEDLES: [&str; 2] = ["QuantizedTensor::quantize", "fake_quant"];
 const PACK: &str = "pack_weights";
 
 const SCORER: &str = "tensor/src/ops.rs";
+
+const SAMPLER: &str = "data/src/lib.rs";
+const FROM_SAMPLES: &str = "from_samples(";
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
@@ -434,5 +442,37 @@ fn the_scan_sees_a_pasted_second_scorer() {
     assert_eq!(
         scoring_sites(source),
         vec![("IGNORE_TARGET", 3), ("IGNORE_TARGET", 5), ("fn argmax", 9)]
+    );
+}
+
+#[test]
+fn task_samples_become_a_dataset_in_one_place() {
+    let mut builders = Vec::new();
+    for file in &product_files() {
+        let source = std::fs::read_to_string(file).expect("readable source");
+        let sites = callers(&source, FROM_SAMPLES).into_iter();
+        builders.extend(sites.map(|(func, line)| (file.clone(), func, line)));
+    }
+    let sole = builders.len() == 1 && builders[0].0.ends_with(SAMPLER);
+    assert!(sole && builders[0].1 == "dataset", "{builders:?}");
+}
+
+#[test]
+fn the_scan_sees_a_pasted_sampler() {
+    let source = "impl Dataset {\n\
+                  pub fn from_samples(samples: Vec<Sample>) -> Self { todo!() }\n}\n\
+                  /// Like `TaskGenerator::dataset`, for a boxed task.\n\
+                  fn sample_dataset(task: &dyn TaskGenerator, n: usize) -> Dataset {\n\
+                  Dataset::from_samples((0..n).map(|_| task.sample(8, rng)).collect())\n}\n\
+                  fn sequences(n: usize) -> Dataset {\n\
+                  let samples = Vec::with_capacity(n);\n\
+                  edge_llm_data::Dataset::from_samples(samples)\n}\n\
+                  #[cfg(test)]\nmod tests { fn g() { Dataset::from_samples(vec![]); } }\n";
+    assert_eq!(
+        callers(source, FROM_SAMPLES),
+        vec![
+            ("sample_dataset".to_string(), 6),
+            ("sequences".to_string(), 10)
+        ]
     );
 }

@@ -16,7 +16,7 @@ use edge_llm::baselines::uniform_policy_for_budget;
 use edge_llm::compress::apply_policy;
 use edge_llm::pipeline::{run_method_with, ExperimentConfig, Method};
 use edge_llm::resilience::{resilient_adapt, ResilienceConfig, RunMeta};
-use edge_llm_data::{Dataset, ModArithTask, TaskGenerator};
+use edge_llm_data::{ClozeQaTask, Dataset, TaskGenerator};
 use edge_llm_model::{
     AdaptiveTuner, EdgeModel, ModelConfig, Sgd, TrainingCheckpoint, WindowSchedule,
 };
@@ -29,11 +29,11 @@ static KNOB: Mutex<()> = Mutex::new(());
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
-    let task = ModArithTask::new(7);
+    let task = ClozeQaTask::new(4, 2);
     let mut rng = TensorRng::seed_from(seed);
     let cfg = ModelConfig::tiny().with_vocab(task.vocab_size());
     let model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
-    let ds = Dataset::from_samples((0..8).map(|_| task.sample(cfg.seq_len, &mut rng)).collect());
+    let ds = task.dataset(8, cfg.seq_len, &mut rng);
     (model, Sgd::new(0.05), rng, ds)
 }
 

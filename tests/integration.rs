@@ -7,7 +7,7 @@ use edge_llm::compress::{apply_policy, clear_compression};
 use edge_llm::eval::evaluate;
 use edge_llm::oracle::ModelOracle;
 use edge_llm::schedule::{model_workloads, naive_latency_us, schedule_workloads, total_latency_us};
-use edge_llm_data::{ClozeQaTask, MarkovTextTask, ModArithTask, TaskGenerator};
+use edge_llm_data::{ClozeQaTask, MarkovTextTask, TaskGenerator};
 use edge_llm_hw::{DeviceModel, ScheduleSpace};
 use edge_llm_luc::{profile, search_policy, CompressionPolicy, SearchAlgorithm};
 use edge_llm_model::{
@@ -193,7 +193,6 @@ fn tasks_are_learnable_by_full_tuning() {
             "cloze",
             Box::new(ClozeQaTask::new(6, 2)) as Box<dyn TaskGenerator>,
         ),
-        ("mod-arith", Box::new(ModArithTask::new(7))),
         ("markov", Box::new(MarkovTextTask::new(16, 2, 5))),
     ] {
         let mut rng = TensorRng::seed_from(17);
@@ -201,8 +200,7 @@ fn tasks_are_learnable_by_full_tuning() {
             .with_layers(2)
             .with_vocab(task.vocab_size());
         let mut model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
-        let samples: Vec<_> = (0..8).map(|_| task.sample(cfg.seq_len, &mut rng)).collect();
-        let ds = edge_llm_data::Dataset::from_samples(samples);
+        let ds = task.dataset(8, cfg.seq_len, &mut rng);
         let mut tuner = AdaptiveTuner::new(WindowSchedule::FullDepth);
         let mut opt = Sgd::new(0.1);
         let b0 = ds.batch_at(0, 2);

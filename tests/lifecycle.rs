@@ -22,9 +22,7 @@ fn adapt(
     rng: &mut TensorRng,
 ) -> f32 {
     let cfg = model.config().clone();
-    let ds = edge_llm_data::Dataset::from_samples(
-        (0..16).map(|_| task.sample(cfg.seq_len, rng)).collect(),
-    );
+    let ds = task.dataset(16, cfg.seq_len, rng);
     let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth: 2 });
     let mut opt = Sgd::new(lr);
     let mut last = f32::NAN;
@@ -111,9 +109,7 @@ fn activation_quant_model_still_learns() {
             lin.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
         }
     }
-    let ds = edge_llm_data::Dataset::from_samples(
-        (0..8).map(|_| task.sample(cfg.seq_len, &mut rng)).collect(),
-    );
+    let ds = task.dataset(8, cfg.seq_len, &mut rng);
     let mut tuner = AdaptiveTuner::new(WindowSchedule::FullDepth);
     let mut opt = Sgd::new(0.1);
     let b0 = ds.batch_at(0, 2);

@@ -9,7 +9,7 @@ use edge_llm::resilience::{
     resilient_adapt, restore_run, FaultKind, PlannedFault, RecoveryEvent, ResilienceConfig, RunMeta,
 };
 use edge_llm::EdgeLlmError;
-use edge_llm_data::{Dataset, ModArithTask, TaskGenerator};
+use edge_llm_data::{ClozeQaTask, Dataset, TaskGenerator};
 use edge_llm_luc::CompressionPolicy;
 use edge_llm_model::{
     AdaptiveTuner, EdgeModel, ModelConfig, ModelError, Sgd, TrainingCheckpoint, WindowSchedule,
@@ -18,11 +18,11 @@ use edge_llm_tensor::check::run_cases;
 use edge_llm_tensor::{fnv1a64, set_configured_threads, Tensor, TensorRng};
 
 fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
-    let task = ModArithTask::new(7);
+    let task = ClozeQaTask::new(4, 2);
     let mut rng = TensorRng::seed_from(seed);
     let cfg = ModelConfig::tiny().with_vocab(task.vocab_size());
     let model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
-    let ds = Dataset::from_samples((0..8).map(|_| task.sample(cfg.seq_len, &mut rng)).collect());
+    let ds = task.dataset(8, cfg.seq_len, &mut rng);
     (model, Sgd::new(0.05), rng, ds)
 }
 

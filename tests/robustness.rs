@@ -56,9 +56,13 @@ fn session_capacity_errors_are_recoverable() {
 
 #[test]
 fn tuner_survives_single_token_vocabulary_tasks() {
-    // degenerate mod-arith modulus=2 -> tiny vocabulary, still trains
+    // a one-fact cloze KB -> the smallest cloze vocabulary (5 tokens),
+    // still trains
     let mut cfg = ExperimentConfig::smoke_test();
-    cfg.task = TaskKind::ModArith { modulus: 2 };
+    cfg.task = TaskKind::ClozeQa {
+        subjects: 1,
+        relations: 1,
+    };
     let out = run_method(Method::Vanilla, &cfg).unwrap();
     assert!(out.final_loss.is_finite());
 }

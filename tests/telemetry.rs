@@ -22,7 +22,7 @@
 
 use edge_llm::compress::apply_activation_quant;
 use edge_llm::resilience::{resilient_adapt, ResilienceConfig};
-use edge_llm_data::{Dataset, ModArithTask, TaskGenerator};
+use edge_llm_data::{ClozeQaTask, Dataset, TaskGenerator};
 use edge_llm_model::{
     batched_decode_step, AdaptiveTuner, BatchedStep, Decoding, EdgeModel, ModelConfig, SequenceKv,
     Sgd, TrainingCheckpoint, VotingPolicy, WindowSchedule,
@@ -44,11 +44,11 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 fn setup(seed: u64) -> (EdgeModel, Sgd, TensorRng, Dataset) {
-    let task = ModArithTask::new(7);
+    let task = ClozeQaTask::new(4, 2);
     let mut rng = TensorRng::seed_from(seed);
     let cfg = ModelConfig::tiny().with_vocab(task.vocab_size());
     let model = EdgeModel::new(cfg.clone(), &mut rng).unwrap();
-    let ds = Dataset::from_samples((0..8).map(|_| task.sample(cfg.seq_len, &mut rng)).collect());
+    let ds = task.dataset(8, cfg.seq_len, &mut rng);
     (model, Sgd::new(0.05), rng, ds)
 }
 
