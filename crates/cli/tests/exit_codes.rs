@@ -67,6 +67,8 @@ fn report_refuses_unknown_positional_and_repeated_flags() {
     // F2 and F4 are columns of T3 and F1, not tables of their own
     assert_refused(&["report", "--f2"], "--f2");
     assert_refused(&["report", "--f4"], "--f4");
+    // every modeled cell costs the one device preset; there is no sweep
+    assert_refused(&["report", "--a2"], "--a2");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Experiment harness for the Edge-LLM reproduction.
 //!
-//! Every table (T1–T3), figure (F1, F3, F5), ablation (A1–A3), and the
+//! Every table (T1–T3), figure (F1, F3, F5), ablation (A1, A3), and the
 //! serving study (S1) is regenerated by a function in this module;
 //! `edgellm report` prints them, and `benchmark/src/kernels.rs` times the
 //! underlying kernels. Each table declares the runs it reads, each keyed
@@ -23,10 +23,7 @@ use crate::pipeline::{
 };
 use crate::report::{bytes, f3, pct, speedup, Table};
 use crate::resilience::{schedule_depth, AdaptRun, ResilienceConfig};
-use crate::schedule::{
-    model_workloads, modeled_training_iteration, naive_latency_us, schedule_workloads,
-    total_latency_us,
-};
+use crate::schedule::{model_workloads, naive_latency_us, schedule_workloads, total_latency_us};
 use crate::EdgeLlmError;
 use edge_llm_hw::{DeviceModel, ScheduleSpace};
 use edge_llm_luc::{
@@ -587,44 +584,6 @@ pub fn f5_sensitivity(store: &mut RunStore) -> Result<Table, EdgeLlmError> {
     Ok(table)
 }
 
-/// A2 — device sweep: the modeled Edge-LLM per-iteration speedup across
-/// edge-device classes, showing the claim is not an artifact of one device
-/// description.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn a2_devices(scale: Scale) -> Result<Table, EdgeLlmError> {
-    let base = scale.config();
-    let task = base.task.build();
-    let model_cfg = base.model.clone().with_vocab(task.vocab_size());
-    let n = model_cfg.n_layers;
-    let vanilla_policy = CompressionPolicy::identity(n);
-    let edge_policy = uniform_policy_for_budget(n, base.budget);
-    let mut table = Table::new(
-        "A2: modeled per-iteration speedup across devices",
-        &["device", "vanilla us", "edge-llm us", "speedup"],
-    );
-    for device in [
-        DeviceModel::jetson_class(),
-        DeviceModel::tx2_class(),
-        DeviceModel::orin_class(),
-    ] {
-        let iter_us = |policy, depth| {
-            modeled_training_iteration(&model_cfg, policy, depth, base.batch, &device)
-        };
-        let (v_us, _) = iter_us(&vanilla_policy, n)?;
-        let (e_us, _) = iter_us(&edge_policy, base.window_depth)?;
-        table.add_row(vec![
-            device.name.clone(),
-            f3(v_us),
-            f3(e_us),
-            speedup(v_us / e_us),
-        ]);
-    }
-    Ok(table)
-}
-
 /// A1 — design-choice ablations called out in `DESIGN.md`: window schedule
 /// (round-robin vs sensitivity-ordered vs full depth) and exit-head weight
 /// tying, all under the same compression policy and iteration budget.
@@ -798,7 +757,6 @@ pub fn run_experiment(id: &str, store: &mut RunStore) -> Result<Table, EdgeLlmEr
         "f3" => f3_schedule(store.scale),
         "f5" => f5_sensitivity(store),
         "a1" => a1_ablations(store),
-        "a2" => a2_devices(store.scale),
         "a3" => a3_deployment(store),
         "s1" => s1_serving(store.scale),
         other => Err(EdgeLlmError::BadConfig {
@@ -808,8 +766,7 @@ pub fn run_experiment(id: &str, store: &mut RunStore) -> Result<Table, EdgeLlmEr
 }
 
 /// All experiment ids in report order.
-pub const ALL_EXPERIMENTS: [&str; 10] =
-    ["t1", "t2", "t3", "f1", "f3", "f5", "a1", "a2", "a3", "s1"];
+pub const ALL_EXPERIMENTS: [&str; 9] = ["t1", "t2", "t3", "f1", "f3", "f5", "a1", "a3", "s1"];
 
 #[cfg(test)]
 mod tests {
@@ -900,6 +857,36 @@ mod tests {
                 assert_eq!(t.cell(l, c + 1).unwrap(), cell, "layer {l}");
             }
         }
+    }
+
+    #[test]
+    fn t3_prints_one_peak_activation_per_depth_growing_with_depth() {
+        // Each depth's three voting rows read one run, so they print its
+        // one peak; a deeper backprop window keeps more activations.
+        let t = t3_adaptive(&mut RunStore::new(Scale::Quick, &["t3"])).unwrap();
+        let col = |name: &str| t.headers().iter().position(|h| h == name).unwrap();
+        let (depth, peak) = (col("depth"), col("peak act"));
+        let cell = |r, c| t.cell(r, c).unwrap();
+        let in_bytes = |cell: &str| {
+            let (value, unit) = cell.split_once(' ').unwrap();
+            let scale = ["B", "KiB", "MiB", "GiB"].iter().position(|u| *u == unit);
+            value.parse::<f64>().unwrap() * 1024f64.powi(scale.unwrap() as i32)
+        };
+        assert_eq!(t.n_rows(), 9);
+        let mut peaks = Vec::new();
+        for first in (0..t.n_rows()).step_by(3) {
+            for r in first + 1..first + 3 {
+                assert_eq!(cell(r, depth), cell(first, depth));
+                assert_eq!(
+                    cell(r, peak),
+                    cell(first, peak),
+                    "depth {}",
+                    cell(first, depth)
+                );
+            }
+            peaks.push(in_bytes(cell(first, peak)));
+        }
+        assert!(peaks.windows(2).all(|p| p[0] < p[1]), "{peaks:?}");
     }
 
     #[test]

@@ -524,7 +524,7 @@ pub(crate) fn outcome(
     };
 
     // modeled latency and energy of the run's own schedule on the
-    // Jetson-class device (A2 sweeps the others)
+    // Jetson-class device
     let device = DeviceModel::jetson_class();
     let (modeled_iter_us, modeled_iter_uj) =
         modeled_schedule_iteration(model.config(), policy, schedule, config.batch, &device)?;
@@ -653,6 +653,35 @@ mod tests {
         // The stream a clone hands to its checkpoints is the fresh one.
         let state = prepared.clone().rng.state().to_bytes();
         assert_eq!(state, again.rng.state().to_bytes());
+    }
+
+    #[test]
+    fn prepare_draws_eval_after_train_and_profiles_the_pretrained_model() {
+        // Replays `prepare`'s one stream in order: the model, the train
+        // set, the eval set, the shuffle, the source set, then the
+        // calibration rows. Pretraining draws nothing from it.
+        let cfg = ExperimentConfig {
+            pretrain_iterations: 2,
+            ..ExperimentConfig::smoke_test()
+        };
+        let prepared = prepare(&cfg).unwrap();
+        let task = cfg.task.build();
+        let model_cfg = cfg.model.clone().with_vocab(task.vocab_size());
+        let seq_len = model_cfg.seq_len;
+        let mut rng = TensorRng::seed_from(cfg.seed);
+        EdgeModel::new(model_cfg, &mut rng).unwrap();
+        let mut train = task.dataset(cfg.train_samples, seq_len, &mut rng);
+        let eval_set = task.dataset(cfg.eval_samples, seq_len, &mut rng);
+        train.shuffle(&mut rng);
+        let source = cfg.task.build_with_salt(1);
+        source.dataset(cfg.train_samples, seq_len, &mut rng);
+        let rows = 2 * cfg.batch;
+        let calib = source.dataset(rows, seq_len, &mut rng).batch_at(0, rows);
+        assert_eq!(prepared.train.samples(), train.samples());
+        assert_eq!(prepared.eval_set.samples(), eval_set.samples());
+        assert_eq!(prepared.rng.state().to_bytes(), rng.state().to_bytes());
+        let on_calib = luc_profile(&prepared.model, &calib).unwrap();
+        assert_eq!(prepared.profile, on_calib);
     }
 
     #[test]

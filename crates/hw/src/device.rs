@@ -5,8 +5,6 @@
 /// vs naive schedule), which this model preserves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
-    /// Device name for reports.
-    pub name: String,
     /// MAC units usable per cycle at 16-bit operands.
     pub macs_per_cycle_16b: f32,
     /// Core clock in GHz.
@@ -29,7 +27,6 @@ impl DeviceModel {
     /// bandwidth-limited.
     pub fn jetson_class() -> Self {
         DeviceModel {
-            name: "jetson-class".to_string(),
             macs_per_cycle_16b: 128.0,
             freq_ghz: 0.9,
             dram_bytes_per_cycle: 16.0,
@@ -37,34 +34,6 @@ impl DeviceModel {
             energy_per_mac_pj: 0.8,
             energy_per_dram_byte_pj: 20.0,
             sparse_efficiency: 0.85,
-        }
-    }
-
-    /// A TX2-class device: 2x the compute and bandwidth, 2x the SRAM.
-    pub fn tx2_class() -> Self {
-        DeviceModel {
-            name: "tx2-class".to_string(),
-            macs_per_cycle_16b: 256.0,
-            freq_ghz: 1.3,
-            dram_bytes_per_cycle: 32.0,
-            sram_bytes: 512 * 1024,
-            energy_per_mac_pj: 0.7,
-            energy_per_dram_byte_pj: 18.0,
-            sparse_efficiency: 0.85,
-        }
-    }
-
-    /// An Orin-class device: strong compute, still bandwidth-lean.
-    pub fn orin_class() -> Self {
-        DeviceModel {
-            name: "orin-class".to_string(),
-            macs_per_cycle_16b: 512.0,
-            freq_ghz: 1.6,
-            dram_bytes_per_cycle: 64.0,
-            sram_bytes: 1024 * 1024,
-            energy_per_mac_pj: 0.5,
-            energy_per_dram_byte_pj: 15.0,
-            sparse_efficiency: 0.9,
         }
     }
 
@@ -123,21 +92,5 @@ mod tests {
         let d = DeviceModel::jetson_class();
         assert!(d.energy_per_mac_at(4) < d.energy_per_mac_at(16));
         assert!(d.energy_per_mac_at(2) > 0.0);
-    }
-
-    #[test]
-    fn orin_outclasses_tx2() {
-        let tx2 = DeviceModel::tx2_class();
-        let orin = DeviceModel::orin_class();
-        assert!(orin.macs_per_cycle_16b > tx2.macs_per_cycle_16b);
-        assert!(orin.sram_bytes > tx2.sram_bytes);
-    }
-
-    #[test]
-    fn tx2_outclasses_nano() {
-        let nano = DeviceModel::jetson_class();
-        let tx2 = DeviceModel::tx2_class();
-        assert!(tx2.macs_per_cycle_16b > nano.macs_per_cycle_16b);
-        assert!(tx2.sram_bytes > nano.sram_bytes);
     }
 }

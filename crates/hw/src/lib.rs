@@ -8,7 +8,7 @@
 //! model of an edge accelerator.
 //!
 //! * [`DeviceModel`] — compute/bandwidth/SRAM/energy description of the
-//!   target device (Jetson-class presets included),
+//!   target device (a Jetson-class preset included),
 //! * [`GemmWorkload`] — one layer's GEMM with its assigned precision and
 //!   sparsity ([`transformer_layer_workloads`] extracts them from a model
 //!   shape and compression policy),

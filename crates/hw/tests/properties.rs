@@ -97,7 +97,7 @@ fn double_buffering_never_slows_down() {
     run_cases("double buffering", 64, |g| {
         let gemm = random_gemm(g);
         let schedule = random_schedule(g);
-        let device = DeviceModel::tx2_class();
+        let device = DeviceModel::jetson_class();
         let nodb = Schedule {
             double_buffer: false,
             ..schedule

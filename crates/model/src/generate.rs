@@ -11,7 +11,7 @@ use crate::batched::{decode_runs, BatchedRun, Entry, SequenceKv};
 use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::spec::{spec_round, validate_spec_params};
-use crate::voting::{combine, VotingCombiner, VotingPolicy};
+use crate::voting::{combine, VotingPolicy};
 use edge_llm_tensor::{argmax, rank, softmax_rows, Tensor, TensorRng};
 
 /// Decoding strategy for [`generate`].
@@ -162,23 +162,7 @@ pub fn validate_generation(
     if let Some(&layer) = voting.exits.iter().find(|&&e| e >= depth) {
         return Err(ModelError::LayerOutOfRange { layer, depth });
     }
-    let exits = voting.exits.len();
-    match &voting.combiner {
-        VotingCombiner::LastExit | VotingCombiner::Average => Ok(()),
-        VotingCombiner::ConfidenceWeighted { temperature } if !usable(*temperature) => {
-            bad_config("confidence temperature must be positive and finite")
-        }
-        VotingCombiner::ConfidenceWeighted { .. } => Ok(()),
-        VotingCombiner::Learned(w) if w.len() != exits => {
-            bad_config(format!("{} learned weights for {exits} exits", w.len()))
-        }
-        VotingCombiner::Learned(w)
-            if w.iter().any(|x| *x < 0.0 || !x.is_finite()) || w.iter().sum::<f32>() <= 0.0 =>
-        {
-            bad_config("learned weights must be non-negative with positive sum")
-        }
-        VotingCombiner::Learned(_) => Ok(()),
-    }
+    voting.combiner.validate(voting.exits.len())
 }
 
 /// The decoding half of [`validate_generation`].
@@ -198,10 +182,11 @@ fn validate_decoding(decoding: Decoding) -> Result<(), ModelError> {
     }
 }
 
-/// Whether `t` is a usable temperature. NaN passes a bare `<= 0.0` test,
-/// tempers every probability to NaN, and the sampler's rng panics on the
-/// NaN bound that sums to.
-fn usable(t: f32) -> bool {
+/// Whether `t` is a usable temperature or sum of learned voting weights:
+/// positive and finite. NaN passes a bare `<= 0.0` test, tempers every
+/// probability to NaN, and the sampler's rng panics on the NaN bound that
+/// sums to.
+pub(crate) fn usable(t: f32) -> bool {
     t.is_finite() && t > 0.0
 }
 
@@ -283,6 +268,7 @@ fn sample_from(probs: &[f32], rng: &mut TensorRng) -> usize {
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::voting::VotingCombiner;
 
     fn model() -> EdgeModel {
         let mut rng = TensorRng::seed_from(1);

@@ -6,6 +6,7 @@
 //! adapts to how confident that exit is on the current input.
 
 use crate::error::ModelError;
+use crate::generate::usable;
 use crate::model::EdgeModel;
 use edge_llm_tensor::{score, softmax_rows, Tensor};
 
@@ -26,6 +27,35 @@ pub enum VotingCombiner {
     },
     /// Fixed learned per-exit scalar weights (normalized internally).
     Learned(Vec<f32>),
+}
+
+impl VotingCombiner {
+    /// Checks the combiner's parameters for a vote over `exits` exits: a
+    /// confidence temperature must be positive and finite, and learned
+    /// weights must be one per exit, none negative, with a positive and
+    /// finite sum (so none is NaN or infinite, and normalizing by the sum
+    /// leaves a distribution). [`combine`] and
+    /// [`crate::validate_generation`] both apply this one rule, so
+    /// evaluation scores only votes serving accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::BadConfig`] naming the parameter refused.
+    pub fn validate(&self, exits: usize) -> Result<(), ModelError> {
+        let reason = match self {
+            VotingCombiner::ConfidenceWeighted { temperature } if !usable(*temperature) => {
+                "confidence temperature must be positive and finite".to_string()
+            }
+            VotingCombiner::Learned(w) if w.len() != exits => {
+                format!("{} learned weights for {exits} exits", w.len())
+            }
+            VotingCombiner::Learned(w) if w.iter().any(|x| *x < 0.0) || !usable(w.iter().sum()) => {
+                "learned weights must be non-negative with a positive, finite sum".to_string()
+            }
+            _ => return Ok(()),
+        };
+        Err(ModelError::BadConfig { reason })
+    }
 }
 
 impl Default for VotingCombiner {
@@ -66,8 +96,8 @@ impl VotingPolicy {
     /// # Errors
     ///
     /// Propagates model errors; returns [`ModelError::BadConfig`] for an
-    /// empty exit list, a non-positive temperature, or mismatched learned
-    /// weights.
+    /// empty exit list or combiner parameters [`VotingCombiner::validate`]
+    /// refuses.
     pub fn predict(
         &self,
         model: &EdgeModel,
@@ -88,12 +118,13 @@ impl VotingPolicy {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::BadConfig`] for invalid combiner parameters and
-/// propagates shape errors.
+/// Returns [`ModelError::BadConfig`] for no exits or combiner parameters
+/// [`VotingCombiner::validate`] refuses, and propagates shape errors.
 pub fn combine(exit_logits: &[Tensor], combiner: &VotingCombiner) -> Result<Tensor, ModelError> {
     let last = exit_logits.last().ok_or_else(|| ModelError::BadConfig {
         reason: "no exit logits provided".into(),
     })?;
+    combiner.validate(exit_logits.len())?;
     match combiner {
         VotingCombiner::LastExit => Ok(softmax_rows(last)),
         VotingCombiner::Average => {
@@ -104,11 +135,6 @@ pub fn combine(exit_logits: &[Tensor], combiner: &VotingCombiner) -> Result<Tens
             Ok(acc)
         }
         VotingCombiner::ConfidenceWeighted { temperature } => {
-            if *temperature <= 0.0 || temperature.is_nan() {
-                return Err(ModelError::BadConfig {
-                    reason: "temperature must be positive".into(),
-                });
-            }
             let probs: Vec<Tensor> = exit_logits.iter().map(softmax_rows).collect();
             let (rows, cols) = last.shape();
             let mut out = Tensor::zeros(rows, cols);
@@ -143,20 +169,10 @@ pub fn combine(exit_logits: &[Tensor], combiner: &VotingCombiner) -> Result<Tens
             Ok(out)
         }
         VotingCombiner::Learned(ws) => {
-            if ws.len() != exit_logits.len() {
-                return Err(ModelError::BadConfig {
-                    reason: format!("{} weights for {} exits", ws.len(), exit_logits.len()),
-                });
-            }
-            let total: f32 = ws.iter().map(|w| w.max(0.0)).sum();
-            if total <= 0.0 {
-                return Err(ModelError::BadConfig {
-                    reason: "learned weights sum to zero".into(),
-                });
-            }
+            let total: f32 = ws.iter().sum();
             let mut acc = Tensor::zeros(last.rows(), last.cols());
             for (logits, &w) in exit_logits.iter().zip(ws.iter()) {
-                acc.axpy(w.max(0.0) / total, &softmax_rows(logits))?;
+                acc.axpy(w / total, &softmax_rows(logits))?;
             }
             Ok(acc)
         }
@@ -252,6 +268,28 @@ mod tests {
         )
         .is_err());
         assert!(combine(&[], &VotingCombiner::Average).is_err());
+    }
+
+    #[test]
+    fn combine_refuses_what_serving_refuses() {
+        // An infinite temperature, and a negative or NaN learned weight,
+        // which `validate_generation` refuses, fail here too rather than
+        // vote with a weight clamped to zero; finite weights whose sum
+        // overflows would normalize to an all-zero row.
+        for combiner in [
+            VotingCombiner::ConfidenceWeighted {
+                temperature: f32::INFINITY,
+            },
+            VotingCombiner::Learned(vec![-1.0, 2.0]),
+            VotingCombiner::Learned(vec![f32::NAN, 2.0]),
+            VotingCombiner::Learned(vec![3e38, 3e38]),
+        ] {
+            let out = combine(&logits_pair(), &combiner);
+            assert!(
+                matches!(out, Err(ModelError::BadConfig { .. })),
+                "{combiner:?}: {out:?}"
+            );
+        }
     }
 
     #[test]

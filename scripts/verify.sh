@@ -10,7 +10,7 @@ trap 'echo "verify.sh: ${SECONDS}s wall-clock (exit $?)"' EXIT
 # EXPERIMENTS.md quotes the report's tables from full_report.txt: each
 # table body there (the block under its `== title ==` line, up to its
 # `[.. regenerated in]` footer) must appear in EXPERIMENTS.md verbatim,
-# all ten of them, so a check whose input vanished fails too.
+# all nine of them, so a check whose input vanished fails too.
 tables=$(mktemp -d)
 awk -v dir="$tables" '
     /^== / { body = ""; grab = 1; next }
@@ -30,8 +30,8 @@ for f in "$tables"/*; do
     quoted=$((quoted + 1))
 done
 rm -r "$tables"
-if [ "$quoted" -ne 10 ]; then
-    echo "error: full_report.txt holds $quoted tables, not the report's ten" >&2
+if [ "$quoted" -ne 9 ]; then
+    echo "error: full_report.txt holds $quoted tables, not the report's nine" >&2
     exit 1
 fi
 

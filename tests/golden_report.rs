@@ -1,10 +1,10 @@
 //! Golden-report regression test: runs the quick-scale T1, T2, T3, F1,
-//! F3, F5, A1, A2 and A3 experiments through the library (the same code
-//! path as `edgellm report --quick`), projects away wall-clock columns,
+//! F3, F5, A1 and A3 experiments through the library (the same code path
+//! as `edgellm report --quick`), projects away wall-clock columns,
 //! and compares the remaining cells against checked-in snapshots. T3
 //! holds the analytic memory model beside its measured activations, every
 //! voting row at a depth repeating that depth's memory cells, and F1 the
-//! accuracy and Pareto frontier of its budget sweep. The nine tables are
+//! accuracy and Pareto frontier of its budget sweep. The eight tables are
 //! built once, through one store planned for all of them, as one report
 //! does; F5 and A3, whose runs T1 and A1 also read, are built again each
 //! on its own, and both ways must match one snapshot.
@@ -18,7 +18,7 @@
 //! EDGELLM_UPDATE_GOLDEN=1 cargo test -q --test golden_report
 //! ```
 
-use edge_llm::experiments::{run_experiment, RunStore, Scale};
+use edge_llm::experiments::{run_experiment, RunStore, Scale, ALL_EXPERIMENTS};
 use edge_llm::report::Table;
 use std::fs;
 use std::path::PathBuf;
@@ -36,7 +36,7 @@ fn golden_path(name: &str) -> PathBuf {
 
 /// Renders the deterministic projection of a table: the kept headers
 /// and each row's kept cells, pipe-separated. `timed` says whether the
-/// table carries a wall-clock column at all (T2, F3, F5, A2 and A3 do not).
+/// table carries a wall-clock column at all (T2, F3, F5 and A3 do not).
 fn deterministic_projection(table: &Table, timed: bool) -> String {
     let keep: Vec<usize> = table
         .headers()
@@ -70,7 +70,7 @@ fn deterministic_projection(table: &Table, timed: bool) -> String {
 }
 
 /// The tables with a snapshot, in report order.
-const TABLES: [&str; 9] = ["t1", "t2", "t3", "f1", "f3", "f5", "a1", "a2", "a3"];
+const TABLES: [&str; 8] = ["t1", "t2", "t3", "f1", "f3", "f5", "a1", "a3"];
 
 /// The quick tables `ids`, in order, through one store planned for them.
 fn quick_tables(ids: &[&str]) -> Vec<Table> {
@@ -114,6 +114,29 @@ fn assert_projection_matches(id: &str, projection: &str) {
 }
 
 #[test]
+fn every_snapshot_is_a_table_and_every_table_but_s1_has_one() {
+    // S1 measures serving throughput in wall-clock and has no snapshot.
+    let mut files: Vec<String> = fs::read_dir(golden_path(""))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with("_quick.txt"))
+        .collect();
+    files.sort();
+    let mut snapshots: Vec<String> = TABLES.iter().map(|id| format!("{id}_quick.txt")).collect();
+    snapshots.sort();
+    assert_eq!(files, snapshots, "tests/golden holds a snapshot per table");
+    let reported: Vec<&str> = ALL_EXPERIMENTS
+        .into_iter()
+        .filter(|id| *id != "s1")
+        .collect();
+    assert_eq!(
+        TABLES[..],
+        reported[..],
+        "the report's tables but S1 have snapshots"
+    );
+}
+
+#[test]
 fn t1_quick_matches_snapshot() {
     assert_matches_golden("t1", true);
 }
@@ -146,11 +169,6 @@ fn f5_quick_matches_snapshot() {
 #[test]
 fn a1_quick_matches_snapshot() {
     assert_matches_golden("a1", true);
-}
-
-#[test]
-fn a2_quick_matches_snapshot() {
-    assert_matches_golden("a2", false);
 }
 
 #[test]

@@ -172,7 +172,7 @@ fn workload_extraction_and_scheduling_chain() {
     let policy = uniform_policy_for_budget(2, 0.25);
     let workloads = model_workloads(&cfg, &policy, 2).unwrap();
     assert_eq!(workloads.len(), 12);
-    let device = DeviceModel::tx2_class();
+    let device = DeviceModel::jetson_class();
     let scheduled = schedule_workloads(&workloads, &device, &ScheduleSpace::default()).unwrap();
     let searched = total_latency_us(&scheduled);
     let naive = naive_latency_us(&workloads, &device).unwrap();
