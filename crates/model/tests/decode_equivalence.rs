@@ -18,7 +18,9 @@ use edge_llm_model::{
 use edge_llm_prune::magnitude_prune;
 use edge_llm_quant::{BitWidth, QuantScheme};
 use edge_llm_tensor::check::run_cases;
-use edge_llm_tensor::{configured_threads, set_configured_threads, Tensor, TensorRng};
+use edge_llm_tensor::{
+    configured_threads, set_configured_threads, Tensor, TensorRng, IGNORE_TARGET,
+};
 use std::sync::Mutex;
 
 /// Serializes tests that touch the process-wide thread setting.
@@ -642,6 +644,28 @@ fn decode_output_bits_are_pinned_for_dense_packed_and_integer_models() {
     set_configured_threads(saved);
 }
 
+/// A three-layer tiny model.
+fn three_layers(seed: u64) -> EdgeModel {
+    let mut rng = TensorRng::seed_from(seed);
+    EdgeModel::new(ModelConfig::tiny().with_layers(3), &mut rng).unwrap()
+}
+
+/// [`three_layers`] with W4 weights and a 40% magnitude mask on every
+/// block projection.
+fn compressed(seed: u64) -> EdgeModel {
+    let mut m = three_layers(seed);
+    for l in 0..m.n_layers() {
+        for lin in m.block_mut(l).linears_mut() {
+            lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+            let mask = magnitude_prune(lin.weight(), 0.4).unwrap();
+            lin.set_mask(Some(mask)).unwrap();
+        }
+    }
+    m
+}
+
+type Build = fn(u64) -> EdgeModel;
+
 /// The tuner's frozen prefix, held by name: every logit bit of
 /// `forward_exit` to the last exit with 0, 1 and 2 blocks below the
 /// window, then each step's loss and activation bytes over six depth-1
@@ -686,31 +710,93 @@ fn frozen_prefix_bits_are_pinned_for_dense_and_compressed_models() {
     // passed unchanged up to that commit.)
     let _guard = KNOB.lock().unwrap();
     let saved = configured_threads();
-    let three_layers = |seed: u64| {
-        let mut rng = TensorRng::seed_from(seed);
-        EdgeModel::new(ModelConfig::tiny().with_layers(3), &mut rng).unwrap()
-    };
-    let compressed = |seed: u64| {
-        let mut m = three_layers(seed);
-        for l in 0..m.n_layers() {
-            for lin in m.block_mut(l).linears_mut() {
-                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
-                let mask = magnitude_prune(lin.weight(), 0.4).unwrap();
-                lin.set_mask(Some(mask)).unwrap();
-            }
-        }
-        m
-    };
-    type Build<'a> = &'a dyn Fn(u64) -> EdgeModel;
     let cases: [(&str, Build, u64, u64); 2] = [
-        ("dense", &three_layers, 60, 0xf91c_ab09_107f_889f),
-        ("w4 + 40% mask", &compressed, 61, 0x3a01_ea84_51d5_6981),
+        ("dense", three_layers, 60, 0xf91c_ab09_107f_889f),
+        ("w4 + 40% mask", compressed, 61, 0x3a01_ea84_51d5_6981),
     ];
     for (name, build, seed, want) in cases {
         for threads in [1usize, 2] {
             set_configured_threads(threads);
             let got = prefix_digest(&mut build(seed));
             assert_eq!(got, want, "{name}, {threads} threads: {got:#018x}");
+        }
+    }
+    set_configured_threads(saved);
+}
+
+/// [`prefix_digest`]'s ten tuner steps on targets that supervise every
+/// fourth position and ignore the rest, as a cloze batch does: each
+/// step's loss bits, then every parameter bit. Each step's activation
+/// bytes come back beside the digest, which does not fold them.
+fn sparse_prefix_digest(model: &mut EdgeModel) -> (u64, Vec<usize>) {
+    let cfg = model.config().clone();
+    let tokens: Vec<usize> = (0..2 * cfg.seq_len)
+        .map(|i| (i * 7 + 3) % cfg.vocab_size)
+        .collect();
+    let targets: Vec<usize> = (tokens.iter().enumerate())
+        .map(|(i, &t)| if i % 4 == 3 { t } else { IGNORE_TARGET })
+        .collect();
+    let mut h = Fnv::new();
+    let mut bytes = Vec::new();
+    let mut opt = Sgd::new(0.05);
+    for (depth, steps) in [(1, 6), (2, 4)] {
+        let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth });
+        for _ in 0..steps {
+            let report = tuner.step(model, &mut opt, &tokens, &targets, 2).unwrap();
+            h.word(report.loss.to_bits());
+            bytes.push(report.activation_bytes);
+        }
+    }
+    model.visit_params_all_ro(&mut |id, p| {
+        h.word(id as u32);
+        h.floats(p);
+    });
+    (h.0, bytes)
+}
+
+/// [`sparse_prefix_digest`]'s activation bytes per step, six depth-1 steps
+/// then four depth-2 ones. The compressed model's taped projections each
+/// hold their effective weight too.
+const DENSE_BYTES: [usize; 10] = [
+    15552, 15552, 15552, 15552, 15552, 15552, 28992, 28992, 28992, 28992,
+];
+const COMPRESSED_BYTES: [usize; 10] = [
+    23744, 23744, 23744, 23744, 23744, 23744, 45376, 45376, 45376, 45376,
+];
+
+#[test]
+fn sparse_target_steps_are_pinned_for_dense_and_compressed_models() {
+    // The twin of `frozen_prefix_bits_are_pinned_…` on sparse targets,
+    // recorded before the last block of a pass computed only the rows a
+    // caller reads: the losses and parameters hold every bit through that
+    // change, while the activation bytes (pinned apart) fall.
+    let _guard = KNOB.lock().unwrap();
+    let saved = configured_threads();
+    let cases: [(&str, Build, u64, u64, [usize; 10]); 2] = [
+        (
+            "dense",
+            three_layers,
+            60,
+            0x24a8_a5ad_496c_9e8f,
+            DENSE_BYTES,
+        ),
+        (
+            "w4 + 40% mask",
+            compressed,
+            61,
+            0x78e9_9da4_de46_6bee,
+            COMPRESSED_BYTES,
+        ),
+    ];
+    for (name, build, seed, want, want_bytes) in cases {
+        for threads in [1usize, 2] {
+            set_configured_threads(threads);
+            let (got, bytes) = sparse_prefix_digest(&mut build(seed));
+            assert_eq!(got, want, "{name}, {threads} threads: {got:#018x}");
+            assert_eq!(
+                bytes, want_bytes,
+                "{name}, {threads} threads: activation bytes"
+            );
         }
     }
     set_configured_threads(saved);
