@@ -251,12 +251,12 @@ impl AdaptiveTuner {
         let exit_layer = window.exit_layer();
 
         let phase = telemetry::timed("tune.forward");
-        let fwd = model.forward_exit(tokens, batch, exit_layer, window.start)?;
-        let ce = cross_entropy_forward(&fwd.logits, targets)?;
+        let fwd = model.forward_exit(tokens, targets, batch, exit_layer, window.start)?;
+        let ce = cross_entropy_forward(&fwd.logits, &fwd.targets)?;
         let forward_ns = phase.end();
 
         let phase = telemetry::timed("tune.backward");
-        let dlogits = cross_entropy_backward(&ce, targets)?;
+        let dlogits = cross_entropy_backward(&ce, &fwd.targets)?;
         let activation_bytes = fwd.caches.activation_bytes();
         model.backward_exit(&fwd.caches, &dlogits)?;
         let backward_ns = phase.end();

@@ -45,7 +45,9 @@ impl Attention {
     }
 
     /// Backward pass from the attention fields of `tape`: accumulates
-    /// projection gradients, returns `dx`.
+    /// projection gradients, returns `dx`. `dout` holds the tape's kept
+    /// rows; their `proj` input gradient is scattered onto every row
+    /// ([`BlockTape::scatter`]) before the heads' backward.
     ///
     /// Each run's rows of the `qkv` gradient are written by one task, per
     /// head straight into the head's columns: `datt = dy · vᵀ`, the softmax
@@ -61,7 +63,7 @@ impl Attention {
     /// Propagates kernel shape errors.
     pub fn backward(&mut self, tape: &BlockTape, dout: &Tensor) -> Result<Tensor, ModelError> {
         let (c, heads) = (self.d_model, self.n_heads);
-        let dconcat = self.proj.backward(&tape.proj, dout)?;
+        let dconcat = tape.scatter(self.proj.backward(&tape.proj, dout)?)?;
         let mut dqkv = Tensor::zeros(dconcat.rows(), 3 * c);
         {
             let _span = telemetry::span("model.attention_backward");

@@ -114,7 +114,7 @@ use crate::linear::Linear;
 use crate::model::EdgeModel;
 use crate::norm::LayerNorm;
 use edge_llm_telemetry as telemetry;
-use edge_llm_tensor::{gelu_forward, gelu_forward_train, pool, Tensor};
+use edge_llm_tensor::{gelu_forward, gelu_forward_train, pool, supervised, Tensor};
 
 /// Per-sequence key/value cache for [`batched_decode_step`] — the state an
 /// [`crate::InferenceSession`] keeps internally, split out so a scheduler
@@ -297,7 +297,8 @@ pub fn batched_decode_runs(
     model: &EdgeModel,
     runs: &mut [BatchedRun<'_>],
 ) -> Result<Vec<Vec<Tensor>>, ModelError> {
-    Ok(decode_runs(model, runs, Entry::EMBEDDING, model.n_layers(), None)?.1)
+    let depth = model.n_layers();
+    Ok(decode_runs(model, runs, Entry::EMBEDDING, depth, Reads::Logits, None)?.1)
 }
 
 /// Where a pass enters the layer stack.
@@ -321,6 +322,46 @@ impl Entry<'_> {
         hidden: None,
         block: None,
     };
+}
+
+/// Which rows of a pass's last block its caller reads besides the rows of
+/// runs exiting there, whose logits it always reads (module docs, "The
+/// last block").
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reads<'a> {
+    /// No hidden row: a decode pass reads logits only.
+    Logits,
+    /// Every hidden row: a frozen full window, whose rows enter a later
+    /// pass or a probe.
+    Hidden,
+    /// The hidden rows whose target, one per fed row in run order, is
+    /// [`supervised`]: the tuner's taped pass, whose loss reads no other.
+    Supervised(&'a [usize]),
+}
+
+impl<'a> Reads<'a> {
+    /// Refuses targets that are not one per fed row of a pass over `fed`.
+    fn check(&self, fed: usize) -> Result<(), ModelError> {
+        match self {
+            Reads::Supervised(targets) if targets.len() != fed => Err(ModelError::BadBatch {
+                expected: fed,
+                actual: targets.len(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// The share of the next `rows` fed rows, taken off the front.
+    fn split_off(&mut self, rows: usize) -> Reads<'a> {
+        match self {
+            Reads::Supervised(targets) => {
+                let (mine, rest) = targets.split_at(rows.min(targets.len()));
+                *targets = rest;
+                Reads::Supervised(mine)
+            }
+            other => *other,
+        }
+    }
 }
 
 /// One sequence's share of a decode pass: `tokens` are fed at the
@@ -414,12 +455,14 @@ pub(crate) fn validate_runs<'r>(
 }
 
 /// Feeds every run through layers `entry.from..depth` in one shared pass
-/// and returns the hidden rows of every fed position after the last layer,
-/// in run order, and per run one `(tokens.len(), vocab)` logits tensor per
-/// requested exit (in the run's `exits` order). Decode passes enter at
-/// [`Entry::EMBEDDING`]; only [`full_window`] enters higher, and only it
-/// passes a `tape`, which then gains every walked layer's [`BlockTape`]
-/// (module docs, "Training").
+/// and returns the hidden rows after the last layer of the fed positions
+/// it computes there — those of runs exiting at it and those `reads` names
+/// (module docs, "The last block") — in run order, and per run one
+/// `(tokens.len(), vocab)` logits tensor per requested exit (in the run's
+/// `exits` order). Decode passes enter at [`Entry::EMBEDDING`] and read
+/// [`Reads::Logits`]; only [`full_window`] enters higher or reads hidden
+/// rows, and only it passes a `tape`, which then gains every walked
+/// layer's [`BlockTape`] (module docs, "Training").
 ///
 /// A pass is all-or-nothing: every run is validated before any cache is
 /// touched, and no cursor moves until every chunk's walk has returned
@@ -434,11 +477,13 @@ pub(crate) fn decode_runs(
     runs: &mut [BatchedRun<'_>],
     entry: Entry<'_>,
     depth: usize,
+    mut reads: Reads<'_>,
     tape: Option<&mut Vec<BlockTape>>,
 ) -> Result<(Tensor, Vec<Vec<Tensor>>), ModelError> {
     let c = model.config().d_model;
     let views = runs.iter().map(|r| (r.tokens, &*r.kv, r.exits));
     validate_runs(model, views, entry, depth)?;
+    reads.check(runs.iter().map(|r| r.tokens.len()).sum())?;
     // Run-partitioned pass (module docs, "Multi-threading"): each chunk
     // enters with its own runs' rows (validated: the lengths add up).
     let parts = pool::partition(runs.len(), pool::resolve_threads(0));
@@ -454,14 +499,14 @@ pub(crate) fn decode_runs(
             let chunk = rest.split_off_mut(..part.len()).expect("in bounds");
             let fed: usize = chunk.iter().map(|r| r.tokens.len()).sum();
             let hidden = entering.as_mut().and_then(|h| h.split_off(..fed * c));
-            (chunk, Entry { hidden, ..entry })
+            (chunk, Entry { hidden, ..entry }, reads.split_off(fed))
         })
         .collect();
     let taped = tape.is_some();
     // Chunks walking side by side suppress kernel-level threading, so
     // workers do not spawn nested workers; a lone chunk keeps it.
-    let walk_chunk = |(chunk, entry)| {
-        let go = || walk(model, chunk, entry, depth, taped);
+    let walk_chunk = |(chunk, entry, reads)| {
+        let go = || walk(model, chunk, entry, depth, reads, taped);
         if split {
             pool::serial_scope(go)
         } else {
@@ -504,14 +549,16 @@ pub(crate) fn runs_per_group(seq_len: usize) -> usize {
 /// rows and exit logits straight into the outputs — and, given a `tape`,
 /// its layer tapes to the tape's. The whole pass is validated before the
 /// first group walks, so a refused pass walks no layer. Returns the hidden
-/// rows after layer `depth - 1` and one logits tensor per entry of
-/// `exits`, all in `(b, t)` row order.
+/// rows after layer `depth - 1` that `reads` names (every row when `exits`
+/// holds `depth - 1`) and one logits tensor per entry of `exits`, all in
+/// `(b, t)` row order.
 pub(crate) fn full_window(
     model: &EdgeModel,
     tokens: &[usize],
     entry: Entry<'_>,
     depth: usize,
     exits: &[usize],
+    mut reads: Reads<'_>,
     mut tape: Option<&mut Vec<BlockTape>>,
 ) -> Result<(Tensor, Vec<Tensor>), ModelError> {
     let cfg = model.config();
@@ -526,6 +573,7 @@ pub(crate) fn full_window(
         .zip(scratch.iter().cycle())
         .map(|(tokens, kv)| (tokens, kv, exits));
     validate_runs(model, views, entry, depth)?;
+    reads.check(tokens.len())?;
     let mut hidden = Vec::with_capacity(tokens.len() * c);
     let mut logits: Vec<Vec<f32>> = exits
         .iter()
@@ -553,7 +601,8 @@ pub(crate) fn full_window(
             hidden: mine,
             ..entry
         };
-        let (x, per_run) = decode_runs(model, &mut runs, entry, depth, tape.as_deref_mut())?;
+        let reads = reads.split_off(group.len());
+        let (x, per_run) = decode_runs(model, &mut runs, entry, depth, reads, tape.as_deref_mut())?;
         hidden.extend_from_slice(x.as_slice());
         for run in per_run {
             for (out, exit) in logits.iter_mut().zip(run) {
@@ -561,8 +610,8 @@ pub(crate) fn full_window(
             }
         }
     }
+    let hidden = Tensor::from_vec(hidden.len() / c, c, hidden).map_err(ModelError::Tensor)?;
     let n = tokens.len();
-    let hidden = Tensor::from_vec(n, c, hidden).map_err(ModelError::Tensor)?;
     let logits = logits
         .into_iter()
         .map(|l| Tensor::from_vec(n, vocab, l).map_err(ModelError::Tensor))
@@ -600,6 +649,7 @@ fn walk(
     runs: &mut [BatchedRun<'_>],
     entry: Entry<'_>,
     depth: usize,
+    reads: Reads<'_>,
     taped: bool,
 ) -> Result<Walked, ModelError> {
     let cfg = model.config();
@@ -619,18 +669,22 @@ fn walk(
     let n = rows.len();
     let input = entry.hidden.map_or(embedded, <[f32]>::to_vec);
     let mut x = Tensor::from_vec(n, c, input).map_err(ModelError::Tensor)?;
-    // One projection. A taped layer's runs through `Linear::forward`, the
-    // f32 route its backward reads, and keeps its cache; any other layer's
-    // is frozen, plus its rows' adapter deltas. It consumes its input: a
-    // full-window group feeds hundreds of rows, so intermediates are freed
-    // at their last reader, not at the end of the layer.
-    let project = |l, target, lin: &Linear, input: Tensor| {
+    // The rows the last block computes past its K/V write, when not all.
+    let kept = kept_rows(runs, &rows, depth, reads);
+    let kept_rows: Vec<Row<'_>> = kept.iter().flatten().map(|&i| rows[i]).collect();
+    // One projection over `live`'s rows. A taped layer's runs through
+    // `Linear::forward`, the f32 route its backward reads, and keeps its
+    // cache; any other layer's is frozen, plus its rows' adapter deltas. It
+    // consumes its input: a full-window group feeds hundreds of rows, so
+    // intermediates are freed at their last reader, not at the end of the
+    // layer.
+    let project = |l, target, lin: &Linear, input: Tensor, live: &[Row<'_>]| {
         if taped {
             let (out, cache) = lin.forward(input)?;
             return Ok::<_, ModelError>((out, Some(cache)));
         }
         let mut out = lin.forward_no_cache(&input)?;
-        for (i, &(_, _, adapter)) in rows.iter().enumerate() {
+        for (i, &(_, _, adapter)) in live.iter().enumerate() {
             if let Some(ad) = adapter {
                 ad.apply_row(l, target, input.row(i), out.row_mut(i))?;
             }
@@ -659,12 +713,14 @@ fn walk(
             Some(block) if l == entry.from => block,
             _ => model.block(l),
         };
+        // the last block computes only the kept rows past its K/V write
+        let trim = kept.as_deref().filter(|_| l + 1 == depth);
         let [qkv_lin, proj, fc1, fc2] = block.linears();
         // (n, 3c). Adapter deltas land *before* the key/value rows are
         // copied into the caches, so adapted K/V history is what later
         // passes attend over — same as a solo run with the adapter.
         let (n1, ln1) = normalize(block.ln1(), &x)?;
-        let (qkv, qkv_in) = project(l, AdapterTarget::Qkv, qkv_lin, n1)?;
+        let (qkv, qkv_in) = project(l, AdapterTarget::Qkv, qkv_lin, n1, &rows)?;
         // the K/V write and every run's attention
         let span = telemetry::span("model.attention");
         // Write every fed position's K/V first; row (r, pos) then attends
@@ -694,26 +750,40 @@ fn walk(
         let mut row0 = 0;
         for (r, run) in runs.iter().enumerate() {
             let fed = run.tokens.len();
+            // a run none of whose rows the last block keeps attends there
+            // for nothing
+            let read = trim.is_none_or(|k| k.iter().any(|&i| rows[i].0 == r));
             let kv = &*run.kv;
             let s = kv.slot(l);
             let squares = probs.get_mut(r * heads..(r + 1) * heads);
-            heads_of.attend_run(
-                &qkv.as_slice()[row0 * 3 * c..(row0 + fed) * 3 * c],
-                kv.t,
-                (&kv.keys[s], &kv.values[s]),
-                &mut concat.as_mut_slice()[row0 * c..(row0 + fed) * c],
-                squares,
-                &mut scores,
-            )?;
+            if read {
+                heads_of.attend_run(
+                    &qkv.as_slice()[row0 * 3 * c..(row0 + fed) * 3 * c],
+                    kv.t,
+                    (&kv.keys[s], &kv.values[s]),
+                    &mut concat.as_mut_slice()[row0 * c..(row0 + fed) * c],
+                    squares,
+                    &mut scores,
+                )?;
+            }
             row0 += fed;
         }
         drop(span);
         // a frozen layer is done with the q/k/v rows
         let qkv_out = taped.then_some(qkv);
-        let (attn_out, proj_in) = project(l, AdapterTarget::Proj, proj, concat)?;
+        // past the K/V write, the rows this layer carries on
+        let live = match trim {
+            Some(kept) => {
+                concat = gather_rows(&concat, kept)?;
+                x = gather_rows(&x, kept)?;
+                &kept_rows[..]
+            }
+            None => &rows[..],
+        };
+        let (attn_out, proj_in) = project(l, AdapterTarget::Proj, proj, concat, live)?;
         let x1 = x.add(&attn_out)?;
         let (n2, ln2) = normalize(block.ln2(), &x1)?;
-        let (mut pre, fc1_in) = project(l, AdapterTarget::Fc1, fc1, n2)?;
+        let (mut pre, fc1_in) = project(l, AdapterTarget::Fc1, fc1, n2, live)?;
         // A taped layer keeps GELU's derivative, written over `pre`.
         let span = telemetry::span("model.gelu");
         let act = if taped {
@@ -723,7 +793,7 @@ fn walk(
         };
         drop(span);
         let gelu_grad = taped.then_some(pre);
-        let (mlp_out, fc2_in) = project(l, AdapterTarget::Fc2, fc2, act)?;
+        let (mlp_out, fc2_in) = project(l, AdapterTarget::Fc2, fc2, act, live)?;
         x = x1.add(&mlp_out)?;
         // a taped layer keeps every part, a frozen one none
         let layer_tape = (|| {
@@ -732,6 +802,7 @@ fn walk(
                 qkv: qkv_in?,
                 qkv_out: qkv_out?,
                 probs,
+                kept: trim.map(<[usize]>::to_vec),
                 proj: proj_in?,
                 ln2: ln2?,
                 fc1: fc1_in?,
@@ -740,9 +811,10 @@ fn walk(
             })
         })();
         tape.extend(layer_tape);
-        // one shared unembedding matmul over every row of a run exiting at l
+        // one shared unembedding matmul over every row of a run exiting at
+        // l, which the last block keeps
         let mut needing = Vec::new();
-        for (i, &(r, _, _)) in rows.iter().enumerate() {
+        for (i, &(r, _, _)) in live.iter().enumerate() {
             if runs[r].exits.contains(&l) {
                 needing.extend_from_slice(x.row(i));
             }
@@ -766,11 +838,56 @@ fn walk(
             }
         }
     }
+    // a pass that walks no layer leaves with the rows read of its entry
+    if let Some(kept) = kept.as_deref().filter(|_| entry.from == depth) {
+        x = gather_rows(&x, kept)?;
+    }
     Ok(Walked {
         hidden: x,
         logits: per_exit,
         tape,
     })
+}
+
+/// One fed row of a pass: its run, its position, the run's adapter.
+type Row<'a> = (usize, usize, Option<&'a ResolvedAdapter>);
+
+/// The indices of the fed `rows` that the last layer of a pass over
+/// layers `..depth` computes: every row of a run exiting at `depth - 1`,
+/// and each row that `reads` names. `None` when that is every row, so a
+/// pass whose caller reads all of them gathers nothing.
+fn kept_rows(
+    runs: &[BatchedRun<'_>],
+    rows: &[Row<'_>],
+    depth: usize,
+    reads: Reads<'_>,
+) -> Option<Vec<usize>> {
+    let exits = |r: usize| {
+        depth
+            .checked_sub(1)
+            .is_some_and(|l| runs[r].exits.contains(&l))
+    };
+    let kept: Vec<usize> = (rows.iter().enumerate())
+        .filter(|&(i, &(r, _, _))| {
+            exits(r)
+                || match reads {
+                    Reads::Logits => false,
+                    Reads::Hidden => true,
+                    Reads::Supervised(targets) => supervised(targets[i]),
+                }
+        })
+        .map(|(i, _)| i)
+        .collect();
+    (kept.len() < rows.len()).then_some(kept)
+}
+
+/// `x`'s rows at `kept`, in that order.
+fn gather_rows(x: &Tensor, kept: &[usize]) -> Result<Tensor, ModelError> {
+    let mut out = Vec::with_capacity(kept.len() * x.cols());
+    for &i in kept {
+        out.extend_from_slice(x.row(i));
+    }
+    Ok(Tensor::from_vec(kept.len(), x.cols(), out)?)
 }
 
 #[cfg(test)]
@@ -1230,7 +1347,8 @@ mod tests {
                 hidden: Some(hidden),
                 block: None,
             };
-            let (rows, logits) = decode_runs(&m, &mut runs, entry, n_layers, None).unwrap();
+            let (rows, logits) =
+                decode_runs(&m, &mut runs, entry, n_layers, Reads::Hidden, None).unwrap();
             let logits: Vec<Tensor> = logits.into_iter().map(|mut l| l.remove(0)).collect();
             (rows, logits)
         };
@@ -1296,6 +1414,118 @@ mod tests {
     }
 
     #[test]
+    fn a_prefill_run_beside_decoding_runs_writes_every_kv_row_a_solo_session_does() {
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // Past its K/V write the last block computes only the rows of runs
+        // exiting there: a no-exit prefill run writes its K/V rows at every
+        // layer and attends nowhere in the last block. Every logit and
+        // every K/V row is a token-at-a-time session's that reads every
+        // row, bit for bit — on the f32, row-code and integer routes, at
+        // one and two workers, in a pass beside decoding runs and in a
+        // pass of prefill runs only.
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dense = EdgeModel::new(
+            ModelConfig::tiny().with_layers(3),
+            &mut TensorRng::seed_from(16),
+        )
+        .unwrap();
+        let compressed = |act: Option<QuantScheme>| {
+            let mut m = dense.clone();
+            for l in 0..m.n_layers() {
+                for lin in m.block_mut(l).linears_mut() {
+                    lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                    lin.set_activation_quant(act);
+                }
+            }
+            m.pack_frozen_weights().unwrap();
+            m
+        };
+        let models = [
+            ("dense", dense.clone()),
+            ("w4 row codes", compressed(None)),
+            (
+                "w4/a8 integer",
+                compressed(Some(QuantScheme::asymmetric(BitWidth::W8))),
+            ),
+        ];
+        let before = configured_threads();
+        for (name, m) in &models {
+            let last = m.n_layers() - 1;
+            let (final_exit, two_exits) = ([last], [0, last]);
+            for threads in [1usize, 2] {
+                set_configured_threads(threads);
+                // (history, fed, exits): two decoding runs and a prefill
+                // run, then two prefill runs
+                let passes: [Vec<(&[usize], &[usize], &[usize])>; 2] = [
+                    vec![
+                        (&[1, 2, 3], &[4], &final_exit),
+                        (&[], &[7, 8, 9, 10, 11], &[]),
+                        (&[5], &[6], &two_exits),
+                    ],
+                    vec![(&[], &[12, 13, 14, 15], &[]), (&[9], &[2, 3], &[])],
+                ];
+                for (p, pass) in passes.iter().enumerate() {
+                    let what = format!("{name} threads {threads} pass {p}");
+                    // the caches under test, and their references fed one
+                    // token at a time at both exits, so nothing is trimmed
+                    let fresh = || pass.iter().map(|_| SequenceKv::new(m)).collect::<Vec<_>>();
+                    let (mut kvs, mut solos) = (fresh(), fresh());
+                    let push = |kv: &mut SequenceKv, token: usize| {
+                        let mut steps = [BatchedStep {
+                            token,
+                            kv,
+                            exits: &two_exits,
+                            adapter: None,
+                        }];
+                        batched_decode_step(m, &mut steps).unwrap().remove(0)
+                    };
+                    for (r, (history, _, _)) in pass.iter().enumerate() {
+                        for &token in *history {
+                            push(&mut kvs[r], token);
+                            push(&mut solos[r], token);
+                        }
+                    }
+                    let mut runs: Vec<BatchedRun<'_>> = kvs
+                        .iter_mut()
+                        .zip(pass)
+                        .map(|(kv, &(_, tokens, exits))| BatchedRun {
+                            tokens,
+                            kv,
+                            exits,
+                            adapter: None,
+                        })
+                        .collect();
+                    let got = batched_decode_runs(m, &mut runs).unwrap();
+                    for (r, (_, fed, exits)) in pass.iter().enumerate() {
+                        assert_eq!(got[r].len(), exits.len(), "{what}: run {r} exits");
+                        for (i, &token) in fed.iter().enumerate() {
+                            // the reference reads every row's logits
+                            let want = push(&mut solos[r], token);
+                            for (e, exit) in exits.iter().enumerate() {
+                                let want = &want[two_exits.iter().position(|x| x == exit).unwrap()];
+                                let row = bits(got[r][e].row(i));
+                                assert_eq!(row, bits(want.row(0)), "{what}: run {r} row {i}");
+                            }
+                        }
+                        let (kv, solo) = (&kvs[r], &solos[r]);
+                        assert_eq!(kv.len(), solo.len(), "{what}: run {r} cursor");
+                        for l in 0..m.n_layers() {
+                            for p in 0..kv.len() {
+                                let at = format!("{what}: run {r} layer {l} position {p}");
+                                assert_eq!(bits(&kv.key(l, p)), bits(&solo.key(l, p)), "{at}: K");
+                                let (v, sv) = (kv.values[l].row(p), solo.values[l].row(p));
+                                assert_eq!(bits(v), bits(sv), "{at}: V");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    #[test]
     fn a_one_pair_scratch_cache_cannot_be_continued() {
         // every layer overwrites the pair, so there is no history to resume
         let m = model(10);
@@ -1307,7 +1537,15 @@ mod tests {
                 exits: &[],
                 adapter: None,
             }];
-            decode_runs(&m, &mut runs, Entry::EMBEDDING, m.n_layers(), None).map(|_| ())
+            decode_runs(
+                &m,
+                &mut runs,
+                Entry::EMBEDDING,
+                m.n_layers(),
+                Reads::Logits,
+                None,
+            )
+            .map(|_| ())
         };
         feed(&mut kv).unwrap();
         assert!(matches!(feed(&mut kv), Err(ModelError::BadConfig { .. })));

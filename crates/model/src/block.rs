@@ -34,6 +34,10 @@ pub struct BlockTape {
     /// `(run, head)`, in that order, each row written over its causal
     /// prefix.
     pub(crate) probs: Vec<Tensor>,
+    /// The rows the parts below hold, ascending, when the block was the
+    /// last of a pass whose caller read only those (`crate::batched`, "The
+    /// last block"); `None` when they hold every row the parts above do.
+    pub(crate) kept: Option<Vec<usize>>,
     pub(crate) proj: LinearCache,
     pub(crate) ln2: LayerNormCache,
     pub(crate) fc1: LinearCache,
@@ -44,7 +48,8 @@ pub struct BlockTape {
 }
 
 impl BlockTape {
-    /// Approximate bytes held alive by this tape.
+    /// Approximate bytes held alive by this tape: its activations, not the
+    /// indices of its kept rows.
     pub fn bytes(&self) -> usize {
         let norms = [&self.ln1, &self.ln2].map(|n| n.xhat.len() + n.rstd.len());
         let probs: usize = self.probs.iter().map(Tensor::len).sum();
@@ -58,6 +63,16 @@ impl BlockTape {
     /// runs records one tape per chunk, and they join in run order. The
     /// effective weights are the same `Arc`s in every part.
     pub(crate) fn append(&mut self, part: BlockTape) -> Result<(), ModelError> {
+        if self.kept.is_some() || part.kept.is_some() {
+            let (mine, theirs) = (self.rows(), part.rows());
+            let mut kept = self.kept.take().unwrap_or_else(|| (0..mine).collect());
+            let shifted = |i: usize| i + mine;
+            match part.kept {
+                Some(ref k) => kept.extend(k.iter().copied().map(shifted)),
+                None => kept.extend((0..theirs).map(shifted)),
+            }
+            self.kept = Some(kept);
+        }
         for (mine, theirs) in [(&mut self.ln1, part.ln1), (&mut self.ln2, part.ln2)] {
             append_rows(&mut mine.xhat, theirs.xhat)?;
             mine.rstd.extend(theirs.rstd);
@@ -75,6 +90,32 @@ impl BlockTape {
         append_rows(&mut self.gelu_grad, part.gelu_grad)?;
         self.probs.extend(part.probs);
         Ok(())
+    }
+}
+
+impl BlockTape {
+    /// Rows the parts above the kept ones hold: every fed row.
+    fn rows(&self) -> usize {
+        self.ln1.rstd.len()
+    }
+
+    /// `grad`, one row per kept row, scattered onto every row: a row the
+    /// tape did not keep gets `+0`, the gradient nothing read it with.
+    pub(crate) fn scatter(&self, grad: Tensor) -> Result<Tensor, ModelError> {
+        let Some(kept) = &self.kept else {
+            return Ok(grad);
+        };
+        if grad.rows() != kept.len() {
+            return Err(ModelError::BadBatch {
+                expected: kept.len(),
+                actual: grad.rows(),
+            });
+        }
+        let mut out = Tensor::zeros(self.rows(), grad.cols());
+        for (j, &i) in kept.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(grad.row(j));
+        }
+        Ok(out)
     }
 }
 
@@ -168,7 +209,7 @@ impl Block {
     pub fn backward(&mut self, tape: &BlockTape, dy: &Tensor) -> Result<Tensor, ModelError> {
         let (dx1, dn1) = self.backward_above_ln1(tape, dy)?;
         let mut dx = self.ln1.backward(&tape.ln1, &dn1)?;
-        dx.axpy(1.0, &dx1)?; // residual path
+        dx.axpy(1.0, &tape.scatter(dx1)?)?; // residual path
         Ok(dx)
     }
 
@@ -187,8 +228,9 @@ impl Block {
         self.ln1.backward_params(&tape.ln1, &dn1)
     }
 
-    /// The backward above `ln1`: returns the gradient at `x1` and at
-    /// `ln1`'s output.
+    /// The backward above `ln1`: returns the gradient at `x1`, on the kept
+    /// rows ([`BlockTape::scatter`]), and at `ln1`'s output, on every row.
+    /// `dy` holds the kept rows.
     fn backward_above_ln1(
         &mut self,
         tape: &BlockTape,
@@ -248,6 +290,7 @@ pub(crate) mod reference {
                 qkv: LinearCache::empty(),
                 qkv_out: Tensor::zeros(0, 0),
                 probs: Vec::new(),
+                kept: None,
                 proj: LinearCache::empty(),
                 ln2: norm(),
                 fc1: LinearCache::empty(),

@@ -40,9 +40,9 @@ pub fn gradient_check(
     let exit_layer = window.exit_layer();
     // analytic gradients, from zero in every slice the snapshot reads
     model.visit_params_window(window, exit_layer, &mut |_, _, g| g.fill(0.0));
-    let fwd = model.forward_exit(tokens, batch, exit_layer, window.start)?;
-    let ce = cross_entropy_forward(&fwd.logits, targets)?;
-    let dl = cross_entropy_backward(&ce, targets)?;
+    let fwd = model.forward_exit(tokens, targets, batch, exit_layer, window.start)?;
+    let ce = cross_entropy_forward(&fwd.logits, &fwd.targets)?;
+    let dl = cross_entropy_backward(&ce, &fwd.targets)?;
     model.backward_exit(&fwd.caches, &dl)?;
     // snapshot analytic grads
     let mut analytic: Vec<(usize, usize, f32)> = Vec::new();
@@ -61,8 +61,8 @@ pub fn gradient_check(
                     p[k] += delta;
                 }
             });
-            let fwd = model.forward_exit(tokens, batch, exit_layer, exit_layer + 1)?;
-            let loss = cross_entropy_forward(&fwd.logits, targets)?.loss;
+            let fwd = model.forward_exit(tokens, targets, batch, exit_layer, exit_layer + 1)?;
+            let loss = cross_entropy_forward(&fwd.logits, &fwd.targets)?.loss;
             model.visit_params_window(window, exit_layer, &mut |pid, p, _| {
                 if pid == id {
                     p[k] -= delta;

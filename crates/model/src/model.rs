@@ -1,11 +1,11 @@
 use crate::adaptive::LayerWindow;
-use crate::batched::{full_window, Entry};
+use crate::batched::{full_window, Entry, Reads};
 use crate::block::{Block, BlockTape};
 use crate::config::ModelConfig;
 use crate::error::ModelError;
 use crate::linear::{grad_buffer, Linear, LinearCache};
 use crate::norm::LayerNorm;
-use edge_llm_tensor::{embedding_backward, fnv1a64, LayerNormCache, Tensor, TensorRng};
+use edge_llm_tensor::{embedding_backward, fnv1a64, supervised, LayerNormCache, Tensor, TensorRng};
 
 /// Visitor over `(parameter id, parameter slice, gradient slice)` used by
 /// the parameter-traversal methods.
@@ -101,8 +101,11 @@ impl ForwardCaches {
 /// caches needed to run the truncated backward.
 #[derive(Debug, Clone)]
 pub struct ExitForward {
-    /// Logits at the exit layer, `(batch * seq) x vocab`.
+    /// Logits at the exit layer of the supervised rows, in their order:
+    /// `(supervised, vocab)`, every row when no target is ignored.
     pub logits: Tensor,
+    /// The supervised rows' targets, one per row of `logits`.
+    pub targets: Vec<usize>,
     /// Caches for [`EdgeModel::backward_exit`].
     pub caches: ForwardCaches,
 }
@@ -250,7 +253,8 @@ impl EdgeModel {
     }
 
     /// Runs the model to `exit_layer` (inclusive), keeping backward caches
-    /// only for blocks `grad_from..=exit_layer`.
+    /// only for blocks `grad_from..=exit_layer`, and returns the logits of
+    /// the rows whose target is [`supervised`].
     ///
     /// Blocks past the exit never execute — the forward-compute saving.
     /// The rest is two passes of the decode walk (`crate::batched`): the
@@ -259,17 +263,20 @@ impl EdgeModel {
     /// projections decode on, and keep nothing — the memory saving; then
     /// one taped pass enters at `grad_from` with their rows (at the
     /// embedding when `grad_from` is 0) and records each block's
-    /// [`BlockTape`], its projections on the f32 training route. The exit
-    /// norm and head run on their cached forwards.
+    /// [`BlockTape`], its projections on the f32 training route. Past its
+    /// K/V write the exit block computes only the supervised rows, the
+    /// only ones the loss reads, and the exit norm and head run on those
+    /// rows' cached forwards.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::LayerOutOfRange`] for a bad exit layer,
-    /// [`ModelError::BadBatch`] for a wrong token count and
+    /// [`ModelError::BadBatch`] for a wrong token or target count and
     /// [`ModelError::BadConfig`] for a token outside the vocabulary.
     pub fn forward_exit(
         &self,
         tokens: &[usize],
+        targets: &[usize],
         batch: usize,
         exit_layer: usize,
         grad_from: usize,
@@ -292,11 +299,21 @@ impl EdgeModel {
             block: None,
         };
         let mut tape = Vec::new();
-        let (x, _) = full_window(self, tokens, entry, exit_layer + 1, &[], Some(&mut tape))?;
+        let reads = Reads::Supervised(targets);
+        let (x, _) = full_window(
+            self,
+            tokens,
+            entry,
+            exit_layer + 1,
+            &[],
+            reads,
+            Some(&mut tape),
+        )?;
         let (n, exit_norm_cache) = self.exits[exit_layer].norm.forward(&x)?;
         let (logits, head_cache) = self.exit_head(exit_layer).forward(n)?;
         Ok(ExitForward {
             logits,
+            targets: targets.iter().copied().filter(|&t| supervised(t)).collect(),
             caches: ForwardCaches {
                 tokens: tokens.to_vec(),
                 batch,
@@ -309,9 +326,13 @@ impl EdgeModel {
         })
     }
 
-    /// Truncated backward from `dlogits` through the exit head and the
-    /// blocks `grad_from..=exit_layer`, accumulating gradients in place —
-    /// into buffers the first backward to reach a module allocates.
+    /// Truncated backward from `dlogits` — one row per row of
+    /// [`ExitForward::logits`] — through the exit head and the blocks
+    /// `grad_from..=exit_layer`, accumulating gradients in place — into
+    /// buffers the first backward to reach a module allocates. Every
+    /// gradient is bit for bit the one a forward over every row would
+    /// give with zero `dlogits` rows at the ignored targets: such a row
+    /// adds only `±0` terms to sums that start at `+0.0`.
     ///
     /// Gradients reach the embeddings only when `grad_from == 0`; above
     /// layer 0 the window's bottom block computes no input gradient, which
@@ -443,7 +464,7 @@ impl EdgeModel {
             hidden: entering.map(Tensor::as_slice),
             block,
         };
-        full_window(self, tokens, entry, depth, exit_layers, None)
+        full_window(self, tokens, entry, depth, exit_layers, Reads::Hidden, None)
     }
 
     /// Visits `(id, param, grad)` for every parameter whose module is
@@ -668,7 +689,7 @@ pub struct WeightCacheStats {
 mod tests {
     use super::*;
     use crate::batched::runs_per_group;
-    use edge_llm_tensor::{cross_entropy_backward, cross_entropy_forward};
+    use edge_llm_tensor::{cross_entropy_backward, cross_entropy_forward, IGNORE_TARGET};
 
     fn tiny_model(seed: u64) -> EdgeModel {
         let mut rng = TensorRng::seed_from(seed);
@@ -703,7 +724,9 @@ mod tests {
         // training forward ≡ frozen forward, bit for bit, with every
         // number of blocks below the window
         for grad_from in 0..=last {
-            let exit = model.forward_exit(&tokens, 1, last, grad_from).unwrap();
+            let exit = model
+                .forward_exit(&tokens, &tokens, 1, last, grad_from)
+                .unwrap();
             assert_eq!(bits(&full), bits(&exit.logits), "grad_from {grad_from}");
         }
     }
@@ -721,8 +744,8 @@ mod tests {
     fn truncated_forward_skips_caches() {
         let model = tiny_model(4);
         let tokens = tokens_for(&model, 1, 13);
-        let full = model.forward_exit(&tokens, 1, 1, 0).unwrap();
-        let trunc = model.forward_exit(&tokens, 1, 1, 1).unwrap();
+        let full = model.forward_exit(&tokens, &tokens, 1, 1, 0).unwrap();
+        let trunc = model.forward_exit(&tokens, &tokens, 1, 1, 1).unwrap();
         assert!(full.caches.activation_bytes() > trunc.caches.activation_bytes());
         assert_eq!(full.caches.tape.len(), 2);
         // block 1 only: block 0 keeps nothing
@@ -737,7 +760,7 @@ mod tests {
         let mut model = tiny_model(5);
         let tokens = tokens_for(&model, 1, 14);
         let targets: Vec<usize> = tokens.clone();
-        let fwd = model.forward_exit(&tokens, 1, 1, 1).unwrap();
+        let fwd = model.forward_exit(&tokens, &tokens, 1, 1, 1).unwrap();
         let ce = cross_entropy_forward(&fwd.logits, &targets).unwrap();
         let dl = cross_entropy_backward(&ce, &targets).unwrap();
         model.backward_exit(&fwd.caches, &dl).unwrap();
@@ -757,7 +780,7 @@ mod tests {
         // a fresh model: no backward has reached any module yet
         let mut model = tiny_model(6);
         let tokens = tokens_for(&model, 1, 15);
-        let fwd = model.forward_exit(&tokens, 1, 1, 0).unwrap();
+        let fwd = model.forward_exit(&tokens, &tokens, 1, 1, 0).unwrap();
         let ce = cross_entropy_forward(&fwd.logits, &tokens).unwrap();
         let dl = cross_entropy_backward(&ce, &tokens).unwrap();
         model.backward_exit(&fwd.caches, &dl).unwrap();
@@ -960,7 +983,7 @@ mod tests {
         }
         // block 0 is the prefix below a window at layer 1; only the
         // training block may materialize its dense weight
-        model.forward_exit(&tokens, 2, 1, 1).unwrap();
+        model.forward_exit(&tokens, &tokens, 2, 1, 1).unwrap();
         assert_eq!(dense_in(&model, 0), [false; 4], "frozen prefix block");
         assert_eq!(dense_in(&model, 1), [true; 4], "training block");
         assert_eq!(model.decode_weight_bytes(), resident);
@@ -1024,7 +1047,7 @@ mod tests {
         let model = tiny_model(9);
         let tokens = tokens_for(&model, 1, 16);
         assert!(model.logits(&tokens[..5], 1).is_err());
-        assert!(model.forward_exit(&tokens, 1, 99, 0).is_err());
+        assert!(model.forward_exit(&tokens, &tokens, 1, 99, 0).is_err());
         assert!(model.logits_at_exits(&tokens, 1, &[7]).is_err());
         // an out-of-vocabulary token is refused by type whatever the window:
         // every pass validates it the way the walk does
@@ -1034,7 +1057,7 @@ mod tests {
         for grad_from in 0..=model.n_layers() {
             assert!(
                 matches!(
-                    model.forward_exit(&hostile, 1, last, grad_from),
+                    model.forward_exit(&hostile, &tokens, 1, last, grad_from),
                     Err(ModelError::BadConfig { .. })
                 ),
                 "grad_from {grad_from}"
@@ -1083,8 +1106,16 @@ mod tests {
                     block: None,
                 };
                 let mut tape = Vec::new();
-                let (rows, _) =
-                    full_window(model, &tokens, entry, n, &[], Some(&mut tape)).unwrap();
+                let (rows, _) = full_window(
+                    model,
+                    &tokens,
+                    entry,
+                    n,
+                    &[],
+                    Reads::Hidden,
+                    Some(&mut tape),
+                )
+                .unwrap();
                 assert_eq!(tape.len(), n - grad_from, "{what}: layers taped");
                 for (l, got) in (grad_from..n).zip(&tape) {
                     let (y, want) = model.blocks[l].forward_reference(&x, batch, seq).unwrap();
@@ -1176,7 +1207,16 @@ mod tests {
                 for batch in [1, 3] {
                     let tokens = tokens_for(model, batch, 74);
                     let mut tape = Vec::new();
-                    full_window(model, &tokens, Entry::EMBEDDING, 1, &[], Some(&mut tape)).unwrap();
+                    full_window(
+                        model,
+                        &tokens,
+                        Entry::EMBEDDING,
+                        1,
+                        &[],
+                        Reads::Hidden,
+                        Some(&mut tape),
+                    )
+                    .unwrap();
                     let c = model.config().d_model;
                     let mut rng = TensorRng::seed_from(75);
                     let mut dy = Tensor::randn(batch * seq, c, 1.0, &mut rng);
@@ -1227,7 +1267,9 @@ mod tests {
         };
         for grad_from in 0..4 {
             let exit = 3;
-            let fwd = model.forward_exit(&tokens, 2, exit, grad_from).unwrap();
+            let fwd = model
+                .forward_exit(&tokens, &tokens, 2, exit, grad_from)
+                .unwrap();
             let ce = cross_entropy_forward(&fwd.logits, &tokens).unwrap();
             let dl = cross_entropy_backward(&ce, &tokens).unwrap();
             let mut skipped = model.clone();
@@ -1520,7 +1562,9 @@ mod tests {
                     }
                 }
                 let was = counts(&model);
-                model.forward_exit(&tokens, batch, exit, 0).unwrap();
+                model
+                    .forward_exit(&tokens, &tokens, batch, exit, 0)
+                    .unwrap();
                 let built: Vec<u64> = counts(&model)
                     .iter()
                     .zip(&was)
@@ -1730,5 +1774,174 @@ mod tests {
             model.num_params(),
             tied.num_params() + (cfg.n_layers - 1) * head
         );
+    }
+
+    /// A three-layer model, dense and with W4 weights and a 40% mask.
+    fn dense_and_masked(seed: u64) -> [(&'static str, EdgeModel); 2] {
+        use edge_llm_prune::magnitude_prune;
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        let cfg = ModelConfig::tiny().with_layers(3);
+        let dense = EdgeModel::new(cfg, &mut TensorRng::seed_from(seed)).unwrap();
+        let mut masked = dense.clone();
+        for l in 0..masked.n_layers() {
+            for lin in masked.block_mut(l).linears_mut() {
+                lin.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+                let mask = magnitude_prune(lin.weight(), 0.4).unwrap();
+                lin.set_mask(Some(mask)).unwrap();
+            }
+        }
+        [("dense", dense), ("W4 + 40% mask", masked)]
+    }
+
+    /// Every gradient buffer's bits, embeddings included, in walk order.
+    fn grad_bits(m: &mut EdgeModel) -> Vec<(usize, Vec<u32>)> {
+        let mut out = Vec::new();
+        m.visit_params_all(&mut |id, _, g| out.push((id, g.iter().map(|x| x.to_bits()).collect())));
+        out
+    }
+
+    /// `forward_exit` + `backward_exit` on `targets` from `model`'s
+    /// parameters: the loss, the logits and the model holding the
+    /// gradients.
+    fn sparse_step(
+        model: &EdgeModel,
+        tokens: &[usize],
+        targets: &[usize],
+        (exit, grad_from): (usize, usize),
+    ) -> (f32, Tensor, EdgeModel) {
+        let batch = tokens.len() / model.config().seq_len;
+        let mut m = model.clone();
+        let fwd = m
+            .forward_exit(tokens, targets, batch, exit, grad_from)
+            .unwrap();
+        let ce = cross_entropy_forward(&fwd.logits, &fwd.targets).unwrap();
+        let dl = cross_entropy_backward(&ce, &fwd.targets).unwrap();
+        m.backward_exit(&fwd.caches, &dl).unwrap();
+        (ce.loss, fwd.logits, m)
+    }
+
+    /// The full-row reference of [`sparse_step`]: the forward over every
+    /// row (no target ignored, so nothing is trimmed), then the backward
+    /// from `targets`' `dlogits`, whose ignored rows are zero.
+    fn full_row_step(
+        model: &EdgeModel,
+        tokens: &[usize],
+        targets: &[usize],
+        (exit, grad_from): (usize, usize),
+    ) -> (f32, Tensor, EdgeModel) {
+        let batch = tokens.len() / model.config().seq_len;
+        let mut m = model.clone();
+        let fwd = m
+            .forward_exit(tokens, tokens, batch, exit, grad_from)
+            .unwrap();
+        let ce = cross_entropy_forward(&fwd.logits, targets).unwrap();
+        let dl = cross_entropy_backward(&ce, targets).unwrap();
+        m.backward_exit(&fwd.caches, &dl).unwrap();
+        (ce.loss, fwd.logits, m)
+    }
+
+    /// Windows `(exit, grad_from)` whose exit block is the window's bottom
+    /// above layer 0, is not the bottom, is layer 0's (the embeddings
+    /// learn), and is frozen (no block taped).
+    const WINDOWS: [(usize, usize); 4] = [(2, 2), (2, 1), (1, 0), (1, 2)];
+
+    #[test]
+    fn a_sparse_step_is_the_full_row_step_with_zero_gradient_rows() {
+        use edge_llm_tensor::{configured_threads, set_configured_threads};
+        // Past its K/V write the exit block computes only the supervised
+        // rows; every gradient and the loss are the full-row step's bits,
+        // and each kept logit row is the full-row one. A batch of three
+        // has a run with no supervised row at all.
+        let before = configured_threads();
+        for (name, model) in dense_and_masked(82) {
+            let seq = model.config().seq_len;
+            for batch in [1, 3] {
+                let tokens = tokens_for(&model, batch, 83);
+                let targets: Vec<usize> = (tokens.iter().enumerate())
+                    .map(|(i, &t)| match (i / seq, i % 4) {
+                        (1, _) | (_, 0..=2) => IGNORE_TARGET,
+                        _ => t,
+                    })
+                    .collect();
+                let supervised: Vec<usize> = (0..tokens.len())
+                    .filter(|&i| supervised(targets[i]))
+                    .collect();
+                for threads in [1usize, 2] {
+                    set_configured_threads(threads);
+                    for window in WINDOWS {
+                        let what = format!("{name} batch {batch} threads {threads} {window:?}");
+                        let (loss, logits, mut got) =
+                            sparse_step(&model, &tokens, &targets, window);
+                        let (want_loss, want_logits, mut want) =
+                            full_row_step(&model, &tokens, &targets, window);
+                        assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what}: loss");
+                        assert_eq!(logits.rows(), supervised.len(), "{what}: logit rows");
+                        for (j, &i) in supervised.iter().enumerate() {
+                            let row = |t: &Tensor, r| {
+                                t.row(r).iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(row(&logits, j), row(&want_logits, i), "{what}: logits {i}");
+                        }
+                        assert_eq!(grad_bits(&mut got), grad_bits(&mut want), "{what}: grads");
+                    }
+                }
+            }
+        }
+        set_configured_threads(before);
+    }
+
+    #[test]
+    fn a_step_with_every_target_ignored_keeps_no_row_and_learns_nothing() {
+        for (name, model) in dense_and_masked(84) {
+            let tokens = tokens_for(&model, 2, 85);
+            let ignored = vec![IGNORE_TARGET; tokens.len()];
+            for window in WINDOWS {
+                let what = format!("{name} {window:?}");
+                let (loss, logits, mut got) = sparse_step(&model, &tokens, &ignored, window);
+                assert_eq!(loss.to_bits(), 0, "{what}: loss");
+                assert_eq!(logits.shape(), (0, model.config().vocab_size), "{what}");
+                let grads = grad_bits(&mut got);
+                assert!(
+                    grads.iter().all(|(_, g)| g.iter().all(|&b| b == 0)),
+                    "{what}: a gradient is not +0"
+                );
+                let (_, _, mut want) = full_row_step(&model, &tokens, &ignored, window);
+                assert_eq!(grads, grad_bits(&mut want), "{what}: grads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sparse_step_holds_fewer_activation_bytes_by_exactly_the_trimmed_rows() {
+        use crate::{AdaptiveTuner, Sgd, WindowSchedule};
+        // A trimmed row holds no `proj`, `fc1` or `fc2` input, `ln2` or
+        // exit-norm row, GELU derivative or head input.
+        for (name, model) in dense_and_masked(86) {
+            let cfg = model.config().clone();
+            let (c, ff) = (cfg.d_model, cfg.d_ff);
+            let per_row = 4 * (5 * c + 2 * ff + 2);
+            let tokens = tokens_for(&model, 2, 87);
+            let sparse: Vec<usize> = (tokens.iter().enumerate())
+                .map(|(i, &t)| if i % 4 == 3 { t } else { IGNORE_TARGET })
+                .collect();
+            let trimmed = tokens.len() - tokens.len() / 4;
+            for depth in [1, 2] {
+                let step = |targets: &[usize]| {
+                    let mut tuner = AdaptiveTuner::new(WindowSchedule::RoundRobin { depth });
+                    let mut m = model.clone();
+                    let mut opt = Sgd::new(0.05);
+                    (0..3)
+                        .map(|_| {
+                            let report = tuner.step(&mut m, &mut opt, &tokens, targets, 2);
+                            report.unwrap().activation_bytes
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let (dense, sparse) = (step(&tokens), step(&sparse));
+                for (d, s) in dense.iter().zip(&sparse) {
+                    assert_eq!(d - s, trimmed * per_row, "{name} depth {depth}");
+                }
+            }
+        }
     }
 }

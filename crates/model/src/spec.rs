@@ -33,7 +33,7 @@
 //! token equality, never a float comparison.
 
 use crate::adapter::ResolvedAdapter;
-use crate::batched::{decode_runs, validate_runs, BatchedRun, Entry, SequenceKv};
+use crate::batched::{decode_runs, validate_runs, BatchedRun, Entry, Reads, SequenceKv};
 use crate::error::ModelError;
 use crate::model::EdgeModel;
 use crate::voting::{combine, VotingCombiner};
@@ -214,9 +214,16 @@ pub(crate) fn forward_chunk(
         exits: &[exit_layer],
         adapter,
     };
-    let logits = decode_runs(model, &mut [run], Entry::EMBEDDING, exit_layer + 1, None)?
-        .1
-        .swap_remove(0);
+    let logits = decode_runs(
+        model,
+        &mut [run],
+        Entry::EMBEDDING,
+        exit_layer + 1,
+        Reads::Logits,
+        None,
+    )?
+    .1
+    .swap_remove(0);
     let vocab = logits[0].cols();
     (0..fed.len())
         .map(|i| Tensor::from_vec(1, vocab, logits[0].row(i).to_vec()).map_err(ModelError::Tensor))

@@ -681,7 +681,9 @@ fn prefix_digest(model: &mut EdgeModel) -> u64 {
         .collect();
     let mut h = Fnv::new();
     for grad_from in 0..=last {
-        let fwd = model.forward_exit(&tokens, 2, last, grad_from).unwrap();
+        let fwd = model
+            .forward_exit(&tokens, &tokens, 2, last, grad_from)
+            .unwrap();
         h.floats(fwd.logits.as_slice());
     }
     let mut opt = Sgd::new(0.05);
@@ -758,18 +760,19 @@ fn sparse_prefix_digest(model: &mut EdgeModel) -> (u64, Vec<usize>) {
 /// then four depth-2 ones. The compressed model's taped projections each
 /// hold their effective weight too.
 const DENSE_BYTES: [usize; 10] = [
-    15552, 15552, 15552, 15552, 15552, 15552, 28992, 28992, 28992, 28992,
+    8544, 8544, 8544, 8544, 8544, 8544, 21984, 21984, 21984, 21984,
 ];
 const COMPRESSED_BYTES: [usize; 10] = [
-    23744, 23744, 23744, 23744, 23744, 23744, 45376, 45376, 45376, 45376,
+    16736, 16736, 16736, 16736, 16736, 16736, 38368, 38368, 38368, 38368,
 ];
 
 #[test]
 fn sparse_target_steps_are_pinned_for_dense_and_compressed_models() {
     // The twin of `frozen_prefix_bits_are_pinned_…` on sparse targets,
     // recorded before the last block of a pass computed only the rows a
-    // caller reads: the losses and parameters hold every bit through that
-    // change, while the activation bytes (pinned apart) fall.
+    // caller reads: the losses and parameters held every bit through that
+    // change, while the activation bytes (pinned apart) fell by the exit
+    // block's 12 trimmed rows of 16, 7008 bytes a step.
     let _guard = KNOB.lock().unwrap();
     let saved = configured_threads();
     let cases: [(&str, Build, u64, u64, [usize; 10]); 2] = [

@@ -973,6 +973,53 @@ mod tests {
     }
 
     #[test]
+    fn prefill_runs_beside_decoding_runs_match_solo_at_every_logit() {
+        // A pass's last block computes only the decoding runs' rows past
+        // its K/V write. A request's K/V rows are read by every later
+        // logit of its stream, and copies of one request cut after 1..=4
+        // tokens end on each of its logits: all of them equal `run_solo`'s.
+        // The lone request's first pass is a pass of one prefill run only.
+        // (`batched::tests` holds the K/V rows themselves, on every
+        // projection route.)
+        let model = EdgeModel::new(
+            ModelConfig::tiny().with_layers(3),
+            &mut TensorRng::seed_from(5),
+        )
+        .unwrap();
+        let m = &model;
+        let mut lone = request(m, "lone", 1);
+        lone.prompt = vec![2, 7, 1, 8];
+        lone.max_new_tokens = 6;
+        let cut: Vec<ServeRequest> = (1..=4)
+            .map(|n| {
+                let mut r = request(m, &format!("cut{n}"), 2);
+                r.prompt = vec![3, 1, 4, 1, 5];
+                r.voting = VotingPolicy::all_exits(m.n_layers(), VotingCombiner::Average);
+                r.max_new_tokens = n;
+                r
+            })
+            .collect();
+        let mut engine = BatchedInferenceEngine::new(m, 5).unwrap();
+        engine.submit(lone.clone());
+        // a prefill-only pass, then a decoding pass
+        for _ in 0..2 {
+            engine.step().unwrap();
+        }
+        for r in &cut {
+            engine.submit(r.clone());
+        }
+        let outcomes = drain(&mut engine);
+        for req in cut.iter().chain([&lone]) {
+            let solo = run_solo(m, req).unwrap();
+            let got = outcomes.iter().find(|o| o.id == req.id).unwrap();
+            assert_outcome_bit_equal(got, &solo);
+        }
+        // the cut copies join at the third pass: one prefill pass,
+        // then up to 4
+        assert_eq!(engine.steps_run(), 2 + 1 + 4);
+    }
+
+    #[test]
     fn a_misfit_adapter_is_refused_at_registration_and_the_old_one_keeps_serving() {
         use edge_llm_model::AdapterTarget;
         let m = model();

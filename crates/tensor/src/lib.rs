@@ -52,8 +52,8 @@ pub use matmul::{
 pub use ops::{
     add_bias_backward, add_bias_forward, argmax, cross_entropy_backward, cross_entropy_forward,
     embedding_backward, gelu_forward, gelu_forward_train, layernorm_backward, layernorm_forward,
-    layernorm_param_grads, rank, score, softmax_backward, softmax_rows, CrossEntropyOutput,
-    LayerNormCache, Scored, IGNORE_TARGET,
+    layernorm_param_grads, rank, score, softmax_backward, softmax_rows, supervised,
+    CrossEntropyOutput, LayerNormCache, Scored, IGNORE_TARGET,
 };
 pub use pool::{configured_threads, set_configured_threads, THREADS_ENV_VAR};
 pub use rng::{fnv1a64, RngState, TensorRng, RNG_STATE_BYTES};

@@ -463,8 +463,16 @@ pub struct Scored {
     pub supervised: usize,
 }
 
-/// Scores each row of `probs` against its target, skipping rows whose
-/// target is [`IGNORE_TARGET`]: the one rule for which positions count and
+/// Whether a row with `target` is scored: every target but
+/// [`IGNORE_TARGET`]. The one rule for which positions count, which
+/// [`score`], [`cross_entropy_backward`] and the tuner's choice of the rows
+/// its exit computes all apply.
+pub fn supervised(target: usize) -> bool {
+    target != IGNORE_TARGET
+}
+
+/// Scores each row of `probs` against its target, skipping the rows that
+/// are not [`supervised`]: the one rule for which positions count and
 /// which token a row predicts.
 ///
 /// # Errors
@@ -481,7 +489,7 @@ pub fn score(probs: &Tensor, targets: &[usize]) -> Result<Scored, TensorError> {
     }
     let mut scored = Scored::default();
     for (r, &t) in targets.iter().enumerate() {
-        if t == IGNORE_TARGET {
+        if !supervised(t) {
             continue;
         }
         if t >= probs.cols() {
@@ -572,7 +580,7 @@ pub fn cross_entropy_backward(
     }
     let scale = 1.0 / out.n_valid as f32;
     for (r, &t) in targets.iter().enumerate() {
-        if t == IGNORE_TARGET {
+        if !supervised(t) {
             continue;
         }
         let pr = probs.row(r);

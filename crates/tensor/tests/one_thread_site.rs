@@ -418,11 +418,12 @@ fn scoring_is_decided_in_ops_and_nowhere_else() {
             assert!(found.is_empty(), "{}: {found:?}", file.display());
         }
     }
-    // `argmax`, then `score`'s mask and `cross_entropy_backward`'s
+    // `argmax`, then `supervised`, which `score`, `cross_entropy_backward`
+    // and the tuner's exit rows apply
     let kinds: Vec<&str> = ops_sites.iter().map(|(what, _)| *what).collect();
     assert_eq!(
         kinds,
-        ["fn argmax", "IGNORE_TARGET", "IGNORE_TARGET"],
+        ["fn argmax", "IGNORE_TARGET"],
         "{SCORER}: {ops_sites:?}"
     );
 }
