@@ -56,6 +56,26 @@
 //! `exp(-1e30 - max) = +0`, which is the square's untouched zero. A taped
 //! pass carries no adapter.
 //!
+//! # The last block
+//!
+//! The last block of a pass (`depth - 1`) computes what its caller reads
+//! and no more. Every fed row still gets `ln1`, `qkv` and its K/V write,
+//! which later positions and later passes attend over. Past the K/V
+//! write, only the kept rows go on through attention's output, `proj`, the
+//! residual, `ln2`, `fc1`, GELU and `fc2`: every row of a run exiting
+//! there, plus the hidden rows that [`Reads`] names — none for a decode
+//! pass, every one for a frozen full window, the supervised rows for the
+//! tuner's taped pass. A run none of whose rows is kept skips that
+//! block's attention too, as a no-exit prefill run does. When every row
+//! is kept nothing is gathered, so a dense-target step or a decode-only
+//! pass runs as before. The exit block's [`BlockTape`] holds its parts
+//! past attention for the kept rows only, with their indices, and the
+//! backward scatters their gradients onto zero rows before the attention
+//! backward and the residual add. Rows are independent, so a kept row's
+//! bits do not change; and every skipped row would have added only `±0`
+//! terms to weight-gradient sums that start at `+0.0` (DESIGN §5d), so no
+//! gradient bit changes either.
+//!
 //! # Bit-identity
 //!
 //! Three properties carry batched ≡ solo, speculative ≡ greedy and full
@@ -670,7 +690,7 @@ fn walk(
     let input = entry.hidden.map_or(embedded, <[f32]>::to_vec);
     let mut x = Tensor::from_vec(n, c, input).map_err(ModelError::Tensor)?;
     // The rows the last block computes past its K/V write, when not all.
-    let kept = kept_rows(runs, &rows, depth, reads);
+    let kept = rows_read(runs, &rows, depth, reads);
     let kept_rows: Vec<Row<'_>> = kept.iter().flatten().map(|&i| rows[i]).collect();
     // One projection over `live`'s rows. A taped layer's runs through
     // `Linear::forward`, the f32 route its backward reads, and keeps its
@@ -856,7 +876,7 @@ type Row<'a> = (usize, usize, Option<&'a ResolvedAdapter>);
 /// layers `..depth` computes: every row of a run exiting at `depth - 1`,
 /// and each row that `reads` names. `None` when that is every row, so a
 /// pass whose caller reads all of them gathers nothing.
-fn kept_rows(
+fn rows_read(
     runs: &[BatchedRun<'_>],
     rows: &[Row<'_>],
     depth: usize,
