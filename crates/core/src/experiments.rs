@@ -9,9 +9,10 @@
 //! each model once, adapts each key once, on its first read, and lets a
 //! run go after its last planned read, so a table reads the runs an
 //! earlier one made (T3 and F1 read T1's vanilla run, A1 and A3 its
-//! Edge-LLM run). Each model is profiled once, when it is prepared:
-//! every LUC run searches [`crate::pipeline::Prepared::profile`], and F5
-//! prints it, reading no run. T3 carries the analytic memory model beside its measured
+//! Edge-LLM run). Each model is profiled at most once, when its profile
+//! is first read: every LUC run searches
+//! [`crate::pipeline::Prepared::profile`], and F5 prints it, reading no
+//! run. T3 carries the analytic memory model beside its measured
 //! activations, F1 the accuracy frontier beside its latencies, and T1's
 //! no-vote row is its Edge-LLM run's final exit. See `DESIGN.md` for the
 //! experiment index and `EXPERIMENTS.md` for recorded results.
@@ -19,7 +20,8 @@
 use crate::baselines::uniform_policy_for_budget;
 use crate::eval::evaluate;
 use crate::pipeline::{
-    adapt, outcome, plan, prepare, ExperimentConfig, Method, Prepared, Recipe, TaskKind,
+    adapt, outcome, plan, prepare, ExperimentConfig, LazyProfile, Method, Prepared, Recipe,
+    TaskKind,
 };
 use crate::report::{bytes, f3, pct, speedup, Table};
 use crate::resilience::{schedule_depth, AdaptRun, ResilienceConfig};
@@ -199,7 +201,7 @@ pub struct RunStore {
     /// to adapt from it.
     models: [(usize, Option<Prepared>); 2],
     /// The untied and the tied model's profile, once it is prepared.
-    profiles: [Option<SensitivityProfile>; 2],
+    profiles: [Option<LazyProfile>; 2],
 }
 
 impl RunStore {
@@ -248,15 +250,18 @@ impl RunStore {
     /// it, and held only if a planned run adapts from it.
     fn profile(&mut self, tied: bool) -> Result<SensitivityProfile, EdgeLlmError> {
         let i = usize::from(tied);
-        if let Some(profile) = &self.profiles[i] {
-            return Ok(profile.clone());
-        }
-        let model = self.model(tied)?;
-        let profile = model.profile.clone();
-        if self.models[i].0 > 0 {
-            self.models[i].1 = Some(model);
-        }
-        Ok(profile)
+        let profile = match &self.profiles[i] {
+            Some(profile) => profile.clone(),
+            None => {
+                let model = self.model(tied)?;
+                let profile = model.profile.clone();
+                if self.models[i].0 > 0 {
+                    self.models[i].1 = Some(model);
+                }
+                profile
+            }
+        };
+        profile.get()
     }
 
     /// The run `key` names, adapted on its first read. Each run follows
@@ -847,7 +852,11 @@ mod tests {
     fn f5_prints_the_profile_of_the_pretrained_model() {
         // Each cell is the pretrained tied model's profile, the one every
         // tied LUC run searched, not a profile of the adapted vanilla run.
-        let profile = prepare(&Scale::Quick.config()).unwrap().profile;
+        let profile = prepare(&Scale::Quick.config())
+            .unwrap()
+            .profile
+            .get()
+            .unwrap();
         let t = f5_sensitivity(&mut RunStore::new(Scale::Quick, &["f5"])).unwrap();
         assert_eq!(t.n_rows(), profile.n_layers());
         for l in 0..profile.n_layers() {

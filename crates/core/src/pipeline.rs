@@ -32,6 +32,7 @@ use edge_llm_model::{
 use edge_llm_quant::BitWidth;
 use edge_llm_telemetry as telemetry;
 use edge_llm_tensor::TensorRng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which synthetic adaptation task to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,7 +300,8 @@ pub const LUC_RATIO_CHOICES: [f32; 4] = [0.0, 0.25, 0.5, 0.75];
 
 /// The LUC sensitivity profile of `model` on the rows of `calib`: each
 /// layer's loss delta at every candidate bit-width and pruning ratio.
-/// [`prepare`] profiles each model it hands over once through it.
+/// Each model [`prepare`] hands over is profiled through it at most once,
+/// on its [`LazyProfile`]'s first read.
 ///
 /// # Errors
 ///
@@ -322,6 +324,43 @@ pub fn run_method(
     run_method_with(method, config, &ResilienceConfig::default())
 }
 
+/// A prepared model's LUC profile, built from the model as [`prepare`]
+/// handed it over on its first read and shared by every clone of that
+/// [`Prepared`]: one profile per prepared model whatever its clones adapt,
+/// and none for a model that no LUC policy is searched for.
+#[derive(Debug, Clone)]
+pub struct LazyProfile(Arc<Mutex<ProfileState>>);
+
+#[derive(Debug)]
+enum ProfileState {
+    /// The model as prepared and its calibration rows, until the first read.
+    Pending(Box<EdgeModel>, Batch),
+    Built(SensitivityProfile),
+}
+
+impl LazyProfile {
+    fn new(model: &EdgeModel, calib: Batch) -> Self {
+        let pending = ProfileState::Pending(Box::new(model.clone()), calib);
+        LazyProfile(Arc::new(Mutex::new(pending)))
+    }
+
+    /// The profile, built now on its first read ([`luc_profile`]); a read
+    /// that fails leaves it unbuilt.
+    ///
+    /// # Errors
+    ///
+    /// Propagates profiling errors.
+    pub fn get(&self) -> Result<SensitivityProfile, EdgeLlmError> {
+        let mut state = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let profile = match &*state {
+            ProfileState::Built(profile) => return Ok(profile.clone()),
+            ProfileState::Pending(model, calib) => luc_profile(model, calib)?,
+        };
+        *state = ProfileState::Built(profile.clone());
+        Ok(profile)
+    }
+}
+
 /// What [`prepare`] hands to [`adapt`]: the model as it arrives on the
 /// device plus the target-task data, the model's LUC sensitivity profile,
 /// and the run's RNG stream. A clone adapts exactly as a fresh
@@ -339,7 +378,7 @@ pub struct Prepared {
     /// competent on: 2×batch source-task rows when it is pretrained (the
     /// pre-adaptation loss on unlearned target data is mostly noise), else
     /// the first 2×batch target rows.
-    pub profile: SensitivityProfile,
+    pub profile: LazyProfile,
     /// The seed-derived stream, positioned after data sampling,
     /// pretraining and the calibration draw.
     pub rng: TensorRng,
@@ -348,8 +387,8 @@ pub struct Prepared {
 /// Stage one of every adaptation run: validate the configuration, build
 /// the model, sample and shuffle the target-task data, pretrain on a
 /// source task of the same shape (deep supervision so every exit head
-/// works, mirroring a deployed pretrained checkpoint), and profile the
-/// model on the calibration rows.
+/// works, mirroring a deployed pretrained checkpoint), and draw the
+/// calibration rows its profile reads.
 ///
 /// # Errors
 ///
@@ -384,12 +423,11 @@ pub fn prepare(config: &ExperimentConfig) -> Result<Prepared, EdgeLlmError> {
     } else {
         train.batch_at(0, rows)
     };
-    let profile = luc_profile(&model, &calib)?;
     Ok(Prepared {
+        profile: LazyProfile::new(&model, calib),
         model,
         train,
         eval_set,
-        profile,
         rng,
     })
 }
@@ -473,7 +511,7 @@ pub(crate) fn plan(
             budget,
             ref schedule,
         } => {
-            let prof = &prepared.profile;
+            let prof = &prepared.profile.get()?;
             let policy = search_policy(prof, budget, algorithm)?.policy;
             let by_sensitivity =
                 || crate::windows::sensitivity_window_schedule(prof, config.window_depth);
@@ -639,7 +677,7 @@ mod tests {
         let fresh = prepare(&cfg).unwrap();
         let target_rows = fresh.train.batch_at(0, 2 * cfg.batch);
         let on_target = luc_profile(&fresh.model, &target_rows).unwrap();
-        assert_eq!(bits(&fresh.profile), bits(&on_target));
+        assert_eq!(bits(&fresh.profile.get().unwrap()), bits(&on_target));
         let pretrained = ExperimentConfig {
             pretrain_iterations: 2,
             ..cfg.clone()
@@ -647,9 +685,10 @@ mod tests {
         let prepared = prepare(&pretrained).unwrap();
         let target_rows = prepared.train.batch_at(0, 2 * cfg.batch);
         let on_target = luc_profile(&prepared.model, &target_rows).unwrap();
-        assert_ne!(bits(&prepared.profile), bits(&on_target));
+        let profile = prepared.profile.get().unwrap();
+        assert_ne!(bits(&profile), bits(&on_target));
         let again = prepare(&pretrained).unwrap();
-        assert_eq!(bits(&again.profile), bits(&prepared.profile));
+        assert_eq!(bits(&again.profile.get().unwrap()), bits(&profile));
         // The stream a clone hands to its checkpoints is the fresh one.
         let state = prepared.clone().rng.state().to_bytes();
         assert_eq!(state, again.rng.state().to_bytes());
@@ -681,7 +720,7 @@ mod tests {
         assert_eq!(prepared.eval_set.samples(), eval_set.samples());
         assert_eq!(prepared.rng.state().to_bytes(), rng.state().to_bytes());
         let on_calib = luc_profile(&prepared.model, &calib).unwrap();
-        assert_eq!(prepared.profile, on_calib);
+        assert_eq!(prepared.profile.get().unwrap(), on_calib);
     }
 
     #[test]
