@@ -47,7 +47,7 @@ impl Attention {
     /// Backward pass from the attention fields of `tape`: accumulates
     /// projection gradients, returns `dx`. `dout` holds the tape's kept
     /// rows; their `proj` input gradient is scattered onto every row
-    /// ([`BlockTape::scatter`]) before the heads' backward.
+    /// (`BlockTape::scatter`) before the heads' backward.
     ///
     /// Each run's rows of the `qkv` gradient are written by one task, per
     /// head straight into the head's columns: `datt = dy · vᵀ`, the softmax

@@ -1444,6 +1444,8 @@ mod tests {
         // row, bit for bit — on the f32, row-code and integer routes, at
         // one and two workers, in a pass beside decoding runs and in a
         // pass of prefill runs only.
+        /// One run of a pass: its history, its fed tokens, its exits.
+        type Feed<'a> = (&'a [usize], &'a [usize], &'a [usize]);
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let dense = EdgeModel::new(
             ModelConfig::tiny().with_layers(3),
@@ -1475,9 +1477,8 @@ mod tests {
             let (final_exit, two_exits) = ([last], [0, last]);
             for threads in [1usize, 2] {
                 set_configured_threads(threads);
-                // (history, fed, exits): two decoding runs and a prefill
-                // run, then two prefill runs
-                let passes: [Vec<(&[usize], &[usize], &[usize])>; 2] = [
+                // two decoding runs and a prefill run, then two prefill runs
+                let passes: [Vec<Feed>; 2] = [
                     vec![
                         (&[1, 2, 3], &[4], &final_exit),
                         (&[], &[7, 8, 9, 10, 11], &[]),

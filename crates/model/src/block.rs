@@ -91,9 +91,7 @@ impl BlockTape {
         self.probs.extend(part.probs);
         Ok(())
     }
-}
 
-impl BlockTape {
     /// Rows the parts above the kept ones hold: every fed row.
     fn rows(&self) -> usize {
         self.ln1.rstd.len()
