@@ -794,8 +794,8 @@ fn walk(
         // past the K/V write, the rows this layer carries on
         let live = match trim {
             Some(kept) => {
-                concat = gather_rows(&concat, kept)?;
-                x = gather_rows(&x, kept)?;
+                concat = keep_rows(concat, kept)?;
+                x = keep_rows(x, kept)?;
                 &kept_rows[..]
             }
             None => &rows[..],
@@ -860,7 +860,7 @@ fn walk(
     }
     // a pass that walks no layer leaves with the rows read of its entry
     if let Some(kept) = kept.as_deref().filter(|_| entry.from == depth) {
-        x = gather_rows(&x, kept)?;
+        x = keep_rows(x, kept)?;
     }
     Ok(Walked {
         hidden: x,
@@ -901,13 +901,17 @@ fn rows_read(
     (kept.len() < rows.len()).then_some(kept)
 }
 
-/// `x`'s rows at `kept`, in that order.
-fn gather_rows(x: &Tensor, kept: &[usize]) -> Result<Tensor, ModelError> {
-    let mut out = Vec::with_capacity(kept.len() * x.cols());
-    for &i in kept {
-        out.extend_from_slice(x.row(i));
+/// `x`'s rows at `kept`, ascending, moved to the front of its own buffer
+/// in that order: the pass allocates nothing to drop the rest.
+fn keep_rows(x: Tensor, kept: &[usize]) -> Result<Tensor, ModelError> {
+    let c = x.cols();
+    let mut data = x.into_vec();
+    // row `i` moves up to `j <= i`, past rows already moved
+    for (j, &i) in kept.iter().enumerate() {
+        data.copy_within(i * c..(i + 1) * c, j * c);
     }
-    Ok(Tensor::from_vec(kept.len(), x.cols(), out)?)
+    data.truncate(kept.len() * c);
+    Ok(Tensor::from_vec(kept.len(), c, data)?)
 }
 
 #[cfg(test)]
